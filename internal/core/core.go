@@ -112,14 +112,21 @@ type Simulation struct {
 	medium *d2d.Medium
 	bs     *cellular.BaseStation
 
-	relays   []*device.Relay
-	ues      []*device.UE
-	ledgers  map[hbmsg.DeviceID]*energy.Ledger
-	roles    map[hbmsg.DeviceID]d2d.Role
-	order    []hbmsg.DeviceID
+	devices  []*simDevice // in registration order
 	tracker  *presence.Tracker
 	observer func(cellular.Delivery)
 	ran      bool
+}
+
+// simDevice is one registered device: what the report reads per device,
+// plus its state machine (exactly one of relay and ue once registered).
+type simDevice struct {
+	id     hbmsg.DeviceID
+	role   d2d.Role
+	ledger *energy.Ledger
+	modem  *cellular.Modem
+	relay  *device.Relay
+	ue     *device.UE
 }
 
 // New builds an empty simulation; add devices with AddRelay/AddUE, then
@@ -152,8 +159,6 @@ func New(opts Options) (*Simulation, error) {
 		sched:   s,
 		medium:  medium,
 		bs:      bs,
-		ledgers: make(map[hbmsg.DeviceID]*energy.Ledger),
-		roles:   make(map[hbmsg.DeviceID]d2d.Role),
 		tracker: presence.NewTracker(),
 	}
 	bs.OnDeliver(func(d cellular.Delivery) {
@@ -187,36 +192,41 @@ func (sim *Simulation) Scheduler() *simtime.Scheduler { return sim.sched }
 // BaseStation exposes the network side for custom observers.
 func (sim *Simulation) BaseStation() *cellular.BaseStation { return sim.bs }
 
+// join attaches a new device to the cellular network and the D2D medium
+// and registers it for the report.
+func (sim *Simulation) join(id hbmsg.DeviceID, role d2d.Role, mob geo.Mobility) (*simDevice, *d2d.Node, error) {
+	if sim.ran {
+		return nil, nil, errors.New("core: simulation already ran")
+	}
+	if mob == nil {
+		mob = geo.Static{}
+	}
+	led := energy.NewLedger()
+	modem, err := sim.bs.Attach(id, *sim.opts.EnergyModel, *sim.opts.RRC, led)
+	if err != nil {
+		return nil, nil, err
+	}
+	node, err := sim.medium.Join(id, role, mob, led)
+	if err != nil {
+		return nil, nil, err
+	}
+	dev := &simDevice{id: id, role: role, ledger: led, modem: modem}
+	sim.devices = append(sim.devices, dev)
+	return dev, node, nil
+}
+
 // AddRelay registers a relay device. Under DisableD2D the device is
 // downgraded to a plain cellular sender, so the same topology can be run
 // as the original system.
 func (sim *Simulation) AddRelay(spec RelaySpec) (*device.Relay, error) {
-	if sim.ran {
-		return nil, errors.New("core: simulation already ran")
-	}
-	if spec.Mobility == nil {
-		spec.Mobility = geo.Static{}
-	}
-	if spec.Capacity <= 0 {
-		spec.Capacity = 8
-	}
-	led := energy.NewLedger()
-	modem, err := sim.bs.Attach(spec.ID, *sim.opts.EnergyModel, *sim.opts.RRC, led)
+	dev, node, err := sim.join(spec.ID, d2d.RoleRelay, spec.Mobility)
 	if err != nil {
 		return nil, err
 	}
-	node, err := sim.medium.Join(spec.ID, d2d.RoleRelay, spec.Mobility, led)
-	if err != nil {
-		return nil, err
-	}
-	sim.ledgers[spec.ID] = led
-	sim.roles[spec.ID] = d2d.RoleRelay
-	sim.order = append(sim.order, spec.ID)
-
 	if sim.opts.DisableD2D {
 		// Original system: the would-be relay just sends its own
 		// heartbeats directly; register it as a D2D-disabled UE.
-		ue, err := device.NewUE(sim.sched, node, modem, device.UEConfig{
+		dev.ue, err = device.NewUE(sim.sched, node, dev.modem, device.UEConfig{
 			ID:          spec.ID,
 			Profile:     spec.Profile,
 			Match:       *sim.opts.Match,
@@ -224,18 +234,16 @@ func (sim *Simulation) AddRelay(spec RelaySpec) (*device.Relay, error) {
 			DisableD2D:  true,
 			Tracer:      sim.opts.Tracer,
 		})
-		if err != nil {
-			return nil, err
-		}
-		sim.ues = append(sim.ues, ue)
-		return nil, nil
+		return nil, err
 	}
-
+	if spec.Capacity <= 0 {
+		spec.Capacity = 8
+	}
 	policy, err := sched.New(sim.opts.Policy, spec.Capacity, spec.Profile.Period, sim.opts.FixedDelay)
 	if err != nil {
 		return nil, err
 	}
-	relay, err := device.NewRelay(sim.sched, node, modem, device.RelayConfig{
+	dev.relay, err = device.NewRelay(sim.sched, node, dev.modem, device.RelayConfig{
 		ID:          spec.ID,
 		Profile:     spec.Profile,
 		Capacity:    spec.Capacity,
@@ -243,31 +251,16 @@ func (sim *Simulation) AddRelay(spec RelaySpec) (*device.Relay, error) {
 		StartOffset: spec.StartOffset,
 		Tracer:      sim.opts.Tracer,
 	})
-	if err != nil {
-		return nil, err
-	}
-	sim.relays = append(sim.relays, relay)
-	return relay, nil
+	return dev.relay, err
 }
 
 // AddUE registers a UE device.
 func (sim *Simulation) AddUE(spec UESpec) (*device.UE, error) {
-	if sim.ran {
-		return nil, errors.New("core: simulation already ran")
-	}
-	if spec.Mobility == nil {
-		spec.Mobility = geo.Static{}
-	}
-	led := energy.NewLedger()
-	modem, err := sim.bs.Attach(spec.ID, *sim.opts.EnergyModel, *sim.opts.RRC, led)
+	dev, node, err := sim.join(spec.ID, d2d.RoleUE, spec.Mobility)
 	if err != nil {
 		return nil, err
 	}
-	node, err := sim.medium.Join(spec.ID, d2d.RoleUE, spec.Mobility, led)
-	if err != nil {
-		return nil, err
-	}
-	ue, err := device.NewUE(sim.sched, node, modem, device.UEConfig{
+	dev.ue, err = device.NewUE(sim.sched, node, dev.modem, device.UEConfig{
 		ID:              spec.ID,
 		Profile:         spec.Profile,
 		ExtraProfiles:   spec.ExtraProfiles,
@@ -277,83 +270,44 @@ func (sim *Simulation) AddUE(spec UESpec) (*device.UE, error) {
 		DisableD2D:      sim.opts.DisableD2D,
 		Tracer:          sim.opts.Tracer,
 	})
-	if err != nil {
-		return nil, err
-	}
-	sim.ledgers[spec.ID] = led
-	sim.roles[spec.ID] = d2d.RoleUE
-	sim.order = append(sim.order, spec.ID)
-	sim.ues = append(sim.ues, ue)
-	return ue, nil
+	return dev.ue, err
 }
 
-// Run starts every device and executes the scenario to the configured
-// horizon, returning the report. A simulation can only run once.
+// Run starts every device — relays first, then UEs, each in registration
+// order — and executes the scenario to the configured horizon, returning
+// the report. A simulation can only run once.
 func (sim *Simulation) Run() (*Report, error) {
 	if sim.ran {
 		return nil, errors.New("core: simulation already ran")
 	}
-	if len(sim.order) == 0 {
+	if len(sim.devices) == 0 {
 		return nil, errors.New("core: no devices added")
 	}
 	sim.ran = true
-	for _, r := range sim.relays {
-		if err := r.Start(); err != nil {
-			return nil, err
+	for _, d := range sim.devices {
+		if d.relay != nil {
+			if err := d.relay.Start(); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for _, u := range sim.ues {
-		if err := u.Start(); err != nil {
-			return nil, err
+	for _, d := range sim.devices {
+		if d.ue != nil {
+			if err := d.ue.Start(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if err := sim.sched.RunUntil(sim.opts.Duration); err != nil {
 		return nil, fmt.Errorf("core: run: %w", err)
 	}
-	return sim.report(), nil
-}
-
-func (sim *Simulation) report() *Report {
-	rep := &Report{
-		Duration: sim.opts.Duration,
-		byID:     make(map[hbmsg.DeviceID]*DeviceReport, len(sim.order)),
+	devs := make([]*DeviceReport, 0, len(sim.devices))
+	for _, d := range sim.devices {
+		devs = append(devs, NewDeviceReport(d.id, d.role, d.ledger, d.modem.Counters(),
+			sim.tracker, sim.opts.Duration, d.relay, d.ue))
 	}
-	relayByID := make(map[hbmsg.DeviceID]*device.Relay, len(sim.relays))
-	for _, r := range sim.relays {
-		relayByID[r.ID()] = r
-	}
-	ueByID := make(map[hbmsg.DeviceID]*device.UE, len(sim.ues))
-	for _, u := range sim.ues {
-		ueByID[u.ID()] = u
-	}
-	for _, id := range sim.order {
-		led := sim.ledgers[id]
-		modem, _ := sim.bs.Modem(id)
-		_, flaps, _ := sim.tracker.Stats(id, sim.opts.Duration)
-		dr := &DeviceReport{
-			ID:            id,
-			Role:          sim.roles[id],
-			Energy:        led.Snapshot(),
-			Total:         led.Total(),
-			RRC:           modem.Counters(),
-			Availability:  sim.tracker.Availability(id, sim.opts.Duration),
-			PresenceFlaps: flaps,
-		}
-		if r, ok := relayByID[id]; ok {
-			st := r.Stats()
-			dr.Relay = &st
-		}
-		if u, ok := ueByID[id]; ok {
-			st := u.Stats()
-			dr.UE = &st
-		}
-		rep.Devices = append(rep.Devices, dr)
-		rep.byID[id] = dr
-	}
-	rep.TotalL3Messages = sim.bs.TotalL3Messages()
-	rep.Deliveries, rep.LateDeliveries = sim.bs.Deliveries()
-	rep.Channel = sim.bs.ChannelReport()
-	return rep
+	deliveries, late := sim.bs.Deliveries()
+	return NewReport(sim.opts.Duration, devs, sim.bs.TotalL3Messages(), deliveries, late, sim.bs.ChannelReport()), nil
 }
 
 // DeviceReport is one device's share of the results.

@@ -3,7 +3,7 @@ package d2d
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"d2dhb/internal/geo"
 	"d2dhb/internal/hbmsg"
@@ -76,6 +76,6 @@ func (x *BeaconIndex) Neighborhood(p geo.Point, out []Beacon) []Beacon {
 			out = append(out, x.cells[cellKey{cx: center.cx + dx, cy: center.cy + dy}]...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Order < out[j].Order })
+	slices.SortFunc(out, func(a, b Beacon) int { return a.Order - b.Order })
 	return out
 }

@@ -7,6 +7,7 @@
 package d2d
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -407,21 +408,17 @@ func (n *Node) Scan() []PeerInfo {
 		})
 	}
 	m.scratch = cands[:0]
-	slices.SortFunc(found, func(a, b PeerInfo) int {
-		switch {
-		case a.EstDistance < b.EstDistance:
-			return -1
-		case a.EstDistance > b.EstDistance:
-			return 1
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(found, ByEstDistance)
 	return found
+}
+
+// ByEstDistance orders discovery results nearest-first by estimated
+// distance, ties broken by id — the ranking every Scan returns.
+func ByEstDistance(a, b PeerInfo) int {
+	if c := cmp.Compare(a.EstDistance, b.EstDistance); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 func (n *Node) chargeDiscovery(role Role) {

@@ -1,6 +1,8 @@
 package device
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -668,5 +670,271 @@ func TestLossyLinkFailuresFallBackCleanly(t *testing.T) {
 	// feedback got lost on the lossy link.
 	if us.FallbackResends > us.SentViaD2D {
 		t.Fatalf("more fallbacks (%d) than forwards (%d)", us.FallbackResends, us.SentViaD2D)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The state machines against a fake substrate. Everything above drives them
+// through the live medium; these cases script the substrate's answers
+// heartbeat by heartbeat, so each decision is pinned on its own.
+
+// fakeSub is a scripted Radio, Uplink and RelayRadio on a real scheduler
+// clock.
+type fakeSub struct {
+	relays map[hbmsg.DeviceID]*fakeLink // every relay in the world
+	offer  []hbmsg.DeviceID             // the ones discovery finds right now
+	scans  int
+	direct [][]hbmsg.Heartbeat // cellular batches, in send order
+	acks   []d2d.AckRef        // relay side: feedback sent
+}
+
+func (f *fakeSub) Scan() []d2d.PeerInfo {
+	f.scans++
+	var out []d2d.PeerInfo
+	for i, id := range f.offer {
+		out = append(out, d2d.PeerInfo{ID: id, EstDistance: float64(i + 1),
+			Intent: d2d.MaxGroupOwnerIntent, FreeCapacity: f.relays[id].free})
+	}
+	return out
+}
+
+func (f *fakeSub) Connect(peer hbmsg.DeviceID) (Link, error) {
+	l := f.relays[peer]
+	l.open = true
+	return l, nil
+}
+
+func (f *fakeSub) Send(hbs []hbmsg.Heartbeat, _ energy.Phase) error {
+	f.direct = append(f.direct, append([]hbmsg.Heartbeat(nil), hbs...))
+	return nil
+}
+
+func (f *fakeSub) Advertise(int, int) {}
+func (f *fakeSub) Shutdown()          {}
+func (f *fakeSub) Ack(_ ReturnPath, ref d2d.AckRef) error {
+	f.acks = append(f.acks, ref)
+	return nil
+}
+
+// fakeLink is the UE's link to one fake relay; the same value is returned
+// for every connection to that relay.
+type fakeLink struct {
+	id     hbmsg.DeviceID
+	open   bool
+	free   int
+	fail   string // next Send: "loss" fails it, "range" fails it and breaks the link
+	onSend func(hbmsg.Heartbeat)
+	sent   int
+	closes int
+}
+
+func (l *fakeLink) Open() bool             { return l.open }
+func (l *fakeLink) Distance() float64      { return 1 }
+func (l *fakeLink) PeerFree() int          { return l.free }
+func (l *fakeLink) PeerID() hbmsg.DeviceID { return l.id }
+func (l *fakeLink) Close()                 { l.open = false; l.closes++ }
+func (l *fakeLink) Send(hb hbmsg.Heartbeat) error {
+	switch fail := l.fail; fail {
+	case "range":
+		l.open = false
+		fallthrough
+	case "loss":
+		l.fail = ""
+		return errors.New(fail)
+	}
+	l.sent++
+	if l.onSend != nil {
+		l.onSend(hb)
+	}
+	return nil
+}
+
+// beat scripts one heartbeat: what the substrate answers and what the UE
+// must do with it.
+type beat struct {
+	offer []hbmsg.DeviceID       // relays discovery finds from this heartbeat on (nil = unchanged)
+	free  map[hbmsg.DeviceID]int // advertised capacities changed before this heartbeat
+	fail  string                 // outcome of this heartbeat's D2D send, see fakeLink.fail
+	scan  bool                   // want: exactly one discovery
+	via   hbmsg.DeviceID         // want: forwarded to this relay; "" = sent over cellular
+}
+
+func beats(parts ...[]beat) []beat { return slices.Concat(parts...) }
+
+// skip is n heartbeats of suppressed discovery, sent directly.
+func skip(n int) []beat { return make([]beat, n) }
+
+func TestUEStateMachineOnFakeSubstrate(t *testing.T) {
+	none := []hbmsg.DeviceID{}
+	scanFail := []beat{{scan: true}}
+	cases := []struct {
+		name  string
+		beats []beat
+		// wantOpen lists relays whose link must never have been closed.
+		wantOpen []hbmsg.DeviceID
+	}{
+		{
+			name: "scan backoff doubles 1-2-4-8, caps, and resets on match",
+			beats: beats(
+				scanFail, skip(1), scanFail, skip(2), scanFail, skip(4), scanFail, skip(8),
+				scanFail, skip(8), // capped
+				[]beat{{offer: []hbmsg.DeviceID{"a"}, scan: true, via: "a"}},
+				[]beat{{offer: none, fail: "range"}}, // link breaks: rematch from scratch
+				scanFail, skip(1), scanFail,
+			),
+		},
+		{
+			name: "busy relay hands over when the scan budget allows, old link left open",
+			beats: []beat{
+				{offer: []hbmsg.DeviceID{"a", "b"}, scan: true, via: "a"},
+				{free: map[hbmsg.DeviceID]int{"a": 0}, scan: true, via: "b"},
+				{via: "b"},
+			},
+			wantOpen: []hbmsg.DeviceID{"a", "b"},
+		},
+		{
+			name: "busy relay without scan budget goes direct and keeps the link",
+			beats: []beat{
+				{offer: []hbmsg.DeviceID{"a"}, scan: true, via: "a"},
+				{free: map[hbmsg.DeviceID]int{"a": 0}, scan: true}, // hand-over scan finds nobody
+				{offer: []hbmsg.DeviceID{"a", "b"}},                // b is there, but the budget is spent
+				{free: map[hbmsg.DeviceID]int{"a": 4}, via: "a"},   // a frees up: same link, no scan
+			},
+			wantOpen: []hbmsg.DeviceID{"a"},
+		},
+		{
+			name: "lost transfer keeps the link, out-of-range send drops it",
+			beats: []beat{
+				{offer: []hbmsg.DeviceID{"a"}, scan: true, via: "a"},
+				{fail: "loss"},
+				{via: "a"},
+				{fail: "range"},
+				{scan: true, via: "a"},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := simtime.NewScheduler(1)
+			sub := &fakeSub{relays: map[hbmsg.DeviceID]*fakeLink{}}
+			ue, err := NewUEOn(simtime.SchedulerClock{S: s}, sub, sub, UEConfig{
+				ID: "ue", Profile: std(), Match: matching.DefaultConfig(), StartOffset: time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []hbmsg.DeviceID{"a", "b"} {
+				// Every relay acknowledges inside Send, as a relay whose batch
+				// this heartbeat fills does: the ack must find the feedback
+				// timer already armed, and any fallback below is then a ghost
+				// timer left by a failed send.
+				sub.relays[id] = &fakeLink{id: id, free: 4, onSend: func(hb hbmsg.Heartbeat) {
+					ue.OnAck(d2d.AckRef{Src: hb.Src, Seq: hb.Seq})
+				}}
+			}
+			if err := ue.Start(); err != nil {
+				t.Fatal(err)
+			}
+			var link *fakeLink // where the UE last forwarded
+			forwarded := 0
+			for i, b := range tc.beats {
+				if b.offer != nil {
+					sub.offer = b.offer
+				}
+				for id, free := range b.free {
+					sub.relays[id].free = free
+				}
+				if b.fail != "" {
+					link.fail = b.fail
+				}
+				scans, direct := sub.scans, len(sub.direct)
+				sent := map[hbmsg.DeviceID]int{"a": sub.relays["a"].sent, "b": sub.relays["b"].sent}
+				if err := s.RunUntil(time.Duration(i)*std().Period + 2*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				wantScans := 0
+				if b.scan {
+					wantScans = 1
+				}
+				if got := sub.scans - scans; got != wantScans {
+					t.Fatalf("heartbeat %d: %d scans, want %d", i+1, got, wantScans)
+				}
+				wantDirect := 1
+				if b.via != "" {
+					wantDirect = 0
+					link = sub.relays[b.via]
+					forwarded++
+					if link.sent-sent[b.via] != 1 {
+						t.Fatalf("heartbeat %d: not forwarded to %s (stats %+v)", i+1, b.via, ue.Stats())
+					}
+				}
+				if got := len(sub.direct) - direct; got != wantDirect {
+					t.Fatalf("heartbeat %d: %d cellular sends, want %d (stats %+v)", i+1, got, wantDirect, ue.Stats())
+				}
+			}
+			// Run past every feedback timeout.
+			if err := s.RunUntil(s.Now() + std().Period - 3*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			us := ue.Stats()
+			if us.AcksReceived != forwarded || us.FallbackResends != 0 {
+				t.Fatalf("acks %d of %d forwards, %d fallbacks: feedback not armed before the send, or a failed send left its timer",
+					us.AcksReceived, forwarded, us.FallbackResends)
+			}
+			for _, id := range tc.wantOpen {
+				if l := sub.relays[id]; !l.open || l.closes != 0 {
+					t.Fatalf("link to %s closed (open=%v, closes=%d)", id, l.open, l.closes)
+				}
+			}
+		})
+	}
+}
+
+func TestRelayPeriodAndFlushTimerOnSameInstant(t *testing.T) {
+	// With nothing due earlier, the flush deadline is the period end — the
+	// very instant the period timer, armed first, fires. The new period must
+	// drain the old window (batch, own heartbeat, feedback) before it resets
+	// the policy, and the superseded flush timer must not fire after it.
+	s := simtime.NewScheduler(1)
+	sub := &fakeSub{}
+	relay, err := NewRelayOn(simtime.SchedulerClock{S: s}, sub, sub, RelayConfig{
+		ID: "relay", Profile: std(), Capacity: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := relay.Start(); err != nil {
+		t.Fatal(err)
+	}
+	period := std().Period
+	if _, err := s.At(10*time.Second, func() {
+		relay.Receive(std().Heartbeat("ue", 1, s.Now()), "path")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(period - time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(sub.direct) != 0 {
+		t.Fatalf("flushed before the period end: %v", sub.direct)
+	}
+	if err := s.RunUntil(period + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(sub.direct) != 1 || len(sub.direct[0]) != 2 {
+		t.Fatalf("cellular batches at the period boundary = %v, want one of [forwarded, own]", sub.direct)
+	}
+	if got := sub.direct[0]; got[0].Src != "ue" || got[1].Src != "relay" || got[1].Seq != 1 {
+		t.Fatalf("batch = %v, want the forwarded heartbeat then the old period's own", got)
+	}
+	if len(sub.acks) != 1 || sub.acks[0] != (d2d.AckRef{Src: "ue", Seq: 1}) {
+		t.Fatalf("acks = %v, want one for ue/1", sub.acks)
+	}
+	rs := relay.Stats()
+	if rs.Flushes != 1 || rs.FlushesByPeriodEnd != 1 || rs.OwnHeartbeats != 2 || rs.Credits != 1 {
+		t.Fatalf("stats = %+v, want one period-end flush, two own heartbeats, one credit", rs)
+	}
+	if free, _ := relay.Advertised(); free != 8 {
+		t.Fatalf("advertised free = %d after the new period opened, want 8", free)
 	}
 }

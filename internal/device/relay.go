@@ -98,27 +98,39 @@ type ackKey struct {
 // Relay is a smartphone volunteering as a heartbeat collector.
 type Relay struct {
 	cfg    RelayConfig
-	sched  *simtime.Scheduler
-	node   *d2d.Node
-	modem  *cellular.Modem
+	clock  simtime.Clock
+	radio  RelayRadio
+	uplink Uplink
 	policy sched.Policy
 
 	seq         uint64
 	ownHB       hbmsg.Heartbeat
-	sources     map[ackKey]*d2d.Link
-	flushTimer  *simtime.Timer
-	periodTimer *simtime.Timer
+	sources     map[ackKey]ReturnPath
+	flushTimer  simtime.Handle
+	periodTimer simtime.Handle
 	stopped     bool
 
 	stats RelayStats
 }
 
-// NewRelay assembles a relay from its D2D node and cellular modem. Start
-// must be called to begin operating.
+// NewRelay assembles a relay on the sequential substrate: its D2D node on
+// the live medium and its cellular modem. Start must be called to begin
+// operating.
 func NewRelay(s *simtime.Scheduler, node *d2d.Node, modem *cellular.Modem, cfg RelayConfig) (*Relay, error) {
 	if s == nil || node == nil || modem == nil {
 		return nil, errors.New("device: nil scheduler, node or modem")
 	}
+	r, err := NewRelayOn(simtime.SchedulerClock{S: s}, liveNode{node}, modem, cfg)
+	if err != nil {
+		return nil, err
+	}
+	node.OnReceive(func(hb hbmsg.Heartbeat, link *d2d.Link) { r.Receive(hb, link) })
+	return r, nil
+}
+
+// NewRelayOn assembles a relay on an arbitrary substrate. The substrate
+// delivers forwarded heartbeats by calling Receive.
+func NewRelayOn(clock simtime.Clock, radio RelayRadio, uplink Uplink, cfg RelayConfig) (*Relay, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -130,20 +142,15 @@ func NewRelay(s *simtime.Scheduler, node *d2d.Node, modem *cellular.Modem, cfg R
 			return nil, err
 		}
 	}
-	r := &Relay{
+	return &Relay{
 		cfg:     cfg,
-		sched:   s,
-		node:    node,
-		modem:   modem,
+		clock:   clock,
+		radio:   radio,
+		uplink:  uplink,
 		policy:  policy,
-		sources: make(map[ackKey]*d2d.Link),
-	}
-	node.OnReceive(r.onReceive)
-	return r, nil
+		sources: make(map[ackKey]ReturnPath),
+	}, nil
 }
-
-// ID returns the device id.
-func (r *Relay) ID() hbmsg.DeviceID { return r.cfg.ID }
 
 // Stats returns a snapshot of the relay's counters.
 func (r *Relay) Stats() RelayStats { return r.stats }
@@ -153,7 +160,7 @@ func (r *Relay) Policy() sched.Policy { return r.policy }
 
 // Start schedules the first heartbeat period.
 func (r *Relay) Start() error {
-	t, err := r.sched.After(r.cfg.StartOffset, r.startPeriod)
+	t, err := r.clock.After(r.cfg.StartOffset, r.startPeriod)
 	if err != nil {
 		return fmt.Errorf("device: start relay %s: %w", r.cfg.ID, err)
 	}
@@ -168,14 +175,11 @@ func (r *Relay) Start() error {
 func (r *Relay) Stop() {
 	r.stopped = true
 	r.emit(trace.Event{Kind: trace.KindStop})
-	r.sched.Stop(r.flushTimer)
+	r.clock.Stop(r.flushTimer)
 	r.flushTimer = nil
-	r.sched.Stop(r.periodTimer)
+	r.clock.Stop(r.periodTimer)
 	r.periodTimer = nil
-	r.node.SetAccepting(false)
-	for _, l := range r.node.Links() {
-		l.Close()
-	}
+	r.radio.Shutdown()
 }
 
 // startPeriod opens a new collection window, generates the relay's own
@@ -189,7 +193,7 @@ func (r *Relay) startPeriod() {
 	// timer land on the same instant, the period timer fires first and
 	// must not discard the pending batch.
 	r.flush()
-	now := r.sched.Now()
+	now := r.clock.Now()
 	r.seq++
 	r.ownHB = r.cfg.Profile.Heartbeat(r.cfg.ID, r.seq, now)
 	r.stats.OwnHeartbeats++
@@ -197,30 +201,32 @@ func (r *Relay) startPeriod() {
 	r.advertise()
 
 	var err error
-	r.periodTimer, err = r.sched.After(r.cfg.Profile.Period, r.startPeriod)
+	r.periodTimer, err = r.clock.After(r.cfg.Profile.Period, r.startPeriod)
 	if err != nil {
 		r.stats.SendErrors++
 	}
 	r.rearmFlush()
 }
 
-// advertise publishes the relay's remaining capacity and group-owner
-// intent, which decays proportionally with load (Section IV-C).
-func (r *Relay) advertise() {
-	free := 0
+// Advertised returns what the relay's beacons currently say: its remaining
+// collection capacity and its group-owner intent, which decays
+// proportionally with load (Section IV-C).
+func (r *Relay) Advertised() (free, intent int) {
 	if r.policy.Accepting() {
 		free = r.cfg.Capacity - r.policy.Pending()
 	}
-	r.node.SetAccepting(!r.stopped)
-	r.node.Advertise(free, d2d.IntentForLoad(r.cfg.Capacity-free, r.cfg.Capacity))
+	return free, d2d.IntentForLoad(r.cfg.Capacity-free, r.cfg.Capacity)
 }
 
-// onReceive handles one forwarded heartbeat from a UE.
-func (r *Relay) onReceive(hb hbmsg.Heartbeat, link *d2d.Link) {
+func (r *Relay) advertise() { r.radio.Advertise(r.Advertised()) }
+
+// Receive handles one forwarded heartbeat from a UE; via is the path its
+// feedback will take.
+func (r *Relay) Receive(hb hbmsg.Heartbeat, via ReturnPath) {
 	if r.stopped {
 		return
 	}
-	now := r.sched.Now()
+	now := r.clock.Now()
 	flushNow, err := r.policy.Collect(hb, now)
 	switch {
 	case errors.Is(err, sched.ErrClosed):
@@ -239,7 +245,7 @@ func (r *Relay) onReceive(hb hbmsg.Heartbeat, link *d2d.Link) {
 	}
 	r.stats.Collected++
 	r.emit(trace.Event{Kind: trace.KindCollect, App: hb.App, Seq: hb.Seq, Peer: string(hb.Src)})
-	r.sources[ackKey{src: hb.Src, seq: hb.Seq}] = link
+	r.sources[ackKey{src: hb.Src, seq: hb.Seq}] = via
 	r.advertise()
 	if flushNow {
 		r.flush()
@@ -250,13 +256,13 @@ func (r *Relay) onReceive(hb hbmsg.Heartbeat, link *d2d.Link) {
 
 // rearmFlush (re)schedules the flush at the policy's current deadline.
 func (r *Relay) rearmFlush() {
-	r.sched.Stop(r.flushTimer)
+	r.clock.Stop(r.flushTimer)
 	r.flushTimer = nil
 	at, ok := r.policy.Deadline()
 	if !ok {
 		return
 	}
-	t, err := r.sched.At(at, r.flush)
+	t, err := r.clock.At(at, r.flush)
 	if err != nil {
 		// Deadline already passed (clock raced the arm): flush now.
 		r.flush()
@@ -272,11 +278,11 @@ func (r *Relay) flush() {
 		return
 	}
 	// The handle must be dropped as soon as it is cancelled (or has fired,
-	// when flush runs as the timer's own callback): the scheduler recycles
-	// dead timers, so a retained handle would alias the next event armed.
-	r.sched.Stop(r.flushTimer)
+	// when flush runs as the timer's own callback): a dead handle may alias
+	// the next event armed (see simtime.Handle).
+	r.clock.Stop(r.flushTimer)
 	r.flushTimer = nil
-	now := r.sched.Now()
+	now := r.clock.Now()
 	batch := r.policy.Flush(now)
 	full := make([]hbmsg.Heartbeat, 0, len(batch)+1)
 	full = append(full, batch...)
@@ -287,17 +293,18 @@ func (r *Relay) flush() {
 	if len(full) == 0 {
 		return
 	}
-	if err := r.modem.Send(full, energy.PhaseCellular); err != nil {
+	if err := r.uplink.Send(full, energy.PhaseCellular); err != nil {
 		r.stats.SendErrors++
 		return
 	}
 	r.stats.Flushes++
+	nagle, isNagle := r.policy.(*sched.Nagle)
 	reason := ""
-	if nagle, ok := r.policy.(*sched.Nagle); ok {
+	if isNagle {
 		reason = nagle.LastFlushReason().String()
 	}
 	r.emit(trace.Event{Kind: trace.KindFlush, N: len(full), Reason: reason})
-	if nagle, ok := r.policy.(*sched.Nagle); ok {
+	if isNagle {
 		switch nagle.LastFlushReason() {
 		case sched.ReasonCapacity:
 			r.stats.FlushesByCapacity++
@@ -315,7 +322,7 @@ func (r *Relay) flush() {
 
 // emit stamps and forwards one trace event.
 func (r *Relay) emit(ev trace.Event) {
-	ev.AtMs = trace.At(r.sched.Now())
+	ev.AtMs = trace.At(r.clock.Now())
 	ev.Device = string(r.cfg.ID)
 	trace.Emit(r.cfg.Tracer, ev)
 }
@@ -325,12 +332,12 @@ func (r *Relay) emit(ev trace.Event) {
 func (r *Relay) ackBatch(batch []hbmsg.Heartbeat) {
 	for _, hb := range batch {
 		key := ackKey{src: hb.Src, seq: hb.Seq}
-		link, ok := r.sources[key]
+		via, ok := r.sources[key]
 		delete(r.sources, key)
-		if !ok || link == nil {
+		if !ok {
 			continue
 		}
-		if err := link.SendAck(r.node, []d2d.AckRef{{Src: hb.Src, Seq: hb.Seq}}); err != nil {
+		if err := r.radio.Ack(via, d2d.AckRef{Src: hb.Src, Seq: hb.Seq}); err != nil {
 			r.stats.AckFailures++
 			continue
 		}

@@ -106,15 +106,16 @@ func (c UEConfig) validate() error {
 
 // UE is a smartphone forwarding its heartbeats through nearby relays.
 type UE struct {
-	cfg   UEConfig
-	sched *simtime.Scheduler
-	node  *d2d.Node
-	modem *cellular.Modem
+	cfg    UEConfig
+	clock  simtime.Clock
+	radio  Radio
+	uplink Uplink
 
 	seq      uint64
-	link     *d2d.Link
+	link     Link
 	pending  map[uint64]*pendingSend
-	hbTimers []*simtime.Timer
+	beats    []func() // one heartbeat loop body per app profile
+	hbTimers []simtime.Handle
 	stopped  bool
 
 	// Scan backoff: discovery is itself expensive (Table III) for the UE
@@ -132,27 +133,41 @@ const maxScanBackoff = 8
 // pendingSend tracks a forwarded heartbeat awaiting feedback.
 type pendingSend struct {
 	hb    hbmsg.Heartbeat
-	timer *simtime.Timer
+	timer simtime.Handle
 }
 
-// NewUE assembles a UE from its D2D node and cellular modem. Start must be
-// called to begin the heartbeat loop.
+// NewUE assembles a UE on the sequential substrate: its D2D node on the
+// live medium and its cellular modem. Start must be called to begin the
+// heartbeat loop.
 func NewUE(s *simtime.Scheduler, node *d2d.Node, modem *cellular.Modem, cfg UEConfig) (*UE, error) {
 	if s == nil || node == nil || modem == nil {
 		return nil, errors.New("device: nil scheduler, node or modem")
 	}
+	u, err := NewUEOn(simtime.SchedulerClock{S: s}, liveNode{node}, modem, cfg)
+	if err != nil {
+		return nil, err
+	}
+	node.OnAck(func(refs []d2d.AckRef, _ *d2d.Link) {
+		for _, ref := range refs {
+			u.OnAck(ref)
+		}
+	})
+	return u, nil
+}
+
+// NewUEOn assembles a UE on an arbitrary substrate. The substrate delivers
+// feedback by calling OnAck.
+func NewUEOn(clock simtime.Clock, radio Radio, uplink Uplink, cfg UEConfig) (*UE, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	u := &UE{
+	return &UE{
 		cfg:     cfg,
-		sched:   s,
-		node:    node,
-		modem:   modem,
+		clock:   clock,
+		radio:   radio,
+		uplink:  uplink,
 		pending: make(map[uint64]*pendingSend),
-	}
-	node.OnAck(u.onAck)
-	return u, nil
+	}, nil
 }
 
 // ID returns the device id.
@@ -169,11 +184,13 @@ func (u *UE) Connected() bool { return u.link != nil && u.link.Open() }
 // do not collide.
 func (u *UE) Start() error {
 	profiles := append([]hbmsg.AppProfile{u.cfg.Profile}, u.cfg.ExtraProfiles...)
-	u.hbTimers = make([]*simtime.Timer, len(profiles))
+	u.beats = make([]func(), len(profiles))
+	u.hbTimers = make([]simtime.Handle, len(profiles))
 	for i, p := range profiles {
 		i, p := i, p
+		u.beats[i] = func() { u.heartbeat(i, p) }
 		offset := u.cfg.StartOffset + time.Duration(i)*3*time.Second
-		t, err := u.sched.After(offset, func() { u.heartbeat(i, p) })
+		t, err := u.clock.After(offset, u.beats[i])
 		if err != nil {
 			return fmt.Errorf("device: start ue %s: %w", u.cfg.ID, err)
 		}
@@ -183,16 +200,16 @@ func (u *UE) Start() error {
 }
 
 // Stop halts the heartbeat loops and cancels pending feedback timers. The
-// handles are dropped as they are cancelled: the scheduler recycles stopped
-// timers, so keeping them would alias events armed by other devices.
+// handles are dropped as they are cancelled: a stopped handle is dead (see
+// simtime.Handle), so keeping it could alias events armed by other devices.
 func (u *UE) Stop() {
 	u.stopped = true
 	for i, t := range u.hbTimers {
-		u.sched.Stop(t)
+		u.clock.Stop(t)
 		u.hbTimers[i] = nil
 	}
 	for seq, p := range u.pending {
-		u.sched.Stop(p.timer)
+		u.clock.Stop(p.timer)
 		delete(u.pending, seq)
 	}
 	if u.link != nil {
@@ -216,14 +233,14 @@ func (u *UE) heartbeat(i int, profile hbmsg.AppProfile) {
 	if u.stopped {
 		return
 	}
-	now := u.sched.Now()
+	now := u.clock.Now()
 	u.seq++
 	hb := profile.Heartbeat(u.cfg.ID, u.seq, now)
 	u.stats.Generated++
 	u.emit(trace.Event{Kind: trace.KindGenerated, App: hb.App, Seq: hb.Seq})
 
 	var err error
-	u.hbTimers[i], err = u.sched.After(profile.Period, func() { u.heartbeat(i, profile) })
+	u.hbTimers[i], err = u.clock.After(profile.Period, u.beats[i])
 	if err != nil {
 		u.stats.SendErrors++
 	}
@@ -258,10 +275,10 @@ func (u *UE) heartbeat(i int, profile hbmsg.AppProfile) {
 	// The group owner's beacons advertise its remaining collection
 	// capacity; a closed or full window means the forward would be
 	// rejected and the heartbeat would expire waiting for feedback.
-	if free, _ := u.link.Peer(u.node).Advertised(); free <= 0 {
+	if u.link.PeerFree() <= 0 {
 		u.stats.RelayBusy++
 		u.emit(trace.Event{Kind: trace.KindRelayBusy, App: hb.App, Seq: hb.Seq,
-			Peer: string(u.link.Peer(u.node).ID())})
+			Peer: string(u.link.PeerID())})
 		// Hand over to another relay if the scan budget allows — Select
 		// skips zero-capacity relays, so a successful match is a fresh
 		// collector. The old link stays open so feedback for messages it
@@ -270,11 +287,7 @@ func (u *UE) heartbeat(i int, profile hbmsg.AppProfile) {
 		if u.scanSkips == 0 {
 			prev := u.link
 			u.tryMatch()
-			if u.Connected() && u.link != prev {
-				if free, _ := u.link.Peer(u.node).Advertised(); free > 0 {
-					switched = true
-				}
-			}
+			switched = u.Connected() && u.link != prev && u.link.PeerFree() > 0
 		}
 		if !switched {
 			u.sendDirect(hb)
@@ -285,11 +298,13 @@ func (u *UE) heartbeat(i int, profile hbmsg.AppProfile) {
 	// fills the batch, the relay flushes and acknowledges synchronously,
 	// and the ack must find the pending entry.
 	u.armFeedback(hb)
-	if err := u.link.Send(u.node, hb); err != nil {
+	if err := u.link.Send(hb); err != nil {
 		u.cancelFeedback(hb.Seq)
 		u.stats.D2DSendFailures++
 		u.emit(trace.Event{Kind: trace.KindD2DFail, App: hb.App, Seq: hb.Seq, Reason: err.Error()})
-		if errors.Is(err, d2d.ErrOutOfRange) || errors.Is(err, d2d.ErrLinkClosed) {
+		// A lost transfer leaves the link up for the next heartbeat to
+		// retry; a broken one is dropped.
+		if !u.link.Open() {
 			u.link = nil
 		}
 		u.sendDirect(hb)
@@ -301,7 +316,7 @@ func (u *UE) heartbeat(i int, profile hbmsg.AppProfile) {
 
 // emit stamps and forwards one trace event.
 func (u *UE) emit(ev trace.Event) {
-	ev.AtMs = trace.At(u.sched.Now())
+	ev.AtMs = trace.At(u.clock.Now())
 	ev.Device = string(u.cfg.ID)
 	trace.Emit(u.cfg.Tracer, ev)
 }
@@ -310,13 +325,12 @@ func (u *UE) emit(ev trace.Event) {
 // the scan backoff on failure.
 func (u *UE) tryMatch() {
 	u.stats.Scans++
-	peers := u.node.Scan()
-	sel, ok := matching.Select(peers, u.cfg.Match)
+	sel, ok := matching.Select(u.radio.Scan(), u.cfg.Match)
 	if !ok {
 		u.matchFailed()
 		return
 	}
-	link, err := u.node.Connect(sel.ID)
+	link, err := u.radio.Connect(sel.ID)
 	if err != nil {
 		u.matchFailed()
 		return
@@ -343,7 +357,7 @@ func (u *UE) matchFailed() {
 // sendDirect transmits a heartbeat straight over cellular (the original
 // system's path).
 func (u *UE) sendDirect(hb hbmsg.Heartbeat) {
-	if err := u.modem.Send([]hbmsg.Heartbeat{hb}, energy.PhaseCellular); err != nil {
+	if err := u.uplink.Send([]hbmsg.Heartbeat{hb}, energy.PhaseCellular); err != nil {
 		u.stats.SendErrors++
 		return
 	}
@@ -354,7 +368,7 @@ func (u *UE) sendDirect(hb hbmsg.Heartbeat) {
 // armFeedback starts the ack timer for a forwarded heartbeat.
 func (u *UE) armFeedback(hb hbmsg.Heartbeat) {
 	seq := hb.Seq
-	t, err := u.sched.After(u.feedbackTimeout(hb.Expiry), func() { u.onFeedbackTimeout(seq) })
+	t, err := u.clock.After(u.feedbackTimeout(hb.Expiry), func() { u.onFeedbackTimeout(seq) })
 	if err != nil {
 		u.stats.SendErrors++
 		return
@@ -368,7 +382,7 @@ func (u *UE) cancelFeedback(seq uint64) {
 	if !ok {
 		return
 	}
-	u.sched.Stop(p.timer)
+	u.clock.Stop(p.timer)
 	delete(u.pending, seq)
 }
 
@@ -384,7 +398,7 @@ func (u *UE) onFeedbackTimeout(seq uint64) {
 	delete(u.pending, seq)
 	u.stats.FallbackResends++
 	u.emit(trace.Event{Kind: trace.KindFallback, App: p.hb.App, Seq: seq})
-	if err := u.modem.Send([]hbmsg.Heartbeat{p.hb}, energy.PhaseFallback); err != nil {
+	if err := u.uplink.Send([]hbmsg.Heartbeat{p.hb}, energy.PhaseFallback); err != nil {
 		u.stats.SendErrors++
 	}
 	// The relay evidently failed us; drop the link so the next heartbeat
@@ -395,19 +409,14 @@ func (u *UE) onFeedbackTimeout(seq uint64) {
 	}
 }
 
-// onAck handles feedback acknowledgements from the relay.
-func (u *UE) onAck(refs []d2d.AckRef, _ *d2d.Link) {
-	for _, ref := range refs {
-		if ref.Src != u.cfg.ID {
-			continue
-		}
-		p, ok := u.pending[ref.Seq]
-		if !ok {
-			continue
-		}
-		u.sched.Stop(p.timer)
-		delete(u.pending, ref.Seq)
-		u.stats.AcksReceived++
-		u.emit(trace.Event{Kind: trace.KindAck, App: p.hb.App, Seq: ref.Seq})
+// OnAck handles one feedback acknowledgement from a relay.
+func (u *UE) OnAck(ref d2d.AckRef) {
+	p, ok := u.pending[ref.Seq]
+	if !ok || ref.Src != u.cfg.ID {
+		return
 	}
+	u.clock.Stop(p.timer)
+	delete(u.pending, ref.Seq)
+	u.stats.AcksReceived++
+	u.emit(trace.Event{Kind: trace.KindAck, App: p.hb.App, Seq: ref.Seq})
 }

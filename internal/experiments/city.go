@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"d2dhb/internal/core"
+	"d2dhb/internal/d2d"
 	"d2dhb/internal/geo"
 	"d2dhb/internal/hbmsg"
 )
@@ -72,15 +73,6 @@ func (c CityConfig) validate() error {
 	return nil
 }
 
-// cityRelayCount is the relay headcount the population rules imply.
-func cityRelayCount(cfg CityConfig) int {
-	n := int(float64(cfg.Devices) * cfg.RelayFraction)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // cityPopulation is the device roster of a city scenario, in stable
 // population order: relays first, then UEs.
 type cityPopulation struct {
@@ -104,7 +96,7 @@ func buildCityPopulation(cfg CityConfig, rng *rand.Rand) (cityPopulation, error)
 	}
 
 	var pop cityPopulation
-	numRelays := cityRelayCount(cfg)
+	numRelays := max(1, int(float64(cfg.Devices)*cfg.RelayFraction))
 	for i := 0; i < numRelays; i++ {
 		p := area.RandomPoint(rng)
 		mob := geo.Mobility(geo.Static{P: p})
@@ -209,18 +201,26 @@ func RunCity(cfg CityConfig) (*core.Report, CityStats, error) {
 	if err != nil {
 		return nil, CityStats{}, err
 	}
-	numRelays := int(float64(cfg.Devices) * cfg.RelayFraction)
-	if numRelays < 1 {
-		numRelays = 1
+	return rep, newCityStats(cfg, rep, sim.Scheduler().Fired()), nil
+}
+
+// newCityStats summarizes a finished city run of either kernel. The relay
+// headcount is read off the report, i.e. off the roster that actually ran.
+func newCityStats(cfg CityConfig, rep *core.Report, events uint64) CityStats {
+	relays := 0
+	for _, d := range rep.Devices {
+		if d.Role == d2d.RoleRelay {
+			relays++
+		}
 	}
-	return rep, CityStats{
+	return CityStats{
 		Devices:    cfg.Devices,
-		Relays:     numRelays,
-		UEs:        cfg.Devices - numRelays,
-		Events:     sim.Scheduler().Fired(),
+		Relays:     relays,
+		UEs:        cfg.Devices - relays,
+		Events:     events,
 		SimSeconds: cfg.Duration.Seconds(),
 		L3Messages: rep.TotalL3Messages,
 		Deliveries: rep.Deliveries,
 		OnTimeRate: rep.OnTimeRate(),
-	}, nil
+	}
 }

@@ -1,15 +1,17 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"d2dhb/internal/cellular"
 	"d2dhb/internal/core"
 	"d2dhb/internal/d2d"
+	"d2dhb/internal/device"
 	"d2dhb/internal/energy"
 	"d2dhb/internal/geo"
 	"d2dhb/internal/hbmsg"
@@ -17,7 +19,6 @@ import (
 	"d2dhb/internal/presence"
 	"d2dhb/internal/radio"
 	"d2dhb/internal/rrc"
-	"d2dhb/internal/sched"
 	"d2dhb/internal/simtime"
 	"d2dhb/internal/trace"
 )
@@ -139,14 +140,10 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 		return nil, ParallelCityStats{}, err
 	}
 
+	profile, rrcCfg := stdProfile(), rrc.DefaultConfig()
 	env := &parEnv{
-		cfg:       cfg,
-		profile:   stdProfile(),
 		radio:     radio.WiFiDirectProfile(),
 		model:     energy.DefaultModel(),
-		match:     matching.DefaultConfig(),
-		rrcCfg:    rrc.DefaultConfig(),
-		grid:      grid,
 		numRelays: len(pop.relays),
 		orderOf:   make(map[hbmsg.DeviceID]int, cfg.Devices),
 		traceOn:   cfg.CaptureTrace || cfg.Tracer != nil,
@@ -162,21 +159,19 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 
 	n := cfg.Devices
 	env.devices = make([]*pdevice, 0, n)
-	env.posSnap = make([]geo.Point, n)
-	env.advFree = make([]int, n)
-	env.advIntent = make([]int, n)
-	env.advAccepting = make([]bool, n)
-	env.posNext = make([]geo.Point, n)
-	env.advFreeNext = make([]int, n)
-	env.advIntNext = make([]int, n)
-	env.advAccNext = make([]bool, n)
+	env.snap = make([]parSnap, n)
+	env.next = make([]parSnap, n)
 
-	addDevice := func(d *pdevice) error {
-		d.order = len(env.devices)
+	// addDevice places one device on its tile and builds the windowed
+	// substrate it will run on. Everything time-driven — the state machine
+	// and the RRC machine alike — sits on the device's agenda, so it
+	// migrates with the device.
+	addDevice := func(id hbmsg.DeviceID, mob geo.Mobility) (*pdevice, error) {
+		d := &pdevice{env: env, id: id, order: len(env.devices), mob: mob}
 		env.devices = append(env.devices, d)
-		env.orderOf[d.id] = d.order
-		p := d.mob.Pos(0)
-		env.posSnap[d.order] = p
+		env.orderOf[id] = d.order
+		p := mob.Pos(0)
+		env.snap[d.order].pos = p
 		d.tile = grid.TileOf(p)
 		tl := env.tiles[d.tile]
 		d.tileIdx = len(tl.devices)
@@ -184,44 +179,42 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 		d.agenda = simtime.NewAgenda(tl.sched)
 		d.rng = simtime.NewDerivedRand(cfg.Seed, int64(d.order))
 		d.ledger = energy.NewLedger()
-		var start func()
-		if d.relay != nil {
-			start = d.relayStartPeriod
-		} else {
-			start = d.ueHeartbeat
+		if env.traceOn {
+			d.tracer = d
 		}
-		if _, err := d.agenda.At(d.startOffset, start); err != nil {
-			return fmt.Errorf("experiments: start %s: %w", d.id, err)
-		}
-		return nil
+		var err error
+		d.rrc, err = rrc.NewMachineOn(d.clock(), rrcCfg)
+		return d, err
 	}
 	for i := range pop.relays {
 		spec := &pop.relays[i]
-		policy, err := sched.NewNagle(spec.Capacity, env.profile.Period)
+		d, err := addDevice(spec.ID, spec.Mobility)
+		if err == nil {
+			d.relay, err = device.NewRelayOn(d.clock(), d, d, device.RelayConfig{
+				ID: spec.ID, Profile: profile, Capacity: spec.Capacity,
+				StartOffset: spec.StartOffset, Tracer: d.tracer,
+			})
+		}
+		if err == nil {
+			err = d.relay.Start()
+		}
 		if err != nil {
-			return nil, ParallelCityStats{}, err
-		}
-		d := &pdevice{
-			env: env, id: spec.ID, role: d2d.RoleRelay,
-			mob: spec.Mobility, startOffset: spec.StartOffset,
-			relay: &prelay{
-				capacity: spec.Capacity,
-				policy:   policy,
-				sources:  make(map[ackKey]int),
-			},
-		}
-		if err := addDevice(d); err != nil {
 			return nil, ParallelCityStats{}, err
 		}
 	}
 	for i := range pop.ues {
 		spec := &pop.ues[i]
-		d := &pdevice{
-			env: env, id: spec.ID, role: d2d.RoleUE,
-			mob: spec.Mobility, startOffset: spec.StartOffset,
-			ue: &pue{relayOrder: -1, pending: make(map[uint64]*ppending)},
+		d, err := addDevice(spec.ID, spec.Mobility)
+		if err == nil {
+			d.ue, err = device.NewUEOn(d.clock(), d, d, device.UEConfig{
+				ID: spec.ID, Profile: profile, Match: matching.DefaultConfig(),
+				StartOffset: spec.StartOffset, DisableD2D: cfg.DisableD2D, Tracer: d.tracer,
+			})
 		}
-		if err := addDevice(d); err != nil {
+		if err == nil {
+			err = d.ue.Start()
+		}
+		if err != nil {
 			return nil, ParallelCityStats{}, err
 		}
 	}
@@ -245,19 +238,13 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 		tl := env.tiles[tile]
 		final := boundary >= cfg.Duration
 		for _, d := range tl.devices {
-			p := d.pos(boundary)
-			env.posNext[d.order] = p
+			s := parSnap{pos: d.mob.Pos(boundary)}
 			if d.relay != nil {
-				r := d.relay
-				free := 0
-				if r.policy.Accepting() {
-					free = r.capacity - r.policy.Pending()
-				}
-				env.advFreeNext[d.order] = free
-				env.advIntNext[d.order] = d2d.IntentForLoad(r.capacity-free, r.capacity)
-				env.advAccNext[d.order] = r.started
+				s.free, s.intent = d.relay.Advertised()
+				s.accepting = d.beaconing
 			}
-			if !final && grid.TileOf(p) != d.tile {
+			env.next[d.order] = s
+			if !final && grid.TileOf(s.pos) != d.tile {
 				tl.migrants = append(tl.migrants, d)
 			}
 		}
@@ -274,15 +261,8 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 			deliveryBuf = append(deliveryBuf, tl.deliveries...)
 			tl.deliveries = tl.deliveries[:0]
 		}
-		sort.Slice(deliveryBuf, func(i, j int) bool {
-			a, b := deliveryBuf[i], deliveryBuf[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.viaOrder != b.viaOrder {
-				return a.viaOrder < b.viaOrder
-			}
-			return a.viaSeq < b.viaSeq
+		slices.SortFunc(deliveryBuf, func(a, b parDelivery) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.viaOrder, b.viaOrder), cmp.Compare(a.viaSeq, b.viaSeq))
 		})
 		for i := range deliveryBuf {
 			del := &deliveryBuf[i]
@@ -317,15 +297,12 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 			return nil
 		}
 		// Publish the boundary snapshot the end hooks just wrote.
-		env.posSnap, env.posNext = env.posNext, env.posSnap
-		env.advFree, env.advFreeNext = env.advFreeNext, env.advFree
-		env.advIntent, env.advIntNext = env.advIntNext, env.advIntent
-		env.advAccepting, env.advAccNext = env.advAccNext, env.advAccepting
+		env.snap, env.next = env.next, env.snap
 		// Migrations before op routing: an op's destination tile is where
 		// the device will spend the next window.
 		for _, tl := range env.tiles {
 			for _, d := range tl.migrants {
-				if err := env.migrate(d, grid.TileOf(env.posSnap[d.order])); err != nil {
+				if err := env.migrate(d, grid.TileOf(env.snap[d.order].pos)); err != nil {
 					return err
 				}
 				stats.Migrations++
@@ -340,15 +317,8 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 			ops = append(ops, tl.outOps...)
 			tl.outOps = tl.outOps[:0]
 		}
-		sort.Slice(ops, func(i, j int) bool {
-			a, b := ops[i], ops[j]
-			if a.createdAt != b.createdAt {
-				return a.createdAt < b.createdAt
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.srcSeq < b.srcSeq
+		slices.SortFunc(ops, func(a, b parOp) int {
+			return cmp.Or(cmp.Compare(a.createdAt, b.createdAt), cmp.Compare(a.src, b.src), cmp.Compare(a.srcSeq, b.srcSeq))
 		})
 		for i := range ops {
 			dst := env.devices[ops[i].dst]
@@ -366,39 +336,16 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 	devs := make([]*core.DeviceReport, 0, n)
 	totalL3 := 0
 	for _, d := range env.devices {
-		c := d.rrc.countersAt(cfg.Duration)
-		totalL3 += c.L3Messages
-		_, flaps, _ := tracker.Stats(d.id, cfg.Duration)
-		dr := &core.DeviceReport{
-			ID:            d.id,
-			Role:          d.role,
-			Energy:        d.ledger.Snapshot(),
-			Total:         d.ledger.Total(),
-			RRC:           c,
-			Availability:  tracker.Availability(d.id, cfg.Duration),
-			PresenceFlaps: flaps,
-		}
+		role := d2d.RoleUE
 		if d.relay != nil {
-			st := d.relay.stats
-			dr.Relay = &st
-		} else {
-			st := d.ue.stats
-			dr.UE = &st
+			role = d2d.RoleRelay
 		}
+		dr := core.NewDeviceReport(d.id, role, d.ledger, d.rrc.Counters(), tracker, cfg.Duration, d.relay, d.ue)
+		totalL3 += dr.RRC.L3Messages
 		devs = append(devs, dr)
 	}
 	rep := core.NewReport(cfg.Duration, devs, totalL3, deliveries, late, cellular.ChannelReport{})
-
-	stats.CityStats = CityStats{
-		Devices:    cfg.Devices,
-		Relays:     env.numRelays,
-		UEs:        cfg.Devices - env.numRelays,
-		Events:     group.Fired(),
-		SimSeconds: cfg.Duration.Seconds(),
-		L3Messages: totalL3,
-		Deliveries: deliveries,
-		OnTimeRate: rep.OnTimeRate(),
-	}
+	stats.CityStats = newCityStats(cfg.CityConfig, rep, group.Fired())
 	if env.traceOn {
 		sum, err := digest.Sum()
 		if err != nil {
@@ -435,16 +382,17 @@ func (env *parEnv) migrate(d *pdevice, newTile int) error {
 func (env *parEnv) rebuildBeacons() {
 	env.beaconBuf = env.beaconBuf[:0]
 	for order := 0; order < env.numRelays; order++ {
-		if !env.advAccepting[order] {
+		s := &env.snap[order]
+		if !s.accepting {
 			continue
 		}
 		env.beaconBuf = append(env.beaconBuf, d2d.Beacon{
 			ID:           env.devices[order].id,
 			Order:        order,
-			Pos:          env.posSnap[order],
+			Pos:          s.pos,
 			Accepting:    true,
-			FreeCapacity: env.advFree[order],
-			Intent:       env.advIntent[order],
+			FreeCapacity: s.free,
+			Intent:       s.intent,
 		})
 	}
 	env.beacons.Rebuild(env.beaconBuf)

@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"d2dhb/internal/d2d"
@@ -12,25 +11,25 @@ import (
 	"d2dhb/internal/energy"
 	"d2dhb/internal/geo"
 	"d2dhb/internal/hbmsg"
-	"d2dhb/internal/matching"
 	"d2dhb/internal/radio"
 	"d2dhb/internal/rrc"
-	"d2dhb/internal/sched"
 	"d2dhb/internal/simtime"
 	"d2dhb/internal/trace"
 )
 
-// This file is the device model of the parallel city kernel: a windowed
-// re-statement of internal/device's UE and Relay in which every
-// cross-device interaction — discovery, group formation, heartbeat
-// forwarding, feedback acks — happens against immutable window-boundary
-// snapshots and is applied at the next boundary as a canonically ordered
-// operation. That makes each device's entire window a pure function of
-// (its own state, its own RNG stream, the shared snapshot), so tiles can
-// run concurrently and the merged result is bit-identical for any tile
-// count. The price is semantics: D2D effects land one window (≤ W virtual
-// seconds) later than in the sequential kernel, so the two kernels produce
-// different — each internally deterministic — golden digests.
+// This file is the windowed substrate of the parallel city kernel: the
+// implementations of internal/device's seams (Radio, Link, RelayRadio,
+// Uplink, plus trace.Tracer and an agenda clock) under which device.UE and
+// device.Relay run unchanged on tiles. Every cross-device interaction —
+// discovery, group formation, heartbeat forwarding, feedback acks — is
+// judged against immutable window-boundary snapshots and applied at the
+// next boundary as a canonically ordered operation. That makes each
+// device's entire window a pure function of (its own state, its own RNG
+// stream, the shared snapshot), so tiles can run concurrently and the
+// merged result is bit-identical for any tile count. The price is
+// semantics: D2D effects land one window (≤ W virtual seconds) later than
+// on the sequential substrate, so the two kernels produce different — each
+// internally deterministic — golden digests.
 
 // opKind discriminates boundary operations.
 type opKind uint8
@@ -60,7 +59,6 @@ type parOp struct {
 // transmitting (via) device so per-window merges are canonical.
 type parDelivery struct {
 	hb       hbmsg.Heartbeat
-	via      hbmsg.DeviceID
 	viaOrder int
 	viaSeq   uint64
 	at       time.Duration
@@ -79,52 +77,47 @@ type parTile struct {
 	migrants   []*pdevice
 }
 
-// parEnv is the shared environment of one parallel city run. Slices
-// indexed by population order are written only at disjoint indices by the
-// owning workers (posSnap, adv*) or only by the barrier; the rest is
-// immutable after setup.
+// parSnap is one device's externally visible state as frozen at a window
+// boundary; the capacity fields are zero for UEs.
+type parSnap struct {
+	pos       geo.Point
+	free      int
+	intent    int
+	accepting bool
+}
+
+// parEnv is the shared environment of one parallel city run. snap and next
+// are written only at disjoint indices by the owning workers or only by
+// the barrier; the rest is immutable after setup.
 type parEnv struct {
-	cfg     ParallelCityConfig
-	profile hbmsg.AppProfile
-	radio   radio.Profile
-	model   energy.Model
-	match   matching.Config
-	rrcCfg  rrc.Config
-	grid    *geo.TileGrid
+	radio radio.Profile
+	model energy.Model
 
 	devices   []*pdevice
 	numRelays int
 	orderOf   map[hbmsg.DeviceID]int
 
-	// Window-boundary snapshot, read-only during a window. The end hooks
-	// write the *Next buffers — tiles finish windows at different wall
-	// times, so writing the live snapshot would race slower tiles' reads —
-	// and the barrier swaps them in. Every entry is rewritten at every
-	// boundary, so the swapped-out buffer never leaks stale state.
-	posSnap      []geo.Point
-	advFree      []int
-	advIntent    []int
-	advAccepting []bool
-	posNext      []geo.Point
-	advFreeNext  []int
-	advIntNext   []int
-	advAccNext   []bool
-	beacons      *d2d.BeaconIndex
-	beaconBuf    []d2d.Beacon
+	// snap is the window-boundary snapshot, read-only during a window. The
+	// end hooks write next — tiles finish windows at different wall times,
+	// so writing the live snapshot would race slower tiles' reads — and the
+	// barrier swaps the two. Every entry is rewritten at every boundary, so
+	// the swapped-out buffer never leaks stale state.
+	snap, next []parSnap
+	beacons    *d2d.BeaconIndex
+	beaconBuf  []d2d.Beacon
 
 	tiles   []*parTile
 	traceOn bool
 }
 
-// pdevice is one simulated device of the parallel kernel. Exactly one of
-// relay/ue is non-nil.
+// pdevice is one device's windowed substrate: it is the Radio (or
+// RelayRadio), Uplink and Tracer of the device.UE or device.Relay it
+// carries. Exactly one of relay/ue is non-nil.
 type pdevice struct {
-	env         *parEnv
-	id          hbmsg.DeviceID
-	order       int
-	role        d2d.Role
-	mob         geo.Mobility
-	startOffset time.Duration
+	env   *parEnv
+	id    hbmsg.DeviceID
+	order int
+	mob   geo.Mobility
 
 	tile    int
 	tileIdx int // index in tiles[tile].devices, maintained by migration
@@ -132,128 +125,33 @@ type pdevice struct {
 	rng    *rand.Rand
 	agenda *simtime.Agenda
 	ledger *energy.Ledger
-	rrc    prrc
+	rrc    *rrc.Machine
+	tracer trace.Tracer // the device itself when the run captures a trace, else nil
 
 	emitSeq    uint64
 	deliverSeq uint64
 	opSeq      uint64
 
-	relay *prelay
-	ue    *pue
+	relay     *device.Relay
+	beaconing bool // the relay has begun advertising
+
+	ue      *device.UE
+	link    *parLink // the link Connect last formed
+	scanBuf []d2d.Beacon
+	peerBuf []d2d.PeerInfo
 }
 
-// prelay mirrors device.Relay over the windowed substrate.
-type prelay struct {
-	capacity  int
-	policy    *sched.Nagle
-	seq       uint64
-	ownHB     hbmsg.Heartbeat
-	sources   map[ackKey]int // collected heartbeat → source population order
-	flushTask *simtime.Task
-	started   bool
-	stats     device.RelayStats
-}
-
-// ackKey identifies a collected heartbeat for feedback routing, mirroring
-// device's unexported key.
-type ackKey struct {
-	src hbmsg.DeviceID
-	seq uint64
-}
-
-// pue mirrors device.UE over the windowed substrate.
-type pue struct {
-	seq        uint64
-	relayOrder int // -1 when not linked
-	transfers  int // heartbeats forwarded over the current link
-	pending    map[uint64]*ppending
-	backoff    int
-	scanSkips  int
-	scanBuf    []d2d.Beacon
-	peerBuf    []d2d.PeerInfo
-	stats      device.UEStats
-}
-
-// ppending tracks a forwarded heartbeat awaiting feedback.
-type ppending struct {
-	hb   hbmsg.Heartbeat
-	task *simtime.Task
-}
-
-// parMaxScanBackoff mirrors device's discovery backoff cap.
-const parMaxScanBackoff = 8
-
-// prrc is an inline RRC state machine equivalent to rrc.Machine but driven
-// through the device's agenda so it migrates with the device.
-type prrc struct {
-	connected   bool
-	connectedAt time.Duration
-	release     *simtime.Task
-	counters    rrc.Counters
-}
-
-func (m *prrc) send(d *pdevice, payloadBytes int) {
-	cfg := d.env.rrcCfg
-	now := d.now()
-	if !m.connected {
-		m.connected = true
-		m.connectedAt = now
-		m.counters.Promotions++
-		m.counters.L3Messages += cfg.SetupMessages
-	}
-	m.counters.Transmissions++
-	m.counters.PayloadBytes += payloadBytes
-	if cfg.LargePayloadBytes > 0 && payloadBytes > cfg.LargePayloadBytes {
-		m.counters.L3Messages += cfg.LargePayloadMessages
-	}
-	if m.release != nil {
-		d.agenda.Cancel(m.release)
-		m.release = nil
-	}
-	task, err := d.agenda.After(cfg.InactivityTail, func() {
-		m.release = nil
-		m.releaseNow(d)
-	})
-	if err == nil {
-		m.release = task
-	}
-}
-
-func (m *prrc) releaseNow(d *pdevice) {
-	m.connected = false
-	m.counters.Releases++
-	m.counters.L3Messages += d.env.rrcCfg.ReleaseMessages
-	m.counters.ConnectedTime += d.now() - m.connectedAt
-}
-
-// countersAt returns the counters with any in-progress connected stretch
-// extended to now, matching rrc.Machine.Counters.
-func (m *prrc) countersAt(now time.Duration) rrc.Counters {
-	c := m.counters
-	if m.connected {
-		c.ConnectedTime += now - m.connectedAt
-	}
-	return c
-}
+func (d *pdevice) clock() simtime.Clock { return simtime.AgendaClock{A: d.agenda} }
 
 func (d *pdevice) now() time.Duration { return d.agenda.Scheduler().Now() }
 
-func (d *pdevice) pos(at time.Duration) geo.Point { return d.mob.Pos(at) }
+func (d *pdevice) pos() geo.Point { return d.mob.Pos(d.now()) }
 
-// emit records one trace event into the owning tile's window buffer,
-// keyed for the canonical merge. Events with a preset Device (network-side
-// delivery records) keep it; everything else is stamped with this device.
-func (d *pdevice) emit(ev trace.Event) {
-	if !d.env.traceOn {
-		return
-	}
-	now := d.now()
-	ev.AtMs = trace.At(now)
-	if ev.Device == "" {
-		ev.Device = string(d.id)
-	}
+// Emit records one trace event into the owning tile's window buffer, keyed
+// for the canonical merge.
+func (d *pdevice) Emit(ev trace.Event) {
 	tl := d.env.tiles[d.tile]
-	tl.events = append(tl.events, trace.Keyed{At: now, Order: d.order, Seq: d.emitSeq, Ev: ev})
+	tl.events = append(tl.events, trace.Keyed{At: d.now(), Order: d.order, Seq: d.emitSeq, Ev: ev})
 	d.emitSeq++
 }
 
@@ -267,406 +165,168 @@ func (d *pdevice) sendOp(op parOp) {
 	tl.outOps = append(tl.outOps, op)
 }
 
-// cellularSend transmits a batch over the device's cellular modem: RRC,
-// energy, network-side delivery log and per-heartbeat delivery trace. The
-// delivery records are keyed by this (via) device so the per-window merge
-// feeding the presence tracker is canonical.
-func (d *pdevice) cellularSend(hbs []hbmsg.Heartbeat, phase energy.Phase) {
+// Send transmits a batch over the device's cellular modem: RRC, energy,
+// network-side delivery log and per-heartbeat delivery trace. The delivery
+// records are keyed by this (via) device so the per-window merge feeding
+// the presence tracker is canonical.
+func (d *pdevice) Send(hbs []hbmsg.Heartbeat, phase energy.Phase) error {
 	now := d.now()
 	payload := 0
 	for _, hb := range hbs {
 		payload += hb.Size
 	}
-	d.rrc.send(d, payload)
+	if err := d.rrc.Send(payload); err != nil {
+		return err
+	}
 	d.ledger.Add(phase, d.env.model.CellularTxCharge(len(hbs), payload))
 	tl := d.env.tiles[d.tile]
 	for _, hb := range hbs {
 		onTime := !hb.Expired(now)
 		tl.deliveries = append(tl.deliveries, parDelivery{
-			hb: hb, via: d.id, viaOrder: d.order, viaSeq: d.deliverSeq,
-			at: now, onTime: onTime,
+			hb: hb, viaOrder: d.order, viaSeq: d.deliverSeq, at: now, onTime: onTime,
 		})
 		d.deliverSeq++
-		d.emit(trace.Event{
-			Device: string(hb.Src), Kind: trace.KindDelivery,
+		trace.Emit(d.tracer, trace.Event{
+			AtMs: trace.At(now), Device: string(hb.Src), Kind: trace.KindDelivery,
 			App: hb.App, Seq: hb.Seq, Peer: string(d.id), OnTime: onTime,
 		})
 	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // UE side
 
-// ueHeartbeat generates and dispatches one heartbeat, then schedules the
-// next — the windowed analogue of device.UE.heartbeat.
-func (d *pdevice) ueHeartbeat() {
-	u := d.ue
-	now := d.now()
-	u.seq++
-	hb := d.env.profile.Heartbeat(d.id, u.seq, now)
-	u.stats.Generated++
-	d.emit(trace.Event{Kind: trace.KindGenerated, App: hb.App, Seq: hb.Seq})
-
-	if _, err := d.agenda.After(d.env.profile.Period, d.ueHeartbeat); err != nil {
-		u.stats.SendErrors++
-	}
-
-	if d.env.cfg.DisableD2D {
-		d.ueSendDirect(hb)
-		return
-	}
-	// Proactive release against the relay's snapshot position, with the
-	// same 25 % hysteresis as the sequential UE.
-	if u.relayOrder >= 0 && d.env.match.Prejudgment &&
-		d.pos(now).Dist(d.env.posSnap[u.relayOrder]) > d.env.match.MaxDistance*1.25 {
-		u.relayOrder = -1
-	}
-	if u.relayOrder < 0 {
-		if u.scanSkips > 0 {
-			u.scanSkips--
-			u.stats.ScansSkipped++
-		} else {
-			d.ueTryMatch(now)
-		}
-	}
-	if u.relayOrder < 0 {
-		d.ueSendDirect(hb)
-		return
-	}
-	// The relay's advertised capacity is its boundary snapshot — possibly
-	// up to one window stale, the windowed model's analogue of beacon lag.
-	if d.env.advFree[u.relayOrder] <= 0 {
-		u.stats.RelayBusy++
-		d.emit(trace.Event{Kind: trace.KindRelayBusy, App: hb.App, Seq: hb.Seq,
-			Peer: string(d.env.devices[u.relayOrder].id)})
-		switched := false
-		if u.scanSkips == 0 {
-			prev := u.relayOrder
-			d.ueTryMatch(now)
-			if u.relayOrder >= 0 && u.relayOrder != prev && d.env.advFree[u.relayOrder] > 0 {
-				switched = true
-			}
-		}
-		if !switched {
-			d.ueSendDirect(hb)
-			return
-		}
-	}
-	// Feedback is armed before the transfer, as in the sequential UE.
-	d.ueArmFeedback(hb)
-	relay := u.relayOrder
-	dist := d.pos(now).Dist(d.env.posSnap[relay])
-	if !d.env.radio.InRange(dist) {
-		d.ueCancelFeedback(hb.Seq)
-		u.stats.D2DSendFailures++
-		d.emit(trace.Event{Kind: trace.KindD2DFail, App: hb.App, Seq: hb.Seq,
-			Reason: fmt.Sprintf("%v: %.1fm", d2d.ErrOutOfRange, dist)})
-		u.relayOrder = -1
-		d.ueSendDirect(hb)
-		return
-	}
-	d.ledger.Add(energy.PhaseD2DSend, d.env.model.D2DSendCharge(hb.Size, dist))
-	if !d.env.radio.TransferOK(dist, d.rng) {
-		d.ueCancelFeedback(hb.Seq)
-		u.stats.D2DSendFailures++
-		d.emit(trace.Event{Kind: trace.KindD2DFail, App: hb.App, Seq: hb.Seq,
-			Reason: fmt.Sprintf("%v at %.1fm", d2d.ErrTransferFailed, dist)})
-		// A lost transfer does not kill the link; the next heartbeat
-		// retries it, as in the sequential kernel.
-		d.ueSendDirect(hb)
-		return
-	}
-	// The receiver's recv charge depends on the link distance and on
-	// whether this is the first transfer of the link's round — both known
-	// only here, so the op carries the computed charge.
-	charge := d.env.model.D2DRecvCharge(hb.Size, dist, u.transfers == 0)
-	u.transfers++
-	d.sendOp(parOp{dst: relay, kind: opForward, hb: hb, charge: charge})
-	u.stats.SentViaD2D++
-	d.emit(trace.Event{Kind: trace.KindD2DSend, App: hb.App, Seq: hb.Seq})
-}
-
-// ueTryMatch scans the beacon snapshot and connects to the best candidate.
-func (d *pdevice) ueTryMatch(now time.Duration) {
-	u := d.ue
-	u.stats.Scans++
-	d.ledger.Add(energy.PhaseDiscovery, d.env.model.UEDiscovery)
-	pos := d.pos(now)
-	u.scanBuf = d.env.beacons.Neighborhood(pos, u.scanBuf[:0])
-	found := u.peerBuf[:0]
+// Scan discovers against the beacon snapshot.
+func (d *pdevice) Scan() []d2d.PeerInfo {
+	env := d.env
+	d.ledger.Add(energy.PhaseDiscovery, env.model.UEDiscovery)
+	pos := d.pos()
+	d.scanBuf = env.beacons.Neighborhood(pos, d.scanBuf[:0])
+	found := d.peerBuf[:0]
 	// Candidates arrive in population order, so the per-candidate RSSI
 	// draws consume this device's RNG stream in a partition-independent
 	// sequence.
-	for _, b := range u.scanBuf {
+	for i := range d.scanBuf {
+		b := &d.scanBuf[i]
 		if !b.Accepting || b.Order == d.order {
 			continue
 		}
 		dist := pos.Dist(b.Pos)
-		if !d.env.radio.InRange(dist) {
+		if !env.radio.InRange(dist) {
 			continue
 		}
-		rssi := d.env.radio.MeasureRSSI(dist, d.rng)
+		rssi := env.radio.MeasureRSSI(dist, d.rng)
 		found = append(found, d2d.PeerInfo{
 			ID:           b.ID,
 			RSSI:         rssi,
-			EstDistance:  d.env.radio.EstimateDistance(rssi),
+			EstDistance:  env.radio.EstimateDistance(rssi),
 			Intent:       b.Intent,
 			FreeCapacity: b.FreeCapacity,
 		})
 	}
-	u.peerBuf = found
-	sort.Slice(found, func(i, j int) bool {
-		if found[i].EstDistance != found[j].EstDistance {
-			return found[i].EstDistance < found[j].EstDistance
-		}
-		return found[i].ID < found[j].ID
-	})
-	sel, ok := matching.Select(found, d.env.match)
-	if !ok {
-		d.ueMatchFailed()
-		return
-	}
-	selOrder := d.env.orderOf[sel.ID]
-	if selOrder != u.relayOrder {
-		// Group formation: the initiator pays its connection energy now;
-		// the responder's discovery + connection phases are billed when
-		// the op is applied on its tile. Reconnecting to the same relay
-		// reuses the open link, with no charges — as in d2d.Connect.
-		d.ledger.Add(energy.PhaseConnection, d.env.model.UEConnection)
-		d.sendOp(parOp{dst: selOrder, kind: opConnect})
-		u.relayOrder = selOrder
-		u.transfers = 0
-	}
-	u.stats.Matches++
-	u.backoff = 0
-	d.emit(trace.Event{Kind: trace.KindMatch, Peer: string(sel.ID)})
+	d.peerBuf = found
+	slices.SortFunc(found, d2d.ByEstDistance)
+	return found
 }
 
-func (d *pdevice) ueMatchFailed() {
-	u := d.ue
-	u.stats.MatchFailures++
-	d.emit(trace.Event{Kind: trace.KindMatchFail})
-	u.backoff *= 2
-	if u.backoff == 0 {
-		u.backoff = 1
+// Connect forms a group with the relay: the initiator pays its connection
+// energy now; the responder's discovery + connection phases are billed
+// when the op is applied on its tile. Reconnecting to the current relay
+// reuses the open link, with no charges — as in d2d.Connect.
+func (d *pdevice) Connect(peer hbmsg.DeviceID) (device.Link, error) {
+	relay := d.env.orderOf[peer]
+	if l := d.link; l != nil && l.open && l.relay == relay {
+		return l, nil
 	}
-	if u.backoff > parMaxScanBackoff {
-		u.backoff = parMaxScanBackoff
-	}
-	u.scanSkips = u.backoff
+	d.ledger.Add(energy.PhaseConnection, d.env.model.UEConnection)
+	d.sendOp(parOp{dst: relay, kind: opConnect})
+	d.link = &parLink{ue: d, relay: relay, open: true}
+	return d.link, nil
 }
 
-func (d *pdevice) ueSendDirect(hb hbmsg.Heartbeat) {
-	d.cellularSend([]hbmsg.Heartbeat{hb}, energy.PhaseCellular)
-	d.ue.stats.DirectCellular++
-	d.emit(trace.Event{Kind: trace.KindDirectSend, App: hb.App, Seq: hb.Seq})
+// parLink is a UE's end of a windowed link. The relay's position and
+// advertised capacity are its boundary snapshot — possibly up to one
+// window stale, the windowed model's analogue of beacon lag. Nothing on
+// the relay's side can close it, so feedback needs no link at all.
+type parLink struct {
+	ue        *pdevice
+	relay     int // population order
+	open      bool
+	transfers int // heartbeats forwarded over this link
 }
 
-func (d *pdevice) ueArmFeedback(hb hbmsg.Heartbeat) {
-	u := d.ue
-	seq := hb.Seq
-	task, err := d.agenda.After(hb.Expiry+device.FeedbackGrace, func() { d.ueOnFeedbackTimeout(seq) })
-	if err != nil {
-		u.stats.SendErrors++
-		return
-	}
-	u.pending[seq] = &ppending{hb: hb, task: task}
+func (l *parLink) Open() bool { return l.open }
+
+func (l *parLink) Close() { l.open = false }
+
+func (l *parLink) Distance() float64 {
+	return l.ue.pos().Dist(l.ue.env.snap[l.relay].pos)
 }
 
-func (d *pdevice) ueCancelFeedback(seq uint64) {
-	u := d.ue
-	p, ok := u.pending[seq]
-	if !ok {
-		return
-	}
-	d.agenda.Cancel(p.task)
-	delete(u.pending, seq)
-}
+func (l *parLink) PeerFree() int { return l.ue.env.snap[l.relay].free }
 
-func (d *pdevice) ueOnFeedbackTimeout(seq uint64) {
-	u := d.ue
-	p, ok := u.pending[seq]
-	if !ok {
-		return
-	}
-	delete(u.pending, seq)
-	u.stats.FallbackResends++
-	d.emit(trace.Event{Kind: trace.KindFallback, App: p.hb.App, Seq: seq})
-	d.cellularSend([]hbmsg.Heartbeat{p.hb}, energy.PhaseFallback)
-	// The relay evidently failed us; rematch on the next heartbeat.
-	u.relayOrder = -1
-}
+func (l *parLink) PeerID() hbmsg.DeviceID { return l.ue.env.devices[l.relay].id }
 
-// ueOnAck applies a feedback acknowledgement op.
-func (d *pdevice) ueOnAck(op parOp) {
-	u := d.ue
-	if op.ref.Src != d.id {
-		return
+// Send judges the transfer here — range gate, sender charge, then the loss
+// draw from the UE's own stream — and queues the relay's half.
+func (l *parLink) Send(hb hbmsg.Heartbeat) error {
+	d := l.ue
+	dist := l.Distance()
+	if !d.env.radio.InRange(dist) {
+		l.open = false
+		return fmt.Errorf("%w: %.1fm", d2d.ErrOutOfRange, dist)
 	}
-	p, ok := u.pending[op.ref.Seq]
-	if !ok {
-		return
+	d.ledger.Add(energy.PhaseD2DSend, d.env.model.D2DSendCharge(hb.Size, dist))
+	if !d.env.radio.TransferOK(dist, d.rng) {
+		return fmt.Errorf("%w at %.1fm", d2d.ErrTransferFailed, dist)
 	}
-	d.agenda.Cancel(p.task)
-	delete(u.pending, op.ref.Seq)
-	u.stats.AcksReceived++
-	d.emit(trace.Event{Kind: trace.KindAck, App: p.hb.App, Seq: op.ref.Seq})
+	// The receiver's recv charge depends on the link distance and on
+	// whether this is the first transfer of the link's round — both known
+	// only here, so the op carries the computed charge.
+	charge := d.env.model.D2DRecvCharge(hb.Size, dist, l.transfers == 0)
+	l.transfers++
+	d.sendOp(parOp{dst: l.relay, kind: opForward, hb: hb, charge: charge})
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Relay side
 
-// relayStartPeriod opens a new collection window, the windowed analogue of
-// device.Relay.startPeriod. Advertised state needs no explicit publication:
-// the boundary snapshot samples it.
-func (d *pdevice) relayStartPeriod() {
-	r := d.relay
-	r.started = true
-	// Drain the previous window first, as in the sequential relay.
-	d.relayFlush()
-	now := d.now()
-	r.seq++
-	r.ownHB = d.env.profile.Heartbeat(d.id, r.seq, now)
-	r.stats.OwnHeartbeats++
-	r.policy.StartPeriod(now)
-	if _, err := d.agenda.After(d.env.profile.Period, d.relayStartPeriod); err != nil {
-		r.stats.SendErrors++
+// Advertise only latches that the relay is on the air: the boundary hook
+// samples Relay.Advertised itself, so what a snapshot says is the relay's
+// state at the boundary, not at its last change.
+func (d *pdevice) Advertise(int, int) { d.beaconing = true }
+
+func (d *pdevice) Shutdown() { d.beaconing = false }
+
+// Ack queues one feedback ack. The transfer is judged against the relay's
+// live position and the source's snapshot — range and loss draw from the
+// relay's own stream. Return paths are the source devices themselves.
+func (d *pdevice) Ack(via device.ReturnPath, ref d2d.AckRef) error {
+	src := via.(*pdevice).order
+	dist := d.pos().Dist(d.env.snap[src].pos)
+	if !d.env.radio.InRange(dist) || !d.env.radio.TransferOK(dist, d.rng) {
+		return d2d.ErrTransferFailed
 	}
-	d.relayRearmFlush()
+	d.sendOp(parOp{dst: src, kind: opAck, ref: ref})
+	return nil
 }
 
-// relayOnConnect applies a group-formation op: the responder's discovery
-// and connection phases, billed at formation as in d2d.Connect.
-func (d *pdevice) relayOnConnect(parOp) {
-	d.ledger.Add(energy.PhaseDiscovery, d.env.model.RelayDiscovery)
-	d.ledger.Add(energy.PhaseConnection, d.env.model.RelayConnection)
-}
-
-// relayOnForward applies one forwarded heartbeat op.
-func (d *pdevice) relayOnForward(op parOp) {
-	r := d.relay
-	// The receive energy is charged before the policy decision, as the
-	// sequential link charges the receiver before invoking its handler.
-	d.ledger.Add(energy.PhaseD2DRecv, op.charge)
-	now := d.now()
-	flushNow, err := r.policy.Collect(op.hb, now)
-	switch {
-	case errors.Is(err, sched.ErrClosed):
-		r.stats.RejectedClosed++
-		d.emit(trace.Event{Kind: trace.KindReject, App: op.hb.App, Seq: op.hb.Seq,
-			Peer: string(op.hb.Src), Reason: "closed"})
-		return
-	case errors.Is(err, sched.ErrExpired):
-		r.stats.RejectedExpired++
-		d.emit(trace.Event{Kind: trace.KindReject, App: op.hb.App, Seq: op.hb.Seq,
-			Peer: string(op.hb.Src), Reason: "expired"})
-		return
-	case err != nil:
-		r.stats.SendErrors++
-		return
-	}
-	r.stats.Collected++
-	d.emit(trace.Event{Kind: trace.KindCollect, App: op.hb.App, Seq: op.hb.Seq,
-		Peer: string(op.hb.Src)})
-	r.sources[ackKey{src: op.hb.Src, seq: op.hb.Seq}] = op.src
-	if flushNow {
-		d.relayFlush()
-		return
-	}
-	d.relayRearmFlush()
-}
-
-func (d *pdevice) relayRearmFlush() {
-	r := d.relay
-	if r.flushTask != nil {
-		d.agenda.Cancel(r.flushTask)
-		r.flushTask = nil
-	}
-	at, ok := r.policy.Deadline()
-	if !ok {
-		return
-	}
-	task, err := d.agenda.At(at, func() {
-		r.flushTask = nil
-		d.relayFlush()
-	})
-	if err != nil {
-		// Deadline already passed (boundary ops raced it): flush now.
-		d.relayFlush()
-		return
-	}
-	r.flushTask = task
-}
-
-// relayFlush transmits the batch plus the relay's own heartbeat in one
-// cellular connection, then queues feedback acks.
-func (d *pdevice) relayFlush() {
-	r := d.relay
-	if r.flushTask != nil {
-		d.agenda.Cancel(r.flushTask)
-		r.flushTask = nil
-	}
-	now := d.now()
-	batch := r.policy.Flush(now)
-	full := make([]hbmsg.Heartbeat, 0, len(batch)+1)
-	full = append(full, batch...)
-	if r.ownHB.Src != "" {
-		full = append(full, r.ownHB)
-		r.ownHB = hbmsg.Heartbeat{}
-	}
-	if len(full) == 0 {
-		return
-	}
-	d.cellularSend(full, energy.PhaseCellular)
-	r.stats.Flushes++
-	reason := r.policy.LastFlushReason()
-	d.emit(trace.Event{Kind: trace.KindFlush, N: len(full), Reason: reason.String()})
-	switch reason {
-	case sched.ReasonCapacity:
-		r.stats.FlushesByCapacity++
-	case sched.ReasonDeadline:
-		r.stats.FlushesByDeadline++
-	default:
-		r.stats.FlushesByPeriodEnd++
-	}
-	r.stats.ForwardedSent += len(batch)
-	r.stats.Credits += len(batch)
-	d.relayAckBatch(batch, now)
-}
-
-// relayAckBatch queues feedback acks in batch order. The ack transfer is
-// judged against the relay's live position and the source's snapshot —
-// range and loss draw from the relay's own stream. Unlike the sequential
-// kernel there is no shared link whose closure could fail the send, so
-// AckFailures counts only range and loss.
-func (d *pdevice) relayAckBatch(batch []hbmsg.Heartbeat, now time.Duration) {
-	r := d.relay
-	pos := d.pos(now)
-	for _, hb := range batch {
-		key := ackKey{src: hb.Src, seq: hb.Seq}
-		srcOrder, ok := r.sources[key]
-		if !ok {
-			continue
-		}
-		delete(r.sources, key)
-		dist := pos.Dist(d.env.posSnap[srcOrder])
-		if !d.env.radio.InRange(dist) || !d.env.radio.TransferOK(dist, d.rng) {
-			r.stats.AckFailures++
-			continue
-		}
-		d.sendOp(parOp{dst: srcOrder, kind: opAck, ref: d2d.AckRef{Src: hb.Src, Seq: hb.Seq}})
-		r.stats.AcksSent++
-	}
-}
-
-// applyOp dispatches one inbound boundary op on the destination device.
+// applyOp lands one inbound boundary op on the destination device.
 func (d *pdevice) applyOp(op parOp) {
 	switch op.kind {
 	case opConnect:
-		d.relayOnConnect(op)
+		// The responder's discovery and connection phases, billed at
+		// formation as in d2d.Connect.
+		d.ledger.Add(energy.PhaseDiscovery, d.env.model.RelayDiscovery)
+		d.ledger.Add(energy.PhaseConnection, d.env.model.RelayConnection)
 	case opForward:
-		d.relayOnForward(op)
+		// The receive energy is charged before the policy decision, as the
+		// sequential link charges the receiver before invoking its handler.
+		d.ledger.Add(energy.PhaseD2DRecv, op.charge)
+		d.relay.Receive(op.hb, d.env.devices[op.src])
 	case opAck:
-		d.ueOnAck(op)
+		d.ue.OnAck(op.ref)
 	}
 }

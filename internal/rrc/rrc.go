@@ -108,15 +108,15 @@ type Counters struct {
 }
 
 // Machine is a single modem's RRC state machine bound to a simulation
-// scheduler. It is not safe for concurrent use (the simulation is
-// single-threaded).
+// clock. It is not safe for concurrent use (a device's events run on one
+// goroutine at a time).
 type Machine struct {
-	sched *simtime.Scheduler
+	clock simtime.Clock
 	cfg   Config
 
 	state        State
 	connectedAt  time.Duration
-	releaseTimer *simtime.Timer
+	releaseTimer simtime.Handle
 	counters     Counters
 	signaling    func(msgs int)
 }
@@ -135,15 +135,22 @@ func (m *Machine) emitSignaling(msgs int) {
 	}
 }
 
-// NewMachine returns an idle state machine.
+// NewMachine returns an idle state machine on a bare scheduler.
 func NewMachine(sched *simtime.Scheduler, cfg Config) (*Machine, error) {
 	if sched == nil {
 		return nil, errors.New("rrc: nil scheduler")
 	}
+	return NewMachineOn(simtime.SchedulerClock{S: sched}, cfg)
+}
+
+// NewMachineOn returns an idle state machine on any clock — a device's
+// agenda in the tile-sharded kernel, so the release timer migrates with
+// the device.
+func NewMachineOn(clock simtime.Clock, cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Machine{sched: sched, cfg: cfg, state: Idle}, nil
+	return &Machine{clock: clock, cfg: cfg, state: Idle}, nil
 }
 
 // State returns the current RRC state.
@@ -154,7 +161,7 @@ func (m *Machine) State() State { return m.state }
 func (m *Machine) Counters() Counters {
 	c := m.counters
 	if m.state == Connected {
-		c.ConnectedTime += m.sched.Now() - m.connectedAt
+		c.ConnectedTime += m.clock.Now() - m.connectedAt
 	}
 	return c
 }
@@ -182,14 +189,14 @@ func (m *Machine) ForceRelease() {
 	if m.state != Connected {
 		return
 	}
-	m.sched.Stop(m.releaseTimer)
+	m.clock.Stop(m.releaseTimer)
 	m.releaseTimer = nil
 	m.release()
 }
 
 func (m *Machine) promote() {
 	m.state = Connected
-	m.connectedAt = m.sched.Now()
+	m.connectedAt = m.clock.Now()
 	m.counters.Promotions++
 	m.emitSignaling(m.cfg.SetupMessages)
 }
@@ -198,14 +205,14 @@ func (m *Machine) release() {
 	m.state = Idle
 	m.counters.Releases++
 	m.emitSignaling(m.cfg.ReleaseMessages)
-	m.counters.ConnectedTime += m.sched.Now() - m.connectedAt
+	m.counters.ConnectedTime += m.clock.Now() - m.connectedAt
 }
 
 func (m *Machine) armReleaseTimer() error {
 	if m.releaseTimer != nil {
-		m.sched.Stop(m.releaseTimer)
+		m.clock.Stop(m.releaseTimer)
 	}
-	t, err := m.sched.After(m.cfg.InactivityTail, func() {
+	t, err := m.clock.After(m.cfg.InactivityTail, func() {
 		m.releaseTimer = nil
 		m.release()
 	})
