@@ -11,8 +11,9 @@ package hbproto
 // cache, so steady-state decoding of Heartbeat/Batch/Ack/Feedback frames
 // performs zero heap allocations per frame.
 //
-// WriteFrame/ReadFrame in hbproto.go remain as thin compatible wrappers
-// and produce byte-identical frames (see TestAppendFrameMatchesWriteFrame).
+// WriteFrame/ReadFrame in hbproto.go remain as byte-identical wrappers
+// for tests only (see TestAppendFrameMatchesWriteFrame); client-side
+// production code sends through internal/session.
 
 import (
 	"bufio"

@@ -316,9 +316,12 @@ func decodeRefs(b *buffer, out *[]Ref) error {
 	return nil
 }
 
-// WriteFrame encodes and writes one message as one Write. It is a thin
-// wrapper over AppendFrame with a pooled buffer; multi-frame callers
-// should compose AppendFrame output themselves to coalesce syscalls.
+// WriteFrame encodes and writes one message as one Write. It is a test
+// helper — a thin wrapper over AppendFrame with a pooled buffer, kept as
+// the byte-equivalence reference for the golden corpus. Production writers
+// go through session.Slot.Send (clients) or compose AppendFrame output
+// themselves (server and relay accept sides); `make lint` rejects any
+// other non-test caller.
 func WriteFrame(w io.Writer, msg Message) error {
 	fb := framePool.Get().(*frameBuf)
 	out, err := AppendFrame(fb.b[:0], msg)
@@ -331,8 +334,9 @@ func WriteFrame(w io.Writer, msg Message) error {
 }
 
 // ReadFrame reads and decodes one message, allocating a fresh Message per
-// call. Streaming consumers should use FrameReader, which reuses payload
-// scratch and message values across frames.
+// call. It is a test helper (and the fuzz target's reference decoder):
+// production readers use FrameReader, which reuses payload scratch and
+// message values across frames.
 func ReadFrame(r io.Reader) (Message, error) {
 	var head [headerSize]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {

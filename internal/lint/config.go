@@ -88,9 +88,12 @@ func (c *Config) For(name string) AnalyzerConfig {
 //     though real-time code feeds it: the registry must stay clock-free so
 //     sim-clocked packages can record into it from injected instants.
 //   - rawrand, lockheld, closecheck and tracekey cover the whole module.
-//   - lockheld additionally treats the hbproto frame codec as blocking:
-//     WriteFrame/ReadFrame perform connection IO, so calling them with a
-//     mutex held stalls every other goroutine contending for it. The
+//   - lockheld additionally treats the framed-connection entry points as
+//     blocking: the session slot's Connect/Send/SendN/Close dial, write
+//     and wait on the network (every production client goes through
+//     them), and the hbproto WriteFrame/ReadFrame wrappers do the same for
+//     tests, so calling any of them with a mutex held stalls every other
+//     goroutine contending for it. The
 //     cluster control plane's HTTP methods (config refresh, drain
 //     handoff, membership ops) and the loadgen metric scrapers get the
 //     same treatment: holding a lock across one of them stalls every
@@ -129,6 +132,10 @@ func DefaultConfig(module string) *Config {
 			"lockheld": {ExtraBlocking: []string{
 				ip("internal/hbproto") + ".WriteFrame",
 				ip("internal/hbproto") + ".ReadFrame",
+				ip("internal/session") + ".Slot.Connect",
+				ip("internal/session") + ".Slot.Send",
+				ip("internal/session") + ".Slot.SendN",
+				ip("internal/session") + ".Slot.Close",
 				ip("internal/cluster") + ".Client.Refresh",
 				ip("internal/cluster") + ".Router.Drain",
 				ip("internal/cluster") + ".Router.Evict",

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"d2dhb/internal/cluster"
+	"d2dhb/internal/faultnet"
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/relaynet"
 	"d2dhb/internal/telemetry"
@@ -81,51 +82,94 @@ func startTestCluster(t *testing.T, n int) (string, *cluster.Router, []*testShar
 // TestClusterFleetRun drives a socket-per-UE fleet (half relayed, half
 // direct) against a 3-shard cluster: direct UEs resolve their owning shard
 // through the ring, relays fan batches per shard, and the report embeds
-// each shard's metrics scrape.
+// each shard's metrics scrape. The faulted row resets every write for a
+// stretch of the run: a relayed UE whose heartbeat dies on the relay link
+// must keep it pending for the fallback sweep — acknowledged over the
+// owning shard, not silently dropped as a bare write error.
 func TestClusterFleetRun(t *testing.T) {
-	routerURL, _, shards := startTestCluster(t, 3)
-	r, err := New(Config{
-		UEs:         24,
-		Relays:      2,
-		RelayRatio:  0.5,
-		Profiles:    []hbmsg.AppProfile{fastProfile(80 * time.Millisecond)},
-		Duration:    time.Second,
-		ClusterAddr: routerURL,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		faults []faultnet.Window
+		check  func(t *testing.T, rep Report)
+	}{
+		{name: "healthy", check: func(t *testing.T, rep Report) {
+			if rep.Timeouts != 0 {
+				t.Errorf("lost heartbeats in a healthy cluster: %d timeouts", rep.Timeouts)
+			}
+			if rep.Acked+rep.Timeouts != rep.Sent {
+				t.Errorf("acked %d + timeouts %d != sent %d with no transport errors", rep.Acked, rep.Timeouts, rep.Sent)
+			}
+		}},
+		{
+			name: "relay link resets",
+			faults: []faultnet.Window{{
+				From: 300 * time.Millisecond, To: 420 * time.Millisecond,
+				Fault: faultnet.Fault{Kind: faultnet.KindReset, Prob: 1},
+			}},
+			check: func(t *testing.T, rep Report) {
+				if rep.WriteErrors == 0 {
+					t.Fatal("the reset window broke no write")
+				}
+				// Sent counts frames that reached the wire on the primary
+				// path; every heartbeat kept across a failed relay write is
+				// resolved on top of that.
+				if rep.Acked+rep.Timeouts <= rep.Sent {
+					t.Errorf("acked %d + timeouts %d <= sent %d: heartbeats that failed on the relay link were dropped, not kept for the fallback (writeErrs=%d fallback=%d)",
+						rep.Acked, rep.Timeouts, rep.Sent, rep.WriteErrors, rep.FallbackResends)
+				}
+			},
+		},
 	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Sent == 0 || rep.Acked == 0 {
-		t.Fatalf("no traffic: sent=%d acked=%d", rep.Sent, rep.Acked)
-	}
-	if rep.Timeouts != 0 {
-		t.Errorf("lost heartbeats in a healthy cluster: %d timeouts", rep.Timeouts)
-	}
-	if rep.ClusterEpoch != 1 {
-		t.Errorf("cluster epoch = %d, want 1", rep.ClusterEpoch)
-	}
-	if len(rep.ShardMetrics) != 3 {
-		t.Errorf("scraped %d shard metric dumps, want 3", len(rep.ShardMetrics))
-	}
-	served := 0
-	for _, sh := range shards {
-		st := sh.srv.Stats()
-		if st.HeartbeatsDirect+st.HeartbeatsRelayed > 0 {
-			served++
-		}
-		if st.Misrouted > 0 {
-			t.Errorf("shard %s saw %d misrouted frames in a stable ring", sh.node.ID, st.Misrouted)
-		}
-	}
-	if served < 2 {
-		t.Errorf("only %d shards served traffic; ring is not spreading the fleet", served)
-	}
-	if rep.ShardTable() == nil {
-		t.Error("cluster run rendered no shard table")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			routerURL, _, shards := startTestCluster(t, 3)
+			cfg := Config{
+				UEs:         24,
+				Relays:      2,
+				RelayRatio:  0.5,
+				Profiles:    []hbmsg.AppProfile{fastProfile(80 * time.Millisecond)},
+				Duration:    time.Second,
+				AckTimeout:  400 * time.Millisecond,
+				ClusterAddr: routerURL,
+			}
+			if tc.faults != nil {
+				cfg.Faults = faultnet.NewSchedule(1, tc.faults)
+			}
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := r.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Sent == 0 || rep.Acked == 0 {
+				t.Fatalf("no traffic: sent=%d acked=%d", rep.Sent, rep.Acked)
+			}
+			tc.check(t, rep)
+			if rep.ClusterEpoch != 1 {
+				t.Errorf("cluster epoch = %d, want 1", rep.ClusterEpoch)
+			}
+			if len(rep.ShardMetrics) != 3 {
+				t.Errorf("scraped %d shard metric dumps, want 3", len(rep.ShardMetrics))
+			}
+			served := 0
+			for _, sh := range shards {
+				st := sh.srv.Stats()
+				if st.HeartbeatsDirect+st.HeartbeatsRelayed > 0 {
+					served++
+				}
+				if st.Misrouted > 0 {
+					t.Errorf("shard %s saw %d misrouted frames in a stable ring", sh.node.ID, st.Misrouted)
+				}
+			}
+			if served < 2 {
+				t.Errorf("only %d shards served traffic; ring is not spreading the fleet", served)
+			}
+			if rep.ShardTable() == nil {
+				t.Error("cluster run rendered no shard table")
+			}
+		})
 	}
 }
 

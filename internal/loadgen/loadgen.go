@@ -1,9 +1,9 @@
 package loadgen
 
 import (
+	"cmp"
 	"fmt"
 	"net"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +15,7 @@ import (
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/rec"
 	"d2dhb/internal/relaynet"
+	"d2dhb/internal/session"
 	"d2dhb/internal/telemetry"
 	"d2dhb/internal/trace"
 )
@@ -209,7 +210,6 @@ type Runner struct {
 	shardSent  shardCounter
 	histDirect *Histogram
 	histRelay  *Histogram
-	readers    sync.WaitGroup
 
 	ackTimeout time.Duration
 	minPeriod  time.Duration
@@ -393,9 +393,8 @@ func (r *Runner) Run() (Report, error) {
 
 	r.drain()
 	for _, u := range r.units {
-		u.close()
+		u.close() // returns once the unit's ack readers have exited
 	}
-	r.readers.Wait()
 
 	rep := r.snapshot(genElapsed, true)
 	return rep, nil
@@ -448,10 +447,6 @@ func (r *Runner) startRelays() error {
 		capacity = perRelay*4 + 16
 	}
 	r.cfg.Recorder.SetRelay(r.minPeriod, capacity)
-	var dial func(network, addr string) (net.Conn, error)
-	if r.cfg.Faults != nil {
-		dial = r.cfg.Faults.Dial
-	}
 	for i := 0; i < r.cfg.Relays; i++ {
 		ra, err := relaynet.NewRelayAgent(relaynet.RelayAgentConfig{
 			ID:        fmt.Sprintf("loadrelay-%d", i),
@@ -461,7 +456,7 @@ func (r *Runner) startRelays() error {
 			Pad:       54,
 			Capacity:  capacity,
 			Tracer:    r.cfg.Tracer,
-			Dial:      dial,
+			Dial:      r.dialer(),
 			Cluster:   r.cluster,
 			Telemetry: r.cfg.Telemetry,
 		})
@@ -474,6 +469,15 @@ func (r *Runner) startRelays() error {
 		r.relays = append(r.relays, ra)
 	}
 	return nil
+}
+
+// dialer returns the run's outbound dial hook: the fault schedule's when
+// one is configured, net.Dial otherwise.
+func (r *Runner) dialer() func(network, addr string) (net.Conn, error) {
+	if r.cfg.Faults != nil {
+		return r.cfg.Faults.Dial
+	}
+	return net.Dial
 }
 
 // ownerAddr returns a resolver mapping a client ID to its owning shard's
@@ -499,6 +503,11 @@ func (r *Runner) buildFleet() {
 		return
 	}
 	r.units = make([]loadUnit, 0, r.cfg.UEs)
+	dial := r.dialer()
+	relayAddrs := make([]string, len(r.relays)) // Addr() formats the listener address: once per relay, not per UE
+	for i, ra := range r.relays {
+		relayAddrs[i] = ra.Addr()
+	}
 	for i := 0; i < r.cfg.UEs; i++ {
 		p := r.cfg.Profiles[i%len(r.cfg.Profiles)]
 		relayed := i < r.relayedUEs && len(r.relays) > 0
@@ -511,9 +520,6 @@ func (r *Runner) buildFleet() {
 			relayed: relayed,
 			timeout: r.ackTimeout,
 			c:       &r.counters,
-			pending: make(map[uint64]int64),
-			dial:    net.Dial,
-			readers: &r.readers,
 			trec:    r.cfg.Recorder,
 		}
 		relayIdx := -1
@@ -526,27 +532,31 @@ func (r *Runner) buildFleet() {
 			ID: u.id, App: u.app, Period: u.period, Expiry: u.expiry,
 			Pad: u.pad, Path: path, Relay: relayIdx,
 		})
-		if r.cfg.Faults != nil {
-			u.dial = r.cfg.Faults.Dial
+		u.primary = session.Slot{Dial: dial, Addr: r.serverAddr, OnRefs: u.onRefs}
+		var owner func() string
+		if r.cluster != nil {
+			owner = r.ownerAddr(u.id)
 		}
 		if relayed {
-			u.addr = r.relays[i%len(r.relays)].Addr()
 			u.rec = r.histRelay.Recorder()
-			if r.cluster != nil {
-				// Relayed UEs in a cluster fall back to their owning
-				// shard when the relay path misses the ack window —
-				// the load-fleet analog of the UEClient fallback that
-				// keeps reshards lossless.
-				u.resolve = r.ownerAddr(u.id)
-				u.fellBack = make(map[uint64]bool)
+			u.primary.Addr = relayAddrs[relayIdx]
+			// Relays deliver feedback only to registered UE connections.
+			u.primary.Register = &hbproto.Register{
+				ID: u.id, Role: hbproto.RoleUE, App: u.app,
+				Period: u.period, Expiry: u.expiry,
 			}
+			// Relayed UEs in a cluster fall back to their owning shard
+			// (re-resolved through the ring on every dial) when the relay
+			// path misses the ack window — the load-fleet analog of the
+			// UEClient fallback that keeps reshards lossless.
+			u.owner = owner
 		} else {
-			u.addr = r.serverAddr
 			u.rec = r.histDirect.Recorder()
-			if r.cluster != nil {
-				u.resolve = r.ownerAddr(u.id)
-			}
+			// Direct cluster UEs re-resolve their owning shard on every
+			// dial, so a reshard redirects the next connection.
+			u.primary.Resolve = owner
 		}
+		u.pending = session.Pending[uint64]{Cmp: cmp.Compare[uint64], Fallback: u.owner != nil}
 		r.units = append(r.units, u)
 	}
 }
@@ -577,20 +587,15 @@ func (r *Runner) buildTrunks() {
 			timeout: r.ackTimeout,
 			rec:     r.histRelay.Recorder(),
 			c:       &r.counters,
-			dial:    net.Dial,
+			dial:    r.dialer(),
 			cluster: r.cluster,
 			shards:  &r.shardSent,
-			readers: &r.readers,
 			users:   make([]tuser, count),
 			index:   make(map[string]int, count),
-			pending: make(map[hbref]int64),
-			conns:   make(map[string]net.Conn),
-		}
-		if r.cluster != nil {
-			t.fellBack = make(map[hbref]bool)
-		}
-		if r.cfg.Faults != nil {
-			t.dial = r.cfg.Faults.Dial
+			// In cluster mode a heartbeat that misses its ack window is
+			// re-sent once through the then-current ring view.
+			pending: session.Pending[hbref]{Cmp: compareRefs, Fallback: r.cluster != nil},
+			slots:   make(map[string]*session.Slot),
 		}
 		t.trec = r.cfg.Recorder
 		t.trecIdx = make([]int, count)
@@ -677,7 +682,6 @@ func (r *Runner) drain() {
 type vue struct {
 	id      string
 	app     string
-	addr    string
 	period  time.Duration
 	expiry  time.Duration
 	pad     int
@@ -687,27 +691,23 @@ type vue struct {
 	trec    *rec.Recorder // trace recorder; nil-safe
 	tidx    int           // this UE's trace client index (-1 when unrecorded)
 	c       *fleetCounters
-	dial    func(network, addr string) (net.Conn, error)
-	readers *sync.WaitGroup
-	// resolve maps this UE to its owning shard's hbproto address in cluster
-	// mode: the primary target for direct UEs (re-resolved on every dial, so
-	// reshards redirect the next connection), the fallback target for
-	// relayed ones.
-	resolve func() string
+	// primary is the relay link for relayed UEs and the server link for
+	// direct ones. Relayed cluster UEs also have owner, the resolver for
+	// their owning shard, and open fallback to it at their first ack
+	// timeout; whichever path acknowledges first settles the entry.
+	primary  session.Slot
+	owner    func() string
+	fallback *session.Slot
 
-	mu       sync.Mutex
-	conn     net.Conn
-	dconn    net.Conn         // fallback conn to the owning shard (relayed cluster UEs)
-	pending  map[uint64]int64 // seq → send time (UnixNano)
-	fellBack map[uint64]bool  // seqs already re-sent on the fallback path; nil disables fallback
-	seq      uint64
-	last     uint64 // highest acknowledged seq
-	closed   bool
+	mu      sync.Mutex
+	pending session.Pending[uint64] // by seq
+	seq     uint64
+	last    uint64 // highest acknowledged seq
 }
 
 // run is the send loop: activate after the arrival offset, then heartbeat
-// every period until the run stops. Readers joined via u.readers outlive
-// the send loop so the drain phase can still collect acks.
+// every period until the run stops. The slots' readers outlive the send
+// loop so the drain phase can still collect acks.
 func (u *vue) run(done <-chan struct{}, offset time.Duration, sendWg *sync.WaitGroup) {
 	defer sendWg.Done()
 	if offset > 0 {
@@ -734,8 +734,7 @@ func (u *vue) run(done <-chan struct{}, offset time.Duration, sendWg *sync.WaitG
 // needed, send one heartbeat.
 func (u *vue) tick() {
 	u.sweep(time.Now())
-	conn := u.ensureConn()
-	if conn == nil {
+	if _, err := u.primary.Connect(); err != nil {
 		u.c.dialErrors.Add(1)
 		return
 	}
@@ -743,21 +742,13 @@ func (u *vue) tick() {
 	u.mu.Lock()
 	u.seq++
 	seq := u.seq
-	u.pending[seq] = now.UnixNano()
+	u.pending.Track(seq, now)
 	u.mu.Unlock()
-	hb := &hbproto.Heartbeat{
-		Src: u.id, Seq: seq, App: u.app,
-		Origin: now, Expiry: u.expiry, Pad: u.pad,
-	}
-	if err := hbproto.WriteFrame(conn, hb); err != nil {
+	if _, err := u.primary.Send(u.heartbeat(seq, now)); err != nil {
 		u.c.writeErrors.Add(1)
 		u.mu.Lock()
-		delete(u.pending, seq)
-		if u.conn == conn {
-			u.conn = nil
-		}
+		u.pending.Abandon(seq)
 		u.mu.Unlock()
-		_ = conn.Close()
 		return
 	}
 	if u.relayed {
@@ -768,147 +759,66 @@ func (u *vue) tick() {
 	u.trec.Record(rec.EvSend, u.tidx, seq, now)
 }
 
-// ensureConn returns the live connection, dialing (and for relayed UEs
-// registering) when none exists. Direct cluster UEs re-resolve their owning
-// shard on every dial, so a reshard redirects the next connection.
-func (u *vue) ensureConn() net.Conn {
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		return nil
+func (u *vue) heartbeat(seq uint64, now time.Time) *hbproto.Heartbeat {
+	return &hbproto.Heartbeat{
+		Src: u.id, Seq: seq, App: u.app,
+		Origin: now, Expiry: u.expiry, Pad: u.pad,
 	}
-	if u.conn != nil {
-		conn := u.conn
-		u.mu.Unlock()
-		return conn
-	}
-	u.mu.Unlock()
-
-	addr := u.addr
-	if !u.relayed && u.resolve != nil {
-		if a := u.resolve(); a != "" {
-			addr = a
-		}
-	}
-	conn, err := u.dial("tcp", addr)
-	if err != nil {
-		return nil
-	}
-	if u.relayed {
-		// Relays deliver feedback only to registered UE connections.
-		if err := hbproto.WriteFrame(conn, &hbproto.Register{
-			ID: u.id, Role: hbproto.RoleUE, App: u.app,
-			Period: u.period, Expiry: u.expiry,
-		}); err != nil {
-			_ = conn.Close()
-			return nil
-		}
-	}
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		_ = conn.Close()
-		return nil
-	}
-	u.conn = conn
-	u.mu.Unlock()
-	u.readers.Add(1)
-	go u.reader(conn)
-	return conn
 }
 
-// reader matches ack/feedback refs against pending sends and records
-// latency. One reader serves both the primary and the fallback connection;
-// whichever path acknowledges first settles the pending entry.
-func (u *vue) reader(conn net.Conn) {
-	defer u.readers.Done()
-	// Inline processing, nothing retained past the iteration: safe with
-	// the FrameReader's reused messages.
-	fr := hbproto.NewFrameReader(conn)
-	for {
-		msg, err := fr.Next()
-		if err != nil {
-			u.mu.Lock()
-			if u.conn == conn {
-				u.conn = nil
-			}
-			if u.dconn == conn {
-				u.dconn = nil
-			}
-			u.mu.Unlock()
-			return
-		}
-		var refs []hbproto.Ref
-		switch m := msg.(type) {
-		case *hbproto.Ack:
-			refs = m.Refs
-		case *hbproto.Feedback:
-			refs = m.Refs
-		default:
+// onRefs matches ack/feedback refs from either slot against pending sends
+// and records latency.
+func (u *vue) onRefs(refs []hbproto.Ref, at time.Time) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	for _, ref := range refs {
+		if ref.Src != u.id {
 			continue
 		}
-		ackAt := time.Now()
-		now := ackAt.UnixNano()
-		u.mu.Lock()
-		for _, ref := range refs {
-			if ref.Src != u.id {
-				continue
-			}
-			at, ok := u.pending[ref.Seq]
-			if !ok {
-				continue
-			}
-			delete(u.pending, ref.Seq)
-			if u.fellBack != nil {
-				delete(u.fellBack, ref.Seq)
-			}
-			latUS := uint64(now-at) / 1000
-			u.rec.Record(latUS)
-			u.trec.Record(rec.EvAck, u.tidx, ref.Seq, ackAt)
-			if u.relayed {
-				u.c.ackedRelayed.Add(1)
-			} else {
-				u.c.ackedDirect.Add(1)
-			}
-			if ref.Seq <= u.last {
-				u.c.outOfOrderAcks.Add(1)
-			} else {
-				u.last = ref.Seq
-			}
+		lat, ok := u.pending.Settle(ref.Seq, at)
+		if !ok {
+			continue
 		}
-		u.mu.Unlock()
+		u.rec.Record(uint64(lat / time.Microsecond))
+		u.trec.Record(rec.EvAck, u.tidx, ref.Seq, at)
+		if u.relayed {
+			u.c.ackedRelayed.Add(1)
+		} else {
+			u.c.ackedDirect.Add(1)
+		}
+		if ref.Seq <= u.last {
+			u.c.outOfOrderAcks.Add(1)
+		} else {
+			u.last = ref.Seq
+		}
 	}
 }
 
-// sweep writes off pendings older than the ack timeout. Relayed cluster
-// UEs get one more chance first: the heartbeat is re-sent directly to its
-// owning shard (resolved through the current ring epoch) with a fresh ack
-// window, and only a second miss counts as a timeout — mirroring the
-// UEClient feedback-timeout fallback that keeps reshards lossless.
+// sweep applies the pending table's loss policy: heartbeats past the ack
+// timeout are re-sent once directly to their owning shard when the UE has
+// that fallback (relayed cluster UEs), and counted as timeouts otherwise.
 func (u *vue) sweep(now time.Time) {
-	cutoff := now.Add(-u.timeout).UnixNano()
-	var resend []uint64
 	u.mu.Lock()
-	// Map order is nondeterministic; collect and sort the expired seqs so
-	// the fallback/timeout decisions and trace records replay identically.
-	var expired []uint64
-	for seq, at := range u.pending {
-		if at < cutoff {
-			expired = append(expired, seq)
+	resend, lost := u.pending.Sweep(now, u.timeout)
+	u.timedOut(lost, now)
+	u.mu.Unlock()
+	if len(resend) > 0 && u.fallback == nil {
+		u.fallback = &session.Slot{Dial: u.primary.Dial, Resolve: u.owner, OnRefs: u.primary.OnRefs}
+	}
+	for _, seq := range resend {
+		if _, err := u.fallback.Connect(); err != nil {
+			u.c.dialErrors.Add(1)
+		} else if _, err := u.fallback.Send(u.heartbeat(seq, time.Now())); err != nil {
+			u.c.writeErrors.Add(1)
+		} else {
+			u.c.fallbackResends.Add(1)
 		}
 	}
-	slices.Sort(expired)
-	for _, seq := range expired {
-		if u.fellBack != nil && !u.fellBack[seq] {
-			u.fellBack[seq] = true
-			u.pending[seq] = now.UnixNano()
-			resend = append(resend, seq)
-			continue
-		}
-		delete(u.pending, seq)
-		if u.fellBack != nil {
-			delete(u.fellBack, seq)
-		}
+}
+
+// timedOut writes off heartbeats the pending table gave up on (u.mu held).
+func (u *vue) timedOut(seqs []uint64, now time.Time) {
+	for _, seq := range seqs {
 		if u.relayed {
 			u.c.timeoutRelayed.Add(1)
 		} else {
@@ -916,121 +826,26 @@ func (u *vue) sweep(now time.Time) {
 		}
 		u.trec.Record(rec.EvTimeout, u.tidx, seq, now)
 	}
-	u.mu.Unlock()
-	for _, seq := range resend {
-		u.resendDirect(seq)
-	}
-}
-
-// resendDirect re-sends one timed-out relayed heartbeat straight to its
-// owning shard.
-func (u *vue) resendDirect(seq uint64) {
-	conn := u.ensureDconn()
-	if conn == nil {
-		u.c.dialErrors.Add(1)
-		return
-	}
-	hb := &hbproto.Heartbeat{
-		Src: u.id, Seq: seq, App: u.app,
-		Origin: time.Now(), Expiry: u.expiry, Pad: u.pad,
-	}
-	if err := hbproto.WriteFrame(conn, hb); err != nil {
-		u.c.writeErrors.Add(1)
-		u.mu.Lock()
-		if u.dconn == conn {
-			u.dconn = nil
-		}
-		u.mu.Unlock()
-		_ = conn.Close()
-		return
-	}
-	u.c.fallbackResends.Add(1)
-}
-
-// ensureDconn returns the live fallback connection to the owning shard,
-// re-resolving through the ring and dialing when none exists.
-func (u *vue) ensureDconn() net.Conn {
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		return nil
-	}
-	if u.dconn != nil {
-		conn := u.dconn
-		u.mu.Unlock()
-		return conn
-	}
-	u.mu.Unlock()
-
-	var addr string
-	if u.resolve != nil {
-		addr = u.resolve()
-	}
-	if addr == "" {
-		return nil
-	}
-	conn, err := u.dial("tcp", addr)
-	if err != nil {
-		return nil
-	}
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		_ = conn.Close()
-		return nil
-	}
-	u.dconn = conn
-	u.mu.Unlock()
-	u.readers.Add(1)
-	go u.reader(conn)
-	return conn
 }
 
 // pendingCount returns how many sends still await acknowledgement.
 func (u *vue) pendingCount() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return len(u.pending)
+	return u.pending.Len()
 }
 
 // expireAll writes off every remaining pending send (end-of-run drain).
 func (u *vue) expireAll() {
-	now := time.Now()
 	u.mu.Lock()
-	// Sorted drain: the end-of-run timeout records land in seq order, not
-	// map order, so recorded traces are canonical before Timeline even
-	// sorts them.
-	seqs := make([]uint64, 0, len(u.pending))
-	for seq := range u.pending {
-		seqs = append(seqs, seq)
-	}
-	slices.Sort(seqs)
-	for _, seq := range seqs {
-		delete(u.pending, seq)
-		if u.fellBack != nil {
-			delete(u.fellBack, seq)
-		}
-		if u.relayed {
-			u.c.timeoutRelayed.Add(1)
-		} else {
-			u.c.timeoutDirect.Add(1)
-		}
-		u.trec.Record(rec.EvTimeout, u.tidx, seq, now)
-	}
+	u.timedOut(u.pending.Drain(), time.Now())
 	u.mu.Unlock()
 }
 
-// close shuts the UE's connections down; readers exit on the closed conns.
+// close shuts the UE's connections down and waits for their readers.
 func (u *vue) close() {
-	u.mu.Lock()
-	u.closed = true
-	conn, dconn := u.conn, u.dconn
-	u.conn, u.dconn = nil, nil
-	u.mu.Unlock()
-	if conn != nil {
-		_ = conn.Close()
-	}
-	if dconn != nil {
-		_ = dconn.Close()
+	u.primary.Close()
+	if u.fallback != nil {
+		u.fallback.Close()
 	}
 }

@@ -3,12 +3,16 @@ package loadgen
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"d2dhb/internal/hbmsg"
+	"d2dhb/internal/session"
 )
 
 // fastProfile is a compressed app profile for short test runs. The 3×
@@ -328,5 +332,58 @@ func TestTrunkPacedRunLossless(t *testing.T) {
 	}
 	if rep.Server == nil || rep.Server.HeartbeatsRelayed == 0 {
 		t.Fatalf("server saw no relayed heartbeats: %+v", rep.Server)
+	}
+}
+
+// sinkConn is a connection that swallows writes (counting them) and never
+// produces input.
+type sinkConn struct {
+	net.Conn // nil: only the methods below are ever called
+	writes   atomic.Int64
+	closed   chan struct{}
+	once     sync.Once
+}
+
+func (c *sinkConn) Write(b []byte) (int, error) { c.writes.Add(1); return len(b), nil }
+func (c *sinkConn) Read([]byte) (int, error)    { <-c.closed; return 0, io.EOF }
+func (c *sinkConn) Close() error                { c.once.Do(func() { close(c.closed) }); return nil }
+
+// TestTrunkEmissionZeroAllocsOneWrite pins the trunk's wire path through
+// the session slot: a shard emission of several Batch frames costs zero
+// allocations per frame and exactly one Write.
+func TestTrunkEmissionZeroAllocsOneWrite(t *testing.T) {
+	const users = 2*maxTrunkBatch + 5 // three chunk frames per emission
+	sink := &sinkConn{closed: make(chan struct{})}
+	tr := &trunk{
+		id: "loadtrunk-test", app: "app", addr: "sink",
+		period: time.Second, expiry: time.Second, pad: 54, timeout: time.Second,
+		c:       &fleetCounters{},
+		dial:    func(string, string) (net.Conn, error) { return sink, nil },
+		users:   make([]tuser, users),
+		pending: session.Pending[hbref]{Cmp: compareRefs},
+		slots:   make(map[string]*session.Slot),
+	}
+	defer tr.close()
+	refs := make([]hbref, users)
+	for i := range refs {
+		tr.users[i].id = fmt.Sprintf("loadue-%07d", i)
+		refs[i] = hbref{i, 1}
+	}
+	now := time.Now()
+	tr.sendShard("", refs, now, false) // warm-up: dial, register, size the scratch
+	if tr.c.writeErrors.Load()+tr.c.dialErrors.Load() != 0 || tr.c.trunkFrames.Load() != 3 {
+		t.Fatalf("warm-up emission: %d frames, %d write errors, %d dial errors",
+			tr.c.trunkFrames.Load(), tr.c.writeErrors.Load(), tr.c.dialErrors.Load())
+	}
+	before := sink.writes.Load()
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() { tr.sendShard("", refs, now, false) })
+	// One alloc of slack per emission (three frames): pool Get/Put may
+	// interact with GC mid-run.
+	if allocs > 1 && !raceEnabled {
+		t.Errorf("%.1f allocs per 3-frame emission, want 0", allocs)
+	}
+	if got := sink.writes.Load() - before; got != runs+1 { // AllocsPerRun adds one warm-up call
+		t.Errorf("%d Writes for %d emissions, want one each", got, runs+1)
 	}
 }

@@ -11,6 +11,7 @@ package loadgen
 // gives the live column.
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"sort"
@@ -22,6 +23,7 @@ import (
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/rec"
 	"d2dhb/internal/relaynet"
+	"d2dhb/internal/session"
 )
 
 // ReplayOptions parameterizes one live replay.
@@ -58,6 +60,13 @@ type replayKey struct {
 	seq uint64
 }
 
+func compareReplayKeys(a, b replayKey) int {
+	if c := cmp.Compare(a.id, b.id); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
 // replayUnit is one connection's worth of replayed clients: a single
 // direct client, or every client of one relay/trunk group.
 type replayUnit struct {
@@ -75,15 +84,13 @@ type liveReplay struct {
 	start   time.Time
 
 	mu        sync.Mutex
-	pending   map[replayKey]time.Time
+	pending   session.Pending[replayKey]
 	lat       *rec.Sample
 	delivered uint64
 	uplinks   uint64
 	batches   uint64
 	werrs     uint64
-	conns     []net.Conn
-
-	readers sync.WaitGroup
+	slots     []*session.Slot // every unit's connections, closed after the drain
 }
 
 // ReplayLive replays the recorded timeline against the live stack and
@@ -111,7 +118,7 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 	r := &liveReplay{
 		tl:      tl,
 		opts:    opts,
-		pending: make(map[replayKey]time.Time),
+		pending: session.Pending[replayKey]{Cmp: compareReplayKeys},
 		lat:     rec.NewSample(),
 	}
 
@@ -190,7 +197,7 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 	deadline := time.Now().Add(opts.AckTimeout)
 	for time.Now().Before(deadline) {
 		r.mu.Lock()
-		n := len(r.pending)
+		n := r.pending.Len()
 		r.mu.Unlock()
 		if n == 0 {
 			break
@@ -198,19 +205,19 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	r.mu.Lock()
-	conns := r.conns
-	r.conns = nil
+	slots := r.slots
+	r.slots = nil
 	r.mu.Unlock()
-	for _, c := range conns {
-		_ = c.Close()
+	for _, s := range slots {
+		s.Close()
 	}
-	r.readers.Wait()
 
 	m := rec.Metrics{Source: "live"}
 	r.mu.Lock()
-	m.Sent = uint64(len(r.pending)) + r.delivered + r.werrs
+	lost := uint64(r.pending.Len())
+	m.Sent = lost + r.delivered + r.werrs
 	m.Delivered = r.delivered
-	m.Timeouts = uint64(len(r.pending)) + r.werrs
+	m.Timeouts = lost + r.werrs
 	m.AckLatency = r.lat.Quantiles()
 	m.Signaling.Uplinks = r.uplinks
 	m.Signaling.Batches = r.batches
@@ -240,26 +247,21 @@ func (r *liveReplay) ownerAddr(clientID string) string {
 	return r.addr
 }
 
-// dial opens a server connection to addr, optionally through the fault
-// schedule, and starts its ack reader.
-func (r *liveReplay) dial(addr string, register *hbproto.Register) net.Conn {
+// newSlot returns an unconnected session slot whose every dial goes to
+// whatever resolve answers then — the fixed server address when it is nil
+// or answers "" — optionally through the fault schedule, registering as a
+// relay when register is set. The slot stays open through the drain phase
+// so late acks still settle; ReplayLive closes it after.
+func (r *liveReplay) newSlot(resolve func() string, register *hbproto.Register) *session.Slot {
 	dial := net.Dial
 	if r.opts.Faults != nil {
 		dial = r.opts.Faults.Dial
 	}
-	conn, err := dial("tcp", addr)
-	if err != nil {
-		return nil
-	}
-	if register != nil {
-		if err := hbproto.WriteFrame(conn, register); err != nil {
-			_ = conn.Close()
-			return nil
-		}
-	}
-	r.readers.Add(1)
-	go r.reader(conn)
-	return conn
+	s := &session.Slot{Dial: dial, Addr: r.addr, Resolve: resolve, Register: register, OnRefs: r.onRefs}
+	r.mu.Lock()
+	r.slots = append(r.slots, s)
+	r.mu.Unlock()
+	return s
 }
 
 // runUnit replays one connection's send subsequence.
@@ -275,36 +277,24 @@ func (r *liveReplay) runUnit(u *replayUnit) {
 // send, paced to the recorded offsets.
 func (r *liveReplay) runDirect(u *replayUnit) {
 	c := r.tl.Clients[u.sends[0].Client]
-	conn := r.dial(r.ownerAddr(c.ID), nil)
+	// Re-resolve on every redial: a reshard between sends moves the
+	// client's owner, and the replay should follow it the way the live
+	// fleet does.
+	slot := r.newSlot(func() string { return r.ownerAddr(c.ID) }, nil)
+	_, _ = slot.Connect() // dial ahead of the first paced send; Send retries
 	for _, e := range u.sends {
 		r.pace(e.At)
-		if conn == nil {
-			// Re-resolve on every redial: a reshard between batches moves
-			// the client's owner, and the replay should follow it the way
-			// the live fleet does.
-			conn = r.dial(r.ownerAddr(c.ID), nil)
-		}
-		if conn == nil {
-			r.noteWriteError(1)
-			continue
-		}
 		now := time.Now()
 		hb := &hbproto.Heartbeat{
 			Src: c.ID, Seq: e.Seq, App: c.App,
 			Origin: now, Expiry: c.Expiry, Pad: c.Pad,
 		}
 		r.track(replayKey{c.ID, e.Seq}, now)
-		if err := hbproto.WriteFrame(conn, hb); err != nil {
-			r.untrack(replayKey{c.ID, e.Seq})
-			r.noteWriteError(1)
-			_ = conn.Close()
-			conn = nil
+		if _, err := slot.Send(hb); err != nil {
+			r.noteWriteError(replayKey{c.ID, e.Seq})
 			continue
 		}
 		r.noteUplink(false)
-	}
-	if conn != nil {
-		r.keep(conn)
 	}
 }
 
@@ -315,7 +305,7 @@ func (r *liveReplay) runDirect(u *replayUnit) {
 // one ring view (one connection per shard), the same split the live trunk
 // performs.
 func (r *liveReplay) runTrunk(u *replayUnit) {
-	conns := make(map[string]net.Conn) // shard ID → conn; "" single-server
+	slots := make(map[string]*session.Slot) // shard ID → slot; "" single-server
 	for i := 0; i < len(u.sends); {
 		// The batch is [i, j): recorded gaps ≤ Coalesce, bounded by the
 		// trace's relay capacity when one is recorded.
@@ -328,7 +318,7 @@ func (r *liveReplay) runTrunk(u *replayUnit) {
 		}
 		r.pace(u.sends[j-1].At)
 		if r.cluster == nil {
-			r.sendTrunkBatch(conns, u, "", r.addr, u.sends[i:j])
+			r.sendTrunkBatch(slots, u, "", u.sends[i:j])
 		} else {
 			view := r.cluster.View()
 			keys := make([]string, j-i)
@@ -340,80 +330,62 @@ func (r *liveReplay) runTrunk(u *replayUnit) {
 				for k, idx := range g.Idxs {
 					sub[k] = u.sends[i+idx]
 				}
-				addr := r.addr
-				if node, ok := view.Config.Node(g.Shard); ok {
-					addr = node.Addr
-				}
-				r.sendTrunkBatch(conns, u, g.Shard, addr, sub)
+				r.sendTrunkBatch(slots, u, g.Shard, sub)
 			}
 		}
 		i = j
 	}
-	for _, conn := range conns {
-		r.keep(conn)
-	}
 }
 
 // sendTrunkBatch writes one (shard-local) Batch frame on the group's
-// cached connection to that shard, redialing once per batch if needed.
-func (r *liveReplay) sendTrunkBatch(conns map[string]net.Conn, u *replayUnit, shard, addr string, events []rec.Event) {
-	conn := conns[shard]
-	if conn == nil {
-		conn = r.dial(addr, &hbproto.Register{
+// slot for that shard, which redials at most once per batch.
+func (r *liveReplay) sendTrunkBatch(slots map[string]*session.Slot, u *replayUnit, shard string, events []rec.Event) {
+	slot := slots[shard]
+	if slot == nil {
+		var resolve func() string
+		if r.cluster != nil {
+			resolve = shardAddr(r.cluster, shard)
+		}
+		slot = r.newSlot(resolve, &hbproto.Register{
 			ID: u.relayID, Role: hbproto.RoleRelay, App: "replay",
 			Period: r.tl.RelayPeriod, Expiry: r.tl.RelayPeriod,
 		})
-		if conn == nil {
-			r.noteWriteError(len(events))
-			return
-		}
-		conns[shard] = conn
+		slots[shard] = slot
 	}
 	now := time.Now()
 	b := &hbproto.Batch{Relay: u.relayID, HBs: make([]hbproto.Heartbeat, 0, len(events))}
+	keys := make([]replayKey, 0, len(events))
 	for _, e := range events {
 		c := r.tl.Clients[e.Client]
 		b.HBs = append(b.HBs, hbproto.Heartbeat{
 			Src: c.ID, Seq: e.Seq, App: c.App,
 			Origin: now, Expiry: c.Expiry, Pad: c.Pad,
 		})
-		r.track(replayKey{c.ID, e.Seq}, now)
+		k := replayKey{c.ID, e.Seq}
+		keys = append(keys, k)
+		r.track(k, now)
 	}
-	if err := hbproto.WriteFrame(conn, b); err != nil {
-		for _, e := range events {
-			r.untrack(replayKey{r.tl.Clients[e.Client].ID, e.Seq})
-		}
-		r.noteWriteError(len(events))
-		_ = conn.Close()
-		delete(conns, shard)
+	if _, err := slot.Send(b); err != nil {
+		r.noteWriteError(keys...)
 		return
 	}
 	r.noteUplink(true)
 }
 
-// keep parks a finished unit's connection so the drain phase can still
-// collect its acks; ReplayLive closes it after the drain.
-func (r *liveReplay) keep(conn net.Conn) {
-	r.mu.Lock()
-	r.conns = append(r.conns, conn)
-	r.mu.Unlock()
-}
-
 func (r *liveReplay) track(k replayKey, at time.Time) {
 	r.mu.Lock()
-	r.pending[k] = at
+	r.pending.Track(k, at)
 	r.mu.Unlock()
 }
 
-func (r *liveReplay) untrack(k replayKey) {
+// noteWriteError counts heartbeats that never hit the wire (dial or write
+// failure) and stops tracking them.
+func (r *liveReplay) noteWriteError(keys ...replayKey) {
 	r.mu.Lock()
-	delete(r.pending, k)
-	r.mu.Unlock()
-}
-
-func (r *liveReplay) noteWriteError(n int) {
-	r.mu.Lock()
-	r.werrs += uint64(n)
+	for _, k := range keys {
+		r.pending.Abandon(k)
+	}
+	r.werrs += uint64(len(keys))
 	r.mu.Unlock()
 }
 
@@ -426,39 +398,15 @@ func (r *liveReplay) noteUplink(batch bool) {
 	r.mu.Unlock()
 }
 
-// reader consumes acks/feedback and settles pending heartbeats.
-func (r *liveReplay) reader(conn net.Conn) {
-	defer r.readers.Done()
-	// Inline processing: refs are consumed under r.mu before the next
-	// Next() call, and the interned Src strings promoted into replayKeys
-	// are stable, so the FrameReader's reuse is safe.
-	fr := hbproto.NewFrameReader(conn)
-	for {
-		msg, err := fr.Next()
-		if err != nil {
-			return
-		}
-		var refs []hbproto.Ref
-		switch m := msg.(type) {
-		case *hbproto.Ack:
-			refs = m.Refs
-		case *hbproto.Feedback:
-			refs = m.Refs
-		default:
-			continue
-		}
-		now := time.Now()
-		r.mu.Lock()
-		for _, ref := range refs {
-			k := replayKey{ref.Src, ref.Seq}
-			at, ok := r.pending[k]
-			if !ok {
-				continue
-			}
-			delete(r.pending, k)
+// onRefs settles acknowledged heartbeats. The interned Src strings
+// promoted into replayKeys are stable, so the reader's reuse is safe.
+func (r *liveReplay) onRefs(refs []hbproto.Ref, at time.Time) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, ref := range refs {
+		if lat, ok := r.pending.Settle(replayKey{ref.Src, ref.Seq}, at); ok {
 			r.delivered++
-			r.lat.Add(float64(now.Sub(at)) / float64(time.Millisecond))
+			r.lat.Add(float64(lat) / float64(time.Millisecond))
 		}
-		r.mu.Unlock()
 	}
 }

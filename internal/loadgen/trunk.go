@@ -3,13 +3,13 @@ package loadgen
 import (
 	"cmp"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/rec"
+	"d2dhb/internal/session"
 )
 
 // maxTrunkBatch caps heartbeats per Batch frame: hbproto bounds frames at
@@ -30,16 +30,13 @@ type hbref struct {
 	seq uint64
 }
 
-// sortRefs orders refs by (user index, seq): the canonical walk order for
-// anything that records trace events per ref, since map iteration over
-// pending sets is nondeterministic.
-func sortRefs(refs []hbref) {
-	slices.SortFunc(refs, func(a, b hbref) int {
-		if c := cmp.Compare(a.idx, b.idx); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
+// compareRefs orders refs by (user index, seq): the pending table's
+// canonical walk order for anything that records trace events per ref.
+func compareRefs(a, b hbref) int {
+	if c := cmp.Compare(a.idx, b.idx); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // trunk multiplexes many virtual users over one hbproto relay connection
@@ -66,7 +63,6 @@ type trunk struct {
 	dial    func(network, addr string) (net.Conn, error)
 	cluster *cluster.Client // nil targets addr directly
 	shards  *shardCounter
-	readers *sync.WaitGroup
 
 	// paceSlots spreads each period's emissions over this many sub-ticks
 	// (≤1 disables pacing: the whole fleet bursts at once). slotUsers is
@@ -77,17 +73,15 @@ type trunk struct {
 	// Encode scratch owned by the send path. run() is the only sender
 	// while load is offered and drain() sweeps only after the send loop
 	// has exited (sendWg.Wait precedes it), so no lock is needed.
-	sendBuf   []byte
 	hbScratch []hbproto.Heartbeat
 	batchMsg  hbproto.Batch
 
-	mu       sync.Mutex
-	users    []tuser
-	index    map[string]int  // user id → index (ids are immutable after build)
-	pending  map[hbref]int64 // in-flight heartbeat → send time (UnixNano)
-	fellBack map[hbref]bool  // heartbeats already re-sent; nil disables fallback
-	conns    map[string]net.Conn
-	closed   bool
+	mu      sync.Mutex
+	users   []tuser
+	index   map[string]int           // user id → index (ids are immutable after build)
+	pending session.Pending[hbref]   // in-flight heartbeats
+	slots   map[string]*session.Slot // shard ID → connection ("" single-server)
+	closed  bool
 }
 
 // run is the send loop: activate after the arrival offset, then batch one
@@ -158,7 +152,6 @@ func (t *trunk) tickSlot(slot int) {
 // emit sends one fresh heartbeat for each listed user index (nil means the
 // whole fleet) plus any expired re-sends.
 func (t *trunk) emit(idxs []int, now time.Time, resend []hbref) {
-	nano := now.UnixNano()
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -176,7 +169,7 @@ func (t *trunk) emit(idxs []int, now time.Time, resend []hbref) {
 		}
 		t.users[i].seq++
 		ref := hbref{i, t.users[i].seq}
-		t.pending[ref] = nano
+		t.pending.Track(ref, now)
 		fresh[j] = ref
 	}
 	t.mu.Unlock()
@@ -228,24 +221,27 @@ func (t *trunk) send(refs []hbref, now time.Time, fallback bool) {
 	}
 }
 
-// sendShard writes one shard's heartbeats as Batch frames, composing every
-// chunk frame into one reusable buffer and issuing a single write — the
+// sendShard writes one shard's heartbeats as Batch frames, all chunk
+// frames composed into one buffer and issued as a single write — the
 // syscall count per emission is one per shard, not one per 4096 heartbeats.
-// Failures leave the pending entries in place when fallback is available
-// (the sweep re-sends them through a newer view) and write them off as
-// transport errors otherwise.
+// Heartbeats that never hit the wire are abandoned to the pending table:
+// they stay for the sweep when fallback is available and are forgotten (a
+// transport error, not an ack timeout) otherwise.
 func (t *trunk) sendShard(shard string, refs []hbref, now time.Time, fallback bool) {
-	conn := t.ensureConn(shard)
-	if conn == nil {
+	slot := t.slot(shard)
+	if slot == nil {
 		t.c.dialErrors.Add(1)
 		t.abandon(refs)
 		return
 	}
-	out := t.sendBuf[:0]
-	frames := uint64(0)
-	for start := 0; start < len(refs); start += maxTrunkBatch {
-		end := min(start+maxTrunkBatch, len(refs))
-		chunk := refs[start:end]
+	if _, err := slot.Connect(); err != nil {
+		t.c.dialErrors.Add(1)
+		t.abandon(refs)
+		return
+	}
+	frames := (len(refs) + maxTrunkBatch - 1) / maxTrunkBatch
+	_, err := slot.SendN(frames, func(f int) hbproto.Message {
+		chunk := refs[f*maxTrunkBatch : min((f+1)*maxTrunkBatch, len(refs))]
 		if cap(t.hbScratch) < len(chunk) {
 			t.hbScratch = make([]hbproto.Heartbeat, len(chunk))
 		}
@@ -257,27 +253,16 @@ func (t *trunk) sendShard(shard string, refs []hbref, now time.Time, fallback bo
 			}
 		}
 		t.batchMsg.Relay, t.batchMsg.HBs = t.id, hbs
-		var err error
-		out, err = hbproto.AppendFrame(out, &t.batchMsg)
-		t.batchMsg.HBs = nil
-		if err != nil {
-			// Encode failure is a bug, not a transport fault: write the
-			// refs off without dropping the (healthy) connection.
-			t.c.writeErrors.Add(1)
-			t.abandon(refs)
-			return
-		}
-		frames++
-	}
-	t.sendBuf = out[:0]
-	if _, err := conn.Write(out); err != nil {
+		return &t.batchMsg
+	})
+	t.batchMsg.HBs = nil
+	if err != nil {
 		t.c.writeErrors.Add(1)
-		t.dropConn(shard, conn)
 		t.abandon(refs)
 		return
 	}
 	t.c.trunkWrites.Add(1)
-	t.c.trunkFrames.Add(frames)
+	t.c.trunkFrames.Add(uint64(frames))
 	if fallback {
 		t.c.fallbackResends.Add(uint64(len(refs)))
 	} else {
@@ -300,53 +285,32 @@ func (t *trunk) recIdx(i int) int {
 	return t.trecIdx[i]
 }
 
-// abandon handles heartbeats that never hit the wire. With fallback
-// enabled they stay pending — the sweep re-sends them through the current
-// view once routes converge; without it they are removed so a transport
-// error is not double-counted as an ack timeout.
+// abandon hands heartbeats that never hit the wire to the pending table's
+// unsent policy.
 func (t *trunk) abandon(refs []hbref) {
-	if t.fellBack != nil {
-		return
-	}
 	t.mu.Lock()
 	for _, ref := range refs {
-		delete(t.pending, ref)
+		t.pending.Abandon(ref)
 	}
 	t.mu.Unlock()
 }
 
-// collectExpired marks pendings older than the ack timeout: first expiry
-// with fallback enabled re-arms the clock and returns the heartbeat for a
-// direct re-send; anything else is written off as a timeout.
+// collectExpired applies the pending table's loss policy, recording the
+// write-offs and returning the heartbeats due one fallback re-send.
 func (t *trunk) collectExpired(now time.Time) []hbref {
-	cutoff := now.Add(-t.timeout).UnixNano()
-	var resend []hbref
 	t.mu.Lock()
-	// Collect and sort before acting: the fallback/timeout decisions and
-	// the trace records must not depend on map iteration order.
-	var expired []hbref
-	for ref, at := range t.pending {
-		if at < cutoff {
-			expired = append(expired, ref)
-		}
-	}
-	sortRefs(expired)
-	for _, ref := range expired {
-		if t.fellBack != nil && !t.fellBack[ref] {
-			t.fellBack[ref] = true
-			t.pending[ref] = now.UnixNano()
-			resend = append(resend, ref)
-			continue
-		}
-		delete(t.pending, ref)
-		if t.fellBack != nil {
-			delete(t.fellBack, ref)
-		}
-		t.c.timeoutRelayed.Add(1)
-		t.trec.Record(rec.EvTimeout, t.recIdx(ref.idx), ref.seq, now)
-	}
+	resend, lost := t.pending.Sweep(now, t.timeout)
+	t.timedOut(lost, now)
 	t.mu.Unlock()
 	return resend
+}
+
+// timedOut writes off heartbeats the pending table gave up on (t.mu held).
+func (t *trunk) timedOut(refs []hbref, now time.Time) {
+	for _, ref := range refs {
+		t.trec.Record(rec.EvTimeout, t.recIdx(ref.idx), ref.seq, now)
+	}
+	t.c.timeoutRelayed.Add(uint64(len(refs)))
 }
 
 // sweep re-sends expired heartbeats (drain-phase entry point; tick folds
@@ -357,113 +321,63 @@ func (t *trunk) sweep(now time.Time) {
 	}
 }
 
-// ensureConn returns the live connection for a shard, resolving the
-// address through the current cluster config and registering as a relay
-// when dialing fresh.
-func (t *trunk) ensureConn(shard string) net.Conn {
+// slot returns the session slot for a shard, creating it on first use: it
+// resolves the address through the current cluster config on every dial
+// and registers as a relay. Nil once the trunk is closed.
+func (t *trunk) slot(shard string) *session.Slot {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
+	defer t.mu.Unlock()
+	if s, ok := t.slots[shard]; ok || t.closed {
+		return s
 	}
-	if conn := t.conns[shard]; conn != nil {
-		t.mu.Unlock()
-		return conn
+	s := &session.Slot{
+		Dial: t.dial,
+		Register: &hbproto.Register{
+			ID: t.id, Role: hbproto.RoleRelay, App: t.app,
+			Period: t.period, Expiry: t.expiry,
+		},
+		OnRefs: t.onRefs,
 	}
-	t.mu.Unlock()
-
-	addr := t.addr
 	if t.cluster != nil {
-		node, ok := t.cluster.View().Config.Node(shard)
-		if !ok {
-			return nil
-		}
-		addr = node.Addr
+		s.Resolve = shardAddr(t.cluster, shard)
+	} else {
+		s.Addr = t.addr
 	}
-	conn, err := t.dial("tcp", addr)
-	if err != nil {
-		return nil
-	}
-	if err := hbproto.WriteFrame(conn, &hbproto.Register{
-		ID: t.id, Role: hbproto.RoleRelay, App: t.app,
-		Period: t.period, Expiry: t.expiry,
-	}); err != nil {
-		_ = conn.Close()
-		return nil
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		_ = conn.Close()
-		return nil
-	}
-	if existing := t.conns[shard]; existing != nil {
-		t.mu.Unlock()
-		_ = conn.Close()
-		return existing
-	}
-	t.conns[shard] = conn
-	t.mu.Unlock()
-	t.readers.Add(1)
-	go t.reader(shard, conn)
-	return conn
+	t.slots[shard] = s
+	return s
 }
 
-// dropConn forgets a shard's connection if still current and closes it.
-func (t *trunk) dropConn(shard string, conn net.Conn) {
-	t.mu.Lock()
-	if t.conns[shard] == conn {
-		delete(t.conns, shard)
+// shardAddr returns a resolver for a shard's hbproto address under the
+// cluster config current at each dial ("" once the shard has left it).
+func shardAddr(c *cluster.Client, shard string) func() string {
+	return func() string {
+		node, _ := c.View().Config.Node(shard)
+		return node.Addr
 	}
-	t.mu.Unlock()
-	_ = conn.Close()
 }
 
-// reader matches batch-ack refs against pending heartbeats and records
+// onRefs matches batch-ack refs against pending heartbeats and records
 // latency; stale refs for superseded or already-settled sends are ignored.
-func (t *trunk) reader(shard string, conn net.Conn) {
-	defer t.readers.Done()
-	// Streaming zero-alloc decode: the reader processes each message inline
-	// and retains nothing past the iteration (ref fields are consumed under
-	// t.mu), so the FrameReader's buffer reuse is safe here.
-	fr := hbproto.NewFrameReader(conn)
-	for {
-		msg, err := fr.Next()
-		if err != nil {
-			t.dropConn(shard, conn)
-			return
-		}
-		ack, ok := msg.(*hbproto.Ack)
+func (t *trunk) onRefs(refs []hbproto.Ref, at time.Time) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, ref := range refs {
+		i, ok := t.index[ref.Src]
 		if !ok {
 			continue
 		}
-		ackAt := time.Now()
-		now := ackAt.UnixNano()
-		t.mu.Lock()
-		for _, ref := range ack.Refs {
-			i, ok := t.index[ref.Src]
-			if !ok {
-				continue
-			}
-			key := hbref{i, ref.Seq}
-			at, ok := t.pending[key]
-			if !ok {
-				continue
-			}
-			delete(t.pending, key)
-			if t.fellBack != nil {
-				delete(t.fellBack, key)
-			}
-			t.rec.Record(uint64(now-at) / 1000)
-			t.trec.Record(rec.EvAck, t.recIdx(i), ref.Seq, ackAt)
-			t.c.ackedRelayed.Add(1)
-			if ref.Seq <= t.users[i].last {
-				t.c.outOfOrderAcks.Add(1)
-			} else {
-				t.users[i].last = ref.Seq
-			}
+		lat, ok := t.pending.Settle(hbref{i, ref.Seq}, at)
+		if !ok {
+			continue
 		}
-		t.mu.Unlock()
+		t.rec.Record(uint64(lat / time.Microsecond))
+		t.trec.Record(rec.EvAck, t.recIdx(i), ref.Seq, at)
+		t.c.ackedRelayed.Add(1)
+		if ref.Seq <= t.users[i].last {
+			t.c.outOfOrderAcks.Add(1)
+		} else {
+			t.users[i].last = ref.Seq
+		}
 	}
 }
 
@@ -471,42 +385,27 @@ func (t *trunk) reader(shard string, conn net.Conn) {
 func (t *trunk) pendingCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.pending)
+	return t.pending.Len()
 }
 
 // expireAll writes off every remaining pending heartbeat (end-of-run
 // drain).
 func (t *trunk) expireAll() {
-	now := time.Now()
 	t.mu.Lock()
-	n := len(t.pending)
-	// Sorted drain, same reason as collectExpired: trace records in
-	// canonical (user, seq) order rather than map order.
-	refs := make([]hbref, 0, n)
-	for ref := range t.pending {
-		refs = append(refs, ref)
-	}
-	sortRefs(refs)
-	for _, ref := range refs {
-		t.trec.Record(rec.EvTimeout, t.recIdx(ref.idx), ref.seq, now)
-	}
-	t.pending = make(map[hbref]int64)
-	if t.fellBack != nil {
-		t.fellBack = make(map[hbref]bool)
-	}
+	t.timedOut(t.pending.Drain(), time.Now())
 	t.mu.Unlock()
-	t.c.timeoutRelayed.Add(uint64(n))
 }
 
-// close shuts every shard connection down; readers exit on the closed
-// conns.
+// close shuts every shard connection down and waits for the readers.
 func (t *trunk) close() {
 	t.mu.Lock()
 	t.closed = true
-	conns := t.conns
-	t.conns = make(map[string]net.Conn)
+	slots := make([]*session.Slot, 0, len(t.slots))
+	for _, s := range t.slots {
+		slots = append(slots, s)
+	}
 	t.mu.Unlock()
-	for _, conn := range conns {
-		_ = conn.Close()
+	for _, s := range slots {
+		s.Close()
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/sched"
+	"d2dhb/internal/session"
 	"d2dhb/internal/telemetry"
 	"d2dhb/internal/trace"
 )
@@ -90,14 +91,6 @@ func (c RelayAgentConfig) validate() error {
 	return nil
 }
 
-// dial resolves the upstream dial hook.
-func (c RelayAgentConfig) dial(network, addr string) (net.Conn, error) {
-	if c.Dial != nil {
-		return c.Dial(network, addr)
-	}
-	return net.Dial(network, addr)
-}
-
 // listen resolves the UE-side listen hook.
 func (c RelayAgentConfig) listen(network, addr string) (net.Listener, error) {
 	if c.Listen != nil {
@@ -140,18 +133,15 @@ type ueConn struct {
 
 // relayEvent is the main loop's input alphabet.
 type relayEvent struct {
-	// exactly one of ueMsg/ueClosed/ack/upErr is set
+	// exactly one of ueMsg/ueClosed/acked/upErr is set
 	ueMsg    hbproto.Message
 	ueFrom   *ueConn
 	ueClosed *ueConn
-	ack      *hbproto.Ack
+	acked    []hbproto.Ref
 	upErr    error
-	// upShard and upConn attribute an upstream error to the shard
-	// connection it broke (upShard is singleShard outside cluster mode),
-	// so the run loop can ignore errors from connections it has already
-	// replaced.
+	// upShard attributes an upstream error to the shard whose connection
+	// broke (singleShard outside cluster mode).
 	upShard string
-	upConn  net.Conn
 }
 
 // singleShard keys the upstream map in single-server mode.
@@ -164,10 +154,13 @@ const singleShard = ""
 type RelayAgent struct {
 	cfg RelayAgentConfig
 
-	mu         sync.Mutex
-	ln         net.Listener
-	upConns    map[net.Conn]struct{} // live upstream conns, for Shutdown
-	serverAddr string                // last known single-server address
+	mu sync.Mutex
+	ln net.Listener
+	// ups maps shard ID -> upstream session slot (singleShard key in
+	// single-server mode). The run loop creates cluster slots on first use;
+	// Shutdown closes them all.
+	ups        map[string]*session.Slot
+	serverAddr string // Start's single-server address (cluster mode: unused)
 	started    bool
 	closed     bool
 	stats      RelayAgentStats
@@ -177,18 +170,19 @@ type RelayAgent struct {
 	wg     sync.WaitGroup
 
 	// main-loop state (owned by run goroutine)
-	policy  *sched.Nagle
-	start   time.Time
-	seq     uint64
-	ownHB   *hbproto.Heartbeat
-	sources map[hbproto.Ref]*ueConn
-	ueConns map[*ueConn]struct{}
-	rng     *rand.Rand // backoff jitter; owned by run goroutine
-	// ups maps shard ID -> live upstream connection (singleShard key in
-	// single-server mode). downUntil/backoffCur arm the per-shard redial
-	// backoff so flush never hammers a dead shard, and everDialed
-	// distinguishes a reconnect from a shard's first dial in the stats.
-	ups        map[string]net.Conn
+	policy      *sched.Nagle
+	start       time.Time
+	boundary    time.Duration // end of the current period, on the k·Period grid
+	periodTimer *time.Timer   // fires at boundary
+	flushTimer  *time.Timer   // fires at the policy's batch deadline
+	seq         uint64
+	ownHB       *hbproto.Heartbeat
+	sources     map[hbproto.Ref]*ueConn
+	ueConns     map[*ueConn]struct{}
+	rng         *rand.Rand // backoff jitter; owned by run goroutine
+	// downUntil/backoffCur arm the per-shard redial backoff so flush never
+	// hammers a dead shard, and everDialed distinguishes a reconnect from a
+	// shard's first dial in the stats.
 	downUntil  map[string]time.Duration
 	backoffCur map[string]time.Duration
 	everDialed map[string]bool
@@ -199,11 +193,10 @@ type RelayAgent struct {
 	// pendingFB accumulates acked refs per UE connection across the acks
 	// of one event drain; flushFeedback writes one Feedback frame per UE.
 	// ackTouched is handleAck's per-call scratch for counting merges.
-	// sendBuf/fbBuf/batchMsg/fbMsg are reusable encode state. All owned
-	// by the run goroutine.
+	// fbBuf/batchMsg/fbMsg are reusable encode state. All owned by the run
+	// goroutine.
 	pendingFB  map[*ueConn][]hbproto.Ref
 	ackTouched map[*ueConn]bool
-	sendBuf    []byte
 	fbBuf      []byte
 	batchMsg   hbproto.Batch
 	fbMsg      hbproto.Feedback
@@ -251,13 +244,12 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 	}
 	r := &RelayAgent{
 		cfg:        cfg,
-		upConns:    make(map[net.Conn]struct{}),
+		ups:        make(map[string]*session.Slot),
 		events:     make(chan relayEvent),
 		done:       make(chan struct{}),
 		policy:     policy,
 		sources:    make(map[hbproto.Ref]*ueConn),
 		ueConns:    make(map[*ueConn]struct{}),
-		ups:        make(map[string]net.Conn),
 		downUntil:  make(map[string]time.Duration),
 		backoffCur: make(map[string]time.Duration),
 		everDialed: make(map[string]bool),
@@ -297,32 +289,51 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 	return r, nil
 }
 
-// register writes the relay's Register frame on a fresh upstream conn.
-func (r *RelayAgent) register(conn net.Conn) error {
-	return hbproto.WriteFrame(conn, &hbproto.Register{
-		ID: r.cfg.ID, Role: hbproto.RoleRelay, App: r.cfg.App,
-		Period: r.cfg.Period, Expiry: r.cfg.Expiry,
-	})
-}
-
-// trackUp registers a live upstream conn for Shutdown; false means the
-// agent is already closing and the caller must discard the conn.
-func (r *RelayAgent) trackUp(conn net.Conn) bool {
+// upstream returns the session slot for a shard's upstream connection,
+// creating it on first use; nil once the agent is shutting down. The slot
+// owns dialing, registration and the ack reader: acks and reader errors
+// come back to the run loop as events.
+func (r *RelayAgent) upstream(shard string) *session.Slot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return false
+	if slot, ok := r.ups[shard]; ok || r.closed {
+		return slot
 	}
-	r.upConns[conn] = struct{}{}
-	return true
+	slot := &session.Slot{
+		Dial: r.cfg.Dial,
+		Register: &hbproto.Register{
+			ID: r.cfg.ID, Role: hbproto.RoleRelay, App: r.cfg.App,
+			Period: r.cfg.Period, Expiry: r.cfg.Expiry,
+		},
+		OnRefs: func(refs []hbproto.Ref, _ time.Time) {
+			// Copy out of the reader's reused slice (see ueReader).
+			r.post(relayEvent{acked: append([]hbproto.Ref(nil), refs...)})
+		},
+		OnDown: func(err error) { r.post(relayEvent{upErr: err, upShard: shard}) },
+	}
+	// Every (re)connect targets whatever the router currently advertises:
+	// the ring's address for the shard, or ResolveServer's answer ahead of
+	// the address Start was given.
+	if r.cfg.Cluster != nil {
+		slot.Resolve = func() string {
+			node, _ := r.cfg.Cluster.View().Config.Node(shard)
+			return node.Addr
+		}
+	} else {
+		slot.Addr, slot.Resolve = r.serverAddr, resolveWith(r.cfg.ResolveServer)
+	}
+	r.ups[shard] = slot
+	return slot
 }
 
-// untrackUp closes and forgets a dead upstream conn.
-func (r *RelayAgent) untrackUp(conn net.Conn) {
-	_ = conn.Close()
-	r.mu.Lock()
-	delete(r.upConns, conn)
-	r.mu.Unlock()
+// post hands an event to the run loop; false means the agent has stopped.
+func (r *RelayAgent) post(ev relayEvent) bool {
+	select {
+	case r.events <- ev:
+		return true
+	case <-r.done:
+		return false
+	}
 }
 
 // Start listens for UE connections on listenAddr and, in single-server
@@ -356,69 +367,32 @@ func (r *RelayAgent) Start(listenAddr, serverAddr string) error {
 		return fail(fmt.Errorf("relaynet: relay listen: %w", err))
 	}
 
-	var up net.Conn
 	if r.cfg.Cluster == nil {
-		addr := r.resolveServerAddr()
-		if addr == "" {
-			_ = ln.Close()
-			return fail(errors.New("relaynet: no server address (set serverAddr or ResolveServer)"))
+		// A Shutdown racing this dial closes the slot, and Connect fails.
+		if slot := r.upstream(singleShard); slot != nil {
+			_, err = slot.Connect()
 		}
-		up, err = r.cfg.dial("tcp", addr)
 		if err != nil {
 			_ = ln.Close()
-			return fail(fmt.Errorf("relaynet: relay dial server: %w", err))
-		}
-		if err := r.register(up); err != nil {
-			_ = ln.Close()
-			_ = up.Close()
-			return fail(fmt.Errorf("relaynet: relay register: %w", err))
+			return fail(fmt.Errorf("relaynet: relay connect upstream: %w", err))
 		}
 	}
 
 	r.mu.Lock()
 	if r.closed {
 		// Shutdown ran while we were dialing: it saw started=true but had
-		// no connections to close, so close them here.
+		// no listener to close, so close it here.
 		r.mu.Unlock()
 		_ = ln.Close()
-		if up != nil {
-			_ = up.Close()
-		}
 		return errors.New("relaynet: relay shut down during start")
 	}
 	r.ln = ln
-	if up != nil {
-		r.upConns[up] = struct{}{}
-		r.ups[singleShard] = up
-		r.everDialed[singleShard] = true
-	}
 	r.wg.Add(2)
 	r.mu.Unlock()
 
 	go r.acceptLoop()
 	go r.run()
-	if up != nil {
-		r.wg.Add(1)
-		go r.upstreamReader(up, singleShard)
-	}
 	return nil
-}
-
-// resolveServerAddr returns the current single-server target, invoking the
-// ResolveServer hook when configured so every (re)connect targets whatever
-// the router currently advertises, not the address the relay first saw.
-func (r *RelayAgent) resolveServerAddr() string {
-	if r.cfg.ResolveServer != nil {
-		if a, err := r.cfg.ResolveServer(); err == nil && a != "" {
-			r.mu.Lock()
-			r.serverAddr = a
-			r.mu.Unlock()
-			return a
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.serverAddr
 }
 
 // Addr returns the UE-side listening address.
@@ -449,21 +423,19 @@ func (r *RelayAgent) Shutdown() {
 	r.closed = true
 	close(r.done)
 	// ln is nil when Start is still mid-dial; Start sees closed=true and
-	// closes its own connections.
+	// closes its own listener.
 	if r.ln != nil {
 		_ = r.ln.Close()
 	}
-	for c := range r.upConns {
-		_ = c.Close()
+	ups := make([]*session.Slot, 0, len(r.ups))
+	for _, slot := range r.ups {
+		ups = append(ups, slot)
 	}
 	r.mu.Unlock()
+	for _, slot := range ups {
+		slot.Close()
+	}
 	r.wg.Wait()
-}
-
-func (r *RelayAgent) isClosed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
 }
 
 func (r *RelayAgent) acceptLoop() {
@@ -495,15 +467,10 @@ func (r *RelayAgent) ueReader(uc *ueConn) {
 	for {
 		msg, err := fr.Next()
 		if err != nil {
-			select {
-			case r.events <- relayEvent{ueClosed: uc}:
-			case <-r.done:
-			}
+			r.post(relayEvent{ueClosed: uc})
 			return
 		}
-		select {
-		case r.events <- relayEvent{ueMsg: copyMessage(msg), ueFrom: uc}:
-		case <-r.done:
+		if !r.post(relayEvent{ueMsg: copyMessage(msg), ueFrom: uc}) {
 			return
 		}
 	}
@@ -533,36 +500,6 @@ func copyMessage(msg hbproto.Message) hbproto.Message {
 		return &c
 	default:
 		return msg
-	}
-}
-
-// upstreamReader decodes server acknowledgements from one upstream
-// connection, reporting any terminal error (tagged with its shard) to the
-// main loop so it can reconnect or back off.
-func (r *RelayAgent) upstreamReader(conn net.Conn, shard string) {
-	defer r.wg.Done()
-	defer r.untrackUp(conn)
-	fr := hbproto.NewFrameReader(conn)
-	for {
-		msg, err := fr.Next()
-		if err != nil {
-			if !r.isClosed() {
-				select {
-				case r.events <- relayEvent{upErr: err, upShard: shard, upConn: conn}:
-				case <-r.done:
-				}
-			}
-			return
-		}
-		if ack, ok := msg.(*hbproto.Ack); ok {
-			// Copy out of the reader's reused value (see ueReader).
-			owned := &hbproto.Ack{Refs: append([]hbproto.Ref(nil), ack.Refs...)}
-			select {
-			case r.events <- relayEvent{ack: owned}:
-			case <-r.done:
-				return
-			}
-		}
 	}
 }
 
@@ -597,41 +534,24 @@ func (r *RelayAgent) jittered(d time.Duration) time.Duration {
 // break, re-resolving the target through ResolveServer on every attempt.
 // Batches awaiting acknowledgement are abandoned: their UEs recover through
 // the feedback-timeout fallback, exactly as with a dead relay.
-func (r *RelayAgent) reconnectUpstream() bool {
-	if old, ok := r.ups[singleShard]; ok {
-		delete(r.ups, singleShard)
-		_ = old.Close()
-	}
+func (r *RelayAgent) reconnectUpstream(slot *session.Slot) bool {
 	attempts := r.cfg.ReconnectAttempts
 	if attempts == 0 {
 		attempts = defaultReconnectAttempts
 	}
 	backoff := r.reconnectBase()
 	for attempt := 0; attempt < attempts; attempt++ {
-		if r.isClosed() {
-			return false
-		}
 		r.ins.reconnectTries.Inc()
-		conn, err := r.cfg.dial("tcp", r.resolveServerAddr())
+		_, err := slot.Connect()
 		if err == nil {
-			err = r.register(conn)
-		}
-		if err == nil {
-			if !r.trackUp(conn) {
-				_ = conn.Close()
-				return false
-			}
 			r.ins.reconnects.Inc()
-			r.ups[singleShard] = conn
 			r.mu.Lock()
 			r.stats.UpstreamReconnects++
 			r.mu.Unlock()
-			r.wg.Add(1)
-			go r.upstreamReader(conn, singleShard)
 			return true
 		}
-		if conn != nil {
-			_ = conn.Close()
+		if errors.Is(err, session.ErrClosed) {
+			return false
 		}
 		// A reusable timer instead of time.After: under a long outage this
 		// loop runs for many attempts, and per-iteration After timers pile
@@ -662,40 +582,26 @@ func (r *RelayAgent) armShardBackoff(shard string, now time.Duration) {
 	r.backoffCur[shard] = b
 }
 
-// shardConn returns the live connection to a shard, dialing it if absent
-// and not in backoff. A failed dial arms the shard's backoff and returns
-// nil — the caller drops that sub-batch and the scheduling loop moves on.
-func (r *RelayAgent) shardConn(shard string, view *cluster.View) net.Conn {
-	if conn, ok := r.ups[shard]; ok {
-		return conn
+// shardConn returns a shard's upstream slot with a live connection,
+// dialing it if absent and not in backoff. A failed dial arms the shard's
+// backoff and returns nil — the caller drops that sub-batch and the
+// scheduling loop moves on.
+func (r *RelayAgent) shardConn(shard string) *session.Slot {
+	slot := r.upstream(shard)
+	if slot == nil || slot.Connected() {
+		return slot
 	}
 	now := r.now()
 	if until, ok := r.downUntil[shard]; ok && now < until {
 		return nil
 	}
-	node, ok := view.Config.Node(shard)
-	if !ok {
-		return nil
-	}
 	r.ins.reconnectTries.Inc()
-	conn, err := r.cfg.dial("tcp", node.Addr)
-	if err == nil {
-		err = r.register(conn)
-	}
-	if err != nil {
-		if conn != nil {
-			_ = conn.Close()
-		}
+	if _, err := slot.Connect(); err != nil {
 		r.armShardBackoff(shard, now)
-		return nil
-	}
-	if !r.trackUp(conn) {
-		_ = conn.Close()
 		return nil
 	}
 	delete(r.downUntil, shard)
 	delete(r.backoffCur, shard)
-	r.ups[shard] = conn
 	r.ins.reconnects.Inc()
 	r.mu.Lock()
 	r.stats.ShardDials++
@@ -704,22 +610,7 @@ func (r *RelayAgent) shardConn(shard string, view *cluster.View) net.Conn {
 	}
 	r.mu.Unlock()
 	r.everDialed[shard] = true
-	r.wg.Add(1)
-	go r.upstreamReader(conn, shard)
-	return conn
-}
-
-// dropShardConn retires a shard connection the reader reported broken,
-// unless flush already replaced it (stale error from a conn this loop has
-// moved past).
-func (r *RelayAgent) dropShardConn(shard string, conn net.Conn) {
-	cur, ok := r.ups[shard]
-	if !ok || cur != conn {
-		return
-	}
-	delete(r.ups, shard)
-	_ = conn.Close()
-	r.armShardBackoff(shard, r.now())
+	return slot
 }
 
 // now returns policy time: the duration since the agent started.
@@ -729,13 +620,13 @@ func (r *RelayAgent) now() time.Duration { return time.Since(r.start) }
 func (r *RelayAgent) run() {
 	defer r.wg.Done()
 	r.start = time.Now()
+	r.periodTimer = time.NewTimer(r.cfg.Period)
+	defer r.periodTimer.Stop()
 	r.startPeriod()
 
-	periodTimer := time.NewTimer(r.cfg.Period)
-	defer periodTimer.Stop()
-	flushTimer := time.NewTimer(time.Hour)
-	r.armFlushTimer(flushTimer)
-	defer flushTimer.Stop()
+	r.flushTimer = time.NewTimer(time.Hour)
+	defer r.flushTimer.Stop()
+	r.armFlushTimer()
 
 	// maxEventDrain bounds how many queued events one loop iteration may
 	// absorb before feedback is flushed and the timers get a look-in.
@@ -745,21 +636,17 @@ func (r *RelayAgent) run() {
 		select {
 		case <-r.done:
 			return
-		case <-periodTimer.C:
-			r.flush()
-			r.startPeriod()
-			periodTimer.Reset(r.cfg.Period)
-			r.armFlushTimer(flushTimer)
-		case <-flushTimer.C:
-			r.flush()
-			r.armFlushTimer(flushTimer)
+		case <-r.periodTimer.C:
+			r.flushIfDue()
+		case <-r.flushTimer.C:
+			r.flushIfDue()
 		case ev := <-r.events:
 			// Drain whatever else is already queued (bounded) before
 			// flushing feedback, so refs from several acks — one per
 			// shard in cluster mode — merge into one Feedback frame per
 			// UE instead of one write per ack.
 			for n := 0; ; n++ {
-				if !r.handleEvent(ev, flushTimer) {
+				if !r.handleEvent(ev) {
 					return
 				}
 				if n >= maxEventDrain {
@@ -779,56 +666,81 @@ func (r *RelayAgent) run() {
 
 // handleEvent dispatches one main-loop event; false means the agent must
 // stop (single upstream unrecoverable).
-func (r *RelayAgent) handleEvent(ev relayEvent, flushTimer *time.Timer) bool {
+func (r *RelayAgent) handleEvent(ev relayEvent) bool {
 	switch {
 	case ev.ueMsg != nil:
 		r.handleUE(ev.ueFrom, ev.ueMsg)
-		r.armFlushTimer(flushTimer)
+		r.armFlushTimer()
 	case ev.ueClosed != nil:
 		delete(r.ueConns, ev.ueClosed)
 		delete(r.pendingFB, ev.ueClosed)
-	case ev.ack != nil:
-		r.handleAck(ev.ack)
+	case ev.acked != nil:
+		r.handleAck(ev.acked)
 	case ev.upErr != nil:
+		slot := r.upstream(ev.upShard)
+		if slot == nil || slot.Connected() {
+			// Shutting down, or a stale error from a connection a later
+			// flush has already replaced.
+			return true
+		}
 		if r.cfg.Cluster != nil {
-			// A shard broke: retire its connection and back off. The
-			// next flush redials; meanwhile the other shards keep their
-			// schedule — a cluster relay never blocks its run loop on
-			// one dead shard.
-			r.dropShardConn(ev.upShard, ev.upConn)
+			// A shard broke (the slot already retired its connection):
+			// back off. The next flush redials; meanwhile the other shards
+			// keep their schedule — a cluster relay never blocks its run
+			// loop on one dead shard.
+			r.armShardBackoff(ev.upShard, r.now())
 			return true
 		}
 		// Single upstream broke: try to reconnect; if the server stays
 		// unreachable, stop scheduling and let UEs fall back.
-		return r.reconnectUpstream()
+		return r.reconnectUpstream(slot)
 	}
 	return true
 }
 
-// armFlushTimer points the flush timer at the policy's current deadline.
-func (r *RelayAgent) armFlushTimer(t *time.Timer) {
+// flushIfDue runs the flush a timer tick announced, provided the clock
+// agrees that the boundary or the batch deadline has come: a timer re-armed
+// while it was firing can still deliver its old tick, and a flush on a
+// stale tick would close the window mid-period.
+func (r *RelayAgent) flushIfDue() {
+	now := r.now()
+	if at, open := r.policy.Deadline(); now >= r.boundary || (open && now >= at) {
+		r.flush()
+	}
+	r.armFlushTimer()
+}
+
+// resetTimer re-arms a timer that may already have fired.
+func resetTimer(t *time.Timer, d time.Duration) {
 	if !t.Stop() {
 		select {
 		case <-t.C:
 		default:
 		}
 	}
-	at, ok := r.policy.Deadline()
-	if !ok {
-		t.Reset(time.Hour) // nothing to flush until the next period
-		return
-	}
-	d := at - r.now()
-	if d < 0 {
-		d = 0
-	}
-	t.Reset(d)
+	t.Reset(max(d, 0))
 }
 
+// armFlushTimer points the flush timer at the policy's current deadline.
+func (r *RelayAgent) armFlushTimer() {
+	at, ok := r.policy.Deadline()
+	if !ok {
+		resetTimer(r.flushTimer, time.Hour) // nothing to flush until the next period
+		return
+	}
+	resetTimer(r.flushTimer, at-r.now())
+}
+
+// startPeriod opens the collection window of the period containing now.
+// Periods sit on the start + k·Period grid: re-arming relative to a late
+// timer would let the boundary drift into the UEs' send phases.
 func (r *RelayAgent) startPeriod() {
 	r.seq++
 	now := r.now()
-	r.policy.StartPeriod(now)
+	k := now / r.cfg.Period
+	r.policy.StartPeriod(k * r.cfg.Period)
+	r.boundary = (k + 1) * r.cfg.Period
+	resetTimer(r.periodTimer, r.boundary-now)
 	r.ownHB = &hbproto.Heartbeat{
 		Src: r.cfg.ID, Seq: r.seq, App: r.cfg.App,
 		Origin: time.Now(), Expiry: r.cfg.Expiry, Pad: r.cfg.Pad,
@@ -853,6 +765,11 @@ func (r *RelayAgent) handleUE(uc *ueConn, msg hbproto.Message) {
 // collect runs Algorithm 1 on one forwarded heartbeat.
 func (r *RelayAgent) collect(uc *ueConn, m *hbproto.Heartbeat) {
 	now := r.now()
+	if now >= r.boundary {
+		// The period timer is due but queued behind this event: the
+		// boundary belongs to the clock, not to the select's pick.
+		r.flush()
+	}
 	hb := hbmsg.Heartbeat{
 		App:    m.App,
 		Src:    hbmsg.DeviceID(m.Src),
@@ -891,11 +808,24 @@ func (r *RelayAgent) collect(uc *ueConn, m *hbproto.Heartbeat) {
 	}
 }
 
-// flush transmits the batch plus the relay's own heartbeat upstream. In
+// flush drains the collection window upstream. A drain at or past the
+// period boundary also opens the next window in the same step — drain, then
+// StartPeriod, the order device.Relay.startPeriod uses in the simulator —
+// so heartbeats already queued behind the boundary are never offered to a
+// closed scheduler. Capacity and deadline flushes inside the period leave
+// the window closed until the boundary (Algorithm 1).
+func (r *RelayAgent) flush() {
+	r.drain()
+	if r.now() >= r.boundary {
+		r.startPeriod()
+	}
+}
+
+// drain transmits the batch plus the relay's own heartbeat upstream. In
 // cluster mode the batch is partitioned by the current ring epoch and each
 // sub-batch goes to its owning shard; exactly one View is captured per
 // flush, so a batch never mixes two epochs.
-func (r *RelayAgent) flush() {
+func (r *RelayAgent) drain() {
 	now := r.now()
 	batch := r.policy.Flush(now)
 	// The batch preserves collect order, so collectedAt lines up index by
@@ -923,10 +853,10 @@ func (r *RelayAgent) flush() {
 
 	flushed := false
 	if r.cfg.Cluster == nil {
-		conn, ok := r.ups[singleShard]
-		if ok && r.sendBatch(conn, singleShard, hbs) {
-			flushed = true
-		}
+		// A broken single upstream is the reconnect loop's business (its
+		// reader error is already on the way): never dial from a flush.
+		slot := r.upstream(singleShard)
+		flushed = slot != nil && slot.Connected() && r.sendBatch(slot, singleShard, hbs)
 	} else {
 		view := r.cfg.Cluster.View()
 		keys := make([]string, len(hbs))
@@ -939,11 +869,9 @@ func (r *RelayAgent) flush() {
 			for _, i := range g.Idxs {
 				sub = append(sub, hbs[i])
 			}
-			conn := r.shardConn(shard, view)
-			if conn == nil || !r.sendBatch(conn, shard, sub) {
-				if conn != nil {
-					r.dropShardConn(shard, conn)
-				}
+			// A failed send drops the connection; the reader's error event
+			// then arms the shard's backoff.
+			if slot := r.shardConn(shard); slot == nil || !r.sendBatch(slot, shard, sub) {
 				r.ins.shardDrops.Add(uint64(len(sub)))
 				r.mu.Lock()
 				r.stats.DroppedNoShard += len(sub)
@@ -960,20 +888,16 @@ func (r *RelayAgent) flush() {
 	}
 }
 
-// sendBatch writes one wire batch to an upstream connection as a single
-// Write from the run loop's reusable encode buffer, updating the
-// forwarding counters on success.
-func (r *RelayAgent) sendBatch(conn net.Conn, shard string, hbs []hbproto.Heartbeat) bool {
+// sendBatch writes one wire batch to an upstream slot as a single Write,
+// updating the forwarding counters on success.
+func (r *RelayAgent) sendBatch(slot *session.Slot, shard string, hbs []hbproto.Heartbeat) bool {
 	r.batchMsg.Relay, r.batchMsg.HBs = r.cfg.ID, hbs
-	out, err := hbproto.AppendFrame(r.sendBuf[:0], &r.batchMsg)
-	r.sendBuf, r.batchMsg.HBs = out[:0], nil
+	n, err := slot.Send(&r.batchMsg)
+	r.batchMsg.HBs = nil
 	if err != nil {
 		return false
 	}
-	if _, err := conn.Write(out); err != nil {
-		return false
-	}
-	r.ins.upBytesOut.Add(uint64(len(out)))
+	r.ins.upBytesOut.Add(uint64(n))
 	r.ins.batchSize.Record(uint64(len(hbs)))
 	// The relay's own heartbeat is not a forwarded UE message.
 	ueCount := 0
@@ -999,9 +923,9 @@ func (r *RelayAgent) sendBatch(conn net.Conn, shard string, hbs []hbproto.Heartb
 // their UEs regardless of which upstream carried the batch, and refs from
 // several acks merge into one Feedback frame per UE (the saved writes are
 // counted).
-func (r *RelayAgent) handleAck(ack *hbproto.Ack) {
+func (r *RelayAgent) handleAck(refs []hbproto.Ref) {
 	saved := 0
-	for _, ref := range ack.Refs {
+	for _, ref := range refs {
 		uc, ok := r.sources[ref]
 		if !ok {
 			continue // the relay's own heartbeat, or a vanished UE

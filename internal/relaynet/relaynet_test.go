@@ -1,7 +1,9 @@
 package relaynet
 
 import (
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -354,6 +356,59 @@ func TestRelayCapacityFlushImmediately(t *testing.T) {
 	// Subsequent forwards in the same relay period are rejected (window
 	// closed) and recovered by fallback.
 	eventually(t, 3*time.Second, func() bool { return r.Stats().RejectedClosed >= 1 }, "closed-window rejection")
+}
+
+// TestRelayPeriodBoundaryNeverRejects sends heartbeats with Expiry ==
+// Period just behind every period boundary, where they queue up with the
+// two timers that fall on the same instant. A period-end flush must open
+// the next window in the same step, and the boundary must stay on the
+// start + k·Period grid instead of sliding into the senders' phase: no
+// heartbeat may be offered to a closed scheduler.
+func TestRelayPeriodBoundaryNeverRejects(t *testing.T) {
+	const (
+		period     = 40 * time.Millisecond
+		boundaries = 25
+		ues        = 8
+	)
+	s := startServer(t)
+	r := startRelay(t, s.Addr(), period, period, 256)
+	eventually(t, 2*time.Second, func() bool { return r.Stats().OwnHeartbeats >= 1 }, "relay running")
+	start := r.start // written before the first period's stats update, read after it
+
+	var wg sync.WaitGroup
+	for i := 0; i < ues; i++ {
+		conn, err := net.Dial("tcp", r.Addr())
+		if err != nil {
+			t.Fatalf("dial relay: %v", err)
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		id := fmt.Sprintf("ue-b%d", i)
+		if err := hbproto.WriteFrame(conn, &hbproto.Register{ID: id, Role: hbproto.RoleUE, App: "std", Period: period, Expiry: period}); err != nil {
+			t.Fatalf("register: %v", err)
+		}
+		phase := time.Duration(i+1) * 250 * time.Microsecond // 0.25 ms … 2 ms behind the boundary
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 1; k <= boundaries; k++ {
+				time.Sleep(time.Until(start.Add(time.Duration(k)*period + phase)))
+				hb := &hbproto.Heartbeat{Src: id, Seq: uint64(k), App: "std", Origin: time.Now(), Expiry: period, Pad: 54}
+				if err := hbproto.WriteFrame(conn, hb); err != nil {
+					t.Errorf("%s send %d: %v", id, k, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	eventually(t, 2*time.Second, func() bool {
+		st := r.Stats()
+		return st.Collected+st.RejectedClosed+st.RejectedExpire >= ues*boundaries
+	}, "every heartbeat reached the scheduler")
+	if st := r.Stats(); st.RejectedClosed != 0 || st.Collected != ues*boundaries {
+		t.Fatalf("collected %d of %d, %d offered to a closed window, %d expired",
+			st.Collected, ues*boundaries, st.RejectedClosed, st.RejectedExpire)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

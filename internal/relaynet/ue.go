@@ -1,6 +1,7 @@
 package relaynet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"d2dhb/internal/hbproto"
+	"d2dhb/internal/session"
 	"d2dhb/internal/telemetry"
 	"d2dhb/internal/trace"
 )
@@ -105,14 +107,38 @@ func (c UEClientConfig) validate() error {
 	return nil
 }
 
-// serverAddr resolves the direct-path target for one dial.
-func (c UEClientConfig) serverAddr() string {
-	if c.ResolveServer != nil {
-		if a, err := c.ResolveServer(); err == nil && a != "" {
-			return a
+// resolveWith adapts a ResolveServer hook to a session resolver: no hook,
+// or a failed lookup, answers "" and leaves the slot's fixed address in
+// force.
+func resolveWith(hook func() (string, error)) func() string {
+	return func() string {
+		if hook == nil {
+			return ""
+		}
+		a, _ := hook()
+		return a
+	}
+}
+
+// relayAddrs lists the relays to try, primary first.
+func (c UEClientConfig) relayAddrs() []string {
+	addrs := make([]string, 0, 1+len(c.FallbackRelayAddrs))
+	if c.RelayAddr != "" {
+		addrs = append(addrs, c.RelayAddr)
+	}
+	return append(addrs, c.FallbackRelayAddrs...)
+}
+
+// dialRelay tries each relay in order and keeps the first that answers —
+// the real-time analog of the simulator UE re-scanning for relays. The
+// session slot calls it whenever a heartbeat finds the relay link down.
+func (c UEClientConfig) dialRelay(network, _ string) (conn net.Conn, err error) {
+	for _, addr := range c.relayAddrs() {
+		if conn, err = c.dial(network, addr); err == nil {
+			return conn, nil
 		}
 	}
-	return c.ServerAddr
+	return nil, err
 }
 
 // apps returns every registered app, primary first.
@@ -146,24 +172,36 @@ type ueInstruments struct {
 	dials     *telemetry.Counter
 }
 
+// ueApp is one app's heartbeat loop state: its schedule, its feedback
+// timeout and the heartbeats it has forwarded through the relay that still
+// await feedback (guarded by UEClient.mu).
+type ueApp struct {
+	UEApp
+	timeout time.Duration
+	pending session.Pending[uint64]
+}
+
 // UEClient periodically emits heartbeats, forwarding them through a relay
 // when one is reachable and falling back to the server on feedback
 // timeout.
 type UEClient struct {
-	cfg UEClientConfig
-	ins ueInstruments
+	cfg    UEClientConfig
+	ins    ueInstruments
+	apps   []*ueApp
+	relay  *session.Slot // nil in direct mode
+	direct session.Slot
 
 	mu      sync.Mutex
-	relay   net.Conn
-	direct  net.Conn
 	stats   UEClientStats
-	pending map[uint64]*time.Timer
 	seq     uint64
 	started bool
 	closed  bool
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	// tracked wakes the feedback loop when a heartbeat starts waiting: its
+	// deadline may be earlier than the one the timer is armed for.
+	tracked chan struct{}
+	done    chan struct{}
+	wg      sync.WaitGroup
 }
 
 // NewUEClient returns an unstarted client.
@@ -171,10 +209,32 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	u := &UEClient{
-		cfg:     cfg,
-		pending: make(map[uint64]*time.Timer),
-		done:    make(chan struct{}),
+	u := &UEClient{cfg: cfg, tracked: make(chan struct{}, 1), done: make(chan struct{})}
+	for _, app := range cfg.apps() {
+		timeout := cfg.FeedbackTimeout
+		if timeout <= 0 {
+			timeout = app.Expiry + app.Expiry/10
+		}
+		u.apps = append(u.apps, &ueApp{
+			UEApp: app, timeout: timeout,
+			pending: session.Pending[uint64]{Cmp: cmp.Compare[uint64], Fallback: true},
+		})
+	}
+	if addrs := cfg.relayAddrs(); len(addrs) > 0 {
+		u.relay = &session.Slot{
+			Dial: cfg.dialRelay,
+			Addr: addrs[0],
+			Register: &hbproto.Register{
+				ID: cfg.ID, Role: hbproto.RoleUE, App: cfg.App,
+				Period: cfg.Period, Expiry: cfg.Expiry,
+			},
+			OnRefs: u.onFeedback,
+		}
+	}
+	// Server acks on the direct path are drained, not tracked: the paper's
+	// UE learns about delivery only through relay feedback.
+	u.direct = session.Slot{
+		Dial: cfg.Dial, Addr: cfg.ServerAddr, Resolve: resolveWith(cfg.ResolveServer),
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		u.ins = ueInstruments{
@@ -189,79 +249,41 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 	return u, nil
 }
 
-// Start begins the heartbeat loop. The first heartbeat goes out
-// immediately.
+// Start begins the heartbeat loops. The first heartbeat of every app goes
+// out immediately.
 func (u *UEClient) Start() error {
 	u.mu.Lock()
-	defer u.mu.Unlock()
 	if u.started {
+		u.mu.Unlock()
 		return errors.New("relaynet: ue already started")
 	}
 	u.started = true
 	u.mu.Unlock()
-	u.dialRelay()
-	u.mu.Lock()
-	for _, app := range u.cfg.apps() {
-		app := app
+	if u.connectRelay(); u.relay != nil {
+		u.wg.Add(1)
+		go u.feedbackLoop()
+	}
+	for _, app := range u.apps {
 		u.wg.Add(1)
 		go u.loop(app)
 	}
 	return nil
 }
 
-// dialRelay attempts to (re)establish a relay connection, trying the
-// primary address and then each fallback in order. It is called at startup
-// and again before any heartbeat that finds the relay link down — the
-// real-time analog of the simulator UE re-scanning for relays each period.
-func (u *UEClient) dialRelay() {
-	if u.cfg.RelayAddr == "" && len(u.cfg.FallbackRelayAddrs) == 0 {
-		return
-	}
-	u.mu.Lock()
-	if u.closed || u.relay != nil {
-		u.mu.Unlock()
-		return
-	}
-	u.mu.Unlock()
-
-	addrs := make([]string, 0, 1+len(u.cfg.FallbackRelayAddrs))
-	if u.cfg.RelayAddr != "" {
-		addrs = append(addrs, u.cfg.RelayAddr)
-	}
-	addrs = append(addrs, u.cfg.FallbackRelayAddrs...)
-	for _, addr := range addrs {
-		if u.dialOneRelay(addr) {
-			return
-		}
-	}
-}
-
-// dialOneRelay tries a single relay address; it returns true on success.
-func (u *UEClient) dialOneRelay(addr string) bool {
-	conn, err := u.cfg.dial("tcp", addr)
-	if err != nil {
+// connectRelay makes sure the relay link is up, counting each successful
+// (re)connection. It reports whether the link is usable.
+func (u *UEClient) connectRelay() bool {
+	if u.relay == nil {
 		return false
 	}
-	if err := hbproto.WriteFrame(conn, &hbproto.Register{
-		ID: u.cfg.ID, Role: hbproto.RoleUE, App: u.cfg.App,
-		Period: u.cfg.Period, Expiry: u.cfg.Expiry,
-	}); err != nil {
-		_ = conn.Close()
-		return false
-	}
-	u.mu.Lock()
-	if u.closed || u.relay != nil {
+	dialed, err := u.relay.Connect()
+	if dialed {
+		u.mu.Lock()
+		u.stats.RelayReconnects++
 		u.mu.Unlock()
-		_ = conn.Close()
-		return u.relay != nil
+		u.ins.dials.Inc()
 	}
-	u.relay = conn
-	u.stats.RelayReconnects++
-	u.ins.dials.Inc()
-	u.wg.Add(1)
-	u.mu.Unlock()
-	go u.relayReader(conn)
-	return true
+	return err == nil
 }
 
 // Stats returns a snapshot of the counters.
@@ -271,7 +293,7 @@ func (u *UEClient) Stats() UEClientStats {
 	return u.stats
 }
 
-// Shutdown stops the loop and closes connections.
+// Shutdown stops the loops and closes connections.
 func (u *UEClient) Shutdown() {
 	u.mu.Lock()
 	if u.closed || !u.started {
@@ -280,86 +302,91 @@ func (u *UEClient) Shutdown() {
 	}
 	u.closed = true
 	close(u.done)
-	for _, t := range u.pending {
-		t.Stop()
-	}
-	if u.relay != nil {
-		_ = u.relay.Close()
-	}
-	if u.direct != nil {
-		_ = u.direct.Close()
-	}
 	u.mu.Unlock()
+	if u.relay != nil {
+		u.relay.Close()
+	}
+	u.direct.Close()
 	u.wg.Wait()
 }
 
-func (u *UEClient) feedbackTimeout(expiry time.Duration) time.Duration {
-	if u.cfg.FeedbackTimeout > 0 {
-		return u.cfg.FeedbackTimeout
-	}
-	return expiry + expiry/10
-}
-
-// nextSeq allocates a device-wide sequence number (shared across apps so
-// feedback refs stay unambiguous).
-func (u *UEClient) nextSeq() uint64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.seq++
-	return u.seq
-}
-
 // loop runs one app's heartbeat schedule.
-func (u *UEClient) loop(app UEApp) {
+func (u *UEClient) loop(app *ueApp) {
 	defer u.wg.Done()
 	ticker := time.NewTicker(app.Period)
 	defer ticker.Stop()
-	u.sendHeartbeat(u.nextSeq(), app)
+	u.sendHeartbeat(app)
 	for {
 		select {
 		case <-u.done:
 			return
 		case <-ticker.C:
-			u.sendHeartbeat(u.nextSeq(), app)
+			u.sendHeartbeat(app)
 		}
 	}
 }
 
-func (u *UEClient) sendHeartbeat(seq uint64, app UEApp) {
+// feedbackLoop owns the one feedback timer, armed for the earliest
+// deadline across every app's pending table. It runs beside the send
+// loops so a relay link that has stalled mid-write cannot hold up the
+// fallback of the heartbeats already waiting on it.
+func (u *UEClient) feedbackLoop() {
+	defer u.wg.Done()
+	fb := time.NewTimer(time.Hour)
+	defer fb.Stop()
+	for {
+		u.mu.Lock()
+		var next time.Time
+		for _, app := range u.apps {
+			if at, ok := app.pending.Oldest(); ok && (next.IsZero() || at.Add(app.timeout).Before(next)) {
+				next = at.Add(app.timeout)
+			}
+		}
+		u.mu.Unlock()
+		if next.IsZero() {
+			resetTimer(fb, time.Hour) // parked until something is tracked
+		} else {
+			resetTimer(fb, time.Until(next))
+		}
+		select {
+		case <-u.done:
+			return
+		case <-u.tracked:
+		case <-fb.C:
+			u.fallBack()
+		}
+	}
+}
+
+func (u *UEClient) sendHeartbeat(app *ueApp) {
+	u.mu.Lock()
+	// Device-wide sequence numbers (shared across apps) keep feedback refs
+	// unambiguous.
+	u.seq++
 	hb := &hbproto.Heartbeat{
-		Src: u.cfg.ID, Seq: seq, App: app.Name,
+		Src: u.cfg.ID, Seq: u.seq, App: app.Name,
 		Origin: time.Now(), Expiry: app.Expiry, Pad: app.Pad,
 	}
-	u.mu.Lock()
 	u.stats.Generated++
-	relay := u.relay
 	u.mu.Unlock()
 	u.ins.generated.Inc()
 	trace.Emit(u.cfg.Tracer, trace.Event{
 		AtMs: hb.Origin.UnixMilli(), Device: u.cfg.ID, Kind: trace.KindGenerated,
 		App: hb.App, Seq: hb.Seq,
 	})
-	if relay == nil {
-		// The relay link is down (or never came up): try to re-match
-		// before falling back to the direct path.
-		u.dialRelay()
+	// A heartbeat that finds the relay link down re-matches before falling
+	// back to the direct path.
+	if u.connectRelay() {
+		// Track before transmitting: on loopback the relay may flush, get
+		// the server ack and send feedback before Send returns.
 		u.mu.Lock()
-		relay = u.relay
+		app.pending.Track(hb.Seq, hb.Origin)
 		u.mu.Unlock()
-	}
-
-	if relay != nil {
-		// Register the pending entry before transmitting: on loopback the
-		// relay may flush, get the server ack and send feedback faster
-		// than this goroutine would otherwise arm the timer.
-		u.mu.Lock()
-		if !u.closed {
-			u.pending[seq] = time.AfterFunc(u.feedbackTimeout(app.Expiry), func() {
-				u.onFeedbackTimeout(seq, hb)
-			})
+		select {
+		case u.tracked <- struct{}{}:
+		default:
 		}
-		u.mu.Unlock()
-		if err := hbproto.WriteFrame(relay, hb); err == nil {
+		if _, err := u.relay.Send(hb); err == nil {
 			trace.Emit(u.cfg.Tracer, trace.Event{
 				AtMs: time.Now().UnixMilli(), Device: u.cfg.ID, Kind: trace.KindD2DSend,
 				App: hb.App, Seq: hb.Seq,
@@ -370,64 +397,31 @@ func (u *UEClient) sendHeartbeat(seq uint64, app UEApp) {
 			u.ins.viaRelay.Inc()
 			return
 		}
-		// The relay link is dead: cancel the pending entry, drop the link
-		// and fall through to direct.
+		// The relay link is dead (the slot dropped it): this heartbeat goes
+		// direct right away instead of waiting out a feedback timeout.
 		u.mu.Lock()
-		if t, ok := u.pending[seq]; ok {
-			t.Stop()
-			delete(u.pending, seq)
-		}
-		u.relay = nil
+		app.pending.Forget(hb.Seq)
 		u.mu.Unlock()
-		_ = relay.Close()
 	}
 	u.sendDirect(hb, false)
 }
 
-// sendDirect transmits straight to the server, lazily maintaining one
-// direct connection. A write failure drops the cached connection and
-// retries once with a freshly resolved dial: the cached conn may point at a
+// sendDirect transmits straight to the server over the lazily dialed
+// direct slot. A write failure drops the cached connection and retries
+// once with a freshly resolved dial: the cached conn may point at a
 // presence shard that has since left the cluster, and a single stale
 // connection must not cost the heartbeat its fallback delivery.
 func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, fallback bool) {
-	var conn net.Conn
-	for attempt := 0; attempt < 2; attempt++ {
-		u.mu.Lock()
-		conn = u.direct
-		u.mu.Unlock()
-		if conn == nil {
-			addr := u.cfg.serverAddr()
-			if addr == "" {
-				return
-			}
-			var err error
-			conn, err = u.cfg.dial("tcp", addr)
-			if err != nil {
-				return
-			}
-			u.mu.Lock()
-			if u.closed {
-				u.mu.Unlock()
-				_ = conn.Close()
-				return
-			}
-			u.direct = conn
-			u.mu.Unlock()
-			u.wg.Add(1)
-			go u.directReader(conn)
-		}
-		if err := hbproto.WriteFrame(conn, hb); err == nil {
-			break
-		}
-		u.mu.Lock()
-		if u.direct == conn {
-			u.direct = nil
-		}
-		u.mu.Unlock()
-		_ = conn.Close()
-		if attempt == 1 {
+	sent := false
+	for attempt := 0; attempt < 2 && !sent; attempt++ {
+		if _, err := u.direct.Connect(); err != nil {
 			return
 		}
+		_, err := u.direct.Send(hb)
+		sent = err == nil
+	}
+	if !sent {
+		return
 	}
 	kind := trace.KindDirectSend
 	if fallback {
@@ -451,69 +445,48 @@ func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, fallback bool) {
 	}
 }
 
-// onFeedbackTimeout fires when the relay never confirmed delivery: resend
-// directly over "cellular".
-func (u *UEClient) onFeedbackTimeout(seq uint64, hb *hbproto.Heartbeat) {
+// fallBack resends, directly over "cellular", every heartbeat the relay
+// never confirmed in time. The direct path is untracked, so the entry is
+// forgotten once it is handed over: late feedback for it counts nothing.
+func (u *UEClient) fallBack() {
+	var hbs []*hbproto.Heartbeat
+	now := time.Now()
 	u.mu.Lock()
-	_, ok := u.pending[seq]
-	if ok {
-		delete(u.pending, seq)
+	for _, app := range u.apps {
+		seqs, _ := app.pending.Sweep(now, app.timeout)
+		for _, seq := range seqs {
+			origin, _ := app.pending.Sent(seq)
+			app.pending.Forget(seq)
+			hbs = append(hbs, &hbproto.Heartbeat{
+				Src: u.cfg.ID, Seq: seq, App: app.Name,
+				Origin: origin, Expiry: app.Expiry, Pad: app.Pad,
+			})
+		}
 	}
-	closed := u.closed
 	u.mu.Unlock()
-	if !ok || closed {
-		return
+	for _, hb := range hbs {
+		u.sendDirect(hb, true)
 	}
-	u.sendDirect(hb, true)
 }
 
-// relayReader consumes feedback from the relay. Frames are processed
-// inline, so the FrameReader's reused message values never escape the
-// loop iteration.
-func (u *UEClient) relayReader(conn net.Conn) {
-	defer u.wg.Done()
-	fr := hbproto.NewFrameReader(conn)
-	for {
-		msg, err := fr.Next()
-		if err != nil {
-			u.mu.Lock()
-			if u.relay == conn {
-				u.relay = nil
-			}
-			u.mu.Unlock()
-			return
-		}
-		fb, ok := msg.(*hbproto.Feedback)
-		if !ok {
+// onFeedback settles relay feedback against the apps' pending tables.
+func (u *UEClient) onFeedback(refs []hbproto.Ref, at time.Time) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	for _, ref := range refs {
+		if ref.Src != u.cfg.ID {
 			continue
 		}
-		u.mu.Lock()
-		for _, ref := range fb.Refs {
-			if ref.Src != u.cfg.ID {
-				continue
-			}
-			if t, ok := u.pending[ref.Seq]; ok {
-				t.Stop()
-				delete(u.pending, ref.Seq)
+		for _, app := range u.apps {
+			if _, ok := app.pending.Settle(ref.Seq, at); ok {
 				u.stats.FeedbackAcks++
 				u.ins.acks.Inc()
 				trace.Emit(u.cfg.Tracer, trace.Event{
-					AtMs: time.Now().UnixMilli(), Device: u.cfg.ID,
+					AtMs: at.UnixMilli(), Device: u.cfg.ID,
 					Kind: trace.KindAck, Seq: ref.Seq,
 				})
+				break
 			}
-		}
-		u.mu.Unlock()
-	}
-}
-
-// directReader drains server acks on the direct connection.
-func (u *UEClient) directReader(conn net.Conn) {
-	defer u.wg.Done()
-	fr := hbproto.NewFrameReader(conn)
-	for {
-		if _, err := fr.Next(); err != nil {
-			return
 		}
 	}
 }
