@@ -121,7 +121,8 @@ fuzz:
 # kernel (TileGroup/Agenda/TileGrid); trace (92.0%) gates the keyed merge.
 # device (87.7%) is the one UE/relay state machine both city kernels run.
 # session (97.0%) is the one client-side connection + pending-ack core.
-COVER_FLOORS := internal/session:92 internal/device:84 internal/sched:95 internal/relaynet:82 internal/cluster:74 internal/loadgen:76 internal/rec:90 internal/benchcmp:95 internal/lint:85 internal/simtime:92 internal/geo:84 internal/trace:88
+# energy (98.6%) is the ledger every device of both kernels charges.
+COVER_FLOORS := internal/energy:95 internal/session:92 internal/device:84 internal/sched:95 internal/relaynet:82 internal/cluster:74 internal/loadgen:76 internal/rec:90 internal/benchcmp:95 internal/lint:85 internal/simtime:92 internal/geo:84 internal/trace:88
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...

@@ -42,6 +42,10 @@ type BaseStation struct {
 	order   []hbmsg.DeviceID
 	observe func(Delivery)
 	channel *controlChannel
+	// model is the validated energy model of the latest Attach. Modems
+	// attached with an equal model share it: a population runs on one
+	// model, and a private 192-byte copy was four fifths of each modem.
+	model *energy.Model
 
 	deliveries int
 	late       int
@@ -70,8 +74,12 @@ func (bs *BaseStation) Attach(id hbmsg.DeviceID, model energy.Model, rrcCfg rrc.
 	if ledger == nil {
 		return nil, errors.New("cellular: nil ledger")
 	}
-	if err := model.Validate(); err != nil {
-		return nil, fmt.Errorf("cellular: model: %w", err)
+	if bs.model == nil || *bs.model != model {
+		if err := model.Validate(); err != nil {
+			return nil, fmt.Errorf("cellular: model: %w", err)
+		}
+		shared := model
+		bs.model = &shared
 	}
 	if _, ok := bs.modems[id]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateID, id)
@@ -84,7 +92,7 @@ func (bs *BaseStation) Attach(id hbmsg.DeviceID, model energy.Model, rrcCfg rrc.
 		id:      id,
 		bs:      bs,
 		machine: machine,
-		model:   model,
+		model:   bs.model,
 		ledger:  ledger,
 	}
 	bs.modems[id] = m
@@ -167,7 +175,7 @@ type Modem struct {
 	id      hbmsg.DeviceID
 	bs      *BaseStation
 	machine *rrc.Machine
-	model   energy.Model
+	model   *energy.Model // shared, read-only
 	ledger  *energy.Ledger
 }
 

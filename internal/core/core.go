@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"d2dhb/internal/cellular"
@@ -312,11 +313,14 @@ func (sim *Simulation) Run() (*Report, error) {
 
 // DeviceReport is one device's share of the results.
 type DeviceReport struct {
-	ID     hbmsg.DeviceID
-	Role   d2d.Role
-	Energy map[energy.Phase]energy.MicroAmpHours
-	Total  energy.MicroAmpHours
-	RRC    rrc.Counters
+	ID   hbmsg.DeviceID
+	Role d2d.Role
+	// Energy holds the charge per phase, Energy[energy.PhaseCellular];
+	// Charged is the set of phases the device was ever charged against.
+	Energy  energy.Charges
+	Charged energy.PhaseSet
+	Total   energy.MicroAmpHours
+	RRC     rrc.Counters
 	// Availability is the fraction of time the device was online at the
 	// IM server between its first delivered heartbeat and the horizon —
 	// the instantaneity the framework must preserve (Section III).
@@ -338,11 +342,20 @@ type Report struct {
 	// Options.Channel enabled tracking).
 	Channel cellular.ChannelReport
 
-	byID map[hbmsg.DeviceID]*DeviceReport
+	// byID indexes Devices; built by the first Device call, since most
+	// consumers of a population-scale report only range over Devices.
+	byIDOnce sync.Once
+	byID     map[hbmsg.DeviceID]*DeviceReport
 }
 
 // Device returns the report for one device.
 func (r *Report) Device(id hbmsg.DeviceID) (*DeviceReport, bool) {
+	r.byIDOnce.Do(func() {
+		r.byID = make(map[hbmsg.DeviceID]*DeviceReport, len(r.Devices))
+		for _, d := range r.Devices {
+			r.byID[d.ID] = d
+		}
+	})
 	d, ok := r.byID[id]
 	return d, ok
 }

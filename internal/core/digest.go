@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 
 	"d2dhb/internal/energy"
@@ -13,8 +12,10 @@ import (
 
 // WriteCanonical writes a canonical, field-by-field text rendering of the
 // report. Every observable quantity of a run appears exactly once, floats
-// are rendered with round-trip precision and map iteration is sorted, so
-// two reports serialize identically iff every field matches bit-for-bit.
+// are rendered with round-trip precision and energy phases — those the
+// device was ever charged against, a zero charge included — are listed in
+// phase order, so two reports serialize identically iff every field
+// matches bit-for-bit.
 // It underpins Digest and exists separately so a digest mismatch can be
 // diagnosed by diffing the two renderings.
 func (r *Report) WriteCanonical(w io.Writer) {
@@ -25,13 +26,10 @@ func (r *Report) WriteCanonical(w io.Writer) {
 	for _, d := range r.Devices {
 		fmt.Fprintf(w, "device=%s role=%d total=%s avail=%s flaps=%d\n",
 			d.ID, int(d.Role), ff(float64(d.Total)), ff(d.Availability), d.PresenceFlaps)
-		phases := make([]energy.Phase, 0, len(d.Energy))
-		for p := range d.Energy {
-			phases = append(phases, p)
-		}
-		slices.Sort(phases)
-		for _, p := range phases {
-			fmt.Fprintf(w, "  energy %s=%s\n", p, ff(float64(d.Energy[p])))
+		for _, p := range energy.Phases() {
+			if d.Charged.Has(p) {
+				fmt.Fprintf(w, "  energy %s=%s\n", p, ff(float64(d.Energy[p])))
+			}
 		}
 		fmt.Fprintf(w, "  rrc=%+v\n", d.RRC)
 		if d.Relay != nil {

@@ -19,10 +19,12 @@ import (
 func NewDeviceReport(id hbmsg.DeviceID, role d2d.Role, ledger *energy.Ledger, counters rrc.Counters,
 	tracker *presence.Tracker, horizon time.Duration, relay *device.Relay, ue *device.UE) *DeviceReport {
 	_, flaps, _ := tracker.Stats(id, horizon)
+	totals, charged := ledger.Snapshot()
 	dr := &DeviceReport{
 		ID:            id,
 		Role:          role,
-		Energy:        ledger.Snapshot(),
+		Energy:        totals,
+		Charged:       charged,
 		Total:         ledger.Total(),
 		RRC:           counters,
 		Availability:  tracker.Availability(id, horizon),
@@ -44,17 +46,12 @@ func NewDeviceReport(id hbmsg.DeviceID, role d2d.Role, ledger *energy.Ledger, co
 // and canonical digests — of exactly the same shape. Device order in
 // devices is preserved.
 func NewReport(duration time.Duration, devices []*DeviceReport, totalL3, deliveries, late int, channel cellular.ChannelReport) *Report {
-	rep := &Report{
+	return &Report{
 		Duration:        duration,
 		Devices:         devices,
 		TotalL3Messages: totalL3,
 		Deliveries:      deliveries,
 		LateDeliveries:  late,
 		Channel:         channel,
-		byID:            make(map[hbmsg.DeviceID]*DeviceReport, len(devices)),
 	}
-	for _, d := range devices {
-		rep.byID[d.ID] = d
-	}
-	return rep
 }

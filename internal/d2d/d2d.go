@@ -176,7 +176,6 @@ func (m *Medium) Join(id hbmsg.DeviceID, role Role, mob geo.Mobility, ledger *en
 		medium:   m,
 		mob:      mob,
 		ledger:   ledger,
-		links:    make(map[hbmsg.DeviceID]*Link),
 		orderIdx: len(m.nodes),
 	}
 	if role == RoleRelay {
@@ -294,7 +293,7 @@ type Node struct {
 	cellSlot int           // position within the cell bucket
 	binnedAt time.Duration // when the cell was last computed (movers only)
 
-	links   map[hbmsg.DeviceID]*Link
+	links   map[hbmsg.DeviceID]*Link // nil until the first Connect
 	receive func(hb hbmsg.Heartbeat, link *Link)
 	ack     func(refs []AckRef, link *Link)
 }
@@ -463,9 +462,19 @@ func (n *Node) Connect(peer hbmsg.DeviceID) (*Link, error) {
 		open:      true,
 		openedAt:  m.sched.Now(),
 	}
-	n.links[peer] = l
-	p.links[n.id] = l
+	n.addLink(peer, l)
+	p.addLink(n.id, l)
 	return l, nil
+}
+
+// addLink records l under peer. The table is allocated by the first link,
+// so a built population holds none and a device that never pairs never
+// pays for one.
+func (n *Node) addLink(peer hbmsg.DeviceID, l *Link) {
+	if n.links == nil {
+		n.links = make(map[hbmsg.DeviceID]*Link)
+	}
+	n.links[peer] = l
 }
 
 func (n *Node) chargeConnection(role Role) {

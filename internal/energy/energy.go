@@ -9,7 +9,7 @@ package energy
 
 import (
 	"fmt"
-	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -36,7 +36,12 @@ const (
 	PhaseIdleBase                    // baseline platform draw (trace analysis only)
 )
 
-var phaseNames = map[Phase]string{
+// numPhases is how many accounting phases exist; valid Phase values run
+// from PhaseDiscovery (1) to numPhases, so per-phase tables are arrays with
+// slot 0 unused.
+const numPhases = int(PhaseIdleBase)
+
+var phaseNames = [numPhases + 1]string{
 	PhaseDiscovery:  "discovery",
 	PhaseConnection: "connection",
 	PhaseD2DSend:    "d2d-send",
@@ -46,10 +51,12 @@ var phaseNames = map[Phase]string{
 	PhaseIdleBase:   "idle-base",
 }
 
+func (p Phase) valid() bool { return p >= PhaseDiscovery && int(p) <= numPhases }
+
 // String implements fmt.Stringer.
 func (p Phase) String() string {
-	if s, ok := phaseNames[p]; ok {
-		return s
+	if p.valid() {
+		return phaseNames[p]
 	}
 	return fmt.Sprintf("phase(%d)", int(p))
 }
@@ -61,6 +68,18 @@ func Phases() []Phase {
 		PhaseCellular, PhaseFallback, PhaseIdleBase,
 	}
 }
+
+// Charges is a ledger's per-phase totals by value, indexed by Phase:
+// c[PhaseCellular] is the cellular charge.
+type Charges [numPhases + 1]MicroAmpHours
+
+// PhaseSet is a set of phases. A ledger reports the phases it was ever
+// charged against, which Charges alone cannot: a phase charged only zero
+// is listed in reports and digests, a phase never charged is not.
+type PhaseSet uint8
+
+// Has reports whether p is in the set.
+func (s PhaseSet) Has(p Phase) bool { return p.valid() && s&(1<<p) != 0 }
 
 // ReferenceMessageSize is the standard heartbeat size used in the paper's
 // experiments (Section V-A).
@@ -247,30 +266,30 @@ func (m Model) CellularTxCharge(msgs, payloadBytes int) MicroAmpHours {
 
 // Ledger accumulates charge per phase. It is safe for concurrent use so the
 // real-protocol stack can share the same accounting type as the simulator.
+// The zero value is an empty ledger.
 type Ledger struct {
 	mu     sync.Mutex
-	phases map[Phase]MicroAmpHours
-	events map[Phase]int
+	phases Charges
+	events [numPhases + 1]int
 }
 
 // NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{
-		phases: make(map[Phase]MicroAmpHours),
-		events: make(map[Phase]int),
-	}
-}
+func NewLedger() *Ledger { return &Ledger{} }
 
 // Add records charge c against phase p. Negative charge is rejected silently
-// as zero; charge only ever accumulates.
+// as zero; charge only ever accumulates. An undeclared phase is a caller
+// bug and panics.
 func (l *Ledger) Add(p Phase, c MicroAmpHours) {
+	if !p.valid() {
+		panic(fmt.Sprintf("energy: charge against undeclared %v", p))
+	}
 	if c < 0 {
 		c = 0
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.phases[p] += c
 	l.events[p]++
+	l.mu.Unlock()
 }
 
 // Phase returns the accumulated charge for phase p.
@@ -287,58 +306,58 @@ func (l *Ledger) Events(p Phase) int {
 	return l.events[p]
 }
 
-// Total returns the accumulated charge across all phases. Summation order
-// is fixed so that floating-point rounding is reproducible across runs.
+// Total returns the accumulated charge across all phases. Summation runs in
+// phase order so that floating-point rounding is reproducible across runs.
 func (l *Ledger) Total() MicroAmpHours {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	keys := make([]int, 0, len(l.phases))
-	for p := range l.phases {
-		keys = append(keys, int(p))
-	}
-	slices.Sort(keys)
 	var sum MicroAmpHours
-	for _, p := range keys {
-		sum += l.phases[Phase(p)]
+	for _, c := range l.phases {
+		sum += c
 	}
 	return sum
 }
 
-// Snapshot returns a copy of the per-phase totals.
-func (l *Ledger) Snapshot() map[Phase]MicroAmpHours {
+// Snapshot returns a copy of the per-phase totals and the set of phases
+// that were ever charged.
+func (l *Ledger) Snapshot() (Charges, PhaseSet) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make(map[Phase]MicroAmpHours, len(l.phases))
-	for p, c := range l.phases {
-		out[p] = c
+	var charged PhaseSet
+	for p, n := range l.events {
+		if n > 0 {
+			charged |= 1 << p
+		}
 	}
-	return out
+	return l.phases, charged
 }
 
-// AddFrom merges the totals of other into l.
+// AddFrom merges the totals of other into l: every phase other was ever
+// charged against becomes one charge event of its total.
 func (l *Ledger) AddFrom(other *Ledger) {
 	if other == nil {
 		return
 	}
-	for p, c := range other.Snapshot() {
-		l.Add(p, c)
+	totals, charged := other.Snapshot()
+	for p := PhaseDiscovery; p.valid(); p++ {
+		if charged.Has(p) {
+			l.Add(p, totals[p])
+		}
 	}
 }
 
-// String renders the ledger as "phase=charge" pairs in stable order.
+// String renders the ledger as "phase=charge" pairs in phase order.
 func (l *Ledger) String() string {
-	snap := l.Snapshot()
-	keys := make([]Phase, 0, len(snap))
-	for p := range snap {
-		keys = append(keys, p)
-	}
-	slices.Sort(keys)
-	s := ""
-	for i, p := range keys {
-		if i > 0 {
-			s += " "
+	totals, charged := l.Snapshot()
+	var b strings.Builder
+	for p := PhaseDiscovery; p.valid(); p++ {
+		if !charged.Has(p) {
+			continue
 		}
-		s += fmt.Sprintf("%s=%.2f", p, float64(snap[p]))
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%.2f", p, float64(totals[p]))
 	}
-	return s
+	return b.String()
 }

@@ -134,53 +134,142 @@ func TestCellularTxChargeSizeEffectMinor(t *testing.T) {
 	}
 }
 
-func TestLedgerAccumulates(t *testing.T) {
-	l := NewLedger()
-	l.Add(PhaseDiscovery, 10)
-	l.Add(PhaseDiscovery, 5)
-	l.Add(PhaseCellular, 100)
-	if got := l.Phase(PhaseDiscovery); got != 15 {
-		t.Fatalf("discovery = %v, want 15", got)
+// TestLedgerTable pins the ledger's accounting rules on the array form:
+// what a phase's total, event count and visibility are after a sequence of
+// charges, optionally followed by merging a second ledger in.
+func TestLedgerTable(t *testing.T) {
+	type add struct {
+		p Phase
+		c MicroAmpHours
 	}
-	if got := l.Total(); got != 115 {
-		t.Fatalf("total = %v, want 115", got)
+	// Summed at run time: 0.1+0.2+0.3 and 0.3+0.2+0.1 round differently.
+	x, y, z := MicroAmpHours(0.1), MicroAmpHours(0.2), MicroAmpHours(0.3)
+	if x+y+z == z+y+x {
+		t.Fatal("the order-dependence case has lost its teeth")
 	}
-	if got := l.Events(PhaseDiscovery); got != 2 {
-		t.Fatalf("events = %d, want 2", got)
+	cases := []struct {
+		name       string
+		adds       []add
+		merge      []add // charged on a second ledger, then AddFrom'd
+		mergeNil   bool  // AddFrom(nil) instead
+		wantTotal  MicroAmpHours
+		wantEvents map[Phase]int // phases absent here must be invisible
+		wantString string
+	}{
+		{name: "empty", wantString: ""},
+		{
+			name:       "accumulates per phase",
+			adds:       []add{{PhaseDiscovery, 10}, {PhaseCellular, 100}, {PhaseDiscovery, 5}},
+			wantTotal:  115,
+			wantEvents: map[Phase]int{PhaseDiscovery: 2, PhaseCellular: 1},
+			wantString: "discovery=15.00 cellular=100.00",
+		},
+		{
+			name:       "a phase charged only zero stays visible",
+			adds:       []add{{PhaseFallback, 0}, {PhaseD2DSend, 7}},
+			wantTotal:  7,
+			wantEvents: map[Phase]int{PhaseD2DSend: 1, PhaseFallback: 1},
+			wantString: "d2d-send=7.00 fallback=0.00",
+		},
+		{
+			name:       "negative charge clamps to zero and still counts",
+			adds:       []add{{PhaseCellular, -50}},
+			wantTotal:  0,
+			wantEvents: map[Phase]int{PhaseCellular: 1},
+			wantString: "cellular=0.00",
+		},
+		{
+			// Total sums in phase order whatever order the charges arrived in.
+			name:       "total is independent of insertion order",
+			adds:       []add{{PhaseIdleBase, z}, {PhaseCellular, y}, {PhaseDiscovery, x}},
+			wantTotal:  x + y + z,
+			wantEvents: map[Phase]int{PhaseDiscovery: 1, PhaseCellular: 1, PhaseIdleBase: 1},
+			wantString: "discovery=0.10 cellular=0.20 idle-base=0.30",
+		},
+		{
+			// Two cellular charges on the merged ledger arrive as one event:
+			// AddFrom merges totals, one event per phase the other ledger
+			// was ever charged against (a zero-charged one included).
+			name:       "AddFrom merges one event per charged phase",
+			adds:       []add{{PhaseCellular, 10}},
+			merge:      []add{{PhaseCellular, 2}, {PhaseCellular, 3}, {PhaseD2DRecv, 3}, {PhaseFallback, 0}},
+			wantTotal:  18,
+			wantEvents: map[Phase]int{PhaseD2DRecv: 1, PhaseCellular: 2, PhaseFallback: 1},
+			wantString: "d2d-recv=3.00 cellular=15.00 fallback=0.00",
+		},
+		{
+			name:       "AddFrom(nil) is a no-op",
+			adds:       []add{{PhaseD2DSend, 1}},
+			mergeNil:   true,
+			wantTotal:  1,
+			wantEvents: map[Phase]int{PhaseD2DSend: 1},
+			wantString: "d2d-send=1.00",
+		},
+	}
+	build := func(adds []add, reversed bool) *Ledger {
+		l := NewLedger()
+		for i := range adds {
+			a := adds[i]
+			if reversed {
+				a = adds[len(adds)-1-i]
+			}
+			l.Add(a.p, a.c)
+		}
+		return l
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, reversed := range []bool{false, true} {
+				l := build(tc.adds, reversed)
+				switch {
+				case tc.mergeNil:
+					l.AddFrom(nil)
+				case tc.merge != nil:
+					l.AddFrom(build(tc.merge, reversed))
+				}
+				if got := l.Total(); got != tc.wantTotal {
+					t.Errorf("reversed=%v: Total = %v, want %v", reversed, float64(got), float64(tc.wantTotal))
+				}
+				if got := l.String(); got != tc.wantString {
+					t.Errorf("reversed=%v: String = %q, want %q", reversed, got, tc.wantString)
+				}
+				totals, charged := l.Snapshot()
+				for _, p := range Phases() {
+					n, visible := tc.wantEvents[p]
+					if got := l.Events(p); got != n {
+						t.Errorf("reversed=%v: Events(%v) = %d, want %d", reversed, p, got, n)
+					}
+					if charged.Has(p) != visible {
+						t.Errorf("reversed=%v: Snapshot lists %v = %v, want %v", reversed, p, charged.Has(p), visible)
+					}
+					if totals[p] != l.Phase(p) {
+						t.Errorf("reversed=%v: Snapshot[%v] = %v, Phase = %v", reversed, p, totals[p], l.Phase(p))
+					}
+				}
+				// The snapshot is a copy: writing to it leaves the ledger alone.
+				totals[PhaseD2DSend] = 999
+				if got := l.Total(); got != tc.wantTotal {
+					t.Errorf("mutating the snapshot moved Total to %v", float64(got))
+				}
+			}
+		})
 	}
 }
 
-func TestLedgerNegativeClamped(t *testing.T) {
-	l := NewLedger()
-	l.Add(PhaseCellular, -50)
-	if got := l.Total(); got != 0 {
-		t.Fatalf("total = %v, want 0 after negative add", got)
+func TestLedgerRejectsUndeclaredPhase(t *testing.T) {
+	for _, p := range []Phase{0, -1, PhaseIdleBase + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%v) did not panic", p)
+				}
+			}()
+			NewLedger().Add(p, 1)
+		}()
+		if (PhaseSet(0xff)).Has(p) {
+			t.Errorf("PhaseSet.Has(%v) = true for an undeclared phase", p)
+		}
 	}
-}
-
-func TestLedgerSnapshotIsCopy(t *testing.T) {
-	l := NewLedger()
-	l.Add(PhaseD2DSend, 7)
-	snap := l.Snapshot()
-	snap[PhaseD2DSend] = 999
-	if got := l.Phase(PhaseD2DSend); got != 7 {
-		t.Fatalf("mutating snapshot changed ledger: %v", got)
-	}
-}
-
-func TestLedgerAddFrom(t *testing.T) {
-	a, b := NewLedger(), NewLedger()
-	a.Add(PhaseCellular, 10)
-	b.Add(PhaseCellular, 5)
-	b.Add(PhaseD2DRecv, 3)
-	a.AddFrom(b)
-	if got := a.Phase(PhaseCellular); got != 15 {
-		t.Fatalf("cellular = %v, want 15", got)
-	}
-	if got := a.Phase(PhaseD2DRecv); got != 3 {
-		t.Fatalf("d2d-recv = %v, want 3", got)
-	}
-	a.AddFrom(nil) // must not panic
 }
 
 func TestLedgerConcurrentUse(t *testing.T) {

@@ -95,8 +95,12 @@ func buildCityPopulation(cfg CityConfig, rng *rand.Rand) (cityPopulation, error)
 		return geo.NewRandomWaypoint(area, p, minV, maxV, pause, seed)
 	}
 
-	var pop cityPopulation
 	numRelays := max(1, int(float64(cfg.Devices)*cfg.RelayFraction))
+	numUEs := cfg.Devices - numRelays
+	pop := cityPopulation{
+		relays: make([]core.RelaySpec, 0, numRelays),
+		ues:    make([]core.UESpec, 0, numUEs),
+	}
 	for i := 0; i < numRelays; i++ {
 		p := area.RandomPoint(rng)
 		mob := geo.Mobility(geo.Static{P: p})
@@ -115,7 +119,6 @@ func buildCityPopulation(cfg CityConfig, rng *rand.Rand) (cityPopulation, error)
 			StartOffset: offset(),
 		})
 	}
-	numUEs := cfg.Devices - numRelays
 	for i := 0; i < numUEs; i++ {
 		p := area.RandomPoint(rng)
 		var mob geo.Mobility

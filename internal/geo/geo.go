@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -59,8 +60,9 @@ func (r Rect) Clamp(p Point) Point {
 	}
 }
 
-// RandomPoint draws a uniformly distributed point inside r.
-func (r Rect) RandomPoint(rng *rand.Rand) Point {
+// RandomPoint draws a uniformly distributed point inside r: X first, then
+// Y, one Float64 each (a *rand.Rand serves).
+func (r Rect) RandomPoint(rng interface{ Float64() float64 }) Point {
 	return Point{
 		X: r.Min.X + rng.Float64()*r.Width(),
 		Y: r.Min.Y + rng.Float64()*r.Height(),
@@ -107,6 +109,59 @@ type waypointLeg struct {
 	duration time.Duration
 }
 
+// drawBuffer is how many pre-drawn floats a walker holds: eight legs of
+// three draws (destination X, Y, speed).
+const drawBuffer = 24
+
+// drawSources lends out math/rand generators for the length of one refill.
+// A lagged-Fibonacci source is 4.9 KB; kept per walker it was half of a
+// built city's heap, to serve three draws per leg.
+var drawSources = sync.Pool{
+	New: func() any { return rand.New(rand.NewSource(0)) },
+}
+
+// drawStream is the Float64 stream of rand.New(rand.NewSource(seed)),
+// bit for bit, without a resident generator: it remembers the seed and how
+// many draws it has taken, and refills a fixed buffer by re-seeding a
+// borrowed generator and skipping what was already consumed. A refill costs
+// one re-seed (~10 µs) plus the skip, once per drawBuffer draws.
+type drawStream struct {
+	seed  int64
+	drawn uint32 // draws taken from the generator so far, buffered ones included
+	next  uint8  // index of the next unread float in buf
+	buf   [drawBuffer]float64
+}
+
+func newDrawStream(seed int64) drawStream {
+	d := drawStream{seed: seed}
+	d.refill()
+	return d
+}
+
+func (d *drawStream) refill() {
+	rng := drawSources.Get().(*rand.Rand)
+	rng.Seed(d.seed)
+	for i := uint32(0); i < d.drawn; i++ {
+		rng.Float64()
+	}
+	for i := range d.buf {
+		d.buf[i] = rng.Float64()
+	}
+	drawSources.Put(rng)
+	d.drawn += drawBuffer
+	d.next = 0
+}
+
+// Float64 returns the stream's next draw.
+func (d *drawStream) Float64() float64 {
+	if d.next == drawBuffer {
+		d.refill()
+	}
+	f := d.buf[d.next]
+	d.next++
+	return f
+}
+
 // RandomWaypoint is the classic random-waypoint mobility model: the device
 // repeatedly picks a uniform destination in the area and walks there at a
 // speed drawn uniformly from [MinSpeed, MaxSpeed], pausing Pause at each
@@ -116,7 +171,7 @@ type RandomWaypoint struct {
 	minSpeed float64 // m/s
 	maxSpeed float64 // m/s
 	pause    time.Duration
-	rng      *rand.Rand
+	draws    drawStream
 	legs     []waypointLeg
 }
 
@@ -136,7 +191,7 @@ func NewRandomWaypoint(area Rect, start Point, minSpeed, maxSpeed float64, pause
 		minSpeed: minSpeed,
 		maxSpeed: maxSpeed,
 		pause:    pause,
-		rng:      rand.New(rand.NewSource(seed)),
+		draws:    newDrawStream(seed),
 	}
 	w.legs = append(w.legs, waypointLeg{from: start, to: start, duration: pause})
 	return w, nil
@@ -169,8 +224,8 @@ func (w *RandomWaypoint) extend(at time.Duration) {
 			return
 		}
 		from := last.to
-		to := w.area.RandomPoint(w.rng)
-		speed := w.minSpeed + w.rng.Float64()*(w.maxSpeed-w.minSpeed)
+		to := w.area.RandomPoint(&w.draws)
+		speed := w.minSpeed + w.draws.Float64()*(w.maxSpeed-w.minSpeed)
 		dist := from.Dist(to)
 		travel := time.Duration(dist / speed * float64(time.Second))
 		if travel <= 0 {

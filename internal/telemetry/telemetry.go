@@ -144,8 +144,9 @@ func sortLabels(labels []Label) []Label {
 	return out
 }
 
-// Registry holds named metrics. Registration (get-or-create) takes a lock;
-// the returned handles update without one. Safe for concurrent use.
+// Registry holds named metrics. Registration (get-or-create, of the entry
+// and of its handle) takes a lock; the returned handles update without one.
+// Safe for concurrent use.
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -179,6 +180,8 @@ func (r *Registry) lookup(name string, kind Kind, unit string, labels []Label) *
 // first use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	e := r.lookup(name, KindCounter, "", labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if e.counter == nil {
 		e.counter = &Counter{}
 	}
@@ -189,6 +192,8 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 // first use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	e := r.lookup(name, KindGauge, "", labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if e.gauge == nil {
 		e.gauge = &Gauge{}
 	}
@@ -211,6 +216,8 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 // ("us", "msgs") and is carried through dumps unchanged.
 func (r *Registry) Histogram(name, unit string, shards int, labels ...Label) *Histogram {
 	e := r.lookup(name, KindHistogram, unit, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if e.hist == nil {
 		e.hist = NewHistogram(shards)
 	}
