@@ -63,37 +63,117 @@ type frameBuf struct{ b []byte }
 // bufPool recycles the varint codec state shared by encode and decode.
 var bufPool = sync.Pool{New: func() any { return new(buffer) }}
 
-// internTable maps decoded string bytes to a canonical heap string. The
-// lookup on the hit path (`m[string(b)]`) does not allocate, so a
+// Handle names a source ID within one FrameReader: the reader numbers the
+// distinct Src strings it decodes 1, 2, … in first-seen order and stamps
+// the number next to the string on every Heartbeat and Ref it returns. A
+// connection owner that keeps per-client state can index a slice by handle
+// instead of hashing the string again. Zero means "no handle" — the
+// message was not decoded by a FrameReader, or the reader's intern table
+// was full — and owners fall back to the string. A handle means nothing
+// outside the reader that issued it and dies with the connection.
+type Handle uint32
+
+// IDStats counts how a FrameReader resolved the source IDs it decoded: by
+// the successor guess (one string compare) or by hashing into the table.
+type IDStats struct {
+	GuessHits   uint64
+	GuessMisses uint64
+}
+
+// internTable is the one place a connection hashes the strings it decodes:
+// it maps string bytes to a canonical heap string and, for source IDs, a
+// Handle. The map lookups on the hit path do not allocate, so a
 // connection that sees a stable population of device/app IDs decodes
-// strings for free. The table is bounded: once full it stops inserting
-// but keeps serving hits, so a hostile peer cannot grow it without bound.
+// strings for free. The table is bounded: once full it stops inserting but
+// keeps serving hits, so a hostile peer cannot grow it without bound.
+//
+// Heartbeat traffic is periodic — a relay or trunk sends the same sources
+// in the same order every period — so before hashing a source the table
+// tries the handle that followed the previous source last time (next). The
+// guess is only ever a hint: it is confirmed by comparing the bytes, and a
+// wrong one costs that compare before the ordinary lookup, so traffic with
+// no order to exploit decodes as before. Other strings (App, Relay) repeat
+// back to back and are checked against the last one returned.
 type internTable struct {
-	m   map[string]string
-	max int
+	strs  []string          // handle → canonical source ID; strs[0] is unused
+	next  []Handle          // next[h]: the source that followed source h last time
+	prev  Handle            // the last source decoded (0: none, or not interned)
+	ids   map[string]Handle // source ID → handle, once there are two (see src)
+	other map[string]string // every other string; allocated on first insert
+	last  string            // the last non-source string decoded
+	max   int               // bound on sources + other strings
+	stats IDStats
 }
 
 // defaultInternCap bounds distinct strings cached per connection. A trunk
-// connection multiplexes tens of thousands of UE IDs; 128k entries of
-// short IDs is a few MB worst case.
+// connection multiplexes tens of thousands of UE IDs; a full table of
+// 14-byte IDs is ~10 MB (map slot, string header, bytes and successor per
+// entry), and a one-ID connection pays for the entries it uses only.
 const defaultInternCap = 128 << 10
 
 func newInternTable(max int) *internTable {
 	if max <= 0 {
 		max = defaultInternCap
 	}
-	return &internTable{m: make(map[string]string), max: max}
+	// Room for one source without growing: most connections carry one.
+	return &internTable{strs: make([]string, 1, 2), next: make([]Handle, 1, 2), max: max}
 }
 
+func (t *internTable) full() bool { return len(t.strs)-1+len(t.other) >= t.max }
+
+// get interns a string that is not a source ID.
 func (t *internTable) get(b []byte) string {
-	if s, ok := t.m[string(b)]; ok { // no alloc: compiler-optimized map lookup
-		return s
+	if t.last == string(b) {
+		return t.last
 	}
-	s := string(b)
-	if len(t.m) < t.max {
-		t.m[s] = s
+	s, ok := t.other[string(b)] // no alloc: compiler-optimized map lookup
+	if !ok {
+		s = string(b)
+		if !t.full() {
+			if t.other == nil {
+				t.other = make(map[string]string)
+			}
+			t.other[s] = s
+		}
 	}
+	t.last = s
 	return s
+}
+
+// src interns a source ID and returns its handle: the successor guess
+// first, then the map, inserting while there is room. A socket-per-UE
+// connection only ever carries its own ID, and there are thousands of
+// them, so the map is not built until a second source shows up: a lone
+// source is compared directly.
+func (t *internTable) src(b []byte) (string, Handle) {
+	if g := t.next[t.prev]; g != 0 && t.strs[g] == string(b) {
+		t.stats.GuessHits++
+		t.prev = g
+		return t.strs[g], g
+	}
+	t.stats.GuessMisses++
+	h := t.ids[string(b)] // no alloc: compiler-optimized map lookup
+	if h == 0 && len(t.strs) == 2 && t.strs[1] == string(b) {
+		h = 1
+	}
+	if h == 0 {
+		s := string(b)
+		if t.full() {
+			t.prev = 0
+			return s, 0
+		}
+		h = Handle(len(t.strs))
+		t.strs, t.next = append(t.strs, s), append(t.next, 0)
+		if h == 2 {
+			t.ids = map[string]Handle{t.strs[1]: 1}
+		}
+		if t.ids != nil {
+			t.ids[s] = h
+		}
+	}
+	t.next[t.prev] = h
+	t.prev = h
+	return t.strs[h], h
 }
 
 // FrameReader reads frames from a stream with zero steady-state
@@ -123,6 +203,9 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	}
 	return &FrameReader{r: br, intern: newInternTable(0)}
 }
+
+// IDStats returns the reader's running source-ID resolution counts.
+func (fr *FrameReader) IDStats() IDStats { return fr.intern.stats }
 
 // Buffered reports how many bytes beyond the current frame are already
 // buffered — i.e. whether the peer pipelined more frames. Ack aggregators

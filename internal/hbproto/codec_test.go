@@ -32,6 +32,39 @@ func oldWriteFrame(w *bytes.Buffer, msg Message) error {
 	return err
 }
 
+// sansHandles returns a copy of a decoded message with every Handle zeroed.
+// Handles are a FrameReader's annotation, not part of the message: decoded
+// messages compare equal to what was encoded (and to ReadFrame's result)
+// modulo the handle.
+func sansHandles(msg Message) Message {
+	switch m := msg.(type) {
+	case *Heartbeat:
+		c := *m
+		c.Handle = 0
+		return &c
+	case *Batch:
+		c := *m
+		c.HBs = append([]Heartbeat{}, m.HBs...)
+		for i := range c.HBs {
+			c.HBs[i].Handle = 0
+		}
+		return &c
+	case *Ack:
+		return &Ack{Refs: refsSansHandles(m.Refs)}
+	case *Feedback:
+		return &Feedback{Refs: refsSansHandles(m.Refs)}
+	}
+	return msg
+}
+
+func refsSansHandles(refs []Ref) []Ref {
+	out := append([]Ref{}, refs...)
+	for i := range out {
+		out[i].Handle = 0
+	}
+	return out
+}
+
 // corpusMessages generates a deterministic spread of messages across all
 // five types and a range of string lengths, batch sizes and field values.
 func corpusMessages(seed int64, n int) []Message {
@@ -139,7 +172,7 @@ func TestAppendFrameComposes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FrameReader frame %d: %v", i, err)
 		}
-		if got.Type() != want.Type() || !reflect.DeepEqual(got, want) {
+		if got.Type() != want.Type() || !reflect.DeepEqual(sansHandles(got), want) {
 			t.Fatalf("FrameReader frame %d: got %+v, want %+v", i, got, want)
 		}
 	}
@@ -202,7 +235,7 @@ func TestFrameReaderReadInto(t *testing.T) {
 	if err := fr.ReadInto(&ack); err != nil {
 		t.Fatalf("ReadInto: %v", err)
 	}
-	if !reflect.DeepEqual(&ack, want) {
+	if !reflect.DeepEqual(sansHandles(&ack), Message(want)) {
 		t.Fatalf("got %+v, want %+v", ack, want)
 	}
 	// Wrong expected type: sentinel error, stream positioned past frame.
@@ -312,21 +345,215 @@ func TestFrameReaderErrors(t *testing.T) {
 }
 
 // TestInternTableBounded pins the intern cache cap: beyond max entries it
-// stops inserting but keeps returning correct strings.
+// stops inserting — sources past the cap get handle 0 — but keeps
+// returning correct strings and serving the entries it has.
 func TestInternTableBounded(t *testing.T) {
 	tbl := newInternTable(4)
 	for i := 0; i < 16; i++ {
 		s := fmt.Sprintf("id-%d", i)
-		if got := tbl.get([]byte(s)); got != s {
-			t.Fatalf("get(%q) = %q", s, got)
+		got, h := tbl.src([]byte(s))
+		if got != s {
+			t.Fatalf("src(%q) = %q", s, got)
+		}
+		// Sources and other strings share the cap: two of each fit.
+		if want := Handle(i + 1); i < 2 && h != want || i >= 2 && h != 0 {
+			t.Fatalf("src(%q) handle = %d (cap 4)", s, h)
+		}
+		if got := tbl.get([]byte("app-" + s)); got != "app-"+s {
+			t.Fatalf("get(%q) = %q", "app-"+s, got)
 		}
 	}
-	if len(tbl.m) != 4 {
-		t.Fatalf("intern table grew to %d entries, cap 4", len(tbl.m))
+	if n := len(tbl.ids) + len(tbl.other); n != 4 || len(tbl.strs) != len(tbl.ids)+1 || len(tbl.next) != len(tbl.strs) {
+		t.Fatalf("intern table grew to %d entries (%d strs, %d next), cap 4", n, len(tbl.strs), len(tbl.next))
 	}
-	// Hits still served for cached entries.
-	if got := tbl.get([]byte("id-0")); got != "id-0" {
-		t.Fatalf("cached hit = %q", got)
+	// A lone source needs no map: it is built when the second one arrives.
+	one := newInternTable(4)
+	for i := 0; i < 3; i++ {
+		if s, h := one.src([]byte("only")); s != "only" || h != 1 || one.ids != nil {
+			t.Fatalf("lone source: %q handle %d map %v", s, h, one.ids)
+		}
+	}
+	if _, h := one.src([]byte("second")); h != 2 || len(one.ids) != 2 {
+		t.Fatalf("second source: handle %d, map %v", h, one.ids)
+	}
+	if _, h := one.src([]byte("only")); h != 1 {
+		t.Fatalf("first source after the map was built: handle %d", h)
+	}
+	// Hits still served for cached entries, with their handle.
+	if got, h := tbl.src([]byte("id-0")); got != "id-0" || h != 1 {
+		t.Fatalf("cached hit = %q, handle %d", got, h)
+	}
+}
+
+// TestFrameReaderHandles pins what a handle is: dense, 1-based, issued in
+// first-seen order, stable for the life of the reader, shared by every
+// message type that carries the source, and private to the reader.
+func TestFrameReaderHandles(t *testing.T) {
+	ids := []string{"ue-a", "ue-b", "ue-c"}
+	batch := &Batch{Relay: "r"}
+	ack := &Ack{}
+	for i, id := range ids {
+		batch.HBs = append(batch.HBs, Heartbeat{Src: id, Seq: uint64(i), App: "std", Origin: time.UnixMilli(1).UTC()})
+		ack.Refs = append(ack.Refs, Ref{Src: id, Seq: uint64(i)})
+	}
+	single := &Heartbeat{Src: "ue-b", Seq: 9, App: "ue-a", Origin: time.UnixMilli(1).UTC()}
+	var buf []byte
+	for _, m := range []Message{batch, ack, single, batch} {
+		var err error
+		if buf, err = AppendFrame(buf, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(bytes.NewReader(buf))
+	next := func() Message {
+		t.Helper()
+		msg, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+	// Relay and App strings are interned too but take no handle.
+	for i, hb := range next().(*Batch).HBs {
+		if hb.Handle != Handle(i+1) {
+			t.Fatalf("first batch hb %d handle = %d, want %d", i, hb.Handle, i+1)
+		}
+	}
+	for i, ref := range next().(*Ack).Refs {
+		if ref.Handle != Handle(i+1) || ref.Src != ids[i] {
+			t.Fatalf("ack ref %d = %+v, want handle %d", i, ref, i+1)
+		}
+	}
+	// An App that spells a source's ID does not disturb the source stream.
+	if hb := next().(*Heartbeat); hb.Handle != 2 || hb.App != "ue-a" {
+		t.Fatalf("single heartbeat = %+v, want handle 2", hb)
+	}
+	for i, hb := range next().(*Batch).HBs {
+		if hb.Handle != Handle(i+1) {
+			t.Fatalf("second batch hb %d handle = %d, want %d", i, hb.Handle, i+1)
+		}
+	}
+	// A second reader numbers independently: a handle is meaningless
+	// outside the reader that issued it.
+	other, err := AppendFrame(nil, &Ack{Refs: []Ref{{Src: "ue-c", Seq: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := NewFrameReader(bytes.NewReader(other)).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := msg.(*Ack).Refs[0].Handle; h != 1 {
+		t.Fatalf("fresh reader issued handle %d for its first source, want 1", h)
+	}
+	// ReadFrame has no table: handle 0.
+	plain, err := ReadFrame(bytes.NewReader(other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := plain.(*Ack).Refs[0].Handle; h != 0 {
+		t.Fatalf("ReadFrame issued handle %d", h)
+	}
+}
+
+// TestFrameReaderPastInternCap drives a reader past a small cap: sources
+// beyond it decode correctly with handle 0, and the ones that fit keep
+// their handles whether the guess or the map resolves them.
+func TestFrameReaderPastInternCap(t *testing.T) {
+	const population, rounds = 12, 3
+	var buf []byte
+	for r := 0; r < rounds; r++ {
+		ack := &Ack{}
+		for i := 0; i < population; i++ {
+			ack.Refs = append(ack.Refs, Ref{Src: fmt.Sprintf("ue-%02d", i), Seq: uint64(r)})
+		}
+		var err error
+		if buf, err = AppendFrame(buf, ack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(bytes.NewReader(buf))
+	fr.intern.max = 5
+	for r := 0; r < rounds; r++ {
+		msg, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ref := range msg.(*Ack).Refs {
+			want := Handle(0)
+			if i < 5 {
+				want = Handle(i + 1)
+			}
+			if ref.Src != fmt.Sprintf("ue-%02d", i) || ref.Seq != uint64(r) || ref.Handle != want {
+				t.Fatalf("round %d ref %d = %+v, want handle %d", r, i, ref, want)
+			}
+		}
+	}
+}
+
+// TestSuccessorGuess pins the guess's two promises: on periodic traffic it
+// resolves every source after the first period, and on traffic with no
+// order it is only a wasted compare — every source still decodes to the
+// right string and the handle it was first given.
+func TestSuccessorGuess(t *testing.T) {
+	const population, rounds = 64, 8
+	ids := make([]string, population)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("ue-%03d", i)
+	}
+	decode := func(order func(round int) []int) (IDStats, map[string]Handle) {
+		var buf []byte
+		var sent []string
+		for r := 0; r < rounds; r++ {
+			b := &Batch{Relay: "r"}
+			for _, i := range order(r) {
+				b.HBs = append(b.HBs, Heartbeat{Src: ids[i], Seq: uint64(r), App: "std", Origin: time.UnixMilli(1).UTC()})
+				sent = append(sent, ids[i])
+			}
+			var err error
+			if buf, err = AppendFrame(buf, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fr := NewFrameReader(bytes.NewReader(buf))
+		handles := make(map[string]Handle)
+		for r, k := 0, 0; r < rounds; r++ {
+			msg, err := fr.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, hb := range msg.(*Batch).HBs {
+				if hb.Src != sent[k] {
+					t.Fatalf("heartbeat %d decoded as %q, sent %q", k, hb.Src, sent[k])
+				}
+				if h, seen := handles[hb.Src]; seen && h != hb.Handle {
+					t.Fatalf("%q changed handle %d -> %d", hb.Src, h, hb.Handle)
+				}
+				handles[hb.Src] = hb.Handle
+				k++
+			}
+		}
+		return fr.IDStats(), handles
+	}
+
+	inOrder := make([]int, population)
+	for i := range inOrder {
+		inOrder[i] = i
+	}
+	st, _ := decode(func(int) []int { return inOrder })
+	// The first period is cold; the wrap-around from the last source back
+	// to the first is learnt at the start of the second.
+	if want := uint64(population*(rounds-1) - 1); st.GuessHits != want || st.GuessMisses != population+1 {
+		t.Fatalf("periodic traffic: %+v, want %d hits, %d misses", st, want, population+1)
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	st, handles := decode(func(int) []int { return rng.Perm(population) })
+	if st.GuessHits+st.GuessMisses != population*rounds {
+		t.Fatalf("shuffled traffic: %+v does not add up to %d sources", st, population*rounds)
+	}
+	if len(handles) != population {
+		t.Fatalf("shuffled traffic: %d distinct sources decoded, want %d", len(handles), population)
 	}
 }
 

@@ -156,7 +156,8 @@ func (m *Register) decode(b *buffer) (err error) {
 
 // Heartbeat is one keep-alive on the wire. Pad declares the app's nominal
 // heartbeat size so relays and servers can account wire bytes without
-// shipping actual padding.
+// shipping actual padding. Handle is not on the wire: the FrameReader that
+// decoded the message sets it to its handle for Src (see Handle).
 type Heartbeat struct {
 	Src    string
 	Seq    uint64
@@ -164,6 +165,7 @@ type Heartbeat struct {
 	Origin time.Time
 	Expiry time.Duration
 	Pad    int
+	Handle Handle
 }
 
 // Type implements Message.
@@ -183,7 +185,7 @@ func (m *Heartbeat) encode(b *buffer) {
 }
 
 func (m *Heartbeat) decode(b *buffer) (err error) {
-	if m.Src, err = b.rstr(); err != nil {
+	if m.Src, m.Handle, err = b.rsrc(); err != nil {
 		return err
 	}
 	if m.Seq, err = b.ru64(); err != nil {
@@ -255,9 +257,12 @@ func (m *Batch) decode(b *buffer) (err error) {
 }
 
 // Ref identifies one heartbeat in an acknowledgement or feedback message.
+// Like Heartbeat.Handle, Handle is set on decode and never encoded, so a
+// Ref is not a map key: two refs to one heartbeat may differ in it.
 type Ref struct {
-	Src string
-	Seq uint64
+	Src    string
+	Seq    uint64
+	Handle Handle
 }
 
 // Ack confirms heartbeats accepted by the server.
@@ -305,7 +310,7 @@ func decodeRefs(b *buffer, out *[]Ref) error {
 		refs = make([]Ref, n)
 	}
 	for i := range refs {
-		if refs[i].Src, err = b.rstr(); err != nil {
+		if refs[i].Src, refs[i].Handle, err = b.rsrc(); err != nil {
 			return err
 		}
 		if refs[i].Seq, err = b.ru64(); err != nil {
@@ -430,18 +435,40 @@ func (b *buffer) rdur() (time.Duration, error) {
 	return time.Duration(v), err
 }
 
-func (b *buffer) rstr() (string, error) {
+// rbytes consumes one length-prefixed string's bytes.
+func (b *buffer) rbytes() ([]byte, error) {
 	n, err := b.ru64()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > math.MaxInt32 || b.pos+int(n) > len(b.data) {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
 	raw := b.data[b.pos : b.pos+int(n)]
 	b.pos += int(n)
+	return raw, nil
+}
+
+func (b *buffer) rstr() (string, error) {
+	raw, err := b.rbytes()
+	if err != nil {
+		return "", err
+	}
 	if b.intern != nil {
 		return b.intern.get(raw), nil
 	}
 	return string(raw), nil
+}
+
+// rsrc reads a source ID: like rstr, plus the intern table's handle for it.
+func (b *buffer) rsrc() (string, Handle, error) {
+	raw, err := b.rbytes()
+	if err != nil {
+		return "", 0, err
+	}
+	if b.intern != nil {
+		s, h := b.intern.src(raw)
+		return s, h, nil
+	}
+	return string(raw), 0, nil
 }

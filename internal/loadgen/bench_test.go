@@ -1,10 +1,15 @@
 package loadgen
 
 import (
+	"bytes"
+	"net"
+	"runtime"
 	"testing"
 	"time"
 
 	"d2dhb/internal/hbmsg"
+	"d2dhb/internal/hbproto"
+	"d2dhb/internal/relaynet"
 )
 
 // The capacity benchmarks are smoke-sized macro-benchmarks: each iteration
@@ -53,4 +58,137 @@ func BenchmarkCapacityRelayed(b *testing.B) {
 		Duration:   600 * time.Millisecond,
 		AckTimeout: 3 * time.Second,
 	})
+}
+
+// reportPerHB reports the timed section's cost per heartbeat — time and the
+// process's heap allocations. (ns/op and b.ReportAllocs count per b.N
+// iteration, and an iteration here is a whole period.)
+func reportPerHB(b *testing.B, hbs int) func() {
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	return func() {
+		var after runtime.MemStats
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(hbs), "allocs/hb")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hbs), "ns/hb")
+		b.ReportMetric(0, "ns/op")
+	}
+}
+
+// BenchmarkServerBatch200k is the server half of the trunked path on its
+// own: one connection offers 200k clients in 4096-heartbeat batches, the
+// same IDs in the same order every period, and waits for every ack. An
+// iteration is one period; the cold first period is spent before the
+// timer starts. 200k sources on one connection is past the decoder's
+// intern cap, so the tail of every period runs the handle-0 fallback.
+func BenchmarkServerBatch200k(b *testing.B) {
+	const clients, perBatch = 200_000, 4096
+	srv := relaynet.NewServer()
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Shutdown()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+
+	// A period is encoded once: the heartbeats carry an hour's expiry and
+	// the server does not look at Seq beyond keeping its high-water mark.
+	var period []byte
+	ids := fleetIDs(0, clients, 7)
+	batch := &hbproto.Batch{Relay: "bench-trunk"}
+	for start := 0; start < clients; start += perBatch {
+		batch.HBs = batch.HBs[:0]
+		for _, id := range ids[start:min(start+perBatch, clients)] {
+			batch.HBs = append(batch.HBs, hbproto.Heartbeat{
+				Src: id, Seq: 1, App: "bench", Origin: time.Now(), Expiry: time.Hour, Pad: 54,
+			})
+		}
+		if period, err = hbproto.AppendFrame(period, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	acks := hbproto.NewFrameReader(conn)
+	offer := func() {
+		// Writer and reader run side by side, as a trunk's do: the server
+		// stops reading batches once its ack writes back up.
+		wrote := make(chan error, 1)
+		go func() {
+			_, err := conn.Write(period)
+			wrote <- err
+		}()
+		for acked := 0; acked < clients; {
+			msg, err := acks.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			acked += len(msg.(*hbproto.Ack).Refs)
+		}
+		if err := <-wrote; err != nil {
+			b.Fatal(err)
+		}
+	}
+	offer()
+	b.ResetTimer()
+	report := reportPerHB(b, b.N*clients)
+	for i := 0; i < b.N; i++ {
+		offer()
+	}
+	report()
+}
+
+// BenchmarkTrunkAckPath is the trunk's half: one shard connection's worth
+// of users (live_trunked puts ~33k on each) acknowledged in send order,
+// from the ack frames' bytes through the FrameReader to the settled pending
+// entries. An iteration is one period's acks; tracking the period's sends
+// happens off the clock.
+func BenchmarkTrunkAckPath(b *testing.B) {
+	const users, perAck = 33_000, 4096
+	tr := newTestTrunk("unused", users, nil)
+	var period []byte
+	ack := &hbproto.Ack{}
+	for start := 0; start < users; start += perAck {
+		ack.Refs = ack.Refs[:0]
+		for i := start; i < min(start+perAck, users); i++ {
+			ack.Refs = append(ack.Refs, hbproto.Ref{Src: tr.users[i].id, Seq: 1})
+		}
+		var err error
+		if period, err = hbproto.AppendFrame(period, ack); err != nil {
+			b.Fatal(err)
+		}
+	}
+	wire := bytes.NewReader(nil)
+	fr := hbproto.NewFrameReader(wire)
+	cache := new(ackCache)
+	now := time.Now()
+	settle := func() {
+		// Every period acks seq 1 again: what is measured is the lookup
+		// and the settle, not the sequence bookkeeping.
+		for i := range tr.users {
+			tr.pending.Track(hbref{i, 1}, now)
+		}
+		wire.Reset(period)
+		b.StartTimer()
+		for wire.Len() > 0 {
+			msg, err := fr.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr.onRefs(cache, 1, msg.(*hbproto.Ack).Refs, now)
+		}
+		b.StopTimer()
+		if n := tr.pending.Len(); n != 0 {
+			b.Fatalf("%d acks did not settle", n)
+		}
+	}
+	b.StopTimer()
+	settle()
+	b.ResetTimer()
+	report := reportPerHB(b, b.N*users)
+	for i := 0; i < b.N; i++ {
+		settle()
+	}
+	report()
 }

@@ -131,7 +131,10 @@ func TestClusterFleetRun(t *testing.T) {
 				Duration:    time.Second,
 				AckTimeout:  400 * time.Millisecond,
 				ClusterAddr: routerURL,
+				ReportEvery: 250 * time.Millisecond,
 			}
+			var interim []Report
+			cfg.OnReport = func(rep Report) { interim = append(interim, rep) }
 			if tc.faults != nil {
 				cfg.Faults = faultnet.NewSchedule(1, tc.faults)
 			}
@@ -152,6 +155,17 @@ func TestClusterFleetRun(t *testing.T) {
 			}
 			if len(rep.ShardMetrics) != 3 {
 				t.Errorf("scraped %d shard metric dumps, want 3", len(rep.ShardMetrics))
+			}
+			// Interim reports carry the routing view but never wait on a
+			// scrape.
+			if len(interim) == 0 {
+				t.Error("no interim report")
+			}
+			for _, ir := range interim {
+				if ir.ClusterEpoch != 1 || ir.ShardMetrics != nil {
+					t.Errorf("interim report at %.2fs: epoch %d, %d shard dumps; want epoch 1 and none",
+						ir.ElapsedSec, ir.ClusterEpoch, len(ir.ShardMetrics))
+				}
 			}
 			served := 0
 			for _, sh := range shards {

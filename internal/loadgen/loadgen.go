@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -508,11 +509,11 @@ func (r *Runner) buildFleet() {
 	for i, ra := range r.relays {
 		relayAddrs[i] = ra.Addr()
 	}
-	for i := 0; i < r.cfg.UEs; i++ {
+	for i, id := range fleetIDs(0, r.cfg.UEs, 5) {
 		p := r.cfg.Profiles[i%len(r.cfg.Profiles)]
 		relayed := i < r.relayedUEs && len(r.relays) > 0
 		u := &vue{
-			id:      fmt.Sprintf("loadue-%05d", i),
+			id:      id,
 			app:     p.Name,
 			period:  r.scale(p.Period),
 			expiry:  r.scale(p.Expiry()),
@@ -599,9 +600,9 @@ func (r *Runner) buildTrunks() {
 		}
 		t.trec = r.cfg.Recorder
 		t.trecIdx = make([]int, count)
-		for i := 0; i < count; i++ {
-			id := fmt.Sprintf("loadue-%07d", next)
-			next++
+		ids := fleetIDs(next, count, 7)
+		next += count
+		for i, id := range ids {
 			t.users[i] = tuser{id: id}
 			t.index[id] = i
 			t.trecIdx[i] = r.cfg.Recorder.AddClient(rec.Client{
@@ -638,6 +639,32 @@ func (r *Runner) buildTrunks() {
 		}
 		r.cfg.Recorder.SetRelay(r.minPeriod, maxUsers)
 	}
+}
+
+// fleetIDs names count consecutive users from first on, "loadue-%0*d" with
+// the given zero-padded width: every ID is a substring of one buffer, so
+// naming a 200k-user fleet is one allocation and no fmt state machine.
+func fleetIDs(first, count, width int) []string {
+	const prefix = "loadue-"
+	buf := make([]byte, 0, count*(len(prefix)+width))
+	ends := make([]int, count)
+	for i := range ends {
+		buf = append(buf, prefix...)
+		digits := 1
+		for v := first + i; v >= 10; v /= 10 {
+			digits++
+		}
+		for ; digits < width; digits++ {
+			buf = append(buf, '0')
+		}
+		buf = strconv.AppendInt(buf, int64(first+i), 10)
+		ends[i] = len(buf)
+	}
+	all, ids, start := string(buf), make([]string, count), 0
+	for i, end := range ends {
+		ids[i], start = all[start:end], end
+	}
+	return ids
 }
 
 // arrivalWindow resolves the schedule window default: one mean period for
@@ -705,29 +732,54 @@ type vue struct {
 	last    uint64 // highest acknowledged seq
 }
 
+// sendGrain is the resolution of the per-UE send timers: every UE keeps its
+// own schedule (arrival offset + k·period), but a send fires at the last
+// instant of a process-wide sendGrain grid at or before the moment it is
+// due, so UEs due within one grain share a wake-up. Without it each of a
+// few thousand UEs wakes a near-idle process on its own, and what one
+// heartbeat costs is set less by the stack than by whether the kernel keeps
+// the runtime's threads on one CPU or spreads them (two modes, ~25 % apart,
+// for the life of a process). A period is never shorter than one grain.
+const sendGrain = minVirtualPeriod
+
+// gridEpoch anchors the grid; it carries a monotonic reading, so the grid
+// does not move with the wall clock.
+var gridEpoch = time.Now()
+
+// onGrid moves an instant back onto the send grid.
+func onGrid(t time.Time) time.Time {
+	return gridEpoch.Add(t.Sub(gridEpoch).Truncate(sendGrain))
+}
+
 // run is the send loop: activate after the arrival offset, then heartbeat
 // every period until the run stops. The slots' readers outlive the send
 // loop so the drain phase can still collect acks.
 func (u *vue) run(done <-chan struct{}, offset time.Duration, sendWg *sync.WaitGroup) {
 	defer sendWg.Done()
-	if offset > 0 {
-		select {
-		case <-done:
-			return
-		case <-time.After(offset):
-		}
-	}
-	t := time.NewTicker(u.period)
+	due := time.Now().Add(offset)
+	t := time.NewTimer(time.Until(onGrid(due)))
 	defer t.Stop()
-	u.tick()
 	for {
 		select {
 		case <-done:
 			return
 		case <-t.C:
-			u.tick()
 		}
+		u.tick()
+		due = nextDue(due, u.period, time.Now())
+		t.Reset(time.Until(onGrid(due)))
 	}
+}
+
+// nextDue returns the point of the schedule due, due+period, … that follows
+// the tick for due and is still ahead at now: a tick held up past later
+// ones drops them, as a time.Ticker would.
+func nextDue(due time.Time, period time.Duration, now time.Time) time.Time {
+	due = due.Add(period)
+	if late := now.Sub(due); late >= 0 {
+		due = due.Add((late/period + 1) * period)
+	}
+	return due
 }
 
 // tick is one heartbeat interval: expire stale pendings, (re)dial if
@@ -768,7 +820,7 @@ func (u *vue) heartbeat(seq uint64, now time.Time) *hbproto.Heartbeat {
 
 // onRefs matches ack/feedback refs from either slot against pending sends
 // and records latency.
-func (u *vue) onRefs(refs []hbproto.Ref, at time.Time) {
+func (u *vue) onRefs(_ int, refs []hbproto.Ref, at time.Time) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	for _, ref := range refs {

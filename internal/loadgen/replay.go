@@ -400,7 +400,7 @@ func (r *liveReplay) noteUplink(batch bool) {
 
 // onRefs settles acknowledged heartbeats. The interned Src strings
 // promoted into replayKeys are stable, so the reader's reuse is safe.
-func (r *liveReplay) onRefs(refs []hbproto.Ref, at time.Time) {
+func (r *liveReplay) onRefs(_ int, refs []hbproto.Ref, at time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, ref := range refs {

@@ -99,8 +99,8 @@ type Report struct {
 	// Relay aggregates the in-process relay agents; nil without relays.
 	Relay *RelayStats `json:"relay,omitempty"`
 	// ServerMetrics is the target server's telemetry dump, scraped from its
-	// /metrics.json endpoint when Config.MetricsAddr is set; nil otherwise
-	// or when the scrape failed.
+	// /metrics.json endpoint for the final report when Config.MetricsAddr
+	// is set; nil otherwise or when the scrape failed.
 	ServerMetrics *telemetry.Dump `json:"serverMetrics,omitempty"`
 	// ClusterEpoch is the ring epoch the fleet last observed (cluster mode).
 	ClusterEpoch uint64 `json:"clusterEpoch,omitempty"`
@@ -108,8 +108,8 @@ type Report struct {
 	// (cluster mode); trunked runs fill it from their per-batch routing.
 	ShardSent map[string]uint64 `json:"shardSent,omitempty"`
 	// ShardMetrics holds each shard's telemetry dump, scraped through the
-	// cluster config's HTTP endpoints (cluster mode); shards whose scrape
-	// failed are absent.
+	// cluster config's HTTP endpoints for the final report (cluster mode);
+	// shards whose scrape failed are absent.
 	ShardMetrics map[string]*telemetry.Dump `json:"shardMetrics,omitempty"`
 }
 
@@ -170,7 +170,11 @@ func (r *Runner) snapshot(elapsed time.Duration, final bool) Report {
 		}
 		rep.Relay = &agg
 	}
-	if r.cfg.MetricsAddr != "" {
+	// Telemetry dumps ride on the final report only: no interim consumer
+	// reads them, and an HTTP round trip per shard on the reporter's tick
+	// holds the report back by however long the scrape takes to be
+	// scheduled (milliseconds when it meets a collection at fleet start).
+	if final && r.cfg.MetricsAddr != "" {
 		if d, err := ScrapeDump(r.cfg.MetricsAddr, 2*time.Second); err == nil {
 			rep.ServerMetrics = d
 		}
@@ -179,13 +183,15 @@ func (r *Runner) snapshot(elapsed time.Duration, final bool) Report {
 		view := r.cluster.View()
 		rep.ClusterEpoch = view.Config.Epoch
 		rep.ShardSent = r.shardSent.snapshot()
-		rep.ShardMetrics = make(map[string]*telemetry.Dump, len(view.Config.Nodes))
-		for _, n := range view.Config.Nodes {
-			if n.HTTP == "" {
-				continue
-			}
-			if d, err := ScrapeDumpURL(n.HTTP, time.Second); err == nil {
-				rep.ShardMetrics[n.ID] = d
+		if final {
+			rep.ShardMetrics = make(map[string]*telemetry.Dump, len(view.Config.Nodes))
+			for _, n := range view.Config.Nodes {
+				if n.HTTP == "" {
+					continue
+				}
+				if d, err := ScrapeDumpURL(n.HTTP, time.Second); err == nil {
+					rep.ShardMetrics[n.ID] = d
+				}
 			}
 		}
 	}
@@ -285,9 +291,10 @@ func (rep Report) String() string {
 	b.WriteByte('\n')
 	b.WriteString(rep.LatencyTable().String())
 	if rep.Server != nil {
-		fmt.Fprintf(&b, "\nserver: conns=%d direct=%d relayed=%d batches=%d late=%d protoErrs=%d idleDrops=%d\n",
+		fmt.Fprintf(&b, "\nserver: conns=%d direct=%d relayed=%d batches=%d late=%d protoErrs=%d idleDrops=%d idCache=%d/%d idGuess=%d/%d (hits/misses)\n",
 			rep.Server.Connections, rep.Server.HeartbeatsDirect, rep.Server.HeartbeatsRelayed,
-			rep.Server.Batches, rep.Server.Late, rep.Server.ProtocolErrors, rep.Server.IdleDrops)
+			rep.Server.Batches, rep.Server.Late, rep.Server.ProtocolErrors, rep.Server.IdleDrops,
+			rep.Server.IDCacheHits, rep.Server.IDCacheMisses, rep.Server.IDGuessHits, rep.Server.IDGuessMisses)
 	}
 	if rep.Relay != nil {
 		fmt.Fprintf(&b, "relays: collected=%d forwarded=%d flushes=%d rejected=%d\n",

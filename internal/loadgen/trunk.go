@@ -30,6 +30,18 @@ type hbref struct {
 	seq uint64
 }
 
+// ackCache is one shard slot's handle → user table: the connection's
+// FrameReader numbers the sources it decodes, and acks come back in the
+// order the heartbeats went out, so after a source's first ack the trunk
+// finds its user by indexing with the ref's handle instead of hashing the
+// ID into index. Handles belong to one connection's reader, so the table
+// belongs to one dial: a newer dial empties it, and refs still draining
+// from an older connection are looked up by ID. Guarded by trunk.mu.
+type ackCache struct {
+	dial int
+	user []int32 // handle → user index + 1; 0 = not cached
+}
+
 // compareRefs orders refs by (user index, seq): the pending table's
 // canonical walk order for anything that records trace events per ref.
 func compareRefs(a, b hbref) int {
@@ -336,8 +348,9 @@ func (t *trunk) slot(shard string) *session.Slot {
 			ID: t.id, Role: hbproto.RoleRelay, App: t.app,
 			Period: t.period, Expiry: t.expiry,
 		},
-		OnRefs: t.onRefs,
 	}
+	cache := new(ackCache)
+	s.OnRefs = func(dial int, refs []hbproto.Ref, at time.Time) { t.onRefs(cache, dial, refs, at) }
 	if t.cluster != nil {
 		s.Resolve = shardAddr(t.cluster, shard)
 	} else {
@@ -356,13 +369,33 @@ func shardAddr(c *cluster.Client, shard string) func() string {
 	}
 }
 
+// userOf resolves an acked source to its user index (t.mu held).
+func (t *trunk) userOf(cache *ackCache, live bool, ref hbproto.Ref) (int, bool) {
+	h := int(ref.Handle)
+	if live && h < len(cache.user) && cache.user[h] != 0 {
+		return int(cache.user[h]) - 1, true
+	}
+	i, ok := t.index[ref.Src]
+	if ok && live && h != 0 {
+		for h >= len(cache.user) {
+			cache.user = append(cache.user, 0)
+		}
+		cache.user[h] = int32(i) + 1
+	}
+	return i, ok
+}
+
 // onRefs matches batch-ack refs against pending heartbeats and records
 // latency; stale refs for superseded or already-settled sends are ignored.
-func (t *trunk) onRefs(refs []hbproto.Ref, at time.Time) {
+func (t *trunk) onRefs(cache *ackCache, dial int, refs []hbproto.Ref, at time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if dial > cache.dial {
+		cache.dial, cache.user = dial, cache.user[:0]
+	}
+	live := dial == cache.dial
 	for _, ref := range refs {
-		i, ok := t.index[ref.Src]
+		i, ok := t.userOf(cache, live, ref)
 		if !ok {
 			continue
 		}

@@ -1,0 +1,286 @@
+package loadgen
+
+import (
+	"fmt"
+	"net"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"d2dhb/internal/faultnet"
+	"d2dhb/internal/hbmsg"
+	"d2dhb/internal/hbproto"
+	"d2dhb/internal/session"
+)
+
+// newTestTrunk builds a single-server trunk of n users by hand, the way
+// buildTrunks does, so a test can drive its rounds one at a time.
+func newTestTrunk(addr string, n int, dial func(network, addr string) (net.Conn, error)) *trunk {
+	t := &trunk{
+		id: "loadtrunk-test", app: "fast", addr: addr,
+		period: time.Second, expiry: time.Minute, pad: 54, timeout: time.Second,
+		c: new(fleetCounters), dial: dial,
+		users: make([]tuser, n), index: make(map[string]int, n),
+		// Fallback keeps heartbeats whose write failed pending for the
+		// sweep, as cluster mode does.
+		pending: session.Pending[hbref]{Cmp: compareRefs, Fallback: true},
+		slots:   make(map[string]*session.Slot),
+	}
+	for i, id := range fleetIDs(0, n, 7) {
+		t.users[i] = tuser{id: id}
+		t.index[id] = i
+	}
+	return t
+}
+
+// ackServer is a stand-in presence server that acknowledges every batch on
+// its own connection, in the order order(conn, refs) puts the refs — conn
+// counts accepted connections from 1.
+func ackServer(t *testing.T, order func(conn int, refs []hbproto.Ref)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() {
+		_ = ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			_ = c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := 1; ; n++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				fr := hbproto.NewFrameReader(conn)
+				for {
+					msg, err := fr.Next()
+					if err != nil {
+						return
+					}
+					b, ok := msg.(*hbproto.Batch)
+					if !ok {
+						continue
+					}
+					ack := &hbproto.Ack{}
+					for _, hb := range b.HBs {
+						ack.Refs = append(ack.Refs, hbproto.Ref{Src: hb.Src, Seq: hb.Seq})
+					}
+					order(n, ack.Refs)
+					if err := hbproto.WriteFrame(conn, ack); err != nil {
+						return
+					}
+				}
+			}(n)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// armedConn writes through its fault-injecting twin once armed.
+type armedConn struct {
+	net.Conn
+	faulty net.Conn
+	armed  *atomic.Bool
+}
+
+func (c *armedConn) Write(b []byte) (int, error) {
+	if c.armed.Load() {
+		return c.faulty.Write(b)
+	}
+	return c.Conn.Write(b)
+}
+
+func waitSettled(t *testing.T, tr *trunk, what string) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for tr.pendingCount() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d heartbeats never settled", what, tr.pendingCount())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTrunkRedialSettlesEveryAck kills a trunk's connection with an
+// injected reset and lets it redial a server that acknowledges the second
+// connection's batches in reverse: the new connection's decoder numbers the
+// sources the other way round, so a handle → user table carried over from
+// the first connection would settle every ack against the wrong user.
+// Users send distinct sequence numbers so a wrong user cannot settle by
+// coincidence.
+func TestTrunkRedialSettlesEveryAck(t *testing.T) {
+	const users = 9
+	addr := ackServer(t, func(conn int, refs []hbproto.Ref) {
+		if conn > 1 {
+			slices.Reverse(refs)
+		}
+	})
+	// Every write through faults is reset; the first connection starts
+	// writing through it once the test arms it, the redial never does.
+	faults := faultnet.NewSchedule(1, []faultnet.Window{{
+		Fault: faultnet.Fault{Kind: faultnet.KindReset, Prob: 1},
+	}})
+	var dials atomic.Int32
+	var armed atomic.Bool
+	tr := newTestTrunk(addr, users, func(network, addr string) (net.Conn, error) {
+		conn, err := net.Dial(network, addr)
+		if err == nil && dials.Add(1) == 1 {
+			conn = &armedConn{Conn: conn, faulty: faults.WrapConn(conn), armed: &armed}
+		}
+		return conn, err
+	})
+	t.Cleanup(tr.close)
+	for i := range tr.users {
+		tr.users[i].seq = uint64(i) * 100
+	}
+
+	tr.tick()
+	waitSettled(t, tr, "first connection") // the handle table is now warm
+	armed.Store(true)
+	tr.tick() // the write dies with the connection; the round stays pending
+	if got := tr.c.writeErrors.Load(); got != 1 {
+		t.Fatalf("write errors = %d, want the one injected reset", got)
+	}
+	if got := tr.pendingCount(); got != users {
+		t.Fatalf("%d heartbeats pending after the reset, want %d", got, users)
+	}
+	tr.sweep(time.Now().Add(2 * tr.timeout)) // fallback re-send over a fresh dial
+	waitSettled(t, tr, "redialed connection, resend")
+	tr.tick()
+	waitSettled(t, tr, "redialed connection, next round")
+
+	if got := dials.Load(); got != 2 {
+		t.Fatalf("dials = %d, want 2", got)
+	}
+	if got, want := tr.c.ackedRelayed.Load(), uint64(3*users); got != want {
+		t.Errorf("acked %d heartbeats, want %d", got, want)
+	}
+	if got := tr.c.outOfOrderAcks.Load(); got != 0 {
+		t.Errorf("%d acks settled out of order", got)
+	}
+	if got := tr.c.timeoutRelayed.Load(); got != 0 {
+		t.Errorf("%d heartbeats timed out", got)
+	}
+	for i, u := range tr.users {
+		if u.last != u.seq || u.seq != uint64(i)*100+3 {
+			t.Errorf("user %d: last ack %d, last sent %d, want both %d", i, u.last, u.seq, i*100+3)
+		}
+	}
+}
+
+// TestTrunkAckCacheScopedToDial feeds onRefs by hand: refs with a handle
+// are cached per dial, a later dial starts from an empty table, frames
+// still draining from the older connection are resolved by ID without
+// touching it, and handle 0 never caches.
+func TestTrunkAckCacheScopedToDial(t *testing.T) {
+	tr := newTestTrunk("unused", 3, nil)
+	cache := new(ackCache)
+	now := time.Now()
+	seq := uint64(0)
+	ack := func(dial int, refs ...hbproto.Ref) {
+		t.Helper()
+		seq++
+		for i := range refs {
+			refs[i].Seq = seq
+			tr.pending.Track(hbref{tr.index[refs[i].Src], seq}, now)
+		}
+		tr.onRefs(cache, dial, refs, now)
+		if n := tr.pending.Len(); n != 0 {
+			t.Fatalf("dial %d seq %d: %d refs settled against the wrong user", dial, seq, n)
+		}
+	}
+	id := func(i int) string { return tr.users[i].id }
+
+	ack(1, hbproto.Ref{Src: id(0), Handle: 1}, hbproto.Ref{Src: id(1), Handle: 2}, hbproto.Ref{Src: id(2)})
+	if want := []int32{0, 1, 2}; !slices.Equal(cache.user, want) {
+		t.Fatalf("cache after dial 1 = %v, want %v (handle 0 uncached)", cache.user, want)
+	}
+	// By handle alone: the ID on a cached handle is not consulted again.
+	ack(1, hbproto.Ref{Src: id(0), Handle: 1}, hbproto.Ref{Src: id(1), Handle: 2})
+	// Dial 2 numbers the same sources differently.
+	ack(2, hbproto.Ref{Src: id(2), Handle: 1}, hbproto.Ref{Src: id(0), Handle: 2})
+	if want := []int32{0, 3, 1}; cache.dial != 2 || !slices.Equal(cache.user, want) {
+		t.Fatalf("cache after dial 2 = dial %d %v, want dial 2 %v", cache.dial, cache.user, want)
+	}
+	// A straggler from dial 1 keeps its own numbering and leaves dial 2's
+	// table alone.
+	ack(1, hbproto.Ref{Src: id(0), Handle: 1}, hbproto.Ref{Src: id(1), Handle: 2})
+	ack(2, hbproto.Ref{Src: id(2), Handle: 1}, hbproto.Ref{Src: id(0), Handle: 2}, hbproto.Ref{Src: id(1), Handle: 3})
+	if got, want := tr.c.ackedRelayed.Load(), uint64(12); got != want {
+		t.Fatalf("acked %d refs, want %d", got, want)
+	}
+	// Unknown sources are skipped whatever their handle says.
+	tr.onRefs(cache, 2, []hbproto.Ref{{Src: "stranger", Seq: 1, Handle: 9}}, now)
+	if len(cache.user) != 4 {
+		t.Fatalf("an unknown source grew the cache to %v", cache.user)
+	}
+}
+
+func TestFleetIDs(t *testing.T) {
+	for _, width := range []int{5, 7} {
+		for _, first := range []int{0, 95, 99_995, 999_990, 9_999_995} {
+			for i, id := range fleetIDs(first, 12, width) {
+				if want := fmt.Sprintf("loadue-%0*d", width, first+i); id != want {
+					t.Fatalf("fleetIDs(%d, 12, %d)[%d] = %q, want %q", first, width, i, id, want)
+				}
+			}
+		}
+	}
+	if ids := fleetIDs(5, 0, 7); len(ids) != 0 {
+		t.Fatalf("zero users named %v", ids)
+	}
+}
+
+// TestTrunkedRunResolvesIDsByHandle is the outside view of the identity
+// path: a steady trunked fleet sends the same users in the same order every
+// period, so by the end of a run of several dozen periods the server must
+// have reached nearly every heartbeat's record by handle and its decoders
+// must have resolved nearly every source by the successor guess.
+func TestTrunkedRunResolvesIDsByHandle(t *testing.T) {
+	r, err := New(Config{
+		UEs:      240,
+		Trunks:   2,
+		Profiles: []hbmsg.AppProfile{fastProfile(25 * time.Millisecond)},
+		Duration: 1500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Timeouts != 0 || rep.AckedRelayed == 0 || rep.Server == nil {
+		t.Fatalf("not a clean trunked run: %+v", rep)
+	}
+	st := rep.Server
+	share := func(hits, misses int) float64 { return float64(hits) / float64(hits+misses) }
+	if st.IDCacheHits+st.IDCacheMisses != st.HeartbeatsRelayed {
+		t.Errorf("id cache saw %d+%d heartbeats, server delivered %d", st.IDCacheHits, st.IDCacheMisses, st.HeartbeatsRelayed)
+	}
+	if got := share(st.IDCacheHits, st.IDCacheMisses); got < 0.95 {
+		t.Errorf("handle cache hit share = %.3f (%d/%d), want >= 0.95", got, st.IDCacheHits, st.IDCacheMisses)
+	}
+	if got := share(st.IDGuessHits, st.IDGuessMisses); got < 0.95 {
+		t.Errorf("successor guess hit share = %.3f (%d/%d), want >= 0.95", got, st.IDGuessHits, st.IDGuessMisses)
+	}
+}

@@ -13,46 +13,35 @@ import (
 	"d2dhb/internal/hbmsg"
 )
 
-// state is one client's timer state.
-type state struct {
+// Timer is one client's expiration-timer state. The zero value is a client
+// never heard from. A Tracker keeps one per client ID; an owner that has
+// its own per-client record (the live server) embeds one in it instead, so
+// a delivery it has already resolved to a record needs no second lookup.
+// A Timer is not synchronized.
+type Timer struct {
 	firstSeen time.Duration // first delivery (tracking anchor)
 	lastEvent time.Duration // last delivery processed
 	deadline  time.Duration // current expiration instant
 	online    time.Duration // accumulated online time
-	flaps     int           // offline→online transitions after the first
-}
-
-// Tracker integrates online time per client from delivered heartbeats.
-// Deliveries must be fed in non-decreasing time order (the simulation's
-// delivery stream already is).
-type Tracker struct {
-	clients map[hbmsg.DeviceID]*state
-}
-
-// NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{clients: make(map[hbmsg.DeviceID]*state)}
+	flaps     int32         // offline→online transitions after the first
+	seen      bool
 }
 
 // Deliver processes one heartbeat arriving at the server at instant at.
-// The sender's expiration timer is reset to at + expiry (reception-based
-// reset, as IM servers do); if the previous timer had already lapsed, the
-// gap counts as offline time and a presence flap.
-func (t *Tracker) Deliver(hb hbmsg.Heartbeat, at time.Duration) error {
+// The timer is reset to at + expiry (reception-based reset, as IM servers
+// do); if the previous timer had already lapsed, the gap counts as offline
+// time and a presence flap. Deliveries must come in non-decreasing time
+// order.
+func (s *Timer) Deliver(at, expiry time.Duration) error {
 	if at < 0 {
 		return fmt.Errorf("presence: negative delivery time %v", at)
 	}
-	s, ok := t.clients[hb.Src]
-	if !ok {
-		t.clients[hb.Src] = &state{
-			firstSeen: at,
-			lastEvent: at,
-			deadline:  at + hb.Expiry,
-		}
+	if !s.seen {
+		*s = Timer{firstSeen: at, lastEvent: at, deadline: at + expiry, seen: true}
 		return nil
 	}
 	if at < s.lastEvent {
-		return fmt.Errorf("presence: delivery for %s at %v before last event %v", hb.Src, at, s.lastEvent)
+		return fmt.Errorf("presence: delivery at %v before last event %v", at, s.lastEvent)
 	}
 	if at <= s.deadline {
 		// Timer still running: the whole interval was online.
@@ -63,18 +52,17 @@ func (t *Tracker) Deliver(hb hbmsg.Heartbeat, at time.Duration) error {
 		s.flaps++
 	}
 	s.lastEvent = at
-	if d := at + hb.Expiry; d > s.deadline {
+	if d := at + expiry; d > s.deadline {
 		s.deadline = d
 	}
 	return nil
 }
 
-// Stats reports a client's integrated presence up to the horizon: total
-// online time since its first delivery, the number of offline flaps, and
-// whether the client was ever seen.
-func (t *Tracker) Stats(id hbmsg.DeviceID, horizon time.Duration) (online time.Duration, flaps int, seen bool) {
-	s, ok := t.clients[id]
-	if !ok {
+// Stats reports the integrated presence up to the horizon: total online
+// time since the first delivery, the number of offline flaps, and whether
+// the client was ever seen.
+func (s *Timer) Stats(horizon time.Duration) (online time.Duration, flaps int, seen bool) {
+	if !s.seen {
 		return 0, 0, false
 	}
 	online = s.online
@@ -87,26 +75,81 @@ func (t *Tracker) Stats(id hbmsg.DeviceID, horizon time.Duration) (online time.D
 			online += end - s.lastEvent
 		}
 	}
-	return online, s.flaps, true
+	return online, int(s.flaps), true
+}
+
+// Availability returns the fraction of time the client was online between
+// its first delivery and the horizon. A client that was never seen has zero
+// availability.
+func (s *Timer) Availability(horizon time.Duration) float64 {
+	if !s.seen || horizon <= s.firstSeen {
+		return 0
+	}
+	online, _, _ := s.Stats(horizon)
+	return float64(online) / float64(horizon-s.firstSeen)
+}
+
+// OnlineAt reports whether the timer is running at instant at (only
+// meaningful for instants not before the last processed delivery).
+func (s *Timer) OnlineAt(at time.Duration) bool {
+	return s.seen && at >= s.firstSeen && at <= s.deadline
+}
+
+// Tracker integrates online time per client from delivered heartbeats.
+// Deliveries must be fed in non-decreasing time order (the simulation's
+// delivery stream already is).
+type Tracker struct {
+	clients map[hbmsg.DeviceID]*Timer
+}
+
+// NewTracker returns an empty tracker.
+func NewTracker() *Tracker {
+	return &Tracker{clients: make(map[hbmsg.DeviceID]*Timer)}
+}
+
+// timer returns the client's timer, or a never-seen one to answer queries
+// about a client the tracker does not know.
+func (t *Tracker) timer(id hbmsg.DeviceID) *Timer {
+	if s, ok := t.clients[id]; ok {
+		return s
+	}
+	return new(Timer)
+}
+
+// Deliver processes one heartbeat arriving at the server at instant at
+// (see Timer.Deliver).
+func (t *Tracker) Deliver(hb hbmsg.Heartbeat, at time.Duration) error {
+	s, ok := t.clients[hb.Src]
+	if !ok {
+		s = new(Timer)
+	}
+	if err := s.Deliver(at, hb.Expiry); err != nil {
+		return fmt.Errorf("%w (client %s)", err, hb.Src)
+	}
+	if !ok {
+		t.clients[hb.Src] = s
+	}
+	return nil
+}
+
+// Stats reports a client's integrated presence up to the horizon: total
+// online time since its first delivery, the number of offline flaps, and
+// whether the client was ever seen.
+func (t *Tracker) Stats(id hbmsg.DeviceID, horizon time.Duration) (online time.Duration, flaps int, seen bool) {
+	return t.timer(id).Stats(horizon)
 }
 
 // Availability returns the fraction of time the client was online between
 // its first delivery and the horizon. A client that was never seen has zero
 // availability.
 func (t *Tracker) Availability(id hbmsg.DeviceID, horizon time.Duration) float64 {
-	s, ok := t.clients[id]
-	if !ok || horizon <= s.firstSeen {
-		return 0
-	}
-	online, _, _ := t.Stats(id, horizon)
-	return float64(online) / float64(horizon-s.firstSeen)
+	return t.timer(id).Availability(horizon)
 }
 
 // OnlineAt reports whether the client's timer is running at instant at
 // (only meaningful for instants not before the last processed delivery).
 func (t *Tracker) OnlineAt(id hbmsg.DeviceID, at time.Duration) bool {
-	s, ok := t.clients[id]
-	return ok && at >= s.firstSeen && at <= s.deadline
+	return t.timer(id).OnlineAt(at)
 }
 
 // Clients returns how many distinct clients have been seen.

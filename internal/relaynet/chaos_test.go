@@ -27,12 +27,6 @@ import (
 	"d2dhb/internal/trace"
 )
 
-// hbKey identifies one generated heartbeat across trace events.
-type hbKey struct {
-	dev string
-	seq uint64
-}
-
 // generatedSet returns every UE-generated heartbeat recorded so far.
 func generatedSet(rec *trace.Recorder) map[hbKey]bool {
 	out := make(map[hbKey]bool)

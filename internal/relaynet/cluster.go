@@ -47,13 +47,13 @@ func (s *Server) ExportPresence() []cluster.PresenceEntry {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for id, p := range sh.clients {
+		for id, c := range sh.clients {
 			out = append(out, cluster.PresenceEntry{
 				ID:               id,
-				App:              p.app,
-				LastSeenUnixNano: p.lastSeen.UnixNano(),
-				DeadlineUnixNano: p.deadline.UnixNano(),
-				MaxSeq:           p.maxSeq,
+				App:              c.app,
+				LastSeenUnixNano: c.lastSeen.UnixNano(),
+				DeadlineUnixNano: c.deadline.UnixNano(),
+				MaxSeq:           c.maxSeq,
 			})
 		}
 		sh.mu.Unlock()
@@ -70,45 +70,49 @@ func (s *Server) ImportPresence(entries []cluster.PresenceEntry) {
 		if e.ID == "" {
 			continue
 		}
-		sh := s.shard(e.ID)
-		sh.mu.Lock()
-		p, ok := sh.clients[e.ID]
-		if !ok {
-			p = &presence{app: e.App}
-			sh.clients[e.ID] = p
+		c := s.lockClient(e.ID)
+		if c.app == "" {
+			c.app = e.App
 		}
-		if ls := time.Unix(0, e.LastSeenUnixNano); ls.After(p.lastSeen) {
-			p.lastSeen = ls
+		if ls := time.Unix(0, e.LastSeenUnixNano); ls.After(c.lastSeen) {
+			c.lastSeen = ls
 		}
-		if dl := time.Unix(0, e.DeadlineUnixNano); dl.After(p.deadline) {
-			p.deadline = dl
+		if dl := time.Unix(0, e.DeadlineUnixNano); dl.After(c.deadline) {
+			c.deadline = dl
 		}
-		if e.MaxSeq > p.maxSeq {
-			p.maxSeq = e.MaxSeq
+		if e.MaxSeq > c.maxSeq {
+			c.maxSeq = e.MaxSeq
 		}
-		sh.mu.Unlock()
+		c.sh.mu.Unlock()
 	}
 }
 
 // ForgetPresence implements cluster.Store: drops clients whose keys were
 // handed to another shard, keeping this shard's occupancy gauges truthful.
+// Connections may still hold the dropped records by handle; gone sends
+// their next heartbeat back through the table, which starts a fresh one.
 func (s *Server) ForgetPresence(ids []string) {
 	for _, id := range ids {
 		sh := s.shard(id)
 		sh.mu.Lock()
-		delete(sh.clients, id)
+		if c, ok := sh.clients[id]; ok {
+			c.gone = true
+			delete(sh.clients, id)
+		}
 		sh.mu.Unlock()
 	}
 }
 
-// noteRouting counts a delivery that reached the wrong shard under the
-// current ring epoch.
-func (s *Server) noteRouting(src string) {
+// misroutedLocked reports whether a delivery for c reached the wrong shard
+// under the current ring epoch (c.sh.mu held). The ring is hashed once per
+// client per view: a view is immutable, so the verdict stands until the
+// cluster client swaps in the next one.
+func (s *Server) misroutedLocked(c *client, src string) bool {
 	if s.clusterClient == nil {
-		return
+		return false
 	}
-	if s.clusterClient.View().Ring().Owner(src) != s.selfID {
-		s.misrouted.Add(1)
-		s.ins.misrouted.Inc()
+	if view := s.clusterClient.View(); c.routed != view {
+		c.routed, c.misrouted = view, view.Ring().Owner(src) != s.selfID
 	}
+	return c.misrouted
 }

@@ -1,0 +1,413 @@
+package relaynet
+
+import (
+	"fmt"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+	"time"
+
+	"d2dhb/internal/cluster"
+	"d2dhb/internal/hbproto"
+	"d2dhb/internal/telemetry"
+)
+
+// rawClient is a bare hbproto connection to a server: tests that care which
+// connection a frame travels on, and in what order, drive it by hand.
+type rawClient struct {
+	t    *testing.T
+	conn net.Conn
+	fr   *hbproto.FrameReader
+}
+
+func dialRaw(t *testing.T, addr string) *rawClient {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	return &rawClient{t: t, conn: conn, fr: hbproto.NewFrameReader(conn)}
+}
+
+func (c *rawClient) send(msg hbproto.Message) {
+	c.t.Helper()
+	if err := hbproto.WriteFrame(c.conn, msg); err != nil {
+		c.t.Fatalf("write %v: %v", msg.Type(), err)
+	}
+}
+
+// heartbeat sends one heartbeat and waits for its ack: the server has
+// applied it, and every frame sent before it on this connection.
+func (c *rawClient) heartbeat(id string, seq uint64) {
+	c.t.Helper()
+	c.send(&hbproto.Heartbeat{Src: id, Seq: seq, App: "std", Origin: time.Now(), Expiry: time.Minute})
+	c.awaitAcks(1)
+}
+
+func (c *rawClient) awaitAcks(n int) {
+	c.t.Helper()
+	_ = c.conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	for n > 0 {
+		msg, err := c.fr.Next()
+		if err != nil {
+			c.t.Fatalf("waiting for %d more acks: %v", n, err)
+		}
+		ack, ok := msg.(*hbproto.Ack)
+		if !ok {
+			c.t.Fatalf("server sent %v, want ack", msg.Type())
+		}
+		n -= len(ack.Refs)
+	}
+}
+
+// exported returns the server's presence row for id.
+func exported(t *testing.T, s *Server, id string) cluster.PresenceEntry {
+	t.Helper()
+	for _, e := range s.ExportPresence() {
+		if e.ID == id {
+			return e
+		}
+	}
+	t.Fatalf("no presence row for %s", id)
+	return cluster.PresenceEntry{}
+}
+
+// TestRegisterUpdatesRecordInPlace pins that a Register never replaces a
+// client's record: the delivered-sequence high-water mark survives it, and
+// a connection that reached the record before the Register — its own or
+// another connection's — keeps updating the one the table holds.
+func TestRegisterUpdatesRecordInPlace(t *testing.T) {
+	register := func(id string) *hbproto.Register {
+		return &hbproto.Register{ID: id, Role: hbproto.RoleUE, App: "std", Period: time.Second, Expiry: time.Minute}
+	}
+	t.Run("one connection", func(t *testing.T) {
+		s := startServer(t)
+		c := dialRaw(t, s.Addr())
+		c.send(register("ue-1"))
+		c.heartbeat("ue-1", 5)
+		c.send(register("ue-1"))
+		// A second client's heartbeat orders the check after the Register
+		// without touching ue-1.
+		c.heartbeat("ue-other", 1)
+		if got := exported(t, s, "ue-1").MaxSeq; got != 5 {
+			t.Fatalf("re-Register dropped the sequence high-water mark: MaxSeq = %d, want 5", got)
+		}
+		before := exported(t, s, "ue-1").LastSeenUnixNano
+		c.heartbeat("ue-1", 6)
+		row := exported(t, s, "ue-1")
+		if row.MaxSeq != 6 || row.LastSeenUnixNano <= before {
+			t.Fatalf("heartbeat after re-Register did not reach the table's record: %+v (lastSeen before %d)", row, before)
+		}
+		if st := s.Stats(); st.Registers != 2 {
+			t.Fatalf("registers = %d, want 2", st.Registers)
+		}
+	})
+	t.Run("two connections sharing a client", func(t *testing.T) {
+		s := startServer(t)
+		a, b := dialRaw(t, s.Addr()), dialRaw(t, s.Addr())
+		a.heartbeat("ue-1", 1) // a now reaches ue-1 by handle
+		b.send(register("ue-1"))
+		b.heartbeat("ue-1", 2)
+		a.heartbeat("ue-1", 3)
+		if got := exported(t, s, "ue-1").MaxSeq; got != 3 {
+			t.Fatalf("MaxSeq = %d after heartbeats 1 (a), 2 (b), 3 (a) around b's Register, want 3", got)
+		}
+		if avail, _ := s.Availability("ue-1"); avail <= 0 {
+			t.Fatalf("availability = %v: the timer lost its deliveries", avail)
+		}
+		if n := s.OnlineCount(time.Now()); n != 1 {
+			t.Fatalf("OnlineCount = %d, want 1", n)
+		}
+	})
+}
+
+// TestForgottenClientReturnsThroughTheTable covers the other way a cached
+// record goes stale: a handoff forgets the client while a connection still
+// holds it by handle. Its next heartbeat must land in the table again.
+func TestForgottenClientReturnsThroughTheTable(t *testing.T) {
+	s := startServer(t)
+	c := dialRaw(t, s.Addr())
+	c.heartbeat("ue-1", 1)
+	c.heartbeat("ue-1", 2)
+	s.ForgetPresence([]string{"ue-1"})
+	if s.Online("ue-1", time.Now()) {
+		t.Fatal("forgotten client still online")
+	}
+	c.heartbeat("ue-1", 3)
+	if !s.Online("ue-1", time.Now()) {
+		t.Fatal("heartbeat after ForgetPresence updated a record outside the table")
+	}
+	if got := exported(t, s, "ue-1").MaxSeq; got != 3 {
+		t.Fatalf("MaxSeq = %d, want 3 on the fresh record", got)
+	}
+	c.heartbeat("ue-1", 4)
+	st := s.Stats()
+	// First sight and the return after the handoff hash the ID; the second
+	// and fourth heartbeats go by handle.
+	if st.IDCacheMisses != 2 || st.IDCacheHits != 2 {
+		t.Fatalf("id cache hits/misses = %d/%d, want 2/2", st.IDCacheHits, st.IDCacheMisses)
+	}
+}
+
+// TestServerIdentityStats sends the same batch three times over one
+// connection and reads the identity counters from Stats and /metrics: the
+// first period hashes every ID at both layers, later periods none.
+func TestServerIdentityStats(t *testing.T) {
+	const population, periods = 50, 3
+	s := NewServer()
+	reg := telemetry.NewRegistry()
+	s.SetTelemetry(reg)
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Shutdown)
+	c := dialRaw(t, s.Addr())
+	batch := &hbproto.Batch{Relay: "trunk-1"}
+	for i := 0; i < population; i++ {
+		batch.HBs = append(batch.HBs, hbproto.Heartbeat{
+			Src: fmt.Sprintf("ue-%03d", i), App: "std", Origin: time.Now(), Expiry: time.Minute,
+		})
+	}
+	for p := 1; p <= periods; p++ {
+		for i := range batch.HBs {
+			batch.HBs[i].Seq = uint64(p)
+		}
+		c.send(batch)
+		c.awaitAcks(population)
+	}
+	st := s.Stats()
+	want := ServerStats{
+		IDCacheMisses: population, IDCacheHits: population * (periods - 1),
+		// The decoder learns the wrap-around from the last source to the
+		// first one period later than the rest.
+		IDGuessMisses: population + 1, IDGuessHits: population*(periods-1) - 1,
+	}
+	if st.IDCacheHits != want.IDCacheHits || st.IDCacheMisses != want.IDCacheMisses ||
+		st.IDGuessHits != want.IDGuessHits || st.IDGuessMisses != want.IDGuessMisses {
+		t.Fatalf("identity stats = cache %d/%d guess %d/%d, want cache %d/%d guess %d/%d",
+			st.IDCacheHits, st.IDCacheMisses, st.IDGuessHits, st.IDGuessMisses,
+			want.IDCacheHits, want.IDCacheMisses, want.IDGuessHits, want.IDGuessMisses)
+	}
+	dump := reg.Dump()
+	for name, n := range map[string]int{
+		"relaynet_server_id_cache_hits_total":   want.IDCacheHits,
+		"relaynet_server_id_cache_misses_total": want.IDCacheMisses,
+		"relaynet_server_id_guess_hits_total":   want.IDGuessHits,
+		"relaynet_server_id_guess_misses_total": want.IDGuessMisses,
+	} {
+		m := dump.Find(name)
+		if m == nil || int(m.Value) != n {
+			t.Errorf("/metrics %s = %+v, want %d", name, m, n)
+		}
+	}
+}
+
+// TestHandleZeroFallsBackToTheID drives touch with heartbeats no decoder
+// stamped (handle 0 is also what a reader past its intern cap returns):
+// every one hashes its ID, and presence comes out the same.
+func TestHandleZeroFallsBackToTheID(t *testing.T) {
+	s := statsServer()
+	cs := &connState{cc: &s.stripes[0]}
+	now := time.Now()
+	for seq := uint64(1); seq <= 3; seq++ {
+		for _, id := range []string{"ue-a", "ue-b"} {
+			s.touch(cs, &hbproto.Heartbeat{Src: id, Seq: seq, App: "std", Origin: now, Expiry: time.Minute}, now, true)
+		}
+	}
+	if cs.hits != 0 || cs.misses != 6 || cs.byHandle != nil {
+		t.Fatalf("handle-0 heartbeats: hits %d misses %d cache %v, want 0, 6 and no cache", cs.hits, cs.misses, cs.byHandle)
+	}
+	if n := s.OnlineCount(now); n != 2 {
+		t.Fatalf("OnlineCount = %d, want 2", n)
+	}
+	if got := exported(t, s, "ue-b").MaxSeq; got != 3 {
+		t.Fatalf("MaxSeq = %d, want 3", got)
+	}
+}
+
+// TestRoutingVerdictFollowsTheView pins the per-client routing cache: the
+// verdict is computed once per cluster view, and a new view — here one that
+// hands the client to a shard that has just joined — replaces it.
+func TestRoutingVerdictFollowsTheView(t *testing.T) {
+	var mu sync.Mutex
+	cfg := cluster.Config{Epoch: 1, Nodes: []cluster.Node{{ID: "shard-a", Addr: "127.0.0.1:1"}}}
+	web := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		data, err := cluster.MarshalConfig(cfg)
+		mu.Unlock()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		_, _ = w.Write(data)
+	}))
+	t.Cleanup(web.Close)
+	cc, err := cluster.NewClient(cluster.ClientConfig{RouterURL: web.URL, PollInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cc.Close)
+
+	two := cluster.Config{Epoch: 2, Nodes: append(cfg.Nodes[:1:1], cluster.Node{ID: "shard-b", Addr: "127.0.0.1:2"})}
+	view2, err := cluster.NewView(two, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moved string
+	for i := 0; moved == ""; i++ {
+		if id := fmt.Sprintf("probe-%d", i); view2.Ring().Owner(id) == "shard-b" {
+			moved = id
+		}
+	}
+
+	s := statsServer()
+	s.SetCluster("shard-a", cc)
+	cs := &connState{cc: &s.stripes[0]}
+	beat := func(seq uint64) {
+		now := time.Now()
+		s.touch(cs, &hbproto.Heartbeat{Src: moved, Seq: seq, App: "std", Origin: now, Expiry: time.Minute}, now, false)
+	}
+	beat(1)
+	beat(2)
+	if got := s.Stats().Misrouted; got != 0 {
+		t.Fatalf("misrouted = %d under the one-shard view, want 0", got)
+	}
+	mu.Lock()
+	cfg = two
+	mu.Unlock()
+	if err := cc.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	beat(3)
+	beat(4)
+	if got := s.Stats().Misrouted; got != 2 {
+		t.Fatalf("misrouted = %d after the client's keys moved to shard-b, want 2 (a stale verdict reads 0)", got)
+	}
+}
+
+// TestFeedbackRoutesAcksDecodedFromTheWire is the regression test for the
+// relay's source table: it is keyed by the relay's own (source, seq) pair,
+// so an ack that went through a FrameReader — and carries that reader's
+// handle, unlike the heartbeat the table entry was made from — still finds
+// the UE connection to feed back to.
+func TestFeedbackRoutesAcksDecodedFromTheWire(t *testing.T) {
+	r, err := NewRelayAgent(RelayAgentConfig{
+		ID: "relay-1", App: "std", Capacity: 8, Period: time.Minute, Expiry: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, far := net.Pipe()
+	t.Cleanup(func() { _ = near.Close(); _ = far.Close() })
+	uc := &ueConn{conn: near, id: "ue-1"}
+	r.ueConns[uc] = struct{}{}
+	r.sources[hbKey{"ue-1", 7}] = uc
+	r.sources[hbKey{"ue-2", 9}] = &ueConn{id: "ue-2"} // its connection is gone
+
+	frame, err := hbproto.AppendFrame(nil, &hbproto.Ack{Refs: []hbproto.Ref{{Src: "ue-2", Seq: 9}, {Src: "ue-1", Seq: 7}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := make(chan hbproto.Message, 1)
+	go func() {
+		msg, err := hbproto.NewFrameReader(far).Next()
+		if err != nil {
+			t.Errorf("UE side read: %v", err)
+		}
+		wire <- msg
+	}()
+	ackConn, ackPeer := net.Pipe()
+	t.Cleanup(func() { _ = ackConn.Close(); _ = ackPeer.Close() })
+	go func() { _, _ = ackPeer.Write(frame) }()
+	msg, err := hbproto.NewFrameReader(ackConn).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := msg.(*hbproto.Ack).Refs
+	if refs[1].Handle == 0 {
+		t.Fatal("decoded ack carries no handle: the test no longer exercises the annotation")
+	}
+	r.handleAck(refs)
+	r.flushFeedback()
+	fb, ok := (<-wire).(*hbproto.Feedback)
+	if !ok || len(fb.Refs) != 1 || fb.Refs[0].Src != "ue-1" || fb.Refs[0].Seq != 7 {
+		t.Fatalf("UE received %+v, want feedback for ue-1/7", fb)
+	}
+	if len(r.sources) != 0 {
+		t.Fatalf("%d acked sources left in the table", len(r.sources))
+	}
+}
+
+// TestSharedRecordsUnderHandoff runs several connections' worth of touch
+// over one set of clients, each reaching the shared records through its own
+// handle cache, while a handoff keeps forgetting and re-importing them.
+// Under -race this pins that the record's fields are only ever touched
+// under the shard lock; afterwards every heartbeat is accounted for and
+// every client ends up in the table.
+func TestSharedRecordsUnderHandoff(t *testing.T) {
+	const conns, clients, rounds = 4, 40, 200
+	s := statsServer()
+	ids := make([]string, clients)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("shared-%02d", i)
+	}
+	stop := make(chan struct{})
+	var handoff sync.WaitGroup
+	handoff.Add(1)
+	go func() {
+		defer handoff.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rows := s.ExportPresence()
+			s.ForgetPresence(ids[:clients/2])
+			s.ImportPresence(rows)
+		}
+	}()
+	states := make([]*connState, conns)
+	var wg sync.WaitGroup
+	for c := range states {
+		states[c] = &connState{cc: &s.stripes[c]}
+		wg.Add(1)
+		go func(cs *connState) {
+			defer wg.Done()
+			for r := 1; r <= rounds; r++ {
+				now := time.Now()
+				for i, id := range ids {
+					s.touch(cs, &hbproto.Heartbeat{
+						Src: id, Seq: uint64(r), App: "std", Origin: now, Expiry: time.Minute,
+						Handle: hbproto.Handle(i + 1),
+					}, now, true)
+				}
+			}
+		}(states[c])
+	}
+	wg.Wait()
+	close(stop)
+	handoff.Wait()
+	for _, cs := range states {
+		if cs.hits+cs.misses != clients*rounds || cs.misses < clients {
+			t.Errorf("connection resolved %d+%d heartbeats, want %d with at least %d by ID", cs.hits, cs.misses, clients*rounds, clients)
+		}
+		// One more round after the last handoff: whatever it forgot comes
+		// back through the table.
+		now := time.Now()
+		for i, id := range ids {
+			s.touch(cs, &hbproto.Heartbeat{Src: id, Seq: rounds + 1, App: "std", Origin: now, Expiry: time.Minute, Handle: hbproto.Handle(i + 1)}, now, true)
+		}
+	}
+	if n := s.OnlineCount(time.Now()); n != clients {
+		t.Fatalf("OnlineCount = %d, want %d", n, clients)
+	}
+	for _, id := range ids {
+		if got := exported(t, s, id).MaxSeq; got != rounds+1 {
+			t.Fatalf("%s MaxSeq = %d, want %d", id, got, rounds+1)
+		}
+	}
+}

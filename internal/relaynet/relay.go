@@ -125,6 +125,15 @@ type RelayAgentStats struct {
 	FeedbackWritesSaved int
 }
 
+// hbKey identifies a collected heartbeat in the relay's own tables. It is
+// deliberately not hbproto.Ref: the wire type carries decode-side
+// annotations (Ref.Handle) that differ between the UE's heartbeat and the
+// server's ack for it.
+type hbKey struct {
+	src string
+	seq uint64
+}
+
 // ueConn is one connected UE on the relay's "D2D" listener.
 type ueConn struct {
 	conn net.Conn
@@ -177,7 +186,7 @@ type RelayAgent struct {
 	flushTimer  *time.Timer   // fires at the policy's batch deadline
 	seq         uint64
 	ownHB       *hbproto.Heartbeat
-	sources     map[hbproto.Ref]*ueConn
+	sources     map[hbKey]*ueConn
 	ueConns     map[*ueConn]struct{}
 	rng         *rand.Rand // backoff jitter; owned by run goroutine
 	// downUntil/backoffCur arm the per-shard redial backoff so flush never
@@ -248,7 +257,7 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 		events:     make(chan relayEvent),
 		done:       make(chan struct{}),
 		policy:     policy,
-		sources:    make(map[hbproto.Ref]*ueConn),
+		sources:    make(map[hbKey]*ueConn),
 		ueConns:    make(map[*ueConn]struct{}),
 		downUntil:  make(map[string]time.Duration),
 		backoffCur: make(map[string]time.Duration),
@@ -305,7 +314,7 @@ func (r *RelayAgent) upstream(shard string) *session.Slot {
 			ID: r.cfg.ID, Role: hbproto.RoleRelay, App: r.cfg.App,
 			Period: r.cfg.Period, Expiry: r.cfg.Expiry,
 		},
-		OnRefs: func(refs []hbproto.Ref, _ time.Time) {
+		OnRefs: func(_ int, refs []hbproto.Ref, _ time.Time) {
 			// Copy out of the reader's reused slice (see ueReader).
 			r.post(relayEvent{acked: append([]hbproto.Ref(nil), refs...)})
 		},
@@ -793,7 +802,7 @@ func (r *RelayAgent) collect(uc *ueConn, m *hbproto.Heartbeat) {
 	case err != nil:
 		return
 	}
-	r.sources[hbproto.Ref{Src: m.Src, Seq: m.Seq}] = uc
+	r.sources[hbKey{m.Src, m.Seq}] = uc
 	r.collectedAt = append(r.collectedAt, now)
 	r.ins.collected.Inc()
 	r.mu.Lock()
@@ -926,11 +935,12 @@ func (r *RelayAgent) sendBatch(slot *session.Slot, shard string, hbs []hbproto.H
 func (r *RelayAgent) handleAck(refs []hbproto.Ref) {
 	saved := 0
 	for _, ref := range refs {
-		uc, ok := r.sources[ref]
+		key := hbKey{ref.Src, ref.Seq}
+		uc, ok := r.sources[key]
 		if !ok {
 			continue // the relay's own heartbeat, or a vanished UE
 		}
-		delete(r.sources, ref)
+		delete(r.sources, key)
 		if _, alive := r.ueConns[uc]; !alive {
 			continue
 		}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"d2dhb/internal/cluster"
-	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/hbproto"
 	presencepkg "d2dhb/internal/presence"
 	"d2dhb/internal/telemetry"
@@ -46,17 +45,42 @@ type ServerStats struct {
 	// cluster ring assigns their source to another shard (stale routing
 	// epoch somewhere). Always zero outside cluster mode.
 	Misrouted int
+	// IDCacheHits counts heartbeats whose client record was reached through
+	// the connection's handle cache; IDCacheMisses those that hashed the
+	// source ID into the presence table (first sight on a connection, a
+	// source past the decoder's intern cap, a record dropped by a handoff).
+	IDCacheHits   int
+	IDCacheMisses int
+	// IDGuessHits counts source IDs the connections' decoders resolved by
+	// the successor guess, IDGuessMisses those they had to hash: together
+	// they say whether this server's traffic repeats in order.
+	IDGuessHits   int
+	IDGuessMisses int
 }
 
-// presence is one client's keep-alive state. maxSeq is the delivered
-// sequence high-water mark; it travels with the entry during a cluster
-// handoff so the receiving shard knows what the client has already proven
-// delivered.
-type presence struct {
+// client is everything the server keeps about one client ID, in one record:
+// the presence row (maxSeq is the delivered sequence high-water mark; the
+// row travels in a cluster handoff so the receiving shard knows what the
+// client has already proven delivered), the availability timer, and the
+// routing verdict under the last cluster view it was checked against. The
+// shard's table holds the record by ID and connections cache the same
+// pointer by decoder handle, so a record is updated in place for as long
+// as it is in the table — never replaced. Every field but sh is guarded by
+// sh.mu.
+type client struct {
+	sh       *presenceShard // owning stripe; immutable
 	app      string
 	lastSeen time.Time
 	deadline time.Time
 	maxSeq   uint64
+	timer    presencepkg.Timer
+	// misrouted is whether the ring of view routed assigns the client to
+	// another shard; a new view recomputes it on the next heartbeat.
+	routed    *cluster.View
+	misrouted bool
+	// gone marks a record ForgetPresence took out of the table: a cached
+	// pointer to it must look the ID up again.
+	gone bool
 }
 
 // presenceShardCount stripes the presence table. Power of two so the hash
@@ -66,13 +90,12 @@ const presenceShardCount = 64
 
 // presenceShard is one stripe of the presence/session table. A client's
 // state lives entirely in the shard its ID hashes to, so per-client
-// ordering invariants (tracker deliveries) are preserved under the shard
+// ordering invariants (timer deliveries) are preserved under the shard
 // lock alone.
 type presenceShard struct {
 	mu      sync.Mutex
-	clients map[string]*presence
-	tracker *presencepkg.Tracker
-	_       [24]byte // keep neighbouring stripes off one cache line
+	clients map[string]*client
+	_       [48]byte // keep neighbouring stripes off one cache line
 }
 
 // statsStripeCount stripes the delivery counters. Each connection is bound
@@ -85,12 +108,16 @@ const statsStripeCount = 64
 // on separate cache lines so connections on different stripes never false-
 // share.
 type connCounters struct {
-	registers atomic.Int64
-	direct    atomic.Int64
-	relayed   atomic.Int64
-	batches   atomic.Int64
-	late      atomic.Int64
-	_         [24]byte
+	registers   atomic.Int64
+	direct      atomic.Int64
+	relayed     atomic.Int64
+	batches     atomic.Int64
+	late        atomic.Int64
+	cacheHits   atomic.Int64
+	cacheMisses atomic.Int64
+	guessHits   atomic.Int64
+	guessMisses atomic.Int64
+	_           [56]byte
 }
 
 // Server is the IM presence server: it tracks per-client expiration timers
@@ -138,8 +165,7 @@ type Server struct {
 func NewServer() *Server {
 	s := &Server{conns: make(map[net.Conn]struct{})}
 	for i := range s.shards {
-		s.shards[i].clients = make(map[string]*presence)
-		s.shards[i].tracker = presencepkg.NewTracker()
+		s.shards[i].clients = make(map[string]*client)
 	}
 	return s
 }
@@ -175,6 +201,12 @@ type serverInstruments struct {
 	ackFlushes  *telemetry.Counter
 	ackRefs     *telemetry.Histogram
 	ackBytesOut *telemetry.Counter
+	// Identity on the hot path: how heartbeats reached their client record
+	// and how the decoders resolved their source IDs (see ServerStats).
+	cacheHits   *telemetry.Counter
+	cacheMisses *telemetry.Counter
+	guessHits   *telemetry.Counter
+	guessMisses *telemetry.Counter
 }
 
 // SetTelemetry registers the server's runtime metrics in reg; call before
@@ -197,6 +229,10 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry) {
 		ackFlushes:    reg.Counter("relaynet_server_ack_flushes_total"),
 		ackRefs:       reg.Histogram("relaynet_server_ack_refs_per_flush", "refs", 8),
 		ackBytesOut:   reg.Counter("relaynet_server_ack_bytes_total"),
+		cacheHits:     reg.Counter("relaynet_server_id_cache_hits_total"),
+		cacheMisses:   reg.Counter("relaynet_server_id_cache_misses_total"),
+		guessHits:     reg.Counter("relaynet_server_id_guess_hits_total"),
+		guessMisses:   reg.Counter("relaynet_server_id_guess_misses_total"),
 	}
 	reg.GaugeFunc("relaynet_server_open_connections", func() float64 {
 		s.mu.Lock()
@@ -318,6 +354,10 @@ func (s *Server) Stats() ServerStats {
 		st.HeartbeatsRelayed += int(cc.relayed.Load())
 		st.Batches += int(cc.batches.Load())
 		st.Late += int(cc.late.Load())
+		st.IDCacheHits += int(cc.cacheHits.Load())
+		st.IDCacheMisses += int(cc.cacheMisses.Load())
+		st.IDGuessHits += int(cc.guessHits.Load())
+		st.IDGuessMisses += int(cc.guessMisses.Load())
 	}
 	st.Connections = int(s.accepted.Load())
 	st.ProtocolErrors = int(s.protocolErrors.Load())
@@ -333,8 +373,8 @@ func (s *Server) Online(id string, now time.Time) bool {
 	sh := s.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	p, ok := sh.clients[id]
-	return ok && now.Before(p.deadline)
+	c, ok := sh.clients[id]
+	return ok && now.Before(c.deadline)
 }
 
 // OnlineCount returns how many clients are online at instant now.
@@ -343,8 +383,8 @@ func (s *Server) OnlineCount(now time.Time) int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, p := range sh.clients {
-			if now.Before(p.deadline) {
+		for _, c := range sh.clients {
+			if now.Before(c.deadline) {
 				n++
 			}
 		}
@@ -443,6 +483,38 @@ func (s *Server) flushAcks(conn net.Conn, wto time.Duration, agg *ackAggregator)
 	return nil
 }
 
+// connState is what one connection's handler goroutine owns.
+type connState struct {
+	cc  *connCounters
+	agg ackAggregator
+	// byHandle caches the client record per decoder handle, so a heartbeat
+	// whose source the connection's FrameReader has seen before reaches its
+	// record without hashing the ID again. It is nil until the first
+	// heartbeat, grows with the handles the reader issues, and dies with
+	// the connection, as the handles do.
+	byHandle []*client
+	// hits/misses count byHandle's outcomes and guesses is the reader's
+	// IDStats as of the last flushIDStats; plain fields, flushed into the
+	// connection's stats stripe once per frame.
+	hits, misses uint64
+	guesses      hbproto.IDStats
+}
+
+// flushIDStats moves the connection's identity counts since the last frame
+// into the server's counters.
+func (s *Server) flushIDStats(cs *connState, now hbproto.IDStats) {
+	gh, gm := now.GuessHits-cs.guesses.GuessHits, now.GuessMisses-cs.guesses.GuessMisses
+	cs.cc.cacheHits.Add(int64(cs.hits))
+	cs.cc.cacheMisses.Add(int64(cs.misses))
+	cs.cc.guessHits.Add(int64(gh))
+	cs.cc.guessMisses.Add(int64(gm))
+	s.ins.cacheHits.Add(cs.hits)
+	s.ins.cacheMisses.Add(cs.misses)
+	s.ins.guessHits.Add(gh)
+	s.ins.guessMisses.Add(gm)
+	cs.hits, cs.misses, cs.guesses = 0, 0, now
+}
+
 func (s *Server) handleConn(conn net.Conn, cc *connCounters) {
 	defer s.wg.Done()
 	defer func() {
@@ -455,7 +527,7 @@ func (s *Server) handleConn(conn net.Conn, cc *connCounters) {
 	idle, wto := s.idleTimeout, s.writeTimeout
 	s.mu.Unlock()
 	fr := hbproto.NewFrameReader(conn)
-	var agg ackAggregator
+	cs := connState{cc: cc}
 	for {
 		if idle > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(idle))
@@ -464,19 +536,21 @@ func (s *Server) handleConn(conn net.Conn, cc *connCounters) {
 		if err != nil {
 			// Best-effort: acks deferred behind a peer's final burst
 			// still go out before a clean disconnect.
-			_ = s.flushAcks(conn, wto, &agg)
+			_ = s.flushAcks(conn, wto, &cs.agg)
 			s.noteReadError(conn, err)
 			return
 		}
 		s.ins.frames.Inc()
-		if err := s.handleMessage(cc, msg, &agg); err != nil {
+		err = s.handleMessage(&cs, msg)
+		s.flushIDStats(&cs, fr.IDStats())
+		if err != nil {
 			if errors.Is(err, errProtocol) {
 				s.noteDrop(conn, err.Error(), false)
 			}
 			return
 		}
-		if agg.shouldFlush(fr.Buffered(), time.Now()) {
-			if err := s.flushAcks(conn, wto, &agg); err != nil {
+		if cs.agg.shouldFlush(fr.Buffered(), time.Now()) {
+			if err := s.flushAcks(conn, wto, &cs.agg); err != nil {
 				return
 			}
 		}
@@ -520,30 +594,27 @@ func (s *Server) noteDrop(conn net.Conn, reason string, idle bool) {
 
 // handleMessage updates presence state and queues the acks the message
 // earned; handleConn decides when the queue is flushed to the socket.
-func (s *Server) handleMessage(cc *connCounters, msg hbproto.Message, agg *ackAggregator) error {
+func (s *Server) handleMessage(cs *connState, msg hbproto.Message) error {
 	now := time.Now()
 	switch m := msg.(type) {
 	case *hbproto.Register:
-		cc.registers.Add(1)
-		sh := s.shard(m.ID)
-		sh.mu.Lock()
-		sh.clients[m.ID] = &presence{
-			app:      m.App,
-			lastSeen: now,
-			deadline: now.Add(m.Expiry),
-		}
-		sh.mu.Unlock()
+		cs.cc.registers.Add(1)
+		// In place: connections hold pointers to the record, and a client
+		// that registers again has not un-delivered what it delivered.
+		c := s.lockClient(m.ID)
+		c.app, c.lastSeen, c.deadline = m.App, now, now.Add(m.Expiry)
+		c.sh.mu.Unlock()
 		return nil
 	case *hbproto.Heartbeat:
-		s.touch(cc, m, now, false)
-		agg.add(m.Src, m.Seq, now)
+		s.touch(cs, m, now, false)
+		cs.agg.add(m.Src, m.Seq, now)
 		return nil
 	case *hbproto.Batch:
 		for i := range m.HBs {
-			s.touch(cc, &m.HBs[i], now, true)
-			agg.add(m.HBs[i].Src, m.HBs[i].Seq, now)
+			s.touch(cs, &m.HBs[i], now, true)
+			cs.agg.add(m.HBs[i].Src, m.HBs[i].Seq, now)
 		}
-		cc.batches.Add(1)
+		cs.cc.batches.Add(1)
 		s.ins.batchSize.Record(uint64(len(m.HBs)))
 		return nil
 	default:
@@ -551,49 +622,92 @@ func (s *Server) handleMessage(cc *connCounters, msg hbproto.Message, agg *ackAg
 	}
 }
 
+// lockClient returns the client's record with its shard locked, creating
+// the record on first sight. This is the only place the server hashes a
+// client ID.
+func (s *Server) lockClient(id string) *client {
+	sh := s.shard(id)
+	sh.mu.Lock()
+	c, ok := sh.clients[id]
+	if !ok {
+		c = &client{sh: sh}
+		sh.clients[id] = c
+	}
+	return c
+}
+
+// lockSource returns a heartbeat's client record with its shard locked:
+// through the connection's handle cache when the decoder has handed this
+// source out before, by ID otherwise (handle 0, first sight on this
+// connection, or a record a handoff took out of the table).
+func (s *Server) lockSource(cs *connState, hb *hbproto.Heartbeat) *client {
+	h := int(hb.Handle)
+	if h < len(cs.byHandle) {
+		if c := cs.byHandle[h]; c != nil {
+			c.sh.mu.Lock()
+			if !c.gone {
+				cs.hits++
+				return c
+			}
+			c.sh.mu.Unlock()
+		}
+	}
+	cs.misses++
+	c := s.lockClient(hb.Src)
+	if h != 0 {
+		for h >= len(cs.byHandle) {
+			cs.byHandle = append(cs.byHandle, nil)
+		}
+		cs.byHandle[h] = c
+	}
+	return c
+}
+
 // touch resets a client's expiration timer: IM apps "send heartbeat
 // messages frequently to reset the expiration timers" (Section II-A), so
 // the timer runs for the heartbeat's expiry from reception. A heartbeat
 // arriving past its own origin+expiry deadline still resets the timer but
 // is counted late: the client had already flapped offline in between.
-func (s *Server) touch(cc *connCounters, hb *hbproto.Heartbeat, now time.Time, relayed bool) {
+func (s *Server) touch(cs *connState, hb *hbproto.Heartbeat, now time.Time, relayed bool) {
 	if relayed {
-		cc.relayed.Add(1)
+		cs.cc.relayed.Add(1)
 	} else {
-		cc.direct.Add(1)
+		cs.cc.direct.Add(1)
 	}
 	onTime := !now.After(hb.Deadline())
 	if !onTime {
-		cc.late.Add(1)
+		cs.cc.late.Add(1)
 		s.ins.late.Inc()
 	}
-	s.noteRouting(hb.Src)
-	sh := s.shard(hb.Src)
-	sh.mu.Lock()
-	p, ok := sh.clients[hb.Src]
-	if !ok {
-		p = &presence{app: hb.App}
-		sh.clients[hb.Src] = p
+	c := s.lockSource(cs, hb)
+	if c.app == "" {
+		c.app = hb.App
 	}
-	p.lastSeen = now
-	if deadline := now.Add(hb.Expiry); deadline.After(p.deadline) {
-		p.deadline = deadline
+	c.lastSeen = now
+	if deadline := now.Add(hb.Expiry); deadline.After(c.deadline) {
+		c.deadline = deadline
 	}
-	if hb.Seq > p.maxSeq {
-		p.maxSeq = hb.Seq
+	if hb.Seq > c.maxSeq {
+		c.maxSeq = hb.Seq
 	}
-	_ = sh.tracker.Deliver(hbmsg.Heartbeat{
-		Src:    hbmsg.DeviceID(hb.Src),
-		Seq:    hb.Seq,
-		App:    hb.App,
-		Expiry: hb.Expiry,
-	}, now.Sub(s.start))
-	sh.mu.Unlock()
+	// Handlers stamp now before taking the lock, so two connections can
+	// deliver for one client a hair out of order; the timer refuses the
+	// older one and presence is none the worse.
+	_ = c.timer.Deliver(now.Sub(s.start), hb.Expiry)
+	misrouted := s.misroutedLocked(c, hb.Src)
+	c.sh.mu.Unlock()
+	if misrouted {
+		s.misrouted.Add(1)
+		s.ins.misrouted.Inc()
+	}
+	if s.tracer == nil {
+		return
+	}
 	via := hb.Src
 	if relayed {
 		via = "relay"
 	}
-	trace.Emit(s.tracer, trace.Event{
+	s.tracer.Emit(trace.Event{
 		AtMs: now.UnixMilli(), Device: hb.Src, Kind: trace.KindDelivery,
 		App: hb.App, Seq: hb.Seq, Peer: via, OnTime: onTime,
 	})
@@ -606,6 +720,10 @@ func (s *Server) Availability(id string) (availability float64, flaps int) {
 	sh := s.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, flaps, _ = sh.tracker.Stats(hbmsg.DeviceID(id), horizon)
-	return sh.tracker.Availability(hbmsg.DeviceID(id), horizon), flaps
+	c, ok := sh.clients[id]
+	if !ok {
+		return 0, 0
+	}
+	_, flaps, _ = c.timer.Stats(horizon)
+	return c.timer.Availability(horizon), flaps
 }

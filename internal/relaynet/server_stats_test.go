@@ -74,7 +74,7 @@ func TestServerCountersConcurrent(t *testing.T) {
 			defer wg.Done()
 			// Each worker gets its own stripe, like connections do; IDs mix
 			// worker and sequence so they scatter across presence shards.
-			cc := &s.stripes[w%statsStripeCount]
+			cs := &connState{cc: &s.stripes[w%statsStripeCount]}
 			relayed := w%2 == 1
 			for i := 0; i < perWorker; i++ {
 				hb := &hbproto.Heartbeat{
@@ -82,7 +82,7 @@ func TestServerCountersConcurrent(t *testing.T) {
 					Seq: uint64(i + 1), App: "test",
 					Origin: now, Expiry: time.Hour,
 				}
-				s.touch(cc, hb, now, relayed)
+				s.touch(cs, hb, now, relayed)
 			}
 		}(w)
 	}
@@ -116,7 +116,7 @@ func TestServerLateCounting(t *testing.T) {
 		Src: "late-ue", Seq: 1, App: "test",
 		Origin: now.Add(-2 * time.Second), Expiry: time.Second,
 	}
-	s.touch(&s.stripes[0], hb, now, false)
+	s.touch(&connState{cc: &s.stripes[0]}, hb, now, false)
 	st := s.Stats()
 	if st.Late != 1 || st.HeartbeatsDirect != 1 {
 		t.Fatalf("late=%d direct=%d, want 1,1", st.Late, st.HeartbeatsDirect)
@@ -137,7 +137,7 @@ func populateServer(b *testing.B, clients int) *Server {
 			Src: fmt.Sprintf("bench-client-%05d", i), Seq: 1, App: "bench",
 			Origin: now, Expiry: time.Hour,
 		}
-		s.touch(&s.stripes[i%statsStripeCount], hb, now, i%2 == 0)
+		s.touch(&connState{cc: &s.stripes[i%statsStripeCount]}, hb, now, i%2 == 0)
 	}
 	return s
 }
@@ -176,9 +176,10 @@ func BenchmarkServerTouch(b *testing.B) {
 	hb := &hbproto.Heartbeat{
 		Src: "bench-ue", Seq: 1, App: "bench", Origin: now, Expiry: time.Hour,
 	}
+	cs := &connState{cc: &s.stripes[0]}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.touch(&s.stripes[i%statsStripeCount], hb, now, false)
+		s.touch(cs, hb, now, false)
 	}
 }

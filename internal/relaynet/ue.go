@@ -470,7 +470,7 @@ func (u *UEClient) fallBack() {
 }
 
 // onFeedback settles relay feedback against the apps' pending tables.
-func (u *UEClient) onFeedback(refs []hbproto.Ref, at time.Time) {
+func (u *UEClient) onFeedback(_ int, refs []hbproto.Ref, at time.Time) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	for _, ref := range refs {

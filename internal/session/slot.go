@@ -42,9 +42,14 @@ type Slot struct {
 	// and servers attribute batches to registered relays.
 	Register *hbproto.Register
 	// OnRefs receives the refs of every Ack or Feedback frame with its
-	// arrival time, on the slot's reader goroutine. The slice is reused by
-	// the next frame: consume or copy it before returning. Nil drains.
-	OnRefs func(refs []hbproto.Ref, at time.Time)
+	// arrival time, on the reader goroutine of the connection it arrived
+	// on. The slice is reused by the next frame: consume or copy it before
+	// returning. Nil drains. dial numbers the slot's connections 1, 2, …:
+	// every dial decodes through a FrameReader of its own, so the refs'
+	// Handle fields mean something only next to the dial they came with,
+	// and a dropped connection's last frames can still arrive after the
+	// next one's first.
+	OnRefs func(dial int, refs []hbproto.Ref, at time.Time)
 	// OnDown is told when a connection's reader ends on an error while the
 	// slot is still open — whether or not a failed Send already dropped
 	// that connection — so an owner with a reconnect policy can run it.
@@ -52,6 +57,7 @@ type Slot struct {
 
 	mu      sync.Mutex
 	conn    net.Conn
+	dials   int // connections installed so far
 	closed  bool
 	readers sync.WaitGroup
 }
@@ -119,9 +125,11 @@ func (s *Slot) connect() (net.Conn, bool, error) {
 		return cur, false, nil
 	}
 	s.conn = conn
+	s.dials++
+	n := s.dials
 	s.readers.Add(1)
 	s.mu.Unlock()
-	go s.read(conn)
+	go s.read(conn, n)
 	return conn, true, nil
 }
 
@@ -184,7 +192,7 @@ func (s *Slot) drop(conn net.Conn) (closed bool) {
 // read is the one client-side ack/feedback loop. Frames are handled
 // inline, so the FrameReader's reused message values never outlive the
 // iteration.
-func (s *Slot) read(conn net.Conn) {
+func (s *Slot) read(conn net.Conn, dial int) {
 	defer s.readers.Done()
 	fr := hbproto.NewFrameReader(conn)
 	for {
@@ -205,7 +213,7 @@ func (s *Slot) read(conn net.Conn) {
 			continue
 		}
 		if s.OnRefs != nil {
-			s.OnRefs(refs, time.Now())
+			s.OnRefs(dial, refs, time.Now())
 		}
 	}
 }

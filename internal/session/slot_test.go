@@ -299,7 +299,7 @@ func TestSlot(t *testing.T) {
 				at   time.Time
 			}
 			seen := make(chan got, 4)
-			s := pn.slot(t, &Slot{Addr: "a", OnRefs: func(refs []hbproto.Ref, at time.Time) {
+			s := pn.slot(t, &Slot{Addr: "a", OnRefs: func(_ int, refs []hbproto.Ref, at time.Time) {
 				seen <- got{append([]hbproto.Ref(nil), refs...), at}
 			}})
 			if _, err := s.Connect(); err != nil {
@@ -322,6 +322,46 @@ func TestSlot(t *testing.T) {
 			}
 			if ack.at.Before(before) || fb.at.Before(ack.at) {
 				t.Fatalf("arrival times out of order: %v %v %v", before, ack.at, fb.at)
+			}
+		}},
+		{"every dial decodes through a reader of its own and says so", func(t *testing.T, pn *pipeNet) {
+			type got struct {
+				dial int
+				ref  hbproto.Ref
+			}
+			seen := make(chan got, 4)
+			s := pn.slot(t, &Slot{Addr: "a", OnRefs: func(dial int, refs []hbproto.Ref, _ time.Time) {
+				for _, ref := range refs {
+					seen <- got{dial, ref}
+				}
+			}})
+			ack := func(srv net.Conn, srcs ...string) {
+				t.Helper()
+				msg := &hbproto.Ack{}
+				for _, src := range srcs {
+					msg.Refs = append(msg.Refs, hbproto.Ref{Src: src, Seq: 1})
+				}
+				if err := hbproto.WriteFrame(srv, msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.Connect(); err != nil {
+				t.Fatal(err)
+			}
+			ack(pn.server(0), "ue-a", "ue-b")
+			if a, b := <-seen, <-seen; a != (got{1, hbproto.Ref{Src: "ue-a", Seq: 1, Handle: 1}}) || b != (got{1, hbproto.Ref{Src: "ue-b", Seq: 1, Handle: 2}}) {
+				t.Fatalf("first dial handed over %+v, %+v", a, b)
+			}
+			_ = pn.server(0).Close()
+			waitFor(t, func() bool { return !s.Connected() }, "broken connection dropped")
+			if dialed, err := s.Connect(); err != nil || !dialed {
+				t.Fatalf("redial = %v, %v", dialed, err)
+			}
+			// The new connection's reader starts numbering again: the same
+			// handle now names another source, and only the dial tells.
+			ack(pn.server(1), "ue-b")
+			if b := <-seen; b != (got{2, hbproto.Ref{Src: "ue-b", Seq: 1, Handle: 1}}) {
+				t.Fatalf("second dial handed over %+v", b)
 			}
 		}},
 		{"SendN composes every frame into one Write", func(t *testing.T, pn *pipeNet) {
