@@ -938,3 +938,68 @@ func TestRelayPeriodAndFlushTimerOnSameInstant(t *testing.T) {
 		t.Fatalf("advertised free = %d after the new period opened, want 8", free)
 	}
 }
+
+// TestUEPendingEntriesAreRecycled drives one UE through an acknowledged
+// forward, an unacknowledged one and another acknowledged one, on both
+// clocks. The UE keeps one pending entry and its bound timer callback for
+// all three, so the timeout that fires for the second must resend the
+// second — not whatever the entry carried when its callback was made — and
+// a direct send's scratch batch must carry exactly that heartbeat.
+func TestUEPendingEntriesAreRecycled(t *testing.T) {
+	for name, mk := range map[string]func(*simtime.Scheduler) simtime.Clock{
+		"scheduler": func(s *simtime.Scheduler) simtime.Clock { return simtime.SchedulerClock{S: s} },
+		"agenda":    func(s *simtime.Scheduler) simtime.Clock { return simtime.AgendaClock{A: simtime.NewAgenda(s)} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := simtime.NewScheduler(1)
+			sub := &fakeSub{relays: map[hbmsg.DeviceID]*fakeLink{}, offer: []hbmsg.DeviceID{"a"}}
+			ue, err := NewUEOn(mk(s), sub, sub, UEConfig{
+				ID: "ue", Profile: std(), Match: matching.DefaultConfig(), StartOffset: time.Second,
+				FeedbackTimeout: 30 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			acking := true
+			sub.relays["a"] = &fakeLink{id: "a", free: 4, onSend: func(hb hbmsg.Heartbeat) {
+				if acking {
+					ue.OnAck(d2d.AckRef{Src: hb.Src, Seq: hb.Seq})
+				}
+			}}
+			if err := ue.Start(); err != nil {
+				t.Fatal(err)
+			}
+			period := std().Period
+			run := func(until time.Duration) {
+				t.Helper()
+				if err := s.RunUntil(until); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run(2 * time.Second) // heartbeat 1: forwarded and acknowledged inside Send
+			if len(ue.pending) != 0 || len(ue.spare) != 1 {
+				t.Fatalf("after an acknowledged forward: %d pending, %d spare, want 0 and 1", len(ue.pending), len(ue.spare))
+			}
+			acking = false
+			run(period + 2*time.Second) // heartbeat 2: forwarded, never acknowledged
+			if len(ue.pending) != 1 || len(ue.spare) != 0 {
+				t.Fatalf("awaiting feedback: %d pending, %d spare, want the one entry in use", len(ue.pending), len(ue.spare))
+			}
+			acking = true
+			// Heartbeat 2 times out before heartbeat 3 is due: the fallback
+			// resend is the first cellular batch, and heartbeat 3 finds the
+			// entry free again.
+			run(2*period + 2*time.Second)
+			if len(sub.direct) != 1 || len(sub.direct[0]) != 1 || sub.direct[0][0].Seq != 2 {
+				t.Fatalf("cellular batches = %v, want exactly the fallback resend of heartbeat 2", sub.direct)
+			}
+			us := ue.Stats()
+			if us.FallbackResends != 1 || us.AcksReceived != 2 || us.SentViaD2D != 3 {
+				t.Fatalf("stats = %+v, want 3 forwards, 2 acks, 1 fallback", us)
+			}
+			if len(ue.pending) != 0 || len(ue.spare) != 1 {
+				t.Fatalf("settled: %d pending, %d spare, want the one entry back", len(ue.pending), len(ue.spare))
+			}
+		})
+	}
+}

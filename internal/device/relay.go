@@ -106,6 +106,7 @@ type Relay struct {
 	seq         uint64
 	ownHB       hbmsg.Heartbeat
 	sources     map[ackKey]ReturnPath
+	txBuf       []hbmsg.Heartbeat // the transmitted batch, reused: Uplink.Send does not retain it
 	flushTimer  simtime.Handle
 	periodTimer simtime.Handle
 	stopped     bool
@@ -284,12 +285,12 @@ func (r *Relay) flush() {
 	r.flushTimer = nil
 	now := r.clock.Now()
 	batch := r.policy.Flush(now)
-	full := make([]hbmsg.Heartbeat, 0, len(batch)+1)
-	full = append(full, batch...)
+	full := append(r.txBuf[:0], batch...)
 	if r.ownHB.Src != "" {
 		full = append(full, r.ownHB)
 		r.ownHB = hbmsg.Heartbeat{}
 	}
+	r.txBuf = full
 	if len(full) == 0 {
 		return
 	}

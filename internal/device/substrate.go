@@ -55,7 +55,8 @@ type RelayRadio interface {
 	Shutdown()
 }
 
-// Uplink is a device's cellular modem: one call is one RRC connection.
+// Uplink is a device's cellular modem: one call is one RRC connection. Send
+// copies what it keeps of hbs; the caller reuses the slice.
 type Uplink interface {
 	Send(hbs []hbmsg.Heartbeat, phase energy.Phase) error
 }

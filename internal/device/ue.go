@@ -114,7 +114,9 @@ type UE struct {
 	seq      uint64
 	link     Link
 	pending  map[uint64]*pendingSend
-	beats    []func() // one heartbeat loop body per app profile
+	spare    []*pendingSend     // settled entries, kept with their timer callbacks for reuse
+	one      [1]hbmsg.Heartbeat // the batch of a direct send; Uplink.Send does not retain it
+	beats    []func()           // one heartbeat loop body per app profile
 	hbTimers []simtime.Handle
 	stopped  bool
 
@@ -130,10 +132,13 @@ type UE struct {
 // maxScanBackoff caps the discovery backoff at 8 heartbeat periods.
 const maxScanBackoff = 8
 
-// pendingSend tracks a forwarded heartbeat awaiting feedback.
+// pendingSend tracks a forwarded heartbeat awaiting feedback. A UE has one
+// or two in flight at a time, so settled entries are recycled together with
+// the timer callback bound to them.
 type pendingSend struct {
-	hb    hbmsg.Heartbeat
-	timer simtime.Handle
+	hb      hbmsg.Heartbeat
+	timer   simtime.Handle
+	timeout func() // u.onFeedbackTimeout for whatever hb this entry carries
 }
 
 // NewUE assembles a UE on the sequential substrate: its D2D node on the
@@ -209,8 +214,7 @@ func (u *UE) Stop() {
 		u.hbTimers[i] = nil
 	}
 	for seq, p := range u.pending {
-		u.clock.Stop(p.timer)
-		delete(u.pending, seq)
+		u.settle(seq, p)
 	}
 	if u.link != nil {
 		u.link.Close()
@@ -357,7 +361,8 @@ func (u *UE) matchFailed() {
 // sendDirect transmits a heartbeat straight over cellular (the original
 // system's path).
 func (u *UE) sendDirect(hb hbmsg.Heartbeat) {
-	if err := u.uplink.Send([]hbmsg.Heartbeat{hb}, energy.PhaseCellular); err != nil {
+	u.one[0] = hb
+	if err := u.uplink.Send(u.one[:], energy.PhaseCellular); err != nil {
 		u.stats.SendErrors++
 		return
 	}
@@ -367,23 +372,39 @@ func (u *UE) sendDirect(hb hbmsg.Heartbeat) {
 
 // armFeedback starts the ack timer for a forwarded heartbeat.
 func (u *UE) armFeedback(hb hbmsg.Heartbeat) {
-	seq := hb.Seq
-	t, err := u.clock.After(u.feedbackTimeout(hb.Expiry), func() { u.onFeedbackTimeout(seq) })
+	var p *pendingSend
+	if n := len(u.spare); n > 0 {
+		p, u.spare = u.spare[n-1], u.spare[:n-1]
+	} else {
+		p = &pendingSend{}
+		p.timeout = func() { u.onFeedbackTimeout(p.hb.Seq) }
+	}
+	p.hb = hb
+	t, err := u.clock.After(u.feedbackTimeout(hb.Expiry), p.timeout)
 	if err != nil {
 		u.stats.SendErrors++
+		u.spare = append(u.spare, p)
 		return
 	}
-	u.pending[seq] = &pendingSend{hb: hb, timer: t}
+	p.timer = t
+	u.pending[hb.Seq] = p
+}
+
+// settle takes a pending entry out of the table: its timer, if it still
+// has one, is cancelled, and the entry goes back to the spares, where the
+// next armFeedback overwrites its heartbeat.
+func (u *UE) settle(seq uint64, p *pendingSend) {
+	u.clock.Stop(p.timer)
+	p.timer = nil
+	delete(u.pending, seq)
+	u.spare = append(u.spare, p)
 }
 
 // cancelFeedback drops a pending entry after a failed send.
 func (u *UE) cancelFeedback(seq uint64) {
-	p, ok := u.pending[seq]
-	if !ok {
-		return
+	if p, ok := u.pending[seq]; ok {
+		u.settle(seq, p)
 	}
-	u.clock.Stop(p.timer)
-	delete(u.pending, seq)
 }
 
 // onFeedbackTimeout fires when a forwarded heartbeat was never
@@ -395,10 +416,12 @@ func (u *UE) onFeedbackTimeout(seq uint64) {
 	if !ok || u.stopped {
 		return
 	}
-	delete(u.pending, seq)
+	u.one[0] = p.hb
+	p.timer = nil // it is what is running
+	u.settle(seq, p)
 	u.stats.FallbackResends++
-	u.emit(trace.Event{Kind: trace.KindFallback, App: p.hb.App, Seq: seq})
-	if err := u.uplink.Send([]hbmsg.Heartbeat{p.hb}, energy.PhaseFallback); err != nil {
+	u.emit(trace.Event{Kind: trace.KindFallback, App: u.one[0].App, Seq: seq})
+	if err := u.uplink.Send(u.one[:], energy.PhaseFallback); err != nil {
 		u.stats.SendErrors++
 	}
 	// The relay evidently failed us; drop the link so the next heartbeat
@@ -415,8 +438,8 @@ func (u *UE) OnAck(ref d2d.AckRef) {
 	if !ok || ref.Src != u.cfg.ID {
 		return
 	}
-	u.clock.Stop(p.timer)
-	delete(u.pending, ref.Seq)
+	app := p.hb.App
+	u.settle(ref.Seq, p)
 	u.stats.AcksReceived++
-	u.emit(trace.Event{Kind: trace.KindAck, App: p.hb.App, Seq: ref.Seq})
+	u.emit(trace.Event{Kind: trace.KindAck, App: app, Seq: ref.Seq})
 }

@@ -10,7 +10,6 @@ package energy
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -264,11 +263,11 @@ func (m Model) CellularTxCharge(msgs, payloadBytes int) MicroAmpHours {
 	return c
 }
 
-// Ledger accumulates charge per phase. It is safe for concurrent use so the
-// real-protocol stack can share the same accounting type as the simulator.
+// Ledger accumulates charge per phase. It is not safe for concurrent use:
+// every ledger belongs to one simulated device, and a device runs on one
+// goroutine at a time (its scheduler's, or its tile's between barriers).
 // The zero value is an empty ledger.
 type Ledger struct {
-	mu     sync.Mutex
 	phases Charges
 	events [numPhases + 1]int
 }
@@ -286,31 +285,23 @@ func (l *Ledger) Add(p Phase, c MicroAmpHours) {
 	if c < 0 {
 		c = 0
 	}
-	l.mu.Lock()
 	l.phases[p] += c
 	l.events[p]++
-	l.mu.Unlock()
 }
 
 // Phase returns the accumulated charge for phase p.
 func (l *Ledger) Phase(p Phase) MicroAmpHours {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.phases[p]
 }
 
 // Events returns how many charge events were recorded for phase p.
 func (l *Ledger) Events(p Phase) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.events[p]
 }
 
 // Total returns the accumulated charge across all phases. Summation runs in
 // phase order so that floating-point rounding is reproducible across runs.
 func (l *Ledger) Total() MicroAmpHours {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var sum MicroAmpHours
 	for _, c := range l.phases {
 		sum += c
@@ -321,8 +312,6 @@ func (l *Ledger) Total() MicroAmpHours {
 // Snapshot returns a copy of the per-phase totals and the set of phases
 // that were ever charged.
 func (l *Ledger) Snapshot() (Charges, PhaseSet) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var charged PhaseSet
 	for p, n := range l.events {
 		if n > 0 {

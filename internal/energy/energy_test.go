@@ -3,7 +3,6 @@ package energy
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -269,24 +268,6 @@ func TestLedgerRejectsUndeclaredPhase(t *testing.T) {
 		if (PhaseSet(0xff)).Has(p) {
 			t.Errorf("PhaseSet.Has(%v) = true for an undeclared phase", p)
 		}
-	}
-}
-
-func TestLedgerConcurrentUse(t *testing.T) {
-	l := NewLedger()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				l.Add(PhaseD2DSend, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := l.Phase(PhaseD2DSend); got != 8000 {
-		t.Fatalf("concurrent total = %v, want 8000", got)
 	}
 }
 

@@ -84,3 +84,66 @@ func BenchmarkCityBuildAndRun(b *testing.B) {
 		}
 	}
 }
+
+// cityParRep is one repetition of the city_par bench workload: 10k devices
+// on 16 tiles for 40 simulated minutes, build plus run.
+func cityParRep() ParallelCityConfig {
+	return ParallelCityConfig{CityConfig: CityConfig{
+		Seed: 1, Devices: 10_000, RelayFraction: 0.10, Side: 1000,
+		Duration: 40 * time.Minute, Capacity: 16,
+	}, Tiles: 16}
+}
+
+// TestCityParallelAllocs pins what one city_par repetition allocates. The
+// bench keeps every repetition's report, so its peak RSS is retained reports
+// plus one repetition's garbage: a faster kernel fits more repetitions into
+// a run and has to pay for each with fewer bytes. The ceilings sit between
+// this kernel (≈ 32 MB in ≈ 425 k mallocs) and the one that regrew the
+// barrier's op buffer every window, kept scan scratch per device, grew every
+// walker's legs for life and allocated a Task and a bound method value per
+// agenda arm (116 MB in 1.11 M mallocs).
+func TestCityParallelAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations are not the kernel's")
+	}
+	const (
+		bytesCeiling   = 50 << 20
+		mallocsCeiling = 700_000
+	)
+	cfg := cityParRep()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, _, err := RunCityParallel(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("one RunCityParallel: %.1f MB in %d mallocs", float64(bytes)/(1<<20), mallocs)
+	if bytes > bytesCeiling {
+		t.Errorf("one RunCityParallel allocates %d bytes, ceiling %d", bytes, bytesCeiling)
+	}
+	if mallocs > mallocsCeiling {
+		t.Errorf("one RunCityParallel makes %d mallocs, ceiling %d", mallocs, mallocsCeiling)
+	}
+}
+
+// BenchmarkCityParallelBuildAndRun is one repetition of the city_par bench
+// workload for -benchmem and -cpuprofile. The per-window metrics are counts
+// of work, not time: a boundary that sampled every device would report
+// 10 000 samples/window.
+func BenchmarkCityParallelBuildAndRun(b *testing.B) {
+	cfg := cityParRep()
+	b.ReportAllocs()
+	var st ParallelCityStats
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, st, err = RunCityParallel(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	windows := float64(st.Windows)
+	b.ReportMetric(float64(st.PositionSamples)/windows, "samples/window")
+	b.ReportMetric(float64(st.LegRefreshes)/windows, "leg-refreshes/window")
+	b.ReportMetric(float64(st.ScanCandidates)/windows, "scan-candidates/window")
+}

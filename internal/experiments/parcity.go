@@ -107,6 +107,14 @@ type ParallelCityStats struct {
 	// CrossTileOps counts boundary operations routed between devices
 	// (including same-tile ones — every D2D effect is a boundary op).
 	CrossTileOps int
+	// PositionSamples, LegRefreshes and ScanCandidates count the kernel's
+	// work rather than time it: boundary snapshot entries written (movers
+	// and relays, once per published boundary), walker legs fetched because
+	// the cached one had ended, and beacons the index handed to Scan before
+	// any range test. All three depend on the run only, not on Tiles.
+	PositionSamples int
+	LegRefreshes    int
+	ScanCandidates  int
 	// TraceDigest is the canonical trace digest (empty unless captured).
 	TraceDigest string
 	TraceEvents int
@@ -119,45 +127,54 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 	if err := cfg.validate(); err != nil {
 		return nil, ParallelCityStats{}, err
 	}
-	window := cfg.Window
-	if window == 0 {
-		window = DefaultParallelWindow
-	}
-	if window > cfg.Duration {
-		window = cfg.Duration
-	}
-
 	pop, err := buildCityPopulation(cfg.CityConfig, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, ParallelCityStats{}, err
 	}
-	grid, err := geo.NewTileGrid(geo.Square(cfg.Side), cfg.Tiles)
+	c, err := newParCity(cfg, pop)
 	if err != nil {
 		return nil, ParallelCityStats{}, err
+	}
+	return c.run()
+}
+
+// parCity is a built tile city, ready to run once.
+type parCity struct {
+	cfg   ParallelCityConfig
+	env   *parEnv
+	grid  *geo.TileGrid
+	group *simtime.TileGroup
+}
+
+// newParCity places the roster on its tiles and starts every device's
+// state machine on its own agenda.
+func newParCity(cfg ParallelCityConfig, pop cityPopulation) (*parCity, error) {
+	grid, err := geo.NewTileGrid(geo.Square(cfg.Side), cfg.Tiles)
+	if err != nil {
+		return nil, err
 	}
 	group, err := simtime.NewTileGroup(cfg.Seed, grid.Tiles())
 	if err != nil {
-		return nil, ParallelCityStats{}, err
+		return nil, err
 	}
 
+	n := len(pop.relays) + len(pop.ues)
 	profile, rrcCfg := stdProfile(), rrc.DefaultConfig()
 	env := &parEnv{
 		radio:     radio.WiFiDirectProfile(),
 		model:     energy.DefaultModel(),
 		numRelays: len(pop.relays),
-		orderOf:   make(map[hbmsg.DeviceID]int, cfg.Devices),
+		orderOf:   make(map[hbmsg.DeviceID]int, n),
 		traceOn:   cfg.CaptureTrace || cfg.Tracer != nil,
 	}
 	env.beacons, err = d2d.NewBeaconIndex(env.radio.MaxRange())
 	if err != nil {
-		return nil, ParallelCityStats{}, err
+		return nil, err
 	}
 	env.tiles = make([]*parTile, grid.Tiles())
 	for i := range env.tiles {
 		env.tiles[i] = &parTile{sched: group.Scheduler(i)}
 	}
-
-	n := cfg.Devices
 	env.devices = make([]*pdevice, 0, n)
 	env.snap = make([]parSnap, n)
 	env.next = make([]parSnap, n)
@@ -166,16 +183,25 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 	// substrate it will run on. Everything time-driven — the state machine
 	// and the RRC machine alike — sits on the device's agenda, so it
 	// migrates with the device.
-	addDevice := func(id hbmsg.DeviceID, mob geo.Mobility) (*pdevice, error) {
-		d := &pdevice{env: env, id: id, order: len(env.devices), mob: mob}
+	addDevice := func(id hbmsg.DeviceID, mob geo.Mobility, relay bool) (*pdevice, error) {
+		d := &pdevice{env: env, id: id, order: len(env.devices), mob: mob, tileIdx: -1}
 		env.devices = append(env.devices, d)
 		env.orderOf[id] = d.order
-		p := mob.Pos(0)
-		env.snap[d.order].pos = p
+		if w, ok := mob.(*geo.RandomWaypoint); ok {
+			d.walker, d.leg = w, w.LegAt(0)
+		}
+		sl, bounded := mob.(geo.SpeedLimited)
+		d.moves = !bounded || sl.MaxSpeed() > 0
+		// Both buffers: a device that is not sampled never writes either
+		// again (see parEnv.snap).
+		p := d.posAt(0)
+		env.snap[d.order].pos, env.next[d.order].pos = p, p
 		d.tile = grid.TileOf(p)
 		tl := env.tiles[d.tile]
-		d.tileIdx = len(tl.devices)
-		tl.devices = append(tl.devices, d)
+		if d.moves || relay {
+			d.tileIdx = len(tl.sampled)
+			tl.sampled = append(tl.sampled, d)
+		}
 		d.agenda = simtime.NewAgenda(tl.sched)
 		d.rng = simtime.NewDerivedRand(cfg.Seed, int64(d.order))
 		d.ledger = energy.NewLedger()
@@ -188,7 +214,7 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 	}
 	for i := range pop.relays {
 		spec := &pop.relays[i]
-		d, err := addDevice(spec.ID, spec.Mobility)
+		d, err := addDevice(spec.ID, spec.Mobility, true)
 		if err == nil {
 			d.relay, err = device.NewRelayOn(d.clock(), d, d, device.RelayConfig{
 				ID: spec.ID, Profile: profile, Capacity: spec.Capacity,
@@ -199,12 +225,12 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 			err = d.relay.Start()
 		}
 		if err != nil {
-			return nil, ParallelCityStats{}, err
+			return nil, err
 		}
 	}
 	for i := range pop.ues {
 		spec := &pop.ues[i]
-		d, err := addDevice(spec.ID, spec.Mobility)
+		d, err := addDevice(spec.ID, spec.Mobility, false)
 		if err == nil {
 			d.ue, err = device.NewUEOn(d.clock(), d, d, device.UEConfig{
 				ID: spec.ID, Profile: profile, Match: matching.DefaultConfig(),
@@ -215,8 +241,21 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 			err = d.ue.Start()
 		}
 		if err != nil {
-			return nil, ParallelCityStats{}, err
+			return nil, err
 		}
+	}
+	return &parCity{cfg: cfg, env: env, grid: grid, group: group}, nil
+}
+
+// run drives the city to its horizon and assembles the report.
+func (c *parCity) run() (*core.Report, ParallelCityStats, error) {
+	cfg, env, grid := c.cfg, c.env, c.grid
+	window := cfg.Window
+	if window == 0 {
+		window = DefaultParallelWindow
+	}
+	if window > cfg.Duration {
+		window = cfg.Duration
 	}
 
 	tracker := presence.NewTracker()
@@ -224,30 +263,38 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 	stats := ParallelCityStats{Tiles: grid.Tiles()}
 	var deliveries, late int
 	var deliveryBuf []parDelivery
+	var opBuf []parOp
 	var traceBufs [][]trace.Keyed
 
 	begin := func(tile int, _ time.Duration) error {
 		tl := env.tiles[tile]
 		for i := range tl.inOps {
-			env.devices[tl.inOps[i].dst].applyOp(tl.inOps[i])
+			env.devices[tl.inOps[i].dst].applyOp(&tl.inOps[i])
 		}
 		tl.inOps = tl.inOps[:0]
 		return nil
 	}
+	// A boundary costs what can have changed: only the tile's movers and
+	// relays are sampled, and only movers are re-binned.
 	end := func(tile int, boundary time.Duration) error {
+		if boundary >= cfg.Duration {
+			// The final barrier publishes no snapshot and migrates nobody:
+			// there is no window left to read either.
+			return nil
+		}
 		tl := env.tiles[tile]
-		final := boundary >= cfg.Duration
-		for _, d := range tl.devices {
-			s := parSnap{pos: d.mob.Pos(boundary)}
+		for _, d := range tl.sampled {
+			s := parSnap{pos: d.posAt(boundary)}
 			if d.relay != nil {
 				s.free, s.intent = d.relay.Advertised()
 				s.accepting = d.beaconing
 			}
 			env.next[d.order] = s
-			if !final && grid.TileOf(s.pos) != d.tile {
+			if d.moves && grid.TileOf(s.pos) != d.tile {
 				tl.migrants = append(tl.migrants, d)
 			}
 		}
+		tl.positionSamples += len(tl.sampled)
 		return nil
 	}
 	barrier := func(boundary time.Duration, final bool) error {
@@ -312,28 +359,28 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 		// Route boundary ops in their global canonical order, split per
 		// destination tile; each tile applies its slice in order at the
 		// start of the next window.
-		var ops []parOp
+		opBuf = opBuf[:0]
 		for _, tl := range env.tiles {
-			ops = append(ops, tl.outOps...)
+			opBuf = append(opBuf, tl.outOps...)
 			tl.outOps = tl.outOps[:0]
 		}
-		slices.SortFunc(ops, func(a, b parOp) int {
+		slices.SortFunc(opBuf, func(a, b parOp) int {
 			return cmp.Or(cmp.Compare(a.createdAt, b.createdAt), cmp.Compare(a.src, b.src), cmp.Compare(a.srcSeq, b.srcSeq))
 		})
-		for i := range ops {
-			dst := env.devices[ops[i].dst]
-			env.tiles[dst.tile].inOps = append(env.tiles[dst.tile].inOps, ops[i])
+		for i := range opBuf {
+			tl := env.tiles[env.devices[opBuf[i].dst].tile]
+			tl.inOps = append(tl.inOps, opBuf[i])
 		}
-		stats.CrossTileOps += len(ops)
+		stats.CrossTileOps += len(opBuf)
 		env.rebuildBeacons()
 		return nil
 	}
 
-	if err := group.Run(cfg.Duration, window, begin, end, barrier); err != nil {
+	if err := c.group.Run(cfg.Duration, window, begin, end, barrier); err != nil {
 		return nil, ParallelCityStats{}, err
 	}
 
-	devs := make([]*core.DeviceReport, 0, n)
+	devs := make([]*core.DeviceReport, 0, len(env.devices))
 	totalL3 := 0
 	for _, d := range env.devices {
 		role := d2d.RoleUE
@@ -345,7 +392,12 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 		devs = append(devs, dr)
 	}
 	rep := core.NewReport(cfg.Duration, devs, totalL3, deliveries, late, cellular.ChannelReport{})
-	stats.CityStats = newCityStats(cfg.CityConfig, rep, group.Fired())
+	stats.CityStats = newCityStats(cfg.CityConfig, rep, c.group.Fired())
+	for _, tl := range env.tiles {
+		stats.PositionSamples += tl.positionSamples
+		stats.LegRefreshes += tl.legRefreshes
+		stats.ScanCandidates += tl.scanCandidates
+	}
 	if env.traceOn {
 		sum, err := digest.Sum()
 		if err != nil {
@@ -361,16 +413,16 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 // boundary. Runs on the barrier goroutine only.
 func (env *parEnv) migrate(d *pdevice, newTile int) error {
 	old := env.tiles[d.tile]
-	last := len(old.devices) - 1
-	moved := old.devices[last]
-	old.devices[d.tileIdx] = moved
+	last := len(old.sampled) - 1
+	moved := old.sampled[last]
+	old.sampled[d.tileIdx] = moved
 	moved.tileIdx = d.tileIdx
-	old.devices = old.devices[:last]
+	old.sampled = old.sampled[:last]
 
 	nt := env.tiles[newTile]
 	d.tile = newTile
-	d.tileIdx = len(nt.devices)
-	nt.devices = append(nt.devices, d)
+	d.tileIdx = len(nt.sampled)
+	nt.sampled = append(nt.sampled, d)
 	if err := d.agenda.Rehome(nt.sched); err != nil {
 		return fmt.Errorf("experiments: migrate %s: %w", d.id, err)
 	}

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"d2dhb/internal/core"
+	"d2dhb/internal/geo"
 	"d2dhb/internal/trace"
 )
 
@@ -52,9 +54,13 @@ var parGoldens = map[int64]struct{ rep, trace string }{
 // TestCityParallelEquivalenceGolden is the determinism-equivalence suite:
 // for each pinned golden seed, the same city at tiles=1, 4 and 16 must
 // produce bit-identical report digests, trace digests and kernel event
-// counts — and match the pinned goldens.
+// counts — and match the pinned goldens. The kernel's work counters are
+// counts of what the run did, not of how it was partitioned, so they must
+// agree across tile counts too.
 func TestCityParallelEquivalenceGolden(t *testing.T) {
+	type work struct{ samples, refreshes, candidates int }
 	for seed, want := range parGoldens {
+		var single work
 		for _, tiles := range []int{1, 4, 16} {
 			cfg := parGoldenConfig(seed)
 			cfg.Tiles = tiles
@@ -70,6 +76,20 @@ func TestCityParallelEquivalenceGolden(t *testing.T) {
 			}
 			if st.Tiles != tiles && !(tiles == 1 && st.Tiles == 1) {
 				t.Errorf("seed=%d: stats report %d tiles, want %d", seed, st.Tiles, tiles)
+			}
+			got := work{st.PositionSamples, st.LegRefreshes, st.ScanCandidates}
+			if tiles == 1 {
+				single = got
+				if got.samples == 0 || got.refreshes == 0 || got.candidates == 0 {
+					t.Errorf("seed=%d: work counters %+v, want every one non-zero", seed, got)
+				}
+				// Static UEs are never sampled: 400 devices at every one of
+				// the 29 published boundaries would be 11 600.
+				if all := cfg.Devices * (st.Windows - 1); got.samples >= all*2/3 {
+					t.Errorf("seed=%d: %d position samples, sampling everyone would be %d", seed, got.samples, all)
+				}
+			} else if got != single {
+				t.Errorf("seed=%d tiles=%d work counters %+v, tiles=1 counted %+v", seed, tiles, got, single)
 			}
 		}
 	}
@@ -133,6 +153,82 @@ func TestCityParallelBorderStraddlers(t *testing.T) {
 	}
 	if traces[0] != traces[1] {
 		t.Errorf("trace digests diverge across the border-heavy grid: %s vs %s", traces[0], traces[1])
+	}
+}
+
+// TestCityParallelSnapshotBuffers pins the two-buffer rule of parEnv.snap.
+// A static UE is written into both snapshot buffers at set-up and never
+// again, so after an even and after an odd number of swaps it must read the
+// position it was placed at, as must a parked relay, which is sampled at
+// every boundary. A relay that shuts down mid-window is still sampled: the
+// snapshot published at the end of that window says it is not accepting,
+// while the buffer swapped out — one boundary older — still has it on the
+// air.
+func TestCityParallelSnapshotBuffers(t *testing.T) {
+	const window = 10 * time.Second
+	profile := stdProfile()
+	parked, quitter := geo.Point{X: 20, Y: 20}, geo.Point{X: 80, Y: 80}
+	still := geo.Point{X: 70, Y: 30}
+	for _, windows := range []int{3, 4} { // two swaps, three swaps
+		walker, err := geo.NewRandomWaypoint(geo.Square(100), geo.Point{X: 40, Y: 60}, 8, 15, 0, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pop := cityPopulation{
+			relays: []core.RelaySpec{
+				{ID: "relay-parked", Profile: profile, Mobility: geo.Static{P: parked}, Capacity: 4},
+				{ID: "relay-quitter", Profile: profile, Mobility: geo.Static{P: quitter}, Capacity: 4},
+			},
+			ues: []core.UESpec{
+				{ID: "ue-still", Profile: profile, Mobility: geo.Static{P: still}, StartOffset: time.Second},
+				{ID: "ue-walker", Profile: profile, Mobility: walker, StartOffset: time.Second},
+			},
+		}
+		cfg := ParallelCityConfig{
+			CityConfig: CityConfig{Seed: 1, Devices: 4, RelayFraction: 0.5, Side: 100,
+				Duration: time.Duration(windows) * window, Capacity: 4},
+			Tiles: 4, Window: window,
+		}
+		c, err := newParCity(cfg, pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := c.env
+		// Shut the second relay down in the middle of the last window whose
+		// boundary is published.
+		q := env.devices[1]
+		if _, err := q.agenda.At(cfg.Duration-window-window/2, q.relay.Stop); err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := c.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Windows != windows {
+			t.Fatalf("ran %d windows, want %d", st.Windows, windows)
+		}
+		for order, want := range []geo.Point{parked, quitter, still} {
+			if got := env.snap[order].pos; got != want {
+				t.Errorf("%d windows: %s reads position %v from the snapshot, placed at %v",
+					windows, env.devices[order].id, got, want)
+			}
+		}
+		if got, at0 := env.snap[3].pos, walker.Pos(0); got == at0 {
+			t.Errorf("%d windows: the vehicle still reads its starting position %v", windows, got)
+		}
+		if !env.snap[0].accepting {
+			t.Errorf("%d windows: the parked relay is not accepting in the published snapshot", windows)
+		}
+		if env.snap[1].accepting {
+			t.Errorf("%d windows: a relay that shut down a window ago is still accepting", windows)
+		}
+		if !env.next[1].accepting {
+			t.Errorf("%d windows: the relay was not on the air one boundary before it shut down; the check above proves nothing", windows)
+		}
+		// Two relays and the vehicle at every published boundary.
+		if want := 3 * (windows - 1); st.PositionSamples != want {
+			t.Errorf("%d windows: %d position samples, want %d (the static UE is never sampled)", windows, st.PositionSamples, want)
+		}
 	}
 }
 

@@ -68,13 +68,24 @@ type parDelivery struct {
 // parTile is the per-tile mutable state. Everything here is owned by the
 // tile's worker during a window and by the barrier between windows.
 type parTile struct {
-	sched      *simtime.Scheduler
-	devices    []*pdevice
+	sched *simtime.Scheduler
+	// sampled lists the tile's devices whose snapshot entry can change —
+	// movers and relays — and so is all a boundary has to visit. A static
+	// UE is on no list: it lives on the tile it was placed on for good.
+	sampled    []*pdevice
 	inOps      []parOp
 	outOps     []parOp
 	deliveries []parDelivery
 	events     []trace.Keyed
 	migrants   []*pdevice
+
+	// Scan scratch, shared by the tile's devices: a scan's result is
+	// consumed (matching.Select, then Connect) before Scan is called again.
+	scanBuf []d2d.Beacon
+	peerBuf []d2d.PeerInfo
+
+	// Work counters, summed into ParallelCityStats after the run.
+	positionSamples, legRefreshes, scanCandidates int
 }
 
 // parSnap is one device's externally visible state as frozen at a window
@@ -100,8 +111,12 @@ type parEnv struct {
 	// snap is the window-boundary snapshot, read-only during a window. The
 	// end hooks write next — tiles finish windows at different wall times,
 	// so writing the live snapshot would race slower tiles' reads — and the
-	// barrier swaps the two. Every entry is rewritten at every boundary, so
-	// the swapped-out buffer never leaks stale state.
+	// barrier swaps the two. The two-buffer rule: an entry is either
+	// rewritten in next at every published boundary (sampled devices: what
+	// the swapped-out buffer held of them is two boundaries old and is
+	// overwritten before it is read again) or written into both buffers at
+	// set-up and never again (static UEs, whose entry is a position that
+	// cannot change). Nothing may be written to one buffer only.
 	snap, next []parSnap
 	beacons    *d2d.BeaconIndex
 	beaconBuf  []d2d.Beacon
@@ -118,9 +133,14 @@ type pdevice struct {
 	id    hbmsg.DeviceID
 	order int
 	mob   geo.Mobility
+	// A walker answers positions from the leg it is on and goes back to the
+	// walk only when that leg has ended; device time never runs backwards.
+	walker *geo.RandomWaypoint // mob when it is a random-waypoint walk, else nil
+	leg    geo.Leg
+	moves  bool // the position can change: sampled and re-binned at boundaries
 
 	tile    int
-	tileIdx int // index in tiles[tile].devices, maintained by migration
+	tileIdx int // index in tiles[tile].sampled, maintained by migration; -1 for a static UE
 
 	rng    *rand.Rand
 	agenda *simtime.Agenda
@@ -135,17 +155,28 @@ type pdevice struct {
 	relay     *device.Relay
 	beaconing bool // the relay has begun advertising
 
-	ue      *device.UE
-	link    *parLink // the link Connect last formed
-	scanBuf []d2d.Beacon
-	peerBuf []d2d.PeerInfo
+	ue   *device.UE
+	link *parLink // the link Connect last formed
 }
 
 func (d *pdevice) clock() simtime.Clock { return simtime.AgendaClock{A: d.agenda} }
 
 func (d *pdevice) now() time.Duration { return d.agenda.Scheduler().Now() }
 
-func (d *pdevice) pos() geo.Point { return d.mob.Pos(d.now()) }
+func (d *pdevice) pos() geo.Point { return d.posAt(d.now()) }
+
+// posAt is the device's position at t, which is now or the boundary the
+// device's tile has just reached.
+func (d *pdevice) posAt(t time.Duration) geo.Point {
+	if d.walker == nil {
+		return d.mob.Pos(t)
+	}
+	if t >= d.leg.End {
+		d.leg = d.walker.LegAt(t)
+		d.env.tiles[d.tile].legRefreshes++
+	}
+	return d.leg.At(t)
+}
 
 // Emit records one trace event into the owning tile's window buffer, keyed
 // for the canonical merge.
@@ -197,18 +228,20 @@ func (d *pdevice) Send(hbs []hbmsg.Heartbeat, phase energy.Phase) error {
 // ---------------------------------------------------------------------------
 // UE side
 
-// Scan discovers against the beacon snapshot.
+// Scan discovers against the beacon snapshot. The result lives in the
+// tile's scratch until the tile's next Scan.
 func (d *pdevice) Scan() []d2d.PeerInfo {
-	env := d.env
+	env, tl := d.env, d.env.tiles[d.tile]
 	d.ledger.Add(energy.PhaseDiscovery, env.model.UEDiscovery)
 	pos := d.pos()
-	d.scanBuf = env.beacons.Neighborhood(pos, d.scanBuf[:0])
-	found := d.peerBuf[:0]
+	tl.scanBuf = env.beacons.Neighborhood(pos, tl.scanBuf[:0])
+	tl.scanCandidates += len(tl.scanBuf)
+	found := tl.peerBuf[:0]
 	// Candidates arrive in population order, so the per-candidate RSSI
 	// draws consume this device's RNG stream in a partition-independent
 	// sequence.
-	for i := range d.scanBuf {
-		b := &d.scanBuf[i]
+	for i := range tl.scanBuf {
+		b := &tl.scanBuf[i]
 		if !b.Accepting || b.Order == d.order {
 			continue
 		}
@@ -225,7 +258,7 @@ func (d *pdevice) Scan() []d2d.PeerInfo {
 			FreeCapacity: b.FreeCapacity,
 		})
 	}
-	d.peerBuf = found
+	tl.peerBuf = found
 	slices.SortFunc(found, d2d.ByEstDistance)
 	return found
 }
@@ -314,7 +347,7 @@ func (d *pdevice) Ack(via device.ReturnPath, ref d2d.AckRef) error {
 }
 
 // applyOp lands one inbound boundary op on the destination device.
-func (d *pdevice) applyOp(op parOp) {
+func (d *pdevice) applyOp(op *parOp) {
 	switch op.kind {
 	case opConnect:
 		// The responder's discovery and connection phases, billed at

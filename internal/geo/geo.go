@@ -162,17 +162,37 @@ func (d *drawStream) Float64() float64 {
 	return f
 }
 
+// Leg is the piece of a walk a device is on at some instant: it moves from
+// From to To over [Start, End), or stands still when the two coincide. A
+// caller that keeps the Leg can answer every position query inside that
+// interval itself and needs the walker again only from End on.
+type Leg struct {
+	From, To   Point
+	Start, End time.Duration
+}
+
+// At returns the position at instant t, which must lie in [Start, End). It
+// interpolates exactly as RandomWaypoint.Pos does, bit for bit.
+func (l Leg) At(t time.Duration) Point {
+	return interpolate(waypointLeg{start: l.Start, from: l.From, to: l.To, duration: l.End - l.Start}, t)
+}
+
 // RandomWaypoint is the classic random-waypoint mobility model: the device
 // repeatedly picks a uniform destination in the area and walks there at a
 // speed drawn uniformly from [MinSpeed, MaxSpeed], pausing Pause at each
-// waypoint. Legs are precomputed lazily and cached so Pos is deterministic.
+// waypoint. Legs are drawn lazily, so Pos is deterministic, and only the
+// newest move and its pause stay resident: the walk behind them can be
+// re-derived from the seed.
 type RandomWaypoint struct {
 	area     Rect
 	minSpeed float64 // m/s
 	maxSpeed float64 // m/s
 	pause    time.Duration
+	origin   Point // where the walk began, for rewind
 	draws    drawStream
-	legs     []waypointLeg
+	// legs is the retained tail of the walk, contiguous in time and never
+	// empty: the initial pause, or the last move drawn and its pause.
+	legs []waypointLeg
 }
 
 var _ Mobility = (*RandomWaypoint)(nil)
@@ -191,31 +211,55 @@ func NewRandomWaypoint(area Rect, start Point, minSpeed, maxSpeed float64, pause
 		minSpeed: minSpeed,
 		maxSpeed: maxSpeed,
 		pause:    pause,
-		draws:    newDrawStream(seed),
+		origin:   start,
+		legs:     make([]waypointLeg, 0, 2),
 	}
-	w.legs = append(w.legs, waypointLeg{from: start, to: start, duration: pause})
+	w.rewind(seed)
 	return w, nil
 }
 
-// Pos implements Mobility. Queries may arrive in any order; the walk is
-// extended as far as needed and cached.
+// rewind puts the walk back at its origin, pausing, with a fresh draw stream.
+func (w *RandomWaypoint) rewind(seed int64) {
+	w.draws = newDrawStream(seed)
+	w.legs = append(w.legs[:0], waypointLeg{from: w.origin, to: w.origin, duration: w.pause})
+}
+
+// Pos implements Mobility. Queries may arrive in any order; see LegAt.
 func (w *RandomWaypoint) Pos(at time.Duration) Point {
 	if at < 0 {
 		at = 0
 	}
-	w.extend(at)
-	// Binary search would be possible, but walks are short and queries are
-	// mostly monotonic; scan from the end.
-	for i := len(w.legs) - 1; i >= 0; i-- {
-		leg := w.legs[i]
-		if at >= leg.start {
-			return interpolate(leg, at)
-		}
-	}
-	return w.legs[0].from
+	return w.LegAt(at).At(at)
 }
 
-// extend appends legs until the cached walk covers instant at.
+// LegAt returns the leg active at instant at (negative instants count as
+// zero), so that Start <= at < End. Queries may arrive in any order: the
+// walk is extended as far as needed, and a query that falls before the
+// retained legs replays the walk from its seed — callers whose instants
+// only grow, as both simulation kernels' are, never pay for that.
+func (w *RandomWaypoint) LegAt(at time.Duration) Leg {
+	if at < 0 {
+		at = 0
+	}
+	if at < w.legs[0].start {
+		w.rewind(w.draws.seed)
+	}
+	w.extend(at)
+	// The last leg ends after at and the first starts at or before it. Scan
+	// from the end: with pause == 0 a zero-length pause shares its start
+	// instant with the move that follows, and the later leg is the active
+	// one.
+	i := len(w.legs) - 1
+	for w.legs[i].start > at {
+		i--
+	}
+	leg := w.legs[i]
+	return Leg{From: leg.from, To: leg.to, Start: leg.start, End: leg.start + leg.duration}
+}
+
+// extend draws legs until the retained walk covers instant at. Whatever was
+// retained ends at or before at by then, so each new move and its pause
+// replace it.
 func (w *RandomWaypoint) extend(at time.Duration) {
 	for {
 		last := w.legs[len(w.legs)-1]
@@ -231,7 +275,7 @@ func (w *RandomWaypoint) extend(at time.Duration) {
 		if travel <= 0 {
 			travel = time.Millisecond
 		}
-		w.legs = append(w.legs,
+		w.legs = append(w.legs[:0],
 			waypointLeg{start: end, from: from, to: to, duration: travel},
 			waypointLeg{start: end + travel, from: to, to: to, duration: w.pause},
 		)

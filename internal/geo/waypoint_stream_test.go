@@ -129,12 +129,14 @@ func TestRandomWaypointMatchesResidentRNG(t *testing.T) {
 		if got, want := w.Pos(c.horizon), ref.Pos(c.horizon); got != want {
 			t.Fatalf("%v: Pos(horizon) = %v, want %v", c, got, want)
 		}
-		moves := (len(w.legs) - 1) / 2
+		// The walker keeps only its newest move and pause, so the leg count
+		// is read off the reference, which keeps them all.
+		moves := (len(ref.legs) - 1) / 2
 		if refills := int(w.draws.drawn)/drawBuffer - 1; moves < 40 || refills < 4 {
 			t.Fatalf("%v: only %d legs and %d refills; the case must cross ≥ 40 legs and ≥ 4 refills", c, moves, refills)
 		}
-		if len(w.legs) != len(ref.legs) {
-			t.Fatalf("%v: %d legs, resident-RNG walker has %d", c, len(w.legs), len(ref.legs))
+		if got, want := w.legs[len(w.legs)-1], ref.legs[len(ref.legs)-1]; got != want {
+			t.Fatalf("%v: newest leg %+v, resident-RNG walker's is %+v", c, got, want)
 		}
 	}
 }

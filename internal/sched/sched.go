@@ -103,7 +103,8 @@ type Policy interface {
 	// flushed, and whether a flush is scheduled at all.
 	Deadline() (at time.Duration, ok bool)
 	// Flush drains and returns the pending batch, closing collection until
-	// the next period.
+	// the next period. The batch is the caller's until the next Flush; a
+	// policy may reuse its array after that.
 	Flush(now time.Duration) []hbmsg.Heartbeat
 	// Pending reports how many heartbeats are waiting.
 	Pending() int
@@ -125,8 +126,12 @@ type Nagle struct {
 
 	periodStart time.Duration
 	pending     []hbmsg.Heartbeat
-	closed      bool
-	lastReason  FlushReason
+	// flushed is the batch the last Flush handed out. The next Flush swaps
+	// it back in as the collection buffer, so a relay alternates between two
+	// arrays instead of growing a new one every period.
+	flushed    []hbmsg.Heartbeat
+	closed     bool
+	lastReason FlushReason
 }
 
 var _ Policy = (*Nagle)(nil)
@@ -226,7 +231,7 @@ func (n *Nagle) Flush(now time.Duration) []hbmsg.Heartbeat {
 		}
 	}
 	out := n.pending
-	n.pending = nil
+	n.pending, n.flushed = n.flushed[:0], out
 	n.closed = true
 	return out
 }

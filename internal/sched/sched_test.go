@@ -388,3 +388,38 @@ func TestKindAndReasonStrings(t *testing.T) {
 		t.Fatal("unknown reason string wrong")
 	}
 }
+
+// TestNagleFlushedBatchValidUntilNextFlush pins the buffer-ownership rule:
+// a flushed batch stays intact through the whole next collection window —
+// the relay acknowledges from it after transmitting — and only the Flush
+// after that may reuse its array. From the third period on a relay's
+// collect-and-flush cycle allocates nothing.
+func TestNagleFlushedBatchValidUntilNextFlush(t *testing.T) {
+	const period = 100 * time.Second
+	n := newNagle(t, 8, period)
+	cycle := func(k int) []hbmsg.Heartbeat {
+		start := time.Duration(k) * period
+		n.StartPeriod(start)
+		for i := 0; i < 5; i++ {
+			if _, err := n.Collect(mkHB(uint64(k*10+i), start, period), start); err != nil {
+				t.Fatalf("period %d: Collect: %v", k, err)
+			}
+		}
+		return n.Flush(start + period)
+	}
+	first := cycle(0)
+	n.StartPeriod(period)
+	if _, err := n.Collect(mkHB(99, period, period), period); err != nil {
+		t.Fatal(err)
+	}
+	for i, hb := range first {
+		if hb.Seq != uint64(i) {
+			t.Fatalf("first batch changed under the next window's collects: %v", first)
+		}
+	}
+	cycle(1)
+	k := 2
+	if got := testing.AllocsPerRun(50, func() { cycle(k); k++ }); got != 0 {
+		t.Fatalf("warm collect/flush cycle allocates %v times, want 0", got)
+	}
+}

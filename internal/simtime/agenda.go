@@ -9,12 +9,15 @@ import (
 // Task is a handle to one pending Agenda action. Unlike a raw Timer
 // handle, a Task stays valid until it fires or is cancelled even when its
 // agenda migrates to another scheduler, which is exactly what a device
-// crossing a tile border needs.
+// crossing a tile border needs. It is live for no longer than that: the
+// agenda recycles a fired or cancelled Task for a later action, so holders
+// drop the handle then, as they do a Timer's.
 type Task struct {
 	at    time.Duration
 	stamp uint64
 	fn    func()
-	index int // position in the agenda heap, -1 when fired or cancelled
+	index int   // position in the agenda heap, -1 when fired or cancelled
+	next  *Task // free-list link while recycled
 }
 
 // At reports the virtual instant the task runs at.
@@ -34,15 +37,19 @@ func (t *Task) Pending() bool { return t != nil && t.index >= 0 }
 // untouched, so a migration can neither drop nor duplicate a scheduled
 // action. Tasks at the same instant run in scheduling (stamp) order.
 type Agenda struct {
-	sched *Scheduler
-	heap  []*Task // binary min-heap ordered by (at, stamp)
-	timer *Timer  // armed for heap[0]; nil when empty or mid-fire
-	stamp uint64
+	sched  *Scheduler
+	heap   []*Task // binary min-heap ordered by (at, stamp)
+	timer  *Timer  // armed for heap[0]; nil when empty or mid-fire
+	stamp  uint64
+	free   *Task  // recycled tasks, linked through Task.next
+	onFire func() // a.fire, bound once: every re-arm hands it to the scheduler
 }
 
 // NewAgenda returns an empty agenda bound to sched.
 func NewAgenda(sched *Scheduler) *Agenda {
-	return &Agenda{sched: sched}
+	a := &Agenda{sched: sched}
+	a.onFire = a.fire
+	return a
 }
 
 // Scheduler returns the scheduler the agenda is currently homed on.
@@ -67,7 +74,13 @@ func (a *Agenda) At(at time.Duration, fn func()) (*Task, error) {
 	if at < a.sched.Now() {
 		return nil, fmt.Errorf("simtime: agenda task at %v is before now %v", at, a.sched.Now())
 	}
-	t := &Task{at: at, stamp: a.stamp, fn: fn}
+	t := a.free
+	if t != nil {
+		a.free, t.next = t.next, nil
+	} else {
+		t = &Task{}
+	}
+	t.at, t.stamp, t.fn = at, a.stamp, fn
 	a.stamp++
 	a.push(t)
 	if a.heap[0] == t {
@@ -93,7 +106,7 @@ func (a *Agenda) Cancel(t *Task) bool {
 	}
 	head := a.heap[0] == t
 	a.remove(t.index)
-	t.fn = nil
+	a.recycle(t)
 	if head {
 		a.rearm()
 	}
@@ -128,7 +141,19 @@ func (a *Agenda) fire() {
 	fn := t.fn
 	t.fn = nil
 	fn()
+	// Recycle only after the callback returns: while it runs the fired
+	// handle is inert (index -1) but cannot yet alias a new task, so a
+	// callback that re-arms itself through the handle's own field is safe.
+	a.recycle(t)
 	a.rearm()
+}
+
+// recycle releases a fired or cancelled task's callback and keeps the Task
+// for the next At.
+func (a *Agenda) recycle(t *Task) {
+	t.fn = nil
+	t.next = a.free
+	a.free = t
 }
 
 // rearm points the underlying scheduler timer at the current heap head.
@@ -140,7 +165,7 @@ func (a *Agenda) rearm() {
 	if len(a.heap) == 0 || a.timer != nil {
 		return
 	}
-	timer, err := a.sched.At(a.heap[0].at, a.fire)
+	timer, err := a.sched.At(a.heap[0].at, a.onFire)
 	if err != nil {
 		// Unreachable by construction: heads are never in the past (At
 		// rejects past instants and Rehome requires synchronized clocks).

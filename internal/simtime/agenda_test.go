@@ -226,3 +226,72 @@ func TestAgendaRehomeEmptyAndSameScheduler(t *testing.T) {
 		t.Fatalf("new scheduler holds %d timers, want 1", s2.Pending())
 	}
 }
+
+// TestAgendaRecyclesTasks pins the handle-lifetime rule the recycling
+// rests on: a fired or cancelled Task is reused by the next At, and inside
+// its own callback a fired handle is inert but not yet reusable — so the
+// self-rescheduling pattern `h, _ = a.After(...)` inside h's callback gets
+// a different Task than the one that is running.
+func TestAgendaRecyclesTasks(t *testing.T) {
+	s := NewScheduler(1)
+	a := NewAgenda(s)
+	var first, rearmed *Task
+	first, err := a.At(time.Second, func() {
+		if a.Cancel(first) {
+			t.Error("Cancel of the running task returned true")
+		}
+		var err error
+		if rearmed, err = a.After(time.Second, func() {}); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if rearmed == first {
+		t.Fatal("a task armed inside a callback aliases the task that was running")
+	}
+	if first.fn != nil {
+		t.Fatal("fired task still pins its callback")
+	}
+	next, err := a.At(5*time.Second, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != first {
+		t.Fatal("fired task was not recycled by the next At")
+	}
+	if !a.Cancel(next) || next.fn != nil {
+		t.Fatal("cancelled task still pending or still pins its callback")
+	}
+	if again, _ := a.At(6*time.Second, func() {}); again != next {
+		t.Fatal("cancelled task was not recycled by the next At")
+	}
+}
+
+// TestAgendaSteadyStateZeroAllocs: arming and firing on a warm agenda —
+// what every heartbeat, flush and RRC timer of a tile device does — makes
+// no garbage: no Task, and no bound method value per re-arm.
+func TestAgendaSteadyStateZeroAllocs(t *testing.T) {
+	s := NewScheduler(1)
+	a := NewAgenda(s)
+	fn := func() {}
+	cycle := func() {
+		far, err := a.After(2*time.Second, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.After(time.Second, fn); err != nil { // new head: re-arms the scheduler timer
+			t.Fatal(err)
+		}
+		s.Step()
+		a.Cancel(far)
+	}
+	cycle()
+	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+		t.Fatalf("warm agenda cycle allocates %v times, want 0", got)
+	}
+}
