@@ -328,7 +328,9 @@ type DeviceReport struct {
 	// PresenceFlaps counts offline→online transitions at the server.
 	PresenceFlaps int
 	Relay         *device.RelayStats // nil for UEs
-	UE            *device.UEStats    // nil for relays
+	// UE is nil for relays. A report is a result and read-only: the tile
+	// kernel points UEs whose counters are equal at one record.
+	UE *device.UEStats
 }
 
 // Report aggregates a finished run.

@@ -109,7 +109,7 @@ type Config struct {
 // bit-identical to the plain linear scan.
 type Medium struct {
 	sched   *simtime.Scheduler
-	profile radio.Profile
+	profile radio.Ranged // range gates compare against MaxRange computed once
 	model   energy.Model
 	nodes   map[hbmsg.DeviceID]*Node
 
@@ -139,18 +139,19 @@ func NewMedium(sched *simtime.Scheduler, cfg Config) (*Medium, error) {
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, fmt.Errorf("d2d: model: %w", err)
 	}
+	profile := cfg.Profile.Ranged()
 	return &Medium{
 		sched:    sched,
-		profile:  cfg.Profile,
+		profile:  profile,
 		model:    cfg.Model,
 		nodes:    make(map[hbmsg.DeviceID]*Node),
-		cellSize: cfg.Profile.MaxRange(),
+		cellSize: profile.MaxRange(),
 		grid:     make(map[cellKey][]*Node),
 	}, nil
 }
 
 // Profile returns the radio profile of the medium.
-func (m *Medium) Profile() radio.Profile { return m.profile }
+func (m *Medium) Profile() radio.Profile { return m.profile.Profile }
 
 // Join registers a device on the medium. The ledger receives the device's
 // D2D energy charges.

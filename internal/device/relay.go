@@ -109,7 +109,10 @@ type Relay struct {
 	txBuf       []hbmsg.Heartbeat // the transmitted batch, reused: Uplink.Send does not retain it
 	flushTimer  simtime.Handle
 	periodTimer simtime.Handle
-	stopped     bool
+	// The timers' callbacks, bound once: a method value made at every arm
+	// is an allocation per collected heartbeat.
+	onFlush, onPeriod func()
+	stopped           bool
 
 	stats RelayStats
 }
@@ -143,14 +146,16 @@ func NewRelayOn(clock simtime.Clock, radio RelayRadio, uplink Uplink, cfg RelayC
 			return nil, err
 		}
 	}
-	return &Relay{
+	r := &Relay{
 		cfg:     cfg,
 		clock:   clock,
 		radio:   radio,
 		uplink:  uplink,
 		policy:  policy,
 		sources: make(map[ackKey]ReturnPath),
-	}, nil
+	}
+	r.onFlush, r.onPeriod = r.flush, r.startPeriod
+	return r, nil
 }
 
 // Stats returns a snapshot of the relay's counters.
@@ -161,7 +166,7 @@ func (r *Relay) Policy() sched.Policy { return r.policy }
 
 // Start schedules the first heartbeat period.
 func (r *Relay) Start() error {
-	t, err := r.clock.After(r.cfg.StartOffset, r.startPeriod)
+	t, err := r.clock.After(r.cfg.StartOffset, r.onPeriod)
 	if err != nil {
 		return fmt.Errorf("device: start relay %s: %w", r.cfg.ID, err)
 	}
@@ -202,7 +207,7 @@ func (r *Relay) startPeriod() {
 	r.advertise()
 
 	var err error
-	r.periodTimer, err = r.clock.After(r.cfg.Profile.Period, r.startPeriod)
+	r.periodTimer, err = r.clock.After(r.cfg.Profile.Period, r.onPeriod)
 	if err != nil {
 		r.stats.SendErrors++
 	}
@@ -263,7 +268,7 @@ func (r *Relay) rearmFlush() {
 	if !ok {
 		return
 	}
-	t, err := r.clock.At(at, r.flush)
+	t, err := r.clock.At(at, r.onFlush)
 	if err != nil {
 		// Deadline already passed (clock raced the arm): flush now.
 		r.flush()

@@ -113,7 +113,7 @@ type UE struct {
 
 	seq      uint64
 	link     Link
-	pending  map[uint64]*pendingSend
+	pending  []*pendingSend     // awaiting feedback, found by p.hb.Seq; one or two at a time
 	spare    []*pendingSend     // settled entries, kept with their timer callbacks for reuse
 	one      [1]hbmsg.Heartbeat // the batch of a direct send; Uplink.Send does not retain it
 	beats    []func()           // one heartbeat loop body per app profile
@@ -166,13 +166,7 @@ func NewUEOn(clock simtime.Clock, radio Radio, uplink Uplink, cfg UEConfig) (*UE
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &UE{
-		cfg:     cfg,
-		clock:   clock,
-		radio:   radio,
-		uplink:  uplink,
-		pending: make(map[uint64]*pendingSend),
-	}, nil
+	return &UE{cfg: cfg, clock: clock, radio: radio, uplink: uplink}, nil
 }
 
 // ID returns the device id.
@@ -188,12 +182,12 @@ func (u *UE) Connected() bool { return u.link != nil && u.link.Open() }
 // are staggered a few seconds after the primary so their first heartbeats
 // do not collide.
 func (u *UE) Start() error {
-	profiles := append([]hbmsg.AppProfile{u.cfg.Profile}, u.cfg.ExtraProfiles...)
-	u.beats = make([]func(), len(profiles))
-	u.hbTimers = make([]simtime.Handle, len(profiles))
-	for i, p := range profiles {
-		i, p := i, p
-		u.beats[i] = func() { u.heartbeat(i, p) }
+	n := 1 + len(u.cfg.ExtraProfiles)
+	u.beats = make([]func(), n)
+	u.hbTimers = make([]simtime.Handle, n)
+	for i := range u.beats {
+		i := i
+		u.beats[i] = func() { u.heartbeat(i) }
 		offset := u.cfg.StartOffset + time.Duration(i)*3*time.Second
 		t, err := u.clock.After(offset, u.beats[i])
 		if err != nil {
@@ -202,6 +196,14 @@ func (u *UE) Start() error {
 		u.hbTimers[i] = t
 	}
 	return nil
+}
+
+// profile returns app profile i: the primary, then the extras.
+func (u *UE) profile(i int) *hbmsg.AppProfile {
+	if i == 0 {
+		return &u.cfg.Profile
+	}
+	return &u.cfg.ExtraProfiles[i-1]
 }
 
 // Stop halts the heartbeat loops and cancels pending feedback timers. The
@@ -213,8 +215,8 @@ func (u *UE) Stop() {
 		u.clock.Stop(t)
 		u.hbTimers[i] = nil
 	}
-	for seq, p := range u.pending {
-		u.settle(seq, p)
+	for len(u.pending) > 0 {
+		u.settle(len(u.pending) - 1)
 	}
 	if u.link != nil {
 		u.link.Close()
@@ -233,10 +235,11 @@ func (u *UE) feedbackTimeout(expiry time.Duration) time.Duration {
 
 // heartbeat generates and dispatches one heartbeat for profile slot i,
 // then schedules the next.
-func (u *UE) heartbeat(i int, profile hbmsg.AppProfile) {
+func (u *UE) heartbeat(i int) {
 	if u.stopped {
 		return
 	}
+	profile := u.profile(i)
 	now := u.clock.Now()
 	u.seq++
 	hb := profile.Heartbeat(u.cfg.ID, u.seq, now)
@@ -387,23 +390,38 @@ func (u *UE) armFeedback(hb hbmsg.Heartbeat) {
 		return
 	}
 	p.timer = t
-	u.pending[hb.Seq] = p
+	u.pending = append(u.pending, p)
 }
 
-// settle takes a pending entry out of the table: its timer, if it still
+// inFlight returns the index in u.pending of the entry awaiting feedback
+// for seq, or -1.
+func (u *UE) inFlight(seq uint64) int {
+	for i, p := range u.pending {
+		if p.hb.Seq == seq {
+			return i
+		}
+	}
+	return -1
+}
+
+// settle takes pending entry i out of the table: its timer, if it still
 // has one, is cancelled, and the entry goes back to the spares, where the
 // next armFeedback overwrites its heartbeat.
-func (u *UE) settle(seq uint64, p *pendingSend) {
+func (u *UE) settle(i int) {
+	p := u.pending[i]
 	u.clock.Stop(p.timer)
 	p.timer = nil
-	delete(u.pending, seq)
+	last := len(u.pending) - 1
+	u.pending[i] = u.pending[last]
+	u.pending[last] = nil
+	u.pending = u.pending[:last]
 	u.spare = append(u.spare, p)
 }
 
 // cancelFeedback drops a pending entry after a failed send.
 func (u *UE) cancelFeedback(seq uint64) {
-	if p, ok := u.pending[seq]; ok {
-		u.settle(seq, p)
+	if i := u.inFlight(seq); i >= 0 {
+		u.settle(i)
 	}
 }
 
@@ -412,13 +430,14 @@ func (u *UE) cancelFeedback(seq uint64) {
 // network" itself (Section III-A), paying the duplicate-transmission
 // penalty the paper lists under negative impacts.
 func (u *UE) onFeedbackTimeout(seq uint64) {
-	p, ok := u.pending[seq]
-	if !ok || u.stopped {
+	i := u.inFlight(seq)
+	if i < 0 || u.stopped {
 		return
 	}
+	p := u.pending[i]
 	u.one[0] = p.hb
 	p.timer = nil // it is what is running
-	u.settle(seq, p)
+	u.settle(i)
 	u.stats.FallbackResends++
 	u.emit(trace.Event{Kind: trace.KindFallback, App: u.one[0].App, Seq: seq})
 	if err := u.uplink.Send(u.one[:], energy.PhaseFallback); err != nil {
@@ -434,12 +453,12 @@ func (u *UE) onFeedbackTimeout(seq uint64) {
 
 // OnAck handles one feedback acknowledgement from a relay.
 func (u *UE) OnAck(ref d2d.AckRef) {
-	p, ok := u.pending[ref.Seq]
-	if !ok || ref.Src != u.cfg.ID {
+	i := u.inFlight(ref.Seq)
+	if i < 0 || ref.Src != u.cfg.ID {
 		return
 	}
-	app := p.hb.App
-	u.settle(ref.Seq, p)
+	app := u.pending[i].hb.App
+	u.settle(i)
 	u.stats.AcksReceived++
 	u.emit(trace.Event{Kind: trace.KindAck, App: app, Seq: ref.Seq})
 }

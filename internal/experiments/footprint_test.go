@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"d2dhb/internal/core"
+	"d2dhb/internal/device"
 )
 
 // liveHeap returns the bytes reachable after two collections: the second
@@ -97,18 +98,18 @@ func cityParRep() ParallelCityConfig {
 // TestCityParallelAllocs pins what one city_par repetition allocates. The
 // bench keeps every repetition's report, so its peak RSS is retained reports
 // plus one repetition's garbage: a faster kernel fits more repetitions into
-// a run and has to pay for each with fewer bytes. The ceilings sit between
-// this kernel (≈ 32 MB in ≈ 425 k mallocs) and the one that regrew the
-// barrier's op buffer every window, kept scan scratch per device, grew every
-// walker's legs for life and allocated a Task and a bound method value per
-// agenda arm (116 MB in 1.11 M mallocs).
+// a run and has to pay for each with fewer bytes. The ceilings sit just
+// above this kernel (≈ 28.6 MB in ≈ 312 k mallocs) and below the one that
+// kept a map per UE for its one or two unacknowledged forwards, bound a
+// method value at every relay and RRC timer arm and copied the barrier's
+// ops and deliveries into sort buffers (33.4 MB in 425 k mallocs).
 func TestCityParallelAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations are not the kernel's")
 	}
 	const (
-		bytesCeiling   = 50 << 20
-		mallocsCeiling = 700_000
+		bytesCeiling   = 31 << 20
+		mallocsCeiling = 340_000
 	)
 	cfg := cityParRep()
 	var before, after runtime.MemStats
@@ -125,6 +126,38 @@ func TestCityParallelAllocs(t *testing.T) {
 	}
 	if mallocs > mallocsCeiling {
 		t.Errorf("one RunCityParallel makes %d mallocs, ceiling %d", mallocs, mallocsCeiling)
+	}
+}
+
+// TestCityParallelReportFootprint pins what a finished tile-kernel run's
+// report retains: a device's own record plus its share of the UE counter
+// records, which devices with equal counters share (≈ 220 B/device; ≈ 300
+// with one counter record per UE). The bench keeps every repetition's
+// report, so these bytes are paid once per repetition of a run.
+func TestCityParallelReportFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations are not the report's footprint")
+	}
+	const reportCeiling = 250 // retained bytes per device of the *core.Report alone
+	cfg := cityParRep()
+	base := liveHeap()
+	rep, _, err := RunCityParallel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := (int(liveHeap()) - int(base)) / cfg.Devices
+	t.Logf("retained report: %d B/device", retained)
+	if retained > reportCeiling {
+		t.Errorf("report retains %d B/device, ceiling %d", retained, reportCeiling)
+	}
+	shared := make(map[*device.UEStats]bool)
+	for _, d := range rep.Devices {
+		if d.UE != nil {
+			shared[d.UE] = true
+		}
+	}
+	if len(shared) == 0 || len(shared) > cfg.Devices/4 {
+		t.Errorf("%d UE counter records for %d devices", len(shared), cfg.Devices)
 	}
 }
 

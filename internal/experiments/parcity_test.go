@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -471,6 +473,43 @@ func FuzzTileMergeVsSequential(f *testing.F) {
 				seed, devices, tiles, windowSecs)
 		}
 	})
+}
+
+// BenchmarkCityParallelBarrier runs the city_par roster and times the
+// barrier alone: the serial section every worker waits out at each of the
+// run's boundaries. ns/window and B/window are per barrier call.
+func BenchmarkCityParallelBarrier(b *testing.B) {
+	cfg := cityParRep()
+	var serial time.Duration
+	var bytes uint64
+	windows := 0
+	for i := 0; i < b.N; i++ {
+		pop, err := buildCityPopulation(cfg.CityConfig, rand.New(rand.NewSource(cfg.Seed)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := newParCity(cfg, pop)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		barrier := func(boundary time.Duration, final bool) error {
+			// The workers are parked: whatever is allocated is the barrier's.
+			runtime.ReadMemStats(&before)
+			t0 := time.Now()
+			err := c.barrier(boundary, final)
+			serial += time.Since(t0)
+			runtime.ReadMemStats(&after)
+			bytes += after.TotalAlloc - before.TotalAlloc
+			windows++
+			return err
+		}
+		if err := c.group.Run(cfg.Duration, c.window(), c.begin, c.end, barrier); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(serial.Nanoseconds())/float64(windows), "ns/window")
+	b.ReportMetric(float64(bytes)/float64(windows), "B/window")
 }
 
 func abs(x int) int {

@@ -11,6 +11,7 @@ import (
 	"d2dhb/internal/energy"
 	"d2dhb/internal/geo"
 	"d2dhb/internal/hbmsg"
+	"d2dhb/internal/presence"
 	"d2dhb/internal/radio"
 	"d2dhb/internal/rrc"
 	"d2dhb/internal/simtime"
@@ -40,11 +41,12 @@ const (
 	opAck                       // relay → UE: feedback acknowledgement
 )
 
-// parOp is one deferred cross-device effect. Ops are sorted globally by
-// (createdAt, src, srcSeq) — a strict total order, since srcSeq never
-// repeats within a device — and applied at the start of the next window on
-// the destination's tile, which is what makes application order
-// independent of the partition.
+// parOp is one deferred cross-device effect. Ops are applied at the start
+// of the next window on the destination's tile, sorted by (createdAt, src,
+// srcSeq) — a strict total order, since srcSeq never repeats within a
+// device. Each tile sorts only the ops routed to it; because the order is
+// total that is the globally sorted sequence restricted to the tile, which
+// is what makes application order independent of the partition.
 type parOp struct {
 	createdAt time.Duration
 	src, dst  int // population orders
@@ -56,17 +58,21 @@ type parOp struct {
 }
 
 // parDelivery is one heartbeat observed at the network side, keyed by the
-// transmitting (via) device so per-window merges are canonical.
+// transmitting (via) device so per-window merges are canonical. The source
+// is carried as its population order: the barrier resets its presence timer
+// by index.
 type parDelivery struct {
-	hb       hbmsg.Heartbeat
+	at       time.Duration
 	viaOrder int
 	viaSeq   uint64
-	at       time.Duration
+	srcOrder int
+	expiry   time.Duration
 	onTime   bool
 }
 
 // parTile is the per-tile mutable state. Everything here is owned by the
-// tile's worker during a window and by the barrier between windows.
+// tile's worker during a window (begin and end hooks included) and by the
+// barrier between windows.
 type parTile struct {
 	sched *simtime.Scheduler
 	// sampled lists the tile's devices whose snapshot entry can change —
@@ -77,7 +83,10 @@ type parTile struct {
 	outOps     []parOp
 	deliveries []parDelivery
 	events     []trace.Keyed
-	migrants   []*pdevice
+	// migrants are the devices the end hook took off this tile, arrivals the
+	// ones the barrier routed here for the begin hook to take on.
+	migrants []*pdevice
+	arrivals []*pdevice
 
 	// Scan scratch, shared by the tile's devices: a scan's result is
 	// consumed (matching.Select, then Connect) before Scan is called again.
@@ -101,12 +110,18 @@ type parSnap struct {
 // are written only at disjoint indices by the owning workers or only by
 // the barrier; the rest is immutable after setup.
 type parEnv struct {
-	radio radio.Profile
+	radio radio.Ranged
 	model energy.Model
 
 	devices   []*pdevice
 	numRelays int
 	orderOf   map[hbmsg.DeviceID]int
+
+	// tracker is the network side's presence table. timers caches its timer
+	// for every device heard from, by population order: only the barrier
+	// delivers to them, and the report reads them through the tracker.
+	tracker *presence.Tracker
+	timers  []*presence.Timer
 
 	// snap is the window-boundary snapshot, read-only during a window. The
 	// end hooks write next — tiles finish windows at different wall times,
@@ -121,8 +136,12 @@ type parEnv struct {
 	beacons    *d2d.BeaconIndex
 	beaconBuf  []d2d.Beacon
 
-	tiles   []*parTile
-	traceOn bool
+	tiles []*parTile
+	// mergeDeliveries scratch: per tile, the merge's cursor into the log and
+	// the instant of the delivery under it.
+	mergeNext  []int
+	mergeHeads []time.Duration
+	traceOn    bool
 }
 
 // pdevice is one device's windowed substrate: it is the Radio (or
@@ -139,8 +158,10 @@ type pdevice struct {
 	leg    geo.Leg
 	moves  bool // the position can change: sampled and re-binned at boundaries
 
+	// tile is where the device spends the current window — from the end hook
+	// that finds it has left, where it will spend the next.
 	tile    int
-	tileIdx int // index in tiles[tile].sampled, maintained by migration; -1 for a static UE
+	tileIdx int // index in the tile's sampled list, maintained by migration; -1 for a static UE
 
 	rng    *rand.Rand
 	agenda *simtime.Agenda
@@ -161,7 +182,7 @@ type pdevice struct {
 
 func (d *pdevice) clock() simtime.Clock { return simtime.AgendaClock{A: d.agenda} }
 
-func (d *pdevice) now() time.Duration { return d.agenda.Scheduler().Now() }
+func (d *pdevice) now() time.Duration { return d.agenda.Now() }
 
 func (d *pdevice) pos() geo.Point { return d.posAt(d.now()) }
 
@@ -213,8 +234,12 @@ func (d *pdevice) Send(hbs []hbmsg.Heartbeat, phase energy.Phase) error {
 	tl := d.env.tiles[d.tile]
 	for _, hb := range hbs {
 		onTime := !hb.Expired(now)
+		src := d.order
+		if hb.Src != d.id {
+			src = d.env.orderOf[hb.Src]
+		}
 		tl.deliveries = append(tl.deliveries, parDelivery{
-			hb: hb, viaOrder: d.order, viaSeq: d.deliverSeq, at: now, onTime: onTime,
+			at: now, viaOrder: d.order, viaSeq: d.deliverSeq, srcOrder: src, expiry: hb.Expiry, onTime: onTime,
 		})
 		d.deliverSeq++
 		trace.Emit(d.tracer, trace.Event{

@@ -116,6 +116,19 @@ func (t *Tracker) timer(id hbmsg.DeviceID) *Timer {
 	return new(Timer)
 }
 
+// Timer returns the client's timer, registering the client if the tracker
+// does not know it yet: a caller that resolves its clients once can feed
+// Timer.Deliver without a lookup per heartbeat, and the tracker's queries
+// read the same timer.
+func (t *Tracker) Timer(id hbmsg.DeviceID) *Timer {
+	s, ok := t.clients[id]
+	if !ok {
+		s = new(Timer)
+		t.clients[id] = s
+	}
+	return s
+}
+
 // Deliver processes one heartbeat arriving at the server at instant at
 // (see Timer.Deliver).
 func (t *Tracker) Deliver(hb hbmsg.Heartbeat, at time.Duration) error {
@@ -152,5 +165,6 @@ func (t *Tracker) OnlineAt(id hbmsg.DeviceID, at time.Duration) bool {
 	return t.timer(id).OnlineAt(at)
 }
 
-// Clients returns how many distinct clients have been seen.
+// Clients returns how many distinct clients have been seen or registered
+// through Timer.
 func (t *Tracker) Clients() int { return len(t.clients) }

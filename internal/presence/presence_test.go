@@ -197,3 +197,41 @@ func TestQuickOnlinePlusOfflineEqualsSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTrackerTimerIsTheClientsTimer: a timer resolved once through Timer is
+// the one the tracker's own queries and Deliver use — fed directly, by
+// Tracker.Deliver or both, a client has one history.
+func TestTrackerTimerIsTheClientsTimer(t *testing.T) {
+	const expiry = 100 * time.Second
+	byHandle, byID := NewTracker(), NewTracker()
+	timer := byHandle.Timer("u")
+	if byHandle.Timer("u") != timer {
+		t.Fatal("a second Timer call returned a different timer")
+	}
+	if _, _, seen := byHandle.Stats("u", time.Hour); seen {
+		t.Fatal("a registered client that never delivered reads as seen")
+	}
+	for i, at := range []time.Duration{0, 90 * time.Second, 400 * time.Second, 450 * time.Second} {
+		var err error
+		if i%2 == 0 {
+			err = timer.Deliver(at, expiry)
+		} else {
+			err = byHandle.Deliver(hb("u", expiry), at)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := byID.Deliver(hb("u", expiry), at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const horizon = 600 * time.Second
+	on1, flaps1, seen1 := byHandle.Stats("u", horizon)
+	on2, flaps2, seen2 := byID.Stats("u", horizon)
+	if on1 != on2 || flaps1 != flaps2 || !seen1 || !seen2 || flaps1 != 1 {
+		t.Fatalf("by handle (%v, %d, %v), by id (%v, %d, %v); want equal with one flap", on1, flaps1, seen1, on2, flaps2, seen2)
+	}
+	if byHandle.Availability("u", horizon) != byID.Availability("u", horizon) {
+		t.Fatal("availability differs between the two ways in")
+	}
+}

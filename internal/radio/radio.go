@@ -218,7 +218,11 @@ func (p Profile) TransferTime(sizeBytes int) time.Duration {
 // might exceed the maximum communication distance ... while smartphones
 // movement" (Section III-A).
 func (p Profile) LossProbability(d float64) float64 {
-	r := p.MaxRange()
+	return p.lossWithin(d, p.MaxRange())
+}
+
+// lossWithin is LossProbability given the profile's MaxRange r.
+func (p *Profile) lossWithin(d, r float64) float64 {
 	if d >= r {
 		return 1
 	}
@@ -232,7 +236,12 @@ func (p Profile) LossProbability(d float64) float64 {
 
 // TransferOK draws whether a transfer at distance d succeeds.
 func (p Profile) TransferOK(d float64, rng *rand.Rand) bool {
-	loss := p.LossProbability(d)
+	return drawTransfer(p.LossProbability(d), rng)
+}
+
+// drawTransfer draws a transfer's outcome at the given loss probability; no
+// number is drawn when the outcome is certain.
+func drawTransfer(loss float64, rng *rand.Rand) bool {
 	if loss <= 0 {
 		return true
 	}
@@ -240,4 +249,32 @@ func (p Profile) TransferOK(d float64, rng *rand.Rand) bool {
 		return false
 	}
 	return rng.Float64() >= loss
+}
+
+// Ranged is a Profile with its MaxRange computed once, for an owner that
+// asks about range per candidate and per transfer: MaxRange is a math.Pow,
+// and InRange, LossProbability and TransferOK each start with it. The
+// cached value is the float64 Profile.MaxRange returns, so every answer is
+// bit-for-bit the Profile's own. The embedded Profile must not be modified
+// afterwards.
+type Ranged struct {
+	Profile
+	maxRange float64
+}
+
+// Ranged returns p with its MaxRange cached.
+func (p Profile) Ranged() Ranged { return Ranged{Profile: p, maxRange: p.MaxRange()} }
+
+// MaxRange returns the cached Profile.MaxRange.
+func (r Ranged) MaxRange() float64 { return r.maxRange }
+
+// InRange is Profile.InRange against the cached range.
+func (r Ranged) InRange(d float64) bool { return d <= r.maxRange }
+
+// LossProbability is Profile.LossProbability against the cached range.
+func (r Ranged) LossProbability(d float64) float64 { return r.lossWithin(d, r.maxRange) }
+
+// TransferOK is Profile.TransferOK against the cached range.
+func (r Ranged) TransferOK(d float64, rng *rand.Rand) bool {
+	return drawTransfer(r.LossProbability(d), rng)
 }

@@ -276,3 +276,37 @@ func TestLTEDirectProfile(t *testing.T) {
 		t.Fatalf("string = %q", LTEDirect.String())
 	}
 }
+
+// TestRangedMatchesProfile pins the cached range to the computed one: at
+// MaxRange itself and at the floats on either side of it, and across the
+// loss curve, a Ranged answers exactly as its Profile does — so an owner
+// that switches to the cached form cannot move a range edge or a loss draw.
+func TestRangedMatchesProfile(t *testing.T) {
+	for _, p := range []Profile{WiFiDirectProfile(), BluetoothProfile(), LTEDirectProfile()} {
+		r := p.Ranged()
+		limit := p.MaxRange()
+		if r.MaxRange() != limit {
+			t.Fatalf("%v: cached range %v, computed %v", p.Technique, r.MaxRange(), limit)
+		}
+		edge := []float64{math.Nextafter(limit, 0), limit, math.Nextafter(limit, math.Inf(1))}
+		for i, d := range edge {
+			if got, want := r.InRange(d), p.InRange(d); got != want || want != (i < 2) {
+				t.Errorf("%v: InRange(%v) cached %v, computed %v, want %v", p.Technique, d, got, want, i < 2)
+			}
+		}
+		for _, d := range append(edge, 0, 0.1, 0.59*limit, 0.6*limit, 0.61*limit, 0.9*limit, 2*limit) {
+			if got, want := r.LossProbability(d), p.LossProbability(d); got != want {
+				t.Errorf("%v: LossProbability(%v) cached %v, computed %v", p.Technique, d, got, want)
+			}
+			a, b := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+			for k := 0; k < 20; k++ {
+				if r.TransferOK(d, a) != p.TransferOK(d, b) {
+					t.Fatalf("%v: TransferOK(%v) draw %d differs between cached and computed", p.Technique, d, k)
+				}
+			}
+			if a.Int63() != b.Int63() {
+				t.Errorf("%v: TransferOK(%v) consumed a different number of draws", p.Technique, d)
+			}
+		}
+	}
+}

@@ -117,6 +117,7 @@ type Machine struct {
 	state        State
 	connectedAt  time.Duration
 	releaseTimer simtime.Handle
+	onTail       func() // the release timer's callback, bound on first arm
 	counters     Counters
 	signaling    func(msgs int)
 }
@@ -212,10 +213,13 @@ func (m *Machine) armReleaseTimer() error {
 	if m.releaseTimer != nil {
 		m.clock.Stop(m.releaseTimer)
 	}
-	t, err := m.clock.After(m.cfg.InactivityTail, func() {
-		m.releaseTimer = nil
-		m.release()
-	})
+	if m.onTail == nil {
+		m.onTail = func() {
+			m.releaseTimer = nil
+			m.release()
+		}
+	}
+	t, err := m.clock.After(m.cfg.InactivityTail, m.onTail)
 	if err != nil {
 		return fmt.Errorf("rrc: arm release timer: %w", err)
 	}

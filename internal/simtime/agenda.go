@@ -31,18 +31,25 @@ func (t *Task) Pending() bool { return t != nil && t.index >= 0 }
 // earliest pending task; when it fires, exactly one task runs and the
 // timer is re-armed for the next head.
 //
-// The point of the indirection is migration: Rehome stops the one
-// underlying timer on the old scheduler and arms an equivalent one on the
-// new scheduler. The task set itself — instants, order, callbacks — moves
-// untouched, so a migration can neither drop nor duplicate a scheduled
-// action. Tasks at the same instant run in scheduling (stamp) order.
+// The point of the indirection is migration: Detach stops the one
+// underlying timer on the old scheduler and Attach arms an equivalent one
+// on the new scheduler. The task set itself — instants, order, callbacks —
+// moves untouched, so a migration can neither drop nor duplicate a
+// scheduled action. Tasks at the same instant run in scheduling (stamp)
+// order.
+//
+// The two halves touch one scheduler each, so each can run on the
+// goroutine that owns that scheduler; the caller orders Detach before
+// Attach. In between the agenda has no clock: At and After fail, and Cancel
+// only edits the task set.
 type Agenda struct {
-	sched  *Scheduler
-	heap   []*Task // binary min-heap ordered by (at, stamp)
-	timer  *Timer  // armed for heap[0]; nil when empty or mid-fire
-	stamp  uint64
-	free   *Task  // recycled tasks, linked through Task.next
-	onFire func() // a.fire, bound once: every re-arm hands it to the scheduler
+	sched      *Scheduler // nil while detached
+	detachedAt time.Duration
+	heap       []*Task // binary min-heap ordered by (at, stamp)
+	timer      *Timer  // armed for heap[0]; nil when empty, detached or mid-fire
+	stamp      uint64
+	free       *Task  // recycled tasks, linked through Task.next
+	onFire     func() // a.fire, bound once: every re-arm hands it to the scheduler
 }
 
 // NewAgenda returns an empty agenda bound to sched.
@@ -52,8 +59,18 @@ func NewAgenda(sched *Scheduler) *Agenda {
 	return a
 }
 
-// Scheduler returns the scheduler the agenda is currently homed on.
+// Scheduler returns the scheduler the agenda is currently homed on, nil
+// while it is detached.
 func (a *Agenda) Scheduler() *Scheduler { return a.sched }
+
+// Now is the agenda's virtual time: its scheduler's, or while detached the
+// instant it was detached at.
+func (a *Agenda) Now() time.Duration {
+	if a.sched == nil {
+		return a.detachedAt
+	}
+	return a.sched.Now()
+}
 
 // Len reports how many tasks are pending.
 func (a *Agenda) Len() int { return len(a.heap) }
@@ -70,6 +87,9 @@ func (a *Agenda) NextAt() (time.Duration, bool) {
 func (a *Agenda) At(at time.Duration, fn func()) (*Task, error) {
 	if fn == nil {
 		return nil, errors.New("simtime: nil agenda task")
+	}
+	if a.sched == nil {
+		return nil, errors.New("simtime: agenda is detached")
 	}
 	if at < a.sched.Now() {
 		return nil, fmt.Errorf("simtime: agenda task at %v is before now %v", at, a.sched.Now())
@@ -95,7 +115,7 @@ func (a *Agenda) After(d time.Duration, fn func()) (*Task, error) {
 	if d < 0 {
 		d = 0
 	}
-	return a.At(a.sched.Now()+d, fn)
+	return a.At(a.Now()+d, fn)
 }
 
 // Cancel removes a pending task. It returns true if the task was pending
@@ -113,24 +133,48 @@ func (a *Agenda) Cancel(t *Task) bool {
 	return true
 }
 
-// Rehome moves the agenda — its entire pending task set — onto another
-// scheduler. Both schedulers must agree on the current instant (the
-// caller synchronizes them at a window boundary before migrating), which
-// guarantees every pending task is still in the new scheduler's future.
-func (a *Agenda) Rehome(sched *Scheduler) error {
-	if sched == a.sched {
-		return nil
-	}
-	if sched.Now() != a.sched.Now() {
-		return fmt.Errorf("simtime: rehome across clocks (%v -> %v)", a.sched.Now(), sched.Now())
+// Detach takes the agenda off its scheduler, keeping its entire pending
+// task set. It touches only the scheduler the agenda is leaving.
+func (a *Agenda) Detach() {
+	if a.sched == nil {
+		return
 	}
 	if a.timer != nil {
 		a.sched.Stop(a.timer)
 		a.timer = nil
 	}
+	a.detachedAt = a.sched.Now()
+	a.sched = nil
+}
+
+// Attach homes a detached agenda on sched, which must be at the instant
+// the agenda was detached at (the caller synchronizes schedulers at a
+// window boundary before migrating): that guarantees every pending task is
+// still in the new scheduler's future. It touches only sched.
+func (a *Agenda) Attach(sched *Scheduler) error {
+	if a.sched != nil {
+		return errors.New("simtime: attach: agenda is not detached")
+	}
+	if sched.Now() != a.detachedAt {
+		return fmt.Errorf("simtime: attach across clocks (%v -> %v)", a.detachedAt, sched.Now())
+	}
 	a.sched = sched
 	a.rearm()
 	return nil
+}
+
+// Rehome moves the agenda onto another scheduler: Detach, then Attach. If
+// the clocks disagree it fails with the agenda untouched, still on the
+// scheduler (or in the detached state) it was in.
+func (a *Agenda) Rehome(sched *Scheduler) error {
+	if sched == a.sched {
+		return nil
+	}
+	if now := a.Now(); sched.Now() != now {
+		return fmt.Errorf("simtime: rehome across clocks (%v -> %v)", now, sched.Now())
+	}
+	a.Detach()
+	return a.Attach(sched)
 }
 
 // fire runs the earliest pending task and re-arms for the next one.
@@ -156,8 +200,12 @@ func (a *Agenda) recycle(t *Task) {
 	a.free = t
 }
 
-// rearm points the underlying scheduler timer at the current heap head.
+// rearm points the underlying scheduler timer at the current heap head. A
+// detached agenda has no timer to point.
 func (a *Agenda) rearm() {
+	if a.sched == nil {
+		return
+	}
 	if a.timer != nil && (len(a.heap) == 0 || a.timer.At() != a.heap[0].at) {
 		a.sched.Stop(a.timer)
 		a.timer = nil
@@ -168,7 +216,7 @@ func (a *Agenda) rearm() {
 	timer, err := a.sched.At(a.heap[0].at, a.onFire)
 	if err != nil {
 		// Unreachable by construction: heads are never in the past (At
-		// rejects past instants and Rehome requires synchronized clocks).
+		// rejects past instants and Attach requires synchronized clocks).
 		panic(fmt.Sprintf("simtime: agenda rearm: %v", err))
 	}
 	a.timer = timer

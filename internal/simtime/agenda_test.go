@@ -204,6 +204,22 @@ func TestAgendaRehomeRejectsClockSkew(t *testing.T) {
 	if err := a.Rehome(s2); err == nil {
 		t.Fatal("rehome across skewed clocks succeeded")
 	}
+	// A refused Rehome leaves the agenda where it was: homed, armed, and
+	// still scheduling.
+	if a.Scheduler() != s1 || s1.Pending() != 1 || s2.Pending() != 0 {
+		t.Fatalf("after the refusal the agenda is on %p with %d timers on the old scheduler and %d on the new; want the old one, 1 and 0",
+			a.Scheduler(), s1.Pending(), s2.Pending())
+	}
+	fired := 0
+	if _, err := a.After(2*time.Second, func() { fired++ }); err != nil {
+		t.Fatalf("After on the agenda a refused Rehome left behind: %v", err)
+	}
+	if err := s1.RunUntil(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 1 || a.Len() != 0 {
+		t.Fatalf("ran %d of the later task and %d tasks are left; want both tasks run", fired, a.Len())
+	}
 }
 
 func TestAgendaRehomeEmptyAndSameScheduler(t *testing.T) {
@@ -224,6 +240,100 @@ func TestAgendaRehomeEmptyAndSameScheduler(t *testing.T) {
 	}
 	if s2.Pending() != 1 {
 		t.Fatalf("new scheduler holds %d timers, want 1", s2.Pending())
+	}
+}
+
+// TestAgendaDetachedHasNoScheduler pins what a detached agenda may do: it
+// keeps its tasks and its instant, refuses to schedule, and a Cancel edits
+// the task set without arming anything on the scheduler it left.
+func TestAgendaDetachedHasNoScheduler(t *testing.T) {
+	s1, s2 := NewScheduler(1), NewScheduler(2)
+	a := NewAgenda(s1)
+	var got []int
+	var tasks []*Task
+	for i := 1; i <= 3; i++ {
+		i := i
+		task, err := a.At(time.Duration(i)*time.Second, func() { got = append(got, i) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, task)
+	}
+	for _, s := range []*Scheduler{s1, s2} {
+		if err := s.AdvanceTo(500 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Detach()
+	a.Detach() // idempotent
+	if a.Scheduler() != nil {
+		t.Fatal("a detached agenda still names a scheduler")
+	}
+	if a.Now() != 500*time.Millisecond {
+		t.Fatalf("detached agenda reads %v, want the instant it was detached at", a.Now())
+	}
+	if s1.Pending() != 0 {
+		t.Fatalf("the scheduler the agenda left still holds %d timers", s1.Pending())
+	}
+	if _, err := a.At(4*time.Second, func() {}); err == nil {
+		t.Fatal("At on a detached agenda succeeded")
+	}
+	if _, err := a.After(time.Second, func() {}); err == nil {
+		t.Fatal("After on a detached agenda succeeded")
+	}
+	// Cancelling the head would re-arm an attached agenda for the next task.
+	if !a.Cancel(tasks[0]) {
+		t.Fatal("Cancel of a pending task on a detached agenda reported false")
+	}
+	if a.Len() != 2 || s1.Pending() != 0 {
+		t.Fatalf("after Cancel: %d tasks, %d timers on the old scheduler; want 2 and 0", a.Len(), s1.Pending())
+	}
+	if err := a.Attach(s2); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Attach(s2); err == nil {
+		t.Fatal("Attach of an attached agenda succeeded")
+	}
+	if s2.Pending() != 1 {
+		t.Fatalf("new scheduler holds %d timers, want 1", s2.Pending())
+	}
+	for _, s := range []*Scheduler{s1, s2} {
+		if err := s.RunUntil(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("ran %v, want the two surviving tasks in order", got)
+	}
+	if s1.Fired() != 0 || s2.Fired() != 2 {
+		t.Fatalf("fired %d events on the old scheduler and %d on the new, want 0 and 2", s1.Fired(), s2.Fired())
+	}
+}
+
+// TestAgendaAttachRejectsClockSkew: Attach is the half of a migration that
+// checks the clocks, against the instant Detach recorded — the scheduler
+// the agenda left may have moved on by then.
+func TestAgendaAttachRejectsClockSkew(t *testing.T) {
+	s1, s2 := NewScheduler(1), NewScheduler(2)
+	a := NewAgenda(s1)
+	if _, err := a.At(2*time.Second, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.AdvanceTo(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	a.Detach()
+	if err := s1.AdvanceTo(1500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.AdvanceTo(1500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Attach(s2); err == nil {
+		t.Fatal("attach at an instant other than the detach succeeded")
+	}
+	if a.Scheduler() != nil || s2.Pending() != 0 {
+		t.Fatal("a failed attach armed the agenda")
 	}
 }
 

@@ -55,7 +55,7 @@ func (c SchedulerClock) Stop(h Handle) {
 // across Rehome.
 type AgendaClock struct{ A *Agenda }
 
-func (c AgendaClock) Now() time.Duration { return c.A.sched.Now() }
+func (c AgendaClock) Now() time.Duration { return c.A.Now() }
 
 func (c AgendaClock) At(at time.Duration, fn func()) (Handle, error) {
 	return handle(c.A.At(at, fn))

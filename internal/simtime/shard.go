@@ -15,27 +15,35 @@ import (
 // exactly the same instant. The caller supplies three hooks:
 //
 //   - begin(tile, start) runs on the tile's worker at the start of each
-//     window, before any of the window's events — the place to apply
-//     inbound cross-tile operations queued at the previous boundary.
+//     window, before any of the window's events — the place to take on
+//     what the barrier routed here: Attach the agendas of arriving
+//     entities, then sort and apply the inbound cross-tile operations.
 //   - end(tile, boundary) runs on the tile's worker after the window's
 //     events, with the tile clock already at the boundary — the place to
-//     snapshot tile-owned state (positions, advertised capacities) in
-//     parallel before the barrier reads it.
+//     snapshot tile-owned state (positions, advertised capacities), put
+//     the tile's own outbound lists in order and Detach the agendas of
+//     entities that have left the tile, all in parallel before the barrier
+//     reads any of it.
 //   - barrier(boundary, final) runs on the driving goroutine once every
-//     tile has reached the boundary — the place to route outbound
-//     operations, rebuild shared snapshots and migrate devices between
-//     tiles.
+//     tile has reached the boundary — the place for what is global:
+//     routing outbound operations and departed entities to their next
+//     tile, merging the tiles' sorted logs, rebuilding shared snapshots.
 //
 // A window covers [start, start+W): events scheduled exactly at a
 // boundary belong to the next window, after that boundary's barrier. The
 // final window is closed — events exactly at the horizon fire — matching
 // Scheduler.RunUntil semantics.
 //
-// Memory ordering: hook data handed from barrier to begin (and from the
-// workers back to barrier) is synchronized by the job/result channels, so
-// hooks need no locks of their own as long as begin/worker code only
-// touches tile-owned state plus whatever the barrier explicitly handed
-// over.
+// Memory ordering: the job/result channels are the only synchronization.
+// A worker's result send happens before the barrier runs, and the
+// barrier's return happens before any worker receives its next job, so
+// hooks need no locks of their own as long as begin, end and the window's
+// events touch only tile-owned state plus whatever the barrier explicitly
+// handed over. That covers an entity changing tiles, whose hand-over is
+// split across two workers: the old tile's end hook detaches its agenda
+// while other tiles are still inside their windows — nothing else may
+// touch the entity then — and the new tile's begin hook attaches it one
+// barrier later.
 type TileGroup struct {
 	scheds []*Scheduler
 }

@@ -156,10 +156,19 @@ func TestTileGroupHookErrorsAbort(t *testing.T) {
 }
 
 // TestTileGroupMigrationNeverDropsOrDuplicates is the migration property
-// test: random agendas with random task sets are rehomed to random tiles
-// at every window boundary, and every scheduled task must still run
-// exactly once, at its exact instant, in per-agenda scheduling order.
+// test: random agendas with random task sets are moved to random tiles at
+// every window boundary, and every scheduled task must still run exactly
+// once, at its exact instant, in per-agenda scheduling order, as exactly
+// one kernel event. It holds for Rehome on the barrier goroutine and for
+// the split hand-over the city kernel uses — Detach in the old tile's end
+// hook, Attach in the new tile's begin hook, the barrier only routing.
 func TestTileGroupMigrationNeverDropsOrDuplicates(t *testing.T) {
+	for _, mode := range []string{"rehome", "split"} {
+		t.Run(mode, func(t *testing.T) { testMigrationProperty(t, mode == "split") })
+	}
+}
+
+func testMigrationProperty(t *testing.T, split bool) {
 	const (
 		tiles   = 4
 		agendas = 32
@@ -181,9 +190,12 @@ func TestTileGroupMigrationNeverDropsOrDuplicates(t *testing.T) {
 		var mu sync.Mutex
 		var fired []firing
 		ags := make([]*Agenda, agendas)
+		home := make([]int, agendas) // the tile each agenda is on
+		dest := make([]int, agendas) // where it goes at the next boundary
 		scheduled := 0
 		for i := range ags {
-			ags[i] = NewAgenda(g.Scheduler(rng.Intn(tiles)))
+			home[i], dest[i] = rng.Intn(tiles), rng.Intn(tiles)
+			ags[i] = NewAgenda(g.Scheduler(home[i]))
 			n := 1 + rng.Intn(8)
 			for k := 0; k < n; k++ {
 				i, k := i, k
@@ -203,23 +215,57 @@ func TestTileGroupMigrationNeverDropsOrDuplicates(t *testing.T) {
 			}
 		}
 
+		// The split hooks touch an agenda only from the tile that owns it:
+		// home and dest are written by the barrier alone.
+		arrivals := make([][]int, tiles)
+		var begin func(int, time.Duration) error
+		var end func(int, time.Duration) error
+		if split {
+			begin = func(tile int, _ time.Duration) error {
+				for _, i := range arrivals[tile] {
+					if err := ags[i].Attach(g.Scheduler(tile)); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			end = func(tile int, b time.Duration) error {
+				for i, a := range ags {
+					if home[i] == tile && dest[i] != tile && b < horizon {
+						a.Detach()
+					}
+				}
+				return nil
+			}
+		}
 		barrier := func(b time.Duration, final bool) error {
 			if final {
 				return nil
 			}
-			for _, a := range ags {
-				if err := a.Rehome(g.Scheduler(rng.Intn(tiles))); err != nil {
+			for tile := range arrivals {
+				arrivals[tile] = arrivals[tile][:0]
+			}
+			for i, a := range ags {
+				if split {
+					if dest[i] != home[i] {
+						arrivals[dest[i]] = append(arrivals[dest[i]], i)
+					}
+				} else if err := a.Rehome(g.Scheduler(dest[i])); err != nil {
 					return err
 				}
+				home[i], dest[i] = dest[i], rng.Intn(tiles)
 			}
 			return nil
 		}
-		if err := g.Run(horizon, window, nil, nil, barrier); err != nil {
+		if err := g.Run(horizon, window, begin, end, barrier); err != nil {
 			t.Fatal(err)
 		}
 
 		if len(fired) != scheduled {
 			t.Fatalf("trial %d: %d tasks fired, %d scheduled", trial, len(fired), scheduled)
+		}
+		if g.Fired() != uint64(scheduled) {
+			t.Fatalf("trial %d: %d kernel events for %d task firings", trial, g.Fired(), scheduled)
 		}
 		seen := make(map[firing]int)
 		for _, f := range fired {
@@ -249,6 +295,73 @@ func TestTileGroupMigrationNeverDropsOrDuplicates(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTileGroupDetachWhileNeighbourRuns forces the overlap the split
+// hand-over allows: tile 0 finishes its window and detaches an agenda in
+// its end hook while tile 1's worker is still inside the same window —
+// blocked, in fact, until the detach has happened. The job/result channels
+// are the only synchronization between the hooks; under -race this is the
+// check that the hand-over needs no more.
+func TestTileGroupDetachWhileNeighbourRuns(t *testing.T) {
+	const window = 10 * time.Second
+	g, err := NewTileGroup(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mover, resident := NewAgenda(g.Scheduler(0)), NewAgenda(g.Scheduler(1))
+	var ranOn *Scheduler
+	var ranAt time.Duration
+	if _, err := mover.At(15*time.Second, func() {
+		ranOn, ranAt = mover.Scheduler(), mover.Now()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	detached := make(chan struct{})
+	residentRan := false
+	if _, err := resident.At(5*time.Second, func() {
+		<-detached
+		if _, err := resident.After(time.Second, func() { residentRan = true }); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var arriving *Agenda
+	begin := func(tile int, _ time.Duration) error {
+		if tile == 1 && arriving != nil {
+			a := arriving
+			arriving = nil
+			return a.Attach(g.Scheduler(1))
+		}
+		return nil
+	}
+	end := func(tile int, b time.Duration) error {
+		if tile == 0 && b == window {
+			mover.Detach()
+			close(detached)
+		}
+		return nil
+	}
+	barrier := func(b time.Duration, _ bool) error {
+		if b == window {
+			arriving = mover
+		}
+		return nil
+	}
+	if err := g.Run(3*window, window, begin, end, barrier); err != nil {
+		t.Fatal(err)
+	}
+	if ranOn != g.Scheduler(1) || ranAt != 15*time.Second {
+		t.Fatalf("the migrated task ran on %p at %v, want tile 1's scheduler %p at 15s", ranOn, ranAt, g.Scheduler(1))
+	}
+	if !residentRan {
+		t.Fatal("tile 1's own agenda lost the task it scheduled during the overlap")
+	}
+	if g.Scheduler(0).Fired() != 0 {
+		t.Fatalf("tile 0 fired %d events; the mover's only task belongs to tile 1", g.Scheduler(0).Fired())
 	}
 }
 
