@@ -90,32 +90,26 @@ func (r *Ring) Nodes() []string { return slices.Clone(r.nodes) }
 // Size returns the shard count.
 func (r *Ring) Size() int { return len(r.nodes) }
 
+// Node returns the shard ID at canonical index i.
+func (r *Ring) Node(i int) string { return r.nodes[i] }
+
 // Owner returns the shard ID owning key: the first virtual node clockwise
 // from the key's hash.
 func (r *Ring) Owner(key string) string {
-	return r.nodes[r.ownerIndex(key)]
+	return r.nodes[r.OwnerIndex(key)]
 }
 
-func (r *Ring) ownerIndex(key string) int {
+// OwnerIndex returns the canonical index of the shard owning key — the
+// one statement of ownership; Owner and GroupSorted name the shard at it.
+// A party routing the same keys again under one ring can keep the index
+// per key and skip the hash.
+func (r *Ring) OwnerIndex(key string) int {
 	h := hash64([]byte(key))
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
 	}
 	return r.points[i].node
-}
-
-// Group partitions keys by owning shard, returning for each shard the
-// indices of the keys it owns. Relays use it to split a flushed batch into
-// per-shard sub-batches; the routing fuzz test asserts it agrees with Owner
-// key by key.
-func (r *Ring) Group(keys []string) map[string][]int {
-	out := make(map[string][]int, len(r.nodes))
-	for i, k := range keys {
-		id := r.nodes[r.ownerIndex(k)]
-		out[id] = append(out[id], i)
-	}
-	return out
 }
 
 // ShardGroup is one shard's slice of a partitioned batch: the owning
@@ -125,17 +119,25 @@ type ShardGroup struct {
 	Idxs  []int
 }
 
-// GroupSorted is Group with a deterministic iteration order: the groups
-// come back sorted by shard ID. Order-sensitive callers — anything that
-// records trace events or emits per-shard output while walking the
-// partition — use this so two runs over the same keys behave identically.
+// GroupSorted partitions keys by owning shard: the groups come back in
+// shard-ID order (the ring's canonical node order, so bucketing by node
+// index needs no sort), each listing its keys' indices in input order.
+// Relays use it to split a flushed batch into per-shard sub-batches; order
+// matters to every caller that records trace events or emits per-shard
+// output while walking the partition, so two runs over the same keys
+// behave identically.
 func (r *Ring) GroupSorted(keys []string) []ShardGroup {
-	m := r.Group(keys)
-	out := make([]ShardGroup, 0, len(m))
-	for id, idxs := range m {
-		out = append(out, ShardGroup{Shard: id, Idxs: idxs})
+	buckets := make([][]int, len(r.nodes))
+	for i, k := range keys {
+		ni := r.OwnerIndex(k)
+		buckets[ni] = append(buckets[ni], i)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
+	out := make([]ShardGroup, 0, len(r.nodes))
+	for ni, idxs := range buckets {
+		if len(idxs) > 0 {
+			out = append(out, ShardGroup{Shard: r.nodes[ni], Idxs: idxs})
+		}
+	}
 	return out
 }
 

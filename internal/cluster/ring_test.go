@@ -14,6 +14,18 @@ func keys(n int) []string {
 	return out
 }
 
+// Group partitions keys by owning shard into a map, one key at a time
+// through Owner: the reference GroupSorted and the routing fuzz test check
+// the fanout against.
+func (r *Ring) Group(keys []string) map[string][]int {
+	out := make(map[string][]int, len(r.nodes))
+	for i, k := range keys {
+		id := r.Owner(k)
+		out[id] = append(out[id], i)
+	}
+	return out
+}
+
 func mustRing(t *testing.T, nodes []string, vnodes int) *Ring {
 	t.Helper()
 	r, err := NewRing(nodes, vnodes)

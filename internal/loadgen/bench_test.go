@@ -2,14 +2,17 @@ package loadgen
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"runtime"
 	"testing"
 	"time"
 
+	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/relaynet"
+	"d2dhb/internal/session"
 )
 
 // The capacity benchmarks are smoke-sized macro-benchmarks: each iteration
@@ -139,22 +142,98 @@ func BenchmarkServerBatch200k(b *testing.B) {
 	report()
 }
 
-// BenchmarkTrunkAckPath is the trunk's half: one shard connection's worth
-// of users (live_trunked puts ~33k on each) acknowledged in send order,
-// from the ack frames' bytes through the FrameReader to the settled pending
-// entries. An iteration is one period's acks; tracking the period's sends
+// One of live_trunked's two trunks: 100k users paced over 32 sub-ticks
+// into a 3-shard cluster, ~33k users per shard connection.
+const trunkedUsers, trunkedSlots, trunkedShards = 100_000, 32, 3
+
+// sinkClusterTrunk builds a paced cluster-mode trunk over a static ring of
+// shards whose connections swallow every write and never ack.
+func sinkClusterTrunk(tb testing.TB, users, slots, shards int) *trunk {
+	tb.Helper()
+	nodes := make([]cluster.Node, shards)
+	for i := range nodes {
+		nodes[i] = cluster.Node{ID: fmt.Sprintf("shard-%d", i), Addr: fmt.Sprintf("sink-%d", i)}
+	}
+	cc, err := cluster.NewStaticClient(cluster.Config{Epoch: 1, Nodes: nodes}, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr := newTestTrunk("unused", users, func(string, string) (net.Conn, error) {
+		return &sinkConn{closed: make(chan struct{})}, nil
+	})
+	tr.cluster = cc
+	tr.pace(slots)
+	tb.Cleanup(tr.close)
+	return tr
+}
+
+// settleFresh acknowledges the trunk's last emission by hand.
+func settleFresh(tr *trunk, at time.Time) {
+	tr.mu.Lock()
+	for _, k := range tr.fresh {
+		tr.pending.Settle(k, at)
+	}
+	tr.mu.Unlock()
+}
+
+// BenchmarkTrunkEmit is the trunk's send half: one paced sub-tick of a
+// live_trunked trunk in cluster mode — 1/32 of its users tracked, routed by
+// their cached owners and written as one Batch write per shard into
+// connections that swallow it. An iteration is one sub-tick; its
+// heartbeats are settled off the clock, so the table stays at one in
+// flight per user, as in the run.
+func BenchmarkTrunkEmit(b *testing.B) {
+	tr := sinkClusterTrunk(b, trunkedUsers, trunkedSlots, trunkedShards)
+	now := time.Now()
+	for _, idxs := range tr.slotUsers { // warm: dials, owners, buffers
+		tr.emit(idxs, now, nil)
+		settleFresh(tr, now)
+	}
+	hbs := 0
+	for i := 0; i < b.N; i++ {
+		hbs += len(tr.slotUsers[i%trunkedSlots])
+	}
+	b.ResetTimer()
+	report := reportPerHB(b, hbs)
+	for i := 0; i < b.N; i++ {
+		tr.emit(tr.slotUsers[i%trunkedSlots], now, nil)
+		b.StopTimer()
+		settleFresh(tr, now)
+		b.StartTimer()
+	}
+	report()
+}
+
+// BenchmarkTrunkAckPath is the trunk's ack half: one shard connection's
+// worth of acks — the users of a live_trunked trunk that the first of 3
+// shards owns — from the ack frames' bytes through the FrameReader to the
+// settled pending entries. Acks come back the way the run sends: sub-tick
+// by sub-tick in pace-slot order, one Ack frame per sub-tick's batch, so
+// settling reaches into the user and pending tables as scattered as the
+// run does. An iteration is one period's acks; tracking the period's sends
 // happens off the clock.
 func BenchmarkTrunkAckPath(b *testing.B) {
-	const users, perAck = 33_000, 4096
-	tr := newTestTrunk("unused", users, nil)
+	tr := newTestTrunk("unused", trunkedUsers, nil)
+	tr.pace(trunkedSlots)
+	nodes := make([]string, trunkedShards)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf("shard-%d", i)
+	}
+	ring, err := cluster.NewRing(nodes, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var owned []int // the shard's users, in ack order
 	var period []byte
 	ack := &hbproto.Ack{}
-	for start := 0; start < users; start += perAck {
+	for _, idxs := range tr.slotUsers {
 		ack.Refs = ack.Refs[:0]
-		for i := start; i < min(start+perAck, users); i++ {
-			ack.Refs = append(ack.Refs, hbproto.Ref{Src: tr.users[i].id, Seq: 1})
+		for _, i := range idxs {
+			if ring.OwnerIndex(tr.users[i].id) == 0 {
+				owned = append(owned, i)
+				ack.Refs = append(ack.Refs, hbproto.Ref{Src: tr.users[i].id, Seq: 1})
+			}
 		}
-		var err error
 		if period, err = hbproto.AppendFrame(period, ack); err != nil {
 			b.Fatal(err)
 		}
@@ -166,8 +245,8 @@ func BenchmarkTrunkAckPath(b *testing.B) {
 	settle := func() {
 		// Every period acks seq 1 again: what is measured is the lookup
 		// and the settle, not the sequence bookkeeping.
-		for i := range tr.users {
-			tr.pending.Track(hbref{i, 1}, now)
+		for _, i := range owned {
+			tr.pending.Track(session.Key{Slot: i, Seq: 1}, now)
 		}
 		wire.Reset(period)
 		b.StartTimer()
@@ -186,7 +265,7 @@ func BenchmarkTrunkAckPath(b *testing.B) {
 	b.StopTimer()
 	settle()
 	b.ResetTimer()
-	report := reportPerHB(b, b.N*users)
+	report := reportPerHB(b, b.N*len(owned))
 	for i := 0; i < b.N; i++ {
 		settle()
 	}

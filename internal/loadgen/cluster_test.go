@@ -1,14 +1,17 @@
 package loadgen
 
 import (
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/faultnet"
 	"d2dhb/internal/hbmsg"
+	"d2dhb/internal/rec"
 	"d2dhb/internal/relaynet"
 	"d2dhb/internal/telemetry"
 )
@@ -34,10 +37,21 @@ func (sh *testShard) kill() {
 
 func startTestShard(t *testing.T, id string) *testShard {
 	t.Helper()
+	return startTestShardOn(t, id, net.Listen)
+}
+
+// startTestShardOn is startTestShard with the hbproto listener opened by
+// listen — a faultnet schedule's Listen delays or breaks the shard's side.
+func startTestShardOn(t *testing.T, id string, listen func(network, addr string) (net.Listener, error)) *testShard {
+	t.Helper()
 	srv := relaynet.NewServer()
 	reg := telemetry.NewRegistry()
 	srv.SetTelemetry(reg)
-	if err := srv.Start("127.0.0.1:0"); err != nil {
+	ln, err := listen("tcp", "127.0.0.1:0")
+	if err == nil {
+		err = srv.StartListener(ln)
+	}
+	if err != nil {
 		t.Fatalf("shard %s start: %v", id, err)
 	}
 	health := telemetry.NewHealth()
@@ -59,10 +73,20 @@ func startTestShard(t *testing.T, id string) *testShard {
 func startTestCluster(t *testing.T, n int) (string, *cluster.Router, []*testShard) {
 	t.Helper()
 	shards := make([]*testShard, n)
-	nodes := make([]cluster.Node, n)
 	for i := range shards {
 		shards[i] = startTestShard(t, "shard-"+string(rune('0'+i)))
-		nodes[i] = shards[i].node
+	}
+	url, router := startTestRouter(t, shards)
+	return url, router, shards
+}
+
+// startTestRouter starts a router whose first epoch is the given shards and
+// returns its base URL.
+func startTestRouter(t *testing.T, shards []*testShard) (string, *cluster.Router) {
+	t.Helper()
+	nodes := make([]cluster.Node, len(shards))
+	for i, sh := range shards {
+		nodes[i] = sh.node
 	}
 	router, err := cluster.NewRouter(cluster.RouterConfig{
 		Initial:        cluster.Config{Epoch: 1, Nodes: nodes},
@@ -76,7 +100,7 @@ func startTestCluster(t *testing.T, n int) (string, *cluster.Router, []*testShar
 	t.Cleanup(router.Close)
 	rweb := httptest.NewServer(router.Handler())
 	t.Cleanup(rweb.Close)
-	return rweb.URL, router, shards
+	return rweb.URL, router
 }
 
 // TestClusterFleetRun drives a socket-per-UE fleet (half relayed, half
@@ -313,5 +337,107 @@ func TestTrunkClusterShardKill(t *testing.T) {
 	}
 	if rep.ClusterEpoch < 2 {
 		t.Errorf("cluster epoch = %d after eviction, want >= 2", rep.ClusterEpoch)
+	}
+}
+
+// TestTrunkOverflowUnderAckLatencyAndReshard drives the pending table's
+// overflow, which the benchmark never reaches. For the first stretch of
+// the run every shard holds each ack write for three trunk periods, so
+// every user has several heartbeats in flight; later a fourth shard joins,
+// so the trunk re-resolves its users' owners under the new view. Every
+// heartbeat must end exactly once — acknowledged or timed out — and acks
+// may arrive out of order only behind a fallback resend.
+func TestTrunkOverflowUnderAckLatencyAndReshard(t *testing.T) {
+	const users, period = 48, 40 * time.Millisecond
+	lag := faultnet.NewSchedule(1, []faultnet.Window{{
+		To:    600 * time.Millisecond,
+		Fault: faultnet.Fault{Kind: faultnet.KindLatency, Latency: 3 * period},
+	}})
+	shards := make([]*testShard, 3)
+	for i := range shards {
+		shards[i] = startTestShardOn(t, "shard-"+string(rune('0'+i)), lag.Listen)
+	}
+	routerURL, router := startTestRouter(t, shards)
+	joiner := startTestShard(t, "shard-3")
+
+	recorder := rec.NewRecorder()
+	var r *Runner
+	// More heartbeats pending than users means some user has a second one
+	// in flight: the overflow holds it. The interim reports sample the
+	// count; they run on Run's reporter goroutine, after the fleet is built.
+	var peak atomic.Int64
+	r, err := New(Config{
+		UEs:            users,
+		Trunks:         1,
+		TrunkPaceSlots: 4,
+		Profiles:       []hbmsg.AppProfile{fastProfile(period)},
+		Duration:       1400 * time.Millisecond,
+		AckTimeout:     time.Second,
+		ClusterAddr:    routerURL,
+		Recorder:       recorder,
+		ReportEvery:    5 * time.Millisecond,
+		OnReport: func(Report) {
+			if n := int64(r.units[0].pendingCount()); n > peak.Load() {
+				peak.Store(n)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := make(chan struct{})
+	go func() {
+		defer close(joined)
+		time.Sleep(900 * time.Millisecond)
+		if err := router.Join(joiner.node); err != nil {
+			t.Errorf("join: %v", err)
+		}
+	}()
+	lag.Start()
+	rep, err := r.Run()
+	<-joined
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if got := peak.Load(); got <= users {
+		t.Fatalf("at most %d heartbeats pending for %d users: the overflow was never used", got, users)
+	}
+	if rep.ClusterEpoch < 2 || joiner.srv.Stats().HeartbeatsRelayed == 0 {
+		t.Fatalf("the reshard did not take: epoch %d, joiner served %d", rep.ClusterEpoch, joiner.srv.Stats().HeartbeatsRelayed)
+	}
+	if rep.Sent == 0 || rep.Errors != 0 {
+		t.Fatalf("sent %d, %d transport errors; want traffic and none", rep.Sent, rep.Errors)
+	}
+	if rep.Acked+rep.Timeouts != rep.Sent {
+		t.Errorf("acked %d + timeouts %d != sent %d", rep.Acked, rep.Timeouts, rep.Sent)
+	}
+	if rep.OutOfOrderAcks > rep.FallbackResends {
+		t.Errorf("%d out-of-order acks, only %d fallback resends", rep.OutOfOrderAcks, rep.FallbackResends)
+	}
+	tl, err := recorder.Timeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type hb struct {
+		client int
+		seq    uint64
+	}
+	sent, ended := map[hb]int{}, map[hb]int{}
+	for _, e := range tl.Events {
+		k := hb{e.Client, e.Seq}
+		if e.Kind == rec.EvSend {
+			sent[k]++
+		} else {
+			ended[k]++
+		}
+	}
+	for k, n := range sent {
+		if n != 1 || ended[k] != 1 {
+			t.Fatalf("client %d seq %d: sent %d times, ended %d times; want once each", k.client, k.seq, n, ended[k])
+		}
+	}
+	if len(ended) != len(sent) {
+		t.Fatalf("%d heartbeats ended, %d were sent", len(ended), len(sent))
 	}
 }

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"cmp"
 	"fmt"
 	"net"
 	"strconv"
@@ -557,7 +556,7 @@ func (r *Runner) buildFleet() {
 			// dial, so a reshard redirects the next connection.
 			u.primary.Resolve = owner
 		}
-		u.pending = session.Pending[uint64]{Cmp: cmp.Compare[uint64], Fallback: u.owner != nil}
+		u.pending = session.Pending{Fallback: u.owner != nil}
 		r.units = append(r.units, u)
 	}
 }
@@ -595,7 +594,7 @@ func (r *Runner) buildTrunks() {
 			index:   make(map[string]int, count),
 			// In cluster mode a heartbeat that misses its ack window is
 			// re-sent once through the then-current ring view.
-			pending: session.Pending[hbref]{Cmp: compareRefs, Fallback: r.cluster != nil},
+			pending: session.Pending{Fallback: r.cluster != nil},
 			slots:   make(map[string]*session.Slot),
 		}
 		t.trec = r.cfg.Recorder
@@ -621,12 +620,7 @@ func (r *Runner) buildTrunks() {
 			slots = maxByPeriod
 		}
 		if slots > 1 {
-			t.paceSlots = slots
-			t.slotUsers = make([][]int, slots)
-			for i := range t.users {
-				s := paceSlot(t.id, t.users[i].id, slots)
-				t.slotUsers[s] = append(t.slotUsers[s], i)
-			}
+			t.pace(slots)
 		}
 		r.units = append(r.units, t)
 	}
@@ -727,7 +721,7 @@ type vue struct {
 	fallback *session.Slot
 
 	mu      sync.Mutex
-	pending session.Pending[uint64] // by seq
+	pending session.Pending // slot 0, by seq
 	seq     uint64
 	last    uint64 // highest acknowledged seq
 }
@@ -794,12 +788,12 @@ func (u *vue) tick() {
 	u.mu.Lock()
 	u.seq++
 	seq := u.seq
-	u.pending.Track(seq, now)
+	u.pending.Track(session.Key{Seq: seq}, now)
 	u.mu.Unlock()
 	if _, err := u.primary.Send(u.heartbeat(seq, now)); err != nil {
 		u.c.writeErrors.Add(1)
 		u.mu.Lock()
-		u.pending.Abandon(seq)
+		u.pending.Abandon(session.Key{Seq: seq})
 		u.mu.Unlock()
 		return
 	}
@@ -827,7 +821,7 @@ func (u *vue) onRefs(_ int, refs []hbproto.Ref, at time.Time) {
 		if ref.Src != u.id {
 			continue
 		}
-		lat, ok := u.pending.Settle(ref.Seq, at)
+		lat, ok := u.pending.Settle(session.Key{Seq: ref.Seq}, at)
 		if !ok {
 			continue
 		}
@@ -857,10 +851,10 @@ func (u *vue) sweep(now time.Time) {
 	if len(resend) > 0 && u.fallback == nil {
 		u.fallback = &session.Slot{Dial: u.primary.Dial, Resolve: u.owner, OnRefs: u.primary.OnRefs}
 	}
-	for _, seq := range resend {
+	for _, k := range resend {
 		if _, err := u.fallback.Connect(); err != nil {
 			u.c.dialErrors.Add(1)
-		} else if _, err := u.fallback.Send(u.heartbeat(seq, time.Now())); err != nil {
+		} else if _, err := u.fallback.Send(u.heartbeat(k.Seq, time.Now())); err != nil {
 			u.c.writeErrors.Add(1)
 		} else {
 			u.c.fallbackResends.Add(1)
@@ -869,14 +863,14 @@ func (u *vue) sweep(now time.Time) {
 }
 
 // timedOut writes off heartbeats the pending table gave up on (u.mu held).
-func (u *vue) timedOut(seqs []uint64, now time.Time) {
-	for _, seq := range seqs {
+func (u *vue) timedOut(keys []session.Key, now time.Time) {
+	for _, k := range keys {
 		if u.relayed {
 			u.c.timeoutRelayed.Add(1)
 		} else {
 			u.c.timeoutDirect.Add(1)
 		}
-		u.trec.Record(rec.EvTimeout, u.tidx, seq, now)
+		u.trec.Record(rec.EvTimeout, u.tidx, k.Seq, now)
 	}
 }
 

@@ -360,14 +360,14 @@ func TestTrunkEmissionZeroAllocsOneWrite(t *testing.T) {
 		c:       &fleetCounters{},
 		dial:    func(string, string) (net.Conn, error) { return sink, nil },
 		users:   make([]tuser, users),
-		pending: session.Pending[hbref]{Cmp: compareRefs},
+		pending: session.Pending{},
 		slots:   make(map[string]*session.Slot),
 	}
 	defer tr.close()
-	refs := make([]hbref, users)
+	refs := make([]session.Key, users)
 	for i := range refs {
 		tr.users[i].id = fmt.Sprintf("loadue-%07d", i)
-		refs[i] = hbref{i, 1}
+		refs[i] = session.Key{Slot: i, Seq: 1}
 	}
 	now := time.Now()
 	tr.sendShard("", refs, now, false) // warm-up: dial, register, size the scratch
@@ -385,5 +385,29 @@ func TestTrunkEmissionZeroAllocsOneWrite(t *testing.T) {
 	}
 	if got := sink.writes.Load() - before; got != runs+1 { // AllocsPerRun adds one warm-up call
 		t.Errorf("%d Writes for %d emissions, want one each", got, runs+1)
+	}
+}
+
+// TestTrunkClusterSubTickZeroAllocs pins the trunk's whole send path in
+// cluster mode: once owners are cached and buffers sized, a paced sub-tick
+// — the slot-0 sweep, tracking, routing by cached owner, one Batch write
+// per shard — allocates nothing.
+func TestTrunkClusterSubTickZeroAllocs(t *testing.T) {
+	tr := sinkClusterTrunk(t, 3000, 4, 3)
+	period := func() {
+		for s := range tr.slotUsers {
+			tr.tickSlot(s)
+			settleFresh(tr, time.Now())
+		}
+	}
+	period() // warm-up: dial, resolve owners, size the buffers
+	allocs := testing.AllocsPerRun(10, period)
+	// One alloc of slack per period, as for the shard emission: pool
+	// Get/Put may interact with GC mid-run.
+	if allocs > 1 && !raceEnabled {
+		t.Errorf("%.1f allocs per period of 4 sub-ticks, want 0", allocs)
+	}
+	if n := tr.pendingCount(); n != 0 || tr.c.writeErrors.Load()+tr.c.dialErrors.Load() != 0 {
+		t.Fatalf("%d heartbeats left pending, %d write and %d dial errors", n, tr.c.writeErrors.Load(), tr.c.dialErrors.Load())
 	}
 }

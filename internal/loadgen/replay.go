@@ -11,7 +11,6 @@ package loadgen
 // gives the live column.
 
 import (
-	"cmp"
 	"fmt"
 	"net"
 	"sort"
@@ -54,19 +53,6 @@ type ReplayOptions struct {
 	Faults *faultnet.Schedule
 }
 
-// replayKey identifies one in-flight replayed heartbeat.
-type replayKey struct {
-	id  string
-	seq uint64
-}
-
-func compareReplayKeys(a, b replayKey) int {
-	if c := cmp.Compare(a.id, b.id); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.seq, b.seq)
-}
-
 // replayUnit is one connection's worth of replayed clients: a single
 // direct client, or every client of one relay/trunk group.
 type replayUnit struct {
@@ -83,8 +69,12 @@ type liveReplay struct {
 	cluster *cluster.Client // nil outside cluster mode
 	start   time.Time
 
+	// slot maps a client ID to its pending slot: the timeline index of
+	// the first client with that ID. Immutable after construction.
+	slot map[string]int
+
 	mu        sync.Mutex
-	pending   session.Pending[replayKey]
+	pending   session.Pending
 	lat       *rec.Sample
 	delivered uint64
 	uplinks   uint64
@@ -116,10 +106,13 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 	}
 
 	r := &liveReplay{
-		tl:      tl,
-		opts:    opts,
-		pending: session.Pending[replayKey]{Cmp: compareReplayKeys},
-		lat:     rec.NewSample(),
+		tl:   tl,
+		opts: opts,
+		slot: make(map[string]int, len(tl.Clients)),
+		lat:  rec.NewSample(),
+	}
+	for i := len(tl.Clients) - 1; i >= 0; i-- {
+		r.slot[tl.Clients[i].ID] = i
 	}
 
 	var server *relaynet.Server
@@ -289,9 +282,10 @@ func (r *liveReplay) runDirect(u *replayUnit) {
 			Src: c.ID, Seq: e.Seq, App: c.App,
 			Origin: now, Expiry: c.Expiry, Pad: c.Pad,
 		}
-		r.track(replayKey{c.ID, e.Seq}, now)
+		k := r.key(c.ID, e.Seq)
+		r.track(k, now)
 		if _, err := slot.Send(hb); err != nil {
-			r.noteWriteError(replayKey{c.ID, e.Seq})
+			r.noteWriteError(k)
 			continue
 		}
 		r.noteUplink(false)
@@ -354,14 +348,14 @@ func (r *liveReplay) sendTrunkBatch(slots map[string]*session.Slot, u *replayUni
 	}
 	now := time.Now()
 	b := &hbproto.Batch{Relay: u.relayID, HBs: make([]hbproto.Heartbeat, 0, len(events))}
-	keys := make([]replayKey, 0, len(events))
+	keys := make([]session.Key, 0, len(events))
 	for _, e := range events {
 		c := r.tl.Clients[e.Client]
 		b.HBs = append(b.HBs, hbproto.Heartbeat{
 			Src: c.ID, Seq: e.Seq, App: c.App,
 			Origin: now, Expiry: c.Expiry, Pad: c.Pad,
 		})
-		k := replayKey{c.ID, e.Seq}
+		k := r.key(c.ID, e.Seq)
 		keys = append(keys, k)
 		r.track(k, now)
 	}
@@ -372,7 +366,12 @@ func (r *liveReplay) sendTrunkBatch(slots map[string]*session.Slot, u *replayUni
 	r.noteUplink(true)
 }
 
-func (r *liveReplay) track(k replayKey, at time.Time) {
+// key names a replayed heartbeat in the pending table.
+func (r *liveReplay) key(id string, seq uint64) session.Key {
+	return session.Key{Slot: r.slot[id], Seq: seq}
+}
+
+func (r *liveReplay) track(k session.Key, at time.Time) {
 	r.mu.Lock()
 	r.pending.Track(k, at)
 	r.mu.Unlock()
@@ -380,7 +379,7 @@ func (r *liveReplay) track(k replayKey, at time.Time) {
 
 // noteWriteError counts heartbeats that never hit the wire (dial or write
 // failure) and stops tracking them.
-func (r *liveReplay) noteWriteError(keys ...replayKey) {
+func (r *liveReplay) noteWriteError(keys ...session.Key) {
 	r.mu.Lock()
 	for _, k := range keys {
 		r.pending.Abandon(k)
@@ -398,13 +397,17 @@ func (r *liveReplay) noteUplink(batch bool) {
 	r.mu.Unlock()
 }
 
-// onRefs settles acknowledged heartbeats. The interned Src strings
-// promoted into replayKeys are stable, so the reader's reuse is safe.
+// onRefs settles acknowledged heartbeats; a source the timeline does not
+// name settles nothing.
 func (r *liveReplay) onRefs(_ int, refs []hbproto.Ref, at time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, ref := range refs {
-		if lat, ok := r.pending.Settle(replayKey{ref.Src, ref.Seq}, at); ok {
+		slot, known := r.slot[ref.Src]
+		if !known {
+			continue
+		}
+		if lat, ok := r.pending.Settle(session.Key{Slot: slot, Seq: ref.Seq}, at); ok {
 			r.delivered++
 			r.lat.Add(float64(lat) / float64(time.Millisecond))
 		}

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"cmp"
 	"net"
 	"sync"
 	"time"
@@ -24,12 +23,6 @@ type tuser struct {
 	last uint64 // highest acknowledged seq
 }
 
-// hbref identifies one in-flight heartbeat: user index + sequence number.
-type hbref struct {
-	idx int
-	seq uint64
-}
-
 // ackCache is one shard slot's handle → user table: the connection's
 // FrameReader numbers the sources it decodes, and acks come back in the
 // order the heartbeats went out, so after a source's first ack the trunk
@@ -40,15 +33,6 @@ type hbref struct {
 type ackCache struct {
 	dial int
 	user []int32 // handle → user index + 1; 0 = not cached
-}
-
-// compareRefs orders refs by (user index, seq): the pending table's
-// canonical walk order for anything that records trace events per ref.
-func compareRefs(a, b hbref) int {
-	if c := cmp.Compare(a.idx, b.idx); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.seq, b.seq)
 }
 
 // trunk multiplexes many virtual users over one hbproto relay connection
@@ -82,16 +66,20 @@ type trunk struct {
 	paceSlots int
 	slotUsers [][]int
 
-	// Encode scratch owned by the send path. run() is the only sender
-	// while load is offered and drain() sweeps only after the send loop
-	// has exited (sendWg.Wait precedes it), so no lock is needed.
+	// State owned by the send path. run() is the only sender while load
+	// is offered and drain() sweeps only after the send loop has exited
+	// (sendWg.Wait precedes it), so no lock is needed.
 	hbScratch []hbproto.Heartbeat
 	batchMsg  hbproto.Batch
+	fresh     []session.Key   // one emission's new heartbeats
+	view      *cluster.View   // the view owner was filled under
+	owner     []int32         // user → owning node index + 1 under view; 0 = not resolved yet
+	byNode    [][]session.Key // one send's refs per node index, in input order
 
 	mu      sync.Mutex
 	users   []tuser
 	index   map[string]int           // user id → index (ids are immutable after build)
-	pending session.Pending[hbref]   // in-flight heartbeats
+	pending session.Pending          // in-flight heartbeats, slot = user index
 	slots   map[string]*session.Slot // shard ID → connection ("" single-server)
 	closed  bool
 }
@@ -154,7 +142,7 @@ func (t *trunk) tick() {
 // unpaced cadence so fallback/timeout timing is unchanged by pacing.
 func (t *trunk) tickSlot(slot int) {
 	now := time.Now()
-	var resend []hbref
+	var resend []session.Key
 	if slot == 0 {
 		resend = t.collectExpired(now)
 	}
@@ -163,7 +151,7 @@ func (t *trunk) tickSlot(slot int) {
 
 // emit sends one fresh heartbeat for each listed user index (nil means the
 // whole fleet) plus any expired re-sends.
-func (t *trunk) emit(idxs []int, now time.Time, resend []hbref) {
+func (t *trunk) emit(idxs []int, now time.Time, resend []session.Key) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -173,23 +161,34 @@ func (t *trunk) emit(idxs []int, now time.Time, resend []hbref) {
 	if idxs == nil {
 		n = len(t.users)
 	}
-	fresh := make([]hbref, n)
+	fresh := t.fresh[:0]
 	for j := 0; j < n; j++ {
 		i := j
 		if idxs != nil {
 			i = idxs[j]
 		}
 		t.users[i].seq++
-		ref := hbref{i, t.users[i].seq}
+		ref := session.Key{Slot: i, Seq: t.users[i].seq}
 		t.pending.Track(ref, now)
-		fresh[j] = ref
+		fresh = append(fresh, ref)
 	}
+	t.fresh = fresh
 	t.mu.Unlock()
 	if len(fresh) > 0 {
 		t.send(fresh, now, false)
 	}
 	if len(resend) > 0 {
 		t.send(resend, now, true)
+	}
+}
+
+// pace spreads the trunk's users over slots emission sub-ticks by paceSlot.
+func (t *trunk) pace(slots int) {
+	t.paceSlots = slots
+	t.slotUsers = make([][]int, slots)
+	for i := range t.users {
+		s := paceSlot(t.id, t.users[i].id, slots)
+		t.slotUsers[s] = append(t.slotUsers[s], i)
 	}
 }
 
@@ -213,23 +212,38 @@ func paceSlot(trunkID, userID string, slots int) int {
 }
 
 // send partitions heartbeats per owning shard under one ring view (so a
-// round never mixes epochs) and writes one chunked Batch per shard.
-func (t *trunk) send(refs []hbref, now time.Time, fallback bool) {
+// round never mixes epochs) and writes one chunked Batch per shard, shards
+// in the ring's node order and each shard's heartbeats in input order —
+// the order Ring.GroupSorted gives. A user's owner is resolved through the
+// ring once per view and kept; a new view starts the cache over.
+func (t *trunk) send(refs []session.Key, now time.Time, fallback bool) {
 	if t.cluster == nil {
 		t.sendShard("", refs, now, fallback)
 		return
 	}
 	view := t.cluster.View()
-	keys := make([]string, len(refs))
-	for i, ref := range refs {
-		keys[i] = t.users[ref.idx].id
-	}
-	for _, g := range view.Ring().GroupSorted(keys) {
-		group := make([]hbref, len(g.Idxs))
-		for j, k := range g.Idxs {
-			group[j] = refs[k]
+	ring := view.Ring()
+	if view != t.view {
+		t.view, t.byNode = view, make([][]session.Key, ring.Size())
+		if t.owner == nil {
+			t.owner = make([]int32, len(t.users))
+		} else {
+			clear(t.owner)
 		}
-		t.sendShard(g.Shard, group, now, fallback)
+	}
+	for _, ref := range refs {
+		o := t.owner[ref.Slot]
+		if o == 0 {
+			o = int32(ring.OwnerIndex(t.users[ref.Slot].id)) + 1
+			t.owner[ref.Slot] = o
+		}
+		t.byNode[o-1] = append(t.byNode[o-1], ref)
+	}
+	for ni, group := range t.byNode {
+		if len(group) > 0 {
+			t.sendShard(ring.Node(ni), group, now, fallback)
+			t.byNode[ni] = group[:0]
+		}
 	}
 }
 
@@ -239,7 +253,7 @@ func (t *trunk) send(refs []hbref, now time.Time, fallback bool) {
 // Heartbeats that never hit the wire are abandoned to the pending table:
 // they stay for the sweep when fallback is available and are forgotten (a
 // transport error, not an ack timeout) otherwise.
-func (t *trunk) sendShard(shard string, refs []hbref, now time.Time, fallback bool) {
+func (t *trunk) sendShard(shard string, refs []session.Key, now time.Time, fallback bool) {
 	slot := t.slot(shard)
 	if slot == nil {
 		t.c.dialErrors.Add(1)
@@ -260,7 +274,7 @@ func (t *trunk) sendShard(shard string, refs []hbref, now time.Time, fallback bo
 		hbs := t.hbScratch[:len(chunk)]
 		for i, ref := range chunk {
 			hbs[i] = hbproto.Heartbeat{
-				Src: t.users[ref.idx].id, Seq: ref.seq, App: t.app,
+				Src: t.users[ref.Slot].id, Seq: ref.Seq, App: t.app,
 				Origin: now, Expiry: t.expiry, Pad: t.pad,
 			}
 		}
@@ -280,7 +294,7 @@ func (t *trunk) sendShard(shard string, refs []hbref, now time.Time, fallback bo
 	} else {
 		t.c.sentRelayed.Add(uint64(len(refs)))
 		for _, ref := range refs {
-			t.trec.Record(rec.EvSend, t.recIdx(ref.idx), ref.seq, now)
+			t.trec.Record(rec.EvSend, t.recIdx(ref.Slot), ref.Seq, now)
 		}
 	}
 	if shard != "" {
@@ -299,7 +313,7 @@ func (t *trunk) recIdx(i int) int {
 
 // abandon hands heartbeats that never hit the wire to the pending table's
 // unsent policy.
-func (t *trunk) abandon(refs []hbref) {
+func (t *trunk) abandon(refs []session.Key) {
 	t.mu.Lock()
 	for _, ref := range refs {
 		t.pending.Abandon(ref)
@@ -309,7 +323,7 @@ func (t *trunk) abandon(refs []hbref) {
 
 // collectExpired applies the pending table's loss policy, recording the
 // write-offs and returning the heartbeats due one fallback re-send.
-func (t *trunk) collectExpired(now time.Time) []hbref {
+func (t *trunk) collectExpired(now time.Time) []session.Key {
 	t.mu.Lock()
 	resend, lost := t.pending.Sweep(now, t.timeout)
 	t.timedOut(lost, now)
@@ -318,9 +332,9 @@ func (t *trunk) collectExpired(now time.Time) []hbref {
 }
 
 // timedOut writes off heartbeats the pending table gave up on (t.mu held).
-func (t *trunk) timedOut(refs []hbref, now time.Time) {
+func (t *trunk) timedOut(refs []session.Key, now time.Time) {
 	for _, ref := range refs {
-		t.trec.Record(rec.EvTimeout, t.recIdx(ref.idx), ref.seq, now)
+		t.trec.Record(rec.EvTimeout, t.recIdx(ref.Slot), ref.Seq, now)
 	}
 	t.c.timeoutRelayed.Add(uint64(len(refs)))
 }
@@ -399,7 +413,7 @@ func (t *trunk) onRefs(cache *ackCache, dial int, refs []hbproto.Ref, at time.Ti
 		if !ok {
 			continue
 		}
-		lat, ok := t.pending.Settle(hbref{i, ref.Seq}, at)
+		lat, ok := t.pending.Settle(session.Key{Slot: i, Seq: ref.Seq}, at)
 		if !ok {
 			continue
 		}

@@ -25,7 +25,7 @@ func newTestTrunk(addr string, n int, dial func(network, addr string) (net.Conn,
 		users: make([]tuser, n), index: make(map[string]int, n),
 		// Fallback keeps heartbeats whose write failed pending for the
 		// sweep, as cluster mode does.
-		pending: session.Pending[hbref]{Cmp: compareRefs, Fallback: true},
+		pending: session.Pending{Fallback: true},
 		slots:   make(map[string]*session.Slot),
 	}
 	for i, id := range fleetIDs(0, n, 7) {
@@ -201,7 +201,7 @@ func TestTrunkAckCacheScopedToDial(t *testing.T) {
 		seq++
 		for i := range refs {
 			refs[i].Seq = seq
-			tr.pending.Track(hbref{tr.index[refs[i].Src], seq}, now)
+			tr.pending.Track(session.Key{Slot: tr.index[refs[i].Src], Seq: seq}, now)
 		}
 		tr.onRefs(cache, dial, refs, now)
 		if n := tr.pending.Len(); n != 0 {

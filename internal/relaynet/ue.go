@@ -1,7 +1,6 @@
 package relaynet
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -178,7 +177,7 @@ type ueInstruments struct {
 type ueApp struct {
 	UEApp
 	timeout time.Duration
-	pending session.Pending[uint64]
+	pending session.Pending // slot 0, by seq
 }
 
 // UEClient periodically emits heartbeats, forwarding them through a relay
@@ -217,7 +216,7 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 		}
 		u.apps = append(u.apps, &ueApp{
 			UEApp: app, timeout: timeout,
-			pending: session.Pending[uint64]{Cmp: cmp.Compare[uint64], Fallback: true},
+			pending: session.Pending{Fallback: true},
 		})
 	}
 	if addrs := cfg.relayAddrs(); len(addrs) > 0 {
@@ -380,7 +379,7 @@ func (u *UEClient) sendHeartbeat(app *ueApp) {
 		// Track before transmitting: on loopback the relay may flush, get
 		// the server ack and send feedback before Send returns.
 		u.mu.Lock()
-		app.pending.Track(hb.Seq, hb.Origin)
+		app.pending.Track(session.Key{Seq: hb.Seq}, hb.Origin)
 		u.mu.Unlock()
 		select {
 		case u.tracked <- struct{}{}:
@@ -400,7 +399,7 @@ func (u *UEClient) sendHeartbeat(app *ueApp) {
 		// The relay link is dead (the slot dropped it): this heartbeat goes
 		// direct right away instead of waiting out a feedback timeout.
 		u.mu.Lock()
-		app.pending.Forget(hb.Seq)
+		app.pending.Forget(session.Key{Seq: hb.Seq})
 		u.mu.Unlock()
 	}
 	u.sendDirect(hb, false)
@@ -453,12 +452,12 @@ func (u *UEClient) fallBack() {
 	now := time.Now()
 	u.mu.Lock()
 	for _, app := range u.apps {
-		seqs, _ := app.pending.Sweep(now, app.timeout)
-		for _, seq := range seqs {
-			origin, _ := app.pending.Sent(seq)
-			app.pending.Forget(seq)
+		keys, _ := app.pending.Sweep(now, app.timeout)
+		for _, k := range keys {
+			origin, _ := app.pending.Sent(k)
+			app.pending.Forget(k)
 			hbs = append(hbs, &hbproto.Heartbeat{
-				Src: u.cfg.ID, Seq: seq, App: app.Name,
+				Src: u.cfg.ID, Seq: k.Seq, App: app.Name,
 				Origin: origin, Expiry: app.Expiry, Pad: app.Pad,
 			})
 		}
@@ -478,7 +477,7 @@ func (u *UEClient) onFeedback(_ int, refs []hbproto.Ref, at time.Time) {
 			continue
 		}
 		for _, app := range u.apps {
-			if _, ok := app.pending.Settle(ref.Seq, at); ok {
+			if _, ok := app.pending.Settle(session.Key{Seq: ref.Seq}, at); ok {
 				u.stats.FeedbackAcks++
 				u.ins.acks.Inc()
 				trace.Emit(u.cfg.Tracer, trace.Event{

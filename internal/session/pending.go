@@ -1,28 +1,49 @@
 package session
 
 import (
+	"cmp"
 	"slices"
 	"time"
 )
+
+// Key names one in-flight heartbeat: the owner's dense slot for the client
+// that sent it — a trunk's user index, a replay's timeline client index, 0
+// for an owner with one client — and its sequence number.
+type Key struct {
+	Slot int
+	Seq  uint64
+}
+
+// compare orders keys by (slot, seq), the table's walk order.
+func (a Key) compare(b Key) int {
+	return cmp.Or(cmp.Compare(a.Slot, b.Slot), cmp.Compare(a.Seq, b.Seq))
+}
 
 // Pending is the table of heartbeats sent but not yet acknowledged, and
 // the one statement of the client's loss policy: a heartbeat whose ack
 // window lapses is handed back once for a fallback resend with a fresh
 // window (when the owner has a fallback path), and written off as timed
 // out when the window lapses again — so no heartbeat is resent twice or
-// counted twice. Every walk is in key order, never map order, so the
-// decisions and the trace records they produce replay identically.
+// counted twice. Every walk is in (slot, seq) order, so the decisions and
+// the trace records they produce replay identically.
+//
+// The table is addressed by slot, not hashed: each slot keeps its
+// in-flight heartbeat inline, and only a second or later heartbeat in
+// flight on the same slot — an ack slower than the send period — goes to
+// an overflow map. Neither holds a pointer, so the collector never scans
+// the table.
 //
 // Pending is not synchronized: owners guard it with the lock that also
-// guards the counters they update alongside it. A Pending with Cmp set is
-// ready to use; it allocates nothing until the first Track.
-type Pending[K comparable] struct {
-	// Cmp orders the keys.
-	Cmp func(a, b K) int
+// guards the counters they update alongside it. The zero value (with
+// Fallback set as needed) is ready to use; it allocates nothing until the
+// first Track, and then a zeroed slice up to the highest slot tracked.
+type Pending struct {
 	// Fallback says whether the owner can resend over a second path.
 	Fallback bool
 
-	m map[K]entry
+	slots []inflight    // by slot: its inline heartbeat
+	over  map[Key]entry // the rest in flight; never a slot's inline key
+	live  int           // inline entries in use
 }
 
 // entry times are UnixNano. An entry has fallen back once its window was
@@ -32,55 +53,161 @@ type entry struct {
 	armed int64 // start of the current ack window
 }
 
+// inflight is one slot's inline heartbeat.
+type inflight struct {
+	seq uint64
+	entry
+	used bool
+}
+
+// inline returns k's inline entry, nil when k is not its slot's inline key.
+func (p *Pending) inline(k Key) *inflight {
+	if uint(k.Slot) >= uint(len(p.slots)) {
+		return nil
+	}
+	if s := &p.slots[k.Slot]; s.used && s.seq == k.Seq {
+		return s
+	}
+	return nil
+}
+
+// get returns k's entry wherever it is stored.
+func (p *Pending) get(k Key) (entry, bool) {
+	if s := p.inline(k); s != nil {
+		return s.entry, true
+	}
+	e, ok := p.over[k]
+	return e, ok
+}
+
+// put stores e under k: over k's own entry if it has one, else inline when
+// the slot's inline place is free, else in the overflow.
+func (p *Pending) put(k Key, e entry) {
+	if k.Slot >= len(p.slots) {
+		p.slots = append(p.slots, make([]inflight, k.Slot+1-len(p.slots))...)
+	}
+	s := &p.slots[k.Slot]
+	if s.used && s.seq == k.Seq {
+		s.entry = e
+		return
+	}
+	if !s.used && !p.overflowed(k) {
+		*s = inflight{seq: k.Seq, entry: e, used: true}
+		p.live++
+		return
+	}
+	if p.over == nil {
+		p.over = make(map[Key]entry)
+	}
+	p.over[k] = e
+}
+
+// overflowed reports whether k is in the overflow.
+func (p *Pending) overflowed(k Key) bool {
+	if len(p.over) == 0 {
+		return false
+	}
+	_, ok := p.over[k]
+	return ok
+}
+
+// take removes k and returns its entry.
+func (p *Pending) take(k Key) (entry, bool) {
+	if s := p.inline(k); s != nil {
+		s.used = false
+		p.live--
+		return s.entry, true
+	}
+	if len(p.over) == 0 {
+		return entry{}, false
+	}
+	e, ok := p.over[k]
+	delete(p.over, k)
+	return e, ok
+}
+
+// keys returns the keys of the entries keep selects, in (slot, seq) order:
+// slots in index order, each slot's inline entry merged by seq with its
+// overflow entries. Only the selected overflow is sorted, never the table.
+func (p *Pending) keys(keep func(entry) bool) []Key {
+	if p.Len() == 0 {
+		return nil // owners sweep every tick; most find nothing in flight
+	}
+	var over []Key
+	for k, e := range p.over {
+		if keep(e) {
+			over = append(over, k)
+		}
+	}
+	slices.SortFunc(over, Key.compare)
+	var out []Key
+	for i := range p.slots {
+		s := &p.slots[i]
+		if !s.used || !keep(s.entry) {
+			continue
+		}
+		k := Key{Slot: i, Seq: s.seq}
+		for len(over) > 0 && over[0].compare(k) < 0 {
+			out, over = append(out, over[0]), over[1:]
+		}
+		out = append(out, k)
+	}
+	return append(out, over...)
+}
+
 // Track starts k's ack window at the given instant. Track before the
 // frame is written: on loopback the ack can beat the sender back here.
-func (p *Pending[K]) Track(k K, at time.Time) {
-	if p.m == nil {
-		p.m = make(map[K]entry)
-	}
+func (p *Pending) Track(k Key, at time.Time) {
 	n := at.UnixNano()
-	p.m[k] = entry{sent: n, armed: n}
+	p.put(k, entry{sent: n, armed: n})
 }
 
 // Settle acknowledges k. It returns the time since k's current window
 // opened (the resend instant for a heartbeat that fell back), and false
 // when k is unknown — already settled over the other path, or stale.
-func (p *Pending[K]) Settle(k K, now time.Time) (time.Duration, bool) {
-	e, ok := p.m[k]
+func (p *Pending) Settle(k Key, now time.Time) (time.Duration, bool) {
+	e, ok := p.take(k)
 	if !ok {
 		return 0, false
 	}
-	delete(p.m, k)
 	return time.Duration(now.UnixNano() - e.armed), true
 }
 
 // Forget stops tracking k without an outcome.
-func (p *Pending[K]) Forget(k K) { delete(p.m, k) }
+func (p *Pending) Forget(k Key) { p.take(k) }
 
 // Abandon is for a heartbeat whose frame never reached the wire (dial or
 // write failure on the primary path). With a fallback path the entry
 // stays, and the sweep resends it once routes converge; without one it is
 // forgotten, so a transport error is not also counted as an ack timeout.
-func (p *Pending[K]) Abandon(k K) {
+func (p *Pending) Abandon(k Key) {
 	if !p.Fallback {
-		delete(p.m, k)
+		p.take(k)
 	}
 }
 
 // Sent returns the instant k was first tracked.
-func (p *Pending[K]) Sent(k K) (time.Time, bool) {
-	e, ok := p.m[k]
+func (p *Pending) Sent(k Key) (time.Time, bool) {
+	e, ok := p.get(k)
 	return time.Unix(0, e.sent), ok
 }
 
 // Oldest returns the start of the earliest open ack window, for owners
 // that arm a timer instead of sweeping on a tick.
-func (p *Pending[K]) Oldest() (time.Time, bool) {
+func (p *Pending) Oldest() (time.Time, bool) {
 	first, ok := int64(0), false
-	for _, e := range p.m {
+	earliest := func(e entry) {
 		if !ok || e.armed < first {
 			first, ok = e.armed, true
 		}
+	}
+	for i := range p.slots {
+		if p.slots[i].used {
+			earliest(p.slots[i].entry)
+		}
+	}
+	for _, e := range p.over {
+		earliest(e)
 	}
 	return time.Unix(0, first), ok
 }
@@ -88,39 +215,30 @@ func (p *Pending[K]) Oldest() (time.Time, bool) {
 // Sweep finds the entries whose window opened more than timeout before
 // now. First expiry with a fallback path: the entry is re-armed at now and
 // returned in resend. Otherwise it is removed and returned in lost. Both
-// lists are in key order.
-func (p *Pending[K]) Sweep(now time.Time, timeout time.Duration) (resend, lost []K) {
+// lists are in (slot, seq) order.
+func (p *Pending) Sweep(now time.Time, timeout time.Duration) (resend, lost []Key) {
 	n := now.UnixNano()
 	cutoff := n - int64(timeout)
-	var expired []K
-	for k, e := range p.m {
-		if e.armed < cutoff {
-			expired = append(expired, k)
-		}
-	}
-	slices.SortFunc(expired, p.Cmp)
-	for _, k := range expired {
-		if e := p.m[k]; p.Fallback && e.armed == e.sent {
-			p.m[k] = entry{sent: e.sent, armed: n}
+	for _, k := range p.keys(func(e entry) bool { return e.armed < cutoff }) {
+		if e, _ := p.get(k); p.Fallback && e.armed == e.sent {
+			p.put(k, entry{sent: e.sent, armed: n})
 			resend = append(resend, k)
 			continue
 		}
-		delete(p.m, k)
+		p.take(k)
 		lost = append(lost, k)
 	}
 	return resend, lost
 }
 
-// Drain empties the table and returns what was left, in key order.
-func (p *Pending[K]) Drain() []K {
-	keys := make([]K, 0, len(p.m))
-	for k := range p.m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, p.Cmp)
-	clear(p.m)
+// Drain empties the table and returns what was left, in (slot, seq) order.
+func (p *Pending) Drain() []Key {
+	keys := p.keys(func(entry) bool { return true })
+	clear(p.slots)
+	clear(p.over)
+	p.live = 0
 	return keys
 }
 
 // Len reports how many heartbeats await acknowledgement.
-func (p *Pending[K]) Len() int { return len(p.m) }
+func (p *Pending) Len() int { return p.live + len(p.over) }
