@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-build bench-json bench-gate repro examples load chaos cluster-smoke fuzz cover fmt clean
+.PHONY: all build vet lint test race bench bench-build repro examples load chaos cluster-smoke fuzz cover fmt clean
 
 all: build vet lint test bench-build
 
@@ -42,35 +42,6 @@ race:
 # One benchmark iteration per experiment: the reproduction harness.
 bench:
 	$(GO) test -run XXX -bench=. -benchmem .
-
-# Bench trajectory: kernel ns/event + allocs/event, scan latency at 1k/10k
-# devices, per-figure wall time, the city short preset and the tile-sharded
-# parallel city runs (core ladder with a cross-core digest-equality check),
-# written to BENCH_<rev>.json for revision-over-revision comparison. Use
-# CITY_PRESET=day for the 24h headline run; CITY_PARALLEL=short|day|none
-# trims the parallel section. d2dbench refuses to overwrite an existing
-# (committed) baseline; pass FORCE=1 to regenerate one.
-CITY_PRESET ?= short
-CITY_PARALLEL ?= both
-BENCH_FORCE := $(if $(FORCE),-force,)
-bench-json:
-	$(GO) run ./cmd/d2dbench -json -city $(CITY_PRESET) -city-parallel $(CITY_PARALLEL) $(BENCH_FORCE) \
-		-rev $$(git rev-parse --short HEAD 2>/dev/null || echo dev)
-
-# Bench regression gate: rerun the trajectory into .bench/ and diff it
-# against the most recently committed BENCH_*.json baseline with per-metric
-# thresholds + noise floors (internal/benchcmp). Non-zero exit on
-# regression; this is CI's bench job.
-bench-gate:
-	@base=""; \
-	for f in $$(git log --pretty=format: --name-only -- 'BENCH_*.json' | grep . ; ls -t BENCH_*.json 2>/dev/null); do \
-		if [ -f "$$f" ]; then base=$$f; break; fi; \
-	done; \
-	if [ -z "$$base" ]; then echo "bench-gate: no committed BENCH_*.json baseline"; exit 1; fi; \
-	echo "bench-gate: baseline $$base"; \
-	mkdir -p .bench; \
-	$(GO) run ./cmd/d2dbench -json -city $(CITY_PRESET) -city-parallel $(CITY_PARALLEL) -rev ci -out .bench -force && \
-	$(GO) run ./cmd/d2dbench -diff-json .bench/diff.json -compare "$$base" .bench/BENCH_ci.json
 
 # Print every paper table/figure with paper-vs-measured comparisons.
 repro:
@@ -116,13 +87,13 @@ fuzz:
 # the floor its test suite established. Floors trail the measured values
 # (sched 98.3%, relaynet 86.6%, cluster 78.2%, loadgen 80.5%) slightly so
 # unrelated churn doesn't flap the gate; raise them when the suites grow.
-# rec (94.5%), benchcmp (98.9%) and lint (89.6%) carry the ISSUE-mandated
-# ≥85% floors. simtime (95.6%) and geo (87.5%) gate the tile-sharding
-# kernel (TileGroup/Agenda/TileGrid); trace (92.0%) gates the keyed merge.
+# rec (94.5%) and lint (89.6%) carry the ISSUE-mandated ≥85% floors.
+# simtime (95.6%) and geo (87.5%) gate the tile-sharding kernel
+# (TileGroup/Agenda/TileGrid); trace (92.0%) gates the keyed merge.
 # device (87.7%) is the one UE/relay state machine both city kernels run.
 # session (97.0%) is the one client-side connection + pending-ack core.
 # energy (98.6%) is the ledger every device of both kernels charges.
-COVER_FLOORS := internal/energy:95 internal/session:92 internal/device:84 internal/sched:95 internal/relaynet:82 internal/cluster:74 internal/loadgen:76 internal/rec:90 internal/benchcmp:95 internal/lint:85 internal/simtime:92 internal/geo:84 internal/trace:88
+COVER_FLOORS := internal/energy:95 internal/session:92 internal/device:84 internal/sched:95 internal/relaynet:82 internal/cluster:74 internal/loadgen:76 internal/rec:90 internal/lint:85 internal/simtime:92 internal/geo:84 internal/trace:88
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...

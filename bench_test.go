@@ -3,9 +3,10 @@ package d2dhb
 // The benchmarks below regenerate every table and figure of the paper's
 // evaluation (Section V). Each one runs the corresponding experiment and
 // reports its headline quantity via b.ReportMetric, so `go test -bench=.`
-// doubles as the reproduction harness; `cmd/d2dbench` prints the full
-// tables. Ablation benchmarks cover the design choices called out in
-// DESIGN.md §5.
+// (`make bench`) doubles as the reproduction harness; `cmd/d2dbench` prints
+// the full tables. Ablation benchmarks cover the design choices called out
+// in DESIGN.md §5. The performance benchmark that judges changes is
+// bench/run.sh, not these.
 
 import (
 	"bytes"
@@ -447,10 +448,9 @@ func BenchmarkTraceAnalyze(b *testing.B) {
 	}
 }
 
-// BenchmarkCityScale is the macro-benchmark behind the "city day in
-// wall-clock minutes" figure: 10k mixed-mobility devices through the full
-// framework for two heartbeat periods (the short preset; `make bench-json`
-// records the day run). b.N iterations rebuild and rerun the whole city.
+// BenchmarkCityScale is the city macro-benchmark: 10k mixed-mobility
+// devices through the full framework for two heartbeat periods (the short
+// preset). b.N iterations rebuild and rerun the whole city.
 func BenchmarkCityScale(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {

@@ -3,21 +3,10 @@
 //
 // Usage:
 //
-//	d2dbench [-seed N] [-csv] [-out dir]
-//	         [-only table1|fig6|fig7|table3|fig8|fig9|fig10|fig11|table4|fig12|fig13|fig15|
-//	                density|storm|battery|extension|seeds|sensitivity|delay|incentive|ablations]
-//	d2dbench -json [-rev id] [-city short|day|none] [-city-parallel short|day|both|none] [-out dir] [-force]
-//	d2dbench [-diff-json out.json] -compare OLD.json NEW.json
+//	d2dbench [-seed N] [-csv] [-out dir] [-only id]
 //
-// With -json the command runs the bench trajectory instead — kernel
-// steady-state cost, scan latency, per-figure wall time and the city-scale
-// macro-run — and writes BENCH_<rev>.json (see `make bench-json`). It
-// refuses to overwrite an existing report (a committed baseline) unless
-// -force is given.
-//
-// With -compare the command diffs two such reports and exits non-zero when
-// NEW regresses against OLD past the per-metric thresholds of
-// internal/benchcmp — the CI regression gate (`make bench-gate`).
+// -only runs one experiment; -h lists the ids it accepts. The repo's
+// performance benchmark is bench/run.sh, not this command.
 package main
 
 import (
@@ -25,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"d2dhb/internal/energy"
@@ -32,46 +22,25 @@ import (
 	"d2dhb/internal/metrics"
 )
 
+// experimentIDs are the values -only accepts, in the order run prints them.
+var experimentIDs = []string{
+	"table1", "fig6", "fig7", "table3", "fig8", "fig9", "fig10", "fig11", "table4", "fig12", "fig13", "fig15",
+	"density", "storm", "battery", "extension", "seeds", "sensitivity", "delay", "incentive", "ablations",
+}
+
 func main() {
 	var (
-		seed     = flag.Int64("seed", experiments.DefaultSeed, "simulation seed")
-		csv      = flag.Bool("csv", false, "emit current traces as CSV instead of summaries")
-		only     = flag.String("only", "", "run a single experiment (e.g. fig8, table3, ablations)")
-		out      = flag.String("out", "", "also write every table/figure as CSV files into this directory")
-		jsonMode = flag.Bool("json", false, "run the bench trajectory and write BENCH_<rev>.json")
-		rev      = flag.String("rev", "dev", "revision label for the BENCH_<rev>.json file name")
-		city     = flag.String("city", "short", "city preset for -json: short, day or none")
-		cityPar  = flag.String("city-parallel", "both", "parallel city presets for -json: short, day, both or none")
-		force    = flag.Bool("force", false, "with -json, overwrite an existing BENCH_<rev>.json baseline")
-		parity   = flag.String("parity-trace", "internal/loadgen/testdata/corpus/trunked_cluster_3shard.d2dr",
-			"with -json, trace file for the live_path parity summary (\"none\" skips it)")
-		compare  = flag.Bool("compare", false, "compare two bench reports: d2dbench -compare OLD.json NEW.json")
-		diffJSON = flag.String("diff-json", "", "with -compare, also write the machine-readable diff to this file")
+		seed = flag.Int64("seed", experiments.DefaultSeed, "simulation seed")
+		csv  = flag.Bool("csv", false, "emit current traces as CSV instead of summaries")
+		only = flag.String("only", "", "run a single experiment: "+strings.Join(experimentIDs, ", "))
+		out  = flag.String("out", "", "also write every table/figure as CSV files into this directory")
 	)
 	flag.Parse()
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: d2dbench [-diff-json out.json] -compare OLD.json NEW.json")
-			os.Exit(2)
-		}
-		if err := runCompare(flag.Arg(0), flag.Arg(1), *diffJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "d2dbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "d2dbench:", err)
 			os.Exit(1)
 		}
-	}
-	if *jsonMode {
-		if err := runBench(*seed, *rev, strings.ToLower(*city), strings.ToLower(*cityPar), *parity, *out, *force); err != nil {
-			fmt.Fprintln(os.Stderr, "d2dbench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	if err := run(*seed, *csv, strings.ToLower(*only), *out); err != nil {
 		fmt.Fprintln(os.Stderr, "d2dbench:", err)
@@ -80,6 +49,9 @@ func main() {
 }
 
 func run(seed int64, csv bool, only, outDir string) error {
+	if only != "" && !slices.Contains(experimentIDs, only) {
+		return fmt.Errorf("unknown experiment %q (valid: %s)", only, strings.Join(experimentIDs, ", "))
+	}
 	want := func(name string) bool { return only == "" || only == name }
 	model := energy.DefaultModel()
 	save := func(name, content string) error {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"d2dhb/internal/experiments"
@@ -10,12 +11,20 @@ import (
 
 func TestRunSingleExperiments(t *testing.T) {
 	// Exercise every -only branch that runs quickly; the heavyweight
-	// sweeps are covered by the experiments package tests.
-	for _, only := range []string{"table1", "fig6", "fig7", "table3", "fig13", "battery"} {
-		only := only
-		t.Run(only, func(t *testing.T) {
-			if err := run(experiments.DefaultSeed, false, only, ""); err != nil {
-				t.Fatalf("run(%s): %v", only, err)
+	// sweeps are covered by the experiments package tests. An unknown id
+	// must fail and name the valid ones rather than print nothing.
+	for _, tc := range []struct{ only, wantErr string }{
+		{"table1", ""}, {"fig6", ""}, {"fig7", ""}, {"table3", ""}, {"fig13", ""}, {"battery", ""},
+		{"fgi9", "valid: table1, fig6"},
+	} {
+		tc := tc
+		t.Run(tc.only, func(t *testing.T) {
+			err := run(experiments.DefaultSeed, false, tc.only, "")
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("run(%s): %v", tc.only, err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("run(%s) = %v, want an error containing %q", tc.only, err, tc.wantErr)
 			}
 		})
 	}

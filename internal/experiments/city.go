@@ -46,14 +46,6 @@ func CityShort() CityConfig {
 	}
 }
 
-// CityDay is the headline run: 10k devices for 24 simulated hours, the
-// "city day in wall-clock minutes" figure in EXPERIMENTS.md.
-func CityDay() CityConfig {
-	cfg := CityShort()
-	cfg.Duration = 24 * time.Hour
-	return cfg
-}
-
 func (c CityConfig) validate() error {
 	if c.Devices <= 0 {
 		return fmt.Errorf("experiments: city devices must be positive, got %d", c.Devices)

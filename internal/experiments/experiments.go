@@ -2,8 +2,9 @@
 // evaluation (Section V) on the simulated substrates, plus the ablation
 // studies listed in DESIGN.md. Each experiment returns the same rows or
 // series the paper reports together with the paper's reference values, so
-// callers (the d2dbench CLI and the benchmark suite) can print
-// paper-vs-measured comparisons.
+// callers (the d2dbench CLI and the root package's `go test -bench`
+// harness) can print paper-vs-measured comparisons. The city kernels
+// (RunCity, RunCityParallel) are also the workloads of bench/run.sh.
 package experiments
 
 import (

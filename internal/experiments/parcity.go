@@ -57,21 +57,6 @@ func CityParallelShort(tiles int) ParallelCityConfig {
 	return ParallelCityConfig{CityConfig: CityShort(), Tiles: tiles}
 }
 
-// CityParallelDay is the headline run: a 10k-device day on the given tile
-// count.
-func CityParallelDay(tiles int) ParallelCityConfig {
-	return ParallelCityConfig{CityConfig: CityDay(), Tiles: tiles}
-}
-
-// CityParallel100kDay scales the day run to 100k devices, keeping the
-// density of one device per 100 m².
-func CityParallel100kDay(tiles int) ParallelCityConfig {
-	cfg := CityParallelDay(tiles)
-	cfg.Devices = 100_000
-	cfg.Side = math.Round(math.Sqrt(float64(cfg.Devices) * 100))
-	return cfg
-}
-
 // CityParallelMillion is the 1M-device smoke preset: two heartbeat periods
 // at city density. It exists to prove the kernel's memory shape holds at
 // 1M devices, not to be fast; tests gate it behind D2D_CITY_1M=1.

@@ -58,23 +58,31 @@ var parGoldens = map[int64]struct{ rep, trace string }{
 // produce bit-identical report digests, trace digests and kernel event
 // counts — and match the pinned goldens. The kernel's work counters are
 // counts of what the run did, not of how it was partitioned, so they must
-// agree across tile counts too.
+// agree across tile counts too. At tiles=16 the run repeats at GOMAXPROCS
+// 1, 2 and NumCPU: the digests may not depend on how many cores the tiles'
+// workers actually get.
 func TestCityParallelEquivalenceGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type work struct{ samples, refreshes, candidates int }
+	type run struct{ tiles, procs int }
+	cores := runtime.NumCPU()
+	runs := []run{{1, cores}, {4, cores}, {16, 1}, {16, 2}, {16, cores}}
 	for seed, want := range parGoldens {
 		var single work
-		for _, tiles := range []int{1, 4, 16} {
+		for _, r := range runs {
+			tiles := r.tiles
+			runtime.GOMAXPROCS(r.procs)
 			cfg := parGoldenConfig(seed)
 			cfg.Tiles = tiles
 			rep, st, err := RunCityParallel(cfg)
 			if err != nil {
-				t.Fatalf("seed=%d tiles=%d: %v", seed, tiles, err)
+				t.Fatalf("seed=%d %+v: %v", seed, r, err)
 			}
 			if got := rep.Digest(); got != want.rep {
-				t.Errorf("seed=%d tiles=%d report digest %s, want %s", seed, tiles, got, want.rep)
+				t.Errorf("seed=%d %+v report digest %s, want %s", seed, r, got, want.rep)
 			}
 			if st.TraceDigest != want.trace {
-				t.Errorf("seed=%d tiles=%d trace digest %s, want %s", seed, tiles, st.TraceDigest, want.trace)
+				t.Errorf("seed=%d %+v trace digest %s, want %s", seed, r, st.TraceDigest, want.trace)
 			}
 			if st.Tiles != tiles && !(tiles == 1 && st.Tiles == 1) {
 				t.Errorf("seed=%d: stats report %d tiles, want %d", seed, st.Tiles, tiles)
@@ -91,7 +99,7 @@ func TestCityParallelEquivalenceGolden(t *testing.T) {
 					t.Errorf("seed=%d: %d position samples, sampling everyone would be %d", seed, got.samples, all)
 				}
 			} else if got != single {
-				t.Errorf("seed=%d tiles=%d work counters %+v, tiles=1 counted %+v", seed, tiles, got, single)
+				t.Errorf("seed=%d %+v work counters %+v, tiles=1 counted %+v", seed, r, got, single)
 			}
 		}
 	}

@@ -119,11 +119,9 @@ func DefaultConfig(module string) *Config {
 		ip("internal/metrics"),
 		ip("internal/experiments"),
 		ip("internal/telemetry"),
-		// rec and benchcmp are clock-free by design: every instant in a
-		// trace or bench report is caller-supplied, so replays and
-		// comparisons stay deterministic.
+		// rec is clock-free by design: every instant in a trace is
+		// caller-supplied, so replays stay deterministic.
 		ip("internal/rec"),
-		ip("internal/benchcmp"),
 	}
 	return &Config{
 		Module: module,

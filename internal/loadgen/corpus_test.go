@@ -118,7 +118,8 @@ func TestCorpusTrace(t *testing.T) {
 
 // TestCorpusClusterReplay replays the committed trace against a fresh
 // 3-shard cluster: every recorded send must go back out, partitioned per
-// shard through the live epoch config.
+// shard through the live epoch config, and the live delivery ratio must
+// match the sim replay's.
 func TestCorpusClusterReplay(t *testing.T) {
 	tl := loadCorpus(t)
 	routerURL, _, shards := startTestCluster(t, 3)
@@ -131,6 +132,15 @@ func TestCorpusClusterReplay(t *testing.T) {
 	}
 	if m.Delivered == 0 || m.Signaling.Batches == 0 {
 		t.Fatalf("corpus replay moved nothing: %+v", m)
+	}
+	sim, err := experiments.ReplaySim(tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The gap has been 0.0000 since the fixture was recorded; 0.10 is the
+	// most the parity gate ever allowed it to grow.
+	if gap := rec.NewParityReport(tl, tl.RecordedMetrics(), sim, m).DeliveryGap(); gap > 0.10 {
+		t.Errorf("sim-vs-live delivery gap %.4f on the corpus trace, want ≤ 0.10", gap)
 	}
 	served := 0
 	for _, sh := range shards {
