@@ -1,7 +1,10 @@
 // Command d2drelay runs a relay agent of the real heartbeat relaying
 // stack: it listens for UE connections (the "D2D side"), schedules
 // collected heartbeats with Algorithm 1, and forwards aggregated batches
-// to the presence server.
+// to the presence server. The server is probed once at start-up, so a
+// wrong -server exits 1; after that the relay dials it lazily and redials
+// with backoff, and heartbeats it cannot deliver meanwhile are counted as
+// dropped (their UEs fall back to the server directly).
 //
 // Usage:
 //
@@ -16,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -44,6 +48,11 @@ func main() {
 }
 
 func run(id, listen, server string, period, expiry time.Duration, capacity int, report time.Duration, telemAddr string) error {
+	probe, err := net.DialTimeout("tcp", server, 2*time.Second)
+	if err != nil {
+		return fmt.Errorf("server %s unreachable: %w", server, err)
+	}
+	_ = probe.Close()
 	var reg *telemetry.Registry
 	if telemAddr != "" {
 		reg = telemetry.NewRegistry()
@@ -82,9 +91,10 @@ func run(id, listen, server string, period, expiry time.Duration, capacity int, 
 			return nil
 		case <-tick:
 			st := relay.Stats()
-			fmt.Printf("collected=%d flushes=%d forwarded=%d credits=%d feedbacks=%d rejected=%d\n",
+			fmt.Printf("collected=%d flushes=%d forwarded=%d credits=%d feedbacks=%d rejected=%d dropped=%d reconnects=%d\n",
 				st.Collected, st.Flushes, st.Forwarded, st.Credits,
-				st.FeedbacksSent, st.RejectedClosed+st.RejectedExpire)
+				st.FeedbacksSent, st.RejectedClosed+st.RejectedExpire,
+				st.DroppedNoShard, st.UpstreamReconnects)
 		}
 	}
 }

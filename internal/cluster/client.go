@@ -107,16 +107,39 @@ func NewStaticClient(cfg Config, vnodes int) (*Client, error) {
 	return c, nil
 }
 
+// NewSingleNodeClient routes every key to the one server at addr: a fixed
+// server address is a static one-node view whose node ID is the address.
+// Every live client takes a *Client, so this is how a single-server
+// deployment reaches the same routing path a cluster does.
+func NewSingleNodeClient(addr string) (*Client, error) {
+	if addr == "" {
+		return nil, fmt.Errorf("cluster: empty server address")
+	}
+	return NewStaticClient(Config{Nodes: []Node{{ID: addr, Addr: addr}}}, 1)
+}
+
 // View returns the current routing view. Never nil after construction.
 func (c *Client) View() *View { return c.view.Load() }
+
+// OwnerAddr returns the hbproto address of the node owning a client ID
+// under the current view.
+func (c *Client) OwnerAddr(id string) string {
+	node, _ := c.View().Owner(id)
+	return node.Addr
+}
+
+// NodeAddr returns a node's hbproto address under the current view, ""
+// once the node has left it.
+func (c *Client) NodeAddr(id string) string {
+	node, _ := c.View().Config.Node(id)
+	return node.Addr
+}
 
 // Epoch returns the current config epoch.
 func (c *Client) Epoch() uint64 { return c.View().Epoch() }
 
 // Refresh fetches the router config once and swaps the view if the epoch
-// advanced. Static clients return nil without fetching. Relays call this
-// from reconnect paths so a redial never targets a shard the cluster
-// already evicted.
+// advanced. Static clients return nil without fetching.
 func (c *Client) Refresh() error {
 	if c.cfg.RouterURL == "" {
 		return nil

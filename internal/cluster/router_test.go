@@ -321,6 +321,25 @@ func TestClientStatic(t *testing.T) {
 	if !ok || n.ID != "only" {
 		t.Fatalf("owner = %+v, %v", n, ok)
 	}
+
+	// A fixed server address is the same thing built from the address.
+	single, err := NewSingleNodeClient("127.0.0.1:2")
+	if err != nil {
+		t.Fatalf("NewSingleNodeClient: %v", err)
+	}
+	t.Cleanup(single.Close)
+	if got := single.OwnerAddr("anything"); got != "127.0.0.1:2" {
+		t.Fatalf("OwnerAddr = %q, want the server", got)
+	}
+	if got := single.NodeAddr("127.0.0.1:2"); got != "127.0.0.1:2" {
+		t.Fatalf("NodeAddr(own id) = %q", got)
+	}
+	if got := single.NodeAddr("gone"); got != "" {
+		t.Fatalf("NodeAddr(unknown) = %q, want empty", got)
+	}
+	if _, err := NewSingleNodeClient(""); err == nil {
+		t.Fatal("empty server address accepted")
+	}
 }
 
 // TestConfigValidation covers config error paths and JSON round-trip.

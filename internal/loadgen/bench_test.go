@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,9 +147,9 @@ func BenchmarkServerBatch200k(b *testing.B) {
 // into a 3-shard cluster, ~33k users per shard connection.
 const trunkedUsers, trunkedSlots, trunkedShards = 100_000, 32, 3
 
-// sinkClusterTrunk builds a paced cluster-mode trunk over a static ring of
-// shards whose connections swallow every write and never ack.
-func sinkClusterTrunk(tb testing.TB, users, slots, shards int) *trunk {
+// sinkTrunk builds a paced trunk over a static ring of shards whose
+// connections swallow every write, counted in writes, and never ack.
+func sinkTrunk(tb testing.TB, users, slots, shards int) (tr *trunk, writes *atomic.Int64) {
 	tb.Helper()
 	nodes := make([]cluster.Node, shards)
 	for i := range nodes {
@@ -158,13 +159,14 @@ func sinkClusterTrunk(tb testing.TB, users, slots, shards int) *trunk {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tr := newTestTrunk("unused", users, func(string, string) (net.Conn, error) {
-		return &sinkConn{closed: make(chan struct{})}, nil
+	writes = new(atomic.Int64)
+	tr = newTestTrunk(tb, "unused", users, func(string, string) (net.Conn, error) {
+		return &sinkConn{writes: writes, closed: make(chan struct{})}, nil
 	})
 	tr.cluster = cc
 	tr.pace(slots)
 	tb.Cleanup(tr.close)
-	return tr
+	return tr, writes
 }
 
 // settleFresh acknowledges the trunk's last emission by hand.
@@ -183,7 +185,7 @@ func settleFresh(tr *trunk, at time.Time) {
 // heartbeats are settled off the clock, so the table stays at one in
 // flight per user, as in the run.
 func BenchmarkTrunkEmit(b *testing.B) {
-	tr := sinkClusterTrunk(b, trunkedUsers, trunkedSlots, trunkedShards)
+	tr, _ := sinkTrunk(b, trunkedUsers, trunkedSlots, trunkedShards)
 	now := time.Now()
 	for _, idxs := range tr.slotUsers { // warm: dials, owners, buffers
 		tr.emit(idxs, now, nil)
@@ -213,7 +215,7 @@ func BenchmarkTrunkEmit(b *testing.B) {
 // run does. An iteration is one period's acks; tracking the period's sends
 // happens off the clock.
 func BenchmarkTrunkAckPath(b *testing.B) {
-	tr := newTestTrunk("unused", trunkedUsers, nil)
+	tr := newTestTrunk(b, "unused", trunkedUsers, nil)
 	tr.pace(trunkedSlots)
 	nodes := make([]string, trunkedShards)
 	for i := range nodes {

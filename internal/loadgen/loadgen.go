@@ -55,11 +55,11 @@ type Config struct {
 	// report.
 	ServerAddr string
 	// ClusterAddr targets a presence cluster through its router (base URL
-	// or host:port). Direct UEs then resolve their owning shard through
-	// the consistent-hash ring on every dial, relays fan each batch out
-	// per shard, relayed UEs fall back to their owner on ack timeout, and
-	// reports embed a per-shard metrics scrape. Mutually exclusive with
-	// ServerAddr.
+	// or host:port) and reports embed a per-shard metrics scrape. Routing
+	// is the same either way — a single server is a one-node ring: direct
+	// UEs dial their owning shard, relays and trunks fan each batch out per
+	// shard, relayed UEs fall back to their owner on ack timeout. Mutually
+	// exclusive with ServerAddr.
 	ClusterAddr string
 	// Trunks switches the fleet to trunked virtual relays: instead of one
 	// socket per UE, the fleet is multiplexed UEs/Trunks-per-connection
@@ -148,8 +148,7 @@ type fleetCounters struct {
 	dialErrors, writeErrors       atomic.Uint64
 	outOfOrderAcks                atomic.Uint64
 	// fallbackResends counts relayed heartbeats re-sent directly to their
-	// owning shard after the relay path failed to confirm them in time
-	// (cluster mode only).
+	// owning shard after the relay path failed to confirm them in time.
 	fallbackResends atomic.Uint64
 	// trunkWrites/trunkFrames account the coalesced trunk uplink: Batch
 	// frames composed vs conn.Write calls issued. frames − writes is the
@@ -167,7 +166,7 @@ type loadUnit interface {
 	close()
 }
 
-// shardCounter tallies sends per target shard in cluster mode.
+// shardCounter tallies sends per target shard.
 type shardCounter struct {
 	mu sync.Mutex
 	m  map[string]uint64
@@ -202,8 +201,7 @@ func (s *shardCounter) snapshot() map[string]uint64 {
 type Runner struct {
 	cfg        Config
 	server     *relaynet.Server // nil when targeting an external server
-	serverAddr string
-	cluster    *cluster.Client // non-nil in cluster mode
+	cluster    *cluster.Client  // the router's view, or one node for one server
 	relays     []*relaynet.RelayAgent
 	units      []loadUnit
 	counters   fleetCounters
@@ -312,27 +310,15 @@ func clusterURL(addr string) string {
 // load for Duration, drain in-flight heartbeats, tear everything down and
 // return the final report.
 func (r *Runner) Run() (Report, error) {
-	if r.cfg.ClusterAddr != "" {
-		// Constructing the client performs the initial config fetch, so an
-		// unreachable router aborts the run up front.
-		cl, err := cluster.NewClient(cluster.ClientConfig{
-			RouterURL: clusterURL(r.cfg.ClusterAddr),
-			Telemetry: r.cfg.Telemetry,
-		})
-		if err != nil {
-			return Report{}, err
-		}
-		r.cluster = cl
-		defer cl.Close()
-	}
-	if err := r.startServer(); err != nil {
-		return Report{}, err
-	}
 	defer func() {
 		if r.server != nil {
 			r.server.Shutdown()
 		}
 	}()
+	if err := r.startServer(); err != nil {
+		return Report{}, err
+	}
+	defer r.cluster.Close()
 	if err := r.startRelays(); err != nil {
 		return Report{}, err
 	}
@@ -400,41 +386,44 @@ func (r *Runner) Run() (Report, error) {
 	return rep, nil
 }
 
-// startServer spawns the in-process presence server unless an external
-// address was configured.
-func (r *Runner) startServer() error {
-	if r.cluster != nil {
-		// Cluster mode has no single server: targets resolve through the
-		// ring per key. The client's initial fetch already proved the
-		// router reachable and the config routable.
-		return nil
-	}
-	if r.cfg.ServerAddr != "" {
+// startServer sets up the run's routing view: the router's, or a one-node
+// view of the external server or of the in-process one it spawns.
+func (r *Runner) startServer() (err error) {
+	addr := r.cfg.ServerAddr
+	switch {
+	case r.cfg.ClusterAddr != "":
+		// Constructing the client performs the initial config fetch, so an
+		// unreachable router aborts the run up front.
+		r.cluster, err = cluster.NewClient(cluster.ClientConfig{
+			RouterURL: clusterURL(r.cfg.ClusterAddr),
+			Telemetry: r.cfg.Telemetry,
+		})
+		return err
+	case addr != "":
 		// Probe the external server before spinning up the fleet: an
 		// unreachable target should abort the run with an error, not burn
 		// the full duration accumulating dial failures and then report a
 		// zero-heartbeat "result" as if the measurement succeeded.
-		probe, err := net.DialTimeout("tcp", r.cfg.ServerAddr, 2*time.Second)
+		probe, err := net.DialTimeout("tcp", addr, 2*time.Second)
 		if err != nil {
-			return fmt.Errorf("loadgen: server %s unreachable: %w", r.cfg.ServerAddr, err)
+			return fmt.Errorf("loadgen: server %s unreachable: %w", addr, err)
 		}
 		_ = probe.Close()
-		r.serverAddr = r.cfg.ServerAddr
-		return nil
+	default:
+		s := relaynet.NewServer()
+		if r.cfg.Tracer != nil {
+			s.SetTracer(r.cfg.Tracer)
+		}
+		if r.cfg.Telemetry != nil {
+			s.SetTelemetry(r.cfg.Telemetry)
+		}
+		if err := s.Start("127.0.0.1:0"); err != nil {
+			return err
+		}
+		r.server, addr = s, s.Addr()
 	}
-	s := relaynet.NewServer()
-	if r.cfg.Tracer != nil {
-		s.SetTracer(r.cfg.Tracer)
-	}
-	if r.cfg.Telemetry != nil {
-		s.SetTelemetry(r.cfg.Telemetry)
-	}
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		return err
-	}
-	r.server = s
-	r.serverAddr = s.Addr()
-	return nil
+	r.cluster, err = cluster.NewSingleNodeClient(addr)
+	return err
 }
 
 func (r *Runner) startRelays() error {
@@ -463,7 +452,7 @@ func (r *Runner) startRelays() error {
 		if err != nil {
 			return err
 		}
-		if err := ra.Start("127.0.0.1:0", r.serverAddr); err != nil {
+		if err := ra.Start("127.0.0.1:0", ""); err != nil {
 			return err
 		}
 		r.relays = append(r.relays, ra)
@@ -478,18 +467,6 @@ func (r *Runner) dialer() func(network, addr string) (net.Conn, error) {
 		return r.cfg.Faults.Dial
 	}
 	return net.Dial
-}
-
-// ownerAddr returns a resolver mapping a client ID to its owning shard's
-// hbproto address under the cluster's current ring epoch.
-func (r *Runner) ownerAddr(id string) func() string {
-	return func() string {
-		node, ok := r.cluster.View().Owner(id)
-		if !ok {
-			return ""
-		}
-		return node.Addr
-	}
 }
 
 // buildFleet constructs the load units. Trunk mode multiplexes the whole
@@ -508,6 +485,9 @@ func (r *Runner) buildFleet() {
 	for i, ra := range r.relays {
 		relayAddrs[i] = ra.Addr()
 	}
+	// One resolver for the whole fleet, keyed by each UE's ID: a closure
+	// per UE would be an allocation per UE.
+	owner := r.cluster.OwnerAddr
 	for i, id := range fleetIDs(0, r.cfg.UEs, 5) {
 		p := r.cfg.Profiles[i%len(r.cfg.Profiles)]
 		relayed := i < r.relayedUEs && len(r.relays) > 0
@@ -521,6 +501,8 @@ func (r *Runner) buildFleet() {
 			timeout: r.ackTimeout,
 			c:       &r.counters,
 			trec:    r.cfg.Recorder,
+			owner:   owner,
+			pending: session.Pending{Fallback: relayed},
 		}
 		relayIdx := -1
 		path := rec.PathDirect
@@ -532,11 +514,7 @@ func (r *Runner) buildFleet() {
 			ID: u.id, App: u.app, Period: u.period, Expiry: u.expiry,
 			Pad: u.pad, Path: path, Relay: relayIdx,
 		})
-		u.primary = session.Slot{Dial: dial, Addr: r.serverAddr, OnRefs: u.onRefs}
-		var owner func() string
-		if r.cluster != nil {
-			owner = r.ownerAddr(u.id)
-		}
+		u.primary = session.Slot{Dial: dial, OnRefs: u.onRefs}
 		if relayed {
 			u.rec = r.histRelay.Recorder()
 			u.primary.Addr = relayAddrs[relayIdx]
@@ -545,18 +523,12 @@ func (r *Runner) buildFleet() {
 				ID: u.id, Role: hbproto.RoleUE, App: u.app,
 				Period: u.period, Expiry: u.expiry,
 			}
-			// Relayed UEs in a cluster fall back to their owning shard
-			// (re-resolved through the ring on every dial) when the relay
-			// path misses the ack window — the load-fleet analog of the
-			// UEClient fallback that keeps reshards lossless.
-			u.owner = owner
 		} else {
 			u.rec = r.histDirect.Recorder()
-			// Direct cluster UEs re-resolve their owning shard on every
-			// dial, so a reshard redirects the next connection.
-			u.primary.Resolve = owner
+			// Direct UEs re-resolve their owning shard on every dial, so a
+			// reshard redirects the next connection.
+			u.primary.Addr, u.primary.Resolve = u.id, owner
 		}
-		u.pending = session.Pending{Fallback: u.owner != nil}
 		r.units = append(r.units, u)
 	}
 }
@@ -580,7 +552,6 @@ func (r *Runner) buildTrunks() {
 		t := &trunk{
 			id:      fmt.Sprintf("loadtrunk-%04d", ti),
 			app:     p.Name,
-			addr:    r.serverAddr,
 			period:  r.scale(p.Period),
 			expiry:  r.scale(p.Expiry()),
 			pad:     p.Size,
@@ -592,9 +563,9 @@ func (r *Runner) buildTrunks() {
 			shards:  &r.shardSent,
 			users:   make([]tuser, count),
 			index:   make(map[string]int, count),
-			// In cluster mode a heartbeat that misses its ack window is
-			// re-sent once through the then-current ring view.
-			pending: session.Pending{Fallback: r.cluster != nil},
+			// A heartbeat that misses its ack window is re-sent once
+			// through the then-current ring view.
+			pending: session.Pending{Fallback: true},
 			slots:   make(map[string]*session.Slot),
 		}
 		t.trec = r.cfg.Recorder
@@ -674,10 +645,10 @@ func (r *Runner) arrivalWindow() time.Duration {
 }
 
 // drain waits for in-flight heartbeats to be acknowledged, then writes off
-// whatever is left as timeouts. Sweeping inside the wait matters in cluster
-// mode: a pending heartbeat whose relay path died mid-reshard only gets its
-// direct fallback resend from the sweep, so a drain that merely polled
-// counts would sit out the timeout and report the heartbeat lost.
+// whatever is left as timeouts. Sweeping inside the wait matters: a
+// pending heartbeat whose relay path failed only gets its direct fallback
+// resend from the sweep, so a drain that merely polled counts would sit
+// out the timeout and report the heartbeat lost.
 func (r *Runner) drain() {
 	deadline := time.Now().Add(r.ackTimeout + 500*time.Millisecond)
 	for time.Now().Before(deadline) {
@@ -712,12 +683,12 @@ type vue struct {
 	trec    *rec.Recorder // trace recorder; nil-safe
 	tidx    int           // this UE's trace client index (-1 when unrecorded)
 	c       *fleetCounters
-	// primary is the relay link for relayed UEs and the server link for
-	// direct ones. Relayed cluster UEs also have owner, the resolver for
-	// their owning shard, and open fallback to it at their first ack
-	// timeout; whichever path acknowledges first settles the entry.
+	// primary is the relay link for relayed UEs and the link to the owning
+	// shard for direct ones. Relayed UEs open fallback to their owning
+	// shard at their first ack timeout; whichever path acknowledges first
+	// settles the entry. owner maps the UE's ID to that shard's address.
 	primary  session.Slot
-	owner    func() string
+	owner    func(id string) string
 	fallback *session.Slot
 
 	mu      sync.Mutex
@@ -842,14 +813,14 @@ func (u *vue) onRefs(_ int, refs []hbproto.Ref, at time.Time) {
 
 // sweep applies the pending table's loss policy: heartbeats past the ack
 // timeout are re-sent once directly to their owning shard when the UE has
-// that fallback (relayed cluster UEs), and counted as timeouts otherwise.
+// that fallback (relayed UEs), and counted as timeouts otherwise.
 func (u *vue) sweep(now time.Time) {
 	u.mu.Lock()
 	resend, lost := u.pending.Sweep(now, u.timeout)
 	u.timedOut(lost, now)
 	u.mu.Unlock()
 	if len(resend) > 0 && u.fallback == nil {
-		u.fallback = &session.Slot{Dial: u.primary.Dial, Resolve: u.owner, OnRefs: u.primary.OnRefs}
+		u.fallback = &session.Slot{Dial: u.primary.Dial, Addr: u.id, Resolve: u.owner, OnRefs: u.primary.OnRefs}
 	}
 	for _, k := range resend {
 		if _, err := u.fallback.Connect(); err != nil {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"d2dhb/internal/hbmsg"
-	"d2dhb/internal/session"
 )
 
 // fastProfile is a compressed app profile for short test runs. The 3×
@@ -83,6 +82,32 @@ func TestDirectFleetSmallRun(t *testing.T) {
 	}
 	if rep.Server == nil || rep.Server.HeartbeatsDirect == 0 {
 		t.Fatalf("server stats missing: %+v", rep.Server)
+	}
+}
+
+// TestRelayedFleetFallsBackOnSingleServer pins the paper's fallback on the
+// one-server path: a relay that can collect one heartbeat per period
+// rejects the rest, and every rejected heartbeat must still reach the
+// server by the UE's direct resend — as it does against a cluster.
+func TestRelayedFleetFallsBackOnSingleServer(t *testing.T) {
+	r, err := New(Config{
+		UEs: 40, Relays: 1, RelayRatio: 1, RelayCapacity: 1,
+		Profiles: []hbmsg.AppProfile{fastProfile(500 * time.Millisecond)},
+		Duration: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Timeouts != 0 || rep.Acked != rep.Sent {
+		t.Fatalf("sent %d, acked %d, %d timeouts: rejected heartbeats were lost",
+			rep.Sent, rep.Acked, rep.Timeouts)
+	}
+	if rep.FallbackResends == 0 {
+		t.Fatalf("no fallback resends past a capacity-1 relay: %+v", rep)
 	}
 }
 
@@ -339,7 +364,7 @@ func TestTrunkPacedRunLossless(t *testing.T) {
 // produces input.
 type sinkConn struct {
 	net.Conn // nil: only the methods below are ever called
-	writes   atomic.Int64
+	writes   *atomic.Int64
 	closed   chan struct{}
 	once     sync.Once
 }
@@ -348,66 +373,51 @@ func (c *sinkConn) Write(b []byte) (int, error) { c.writes.Add(1); return len(b)
 func (c *sinkConn) Read([]byte) (int, error)    { <-c.closed; return 0, io.EOF }
 func (c *sinkConn) Close() error                { c.once.Do(func() { close(c.closed) }); return nil }
 
-// TestTrunkEmissionZeroAllocsOneWrite pins the trunk's wire path through
-// the session slot: a shard emission of several Batch frames costs zero
-// allocations per frame and exactly one Write.
+// TestTrunkEmissionZeroAllocsOneWrite pins the trunk's whole send path
+// through the session slot, over a one-node view (a single server) and a
+// 3-node one: once owners are cached and buffers sized, a period of paced
+// sub-ticks — the slot-0 sweep, tracking, routing by cached owner, each
+// shard's Batch frames composed into one Write — allocates nothing.
 func TestTrunkEmissionZeroAllocsOneWrite(t *testing.T) {
-	const users = 2*maxTrunkBatch + 5 // three chunk frames per emission
-	sink := &sinkConn{closed: make(chan struct{})}
-	tr := &trunk{
-		id: "loadtrunk-test", app: "app", addr: "sink",
-		period: time.Second, expiry: time.Second, pad: 54, timeout: time.Second,
-		c:       &fleetCounters{},
-		dial:    func(string, string) (net.Conn, error) { return sink, nil },
-		users:   make([]tuser, users),
-		pending: session.Pending{},
-		slots:   make(map[string]*session.Slot),
+	cases := []struct {
+		name                 string
+		users, slots, shards int
+		// per period, summed over sub-ticks and shards
+		writes, frames int64
+	}{
+		// One sub-tick of 2·maxTrunkBatch+5 users: three chunk frames.
+		{"1-node", 2*maxTrunkBatch + 5, 1, 1, 1, 3},
+		// Four sub-ticks of ~750 users, each reaching all three shards.
+		{"3-node", 3000, 4, 3, 12, 12},
 	}
-	defer tr.close()
-	refs := make([]session.Key, users)
-	for i := range refs {
-		tr.users[i].id = fmt.Sprintf("loadue-%07d", i)
-		refs[i] = session.Key{Slot: i, Seq: 1}
-	}
-	now := time.Now()
-	tr.sendShard("", refs, now, false) // warm-up: dial, register, size the scratch
-	if tr.c.writeErrors.Load()+tr.c.dialErrors.Load() != 0 || tr.c.trunkFrames.Load() != 3 {
-		t.Fatalf("warm-up emission: %d frames, %d write errors, %d dial errors",
-			tr.c.trunkFrames.Load(), tr.c.writeErrors.Load(), tr.c.dialErrors.Load())
-	}
-	before := sink.writes.Load()
-	const runs = 20
-	allocs := testing.AllocsPerRun(runs, func() { tr.sendShard("", refs, now, false) })
-	// One alloc of slack per emission (three frames): pool Get/Put may
-	// interact with GC mid-run.
-	if allocs > 1 && !raceEnabled {
-		t.Errorf("%.1f allocs per 3-frame emission, want 0", allocs)
-	}
-	if got := sink.writes.Load() - before; got != runs+1 { // AllocsPerRun adds one warm-up call
-		t.Errorf("%d Writes for %d emissions, want one each", got, runs+1)
-	}
-}
-
-// TestTrunkClusterSubTickZeroAllocs pins the trunk's whole send path in
-// cluster mode: once owners are cached and buffers sized, a paced sub-tick
-// — the slot-0 sweep, tracking, routing by cached owner, one Batch write
-// per shard — allocates nothing.
-func TestTrunkClusterSubTickZeroAllocs(t *testing.T) {
-	tr := sinkClusterTrunk(t, 3000, 4, 3)
-	period := func() {
-		for s := range tr.slotUsers {
-			tr.tickSlot(s)
-			settleFresh(tr, time.Now())
-		}
-	}
-	period() // warm-up: dial, resolve owners, size the buffers
-	allocs := testing.AllocsPerRun(10, period)
-	// One alloc of slack per period, as for the shard emission: pool
-	// Get/Put may interact with GC mid-run.
-	if allocs > 1 && !raceEnabled {
-		t.Errorf("%.1f allocs per period of 4 sub-ticks, want 0", allocs)
-	}
-	if n := tr.pendingCount(); n != 0 || tr.c.writeErrors.Load()+tr.c.dialErrors.Load() != 0 {
-		t.Fatalf("%d heartbeats left pending, %d write and %d dial errors", n, tr.c.writeErrors.Load(), tr.c.dialErrors.Load())
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr, writes := sinkTrunk(t, c.users, c.slots, c.shards)
+			period := func() {
+				for s := range tr.slotUsers {
+					tr.tickSlot(s)
+					settleFresh(tr, time.Now())
+				}
+			}
+			period() // warm-up: dial, resolve owners, size the buffers
+			w0, f0 := writes.Load(), tr.c.trunkFrames.Load()
+			const runs = 10
+			allocs := testing.AllocsPerRun(runs, period)
+			// One alloc of slack per period: pool Get/Put may interact
+			// with GC mid-run.
+			if allocs > 1 && !raceEnabled {
+				t.Errorf("%.1f allocs per period of %d sub-ticks, want 0", allocs, c.slots)
+			}
+			// AllocsPerRun adds one warm-up call.
+			if got := writes.Load() - w0; got != (runs+1)*c.writes {
+				t.Errorf("%d Writes for %d periods, want %d each", got, runs+1, c.writes)
+			}
+			if got := int64(tr.c.trunkFrames.Load() - f0); got != (runs+1)*c.frames {
+				t.Errorf("%d frames for %d periods, want %d each", got, runs+1, c.frames)
+			}
+			if n := tr.pendingCount(); n != 0 || tr.c.writeErrors.Load()+tr.c.dialErrors.Load() != 0 {
+				t.Fatalf("%d heartbeats left pending, %d write and %d dial errors", n, tr.c.writeErrors.Load(), tr.c.dialErrors.Load())
+			}
+		})
 	}
 }

@@ -31,12 +31,12 @@ type ReplayOptions struct {
 	// in-process relaynet.Server on loopback.
 	ServerAddr string
 	// ClusterAddr targets a cluster instead of a single server: the
-	// router's base URL (e.g. "http://127.0.0.1:7590"). The replay
-	// resolves every client's owning shard through the epoch config —
-	// direct clients dial their owner, trunk groups partition each batch
-	// per shard under one ring view — so a trace recorded against a
-	// cluster replays through the same routing function. Overrides
-	// ServerAddr.
+	// router's base URL (e.g. "http://127.0.0.1:7590"). Routing is the
+	// same either way — a single server is a one-node ring: direct clients
+	// dial their owning shard, trunk groups partition each batch per shard
+	// under one ring view — so a trace recorded against a cluster replays
+	// through the same routing function. Mutually exclusive with
+	// ServerAddr: ReplayLive rejects both set.
 	ClusterAddr string
 	// Speedup divides recorded offsets so long recordings replay quickly.
 	// Zero means 1.
@@ -65,8 +65,7 @@ type replayUnit struct {
 type liveReplay struct {
 	tl      *rec.Timeline
 	opts    ReplayOptions
-	addr    string
-	cluster *cluster.Client // nil outside cluster mode
+	cluster *cluster.Client // the router's view, or one node for one server
 	start   time.Time
 
 	// slot maps a client ID to its pending slot: the timeline index of
@@ -115,24 +114,25 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 		r.slot[tl.Clients[i].ID] = i
 	}
 
-	var server *relaynet.Server
-	r.addr = opts.ServerAddr
-	switch {
-	case opts.ClusterAddr != "":
-		cc, err := cluster.NewClient(cluster.ClientConfig{RouterURL: clusterURL(opts.ClusterAddr)})
-		if err != nil {
-			return rec.Metrics{}, err
+	var err error
+	if opts.ClusterAddr != "" {
+		r.cluster, err = cluster.NewClient(cluster.ClientConfig{RouterURL: clusterURL(opts.ClusterAddr)})
+	} else {
+		addr := opts.ServerAddr
+		if addr == "" {
+			server := relaynet.NewServer()
+			if err := server.Start("127.0.0.1:0"); err != nil {
+				return rec.Metrics{}, err
+			}
+			defer server.Shutdown()
+			addr = server.Addr()
 		}
-		defer cc.Close()
-		r.cluster = cc
-	case r.addr == "":
-		server = relaynet.NewServer()
-		if err := server.Start("127.0.0.1:0"); err != nil {
-			return rec.Metrics{}, err
-		}
-		defer server.Shutdown()
-		r.addr = server.Addr()
+		r.cluster, err = cluster.NewSingleNodeClient(addr)
 	}
+	if err != nil {
+		return rec.Metrics{}, err
+	}
+	defer r.cluster.Close()
 
 	// Split the send timeline into per-connection units, preserving order.
 	direct := make(map[int]*replayUnit)
@@ -227,30 +227,17 @@ func (r *liveReplay) pace(at time.Duration) {
 	}
 }
 
-// ownerAddr resolves where a client's heartbeats go: its owning shard's
-// listener in cluster mode (through the current ring view), the fixed
-// server address otherwise.
-func (r *liveReplay) ownerAddr(clientID string) string {
-	if r.cluster == nil {
-		return r.addr
-	}
-	if node, ok := r.cluster.View().Owner(clientID); ok {
-		return node.Addr
-	}
-	return r.addr
-}
-
 // newSlot returns an unconnected session slot whose every dial goes to
-// whatever resolve answers then — the fixed server address when it is nil
-// or answers "" — optionally through the fault schedule, registering as a
-// relay when register is set. The slot stays open through the drain phase
-// so late acks still settle; ReplayLive closes it after.
-func (r *liveReplay) newSlot(resolve func() string, register *hbproto.Register) *session.Slot {
+// whatever resolve maps key to then, optionally through the fault
+// schedule, registering as a relay when register is set. The slot stays
+// open through the drain phase so late acks still settle; ReplayLive
+// closes it after.
+func (r *liveReplay) newSlot(key string, resolve func(string) string, register *hbproto.Register) *session.Slot {
 	dial := net.Dial
 	if r.opts.Faults != nil {
 		dial = r.opts.Faults.Dial
 	}
-	s := &session.Slot{Dial: dial, Addr: r.addr, Resolve: resolve, Register: register, OnRefs: r.onRefs}
+	s := &session.Slot{Dial: dial, Addr: key, Resolve: resolve, Register: register, OnRefs: r.onRefs}
 	r.mu.Lock()
 	r.slots = append(r.slots, s)
 	r.mu.Unlock()
@@ -273,7 +260,7 @@ func (r *liveReplay) runDirect(u *replayUnit) {
 	// Re-resolve on every redial: a reshard between sends moves the
 	// client's owner, and the replay should follow it the way the live
 	// fleet does.
-	slot := r.newSlot(func() string { return r.ownerAddr(c.ID) }, nil)
+	slot := r.newSlot(c.ID, r.cluster.OwnerAddr, nil)
 	_, _ = slot.Connect() // dial ahead of the first paced send; Send retries
 	for _, e := range u.sends {
 		r.pace(e.At)
@@ -294,12 +281,11 @@ func (r *liveReplay) runDirect(u *replayUnit) {
 
 // runTrunk replays one relay/trunk group: consecutive sends within the
 // recorded coalesce window become one Batch frame, written at the last
-// member's offset — exactly the aggregation the group performed live. In
-// cluster mode each coalesced batch is partitioned per owning shard under
-// one ring view (one connection per shard), the same split the live trunk
-// performs.
+// member's offset — exactly the aggregation the group performed live. Each
+// coalesced batch is partitioned per owning shard under one ring view (one
+// connection per shard), the same split the live trunk performs.
 func (r *liveReplay) runTrunk(u *replayUnit) {
-	slots := make(map[string]*session.Slot) // shard ID → slot; "" single-server
+	slots := make(map[string]*session.Slot) // shard ID → slot
 	for i := 0; i < len(u.sends); {
 		// The batch is [i, j): recorded gaps ≤ Coalesce, bounded by the
 		// trace's relay capacity when one is recorded.
@@ -311,21 +297,16 @@ func (r *liveReplay) runTrunk(u *replayUnit) {
 			j++
 		}
 		r.pace(u.sends[j-1].At)
-		if r.cluster == nil {
-			r.sendTrunkBatch(slots, u, "", u.sends[i:j])
-		} else {
-			view := r.cluster.View()
-			keys := make([]string, j-i)
-			for k, e := range u.sends[i:j] {
-				keys[k] = r.tl.Clients[e.Client].ID
+		keys := make([]string, j-i)
+		for k, e := range u.sends[i:j] {
+			keys[k] = r.tl.Clients[e.Client].ID
+		}
+		for _, g := range r.cluster.View().Ring().GroupSorted(keys) {
+			sub := make([]rec.Event, len(g.Idxs))
+			for k, idx := range g.Idxs {
+				sub[k] = u.sends[i+idx]
 			}
-			for _, g := range view.Ring().GroupSorted(keys) {
-				sub := make([]rec.Event, len(g.Idxs))
-				for k, idx := range g.Idxs {
-					sub[k] = u.sends[i+idx]
-				}
-				r.sendTrunkBatch(slots, u, g.Shard, sub)
-			}
+			r.sendTrunkBatch(slots, u, g.Shard, sub)
 		}
 		i = j
 	}
@@ -336,11 +317,7 @@ func (r *liveReplay) runTrunk(u *replayUnit) {
 func (r *liveReplay) sendTrunkBatch(slots map[string]*session.Slot, u *replayUnit, shard string, events []rec.Event) {
 	slot := slots[shard]
 	if slot == nil {
-		var resolve func() string
-		if r.cluster != nil {
-			resolve = shardAddr(r.cluster, shard)
-		}
-		slot = r.newSlot(resolve, &hbproto.Register{
+		slot = r.newSlot(shard, r.cluster.NodeAddr, &hbproto.Register{
 			ID: u.relayID, Role: hbproto.RoleRelay, App: "replay",
 			Period: r.tl.RelayPeriod, Expiry: r.tl.RelayPeriod,
 		})

@@ -102,14 +102,16 @@ type Report struct {
 	// /metrics.json endpoint for the final report when Config.MetricsAddr
 	// is set; nil otherwise or when the scrape failed.
 	ServerMetrics *telemetry.Dump `json:"serverMetrics,omitempty"`
-	// ClusterEpoch is the ring epoch the fleet last observed (cluster mode).
+	// ClusterEpoch is the ring epoch the fleet last observed (0 for a
+	// single server, a static one-node view).
 	ClusterEpoch uint64 `json:"clusterEpoch,omitempty"`
-	// ShardSent counts heartbeats the fleet addressed to each shard
-	// (cluster mode); trunked runs fill it from their per-batch routing.
+	// ShardSent counts heartbeats the fleet addressed to each shard (a
+	// single server is the shard named by its address); trunked runs fill
+	// it from their per-batch routing.
 	ShardSent map[string]uint64 `json:"shardSent,omitempty"`
 	// ShardMetrics holds each shard's telemetry dump, scraped through the
-	// cluster config's HTTP endpoints for the final report (cluster mode);
-	// shards whose scrape failed are absent.
+	// cluster config's HTTP endpoints for the final report (cluster mode:
+	// a single server has none); shards whose scrape failed are absent.
 	ShardMetrics map[string]*telemetry.Dump `json:"shardMetrics,omitempty"`
 }
 
@@ -179,19 +181,17 @@ func (r *Runner) snapshot(elapsed time.Duration, final bool) Report {
 			rep.ServerMetrics = d
 		}
 	}
-	if r.cluster != nil {
-		view := r.cluster.View()
-		rep.ClusterEpoch = view.Config.Epoch
-		rep.ShardSent = r.shardSent.snapshot()
-		if final {
-			rep.ShardMetrics = make(map[string]*telemetry.Dump, len(view.Config.Nodes))
-			for _, n := range view.Config.Nodes {
-				if n.HTTP == "" {
-					continue
-				}
-				if d, err := ScrapeDumpURL(n.HTTP, time.Second); err == nil {
-					rep.ShardMetrics[n.ID] = d
-				}
+	view := r.cluster.View()
+	rep.ClusterEpoch = view.Config.Epoch
+	rep.ShardSent = r.shardSent.snapshot()
+	if final {
+		rep.ShardMetrics = make(map[string]*telemetry.Dump, len(view.Config.Nodes))
+		for _, n := range view.Config.Nodes {
+			if n.HTTP == "" {
+				continue
+			}
+			if d, err := ScrapeDumpURL(n.HTTP, time.Second); err == nil {
+				rep.ShardMetrics[n.ID] = d
 			}
 		}
 	}
@@ -234,10 +234,10 @@ func (rep Report) CountsTable() *metrics.Table {
 	return t
 }
 
-// ShardTable renders per-shard routing and occupancy for cluster-mode
-// runs: heartbeats the fleet addressed to each shard next to the shard's
-// own presence gauge and misroute counter from its metrics scrape. Nil
-// when the run had no cluster target.
+// ShardTable renders per-shard routing and occupancy: heartbeats the
+// fleet addressed to each shard next to the shard's own presence gauge and
+// misroute counter from its metrics scrape (cluster targets only). Nil
+// when the report has neither.
 func (rep Report) ShardTable() *metrics.Table {
 	if len(rep.ShardSent) == 0 && len(rep.ShardMetrics) == 0 {
 		return nil

@@ -41,13 +41,12 @@ type ackCache struct {
 // (per-UE sockets exhaust ephemeral ports around a few tens of thousands
 // per destination). Every tick each user emits one heartbeat; the trunk
 // partitions them per owning shard under a single ring view and writes one
-// Batch per shard. In cluster mode a heartbeat whose ack misses the window
-// is re-sent once through the then-current view before a second miss counts
-// as a timeout, mirroring the vue fallback that keeps reshards lossless.
+// Batch per shard. A heartbeat whose ack misses the window is re-sent once
+// through the then-current view before a second miss counts as a timeout,
+// mirroring the vue fallback that keeps reshards lossless.
 type trunk struct {
 	id      string
 	app     string
-	addr    string // single-target address; ignored in cluster mode
 	period  time.Duration
 	expiry  time.Duration
 	pad     int
@@ -57,7 +56,7 @@ type trunk struct {
 	trecIdx []int         // per-user trace client indices (immutable after build)
 	c       *fleetCounters
 	dial    func(network, addr string) (net.Conn, error)
-	cluster *cluster.Client // nil targets addr directly
+	cluster *cluster.Client
 	shards  *shardCounter
 
 	// paceSlots spreads each period's emissions over this many sub-ticks
@@ -80,7 +79,7 @@ type trunk struct {
 	users   []tuser
 	index   map[string]int           // user id → index (ids are immutable after build)
 	pending session.Pending          // in-flight heartbeats, slot = user index
-	slots   map[string]*session.Slot // shard ID → connection ("" single-server)
+	slots   map[string]*session.Slot // shard ID → connection
 	closed  bool
 }
 
@@ -217,10 +216,6 @@ func paceSlot(trunkID, userID string, slots int) int {
 // the order Ring.GroupSorted gives. A user's owner is resolved through the
 // ring once per view and kept; a new view starts the cache over.
 func (t *trunk) send(refs []session.Key, now time.Time, fallback bool) {
-	if t.cluster == nil {
-		t.sendShard("", refs, now, fallback)
-		return
-	}
 	view := t.cluster.View()
 	ring := view.Ring()
 	if view != t.view {
@@ -297,9 +292,7 @@ func (t *trunk) sendShard(shard string, refs []session.Key, now time.Time, fallb
 			t.trec.Record(rec.EvSend, t.recIdx(ref.Slot), ref.Seq, now)
 		}
 	}
-	if shard != "" {
-		t.shards.add(shard, uint64(len(refs)))
-	}
+	t.shards.add(shard, uint64(len(refs)))
 }
 
 // recIdx maps a user index to its trace client index (-1 when the trunk
@@ -357,7 +350,7 @@ func (t *trunk) slot(shard string) *session.Slot {
 		return s
 	}
 	s := &session.Slot{
-		Dial: t.dial,
+		Dial: t.dial, Addr: shard, Resolve: t.cluster.NodeAddr,
 		Register: &hbproto.Register{
 			ID: t.id, Role: hbproto.RoleRelay, App: t.app,
 			Period: t.period, Expiry: t.expiry,
@@ -365,22 +358,8 @@ func (t *trunk) slot(shard string) *session.Slot {
 	}
 	cache := new(ackCache)
 	s.OnRefs = func(dial int, refs []hbproto.Ref, at time.Time) { t.onRefs(cache, dial, refs, at) }
-	if t.cluster != nil {
-		s.Resolve = shardAddr(t.cluster, shard)
-	} else {
-		s.Addr = t.addr
-	}
 	t.slots[shard] = s
 	return s
-}
-
-// shardAddr returns a resolver for a shard's hbproto address under the
-// cluster config current at each dial ("" once the shard has left it).
-func shardAddr(c *cluster.Client, shard string) func() string {
-	return func() string {
-		node, _ := c.View().Config.Node(shard)
-		return node.Addr
-	}
 }
 
 // userOf resolves an acked source to its user index (t.mu held).

@@ -9,22 +9,27 @@ import (
 	"testing"
 	"time"
 
+	"d2dhb/internal/cluster"
 	"d2dhb/internal/faultnet"
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/session"
 )
 
-// newTestTrunk builds a single-server trunk of n users by hand, the way
-// buildTrunks does, so a test can drive its rounds one at a time.
-func newTestTrunk(addr string, n int, dial func(network, addr string) (net.Conn, error)) *trunk {
+// newTestTrunk builds a trunk of n users aimed at the one server at addr
+// by hand, the way buildTrunks does, so a test can drive its rounds one at
+// a time.
+func newTestTrunk(tb testing.TB, addr string, n int, dial func(network, addr string) (net.Conn, error)) *trunk {
+	tb.Helper()
+	cl, err := cluster.NewSingleNodeClient(addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	t := &trunk{
-		id: "loadtrunk-test", app: "fast", addr: addr,
+		id: "loadtrunk-test", app: "fast",
 		period: time.Second, expiry: time.Minute, pad: 54, timeout: time.Second,
-		c: new(fleetCounters), dial: dial,
+		c: new(fleetCounters), dial: dial, cluster: cl,
 		users: make([]tuser, n), index: make(map[string]int, n),
-		// Fallback keeps heartbeats whose write failed pending for the
-		// sweep, as cluster mode does.
 		pending: session.Pending{Fallback: true},
 		slots:   make(map[string]*session.Slot),
 	}
@@ -141,7 +146,7 @@ func TestTrunkRedialSettlesEveryAck(t *testing.T) {
 	}})
 	var dials atomic.Int32
 	var armed atomic.Bool
-	tr := newTestTrunk(addr, users, func(network, addr string) (net.Conn, error) {
+	tr := newTestTrunk(t, addr, users, func(network, addr string) (net.Conn, error) {
 		conn, err := net.Dial(network, addr)
 		if err == nil && dials.Add(1) == 1 {
 			conn = &armedConn{Conn: conn, faulty: faults.WrapConn(conn), armed: &armed}
@@ -192,7 +197,7 @@ func TestTrunkRedialSettlesEveryAck(t *testing.T) {
 // still draining from the older connection are resolved by ID without
 // touching it, and handle 0 never caches.
 func TestTrunkAckCacheScopedToDial(t *testing.T) {
-	tr := newTestTrunk("unused", 3, nil)
+	tr := newTestTrunk(t, "unused", 3, nil)
 	cache := new(ackCache)
 	now := time.Now()
 	seq := uint64(0)

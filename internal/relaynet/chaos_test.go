@@ -489,34 +489,33 @@ func TestUEFallbackRelayDiesBetweenSendAndAck(t *testing.T) {
 }
 
 // TestRelayReconnectBackoffConfigurable covers the thundering-herd fix:
-// attempts and base are taken from the config, and the seeded jitter
-// spreads backoffs across [base/2, 3·base/2).
+// the base is taken from the config, the seeded jitter spreads backoffs
+// across [base/2, 3·base/2), and a relay whose server is gone for good
+// keeps backing off without holding up Shutdown.
 func TestRelayReconnectBackoffConfigurable(t *testing.T) {
-	// A relay pointed at a server that immediately dies: with 2 attempts
-	// at a 30 ms base, reconnection gives up well under a second.
 	s := NewServer()
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("server Start: %v", err)
 	}
-	addr := s.Addr()
-
 	r, err := NewRelayAgent(RelayAgentConfig{
-		ID: "backoff-relay", App: "std", Period: 100 * time.Millisecond,
+		ID: "backoff-relay", App: "std", Period: 50 * time.Millisecond,
 		Expiry: 200 * time.Millisecond, Pad: 54, Capacity: 8,
-		ReconnectAttempts: 2, ReconnectBase: 30 * time.Millisecond, Seed: 99,
+		ReconnectBase: 30 * time.Millisecond, Seed: 99,
 	})
 	if err != nil {
 		t.Fatalf("NewRelayAgent: %v", err)
 	}
-	if err := r.Start("127.0.0.1:0", addr); err != nil {
+	if err := r.Start("127.0.0.1:0", s.Addr()); err != nil {
 		t.Fatalf("relay Start: %v", err)
 	}
 	t.Cleanup(r.Shutdown)
+	eventually(t, 2*time.Second, func() bool { return r.Stats().ShardDials == 1 }, "relay dialed the server")
 
 	s.Shutdown() // the server vanishes for good
+	eventually(t, 2*time.Second, func() bool { return r.Stats().DroppedNoShard > 0 },
+		"flushes after the loss are dropped, not queued")
 
-	// The relay exhausts its 2 attempts and stops its run loop; Shutdown
-	// must return promptly rather than hanging on a 6×50ms-doubling wait.
+	// Shutdown must return promptly rather than waiting out a backoff.
 	done := make(chan struct{})
 	go func() {
 		r.Shutdown()
@@ -525,7 +524,7 @@ func TestRelayReconnectBackoffConfigurable(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("relay shutdown hung during bounded reconnect")
+		t.Fatal("relay shutdown hung while backing off")
 	}
 
 	// Seeded jitter is deterministic and stays inside ±50%.
@@ -551,11 +550,11 @@ func TestRelayReconnectBackoffConfigurable(t *testing.T) {
 		}
 	}
 
-	// Validation rejects negative knobs.
+	// Validation rejects a negative base.
 	if _, err := NewRelayAgent(RelayAgentConfig{
 		ID: "x", App: "a", Period: time.Second, Expiry: time.Second, Pad: 1,
-		Capacity: 1, ReconnectAttempts: -1,
+		Capacity: 1, ReconnectBase: -1,
 	}); err == nil {
-		t.Fatal("negative reconnect attempts accepted")
+		t.Fatal("negative reconnect base accepted")
 	}
 }

@@ -66,18 +66,6 @@ func (sh *clusterShard) kill() {
 	sh.web.Close()
 }
 
-// ownerResolver routes a UE's direct path through the live ring: the
-// cluster-mode analog of pointing ServerAddr at the one server.
-func ownerResolver(c *cluster.Client, id string) func() (string, error) {
-	return func() (string, error) {
-		node, ok := c.View().Owner(id)
-		if !ok {
-			return "", nil
-		}
-		return node.Addr, nil
-	}
-}
-
 // TestClusterChaosDrainKillAndRollingRestart is the headline cluster chaos
 // scenario: 12 relay-trunked UEs against 3 shards, then (1) graceful drain
 // of shard-1 followed by its shutdown, (2) hard kill of shard-2 with
@@ -131,7 +119,7 @@ func TestClusterChaosDrainKillAndRollingRestart(t *testing.T) {
 		cfg := ueConfig(ueIDs[i], relay.Addr(), "", 150*time.Millisecond, 600*time.Millisecond)
 		cfg.FeedbackTimeout = 300 * time.Millisecond
 		cfg.Tracer = &rec
-		cfg.ResolveServer = ownerResolver(client, ueIDs[i])
+		cfg.Cluster = client
 		u, err := NewUEClient(cfg)
 		if err != nil {
 			t.Fatalf("NewUEClient(%s): %v", ueIDs[i], err)
@@ -212,20 +200,31 @@ func TestClusterChaosDrainKillAndRollingRestart(t *testing.T) {
 	}
 }
 
-// TestRelayReconnectReResolvesServer is the regression for the reconnect
-// fix: a relay whose server moves must redial the address the resolver
-// currently reports, not the one it first connected to.
-func TestRelayReconnectReResolvesServer(t *testing.T) {
+// TestRelayBackoffRedialFollowsEpoch is the regression for the reconnect
+// fix: a relay whose server moves must redial the address the current
+// epoch gives the node, not the one it first connected to. The "router"
+// is a bare config endpoint whose epoch 2 moves the one node's Addr.
+func TestRelayBackoffRedialFollowsEpoch(t *testing.T) {
 	oldSrv := startServer(t)
 	newSrv := startServer(t)
 
-	var target atomic.Value
-	target.Store(oldSrv.Addr())
+	var cfg atomic.Pointer[cluster.Config]
+	cfg.Store(&cluster.Config{Epoch: 1, Nodes: []cluster.Node{{ID: "srv", Addr: oldSrv.Addr()}}})
+	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		data, _ := cluster.MarshalConfig(*cfg.Load())
+		_, _ = w.Write(data)
+	}))
+	defer router.Close()
+	client, err := cluster.NewClient(cluster.ClientConfig{RouterURL: router.URL, PollInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	defer client.Close()
+
 	relay, err := NewRelayAgent(RelayAgentConfig{
 		ID: "relay-rr", App: "im", Period: 60 * time.Millisecond,
 		Expiry: 400 * time.Millisecond, Capacity: 8,
-		ReconnectAttempts: 20, ReconnectBase: 10 * time.Millisecond,
-		ResolveServer: func() (string, error) { return target.Load().(string), nil },
+		ReconnectBase: 10 * time.Millisecond, Cluster: client,
 	})
 	if err != nil {
 		t.Fatalf("NewRelayAgent: %v", err)
@@ -239,15 +238,18 @@ func TestRelayReconnectReResolvesServer(t *testing.T) {
 		return oldSrv.Stats().Batches > 0
 	}, "relay reaches the original server")
 
-	// The server "moves": the old address dies and the resolver starts
-	// reporting the new one. Without per-attempt re-resolution the relay
-	// would burn every reconnect attempt on the dead address.
-	target.Store(newSrv.Addr())
+	// The server moves: the old address dies and epoch 2 puts the node at
+	// the new one. A relay that kept redialing the address it first
+	// connected to would back off against the dead one forever.
+	cfg.Store(&cluster.Config{Epoch: 2, Nodes: []cluster.Node{{ID: "srv", Addr: newSrv.Addr()}}})
 	oldSrv.Shutdown()
 
 	eventually(t, 3*time.Second, func() bool {
 		return newSrv.Stats().Batches > 0
-	}, "relay reconnects to the re-resolved server address")
+	}, "relay redials the node at its new epoch's address")
+	if st := relay.Stats(); st.UpstreamReconnects == 0 {
+		t.Errorf("move not counted as a reconnect: %+v", st)
+	}
 }
 
 // TestServerCountsMisroutedFrames checks the shard-side routing audit: a

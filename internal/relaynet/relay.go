@@ -40,31 +40,22 @@ type RelayAgentConfig struct {
 	// Listen overrides the UE-side listener construction; nil selects
 	// net.Listen. Fault-injection hook.
 	Listen func(network, addr string) (net.Listener, error)
-	// ReconnectAttempts bounds upstream redial attempts after the server
-	// connection breaks (single-server mode). Zero selects 6.
-	ReconnectAttempts int
-	// ReconnectBase is the initial redial backoff, doubled per attempt
-	// with ±50% seeded jitter so relay fleets losing the same server do
-	// not stampede it in lockstep.  Cluster mode uses the same base for
-	// its per-shard backoff. Zero selects 50 ms.
+	// ReconnectBase is the initial per-shard redial backoff after a failed
+	// dial or a broken connection, doubled per failure up to
+	// maxShardBackoff, with ±50% seeded jitter so relay fleets losing the
+	// same shard do not stampede it in lockstep. Zero selects 50 ms.
 	ReconnectBase time.Duration
 	// Seed seeds the backoff jitter RNG; zero derives a seed from ID, so
 	// distinct relays jitter differently by default.
 	Seed int64
-	// Cluster switches the relay to sharded fanout: every flushed batch is
-	// partitioned by the client's current ring epoch and each sub-batch
-	// goes to the owning presence shard over a lazily-dialed per-shard
-	// connection. The serverAddr argument to Start is ignored. A shard
-	// that cannot be reached costs only its own sub-batch (the affected
-	// UEs recover through the feedback-timeout fallback); the relay never
+	// Cluster is the presence view the relay forwards into: every flushed
+	// batch is partitioned by the current ring epoch and each sub-batch
+	// goes to its owning shard over a lazily dialed per-shard connection.
+	// Nil makes the serverAddr given to Start a one-node view. A shard that
+	// cannot be reached costs only its own sub-batch (the affected UEs
+	// recover through the feedback-timeout fallback); the relay never
 	// blocks its scheduling loop on a dead shard.
 	Cluster *cluster.Client
-	// ResolveServer, when non-nil, re-resolves the upstream server address
-	// before the initial dial and again on every reconnect attempt —
-	// without it a relay redials the address it first connected to even
-	// after the cluster moved or restarted that server elsewhere.
-	// Single-server mode only (cluster mode resolves through the ring).
-	ResolveServer func() (string, error)
 	// Telemetry registers the agent's runtime metrics (batch sizes,
 	// collect-to-flush latency, reconnect attempts, scheduler occupancy
 	// and deadline slack) in the given registry. Nil disables telemetry.
@@ -81,12 +72,8 @@ func (c RelayAgentConfig) validate() error {
 	if c.Capacity <= 0 {
 		return fmt.Errorf("relaynet: capacity must be positive, got %d", c.Capacity)
 	}
-	if c.ReconnectAttempts < 0 || c.ReconnectBase < 0 {
-		return fmt.Errorf("relaynet: negative reconnect attempts/base (%d/%v)",
-			c.ReconnectAttempts, c.ReconnectBase)
-	}
-	if c.Cluster != nil && c.ResolveServer != nil {
-		return errors.New("relaynet: Cluster and ResolveServer are mutually exclusive")
+	if c.ReconnectBase < 0 {
+		return fmt.Errorf("relaynet: negative reconnect base %v", c.ReconnectBase)
 	}
 	return nil
 }
@@ -111,8 +98,8 @@ type RelayAgentStats struct {
 	FeedbacksSent      int
 	Credits            int
 	UpstreamReconnects int
-	// ShardDials counts successful upstream dials in cluster mode
-	// (including each shard's first).
+	// ShardDials counts successful upstream dials (including each
+	// shard's first); UpstreamReconnects counts the rest.
 	ShardDials int
 	// DroppedNoShard counts heartbeats abandoned because their owning
 	// shard was unreachable (or in dial backoff) at flush time. The UEs
@@ -149,30 +136,28 @@ type relayEvent struct {
 	acked    []hbproto.Ref
 	upErr    error
 	// upShard attributes an upstream error to the shard whose connection
-	// broke (singleShard outside cluster mode).
+	// broke.
 	upShard string
 }
 
-// singleShard keys the upstream map in single-server mode.
-const singleShard = ""
-
 // RelayAgent collects heartbeats from UE connections and forwards them to
-// the server in aggregated batches under the Algorithm 1 schedule, sending
-// feedback to each UE once the server acknowledges the batch. In cluster
-// mode the flush fans out per owning shard instead of using one upstream.
+// the presence shards in aggregated batches under the Algorithm 1
+// schedule, sending feedback to each UE once a shard acknowledges its
+// sub-batch.
 type RelayAgent struct {
 	cfg RelayAgentConfig
+	// cluster is cfg.Cluster, or the one-node view Start builds from its
+	// server address; set before the run loop starts.
+	cluster *cluster.Client
 
 	mu sync.Mutex
 	ln net.Listener
-	// ups maps shard ID -> upstream session slot (singleShard key in
-	// single-server mode). The run loop creates cluster slots on first use;
-	// Shutdown closes them all.
-	ups        map[string]*session.Slot
-	serverAddr string // Start's single-server address (cluster mode: unused)
-	started    bool
-	closed     bool
-	stats      RelayAgentStats
+	// ups maps shard ID -> upstream session slot. The run loop creates
+	// slots on first use; Shutdown closes them all.
+	ups     map[string]*session.Slot
+	started bool
+	closed  bool
+	stats   RelayAgentStats
 
 	events chan relayEvent
 	done   chan struct{}
@@ -308,8 +293,10 @@ func (r *RelayAgent) upstream(shard string) *session.Slot {
 	if slot, ok := r.ups[shard]; ok || r.closed {
 		return slot
 	}
+	// Every (re)connect targets the address the current view gives the
+	// shard, so a restarted shard is found where the router now puts it.
 	slot := &session.Slot{
-		Dial: r.cfg.Dial,
+		Dial: r.cfg.Dial, Addr: shard, Resolve: r.cluster.NodeAddr,
 		Register: &hbproto.Register{
 			ID: r.cfg.ID, Role: hbproto.RoleRelay, App: r.cfg.App,
 			Period: r.cfg.Period, Expiry: r.cfg.Expiry,
@@ -319,17 +306,6 @@ func (r *RelayAgent) upstream(shard string) *session.Slot {
 			r.post(relayEvent{acked: append([]hbproto.Ref(nil), refs...)})
 		},
 		OnDown: func(err error) { r.post(relayEvent{upErr: err, upShard: shard}) },
-	}
-	// Every (re)connect targets whatever the router currently advertises:
-	// the ring's address for the shard, or ResolveServer's answer ahead of
-	// the address Start was given.
-	if r.cfg.Cluster != nil {
-		slot.Resolve = func() string {
-			node, _ := r.cfg.Cluster.View().Config.Node(shard)
-			return node.Addr
-		}
-	} else {
-		slot.Addr, slot.Resolve = r.serverAddr, resolveWith(r.cfg.ResolveServer)
 	}
 	r.ups[shard] = slot
 	return slot
@@ -345,52 +321,44 @@ func (r *RelayAgent) post(ev relayEvent) bool {
 	}
 }
 
-// Start listens for UE connections on listenAddr and, in single-server
-// mode, connects upstream to the server (serverAddr, or whatever
-// ResolveServer returns). In cluster mode serverAddr is ignored: per-shard
-// connections are dialed lazily at the first flush toward each shard.
+// Start listens for UE connections on listenAddr. Upstream connections
+// are dialed lazily, one per shard at the first flush toward it; with
+// Cluster nil, serverAddr is the one shard. An unreachable server
+// therefore does not fail Start: its sub-batches are dropped (counted in
+// DroppedNoShard) until a dial succeeds, and the UEs fall back.
 //
-// The listen/dial/register sequence runs outside r.mu: these calls block
-// on the network, and holding the agent lock across them would stall
-// Addr, Stats and Shutdown for a full dial timeout when the server is
-// unreachable. The started flag reserves the slot up front so a
-// concurrent Start fails fast instead of racing the setup.
+// The listen runs outside r.mu, so Addr, Stats and Shutdown never wait on
+// it. The started flag reserves the slot up front so a concurrent Start
+// fails fast instead of racing the setup.
 func (r *RelayAgent) Start(listenAddr, serverAddr string) error {
+	cl := r.cfg.Cluster
+	if cl == nil {
+		var err error
+		if cl, err = cluster.NewSingleNodeClient(serverAddr); err != nil {
+			return fmt.Errorf("relaynet: relay upstream: %w", err)
+		}
+	}
 	r.mu.Lock()
 	if r.started {
 		r.mu.Unlock()
 		return errors.New("relaynet: relay already started")
 	}
 	r.started = true
-	r.serverAddr = serverAddr
+	r.cluster = cl
 	r.mu.Unlock()
 
-	fail := func(err error) error {
+	ln, err := r.cfg.listen("tcp", listenAddr)
+	if err != nil {
 		r.mu.Lock()
 		r.started = false
 		r.mu.Unlock()
-		return err
-	}
-	ln, err := r.cfg.listen("tcp", listenAddr)
-	if err != nil {
-		return fail(fmt.Errorf("relaynet: relay listen: %w", err))
-	}
-
-	if r.cfg.Cluster == nil {
-		// A Shutdown racing this dial closes the slot, and Connect fails.
-		if slot := r.upstream(singleShard); slot != nil {
-			_, err = slot.Connect()
-		}
-		if err != nil {
-			_ = ln.Close()
-			return fail(fmt.Errorf("relaynet: relay connect upstream: %w", err))
-		}
+		return fmt.Errorf("relaynet: relay listen: %w", err)
 	}
 
 	r.mu.Lock()
 	if r.closed {
-		// Shutdown ran while we were dialing: it saw started=true but had
-		// no listener to close, so close it here.
+		// Shutdown ran while we were listening: it saw started=true but
+		// had no listener to close, so close it here.
 		r.mu.Unlock()
 		_ = ln.Close()
 		return errors.New("relaynet: relay shut down during start")
@@ -431,7 +399,7 @@ func (r *RelayAgent) Shutdown() {
 	}
 	r.closed = true
 	close(r.done)
-	// ln is nil when Start is still mid-dial; Start sees closed=true and
+	// ln is nil when Start is still mid-listen; Start sees closed=true and
 	// closes its own listener.
 	if r.ln != nil {
 		_ = r.ln.Close()
@@ -512,15 +480,12 @@ func copyMessage(msg hbproto.Message) hbproto.Message {
 	}
 }
 
-// Default upstream reconnect policy: attempts bound the dial retries after
-// the server connection breaks; backoff doubles from the base per attempt.
+// Upstream redial policy: the backoff doubles from the base per failure.
 const (
-	defaultReconnectAttempts = 6
-	defaultReconnectBase     = 50 * time.Millisecond
-	// maxShardBackoff caps the per-shard redial backoff in cluster mode:
-	// unlike the bounded single-server retry loop, shard dials are retried
-	// at every flush forever, so the backoff needs a ceiling rather than
-	// an attempt budget.
+	defaultReconnectBase = 50 * time.Millisecond
+	// maxShardBackoff caps the per-shard redial backoff: a shard's dial is
+	// retried at every flush past its backoff for as long as the relay
+	// runs, so the backoff needs a ceiling rather than an attempt budget.
 	maxShardBackoff = 5 * time.Second
 )
 
@@ -537,44 +502,6 @@ func (r *RelayAgent) reconnectBase() time.Duration {
 // decorrelate instead of arriving in doubling lockstep.
 func (r *RelayAgent) jittered(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (0.5 + r.rng.Float64()))
-}
-
-// reconnectUpstream re-establishes the single-server connection after a
-// break, re-resolving the target through ResolveServer on every attempt.
-// Batches awaiting acknowledgement are abandoned: their UEs recover through
-// the feedback-timeout fallback, exactly as with a dead relay.
-func (r *RelayAgent) reconnectUpstream(slot *session.Slot) bool {
-	attempts := r.cfg.ReconnectAttempts
-	if attempts == 0 {
-		attempts = defaultReconnectAttempts
-	}
-	backoff := r.reconnectBase()
-	for attempt := 0; attempt < attempts; attempt++ {
-		r.ins.reconnectTries.Inc()
-		_, err := slot.Connect()
-		if err == nil {
-			r.ins.reconnects.Inc()
-			r.mu.Lock()
-			r.stats.UpstreamReconnects++
-			r.mu.Unlock()
-			return true
-		}
-		if errors.Is(err, session.ErrClosed) {
-			return false
-		}
-		// A reusable timer instead of time.After: under a long outage this
-		// loop runs for many attempts, and per-iteration After timers pile
-		// up uncollectable until they fire.
-		t := time.NewTimer(r.jittered(backoff))
-		select {
-		case <-r.done:
-			t.Stop()
-			return false
-		case <-t.C:
-		}
-		backoff *= 2
-	}
-	return false
 }
 
 // armShardBackoff schedules the next allowed dial for a shard after a
@@ -652,12 +579,10 @@ func (r *RelayAgent) run() {
 		case ev := <-r.events:
 			// Drain whatever else is already queued (bounded) before
 			// flushing feedback, so refs from several acks — one per
-			// shard in cluster mode — merge into one Feedback frame per
-			// UE instead of one write per ack.
+			// shard — merge into one Feedback frame per UE instead of one
+			// write per ack.
 			for n := 0; ; n++ {
-				if !r.handleEvent(ev) {
-					return
-				}
+				r.handleEvent(ev)
 				if n >= maxEventDrain {
 					break
 				}
@@ -673,9 +598,8 @@ func (r *RelayAgent) run() {
 	}
 }
 
-// handleEvent dispatches one main-loop event; false means the agent must
-// stop (single upstream unrecoverable).
-func (r *RelayAgent) handleEvent(ev relayEvent) bool {
+// handleEvent dispatches one main-loop event.
+func (r *RelayAgent) handleEvent(ev relayEvent) {
 	switch {
 	case ev.ueMsg != nil:
 		r.handleUE(ev.ueFrom, ev.ueMsg)
@@ -686,25 +610,15 @@ func (r *RelayAgent) handleEvent(ev relayEvent) bool {
 	case ev.acked != nil:
 		r.handleAck(ev.acked)
 	case ev.upErr != nil:
-		slot := r.upstream(ev.upShard)
-		if slot == nil || slot.Connected() {
-			// Shutting down, or a stale error from a connection a later
-			// flush has already replaced.
-			return true
-		}
-		if r.cfg.Cluster != nil {
-			// A shard broke (the slot already retired its connection):
-			// back off. The next flush redials; meanwhile the other shards
-			// keep their schedule — a cluster relay never blocks its run
-			// loop on one dead shard.
+		// A shard broke (the slot already retired its connection): back
+		// off. The next flush past the backoff redials; meanwhile the other
+		// shards keep their schedule — the relay never blocks its run loop
+		// on one dead shard. Skipped when shutting down, or for a stale
+		// error from a connection a later flush has already replaced.
+		if slot := r.upstream(ev.upShard); slot != nil && !slot.Connected() {
 			r.armShardBackoff(ev.upShard, r.now())
-			return true
 		}
-		// Single upstream broke: try to reconnect; if the server stays
-		// unreachable, stop scheduling and let UEs fall back.
-		return r.reconnectUpstream(slot)
 	}
-	return true
 }
 
 // flushIfDue runs the flush a timer tick announced, provided the clock
@@ -830,10 +744,10 @@ func (r *RelayAgent) flush() {
 	}
 }
 
-// drain transmits the batch plus the relay's own heartbeat upstream. In
-// cluster mode the batch is partitioned by the current ring epoch and each
-// sub-batch goes to its owning shard; exactly one View is captured per
-// flush, so a batch never mixes two epochs.
+// drain transmits the batch plus the relay's own heartbeat upstream: the
+// batch is partitioned by the current ring epoch and each sub-batch goes
+// to its owning shard; exactly one View is captured per flush, so a batch
+// never mixes two epochs.
 func (r *RelayAgent) drain() {
 	now := r.now()
 	batch := r.policy.Flush(now)
@@ -860,35 +774,27 @@ func (r *RelayAgent) drain() {
 		return
 	}
 
+	keys := make([]string, len(hbs))
+	for i := range hbs {
+		keys[i] = hbs[i].Src
+	}
 	flushed := false
-	if r.cfg.Cluster == nil {
-		// A broken single upstream is the reconnect loop's business (its
-		// reader error is already on the way): never dial from a flush.
-		slot := r.upstream(singleShard)
-		flushed = slot != nil && slot.Connected() && r.sendBatch(slot, singleShard, hbs)
-	} else {
-		view := r.cfg.Cluster.View()
-		keys := make([]string, len(hbs))
-		for i := range hbs {
-			keys[i] = hbs[i].Src
+	for _, g := range r.cluster.View().Ring().GroupSorted(keys) {
+		shard := g.Shard
+		sub := make([]hbproto.Heartbeat, 0, len(g.Idxs))
+		for _, i := range g.Idxs {
+			sub = append(sub, hbs[i])
 		}
-		for _, g := range view.Ring().GroupSorted(keys) {
-			shard := g.Shard
-			sub := make([]hbproto.Heartbeat, 0, len(g.Idxs))
-			for _, i := range g.Idxs {
-				sub = append(sub, hbs[i])
-			}
-			// A failed send drops the connection; the reader's error event
-			// then arms the shard's backoff.
-			if slot := r.shardConn(shard); slot == nil || !r.sendBatch(slot, shard, sub) {
-				r.ins.shardDrops.Add(uint64(len(sub)))
-				r.mu.Lock()
-				r.stats.DroppedNoShard += len(sub)
-				r.mu.Unlock()
-				continue
-			}
-			flushed = true
+		// A failed send drops the connection; the reader's error event
+		// then arms the shard's backoff.
+		if slot := r.shardConn(shard); slot == nil || !r.sendBatch(slot, shard, sub) {
+			r.ins.shardDrops.Add(uint64(len(sub)))
+			r.mu.Lock()
+			r.stats.DroppedNoShard += len(sub)
+			r.mu.Unlock()
+			continue
 		}
+		flushed = true
 	}
 	if flushed {
 		r.mu.Lock()

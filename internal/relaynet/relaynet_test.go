@@ -454,16 +454,42 @@ func TestLifecycleIdempotence(t *testing.T) {
 	u.Shutdown() // not started: no-op
 }
 
-func TestRelayStartFailsWithoutServer(t *testing.T) {
-	r, err := NewRelayAgent(RelayAgentConfig{
+// TestRelayStartsWithoutServerUEFallback pins the lazy upstream: a relay
+// whose server is unreachable still starts, counts the heartbeats it
+// cannot deliver, and its UE gets them through by the cellular fallback.
+func TestRelayStartsWithoutServerUEFallback(t *testing.T) {
+	s := startServer(t)
+	r := startRelay(t, "127.0.0.1:1", 50*time.Millisecond, 200*time.Millisecond, 4)
+	cfg := ueConfig("ue-lazy", r.Addr(), s.Addr(), time.Hour, 200*time.Millisecond)
+	cfg.FeedbackTimeout = 100 * time.Millisecond
+	u, err := NewUEClient(cfg)
+	if err != nil {
+		t.Fatalf("NewUEClient: %v", err)
+	}
+	if err := u.Start(); err != nil {
+		t.Fatalf("ue Start: %v", err)
+	}
+	t.Cleanup(u.Shutdown)
+
+	eventually(t, 2*time.Second, func() bool { return r.Stats().DroppedNoShard > 0 },
+		"relay counts the batch it could not deliver")
+	eventually(t, 2*time.Second, func() bool { return u.Stats().FallbackResends == 1 },
+		"UE falls back after no feedback")
+	eventually(t, 2*time.Second, func() bool { return s.Online("ue-lazy", time.Now()) },
+		"UE online via the fallback copy")
+	if st := r.Stats(); st.ShardDials != 0 || st.FeedbacksSent != 0 {
+		t.Fatalf("relay stats = %+v, want no dial and no feedback", st)
+	}
+
+	empty, err := NewRelayAgent(RelayAgentConfig{
 		ID: "r", App: "a", Period: time.Second, Expiry: time.Second, Pad: 54, Capacity: 1,
 	})
 	if err != nil {
 		t.Fatalf("NewRelayAgent: %v", err)
 	}
-	if err := r.Start("127.0.0.1:0", "127.0.0.1:1"); err == nil {
-		r.Shutdown()
-		t.Fatal("relay started without a server")
+	if err := empty.Start("127.0.0.1:0", ""); err == nil {
+		empty.Shutdown()
+		t.Fatal("relay started with neither a server nor a cluster")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/session"
 	"d2dhb/internal/telemetry"
@@ -58,14 +59,13 @@ type UEClientConfig struct {
 	// nearest-relay matching with failover.
 	FallbackRelayAddrs []string
 	// ServerAddr is the presence server, used directly when no relay is
-	// configured or as the fallback path.
+	// configured or as the fallback path. Ignored when Cluster is set.
 	ServerAddr string
-	// ResolveServer, when non-nil, re-resolves the direct-path server
-	// address on every dial (e.g. by asking the cluster router for the
-	// shard owning this UE's ID). With a resolver ServerAddr may be empty;
-	// when both are set the resolver wins and ServerAddr is the fallback
-	// for resolver failures.
-	ResolveServer func() (string, error)
+	// Cluster is the presence view the direct path dials into: every dial
+	// goes to the shard owning this UE's ID under the current epoch, so a
+	// reshard redirects the next connection. Nil makes ServerAddr a
+	// one-node view.
+	Cluster *cluster.Client
 	// FeedbackTimeout is how long to wait for relay feedback before
 	// resending directly. Zero selects Expiry plus a small grace.
 	FeedbackTimeout time.Duration
@@ -100,23 +100,7 @@ func (c UEClientConfig) validate() error {
 			return err
 		}
 	}
-	if c.ServerAddr == "" && c.ResolveServer == nil {
-		return errors.New("relaynet: empty server address")
-	}
 	return nil
-}
-
-// resolveWith adapts a ResolveServer hook to a session resolver: no hook,
-// or a failed lookup, answers "" and leaves the slot's fixed address in
-// force.
-func resolveWith(hook func() (string, error)) func() string {
-	return func() string {
-		if hook == nil {
-			return ""
-		}
-		a, _ := hook()
-		return a
-	}
 }
 
 // relayAddrs lists the relays to try, primary first.
@@ -208,6 +192,13 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	cl := cfg.Cluster
+	if cl == nil {
+		var err error
+		if cl, err = cluster.NewSingleNodeClient(cfg.ServerAddr); err != nil {
+			return nil, fmt.Errorf("relaynet: ue server: %w", err)
+		}
+	}
 	u := &UEClient{cfg: cfg, tracked: make(chan struct{}, 1), done: make(chan struct{})}
 	for _, app := range cfg.apps() {
 		timeout := cfg.FeedbackTimeout
@@ -232,9 +223,7 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 	}
 	// Server acks on the direct path are drained, not tracked: the paper's
 	// UE learns about delivery only through relay feedback.
-	u.direct = session.Slot{
-		Dial: cfg.Dial, Addr: cfg.ServerAddr, Resolve: resolveWith(cfg.ResolveServer),
-	}
+	u.direct = session.Slot{Dial: cfg.Dial, Addr: cfg.ID, Resolve: cl.OwnerAddr}
 	if reg := cfg.Telemetry; reg != nil {
 		u.ins = ueInstruments{
 			generated: reg.Counter("relaynet_ue_generated_total"),

@@ -21,7 +21,7 @@ import (
 // ErrClosed is returned by Connect and Send once the slot is closed.
 var ErrClosed = errors.New("session: slot closed")
 
-// ErrNoAddr is returned when neither Addr nor Resolve yields a target.
+// ErrNoAddr is returned when the slot has no target to dial.
 var ErrNoAddr = errors.New("session: no address to dial")
 
 // Slot holds at most one live connection to a relay or server and dials
@@ -32,11 +32,11 @@ type Slot struct {
 	// Dial opens the connection; nil selects net.Dial. Fault-injection
 	// hook (see internal/faultnet).
 	Dial func(network, addr string) (net.Conn, error)
-	// Addr is the fixed target. Resolve, when set, is asked on every dial
-	// and a non-empty answer wins, so a reshard redirects the next
-	// connection.
+	// Addr is the target. With Resolve set it is a key instead (a client
+	// or node ID) that Resolve maps to the target on every dial, so a
+	// reshard redirects the next connection; "" means no target.
 	Addr    string
-	Resolve func() string
+	Resolve func(key string) string
 	// Register, when non-nil, is written on every fresh connection before
 	// it is published: relays feed back only to registered UE connections
 	// and servers attribute batches to registered relays.
@@ -91,9 +91,7 @@ func (s *Slot) connect() (net.Conn, bool, error) {
 	// Dial and register outside the lock: both block on the network.
 	addr := s.Addr
 	if s.Resolve != nil {
-		if a := s.Resolve(); a != "" {
-			addr = a
-		}
+		addr = s.Resolve(addr)
 	}
 	if addr == "" {
 		return nil, false, ErrNoAddr

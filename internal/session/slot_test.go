@@ -135,9 +135,9 @@ func TestSlot(t *testing.T) {
 		run  func(t *testing.T, pn *pipeNet)
 	}{
 		{"registers on connect and resolves the address per dial", func(t *testing.T, pn *pipeNet) {
-			target := "" // resolver failing: the fixed address is used
+			target := "first"
 			reg := &hbproto.Register{ID: "ue", Role: hbproto.RoleUE, App: "app", Period: time.Second, Expiry: time.Second}
-			s := pn.slot(t, &Slot{Addr: "fixed", Resolve: func() string { return target }, Register: reg})
+			s := pn.slot(t, &Slot{Addr: "ue", Resolve: func(key string) string { return key + "@" + target }, Register: reg})
 			go func() {
 				if dialed, err := s.Connect(); !dialed || err != nil {
 					t.Errorf("Connect = %v, %v; want a fresh dial", dialed, err)
@@ -158,14 +158,16 @@ func TestSlot(t *testing.T) {
 			go func() { _, _ = s.Connect() }()
 			waitFor(t, func() bool { return pn.dials() == 2 }, "redial")
 			readMsg(t, pn.server(1))
-			if pn.addrs[0] != "fixed" || pn.addrs[1] != "moved" {
-				t.Fatalf("dialed %v, want [fixed moved]", pn.addrs)
+			if pn.addrs[0] != "ue@first" || pn.addrs[1] != "ue@moved" {
+				t.Fatalf("dialed %v, want [ue@first ue@moved]", pn.addrs)
 			}
 		}},
 		{"no address", func(t *testing.T, pn *pipeNet) {
-			s := pn.slot(t, &Slot{Resolve: func() string { return "" }})
-			if _, err := s.Send(heartbeat(1)); !errors.Is(err, ErrNoAddr) {
-				t.Fatalf("Send = %v, want ErrNoAddr", err)
+			for _, s := range []*Slot{{}, {Addr: "gone", Resolve: func(string) string { return "" }}} {
+				s = pn.slot(t, s)
+				if _, err := s.Send(heartbeat(1)); !errors.Is(err, ErrNoAddr) {
+					t.Fatalf("Send = %v, want ErrNoAddr", err)
+				}
 			}
 		}},
 		{"closed during dial", func(t *testing.T, pn *pipeNet) {
