@@ -29,16 +29,20 @@ func main() {
 		relay  = flag.String("relay", "127.0.0.1:7401", "relay address (empty = direct mode)")
 		server = flag.String("server", "127.0.0.1:7400", "presence server address")
 		apps   = flag.String("apps", "standard", "comma-separated app profiles")
-		report = flag.Duration("report", 5*time.Second, "stats report interval")
+		report = flag.Duration("report", 5*time.Second, "stats report interval (0 disables)")
 	)
 	flag.Parse()
-	if err := run(*id, *relay, *server, *apps, *report); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(*id, *relay, *server, *apps, *report, stop); err != nil {
 		fmt.Fprintln(os.Stderr, "d2due:", err)
 		os.Exit(1)
 	}
 }
 
-func run(id, relayAddr, server, appNames string, report time.Duration) error {
+// run starts the UE and prints its stats every report interval until stop
+// delivers or is closed.
+func run(id, relayAddr, server, appNames string, report time.Duration, stop <-chan os.Signal) error {
 	var profiles []hbmsg.AppProfile
 	for _, name := range strings.Split(appNames, ",") {
 		p, err := scenario.ProfileByName(strings.TrimSpace(name))
@@ -71,16 +75,18 @@ func run(id, relayAddr, server, appNames string, report time.Duration) error {
 	fmt.Printf("ue %s (%d apps, primary %s every %v) relay=%q server=%s\n",
 		id, len(profiles), primary.Name, primary.Period, relayAddr, server)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	ticker := time.NewTicker(report)
-	defer ticker.Stop()
+	var tick <-chan time.Time // nil (blocks forever) when reporting is disabled
+	if report > 0 {
+		ticker := time.NewTicker(report)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
 	for {
 		select {
 		case <-stop:
 			fmt.Println("shutting down")
 			return nil
-		case <-ticker.C:
+		case <-tick:
 			st := ue.Stats()
 			fmt.Printf("generated=%d viaRelay=%d direct=%d fallbacks=%d acks=%d\n",
 				st.Generated, st.ViaRelay, st.Direct, st.FallbackResends, st.FeedbackAcks)

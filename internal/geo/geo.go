@@ -113,21 +113,99 @@ type waypointLeg struct {
 // three draws (destination X, Y, speed).
 const drawBuffer = 24
 
-// drawSources lends out math/rand generators for the length of one refill.
-// A lagged-Fibonacci source is 4.9 KB; kept per walker it was half of a
-// built city's heap, to serve three draws per leg.
+// math/rand's source is an additive lagged-Fibonacci generator: each output
+// is the register word at the feed plus the one rngTap slots behind it,
+// written back at the feed. Seeding fills the rngLen-word register from an
+// LCG, x ← 48271·x mod (2³¹−1), started at the reduced seed.
+const (
+	rngLen   = 607
+	rngTap   = 273
+	int32max = 1<<31 - 1
+)
+
+// rngPow[n] is 48271ⁿ mod (2³¹−1), so the LCG's state n steps after s is
+// rngPow[n]·s mod (2³¹−1). Seeding takes 20 + 3·rngLen steps.
+var rngPow = func() (pow [21 + 3*rngLen]uint32) {
+	pow[0] = 1
+	for n := 1; n < len(pow); n++ {
+		pow[n] = uint32(uint64(pow[n-1]) * 48271 % int32max)
+	}
+	return pow
+}()
+
+// rngCooked is the constant math/rand XORs into each initial register word,
+// read back from the source: seed 1's first rngLen outputs fix every initial
+// word (rngOutput run backwards), and XORing out the LCG part leaves it.
+var rngCooked = func() (cooked [rngLen]uint64) {
+	src := rand.NewSource(1).(rand.Source64)
+	var out [rngLen]uint64
+	for k := range out {
+		out[k] = src.Uint64()
+	}
+	for k := rngLen - 1; k >= rngTap; k-- {
+		cooked[(940-k)%rngLen] = out[k] - out[k-rngTap]
+	}
+	for k := rngTap - 1; k >= 0; k-- {
+		cooked[333-k] = out[k] - cooked[606-k]
+	}
+	for i := range cooked {
+		cooked[i] ^= lcgWord(1, i)
+	}
+	return cooked
+}()
+
+// reducedSeed is the LCG's starting state for seed, as rngSource.Seed
+// derives it.
+func reducedSeed(seed int64) uint64 {
+	seed %= int32max
+	if seed < 0 {
+		seed += int32max
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	return uint64(seed)
+}
+
+// lcgWord is the LCG's share of initial register word i under reduced seed
+// s: three consecutive states, after the 20 that seeding discards, packed.
+func lcgWord(s uint64, i int) uint64 {
+	p := rngPow[21+3*i : 24+3*i]
+	return uint64(p[0])*s%int32max<<40 ^ uint64(p[1])*s%int32max<<20 ^ uint64(p[2])*s%int32max
+}
+
+// initWord is initial register word i of rand.NewSource with reduced seed s.
+func initWord(s uint64, i int) uint64 { return lcgWord(s, i) ^ rngCooked[i] }
+
+// rngOutput is output k < rngLen of rand.NewSource with reduced seed s. In
+// the first pass over the register the feed slot still holds its initial
+// word, the tap slot its initial word (k < rngTap) or output k−rngTap.
+func rngOutput(s uint64, k int) uint64 {
+	switch {
+	case k < rngTap:
+		return initWord(s, 333-k) + initWord(s, 606-k)
+	case k < rngLen-rngTap:
+		return initWord(s, 333-k) + rngOutput(s, k-rngTap)
+	default:
+		return initWord(s, 940-k) + rngOutput(s, k-rngTap)
+	}
+}
+
+// drawSources lends math/rand sources to refills past the closed form: at
+// 4.9 KB each, one kept per walker was half of a built city's heap.
 var drawSources = sync.Pool{
-	New: func() any { return rand.New(rand.NewSource(0)) },
+	New: func() any { return rand.NewSource(0).(rand.Source64) },
 }
 
 // drawStream is the Float64 stream of rand.New(rand.NewSource(seed)),
 // bit for bit, without a resident generator: it remembers the seed and how
-// many draws it has taken, and refills a fixed buffer by re-seeding a
-// borrowed generator and skipping what was already consumed. A refill costs
-// one re-seed (~10 µs) plus the skip, once per drawBuffer draws.
+// many source outputs it has consumed, and refills a fixed buffer once per
+// drawBuffer draws. Outputs below rngLen come from rngOutput (a refill
+// ~0.5 µs); past that a refill re-seeds a borrowed source (~10 µs) and
+// skips what was already consumed.
 type drawStream struct {
 	seed  int64
-	drawn uint32 // draws taken from the generator so far, buffered ones included
+	taken uint32 // source outputs consumed so far, buffered draws included
 	next  uint8  // index of the next unread float in buf
 	buf   [drawBuffer]float64
 }
@@ -139,17 +217,39 @@ func newDrawStream(seed int64) drawStream {
 }
 
 func (d *drawStream) refill() {
-	rng := drawSources.Get().(*rand.Rand)
-	rng.Seed(d.seed)
-	for i := uint32(0); i < d.drawn; i++ {
-		rng.Float64()
+	s := reducedSeed(d.seed)
+	var src rand.Source64
+	for i := 0; i < drawBuffer; {
+		var u uint64
+		if d.taken < rngLen {
+			u = rngOutput(s, int(d.taken))
+		} else {
+			if src == nil {
+				src = drawSources.Get().(rand.Source64)
+				src.Seed(d.seed)
+				for j := uint32(0); j < d.taken; j++ {
+					src.Uint64()
+				}
+			}
+			u = src.Uint64()
+		}
+		d.taken++
+		if f, ok := unitFloat(u); ok {
+			d.buf[i] = f
+			i++
+		}
 	}
-	for i := range d.buf {
-		d.buf[i] = rng.Float64()
+	if src != nil {
+		drawSources.Put(src)
 	}
-	drawSources.Put(rng)
-	d.drawn += drawBuffer
 	d.next = 0
+}
+
+// unitFloat is (*rand.Rand).Float64 applied to one source output; ok is
+// false for the outputs that round to 1, which Float64 skips.
+func unitFloat(u uint64) (f float64, ok bool) {
+	f = float64(int64(u&(1<<63-1))) / (1 << 63)
+	return f, f != 1
 }
 
 // Float64 returns the stream's next draw.
