@@ -11,7 +11,8 @@
 //	        [-server host:port] [-cluster url] [-trunks 0] [-trunk-pace 0]
 //	        [-json path] [-fault spec]
 //	        [-telemetry host:port] [-metrics host:port] [-record trace.d2dr]
-//	d2dload -replay trace.d2dr [-server host:port | -cluster url] [-speedup 100] [-fault spec] [-json path]
+//	d2dload -replay trace.d2dr [-server host:port | -cluster url] [-speedup 100] [-timeout 0]
+//	        [-fault spec] [-json path]
 //
 // -record captures the run's per-heartbeat arrival timeline (sends, acks,
 // timeouts, fault windows) into a compact trace file (internal/rec).
@@ -19,7 +20,8 @@
 // simulation (internal/experiments.ReplaySim) and the live TCP stack
 // (internal/loadgen.ReplayLive) and prints the sim-vs-real parity report:
 // delivery ratio, ack-latency quantiles and signaling counts side by side,
-// plus the trace and sim digests.
+// plus the trace and sim digests. -timeout is the replayed clients' ack
+// timeout (0 selects 2 s there).
 //
 // -telemetry serves the run's own live metrics (fleet counters, latency
 // histograms and — for in-process runs — server/relay instruments) plus
@@ -80,7 +82,7 @@ func main() {
 	)
 	flag.Parse()
 	if *replay != "" {
-		if err := runReplay(*replay, *server, *clusterA, *speedup, *fault, *jsonPath); err != nil {
+		if err := runReplay(*replay, *server, *clusterA, *speedup, *timeout, *fault, *jsonPath); err != nil {
 			fmt.Fprintln(os.Stderr, "d2dload:", err)
 			os.Exit(1)
 		}
@@ -99,7 +101,7 @@ func main() {
 // twice prints the same sim digest); the live pass re-executes the same
 // timeline over real TCP — against one server, or against a cluster router
 // URL with per-shard routing resolved through the epoch config.
-func runReplay(path, server, clusterAddr string, speedup float64, fault, jsonPath string) error {
+func runReplay(path, server, clusterAddr string, speedup float64, timeout time.Duration, fault, jsonPath string) error {
 	tl, err := rec.ReadFile(path)
 	if err != nil {
 		return err
@@ -118,7 +120,7 @@ func runReplay(path, server, clusterAddr string, speedup float64, fault, jsonPat
 		return err
 	}
 	live, err := loadgen.ReplayLive(tl, loadgen.ReplayOptions{
-		ServerAddr: server, ClusterAddr: clusterAddr, Speedup: speedup, Faults: faults,
+		ServerAddr: server, ClusterAddr: clusterAddr, Speedup: speedup, AckTimeout: timeout, Faults: faults,
 	})
 	if err != nil {
 		return err

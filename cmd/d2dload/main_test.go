@@ -2,9 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -56,7 +59,7 @@ func TestRecordReplayCLI(t *testing.T) {
 	}
 
 	parity := filepath.Join(dir, "parity.json")
-	if err := runReplay(trace, "", "", 4, "", parity); err != nil {
+	if err := runReplay(trace, "", "", 4, 0, "", parity); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	raw, err := os.ReadFile(parity)
@@ -76,8 +79,64 @@ func TestRecordReplayCLI(t *testing.T) {
 }
 
 func TestReplayMissingTrace(t *testing.T) {
-	if err := runReplay("no-such-trace.d2dr", "", "", 1, "", ""); err == nil {
+	if err := runReplay("no-such-trace.d2dr", "", "", 1, 0, "", ""); err == nil {
 		t.Fatal("missing trace accepted")
+	}
+}
+
+// TestReplayTimeout replays three direct heartbeats against a server that
+// reads every frame and acknowledges none: -timeout 50ms must write all
+// three off as timeouts long before the 2 s default would.
+func TestReplayTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() { _ = ln.Close(); wg.Wait() })
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, _ = io.Copy(io.Discard, conn) // returns when the replay closes it
+				_ = conn.Close()
+			}()
+		}
+	}()
+
+	tl := &rec.Timeline{Clients: []rec.Client{{ID: "ue-0", App: "std", Expiry: time.Second, Relay: -1}}}
+	for seq := uint64(1); seq <= 3; seq++ {
+		tl.Events = append(tl.Events, rec.Event{At: time.Duration(seq) * 10 * time.Millisecond, Kind: rec.EvSend, Seq: seq})
+	}
+	dir := t.TempDir()
+	trace, parity := filepath.Join(dir, "lost.d2dr"), filepath.Join(dir, "parity.json")
+	if err := tl.WriteFile(trace); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := runReplay(trace, ln.Addr().String(), "", 1, 50*time.Millisecond, "", parity); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("replay took %v: -timeout was not the ack timeout", elapsed)
+	}
+	raw, err := os.ReadFile(parity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep rec.ParityReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if live := rep.Live; live.Sent != 3 || live.Delivered != 0 || live.Timeouts != 3 {
+		t.Fatalf("live column %+v, want 3 sent, 3 timeouts", live)
 	}
 }
 

@@ -173,3 +173,39 @@ func TestChaosRecordReplayParity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChaosReplayUnderFaults replays a recorded trunked run with faults of
+// its own: a partition that swallows writes and refuses dials, then resets
+// on every write. Whatever the faults do to delivery, every recorded send
+// is offered and accounted exactly once — delivered or timed out.
+func TestChaosReplayUnderFaults(t *testing.T) {
+	tl := recordRun(t, Config{
+		UEs:      8,
+		Trunks:   2,
+		Duration: 400 * time.Millisecond,
+		Profiles: []hbmsg.AppProfile{fastProfile(60 * time.Millisecond)},
+	})
+	faults := faultnet.NewSchedule(7, []faultnet.Window{
+		{From: 100 * time.Millisecond, To: 200 * time.Millisecond, Fault: faultnet.Fault{Kind: faultnet.KindPartition}},
+		{From: 250 * time.Millisecond, To: 300 * time.Millisecond, Fault: faultnet.Fault{Kind: faultnet.KindReset, Prob: 1}},
+	})
+	m, err := ReplayLive(tl, ReplayOptions{AckTimeout: 150 * time.Millisecond, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(m.Sent) != tl.Sends() {
+		t.Fatalf("replayed %d of %d recorded sends", m.Sent, tl.Sends())
+	}
+	if m.Delivered+m.Timeouts != m.Sent {
+		t.Fatalf("delivered %d + timeouts %d != sent %d", m.Delivered, m.Timeouts, m.Sent)
+	}
+	if m.Delivered == 0 {
+		t.Fatalf("nothing delivered around the fault windows: %+v", m)
+	}
+	st := faults.Stats()
+	if st.DroppedSends+st.RefusedDials == 0 || st.Resets == 0 {
+		t.Fatalf("the faults never fired: %+v", st)
+	}
+	t.Logf("sent %d, delivered %d, timeouts %d; dropped sends %d, refused dials %d, resets %d",
+		m.Sent, m.Delivered, m.Timeouts, st.DroppedSends, st.RefusedDials, st.Resets)
+}

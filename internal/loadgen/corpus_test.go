@@ -139,7 +139,9 @@ func TestCorpusClusterReplay(t *testing.T) {
 	}
 	// The gap has been 0.0000 since the fixture was recorded; 0.10 is the
 	// most the parity gate ever allowed it to grow.
-	if gap := rec.NewParityReport(tl, tl.RecordedMetrics(), sim, m).DeliveryGap(); gap > 0.10 {
+	gap := rec.NewParityReport(tl, tl.RecordedMetrics(), sim, m).DeliveryGap()
+	t.Logf("sim-vs-live delivery gap %.4f: live delivered %d of %d in %d uplinks", gap, m.Delivered, m.Sent, m.Signaling.Uplinks)
+	if gap > 0.10 {
 		t.Errorf("sim-vs-live delivery gap %.4f on the corpus trace, want ≤ 0.10", gap)
 	}
 	served := 0

@@ -173,9 +173,6 @@ type shardCounter struct {
 }
 
 func (s *shardCounter) add(shard string, n uint64) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	if s.m == nil {
 		s.m = make(map[string]uint64)
@@ -185,9 +182,6 @@ func (s *shardCounter) add(shard string, n uint64) {
 }
 
 func (s *shardCounter) snapshot() map[string]uint64 {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string]uint64, len(s.m))
@@ -310,15 +304,10 @@ func clusterURL(addr string) string {
 // load for Duration, drain in-flight heartbeats, tear everything down and
 // return the final report.
 func (r *Runner) Run() (Report, error) {
-	defer func() {
-		if r.server != nil {
-			r.server.Shutdown()
-		}
-	}()
+	defer r.stopServer()
 	if err := r.startServer(); err != nil {
 		return Report{}, err
 	}
-	defer r.cluster.Close()
 	if err := r.startRelays(); err != nil {
 		return Report{}, err
 	}
@@ -332,18 +321,7 @@ func (r *Runner) Run() (Report, error) {
 
 	genDone := make(chan struct{})
 	var sendWg sync.WaitGroup
-	start := time.Now()
-	// Pin the trace and fault timelines to the same instant so recorded
-	// fault-window offsets line up with recorded event offsets.
-	if f := r.cfg.Faults; f != nil {
-		f.Start()
-		r.cfg.Recorder.Start(start, f.Seed())
-		for _, w := range f.Windows() {
-			r.cfg.Recorder.AddFault(rec.FaultWindow{Kind: string(w.Fault.Kind), From: w.From, To: w.To})
-		}
-	} else {
-		r.cfg.Recorder.Start(start, 0)
-	}
+	start := r.startClock()
 	window := r.arrivalWindow()
 	sched := Schedule{Shape: r.cfg.Arrival.Shape, Window: window}
 	for i, u := range r.units {
@@ -378,12 +356,25 @@ func (r *Runner) Run() (Report, error) {
 	repWg.Wait()
 
 	r.drain()
-	for _, u := range r.units {
-		u.close() // returns once the unit's ack readers have exited
-	}
-
 	rep := r.snapshot(genElapsed, true)
 	return rep, nil
+}
+
+// startClock pins the trace and fault timelines to one instant, so
+// recorded fault-window offsets line up with recorded event offsets, and
+// returns it as the run's t=0.
+func (r *Runner) startClock() time.Time {
+	start := time.Now()
+	if f := r.cfg.Faults; f != nil {
+		f.Start()
+		r.cfg.Recorder.Start(start, f.Seed())
+		for _, w := range f.Windows() {
+			r.cfg.Recorder.AddFault(rec.FaultWindow{Kind: string(w.Fault.Kind), From: w.From, To: w.To})
+		}
+	} else {
+		r.cfg.Recorder.Start(start, 0)
+	}
+	return start
 }
 
 // startServer sets up the run's routing view: the router's, or a one-node
@@ -424,6 +415,16 @@ func (r *Runner) startServer() (err error) {
 	}
 	r.cluster, err = cluster.NewSingleNodeClient(addr)
 	return err
+}
+
+// stopServer undoes whatever part of startServer succeeded.
+func (r *Runner) stopServer() {
+	if r.cluster != nil {
+		r.cluster.Close()
+	}
+	if r.server != nil {
+		r.server.Shutdown()
+	}
 }
 
 func (r *Runner) startRelays() error {
@@ -490,47 +491,45 @@ func (r *Runner) buildFleet() {
 	owner := r.cluster.OwnerAddr
 	for i, id := range fleetIDs(0, r.cfg.UEs, 5) {
 		p := r.cfg.Profiles[i%len(r.cfg.Profiles)]
-		relayed := i < r.relayedUEs && len(r.relays) > 0
-		u := &vue{
-			id:      id,
-			app:     p.Name,
-			period:  r.scale(p.Period),
-			expiry:  r.scale(p.Expiry()),
-			pad:     p.Size,
-			relayed: relayed,
-			timeout: r.ackTimeout,
-			c:       &r.counters,
-			trec:    r.cfg.Recorder,
-			owner:   owner,
-			pending: session.Pending{Fallback: relayed},
+		c := rec.Client{
+			ID: id, App: p.Name, Period: r.scale(p.Period), Expiry: r.scale(p.Expiry()),
+			Pad: p.Size, Path: rec.PathDirect, Relay: -1,
 		}
-		relayIdx := -1
-		path := rec.PathDirect
-		if relayed {
-			relayIdx = i % len(r.relays)
-			path = rec.PathRelayed
+		relayAddr := ""
+		if i < r.relayedUEs && len(r.relays) > 0 {
+			c.Path, c.Relay = rec.PathRelayed, i%len(r.relays)
+			relayAddr = relayAddrs[c.Relay]
 		}
-		u.tidx = r.cfg.Recorder.AddClient(rec.Client{
-			ID: u.id, App: u.app, Period: u.period, Expiry: u.expiry,
-			Pad: u.pad, Path: path, Relay: relayIdx,
-		})
-		u.primary = session.Slot{Dial: dial, OnRefs: u.onRefs}
-		if relayed {
-			u.rec = r.histRelay.Recorder()
-			u.primary.Addr = relayAddrs[relayIdx]
-			// Relays deliver feedback only to registered UE connections.
-			u.primary.Register = &hbproto.Register{
-				ID: u.id, Role: hbproto.RoleUE, App: u.app,
-				Period: u.period, Expiry: u.expiry,
-			}
-		} else {
-			u.rec = r.histDirect.Recorder()
-			// Direct UEs re-resolve their owning shard on every dial, so a
-			// reshard redirects the next connection.
-			u.primary.Addr, u.primary.Resolve = u.id, owner
-		}
-		r.units = append(r.units, u)
+		r.units = append(r.units, r.newVue(c, r.cfg.Recorder.AddClient(c), dial, owner, relayAddr))
 	}
+}
+
+// newVue builds the virtual UE of one client-table row, recorded as trace
+// client tidx. Given a relayAddr it is relayed: it registers there, since
+// relays deliver feedback only to registered UE connections, and falls back
+// to its owning shard. Otherwise it dials its owning shard, which owner
+// re-resolves on every dial so a reshard redirects the next connection.
+func (r *Runner) newVue(c rec.Client, tidx int, dial func(network, addr string) (net.Conn, error), owner func(string) string, relayAddr string) *vue {
+	relayed := relayAddr != ""
+	u := &vue{
+		id: c.ID, app: c.App, period: c.Period, expiry: c.Expiry, pad: c.Pad,
+		relayed: relayed, timeout: r.ackTimeout, c: &r.counters,
+		trec: r.cfg.Recorder, tidx: tidx, owner: owner,
+		pending: session.Pending{Fallback: relayed},
+	}
+	u.primary = session.Slot{Dial: dial, OnRefs: u.onRefs}
+	if relayed {
+		u.rec = r.histRelay.Recorder()
+		u.primary.Addr = relayAddr
+		u.primary.Register = &hbproto.Register{
+			ID: u.id, Role: hbproto.RoleUE, App: u.app,
+			Period: u.period, Expiry: u.expiry,
+		}
+	} else {
+		u.rec = r.histDirect.Recorder()
+		u.primary.Addr, u.primary.Resolve = u.id, owner
+	}
+	return u
 }
 
 // buildTrunks splits the fleet across cfg.Trunks trunks; profiles rotate
@@ -549,37 +548,18 @@ func (r *Runner) buildTrunks() {
 			continue
 		}
 		p := r.cfg.Profiles[ti%len(r.cfg.Profiles)]
-		t := &trunk{
-			id:      fmt.Sprintf("loadtrunk-%04d", ti),
-			app:     p.Name,
-			period:  r.scale(p.Period),
-			expiry:  r.scale(p.Expiry()),
-			pad:     p.Size,
-			timeout: r.ackTimeout,
-			rec:     r.histRelay.Recorder(),
-			c:       &r.counters,
-			dial:    r.dialer(),
-			cluster: r.cluster,
-			shards:  &r.shardSent,
-			users:   make([]tuser, count),
-			index:   make(map[string]int, count),
-			// A heartbeat that misses its ack window is re-sent once
-			// through the then-current ring view.
-			pending: session.Pending{Fallback: true},
-			slots:   make(map[string]*session.Slot),
+		prof := tprofile{app: p.Name, expiry: r.scale(p.Expiry()), pad: p.Size}
+		period := r.scale(p.Period)
+		users, clients := make([]tuser, count), make([]tclient, count)
+		for i, id := range fleetIDs(next, count, 7) {
+			users[i] = tuser{id: id}
+			clients[i].trec = int32(r.cfg.Recorder.AddClient(rec.Client{
+				ID: id, App: prof.app, Period: period, Expiry: prof.expiry,
+				Pad: prof.pad, Path: rec.PathTrunked, Relay: ti,
+			}))
 		}
-		t.trec = r.cfg.Recorder
-		t.trecIdx = make([]int, count)
-		ids := fleetIDs(next, count, 7)
 		next += count
-		for i, id := range ids {
-			t.users[i] = tuser{id: id}
-			t.index[id] = i
-			t.trecIdx[i] = r.cfg.Recorder.AddClient(rec.Client{
-				ID: id, App: t.app, Period: t.period, Expiry: t.expiry,
-				Pad: t.pad, Path: rec.PathTrunked, Relay: ti,
-			})
-		}
+		t := r.newTrunk(fmt.Sprintf("loadtrunk-%04d", ti), period, []tprofile{prof}, users, clients)
 		// Pacing: clamp the slot count so each sub-tick covers at least one
 		// user and lasts at least a millisecond, then partition users by
 		// the deterministic hash.
@@ -603,6 +583,25 @@ func (r *Runner) buildTrunks() {
 			maxUsers++
 		}
 		r.cfg.Recorder.SetRelay(r.minPeriod, maxUsers)
+	}
+}
+
+// newTrunk returns a trunk of the run for users, each described by the
+// clients entry at its index.
+func (r *Runner) newTrunk(id string, period time.Duration, profiles []tprofile, users []tuser, clients []tclient) *trunk {
+	index := make(map[string]int, len(users))
+	for i := range users {
+		index[users[i].id] = i
+	}
+	return &trunk{
+		id: id, period: period, profiles: profiles, timeout: r.ackTimeout,
+		rec: r.histRelay.Recorder(), trec: r.cfg.Recorder, c: &r.counters,
+		dial: r.dialer(), cluster: r.cluster, shards: &r.shardSent,
+		users: users, index: index, clients: clients,
+		// A heartbeat that misses its ack window is re-sent once through
+		// the then-current ring view.
+		pending: session.Pending{Fallback: true},
+		slots:   make(map[string]*session.Slot),
 	}
 }
 
@@ -644,11 +643,11 @@ func (r *Runner) arrivalWindow() time.Duration {
 	return (r.minPeriod + r.maxPeriod) / 2
 }
 
-// drain waits for in-flight heartbeats to be acknowledged, then writes off
-// whatever is left as timeouts. Sweeping inside the wait matters: a
-// pending heartbeat whose relay path failed only gets its direct fallback
-// resend from the sweep, so a drain that merely polled counts would sit
-// out the timeout and report the heartbeat lost.
+// drain waits for in-flight heartbeats to be acknowledged, writes off
+// whatever is left as timeouts and closes the units. Sweeping inside the
+// wait matters: a pending heartbeat whose relay path failed only gets its
+// direct fallback resend from the sweep, so a drain that merely polled
+// counts would sit out the timeout and report the heartbeat lost.
 func (r *Runner) drain() {
 	deadline := time.Now().Add(r.ackTimeout + 500*time.Millisecond)
 	for time.Now().Before(deadline) {
@@ -665,6 +664,9 @@ func (r *Runner) drain() {
 	}
 	for _, u := range r.units {
 		u.expireAll()
+	}
+	for _, u := range r.units {
+		u.close() // returns once the unit's ack readers have exited
 	}
 }
 
@@ -690,11 +692,11 @@ type vue struct {
 	primary  session.Slot
 	owner    func(id string) string
 	fallback *session.Slot
+	seq      uint64 // highest seq tick has sent; only the send loop touches it
 
 	mu      sync.Mutex
 	pending session.Pending // slot 0, by seq
-	seq     uint64
-	last    uint64 // highest acknowledged seq
+	last    uint64          // highest acknowledged seq
 }
 
 // sendGrain is the resolution of the per-UE send timers: every UE keeps its
@@ -748,17 +750,21 @@ func nextDue(due time.Time, period time.Duration, now time.Time) time.Time {
 }
 
 // tick is one heartbeat interval: expire stale pendings, (re)dial if
-// needed, send one heartbeat.
+// needed, send the next heartbeat.
 func (u *vue) tick() {
 	u.sweep(time.Now())
 	if _, err := u.primary.Connect(); err != nil {
 		u.c.dialErrors.Add(1)
 		return
 	}
-	now := time.Now()
-	u.mu.Lock()
 	u.seq++
-	seq := u.seq
+	u.send(u.seq, time.Now())
+}
+
+// send writes heartbeat seq, stamped now, on the primary slot and tracks it
+// until its ack arrives or the sweep writes it off.
+func (u *vue) send(seq uint64, now time.Time) {
+	u.mu.Lock()
 	u.pending.Track(session.Key{Seq: seq}, now)
 	u.mu.Unlock()
 	if _, err := u.primary.Send(u.heartbeat(seq, now)); err != nil {

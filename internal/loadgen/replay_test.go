@@ -1,12 +1,15 @@
 package loadgen
 
 import (
+	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"d2dhb/internal/faultnet"
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/rec"
+	"d2dhb/internal/relaynet"
 )
 
 // recordRun executes one small in-process loadgen run with a recorder
@@ -168,6 +171,78 @@ func TestReplayLiveMixedPaths(t *testing.T) {
 	// Per round: one direct frame + one coalesced batch of two.
 	if m.Signaling.Uplinks != 6 || m.Signaling.Batches != 3 {
 		t.Fatalf("frame structure %+v, want 6 uplinks / 3 batches", m.Signaling)
+	}
+}
+
+// TestReplayLiveMixedProfileGroup replays one relayed group whose clients
+// run three different app profiles, as loadgen's per-UE profile rotation
+// records them: every client must reach the server under its own app and
+// expiry, not the group's first one.
+func TestReplayLiveMixedProfileGroup(t *testing.T) {
+	srv := relaynet.NewServer()
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	tl := &rec.Timeline{
+		RelayPeriod: 100 * time.Millisecond,
+		Clients: []rec.Client{
+			{ID: "u0", App: "wechat", Expiry: 3 * time.Second, Pad: 54, Path: rec.PathRelayed, Relay: 0},
+			{ID: "u1", App: "qq", Expiry: 5 * time.Second, Pad: 80, Path: rec.PathRelayed, Relay: 0},
+			{ID: "u2", App: "whatsapp", Expiry: 7 * time.Second, Pad: 20, Path: rec.PathRelayed, Relay: 0},
+		},
+	}
+	for round := 0; round < 2; round++ {
+		for i := range tl.Clients {
+			tl.Events = append(tl.Events, rec.Event{
+				At:   time.Duration(round)*50*time.Millisecond + time.Duration(i)*500*time.Microsecond,
+				Kind: rec.EvSend, Client: i, Seq: uint64(round + 1),
+			})
+		}
+	}
+	m, err := ReplayLive(tl, ReplayOptions{ServerAddr: srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Delivered != 6 || m.Signaling.Batches != 2 {
+		t.Fatalf("mixed-profile replay %+v, want 6 delivered in 2 batches", m)
+	}
+	seen := map[string]bool{}
+	for _, e := range srv.ExportPresence() {
+		for _, c := range tl.Clients {
+			if e.ID != c.ID {
+				continue
+			}
+			seen[c.ID] = true
+			if e.App != c.App {
+				t.Errorf("%s presence app %q, want %q", c.ID, e.App, c.App)
+			}
+			if got := time.Duration(e.DeadlineUnixNano - e.LastSeenUnixNano); got != c.Expiry {
+				t.Errorf("%s presence deadline − last seen = %v, want its expiry %v", c.ID, got, c.Expiry)
+			}
+		}
+	}
+	if len(seen) != len(tl.Clients) {
+		t.Fatalf("server holds presence for %d of %d clients", len(seen), len(tl.Clients))
+	}
+}
+
+// TestReplayLiveUnreachableServer: a replay aimed at a server nobody
+// listens on is an error, not a trace's worth of timeouts.
+func TestReplayLiveUnreachableServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	_ = ln.Close()
+	tl := &rec.Timeline{
+		Clients: []rec.Client{{ID: "d0", App: "chat", Expiry: time.Second, Relay: -1}},
+		Events:  []rec.Event{{Kind: rec.EvSend, Seq: 1}},
+	}
+	_, err = ReplayLive(tl, ReplayOptions{ServerAddr: addr, AckTimeout: 100 * time.Millisecond})
+	if err == nil || !strings.Contains(err.Error(), "unreachable") {
+		t.Fatalf("replay against a closed port returned %v, want an unreachable-server error", err)
 	}
 }
 

@@ -23,6 +23,25 @@ type tuser struct {
 	last uint64 // highest acknowledged seq
 }
 
+// tclient is what a trunk knows of a user from its build on. It is kept out
+// of tuser: tuser's ID makes the collector scan the users table, while this
+// table holds no pointers, so the profile index adds nothing to what a
+// 200 k-user trunk's set-up has the collector scan.
+type tclient struct {
+	trec int32 // trace client index, -1 when unrecorded
+	prof int32 // index into the trunk's profiles
+}
+
+// tprofile is what a trunk user's heartbeats carry besides source and seq.
+// A load-generator trunk has one; a replayed relay group has one per
+// distinct recorded (app, expiry, pad), since loadgen rotates profiles per
+// UE and a group can mix them.
+type tprofile struct {
+	app    string
+	expiry time.Duration
+	pad    int
+}
+
 // ackCache is one shard slot's handle → user table: the connection's
 // FrameReader numbers the sources it decodes, and acks come back in the
 // order the heartbeats went out, so after a source's first ack the trunk
@@ -45,19 +64,17 @@ type ackCache struct {
 // through the then-current view before a second miss counts as a timeout,
 // mirroring the vue fallback that keeps reshards lossless.
 type trunk struct {
-	id      string
-	app     string
-	period  time.Duration
-	expiry  time.Duration
-	pad     int
-	timeout time.Duration
-	rec     *Recorder
-	trec    *rec.Recorder // trace recorder; nil-safe
-	trecIdx []int         // per-user trace client indices (immutable after build)
-	c       *fleetCounters
-	dial    func(network, addr string) (net.Conn, error)
-	cluster *cluster.Client
-	shards  *shardCounter
+	id       string
+	period   time.Duration
+	profiles []tprofile // immutable after build; the first one registers the trunk
+	timeout  time.Duration
+	rec      *Recorder
+	trec     *rec.Recorder // trace recorder; nil-safe
+	clients  []tclient     // per user, immutable after build
+	c        *fleetCounters
+	dial     func(network, addr string) (net.Conn, error)
+	cluster  *cluster.Client
+	shards   *shardCounter
 
 	// paceSlots spreads each period's emissions over this many sub-ticks
 	// (≤1 disables pacing: the whole fleet bursts at once). slotUsers is
@@ -167,18 +184,28 @@ func (t *trunk) emit(idxs []int, now time.Time, resend []session.Key) {
 			i = idxs[j]
 		}
 		t.users[i].seq++
-		ref := session.Key{Slot: i, Seq: t.users[i].seq}
-		t.pending.Track(ref, now)
-		fresh = append(fresh, ref)
+		fresh = append(fresh, session.Key{Slot: i, Seq: t.users[i].seq})
 	}
 	t.fresh = fresh
 	t.mu.Unlock()
 	if len(fresh) > 0 {
-		t.send(fresh, now, false)
+		t.offer(fresh, now)
 	}
 	if len(resend) > 0 {
 		t.send(resend, now, true)
 	}
+}
+
+// offer tracks fresh heartbeats — (user index, seq) pairs — and sends them
+// as one round. The trunk's own emission numbers them itself; a replay
+// hands in the recorded ones.
+func (t *trunk) offer(refs []session.Key, now time.Time) {
+	t.mu.Lock()
+	for _, ref := range refs {
+		t.pending.Track(ref, now)
+	}
+	t.mu.Unlock()
+	t.send(refs, now, false)
 }
 
 // pace spreads the trunk's users over slots emission sub-ticks by paceSlot.
@@ -268,9 +295,11 @@ func (t *trunk) sendShard(shard string, refs []session.Key, now time.Time, fallb
 		}
 		hbs := t.hbScratch[:len(chunk)]
 		for i, ref := range chunk {
+			u := &t.users[ref.Slot]
+			p := &t.profiles[t.clients[ref.Slot].prof]
 			hbs[i] = hbproto.Heartbeat{
-				Src: t.users[ref.Slot].id, Seq: ref.Seq, App: t.app,
-				Origin: now, Expiry: t.expiry, Pad: t.pad,
+				Src: u.id, Seq: ref.Seq, App: p.app,
+				Origin: now, Expiry: p.expiry, Pad: p.pad,
 			}
 		}
 		t.batchMsg.Relay, t.batchMsg.HBs = t.id, hbs
@@ -289,19 +318,10 @@ func (t *trunk) sendShard(shard string, refs []session.Key, now time.Time, fallb
 	} else {
 		t.c.sentRelayed.Add(uint64(len(refs)))
 		for _, ref := range refs {
-			t.trec.Record(rec.EvSend, t.recIdx(ref.Slot), ref.Seq, now)
+			t.trec.Record(rec.EvSend, int(t.clients[ref.Slot].trec), ref.Seq, now)
 		}
 	}
 	t.shards.add(shard, uint64(len(refs)))
-}
-
-// recIdx maps a user index to its trace client index (-1 when the trunk
-// was built without a recorder).
-func (t *trunk) recIdx(i int) int {
-	if i < 0 || i >= len(t.trecIdx) {
-		return -1
-	}
-	return t.trecIdx[i]
 }
 
 // abandon hands heartbeats that never hit the wire to the pending table's
@@ -327,7 +347,7 @@ func (t *trunk) collectExpired(now time.Time) []session.Key {
 // timedOut writes off heartbeats the pending table gave up on (t.mu held).
 func (t *trunk) timedOut(refs []session.Key, now time.Time) {
 	for _, ref := range refs {
-		t.trec.Record(rec.EvTimeout, t.recIdx(ref.Slot), ref.Seq, now)
+		t.trec.Record(rec.EvTimeout, int(t.clients[ref.Slot].trec), ref.Seq, now)
 	}
 	t.c.timeoutRelayed.Add(uint64(len(refs)))
 }
@@ -349,11 +369,12 @@ func (t *trunk) slot(shard string) *session.Slot {
 	if s, ok := t.slots[shard]; ok || t.closed {
 		return s
 	}
+	p := t.profiles[0]
 	s := &session.Slot{
 		Dial: t.dial, Addr: shard, Resolve: t.cluster.NodeAddr,
 		Register: &hbproto.Register{
-			ID: t.id, Role: hbproto.RoleRelay, App: t.app,
-			Period: t.period, Expiry: t.expiry,
+			ID: t.id, Role: hbproto.RoleRelay, App: p.app,
+			Period: t.period, Expiry: p.expiry,
 		},
 	}
 	cache := new(ackCache)
@@ -397,7 +418,7 @@ func (t *trunk) onRefs(cache *ackCache, dial int, refs []hbproto.Ref, at time.Ti
 			continue
 		}
 		t.rec.Record(uint64(lat / time.Microsecond))
-		t.trec.Record(rec.EvAck, t.recIdx(i), ref.Seq, at)
+		t.trec.Record(rec.EvAck, int(t.clients[i].trec), ref.Seq, at)
 		t.c.ackedRelayed.Add(1)
 		if ref.Seq <= t.users[i].last {
 			t.c.outOfOrderAcks.Add(1)

@@ -25,18 +25,13 @@ func newTestTrunk(tb testing.TB, addr string, n int, dial func(network, addr str
 	if err != nil {
 		tb.Fatal(err)
 	}
-	t := &trunk{
-		id: "loadtrunk-test", app: "fast",
-		period: time.Second, expiry: time.Minute, pad: 54, timeout: time.Second,
-		c: new(fleetCounters), dial: dial, cluster: cl,
-		users: make([]tuser, n), index: make(map[string]int, n),
-		pending: session.Pending{Fallback: true},
-		slots:   make(map[string]*session.Slot),
-	}
+	r := &Runner{cluster: cl, ackTimeout: time.Second}
+	users, clients := make([]tuser, n), make([]tclient, n)
 	for i, id := range fleetIDs(0, n, 7) {
-		t.users[i] = tuser{id: id}
-		t.index[id] = i
+		users[i], clients[i] = tuser{id: id}, tclient{trec: -1}
 	}
+	t := r.newTrunk("loadtrunk-test", time.Second, []tprofile{{app: "fast", expiry: time.Minute, pad: 54}}, users, clients)
+	t.dial = dial
 	return t
 }
 

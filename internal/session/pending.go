@@ -7,8 +7,8 @@ import (
 )
 
 // Key names one in-flight heartbeat: the owner's dense slot for the client
-// that sent it — a trunk's user index, a replay's timeline client index, 0
-// for an owner with one client — and its sequence number.
+// that sent it — a trunk's user index, 0 for an owner with one client — and
+// its sequence number.
 type Key struct {
 	Slot int
 	Seq  uint64

@@ -3,9 +3,9 @@
 // ack/feedback reader, and Pending is the table of heartbeats awaiting
 // acknowledgement with the paper's one-fallback-then-timeout policy.
 // Every client on the live stack — relaynet.UEClient, the relay's upstream
-// side, and loadgen's virtual UEs, trunks and trace replay — is built from
-// these two pieces. Pacing, Algorithm 1, reconnect backoff and counters
-// deliberately stay with their owners.
+// side, and loadgen's virtual UEs and trunks, which its trace replay drives
+// too — is built from these two pieces. Pacing, Algorithm 1, reconnect
+// backoff and counters deliberately stay with their owners.
 package session
 
 import (
