@@ -24,8 +24,6 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) run ./cmd/d2dvet -unused-allows ./...
-	@! grep -rnE 'hbproto\.(WriteFrame|ReadFrame)\(' --include='*.go' --exclude='*_test.go' --exclude-dir=hbproto . \
-		|| { echo "hbproto.WriteFrame/ReadFrame are test helpers: send through internal/session or AppendFrame"; exit 1; }
 
 test:
 	$(GO) test ./...

@@ -16,6 +16,7 @@ import (
 	"d2dhb/internal/experiments"
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/hbproto"
+	"d2dhb/internal/hbproto/hbprototest"
 	"d2dhb/internal/sched"
 	"d2dhb/internal/trace"
 )
@@ -420,10 +421,10 @@ func BenchmarkProtoRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := hbproto.WriteFrame(&buf, batch); err != nil {
+		if err := hbprototest.WriteFrame(&buf, batch); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := hbproto.ReadFrame(&buf); err != nil {
+		if _, err := hbprototest.ReadFrame(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

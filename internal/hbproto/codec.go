@@ -11,9 +11,8 @@ package hbproto
 // cache, so steady-state decoding of Heartbeat/Batch/Ack/Feedback frames
 // performs zero heap allocations per frame.
 //
-// WriteFrame/ReadFrame in hbproto.go remain as byte-identical wrappers
-// for tests only (see TestAppendFrameMatchesWriteFrame); client-side
-// production code sends through internal/session.
+// Client-side production code sends through internal/session; tests that
+// want one blocking call per frame use internal/hbproto/hbprototest.
 
 import (
 	"bufio"
@@ -28,8 +27,7 @@ import (
 const headerSize = 8
 
 // AppendFrame appends one encoded frame for msg to dst and returns the
-// extended slice. The frame bytes are identical to what WriteFrame
-// produces. On error dst is returned unextended.
+// extended slice. On error dst is returned unextended.
 func AppendFrame(dst []byte, msg Message) ([]byte, error) {
 	if msg == nil {
 		return dst, errors.New("hbproto: nil message")
@@ -53,12 +51,6 @@ func AppendFrame(dst []byte, msg Message) ([]byte, error) {
 	sum := crc32.ChecksumIEEE(dst[base+headerSize:])
 	return binary.BigEndian.AppendUint32(dst, sum), nil
 }
-
-// framePool recycles encode buffers for the WriteFrame wrapper so the
-// single-frame path stays allocation-free in steady state.
-var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 512)} }}
-
-type frameBuf struct{ b []byte }
 
 // bufPool recycles the varint codec state shared by encode and decode.
 var bufPool = sync.Pool{New: func() any { return new(buffer) }}

@@ -136,7 +136,7 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 		}
 		// The wrapper path must also match.
 		var viaWrapper bytes.Buffer
-		if err := WriteFrame(&viaWrapper, msg); err != nil {
+		if err := writeFrame(&viaWrapper, msg); err != nil {
 			t.Fatalf("msg %d: WriteFrame: %v", i, err)
 		}
 		if !bytes.Equal(viaWrapper.Bytes(), want.Bytes()) {
@@ -158,7 +158,7 @@ func TestAppendFrameComposes(t *testing.T) {
 	}
 	r := bytes.NewReader(buf)
 	for i, want := range msgs {
-		got, err := ReadFrame(r)
+		got, err := readFrame(r)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -212,7 +212,7 @@ func TestErrTrailingBytesSentinel(t *testing.T) {
 	frame.Write([]byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
 	raw := frame.Bytes()
 
-	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrTrailingBytes) {
+	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrTrailingBytes) {
 		t.Fatalf("ReadFrame err = %v, want ErrTrailingBytes", err)
 	}
 	if _, err := NewFrameReader(bytes.NewReader(raw)).Next(); !errors.Is(err, ErrTrailingBytes) {
@@ -447,7 +447,7 @@ func TestFrameReaderHandles(t *testing.T) {
 		t.Fatalf("fresh reader issued handle %d for its first source, want 1", h)
 	}
 	// ReadFrame has no table: handle 0.
-	plain, err := ReadFrame(bytes.NewReader(other))
+	plain, err := readFrame(bytes.NewReader(other))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +633,7 @@ func TestWriteFramePooledZeroAllocs(t *testing.T) {
 	sink.Grow(1 << 16)
 	allocs := testing.AllocsPerRun(200, func() {
 		sink.Reset()
-		if err := WriteFrame(&sink, msg); err != nil {
+		if err := writeFrame(&sink, msg); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -27,7 +27,7 @@ func corpusFrames(t testing.TB) [][]byte {
 	frames := make([][]byte, 0, len(msgs))
 	for _, m := range msgs {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, m); err != nil {
+		if err := writeFrame(&buf, m); err != nil {
 			t.Fatalf("encode %v: %v", m.Type(), err)
 		}
 		frames = append(frames, buf.Bytes())
@@ -43,7 +43,7 @@ func decodeNoPanic(t *testing.T, data []byte) (Message, error) {
 			t.Fatalf("ReadFrame panicked on %d-byte input %x: %v", len(data), data, r)
 		}
 	}()
-	return ReadFrame(bytes.NewReader(data))
+	return readFrame(bytes.NewReader(data))
 }
 
 // TestReadFrameEveryTruncation feeds every prefix of every valid frame to
@@ -76,10 +76,10 @@ func TestReadFrameEveryBitFlip(t *testing.T) {
 					continue // rejected: fine
 				}
 				var buf bytes.Buffer
-				if err := WriteFrame(&buf, msg); err != nil {
+				if err := writeFrame(&buf, msg); err != nil {
 					t.Fatalf("frame %d bit %d.%d: accepted but re-encode failed: %v", fi, i, bit, err)
 				}
-				if _, err := ReadFrame(&buf); err != nil {
+				if _, err := readFrame(&buf); err != nil {
 					t.Fatalf("frame %d bit %d.%d: accepted but re-decode failed: %v", fi, i, bit, err)
 				}
 			}
@@ -98,7 +98,7 @@ func TestReadFrameEveryBitFlip(t *testing.T) {
 func TestReadFrameSingleBitFlipRejectedOutsideType(t *testing.T) {
 	const typeByte = 3 // "HB" magic (2) + version (1), then the type
 	for fi, frame := range corpusFrames(t) {
-		orig, err := ReadFrame(bytes.NewReader(frame))
+		orig, err := readFrame(bytes.NewReader(frame))
 		if err != nil {
 			t.Fatalf("frame %d: pristine decode failed: %v", fi, err)
 		}

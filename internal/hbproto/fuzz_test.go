@@ -22,7 +22,7 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	for _, m := range seedMsgs {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, m); err != nil {
+		if err := writeFrame(&buf, m); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -37,7 +37,7 @@ func FuzzReadFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(99))
 	for _, m := range seedMsgs {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, m); err != nil {
+		if err := writeFrame(&buf, m); err != nil {
 			f.Fatal(err)
 		}
 		frame := buf.Bytes()
@@ -52,16 +52,16 @@ func FuzzReadFrame(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := ReadFrame(bytes.NewReader(data))
+		msg, err := readFrame(bytes.NewReader(data))
 		if err != nil {
 			return // rejecting garbage is fine; panicking is not
 		}
 		// Accepted frames must round-trip.
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, msg); err != nil {
+		if err := writeFrame(&buf, msg); err != nil {
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
 		}
-		again, err := ReadFrame(&buf)
+		again, err := readFrame(&buf)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -112,7 +112,7 @@ func FuzzFrameReaderStream(f *testing.F) {
 		ref := bytes.NewReader(data)
 		for i := 0; ; i++ {
 			got, errNew := fr.Next()
-			want, errOld := ReadFrame(ref)
+			want, errOld := readFrame(ref)
 			if (errNew == nil) != (errOld == nil) {
 				t.Fatalf("frame %d: FrameReader err %v, ReadFrame err %v", i, errNew, errOld)
 			}

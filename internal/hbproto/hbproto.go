@@ -19,8 +19,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"time"
 )
@@ -319,77 +317,6 @@ func decodeRefs(b *buffer, out *[]Ref) error {
 	}
 	*out = refs
 	return nil
-}
-
-// WriteFrame encodes and writes one message as one Write. It is a test
-// helper — a thin wrapper over AppendFrame with a pooled buffer, kept as
-// the byte-equivalence reference for the golden corpus. Production writers
-// go through session.Slot.Send (clients) or compose AppendFrame output
-// themselves (server and relay accept sides); `make lint` rejects any
-// other non-test caller.
-func WriteFrame(w io.Writer, msg Message) error {
-	fb := framePool.Get().(*frameBuf)
-	out, err := AppendFrame(fb.b[:0], msg)
-	if err == nil {
-		_, err = w.Write(out)
-	}
-	fb.b = out[:0]
-	framePool.Put(fb)
-	return err
-}
-
-// ReadFrame reads and decodes one message, allocating a fresh Message per
-// call. It is a test helper (and the fuzz target's reference decoder):
-// production readers use FrameReader, which reuses payload scratch and
-// message values across frames.
-func ReadFrame(r io.Reader) (Message, error) {
-	var head [headerSize]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, err
-	}
-	if head[0] != magic[0] || head[1] != magic[1] {
-		return nil, ErrBadMagic
-	}
-	if head[2] != Version {
-		return nil, errBadVersion(head[2])
-	}
-	length := binary.BigEndian.Uint32(head[4:8])
-	if length > MaxFrameSize {
-		return nil, ErrFrameTooBig
-	}
-	payload := make([]byte, length+4)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	body, sum := payload[:length], binary.BigEndian.Uint32(payload[length:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, ErrBadChecksum
-	}
-	msg, err := newMessage(MsgType(head[3]))
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeBody(msg, body, nil); err != nil {
-		return nil, err
-	}
-	return msg, nil
-}
-
-func newMessage(t MsgType) (Message, error) {
-	switch t {
-	case TypeRegister:
-		return &Register{}, nil
-	case TypeHeartbeat:
-		return &Heartbeat{}, nil
-	case TypeBatch:
-		return &Batch{}, nil
-	case TypeAck:
-		return &Ack{}, nil
-	case TypeFeedback:
-		return &Feedback{}, nil
-	default:
-		return nil, errUnknownType(byte(t))
-	}
 }
 
 // buffer is a simple append/consume byte buffer with varint helpers.

@@ -15,10 +15,10 @@ import (
 func roundTrip(t *testing.T, msg Message) Message {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, msg); err != nil {
+	if err := writeFrame(&buf, msg); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := readFrame(&buf)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
@@ -96,12 +96,12 @@ func TestMultipleFramesOnOneStream(t *testing.T) {
 		&Ack{Refs: []Ref{{Src: "x", Seq: 1}}},
 	}
 	for _, m := range msgs {
-		if err := WriteFrame(&buf, m); err != nil {
+		if err := writeFrame(&buf, m); err != nil {
 			t.Fatalf("WriteFrame: %v", err)
 		}
 	}
 	for i, want := range msgs {
-		got, err := ReadFrame(&buf)
+		got, err := readFrame(&buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -109,60 +109,60 @@ func TestMultipleFramesOnOneStream(t *testing.T) {
 			t.Fatalf("frame %d: got %+v, want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := readFrame(&buf); err != io.EOF {
 		t.Fatalf("after drain: err = %v, want EOF", err)
 	}
 }
 
 func TestCorruptedChecksumDetected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Heartbeat{Src: "x", Seq: 1, App: "a", Origin: time.UnixMilli(1).UTC(), Expiry: time.Second, Pad: 54}); err != nil {
+	if err := writeFrame(&buf, &Heartbeat{Src: "x", Seq: 1, App: "a", Origin: time.UnixMilli(1).UTC(), Expiry: time.Second, Pad: 54}); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
 	raw := buf.Bytes()
 	raw[10] ^= 0xFF // flip a payload byte
-	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadChecksum) {
+	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("err = %v, want ErrBadChecksum", err)
 	}
 }
 
 func TestBadMagicAndVersion(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Ack{}); err != nil {
+	if err := writeFrame(&buf, &Ack{}); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
 	raw := append([]byte(nil), buf.Bytes()...)
 	raw[0] = 'X'
-	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadMagic) {
+	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 	raw = append([]byte(nil), buf.Bytes()...)
 	raw[2] = 99
-	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
+	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("err = %v, want ErrBadVersion", err)
 	}
 }
 
 func TestUnknownTypeRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Ack{}); err != nil {
+	if err := writeFrame(&buf, &Ack{}); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
 	raw := buf.Bytes()
 	raw[3] = 200
-	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrUnknownType) {
+	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("err = %v, want ErrUnknownType", err)
 	}
 }
 
 func TestTruncatedStream(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Register{ID: "abc", Role: RoleUE, App: "x", Period: time.Second, Expiry: time.Second}); err != nil {
+	if err := writeFrame(&buf, &Register{ID: "abc", Role: RoleUE, App: "x", Period: time.Second, Expiry: time.Second}); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
 	raw := buf.Bytes()
 	for cut := 1; cut < len(raw); cut++ {
-		if _, err := ReadFrame(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := readFrame(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -171,13 +171,13 @@ func TestTruncatedStream(t *testing.T) {
 func TestOversizeFrameRejected(t *testing.T) {
 	head := []byte{'H', 'B', Version, byte(TypeAck)}
 	head = append(head, 0xFF, 0xFF, 0xFF, 0xFF) // absurd length
-	if _, err := ReadFrame(bytes.NewReader(head)); !errors.Is(err, ErrFrameTooBig) {
+	if _, err := readFrame(bytes.NewReader(head)); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("err = %v, want ErrFrameTooBig", err)
 	}
 }
 
 func TestWriteNilMessage(t *testing.T) {
-	if err := WriteFrame(io.Discard, nil); err == nil {
+	if err := writeFrame(io.Discard, nil); err == nil {
 		t.Fatal("nil message accepted")
 	}
 }
@@ -193,7 +193,7 @@ func TestTrailingBytesRejected(t *testing.T) {
 	frame.Write(body.data)
 	sum := crc32.ChecksumIEEE(body.data)
 	frame.Write([]byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
-	if _, err := ReadFrame(&frame); err == nil {
+	if _, err := readFrame(&frame); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
@@ -209,10 +209,10 @@ func TestQuickHeartbeatRoundTrip(t *testing.T) {
 			Pad:    int(pad),
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, msg); err != nil {
+		if err := writeFrame(&buf, msg); err != nil {
 			return false
 		}
-		got, err := ReadFrame(&buf)
+		got, err := readFrame(&buf)
 		if err != nil {
 			return false
 		}
@@ -237,10 +237,10 @@ func TestQuickRefsRoundTrip(t *testing.T) {
 		}
 		msg := &Feedback{Refs: refs}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, msg); err != nil {
+		if err := writeFrame(&buf, msg); err != nil {
 			return false
 		}
-		got, err := ReadFrame(&buf)
+		got, err := readFrame(&buf)
 		if err != nil {
 			return false
 		}
@@ -264,7 +264,7 @@ func TestQuickRefsRoundTrip(t *testing.T) {
 // TestQuickRandomBytesNeverPanic feeds random garbage to ReadFrame.
 func TestQuickRandomBytesNeverPanic(t *testing.T) {
 	prop := func(junk []byte) bool {
-		_, err := ReadFrame(bytes.NewReader(junk))
+		_, err := readFrame(bytes.NewReader(junk))
 		return err != nil // garbage must always error, never panic
 	}
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(32))}

@@ -91,13 +91,12 @@ func (c *Config) For(name string) AnalyzerConfig {
 //   - lockheld additionally treats the framed-connection entry points as
 //     blocking: the session slot's Connect/Send/SendN/Close dial, write
 //     and wait on the network (every production client goes through
-//     them), and the hbproto WriteFrame/ReadFrame wrappers do the same for
-//     tests, so calling any of them with a mutex held stalls every other
-//     goroutine contending for it. The
-//     cluster control plane's HTTP methods (config refresh, drain
-//     handoff, membership ops) and the loadgen metric scrapers get the
-//     same treatment: holding a lock across one of them stalls every
-//     routing party contending for that lock through a reshard.
+//     them), so calling any of them with a mutex held stalls every other
+//     goroutine contending for it. The cluster control plane's HTTP
+//     methods (config refresh, drain handoff, membership ops) and the
+//     loadgen metric scrapers get the same treatment: holding a lock
+//     across one of them stalls every routing party contending for that
+//     lock through a reshard.
 func DefaultConfig(module string) *Config {
 	ip := func(s string) string { return module + "/" + s }
 	simPackages := []string{
@@ -128,8 +127,6 @@ func DefaultConfig(module string) *Config {
 		ByAnalyzer: map[string]AnalyzerConfig{
 			"walltime": {Packages: simPackages},
 			"lockheld": {ExtraBlocking: []string{
-				ip("internal/hbproto") + ".WriteFrame",
-				ip("internal/hbproto") + ".ReadFrame",
 				ip("internal/session") + ".Slot.Connect",
 				ip("internal/session") + ".Slot.Send",
 				ip("internal/session") + ".Slot.SendN",

@@ -105,9 +105,9 @@ func BenchmarkServerBatch200k(b *testing.B) {
 	batch := &hbproto.Batch{Relay: "bench-trunk"}
 	for start := 0; start < clients; start += perBatch {
 		batch.HBs = batch.HBs[:0]
-		for _, id := range ids[start:min(start+perBatch, clients)] {
+		for i := start; i < min(start+perBatch, clients); i++ {
 			batch.HBs = append(batch.HBs, hbproto.Heartbeat{
-				Src: id, Seq: 1, App: "bench", Origin: time.Now(), Expiry: time.Hour, Pad: 54,
+				Src: ids.at(i), Seq: 1, App: "bench", Origin: time.Now(), Expiry: time.Hour, Pad: 54,
 			})
 		}
 		if period, err = hbproto.AppendFrame(period, batch); err != nil {
@@ -160,13 +160,38 @@ func sinkTrunk(tb testing.TB, users, slots, shards int) (tr *trunk, writes *atom
 		tb.Fatal(err)
 	}
 	writes = new(atomic.Int64)
-	tr = newTestTrunk(tb, "unused", users, func(string, string) (net.Conn, error) {
+	tr = newTestTrunk(tb, "unused", users, slots, func(string, string) (net.Conn, error) {
 		return &sinkConn{writes: writes, closed: make(chan struct{})}, nil
 	})
 	tr.cluster = cc
-	tr.pace(slots)
 	tb.Cleanup(tr.close)
 	return tr, writes
+}
+
+// trunkedRunner is a runner for live_trunked's fleet shape at the given
+// size, trunkedSlots pace slots over a one-second period, never run.
+func trunkedRunner(tb testing.TB, users, trunks int) *Runner {
+	tb.Helper()
+	r, err := New(Config{
+		UEs: users, Trunks: trunks, TrunkPaceSlots: trunkedSlots,
+		Profiles: []hbmsg.AppProfile{fastProfile(time.Second)}, Duration: time.Second,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// BenchmarkBuildTrunks is live_trunked's set-up without its cluster: 200k
+// users named, indexed and paced over 2 trunks of 32 slots. An iteration
+// is one buildTrunks.
+func BenchmarkBuildTrunks(b *testing.B) {
+	r := trunkedRunner(b, 2*trunkedUsers, 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.buildTrunks()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*trunkedUsers), "ns/user")
 }
 
 // settleFresh acknowledges the trunk's last emission by hand.
@@ -187,18 +212,18 @@ func settleFresh(tr *trunk, at time.Time) {
 func BenchmarkTrunkEmit(b *testing.B) {
 	tr, _ := sinkTrunk(b, trunkedUsers, trunkedSlots, trunkedShards)
 	now := time.Now()
-	for _, idxs := range tr.slotUsers { // warm: dials, owners, buffers
-		tr.emit(idxs, now, nil)
+	for s := range trunkedSlots { // warm: dials, owners, buffers
+		tr.emit(tr.paced(s), now, nil)
 		settleFresh(tr, now)
 	}
 	hbs := 0
 	for i := 0; i < b.N; i++ {
-		hbs += len(tr.slotUsers[i%trunkedSlots])
+		hbs += len(tr.paced(i % trunkedSlots))
 	}
 	b.ResetTimer()
 	report := reportPerHB(b, hbs)
 	for i := 0; i < b.N; i++ {
-		tr.emit(tr.slotUsers[i%trunkedSlots], now, nil)
+		tr.emit(tr.paced(i%trunkedSlots), now, nil)
 		b.StopTimer()
 		settleFresh(tr, now)
 		b.StartTimer()
@@ -215,8 +240,7 @@ func BenchmarkTrunkEmit(b *testing.B) {
 // run does. An iteration is one period's acks; tracking the period's sends
 // happens off the clock.
 func BenchmarkTrunkAckPath(b *testing.B) {
-	tr := newTestTrunk(b, "unused", trunkedUsers, nil)
-	tr.pace(trunkedSlots)
+	tr := newTestTrunk(b, "unused", trunkedUsers, trunkedSlots, nil)
 	nodes := make([]string, trunkedShards)
 	for i := range nodes {
 		nodes[i] = fmt.Sprintf("shard-%d", i)
@@ -228,12 +252,12 @@ func BenchmarkTrunkAckPath(b *testing.B) {
 	var owned []int // the shard's users, in ack order
 	var period []byte
 	ack := &hbproto.Ack{}
-	for _, idxs := range tr.slotUsers {
+	for s := range trunkedSlots {
 		ack.Refs = ack.Refs[:0]
-		for _, i := range idxs {
-			if ring.OwnerIndex(tr.users[i].id) == 0 {
+		for _, u := range tr.paced(s) {
+			if i := int(u); ring.OwnerIndex(tr.ids.at(i)) == 0 {
 				owned = append(owned, i)
-				ack.Refs = append(ack.Refs, hbproto.Ref{Src: tr.users[i].id, Seq: 1})
+				ack.Refs = append(ack.Refs, hbproto.Ref{Src: tr.ids.at(i), Seq: 1})
 			}
 		}
 		if period, err = hbproto.AppendFrame(period, ack); err != nil {

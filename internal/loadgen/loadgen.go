@@ -3,7 +3,6 @@ package loadgen
 import (
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -489,8 +488,9 @@ func (r *Runner) buildFleet() {
 	// One resolver for the whole fleet, keyed by each UE's ID: a closure
 	// per UE would be an allocation per UE.
 	owner := r.cluster.OwnerAddr
-	for i, id := range fleetIDs(0, r.cfg.UEs, 5) {
-		p := r.cfg.Profiles[i%len(r.cfg.Profiles)]
+	ids := fleetIDs(0, r.cfg.UEs, 5)
+	for i := range ids.ends {
+		id, p := ids.at(i), r.cfg.Profiles[i%len(r.cfg.Profiles)]
 		c := rec.Client{
 			ID: id, App: p.Name, Period: r.scale(p.Period), Expiry: r.scale(p.Expiry()),
 			Pad: p.Size, Path: rec.PathDirect, Relay: -1,
@@ -550,30 +550,24 @@ func (r *Runner) buildTrunks() {
 		p := r.cfg.Profiles[ti%len(r.cfg.Profiles)]
 		prof := tprofile{app: p.Name, expiry: r.scale(p.Expiry()), pad: p.Size}
 		period := r.scale(p.Period)
-		users, clients := make([]tuser, count), make([]tclient, count)
-		for i, id := range fleetIDs(next, count, 7) {
-			users[i] = tuser{id: id}
-			clients[i].trec = int32(r.cfg.Recorder.AddClient(rec.Client{
-				ID: id, App: prof.app, Period: period, Expiry: prof.expiry,
-				Pad: prof.pad, Path: rec.PathTrunked, Relay: ti,
-			}))
+		ids, clients := fleetIDs(next, count, 7), make([]tclient, count)
+		for i := range clients {
+			clients[i].trec = -1
+			if r.cfg.Recorder != nil {
+				clients[i].trec = int32(r.cfg.Recorder.AddClient(rec.Client{
+					ID: ids.at(i), App: prof.app, Period: period, Expiry: prof.expiry,
+					Pad: prof.pad, Path: rec.PathTrunked, Relay: ti,
+				}))
+			}
 		}
 		next += count
-		t := r.newTrunk(fmt.Sprintf("loadtrunk-%04d", ti), period, []tprofile{prof}, users, clients)
 		// Pacing: clamp the slot count so each sub-tick covers at least one
-		// user and lasts at least a millisecond, then partition users by
-		// the deterministic hash.
-		slots := r.cfg.TrunkPaceSlots
-		if slots > count {
-			slots = count
+		// user and lasts at least a millisecond.
+		slots := min(r.cfg.TrunkPaceSlots, count, int(period/time.Millisecond))
+		if slots <= 1 {
+			slots = 0
 		}
-		if maxByPeriod := int(t.period / time.Millisecond); slots > maxByPeriod {
-			slots = maxByPeriod
-		}
-		if slots > 1 {
-			t.pace(slots)
-		}
-		r.units = append(r.units, t)
+		r.units = append(r.units, r.newTrunk(fmt.Sprintf("loadtrunk-%04d", ti), period, []tprofile{prof}, ids, clients, slots))
 	}
 	// A trunk flushes one batch per tick, so its Algorithm 1 analog is a
 	// period-long window with the largest trunk's user count as capacity.
@@ -586,49 +580,65 @@ func (r *Runner) buildTrunks() {
 	}
 }
 
-// newTrunk returns a trunk of the run for users, each described by the
-// clients entry at its index.
-func (r *Runner) newTrunk(id string, period time.Duration, profiles []tprofile, users []tuser, clients []tclient) *trunk {
-	index := make(map[string]int, len(users))
-	for i := range users {
-		index[users[i].id] = i
-	}
-	return &trunk{
+// newTrunk returns a trunk of the run for the users ids names, each
+// described by the clients entry at its index, with its emissions paced
+// over slots sub-ticks (0: unpaced).
+func (r *Runner) newTrunk(id string, period time.Duration, profiles []tprofile, ids userIDs, clients []tclient, slots int) *trunk {
+	t := &trunk{
 		id: id, period: period, profiles: profiles, timeout: r.ackTimeout,
 		rec: r.histRelay.Recorder(), trec: r.cfg.Recorder, c: &r.counters,
 		dial: r.dialer(), cluster: r.cluster, shards: &r.shardSent,
-		users: users, index: index, clients: clients,
+		ids: ids, users: make([]tuser, len(ids.ends)), clients: clients,
 		// A heartbeat that misses its ack window is re-sent once through
 		// the then-current ring view.
 		pending: session.Pending{Fallback: true},
 		slots:   make(map[string]*session.Slot),
 	}
+	t.index(slots)
+	return t
+}
+
+// userIDs names users by index with no string header per user: every ID
+// is a substring of all, user i's ending at ends[i].
+type userIDs struct {
+	all  string
+	ends []int32
+}
+
+// at returns user i's ID.
+func (u *userIDs) at(i int) string {
+	start := int32(0)
+	if i > 0 {
+		start = u.ends[i-1]
+	}
+	return u.all[start:u.ends[i]]
 }
 
 // fleetIDs names count consecutive users from first on, "loadue-%0*d" with
-// the given zero-padded width: every ID is a substring of one buffer, so
-// naming a 200k-user fleet is one allocation and no fmt state machine.
-func fleetIDs(first, count, width int) []string {
+// the given zero-padded width, written straight into one string. The
+// number is counted up in place, not formatted per user, so naming a
+// 200k-user fleet is a few allocations and no fmt state machine.
+func fleetIDs(first, count, width int) userIDs {
 	const prefix = "loadue-"
-	buf := make([]byte, 0, count*(len(prefix)+width))
-	ends := make([]int, count)
+	var b strings.Builder
+	b.Grow(count * (len(prefix) + width))
+	ends := make([]int32, count)
+	num := fmt.Appendf(nil, "%0*d", width, first)
 	for i := range ends {
-		buf = append(buf, prefix...)
-		digits := 1
-		for v := first + i; v >= 10; v /= 10 {
-			digits++
+		b.WriteString(prefix)
+		b.Write(num)
+		ends[i] = int32(b.Len())
+		d := len(num) - 1
+		for ; d >= 0 && num[d] == '9'; d-- {
+			num[d] = '0'
 		}
-		for ; digits < width; digits++ {
-			buf = append(buf, '0')
+		if d < 0 {
+			num = append([]byte{'1'}, num...)
+		} else {
+			num[d]++
 		}
-		buf = strconv.AppendInt(buf, int64(first+i), 10)
-		ends[i] = len(buf)
 	}
-	all, ids, start := string(buf), make([]string, count), 0
-	for i, end := range ends {
-		ids[i], start = all[start:end], end
-	}
-	return ids
+	return userIDs{all: b.String(), ends: ends}
 }
 
 // arrivalWindow resolves the schedule window default: one mean period for

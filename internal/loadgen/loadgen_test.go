@@ -324,13 +324,13 @@ func TestTrunkPacedRunLossless(t *testing.T) {
 	}
 	for _, u := range r.units { // pacing must actually be armed
 		tr := u.(*trunk)
-		if tr.paceSlots != 4 || len(tr.slotUsers) != 4 {
+		if tr.paceSlots != 4 || len(tr.slotStart) != 5 {
 			t.Fatalf("trunk %s pacing not armed: slots=%d partitions=%d",
-				tr.id, tr.paceSlots, len(tr.slotUsers))
+				tr.id, tr.paceSlots, len(tr.slotStart)-1)
 		}
 		users := 0
-		for _, idxs := range tr.slotUsers {
-			users += len(idxs)
+		for s := range tr.paceSlots {
+			users += len(tr.paced(s))
 		}
 		if users != len(tr.users) {
 			t.Fatalf("trunk %s partition covers %d of %d users", tr.id, users, len(tr.users))
@@ -394,7 +394,7 @@ func TestTrunkEmissionZeroAllocsOneWrite(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			tr, writes := sinkTrunk(t, c.users, c.slots, c.shards)
 			period := func() {
-				for s := range tr.slotUsers {
+				for s := range tr.paceSlots {
 					tr.tickSlot(s)
 					settleFresh(tr, time.Now())
 				}

@@ -12,6 +12,7 @@ package loadgen
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -195,7 +196,8 @@ func (r *Runner) replayDirect(c rec.Client, tidx int, sends []rec.Event, speedup
 // capacity of them — the aggregation the group performed live.
 func (r *Runner) replayGroup(tl *rec.Timeline, g int, sends []rec.Event, opts ReplayOptions) *replayUnit {
 	var profiles []tprofile
-	var users []tuser
+	var ids strings.Builder
+	var ends []int32
 	var clients []tclient
 	seen := make(map[string]bool)
 	for _, e := range sends {
@@ -209,13 +211,18 @@ func (r *Runner) replayGroup(tl *rec.Timeline, g int, sends []rec.Event, opts Re
 		if pi < 0 {
 			pi, profiles = len(profiles), append(profiles, p)
 		}
-		users = append(users, tuser{id: c.ID})
+		ids.WriteString(c.ID)
+		ends = append(ends, int32(ids.Len()))
 		clients = append(clients, tclient{trec: int32(e.Client), prof: int32(pi)})
 	}
-	t := r.newTrunk(fmt.Sprintf("replay-trunk-%04d", g), tl.RelayPeriod, profiles, users, clients)
+	t := r.newTrunk(fmt.Sprintf("replay-trunk-%04d", g), tl.RelayPeriod, profiles, userIDs{all: ids.String(), ends: ends}, clients, 0)
+	user := func(c int) int {
+		i, _ := t.lookup(tl.Clients[c].ID)
+		return i
+	}
 	return &replayUnit{
 		loadUnit: t,
-		steps:    replaySteps(sends, func(c int) int { return t.index[tl.Clients[c].ID] }, opts.Coalesce, tl.RelayCapacity, opts.Speedup),
+		steps:    replaySteps(sends, user, opts.Coalesce, tl.RelayCapacity, opts.Speedup),
 		send:     t.offer,
 	}
 }

@@ -1,7 +1,9 @@
 package loadgen
 
 import (
+	"math/bits"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,17 +18,17 @@ import (
 // leaves comfortable headroom while keeping syscall counts low.
 const maxTrunkBatch = 4096
 
-// tuser is one multiplexed virtual user on a trunk.
+// tuser is one multiplexed virtual user's sequence state on a trunk. Its ID
+// is in the trunk's ids column, so the users table holds no pointers and a
+// 200 k-user trunk gives the collector nothing to scan per user.
 type tuser struct {
-	id   string
 	seq  uint64
 	last uint64 // highest acknowledged seq
 }
 
 // tclient is what a trunk knows of a user from its build on. It is kept out
-// of tuser: tuser's ID makes the collector scan the users table, while this
-// table holds no pointers, so the profile index adds nothing to what a
-// 200 k-user trunk's set-up has the collector scan.
+// of tuser because it never changes: the send path reads it without t.mu,
+// while tuser is written under it.
 type tclient struct {
 	trec int32 // trace client index, -1 when unrecorded
 	prof int32 // index into the trunk's profiles
@@ -45,8 +47,8 @@ type tprofile struct {
 // ackCache is one shard slot's handle → user table: the connection's
 // FrameReader numbers the sources it decodes, and acks come back in the
 // order the heartbeats went out, so after a source's first ack the trunk
-// finds its user by indexing with the ref's handle instead of hashing the
-// ID into index. Handles belong to one connection's reader, so the table
+// finds its user by indexing with the ref's handle instead of probing byID
+// with the ID. Handles belong to one connection's reader, so the table
 // belongs to one dial: a newer dial empties it, and refs still draining
 // from an older connection are looked up by ID. Guarded by trunk.mu.
 type ackCache struct {
@@ -70,17 +72,26 @@ type trunk struct {
 	timeout  time.Duration
 	rec      *Recorder
 	trec     *rec.Recorder // trace recorder; nil-safe
-	clients  []tclient     // per user, immutable after build
 	c        *fleetCounters
 	dial     func(network, addr string) (net.Conn, error)
 	cluster  *cluster.Client
 	shards   *shardCounter
 
+	// Per-user columns, immutable after build and free of pointers but for
+	// the one ID string. byID is an open-addressed, linearly probed ID →
+	// user index + 1 table (0: empty) of a power-of-two size.
+	ids     userIDs
+	clients []tclient
+	seed    uint64 // FNV-1a state after the trunk ID and its separator
+	byID    []int32
+
 	// paceSlots spreads each period's emissions over this many sub-ticks
-	// (≤1 disables pacing: the whole fleet bursts at once). slotUsers is
-	// the deterministic user→slot partition, immutable after build.
+	// (≤1 disables pacing: the whole fleet bursts at once). The partition
+	// is slotUsers, users grouped by slot in ascending order, slot s's
+	// starting at slotStart[s]; immutable after build.
 	paceSlots int
-	slotUsers [][]int
+	slotUsers []int32
+	slotStart []int32
 
 	// State owned by the send path. run() is the only sender while load
 	// is offered and drain() sweeps only after the send loop has exited
@@ -94,7 +105,6 @@ type trunk struct {
 
 	mu      sync.Mutex
 	users   []tuser
-	index   map[string]int           // user id → index (ids are immutable after build)
 	pending session.Pending          // in-flight heartbeats, slot = user index
 	slots   map[string]*session.Slot // shard ID → connection
 	closed  bool
@@ -117,7 +127,7 @@ func (t *trunk) run(done <-chan struct{}, offset time.Duration, sendWg *sync.Wai
 		}
 	}
 	slots := t.paceSlots
-	if slots <= 1 || len(t.slotUsers) != slots {
+	if slots <= 1 {
 		tick := time.NewTicker(t.period)
 		defer tick.Stop()
 		t.tick()
@@ -162,12 +172,15 @@ func (t *trunk) tickSlot(slot int) {
 	if slot == 0 {
 		resend = t.collectExpired(now)
 	}
-	t.emit(t.slotUsers[slot], now, resend)
+	t.emit(t.paced(slot), now, resend)
 }
+
+// paced returns the users of pace slot s, in ascending order.
+func (t *trunk) paced(s int) []int32 { return t.slotUsers[t.slotStart[s]:t.slotStart[s+1]] }
 
 // emit sends one fresh heartbeat for each listed user index (nil means the
 // whole fleet) plus any expired re-sends.
-func (t *trunk) emit(idxs []int, now time.Time, resend []session.Key) {
+func (t *trunk) emit(idxs []int32, now time.Time, resend []session.Key) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -181,7 +194,7 @@ func (t *trunk) emit(idxs []int, now time.Time, resend []session.Key) {
 	for j := 0; j < n; j++ {
 		i := j
 		if idxs != nil {
-			i = idxs[j]
+			i = int(idxs[j])
 		}
 		t.users[i].seq++
 		fresh = append(fresh, session.Key{Slot: i, Seq: t.users[i].seq})
@@ -208,33 +221,79 @@ func (t *trunk) offer(refs []session.Key, now time.Time) {
 	t.send(refs, now, false)
 }
 
-// pace spreads the trunk's users over slots emission sub-ticks by paceSlot.
-func (t *trunk) pace(slots int) {
-	t.paceSlots = slots
-	t.slotUsers = make([][]int, slots)
-	for i := range t.users {
-		s := paceSlot(t.id, t.users[i].id, slots)
-		t.slotUsers[s] = append(t.slotUsers[s], i)
+// 64-bit FNV-1a.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a continues FNV-1a state h over s.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// index builds the trunk's two views of its users in one pass that hashes
+// each user once: FNV-1a over the trunk ID, a 0xff separator (("a","bc")
+// must differ from ("ab","c")) and the user ID. The hash picks the user's
+// bucket in byID. With slots > 0 the hash mod slots is the user's pace
+// slot, and users are counting-sorted by it: seeded jitter with no RNG and
+// no wall clock, so repeated runs (and record/replay) see an identical
+// schedule.
+func (t *trunk) index(slots int) {
+	n := len(t.ids.ends)
+	t.seed = (fnv1a(fnvOffset64, t.id) ^ 0xff) * fnvPrime64
+	t.byID = make([]int32, 1<<bits.Len(uint(2*n)|1)) // at most half full
+	mask := uint64(len(t.byID) - 1)
+	var slotOf []int32
+	if slots > 0 {
+		slotOf, t.slotStart = make([]int32, n), make([]int32, slots+1)
+	}
+	start := int32(0)
+	for i, end := range t.ids.ends {
+		h := fnv1a(t.seed, t.ids.all[start:end])
+		start = end
+		b := bucket(h, mask)
+		for t.byID[b] != 0 {
+			b = (b + 1) & mask
+		}
+		t.byID[b] = int32(i) + 1
+		if slotOf != nil {
+			slotOf[i] = int32(h % uint64(slots))
+			t.slotStart[slotOf[i]+1]++
+		}
+	}
+	if slotOf == nil {
+		return
+	}
+	for s := 1; s <= slots; s++ {
+		t.slotStart[s] += t.slotStart[s-1]
+	}
+	next := slices.Clone(t.slotStart[:slots])
+	t.paceSlots, t.slotUsers = slots, make([]int32, n)
+	for i, s := range slotOf {
+		t.slotUsers[next[s]] = int32(i)
+		next[s]++
 	}
 }
 
-// paceSlot deterministically assigns a user to one of slots emission slots:
-// FNV-1a over the trunk and user IDs. Seeded jitter with no RNG and no wall
-// clock, so repeated runs (and record/replay) see an identical schedule.
-func paceSlot(trunkID, userID string, slots int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(trunkID); i++ {
-		h = (h ^ uint64(trunkID[i])) * prime64
+// bucket is where an ID whose hash is h starts its probe in a table of
+// mask+1 buckets. The top bits of FNV-1a barely move with an ID's last
+// bytes and its low bits see only the low bits of each byte, so the halves
+// are folded together.
+func bucket(h, mask uint64) uint64 { return (h ^ h>>32) & mask }
+
+// lookup returns the index of the user named id.
+func (t *trunk) lookup(id string) (int, bool) {
+	mask := uint64(len(t.byID) - 1)
+	for b := bucket(fnv1a(t.seed, id), mask); ; b = (b + 1) & mask {
+		u := int(t.byID[b]) - 1
+		if u < 0 || t.ids.at(u) == id {
+			return u, u >= 0
+		}
 	}
-	h = (h ^ 0xff) * prime64 // separator: ("a","bc") must differ from ("ab","c")
-	for i := 0; i < len(userID); i++ {
-		h = (h ^ uint64(userID[i])) * prime64
-	}
-	return int(h % uint64(slots))
 }
 
 // send partitions heartbeats per owning shard under one ring view (so a
@@ -256,7 +315,7 @@ func (t *trunk) send(refs []session.Key, now time.Time, fallback bool) {
 	for _, ref := range refs {
 		o := t.owner[ref.Slot]
 		if o == 0 {
-			o = int32(ring.OwnerIndex(t.users[ref.Slot].id)) + 1
+			o = int32(ring.OwnerIndex(t.ids.at(ref.Slot))) + 1
 			t.owner[ref.Slot] = o
 		}
 		t.byNode[o-1] = append(t.byNode[o-1], ref)
@@ -295,10 +354,9 @@ func (t *trunk) sendShard(shard string, refs []session.Key, now time.Time, fallb
 		}
 		hbs := t.hbScratch[:len(chunk)]
 		for i, ref := range chunk {
-			u := &t.users[ref.Slot]
 			p := &t.profiles[t.clients[ref.Slot].prof]
 			hbs[i] = hbproto.Heartbeat{
-				Src: u.id, Seq: ref.Seq, App: p.app,
+				Src: t.ids.at(ref.Slot), Seq: ref.Seq, App: p.app,
 				Origin: now, Expiry: p.expiry, Pad: p.pad,
 			}
 		}
@@ -389,7 +447,7 @@ func (t *trunk) userOf(cache *ackCache, live bool, ref hbproto.Ref) (int, bool) 
 	if live && h < len(cache.user) && cache.user[h] != 0 {
 		return int(cache.user[h]) - 1, true
 	}
-	i, ok := t.index[ref.Src]
+	i, ok := t.lookup(ref.Src)
 	if ok && live && h != 0 {
 		for h >= len(cache.user) {
 			cache.user = append(cache.user, 0)

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,24 +14,25 @@ import (
 	"d2dhb/internal/faultnet"
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/hbproto"
+	"d2dhb/internal/hbproto/hbprototest"
 	"d2dhb/internal/session"
 )
 
-// newTestTrunk builds a trunk of n users aimed at the one server at addr
-// by hand, the way buildTrunks does, so a test can drive its rounds one at
-// a time.
-func newTestTrunk(tb testing.TB, addr string, n int, dial func(network, addr string) (net.Conn, error)) *trunk {
+// newTestTrunk builds a trunk of n users paced over slots sub-ticks (0:
+// unpaced) aimed at the one server at addr by hand, the way buildTrunks
+// does, so a test can drive its rounds one at a time.
+func newTestTrunk(tb testing.TB, addr string, n, slots int, dial func(network, addr string) (net.Conn, error)) *trunk {
 	tb.Helper()
 	cl, err := cluster.NewSingleNodeClient(addr)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	r := &Runner{cluster: cl, ackTimeout: time.Second}
-	users, clients := make([]tuser, n), make([]tclient, n)
-	for i, id := range fleetIDs(0, n, 7) {
-		users[i], clients[i] = tuser{id: id}, tclient{trec: -1}
+	clients := make([]tclient, n)
+	for i := range clients {
+		clients[i].trec = -1
 	}
-	t := r.newTrunk("loadtrunk-test", time.Second, []tprofile{{app: "fast", expiry: time.Minute, pad: 54}}, users, clients)
+	t := r.newTrunk("loadtrunk-test", time.Second, []tprofile{{app: "fast", expiry: time.Minute, pad: 54}}, fleetIDs(0, n, 7), clients, slots)
 	t.dial = dial
 	return t
 }
@@ -85,7 +87,7 @@ func ackServer(t *testing.T, order func(conn int, refs []hbproto.Ref)) string {
 						ack.Refs = append(ack.Refs, hbproto.Ref{Src: hb.Src, Seq: hb.Seq})
 					}
 					order(n, ack.Refs)
-					if err := hbproto.WriteFrame(conn, ack); err != nil {
+					if err := hbprototest.WriteFrame(conn, ack); err != nil {
 						return
 					}
 				}
@@ -141,7 +143,7 @@ func TestTrunkRedialSettlesEveryAck(t *testing.T) {
 	}})
 	var dials atomic.Int32
 	var armed atomic.Bool
-	tr := newTestTrunk(t, addr, users, func(network, addr string) (net.Conn, error) {
+	tr := newTestTrunk(t, addr, users, 0, func(network, addr string) (net.Conn, error) {
 		conn, err := net.Dial(network, addr)
 		if err == nil && dials.Add(1) == 1 {
 			conn = &armedConn{Conn: conn, faulty: faults.WrapConn(conn), armed: &armed}
@@ -192,7 +194,7 @@ func TestTrunkRedialSettlesEveryAck(t *testing.T) {
 // still draining from the older connection are resolved by ID without
 // touching it, and handle 0 never caches.
 func TestTrunkAckCacheScopedToDial(t *testing.T) {
-	tr := newTestTrunk(t, "unused", 3, nil)
+	tr := newTestTrunk(t, "unused", 3, 0, nil)
 	cache := new(ackCache)
 	now := time.Now()
 	seq := uint64(0)
@@ -201,14 +203,15 @@ func TestTrunkAckCacheScopedToDial(t *testing.T) {
 		seq++
 		for i := range refs {
 			refs[i].Seq = seq
-			tr.pending.Track(session.Key{Slot: tr.index[refs[i].Src], Seq: seq}, now)
+			u, _ := tr.lookup(refs[i].Src)
+			tr.pending.Track(session.Key{Slot: u, Seq: seq}, now)
 		}
 		tr.onRefs(cache, dial, refs, now)
 		if n := tr.pending.Len(); n != 0 {
 			t.Fatalf("dial %d seq %d: %d refs settled against the wrong user", dial, seq, n)
 		}
 	}
-	id := func(i int) string { return tr.users[i].id }
+	id := tr.ids.at
 
 	ack(1, hbproto.Ref{Src: id(0), Handle: 1}, hbproto.Ref{Src: id(1), Handle: 2}, hbproto.Ref{Src: id(2)})
 	if want := []int32{0, 1, 2}; !slices.Equal(cache.user, want) {
@@ -235,17 +238,108 @@ func TestTrunkAckCacheScopedToDial(t *testing.T) {
 	}
 }
 
+// paceSlot is the pace partition's reference definition, written out on
+// its own: a user's slot among slots is FNV-1a over the trunk ID, a 0xff
+// separator and the user ID, mod slots. The build computes the same hash
+// in its one pass over the users (trunk.index) and must agree with this.
+func paceSlot(trunkID, userID string, slots int) int {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(trunkID); i++ {
+		h = (h ^ uint64(trunkID[i])) * prime64
+	}
+	h = (h ^ 0xff) * prime64 // separator: ("a","bc") must differ from ("ab","c")
+	for i := 0; i < len(userID); i++ {
+		h = (h ^ uint64(userID[i])) * prime64
+	}
+	return int(h % uint64(slots))
+}
+
+// TestTrunkIndexMatchesPaceSlot pins the one-hash build to the reference:
+// every user lands in paceSlot's slot, each slot lists its users in
+// ascending order, and the ID table finds every user and no stranger.
+func TestTrunkIndexMatchesPaceSlot(t *testing.T) {
+	r := &Runner{}
+	for _, trunkID := range []string{"loadtrunk-0000", "loadtrunk-0001", "replay-trunk-0003"} {
+		for _, n := range []int{1, 31, 32, 1_000, 100_000} {
+			ids := fleetIDs(0, n, 7)
+			for _, slots := range []int{2, 32, 2_700} {
+				tr := r.newTrunk(trunkID, time.Second, []tprofile{{}}, ids, make([]tclient, n), slots)
+				if tr.paceSlots != slots {
+					t.Fatalf("%s/%d/%d: %d pace slots", trunkID, n, slots, tr.paceSlots)
+				}
+				seen := 0
+				for s := range slots {
+					prev := int32(-1)
+					for _, u := range tr.paced(s) {
+						if want := paceSlot(trunkID, ids.at(int(u)), slots); want != s || u <= prev {
+							t.Fatalf("%s/%d/%d: user %d in slot %d after user %d, want slot %d in ascending order",
+								trunkID, n, slots, u, s, prev, want)
+						}
+						prev = u
+						seen++
+					}
+				}
+				if seen != n {
+					t.Fatalf("%s/%d/%d: partition covers %d users", trunkID, n, slots, seen)
+				}
+				for i := range n {
+					if got, ok := tr.lookup(ids.at(i)); !ok || got != i {
+						t.Fatalf("%s/%d: lookup(%q) = %d, %v", trunkID, n, ids.at(i), got, ok)
+					}
+				}
+				if got, ok := tr.lookup("loadue-stranger"); ok {
+					t.Fatalf("%s/%d: a stranger resolved to user %d", trunkID, n, got)
+				}
+			}
+		}
+	}
+}
+
+// TestTrunkBuildFootprint pins what naming, indexing and pacing cost per
+// user: one 100k-user trunk of live_trunked's shape built through
+// buildTrunks, in bytes allocated and in allocations. Pointer-free columns
+// come to ~60 B/user in a handful of allocations; a string header per
+// user, a map index or per-slot appends do not fit under the ceilings.
+func TestTrunkBuildFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations are not the trunk's footprint")
+	}
+	const bytesCeiling, allocsCeiling = 80, 0.001 // per user
+	r := trunkedRunner(t, trunkedUsers, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.buildTrunks()
+	runtime.ReadMemStats(&after)
+	size := float64(after.TotalAlloc-before.TotalAlloc) / trunkedUsers
+	allocs := float64(after.Mallocs-before.Mallocs) / trunkedUsers
+	t.Logf("trunk build: %.1f B/user in %.5f allocs/user", size, allocs)
+	if size > bytesCeiling {
+		t.Errorf("trunk build allocates %.1f B/user, ceiling %d", size, bytesCeiling)
+	}
+	if allocs > allocsCeiling {
+		t.Errorf("trunk build makes %.5f allocs/user, ceiling %g", allocs, allocsCeiling)
+	}
+	if tr := r.units[0].(*trunk); tr.paceSlots != trunkedSlots {
+		t.Fatalf("built trunk has %d pace slots, want %d", tr.paceSlots, trunkedSlots)
+	}
+}
+
 func TestFleetIDs(t *testing.T) {
 	for _, width := range []int{5, 7} {
 		for _, first := range []int{0, 95, 99_995, 999_990, 9_999_995} {
-			for i, id := range fleetIDs(first, 12, width) {
-				if want := fmt.Sprintf("loadue-%0*d", width, first+i); id != want {
+			ids := fleetIDs(first, 12, width)
+			for i := range ids.ends {
+				if id, want := ids.at(i), fmt.Sprintf("loadue-%0*d", width, first+i); id != want {
 					t.Fatalf("fleetIDs(%d, 12, %d)[%d] = %q, want %q", first, width, i, id, want)
 				}
 			}
 		}
 	}
-	if ids := fleetIDs(5, 0, 7); len(ids) != 0 {
+	if ids := fleetIDs(5, 0, 7); len(ids.ends) != 0 {
 		t.Fatalf("zero users named %v", ids)
 	}
 }

@@ -40,6 +40,8 @@ var (
 	ErrBadChecksum = errors.New("rec: checksum mismatch")
 	ErrTruncated   = errors.New("rec: truncated trace")
 	ErrTooLarge    = errors.New("rec: length field exceeds limit")
+
+	errOverlongVarint = errors.New("rec: varint longer than its value needs")
 )
 
 // Append encodes the timeline onto buf and returns the extended slice:
@@ -213,11 +215,9 @@ func (d *decoder) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		d.err = ErrTruncated
+	if !d.skipVarint(n) {
 		return 0
 	}
-	d.pos += n
 	return v
 }
 
@@ -226,12 +226,27 @@ func (d *decoder) varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.data[d.pos:])
-	if n <= 0 {
-		d.err = ErrTruncated
+	if !d.skipVarint(n) {
 		return 0
 	}
-	d.pos += n
 	return v
+}
+
+// skipVarint moves past a varint of n bytes, as binary.Uvarint reports n.
+// A last byte of 0 after continuation bytes pads a shorter encoding of the
+// same value, which Append never writes, so a trace that has one is not
+// canonical and is rejected.
+func (d *decoder) skipVarint(n int) bool {
+	if n <= 0 {
+		d.err = ErrTruncated
+		return false
+	}
+	if n > 1 && d.data[d.pos+n-1] == 0 {
+		d.err = errOverlongVarint
+		return false
+	}
+	d.pos += n
+	return true
 }
 
 // bounded reads a uvarint and rejects values above limit — the guard

@@ -24,6 +24,7 @@ import (
 
 	"d2dhb/internal/faultnet"
 	"d2dhb/internal/hbproto"
+	"d2dhb/internal/hbproto/hbprototest"
 	"d2dhb/internal/trace"
 )
 
@@ -355,13 +356,13 @@ func TestChaosCorruptedFrames(t *testing.T) {
 		t.Fatalf("dial after corruption storm: %v", err)
 	}
 	defer conn.Close()
-	if err := hbproto.WriteFrame(conn, &hbproto.Heartbeat{
+	if err := hbprototest.WriteFrame(conn, &hbproto.Heartbeat{
 		Src: "prober", Seq: 1, App: "std", Origin: time.Now(), Expiry: time.Minute, Pad: 54,
 	}); err != nil {
 		t.Fatalf("probe write: %v", err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := hbproto.ReadFrame(conn); err != nil {
+	if _, err := hbprototest.ReadFrame(conn); err != nil {
 		t.Fatalf("server unresponsive after corrupted frames: %v", err)
 	}
 }
@@ -448,8 +449,8 @@ func TestUEFallbackRelayDiesBetweenSendAndAck(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_, _ = hbproto.ReadFrame(conn) // register
-		_, _ = hbproto.ReadFrame(conn) // heartbeat — accepted, never acked
+		_, _ = hbprototest.ReadFrame(conn) // register
+		_, _ = hbprototest.ReadFrame(conn) // heartbeat — accepted, never acked
 		close(received)
 		_ = conn.Close()
 	}()

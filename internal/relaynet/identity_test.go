@@ -11,6 +11,7 @@ import (
 
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
+	"d2dhb/internal/hbproto/hbprototest"
 	"d2dhb/internal/telemetry"
 )
 
@@ -34,7 +35,7 @@ func dialRaw(t *testing.T, addr string) *rawClient {
 
 func (c *rawClient) send(msg hbproto.Message) {
 	c.t.Helper()
-	if err := hbproto.WriteFrame(c.conn, msg); err != nil {
+	if err := hbprototest.WriteFrame(c.conn, msg); err != nil {
 		c.t.Fatalf("write %v: %v", msg.Type(), err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"d2dhb/internal/hbproto"
+	"d2dhb/internal/hbproto/hbprototest"
 	"d2dhb/internal/trace"
 )
 
@@ -68,10 +69,10 @@ func TestServerDirectHeartbeat(t *testing.T) {
 		Src: "ue-x", Seq: 1, App: "std",
 		Origin: time.Now(), Expiry: time.Minute, Pad: 54,
 	}
-	if err := hbproto.WriteFrame(conn, hb); err != nil {
+	if err := hbprototest.WriteFrame(conn, hb); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	msg, err := hbproto.ReadFrame(conn)
+	msg, err := hbprototest.ReadFrame(conn)
 	if err != nil {
 		t.Fatalf("read ack: %v", err)
 	}
@@ -98,7 +99,7 @@ func TestServerRegisterAndExpiry(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	if err := hbproto.WriteFrame(conn, &hbproto.Register{
+	if err := hbprototest.WriteFrame(conn, &hbproto.Register{
 		ID: "ue-y", Role: hbproto.RoleUE, App: "std",
 		Period: time.Minute, Expiry: time.Minute,
 	}); err != nil {
@@ -121,13 +122,13 @@ func TestServerRejectsProtocolViolation(t *testing.T) {
 	}
 	defer conn.Close()
 	// An Ack from a client is a protocol violation: server drops the conn.
-	if err := hbproto.WriteFrame(conn, &hbproto.Ack{}); err != nil {
+	if err := hbprototest.WriteFrame(conn, &hbproto.Ack{}); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
 		t.Fatalf("deadline: %v", err)
 	}
-	if _, err := hbproto.ReadFrame(conn); err == nil {
+	if _, err := hbprototest.ReadFrame(conn); err == nil {
 		t.Fatal("connection survived protocol violation")
 	}
 }
@@ -160,7 +161,7 @@ func TestServerCountsProtocolErrors(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn2.Close()
-	if err := hbproto.WriteFrame(conn2, &hbproto.Ack{}); err != nil {
+	if err := hbprototest.WriteFrame(conn2, &hbproto.Ack{}); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	eventually(t, time.Second, func() bool { return s.Stats().ProtocolErrors == 2 }, "ack-from-client counted")
@@ -198,10 +199,10 @@ func TestServerReapsIdleConnections(t *testing.T) {
 		Src: "ue-stall", Seq: 1, App: "std",
 		Origin: time.Now(), Expiry: time.Minute, Pad: 54,
 	}
-	if err := hbproto.WriteFrame(conn, hb); err != nil {
+	if err := hbprototest.WriteFrame(conn, hb); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if _, err := hbproto.ReadFrame(conn); err != nil {
+	if _, err := hbprototest.ReadFrame(conn); err != nil {
 		t.Fatalf("read ack: %v", err)
 	}
 
@@ -210,7 +211,7 @@ func TestServerReapsIdleConnections(t *testing.T) {
 	if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
 		t.Fatalf("deadline: %v", err)
 	}
-	if _, err := hbproto.ReadFrame(conn); err == nil {
+	if _, err := hbprototest.ReadFrame(conn); err == nil {
 		t.Fatal("connection survived idle reaping")
 	}
 	drops := rec.ByKind(trace.KindConnDrop)
@@ -383,7 +384,7 @@ func TestRelayPeriodBoundaryNeverRejects(t *testing.T) {
 		}
 		t.Cleanup(func() { _ = conn.Close() })
 		id := fmt.Sprintf("ue-b%d", i)
-		if err := hbproto.WriteFrame(conn, &hbproto.Register{ID: id, Role: hbproto.RoleUE, App: "std", Period: period, Expiry: period}); err != nil {
+		if err := hbprototest.WriteFrame(conn, &hbproto.Register{ID: id, Role: hbproto.RoleUE, App: "std", Period: period, Expiry: period}); err != nil {
 			t.Fatalf("register: %v", err)
 		}
 		phase := time.Duration(i+1) * 250 * time.Microsecond // 0.25 ms … 2 ms behind the boundary
@@ -393,7 +394,7 @@ func TestRelayPeriodBoundaryNeverRejects(t *testing.T) {
 			for k := 1; k <= boundaries; k++ {
 				time.Sleep(time.Until(start.Add(time.Duration(k)*period + phase)))
 				hb := &hbproto.Heartbeat{Src: id, Seq: uint64(k), App: "std", Origin: time.Now(), Expiry: period, Pad: 54}
-				if err := hbproto.WriteFrame(conn, hb); err != nil {
+				if err := hbprototest.WriteFrame(conn, hb); err != nil {
 					t.Errorf("%s send %d: %v", id, k, err)
 					return
 				}

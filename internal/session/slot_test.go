@@ -11,6 +11,7 @@ import (
 
 	"d2dhb/internal/faultnet"
 	"d2dhb/internal/hbproto"
+	"d2dhb/internal/hbproto/hbprototest"
 )
 
 // pipeNet is an in-memory network: every dial yields the client end of a
@@ -74,7 +75,7 @@ func (p *pipeNet) dials() int {
 func readMsg(t *testing.T, c net.Conn) hbproto.Message {
 	t.Helper()
 	_ = c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	msg, err := hbproto.ReadFrame(c)
+	msg, err := hbprototest.ReadFrame(c)
 	if err != nil {
 		t.Fatalf("server read: %v", err)
 	}
@@ -219,7 +220,7 @@ func TestSlot(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				go func(c net.Conn) {
 					_ = c.SetReadDeadline(time.Now().Add(2 * time.Second))
-					if msg, err := hbproto.ReadFrame(c); err == nil {
+					if msg, err := hbprototest.ReadFrame(c); err == nil {
 						got <- msg.(*hbproto.Heartbeat).Seq
 					} else {
 						got <- 0
@@ -314,7 +315,7 @@ func TestSlot(t *testing.T) {
 				&hbproto.Ack{Refs: []hbproto.Ref{{Src: "ue", Seq: 1}, {Src: "ue", Seq: 2}}},
 				&hbproto.Feedback{Refs: []hbproto.Ref{{Src: "ue", Seq: 3}}},
 			} {
-				if err := hbproto.WriteFrame(srv, msg); err != nil {
+				if err := hbprototest.WriteFrame(srv, msg); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -343,7 +344,7 @@ func TestSlot(t *testing.T) {
 				for _, src := range srcs {
 					msg.Refs = append(msg.Refs, hbproto.Ref{Src: src, Seq: 1})
 				}
-				if err := hbproto.WriteFrame(srv, msg); err != nil {
+				if err := hbprototest.WriteFrame(srv, msg); err != nil {
 					t.Fatal(err)
 				}
 			}
