@@ -72,7 +72,7 @@ func main() {
 		server     = flag.String("server", "", "external presence server address (default: in-process)")
 		clusterA   = flag.String("cluster", "", "presence cluster router URL or host:port (see d2dcluster; excludes -server)")
 		trunks     = flag.Int("trunks", 0, "multiplex the fleet over this many relay-trunk connections (excludes -relays)")
-		trunkPace  = flag.Int("trunk-pace", 0, "spread each trunk period over this many emission slots (0/1 = burst; deterministic user->slot hash)")
+		trunkPace  = flag.Int("trunk-pace", 0, "spread each trunk period over this many emission slots (0/1 = burst; slot s sends the s-th block of users by index)")
 		jsonPath   = flag.String("json", "", "write the final JSON report to this file instead of stdout")
 		fault      = flag.String("fault", "", "fault-injection spec, e.g. seed=42,latency=5ms,corrupt=0.01,partition=3s+1s")
 		telemAddr  = flag.String("telemetry", "", "serve the run's own /metrics, /metrics.json and pprof on this address")

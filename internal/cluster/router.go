@@ -442,6 +442,9 @@ func (r *Router) probe(n Node) bool {
 	if err != nil {
 		return false
 	}
+	// A body closed unread takes its connection with it; drained, the
+	// connection goes back to the pool for the next probe.
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
 	_ = resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
 }

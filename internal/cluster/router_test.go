@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -299,6 +301,35 @@ func TestRouterHealthEviction(t *testing.T) {
 	}, "dead shard evicted at epoch 2")
 	if _, ok := r.Config().Node("shard-a"); !ok {
 		t.Fatal("healthy shard evicted too")
+	}
+}
+
+// TestRouterProbeReusesConnection counts the TCP connections a shard's
+// telemetry listener accepts over 20 health probes: a probe that closes
+// the /healthz body unread makes the next one dial again.
+func TestRouterProbeReusesConnection(t *testing.T) {
+	var dials atomic.Int32
+	mux := http.NewServeMux()
+	telemetry.WithHealth(telemetry.NewHealth())(mux)
+	srv := httptest.NewUnstartedServer(mux)
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	r, _ := startRouter(t, RouterConfig{
+		Initial:        Config{Epoch: 1, Nodes: []Node{{ID: "shard-a", Addr: "127.0.0.1:1", HTTP: srv.URL}}},
+		HealthInterval: -1,
+	})
+	for i := 0; i < 20; i++ {
+		if !r.probe(r.Config().Nodes[0]) {
+			t.Fatalf("probe %d failed", i)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("20 probes opened %d connections, want 1", n)
 	}
 }
 

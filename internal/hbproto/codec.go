@@ -19,8 +19,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"hash/maphash"
 	"io"
 	"sync"
+
+	"d2dhb/internal/idindex"
 )
 
 // headerSize is magic (2) + version (1) + type (1) + length (4).
@@ -74,7 +77,8 @@ type IDStats struct {
 
 // internTable is the one place a connection hashes the strings it decodes:
 // it maps string bytes to a canonical heap string and, for source IDs, a
-// Handle. The map lookups on the hit path do not allocate, so a
+// Handle. Sources are found through an idindex over strs, other strings
+// through a map; neither lookup allocates on the hit path, so a
 // connection that sees a stable population of device/app IDs decodes
 // strings for free. The table is bounded: once full it stops inserting but
 // keeps serving hits, so a hostile peer cannot grow it without bound.
@@ -90,7 +94,8 @@ type internTable struct {
 	strs  []string          // handle → canonical source ID; strs[0] is unused
 	next  []Handle          // next[h]: the source that followed source h last time
 	prev  Handle            // the last source decoded (0: none, or not interned)
-	ids   map[string]Handle // source ID → handle, once there are two (see src)
+	ids   idindex.Index     // source ID → handle, once there are two (see src)
+	seed  maphash.Seed      // ids' hash seed; set with its first entries
 	other map[string]string // every other string; allocated on first insert
 	last  string            // the last non-source string decoded
 	max   int               // bound on sources + other strings
@@ -99,7 +104,7 @@ type internTable struct {
 
 // defaultInternCap bounds distinct strings cached per connection. A trunk
 // connection multiplexes tens of thousands of UE IDs; a full table of
-// 14-byte IDs is ~10 MB (map slot, string header, bytes and successor per
+// 14-byte IDs is ~7 MB (string header, bytes, index slot and successor per
 // entry), and a one-ID connection pays for the entries it uses only.
 const defaultInternCap = 128 << 10
 
@@ -133,9 +138,9 @@ func (t *internTable) get(b []byte) string {
 }
 
 // src interns a source ID and returns its handle: the successor guess
-// first, then the map, inserting while there is room. A socket-per-UE
+// first, then the index, inserting while there is room. A socket-per-UE
 // connection only ever carries its own ID, and there are thousands of
-// them, so the map is not built until a second source shows up: a lone
+// them, so the index is not built until a second source shows up: a lone
 // source is compared directly.
 func (t *internTable) src(b []byte) (string, Handle) {
 	if g := t.next[t.prev]; g != 0 && t.strs[g] == string(b) {
@@ -144,28 +149,51 @@ func (t *internTable) src(b []byte) (string, Handle) {
 		return t.strs[g], g
 	}
 	t.stats.GuessMisses++
-	h := t.ids[string(b)] // no alloc: compiler-optimized map lookup
-	if h == 0 && len(t.strs) == 2 && t.strs[1] == string(b) {
-		h = 1
-	}
+	h, hash := t.lookup(b)
 	if h == 0 {
 		s := string(b)
 		if t.full() {
 			t.prev = 0
 			return s, 0
 		}
-		h = Handle(len(t.strs))
-		t.strs, t.next = append(t.strs, s), append(t.next, 0)
-		if h == 2 {
-			t.ids = map[string]Handle{t.strs[1]: 1}
-		}
-		if t.ids != nil {
-			t.ids[s] = h
-		}
+		h = t.add(s, hash)
 	}
 	t.next[t.prev] = h
 	t.prev = h
 	return t.strs[h], h
+}
+
+// lookup returns the handle of source b, 0 when it has none, and b's hash
+// once the index is built.
+func (t *internTable) lookup(b []byte) (Handle, uint64) {
+	if len(t.strs) > 2 { // the index holds every source; positions are handles
+		hash := maphash.Bytes(t.seed, b)
+		h, ok := t.ids.Find(hash, func(p int32) bool { return t.strs[p] == string(b) })
+		if !ok {
+			return 0, hash
+		}
+		return Handle(h), hash
+	}
+	if len(t.strs) == 2 && t.strs[1] == string(b) {
+		return 1, 0
+	}
+	return 0, 0
+}
+
+// add interns source s, of the hash lookup returned, under the next
+// handle. The second source builds the index over both.
+func (t *internTable) add(s string, hash uint64) Handle {
+	h := Handle(len(t.strs))
+	t.strs, t.next = append(t.strs, s), append(t.next, 0)
+	switch {
+	case h == 2:
+		t.seed = maphash.MakeSeed()
+		t.ids.Insert(maphash.String(t.seed, t.strs[1]), 1)
+		t.ids.Insert(maphash.String(t.seed, s), 2)
+	case h > 2:
+		t.ids.Insert(hash, int32(h))
+	}
+	return h
 }
 
 // FrameReader reads frames from a stream with zero steady-state

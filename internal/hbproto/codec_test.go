@@ -363,25 +363,119 @@ func TestInternTableBounded(t *testing.T) {
 			t.Fatalf("get(%q) = %q", "app-"+s, got)
 		}
 	}
-	if n := len(tbl.ids) + len(tbl.other); n != 4 || len(tbl.strs) != len(tbl.ids)+1 || len(tbl.next) != len(tbl.strs) {
+	if n := tbl.ids.Len() + len(tbl.other); n != 4 || len(tbl.strs) != tbl.ids.Len()+1 || len(tbl.next) != len(tbl.strs) {
 		t.Fatalf("intern table grew to %d entries (%d strs, %d next), cap 4", n, len(tbl.strs), len(tbl.next))
 	}
-	// A lone source needs no map: it is built when the second one arrives.
+	// A lone source needs no index: it is built when the second one arrives.
 	one := newInternTable(4)
 	for i := 0; i < 3; i++ {
-		if s, h := one.src([]byte("only")); s != "only" || h != 1 || one.ids != nil {
-			t.Fatalf("lone source: %q handle %d map %v", s, h, one.ids)
+		if s, h := one.src([]byte("only")); s != "only" || h != 1 || one.ids.Len() != 0 {
+			t.Fatalf("lone source: %q handle %d, %d indexed", s, h, one.ids.Len())
 		}
 	}
-	if _, h := one.src([]byte("second")); h != 2 || len(one.ids) != 2 {
-		t.Fatalf("second source: handle %d, map %v", h, one.ids)
+	if _, h := one.src([]byte("second")); h != 2 || one.ids.Len() != 2 {
+		t.Fatalf("second source: handle %d, %d indexed", h, one.ids.Len())
 	}
 	if _, h := one.src([]byte("only")); h != 1 {
-		t.Fatalf("first source after the map was built: handle %d", h)
+		t.Fatalf("first source after the index was built: handle %d", h)
 	}
 	// Hits still served for cached entries, with their handle.
 	if got, h := tbl.src([]byte("id-0")); got != "id-0" || h != 1 {
 		t.Fatalf("cached hit = %q, handle %d", got, h)
+	}
+}
+
+// mapIntern is the source half of the intern table as a map[string]Handle,
+// the reference the index must agree with: handles in first-seen order
+// while the cap has room, 0 after; a lone source compared directly; the
+// successor guess tried first and learnt on every resolution.
+type mapIntern struct {
+	strs  []string
+	next  []Handle
+	prev  Handle
+	ids   map[string]Handle
+	other map[string]bool
+	max   int
+	stats IDStats
+}
+
+func (m *mapIntern) full() bool { return len(m.strs)-1+len(m.other) >= m.max }
+
+func (m *mapIntern) get(s string) {
+	if !m.other[s] && !m.full() {
+		m.other[s] = true
+	}
+}
+
+func (m *mapIntern) src(s string) Handle {
+	if g := m.next[m.prev]; g != 0 && m.strs[g] == s {
+		m.stats.GuessHits++
+		m.prev = g
+		return g
+	}
+	m.stats.GuessMisses++
+	h, ok := m.ids[s]
+	if !ok {
+		if m.full() {
+			m.prev = 0
+			return 0
+		}
+		h = Handle(len(m.strs))
+		m.strs, m.next, m.ids[s] = append(m.strs, s), append(m.next, 0), h
+	}
+	m.next[m.prev], m.prev = h, h
+	return h
+}
+
+// TestInternIndexMatchesMap drives the intern table and mapIntern through
+// the same random scripts: sources drawn from a population with periodic
+// runs (the guess hits) and shuffled stretches (it misses), a lone source
+// before the second arrives, and other strings sharing a cap small enough
+// that some scripts fill it. Every call must return the same string and
+// handle, and the guess counts must agree.
+func TestInternIndexMatchesMap(t *testing.T) {
+	const scripts = 40
+	filled := 0
+	defer func() {
+		if filled == 0 || filled == scripts {
+			t.Errorf("%d of %d scripts filled the table: the cap is not covered from both sides", filled, scripts)
+		}
+	}()
+	for seed := int64(1); seed <= scripts; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		population, max := 1+rng.Intn(300), 2+rng.Intn(400)
+		tbl := newInternTable(max)
+		ref := &mapIntern{strs: make([]string, 1), next: make([]Handle, 1), ids: map[string]Handle{}, other: map[string]bool{}, max: max}
+		lone := rng.Intn(20) // calls with the first source alone
+		order := rng.Perm(population)
+		for step := 0; step < 3000; step++ {
+			var id string
+			switch {
+			case step < lone:
+				id = "src-0"
+			case rng.Intn(10) == 0:
+				id = fmt.Sprintf("app-%d", rng.Intn(40))
+				ref.get(id)
+				if got := tbl.get([]byte(id)); got != id {
+					t.Fatalf("seed %d step %d: get(%q) = %q", seed, step, id, got)
+				}
+				continue
+			case rng.Intn(4) == 0:
+				id = fmt.Sprintf("src-%d", rng.Intn(population))
+			default:
+				id = fmt.Sprintf("src-%d", order[step%population])
+			}
+			want := ref.src(id)
+			if got, h := tbl.src([]byte(id)); got != id || h != want {
+				t.Fatalf("seed %d step %d: src(%q) = %q, handle %d; the map gives %d", seed, step, id, got, h, want)
+			}
+		}
+		if tbl.stats != ref.stats || len(tbl.strs) != len(ref.strs) {
+			t.Fatalf("seed %d: stats %+v and %d sources, the map gives %+v and %d", seed, tbl.stats, len(tbl.strs), ref.stats, len(ref.strs))
+		}
+		if ref.full() {
+			filled++
+		}
 	}
 }
 

@@ -86,20 +86,47 @@ func reportPerHB(b *testing.B, hbs int) func() {
 // timer starts. 200k sources on one connection is past the decoder's
 // intern cap, so the tail of every period runs the handle-0 fallback.
 func BenchmarkServerBatch200k(b *testing.B) {
-	const clients, perBatch = 200_000, 4096
-	srv := relaynet.NewServer()
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
+	const clients = 200_000
+	period := batchPeriod(b, clients)
+	link := dialServer(b)
+	defer link.close()
+	link.offer(b, period, clients)
+	b.ResetTimer()
+	report := reportPerHB(b, b.N*clients)
+	for i := 0; i < b.N; i++ {
+		link.offer(b, period, clients)
 	}
-	defer srv.Shutdown()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
+	report()
+}
 
-	// A period is encoded once: the heartbeats carry an hour's expiry and
-	// the server does not look at Seq beyond keeping its high-water mark.
+// BenchmarkServerFirstPeriod is what BenchmarkServerBatch200k leaves out:
+// the first period a fresh server sees, where every heartbeat is the first
+// sight of its source at the decoder and in the presence table. An
+// iteration offers one period over one connection of 33k sources — one of
+// live_trunked's trunk → shard links — to a server started for it, off the
+// clock.
+func BenchmarkServerFirstPeriod(b *testing.B) {
+	const clients = trunkedUsers / trunkedShards
+	period := batchPeriod(b, clients)
+	b.ResetTimer()
+	report := reportPerHB(b, b.N*clients)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		link := dialServer(b)
+		b.StartTimer()
+		link.offer(b, period, clients)
+		b.StopTimer()
+		link.close()
+		b.StartTimer()
+	}
+	report()
+}
+
+// batchPeriod encodes one period of clients' heartbeats as 4096-heartbeat
+// batches, once: the heartbeats carry an hour's expiry and the server does
+// not look at Seq beyond keeping its high-water mark.
+func batchPeriod(b *testing.B, clients int) []byte {
+	const perBatch = 4096
 	var period []byte
 	ids := fleetIDs(0, clients, 7)
 	batch := &hbproto.Batch{Relay: "bench-trunk"}
@@ -110,37 +137,58 @@ func BenchmarkServerBatch200k(b *testing.B) {
 				Src: ids.at(i), Seq: 1, App: "bench", Origin: time.Now(), Expiry: time.Hour, Pad: 54,
 			})
 		}
+		var err error
 		if period, err = hbproto.AppendFrame(period, batch); err != nil {
 			b.Fatal(err)
 		}
 	}
-	acks := hbproto.NewFrameReader(conn)
-	offer := func() {
-		// Writer and reader run side by side, as a trunk's do: the server
-		// stops reading batches once its ack writes back up.
-		wrote := make(chan error, 1)
-		go func() {
-			_, err := conn.Write(period)
-			wrote <- err
-		}()
-		for acked := 0; acked < clients; {
-			msg, err := acks.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			acked += len(msg.(*hbproto.Ack).Refs)
-		}
-		if err := <-wrote; err != nil {
+	return period
+}
+
+// serverLink is one connection to a server started for it.
+type serverLink struct {
+	srv  *relaynet.Server
+	conn net.Conn
+	acks *hbproto.FrameReader
+}
+
+func dialServer(b *testing.B) *serverLink {
+	srv := relaynet.NewServer()
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		srv.Shutdown()
+		b.Fatal(err)
+	}
+	return &serverLink{srv: srv, conn: conn, acks: hbproto.NewFrameReader(conn)}
+}
+
+func (l *serverLink) close() {
+	_ = l.conn.Close()
+	l.srv.Shutdown()
+}
+
+// offer writes one encoded period and waits for its clients' acks. Writer
+// and reader run side by side, as a trunk's do: the server stops reading
+// batches once its ack writes back up.
+func (l *serverLink) offer(b *testing.B, period []byte, clients int) {
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := l.conn.Write(period)
+		wrote <- err
+	}()
+	for acked := 0; acked < clients; {
+		msg, err := l.acks.Next()
+		if err != nil {
 			b.Fatal(err)
 		}
+		acked += len(msg.(*hbproto.Ack).Refs)
 	}
-	offer()
-	b.ResetTimer()
-	report := reportPerHB(b, b.N*clients)
-	for i := 0; i < b.N; i++ {
-		offer()
+	if err := <-wrote; err != nil {
+		b.Fatal(err)
 	}
-	report()
 }
 
 // One of live_trunked's two trunks: 100k users paced over 32 sub-ticks
@@ -213,17 +261,20 @@ func BenchmarkTrunkEmit(b *testing.B) {
 	tr, _ := sinkTrunk(b, trunkedUsers, trunkedSlots, trunkedShards)
 	now := time.Now()
 	for s := range trunkedSlots { // warm: dials, owners, buffers
-		tr.emit(tr.paced(s), now, nil)
+		lo, hi := tr.paced(s)
+		tr.emit(lo, hi, now, nil)
 		settleFresh(tr, now)
 	}
 	hbs := 0
 	for i := 0; i < b.N; i++ {
-		hbs += len(tr.paced(i % trunkedSlots))
+		lo, hi := tr.paced(i % trunkedSlots)
+		hbs += hi - lo
 	}
 	b.ResetTimer()
 	report := reportPerHB(b, hbs)
 	for i := 0; i < b.N; i++ {
-		tr.emit(tr.paced(i%trunkedSlots), now, nil)
+		lo, hi := tr.paced(i % trunkedSlots)
+		tr.emit(lo, hi, now, nil)
 		b.StopTimer()
 		settleFresh(tr, now)
 		b.StartTimer()
@@ -235,10 +286,9 @@ func BenchmarkTrunkEmit(b *testing.B) {
 // worth of acks — the users of a live_trunked trunk that the first of 3
 // shards owns — from the ack frames' bytes through the FrameReader to the
 // settled pending entries. Acks come back the way the run sends: sub-tick
-// by sub-tick in pace-slot order, one Ack frame per sub-tick's batch, so
-// settling reaches into the user and pending tables as scattered as the
-// run does. An iteration is one period's acks; tracking the period's sends
-// happens off the clock.
+// by sub-tick, one Ack frame per sub-tick's batch, so settling reaches
+// into the user and pending tables in the order the run does. An iteration
+// is one period's acks; tracking the period's sends happens off the clock.
 func BenchmarkTrunkAckPath(b *testing.B) {
 	tr := newTestTrunk(b, "unused", trunkedUsers, trunkedSlots, nil)
 	nodes := make([]string, trunkedShards)
@@ -254,8 +304,9 @@ func BenchmarkTrunkAckPath(b *testing.B) {
 	ack := &hbproto.Ack{}
 	for s := range trunkedSlots {
 		ack.Refs = ack.Refs[:0]
-		for _, u := range tr.paced(s) {
-			if i := int(u); ring.OwnerIndex(tr.ids.at(i)) == 0 {
+		lo, hi := tr.paced(s)
+		for i := lo; i < hi; i++ {
+			if ring.OwnerIndex(tr.ids.at(i)) == 0 {
 				owned = append(owned, i)
 				ack.Refs = append(ack.Refs, hbproto.Ref{Src: tr.ids.at(i), Seq: 1})
 			}

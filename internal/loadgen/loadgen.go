@@ -69,12 +69,12 @@ type Config struct {
 	// Requires Relays == 0.
 	Trunks int
 	// TrunkPaceSlots spreads each trunk period's emissions across this many
-	// sub-ticks instead of bursting the whole fleet at once: users are
-	// assigned to slots by a deterministic hash (seeded jitter — no RNG, no
-	// wall clock), every user still emits exactly once per period, and the
-	// open-loop schedule is preserved. ≤1 disables pacing (the default, so
-	// existing runs and recorded corpora are bit-identical). Ignored unless
-	// Trunks > 0.
+	// sub-ticks instead of bursting the whole fleet at once: sub-tick s is
+	// the s-th of TrunkPaceSlots equal blocks of the trunk's users by index
+	// (no RNG, no wall clock), every user still emits exactly once per
+	// period, and the open-loop schedule is preserved. ≤1 disables pacing
+	// (the default, so existing runs and recorded corpora are
+	// bit-identical). Ignored unless Trunks > 0.
 	TrunkPaceSlots int
 	// Tracer is attached to the spawned server and relays when non-nil.
 	Tracer trace.Tracer
@@ -591,10 +591,11 @@ func (r *Runner) newTrunk(id string, period time.Duration, profiles []tprofile, 
 		ids: ids, users: make([]tuser, len(ids.ends)), clients: clients,
 		// A heartbeat that misses its ack window is re-sent once through
 		// the then-current ring view.
-		pending: session.Pending{Fallback: true},
-		slots:   make(map[string]*session.Slot),
+		pending:   session.Pending{Fallback: true},
+		slots:     make(map[string]*session.Slot),
+		paceSlots: slots,
 	}
-	t.index(slots)
+	t.index()
 	return t
 }
 

@@ -1,14 +1,14 @@
 package loadgen
 
 import (
-	"math/bits"
+	"hash/maphash"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
+	"d2dhb/internal/idindex"
 	"d2dhb/internal/rec"
 	"d2dhb/internal/session"
 )
@@ -78,20 +78,15 @@ type trunk struct {
 	shards   *shardCounter
 
 	// Per-user columns, immutable after build and free of pointers but for
-	// the one ID string. byID is an open-addressed, linearly probed ID →
-	// user index + 1 table (0: empty) of a power-of-two size.
+	// the one ID string. byID indexes ids under seed.
 	ids     userIDs
 	clients []tclient
-	seed    uint64 // FNV-1a state after the trunk ID and its separator
-	byID    []int32
+	seed    maphash.Seed
+	byID    idindex.Index
 
 	// paceSlots spreads each period's emissions over this many sub-ticks
-	// (≤1 disables pacing: the whole fleet bursts at once). The partition
-	// is slotUsers, users grouped by slot in ascending order, slot s's
-	// starting at slotStart[s]; immutable after build.
+	// (0 disables pacing: the whole fleet bursts at once); see paced.
 	paceSlots int
-	slotUsers []int32
-	slotStart []int32
 
 	// State owned by the send path. run() is the only sender while load
 	// is offered and drain() sweeps only after the send loop has exited
@@ -113,7 +108,7 @@ type trunk struct {
 // run is the send loop: activate after the arrival offset, then batch one
 // heartbeat per user every period until the run stops. With pacing enabled
 // the period is divided into paceSlots sub-ticks and each user's emission
-// lands in its deterministically assigned slot — every user still sends
+// lands in the sub-tick of its index block — every user still sends
 // exactly once per period (the open-loop schedule is preserved), only the
 // intra-period phase changes, which flattens the per-period burst the
 // server would otherwise absorb all at once.
@@ -160,7 +155,7 @@ func (t *trunk) run(done <-chan struct{}, offset time.Duration, sendWg *sync.Wai
 func (t *trunk) tick() {
 	now := time.Now()
 	resend := t.collectExpired(now)
-	t.emit(nil, now, resend)
+	t.emit(0, len(t.users), now, resend)
 }
 
 // tickSlot is one paced sub-tick: emit the users assigned to this slot.
@@ -172,30 +167,29 @@ func (t *trunk) tickSlot(slot int) {
 	if slot == 0 {
 		resend = t.collectExpired(now)
 	}
-	t.emit(t.paced(slot), now, resend)
+	lo, hi := t.paced(slot)
+	t.emit(lo, hi, now, resend)
 }
 
-// paced returns the users of pace slot s, in ascending order.
-func (t *trunk) paced(s int) []int32 { return t.slotUsers[t.slotStart[s]:t.slotStart[s+1]] }
+// paced returns the users of pace slot s, [lo, hi): the s-th of paceSlots
+// index blocks, whose sizes differ by at most one. A sub-tick's users are
+// one run of every per-user column, so emission, tracking and settling
+// walk memory in order instead of scattering over the whole fleet.
+func (t *trunk) paced(s int) (lo, hi int) {
+	n := len(t.users)
+	return s * n / t.paceSlots, (s + 1) * n / t.paceSlots
+}
 
-// emit sends one fresh heartbeat for each listed user index (nil means the
-// whole fleet) plus any expired re-sends.
-func (t *trunk) emit(idxs []int32, now time.Time, resend []session.Key) {
+// emit sends one fresh heartbeat for each user in [lo, hi) plus any
+// expired re-sends.
+func (t *trunk) emit(lo, hi int, now time.Time, resend []session.Key) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return
 	}
-	n := len(idxs)
-	if idxs == nil {
-		n = len(t.users)
-	}
 	fresh := t.fresh[:0]
-	for j := 0; j < n; j++ {
-		i := j
-		if idxs != nil {
-			i = int(idxs[j])
-		}
+	for i := lo; i < hi; i++ {
 		t.users[i].seq++
 		fresh = append(fresh, session.Key{Slot: i, Seq: t.users[i].seq})
 	}
@@ -221,79 +215,21 @@ func (t *trunk) offer(refs []session.Key, now time.Time) {
 	t.send(refs, now, false)
 }
 
-// 64-bit FNV-1a.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnv1a continues FNV-1a state h over s.
-func fnv1a(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-// index builds the trunk's two views of its users in one pass that hashes
-// each user once: FNV-1a over the trunk ID, a 0xff separator (("a","bc")
-// must differ from ("ab","c")) and the user ID. The hash picks the user's
-// bucket in byID. With slots > 0 the hash mod slots is the user's pace
-// slot, and users are counting-sorted by it: seeded jitter with no RNG and
-// no wall clock, so repeated runs (and record/replay) see an identical
-// schedule.
-func (t *trunk) index(slots int) {
-	n := len(t.ids.ends)
-	t.seed = (fnv1a(fnvOffset64, t.id) ^ 0xff) * fnvPrime64
-	t.byID = make([]int32, 1<<bits.Len(uint(2*n)|1)) // at most half full
-	mask := uint64(len(t.byID) - 1)
-	var slotOf []int32
-	if slots > 0 {
-		slotOf, t.slotStart = make([]int32, n), make([]int32, slots+1)
-	}
+// index builds byID, hashing each user's ID once.
+func (t *trunk) index() {
+	t.seed = maphash.MakeSeed()
+	t.byID.Reserve(len(t.ids.ends))
 	start := int32(0)
 	for i, end := range t.ids.ends {
-		h := fnv1a(t.seed, t.ids.all[start:end])
+		t.byID.Insert(maphash.String(t.seed, t.ids.all[start:end]), int32(i))
 		start = end
-		b := bucket(h, mask)
-		for t.byID[b] != 0 {
-			b = (b + 1) & mask
-		}
-		t.byID[b] = int32(i) + 1
-		if slotOf != nil {
-			slotOf[i] = int32(h % uint64(slots))
-			t.slotStart[slotOf[i]+1]++
-		}
-	}
-	if slotOf == nil {
-		return
-	}
-	for s := 1; s <= slots; s++ {
-		t.slotStart[s] += t.slotStart[s-1]
-	}
-	next := slices.Clone(t.slotStart[:slots])
-	t.paceSlots, t.slotUsers = slots, make([]int32, n)
-	for i, s := range slotOf {
-		t.slotUsers[next[s]] = int32(i)
-		next[s]++
 	}
 }
-
-// bucket is where an ID whose hash is h starts its probe in a table of
-// mask+1 buckets. The top bits of FNV-1a barely move with an ID's last
-// bytes and its low bits see only the low bits of each byte, so the halves
-// are folded together.
-func bucket(h, mask uint64) uint64 { return (h ^ h>>32) & mask }
 
 // lookup returns the index of the user named id.
 func (t *trunk) lookup(id string) (int, bool) {
-	mask := uint64(len(t.byID) - 1)
-	for b := bucket(fnv1a(t.seed, id), mask); ; b = (b + 1) & mask {
-		u := int(t.byID[b]) - 1
-		if u < 0 || t.ids.at(u) == id {
-			return u, u >= 0
-		}
-	}
+	i, ok := t.byID.Find(maphash.String(t.seed, id), func(u int32) bool { return t.ids.at(int(u)) == id })
+	return int(i), ok
 }
 
 // send partitions heartbeats per owning shard under one ring view (so a
@@ -375,8 +311,10 @@ func (t *trunk) sendShard(shard string, refs []session.Key, now time.Time, fallb
 		t.c.fallbackResends.Add(uint64(len(refs)))
 	} else {
 		t.c.sentRelayed.Add(uint64(len(refs)))
-		for _, ref := range refs {
-			t.trec.Record(rec.EvSend, int(t.clients[ref.Slot].trec), ref.Seq, now)
+		if t.trec != nil {
+			for _, ref := range refs {
+				t.trec.Record(rec.EvSend, int(t.clients[ref.Slot].trec), ref.Seq, now)
+			}
 		}
 	}
 	t.shards.add(shard, uint64(len(refs)))
@@ -476,7 +414,9 @@ func (t *trunk) onRefs(cache *ackCache, dial int, refs []hbproto.Ref, at time.Ti
 			continue
 		}
 		t.rec.Record(uint64(lat / time.Microsecond))
-		t.trec.Record(rec.EvAck, int(t.clients[i].trec), ref.Seq, at)
+		if t.trec != nil {
+			t.trec.Record(rec.EvAck, int(t.clients[i].trec), ref.Seq, at)
+		}
 		t.c.ackedRelayed.Add(1)
 		if ref.Seq <= t.users[i].last {
 			t.c.outOfOrderAcks.Add(1)

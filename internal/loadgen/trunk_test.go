@@ -238,62 +238,41 @@ func TestTrunkAckCacheScopedToDial(t *testing.T) {
 	}
 }
 
-// paceSlot is the pace partition's reference definition, written out on
-// its own: a user's slot among slots is FNV-1a over the trunk ID, a 0xff
-// separator and the user ID, mod slots. The build computes the same hash
-// in its one pass over the users (trunk.index) and must agree with this.
-func paceSlot(trunkID, userID string, slots int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(trunkID); i++ {
-		h = (h ^ uint64(trunkID[i])) * prime64
-	}
-	h = (h ^ 0xff) * prime64 // separator: ("a","bc") must differ from ("ab","c")
-	for i := 0; i < len(userID); i++ {
-		h = (h ^ uint64(userID[i])) * prime64
-	}
-	return int(h % uint64(slots))
-}
-
-// TestTrunkIndexMatchesPaceSlot pins the one-hash build to the reference:
-// every user lands in paceSlot's slot, each slot lists its users in
-// ascending order, and the ID table finds every user and no stranger.
-func TestTrunkIndexMatchesPaceSlot(t *testing.T) {
+// TestTrunkPaceBlocks pins the pace partition: sub-tick s of S is the s-th
+// of S index blocks, so the sub-ticks cover every user once, in ascending
+// order, with sizes that differ by at most one; and the ID table finds
+// every user and no stranger.
+func TestTrunkPaceBlocks(t *testing.T) {
 	r := &Runner{}
-	for _, trunkID := range []string{"loadtrunk-0000", "loadtrunk-0001", "replay-trunk-0003"} {
-		for _, n := range []int{1, 31, 32, 1_000, 100_000} {
-			ids := fleetIDs(0, n, 7)
-			for _, slots := range []int{2, 32, 2_700} {
-				tr := r.newTrunk(trunkID, time.Second, []tprofile{{}}, ids, make([]tclient, n), slots)
-				if tr.paceSlots != slots {
-					t.Fatalf("%s/%d/%d: %d pace slots", trunkID, n, slots, tr.paceSlots)
+	for _, n := range []int{1, 31, 32, 1_000, 100_000} {
+		ids := fleetIDs(0, n, 7)
+		for _, slots := range []int{1, 2, 32, 2_700} {
+			if slots > n {
+				continue // buildTrunks clamps the slot count to the users
+			}
+			tr := r.newTrunk("loadtrunk-0000", time.Second, []tprofile{{}}, ids, make([]tclient, n), slots)
+			next, smallest, largest := 0, n, 0
+			for s := range slots {
+				lo, hi := tr.paced(s)
+				if lo != next || hi < lo {
+					t.Fatalf("%d/%d: slot %d is users [%d, %d), want it to start at %d", n, slots, s, lo, hi, next)
 				}
-				seen := 0
-				for s := range slots {
-					prev := int32(-1)
-					for _, u := range tr.paced(s) {
-						if want := paceSlot(trunkID, ids.at(int(u)), slots); want != s || u <= prev {
-							t.Fatalf("%s/%d/%d: user %d in slot %d after user %d, want slot %d in ascending order",
-								trunkID, n, slots, u, s, prev, want)
-						}
-						prev = u
-						seen++
-					}
-				}
-				if seen != n {
-					t.Fatalf("%s/%d/%d: partition covers %d users", trunkID, n, slots, seen)
-				}
-				for i := range n {
-					if got, ok := tr.lookup(ids.at(i)); !ok || got != i {
-						t.Fatalf("%s/%d: lookup(%q) = %d, %v", trunkID, n, ids.at(i), got, ok)
-					}
-				}
-				if got, ok := tr.lookup("loadue-stranger"); ok {
-					t.Fatalf("%s/%d: a stranger resolved to user %d", trunkID, n, got)
-				}
+				next, smallest, largest = hi, min(smallest, hi-lo), max(largest, hi-lo)
+			}
+			if next != n || largest-smallest > 1 {
+				t.Fatalf("%d/%d: slots cover %d users, sizes %d to %d", n, slots, next, smallest, largest)
+			}
+		}
+		tr := r.newTrunk("loadtrunk-0000", time.Second, []tprofile{{}}, ids, make([]tclient, n), 0)
+		for i := range n {
+			if got, ok := tr.lookup(ids.at(i)); !ok || got != i {
+				t.Fatalf("%d: lookup(%q) = %d, %v", n, ids.at(i), got, ok)
+			}
+		}
+		beyond := fleetIDs(n, 1, 7)
+		for _, stranger := range []string{"loadue-stranger", beyond.at(0), ""} {
+			if got, ok := tr.lookup(stranger); ok {
+				t.Fatalf("%d: stranger %q resolved to user %d", n, stranger, got)
 			}
 		}
 	}
@@ -302,13 +281,14 @@ func TestTrunkIndexMatchesPaceSlot(t *testing.T) {
 // TestTrunkBuildFootprint pins what naming, indexing and pacing cost per
 // user: one 100k-user trunk of live_trunked's shape built through
 // buildTrunks, in bytes allocated and in allocations. Pointer-free columns
-// come to ~60 B/user in a handful of allocations; a string header per
-// user, a map index or per-slot appends do not fit under the ceilings.
+// come to ~52 B/user in a handful of allocations; a string header per
+// user, a map index or a per-user pace partition do not fit under the
+// ceilings.
 func TestTrunkBuildFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations are not the trunk's footprint")
 	}
-	const bytesCeiling, allocsCeiling = 80, 0.001 // per user
+	const bytesCeiling, allocsCeiling = 56, 0.001 // per user
 	r := trunkedRunner(t, trunkedUsers, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

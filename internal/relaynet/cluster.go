@@ -5,11 +5,7 @@ package relaynet
 // accounting so operators can see traffic that arrived at a shard the ring
 // no longer assigns it (stale epochs in some routing party).
 
-import (
-	"time"
-
-	"d2dhb/internal/cluster"
-)
+import "d2dhb/internal/cluster"
 
 // SetCluster makes the server cluster-aware: selfID is this shard's ring
 // identity and client tracks the cluster config. Heartbeats whose source
@@ -47,14 +43,16 @@ func (s *Server) ExportPresence() []cluster.PresenceEntry {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for id, c := range sh.clients {
-			out = append(out, cluster.PresenceEntry{
-				ID:               id,
-				App:              c.app,
-				LastSeenUnixNano: c.lastSeen.UnixNano(),
-				DeadlineUnixNano: c.deadline.UnixNano(),
-				MaxSeq:           c.maxSeq,
-			})
+		for p := range sh.rows {
+			if r := &sh.rows[p]; r.gen&1 == 1 {
+				out = append(out, cluster.PresenceEntry{
+					ID:               sh.ids[p],
+					App:              sh.apps[r.app],
+					LastSeenUnixNano: r.lastSeen,
+					DeadlineUnixNano: r.deadline,
+					MaxSeq:           r.maxSeq,
+				})
+			}
 		}
 		sh.mu.Unlock()
 	}
@@ -70,49 +68,44 @@ func (s *Server) ImportPresence(entries []cluster.PresenceEntry) {
 		if e.ID == "" {
 			continue
 		}
-		c := s.lockClient(e.ID)
-		if c.app == "" {
-			c.app = e.App
+		sh, r, _ := s.lockRow(e.ID)
+		if r.app == 0 {
+			r.app = sh.app(e.App)
 		}
-		if ls := time.Unix(0, e.LastSeenUnixNano); ls.After(c.lastSeen) {
-			c.lastSeen = ls
-		}
-		if dl := time.Unix(0, e.DeadlineUnixNano); dl.After(c.deadline) {
-			c.deadline = dl
-		}
-		if e.MaxSeq > c.maxSeq {
-			c.maxSeq = e.MaxSeq
-		}
-		c.sh.mu.Unlock()
+		r.lastSeen = max(r.lastSeen, e.LastSeenUnixNano)
+		r.deadline = max(r.deadline, e.DeadlineUnixNano)
+		r.maxSeq = max(r.maxSeq, e.MaxSeq)
+		sh.mu.Unlock()
 	}
 }
 
 // ForgetPresence implements cluster.Store: drops clients whose keys were
 // handed to another shard, keeping this shard's occupancy gauges truthful.
-// Connections may still hold the dropped records by handle; gone sends
-// their next heartbeat back through the table, which starts a fresh one.
+// Connections may still hold the freed rows by handle; the row's new
+// incarnation sends their next heartbeat back through the index, which
+// starts a fresh row.
 func (s *Server) ForgetPresence(ids []string) {
 	for _, id := range ids {
-		sh := s.shard(id)
+		h, sh, _ := s.hash(id)
 		sh.mu.Lock()
-		if c, ok := sh.clients[id]; ok {
-			c.gone = true
-			delete(sh.clients, id)
+		if p, ok := sh.find(id, h); ok {
+			sh.remove(h, p)
 		}
 		sh.mu.Unlock()
 	}
 }
 
-// misroutedLocked reports whether a delivery for c reached the wrong shard
-// under the current ring epoch (c.sh.mu held). The ring is hashed once per
-// client per view: a view is immutable, so the verdict stands until the
-// cluster client swaps in the next one.
-func (s *Server) misroutedLocked(c *client, src string) bool {
+// misroutedLocked reports whether a delivery for r reached the wrong shard
+// under the current ring epoch (r's stripe locked). The ring is hashed once
+// per client per view: a view is immutable and a newer one has a higher
+// epoch, so the verdict stands until the cluster client swaps in the next.
+func (s *Server) misroutedLocked(r *row, src string) bool {
 	if s.clusterClient == nil {
 		return false
 	}
-	if view := s.clusterClient.View(); c.routed != view {
-		c.routed, c.misrouted = view, view.Ring().Owner(src) != s.selfID
+	view := s.clusterClient.View()
+	if e := view.Epoch() + 1; r.routed != e {
+		r.routed, r.misrouted = e, view.Ring().Owner(src) != s.selfID
 	}
-	return c.misrouted
+	return r.misrouted
 }

@@ -8,6 +8,7 @@ package relaynet
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net"
 	"sync"
@@ -16,7 +17,6 @@ import (
 
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
-	presencepkg "d2dhb/internal/presence"
 	"d2dhb/internal/telemetry"
 	"d2dhb/internal/trace"
 )
@@ -58,46 +58,6 @@ type ServerStats struct {
 	IDGuessMisses int
 }
 
-// client is everything the server keeps about one client ID, in one record:
-// the presence row (maxSeq is the delivered sequence high-water mark; the
-// row travels in a cluster handoff so the receiving shard knows what the
-// client has already proven delivered), the availability timer, and the
-// routing verdict under the last cluster view it was checked against. The
-// shard's table holds the record by ID and connections cache the same
-// pointer by decoder handle, so a record is updated in place for as long
-// as it is in the table — never replaced. Every field but sh is guarded by
-// sh.mu.
-type client struct {
-	sh       *presenceShard // owning stripe; immutable
-	app      string
-	lastSeen time.Time
-	deadline time.Time
-	maxSeq   uint64
-	timer    presencepkg.Timer
-	// misrouted is whether the ring of view routed assigns the client to
-	// another shard; a new view recomputes it on the next heartbeat.
-	routed    *cluster.View
-	misrouted bool
-	// gone marks a record ForgetPresence took out of the table: a cached
-	// pointer to it must look the ID up again.
-	gone bool
-}
-
-// presenceShardCount stripes the presence table. Power of two so the hash
-// masks instead of dividing; 64 stripes keep contention negligible even
-// for thousands of concurrent handler goroutines.
-const presenceShardCount = 64
-
-// presenceShard is one stripe of the presence/session table. A client's
-// state lives entirely in the shard its ID hashes to, so per-client
-// ordering invariants (timer deliveries) are preserved under the shard
-// lock alone.
-type presenceShard struct {
-	mu      sync.Mutex
-	clients map[string]*client
-	_       [48]byte // keep neighbouring stripes off one cache line
-}
-
 // statsStripeCount stripes the delivery counters. Each connection is bound
 // to one stripe round-robin by accept order, so handler updates are atomic
 // adds on (mostly) private cache lines and Stats sums a fixed 64 blocks —
@@ -133,6 +93,7 @@ type Server struct {
 	started bool
 	closed  bool
 
+	seed    maphash.Seed // client ID hashes: stripe and bucket
 	shards  [presenceShardCount]presenceShard
 	stripes [statsStripeCount]connCounters
 
@@ -163,20 +124,11 @@ type Server struct {
 
 // NewServer returns an unstarted server.
 func NewServer() *Server {
-	s := &Server{conns: make(map[net.Conn]struct{})}
+	s := &Server{conns: make(map[net.Conn]struct{}), seed: maphash.MakeSeed()}
 	for i := range s.shards {
-		s.shards[i].clients = make(map[string]*client)
+		s.shards[i].apps = []string{""}
 	}
 	return s
-}
-
-// shard returns the stripe owning a client ID (FNV-1a).
-func (s *Server) shard(id string) *presenceShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint32(id[i])) * 16777619
-	}
-	return &s.shards[h&(presenceShardCount-1)]
 }
 
 // SetTracer attaches an event tracer; call before Start. Real-stack events
@@ -255,7 +207,7 @@ func (s *Server) presenceOccupancy() (total, maxShard int) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n := len(sh.clients)
+		n := sh.index.Len()
 		sh.mu.Unlock()
 		total += n
 		if n > maxShard {
@@ -370,21 +322,19 @@ func (s *Server) Stats() ServerStats {
 // Online reports whether the client's expiration timer is still running at
 // instant now.
 func (s *Server) Online(id string, now time.Time) bool {
-	sh := s.shard(id)
-	sh.mu.Lock()
+	sh, r := s.lockFound(id)
 	defer sh.mu.Unlock()
-	c, ok := sh.clients[id]
-	return ok && now.Before(c.deadline)
+	return r != nil && now.UnixNano() < r.deadline
 }
 
 // OnlineCount returns how many clients are online at instant now.
 func (s *Server) OnlineCount(now time.Time) int {
-	n := 0
+	n, at := 0, now.UnixNano()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, c := range sh.clients {
-			if now.Before(c.deadline) {
+		for j := range sh.rows {
+			if r := &sh.rows[j]; r.gen&1 == 1 && at < r.deadline {
 				n++
 			}
 		}
@@ -487,12 +437,12 @@ func (s *Server) flushAcks(conn net.Conn, wto time.Duration, agg *ackAggregator)
 type connState struct {
 	cc  *connCounters
 	agg ackAggregator
-	// byHandle caches the client record per decoder handle, so a heartbeat
+	// byHandle caches the client's row per decoder handle, so a heartbeat
 	// whose source the connection's FrameReader has seen before reaches its
-	// record without hashing the ID again. It is nil until the first
+	// row without hashing the ID again. It is nil until the first
 	// heartbeat, grows with the handles the reader issues, and dies with
 	// the connection, as the handles do.
-	byHandle []*client
+	byHandle []rowRef
 	// hits/misses count byHandle's outcomes and guesses is the reader's
 	// IDStats as of the last flushIDStats; plain fields, flushed into the
 	// connection's stats stripe once per frame.
@@ -599,11 +549,7 @@ func (s *Server) handleMessage(cs *connState, msg hbproto.Message) error {
 	switch m := msg.(type) {
 	case *hbproto.Register:
 		cs.cc.registers.Add(1)
-		// In place: connections hold pointers to the record, and a client
-		// that registers again has not un-delivered what it delivered.
-		c := s.lockClient(m.ID)
-		c.app, c.lastSeen, c.deadline = m.App, now, now.Add(m.Expiry)
-		c.sh.mu.Unlock()
+		s.register(m, now)
 		return nil
 	case *hbproto.Heartbeat:
 		s.touch(cs, m, now, false)
@@ -622,45 +568,41 @@ func (s *Server) handleMessage(cs *connState, msg hbproto.Message) error {
 	}
 }
 
-// lockClient returns the client's record with its shard locked, creating
-// the record on first sight. This is the only place the server hashes a
-// client ID.
-func (s *Server) lockClient(id string) *client {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	c, ok := sh.clients[id]
-	if !ok {
-		c = &client{sh: sh}
-		sh.clients[id] = c
-	}
-	return c
+// register applies a Register to the client's row in place: connections
+// cache the row, and a client that registers again has not un-delivered
+// what it delivered.
+func (s *Server) register(m *hbproto.Register, now time.Time) {
+	sh, r, _ := s.lockRow(m.ID)
+	r.app, r.lastSeen, r.deadline = sh.app(m.App), now.UnixNano(), now.Add(m.Expiry).UnixNano()
+	sh.mu.Unlock()
 }
 
-// lockSource returns a heartbeat's client record with its shard locked:
-// through the connection's handle cache when the decoder has handed this
-// source out before, by ID otherwise (handle 0, first sight on this
-// connection, or a record a handoff took out of the table).
-func (s *Server) lockSource(cs *connState, hb *hbproto.Heartbeat) *client {
+// lockSource returns a heartbeat's row with its stripe locked: through the
+// connection's handle cache when the decoder has handed this source out
+// before and the row still holds it, by ID otherwise (handle 0, first
+// sight on this connection, or a row a handoff freed).
+func (s *Server) lockSource(cs *connState, hb *hbproto.Heartbeat) (*presenceShard, *row) {
 	h := int(hb.Handle)
 	if h < len(cs.byHandle) {
-		if c := cs.byHandle[h]; c != nil {
-			c.sh.mu.Lock()
-			if !c.gone {
+		if ref := cs.byHandle[h]; ref.gen != 0 {
+			sh := &s.shards[ref.stripe]
+			sh.mu.Lock()
+			if r := &sh.rows[ref.pos]; r.gen == ref.gen {
 				cs.hits++
-				return c
+				return sh, r
 			}
-			c.sh.mu.Unlock()
+			sh.mu.Unlock()
 		}
 	}
 	cs.misses++
-	c := s.lockClient(hb.Src)
+	sh, r, ref := s.lockRow(hb.Src)
 	if h != 0 {
 		for h >= len(cs.byHandle) {
-			cs.byHandle = append(cs.byHandle, nil)
+			cs.byHandle = append(cs.byHandle, rowRef{})
 		}
-		cs.byHandle[h] = c
+		cs.byHandle[h] = ref
 	}
-	return c
+	return sh, r
 }
 
 // touch resets a client's expiration timer: IM apps "send heartbeat
@@ -679,30 +621,32 @@ func (s *Server) touch(cs *connState, hb *hbproto.Heartbeat, now time.Time, rela
 		cs.cc.late.Add(1)
 		s.ins.late.Inc()
 	}
-	c := s.lockSource(cs, hb)
-	if c.app == "" {
-		c.app = hb.App
+	sh, r := s.lockSource(cs, hb)
+	if r.app == 0 {
+		r.app = sh.app(hb.App)
 	}
-	c.lastSeen = now
-	if deadline := now.Add(hb.Expiry); deadline.After(c.deadline) {
-		c.deadline = deadline
-	}
-	if hb.Seq > c.maxSeq {
-		c.maxSeq = hb.Seq
-	}
+	r.lastSeen = now.UnixNano()
+	r.deadline = max(r.deadline, r.lastSeen+int64(hb.Expiry))
+	r.maxSeq = max(r.maxSeq, hb.Seq)
 	// Handlers stamp now before taking the lock, so two connections can
 	// deliver for one client a hair out of order; the timer refuses the
 	// older one and presence is none the worse.
-	_ = c.timer.Deliver(now.Sub(s.start), hb.Expiry)
-	misrouted := s.misroutedLocked(c, hb.Src)
-	c.sh.mu.Unlock()
+	_ = r.timer.Deliver(now.Sub(s.start), hb.Expiry)
+	misrouted := s.misroutedLocked(r, hb.Src)
+	sh.mu.Unlock()
 	if misrouted {
 		s.misrouted.Add(1)
 		s.ins.misrouted.Inc()
 	}
-	if s.tracer == nil {
-		return
+	if s.tracer != nil {
+		s.traceDelivery(hb, now, relayed, onTime)
 	}
+}
+
+// traceDelivery emits touch's trace event. The event is a large value:
+// built in touch's own frame it would deepen the first-sight path, and with
+// it the stack of every handler goroutine, by ~180 B.
+func (s *Server) traceDelivery(hb *hbproto.Heartbeat, now time.Time, relayed, onTime bool) {
 	via := hb.Src
 	if relayed {
 		via = "relay"
@@ -717,13 +661,11 @@ func (s *Server) touch(cs *connState, hb *hbproto.Heartbeat, now time.Time, rela
 // its first heartbeat and now, and how many times it flapped offline.
 func (s *Server) Availability(id string) (availability float64, flaps int) {
 	horizon := time.Since(s.start)
-	sh := s.shard(id)
-	sh.mu.Lock()
+	sh, r := s.lockFound(id)
 	defer sh.mu.Unlock()
-	c, ok := sh.clients[id]
-	if !ok {
+	if r == nil {
 		return 0, 0
 	}
-	_, flaps, _ = c.timer.Stats(horizon)
-	return c.timer.Availability(horizon), flaps
+	_, flaps, _ = r.timer.Stats(horizon)
+	return r.timer.Availability(horizon), flaps
 }
