@@ -133,8 +133,10 @@ var (
 type (
 	// Server is the IM presence server.
 	Server = relaynet.Server
-	// RelayAgent runs Algorithm 1 against wall-clock time, collecting
-	// heartbeats from UE connections and batching them upstream.
+	// RelayAgent runs the simulator's relay (Algorithm 1, internal/device)
+	// on a discrete-event kernel it feeds wall time, collecting heartbeats
+	// from UE connections, batching them upstream and feeding back each
+	// heartbeat the server acknowledges.
 	RelayAgent = relaynet.RelayAgent
 	// RelayAgentConfig parameterizes a RelayAgent.
 	RelayAgentConfig = relaynet.RelayAgentConfig

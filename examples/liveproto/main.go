@@ -69,7 +69,7 @@ func run() error {
 		st.HeartbeatsRelayed, st.HeartbeatsDirect, st.Batches, server.OnlineCount(time.Now()))
 	rs := relay.Stats()
 	fmt.Printf("relay:  collected %d, flushed %d batches, %d feedbacks, %d credits earned\n",
-		rs.Collected, rs.Flushes, rs.FeedbacksSent, rs.Credits)
+		rs.Collected, rs.Flushes, rs.AcksSent, rs.Credits)
 	for i, ue := range ues {
 		us := ue.Stats()
 		fmt.Printf("ue-%d:   %d generated, %d via relay, %d direct, %d acks, %d fallbacks\n",

@@ -897,7 +897,7 @@ func TestRelayPeriodAndFlushTimerOnSameInstant(t *testing.T) {
 	// the policy, and the superseded flush timer must not fire after it.
 	s := simtime.NewScheduler(1)
 	sub := &fakeSub{}
-	relay, err := NewRelayOn(simtime.SchedulerClock{S: s}, sub, sub, RelayConfig{
+	relay, err := NewRelayOn(simtime.SchedulerClock{S: s}, sub, Cellular{sub}, RelayConfig{
 		ID: "relay", Profile: std(), Capacity: 8,
 	})
 	if err != nil {
@@ -936,6 +936,84 @@ func TestRelayPeriodAndFlushTimerOnSameInstant(t *testing.T) {
 	}
 	if free, _ := relay.Advertised(); free != 8 {
 		t.Fatalf("advertised free = %d after the new period opened, want 8", free)
+	}
+}
+
+// lossyForwarder is a Forwarder whose every flush has the scripted outcome.
+type lossyForwarder struct {
+	lost  []int
+	acked bool
+	err   error
+}
+
+func (u lossyForwarder) Forward([]hbmsg.Heartbeat) ([]int, bool, error) {
+	return u.lost, u.acked, u.err
+}
+
+// TestRelayForgetsRoutesOfLostHeartbeats fills a relay's window with two
+// forwarded heartbeats, so the second triggers a capacity flush of
+// [ue-a, ue-b, own], and scripts what became of it. A heartbeat that did
+// not leave is neither forwarded nor credited, and its feedback route is
+// dropped with the flush; one that left keeps its route until it is
+// confirmed, at flush or later.
+func TestRelayForgetsRoutesOfLostHeartbeats(t *testing.T) {
+	cases := []struct {
+		name          string
+		up            lossyForwarder
+		wantForwarded int
+		wantAwaiting  int // routes left after the flush
+		wantAcks      []d2d.AckRef
+	}{
+		{name: "modem send fails", up: lossyForwarder{acked: true, err: errors.New("no network")}},
+		{name: "ue-a's shard unreachable", up: lossyForwarder{lost: []int{0}},
+			wantForwarded: 1, wantAwaiting: 1, wantAcks: []d2d.AckRef{{Src: "ue-b", Seq: 1}}},
+		{name: "own heartbeat lost, rest acknowledged", up: lossyForwarder{lost: []int{2}, acked: true},
+			wantForwarded: 2, wantAcks: []d2d.AckRef{{Src: "ue-a", Seq: 1}, {Src: "ue-b", Seq: 1}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := simtime.NewScheduler(1)
+			sub := &fakeSub{}
+			relay, err := NewRelayOn(simtime.SchedulerClock{S: s}, sub, tc.up, RelayConfig{
+				ID: "relay", Profile: std(), Capacity: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := relay.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.At(10*time.Second, func() {
+				relay.Receive(std().Heartbeat("ue-a", 1, s.Now()), "a")
+				relay.Receive(std().Heartbeat("ue-b", 1, s.Now()), "b")
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RunUntil(20 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if got := relay.Awaiting(); got != tc.wantAwaiting {
+				t.Fatalf("%d feedback routes left after the flush, want %d", got, tc.wantAwaiting)
+			}
+			rs := relay.Stats()
+			if rs.ForwardedSent != tc.wantForwarded || rs.Credits != tc.wantForwarded {
+				t.Fatalf("forwarded %d, credits %d, want %d", rs.ForwardedSent, rs.Credits, tc.wantForwarded)
+			}
+			if sent := tc.up.err == nil; sent != (rs.Flushes == 1) || sent == (rs.SendErrors == 1) {
+				t.Fatalf("flushes %d, send errors %d for a flush that left: %v", rs.Flushes, rs.SendErrors, sent)
+			}
+			// The substrate confirms everything the server might have
+			// acknowledged: only what left has a route to feed back on.
+			relay.Confirm("ue-a", 1)
+			relay.Confirm("ue-b", 1)
+			relay.Confirm("relay", 1)
+			if !slices.Equal(sub.acks, tc.wantAcks) || relay.Awaiting() != 0 {
+				t.Fatalf("acks = %v with %d routes left, want %v and none", sub.acks, relay.Awaiting(), tc.wantAcks)
+			}
+			if rs := relay.Stats(); rs.AcksSent != len(tc.wantAcks) {
+				t.Fatalf("acks sent = %d, want %d", rs.AcksSent, len(tc.wantAcks))
+			}
+		})
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"d2dhb/internal/cellular"
 	"d2dhb/internal/d2d"
-	"d2dhb/internal/energy"
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/sched"
 	"d2dhb/internal/simtime"
@@ -100,13 +99,13 @@ type Relay struct {
 	cfg    RelayConfig
 	clock  simtime.Clock
 	radio  RelayRadio
-	uplink Uplink
+	uplink Forwarder
 	policy sched.Policy
 
 	seq         uint64
 	ownHB       hbmsg.Heartbeat
 	sources     map[ackKey]ReturnPath
-	txBuf       []hbmsg.Heartbeat // the transmitted batch, reused: Uplink.Send does not retain it
+	txBuf       []hbmsg.Heartbeat // the transmitted batch, reused: Forwarder.Forward does not retain it
 	flushTimer  simtime.Handle
 	periodTimer simtime.Handle
 	// The timers' callbacks, bound once: a method value made at every arm
@@ -124,7 +123,7 @@ func NewRelay(s *simtime.Scheduler, node *d2d.Node, modem *cellular.Modem, cfg R
 	if s == nil || node == nil || modem == nil {
 		return nil, errors.New("device: nil scheduler, node or modem")
 	}
-	r, err := NewRelayOn(simtime.SchedulerClock{S: s}, liveNode{node}, modem, cfg)
+	r, err := NewRelayOn(simtime.SchedulerClock{S: s}, liveNode{node}, Cellular{modem}, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +133,7 @@ func NewRelay(s *simtime.Scheduler, node *d2d.Node, modem *cellular.Modem, cfg R
 
 // NewRelayOn assembles a relay on an arbitrary substrate. The substrate
 // delivers forwarded heartbeats by calling Receive.
-func NewRelayOn(clock simtime.Clock, radio RelayRadio, uplink Uplink, cfg RelayConfig) (*Relay, error) {
+func NewRelayOn(clock simtime.Clock, radio RelayRadio, uplink Forwarder, cfg RelayConfig) (*Relay, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -163,6 +162,10 @@ func (r *Relay) Stats() RelayStats { return r.stats }
 
 // Policy exposes the active scheduling policy.
 func (r *Relay) Policy() sched.Policy { return r.policy }
+
+// Awaiting reports how many collected heartbeats still hold a feedback
+// route: waiting in the window, or forwarded and not yet confirmed.
+func (r *Relay) Awaiting() int { return len(r.sources) }
 
 // Start schedules the first heartbeat period.
 func (r *Relay) Start() error {
@@ -278,7 +281,8 @@ func (r *Relay) rearmFlush() {
 }
 
 // flush transmits the batch — collected heartbeats plus the relay's own —
-// in a single cellular connection, then acknowledges each UE.
+// in a single cellular connection, then acknowledges each UE if the uplink
+// already has the server's answer.
 func (r *Relay) flush() {
 	if r.stopped {
 		return
@@ -299,9 +303,20 @@ func (r *Relay) flush() {
 	if len(full) == 0 {
 		return
 	}
-	if err := r.uplink.Send(full, energy.PhaseCellular); err != nil {
+	lost, acked, err := r.uplink.Forward(full)
+	if err != nil {
 		r.stats.SendErrors++
+		for _, hb := range batch {
+			r.forget(hb)
+		}
 		return
+	}
+	forwarded := len(batch)
+	for _, i := range lost {
+		if i < len(batch) { // not the own heartbeat
+			r.forget(batch[i])
+			forwarded--
+		}
 	}
 	r.stats.Flushes++
 	nagle, isNagle := r.policy.(*sched.Nagle)
@@ -309,7 +324,7 @@ func (r *Relay) flush() {
 	if isNagle {
 		reason = nagle.LastFlushReason().String()
 	}
-	r.emit(trace.Event{Kind: trace.KindFlush, N: len(full), Reason: reason})
+	r.emit(trace.Event{Kind: trace.KindFlush, N: len(full) - len(lost), Reason: reason})
 	if isNagle {
 		switch nagle.LastFlushReason() {
 		case sched.ReasonCapacity:
@@ -320,11 +335,21 @@ func (r *Relay) flush() {
 			r.stats.FlushesByPeriodEnd++
 		}
 	}
-	r.stats.ForwardedSent += len(batch)
-	r.stats.Credits += len(batch)
-	r.ackBatch(batch)
+	r.stats.ForwardedSent += forwarded
+	r.stats.Credits += forwarded
+	if acked {
+		// In batch order, so the simulation's random stream stays
+		// deterministic.
+		for _, hb := range batch {
+			r.Confirm(hb.Src, hb.Seq)
+		}
+	}
 	r.advertise()
 }
+
+// forget drops the feedback route of a heartbeat that never left: no
+// acknowledgement can come for it, and its UE falls back on its own.
+func (r *Relay) forget(hb hbmsg.Heartbeat) { delete(r.sources, ackKey{src: hb.Src, seq: hb.Seq}) }
 
 // emit stamps and forwards one trace event.
 func (r *Relay) emit(ev trace.Event) {
@@ -333,20 +358,20 @@ func (r *Relay) emit(ev trace.Event) {
 	trace.Emit(r.cfg.Tracer, ev)
 }
 
-// ackBatch notifies each UE whose heartbeats were delivered. Acks are sent
-// in batch order so the simulation's random stream stays deterministic.
-func (r *Relay) ackBatch(batch []hbmsg.Heartbeat) {
-	for _, hb := range batch {
-		key := ackKey{src: hb.Src, seq: hb.Seq}
-		via, ok := r.sources[key]
-		delete(r.sources, key)
-		if !ok {
-			continue
-		}
-		if err := r.radio.Ack(via, d2d.AckRef{Src: hb.Src, Seq: hb.Seq}); err != nil {
-			r.stats.AckFailures++
-			continue
-		}
-		r.stats.AcksSent++
+// Confirm feeds back to the UE that forwarded heartbeat (src, seq) once the
+// server holds it. A relay on a modem confirms its own flushes; any other
+// substrate calls Confirm per acknowledgement it receives. An unknown key —
+// the relay's own heartbeat, or one already confirmed — is ignored.
+func (r *Relay) Confirm(src hbmsg.DeviceID, seq uint64) {
+	key := ackKey{src: src, seq: seq}
+	via, ok := r.sources[key]
+	if !ok {
+		return
 	}
+	delete(r.sources, key)
+	if err := r.radio.Ack(via, d2d.AckRef{Src: src, Seq: seq}); err != nil {
+		r.stats.AckFailures++
+		return
+	}
+	r.stats.AcksSent++
 }

@@ -9,7 +9,9 @@ import (
 // The UE and Relay state machines are stated once and run on two
 // substrates: the sequential kernel (live d2d.Medium, cellular.Modem and a
 // bare scheduler — live.go) and the windowed tile kernel (boundary-op
-// queues over window snapshots — experiments/pardevice.go). The interfaces
+// queues over window snapshots — experiments/pardevice.go). The Relay runs
+// on a third, the live TCP relay (relaynet.RelayAgent: UE connections,
+// presence shards, and a scheduler it feeds wall time). The interfaces
 // below, together with simtime.Clock and trace.Tracer, are everything the
 // state machines touch outside their own state. Energy for every effect is
 // charged by the substrate.
@@ -41,7 +43,8 @@ type Link interface {
 }
 
 // ReturnPath is the relay's opaque handle on the connection a heartbeat
-// arrived over; it goes back to RelayRadio.Ack when the batch is flushed.
+// arrived over; it goes back to RelayRadio.Ack when the heartbeat is
+// confirmed.
 type ReturnPath any
 
 // RelayRadio is the relay's side of the D2D substrate.
@@ -59,4 +62,26 @@ type RelayRadio interface {
 // copies what it keeps of hbs; the caller reuses the slice.
 type Uplink interface {
 	Send(hbs []hbmsg.Heartbeat, phase energy.Phase) error
+}
+
+// Forwarder carries a relay's flushes. Forward transmits one batch — the
+// collected heartbeats, then the relay's own — and reports what left:
+//   - err non-nil: nothing left;
+//   - lost: the indices into hbs of heartbeats that did not leave when the
+//     rest did;
+//   - acked: the server's acknowledgement came back inside the call, so the
+//     relay feeds back to the UEs at once, in batch order. Otherwise the
+//     substrate calls Relay.Confirm as acknowledgements arrive.
+//
+// Forward copies what it keeps of hbs; the caller reuses the slice.
+type Forwarder interface {
+	Forward(hbs []hbmsg.Heartbeat) (lost []int, acked bool, err error)
+}
+
+// Cellular is a modem as a relay's Forwarder: one flush is one RRC
+// connection, delivered and acknowledged by the time Send returns.
+type Cellular struct{ Uplink }
+
+func (c Cellular) Forward(hbs []hbmsg.Heartbeat) (lost []int, acked bool, err error) {
+	return nil, true, c.Send(hbs, energy.PhaseCellular)
 }

@@ -212,7 +212,7 @@ func newParCity(cfg ParallelCityConfig, pop cityPopulation) (*parCity, error) {
 		spec := &pop.relays[i]
 		d, err := addDevice(spec.ID, spec.Mobility, true)
 		if err == nil {
-			d.relay, err = device.NewRelayOn(d.clock(), d, d, device.RelayConfig{
+			d.relay, err = device.NewRelayOn(d.clock(), d, device.Cellular{Uplink: d}, device.RelayConfig{
 				ID: spec.ID, Profile: profile, Capacity: spec.Capacity,
 				StartOffset: spec.StartOffset, Tracer: d.tracer,
 			})

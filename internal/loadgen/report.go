@@ -166,9 +166,9 @@ func (r *Runner) snapshot(elapsed time.Duration, final bool) Report {
 		for _, ra := range r.relays {
 			st := ra.Stats()
 			agg.Collected += st.Collected
-			agg.Forwarded += st.Forwarded
+			agg.Forwarded += st.ForwardedSent
 			agg.Flushes += st.Flushes
-			agg.Rejected += st.RejectedClosed + st.RejectedExpire
+			agg.Rejected += st.RejectedClosed + st.RejectedExpired
 		}
 		rep.Relay = &agg
 	}

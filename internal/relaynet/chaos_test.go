@@ -28,6 +28,12 @@ import (
 	"d2dhb/internal/trace"
 )
 
+// hbKey identifies one heartbeat in a trace.
+type hbKey struct {
+	src string
+	seq uint64
+}
+
 // generatedSet returns every UE-generated heartbeat recorded so far.
 func generatedSet(rec *trace.Recorder) map[hbKey]bool {
 	out := make(map[hbKey]bool)

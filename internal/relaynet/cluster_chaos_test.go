@@ -195,7 +195,7 @@ func TestClusterChaosDrainKillAndRollingRestart(t *testing.T) {
 	if epoch := client.Epoch(); epoch < 4 {
 		t.Errorf("client epoch %d after drain+evict+join, want >= 4", epoch)
 	}
-	if st := relay.Stats(); st.Forwarded == 0 {
+	if st := relay.Stats(); st.ForwardedSent == 0 {
 		t.Errorf("relay forwarded nothing: %+v", st)
 	}
 }

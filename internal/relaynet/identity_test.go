@@ -291,54 +291,78 @@ func TestRoutingVerdictFollowsTheView(t *testing.T) {
 
 // TestFeedbackRoutesAcksDecodedFromTheWire is the regression test for the
 // relay's source table: it is keyed by the relay's own (source, seq) pair,
-// so an ack that went through a FrameReader — and carries that reader's
-// handle, unlike the heartbeat the table entry was made from — still finds
-// the UE connection to feed back to.
+// so an ack that went through the upstream slot's FrameReader — and carries
+// that reader's handle, unlike the heartbeat the table entry was made from —
+// still finds the UE connection to feed back to. The test plays the run
+// loop and the shard.
 func TestFeedbackRoutesAcksDecodedFromTheWire(t *testing.T) {
-	r, err := NewRelayAgent(RelayAgentConfig{
+	shard, dialed := net.Pipe()
+	t.Cleanup(func() { _ = shard.Close() })
+	r := steppedRelay(t, RelayAgentConfig{
 		ID: "relay-1", App: "std", Capacity: 8, Period: time.Minute, Expiry: time.Minute,
-	})
+		Dial: func(string, string) (net.Conn, error) { return dialed, nil },
+	}, "shard-0")
+	ack, err := hbproto.AppendFrame(nil, &hbproto.Ack{Refs: []hbproto.Ref{{Src: "ue-2", Seq: 9}, {Src: "ue-1", Seq: 7}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	near, far := net.Pipe()
-	t.Cleanup(func() { _ = near.Close(); _ = far.Close() })
-	uc := &ueConn{conn: near, id: "ue-1"}
-	r.ueConns[uc] = struct{}{}
-	r.sources[hbKey{"ue-1", 7}] = uc
-	r.sources[hbKey{"ue-2", 9}] = &ueConn{id: "ue-2"} // its connection is gone
+	go func() { // the shard: acknowledge the batch
+		fr := hbproto.NewFrameReader(shard)
+		for {
+			msg, err := fr.Next()
+			if err != nil {
+				return
+			}
+			if _, ok := msg.(*hbproto.Batch); ok {
+				_, _ = shard.Write(ack)
+			}
+		}
+	}()
 
-	frame, err := hbproto.AppendFrame(nil, &hbproto.Ack{Refs: []hbproto.Ref{{Src: "ue-2", Seq: 9}, {Src: "ue-1", Seq: 7}}})
-	if err != nil {
-		t.Fatal(err)
+	near1, far1 := net.Pipe()
+	near2, far2 := net.Pipe()
+	t.Cleanup(func() { _ = near1.Close(); _ = far1.Close(); _ = near2.Close(); _ = far2.Close() })
+	ue1, ue2 := &ueConn{conn: near1}, &ueConn{conn: near2}
+	beat := func(src string, seq uint64) *hbproto.Heartbeat {
+		return &hbproto.Heartbeat{Src: src, Seq: seq, App: "std", Origin: time.Now(), Expiry: time.Minute}
+	}
+	ms := time.Millisecond
+	r.step(0, relayEvent{})
+	r.step(1*ms, relayEvent{ueMsg: &hbproto.Register{ID: "ue-1"}, ueFrom: ue1})
+	r.step(1*ms, relayEvent{ueMsg: &hbproto.Register{ID: "ue-2"}, ueFrom: ue2})
+	r.step(2*ms, relayEvent{ueMsg: beat("ue-1", 7), ueFrom: ue1})
+	r.step(2*ms, relayEvent{ueMsg: beat("ue-2", 9), ueFrom: ue2})
+	r.step(3*ms, relayEvent{ueClosed: ue2}) // its connection is gone before the ack
+	r.step(time.Minute, relayEvent{})       // the boundary flushes both upstream
+
+	var ev relayEvent
+	select {
+	case ev = <-r.events:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the shard's ack never reached the run loop")
+	}
+	if len(ev.acked) != 2 || ev.acked[1].Handle == 0 {
+		t.Fatalf("acked refs %+v: the decoded ack carries no handle, the test no longer exercises the annotation", ev.acked)
 	}
 	wire := make(chan hbproto.Message, 1)
 	go func() {
-		msg, err := hbproto.NewFrameReader(far).Next()
+		msg, err := hbproto.NewFrameReader(far1).Next()
 		if err != nil {
 			t.Errorf("UE side read: %v", err)
 		}
 		wire <- msg
 	}()
-	ackConn, ackPeer := net.Pipe()
-	t.Cleanup(func() { _ = ackConn.Close(); _ = ackPeer.Close() })
-	go func() { _, _ = ackPeer.Write(frame) }()
-	msg, err := hbproto.NewFrameReader(ackConn).Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := msg.(*hbproto.Ack).Refs
-	if refs[1].Handle == 0 {
-		t.Fatal("decoded ack carries no handle: the test no longer exercises the annotation")
-	}
-	r.handleAck(refs)
+	r.step(time.Minute+ms, ev)
 	r.flushFeedback()
 	fb, ok := (<-wire).(*hbproto.Feedback)
 	if !ok || len(fb.Refs) != 1 || fb.Refs[0].Src != "ue-1" || fb.Refs[0].Seq != 7 {
 		t.Fatalf("UE received %+v, want feedback for ue-1/7", fb)
 	}
-	if len(r.sources) != 0 {
-		t.Fatalf("%d acked sources left in the table", len(r.sources))
+	if n := r.relay.Awaiting(); n != 0 {
+		t.Fatalf("%d acked sources left in the table", n)
+	}
+	if st := r.relay.Stats(); st.AcksSent != 1 || st.AckFailures != 1 || st.ForwardedSent != 2 {
+		t.Fatalf("relay stats = %+v, want 2 forwarded, 1 fed back, 1 for a vanished UE", st)
 	}
 }
 

@@ -1,6 +1,7 @@
 package relaynet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,10 +10,13 @@ import (
 	"time"
 
 	"d2dhb/internal/cluster"
+	"d2dhb/internal/d2d"
+	"d2dhb/internal/device"
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/sched"
 	"d2dhb/internal/session"
+	"d2dhb/internal/simtime"
 	"d2dhb/internal/telemetry"
 	"d2dhb/internal/trace"
 )
@@ -86,21 +90,18 @@ func (c RelayAgentConfig) listen(network, addr string) (net.Listener, error) {
 	return net.Listen(network, addr)
 }
 
-// RelayAgentStats aggregates a relay agent's behaviour.
+// RelayAgentStats aggregates a relay agent's behaviour: the counters of
+// the relay itself — the simulator's device.RelayStats — and those only the
+// live substrate has. On the live stack AcksSent counts feedback refs
+// queued to a connected UE, AckFailures acks whose UE connection had gone,
+// and SendErrors flushes no shard took.
 type RelayAgentStats struct {
-	UEConnections      int
-	Collected          int
-	RejectedClosed     int
-	RejectedExpire     int
-	Flushes            int
-	Forwarded          int
-	OwnHeartbeats      int
-	FeedbacksSent      int
-	Credits            int
-	UpstreamReconnects int
+	device.RelayStats
+	UEConnections int
 	// ShardDials counts successful upstream dials (including each
 	// shard's first); UpstreamReconnects counts the rest.
-	ShardDials int
+	ShardDials         int
+	UpstreamReconnects int
 	// DroppedNoShard counts heartbeats abandoned because their owning
 	// shard was unreachable (or in dial backoff) at flush time. The UEs
 	// recover through the feedback-timeout fallback.
@@ -112,24 +113,16 @@ type RelayAgentStats struct {
 	FeedbackWritesSaved int
 }
 
-// hbKey identifies a collected heartbeat in the relay's own tables. It is
-// deliberately not hbproto.Ref: the wire type carries decode-side
-// annotations (Ref.Handle) that differ between the UE's heartbeat and the
-// server's ack for it.
-type hbKey struct {
-	src string
-	seq uint64
-}
-
-// ueConn is one connected UE on the relay's "D2D" listener.
+// ueConn is one connected UE on the relay's "D2D" listener; it is the
+// relay's ReturnPath for the heartbeats that arrive over it.
 type ueConn struct {
 	conn net.Conn
-	id   string
 }
 
 // relayEvent is the main loop's input alphabet.
 type relayEvent struct {
-	// exactly one of ueMsg/ueClosed/acked/upErr is set
+	// at most one of ueMsg/ueClosed/acked/upErr is set; none is a timer
+	// tick
 	ueMsg    hbproto.Message
 	ueFrom   *ueConn
 	ueClosed *ueConn
@@ -140,10 +133,17 @@ type relayEvent struct {
 	upShard string
 }
 
-// RelayAgent collects heartbeats from UE connections and forwards them to
-// the presence shards in aggregated batches under the Algorithm 1
-// schedule, sending feedback to each UE once a shard acknowledges its
-// sub-batch.
+// RelayAgent is the live substrate of device.Relay, Algorithm 1 stated once
+// for simulator and network alike: it accepts UE connections, hands their
+// heartbeats to the relay, forwards its flushes to the presence shards and
+// confirms each heartbeat a shard acknowledges, which sends the UE its
+// feedback.
+//
+// The relay runs on a simtime.Scheduler whose instant 0 is the agent's
+// start. The run goroutine owns both and advances the scheduler to the
+// wall clock before it handles anything (see step), so Algorithm 1's
+// boundaries and deadlines run at their own instants, in the kernel's
+// order, however late the wall timer that announces them fires.
 type RelayAgent struct {
 	cfg RelayAgentConfig
 	// cluster is cfg.Cluster, or the one-node view Start builds from its
@@ -164,35 +164,31 @@ type RelayAgent struct {
 	wg     sync.WaitGroup
 
 	// main-loop state (owned by run goroutine)
-	policy      *sched.Nagle
-	start       time.Time
-	boundary    time.Duration // end of the current period, on the k·Period grid
-	periodTimer *time.Timer   // fires at boundary
-	flushTimer  *time.Timer   // fires at the policy's batch deadline
-	seq         uint64
-	ownHB       *hbproto.Heartbeat
-	sources     map[hbKey]*ueConn
-	ueConns     map[*ueConn]struct{}
-	rng         *rand.Rand // backoff jitter; owned by run goroutine
+	relay   *device.Relay
+	kernel  *simtime.Scheduler
+	epoch   time.Time // the wall instant of kernel instant 0
+	ueConns map[*ueConn]struct{}
+	rng     *rand.Rand // backoff jitter
 	// downUntil/backoffCur arm the per-shard redial backoff so flush never
 	// hammers a dead shard, and everDialed distinguishes a reconnect from a
 	// shard's first dial in the stats.
 	downUntil  map[string]time.Duration
 	backoffCur map[string]time.Duration
 	everDialed map[string]bool
-	// collectedAt mirrors the policy's pending buffer with each message's
-	// collect instant, so flush can histogram collect-to-flush latency.
-	// Owned by the run goroutine, like the policy itself.
-	collectedAt []time.Duration
+	// held stamps each heartbeat in the window with its collect instant,
+	// in collect order, for the collect-to-flush histogram (telemetry
+	// only); the next flush drains it.
+	held []time.Duration
 	// pendingFB accumulates acked refs per UE connection across the acks
 	// of one event drain; flushFeedback writes one Feedback frame per UE.
-	// ackTouched is handleAck's per-call scratch for counting merges.
-	// fbBuf/batchMsg/fbMsg are reusable encode state. All owned by the run
-	// goroutine.
+	// ackTouched and merged are handleAck's per-call record of the UEs it
+	// fed and of merges into refs an earlier ack left pending.
+	// batchMsg/fbBuf/fbMsg are reusable encode state.
 	pendingFB  map[*ueConn][]hbproto.Ref
 	ackTouched map[*ueConn]bool
-	fbBuf      []byte
+	merged     int
 	batchMsg   hbproto.Batch
+	fbBuf      []byte
 	fbMsg      hbproto.Feedback
 
 	ins relayInstruments
@@ -241,8 +237,7 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 		ups:        make(map[string]*session.Slot),
 		events:     make(chan relayEvent),
 		done:       make(chan struct{}),
-		policy:     policy,
-		sources:    make(map[hbKey]*ueConn),
+		kernel:     simtime.NewScheduler(seed),
 		ueConns:    make(map[*ueConn]struct{}),
 		downUntil:  make(map[string]time.Duration),
 		backoffCur: make(map[string]time.Duration),
@@ -267,7 +262,7 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 			upBytesOut:     reg.Counter("relaynet_relay_upstream_bytes_total", rl),
 		}
 		// The Algorithm 1 scheduler records its own occupancy-vs-capacity
-		// and deadline-slack figures from the instants the agent injects —
+		// and deadline-slack figures from the instants the relay injects —
 		// telemetry never hands it the wall clock.
 		kl := telemetry.L("policy", policy.Kind().String())
 		policy.SetInstruments(&sched.Instruments{
@@ -279,6 +274,28 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 			RejectExpired: reg.Counter("sched_rejects_total", telemetry.L("reason", "expired"), rl, kl),
 		})
 		reg.Gauge("sched_capacity", rl, kl).Set(int64(policy.Capacity()))
+	}
+	var tracer trace.Tracer
+	if cfg.Tracer != nil || cfg.Telemetry != nil {
+		tracer = agentTrace{r}
+	}
+	// The profile carries the period and passes validation; the own
+	// heartbeat goes on the wire with App, Expiry and Pad exactly as
+	// configured (see agentUplink.Forward).
+	r.relay, err = device.NewRelayOn(simtime.SchedulerClock{S: r.kernel}, agentRadio{r}, agentUplink{r}, device.RelayConfig{
+		ID: hbmsg.DeviceID(cfg.ID),
+		Profile: hbmsg.AppProfile{
+			Name: cmp.Or(cfg.App, cfg.ID), Period: cfg.Period, Size: max(cfg.Pad, 1),
+			ExpiryFactor: float64(cfg.Expiry) / float64(cfg.Period),
+		},
+		Capacity: cfg.Capacity, Policy: policy, Tracer: tracer,
+	})
+	if err != nil {
+		return nil, err
+	}
+	// The first period opens at kernel instant 0, the loop's first step.
+	if err := r.relay.Start(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -447,36 +464,19 @@ func (r *RelayAgent) ueReader(uc *ueConn) {
 			r.post(relayEvent{ueClosed: uc})
 			return
 		}
-		if !r.post(relayEvent{ueMsg: copyMessage(msg), ueFrom: uc}) {
+		switch m := msg.(type) {
+		case *hbproto.Register:
+			c := *m
+			msg = &c
+		case *hbproto.Heartbeat:
+			c := *m
+			msg = &c
+		default:
+			continue // UEs only register and send heartbeats
+		}
+		if !r.post(relayEvent{ueMsg: msg, ueFrom: uc}) {
 			return
 		}
-	}
-}
-
-// copyMessage deep-copies a FrameReader-owned message so it can outlive
-// the reader's next frame.
-func copyMessage(msg hbproto.Message) hbproto.Message {
-	switch m := msg.(type) {
-	case *hbproto.Register:
-		c := *m
-		return &c
-	case *hbproto.Heartbeat:
-		c := *m
-		return &c
-	case *hbproto.Batch:
-		c := *m
-		c.HBs = append([]hbproto.Heartbeat(nil), m.HBs...)
-		return &c
-	case *hbproto.Ack:
-		c := *m
-		c.Refs = append([]hbproto.Ref(nil), m.Refs...)
-		return &c
-	case *hbproto.Feedback:
-		c := *m
-		c.Refs = append([]hbproto.Ref(nil), m.Refs...)
-		return &c
-	default:
-		return msg
 	}
 }
 
@@ -527,7 +527,7 @@ func (r *RelayAgent) shardConn(shard string) *session.Slot {
 	if slot == nil || slot.Connected() {
 		return slot
 	}
-	now := r.now()
+	now := r.kernel.Now()
 	if until, ok := r.downUntil[shard]; ok && now < until {
 		return nil
 	}
@@ -549,40 +549,33 @@ func (r *RelayAgent) shardConn(shard string) *session.Slot {
 	return slot
 }
 
-// now returns policy time: the duration since the agent started.
-func (r *RelayAgent) now() time.Duration { return time.Since(r.start) }
-
-// run is the single goroutine owning the scheduling state.
+// run is the single goroutine owning the relay and its kernel. One wall
+// timer points at the kernel's next action; whatever wakes the loop, step
+// runs what is due first. A tick that finds nothing due — the timer
+// re-armed while it was firing — therefore does nothing.
 func (r *RelayAgent) run() {
 	defer r.wg.Done()
-	r.start = time.Now()
-	r.periodTimer = time.NewTimer(r.cfg.Period)
-	defer r.periodTimer.Stop()
-	r.startPeriod()
-
-	r.flushTimer = time.NewTimer(time.Hour)
-	defer r.flushTimer.Stop()
-	r.armFlushTimer()
+	r.epoch = time.Now()
+	wake := time.NewTimer(0)
+	defer wake.Stop()
 
 	// maxEventDrain bounds how many queued events one loop iteration may
-	// absorb before feedback is flushed and the timers get a look-in.
+	// absorb before feedback is flushed and the timer gets a look-in.
 	const maxEventDrain = 64
 
 	for {
 		select {
 		case <-r.done:
 			return
-		case <-r.periodTimer.C:
-			r.flushIfDue()
-		case <-r.flushTimer.C:
-			r.flushIfDue()
+		case <-wake.C:
+			r.step(time.Since(r.epoch), relayEvent{})
 		case ev := <-r.events:
 			// Drain whatever else is already queued (bounded) before
 			// flushing feedback, so refs from several acks — one per
 			// shard — merge into one Feedback frame per UE instead of one
 			// write per ack.
 			for n := 0; ; n++ {
-				r.handleEvent(ev)
+				r.step(time.Since(r.epoch), ev)
 				if n >= maxEventDrain {
 					break
 				}
@@ -595,7 +588,28 @@ func (r *RelayAgent) run() {
 			}
 			r.flushFeedback()
 		}
+		r.publish()
+		if at, ok := r.kernel.NextAt(); ok {
+			wake.Reset(at - time.Since(r.epoch))
+		}
 	}
+}
+
+// step advances the relay's kernel to instant at, running every period
+// boundary and flush deadline due by then at its own instant, and then
+// handles ev there. A UE heartbeat that arrives after a boundary whose
+// timer has not fired yet is thus collected into the new window.
+func (r *RelayAgent) step(at time.Duration, ev relayEvent) {
+	_ = r.kernel.RunUntil(at) // errs only for an instant in the past; wall time does not run backwards
+	r.handleEvent(ev)
+}
+
+// publish copies the relay's counters to where Stats reads them.
+func (r *RelayAgent) publish() {
+	st := r.relay.Stats()
+	r.mu.Lock()
+	r.stats.RelayStats = st
+	r.mu.Unlock()
 }
 
 // handleEvent dispatches one main-loop event.
@@ -603,7 +617,6 @@ func (r *RelayAgent) handleEvent(ev relayEvent) {
 	switch {
 	case ev.ueMsg != nil:
 		r.handleUE(ev.ueFrom, ev.ueMsg)
-		r.armFlushTimer()
 	case ev.ueClosed != nil:
 		delete(r.ueConns, ev.ueClosed)
 		delete(r.pendingFB, ev.ueClosed)
@@ -616,255 +629,39 @@ func (r *RelayAgent) handleEvent(ev relayEvent) {
 		// on one dead shard. Skipped when shutting down, or for a stale
 		// error from a connection a later flush has already replaced.
 		if slot := r.upstream(ev.upShard); slot != nil && !slot.Connected() {
-			r.armShardBackoff(ev.upShard, r.now())
+			r.armShardBackoff(ev.upShard, r.kernel.Now())
 		}
 	}
-}
-
-// flushIfDue runs the flush a timer tick announced, provided the clock
-// agrees that the boundary or the batch deadline has come: a timer re-armed
-// while it was firing can still deliver its old tick, and a flush on a
-// stale tick would close the window mid-period.
-func (r *RelayAgent) flushIfDue() {
-	now := r.now()
-	if at, open := r.policy.Deadline(); now >= r.boundary || (open && now >= at) {
-		r.flush()
-	}
-	r.armFlushTimer()
-}
-
-// resetTimer re-arms a timer that may already have fired.
-func resetTimer(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(max(d, 0))
-}
-
-// armFlushTimer points the flush timer at the policy's current deadline.
-func (r *RelayAgent) armFlushTimer() {
-	at, ok := r.policy.Deadline()
-	if !ok {
-		resetTimer(r.flushTimer, time.Hour) // nothing to flush until the next period
-		return
-	}
-	resetTimer(r.flushTimer, at-r.now())
-}
-
-// startPeriod opens the collection window of the period containing now.
-// Periods sit on the start + k·Period grid: re-arming relative to a late
-// timer would let the boundary drift into the UEs' send phases.
-func (r *RelayAgent) startPeriod() {
-	r.seq++
-	now := r.now()
-	k := now / r.cfg.Period
-	r.policy.StartPeriod(k * r.cfg.Period)
-	r.boundary = (k + 1) * r.cfg.Period
-	resetTimer(r.periodTimer, r.boundary-now)
-	r.ownHB = &hbproto.Heartbeat{
-		Src: r.cfg.ID, Seq: r.seq, App: r.cfg.App,
-		Origin: time.Now(), Expiry: r.cfg.Expiry, Pad: r.cfg.Pad,
-	}
-	r.mu.Lock()
-	r.stats.OwnHeartbeats++
-	r.mu.Unlock()
 }
 
 func (r *RelayAgent) handleUE(uc *ueConn, msg hbproto.Message) {
 	switch m := msg.(type) {
 	case *hbproto.Register:
-		uc.id = m.ID
 		r.ueConns[uc] = struct{}{}
 	case *hbproto.Heartbeat:
-		r.collect(uc, m)
-	default:
-		// UEs only register and send heartbeats; ignore anything else.
+		now := r.kernel.Now()
+		r.relay.Receive(hbmsg.Heartbeat{
+			App:    m.App,
+			Src:    hbmsg.DeviceID(m.Src),
+			Seq:    m.Seq,
+			Origin: now - time.Since(m.Origin), // arrival-relative origin
+			Expiry: m.Expiry,
+			Size:   m.Pad,
+		}, uc)
 	}
 }
 
-// collect runs Algorithm 1 on one forwarded heartbeat.
-func (r *RelayAgent) collect(uc *ueConn, m *hbproto.Heartbeat) {
-	now := r.now()
-	if now >= r.boundary {
-		// The period timer is due but queued behind this event: the
-		// boundary belongs to the clock, not to the select's pick.
-		r.flush()
-	}
-	hb := hbmsg.Heartbeat{
-		App:    m.App,
-		Src:    hbmsg.DeviceID(m.Src),
-		Seq:    m.Seq,
-		Origin: now - time.Since(m.Origin), // arrival-relative origin
-		Expiry: m.Expiry,
-		Size:   m.Pad,
-	}
-	flushNow, err := r.policy.Collect(hb, now)
-	switch {
-	case errors.Is(err, sched.ErrClosed):
-		r.mu.Lock()
-		r.stats.RejectedClosed++
-		r.mu.Unlock()
-		return
-	case errors.Is(err, sched.ErrExpired):
-		r.mu.Lock()
-		r.stats.RejectedExpire++
-		r.mu.Unlock()
-		return
-	case err != nil:
-		return
-	}
-	r.sources[hbKey{m.Src, m.Seq}] = uc
-	r.collectedAt = append(r.collectedAt, now)
-	r.ins.collected.Inc()
-	r.mu.Lock()
-	r.stats.Collected++
-	r.mu.Unlock()
-	trace.Emit(r.cfg.Tracer, trace.Event{
-		AtMs: time.Now().UnixMilli(), Device: r.cfg.ID, Kind: trace.KindCollect,
-		App: m.App, Seq: m.Seq, Peer: m.Src,
-	})
-	if flushNow {
-		r.flush()
-	}
-}
-
-// flush drains the collection window upstream. A drain at or past the
-// period boundary also opens the next window in the same step — drain, then
-// StartPeriod, the order device.Relay.startPeriod uses in the simulator —
-// so heartbeats already queued behind the boundary are never offered to a
-// closed scheduler. Capacity and deadline flushes inside the period leave
-// the window closed until the boundary (Algorithm 1).
-func (r *RelayAgent) flush() {
-	r.drain()
-	if r.now() >= r.boundary {
-		r.startPeriod()
-	}
-}
-
-// drain transmits the batch plus the relay's own heartbeat upstream: the
-// batch is partitioned by the current ring epoch and each sub-batch goes
-// to its owning shard; exactly one View is captured per flush, so a batch
-// never mixes two epochs.
-func (r *RelayAgent) drain() {
-	now := r.now()
-	batch := r.policy.Flush(now)
-	// The batch preserves collect order, so collectedAt lines up index by
-	// index; the histogram gets each message's collect-to-flush wait.
-	for i := range batch {
-		if i < len(r.collectedAt) {
-			r.ins.collectToFlush.Record(uint64((now - r.collectedAt[i]) / time.Microsecond))
-		}
-	}
-	r.collectedAt = r.collectedAt[:0]
-	hbs := make([]hbproto.Heartbeat, 0, len(batch)+1)
-	for _, hb := range batch {
-		hbs = append(hbs, hbproto.Heartbeat{
-			Src: string(hb.Src), Seq: hb.Seq, App: hb.App,
-			Origin: r.start.Add(hb.Origin), Expiry: hb.Expiry, Pad: hb.Size,
-		})
-	}
-	if r.ownHB != nil {
-		hbs = append(hbs, *r.ownHB)
-		r.ownHB = nil
-	}
-	if len(hbs) == 0 {
-		return
-	}
-
-	keys := make([]string, len(hbs))
-	for i := range hbs {
-		keys[i] = hbs[i].Src
-	}
-	flushed := false
-	for _, g := range r.cluster.View().Ring().GroupSorted(keys) {
-		shard := g.Shard
-		sub := make([]hbproto.Heartbeat, 0, len(g.Idxs))
-		for _, i := range g.Idxs {
-			sub = append(sub, hbs[i])
-		}
-		// A failed send drops the connection; the reader's error event
-		// then arms the shard's backoff.
-		if slot := r.shardConn(shard); slot == nil || !r.sendBatch(slot, shard, sub) {
-			r.ins.shardDrops.Add(uint64(len(sub)))
-			r.mu.Lock()
-			r.stats.DroppedNoShard += len(sub)
-			r.mu.Unlock()
-			continue
-		}
-		flushed = true
-	}
-	if flushed {
-		r.mu.Lock()
-		r.stats.Flushes++
-		r.mu.Unlock()
-	}
-}
-
-// sendBatch writes one wire batch to an upstream slot as a single Write,
-// updating the forwarding counters on success.
-func (r *RelayAgent) sendBatch(slot *session.Slot, shard string, hbs []hbproto.Heartbeat) bool {
-	r.batchMsg.Relay, r.batchMsg.HBs = r.cfg.ID, hbs
-	n, err := slot.Send(&r.batchMsg)
-	r.batchMsg.HBs = nil
-	if err != nil {
-		return false
-	}
-	r.ins.upBytesOut.Add(uint64(n))
-	r.ins.batchSize.Record(uint64(len(hbs)))
-	// The relay's own heartbeat is not a forwarded UE message.
-	ueCount := 0
-	for i := range hbs {
-		if hbs[i].Src != r.cfg.ID {
-			ueCount++
-		}
-	}
-	trace.Emit(r.cfg.Tracer, trace.Event{
-		AtMs: time.Now().UnixMilli(), Device: r.cfg.ID, Kind: trace.KindFlush,
-		N: len(hbs), Reason: r.policy.LastFlushReason().String(), Peer: shard,
-	})
-	r.mu.Lock()
-	r.stats.Forwarded += ueCount
-	r.stats.Credits += ueCount
-	r.mu.Unlock()
-	return true
-}
-
-// handleAck resolves the server's acknowledgement into per-UE feedback
-// refs, accumulated in pendingFB until the run loop's event drain ends.
-// Acks from every shard funnel through the same path: the refs identify
-// their UEs regardless of which upstream carried the batch, and refs from
-// several acks merge into one Feedback frame per UE (the saved writes are
-// counted).
+// handleAck confirms every heartbeat a shard acknowledged; the relay finds
+// its UE and feeds back through agentRadio.Ack. Acks from every shard
+// funnel through the same path, and refs from several acks merge into one
+// Feedback frame per UE (the saved writes are counted).
 func (r *RelayAgent) handleAck(refs []hbproto.Ref) {
-	saved := 0
 	for _, ref := range refs {
-		key := hbKey{ref.Src, ref.Seq}
-		uc, ok := r.sources[key]
-		if !ok {
-			continue // the relay's own heartbeat, or a vanished UE
-		}
-		delete(r.sources, key)
-		if _, alive := r.ueConns[uc]; !alive {
-			continue
-		}
-		if !r.ackTouched[uc] {
-			r.ackTouched[uc] = true
-			if len(r.pendingFB[uc]) > 0 {
-				// Refs from an earlier ack in this drain are still
-				// pending for the UE: the per-ack path would have
-				// written them as a separate Feedback frame.
-				saved++
-			}
-		}
-		r.pendingFB[uc] = append(r.pendingFB[uc], ref)
+		r.relay.Confirm(hbmsg.DeviceID(ref.Src), ref.Seq)
 	}
-	for uc := range r.ackTouched {
-		delete(r.ackTouched, uc)
-	}
-	if saved > 0 {
+	clear(r.ackTouched)
+	if saved := r.merged; saved > 0 {
+		r.merged = 0
 		r.ins.fbSaved.Add(uint64(saved))
 		r.mu.Lock()
 		r.stats.FeedbackWritesSaved += saved
@@ -878,10 +675,6 @@ func (r *RelayAgent) handleAck(refs []hbproto.Ref) {
 // connection), so plain map iteration is fine here, as it was on the old
 // per-ack path.
 func (r *RelayAgent) flushFeedback() {
-	if len(r.pendingFB) == 0 {
-		return
-	}
-	sent := 0
 	for uc, refs := range r.pendingFB {
 		delete(r.pendingFB, uc)
 		if len(refs) == 0 {
@@ -899,11 +692,121 @@ func (r *RelayAgent) flushFeedback() {
 		r.ins.feedbacks.Add(uint64(len(refs)))
 		r.ins.fbFlushes.Inc()
 		r.ins.fbRefs.Record(uint64(len(refs)))
-		sent += len(refs)
 	}
-	if sent > 0 {
-		r.mu.Lock()
-		r.stats.FeedbacksSent += sent
-		r.mu.Unlock()
+}
+
+// errUEGone is agentRadio.Ack's answer for a UE whose connection closed
+// before its heartbeat was acknowledged.
+var errUEGone = errors.New("relaynet: UE connection gone")
+
+// agentRadio is the agent's UE side as the relay's RelayRadio. Discovery is
+// the listener, so there is nothing to advertise or stop answering.
+type agentRadio struct{ r *RelayAgent }
+
+func (agentRadio) Advertise(int, int) {}
+
+func (agentRadio) Shutdown() {}
+
+// Ack queues one feedback ref for its UE; flushFeedback writes it at the
+// end of the event drain.
+func (a agentRadio) Ack(via device.ReturnPath, ref d2d.AckRef) error {
+	r, uc := a.r, via.(*ueConn)
+	if _, alive := r.ueConns[uc]; !alive {
+		return errUEGone
+	}
+	if !r.ackTouched[uc] {
+		r.ackTouched[uc] = true
+		if len(r.pendingFB[uc]) > 0 {
+			// Refs from an earlier ack in this drain are still pending for
+			// the UE: the per-ack path would have written them as a
+			// separate Feedback frame.
+			r.merged++
+		}
+	}
+	r.pendingFB[uc] = append(r.pendingFB[uc], hbproto.Ref{Src: string(ref.Src), Seq: ref.Seq})
+	return nil
+}
+
+// errNoShard is agentUplink.Forward's answer when no shard took any part
+// of a flush.
+var errNoShard = errors.New("relaynet: no shard reachable")
+
+// agentUplink is the agent's shard slots as the relay's Forwarder. The
+// shards acknowledge later, through handleAck.
+type agentUplink struct{ r *RelayAgent }
+
+// Forward partitions one flush by the current ring epoch — exactly one
+// View per flush, so a batch never mixes two epochs — and sends each
+// sub-batch to its owning shard. A shard that cannot be reached loses only
+// its own sub-batch.
+func (u agentUplink) Forward(hbs []hbmsg.Heartbeat) (lost []int, acked bool, err error) {
+	r := u.r
+	now := r.kernel.Now()
+	for _, at := range r.held {
+		r.ins.collectToFlush.Record(uint64((now - at) / time.Microsecond))
+	}
+	r.held = r.held[:0]
+	wire := make([]hbproto.Heartbeat, len(hbs))
+	keys := make([]string, len(hbs))
+	for i, hb := range hbs {
+		wire[i] = hbproto.Heartbeat{
+			Src: string(hb.Src), Seq: hb.Seq, App: hb.App,
+			Origin: r.epoch.Add(hb.Origin), Expiry: hb.Expiry, Pad: hb.Size,
+		}
+		if keys[i] = wire[i].Src; keys[i] == r.cfg.ID {
+			wire[i].App, wire[i].Expiry, wire[i].Pad = r.cfg.App, r.cfg.Expiry, r.cfg.Pad
+		}
+	}
+	for _, g := range r.cluster.View().Ring().GroupSorted(keys) {
+		sub := make([]hbproto.Heartbeat, 0, len(g.Idxs))
+		for _, i := range g.Idxs {
+			sub = append(sub, wire[i])
+		}
+		// A failed send drops the connection; the reader's error event
+		// then arms the shard's backoff.
+		if slot := r.shardConn(g.Shard); slot == nil || !r.sendBatch(slot, sub) {
+			r.ins.shardDrops.Add(uint64(len(sub)))
+			r.mu.Lock()
+			r.stats.DroppedNoShard += len(sub)
+			r.mu.Unlock()
+			lost = append(lost, g.Idxs...)
+		}
+	}
+	if len(lost) == len(hbs) {
+		return lost, false, errNoShard
+	}
+	return lost, false, nil
+}
+
+// sendBatch writes one wire batch to an upstream slot as a single Write.
+func (r *RelayAgent) sendBatch(slot *session.Slot, hbs []hbproto.Heartbeat) bool {
+	r.batchMsg.Relay, r.batchMsg.HBs = r.cfg.ID, hbs
+	n, err := slot.Send(&r.batchMsg)
+	r.batchMsg.HBs = nil
+	if err != nil {
+		return false
+	}
+	r.ins.upBytesOut.Add(uint64(n))
+	r.ins.batchSize.Record(uint64(len(hbs)))
+	return true
+}
+
+// agentTrace is the relay's Tracer on the live stack: it counts and stamps
+// collects for /metrics and hands every event to the configured tracer
+// with AtMs in Unix milliseconds.
+type agentTrace struct{ r *RelayAgent }
+
+func (t agentTrace) Emit(ev trace.Event) {
+	r := t.r
+	now := r.kernel.Now()
+	if ev.Kind == trace.KindCollect {
+		r.ins.collected.Inc()
+		if r.ins.collectToFlush != nil {
+			r.held = append(r.held, now)
+		}
+	}
+	if r.cfg.Tracer != nil {
+		ev.AtMs = r.epoch.Add(now).UnixMilli()
+		r.cfg.Tracer.Emit(ev)
 	}
 }

@@ -1,14 +1,17 @@
 package relaynet
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/hbproto/hbprototest"
+	"d2dhb/internal/telemetry"
 	"d2dhb/internal/trace"
 )
 
@@ -46,6 +49,23 @@ func startRelay(t *testing.T, serverAddr string, period, expiry time.Duration, c
 	if err := r.Start("127.0.0.1:0", serverAddr); err != nil {
 		t.Fatalf("relay Start: %v", err)
 	}
+	t.Cleanup(r.Shutdown)
+	return r
+}
+
+// steppedRelay builds a relay agent whose run loop the test plays itself,
+// calling step with explicit kernel instants. upstream is its one shard.
+func steppedRelay(t *testing.T, cfg RelayAgentConfig, upstream string) *RelayAgent {
+	t.Helper()
+	r, err := NewRelayAgent(cfg)
+	if err != nil {
+		t.Fatalf("NewRelayAgent: %v", err)
+	}
+	if r.cluster, err = cluster.NewSingleNodeClient(upstream); err != nil {
+		t.Fatal(err)
+	}
+	r.epoch = time.Now()
+	r.started = true // so Shutdown closes the upstream slots; there is no loop to wait for
 	t.Cleanup(r.Shutdown)
 	return r
 }
@@ -259,11 +279,11 @@ func TestEndToEndRelaying(t *testing.T) {
 		t.Fatal("no batches at server")
 	}
 	rs := r.Stats()
-	if rs.Collected == 0 || rs.Flushes == 0 || rs.Forwarded == 0 {
+	if rs.Collected == 0 || rs.Flushes == 0 || rs.ForwardedSent == 0 {
 		t.Fatalf("relay stats empty: %+v", rs)
 	}
-	if rs.Credits != rs.Forwarded {
-		t.Fatalf("credits %d != forwarded %d", rs.Credits, rs.Forwarded)
+	if rs.Credits != rs.ForwardedSent {
+		t.Fatalf("credits %d != forwarded %d", rs.Credits, rs.ForwardedSent)
 	}
 	// Both UEs online at the server.
 	if !s.Online("ue-1", time.Now()) || !s.Online("ue-2", time.Now()) {
@@ -353,6 +373,7 @@ func TestRelayCapacityFlushImmediately(t *testing.T) {
 	}
 	t.Cleanup(u.Shutdown)
 	eventually(t, 2*time.Second, func() bool { return r.Stats().Flushes >= 1 }, "capacity flush")
+	eventually(t, 2*time.Second, func() bool { return r.Stats().FlushesByCapacity >= 1 }, "flush counted under its capacity reason")
 	eventually(t, 2*time.Second, func() bool { return s.Stats().HeartbeatsRelayed >= 1 }, "relayed heartbeat arrived")
 	// Subsequent forwards in the same relay period are rejected (window
 	// closed) and recovered by fallback.
@@ -374,7 +395,7 @@ func TestRelayPeriodBoundaryNeverRejects(t *testing.T) {
 	s := startServer(t)
 	r := startRelay(t, s.Addr(), period, period, 256)
 	eventually(t, 2*time.Second, func() bool { return r.Stats().OwnHeartbeats >= 1 }, "relay running")
-	start := r.start // written before the first period's stats update, read after it
+	start := r.epoch // written before the first period's stats update, read after it
 
 	var wg sync.WaitGroup
 	for i := 0; i < ues; i++ {
@@ -404,11 +425,144 @@ func TestRelayPeriodBoundaryNeverRejects(t *testing.T) {
 	wg.Wait()
 	eventually(t, 2*time.Second, func() bool {
 		st := r.Stats()
-		return st.Collected+st.RejectedClosed+st.RejectedExpire >= ues*boundaries
+		return st.Collected+st.RejectedClosed+st.RejectedExpired >= ues*boundaries
 	}, "every heartbeat reached the scheduler")
 	if st := r.Stats(); st.RejectedClosed != 0 || st.Collected != ues*boundaries {
 		t.Fatalf("collected %d of %d, %d offered to a closed window, %d expired",
-			st.Collected, ues*boundaries, st.RejectedClosed, st.RejectedExpire)
+			st.Collected, ues*boundaries, st.RejectedClosed, st.RejectedExpired)
+	}
+}
+
+// TestRelayBoundaryBelongsToTheKernel plays the run loop's advance-then-
+// handle step with explicit instants, no sleeps. A UE heartbeat handled
+// after a boundary whose wall tick has not arrived yet is collected into
+// the new window, because the kernel runs the boundary first; a tick with
+// nothing due — early, or the late tick of a boundary already run — changes
+// nothing; and the next boundary stays on the k·Period grid.
+func TestRelayBoundaryBelongsToTheKernel(t *testing.T) {
+	const period = 100 * time.Millisecond
+	r := steppedRelay(t, RelayAgentConfig{
+		ID: "relay-1", App: "std", Period: period, Expiry: period, Pad: 54, Capacity: 1,
+		Dial: func(string, string) (net.Conn, error) { return nil, errors.New("no shard") },
+	}, "shard-0")
+	uc := &ueConn{}
+	beat := func(at time.Duration, seq uint64) {
+		r.step(at, relayEvent{ueMsg: &hbproto.Heartbeat{
+			Src: "ue-1", Seq: seq, App: "std", Origin: time.Now(), Expiry: period, Pad: 54,
+		}, ueFrom: uc})
+	}
+	tick := func(at time.Duration) { r.step(at, relayEvent{}) }
+	ms := time.Millisecond
+
+	tick(0)
+	beat(10*ms, 1) // M = 1: collected, flushed at once, window closed
+	beat(20*ms, 2) // refused until the boundary
+	st := r.relay.Stats()
+	if st.OwnHeartbeats != 1 || st.Collected != 1 || st.RejectedClosed != 1 || st.SendErrors != 1 {
+		t.Fatalf("first period: %+v, want one collect, one capacity flush (no shard takes it), one closed-window reject", st)
+	}
+	tick(50 * ms)
+	if got := r.relay.Stats(); got != st {
+		t.Fatalf("a tick with nothing due changed the relay: %+v, was %+v", got, st)
+	}
+	beat(period+ms, 3)
+	st = r.relay.Stats()
+	if st.OwnHeartbeats != 2 || st.Collected != 2 || st.RejectedClosed != 1 {
+		t.Fatalf("heartbeat behind the boundary: %+v, want it collected into the second period", st)
+	}
+	tick(period + 2*ms) // the boundary's own tick, late
+	if got := r.relay.Stats(); got != st {
+		t.Fatalf("the late tick of a boundary already run changed the relay: %+v, was %+v", got, st)
+	}
+	if at, ok := r.kernel.NextAt(); !ok || at != 2*period {
+		t.Fatalf("next kernel action at %v (%v), want the boundary at %v", at, ok, 2*period)
+	}
+}
+
+// TestRelayKeepsItsLiveWireAndTrace: the relay's own heartbeat leaves with
+// the configured App, Expiry and Pad — not the profile the relay runs on,
+// whose size cannot be 0 and whose expiry factor does not survive 61/7 in
+// floating point — trace events carry Unix milliseconds, and the relay's
+// /metrics names keep counting.
+func TestRelayKeepsItsLiveWireAndTrace(t *testing.T) {
+	const period, expiry = 7 * time.Millisecond, 61 * time.Millisecond
+	shard, dialed := net.Pipe()
+	t.Cleanup(func() { _ = shard.Close() })
+	var rec trace.Recorder
+	reg := telemetry.NewRegistry()
+	r := steppedRelay(t, RelayAgentConfig{
+		ID: "relay-1", App: "std", Period: period, Expiry: expiry, Capacity: 8,
+		Tracer: &rec, Telemetry: reg,
+		Dial: func(string, string) (net.Conn, error) { return dialed, nil },
+	}, "shard-0")
+	batches := make(chan []hbproto.Heartbeat, 1)
+	go func() { // the shard: hand over the first batch
+		fr := hbproto.NewFrameReader(shard)
+		for {
+			msg, err := fr.Next()
+			if err != nil {
+				return
+			}
+			if b, ok := msg.(*hbproto.Batch); ok {
+				batches <- append([]hbproto.Heartbeat(nil), b.HBs...)
+			}
+		}
+	}()
+
+	r.step(0, relayEvent{})
+	r.step(time.Millisecond, relayEvent{ueMsg: &hbproto.Heartbeat{
+		Src: "ue-1", Seq: 4, App: "std", Origin: time.Now(), Expiry: time.Minute, Pad: 54,
+	}, ueFrom: &ueConn{}})
+	r.step(period, relayEvent{})
+	var batch []hbproto.Heartbeat
+	select {
+	case batch = <-batches:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no batch reached the shard")
+	}
+	if len(batch) != 2 || batch[0].Src != "ue-1" || batch[0].Expiry != time.Minute || batch[0].Pad != 54 {
+		t.Fatalf("batch = %+v, want ue-1's heartbeat as sent, then the relay's own", batch)
+	}
+	if own := batch[1]; own.Src != "relay-1" || own.Seq != 1 || own.App != "std" || own.Expiry != expiry || own.Pad != 0 {
+		t.Fatalf("own heartbeat on the wire = %+v, want relay-1/1 with App std, Expiry %v, Pad 0", own, expiry)
+	}
+	for kind, at := range map[trace.Kind]time.Duration{trace.KindCollect: time.Millisecond, trace.KindFlush: period} {
+		evs := rec.ByKind(kind)
+		if want := r.epoch.Add(at).UnixMilli(); len(evs) != 1 || evs[0].AtMs != want {
+			t.Fatalf("%s events %+v, want one at Unix ms %d", kind, evs, want)
+		}
+	}
+	rl := telemetry.L("relay", "relay-1")
+	if n := reg.Counter("relaynet_relay_collected_total", rl).Value(); n != 1 {
+		t.Fatalf("relaynet_relay_collected_total = %d, want 1", n)
+	}
+	if n := reg.Histogram("relaynet_relay_collect_to_flush_us", "us", 1, rl).Snapshot().Count(); n != 1 {
+		t.Fatalf("relaynet_relay_collect_to_flush_us holds %d samples, want 1", n)
+	}
+}
+
+// TestRelayLostFlushForgetsFeedbackRoutes: a flush no shard takes leaves
+// no feedback route behind — its UEs fall back on their own, and the table
+// does not grow with every batch the relay could not deliver.
+func TestRelayLostFlushForgetsFeedbackRoutes(t *testing.T) {
+	r := steppedRelay(t, RelayAgentConfig{
+		ID: "relay-1", App: "std", Period: time.Minute, Expiry: time.Minute, Pad: 54, Capacity: 2,
+	}, "127.0.0.1:1")
+	uc := &ueConn{}
+	r.step(0, relayEvent{ueMsg: &hbproto.Register{ID: "ue-1"}, ueFrom: uc})
+	for seq := uint64(1); seq <= 2; seq++ { // the second fills M: a capacity flush
+		r.step(time.Duration(seq)*time.Millisecond, relayEvent{ueMsg: &hbproto.Heartbeat{
+			Src: "ue-1", Seq: seq, App: "std", Origin: time.Now(), Expiry: time.Minute, Pad: 54,
+		}, ueFrom: uc})
+	}
+	if n := r.relay.Awaiting(); n != 0 {
+		t.Fatalf("%d feedback routes left after a flush no shard took", n)
+	}
+	if st := r.relay.Stats(); st.SendErrors != 1 || st.Flushes != 0 || st.ForwardedSent != 0 {
+		t.Fatalf("relay stats = %+v, want one failed flush and nothing forwarded", st)
+	}
+	if got := r.Stats().DroppedNoShard; got != 3 {
+		t.Fatalf("dropped %d heartbeats, want both collected and the own", got)
 	}
 }
 
@@ -478,7 +632,7 @@ func TestRelayStartsWithoutServerUEFallback(t *testing.T) {
 		"UE falls back after no feedback")
 	eventually(t, 2*time.Second, func() bool { return s.Online("ue-lazy", time.Now()) },
 		"UE online via the fallback copy")
-	if st := r.Stats(); st.ShardDials != 0 || st.FeedbacksSent != 0 {
+	if st := r.Stats(); st.ShardDials != 0 || st.AcksSent != 0 {
 		t.Fatalf("relay stats = %+v, want no dial and no feedback", st)
 	}
 

@@ -346,6 +346,17 @@ func (u *UEClient) feedbackLoop() {
 	}
 }
 
+// resetTimer re-arms a timer that may already have fired.
+func resetTimer(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(max(d, 0))
+}
+
 func (u *UEClient) sendHeartbeat(app *ueApp) {
 	u.mu.Lock()
 	// Device-wide sequence numbers (shared across apps) keep feedback refs
