@@ -12,13 +12,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/relaynet"
 	"d2dhb/internal/scenario"
 )
@@ -34,36 +34,27 @@ func main() {
 	flag.Parse()
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	if err := run(*id, *relay, *server, *apps, *report, stop); err != nil {
+	if err := run(os.Stdout, *id, *relay, *server, *apps, *report, stop); err != nil {
 		fmt.Fprintln(os.Stderr, "d2due:", err)
 		os.Exit(1)
 	}
 }
 
-// run starts the UE and prints its stats every report interval until stop
-// delivers or is closed.
-func run(id, relayAddr, server, appNames string, report time.Duration, stop <-chan os.Signal) error {
-	var profiles []hbmsg.AppProfile
+// run starts the UE and writes its stats to w every report interval until
+// stop delivers or is closed, then once more after shutdown, when every
+// heartbeat it generated has been acknowledged or written off.
+func run(w io.Writer, id, relayAddr, server, appNames string, report time.Duration, stop <-chan os.Signal) error {
+	var apps []relaynet.UEApp
 	for _, name := range strings.Split(appNames, ",") {
 		p, err := scenario.ProfileByName(strings.TrimSpace(name))
 		if err != nil {
 			return err
 		}
-		profiles = append(profiles, p)
-	}
-	primary := profiles[0]
-	var extras []relaynet.UEApp
-	for _, p := range profiles[1:] {
-		extras = append(extras, relaynet.UEApp{
-			Name: p.Name, Period: p.Period, Expiry: p.Expiry(), Pad: p.Size,
-		})
+		apps = append(apps, relaynet.UEApp{Name: p.Name, Period: p.Period, Expiry: p.Expiry(), Pad: p.Size})
 	}
 
 	ue, err := relaynet.NewUEClient(relaynet.UEClientConfig{
-		ID: id, App: primary.Name,
-		Period: primary.Period, Expiry: primary.Expiry(), Pad: primary.Size,
-		ExtraApps: extras,
-		RelayAddr: relayAddr, ServerAddr: server,
+		ID: id, Apps: apps, RelayAddr: relayAddr, ServerAddr: server,
 	})
 	if err != nil {
 		return err
@@ -72,9 +63,14 @@ func run(id, relayAddr, server, appNames string, report time.Duration, stop <-ch
 		return err
 	}
 	defer ue.Shutdown()
-	fmt.Printf("ue %s (%d apps, primary %s every %v) relay=%q server=%s\n",
-		id, len(profiles), primary.Name, primary.Period, relayAddr, server)
+	fmt.Fprintf(w, "ue %s (%d apps, primary %s every %v) relay=%q server=%s\n",
+		id, len(apps), apps[0].Name, apps[0].Period, relayAddr, server)
 
+	stats := func() {
+		st := ue.Stats()
+		fmt.Fprintf(w, "generated=%d viaRelay=%d direct=%d fallbacks=%d feedback=%d acked=%d timeouts=%d\n",
+			st.Generated, st.ViaRelay, st.Direct, st.FallbackResends, st.FeedbackAcks, st.Acked, st.Timeouts)
+	}
 	var tick <-chan time.Time // nil (blocks forever) when reporting is disabled
 	if report > 0 {
 		ticker := time.NewTicker(report)
@@ -84,12 +80,14 @@ func run(id, relayAddr, server, appNames string, report time.Duration, stop <-ch
 	for {
 		select {
 		case <-stop:
-			fmt.Println("shutting down")
+			fmt.Fprintln(w, "shutting down")
+			ue.Shutdown()
+			if report > 0 {
+				stats()
+			}
 			return nil
 		case <-tick:
-			st := ue.Stats()
-			fmt.Printf("generated=%d viaRelay=%d direct=%d fallbacks=%d acks=%d\n",
-				st.Generated, st.ViaRelay, st.Direct, st.FallbackResends, st.FeedbackAcks)
+			stats()
 		}
 	}
 }

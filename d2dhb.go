@@ -140,11 +140,16 @@ type (
 	RelayAgent = relaynet.RelayAgent
 	// RelayAgentConfig parameterizes a RelayAgent.
 	RelayAgentConfig = relaynet.RelayAgentConfig
-	// UEClient emits heartbeats through a relay with feedback tracking
-	// and direct fallback.
+	// UEClient is the paper's UE: it emits each app's heartbeats through a
+	// relay, resends one directly when the relay's feedback does not come
+	// back in time, and tracks the server's acks on the direct path, so
+	// every heartbeat ends acknowledged or timed out. The load generator's
+	// socket-per-UE fleet is made of the same client.
 	UEClient = relaynet.UEClient
 	// UEClientConfig parameterizes a UEClient.
 	UEClientConfig = relaynet.UEClientConfig
+	// UEApp is one heartbeat-producing app registered on a UEClient.
+	UEApp = relaynet.UEApp
 )
 
 // NewServer returns an unstarted presence server.

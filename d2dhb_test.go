@@ -83,8 +83,8 @@ func TestFacadeRealStack(t *testing.T) {
 	defer relay.Shutdown()
 
 	ue, err := NewUEClient(UEClientConfig{
-		ID: "u", App: "std", Period: 100 * time.Millisecond,
-		Expiry: 200 * time.Millisecond, Pad: 54,
+		ID:        "u",
+		Apps:      []UEApp{{Name: "std", Period: 100 * time.Millisecond, Expiry: 200 * time.Millisecond, Pad: 54}},
 		RelayAddr: relay.Addr(), ServerAddr: srv.Addr(),
 	})
 	if err != nil {

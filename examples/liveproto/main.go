@@ -47,8 +47,8 @@ func run() error {
 	ues := make([]*d2dhb.UEClient, 0, 3)
 	for i := 1; i <= 3; i++ {
 		ue, err := d2dhb.NewUEClient(d2dhb.UEClientConfig{
-			ID: fmt.Sprintf("ue-%d", i), App: "demo",
-			Period: period, Expiry: expiry, Pad: 54,
+			ID:        fmt.Sprintf("ue-%d", i),
+			Apps:      []d2dhb.UEApp{{Name: "demo", Period: period, Expiry: expiry, Pad: 54}},
 			RelayAddr: relay.Addr(), ServerAddr: server.Addr(),
 		})
 		if err != nil {

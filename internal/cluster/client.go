@@ -43,6 +43,8 @@ type Client struct {
 	http *http.Client
 
 	view atomic.Pointer[View]
+	// owner is OwnerAddr as a function value, made once: see Owner.
+	owner func(id string) string
 
 	refreshes    *telemetry.Counter
 	refreshFails *telemetry.Counter
@@ -70,6 +72,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		http: &http.Client{Timeout: to},
 		done: make(chan struct{}),
 	}
+	c.owner = c.OwnerAddr
 	if reg := cfg.Telemetry; reg != nil {
 		c.refreshes = reg.Counter("cluster_config_refreshes_total")
 		c.refreshFails = reg.Counter("cluster_config_refresh_failures_total")
@@ -103,6 +106,7 @@ func NewStaticClient(cfg Config, vnodes int) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{done: make(chan struct{})}
+	c.owner = c.OwnerAddr
 	c.view.Store(view)
 	return c, nil
 }
@@ -127,6 +131,11 @@ func (c *Client) OwnerAddr(id string) string {
 	node, _ := c.View().Owner(id)
 	return node.Addr
 }
+
+// Owner returns OwnerAddr as one function value per client, for the many
+// session slots that resolve through it: a method value per slot would
+// cost each an allocation.
+func (c *Client) Owner() func(id string) string { return c.owner }
 
 // NodeAddr returns a node's hbproto address under the current view, ""
 // once the node has left it.

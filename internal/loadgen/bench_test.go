@@ -212,7 +212,7 @@ func sinkTrunk(tb testing.TB, users, slots, shards int) (tr *trunk, writes *atom
 		return &sinkConn{writes: writes, closed: make(chan struct{})}, nil
 	})
 	tr.cluster = cc
-	tb.Cleanup(tr.close)
+	tb.Cleanup(tr.Shutdown)
 	return tr, writes
 }
 

@@ -377,7 +377,7 @@ func TestTrunkOverflowUnderAckLatencyAndReshard(t *testing.T) {
 		Recorder:       recorder,
 		ReportEvery:    5 * time.Millisecond,
 		OnReport: func(Report) {
-			if n := int64(r.units[0].pendingCount()); n > peak.Load() {
+			if n := int64(r.units[0].InFlight()); n > peak.Load() {
 				peak.Store(n)
 			}
 		},

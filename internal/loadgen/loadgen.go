@@ -11,7 +11,6 @@ import (
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/faultnet"
 	"d2dhb/internal/hbmsg"
-	"d2dhb/internal/hbproto"
 	"d2dhb/internal/rec"
 	"d2dhb/internal/relaynet"
 	"d2dhb/internal/session"
@@ -138,16 +137,14 @@ func (c Config) validate() error {
 // speedup cannot degenerate into a busy loop.
 const minVirtualPeriod = 10 * time.Millisecond
 
-// fleetCounters is the shared per-run accounting, updated with atomics from
-// every virtual UE.
+// fleetCounters is the trunks' shared accounting, updated with atomics
+// from every trunk; the socket-per-UE fleet's UEs count for themselves.
 type fleetCounters struct {
-	sentDirect, sentRelayed       atomic.Uint64
-	ackedDirect, ackedRelayed     atomic.Uint64
-	timeoutDirect, timeoutRelayed atomic.Uint64
-	dialErrors, writeErrors       atomic.Uint64
-	outOfOrderAcks                atomic.Uint64
-	// fallbackResends counts relayed heartbeats re-sent directly to their
-	// owning shard after the relay path failed to confirm them in time.
+	sentRelayed, ackedRelayed, timeoutRelayed atomic.Uint64
+	dialErrors, writeErrors                   atomic.Uint64
+	outOfOrderAcks                            atomic.Uint64
+	// fallbackResends counts heartbeats re-sent through the then-current
+	// ring view after the first send missed the ack window.
 	fallbackResends atomic.Uint64
 	// trunkWrites/trunkFrames account the coalesced trunk uplink: Batch
 	// frames composed vs conn.Write calls issued. frames − writes is the
@@ -155,14 +152,15 @@ type fleetCounters struct {
 	trunkWrites, trunkFrames atomic.Uint64
 }
 
-// loadUnit is one independently scheduled slice of the fleet: a single
-// virtual UE, or a trunk multiplexing many of them over one connection.
+// loadUnit is one independently scheduled slice of the fleet: a UE, or a
+// trunk multiplexing many of them over one connection. Run offers load
+// after the arrival offset until done closes; the drain then sweeps what
+// is in flight, and Shutdown writes off the rest and closes the unit.
 type loadUnit interface {
-	run(done <-chan struct{}, offset time.Duration, sendWg *sync.WaitGroup)
-	sweep(now time.Time)
-	pendingCount() int
-	expireAll()
-	close()
+	Run(done <-chan struct{}, offset time.Duration)
+	Sweep(now time.Time)
+	InFlight() int
+	Shutdown()
 }
 
 // shardCounter tallies sends per target shard.
@@ -242,25 +240,6 @@ func New(cfg Config) (*Runner, error) {
 	if reg := cfg.Telemetry; reg != nil {
 		reg.Observe("loadgen_latency_direct_us", "us", r.histDirect)
 		reg.Observe("loadgen_latency_relayed_us", "us", r.histRelay)
-		c := &r.counters
-		reg.GaugeFunc("loadgen_sent_total", func() float64 {
-			return float64(c.sentDirect.Load() + c.sentRelayed.Load())
-		})
-		reg.GaugeFunc("loadgen_acked_total", func() float64 {
-			return float64(c.ackedDirect.Load() + c.ackedRelayed.Load())
-		})
-		reg.GaugeFunc("loadgen_timeouts_total", func() float64 {
-			return float64(c.timeoutDirect.Load() + c.timeoutRelayed.Load())
-		})
-		reg.GaugeFunc("loadgen_errors_total", func() float64 {
-			return float64(c.dialErrors.Load() + c.writeErrors.Load())
-		})
-		reg.GaugeFunc("loadgen_trunk_writes_total", func() float64 {
-			return float64(c.trunkWrites.Load())
-		})
-		reg.GaugeFunc("loadgen_trunk_frames_total", func() float64 {
-			return float64(c.trunkFrames.Load())
-		})
 	}
 	return r, nil
 }
@@ -277,10 +256,7 @@ func (r *Runner) scale(d time.Duration) time.Duration {
 
 func (r *Runner) periodRange() (min, max time.Duration) {
 	for i, p := range r.cfg.Profiles {
-		s := time.Duration(float64(p.Period) / r.cfg.Speedup)
-		if s < minVirtualPeriod {
-			s = minVirtualPeriod
-		}
+		s := r.scale(p.Period)
 		if i == 0 || s < min {
 			min = s
 		}
@@ -316,7 +292,10 @@ func (r *Runner) Run() (Report, error) {
 		}
 	}()
 
-	r.buildFleet()
+	if err := r.buildFleet(); err != nil {
+		return Report{}, err
+	}
+	r.expose()
 
 	genDone := make(chan struct{})
 	var sendWg sync.WaitGroup
@@ -325,7 +304,10 @@ func (r *Runner) Run() (Report, error) {
 	sched := Schedule{Shape: r.cfg.Arrival.Shape, Window: window}
 	for i, u := range r.units {
 		sendWg.Add(1)
-		go u.run(genDone, sched.StartOffset(i, len(r.units)), &sendWg)
+		go func(u loadUnit, offset time.Duration) {
+			defer sendWg.Done()
+			u.Run(genDone, offset)
+		}(u, sched.StartOffset(i, len(r.units)))
 	}
 
 	stopReports := make(chan struct{})
@@ -460,6 +442,29 @@ func (r *Runner) startRelays() error {
 	return nil
 }
 
+// expose registers the run's delivery counters on the telemetry registry,
+// each summed over the fleet when sampled. It runs once the fleet is built,
+// since a sample walks the units.
+func (r *Runner) expose() {
+	reg := r.cfg.Telemetry
+	if reg == nil {
+		return
+	}
+	gauge := func(name string, v func(*Report) uint64) {
+		reg.GaugeFunc(name, func() float64 {
+			var rep Report
+			r.count(&rep)
+			return float64(v(&rep))
+		})
+	}
+	gauge("loadgen_sent_total", func(rep *Report) uint64 { return rep.Sent })
+	gauge("loadgen_acked_total", func(rep *Report) uint64 { return rep.Acked })
+	gauge("loadgen_timeouts_total", func(rep *Report) uint64 { return rep.Timeouts })
+	gauge("loadgen_errors_total", func(rep *Report) uint64 { return rep.Errors })
+	gauge("loadgen_trunk_writes_total", func(rep *Report) uint64 { return rep.TrunkWrites })
+	gauge("loadgen_trunk_frames_total", func(rep *Report) uint64 { return rep.TrunkFrames })
+}
+
 // dialer returns the run's outbound dial hook: the fault schedule's when
 // one is configured, net.Dial otherwise.
 func (r *Runner) dialer() func(network, addr string) (net.Conn, error) {
@@ -471,13 +476,13 @@ func (r *Runner) dialer() func(network, addr string) (net.Conn, error) {
 
 // buildFleet constructs the load units. Trunk mode multiplexes the whole
 // fleet over Trunks virtual-relay connections; otherwise every UE is one
-// socket-holding vue — the first relayedUEs forward through relays
-// (round-robin), the rest go direct. Profiles rotate across the fleet (per
-// trunk in trunk mode, since a trunk shares one schedule).
-func (r *Runner) buildFleet() {
+// relaynet.UEClient holding its own sockets — the first relayedUEs forward
+// through relays (round-robin), the rest go direct. Profiles rotate across
+// the fleet (per trunk in trunk mode, since a trunk shares one schedule).
+func (r *Runner) buildFleet() error {
 	if r.cfg.Trunks > 0 {
 		r.buildTrunks()
-		return
+		return nil
 	}
 	r.units = make([]loadUnit, 0, r.cfg.UEs)
 	dial := r.dialer()
@@ -485,51 +490,47 @@ func (r *Runner) buildFleet() {
 	for i, ra := range r.relays {
 		relayAddrs[i] = ra.Addr()
 	}
-	// One resolver for the whole fleet, keyed by each UE's ID: a closure
-	// per UE would be an allocation per UE.
-	owner := r.cluster.OwnerAddr
+	// One app list per profile, shared by every UE that runs it.
+	apps := make([][]relaynet.UEApp, len(r.cfg.Profiles))
+	for i, p := range r.cfg.Profiles {
+		apps[i] = []relaynet.UEApp{{Name: p.Name, Period: r.scale(p.Period), Expiry: r.scale(p.Expiry()), Pad: p.Size}}
+	}
 	ids := fleetIDs(0, r.cfg.UEs, 5)
 	for i := range ids.ends {
-		id, p := ids.at(i), r.cfg.Profiles[i%len(r.cfg.Profiles)]
+		app := apps[i%len(apps)]
 		c := rec.Client{
-			ID: id, App: p.Name, Period: r.scale(p.Period), Expiry: r.scale(p.Expiry()),
-			Pad: p.Size, Path: rec.PathDirect, Relay: -1,
+			ID: ids.at(i), App: app[0].Name, Period: app[0].Period, Expiry: app[0].Expiry,
+			Pad: app[0].Pad, Path: rec.PathDirect, Relay: -1,
 		}
 		relayAddr := ""
 		if i < r.relayedUEs && len(r.relays) > 0 {
 			c.Path, c.Relay = rec.PathRelayed, i%len(r.relays)
 			relayAddr = relayAddrs[c.Relay]
 		}
-		r.units = append(r.units, r.newVue(c, r.cfg.Recorder.AddClient(c), dial, owner, relayAddr))
+		u, err := r.newUE(c.ID, app, r.cfg.Recorder.AddClient(c), dial, relayAddr)
+		if err != nil {
+			return err
+		}
+		r.units = append(r.units, u)
 	}
+	return nil
 }
 
-// newVue builds the virtual UE of one client-table row, recorded as trace
-// client tidx. Given a relayAddr it is relayed: it registers there, since
-// relays deliver feedback only to registered UE connections, and falls back
-// to its owning shard. Otherwise it dials its owning shard, which owner
-// re-resolves on every dial so a reshard redirects the next connection.
-func (r *Runner) newVue(c rec.Client, tidx int, dial func(network, addr string) (net.Conn, error), owner func(string) string, relayAddr string) *vue {
-	relayed := relayAddr != ""
-	u := &vue{
-		id: c.ID, app: c.App, period: c.Period, expiry: c.Expiry, pad: c.Pad,
-		relayed: relayed, timeout: r.ackTimeout, c: &r.counters,
-		trec: r.cfg.Recorder, tidx: tidx, owner: owner,
-		pending: session.Pending{Fallback: relayed},
+// newUE builds the UE named id running apps, recorded as trace client
+// tidx. Given a relayAddr it is relayed: it registers there and falls back
+// to its owning shard. Otherwise it dials its owning shard, which the run's
+// cluster view re-resolves on every dial, so a reshard redirects the next
+// connection.
+func (r *Runner) newUE(id string, apps []relaynet.UEApp, tidx int, dial func(network, addr string) (net.Conn, error), relayAddr string) (*relaynet.UEClient, error) {
+	hist := r.histDirect
+	if relayAddr != "" {
+		hist = r.histRelay
 	}
-	u.primary = session.Slot{Dial: dial, OnRefs: u.onRefs}
-	if relayed {
-		u.rec = r.histRelay.Recorder()
-		u.primary.Addr = relayAddr
-		u.primary.Register = &hbproto.Register{
-			ID: u.id, Role: hbproto.RoleUE, App: u.app,
-			Period: u.period, Expiry: u.expiry,
-		}
-	} else {
-		u.rec = r.histDirect.Recorder()
-		u.primary.Addr, u.primary.Resolve = u.id, owner
-	}
-	return u
+	return relaynet.NewUEClient(relaynet.UEClientConfig{
+		ID: id, Apps: apps, RelayAddr: relayAddr, Cluster: r.cluster,
+		FeedbackTimeout: r.ackTimeout, Dial: dial,
+		Recorder: r.cfg.Recorder, RecorderIndex: tidx, Latency: hist.Recorder(),
+	})
 }
 
 // buildTrunks splits the fleet across cfg.Trunks trunks; profiles rotate
@@ -654,19 +655,19 @@ func (r *Runner) arrivalWindow() time.Duration {
 	return (r.minPeriod + r.maxPeriod) / 2
 }
 
-// drain waits for in-flight heartbeats to be acknowledged, writes off
-// whatever is left as timeouts and closes the units. Sweeping inside the
-// wait matters: a pending heartbeat whose relay path failed only gets its
-// direct fallback resend from the sweep, so a drain that merely polled
-// counts would sit out the timeout and report the heartbeat lost.
+// drain waits for in-flight heartbeats to be acknowledged, then shuts the
+// units down, which writes off whatever is left as timeouts. Sweeping
+// inside the wait matters: a pending heartbeat whose relay path failed only
+// gets its direct fallback resend from the sweep, so a drain that merely
+// polled counts would sit out the timeout and report the heartbeat lost.
 func (r *Runner) drain() {
 	deadline := time.Now().Add(r.ackTimeout + 500*time.Millisecond)
 	for time.Now().Before(deadline) {
 		now := time.Now()
 		pending := 0
 		for _, u := range r.units {
-			u.sweep(now)
-			pending += u.pendingCount()
+			u.Sweep(now)
+			pending += u.InFlight()
 		}
 		if pending == 0 {
 			break
@@ -674,212 +675,6 @@ func (r *Runner) drain() {
 		time.Sleep(20 * time.Millisecond)
 	}
 	for _, u := range r.units {
-		u.expireAll()
-	}
-	for _, u := range r.units {
-		u.close() // returns once the unit's ack readers have exited
-	}
-}
-
-// vue is one open-loop virtual UE: it emits heartbeats on its schedule
-// regardless of outstanding acknowledgements, tracking each send until the
-// matching ack/feedback ref returns or the timeout writes it off.
-type vue struct {
-	id      string
-	app     string
-	period  time.Duration
-	expiry  time.Duration
-	pad     int
-	relayed bool
-	timeout time.Duration
-	rec     *Recorder
-	trec    *rec.Recorder // trace recorder; nil-safe
-	tidx    int           // this UE's trace client index (-1 when unrecorded)
-	c       *fleetCounters
-	// primary is the relay link for relayed UEs and the link to the owning
-	// shard for direct ones. Relayed UEs open fallback to their owning
-	// shard at their first ack timeout; whichever path acknowledges first
-	// settles the entry. owner maps the UE's ID to that shard's address.
-	primary  session.Slot
-	owner    func(id string) string
-	fallback *session.Slot
-	seq      uint64 // highest seq tick has sent; only the send loop touches it
-
-	mu      sync.Mutex
-	pending session.Pending // slot 0, by seq
-	last    uint64          // highest acknowledged seq
-}
-
-// sendGrain is the resolution of the per-UE send timers: every UE keeps its
-// own schedule (arrival offset + k·period), but a send fires at the last
-// instant of a process-wide sendGrain grid at or before the moment it is
-// due, so UEs due within one grain share a wake-up. Without it each of a
-// few thousand UEs wakes a near-idle process on its own, and what one
-// heartbeat costs is set less by the stack than by whether the kernel keeps
-// the runtime's threads on one CPU or spreads them (two modes, ~25 % apart,
-// for the life of a process). A period is never shorter than one grain.
-const sendGrain = minVirtualPeriod
-
-// gridEpoch anchors the grid; it carries a monotonic reading, so the grid
-// does not move with the wall clock.
-var gridEpoch = time.Now()
-
-// onGrid moves an instant back onto the send grid.
-func onGrid(t time.Time) time.Time {
-	return gridEpoch.Add(t.Sub(gridEpoch).Truncate(sendGrain))
-}
-
-// run is the send loop: activate after the arrival offset, then heartbeat
-// every period until the run stops. The slots' readers outlive the send
-// loop so the drain phase can still collect acks.
-func (u *vue) run(done <-chan struct{}, offset time.Duration, sendWg *sync.WaitGroup) {
-	defer sendWg.Done()
-	due := time.Now().Add(offset)
-	t := time.NewTimer(time.Until(onGrid(due)))
-	defer t.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case <-t.C:
-		}
-		u.tick()
-		due = nextDue(due, u.period, time.Now())
-		t.Reset(time.Until(onGrid(due)))
-	}
-}
-
-// nextDue returns the point of the schedule due, due+period, … that follows
-// the tick for due and is still ahead at now: a tick held up past later
-// ones drops them, as a time.Ticker would.
-func nextDue(due time.Time, period time.Duration, now time.Time) time.Time {
-	due = due.Add(period)
-	if late := now.Sub(due); late >= 0 {
-		due = due.Add((late/period + 1) * period)
-	}
-	return due
-}
-
-// tick is one heartbeat interval: expire stale pendings, (re)dial if
-// needed, send the next heartbeat.
-func (u *vue) tick() {
-	u.sweep(time.Now())
-	if _, err := u.primary.Connect(); err != nil {
-		u.c.dialErrors.Add(1)
-		return
-	}
-	u.seq++
-	u.send(u.seq, time.Now())
-}
-
-// send writes heartbeat seq, stamped now, on the primary slot and tracks it
-// until its ack arrives or the sweep writes it off.
-func (u *vue) send(seq uint64, now time.Time) {
-	u.mu.Lock()
-	u.pending.Track(session.Key{Seq: seq}, now)
-	u.mu.Unlock()
-	if _, err := u.primary.Send(u.heartbeat(seq, now)); err != nil {
-		u.c.writeErrors.Add(1)
-		u.mu.Lock()
-		u.pending.Abandon(session.Key{Seq: seq})
-		u.mu.Unlock()
-		return
-	}
-	if u.relayed {
-		u.c.sentRelayed.Add(1)
-	} else {
-		u.c.sentDirect.Add(1)
-	}
-	u.trec.Record(rec.EvSend, u.tidx, seq, now)
-}
-
-func (u *vue) heartbeat(seq uint64, now time.Time) *hbproto.Heartbeat {
-	return &hbproto.Heartbeat{
-		Src: u.id, Seq: seq, App: u.app,
-		Origin: now, Expiry: u.expiry, Pad: u.pad,
-	}
-}
-
-// onRefs matches ack/feedback refs from either slot against pending sends
-// and records latency.
-func (u *vue) onRefs(_ int, refs []hbproto.Ref, at time.Time) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	for _, ref := range refs {
-		if ref.Src != u.id {
-			continue
-		}
-		lat, ok := u.pending.Settle(session.Key{Seq: ref.Seq}, at)
-		if !ok {
-			continue
-		}
-		u.rec.Record(uint64(lat / time.Microsecond))
-		u.trec.Record(rec.EvAck, u.tidx, ref.Seq, at)
-		if u.relayed {
-			u.c.ackedRelayed.Add(1)
-		} else {
-			u.c.ackedDirect.Add(1)
-		}
-		if ref.Seq <= u.last {
-			u.c.outOfOrderAcks.Add(1)
-		} else {
-			u.last = ref.Seq
-		}
-	}
-}
-
-// sweep applies the pending table's loss policy: heartbeats past the ack
-// timeout are re-sent once directly to their owning shard when the UE has
-// that fallback (relayed UEs), and counted as timeouts otherwise.
-func (u *vue) sweep(now time.Time) {
-	u.mu.Lock()
-	resend, lost := u.pending.Sweep(now, u.timeout)
-	u.timedOut(lost, now)
-	u.mu.Unlock()
-	if len(resend) > 0 && u.fallback == nil {
-		u.fallback = &session.Slot{Dial: u.primary.Dial, Addr: u.id, Resolve: u.owner, OnRefs: u.primary.OnRefs}
-	}
-	for _, k := range resend {
-		if _, err := u.fallback.Connect(); err != nil {
-			u.c.dialErrors.Add(1)
-		} else if _, err := u.fallback.Send(u.heartbeat(k.Seq, time.Now())); err != nil {
-			u.c.writeErrors.Add(1)
-		} else {
-			u.c.fallbackResends.Add(1)
-		}
-	}
-}
-
-// timedOut writes off heartbeats the pending table gave up on (u.mu held).
-func (u *vue) timedOut(keys []session.Key, now time.Time) {
-	for _, k := range keys {
-		if u.relayed {
-			u.c.timeoutRelayed.Add(1)
-		} else {
-			u.c.timeoutDirect.Add(1)
-		}
-		u.trec.Record(rec.EvTimeout, u.tidx, k.Seq, now)
-	}
-}
-
-// pendingCount returns how many sends still await acknowledgement.
-func (u *vue) pendingCount() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.pending.Len()
-}
-
-// expireAll writes off every remaining pending send (end-of-run drain).
-func (u *vue) expireAll() {
-	u.mu.Lock()
-	u.timedOut(u.pending.Drain(), time.Now())
-	u.mu.Unlock()
-}
-
-// close shuts the UE's connections down and waits for their readers.
-func (u *vue) close() {
-	u.primary.Close()
-	if u.fallback != nil {
-		u.fallback.Close()
+		u.Shutdown() // returns once the unit's ack readers have exited
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -317,6 +318,68 @@ func TestTrunkPacedRunLossless(t *testing.T) {
 	}
 }
 
+// TestFleetBuildFootprint pins what building a socket-per-UE fleet costs
+// per UE, in bytes allocated and in allocations, for a direct fleet and a
+// relayed one of live_direct's size. A UE is its client struct, its ack
+// callback and, relayed, its register frame; a config copy, a channel, a
+// per-UE cluster view or per-app slices do not fit under the ceilings.
+func TestFleetBuildFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations are not the fleet's footprint")
+	}
+	const ues = 2000
+	cases := []struct {
+		name          string
+		relays        int
+		bytesCeiling  float64 // per UE
+		allocsCeiling float64 // per UE
+	}{
+		// Measured on the fleet's earlier, loadgen-private UE: 376.8 B and
+		// 3.002 allocations per direct UE, 441.6 B and 4.018 per relayed one.
+		{"direct", 0, 384, 3.05},
+		{"relayed", 2, 448, 4.05},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := New(Config{
+				UEs: ues, Relays: c.relays, RelayRatio: 1,
+				Profiles: []hbmsg.AppProfile{fastProfile(time.Second)}, Duration: time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.stopServer()
+			if err := r.startServer(); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				for _, ra := range r.relays {
+					ra.Shutdown()
+				}
+			}()
+			if err := r.startRelays(); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r.buildFleet()
+			runtime.ReadMemStats(&after)
+			size := float64(after.TotalAlloc-before.TotalAlloc) / ues
+			allocs := float64(after.Mallocs-before.Mallocs) / ues
+			t.Logf("%s fleet build: %.1f B/UE in %.3f allocs/UE", c.name, size, allocs)
+			if size > c.bytesCeiling {
+				t.Errorf("fleet build allocates %.1f B/UE, ceiling %g", size, c.bytesCeiling)
+			}
+			if allocs > c.allocsCeiling {
+				t.Errorf("fleet build makes %.3f allocs/UE, ceiling %g", allocs, c.allocsCeiling)
+			}
+			if len(r.units) != ues {
+				t.Fatalf("built %d units, want %d", len(r.units), ues)
+			}
+		})
+	}
+}
+
 // sinkConn is a connection that swallows writes (counting them) and never
 // produces input.
 type sinkConn struct {
@@ -372,7 +435,7 @@ func TestTrunkEmissionZeroAllocsOneWrite(t *testing.T) {
 			if got := int64(tr.c.trunkFrames.Load() - f0); got != (runs+1)*c.frames {
 				t.Errorf("%d frames for %d periods, want %d each", got, runs+1, c.frames)
 			}
-			if n := tr.pendingCount(); n != 0 || tr.c.writeErrors.Load()+tr.c.dialErrors.Load() != 0 {
+			if n := tr.InFlight(); n != 0 || tr.c.writeErrors.Load()+tr.c.dialErrors.Load() != 0 {
 				t.Fatalf("%d heartbeats left pending, %d write and %d dial errors", n, tr.c.writeErrors.Load(), tr.c.dialErrors.Load())
 			}
 		})

@@ -2,7 +2,8 @@ package loadgen
 
 // Live trace replay: ReplayLive drives a recorded timeline (internal/rec)
 // through the real TCP stack with the load generator's own units. Each
-// direct client replays as a vue over its own connection; each relay/trunk
+// direct client replays as a relaynet.UEClient over its own connection,
+// driven through its Send; each relay/trunk
 // group replays as a trunk, with consecutive sends coalesced into Batch
 // frames by their *recorded* gaps — so the batching structure is a
 // deterministic function of the trace even though wall-clock latencies are
@@ -18,6 +19,7 @@ import (
 
 	"d2dhb/internal/faultnet"
 	"d2dhb/internal/rec"
+	"d2dhb/internal/relaynet"
 	"d2dhb/internal/session"
 )
 
@@ -92,7 +94,10 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 	for _, c := range tl.Clients {
 		r.cfg.Recorder.AddClient(c)
 	}
-	units := r.replayUnits(tl, opts)
+	units, err := r.replayUnits(tl, opts)
+	if err != nil {
+		return rec.Metrics{}, err
+	}
 
 	var sendWg sync.WaitGroup
 	start := r.startClock()
@@ -100,10 +105,19 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 		u.start = start
 		r.units = append(r.units, u)
 		sendWg.Add(1)
-		go u.run(nil, 0, &sendWg)
+		go func(u *replayUnit) {
+			defer sendWg.Done()
+			u.Run(nil, 0)
+		}(u)
 	}
 	sendWg.Wait()
 	r.drain()
+	uplinks := r.counters.trunkWrites.Load()
+	for _, u := range units {
+		if ue, ok := u.loadUnit.(*relaynet.UEClient); ok {
+			uplinks += uint64(ue.Stats().Direct)
+		}
+	}
 
 	replayed, err := r.cfg.Recorder.Timeline()
 	if err != nil {
@@ -114,13 +128,13 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 	// A send whose frame never reached the wire is not in the recording.
 	m.Sent = uint64(tl.Sends())
 	m.Timeouts = m.Sent - m.Delivered
-	m.Signaling.Uplinks = r.counters.sentDirect.Load() + r.counters.trunkWrites.Load()
+	m.Signaling.Uplinks = uplinks
 	m.Signaling.Batches = r.counters.trunkFrames.Load()
 	m.Finish()
 	return m, nil
 }
 
-// replayUnit is a vue or trunk whose run walks a finite recorded schedule
+// replayUnit is a UE or trunk whose Run walks a finite recorded schedule
 // instead of a period: each step sweeps the unit, then hands it the step's
 // heartbeats.
 type replayUnit struct {
@@ -137,22 +151,21 @@ type replayStep struct {
 	refs []session.Key
 }
 
-func (u *replayUnit) run(_ <-chan struct{}, _ time.Duration, sendWg *sync.WaitGroup) {
-	defer sendWg.Done()
+func (u *replayUnit) Run(<-chan struct{}, time.Duration) {
 	for _, s := range u.steps {
 		if d := time.Until(u.start.Add(s.at)); d > 0 {
 			time.Sleep(d)
 		}
 		now := time.Now()
-		u.sweep(now)
+		u.Sweep(now)
 		u.send(s.refs, now)
 	}
 }
 
 // replayUnits splits the timeline's sends into units, in the order of each
-// unit's first send: a vue per direct client, a trunk per relay/trunk
+// unit's first send: a UE per direct client, a trunk per relay/trunk
 // group.
-func (r *Runner) replayUnits(tl *rec.Timeline, opts ReplayOptions) []*replayUnit {
+func (r *Runner) replayUnits(tl *rec.Timeline, opts ReplayOptions) ([]*replayUnit, error) {
 	sends := make(map[int][]rec.Event) // direct client index, or -1 − group
 	var order []int
 	for _, e := range tl.Events {
@@ -170,23 +183,33 @@ func (r *Runner) replayUnits(tl *rec.Timeline, opts ReplayOptions) []*replayUnit
 	}
 	units := make([]*replayUnit, 0, len(order))
 	for _, k := range order {
-		if k >= 0 {
-			units = append(units, r.replayDirect(tl.Clients[k], k, sends[k], opts.Speedup))
-		} else {
+		if k < 0 {
 			units = append(units, r.replayGroup(tl, -1-k, sends[k], opts))
+			continue
 		}
+		u, err := r.replayDirect(tl.Clients[k], k, sends[k], opts.Speedup)
+		if err != nil {
+			return nil, err
+		}
+		units = append(units, u)
 	}
-	return units
+	return units, nil
 }
 
-// replayDirect builds a direct client's vue, one heartbeat per step.
-func (r *Runner) replayDirect(c rec.Client, tidx int, sends []rec.Event, speedup float64) *replayUnit {
-	v := r.newVue(c, tidx, r.dialer(), r.cluster.OwnerAddr, "")
-	return &replayUnit{
-		loadUnit: v,
-		steps:    replaySteps(sends, func(int) int { return 0 }, 0, 1, speedup),
-		send:     func(refs []session.Key, now time.Time) { v.send(refs[0].Seq, now) },
+// replayDirect builds a direct client's UE, one heartbeat per step. The
+// replay, not the UE's loop, sends, so the recorded period only has to be
+// a valid one.
+func (r *Runner) replayDirect(c rec.Client, tidx int, sends []rec.Event, speedup float64) (*replayUnit, error) {
+	app := []relaynet.UEApp{{Name: c.App, Period: max(c.Period, minVirtualPeriod), Expiry: c.Expiry, Pad: c.Pad}}
+	u, err := r.newUE(c.ID, app, tidx, r.dialer(), "")
+	if err != nil {
+		return nil, err
 	}
+	return &replayUnit{
+		loadUnit: u,
+		steps:    replaySteps(sends, func(int) int { return 0 }, 0, 1, speedup),
+		send:     func(refs []session.Key, now time.Time) { u.Send(0, refs[0].Seq, now) },
+	}, nil
 }
 
 // replayGroup builds a relay/trunk group's trunk: one user per client ID of

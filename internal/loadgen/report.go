@@ -72,8 +72,8 @@ type Report struct {
 	WriteErrors     uint64 `json:"writeErrors"`
 	OutOfOrderAcks  uint64 `json:"outOfOrderAcks"`
 	// FallbackResends counts relayed heartbeats re-sent directly to their
-	// owning shard after the relay path missed the ack window (cluster
-	// mode). A resend that gets acked keeps the heartbeat out of Timeouts.
+	// owning shard after the relay path missed the ack window. A resend
+	// that gets acked keeps the heartbeat out of Timeouts.
 	FallbackResends uint64 `json:"fallbackResends,omitempty"`
 
 	// Trunks is the trunked-fleet size (Config.Trunks); zero in socket-per-UE
@@ -117,7 +117,6 @@ type Report struct {
 
 // snapshot assembles a cumulative report at the given elapsed time.
 func (r *Runner) snapshot(elapsed time.Duration, final bool) Report {
-	c := &r.counters
 	direct := r.histDirect.Snapshot()
 	relayed := r.histRelay.Snapshot()
 	overall := r.histDirect.Snapshot().Merge(relayed)
@@ -130,29 +129,13 @@ func (r *Runner) snapshot(elapsed time.Duration, final bool) Report {
 		Relays:     len(r.relays),
 		Arrival:    r.cfg.Arrival.Shape.String(),
 		Speedup:    r.cfg.Speedup,
-
-		SentDirect:      c.sentDirect.Load(),
-		SentRelayed:     c.sentRelayed.Load(),
-		AckedDirect:     c.ackedDirect.Load(),
-		AckedRelayed:    c.ackedRelayed.Load(),
-		TimeoutsDirect:  c.timeoutDirect.Load(),
-		TimeoutsRelayed: c.timeoutRelayed.Load(),
-		DialErrors:      c.dialErrors.Load(),
-		WriteErrors:     c.writeErrors.Load(),
-		OutOfOrderAcks:  c.outOfOrderAcks.Load(),
-		FallbackResends: c.fallbackResends.Load(),
-		Trunks:          r.cfg.Trunks,
-		TrunkWrites:     c.trunkWrites.Load(),
-		TrunkFrames:     c.trunkFrames.Load(),
+		Trunks:     r.cfg.Trunks,
 
 		Overall: latencyStats(overall),
 		Direct:  latencyStats(direct),
 		Relayed: latencyStats(relayed),
 	}
-	rep.Sent = rep.SentDirect + rep.SentRelayed
-	rep.Acked = rep.AckedDirect + rep.AckedRelayed
-	rep.Timeouts = rep.TimeoutsDirect + rep.TimeoutsRelayed
-	rep.Errors = rep.DialErrors + rep.WriteErrors
+	r.count(&rep)
 	if sec := elapsed.Seconds(); sec > 0 {
 		rep.OfferedHBps = float64(rep.Sent) / sec
 		rep.ThroughputHBps = float64(rep.Acked) / sec
@@ -196,6 +179,38 @@ func (r *Runner) snapshot(elapsed time.Duration, final bool) Report {
 		}
 	}
 	return rep
+}
+
+// count fills rep's delivery accounting: the trunks' shared counters plus
+// each UE's own, under the path the UE was built for.
+func (r *Runner) count(rep *Report) {
+	c := &r.counters
+	rep.SentRelayed, rep.AckedRelayed, rep.TimeoutsRelayed = c.sentRelayed.Load(), c.ackedRelayed.Load(), c.timeoutRelayed.Load()
+	rep.DialErrors, rep.WriteErrors = c.dialErrors.Load(), c.writeErrors.Load()
+	rep.OutOfOrderAcks, rep.FallbackResends = c.outOfOrderAcks.Load(), c.fallbackResends.Load()
+	rep.TrunkWrites, rep.TrunkFrames = c.trunkWrites.Load(), c.trunkFrames.Load()
+	for i, unit := range r.units {
+		u, ok := unit.(*relaynet.UEClient)
+		if !ok {
+			continue
+		}
+		st := u.Stats()
+		sent, acked, timeouts := &rep.SentDirect, &rep.AckedDirect, &rep.TimeoutsDirect
+		if i < r.relayedUEs {
+			sent, acked, timeouts = &rep.SentRelayed, &rep.AckedRelayed, &rep.TimeoutsRelayed
+		}
+		*sent += uint64(st.ViaRelay + st.Direct)
+		*acked += uint64(st.Acked)
+		*timeouts += uint64(st.Timeouts)
+		rep.DialErrors += uint64(st.DialErrors)
+		rep.WriteErrors += uint64(st.WriteErrors)
+		rep.OutOfOrderAcks += uint64(st.OutOfOrderAcks)
+		rep.FallbackResends += uint64(st.FallbackResends)
+	}
+	rep.Sent = rep.SentDirect + rep.SentRelayed
+	rep.Acked = rep.AckedDirect + rep.AckedRelayed
+	rep.Timeouts = rep.TimeoutsDirect + rep.TimeoutsRelayed
+	rep.Errors = rep.DialErrors + rep.WriteErrors
 }
 
 // LatencyTable renders the per-path latency quantiles.

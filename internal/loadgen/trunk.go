@@ -64,7 +64,7 @@ type ackCache struct {
 // partitions them per owning shard under a single ring view and writes one
 // Batch per shard. A heartbeat whose ack misses the window is re-sent once
 // through the then-current view before a second miss counts as a timeout,
-// mirroring the vue fallback that keeps reshards lossless.
+// mirroring the UE's fallback that keeps reshards lossless.
 type trunk struct {
 	id       string
 	period   time.Duration
@@ -105,15 +105,14 @@ type trunk struct {
 	closed  bool
 }
 
-// run is the send loop: activate after the arrival offset, then batch one
+// Run is the send loop: activate after the arrival offset, then batch one
 // heartbeat per user every period until the run stops. With pacing enabled
 // the period is divided into paceSlots sub-ticks and each user's emission
 // lands in the sub-tick of its index block — every user still sends
 // exactly once per period (the open-loop schedule is preserved), only the
 // intra-period phase changes, which flattens the per-period burst the
 // server would otherwise absorb all at once.
-func (t *trunk) run(done <-chan struct{}, offset time.Duration, sendWg *sync.WaitGroup) {
-	defer sendWg.Done()
+func (t *trunk) Run(done <-chan struct{}, offset time.Duration) {
 	if offset > 0 {
 		select {
 		case <-done:
@@ -121,46 +120,22 @@ func (t *trunk) run(done <-chan struct{}, offset time.Duration, sendWg *sync.Wai
 		case <-time.After(offset):
 		}
 	}
-	slots := t.paceSlots
-	if slots <= 1 {
-		tick := time.NewTicker(t.period)
-		defer tick.Stop()
-		t.tick()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				t.tick()
-			}
-		}
-	}
+	slots := max(t.paceSlots, 1) // unpaced, a period is one sub-tick
 	tick := time.NewTicker(t.period / time.Duration(slots))
 	defer tick.Stop()
-	slot := 0
-	t.tickSlot(slot)
-	for {
+	for slot := 0; ; slot = (slot + 1) % slots {
+		t.tickSlot(slot)
 		select {
 		case <-done:
 			return
 		case <-tick.C:
-			slot = (slot + 1) % slots
-			t.tickSlot(slot)
 		}
 	}
 }
 
-// tick is one heartbeat interval for every user on the trunk: expire and
-// re-send stale pendings, then emit the fresh round.
-func (t *trunk) tick() {
-	now := time.Now()
-	resend := t.collectExpired(now)
-	t.emit(0, len(t.users), now, resend)
-}
-
-// tickSlot is one paced sub-tick: emit the users assigned to this slot.
-// Expiry collection runs once per full period (on slot 0), matching the
-// unpaced cadence so fallback/timeout timing is unchanged by pacing.
+// tickSlot is one sub-tick: emit the users assigned to this slot, after
+// expiring and re-sending stale pendings on slot 0 — once per period, so
+// fallback/timeout timing is unchanged by pacing.
 func (t *trunk) tickSlot(slot int) {
 	now := time.Now()
 	var resend []session.Key
@@ -172,12 +147,12 @@ func (t *trunk) tickSlot(slot int) {
 }
 
 // paced returns the users of pace slot s, [lo, hi): the s-th of paceSlots
-// index blocks, whose sizes differ by at most one. A sub-tick's users are
+// index blocks (all users when unpaced), whose sizes differ by at most one. A sub-tick's users are
 // one run of every per-user column, so emission, tracking and settling
 // walk memory in order instead of scattering over the whole fleet.
 func (t *trunk) paced(s int) (lo, hi int) {
-	n := len(t.users)
-	return s * n / t.paceSlots, (s + 1) * n / t.paceSlots
+	n, slots := len(t.users), max(t.paceSlots, 1)
+	return s * n / slots, (s + 1) * n / slots
 }
 
 // emit sends one fresh heartbeat for each user in [lo, hi) plus any
@@ -348,9 +323,9 @@ func (t *trunk) timedOut(refs []session.Key, now time.Time) {
 	t.c.timeoutRelayed.Add(uint64(len(refs)))
 }
 
-// sweep re-sends expired heartbeats (drain-phase entry point; tick folds
+// Sweep re-sends expired heartbeats (drain-phase entry point; tick folds
 // the same collection into its round).
-func (t *trunk) sweep(now time.Time) {
+func (t *trunk) Sweep(now time.Time) {
 	if resend := t.collectExpired(now); len(resend) > 0 {
 		t.send(resend, now, true)
 	}
@@ -426,24 +401,18 @@ func (t *trunk) onRefs(cache *ackCache, dial int, refs []hbproto.Ref, at time.Ti
 	}
 }
 
-// pendingCount returns how many heartbeats still await acknowledgement.
-func (t *trunk) pendingCount() int {
+// InFlight returns how many heartbeats still await acknowledgement.
+func (t *trunk) InFlight() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.pending.Len()
 }
 
-// expireAll writes off every remaining pending heartbeat (end-of-run
-// drain).
-func (t *trunk) expireAll() {
+// Shutdown writes off every remaining pending heartbeat (end-of-run drain),
+// shuts every shard connection down and waits for the readers.
+func (t *trunk) Shutdown() {
 	t.mu.Lock()
 	t.timedOut(t.pending.Drain(), time.Now())
-	t.mu.Unlock()
-}
-
-// close shuts every shard connection down and waits for the readers.
-func (t *trunk) close() {
-	t.mu.Lock()
 	t.closed = true
 	slots := make([]*session.Slot, 0, len(t.slots))
 	for _, s := range t.slots {

@@ -114,9 +114,9 @@ func (c *armedConn) Write(b []byte) (int, error) {
 func waitSettled(t *testing.T, tr *trunk, what string) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
-	for tr.pendingCount() > 0 {
+	for tr.InFlight() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d heartbeats never settled", what, tr.pendingCount())
+			t.Fatalf("%s: %d heartbeats never settled", what, tr.InFlight())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -150,24 +150,24 @@ func TestTrunkRedialSettlesEveryAck(t *testing.T) {
 		}
 		return conn, err
 	})
-	t.Cleanup(tr.close)
+	t.Cleanup(tr.Shutdown)
 	for i := range tr.users {
 		tr.users[i].seq = uint64(i) * 100
 	}
 
-	tr.tick()
+	tr.tickSlot(0)
 	waitSettled(t, tr, "first connection") // the handle table is now warm
 	armed.Store(true)
-	tr.tick() // the write dies with the connection; the round stays pending
+	tr.tickSlot(0) // the write dies with the connection; the round stays pending
 	if got := tr.c.writeErrors.Load(); got != 1 {
 		t.Fatalf("write errors = %d, want the one injected reset", got)
 	}
-	if got := tr.pendingCount(); got != users {
+	if got := tr.InFlight(); got != users {
 		t.Fatalf("%d heartbeats pending after the reset, want %d", got, users)
 	}
-	tr.sweep(time.Now().Add(2 * tr.timeout)) // fallback re-send over a fresh dial
+	tr.Sweep(time.Now().Add(2 * tr.timeout)) // fallback re-send over a fresh dial
 	waitSettled(t, tr, "redialed connection, resend")
-	tr.tick()
+	tr.tickSlot(0)
 	waitSettled(t, tr, "redialed connection, next round")
 
 	if got := dials.Load(); got != 2 {

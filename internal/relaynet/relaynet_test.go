@@ -72,7 +72,7 @@ func steppedRelay(t *testing.T, cfg RelayAgentConfig, upstream string) *RelayAge
 
 func ueConfig(id, relayAddr, serverAddr string, period, expiry time.Duration) UEClientConfig {
 	return UEClientConfig{
-		ID: id, App: "std", Period: period, Expiry: expiry, Pad: 54,
+		ID: id, Apps: []UEApp{{Name: "std", Period: period, Expiry: expiry, Pad: 54}},
 		RelayAddr: relayAddr, ServerAddr: serverAddr,
 	}
 }
@@ -576,7 +576,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewUEClient(UEClientConfig{}); err == nil {
 		t.Fatal("empty ue config accepted")
 	}
-	if _, err := NewUEClient(UEClientConfig{ID: "u", Period: time.Second, Expiry: time.Second}); err == nil {
+	if _, err := NewUEClient(UEClientConfig{ID: "u", Apps: []UEApp{{Period: time.Second, Expiry: time.Second}}}); err == nil {
 		t.Fatal("missing server addr accepted")
 	}
 }
@@ -601,7 +601,7 @@ func TestLifecycleIdempotence(t *testing.T) {
 	r.Shutdown() // not started: no-op
 
 	u, err := NewUEClient(UEClientConfig{
-		ID: "u", App: "a", Period: time.Second, Expiry: time.Second, ServerAddr: "127.0.0.1:1",
+		ID: "u", Apps: []UEApp{{Name: "a", Period: time.Second, Expiry: time.Second}}, ServerAddr: "127.0.0.1:1",
 	})
 	if err != nil {
 		t.Fatalf("NewUEClient: %v", err)
@@ -750,7 +750,7 @@ func TestUEMultiAppHeartbeats(t *testing.T) {
 	)
 	r := startRelay(t, s.Addr(), period, expiry, 8)
 	cfg := ueConfig("ue-m", r.Addr(), s.Addr(), period, expiry)
-	cfg.ExtraApps = []UEApp{{Name: "second", Period: 90 * time.Millisecond, Expiry: expiry, Pad: 100}}
+	cfg.Apps = append(cfg.Apps, UEApp{Name: "second", Period: 90 * time.Millisecond, Expiry: expiry, Pad: 100})
 	u, err := NewUEClient(cfg)
 	if err != nil {
 		t.Fatalf("NewUEClient: %v", err)
@@ -772,7 +772,7 @@ func TestUEMultiAppHeartbeats(t *testing.T) {
 
 func TestUEMultiAppValidation(t *testing.T) {
 	cfg := ueConfig("u", "", "127.0.0.1:1", time.Second, time.Second)
-	cfg.ExtraApps = []UEApp{{Name: "bad"}}
+	cfg.Apps = append(cfg.Apps, UEApp{Name: "bad"})
 	if _, err := NewUEClient(cfg); err == nil {
 		t.Fatal("invalid extra app accepted")
 	}

@@ -34,16 +34,17 @@ func (a Key) compare(b Key) int {
 // the table.
 //
 // Pending is not synchronized: owners guard it with the lock that also
-// guards the counters they update alongside it. The zero value (with
+// guards the counters they update alongside it. A socket-per-UE fleet holds
+// one per UE, so the fields are laid out without padding to spare. The zero value (with
 // Fallback set as needed) is ready to use; it allocates nothing until the
 // first Track, and then a zeroed slice up to the highest slot tracked.
 type Pending struct {
-	// Fallback says whether the owner can resend over a second path.
-	Fallback bool
-
 	slots []inflight    // by slot: its inline heartbeat
 	over  map[Key]entry // the rest in flight; never a slot's inline key
-	live  int           // inline entries in use
+	live  int32         // inline entries in use
+
+	// Fallback says whether the owner can resend over a second path.
+	Fallback bool
 }
 
 // entry times are UnixNano. An entry has fallen back once its window was
@@ -241,4 +242,4 @@ func (p *Pending) Drain() []Key {
 }
 
 // Len reports how many heartbeats await acknowledgement.
-func (p *Pending) Len() int { return p.live + len(p.over) }
+func (p *Pending) Len() int { return int(p.live) + len(p.over) }

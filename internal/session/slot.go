@@ -2,10 +2,11 @@
 // stated once: a Slot is one lazily dialed, framed connection with its
 // ack/feedback reader, and Pending is the table of heartbeats awaiting
 // acknowledgement with the paper's one-fallback-then-timeout policy.
-// Every client on the live stack — relaynet.UEClient, the relay's upstream
-// side, and loadgen's virtual UEs and trunks, which its trace replay drives
-// too — is built from these two pieces. Pacing, Algorithm 1, reconnect
-// backoff and counters deliberately stay with their owners.
+// Every client on the live stack — relaynet.UEClient (alone, or as one of
+// the load generator's socket-per-UE fleet), the relay's upstream side, and
+// loadgen's trunks, all of which its trace replay drives too — is built
+// from these two pieces. Pacing, Algorithm 1, reconnect backoff and
+// counters deliberately stay with their owners.
 package session
 
 import (
@@ -26,7 +27,8 @@ var ErrNoAddr = errors.New("session: no address to dial")
 
 // Slot holds at most one live connection to a relay or server and dials
 // it on demand. Set the exported fields before first use and do not copy a
-// Slot afterwards. Send and Connect may be called from several goroutines;
+// Slot afterwards. A socket-per-UE fleet holds one per UE, so the fields
+// are laid out without padding to spare. Send and Connect may be called from several goroutines;
 // callbacks run on the reader goroutine and must not call Close.
 type Slot struct {
 	// Dial opens the connection; nil selects net.Dial. Fault-injection
@@ -57,7 +59,7 @@ type Slot struct {
 
 	mu      sync.Mutex
 	conn    net.Conn
-	dials   int // connections installed so far
+	dials   int32 // connections installed so far
 	closed  bool
 	readers sync.WaitGroup
 }
@@ -124,7 +126,7 @@ func (s *Slot) connect() (net.Conn, bool, error) {
 	}
 	s.conn = conn
 	s.dials++
-	n := s.dials
+	n := int(s.dials)
 	s.readers.Add(1)
 	s.mu.Unlock()
 	go s.read(conn, n)
