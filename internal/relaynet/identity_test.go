@@ -293,8 +293,8 @@ func TestRoutingVerdictFollowsTheView(t *testing.T) {
 // relay's source table: it is keyed by the relay's own (source, seq) pair,
 // so an ack that went through the upstream slot's FrameReader — and carries
 // that reader's handle, unlike the heartbeat the table entry was made from —
-// still finds the UE connection to feed back to. The test plays the run
-// loop and the shard.
+// still finds the UE connection to feed back to. The test plays the
+// relay's runner and the shard.
 func TestFeedbackRoutesAcksDecodedFromTheWire(t *testing.T) {
 	shard, dialed := net.Pipe()
 	t.Cleanup(func() { _ = shard.Close() })
@@ -323,24 +323,20 @@ func TestFeedbackRoutesAcksDecodedFromTheWire(t *testing.T) {
 	near2, far2 := net.Pipe()
 	t.Cleanup(func() { _ = near1.Close(); _ = far1.Close(); _ = near2.Close(); _ = far2.Close() })
 	ue1, ue2 := &ueConn{conn: near1}, &ueConn{conn: near2}
-	beat := func(src string, seq uint64) *hbproto.Heartbeat {
-		return &hbproto.Heartbeat{Src: src, Seq: seq, App: "std", Origin: time.Now(), Expiry: time.Minute}
+	beat := func(at time.Duration, uc *ueConn, src string, seq uint64) *input {
+		return beatAt(at, uc, hbproto.Heartbeat{Src: src, Seq: seq, App: "std", Origin: time.Now(), Expiry: time.Minute})
 	}
 	ms := time.Millisecond
-	r.step(0, relayEvent{})
-	r.step(1*ms, relayEvent{ueMsg: &hbproto.Register{ID: "ue-1"}, ueFrom: ue1})
-	r.step(1*ms, relayEvent{ueMsg: &hbproto.Register{ID: "ue-2"}, ueFrom: ue2})
-	r.step(2*ms, relayEvent{ueMsg: beat("ue-1", 7), ueFrom: ue1})
-	r.step(2*ms, relayEvent{ueMsg: beat("ue-2", 9), ueFrom: ue2})
-	r.step(3*ms, relayEvent{ueClosed: ue2}) // its connection is gone before the ack
-	r.step(time.Minute, relayEvent{})       // the boundary flushes both upstream
+	holdRunner(t, r)
+	r.step(&input{at: 0})
+	r.step(&input{at: 1 * ms, kind: inRegister, ue: ue1})
+	r.step(&input{at: 1 * ms, kind: inRegister, ue: ue2})
+	r.step(beat(2*ms, ue1, "ue-1", 7))
+	r.step(beat(2*ms, ue2, "ue-2", 9))
+	r.step(&input{at: 3 * ms, kind: inClosed, ue: ue2}) // its connection is gone before the ack
+	r.step(&input{at: time.Minute})                     // the boundary flushes both upstream
 
-	var ev relayEvent
-	select {
-	case ev = <-r.events:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the shard's ack never reached the run loop")
-	}
+	ev := queued(t, r, "the shard's ack never reached the relay's inbox")
 	if len(ev.acked) != 2 || ev.acked[1].Handle == 0 {
 		t.Fatalf("acked refs %+v: the decoded ack carries no handle, the test no longer exercises the annotation", ev.acked)
 	}
@@ -352,7 +348,8 @@ func TestFeedbackRoutesAcksDecodedFromTheWire(t *testing.T) {
 		}
 		wire <- msg
 	}()
-	r.step(time.Minute+ms, ev)
+	ev.at = time.Minute + ms
+	r.step(&ev)
 	r.flushFeedback()
 	fb, ok := (<-wire).(*hbproto.Feedback)
 	if !ok || len(fb.Refs) != 1 || fb.Refs[0].Src != "ue-1" || fb.Refs[0].Seq != 7 {

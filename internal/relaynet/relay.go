@@ -58,7 +58,7 @@ type RelayAgentConfig struct {
 	// Nil makes the serverAddr given to Start a one-node view. A shard that
 	// cannot be reached costs only its own sub-batch (the affected UEs
 	// recover through the feedback-timeout fallback); the relay never
-	// blocks its scheduling loop on a dead shard.
+	// waits on a dead shard.
 	Cluster *cluster.Client
 	// Telemetry registers the agent's runtime metrics (batch sizes,
 	// collect-to-flush latency, reconnect attempts, scheduler occupancy
@@ -108,29 +108,93 @@ type RelayAgentStats struct {
 	DroppedNoShard int
 	// FeedbackWritesSaved counts UE feedback writes avoided by merging
 	// refs from several server acks into one Feedback frame per UE per
-	// event drain (each merge into an already-pending group is one write
+	// turn (each merge into an already-pending group is one write
 	// the per-ack path would have issued).
 	FeedbackWritesSaved int
 }
 
 // ueConn is one connected UE on the relay's "D2D" listener; it is the
-// relay's ReturnPath for the heartbeats that arrive over it.
+// relay's ReturnPath for the heartbeats that arrive over it. Its reader owns
+// conn's read side; every other field belongs to the relay's runner.
 type ueConn struct {
 	conn net.Conn
+	// live is set by the UE's Register and cleared when its connection
+	// closes: feedback goes only to a live UE.
+	live bool
+	// fb holds the refs acknowledged for the UE in the current turn, which
+	// flushFeedback writes as one Feedback frame; ack numbers the server
+	// ack that last queued one, so a merge across acks is counted once.
+	fb  []hbproto.Ref
+	ack uint64
 }
 
-// relayEvent is the main loop's input alphabet.
-type relayEvent struct {
-	// at most one of ueMsg/ueClosed/acked/upErr is set; none is a timer
-	// tick
-	ueMsg    hbproto.Message
-	ueFrom   *ueConn
-	ueClosed *ueConn
-	acked    []hbproto.Ref
-	upErr    error
-	// upShard attributes an upstream error to the shard whose connection
-	// broke.
-	upShard string
+// inputKind names what an inbox entry carries.
+type inputKind uint8
+
+const (
+	inTick      inputKind = iota // the wall timer fired
+	inRegister                   // a UE registered on ue
+	inHeartbeat                  // hb arrived on ue
+	inClosed                     // ue's connection closed
+	inAck                        // a shard acknowledged acked
+	inDown                       // shard's connection broke
+)
+
+// input is one entry of the relay's inbox: a value stamped with the kernel
+// instant it arrived at. Nothing in it is shared with the goroutine that
+// offered it but acked, which lies in the inbox's ref arena.
+type input struct {
+	at    time.Duration
+	kind  inputKind
+	ue    *ueConn
+	hb    hbmsg.Heartbeat
+	acked []hbproto.Ref
+	shard string
+}
+
+// ueHeartbeat is the input for UE heartbeat m arriving over uc at kernel
+// instant at, age after the UE stamped it. Its strings are the reader's
+// interned ones: stable, and copied for free.
+func ueHeartbeat(at time.Duration, uc *ueConn, m *hbproto.Heartbeat, age time.Duration) input {
+	return input{at: at, kind: inHeartbeat, ue: uc, hb: hbmsg.Heartbeat{
+		App: m.App, Src: hbmsg.DeviceID(m.Src), Seq: m.Seq,
+		Origin: at - age, Expiry: m.Expiry, Size: m.Pad,
+	}}
+}
+
+// inboxCap bounds the inbox. An offer that finds it full waits until the
+// runner takes the queued entries, so a stalled runner holds its UE
+// readers back as a rendezvous with a run goroutine would.
+const inboxCap = 64
+
+// inbox is the relay's input queue and the token that makes one goroutine
+// its runner. room and idle are made only by a goroutine about to wait on
+// them: room by an offer that found the inbox full, idle by Shutdown.
+type inbox struct {
+	mu      sync.Mutex
+	entries []input
+	refs    []hbproto.Ref // the ack entries' refs
+	running bool
+	closed  bool
+	room    chan struct{} // closed when the entries are taken
+	idle    chan struct{} // closed when the runner hands the relay back
+}
+
+// close stops further offers and returns a channel that is closed once the
+// current runner has handed the relay back, or nil when the relay is idle.
+func (q *inbox) close() chan struct{} {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.closed = true
+	if q.room != nil {
+		close(q.room)
+		q.room = nil
+	}
+	if !q.running {
+		return nil
+	}
+	q.idle = make(chan struct{})
+	return q.idle
 }
 
 // RelayAgent is the live substrate of device.Relay, Algorithm 1 stated once
@@ -140,35 +204,45 @@ type relayEvent struct {
 // feedback.
 //
 // The relay runs on a simtime.Scheduler whose instant 0 is the agent's
-// start. The run goroutine owns both and advances the scheduler to the
-// wall clock before it handles anything (see step), so Algorithm 1's
-// boundaries and deadlines run at their own instants, in the kernel's
-// order, however late the wall timer that announces them fires.
+// start. Every input — a UE frame or close, a shard's ack or error, a wall
+// timer tick — is appended to one bounded inbox, stamped with its arrival
+// instant, and whichever goroutine appends to an idle relay becomes its
+// runner: it drains the inbox, advancing the scheduler to each entry's
+// instant before handling it (see step), so Algorithm 1's boundaries and
+// deadlines run at their own instants, in the kernel's order, however late
+// the wall timer that announces them fires.
 type RelayAgent struct {
 	cfg RelayAgentConfig
 	// cluster is cfg.Cluster, or the one-node view Start builds from its
-	// server address; set before the run loop starts.
+	// server address; set before the first input.
 	cluster *cluster.Client
 
 	mu sync.Mutex
 	ln net.Listener
-	// ups maps shard ID -> upstream session slot. The run loop creates
-	// slots on first use; Shutdown closes them all.
+	// ups maps shard ID -> upstream session slot. The runner creates slots
+	// on first use; Shutdown closes them all.
 	ups     map[string]*session.Slot
 	started bool
 	closed  bool
 	stats   RelayAgentStats
+	// wake is the wall timer pointed at the kernel's next action; Start
+	// makes it before the first input.
+	wake *time.Timer
+	wg   sync.WaitGroup
 
-	events chan relayEvent
-	done   chan struct{}
-	wg     sync.WaitGroup
+	in    inbox
+	epoch time.Time // the wall instant of kernel instant 0
 
-	// main-loop state (owned by run goroutine)
-	relay   *device.Relay
-	kernel  *simtime.Scheduler
-	epoch   time.Time // the wall instant of kernel instant 0
-	ueConns map[*ueConn]struct{}
-	rng     *rand.Rand // backoff jitter
+	// runner state: touched only by the goroutine holding the relay.
+	relay  *device.Relay
+	kernel *simtime.Scheduler
+	// turn and turnRefs hold the entries of the turn being run; take hands
+	// them back to the inbox as its next buffers. armed is the kernel
+	// instant the wall timer points at.
+	turn     []input
+	turnRefs []hbproto.Ref
+	armed    time.Duration
+	rng      *rand.Rand // backoff jitter
 	// downUntil/backoffCur arm the per-shard redial backoff so flush never
 	// hammers a dead shard, and everDialed distinguishes a reconnect from a
 	// shard's first dial in the stats.
@@ -179,17 +253,20 @@ type RelayAgent struct {
 	// in collect order, for the collect-to-flush histogram (telemetry
 	// only); the next flush drains it.
 	held []time.Duration
-	// pendingFB accumulates acked refs per UE connection across the acks
-	// of one event drain; flushFeedback writes one Feedback frame per UE.
-	// ackTouched and merged are handleAck's per-call record of the UEs it
-	// fed and of merges into refs an earlier ack left pending.
-	// batchMsg/fbBuf/fbMsg are reusable encode state.
-	pendingFB  map[*ueConn][]hbproto.Ref
-	ackTouched map[*ueConn]bool
-	merged     int
-	batchMsg   hbproto.Batch
-	fbBuf      []byte
-	fbMsg      hbproto.Feedback
+	// fbConns lists the UEs with feedback queued this turn, in the order
+	// their first ref was; acks counts the server acks handled, and merged
+	// the merges into refs an earlier ack of the turn left queued.
+	fbConns []*ueConn
+	acks    uint64
+	merged  int
+	// Reusable flush state: the wire form of a batch, its heartbeat indices
+	// per ring node, one shard's sub-batch, and the encode scratch.
+	wire     []hbproto.Heartbeat
+	byNode   [][]int
+	sub      []hbproto.Heartbeat
+	batchMsg hbproto.Batch
+	fbBuf    []byte
+	fbMsg    hbproto.Feedback
 
 	ins relayInstruments
 }
@@ -211,6 +288,9 @@ type relayInstruments struct {
 	fbSaved    *telemetry.Counter
 	fbRefs     *telemetry.Histogram
 	upBytesOut *telemetry.Counter
+	// inputsPerTurn is how many inbox entries each runner turn takes: 1
+	// everywhere means every arrival paid for a turn of its own.
+	inputsPerTurn *telemetry.Histogram
 }
 
 // NewRelayAgent returns an unstarted relay agent.
@@ -235,15 +315,11 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 	r := &RelayAgent{
 		cfg:        cfg,
 		ups:        make(map[string]*session.Slot),
-		events:     make(chan relayEvent),
-		done:       make(chan struct{}),
 		kernel:     simtime.NewScheduler(seed),
-		ueConns:    make(map[*ueConn]struct{}),
+		armed:      -1,
 		downUntil:  make(map[string]time.Duration),
 		backoffCur: make(map[string]time.Duration),
 		everDialed: make(map[string]bool),
-		pendingFB:  make(map[*ueConn][]hbproto.Ref),
-		ackTouched: make(map[*ueConn]bool),
 		rng:        rand.New(rand.NewSource(seed)),
 	}
 	if reg := cfg.Telemetry; reg != nil {
@@ -260,6 +336,7 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 			fbSaved:        reg.Counter("relaynet_relay_feedback_writes_saved_total", rl),
 			fbRefs:         reg.Histogram("relaynet_relay_feedback_refs_per_flush", "refs", 1, rl),
 			upBytesOut:     reg.Counter("relaynet_relay_upstream_bytes_total", rl),
+			inputsPerTurn:  reg.Histogram("relaynet_relay_inputs_per_turn", "inputs", 1, rl),
 		}
 		// The Algorithm 1 scheduler records its own occupancy-vs-capacity
 		// and deadline-slack figures from the instants the relay injects —
@@ -293,7 +370,7 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The first period opens at kernel instant 0, the loop's first step.
+	// The first period opens at kernel instant 0, in the first turn.
 	if err := r.relay.Start(); err != nil {
 		return nil, err
 	}
@@ -303,7 +380,7 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 // upstream returns the session slot for a shard's upstream connection,
 // creating it on first use; nil once the agent is shutting down. The slot
 // owns dialing, registration and the ack reader: acks and reader errors
-// come back to the run loop as events.
+// come back as inputs.
 func (r *RelayAgent) upstream(shard string) *session.Slot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -318,25 +395,104 @@ func (r *RelayAgent) upstream(shard string) *session.Slot {
 			ID: r.cfg.ID, Role: hbproto.RoleRelay, App: r.cfg.App,
 			Period: r.cfg.Period, Expiry: r.cfg.Expiry,
 		},
-		OnRefs: func(_ int, refs []hbproto.Ref, _ time.Time) {
-			// Copy out of the reader's reused slice (see ueReader).
-			r.post(relayEvent{acked: append([]hbproto.Ref(nil), refs...)})
+		OnRefs: func(_ int, refs []hbproto.Ref, at time.Time) {
+			r.offer(input{at: at.Sub(r.epoch), kind: inAck}, refs)
 		},
-		OnDown: func(err error) { r.post(relayEvent{upErr: err, upShard: shard}) },
+		OnDown: func(error) { r.offer(input{at: time.Since(r.epoch), kind: inDown, shard: shard}, nil) },
 	}
 	r.ups[shard] = slot
 	return slot
 }
 
-// post hands an event to the run loop; false means the agent has stopped.
-func (r *RelayAgent) post(ev relayEvent) bool {
-	select {
-	case r.events <- ev:
-		return true
-	case <-r.done:
+// offer appends one input to the inbox, with refs (an ack's, in the
+// reader's reused slice) copied into the inbox's arena, waiting while the
+// inbox is full. If the relay is idle the caller becomes its runner and
+// serves it until the inbox is empty. false means the agent has stopped.
+func (r *RelayAgent) offer(in input, refs []hbproto.Ref) bool {
+	q := &r.in
+	q.mu.Lock()
+	for len(q.entries) >= inboxCap && !q.closed {
+		if q.room == nil {
+			q.room = make(chan struct{})
+		}
+		room := q.room
+		q.mu.Unlock()
+		<-room
+		q.mu.Lock()
+	}
+	if q.closed {
+		q.mu.Unlock()
 		return false
 	}
+	if len(refs) > 0 {
+		lo := len(q.refs)
+		q.refs = append(q.refs, refs...)
+		in.acked = q.refs[lo:len(q.refs):len(q.refs)]
+	}
+	q.entries = append(q.entries, in)
+	idle := !q.running
+	q.running = true
+	q.mu.Unlock()
+	if idle {
+		r.serve()
+	}
+	return true
 }
+
+// serve runs turns until the inbox is empty. Only the goroutine whose offer
+// found the relay idle calls it, so exactly one goroutine at a time is
+// inside device.Relay and its kernel, and no lock is held while a turn
+// writes to a socket.
+func (r *RelayAgent) serve() {
+	for batch := r.take(); batch != nil; batch = r.take() {
+		r.runTurn(batch)
+	}
+}
+
+// take hands the runner every queued entry, giving the inbox the previous
+// turn's buffers in exchange, and wakes offers waiting for room. With
+// nothing queued, or the agent stopped, it hands the relay back and
+// returns nil.
+func (r *RelayAgent) take() []input {
+	clear(r.turn) // the entries hold connections: let them go
+	q := &r.in
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.entries) == 0 || q.closed {
+		q.running = false
+		if q.idle != nil {
+			close(q.idle)
+			q.idle = nil
+		}
+		return nil
+	}
+	r.turn, q.entries = q.entries, r.turn[:0]
+	r.turnRefs, q.refs = q.refs, r.turnRefs[:0]
+	if q.room != nil {
+		close(q.room)
+		q.room = nil
+	}
+	return r.turn
+}
+
+// runTurn steps through one turn's entries, then writes the feedback they
+// produced, publishes the counters and points the wall timer at the
+// kernel's next action.
+func (r *RelayAgent) runTurn(batch []input) {
+	for i := range batch {
+		r.step(&batch[i])
+	}
+	r.flushFeedback()
+	r.publish()
+	if at, ok := r.kernel.NextAt(); ok && at != r.armed {
+		r.armed = at
+		r.wake.Reset(at - time.Since(r.epoch))
+	}
+	r.ins.inputsPerTurn.Record(uint64(len(batch)))
+}
+
+// tick is the wall timer's callback: a tick input runs whatever is due.
+func (r *RelayAgent) tick() { r.offer(input{at: time.Since(r.epoch)}, nil) }
 
 // Start listens for UE connections on listenAddr. Upstream connections
 // are dialed lazily, one per shard at the first flush toward it; with
@@ -381,11 +537,15 @@ func (r *RelayAgent) Start(listenAddr, serverAddr string) error {
 		return errors.New("relaynet: relay shut down during start")
 	}
 	r.ln = ln
-	r.wg.Add(2)
+	r.epoch = time.Now()
+	// The first turn opens the first period and points the timer at the
+	// kernel's next action.
+	r.wake = time.AfterFunc(time.Hour, r.tick)
+	r.wg.Add(1)
 	r.mu.Unlock()
 
+	r.tick()
 	go r.acceptLoop()
-	go r.run()
 	return nil
 }
 
@@ -406,8 +566,9 @@ func (r *RelayAgent) Stats() RelayAgentStats {
 	return r.stats
 }
 
-// Shutdown stops the agent and waits for its goroutines. Pending collected
-// heartbeats are lost — exactly the failure the UE fallback covers.
+// Shutdown stops the agent and waits for its goroutines and for the runner
+// to hand the relay back. Pending collected heartbeats are lost — exactly
+// the failure the UE fallback covers.
 func (r *RelayAgent) Shutdown() {
 	r.mu.Lock()
 	if r.closed || !r.started {
@@ -415,19 +576,29 @@ func (r *RelayAgent) Shutdown() {
 		return
 	}
 	r.closed = true
-	close(r.done)
 	// ln is nil when Start is still mid-listen; Start sees closed=true and
 	// closes its own listener.
 	if r.ln != nil {
 		_ = r.ln.Close()
 	}
+	wake := r.wake
 	ups := make([]*session.Slot, 0, len(r.ups))
 	for _, slot := range r.ups {
 		ups = append(ups, slot)
 	}
 	r.mu.Unlock()
+	// Close the inbox first: it releases the offers waiting for room, among
+	// them slot readers that Close waits for. The timer stops once no
+	// runner is left to reset it.
+	idle := r.in.close()
 	for _, slot := range ups {
 		slot.Close()
+	}
+	if idle != nil {
+		<-idle
+	}
+	if wake != nil {
+		wake.Stop()
 	}
 	r.wg.Wait()
 }
@@ -448,33 +619,32 @@ func (r *RelayAgent) acceptLoop() {
 	}
 }
 
-// ueReader decodes frames from one UE and forwards them to the main loop.
-// It decodes through a FrameReader (reused scratch, interned strings) and
-// copies each message into an owned value before handing it over: the run
-// loop processes the event after this goroutine has already moved on to
-// the next frame, so the reader's reused values must not cross the
-// channel. Interned strings are stable and copy for free.
+// ueReader decodes frames from one UE through a FrameReader (reused
+// scratch, interned strings) and offers each as a value input, so nothing
+// the reader reuses outlives the frame. When the relay is idle the reader
+// runs the turn itself before it reads on.
 func (r *RelayAgent) ueReader(uc *ueConn) {
 	defer r.wg.Done()
 	defer func() { _ = uc.conn.Close() }()
 	fr := hbproto.NewFrameReader(uc.conn)
 	for {
 		msg, err := fr.Next()
+		now := time.Now()
+		at := now.Sub(r.epoch)
 		if err != nil {
-			r.post(relayEvent{ueClosed: uc})
+			r.offer(input{at: at, kind: inClosed, ue: uc}, nil)
 			return
 		}
+		var in input
 		switch m := msg.(type) {
 		case *hbproto.Register:
-			c := *m
-			msg = &c
+			in = input{at: at, kind: inRegister, ue: uc}
 		case *hbproto.Heartbeat:
-			c := *m
-			msg = &c
+			in = ueHeartbeat(at, uc, m, now.Sub(m.Origin))
 		default:
 			continue // UEs only register and send heartbeats
 		}
-		if !r.post(relayEvent{ueMsg: msg, ueFrom: uc}) {
+		if !r.offer(in, nil) {
 			return
 		}
 	}
@@ -521,7 +691,7 @@ func (r *RelayAgent) armShardBackoff(shard string, now time.Duration) {
 // shardConn returns a shard's upstream slot with a live connection,
 // dialing it if absent and not in backoff. A failed dial arms the shard's
 // backoff and returns nil — the caller drops that sub-batch and the
-// scheduling loop moves on.
+// relay moves on.
 func (r *RelayAgent) shardConn(shard string) *session.Slot {
 	slot := r.upstream(shard)
 	if slot == nil || slot.Connected() {
@@ -549,59 +719,34 @@ func (r *RelayAgent) shardConn(shard string) *session.Slot {
 	return slot
 }
 
-// run is the single goroutine owning the relay and its kernel. One wall
-// timer points at the kernel's next action; whatever wakes the loop, step
-// runs what is due first. A tick that finds nothing due — the timer
-// re-armed while it was firing — therefore does nothing.
-func (r *RelayAgent) run() {
-	defer r.wg.Done()
-	r.epoch = time.Now()
-	wake := time.NewTimer(0)
-	defer wake.Stop()
-
-	// maxEventDrain bounds how many queued events one loop iteration may
-	// absorb before feedback is flushed and the timer gets a look-in.
-	const maxEventDrain = 64
-
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-wake.C:
-			r.step(time.Since(r.epoch), relayEvent{})
-		case ev := <-r.events:
-			// Drain whatever else is already queued (bounded) before
-			// flushing feedback, so refs from several acks — one per
-			// shard — merge into one Feedback frame per UE instead of one
-			// write per ack.
-			for n := 0; ; n++ {
-				r.step(time.Since(r.epoch), ev)
-				if n >= maxEventDrain {
-					break
-				}
-				select {
-				case ev = <-r.events:
-					continue
-				default:
-				}
-				break
-			}
-			r.flushFeedback()
-		}
-		r.publish()
-		if at, ok := r.kernel.NextAt(); ok {
-			wake.Reset(at - time.Since(r.epoch))
+// step advances the relay's kernel to the input's instant, running every
+// period boundary and flush deadline due by then at its own instant, and
+// then handles the input there. A UE heartbeat that arrives after a
+// boundary whose timer has not fired yet is thus collected into the new
+// window. An input stamped before an instant the kernel already reached —
+// offered concurrently with a later one — is handled at the kernel's
+// instant.
+func (r *RelayAgent) step(in *input) {
+	_ = r.kernel.RunUntil(max(in.at, r.kernel.Now())) // errs only if stopped, which the relay never is
+	switch in.kind {
+	case inRegister:
+		in.ue.live = true
+	case inHeartbeat:
+		r.relay.Receive(in.hb, in.ue)
+	case inClosed:
+		in.ue.live, in.ue.fb = false, nil
+	case inAck:
+		r.handleAck(in.acked)
+	case inDown:
+		// A shard broke (the slot already retired its connection): back
+		// off. The next flush past the backoff redials; meanwhile the other
+		// shards keep their schedule — the relay never blocks on one dead
+		// shard. Skipped when shutting down, or for a stale error from a
+		// connection a later flush has already replaced.
+		if slot := r.upstream(in.shard); slot != nil && !slot.Connected() {
+			r.armShardBackoff(in.shard, r.kernel.Now())
 		}
 	}
-}
-
-// step advances the relay's kernel to instant at, running every period
-// boundary and flush deadline due by then at its own instant, and then
-// handles ev there. A UE heartbeat that arrives after a boundary whose
-// timer has not fired yet is thus collected into the new window.
-func (r *RelayAgent) step(at time.Duration, ev relayEvent) {
-	_ = r.kernel.RunUntil(at) // errs only for an instant in the past; wall time does not run backwards
-	r.handleEvent(ev)
 }
 
 // publish copies the relay's counters to where Stats reads them.
@@ -612,54 +757,15 @@ func (r *RelayAgent) publish() {
 	r.mu.Unlock()
 }
 
-// handleEvent dispatches one main-loop event.
-func (r *RelayAgent) handleEvent(ev relayEvent) {
-	switch {
-	case ev.ueMsg != nil:
-		r.handleUE(ev.ueFrom, ev.ueMsg)
-	case ev.ueClosed != nil:
-		delete(r.ueConns, ev.ueClosed)
-		delete(r.pendingFB, ev.ueClosed)
-	case ev.acked != nil:
-		r.handleAck(ev.acked)
-	case ev.upErr != nil:
-		// A shard broke (the slot already retired its connection): back
-		// off. The next flush past the backoff redials; meanwhile the other
-		// shards keep their schedule — the relay never blocks its run loop
-		// on one dead shard. Skipped when shutting down, or for a stale
-		// error from a connection a later flush has already replaced.
-		if slot := r.upstream(ev.upShard); slot != nil && !slot.Connected() {
-			r.armShardBackoff(ev.upShard, r.kernel.Now())
-		}
-	}
-}
-
-func (r *RelayAgent) handleUE(uc *ueConn, msg hbproto.Message) {
-	switch m := msg.(type) {
-	case *hbproto.Register:
-		r.ueConns[uc] = struct{}{}
-	case *hbproto.Heartbeat:
-		now := r.kernel.Now()
-		r.relay.Receive(hbmsg.Heartbeat{
-			App:    m.App,
-			Src:    hbmsg.DeviceID(m.Src),
-			Seq:    m.Seq,
-			Origin: now - time.Since(m.Origin), // arrival-relative origin
-			Expiry: m.Expiry,
-			Size:   m.Pad,
-		}, uc)
-	}
-}
-
 // handleAck confirms every heartbeat a shard acknowledged; the relay finds
 // its UE and feeds back through agentRadio.Ack. Acks from every shard
-// funnel through the same path, and refs from several acks merge into one
-// Feedback frame per UE (the saved writes are counted).
+// funnel through the same path, and refs from several acks of a turn merge
+// into one Feedback frame per UE (the saved writes are counted).
 func (r *RelayAgent) handleAck(refs []hbproto.Ref) {
+	r.acks++
 	for _, ref := range refs {
 		r.relay.Confirm(hbmsg.DeviceID(ref.Src), ref.Seq)
 	}
-	clear(r.ackTouched)
 	if saved := r.merged; saved > 0 {
 		r.merged = 0
 		r.ins.fbSaved.Add(uint64(saved))
@@ -669,17 +775,17 @@ func (r *RelayAgent) handleAck(refs []hbproto.Ref) {
 	}
 }
 
-// flushFeedback writes the accumulated feedback: one frame — one Write —
-// per UE connection, composed in the run loop's reusable buffer. Write
-// order across UEs is not observable (each write targets a different
-// connection), so plain map iteration is fine here, as it was on the old
-// per-ack path.
+// flushFeedback writes the turn's feedback: one frame — one Write — per UE,
+// in the order the UEs were first acknowledged, composed in a reusable
+// buffer from the refs the UE's ueConn holds.
 func (r *RelayAgent) flushFeedback() {
-	for uc, refs := range r.pendingFB {
-		delete(r.pendingFB, uc)
+	for i, uc := range r.fbConns {
+		r.fbConns[i] = nil
+		refs := uc.fb
 		if len(refs) == 0 {
-			continue
+			continue // its connection closed later in the turn
 		}
+		uc.fb = refs[:0]
 		r.fbMsg.Refs = refs
 		out, err := hbproto.AppendFrame(r.fbBuf[:0], &r.fbMsg)
 		r.fbBuf, r.fbMsg.Refs = out[:0], nil
@@ -693,6 +799,7 @@ func (r *RelayAgent) flushFeedback() {
 		r.ins.fbFlushes.Inc()
 		r.ins.fbRefs.Record(uint64(len(refs)))
 	}
+	r.fbConns = r.fbConns[:0]
 }
 
 // errUEGone is agentRadio.Ack's answer for a UE whose connection closed
@@ -707,23 +814,24 @@ func (agentRadio) Advertise(int, int) {}
 
 func (agentRadio) Shutdown() {}
 
-// Ack queues one feedback ref for its UE; flushFeedback writes it at the
-// end of the event drain.
+// Ack queues one feedback ref on its UE; flushFeedback writes it at the end
+// of the turn.
 func (a agentRadio) Ack(via device.ReturnPath, ref d2d.AckRef) error {
 	r, uc := a.r, via.(*ueConn)
-	if _, alive := r.ueConns[uc]; !alive {
+	if !uc.live {
 		return errUEGone
 	}
-	if !r.ackTouched[uc] {
-		r.ackTouched[uc] = true
-		if len(r.pendingFB[uc]) > 0 {
-			// Refs from an earlier ack in this drain are still pending for
-			// the UE: the per-ack path would have written them as a
-			// separate Feedback frame.
-			r.merged++
-		}
+	switch {
+	case len(uc.fb) == 0:
+		r.fbConns = append(r.fbConns, uc)
+	case uc.ack != r.acks:
+		// Refs from an earlier ack in this turn are still queued for the
+		// UE: the per-ack path would have written them as a separate
+		// Feedback frame.
+		r.merged++
 	}
-	r.pendingFB[uc] = append(r.pendingFB[uc], hbproto.Ref{Src: string(ref.Src), Seq: ref.Seq})
+	uc.ack = r.acks
+	uc.fb = append(uc.fb, hbproto.Ref{Src: string(ref.Src), Seq: ref.Seq})
 	return nil
 }
 
@@ -746,36 +854,60 @@ func (u agentUplink) Forward(hbs []hbmsg.Heartbeat) (lost []int, acked bool, err
 		r.ins.collectToFlush.Record(uint64((now - at) / time.Microsecond))
 	}
 	r.held = r.held[:0]
-	wire := make([]hbproto.Heartbeat, len(hbs))
-	keys := make([]string, len(hbs))
-	for i, hb := range hbs {
-		wire[i] = hbproto.Heartbeat{
+	r.wire = r.wire[:0]
+	for _, hb := range hbs {
+		w := hbproto.Heartbeat{
 			Src: string(hb.Src), Seq: hb.Seq, App: hb.App,
 			Origin: r.epoch.Add(hb.Origin), Expiry: hb.Expiry, Pad: hb.Size,
 		}
-		if keys[i] = wire[i].Src; keys[i] == r.cfg.ID {
-			wire[i].App, wire[i].Expiry, wire[i].Pad = r.cfg.App, r.cfg.Expiry, r.cfg.Pad
+		if w.Src == r.cfg.ID {
+			w.App, w.Expiry, w.Pad = r.cfg.App, r.cfg.Expiry, r.cfg.Pad
 		}
+		r.wire = append(r.wire, w)
 	}
-	for _, g := range r.cluster.View().Ring().GroupSorted(keys) {
-		sub := make([]hbproto.Heartbeat, 0, len(g.Idxs))
-		for _, i := range g.Idxs {
-			sub = append(sub, wire[i])
+	ring := r.cluster.View().Ring()
+	byNode := r.partition(ring)
+	for ni, idxs := range byNode {
+		if len(idxs) == 0 {
+			continue
 		}
-		// A failed send drops the connection; the reader's error event
+		r.sub = r.sub[:0]
+		for _, i := range idxs {
+			r.sub = append(r.sub, r.wire[i])
+		}
+		// A failed send drops the connection; the reader's error input
 		// then arms the shard's backoff.
-		if slot := r.shardConn(g.Shard); slot == nil || !r.sendBatch(slot, sub) {
-			r.ins.shardDrops.Add(uint64(len(sub)))
+		if slot := r.shardConn(ring.Node(ni)); slot == nil || !r.sendBatch(slot, r.sub) {
+			r.ins.shardDrops.Add(uint64(len(idxs)))
 			r.mu.Lock()
-			r.stats.DroppedNoShard += len(sub)
+			r.stats.DroppedNoShard += len(idxs)
 			r.mu.Unlock()
-			lost = append(lost, g.Idxs...)
+			lost = append(lost, idxs...)
 		}
 	}
 	if len(lost) == len(hbs) {
 		return lost, false, errNoShard
 	}
 	return lost, false, nil
+}
+
+// partition lists the indices of r.wire per owning node of ring, in the
+// ring's node order and input order within a node — Ring.GroupSorted's
+// partition, in buffers reused from flush to flush.
+func (r *RelayAgent) partition(ring *cluster.Ring) [][]int {
+	n := ring.Size()
+	for len(r.byNode) < n {
+		r.byNode = append(r.byNode, nil)
+	}
+	byNode := r.byNode[:n]
+	for ni := range byNode {
+		byNode[ni] = byNode[ni][:0]
+	}
+	for i := range r.wire {
+		ni := ring.OwnerIndex(r.wire[i].Src)
+		byNode[ni] = append(byNode[ni], i)
+	}
+	return byNode
 }
 
 // sendBatch writes one wire batch to an upstream slot as a single Write.

@@ -53,8 +53,10 @@ func startRelay(t *testing.T, serverAddr string, period, expiry time.Duration, c
 	return r
 }
 
-// steppedRelay builds a relay agent whose run loop the test plays itself,
-// calling step with explicit kernel instants. upstream is its one shard.
+// steppedRelay builds a relay agent that runs no turn on a clock of its
+// own: the test plays its runner, calling step with explicit kernel
+// instants, or offers inputs with their instants set. Its wall timer does
+// nothing. upstream is its one shard.
 func steppedRelay(t *testing.T, cfg RelayAgentConfig, upstream string) *RelayAgent {
 	t.Helper()
 	r, err := NewRelayAgent(cfg)
@@ -65,9 +67,48 @@ func steppedRelay(t *testing.T, cfg RelayAgentConfig, upstream string) *RelayAge
 		t.Fatal(err)
 	}
 	r.epoch = time.Now()
-	r.started = true // so Shutdown closes the upstream slots; there is no loop to wait for
+	r.wake = time.AfterFunc(time.Hour, func() {})
+	r.started = true // so Shutdown closes the upstream slots
 	t.Cleanup(r.Shutdown)
 	return r
+}
+
+// holdRunner makes the test the stepped relay's runner: inputs other
+// goroutines offer wait in the inbox for queued to take them. The relay
+// is handed back before Shutdown, which would otherwise wait for it.
+func holdRunner(t *testing.T, r *RelayAgent) {
+	t.Helper()
+	r.in.mu.Lock()
+	r.in.running = true
+	r.in.mu.Unlock()
+	t.Cleanup(func() {
+		r.in.mu.Lock()
+		r.in.running = false
+		r.in.mu.Unlock()
+	})
+}
+
+// queued waits for the next input offered to a relay the test holds.
+func queued(t *testing.T, r *RelayAgent, what string) input {
+	t.Helper()
+	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		r.in.mu.Lock()
+		if len(r.in.entries) > 0 {
+			in := r.in.entries[0]
+			r.in.entries = r.in.entries[1:]
+			r.in.mu.Unlock()
+			return in
+		}
+		r.in.mu.Unlock()
+	}
+	t.Fatal(what)
+	return input{}
+}
+
+// beatAt is UE heartbeat m arriving over uc at kernel instant at, just sent.
+func beatAt(at time.Duration, uc *ueConn, m hbproto.Heartbeat) *input {
+	in := ueHeartbeat(at, uc, &m, 0)
+	return &in
 }
 
 func ueConfig(id, relayAddr, serverAddr string, period, expiry time.Duration) UEClientConfig {
@@ -433,7 +474,7 @@ func TestRelayPeriodBoundaryNeverRejects(t *testing.T) {
 	}
 }
 
-// TestRelayBoundaryBelongsToTheKernel plays the run loop's advance-then-
+// TestRelayBoundaryBelongsToTheKernel plays the runner's advance-then-
 // handle step with explicit instants, no sleeps. A UE heartbeat handled
 // after a boundary whose wall tick has not arrived yet is collected into
 // the new window, because the kernel runs the boundary first; a tick with
@@ -447,11 +488,11 @@ func TestRelayBoundaryBelongsToTheKernel(t *testing.T) {
 	}, "shard-0")
 	uc := &ueConn{}
 	beat := func(at time.Duration, seq uint64) {
-		r.step(at, relayEvent{ueMsg: &hbproto.Heartbeat{
+		r.step(beatAt(at, uc, hbproto.Heartbeat{
 			Src: "ue-1", Seq: seq, App: "std", Origin: time.Now(), Expiry: period, Pad: 54,
-		}, ueFrom: uc})
+		}))
 	}
-	tick := func(at time.Duration) { r.step(at, relayEvent{}) }
+	tick := func(at time.Duration) { r.step(&input{at: at}) }
 	ms := time.Millisecond
 
 	tick(0)
@@ -509,11 +550,11 @@ func TestRelayKeepsItsLiveWireAndTrace(t *testing.T) {
 		}
 	}()
 
-	r.step(0, relayEvent{})
-	r.step(time.Millisecond, relayEvent{ueMsg: &hbproto.Heartbeat{
+	r.step(&input{at: 0})
+	r.step(beatAt(time.Millisecond, &ueConn{}, hbproto.Heartbeat{
 		Src: "ue-1", Seq: 4, App: "std", Origin: time.Now(), Expiry: time.Minute, Pad: 54,
-	}, ueFrom: &ueConn{}})
-	r.step(period, relayEvent{})
+	}))
+	r.step(&input{at: period})
 	var batch []hbproto.Heartbeat
 	select {
 	case batch = <-batches:
@@ -549,11 +590,11 @@ func TestRelayLostFlushForgetsFeedbackRoutes(t *testing.T) {
 		ID: "relay-1", App: "std", Period: time.Minute, Expiry: time.Minute, Pad: 54, Capacity: 2,
 	}, "127.0.0.1:1")
 	uc := &ueConn{}
-	r.step(0, relayEvent{ueMsg: &hbproto.Register{ID: "ue-1"}, ueFrom: uc})
+	r.step(&input{at: 0, kind: inRegister, ue: uc})
 	for seq := uint64(1); seq <= 2; seq++ { // the second fills M: a capacity flush
-		r.step(time.Duration(seq)*time.Millisecond, relayEvent{ueMsg: &hbproto.Heartbeat{
+		r.step(beatAt(time.Duration(seq)*time.Millisecond, uc, hbproto.Heartbeat{
 			Src: "ue-1", Seq: seq, App: "std", Origin: time.Now(), Expiry: time.Minute, Pad: 54,
-		}, ueFrom: uc})
+		}))
 	}
 	if n := r.relay.Awaiting(); n != 0 {
 		t.Fatalf("%d feedback routes left after a flush no shard took", n)

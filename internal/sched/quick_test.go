@@ -307,3 +307,87 @@ func TestQuickNagleFlushNeverAfterMinDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// scanDeadline is the linear statement of Algorithm 1's deadline that
+// Nagle.Deadline keeps as a running minimum: min(period end, every pending
+// heartbeat's deadline), or none while the window is closed.
+func scanDeadline(n *Nagle) (time.Duration, bool) {
+	if n.closed {
+		return 0, false
+	}
+	at := n.periodEnd()
+	for _, hb := range n.pending {
+		at = min(at, hb.Deadline())
+	}
+	return at, true
+}
+
+// TestNagleDeadlineMatchesScan drives seeded random windows — deadlines on
+// a coarse grid so they tie with each other and with the period end,
+// capacity flushes, deadline flushes, period starts mid-window — and
+// checks after every step that the running minimum equals the scan, and
+// that Collect's flush decision and reason follow from the scanned value.
+func TestNagleDeadlineMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	const tick = 10 * time.Millisecond
+	for trial := 0; trial < 300; trial++ {
+		capacity, period := 1+rng.Intn(8), time.Duration(5+rng.Intn(20))*tick
+		n, err := NewNagle(capacity, period)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now, start := time.Duration(0), time.Duration(0)
+		check := func(step string) {
+			t.Helper()
+			gotAt, gotOK := n.Deadline()
+			wantAt, wantOK := scanDeadline(n)
+			if gotAt != wantAt || gotOK != wantOK {
+				t.Fatalf("trial %d, %s at %v: Deadline() = %v, %v; the scan says %v, %v",
+					trial, step, now, gotAt, gotOK, wantAt, wantOK)
+			}
+		}
+		check("new")
+		for op := 0; op < 60; op++ {
+			now += time.Duration(rng.Intn(3)) * tick
+			switch r := rng.Intn(10); {
+			case r == 0 || now >= start+period:
+				start = now
+				n.StartPeriod(start)
+				check("start period")
+			case r == 1:
+				if at, ok := n.Deadline(); ok && at <= now {
+					n.Flush(now)
+				}
+				check("deadline flush")
+			default:
+				hb := hbmsg.Heartbeat{Src: "u", Seq: uint64(op), Origin: now - time.Duration(rng.Intn(4))*tick,
+					Expiry: time.Duration(1+rng.Intn(12)) * tick}
+				before, open := scanDeadline(n)
+				full := len(n.pending)+1 >= capacity
+				flushNow, err := n.Collect(hb, now)
+				check("collect")
+				if err != nil {
+					continue
+				}
+				want := min(before, hb.Deadline())
+				if !open || flushNow != (full || want <= now) {
+					t.Fatalf("trial %d: Collect at %v with deadline %v (full %v) returned flushNow %v", trial, now, want, full, flushNow)
+				}
+				if flushNow {
+					reason := ReasonDeadline
+					switch {
+					case full:
+						reason = ReasonCapacity
+					case want == n.periodEnd():
+						reason = ReasonPeriodEnd
+					}
+					if got := n.LastFlushReason(); got != reason {
+						t.Fatalf("trial %d: flush at %v for deadline %v: reason %v, want %v", trial, now, want, got, reason)
+					}
+					n.Flush(now)
+					check("flush")
+				}
+			}
+		}
+	}
+}

@@ -126,6 +126,10 @@ type Nagle struct {
 
 	periodStart time.Duration
 	pending     []hbmsg.Heartbeat
+	// deadline is min(period end, earliest pending deadline), kept as
+	// heartbeats are collected: a window only grows until the flush that
+	// empties it, so the running minimum is exact and Deadline scans nothing.
+	deadline time.Duration
 	// flushed is the batch the last Flush handed out. The next Flush swaps
 	// it back in as the collection buffer, so a relay alternates between two
 	// arrays instead of growing a new one every period.
@@ -163,6 +167,7 @@ func (n *Nagle) StartPeriod(at time.Duration) {
 	n.periodStart = at
 	n.closed = false
 	n.pending = n.pending[:0]
+	n.deadline = n.periodEnd()
 	n.lastReason = 0
 }
 
@@ -180,6 +185,7 @@ func (n *Nagle) Collect(hb hbmsg.Heartbeat, now time.Duration) (bool, error) {
 		return false, ErrExpired
 	}
 	n.pending = append(n.pending, hb)
+	n.deadline = min(n.deadline, hb.Deadline())
 	n.ins.observeCollect(len(n.pending))
 	// Algorithm 1: pend only while k < M; reaching M sends now.
 	if len(n.pending) >= n.capacity {
@@ -206,13 +212,7 @@ func (n *Nagle) Deadline() (time.Duration, bool) {
 	if n.closed {
 		return 0, false
 	}
-	at := n.periodEnd()
-	for _, hb := range n.pending {
-		if d := hb.Deadline(); d < at {
-			at = d
-		}
-	}
-	return at, true
+	return n.deadline, true
 }
 
 // Flush implements Policy.
