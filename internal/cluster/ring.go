@@ -122,10 +122,10 @@ type ShardGroup struct {
 // GroupSorted partitions keys by owning shard: the groups come back in
 // shard-ID order (the ring's canonical node order, so bucketing by node
 // index needs no sort), each listing its keys' indices in input order.
-// Relays use it to split a flushed batch into per-shard sub-batches; order
-// matters to every caller that records trace events or emits per-shard
-// output while walking the partition, so two runs over the same keys
-// behave identically.
+// It has no production caller: session.Uplink partitions by OwnerIndex
+// into reused buffers, and the tests hold its partition to this one. It
+// stays exported only for the benchmark's cluster.group_ns_per_key probe
+// (bench/probes.go); it moves into a test helper once that probe goes.
 func (r *Ring) GroupSorted(keys []string) []ShardGroup {
 	buckets := make([][]int, len(r.nodes))
 	for i, k := range keys {

@@ -89,14 +89,14 @@ func (c *Config) For(name string) AnalyzerConfig {
 //     sim-clocked packages can record into it from injected instants.
 //   - rawrand, lockheld, closecheck and tracekey cover the whole module.
 //   - lockheld additionally treats the framed-connection entry points as
-//     blocking: the session slot's Connect/Send/SendN/Close dial, write
-//     and wait on the network (every production client goes through
-//     them), so calling any of them with a mutex held stalls every other
-//     goroutine contending for it. The cluster control plane's HTTP
-//     methods (config refresh, drain handoff, membership ops) and the
-//     loadgen metric scrapers get the same treatment: holding a lock
-//     across one of them stalls every routing party contending for that
-//     lock through a reshard.
+//     blocking: the session slot's Connect/Send/SendN/Close and the
+//     uplink's Send/Close dial, write and wait on the network (every
+//     production client goes through them), so calling any of them with a
+//     mutex held stalls every other goroutine contending for it. The
+//     cluster control plane's HTTP methods (config refresh, drain handoff,
+//     membership ops) and the loadgen metric scrapers get the same
+//     treatment: holding a lock across one of them stalls every routing
+//     party contending for that lock through a reshard.
 func DefaultConfig(module string) *Config {
 	ip := func(s string) string { return module + "/" + s }
 	simPackages := []string{
@@ -131,6 +131,8 @@ func DefaultConfig(module string) *Config {
 				ip("internal/session") + ".Slot.Send",
 				ip("internal/session") + ".Slot.SendN",
 				ip("internal/session") + ".Slot.Close",
+				ip("internal/session") + ".Uplink.Send",
+				ip("internal/session") + ".Uplink.Close",
 				ip("internal/cluster") + ".Client.Refresh",
 				ip("internal/cluster") + ".Router.Drain",
 				ip("internal/cluster") + ".Router.Evict",

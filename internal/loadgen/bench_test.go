@@ -211,7 +211,7 @@ func sinkTrunk(tb testing.TB, users, slots, shards int) (tr *trunk, writes *atom
 	tr = newTestTrunk(tb, "unused", users, slots, func(string, string) (net.Conn, error) {
 		return &sinkConn{writes: writes, closed: make(chan struct{})}, nil
 	})
-	tr.cluster = cc
+	tr.up.Cluster = cc
 	tb.Cleanup(tr.Shutdown)
 	return tr, writes
 }

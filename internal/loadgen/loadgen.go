@@ -11,6 +11,7 @@ import (
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/faultnet"
 	"d2dhb/internal/hbmsg"
+	"d2dhb/internal/hbproto"
 	"d2dhb/internal/rec"
 	"d2dhb/internal/relaynet"
 	"d2dhb/internal/session"
@@ -588,13 +589,23 @@ func (r *Runner) newTrunk(id string, period time.Duration, profiles []tprofile, 
 	t := &trunk{
 		id: id, period: period, profiles: profiles, timeout: r.ackTimeout,
 		rec: r.histRelay.Recorder(), trec: r.cfg.Recorder, c: &r.counters,
-		dial: r.dialer(), cluster: r.cluster, shards: &r.shardSent,
-		ids: ids, users: make([]tuser, len(ids.ends)), clients: clients,
+		shards: &r.shardSent,
+		ids:    ids, users: make([]tuser, len(ids.ends)), clients: clients,
 		// A heartbeat that misses its ack window is re-sent once through
 		// the then-current ring view.
 		pending:   session.Pending{Fallback: true},
-		slots:     make(map[string]*session.Slot),
 		paceSlots: slots,
+	}
+	t.up = session.Uplink{
+		Cluster: r.cluster, Dial: r.dialer(),
+		Register: &hbproto.Register{
+			ID: id, Role: hbproto.RoleRelay, App: profiles[0].app,
+			Period: period, Expiry: profiles[0].expiry,
+		},
+		Acks: func(string) func(int, []hbproto.Ref, time.Time) {
+			cache := new(ackCache)
+			return func(dial int, refs []hbproto.Ref, at time.Time) { t.onRefs(cache, dial, refs, at) }
+		},
 	}
 	t.index()
 	return t

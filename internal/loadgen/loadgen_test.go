@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"d2dhb/internal/hbmsg"
+	"d2dhb/internal/session"
 )
 
 // fastProfile is a compressed app profile for short test runs. The 3×
@@ -405,8 +406,8 @@ func TestTrunkEmissionZeroAllocsOneWrite(t *testing.T) {
 		// per period, summed over sub-ticks and shards
 		writes, frames int64
 	}{
-		// One sub-tick of 2·maxTrunkBatch+5 users: three chunk frames.
-		{"1-node", 2*maxTrunkBatch + 5, 1, 1, 1, 3},
+		// One sub-tick of 2·session.MaxBatch+5 users: three chunk frames.
+		{"1-node", 2*session.MaxBatch + 5, 1, 1, 1, 3},
 		// Four sub-ticks of ~750 users, each reaching all three shards.
 		{"3-node", 3000, 4, 3, 12, 12},
 	}

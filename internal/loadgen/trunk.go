@@ -1,8 +1,8 @@
 package loadgen
 
 import (
+	"errors"
 	"hash/maphash"
-	"net"
 	"sync"
 	"time"
 
@@ -12,11 +12,6 @@ import (
 	"d2dhb/internal/rec"
 	"d2dhb/internal/session"
 )
-
-// maxTrunkBatch caps heartbeats per Batch frame: hbproto bounds frames at
-// MaxFrameSize and one encoded heartbeat is a few dozen bytes, so 4096
-// leaves comfortable headroom while keeping syscall counts low.
-const maxTrunkBatch = 4096
 
 // tuser is one multiplexed virtual user's sequence state on a trunk. Its ID
 // is in the trunk's ids column, so the users table holds no pointers and a
@@ -60,9 +55,10 @@ type ackCache struct {
 // per target shard — the paper's aggregation argument applied to the load
 // generator itself, and the only way a single box offers a million users
 // (per-UE sockets exhaust ephemeral ports around a few tens of thousands
-// per destination). Every tick each user emits one heartbeat; the trunk
-// partitions them per owning shard under a single ring view and writes one
-// Batch per shard. A heartbeat whose ack misses the window is re-sent once
+// per destination). Every tick each user emits one heartbeat; the trunk's
+// session.Uplink partitions them per owning shard under a single ring view
+// and writes one chunked Batch per shard, backing off a shard it cannot
+// reach. A heartbeat whose ack misses the window is re-sent once
 // through the then-current view before a second miss counts as a timeout,
 // mirroring the UE's fallback that keeps reshards lossless.
 type trunk struct {
@@ -73,8 +69,6 @@ type trunk struct {
 	rec      *Recorder
 	trec     *rec.Recorder // trace recorder; nil-safe
 	c        *fleetCounters
-	dial     func(network, addr string) (net.Conn, error)
-	cluster  *cluster.Client
 	shards   *shardCounter
 
 	// Per-user columns, immutable after build and free of pointers but for
@@ -91,17 +85,14 @@ type trunk struct {
 	// State owned by the send path. run() is the only sender while load
 	// is offered and drain() sweeps only after the send loop has exited
 	// (sendWg.Wait precedes it), so no lock is needed.
-	hbScratch []hbproto.Heartbeat
-	batchMsg  hbproto.Batch
-	fresh     []session.Key   // one emission's new heartbeats
-	view      *cluster.View   // the view owner was filled under
-	owner     []int32         // user → owning node index + 1 under view; 0 = not resolved yet
-	byNode    [][]session.Key // one send's refs per node index, in input order
+	up    session.Uplink // one slot per shard; jitter seeded from id
+	fresh []session.Key  // one emission's new heartbeats
+	view  *cluster.View  // the view owner was filled under
+	owner []int32        // user → owning node index + 1 under view; 0 = not resolved yet
 
 	mu      sync.Mutex
 	users   []tuser
-	pending session.Pending          // in-flight heartbeats, slot = user index
-	slots   map[string]*session.Slot // shard ID → connection
+	pending session.Pending // in-flight heartbeats, slot = user index
 	closed  bool
 }
 
@@ -207,102 +198,68 @@ func (t *trunk) lookup(id string) (int, bool) {
 	return int(i), ok
 }
 
-// send partitions heartbeats per owning shard under one ring view (so a
-// round never mixes epochs) and writes one chunked Batch per shard, shards
-// in the ring's node order and each shard's heartbeats in input order —
-// the order Ring.GroupSorted gives. A user's owner is resolved through the
-// ring once per view and kept; a new view starts the cache over.
+// send writes heartbeats through the uplink, one chunked Batch per owning
+// shard under one ring view. Heartbeats that never hit the wire are
+// abandoned to the pending table: they stay for the sweep when fallback is
+// available and are forgotten (a transport error, not an ack timeout)
+// otherwise.
 func (t *trunk) send(refs []session.Key, now time.Time, fallback bool) {
-	view := t.cluster.View()
-	ring := view.Ring()
-	if view != t.view {
-		t.view, t.byNode = view, make([][]session.Key, ring.Size())
-		if t.owner == nil {
-			t.owner = make([]int32, len(t.users))
-		} else {
-			clear(t.owner)
-		}
-	}
-	for _, ref := range refs {
-		o := t.owner[ref.Slot]
-		if o == 0 {
-			o = int32(ring.OwnerIndex(t.ids.at(ref.Slot))) + 1
-			t.owner[ref.Slot] = o
-		}
-		t.byNode[o-1] = append(t.byNode[o-1], ref)
-	}
-	for ni, group := range t.byNode {
-		if len(group) > 0 {
-			t.sendShard(ring.Node(ni), group, now, fallback)
-			t.byNode[ni] = group[:0]
-		}
-	}
-}
-
-// sendShard writes one shard's heartbeats as Batch frames, all chunk
-// frames composed into one buffer and issued as a single write — the
-// syscall count per emission is one per shard, not one per 4096 heartbeats.
-// Heartbeats that never hit the wire are abandoned to the pending table:
-// they stay for the sweep when fallback is available and are forgotten (a
-// transport error, not an ack timeout) otherwise.
-func (t *trunk) sendShard(shard string, refs []session.Key, now time.Time, fallback bool) {
-	slot := t.slot(shard)
-	if slot == nil {
-		t.c.dialErrors.Add(1)
-		t.abandon(refs)
-		return
-	}
-	if _, err := slot.Connect(); err != nil {
-		t.c.dialErrors.Add(1)
-		t.abandon(refs)
-		return
-	}
-	frames := (len(refs) + maxTrunkBatch - 1) / maxTrunkBatch
-	_, err := slot.SendN(frames, func(f int) hbproto.Message {
-		chunk := refs[f*maxTrunkBatch : min((f+1)*maxTrunkBatch, len(refs))]
-		if cap(t.hbScratch) < len(chunk) {
-			t.hbScratch = make([]hbproto.Heartbeat, len(chunk))
-		}
-		hbs := t.hbScratch[:len(chunk)]
-		for i, ref := range chunk {
-			p := &t.profiles[t.clients[ref.Slot].prof]
-			hbs[i] = hbproto.Heartbeat{
-				Src: t.ids.at(ref.Slot), Seq: ref.Seq, App: p.app,
+	parts := t.up.Send(now, len(refs),
+		func(v *cluster.View, i int) int { return t.ownerOf(v, refs[i].Slot) },
+		func(i int) hbproto.Heartbeat {
+			u := refs[i].Slot
+			p := &t.profiles[t.clients[u].prof]
+			return hbproto.Heartbeat{
+				Src: t.ids.at(u), Seq: refs[i].Seq, App: p.app,
 				Origin: now, Expiry: p.expiry, Pad: p.pad,
 			}
+		})
+	for i := range parts {
+		p := &parts[i]
+		if len(p.Pos) == 0 {
+			continue
 		}
-		t.batchMsg.Relay, t.batchMsg.HBs = t.id, hbs
-		return &t.batchMsg
-	})
-	t.batchMsg.HBs = nil
-	if err != nil {
-		t.c.writeErrors.Add(1)
-		t.abandon(refs)
-		return
-	}
-	t.c.trunkWrites.Add(1)
-	t.c.trunkFrames.Add(uint64(frames))
-	if fallback {
-		t.c.fallbackResends.Add(uint64(len(refs)))
-	} else {
-		t.c.sentRelayed.Add(uint64(len(refs)))
-		if t.trec != nil {
-			for _, ref := range refs {
-				t.trec.Record(rec.EvSend, int(t.clients[ref.Slot].trec), ref.Seq, now)
+		if p.Err != nil {
+			if errors.Is(p.Err, session.ErrWrite) {
+				t.c.writeErrors.Add(1)
+			} else {
+				t.c.dialErrors.Add(1)
+			}
+			t.mu.Lock()
+			for _, i := range p.Pos {
+				t.pending.Abandon(refs[i])
+			}
+			t.mu.Unlock()
+			continue
+		}
+		t.c.trunkWrites.Add(1)
+		t.c.trunkFrames.Add(uint64(p.Frames))
+		if fallback {
+			t.c.fallbackResends.Add(uint64(len(p.Pos)))
+		} else {
+			t.c.sentRelayed.Add(uint64(len(p.Pos)))
+			if t.trec != nil {
+				for _, i := range p.Pos {
+					t.trec.Record(rec.EvSend, int(t.clients[refs[i].Slot].trec), refs[i].Seq, now)
+				}
 			}
 		}
+		t.shards.add(p.Node, uint64(len(p.Pos)))
 	}
-	t.shards.add(shard, uint64(len(refs)))
 }
 
-// abandon hands heartbeats that never hit the wire to the pending table's
-// unsent policy.
-func (t *trunk) abandon(refs []session.Key) {
-	t.mu.Lock()
-	for _, ref := range refs {
-		t.pending.Abandon(ref)
+// ownerOf returns user u's owning node index under view v, resolved through
+// the ring once per view.
+func (t *trunk) ownerOf(v *cluster.View, u int) int {
+	if v != t.view {
+		t.view, t.owner = v, make([]int32, len(t.users))
 	}
-	t.mu.Unlock()
+	o := t.owner[u]
+	if o == 0 {
+		o = int32(v.Ring().OwnerIndex(t.ids.at(u))) + 1
+		t.owner[u] = o
+	}
+	return int(o) - 1
 }
 
 // collectExpired applies the pending table's loss policy, recording the
@@ -329,29 +286,6 @@ func (t *trunk) Sweep(now time.Time) {
 	if resend := t.collectExpired(now); len(resend) > 0 {
 		t.send(resend, now, true)
 	}
-}
-
-// slot returns the session slot for a shard, creating it on first use: it
-// resolves the address through the current cluster config on every dial
-// and registers as a relay. Nil once the trunk is closed.
-func (t *trunk) slot(shard string) *session.Slot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.slots[shard]; ok || t.closed {
-		return s
-	}
-	p := t.profiles[0]
-	s := &session.Slot{
-		Dial: t.dial, Addr: shard, Resolve: t.cluster.NodeAddr,
-		Register: &hbproto.Register{
-			ID: t.id, Role: hbproto.RoleRelay, App: p.app,
-			Period: t.period, Expiry: p.expiry,
-		},
-	}
-	cache := new(ackCache)
-	s.OnRefs = func(dial int, refs []hbproto.Ref, at time.Time) { t.onRefs(cache, dial, refs, at) }
-	t.slots[shard] = s
-	return s
 }
 
 // userOf resolves an acked source to its user index (t.mu held).
@@ -414,12 +348,6 @@ func (t *trunk) Shutdown() {
 	t.mu.Lock()
 	t.timedOut(t.pending.Drain(), time.Now())
 	t.closed = true
-	slots := make([]*session.Slot, 0, len(t.slots))
-	for _, s := range t.slots {
-		slots = append(slots, s)
-	}
 	t.mu.Unlock()
-	for _, s := range slots {
-		s.Close()
-	}
+	t.up.Close()
 }

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -33,7 +34,7 @@ func newTestTrunk(tb testing.TB, addr string, n, slots int, dial func(network, a
 		clients[i].trec = -1
 	}
 	t := r.newTrunk("loadtrunk-test", time.Second, []tprofile{{app: "fast", expiry: time.Minute, pad: 54}}, fleetIDs(0, n, 7), clients, slots)
-	t.dial = dial
+	t.up.Dial = dial
 	return t
 }
 
@@ -186,6 +187,41 @@ func TestTrunkRedialSettlesEveryAck(t *testing.T) {
 		if u.last != u.seq || u.seq != uint64(i)*100+3 {
 			t.Errorf("user %d: last ack %d, last sent %d, want both %d", i, u.last, u.seq, i*100+3)
 		}
+	}
+}
+
+// TestTrunkBacksOffDeadShard aims a paced trunk at a shard that refuses
+// every dial: over one period of 32 sub-ticks it dials O(log) times, not
+// once per sub-tick — the k-th redial waits at least the 50 ms base ×
+// (2^k − 1) / 2 — and every heartbeat still ends exactly once, timed out
+// after its fallback resend misses too.
+func TestTrunkBacksOffDeadShard(t *testing.T) {
+	const users, slots = 64, 32
+	var dials atomic.Int32
+	tr := newTestTrunk(t, "dead", users, slots, func(string, string) (net.Conn, error) {
+		dials.Add(1)
+		return nil, errors.New("refused")
+	})
+	t.Cleanup(tr.Shutdown)
+	start := time.Now()
+	for s := range slots {
+		lo, hi := tr.paced(s)
+		tr.emit(lo, hi, start.Add(time.Duration(s)*tr.period/slots), nil)
+	}
+	if got := dials.Load(); got > 6 {
+		t.Errorf("%d dials over one period of %d sub-ticks, want at most 6", got, slots)
+	}
+	if got := tr.c.dialErrors.Load(); got != slots {
+		t.Errorf("%d sends reported unreachable, want all %d", got, slots)
+	}
+	// The fallback resend misses as well; the second lapse writes it off.
+	tr.Sweep(start.Add(tr.period + 2*tr.timeout))
+	tr.Sweep(start.Add(tr.period + 4*tr.timeout))
+	if n := tr.InFlight(); n != 0 {
+		t.Fatalf("%d heartbeats still pending", n)
+	}
+	if got := tr.c.timeoutRelayed.Load(); got != users || tr.c.ackedRelayed.Load() != 0 || tr.c.fallbackResends.Load() != 0 {
+		t.Fatalf("%d timed out, %d acked, %d resent, want all %d timed out once", got, tr.c.ackedRelayed.Load(), tr.c.fallbackResends.Load(), users)
 	}
 }
 

@@ -548,12 +548,12 @@ func TestRelayReconnectBackoffConfigurable(t *testing.T) {
 	}
 	base := 100 * time.Millisecond
 	for i := 0; i < 32; i++ {
-		da, db := a.jittered(base), b.jittered(base)
+		da, db := a.up.Jitter(base), b.up.Jitter(base)
 		if da != db {
 			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, da, db)
 		}
 		if da < base/2 || da >= base+base/2 {
-			t.Fatalf("jittered(%v) = %v outside [50%%, 150%%)", base, da)
+			t.Fatalf("Jitter(%v) = %v outside [50%%, 150%%)", base, da)
 		}
 	}
 

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -45,9 +44,9 @@ type RelayAgentConfig struct {
 	// net.Listen. Fault-injection hook.
 	Listen func(network, addr string) (net.Listener, error)
 	// ReconnectBase is the initial per-shard redial backoff after a failed
-	// dial or a broken connection, doubled per failure up to
-	// maxShardBackoff, with ±50% seeded jitter so relay fleets losing the
-	// same shard do not stampede it in lockstep. Zero selects 50 ms.
+	// dial or a broken connection, doubled per failure up to 5 s, with
+	// ±50% seeded jitter so relay fleets losing the same shard do not
+	// stampede it in lockstep. Zero selects 50 ms.
 	ReconnectBase time.Duration
 	// Seed seeds the backoff jitter RNG; zero derives a seed from ID, so
 	// distinct relays jitter differently by default.
@@ -137,7 +136,6 @@ const (
 	inHeartbeat                  // hb arrived on ue
 	inClosed                     // ue's connection closed
 	inAck                        // a shard acknowledged acked
-	inDown                       // shard's connection broke
 )
 
 // input is one entry of the relay's inbox: a value stamped with the kernel
@@ -149,7 +147,6 @@ type input struct {
 	ue    *ueConn
 	hb    hbmsg.Heartbeat
 	acked []hbproto.Ref
-	shard string
 }
 
 // ueHeartbeat is the input for UE heartbeat m arriving over uc at kernel
@@ -204,8 +201,8 @@ func (q *inbox) close() chan struct{} {
 // feedback.
 //
 // The relay runs on a simtime.Scheduler whose instant 0 is the agent's
-// start. Every input — a UE frame or close, a shard's ack or error, a wall
-// timer tick — is appended to one bounded inbox, stamped with its arrival
+// start. Every input — a UE frame or close, a shard's ack, a wall timer
+// tick — is appended to one bounded inbox, stamped with its arrival
 // instant, and whichever goroutine appends to an idle relay becomes its
 // runner: it drains the inbox, advancing the scheduler to each entry's
 // instant before handling it (see step), so Algorithm 1's boundaries and
@@ -213,15 +210,12 @@ func (q *inbox) close() chan struct{} {
 // the wall timer that announces them fires.
 type RelayAgent struct {
 	cfg RelayAgentConfig
-	// cluster is cfg.Cluster, or the one-node view Start builds from its
-	// server address; set before the first input.
-	cluster *cluster.Client
+	// up sends the flushes. Its Cluster is cfg.Cluster, or the one-node
+	// view Start builds from its server address, set before the first input.
+	up session.Uplink
 
-	mu sync.Mutex
-	ln net.Listener
-	// ups maps shard ID -> upstream session slot. The runner creates slots
-	// on first use; Shutdown closes them all.
-	ups     map[string]*session.Slot
+	mu      sync.Mutex
+	ln      net.Listener
 	started bool
 	closed  bool
 	stats   RelayAgentStats
@@ -242,13 +236,6 @@ type RelayAgent struct {
 	turn     []input
 	turnRefs []hbproto.Ref
 	armed    time.Duration
-	rng      *rand.Rand // backoff jitter
-	// downUntil/backoffCur arm the per-shard redial backoff so flush never
-	// hammers a dead shard, and everDialed distinguishes a reconnect from a
-	// shard's first dial in the stats.
-	downUntil  map[string]time.Duration
-	backoffCur map[string]time.Duration
-	everDialed map[string]bool
 	// held stamps each heartbeat in the window with its collect instant,
 	// in collect order, for the collect-to-flush histogram (telemetry
 	// only); the next flush drains it.
@@ -259,14 +246,9 @@ type RelayAgent struct {
 	fbConns []*ueConn
 	acks    uint64
 	merged  int
-	// Reusable flush state: the wire form of a batch, its heartbeat indices
-	// per ring node, one shard's sub-batch, and the encode scratch.
-	wire     []hbproto.Heartbeat
-	byNode   [][]int
-	sub      []hbproto.Heartbeat
-	batchMsg hbproto.Batch
-	fbBuf    []byte
-	fbMsg    hbproto.Feedback
+	// The feedback encode scratch.
+	fbBuf []byte
+	fbMsg hbproto.Feedback
 
 	ins relayInstruments
 }
@@ -302,25 +284,23 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		// FNV-1a over the relay ID: distinct relays jitter differently
-		// without any wall-clock dependence.
-		h := uint64(14695981039346656037)
-		for i := 0; i < len(cfg.ID); i++ {
-			h = (h ^ uint64(cfg.ID[i])) * 1099511628211
-		}
-		seed = int64(h)
-	}
 	r := &RelayAgent{
-		cfg:        cfg,
-		ups:        make(map[string]*session.Slot),
-		kernel:     simtime.NewScheduler(seed),
-		armed:      -1,
-		downUntil:  make(map[string]time.Duration),
-		backoffCur: make(map[string]time.Duration),
-		everDialed: make(map[string]bool),
-		rng:        rand.New(rand.NewSource(seed)),
+		cfg: cfg,
+		// The relay draws nothing from its kernel's RNG.
+		kernel: simtime.NewScheduler(cfg.Seed),
+		armed:  -1,
+	}
+	r.up = session.Uplink{
+		Dial: cfg.Dial,
+		Register: &hbproto.Register{
+			ID: cfg.ID, Role: hbproto.RoleRelay, App: cfg.App,
+			Period: cfg.Period, Expiry: cfg.Expiry,
+		},
+		Acks: func(string) func(int, []hbproto.Ref, time.Time) {
+			return func(_ int, refs []hbproto.Ref, at time.Time) { r.offer(input{at: at.Sub(r.epoch), kind: inAck}, refs) }
+		},
+		Backoff: cfg.ReconnectBase,
+		Seed:    cfg.Seed,
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		rl := telemetry.L("relay", cfg.ID)
@@ -375,33 +355,6 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 		return nil, err
 	}
 	return r, nil
-}
-
-// upstream returns the session slot for a shard's upstream connection,
-// creating it on first use; nil once the agent is shutting down. The slot
-// owns dialing, registration and the ack reader: acks and reader errors
-// come back as inputs.
-func (r *RelayAgent) upstream(shard string) *session.Slot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if slot, ok := r.ups[shard]; ok || r.closed {
-		return slot
-	}
-	// Every (re)connect targets the address the current view gives the
-	// shard, so a restarted shard is found where the router now puts it.
-	slot := &session.Slot{
-		Dial: r.cfg.Dial, Addr: shard, Resolve: r.cluster.NodeAddr,
-		Register: &hbproto.Register{
-			ID: r.cfg.ID, Role: hbproto.RoleRelay, App: r.cfg.App,
-			Period: r.cfg.Period, Expiry: r.cfg.Expiry,
-		},
-		OnRefs: func(_ int, refs []hbproto.Ref, at time.Time) {
-			r.offer(input{at: at.Sub(r.epoch), kind: inAck}, refs)
-		},
-		OnDown: func(error) { r.offer(input{at: time.Since(r.epoch), kind: inDown, shard: shard}, nil) },
-	}
-	r.ups[shard] = slot
-	return slot
 }
 
 // offer appends one input to the inbox, with refs (an ack's, in the
@@ -517,7 +470,7 @@ func (r *RelayAgent) Start(listenAddr, serverAddr string) error {
 		return errors.New("relaynet: relay already started")
 	}
 	r.started = true
-	r.cluster = cl
+	r.up.Cluster = cl
 	r.mu.Unlock()
 
 	ln, err := r.cfg.listen("tcp", listenAddr)
@@ -582,18 +535,12 @@ func (r *RelayAgent) Shutdown() {
 		_ = r.ln.Close()
 	}
 	wake := r.wake
-	ups := make([]*session.Slot, 0, len(r.ups))
-	for _, slot := range r.ups {
-		ups = append(ups, slot)
-	}
 	r.mu.Unlock()
 	// Close the inbox first: it releases the offers waiting for room, among
 	// them slot readers that Close waits for. The timer stops once no
 	// runner is left to reset it.
 	idle := r.in.close()
-	for _, slot := range ups {
-		slot.Close()
-	}
+	r.up.Close()
 	if idle != nil {
 		<-idle
 	}
@@ -650,75 +597,6 @@ func (r *RelayAgent) ueReader(uc *ueConn) {
 	}
 }
 
-// Upstream redial policy: the backoff doubles from the base per failure.
-const (
-	defaultReconnectBase = 50 * time.Millisecond
-	// maxShardBackoff caps the per-shard redial backoff: a shard's dial is
-	// retried at every flush past its backoff for as long as the relay
-	// runs, so the backoff needs a ceiling rather than an attempt budget.
-	maxShardBackoff = 5 * time.Second
-)
-
-// reconnectBase resolves the configured backoff base.
-func (r *RelayAgent) reconnectBase() time.Duration {
-	if r.cfg.ReconnectBase > 0 {
-		return r.cfg.ReconnectBase
-	}
-	return defaultReconnectBase
-}
-
-// jittered spreads one backoff across [d/2, 3d/2) using the relay's seeded
-// RNG: when a whole relay fleet loses the same server, their redial storms
-// decorrelate instead of arriving in doubling lockstep.
-func (r *RelayAgent) jittered(d time.Duration) time.Duration {
-	return time.Duration(float64(d) * (0.5 + r.rng.Float64()))
-}
-
-// armShardBackoff schedules the next allowed dial for a shard after a
-// failure, doubling up to maxShardBackoff.
-func (r *RelayAgent) armShardBackoff(shard string, now time.Duration) {
-	b := r.backoffCur[shard]
-	if b == 0 {
-		b = r.reconnectBase()
-	}
-	r.downUntil[shard] = now + r.jittered(b)
-	if b *= 2; b > maxShardBackoff {
-		b = maxShardBackoff
-	}
-	r.backoffCur[shard] = b
-}
-
-// shardConn returns a shard's upstream slot with a live connection,
-// dialing it if absent and not in backoff. A failed dial arms the shard's
-// backoff and returns nil — the caller drops that sub-batch and the
-// relay moves on.
-func (r *RelayAgent) shardConn(shard string) *session.Slot {
-	slot := r.upstream(shard)
-	if slot == nil || slot.Connected() {
-		return slot
-	}
-	now := r.kernel.Now()
-	if until, ok := r.downUntil[shard]; ok && now < until {
-		return nil
-	}
-	r.ins.reconnectTries.Inc()
-	if _, err := slot.Connect(); err != nil {
-		r.armShardBackoff(shard, now)
-		return nil
-	}
-	delete(r.downUntil, shard)
-	delete(r.backoffCur, shard)
-	r.ins.reconnects.Inc()
-	r.mu.Lock()
-	r.stats.ShardDials++
-	if r.everDialed[shard] {
-		r.stats.UpstreamReconnects++
-	}
-	r.mu.Unlock()
-	r.everDialed[shard] = true
-	return slot
-}
-
 // step advances the relay's kernel to the input's instant, running every
 // period boundary and flush deadline due by then at its own instant, and
 // then handles the input there. A UE heartbeat that arrives after a
@@ -737,15 +615,6 @@ func (r *RelayAgent) step(in *input) {
 		in.ue.live, in.ue.fb = false, nil
 	case inAck:
 		r.handleAck(in.acked)
-	case inDown:
-		// A shard broke (the slot already retired its connection): back
-		// off. The next flush past the backoff redials; meanwhile the other
-		// shards keep their schedule — the relay never blocks on one dead
-		// shard. Skipped when shutting down, or for a stale error from a
-		// connection a later flush has already replaced.
-		if slot := r.upstream(in.shard); slot != nil && !slot.Connected() {
-			r.armShardBackoff(in.shard, r.kernel.Now())
-		}
 	}
 }
 
@@ -839,14 +708,13 @@ func (a agentRadio) Ack(via device.ReturnPath, ref d2d.AckRef) error {
 // of a flush.
 var errNoShard = errors.New("relaynet: no shard reachable")
 
-// agentUplink is the agent's shard slots as the relay's Forwarder. The
+// agentUplink is the agent's shard uplink as the relay's Forwarder. The
 // shards acknowledge later, through handleAck.
 type agentUplink struct{ r *RelayAgent }
 
-// Forward partitions one flush by the current ring epoch — exactly one
-// View per flush, so a batch never mixes two epochs — and sends each
-// sub-batch to its owning shard. A shard that cannot be reached loses only
-// its own sub-batch.
+// Forward sends one flush through the uplink, which partitions it under one
+// ring view and sends each sub-batch to its owning shard. A shard that
+// cannot be reached loses only its own sub-batch.
 func (u agentUplink) Forward(hbs []hbmsg.Heartbeat) (lost []int, acked bool, err error) {
 	r := u.r
 	now := r.kernel.Now()
@@ -854,73 +722,46 @@ func (u agentUplink) Forward(hbs []hbmsg.Heartbeat) (lost []int, acked bool, err
 		r.ins.collectToFlush.Record(uint64((now - at) / time.Microsecond))
 	}
 	r.held = r.held[:0]
-	r.wire = r.wire[:0]
-	for _, hb := range hbs {
-		w := hbproto.Heartbeat{
-			Src: string(hb.Src), Seq: hb.Seq, App: hb.App,
-			Origin: r.epoch.Add(hb.Origin), Expiry: hb.Expiry, Pad: hb.Size,
+	parts := r.up.Send(r.epoch.Add(now), len(hbs),
+		func(v *cluster.View, i int) int { return v.Ring().OwnerIndex(string(hbs[i].Src)) },
+		func(i int) hbproto.Heartbeat {
+			hb := &hbs[i]
+			w := hbproto.Heartbeat{
+				Src: string(hb.Src), Seq: hb.Seq, App: hb.App,
+				Origin: r.epoch.Add(hb.Origin), Expiry: hb.Expiry, Pad: hb.Size,
+			}
+			if w.Src == r.cfg.ID {
+				w.App, w.Expiry, w.Pad = r.cfg.App, r.cfg.Expiry, r.cfg.Pad
+			}
+			return w
+		})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range parts {
+		p := &parts[i]
+		if p.Dial != 0 {
+			r.ins.reconnectTries.Inc()
 		}
-		if w.Src == r.cfg.ID {
-			w.App, w.Expiry, w.Pad = r.cfg.App, r.cfg.Expiry, r.cfg.Pad
+		if p.Dial > 0 {
+			r.ins.reconnects.Inc()
+			r.stats.ShardDials++
 		}
-		r.wire = append(r.wire, w)
+		if p.Dial > 1 {
+			r.stats.UpstreamReconnects++
+		}
+		if p.Err != nil {
+			lost = append(lost, p.Pos...)
+		} else if len(p.Pos) > 0 {
+			r.ins.upBytesOut.Add(uint64(p.Bytes))
+			r.ins.batchSize.Record(uint64(len(p.Pos)))
+		}
 	}
-	ring := r.cluster.View().Ring()
-	byNode := r.partition(ring)
-	for ni, idxs := range byNode {
-		if len(idxs) == 0 {
-			continue
-		}
-		r.sub = r.sub[:0]
-		for _, i := range idxs {
-			r.sub = append(r.sub, r.wire[i])
-		}
-		// A failed send drops the connection; the reader's error input
-		// then arms the shard's backoff.
-		if slot := r.shardConn(ring.Node(ni)); slot == nil || !r.sendBatch(slot, r.sub) {
-			r.ins.shardDrops.Add(uint64(len(idxs)))
-			r.mu.Lock()
-			r.stats.DroppedNoShard += len(idxs)
-			r.mu.Unlock()
-			lost = append(lost, idxs...)
-		}
-	}
+	r.ins.shardDrops.Add(uint64(len(lost)))
+	r.stats.DroppedNoShard += len(lost)
 	if len(lost) == len(hbs) {
 		return lost, false, errNoShard
 	}
 	return lost, false, nil
-}
-
-// partition lists the indices of r.wire per owning node of ring, in the
-// ring's node order and input order within a node — Ring.GroupSorted's
-// partition, in buffers reused from flush to flush.
-func (r *RelayAgent) partition(ring *cluster.Ring) [][]int {
-	n := ring.Size()
-	for len(r.byNode) < n {
-		r.byNode = append(r.byNode, nil)
-	}
-	byNode := r.byNode[:n]
-	for ni := range byNode {
-		byNode[ni] = byNode[ni][:0]
-	}
-	for i := range r.wire {
-		ni := ring.OwnerIndex(r.wire[i].Src)
-		byNode[ni] = append(byNode[ni], i)
-	}
-	return byNode
-}
-
-// sendBatch writes one wire batch to an upstream slot as a single Write.
-func (r *RelayAgent) sendBatch(slot *session.Slot, hbs []hbproto.Heartbeat) bool {
-	r.batchMsg.Relay, r.batchMsg.HBs = r.cfg.ID, hbs
-	n, err := slot.Send(&r.batchMsg)
-	r.batchMsg.HBs = nil
-	if err != nil {
-		return false
-	}
-	r.ins.upBytesOut.Add(uint64(n))
-	r.ins.batchSize.Record(uint64(len(hbs)))
-	return true
 }
 
 // agentTrace is the relay's Tracer on the live stack: it counts and stamps

@@ -63,7 +63,7 @@ func steppedRelay(t *testing.T, cfg RelayAgentConfig, upstream string) *RelayAge
 	if err != nil {
 		t.Fatalf("NewRelayAgent: %v", err)
 	}
-	if r.cluster, err = cluster.NewSingleNodeClient(upstream); err != nil {
+	if r.up.Cluster, err = cluster.NewSingleNodeClient(upstream); err != nil {
 		t.Fatal(err)
 	}
 	r.epoch = time.Now()

@@ -13,6 +13,7 @@ import (
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/hbproto/hbprototest"
+	"d2dhb/internal/session"
 	"d2dhb/internal/trace"
 )
 
@@ -42,7 +43,7 @@ func newRelayRig(tb testing.TB, ues int) *relayRig {
 	if err != nil {
 		tb.Fatalf("NewRelayAgent: %v", err)
 	}
-	if r.cluster, err = cluster.NewSingleNodeClient("shard-0"); err != nil {
+	if r.up.Cluster, err = cluster.NewSingleNodeClient("shard-0"); err != nil {
 		tb.Fatal(err)
 	}
 	r.epoch = time.Now()
@@ -404,7 +405,7 @@ func TestForwardPartitionMatchesGroupSorted(t *testing.T) {
 	r := steppedRelay(t, RelayAgentConfig{
 		ID: "relay-1", App: "std", Period: time.Minute, Expiry: time.Minute, Capacity: 64, Dial: dial,
 	}, "unused")
-	r.cluster = cc
+	r.up.Cluster = cc
 
 	r.step(&input{at: 0})
 	uc := &ueConn{}
@@ -443,6 +444,59 @@ func TestForwardPartitionMatchesGroupSorted(t *testing.T) {
 		if i >= len(order) || order[i] != w.addr || !slices.Equal(got[w.addr], w.srcs) {
 			t.Fatalf("shards written in order %v and sent %v, want GroupSorted's partition %v", order, got, want)
 		}
+	}
+}
+
+// TestRelayFlushOverAFrame: a window of more heartbeats than one frame
+// holds — one heartbeat encodes to 34 B, so a single Batch of more than
+// 30 840 exceeds hbproto.MaxFrameSize — reaches its shard whole, in
+// ⌈n / session.MaxBatch⌉ Batch frames and one Write.
+func TestRelayFlushOverAFrame(t *testing.T) {
+	const capacity = 40_000
+	var writes atomic.Int32
+	var frames, hbs atomic.Int64
+	var readers sync.WaitGroup
+	dial := func(string, string) (net.Conn, error) {
+		shard, dialed := net.Pipe()
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			fr := hbproto.NewFrameReader(shard)
+			for {
+				msg, err := fr.Next()
+				if err != nil {
+					return
+				}
+				if b, ok := msg.(*hbproto.Batch); ok {
+					frames.Add(1)
+					hbs.Add(int64(len(b.HBs)))
+				}
+			}
+		}()
+		return &orderedConn{Conn: dialed, wrote: func() { writes.Add(1) }}, nil
+	}
+	t.Cleanup(readers.Wait) // after Shutdown has closed the relay's end
+	r := steppedRelay(t, RelayAgentConfig{
+		ID: "relay-1", App: "std", Period: time.Minute, Expiry: time.Minute, Capacity: capacity, Dial: dial,
+	}, "shard-0")
+
+	r.step(&input{at: 0})
+	uc := &ueConn{}
+	for i := 0; i < capacity-1; i++ {
+		r.step(beatAt(time.Millisecond, uc, hbproto.Heartbeat{Src: fmt.Sprintf("ue-%05d", i), Seq: 1, App: "std", Expiry: time.Minute}))
+	}
+	r.step(&input{at: time.Minute}) // the window closes with the relay's own heartbeat
+
+	eventually(t, 5*time.Second, func() bool { return hbs.Load() == capacity }, "the shard received the whole flush")
+	if st := r.relay.Stats(); st.Flushes != 1 || st.ForwardedSent != capacity-1 || r.Stats().DroppedNoShard != 0 {
+		t.Fatalf("relay stats %+v, %d dropped; want one flush of %d UE heartbeats and nothing dropped", st, r.Stats().DroppedNoShard, capacity-1)
+	}
+	want := int64((capacity + session.MaxBatch - 1) / session.MaxBatch)
+	if got := frames.Load(); got != want {
+		t.Errorf("the flush took %d Batch frames, want %d", got, want)
+	}
+	if got := writes.Load(); got != 2 {
+		t.Errorf("%d Writes to the shard, want the Register's and the flush's", got)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package session is the client side of the live heartbeat protocol,
 // stated once: a Slot is one lazily dialed, framed connection with its
-// ack/feedback reader, and Pending is the table of heartbeats awaiting
-// acknowledgement with the paper's one-fallback-then-timeout policy.
-// Every client on the live stack — relaynet.UEClient (alone, or as one of
-// the load generator's socket-per-UE fleet), the relay's upstream side, and
-// loadgen's trunks, all of which its trace replay drives too — is built
-// from these two pieces. Pacing, Algorithm 1, reconnect backoff and
-// counters deliberately stay with their owners.
+// ack/feedback reader, Pending is the table of heartbeats awaiting
+// acknowledgement with the paper's one-fallback-then-timeout policy, and
+// an Uplink is an aggregator's per-shard sender. Every client on the live
+// stack — relaynet.UEClient (alone, or as one of the load generator's
+// socket-per-UE fleet), and the relay and loadgen's trunks through an
+// Uplink each, all of which its trace replay drives too — is built from
+// these pieces. Pacing, Algorithm 1 and counters stay with their owners.
 package session
 
 import (
@@ -24,6 +24,10 @@ var ErrClosed = errors.New("session: slot closed")
 
 // ErrNoAddr is returned when the slot has no target to dial.
 var ErrNoAddr = errors.New("session: no address to dial")
+
+// ErrWrite wraps the error of a Write that failed: only that drops the
+// connection.
+var ErrWrite = errors.New("session: write")
 
 // Slot holds at most one live connection to a relay or server and dials
 // it on demand. Set the exported fields before first use and do not copy a
@@ -75,19 +79,20 @@ func (s *Slot) Connected() bool {
 // registering) if it does not. dialed is true only for the call whose
 // fresh connection was installed, so owners can count (re)connects.
 func (s *Slot) Connect() (dialed bool, err error) {
-	_, dialed, err = s.connect()
-	return dialed, err
+	_, n, err := s.connect()
+	return n > 0, err
 }
 
-func (s *Slot) connect() (net.Conn, bool, error) {
+// connect also returns the number of the connection it installed, else 0.
+func (s *Slot) connect() (net.Conn, int, error) {
 	s.mu.Lock()
 	conn, closed := s.conn, s.closed
 	s.mu.Unlock()
 	if closed {
-		return nil, false, ErrClosed
+		return nil, 0, ErrClosed
 	}
 	if conn != nil {
-		return conn, false, nil
+		return conn, 0, nil
 	}
 
 	// Dial and register outside the lock: both block on the network.
@@ -96,7 +101,7 @@ func (s *Slot) connect() (net.Conn, bool, error) {
 		addr = s.Resolve(addr)
 	}
 	if addr == "" {
-		return nil, false, ErrNoAddr
+		return nil, 0, ErrNoAddr
 	}
 	dial := s.Dial
 	if dial == nil {
@@ -104,12 +109,12 @@ func (s *Slot) connect() (net.Conn, bool, error) {
 	}
 	conn, err := dial("tcp", addr)
 	if err != nil {
-		return nil, false, fmt.Errorf("session: dial %s: %w", addr, err)
+		return nil, 0, fmt.Errorf("session: dial %s: %w", addr, err)
 	}
 	if s.Register != nil {
 		if _, err := writeFrames(conn, 1, func(int) hbproto.Message { return s.Register }); err != nil {
 			_ = conn.Close()
-			return nil, false, fmt.Errorf("session: register with %s: %w", addr, err)
+			return nil, 0, fmt.Errorf("session: register with %s: %w", addr, err)
 		}
 	}
 
@@ -120,9 +125,9 @@ func (s *Slot) connect() (net.Conn, bool, error) {
 		s.mu.Unlock()
 		_ = conn.Close()
 		if cur == nil {
-			return nil, false, ErrClosed
+			return nil, 0, ErrClosed
 		}
-		return cur, false, nil
+		return cur, 0, nil
 	}
 	s.conn = conn
 	s.dials++
@@ -130,12 +135,13 @@ func (s *Slot) connect() (net.Conn, bool, error) {
 	s.readers.Add(1)
 	s.mu.Unlock()
 	go s.read(conn, n)
-	return conn, true, nil
+	return conn, n, nil
 }
 
 // Send writes one frame, connecting first if needed, and returns the
-// bytes written. A failed send drops the connection: the next Send
-// redials.
+// bytes written. A failed write drops the connection: the next Send
+// redials. A frame that fails to encode is never written and leaves the
+// connection alone.
 func (s *Slot) Send(msg hbproto.Message) (int, error) {
 	return s.SendN(1, func(int) hbproto.Message { return msg })
 }
@@ -149,7 +155,7 @@ func (s *Slot) SendN(n int, frame func(i int) hbproto.Message) (int, error) {
 		return 0, err
 	}
 	written, err := writeFrames(conn, n, frame)
-	if err != nil {
+	if errors.Is(err, ErrWrite) {
 		s.drop(conn)
 	}
 	return written, err
@@ -168,7 +174,7 @@ func writeFrames(conn net.Conn, n int, frame func(i int) hbproto.Message) (writt
 	}
 	if err == nil {
 		if written, err = conn.Write(out); err != nil {
-			err = fmt.Errorf("session: write: %w", err)
+			err = fmt.Errorf("%w: %w", ErrWrite, err)
 		}
 	}
 	*bp = out[:0]

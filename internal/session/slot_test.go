@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -269,6 +270,25 @@ func TestSlot(t *testing.T) {
 			go func() { _, _ = s.Send(heartbeat(3)) }()
 			if hb := readMsg(t, pn.server(1)).(*hbproto.Heartbeat); hb.Seq != 3 {
 				t.Fatalf("seq %d after the stale error, want 3 on the same connection", hb.Seq)
+			}
+		}},
+		{"a frame too big to encode leaves the connection alone", func(t *testing.T, pn *pipeNet) {
+			s := pn.slot(t, &Slot{Addr: "a"})
+			hb := *heartbeat(1)
+			hb.Src = strings.Repeat("u", 64)
+			huge := &hbproto.Batch{Relay: "r", HBs: make([]hbproto.Heartbeat, 40_000)}
+			for i := range huge.HBs {
+				huge.HBs[i] = hb
+			}
+			if n, err := s.Send(huge); !errors.Is(err, hbproto.ErrFrameTooBig) || n != 0 {
+				t.Fatalf("Send of a 40 000-heartbeat Batch = %d, %v; want ErrFrameTooBig and nothing written", n, err)
+			}
+			if !s.Connected() {
+				t.Fatal("an encode error dropped a healthy connection")
+			}
+			go func() { _, _ = s.Send(heartbeat(2)) }()
+			if hb := readMsg(t, pn.server(0)).(*hbproto.Heartbeat); hb.Seq != 2 || pn.dials() != 1 {
+				t.Fatalf("next frame seq %d after %d dials, want seq 2 on the first connection", hb.Seq, pn.dials())
 			}
 		}},
 		{"injected reset drops the connection", func(t *testing.T, pn *pipeNet) {
