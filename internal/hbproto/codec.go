@@ -59,14 +59,22 @@ func AppendFrame(dst []byte, msg Message) ([]byte, error) {
 var bufPool = sync.Pool{New: func() any { return new(buffer) }}
 
 // Handle names a source ID within one FrameReader: the reader numbers the
-// distinct Src strings it decodes 1, 2, … in first-seen order and stamps
-// the number next to the string on every Heartbeat and Ref it returns. A
-// connection owner that keeps per-client state can index a slice by handle
-// instead of hashing the string again. Zero means "no handle" — the
-// message was not decoded by a FrameReader, or the reader's intern table
-// was full — and owners fall back to the string. A handle means nothing
-// outside the reader that issued it and dies with the connection.
+// distinct Src strings it decodes 1, 2, … in first-seen order (or takes its
+// owner's SourceTable's numbers) and stamps the number next to the string
+// on every Heartbeat and Ref it returns, so an owner that keeps per-client
+// state can index a slice by handle instead of hashing the string again.
+// Zero means "no handle" — not decoded by a FrameReader, the intern table
+// full, or a source the owner's table does not know. A handle a reader
+// numbers itself means nothing outside it and dies with the connection.
 type Handle uint32
+
+// SourceTable is a connection owner's own ID → handle table: a reader over
+// one interns no source. Source returns b's canonical string and handle, 0
+// if unknown; after is its handle for the reader's previous source, so the
+// table can try what usually follows before it hashes. It must not keep b.
+type SourceTable interface {
+	Source(after Handle, b []byte) (string, Handle)
+}
 
 // IDStats counts how a FrameReader resolved the source IDs it decoded: by
 // the successor guess (one string compare) or by hashing into the table.
@@ -91,6 +99,7 @@ type IDStats struct {
 // no order to exploit decodes as before. Other strings (App, Relay) repeat
 // back to back and are checked against the last one returned.
 type internTable struct {
+	table SourceTable       // the owner's sources; when set, strs stays empty
 	strs  []string          // handle → canonical source ID; strs[0] is unused
 	next  []Handle          // next[h]: the source that followed source h last time
 	prev  Handle            // the last source decoded (0: none, or not interned)
@@ -102,18 +111,18 @@ type internTable struct {
 	stats IDStats
 }
 
-// defaultInternCap bounds distinct strings cached per connection. A trunk
-// connection multiplexes tens of thousands of UE IDs; a full table of
+// defaultInternCap bounds distinct strings cached per connection. A server
+// reading a trunk link sees tens of thousands of UE IDs; a full table of
 // 14-byte IDs is ~7 MB (string header, bytes, index slot and successor per
 // entry), and a one-ID connection pays for the entries it uses only.
 const defaultInternCap = 128 << 10
 
-func newInternTable(max int) *internTable {
+func newInternTable(max int, table SourceTable) *internTable {
 	if max <= 0 {
 		max = defaultInternCap
 	}
 	// Room for one source without growing: most connections carry one.
-	return &internTable{strs: make([]string, 1, 2), next: make([]Handle, 1, 2), max: max}
+	return &internTable{table: table, strs: make([]string, 1, 2), next: make([]Handle, 1, 2), max: max}
 }
 
 func (t *internTable) full() bool { return len(t.strs)-1+len(t.other) >= t.max }
@@ -143,6 +152,13 @@ func (t *internTable) get(b []byte) string {
 // them, so the index is not built until a second source shows up: a lone
 // source is compared directly.
 func (t *internTable) src(b []byte) (string, Handle) {
+	if t.table != nil {
+		s, h := t.table.Source(t.prev, b)
+		if t.prev = h; h == 0 {
+			s = string(b)
+		}
+		return s, h
+	}
 	if g := t.next[t.prev]; g != 0 && t.strs[g] == string(b) {
 		t.stats.GuessHits++
 		t.prev = g
@@ -214,14 +230,22 @@ type FrameReader struct {
 	fb    Feedback
 }
 
+// readBufSize is a FrameReader's buffer: a UE link's frames are ~100 B at
+// most, and bufio reads a larger frame past the buffer into the scratch.
+const readBufSize = 512
+
 // NewFrameReader wraps r for streaming decode. If r is already a
 // *bufio.Reader it is used directly.
-func NewFrameReader(r io.Reader) *FrameReader {
+func NewFrameReader(r io.Reader) *FrameReader { return NewTableReader(r, nil) }
+
+// NewTableReader is NewFrameReader resolving sources through table, if not
+// nil, instead of interning them.
+func NewTableReader(r io.Reader, table SourceTable) *FrameReader {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
-		br = bufio.NewReader(r)
+		br = bufio.NewReaderSize(r, readBufSize)
 	}
-	return &FrameReader{r: br, intern: newInternTable(0)}
+	return &FrameReader{r: br, intern: newInternTable(0, table)}
 }
 
 // IDStats returns the reader's running source-ID resolution counts.

@@ -348,7 +348,7 @@ func TestFrameReaderErrors(t *testing.T) {
 // stops inserting — sources past the cap get handle 0 — but keeps
 // returning correct strings and serving the entries it has.
 func TestInternTableBounded(t *testing.T) {
-	tbl := newInternTable(4)
+	tbl := newInternTable(4, nil)
 	for i := 0; i < 16; i++ {
 		s := fmt.Sprintf("id-%d", i)
 		got, h := tbl.src([]byte(s))
@@ -367,7 +367,7 @@ func TestInternTableBounded(t *testing.T) {
 		t.Fatalf("intern table grew to %d entries (%d strs, %d next), cap 4", n, len(tbl.strs), len(tbl.next))
 	}
 	// A lone source needs no index: it is built when the second one arrives.
-	one := newInternTable(4)
+	one := newInternTable(4, nil)
 	for i := 0; i < 3; i++ {
 		if s, h := one.src([]byte("only")); s != "only" || h != 1 || one.ids.Len() != 0 {
 			t.Fatalf("lone source: %q handle %d, %d indexed", s, h, one.ids.Len())
@@ -444,7 +444,7 @@ func TestInternIndexMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= scripts; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		population, max := 1+rng.Intn(300), 2+rng.Intn(400)
-		tbl := newInternTable(max)
+		tbl := newInternTable(max, nil)
 		ref := &mapIntern{strs: make([]string, 1), next: make([]Handle, 1), ids: map[string]Handle{}, other: map[string]bool{}, max: max}
 		lone := rng.Intn(20) // calls with the first source alone
 		order := rng.Perm(population)
@@ -547,6 +547,62 @@ func TestFrameReaderHandles(t *testing.T) {
 	}
 	if h := plain.(*Ack).Refs[0].Handle; h != 0 {
 		t.Fatalf("ReadFrame issued handle %d", h)
+	}
+}
+
+// tableOf is a SourceTable over ids (handle = index + 1) that logs the
+// after argument of every lookup.
+type tableOf struct {
+	ids   []string
+	after []Handle
+}
+
+func (tb *tableOf) Source(after Handle, b []byte) (string, Handle) {
+	tb.after = append(tb.after, after)
+	for i, id := range tb.ids {
+		if id == string(b) {
+			return id, Handle(i + 1)
+		}
+	}
+	return "", 0
+}
+
+// TestFrameReaderSourceTable: a reader over its owner's table stamps the
+// table's handles on Heartbeats and Refs alike, tells the table the handle
+// of the source before, decodes a source the table does not know to its
+// string with handle 0, and interns no source of its own.
+func TestFrameReaderSourceTable(t *testing.T) {
+	tb := &tableOf{ids: []string{"ue-a", "ue-b", "ue-c"}}
+	var buf []byte
+	for _, m := range []Message{
+		&Ack{Refs: []Ref{{Src: "ue-c", Seq: 1}, {Src: "stranger", Seq: 2}, {Src: "ue-a", Seq: 3}}},
+		&Batch{Relay: "r", HBs: []Heartbeat{{Src: "ue-b", App: "std", Origin: time.UnixMilli(1).UTC()}}},
+	} {
+		var err error
+		if buf, err = AppendFrame(buf, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewTableReader(bytes.NewReader(buf), tb)
+	msg, err := fr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Ref{{Src: "ue-c", Seq: 1, Handle: 3}, {Src: "stranger", Seq: 2}, {Src: "ue-a", Seq: 3, Handle: 1}}
+	if got := msg.(*Ack).Refs; !reflect.DeepEqual(got, want) {
+		t.Fatalf("refs = %+v, want %+v", got, want)
+	}
+	if msg, err = fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if hb := msg.(*Batch).HBs[0]; hb.Src != "ue-b" || hb.Handle != 2 {
+		t.Fatalf("batch heartbeat = %+v, want ue-b with handle 2", hb)
+	}
+	if want := []Handle{0, 3, 0, 1}; !reflect.DeepEqual(tb.after, want) {
+		t.Fatalf("the table was told the previous handles %v, want %v", tb.after, want)
+	}
+	if n := len(fr.intern.strs) - 1; n != 0 {
+		t.Fatalf("the reader interned %d sources of its own", n)
 	}
 }
 

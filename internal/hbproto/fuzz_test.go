@@ -2,6 +2,7 @@ package hbproto
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -106,6 +107,30 @@ func FuzzFrameReaderStream(f *testing.F) {
 	damaged[len(hb)+9] ^= 0x40
 	f.Add(damaged)
 	f.Add([]byte{})
+	// Around the reader's 512 B buffer: a run of small frames that
+	// straddles each refill, a frame that ends exactly on the buffer's end,
+	// and batches larger than the buffer between small frames, cut short
+	// past the buffer once.
+	var run [][]byte
+	for len(concat(run...)) < 3*readBufSize {
+		run = append(run, hb)
+	}
+	f.Add(concat(run...))
+	var edge []byte
+	for id := "e"; len(edge) < readBufSize; id += "e" {
+		edge = mkFrame(&Register{ID: id, Role: RoleUE})
+	}
+	if len(edge) != readBufSize {
+		f.Fatalf("edge frame is %d B, want %d", len(edge), readBufSize)
+	}
+	f.Add(concat(edge, hb, ack))
+	big := &Batch{Relay: "r"}
+	for i := 0; i < 40; i++ {
+		big.HBs = append(big.HBs, Heartbeat{Src: fmt.Sprintf("ue-%02d", i), Seq: uint64(i), App: "x", Origin: time.UnixMilli(1).UTC(), Expiry: time.Second, Pad: 54})
+	}
+	large := mkFrame(big)
+	f.Add(concat(hb, large, ack, large, fb))
+	f.Add(concat(ack, large, large[:readBufSize+7]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data))

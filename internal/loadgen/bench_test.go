@@ -284,8 +284,8 @@ func BenchmarkTrunkEmit(b *testing.B) {
 
 // BenchmarkTrunkAckPath is the trunk's ack half: one shard connection's
 // worth of acks — the users of a live_trunked trunk that the first of 3
-// shards owns — from the ack frames' bytes through the FrameReader to the
-// settled pending entries. Acks come back the way the run sends: sub-tick
+// shards owns — from the ack frames' bytes through a FrameReader over the
+// trunk's own table to the settled pending entries. Acks come back the way the run sends: sub-tick
 // by sub-tick, one Ack frame per sub-tick's batch, so settling reaches
 // into the user and pending tables in the order the run does. An iteration
 // is one period's acks; tracking the period's sends happens off the clock.
@@ -316,8 +316,7 @@ func BenchmarkTrunkAckPath(b *testing.B) {
 		}
 	}
 	wire := bytes.NewReader(nil)
-	fr := hbproto.NewFrameReader(wire)
-	cache := new(ackCache)
+	fr := hbproto.NewTableReader(wire, tr)
 	now := time.Now()
 	settle := func() {
 		// Every period acks seq 1 again: what is measured is the lookup
@@ -332,7 +331,7 @@ func BenchmarkTrunkAckPath(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			tr.onRefs(cache, 1, msg.(*hbproto.Ack).Refs, now)
+			tr.onRefs(msg.(*hbproto.Ack).Refs, now)
 		}
 		b.StopTimer()
 		if n := tr.pending.Len(); n != 0 {

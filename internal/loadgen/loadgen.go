@@ -1,3 +1,10 @@
+// Package loadgen is an open-loop load-generation and capacity-measurement
+// harness for the real heartbeat stack (internal/relaynet + internal/hbproto).
+// It spawns fleets of virtual UEs and relay agents over loopback TCP against
+// a presence server, shapes fleet activation with an arrival schedule
+// (steady, ramp, spike), records per-heartbeat ack latency into lock-free
+// sharded histograms, and renders periodic and final reports as both a human
+// table (internal/metrics) and JSON.
 package loadgen
 
 import (
@@ -198,8 +205,8 @@ type Runner struct {
 	units      []loadUnit
 	counters   fleetCounters
 	shardSent  shardCounter
-	histDirect *Histogram
-	histRelay  *Histogram
+	histDirect *telemetry.Histogram
+	histRelay  *telemetry.Histogram
 
 	ackTimeout time.Duration
 	minPeriod  time.Duration
@@ -224,8 +231,8 @@ func New(cfg Config) (*Runner, error) {
 	}
 	r := &Runner{
 		cfg:        cfg,
-		histDirect: NewHistogram(cfg.HistShards),
-		histRelay:  NewHistogram(cfg.HistShards),
+		histDirect: telemetry.NewHistogram(cfg.HistShards),
+		histRelay:  telemetry.NewHistogram(cfg.HistShards),
 	}
 	r.minPeriod, r.maxPeriod = r.periodRange()
 	r.ackTimeout = cfg.AckTimeout
@@ -602,10 +609,8 @@ func (r *Runner) newTrunk(id string, period time.Duration, profiles []tprofile, 
 			ID: id, Role: hbproto.RoleRelay, App: profiles[0].app,
 			Period: period, Expiry: profiles[0].expiry,
 		},
-		Acks: func(string) func(int, []hbproto.Ref, time.Time) {
-			cache := new(ackCache)
-			return func(dial int, refs []hbproto.Ref, at time.Time) { t.onRefs(cache, dial, refs, at) }
-		},
+		Acks:    func(string) func([]hbproto.Ref, time.Time) { return t.onRefs },
+		Sources: t,
 	}
 	t.index()
 	return t

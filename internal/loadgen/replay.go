@@ -240,8 +240,8 @@ func (r *Runner) replayGroup(tl *rec.Timeline, g int, sends []rec.Event, opts Re
 	}
 	t := r.newTrunk(fmt.Sprintf("replay-trunk-%04d", g), tl.RelayPeriod, profiles, userIDs{all: ids.String(), ends: ends}, clients, 0)
 	user := func(c int) int {
-		i, _ := t.lookup(tl.Clients[c].ID)
-		return i
+		_, h := t.Source(0, []byte(tl.Clients[c].ID))
+		return int(h) - 1
 	}
 	return &replayUnit{
 		loadUnit: t,

@@ -24,7 +24,7 @@ type LatencyStats struct {
 	MaxMs  float64 `json:"maxMs"`
 }
 
-func latencyStats(s *HistSnapshot) LatencyStats {
+func latencyStats(s *telemetry.HistSnapshot) LatencyStats {
 	us := func(v uint64) float64 { return float64(v) / 1000 }
 	return LatencyStats{
 		Count:  s.Count(),

@@ -11,6 +11,7 @@ import (
 	"d2dhb/internal/idindex"
 	"d2dhb/internal/rec"
 	"d2dhb/internal/session"
+	"d2dhb/internal/telemetry"
 )
 
 // tuser is one multiplexed virtual user's sequence state on a trunk. Its ID
@@ -39,18 +40,6 @@ type tprofile struct {
 	pad    int
 }
 
-// ackCache is one shard slot's handle → user table: the connection's
-// FrameReader numbers the sources it decodes, and acks come back in the
-// order the heartbeats went out, so after a source's first ack the trunk
-// finds its user by indexing with the ref's handle instead of probing byID
-// with the ID. Handles belong to one connection's reader, so the table
-// belongs to one dial: a newer dial empties it, and refs still draining
-// from an older connection are looked up by ID. Guarded by trunk.mu.
-type ackCache struct {
-	dial int
-	user []int32 // handle → user index + 1; 0 = not cached
-}
-
 // trunk multiplexes many virtual users over one hbproto relay connection
 // per target shard — the paper's aggregation argument applied to the load
 // generator itself, and the only way a single box offers a million users
@@ -66,13 +55,13 @@ type trunk struct {
 	period   time.Duration
 	profiles []tprofile // immutable after build; the first one registers the trunk
 	timeout  time.Duration
-	rec      *Recorder
+	rec      *telemetry.Recorder
 	trec     *rec.Recorder // trace recorder; nil-safe
 	c        *fleetCounters
 	shards   *shardCounter
 
 	// Per-user columns, immutable after build and free of pointers but for
-	// the one ID string. byID indexes ids under seed.
+	// the one ID string. byID indexes ids under seed; both back Source.
 	ids     userIDs
 	clients []tclient
 	seed    maphash.Seed
@@ -192,12 +181,6 @@ func (t *trunk) index() {
 	}
 }
 
-// lookup returns the index of the user named id.
-func (t *trunk) lookup(id string) (int, bool) {
-	i, ok := t.byID.Find(maphash.String(t.seed, id), func(u int32) bool { return t.ids.at(int(u)) == id })
-	return int(i), ok
-}
-
 // send writes heartbeats through the uplink, one chunked Batch per owning
 // shard under one ring view. Heartbeats that never hit the wire are
 // abandoned to the pending table: they stay for the sweep when fallback is
@@ -288,51 +271,58 @@ func (t *trunk) Sweep(now time.Time) {
 	}
 }
 
-// userOf resolves an acked source to its user index (t.mu held).
-func (t *trunk) userOf(cache *ackCache, live bool, ref hbproto.Ref) (int, bool) {
-	h := int(ref.Handle)
-	if live && h < len(cache.user) && cache.user[h] != 0 {
-		return int(cache.user[h]) - 1, true
+// Source is the trunk's hbproto.SourceTable: a source's handle is its user
+// index + 1 on every dial. A shard acks its users in the order they went
+// out, so the 8 users after the previous ack's are compared before hashing.
+func (t *trunk) Source(after hbproto.Handle, b []byte) (string, hbproto.Handle) {
+	ends, start := t.ids.ends, int32(0)
+	if after > 0 {
+		start = ends[after-1]
 	}
-	i, ok := t.lookup(ref.Src)
-	if ok && live && h != 0 {
-		for h >= len(cache.user) {
-			cache.user = append(cache.user, 0)
+	for u := int(after); u < min(int(after)+8, len(ends)); u++ {
+		if id := t.ids.all[start:ends[u]]; id == string(b) {
+			return id, hbproto.Handle(u + 1)
 		}
-		cache.user[h] = int32(i) + 1
+		start = ends[u]
 	}
-	return i, ok
+	u, ok := t.byID.Find(maphash.Bytes(t.seed, b), func(u int32) bool { return t.ids.at(int(u)) == string(b) })
+	if !ok {
+		return "", 0
+	}
+	return t.ids.at(int(u)), hbproto.Handle(u + 1)
 }
 
 // onRefs matches batch-ack refs against pending heartbeats and records
-// latency; stale refs for superseded or already-settled sends are ignored.
-func (t *trunk) onRefs(cache *ackCache, dial int, refs []hbproto.Ref, at time.Time) {
+// latency; stale refs, and refs to no user of the trunk (handle 0, see
+// Source), are ignored. A frame's refs share an arrival time and one or two
+// emissions, so latencies are recorded once per run of equal values.
+func (t *trunk) onRefs(refs []hbproto.Ref, at time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if dial > cache.dial {
-		cache.dial, cache.user = dial, cache.user[:0]
-	}
-	live := dial == cache.dial
+	var acked, run, lat uint64
 	for _, ref := range refs {
-		i, ok := t.userOf(cache, live, ref)
+		i := int(ref.Handle) - 1 // handle 0: slot -1, which nothing pending has
+		d, ok := t.pending.Settle(session.Key{Slot: i, Seq: ref.Seq}, at)
 		if !ok {
 			continue
 		}
-		lat, ok := t.pending.Settle(session.Key{Slot: i, Seq: ref.Seq}, at)
-		if !ok {
-			continue
+		if us := uint64(d / time.Microsecond); us != lat {
+			t.rec.RecordN(lat, run)
+			lat, run = us, 0
 		}
-		t.rec.Record(uint64(lat / time.Microsecond))
+		run++
+		acked++
 		if t.trec != nil {
 			t.trec.Record(rec.EvAck, int(t.clients[i].trec), ref.Seq, at)
 		}
-		t.c.ackedRelayed.Add(1)
 		if ref.Seq <= t.users[i].last {
 			t.c.outOfOrderAcks.Add(1)
 		} else {
 			t.users[i].last = ref.Seq
 		}
 	}
+	t.rec.RecordN(lat, run)
+	t.c.ackedRelayed.Add(acked)
 }
 
 // InFlight returns how many heartbeats still await acknowledgement.

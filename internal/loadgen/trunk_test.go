@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -17,6 +18,7 @@ import (
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/hbproto/hbprototest"
 	"d2dhb/internal/session"
+	"d2dhb/internal/telemetry"
 )
 
 // newTestTrunk builds a trunk of n users paced over slots sub-ticks (0:
@@ -225,52 +227,133 @@ func TestTrunkBacksOffDeadShard(t *testing.T) {
 	}
 }
 
-// TestTrunkAckCacheScopedToDial feeds onRefs by hand: refs with a handle
-// are cached per dial, a later dial starts from an empty table, frames
-// still draining from the older connection are resolved by ID without
-// touching it, and handle 0 never caches.
-func TestTrunkAckCacheScopedToDial(t *testing.T) {
-	tr := newTestTrunk(t, "unused", 3, 0, nil)
-	cache := new(ackCache)
-	now := time.Now()
-	seq := uint64(0)
-	ack := func(dial int, refs ...hbproto.Ref) {
-		t.Helper()
-		seq++
-		for i := range refs {
-			refs[i].Seq = seq
-			u, _ := tr.lookup(refs[i].Src)
-			tr.pending.Track(session.Key{Slot: u, Seq: seq}, now)
-		}
-		tr.onRefs(cache, dial, refs, now)
-		if n := tr.pending.Len(); n != 0 {
-			t.Fatalf("dial %d seq %d: %d refs settled against the wrong user", dial, seq, n)
-		}
-	}
+// TestTrunkAcksResolveThroughItsTable feeds onRefs the acks of two dials
+// decoded through readers over the trunk's table, with a straggler from the
+// old dial after the new one's first frame, plus refs with no handle, a
+// stranger's ID and another trunk's user's ID. A handle is the user index +
+// 1 on either dial; each ref settles its own user exactly once, with its
+// latency recorded once, or is ignored. Users send distinct sequence
+// numbers so a wrong user cannot settle by coincidence, and at one of three
+// instants, so a frame's latencies come in runs of equal values.
+func TestTrunkAcksResolveThroughItsTable(t *testing.T) {
+	const users = 20
+	tr := newTestTrunk(t, "unused", users, 0, nil)
+	hist := telemetry.NewHistogram(1)
+	tr.rec = hist.Recorder()
 	id := tr.ids.at
+	next := fleetIDs(users, 1, 7)
+	otherTrunk := next.at(0) // the next trunk's first user
+	now := time.Now()
+	latency := func(u int) uint64 { return uint64(1+u/3%3) * 1000 } // µs
+	for i := range users {
+		tr.users[i].seq = uint64(i)*100 + 1
+		tr.pending.Track(session.Key{Slot: i, Seq: tr.users[i].seq}, now.Add(-time.Duration(latency(i))*time.Microsecond))
+	}
+	frame := func(us ...int) []byte {
+		ack := &hbproto.Ack{Refs: []hbproto.Ref{{Src: "stranger", Seq: 1}, {Src: otherTrunk, Seq: 101}}}
+		for _, u := range us {
+			ack.Refs = append(ack.Refs, hbproto.Ref{Src: id(u), Seq: tr.users[u].seq})
+		}
+		b, err := hbproto.AppendFrame(nil, ack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// The users after a ref's are tried first: cover a run, a jump back and
+	// a jump past the probe.
+	old := hbproto.NewTableReader(bytes.NewReader(slices.Concat(frame(0, 1, 2, 5), frame(3, 19))), tr)
+	fresh := hbproto.NewTableReader(bytes.NewReader(slices.Concat(frame(2, 4, 6, 7), frame(17, 8))), tr)
+	deliver := func(fr *hbproto.FrameReader, want ...int) {
+		t.Helper()
+		msg, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := msg.(*hbproto.Ack).Refs
+		for i, ref := range refs {
+			wantH := hbproto.Handle(0)
+			if i >= 2 {
+				wantH = hbproto.Handle(want[i-2] + 1)
+			}
+			if ref.Handle != wantH {
+				t.Fatalf("ref %d (%s) decoded to handle %d, want %d", i, ref.Src, ref.Handle, wantH)
+			}
+		}
+		tr.onRefs(refs, now)
+		for _, u := range want {
+			if tr.users[u].last != tr.users[u].seq {
+				t.Fatalf("user %d not settled by its ref", u)
+			}
+		}
+	}
+	deliver(old, 0, 1, 2, 5)
+	deliver(fresh, 2, 4, 6, 7) // user 2 again: ignored, already settled
+	deliver(old, 3, 19)        // the old dial's straggler
+	deliver(fresh, 17, 8)
+	// Handle 0 is a source the table did not know, whatever its ID says,
+	// and a handle past the users is no user either.
+	tr.onRefs([]hbproto.Ref{{Src: id(9), Seq: tr.users[9].seq}, {Src: "stranger", Seq: 1, Handle: users + 1}}, now)
+	if tr.users[9].last != 0 {
+		t.Fatal("a ref without a handle settled a user")
+	}
+	// 11 distinct users, user 2 counted once.
+	settled := []int{0, 1, 2, 5, 4, 6, 7, 3, 19, 17, 8}
+	if got, want := tr.c.ackedRelayed.Load(), uint64(len(settled)); got != want || tr.c.outOfOrderAcks.Load() != 0 {
+		t.Fatalf("acked %d refs (%d out of order), want %d in order", got, tr.c.outOfOrderAcks.Load(), want)
+	}
+	if got := tr.pending.Len(); got != users-len(settled) {
+		t.Fatalf("%d pending, want %d", got, users-len(settled))
+	}
+	var sum uint64
+	for _, u := range settled {
+		sum += latency(u)
+	}
+	mean := float64(sum) / float64(len(settled))
+	if s := hist.Snapshot(); s.Count() != uint64(len(settled)) || s.Mean() != mean || s.Max() != 3000 {
+		t.Fatalf("latencies: %d recorded, mean %v, max %d; want %d, mean %v, max 3000", s.Count(), s.Mean(), s.Max(), len(settled), mean)
+	}
+}
 
-	ack(1, hbproto.Ref{Src: id(0), Handle: 1}, hbproto.Ref{Src: id(1), Handle: 2}, hbproto.Ref{Src: id(2)})
-	if want := []int32{0, 1, 2}; !slices.Equal(cache.user, want) {
-		t.Fatalf("cache after dial 1 = %v, want %v (handle 0 uncached)", cache.user, want)
+// TestTrunkAckDecodeZeroAllocs: an Ack of 4 096 refs to users a reader has
+// not seen before decodes through the trunk's table with no allocation —
+// the trunk's ID column is the only copy of every ID. Every frame names
+// users of its own, every third one as a shard of three sees them, and
+// starts below the last: its first ref is hashed, the rest are probed. The
+// first frame only sizes the reader's buffers.
+func TestTrunkAckDecodeZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates")
 	}
-	// By handle alone: the ID on a cached handle is not consulted again.
-	ack(1, hbproto.Ref{Src: id(0), Handle: 1}, hbproto.Ref{Src: id(1), Handle: 2})
-	// Dial 2 numbers the same sources differently.
-	ack(2, hbproto.Ref{Src: id(2), Handle: 1}, hbproto.Ref{Src: id(0), Handle: 2})
-	if want := []int32{0, 3, 1}; cache.dial != 2 || !slices.Equal(cache.user, want) {
-		t.Fatalf("cache after dial 2 = dial %d %v, want dial 2 %v", cache.dial, cache.user, want)
+	const refs, runs = 4096, 4
+	tr := newTestTrunk(t, "unused", 3*refs*(runs+1), 0, nil)
+	var wire []byte
+	for k := 0; k <= runs; k++ {
+		ack := &hbproto.Ack{}
+		for i := 0; i < refs; i++ {
+			ack.Refs = append(ack.Refs, hbproto.Ref{Src: tr.ids.at(3*((runs-k)*refs+i) + 1), Seq: 1})
+		}
+		var err error
+		if wire, err = hbproto.AppendFrame(wire, ack); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A straggler from dial 1 keeps its own numbering and leaves dial 2's
-	// table alone.
-	ack(1, hbproto.Ref{Src: id(0), Handle: 1}, hbproto.Ref{Src: id(1), Handle: 2})
-	ack(2, hbproto.Ref{Src: id(2), Handle: 1}, hbproto.Ref{Src: id(0), Handle: 2}, hbproto.Ref{Src: id(1), Handle: 3})
-	if got, want := tr.c.ackedRelayed.Load(), uint64(12); got != want {
-		t.Fatalf("acked %d refs, want %d", got, want)
+	fr := hbproto.NewTableReader(bytes.NewReader(wire), tr)
+	var last []hbproto.Ref
+	allocs := testing.AllocsPerRun(runs, func() {
+		msg, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = msg.(*hbproto.Ack).Refs
+	})
+	if allocs != 0 {
+		t.Errorf("decoding %d new sources allocated %.0f times, want 0", refs, allocs)
 	}
-	// Unknown sources are skipped whatever their handle says.
-	tr.onRefs(cache, 2, []hbproto.Ref{{Src: "stranger", Seq: 1, Handle: 9}}, now)
-	if len(cache.user) != 4 {
-		t.Fatalf("an unknown source grew the cache to %v", cache.user)
+	for i, ref := range last {
+		if u := 3*i + 1; ref.Handle != hbproto.Handle(u+1) {
+			t.Fatalf("ref %d (%s) has handle %d, want user %d + 1", i, ref.Src, ref.Handle, u)
+		}
 	}
 }
 
@@ -301,14 +384,14 @@ func TestTrunkPaceBlocks(t *testing.T) {
 		}
 		tr := r.newTrunk("loadtrunk-0000", time.Second, []tprofile{{}}, ids, make([]tclient, n), 0)
 		for i := range n {
-			if got, ok := tr.lookup(ids.at(i)); !ok || got != i {
-				t.Fatalf("%d: lookup(%q) = %d, %v", n, ids.at(i), got, ok)
+			if _, h := tr.Source(hbproto.Handle(n/2), []byte(ids.at(i))); int(h) != i+1 {
+				t.Fatalf("%d: Source(%q) = handle %d, want %d", n, ids.at(i), h, i+1)
 			}
 		}
 		beyond := fleetIDs(n, 1, 7)
 		for _, stranger := range []string{"loadue-stranger", beyond.at(0), ""} {
-			if got, ok := tr.lookup(stranger); ok {
-				t.Fatalf("%d: stranger %q resolved to user %d", n, stranger, got)
+			if _, h := tr.Source(0, []byte(stranger)); h != 0 {
+				t.Fatalf("%d: stranger %q resolved to handle %d", n, stranger, h)
 			}
 		}
 	}

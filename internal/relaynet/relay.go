@@ -296,8 +296,8 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 			ID: cfg.ID, Role: hbproto.RoleRelay, App: cfg.App,
 			Period: cfg.Period, Expiry: cfg.Expiry,
 		},
-		Acks: func(string) func(int, []hbproto.Ref, time.Time) {
-			return func(_ int, refs []hbproto.Ref, at time.Time) { r.offer(input{at: at.Sub(r.epoch), kind: inAck}, refs) }
+		Acks: func(string) func([]hbproto.Ref, time.Time) {
+			return func(refs []hbproto.Ref, at time.Time) { r.offer(input{at: at.Sub(r.epoch), kind: inAck}, refs) }
 		},
 		Backoff: cfg.ReconnectBase,
 		Seed:    cfg.Seed,

@@ -590,8 +590,8 @@ func (u *UEClient) timedOut(keys []session.Key, now time.Time) {
 
 // onFeedback settles the relay's feedback, onAck the server's own acks:
 // a heartbeat settles once, over whichever path confirms it first.
-func (u *UEClient) onFeedback(_ int, refs []hbproto.Ref, at time.Time) { u.settle(refs, at, true) }
-func (u *UEClient) onAck(_ int, refs []hbproto.Ref, at time.Time)      { u.settle(refs, at, false) }
+func (u *UEClient) onFeedback(refs []hbproto.Ref, at time.Time) { u.settle(refs, at, true) }
+func (u *UEClient) onAck(refs []hbproto.Ref, at time.Time)      { u.settle(refs, at, false) }
 
 func (u *UEClient) settle(refs []hbproto.Ref, at time.Time, feedback bool) {
 	u.mu.Lock()

@@ -50,16 +50,13 @@ type Slot struct {
 	// OnRefs receives the refs of every Ack or Feedback frame with its
 	// arrival time, on the reader goroutine of the connection it arrived
 	// on. The slice is reused by the next frame: consume or copy it before
-	// returning. Nil drains. dial numbers the slot's connections 1, 2, …:
-	// every dial decodes through a FrameReader of its own, so the refs'
-	// Handle fields mean something only next to the dial they came with,
-	// and a dropped connection's last frames can still arrive after the
-	// next one's first.
-	OnRefs func(dial int, refs []hbproto.Ref, at time.Time)
-	// OnDown is told when a connection's reader ends on an error while the
-	// slot is still open — whether or not a failed Send already dropped
-	// that connection — so an owner with a reconnect policy can run it.
-	OnDown func(err error)
+	// returning. Nil drains. A ref's Handle is its connection reader's own
+	// (see hbproto.Handle) unless the slot's uplink has Sources.
+	OnRefs func(refs []hbproto.Ref, at time.Time)
+	// up is the uplink node owning the slot, if any: its readers decode
+	// through the uplink's Sources, and one that ends on an error while the
+	// slot is open marks the node broken for the uplink's backoff.
+	up *upNode
 
 	mu      sync.Mutex
 	conn    net.Conn
@@ -134,7 +131,7 @@ func (s *Slot) connect() (net.Conn, int, error) {
 	n := int(s.dials)
 	s.readers.Add(1)
 	s.mu.Unlock()
-	go s.read(conn, n)
+	go s.read(conn)
 	return conn, n, nil
 }
 
@@ -198,14 +195,18 @@ func (s *Slot) drop(conn net.Conn) (closed bool) {
 // read is the one client-side ack/feedback loop. Frames are handled
 // inline, so the FrameReader's reused message values never outlive the
 // iteration.
-func (s *Slot) read(conn net.Conn, dial int) {
+func (s *Slot) read(conn net.Conn) {
 	defer s.readers.Done()
-	fr := hbproto.NewFrameReader(conn)
+	var table hbproto.SourceTable
+	if s.up != nil {
+		table = s.up.table
+	}
+	fr := hbproto.NewTableReader(conn, table)
 	for {
 		msg, err := fr.Next()
 		if err != nil {
-			if closed := s.drop(conn); !closed && s.OnDown != nil {
-				s.OnDown(err)
+			if closed := s.drop(conn); !closed && s.up != nil {
+				s.up.broke.Store(true)
 			}
 			return
 		}
@@ -219,7 +220,7 @@ func (s *Slot) read(conn net.Conn, dial int) {
 			continue
 		}
 		if s.OnRefs != nil {
-			s.OnRefs(dial, refs, time.Now())
+			s.OnRefs(refs, time.Now())
 		}
 	}
 }

@@ -241,8 +241,8 @@ func TestSlot(t *testing.T) {
 				}
 				return c
 			}
-			downs := make(chan error, 4)
-			s := pn.slot(t, &Slot{Addr: "a", OnDown: func(err error) { downs <- err }})
+			nd := new(upNode)
+			s := pn.slot(t, &Slot{Addr: "a", up: nd})
 			var release sync.Once
 			t.Cleanup(func() { release.Do(func() { close(first.release) }) }) // lets Close finish on a failed run
 			if n, err := s.Send(heartbeat(1)); err == nil || n != 0 {
@@ -259,11 +259,7 @@ func TestSlot(t *testing.T) {
 				t.Fatalf("seq %d on the new connection, want 2", hb.Seq)
 			}
 			release.Do(func() { close(first.release) })
-			select {
-			case <-downs:
-			case <-time.After(2 * time.Second):
-				t.Fatal("OnDown not told about the first connection's reader")
-			}
+			waitFor(t, nd.broke.Load, "the uplink node told about the first connection's reader")
 			if !s.Connected() {
 				t.Fatal("stale reader error dropped the replacement connection")
 			}
@@ -322,7 +318,7 @@ func TestSlot(t *testing.T) {
 				at   time.Time
 			}
 			seen := make(chan got, 4)
-			s := pn.slot(t, &Slot{Addr: "a", OnRefs: func(_ int, refs []hbproto.Ref, at time.Time) {
+			s := pn.slot(t, &Slot{Addr: "a", OnRefs: func(refs []hbproto.Ref, at time.Time) {
 				seen <- got{append([]hbproto.Ref(nil), refs...), at}
 			}})
 			if _, err := s.Connect(); err != nil {
@@ -347,44 +343,48 @@ func TestSlot(t *testing.T) {
 				t.Fatalf("arrival times out of order: %v %v %v", before, ack.at, fb.at)
 			}
 		}},
-		{"every dial decodes through a reader of its own and says so", func(t *testing.T, pn *pipeNet) {
-			type got struct {
-				dial int
-				ref  hbproto.Ref
-			}
-			seen := make(chan got, 4)
-			s := pn.slot(t, &Slot{Addr: "a", OnRefs: func(dial int, refs []hbproto.Ref, _ time.Time) {
-				for _, ref := range refs {
-					seen <- got{dial, ref}
+		{"every dial decodes through a reader of its own", func(t *testing.T, pn *pipeNet) {
+			for _, table := range []hbproto.SourceTable{nil, fixedTable{"ue-a", "ue-b"}} {
+				seen := make(chan hbproto.Ref, 4)
+				s := pn.slot(t, &Slot{Addr: "a", up: &upNode{table: table}, OnRefs: func(refs []hbproto.Ref, _ time.Time) {
+					for _, ref := range refs {
+						seen <- ref
+					}
+				}})
+				ack := func(srv net.Conn, srcs ...string) {
+					t.Helper()
+					msg := &hbproto.Ack{}
+					for _, src := range srcs {
+						msg.Refs = append(msg.Refs, hbproto.Ref{Src: src, Seq: 1})
+					}
+					if err := hbprototest.WriteFrame(srv, msg); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}})
-			ack := func(srv net.Conn, srcs ...string) {
-				t.Helper()
-				msg := &hbproto.Ack{}
-				for _, src := range srcs {
-					msg.Refs = append(msg.Refs, hbproto.Ref{Src: src, Seq: 1})
-				}
-				if err := hbprototest.WriteFrame(srv, msg); err != nil {
+				if _, err := s.Connect(); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if _, err := s.Connect(); err != nil {
-				t.Fatal(err)
-			}
-			ack(pn.server(0), "ue-a", "ue-b")
-			if a, b := <-seen, <-seen; a != (got{1, hbproto.Ref{Src: "ue-a", Seq: 1, Handle: 1}}) || b != (got{1, hbproto.Ref{Src: "ue-b", Seq: 1, Handle: 2}}) {
-				t.Fatalf("first dial handed over %+v, %+v", a, b)
-			}
-			_ = pn.server(0).Close()
-			waitFor(t, func() bool { return !s.Connected() }, "broken connection dropped")
-			if dialed, err := s.Connect(); err != nil || !dialed {
-				t.Fatalf("redial = %v, %v", dialed, err)
-			}
-			// The new connection's reader starts numbering again: the same
-			// handle now names another source, and only the dial tells.
-			ack(pn.server(1), "ue-b")
-			if b := <-seen; b != (got{2, hbproto.Ref{Src: "ue-b", Seq: 1, Handle: 1}}) {
-				t.Fatalf("second dial handed over %+v", b)
+				srv := pn.server(pn.dials() - 1)
+				ack(srv, "ue-a", "ue-b")
+				if a, b := <-seen, <-seen; a != (hbproto.Ref{Src: "ue-a", Seq: 1, Handle: 1}) || b != (hbproto.Ref{Src: "ue-b", Seq: 1, Handle: 2}) {
+					t.Fatalf("table %v, first dial handed over %+v, %+v", table, a, b)
+				}
+				_ = srv.Close()
+				waitFor(t, func() bool { return !s.Connected() }, "broken connection dropped")
+				if dialed, err := s.Connect(); err != nil || !dialed {
+					t.Fatalf("redial = %v, %v", dialed, err)
+				}
+				// A new connection's reader numbers its sources afresh; the
+				// owner's table numbers them the same on every dial.
+				want := hbproto.Handle(1)
+				if table != nil {
+					want = 2
+				}
+				ack(pn.server(pn.dials()-1), "ue-b")
+				if b := <-seen; b != (hbproto.Ref{Src: "ue-b", Seq: 1, Handle: want}) {
+					t.Fatalf("table %v, second dial handed over %+v, want handle %d", table, b, want)
+				}
+				s.Close()
 			}
 		}},
 		{"SendN composes every frame into one Write", func(t *testing.T, pn *pipeNet) {
@@ -418,16 +418,16 @@ func TestSlot(t *testing.T) {
 			}
 		}},
 		{"Close waits for the reader and is silent about it", func(t *testing.T, pn *pipeNet) {
-			var downs atomic.Int32
-			s := pn.slot(t, &Slot{Addr: "a", OnDown: func(error) { downs.Add(1) }})
+			nd := new(upNode)
+			s := pn.slot(t, &Slot{Addr: "a", up: nd})
 			if _, err := s.Connect(); err != nil {
 				t.Fatal(err)
 			}
 			s.Close()
 			s.Close() // idempotent
 			expectClosed(t, pn.server(0), "connection after Close")
-			if downs.Load() != 0 {
-				t.Fatalf("OnDown called %d times for a deliberate Close", downs.Load())
+			if nd.broke.Load() {
+				t.Fatal("a deliberate Close marked the uplink node broken")
 			}
 		}},
 	}
@@ -461,3 +461,15 @@ func TestSendZeroAllocs(t *testing.T) {
 type discardConn struct{ net.Conn }
 
 func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
+
+// fixedTable is a SourceTable over a fixed list: source i has handle i + 1.
+type fixedTable []string
+
+func (ft fixedTable) Source(_ hbproto.Handle, b []byte) (string, hbproto.Handle) {
+	for i, id := range ft {
+		if id == string(b) {
+			return id, hbproto.Handle(i + 1)
+		}
+	}
+	return "", 0
+}

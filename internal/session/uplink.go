@@ -43,8 +43,10 @@ type Uplink struct {
 	// Register is written on every fresh connection; its ID names the
 	// sender in every Batch.
 	Register *hbproto.Register
-	// Acks returns the OnRefs of a node's slot, once per node.
-	Acks func(node string) func(dial int, refs []hbproto.Ref, at time.Time)
+	// Acks returns the OnRefs of a node's slot, once per node. The refs'
+	// sources resolve through Sources, the sender's own table, if set.
+	Acks    func(node string) func(refs []hbproto.Ref, at time.Time)
+	Sources hbproto.SourceTable
 	// Backoff is a node's first redial backoff; zero selects 50 ms.
 	Backoff time.Duration
 	// Seed seeds the backoff jitter; zero derives one from Register.ID.
@@ -65,10 +67,11 @@ type Uplink struct {
 // backoff fields; the slot's reader only raises broke.
 type upNode struct {
 	slot  Slot
-	broke atomic.Bool   // a connection broke since Send last looked
-	sent  time.Time     // the last Send that wrote to the node
-	until time.Time     // no dial before this instant
-	wait  time.Duration // the next backoff before jitter; 0 = the base
+	table hbproto.SourceTable // the uplink's Sources
+	broke atomic.Bool         // a connection broke since Send last looked
+	sent  time.Time           // the last Send that wrote to the node
+	until time.Time           // no dial before this instant
+	wait  time.Duration       // the next backoff before jitter; 0 = the base
 }
 
 // Part is one node's share of a Send. Dial numbers the connection the Send
@@ -160,8 +163,8 @@ func (u *Uplink) node(id string) *upNode {
 	if nd != nil || closed {
 		return nd
 	}
-	nd = &upNode{slot: Slot{Dial: u.Dial, Addr: id, Resolve: u.Cluster.NodeAddr, Register: u.Register}}
-	nd.slot.OnRefs, nd.slot.OnDown = u.Acks(id), func(error) { nd.broke.Store(true) }
+	nd = &upNode{slot: Slot{Dial: u.Dial, Addr: id, Resolve: u.Cluster.NodeAddr, Register: u.Register, OnRefs: u.Acks(id)}, table: u.Sources}
+	nd.slot.up = nd
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if u.closed {

@@ -112,7 +112,7 @@ func testUplink(t testing.TB, cc *cluster.Client, sn *shardNet) *Uplink {
 	u := &Uplink{
 		Cluster: cc, Dial: sn.dial,
 		Register: &hbproto.Register{ID: "agg", Role: hbproto.RoleRelay, App: "app", Period: time.Second, Expiry: time.Second},
-		Acks:     func(string) func(int, []hbproto.Ref, time.Time) { return nil },
+		Acks:     func(string) func([]hbproto.Ref, time.Time) { return nil },
 	}
 	t.Cleanup(u.Close)
 	return u

@@ -50,10 +50,10 @@ type histShard struct {
 	max    atomic.Uint64
 }
 
-func (s *histShard) record(v uint64) {
-	s.counts[bucketFor(v)].Add(1)
-	s.count.Add(1)
-	s.sum.Add(v)
+func (s *histShard) record(v, n uint64) {
+	s.counts[bucketFor(v)].Add(n)
+	s.count.Add(n)
+	s.sum.Add(v * n)
 	for {
 		old := s.max.Load()
 		if v <= old || s.max.CompareAndSwap(old, v) {
@@ -102,7 +102,7 @@ func (h *Histogram) Record(v uint64) {
 	if h == nil {
 		return
 	}
-	h.shards[int(v)%len(h.shards)].record(v)
+	h.shards[v%uint64(len(h.shards))].record(v, 1)
 }
 
 // Recorder records observations into one histogram shard.
@@ -111,11 +111,13 @@ type Recorder struct {
 }
 
 // Record adds one observation. Recording on a nil recorder is a no-op.
-func (r *Recorder) Record(v uint64) {
-	if r == nil {
-		return
+func (r *Recorder) Record(v uint64) { r.RecordN(v, 1) }
+
+// RecordN is n calls of Record(v) at the cost of one.
+func (r *Recorder) RecordN(v, n uint64) {
+	if r != nil && n > 0 {
+		r.s.record(v, n)
 	}
-	r.s.record(v)
 }
 
 // HistSnapshot is a point-in-time merge of every shard, safe to query while

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -119,5 +120,46 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	if m.Max() != 100000 {
 		t.Fatalf("merged max = %d", m.Max())
+	}
+}
+
+// TestHistogramRecordHugeValue: a value of 2⁶³ or more picks its shard
+// without turning the index negative.
+func TestHistogramRecordHugeValue(t *testing.T) {
+	for _, shards := range []int{1, 3, 8} {
+		h := NewHistogram(shards)
+		h.Record(math.MaxUint64)
+		h.Record(1 << 63)
+		if s := h.Snapshot(); s.Count() != 2 || s.Max() != math.MaxUint64 {
+			t.Fatalf("%d shards: count %d max %d after two huge values", shards, s.Count(), s.Max())
+		}
+	}
+}
+
+// TestRecordNMatchesRecord: RecordN(v, n) leaves the snapshot n calls of
+// Record(v) leave — count, sum, max and every quantile — and n = 0 or a
+// nil recorder records nothing.
+func TestRecordNMatchesRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	one, many := NewHistogram(1), NewHistogram(1)
+	r1, rn := one.Recorder(), many.Recorder()
+	for i := 0; i < 200; i++ {
+		v, n := uint64(rng.Int63n(1<<30)), uint64(rng.Intn(5))
+		for j := uint64(0); j < n; j++ {
+			r1.Record(v)
+		}
+		rn.RecordN(v, n)
+	}
+	rn.RecordN(1<<40, 0) // larger than any draw: must not become the max
+	(*Recorder)(nil).RecordN(5, 5)
+	a, b := one.Snapshot(), many.Snapshot()
+	if a.Count() != b.Count() || a.Mean() != b.Mean() || a.Max() != b.Max() {
+		t.Fatalf("RecordN: count %d mean %v max %d, Record: count %d mean %v max %d",
+			b.Count(), b.Mean(), b.Max(), a.Count(), a.Mean(), a.Max())
+	}
+	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
+		if a.Quantile(q) != b.Quantile(q) {
+			t.Fatalf("q%v: RecordN %d, Record %d", q, b.Quantile(q), a.Quantile(q))
+		}
 	}
 }
