@@ -133,6 +133,7 @@ func DefaultConfig(module string) *Config {
 				ip("internal/session") + ".Slot.Close",
 				ip("internal/session") + ".Uplink.Send",
 				ip("internal/session") + ".Uplink.Close",
+				ip("internal/session") + ".Driver.Stop",
 				ip("internal/cluster") + ".Client.Refresh",
 				ip("internal/cluster") + ".Router.Drain",
 				ip("internal/cluster") + ".Router.Evict",

@@ -209,3 +209,51 @@ func TestChaosReplayUnderFaults(t *testing.T) {
 	t.Logf("sent %d, delivered %d, timeouts %d; dropped sends %d, refused dials %d, resets %d",
 		m.Sent, m.Delivered, m.Timeouts, st.DroppedSends, st.RefusedDials, st.Resets)
 }
+
+// TestFleetUnderWriteLatency offers a 200-UE direct fleet through a
+// schedule that delays every write by 5 ms. Whatever runs the UEs' sends,
+// a send blocked in a slow write must not hold up the UEs due beside it:
+// the fleet still sends at least 95 % of what the open-loop schedule calls
+// for — one heartbeat per UE at its arrival offset and once a period after.
+func TestFleetUnderWriteLatency(t *testing.T) {
+	faults, err := faultnet.ParseSpec("seed=3,latency=5ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		ues      = 200
+		period   = 100 * time.Millisecond
+		duration = 2 * time.Second
+	)
+	r, err := New(Config{
+		UEs:      ues,
+		Profiles: []hbmsg.AppProfile{fastProfile(period)},
+		Duration: duration,
+		Faults:   faults,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A steady schedule's window is one period: UE i activates at
+	// period·i/ues.
+	scheduled := uint64(0)
+	for i := range ues {
+		offset := period * time.Duration(i) / ues
+		scheduled += uint64((duration-offset)/period) + 1
+	}
+	t.Logf("sent %d of %d scheduled (%.1f %%), acked %d, timeouts %d, %d writes delayed",
+		rep.Sent, scheduled, 100*float64(rep.Sent)/float64(scheduled), rep.Acked, rep.Timeouts, faults.Stats().Delayed)
+	if rep.Sent*100 < scheduled*95 {
+		t.Errorf("sent %d of the %d heartbeats the schedule calls for, want ≥ 95 %%", rep.Sent, scheduled)
+	}
+	if rep.Acked+rep.Timeouts != rep.Sent {
+		t.Errorf("acked %d + timeouts %d != sent %d", rep.Acked, rep.Timeouts, rep.Sent)
+	}
+	if faults.Stats().Delayed == 0 {
+		t.Fatal("no write was delayed: the latency fault never fired")
+	}
+}

@@ -161,12 +161,14 @@ type fleetCounters struct {
 }
 
 // loadUnit is one independently scheduled slice of the fleet: a UE, or a
-// trunk multiplexing many of them over one connection. Run offers load
-// after the arrival offset until done closes; the drain then sweeps what
-// is in flight, and Shutdown writes off the rest and closes the unit.
+// trunk multiplexing many of them over one connection. Begin anchors its
+// schedule at its arrival instant and says when to step it first; the
+// run's one session.Driver steps every unit until the offer ends. The
+// drain then sweeps what is in flight, and Shutdown writes off the rest
+// and closes the unit.
 type loadUnit interface {
-	Run(done <-chan struct{}, offset time.Duration)
-	Sweep(now time.Time)
+	session.Unit
+	Begin(first time.Time) time.Time
 	InFlight() int
 	Shutdown()
 }
@@ -305,17 +307,11 @@ func (r *Runner) Run() (Report, error) {
 	}
 	r.expose()
 
-	genDone := make(chan struct{})
-	var sendWg sync.WaitGroup
+	drv := relaynet.NewDriver()
 	start := r.startClock()
-	window := r.arrivalWindow()
-	sched := Schedule{Shape: r.cfg.Arrival.Shape, Window: window}
+	sched := Schedule{Shape: r.cfg.Arrival.Shape, Window: r.arrivalWindow()}
 	for i, u := range r.units {
-		sendWg.Add(1)
-		go func(u loadUnit, offset time.Duration) {
-			defer sendWg.Done()
-			u.Run(genDone, offset)
-		}(u, sched.StartOffset(i, len(r.units)))
+		drv.Add(u, u.Begin(start.Add(sched.StartOffset(i, len(r.units)))))
 	}
 
 	stopReports := make(chan struct{})
@@ -338,8 +334,7 @@ func (r *Runner) Run() (Report, error) {
 	}
 
 	time.Sleep(r.cfg.Duration)
-	close(genDone)
-	sendWg.Wait()
+	drv.Stop()
 	genElapsed := time.Since(start)
 	close(stopReports)
 	repWg.Wait()

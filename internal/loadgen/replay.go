@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"d2dhb/internal/faultnet"
@@ -99,18 +98,14 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 		return rec.Metrics{}, err
 	}
 
-	var sendWg sync.WaitGroup
+	drv := relaynet.NewDriver()
 	start := r.startClock()
 	for _, u := range units {
-		u.start = start
 		r.units = append(r.units, u)
-		sendWg.Add(1)
-		go func(u *replayUnit) {
-			defer sendWg.Done()
-			u.Run(nil, 0)
-		}(u)
+		drv.Add(u, u.Begin(start))
 	}
-	sendWg.Wait()
+	drv.Wait()
+	drv.Stop()
 	r.drain()
 	uplinks := r.counters.trunkWrites.Load()
 	for _, u := range units {
@@ -134,13 +129,14 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 	return m, nil
 }
 
-// replayUnit is a UE or trunk whose Run walks a finite recorded schedule
+// replayUnit is a UE or trunk stepped through a finite recorded schedule
 // instead of a period: each step sweeps the unit, then hands it the step's
-// heartbeats.
+// heartbeats, and the last one retires it.
 type replayUnit struct {
 	loadUnit
 	start time.Time // the replay's t=0
 	steps []replayStep
+	next  int // the next step's index
 	send  func(refs []session.Key, now time.Time)
 }
 
@@ -151,15 +147,20 @@ type replayStep struct {
 	refs []session.Key
 }
 
-func (u *replayUnit) Run(<-chan struct{}, time.Duration) {
-	for _, s := range u.steps {
-		if d := time.Until(u.start.Add(s.at)); d > 0 {
-			time.Sleep(d)
-		}
-		now := time.Now()
-		u.Sweep(now)
-		u.send(s.refs, now)
+// Begin takes the replay's t=0 and returns the first step's instant.
+func (u *replayUnit) Begin(start time.Time) time.Time {
+	u.start = start
+	return start.Add(u.steps[0].at)
+}
+
+// Step replays the next recorded step.
+func (u *replayUnit) Step(now time.Time) (time.Time, bool) {
+	u.Sweep(now)
+	u.send(u.steps[u.next].refs, now)
+	if u.next++; u.next == len(u.steps) {
+		return time.Time{}, false
 	}
+	return u.start.Add(u.steps[u.next].at), true
 }
 
 // replayUnits splits the timeline's sends into units, in the order of each

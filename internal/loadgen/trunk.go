@@ -71,13 +71,16 @@ type trunk struct {
 	// (0 disables pacing: the whole fleet bursts at once); see paced.
 	paceSlots int
 
-	// State owned by the send path. run() is the only sender while load
-	// is offered and drain() sweeps only after the send loop has exited
-	// (sendWg.Wait precedes it), so no lock is needed.
+	// State owned by the send path. Step is the only sender while load is
+	// offered (the driver never sweeps a trunk beside it, see Lapse) and
+	// drain() sweeps only after the driver has stopped, so no lock is
+	// needed.
 	up    session.Uplink // one slot per shard; jitter seeded from id
 	fresh []session.Key  // one emission's new heartbeats
 	view  *cluster.View  // the view owner was filled under
 	owner []int32        // user → owning node index + 1 under view; 0 = not resolved yet
+	tick  time.Time      // the next sub-tick's instant
+	slot  int            // the next sub-tick's pace slot
 
 	mu      sync.Mutex
 	users   []tuser
@@ -85,33 +88,35 @@ type trunk struct {
 	closed  bool
 }
 
-// Run is the send loop: activate after the arrival offset, then batch one
-// heartbeat per user every period until the run stops. With pacing enabled
-// the period is divided into paceSlots sub-ticks and each user's emission
-// lands in the sub-tick of its index block — every user still sends
-// exactly once per period (the open-loop schedule is preserved), only the
-// intra-period phase changes, which flattens the per-period burst the
-// server would otherwise absorb all at once.
-func (t *trunk) Run(done <-chan struct{}, offset time.Duration) {
-	if offset > 0 {
-		select {
-		case <-done:
-			return
-		case <-time.After(offset):
-		}
-	}
-	slots := max(t.paceSlots, 1) // unpaced, a period is one sub-tick
-	tick := time.NewTicker(t.period / time.Duration(slots))
-	defer tick.Stop()
-	for slot := 0; ; slot = (slot + 1) % slots {
-		t.tickSlot(slot)
-		select {
-		case <-done:
-			return
-		case <-tick.C:
-		}
-	}
+// Begin anchors the trunk's sub-ticks at first, its first one then.
+func (t *trunk) Begin(first time.Time) time.Time {
+	t.tick, t.slot = first, 0
+	return first
 }
+
+// Step is one sub-tick of the send loop: batch one heartbeat per user of
+// the sub-tick's pace slot, and return the next sub-tick's instant. With
+// pacing enabled the period is divided into paceSlots sub-ticks and each
+// user's emission lands in the sub-tick of its index block — every user
+// still sends exactly once per period (the open-loop schedule is
+// preserved), only the intra-period phase changes, which flattens the
+// per-period burst the server would otherwise absorb all at once. A
+// sub-tick held up past later ones drops them, as a time.Ticker would.
+func (t *trunk) Step(time.Time) (time.Time, bool) {
+	slots := max(t.paceSlots, 1) // unpaced, a period is one sub-tick
+	t.tickSlot(t.slot)
+	t.slot = (t.slot + 1) % slots
+	every := t.period / time.Duration(slots)
+	t.tick = t.tick.Add(every)
+	if late := time.Since(t.tick); late >= 0 {
+		t.tick = t.tick.Add((late/every + 1) * every)
+	}
+	return t.tick, true
+}
+
+// Lapse reports nothing in flight: a trunk applies its loss policy in its
+// own step, on pace slot 0, so the driver never sweeps it beside one.
+func (t *trunk) Lapse() (time.Time, bool) { return time.Time{}, false }
 
 // tickSlot is one sub-tick: emit the users assigned to this slot, after
 // expiring and re-sending stale pendings on slot 0 — once per period, so

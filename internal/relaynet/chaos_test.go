@@ -110,6 +110,18 @@ func assertMonotonicAcks(t *testing.T, rec *trace.Recorder) {
 func startChaosUE(t *testing.T, rec *trace.Recorder, id, relayAddr, serverAddr string,
 	period, expiry, feedback time.Duration, dial func(string, string) (net.Conn, error)) *UEClient {
 	t.Helper()
+	u := newChaosUE(t, rec, id, relayAddr, serverAddr, period, expiry, feedback, dial)
+	if err := u.Start(); err != nil {
+		t.Fatalf("ue %s Start: %v", id, err)
+	}
+	return u
+}
+
+// newChaosUE builds one traced UE client, shut down at cleanup, and leaves
+// running it to the caller.
+func newChaosUE(t *testing.T, rec *trace.Recorder, id, relayAddr, serverAddr string,
+	period, expiry, feedback time.Duration, dial func(string, string) (net.Conn, error)) *UEClient {
+	t.Helper()
 	cfg := ueConfig(id, relayAddr, serverAddr, period, expiry)
 	cfg.FeedbackTimeout = feedback
 	cfg.Tracer = rec
@@ -117,9 +129,6 @@ func startChaosUE(t *testing.T, rec *trace.Recorder, id, relayAddr, serverAddr s
 	u, err := NewUEClient(cfg)
 	if err != nil {
 		t.Fatalf("NewUEClient(%s): %v", id, err)
-	}
-	if err := u.Start(); err != nil {
-		t.Fatalf("ue %s Start: %v", id, err)
 	}
 	t.Cleanup(u.Shutdown)
 	return u
@@ -242,7 +251,10 @@ func TestChaosServerPartitionDuringFlush(t *testing.T) {
 
 // TestChaosSlowLorisRelay throttles one UE's link to the relay down to a
 // trickle: that UE must recover over the fallback path while a healthy UE
-// on the same relay keeps relaying unaffected.
+// on the same relay keeps relaying unaffected. Both run on one driver, so
+// the slow UE's step blocks for seconds inside the write the healthy UE's
+// steps must not wait behind, and its fallback comes from the driver's
+// sweep of a blocked unit.
 func TestChaosSlowLorisRelay(t *testing.T) {
 	var rec trace.Recorder
 	s := NewServer()
@@ -285,15 +297,48 @@ func TestChaosSlowLorisRelay(t *testing.T) {
 		return net.Dial(network, addr)
 	}
 
-	slow := startChaosUE(t, &rec, "loris-slow", r.Addr(), s.Addr(), period, expiry, feedback, d2dOnly)
-	fast := startChaosUE(t, &rec, "loris-fast", r.Addr(), s.Addr(), period, expiry, feedback, nil)
+	slow := newChaosUE(t, &rec, "loris-slow", r.Addr(), s.Addr(), period, expiry, feedback, d2dOnly)
+	fast := newChaosUE(t, &rec, "loris-fast", r.Addr(), s.Addr(), period, expiry, feedback, nil)
+	drv := NewDriver()
+	t.Cleanup(func() {
+		slow.closeLinks() // the slow step returns from its write
+		drv.Stop()
+	})
+	// The slow UE comes first: it wins the tie at the shared first instant.
+	start := time.Now()
+	drv.Add(slow, slow.Begin(start))
+	drv.Add(fast, fast.Begin(start))
 
 	eventually(t, 4*time.Second, func() bool { return fast.Stats().FeedbackAcks >= 2 },
 		"healthy UE keeps relaying beside the slow-loris")
+	// The slow UE's register frame alone trickles out for a second; a
+	// healthy UE stepped behind it would have sent about one heartbeat in
+	// that time, not one a period.
+	if sent, want := fast.Stats().ViaRelay, uint32(time.Since(start)/period)/2; sent < want {
+		t.Errorf("healthy UE sent %d heartbeats via the relay in %v, want ≥ %d at a %v period",
+			sent, time.Since(start).Round(time.Millisecond), want, period)
+	}
 	eventually(t, 4*time.Second, func() bool {
 		st := slow.Stats()
 		return st.FallbackResends >= 1 || st.Direct >= 1
 	}, "slow-loris UE recovered via direct path")
+	// Its register and first heartbeat take seconds to trickle out; the
+	// fallback comes from the driver's sweep while the write is stuck.
+	first := func(kind trace.Kind) (atMs int64, ok bool) {
+		for _, ev := range rec.ByKind(kind) {
+			if ev.Device == "loris-slow" {
+				return ev.AtMs, true
+			}
+		}
+		return 0, false
+	}
+	fellBack, ok := first(trace.KindFallback)
+	if !ok {
+		t.Fatal("the slow-loris UE never fell back")
+	}
+	if relayed, ok := first(trace.KindD2DSend); ok && relayed <= fellBack {
+		t.Errorf("the slow-loris UE fell back %d ms after its first relay write returned, want while it was stuck", fellBack-relayed)
+	}
 
 	assertEventuallyAllDelivered(t, &rec, 6*time.Second)
 	assertNoDuplicateAcks(t, &rec)

@@ -2,9 +2,14 @@ package relaynet
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
+
+	"d2dhb/internal/hbproto"
 )
 
 // TestDirectUEFootprint pins what one connected direct UE holds on the live
@@ -58,5 +63,67 @@ func TestDirectUEFootprint(t *testing.T) {
 		per, (float64(stack1)-float64(stack0))/ues)
 	if per > ceiling {
 		t.Errorf("a connected direct UE holds %.0f B of live heap, ceiling %d", per, ceiling)
+	}
+}
+
+// sinkConn swallows writes and produces no input until it is closed.
+type sinkConn struct {
+	net.Conn // nil: only the methods below are ever called
+	closed   chan struct{}
+	once     sync.Once
+}
+
+func newSinkConn() *sinkConn { return &sinkConn{closed: make(chan struct{})} }
+
+func (c *sinkConn) Write(b []byte) (int, error) { return len(b), nil }
+func (c *sinkConn) Read([]byte) (int, error)    { <-c.closed; return 0, io.EOF }
+func (c *sinkConn) Close() error                { c.once.Do(func() { close(c.closed) }); return nil }
+
+// TestUESendZeroAllocs pins a UE's send on a connected slot at zero
+// allocations, direct and through a relay: the wire heartbeat is pooled,
+// the pending entry is the table's inline one and the encode buffer the
+// slot's pooled one. A fleet sends thousands a second.
+func TestUESendZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun counts the race runtime's allocations")
+	}
+	for _, c := range []struct {
+		name  string
+		relay string
+	}{{"direct", ""}, {"relayed", "relay"}} {
+		t.Run(c.name, func(t *testing.T) {
+			conn := newSinkConn()
+			u, err := NewUEClient(UEClientConfig{
+				ID: "ue-alloc", Apps: []UEApp{{Name: "std", Period: time.Second, Expiry: time.Second, Pad: 54}},
+				RelayAddr: c.relay, ServerAddr: "server",
+				Dial: func(string, string) (net.Conn, error) { return conn, nil },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(u.Shutdown)
+			ack := u.onAck
+			if c.relay != "" {
+				ack = u.onFeedback
+			}
+			refs := []hbproto.Ref{{Src: "ue-alloc"}}
+			seq := uint64(0)
+			send := func() {
+				seq++
+				now := time.Now()
+				u.Send(0, seq, now)
+				refs[0].Seq = seq
+				ack(refs, now)
+			}
+			send() // connects
+			const runs = 200
+			if allocs := testing.AllocsPerRun(runs, send); allocs > 0 {
+				t.Errorf("a %s send allocates %.2f times, want 0", c.name, allocs)
+			}
+			st := u.Stats()
+			if sent := st.Direct + st.ViaRelay; sent != runs+2 || st.Acked != sent || u.InFlight() != 0 {
+				t.Fatalf("stats = %+v, want %d sends, each acknowledged", st, runs+2)
+			}
+		})
 	}
 }

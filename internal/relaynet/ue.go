@@ -126,13 +126,13 @@ type UEClientStats struct {
 }
 
 // ueExtra is what only some UEs use, behind one pointer so that a fleet
-// UE without any of it — one app, no tracer, a loop its owner runs — stays
-// one small allocation.
+// UE without any of it — one app, no tracer, a driver its owner runs —
+// stays one small allocation.
 type ueExtra struct {
 	more   []session.Pending // apps[1:]'s heartbeats in flight, by seq
+	due    []time.Duration   // apps[1:]'s next due instants, as UEClient.due
 	tracer trace.Tracer
-	done   chan struct{} // closes the loop Start runs
-	loop   sync.WaitGroup
+	drv    *session.Driver // the one-unit driver Start runs the UE on
 }
 
 // UEClient is the paper's UE on the live stack: it emits each app's
@@ -144,10 +144,12 @@ type ueExtra struct {
 // so the client measures each heartbeat's latency and counts every one it
 // loses.
 //
-// Start runs the UE's loop on a goroutine of its own; a fleet runs each
-// UE's loop itself (Run, with an arrival offset), and a replay drives Send
-// directly. Either way one goroutine sends, and the client's connections'
-// readers settle acknowledgements beside it.
+// The UE is a session.Unit: its Step is one turn of its heartbeat loop.
+// Start runs it on a driver of its own; a fleet puts all its UEs on one
+// driver (Begin, then Driver.Add), and a replay drives Send directly.
+// Either way one goroutine at a time steps or sends; the driver's monitor
+// may sweep beside a step stalled on the relay link, and the client's
+// connections' readers settle acknowledgements beside both.
 type UEClient struct {
 	id      string
 	apps    []UEApp
@@ -159,17 +161,20 @@ type UEClient struct {
 	x       *ueExtra // set before the UE goes live: by NewUEClient or Start
 
 	// primary is a relayed UE's link to its relay and a direct UE's link to
-	// its owning shard; only the sending goroutine writes on it.
+	// its owning shard; only Step and Send write on it (a sweep resends on
+	// the fallback link).
 	primary session.Slot
+
+	// due is apps[0]'s next due instant, as an offset from gridEpoch; only
+	// the stepping goroutine touches it.
+	due time.Duration
 
 	mu       sync.Mutex
 	fallback *session.Slot   // a relayed UE's link to its owning shard, opened on first use
-	stall    *time.Timer     // a relayed UE's watchdog, armed while the relay is dialled or written
 	pending  session.Pending // apps[0]'s heartbeats in flight, by seq
 	last     uint64          // highest acknowledged seq
 	n        UEClientStats
 	tidx     int32 // RecorderIndex
-	relaying bool  // a relay dial or write is under way
 	closed   bool
 }
 
@@ -191,7 +196,10 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 	}
 	relayed := cfg.RelayAddr != "" || len(cfg.FallbackRelayAddrs) > 0
 	if len(cfg.Apps) > 1 || cfg.Tracer != nil {
-		u.x = &ueExtra{more: make([]session.Pending, len(cfg.Apps)-1), tracer: cfg.Tracer}
+		u.x = &ueExtra{
+			more: make([]session.Pending, len(cfg.Apps)-1), due: make([]time.Duration, len(cfg.Apps)-1),
+			tracer: cfg.Tracer,
+		}
 		for i := range u.x.more {
 			u.x.more[i].Fallback = relayed
 		}
@@ -235,24 +243,21 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 	return u, nil
 }
 
-// Start runs the UE's loop on a goroutine of its own until Shutdown. The
-// first heartbeat of every app goes out at once.
+// Start runs the UE on a one-unit session.Driver of its own until
+// Shutdown. The first heartbeat of every app goes out at once.
 func (u *UEClient) Start() error {
 	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.closed || u.x != nil && u.x.done != nil {
+	if u.closed || u.x != nil && u.x.drv != nil {
+		u.mu.Unlock()
 		return errors.New("relaynet: ue already started or shut down")
 	}
 	if u.x == nil {
 		u.x = new(ueExtra)
 	}
-	x := u.x
-	x.done = make(chan struct{})
-	x.loop.Add(1)
-	go func() {
-		defer x.loop.Done()
-		u.Run(x.done, 0)
-	}()
+	drv := NewDriver()
+	u.x.drv = drv
+	u.mu.Unlock()
+	drv.Add(u, u.Begin(time.Now()))
 	return nil
 }
 
@@ -274,9 +279,9 @@ func (u *UEClient) InFlight() int {
 	return n
 }
 
-// Shutdown stops the loop Start runs, closes the UE's links and writes off
-// every heartbeat still in flight as timed out. A loop the caller runs
-// must have returned first. Shutdown is idempotent.
+// Shutdown stops the driver Start runs, closes the UE's links and writes
+// off every heartbeat still in flight as timed out. A driver the caller
+// runs the UE on must have stopped first. Shutdown is idempotent.
 func (u *UEClient) Shutdown() {
 	u.mu.Lock()
 	if u.closed {
@@ -286,19 +291,15 @@ func (u *UEClient) Shutdown() {
 	u.closed = true
 	x := u.x
 	u.mu.Unlock()
-	if x != nil && x.done != nil {
-		close(x.done)
+	if x != nil && x.drv != nil {
 		u.closeLinks() // a send blocked on a link returns
-		x.loop.Wait()
+		x.drv.Stop()
 	}
-	u.closeLinks() // again: the loop may have opened the fallback meanwhile
+	u.closeLinks() // again: a step may have opened the fallback meanwhile
 	u.mu.Lock()
 	now := time.Now()
 	for i := range u.apps {
 		u.timedOut(u.table(i).Drain(), now)
-	}
-	if u.stall != nil {
-		u.stall.Stop()
 	}
 	u.mu.Unlock()
 }
@@ -325,6 +326,11 @@ func (u *UEClient) closeLinks() {
 // averages out: the sends due within one grain go out together.
 const sendGrain = 10 * time.Millisecond
 
+// NewDriver returns a session.Driver on the send grid's grain: a step may
+// block, and due work wait behind it, one grain before the driver's
+// monitor steps in. A UE fleet and the units beside it run on one.
+func NewDriver() *session.Driver { return session.NewDriver(sendGrain) }
+
 // gridEpoch anchors the grid; it carries a monotonic reading, so the grid
 // does not move with the wall clock.
 var gridEpoch = time.Now()
@@ -345,46 +351,69 @@ func nextDue(due time.Time, period time.Duration, now time.Time) time.Time {
 	return due
 }
 
-// Run is the UE's heartbeat loop: every app heartbeats first offset from
-// now and then once a period, until done closes. Each wake-up sweeps the
-// heartbeats in flight before it sends, and the loop also wakes when an ack
-// window lapses between sends, so a fallback is never held back by a long
-// period. Heartbeats are numbered across apps, which keeps feedback refs
-// unambiguous. The links' readers outlive the loop, so a drain can still
-// collect acknowledgements after it returns.
-func (u *UEClient) Run(done <-chan struct{}, offset time.Duration) {
-	first := time.Now().Add(offset)
-	due := make([]time.Time, len(u.apps))
-	for i := range due {
-		due[i] = first
+// Begin anchors every app's schedule at first — its first heartbeat is
+// due then, and one a period after — and returns the instant to step the
+// UE at first: first, moved back onto the send grid.
+func (u *UEClient) Begin(first time.Time) time.Time {
+	d := first.Sub(gridEpoch)
+	u.due = d
+	if u.x != nil {
+		for i := range u.x.due {
+			u.x.due[i] = d
+		}
 	}
-	t := time.NewTimer(time.Until(u.wake(due)))
-	defer t.Stop()
-	var seq uint64
-	for {
-		select {
-		case <-done:
-			return
-		case <-t.C:
+	return onGrid(first)
+}
+
+// Step is one turn of the UE's heartbeat loop, for a session.Driver: it
+// sweeps the heartbeats in flight, sends every app due by now on the grid,
+// and returns the UE's next wake-up — the earliest app due, or the grid
+// instant after the earliest ack window lapses, so a fallback is never
+// held back by a long period. Heartbeats are numbered across apps, one
+// more than the UE has generated, which keeps feedback refs unambiguous.
+// more is false once the UE is shut down. The links' readers outlive the
+// steps, so a drain can still collect acknowledgements after the last one.
+func (u *UEClient) Step(now time.Time) (next time.Time, more bool) {
+	u.mu.Lock()
+	seq, closed := uint64(u.n.Generated), u.closed
+	u.mu.Unlock()
+	if closed {
+		return time.Time{}, false
+	}
+	u.Sweep(now)
+	for i := range u.apps {
+		due := u.dueAt(i)
+		if now := time.Now(); !onGrid(due).After(now) {
+			seq++
+			u.Send(i, seq, now)
+			u.setDue(i, nextDue(due, u.apps[i].Period, time.Now()))
 		}
-		u.Sweep(time.Now())
-		for i := range due {
-			if now := time.Now(); !onGrid(due[i]).After(now) {
-				seq++
-				u.Send(i, seq, now)
-				due[i] = nextDue(due[i], u.apps[i].Period, time.Now())
-			}
-		}
-		t.Reset(time.Until(u.wake(due)))
+	}
+	return u.wake(), true
+}
+
+// dueAt and setDue read and write app i's next due instant.
+func (u *UEClient) dueAt(i int) time.Time {
+	if i == 0 {
+		return gridEpoch.Add(u.due)
+	}
+	return gridEpoch.Add(u.x.due[i-1])
+}
+
+func (u *UEClient) setDue(i int, t time.Time) {
+	if i == 0 {
+		u.due = t.Sub(gridEpoch)
+	} else {
+		u.x.due[i-1] = t.Sub(gridEpoch)
 	}
 }
 
-// wake is when the loop next has work: the earliest app due, on the grid,
+// wake is when the UE next has work: the earliest app due, on the grid,
 // or the first grid instant after the earliest ack window in flight lapses.
-func (u *UEClient) wake(due []time.Time) time.Time {
-	next := onGrid(due[0])
-	for _, d := range due[1:] {
-		if g := onGrid(d); g.Before(next) {
+func (u *UEClient) wake() time.Time {
+	next := onGrid(u.dueAt(0))
+	for i := 1; i < len(u.apps); i++ {
+		if g := onGrid(u.dueAt(i)); g.Before(next) {
 			next = g
 		}
 	}
@@ -397,7 +426,15 @@ func (u *UEClient) wake(due []time.Time) time.Time {
 	return next
 }
 
-// lapse returns when the earliest ack window in flight closes (u.mu held).
+// Lapse returns when the earliest ack window in flight closes: the driver
+// sweeps the UE then if its step is still blocked on a relay link.
+func (u *UEClient) Lapse() (at time.Time, ok bool) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.lapse()
+}
+
+// lapse is Lapse with u.mu held.
 func (u *UEClient) lapse() (at time.Time, ok bool) {
 	for i := range u.apps {
 		if opened, in := u.table(i).Oldest(); in {
@@ -425,7 +462,7 @@ func (u *UEClient) Send(app int, seq uint64, now time.Time) {
 	u.mu.Unlock()
 	u.emit(trace.KindGenerated, hb.App, seq, now)
 	if u.relayed() {
-		if up, err := u.viaRelay(hb); up {
+		if up, err := u.viaRelay(&hb); up {
 			u.mu.Lock()
 			if err != nil {
 				u.n.WriteErrors++
@@ -441,7 +478,7 @@ func (u *UEClient) Send(app int, seq uint64, now time.Time) {
 			return
 		}
 	}
-	u.sendDirect(hb, false)
+	u.sendDirect(&hb, false)
 }
 
 // relayed reports whether the UE forwards through a relay: only its relay
@@ -449,12 +486,10 @@ func (u *UEClient) Send(app int, seq uint64, now time.Time) {
 func (u *UEClient) relayed() bool { return u.primary.Register != nil }
 
 // viaRelay makes sure the relay link is up and writes hb on it. up is
-// false when no relay could be dialled. The watchdog is armed meanwhile:
-// a relay link stalled mid-dial or mid-frame must not hold up the
-// fallback of the heartbeats already waiting on their windows.
+// false when no relay could be dialled. A relay link stalled mid-dial or
+// mid-frame blocks the step, not the fallback of the heartbeats already
+// waiting on their windows: the driver sweeps the UE at each lapse.
 func (u *UEClient) viaRelay(hb *hbproto.Heartbeat) (up bool, err error) {
-	u.watch()
-	defer u.unwatch()
 	dialed, err := u.primary.Connect()
 	if dialed {
 		u.mu.Lock()
@@ -464,47 +499,22 @@ func (u *UEClient) viaRelay(hb *hbproto.Heartbeat) (up bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	_, err = u.primary.Send(hb)
-	return true, err
+	return true, sendFrame(&u.primary, hb)
 }
 
-// watch arms the watchdog for the earliest ack window in flight; the
-// heartbeat about to be written is in flight already.
-func (u *UEClient) watch() {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.relaying = true
-	at, _ := u.lapse()
-	if u.stall == nil {
-		u.stall = time.AfterFunc(time.Until(at), u.onStall)
-	} else {
-		u.stall.Reset(time.Until(at))
-	}
-}
+// wirePool lends a send its wire heartbeat: the message escapes through
+// Slot.Send's Message interface, so one of the sender's own would cost a
+// heap allocation per send.
+var wirePool = sync.Pool{New: func() any { return new(hbproto.Heartbeat) }}
 
-// unwatch disarms the watchdog once the relay call has returned.
-func (u *UEClient) unwatch() {
-	u.mu.Lock()
-	u.relaying = false
-	u.stall.Stop()
-	u.mu.Unlock()
-}
-
-// onStall is the watchdog: a relay dial or write has outlasted an ack
-// window, so it sweeps in the sending goroutine's place, and re-arms for
-// the next window for as long as the relay call lasts.
-func (u *UEClient) onStall() {
-	u.mu.Lock()
-	stalled := u.relaying
-	u.mu.Unlock()
-	if stalled {
-		u.Sweep(time.Now())
-	}
-	u.mu.Lock()
-	if at, ok := u.lapse(); ok && u.relaying {
-		u.stall.Reset(time.Until(at))
-	}
-	u.mu.Unlock()
+// sendFrame writes hb on s from a pooled copy.
+func sendFrame(s *session.Slot, hb *hbproto.Heartbeat) error {
+	m := wirePool.Get().(*hbproto.Heartbeat)
+	*m = *hb
+	_, err := s.Send(m)
+	*m = hbproto.Heartbeat{}
+	wirePool.Put(m)
+	return err
 }
 
 // directSlot returns the link to the UE's owning shard: a direct UE's
@@ -536,7 +546,7 @@ func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, fallback bool) {
 			u.mu.Unlock()
 			return
 		}
-		if _, err = s.Send(hb); err == nil {
+		if err = sendFrame(s, hb); err == nil {
 			break
 		}
 	}
@@ -563,7 +573,7 @@ func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, fallback bool) {
 // relayed — keeping its first send's origin, so its expiry T_k still
 // counts from generation — and is written off as timed out otherwise.
 func (u *UEClient) Sweep(now time.Time) {
-	var resend []*hbproto.Heartbeat
+	var resend []hbproto.Heartbeat
 	u.mu.Lock()
 	for i := range u.apps {
 		p := u.table(i)
@@ -575,8 +585,8 @@ func (u *UEClient) Sweep(now time.Time) {
 		}
 	}
 	u.mu.Unlock()
-	for _, hb := range resend {
-		u.sendDirect(hb, true)
+	for i := range resend {
+		u.sendDirect(&resend[i], true)
 	}
 }
 
@@ -623,9 +633,9 @@ func (u *UEClient) settle(refs []hbproto.Ref, at time.Time, feedback bool) {
 }
 
 // heartbeat is app i's heartbeat seq, generated at origin.
-func (u *UEClient) heartbeat(i int, seq uint64, origin time.Time) *hbproto.Heartbeat {
+func (u *UEClient) heartbeat(i int, seq uint64, origin time.Time) hbproto.Heartbeat {
 	a := &u.apps[i]
-	return &hbproto.Heartbeat{
+	return hbproto.Heartbeat{
 		Src: u.id, Seq: seq, App: a.Name,
 		Origin: origin, Expiry: a.Expiry, Pad: a.Pad,
 	}

@@ -3,7 +3,6 @@ package relaynet
 import (
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -70,20 +69,15 @@ func TestSendsShareTheGrid(t *testing.T) {
 		fleet[i] = u
 	}
 	// Arrival offsets spread one period evenly over the fleet, as a steady
-	// load-generator schedule does.
-	done := make(chan struct{})
-	var loops sync.WaitGroup
-	recorder.Start(time.Now(), 0)
+	// load-generator schedule does; one driver runs them all.
+	drv := NewDriver()
+	start := time.Now()
+	recorder.Start(start, 0)
 	for i, u := range fleet {
-		loops.Add(1)
-		go func() {
-			defer loops.Done()
-			u.Run(done, period*time.Duration(i)/ues)
-		}()
+		drv.Add(u, u.Begin(start.Add(period*time.Duration(i)/ues)))
 	}
 	time.Sleep(duration)
-	close(done)
-	loops.Wait()
+	drv.Stop()
 	eventually(t, 2*time.Second, func() bool {
 		n := 0
 		for _, u := range fleet {
