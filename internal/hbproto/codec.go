@@ -99,7 +99,7 @@ type IDStats struct {
 // no order to exploit decodes as before. Other strings (App, Relay) repeat
 // back to back and are checked against the last one returned.
 type internTable struct {
-	table SourceTable       // the owner's sources; when set, strs stays empty
+	table SourceTable       // the owner's sources; when set, strs stays nil
 	strs  []string          // handle → canonical source ID; strs[0] is unused
 	next  []Handle          // next[h]: the source that followed source h last time
 	prev  Handle            // the last source decoded (0: none, or not interned)
@@ -111,21 +111,21 @@ type internTable struct {
 	stats IDStats
 }
 
-// defaultInternCap bounds distinct strings cached per connection. A server
-// reading a trunk link sees tens of thousands of UE IDs; a full table of
-// 14-byte IDs is ~7 MB (string header, bytes, index slot and successor per
-// entry), and a one-ID connection pays for the entries it uses only.
+// defaultInternCap bounds distinct strings cached per connection. A reader
+// with no SourceTable that faces tens of thousands of IDs (a relay's
+// upstream acks, a test client of a trunk-sized link) stops at a full table
+// of 14-byte IDs, ~7 MB (string header, bytes, index slot and successor per
+// entry); a one-ID connection pays for the entries it uses only.
 const defaultInternCap = 128 << 10
 
 func newInternTable(max int, table SourceTable) *internTable {
 	if max <= 0 {
 		max = defaultInternCap
 	}
-	// Room for one source without growing: most connections carry one.
-	return &internTable{table: table, strs: make([]string, 1, 2), next: make([]Handle, 1, 2), max: max}
+	return &internTable{table: table, max: max}
 }
 
-func (t *internTable) full() bool { return len(t.strs)-1+len(t.other) >= t.max }
+func (t *internTable) full() bool { return max(len(t.strs)-1, 0)+len(t.other) >= t.max }
 
 // get interns a string that is not a source ID.
 func (t *internTable) get(b []byte) string {
@@ -158,6 +158,11 @@ func (t *internTable) src(b []byte) (string, Handle) {
 			s = string(b)
 		}
 		return s, h
+	}
+	if t.strs == nil {
+		// The first source: room for one more without growing, since most
+		// connections carry one.
+		t.strs, t.next = make([]string, 1, 2), make([]Handle, 1, 2)
 	}
 	if g := t.next[t.prev]; g != 0 && t.strs[g] == string(b) {
 		t.stats.GuessHits++
@@ -248,7 +253,9 @@ func NewTableReader(r io.Reader, table SourceTable) *FrameReader {
 	return &FrameReader{r: br, intern: newInternTable(0, table)}
 }
 
-// IDStats returns the reader's running source-ID resolution counts.
+// IDStats returns the reader's running source-ID resolution counts. A
+// reader over a SourceTable counts nothing and reads 0/0: its table
+// resolves every source, and counts for itself if it wants counts.
 func (fr *FrameReader) IDStats() IDStats { return fr.intern.stats }
 
 // Buffered reports how many bytes beyond the current frame are already

@@ -601,8 +601,11 @@ func TestFrameReaderSourceTable(t *testing.T) {
 	if want := []Handle{0, 3, 0, 1}; !reflect.DeepEqual(tb.after, want) {
 		t.Fatalf("the table was told the previous handles %v, want %v", tb.after, want)
 	}
-	if n := len(fr.intern.strs) - 1; n != 0 {
-		t.Fatalf("the reader interned %d sources of its own", n)
+	if fr.intern.strs != nil || fr.intern.next != nil {
+		t.Fatalf("the reader holds intern columns of its own: %d sources, %d successors", len(fr.intern.strs), len(fr.intern.next))
+	}
+	if st := fr.IDStats(); st != (IDStats{}) {
+		t.Fatalf("a table reader counted %+v: its table resolves every source", st)
 	}
 }
 

@@ -83,8 +83,10 @@ func reportPerHB(b *testing.B, hbs int) func() {
 // own: one connection offers 200k clients in 4096-heartbeat batches, the
 // same IDs in the same order every period, and waits for every ack. An
 // iteration is one period; the cold first period is spent before the
-// timer starts. 200k sources on one connection is past the decoder's
-// intern cap, so the tail of every period runs the handle-0 fallback.
+// timer starts. The server resolves every source through its presence
+// rows, so no cap applies there; the link's own ack reader interns, and
+// 200k sources are past its cap, so the tail of every period's acks
+// decodes to a fresh string (the allocations per heartbeat left).
 func BenchmarkServerBatch200k(b *testing.B) {
 	const clients = 200_000
 	period := batchPeriod(b, clients)

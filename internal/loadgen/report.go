@@ -306,10 +306,10 @@ func (rep Report) String() string {
 	b.WriteByte('\n')
 	b.WriteString(rep.LatencyTable().String())
 	if rep.Server != nil {
-		fmt.Fprintf(&b, "\nserver: conns=%d direct=%d relayed=%d batches=%d late=%d protoErrs=%d idleDrops=%d idCache=%d/%d idGuess=%d/%d (hits/misses)\n",
+		fmt.Fprintf(&b, "\nserver: conns=%d direct=%d relayed=%d batches=%d late=%d protoErrs=%d idleDrops=%d idGuess=%d/%d (hits/misses)\n",
 			rep.Server.Connections, rep.Server.HeartbeatsDirect, rep.Server.HeartbeatsRelayed,
 			rep.Server.Batches, rep.Server.Late, rep.Server.ProtocolErrors, rep.Server.IdleDrops,
-			rep.Server.IDCacheHits, rep.Server.IDCacheMisses, rep.Server.IDGuessHits, rep.Server.IDGuessMisses)
+			rep.Server.IDGuessHits, rep.Server.IDGuessMisses)
 	}
 	if rep.Relay != nil {
 		fmt.Fprintf(&b, "relays: collected=%d forwarded=%d flushes=%d rejected=%d\n",

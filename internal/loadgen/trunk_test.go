@@ -445,9 +445,9 @@ func TestFleetIDs(t *testing.T) {
 
 // TestTrunkedRunResolvesIDsByHandle is the outside view of the identity
 // path: a steady trunked fleet sends the same users in the same order every
-// period, so by the end of a run of several dozen periods the server must
-// have reached nearly every heartbeat's record by handle and its decoders
-// must have resolved nearly every source by the successor guess.
+// period, so by the end of a run of several dozen periods the server's
+// connections must have resolved nearly every heartbeat's source to its
+// presence row by the successor guess, without hashing it.
 func TestTrunkedRunResolvesIDsByHandle(t *testing.T) {
 	r, err := New(Config{
 		UEs:      240,
@@ -466,14 +466,12 @@ func TestTrunkedRunResolvesIDsByHandle(t *testing.T) {
 		t.Fatalf("not a clean trunked run: %+v", rep)
 	}
 	st := rep.Server
-	share := func(hits, misses int) float64 { return float64(hits) / float64(hits+misses) }
-	if st.IDCacheHits+st.IDCacheMisses != st.HeartbeatsRelayed {
-		t.Errorf("id cache saw %d+%d heartbeats, server delivered %d", st.IDCacheHits, st.IDCacheMisses, st.HeartbeatsRelayed)
+	// Every delivered heartbeat's source was resolved once, so the counters
+	// cannot both sit at zero (a 0/0 share is NaN, which no bound rejects).
+	if st.HeartbeatsRelayed == 0 || st.IDGuessHits+st.IDGuessMisses != st.HeartbeatsRelayed {
+		t.Fatalf("the table resolved %d+%d sources, server delivered %d", st.IDGuessHits, st.IDGuessMisses, st.HeartbeatsRelayed)
 	}
-	if got := share(st.IDCacheHits, st.IDCacheMisses); got < 0.95 {
-		t.Errorf("handle cache hit share = %.3f (%d/%d), want >= 0.95", got, st.IDCacheHits, st.IDCacheMisses)
-	}
-	if got := share(st.IDGuessHits, st.IDGuessMisses); got < 0.95 {
+	if got := float64(st.IDGuessHits) / float64(st.HeartbeatsRelayed); got < 0.95 {
 		t.Errorf("successor guess hit share = %.3f (%d/%d), want >= 0.95", got, st.IDGuessHits, st.IDGuessMisses)
 	}
 }

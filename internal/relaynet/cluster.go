@@ -44,9 +44,9 @@ func (s *Server) ExportPresence() []cluster.PresenceEntry {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for p := range sh.rows {
-			if r := &sh.rows[p]; r.gen&1 == 1 {
+			if r := &sh.rows[p]; r.live {
 				out = append(out, cluster.PresenceEntry{
-					ID:               sh.ids[p],
+					ID:               sh.keys[p].id,
 					App:              sh.apps[r.app],
 					LastSeenUnixNano: r.lastSeen,
 					DeadlineUnixNano: r.deadline,
@@ -81,9 +81,10 @@ func (s *Server) ImportPresence(entries []cluster.PresenceEntry) {
 
 // ForgetPresence implements cluster.Store: drops clients whose keys were
 // handed to another shard, keeping this shard's occupancy gauges truthful.
-// Connections may still hold the freed rows by handle; the row's new
-// incarnation sends their next heartbeat back through the index, which
-// starts a fresh row.
+// A heartbeat decoded before the handoff may still name a freed row by
+// handle; touch finds the row no longer holds its source — free, or taken
+// by another client — and goes back through the index, which starts a
+// fresh row.
 func (s *Server) ForgetPresence(ids []string) {
 	for _, id := range ids {
 		h, sh, _ := s.hash(id)

@@ -66,6 +66,74 @@ func TestDirectUEFootprint(t *testing.T) {
 	}
 }
 
+// TestServerSourceFootprint pins the live heap the server holds per client
+// that reaches it over one batch connection — a trunk → shard link at
+// live_trunked's scale: the client's presence row, its ID and index slot,
+// and whatever the connection keeps per source it has decoded. The
+// connection stays open while the heap is read, so what it holds counts.
+func TestServerSourceFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations are not the server's footprint")
+	}
+	const sources, perBatch, ceiling = 100_000, 4096, 184 // bytes per source
+	s := startServer(t)
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	heap0 := live()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	// The acks' sources resolve to nothing on this side: the client keeps
+	// no table of its own to count against the server.
+	acks := hbproto.NewTableReader(conn, noSources{})
+	batch := &hbproto.Batch{Relay: "trunk-1", HBs: make([]hbproto.Heartbeat, 0, perBatch)}
+	var frame []byte
+	for start := 0; start < sources; start += perBatch {
+		batch.HBs = batch.HBs[:0]
+		for i := start; i < min(start+perBatch, sources); i++ {
+			batch.HBs = append(batch.HBs, hbproto.Heartbeat{
+				Src: fmt.Sprintf("ue-%07d", i), Seq: 1, App: "std", Origin: time.Now(), Expiry: time.Hour,
+			})
+		}
+		if frame, err = hbproto.AppendFrame(frame[:0], batch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for n := len(batch.HBs); n > 0; {
+			msg, err := acks.Next()
+			if err != nil {
+				t.Fatalf("waiting for %d acks: %v", n, err)
+			}
+			n -= len(msg.(*hbproto.Ack).Refs)
+		}
+	}
+	batch, frame = nil, nil
+	if n, _ := s.presenceOccupancy(); n != sources {
+		t.Fatalf("%d clients tracked, want %d", n, sources)
+	}
+	per := float64(live()-heap0) / sources
+	runtime.KeepAlive(conn)
+	t.Logf("the server holds %.1f B of live heap per source of a batch connection", per)
+	if per > ceiling {
+		t.Errorf("the server holds %.1f B of live heap per source, ceiling %d", per, ceiling)
+	}
+}
+
+// noSources is a SourceTable that knows no source.
+type noSources struct{}
+
+func (noSources) Source(hbproto.Handle, []byte) (string, hbproto.Handle) { return "", 0 }
+
 // sinkConn swallows writes and produces no input until it is closed.
 type sinkConn struct {
 	net.Conn // nil: only the methods below are ever called

@@ -1,7 +1,9 @@
 package relaynet
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -125,37 +127,111 @@ func TestRegisterUpdatesRecordInPlace(t *testing.T) {
 	})
 }
 
-// TestForgottenClientReturnsThroughTheTable covers the other way a cached
-// record goes stale: a handoff forgets the client while a connection still
-// holds it by handle. Its next heartbeat must land in the table again.
+// TestForgottenClientReturnsThroughTheTable covers a row going stale behind
+// a connection's back: a handoff forgets the client while the connection's
+// reader still starts from its row. Its next heartbeat must land in the
+// table again, and the guess that named the freed row must miss.
 func TestForgottenClientReturnsThroughTheTable(t *testing.T) {
 	s := startServer(t)
 	c := dialRaw(t, s.Addr())
 	c.heartbeat("ue-1", 1)
 	c.heartbeat("ue-1", 2)
+	c.heartbeat("ue-1", 3)
 	s.ForgetPresence([]string{"ue-1"})
 	if s.Online("ue-1", time.Now()) {
 		t.Fatal("forgotten client still online")
 	}
-	c.heartbeat("ue-1", 3)
+	c.heartbeat("ue-1", 4)
 	if !s.Online("ue-1", time.Now()) {
 		t.Fatal("heartbeat after ForgetPresence updated a record outside the table")
 	}
-	if got := exported(t, s, "ue-1").MaxSeq; got != 3 {
-		t.Fatalf("MaxSeq = %d, want 3 on the fresh record", got)
+	if got := exported(t, s, "ue-1").MaxSeq; got != 4 {
+		t.Fatalf("MaxSeq = %d, want 4 on the fresh record", got)
 	}
-	c.heartbeat("ue-1", 4)
+	c.heartbeat("ue-1", 5)
+	c.heartbeat("ue-1", 6)
 	st := s.Stats()
-	// First sight and the return after the handoff hash the ID; the second
-	// and fourth heartbeats go by handle.
-	if st.IDCacheMisses != 2 || st.IDCacheHits != 2 {
-		t.Fatalf("id cache hits/misses = %d/%d, want 2/2", st.IDCacheHits, st.IDCacheMisses)
+	// The first heartbeat has no row to resolve to, and the second none to
+	// start from, so both hash the ID; touch links the row after itself
+	// then, and the third goes by the guess. The fourth's guess names the
+	// freed row and misses, and the fifth starts over like the second;
+	// the sixth goes by the guess again.
+	if st.IDGuessHits != 2 || st.IDGuessMisses != 4 {
+		t.Fatalf("id guess hits/misses = %d/%d, want 2/4", st.IDGuessHits, st.IDGuessMisses)
+	}
+}
+
+// TestNoRowForAnUndeliveredSource pins that resolving a source is not
+// delivering it: a frame the server rejects gives none of the sources it
+// carries a presence row, although the connection's reader resolved every
+// one of them through the server's table before the frame was refused.
+func TestNoRowForAnUndeliveredSource(t *testing.T) {
+	ghosts := []hbproto.Heartbeat{
+		{Src: "ghost-1", Seq: 1, App: "std", Origin: time.Now(), Expiry: time.Minute},
+		{Src: "ue-1", Seq: 9, App: "std", Origin: time.Now(), Expiry: time.Minute},
+		{Src: "ghost-2", Seq: 1, App: "std", Origin: time.Now(), Expiry: time.Minute},
+	}
+	for _, tc := range []struct {
+		name  string
+		frame func() ([]byte, error)
+	}{
+		{"ack", func() ([]byte, error) { // clients may not send one
+			ack := &hbproto.Ack{}
+			for _, hb := range ghosts {
+				ack.Refs = append(ack.Refs, hbproto.Ref{Src: hb.Src, Seq: hb.Seq})
+			}
+			return hbproto.AppendFrame(nil, ack)
+		}},
+		{"batch with trailing bytes", func() ([]byte, error) {
+			frame, err := hbproto.AppendFrame(nil, &hbproto.Batch{Relay: "trunk-1", HBs: ghosts})
+			if err != nil {
+				return nil, err
+			}
+			frame = append(frame[:len(frame)-4], 0) // one byte past the batch, then a fresh CRC
+			body := frame[8:]
+			binary.BigEndian.PutUint32(frame[4:8], uint32(len(body)))
+			return binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(body)), nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := startServer(t)
+			good := dialRaw(t, s.Addr())
+			good.heartbeat("ue-1", 1)
+			good.heartbeat("ue-1", 2) // the guess now runs from ue-1's row
+			frame, err := tc.frame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := dialRaw(t, s.Addr())
+			if _, err := bad.conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			eventually(t, 3*time.Second, func() bool { return s.Stats().ProtocolErrors == 1 }, "the frame refused")
+			if st := s.Stats(); st.IDGuessHits+st.IDGuessMisses != 2+len(ghosts) {
+				t.Fatalf("the table resolved %d sources, want %d: the rejected frame's were not resolved", st.IDGuessHits+st.IDGuessMisses, 2+len(ghosts))
+			}
+			rows := s.ExportPresence()
+			if len(rows) != 1 || rows[0].ID != "ue-1" || rows[0].MaxSeq != 2 {
+				t.Fatalf("presence rows %+v, want ue-1 alone with MaxSeq 2", rows)
+			}
+			n := 0
+			for i := range s.shards {
+				sh := &s.shards[i]
+				sh.mu.Lock()
+				n += len(sh.rows)
+				sh.mu.Unlock()
+			}
+			if total, _ := s.presenceOccupancy(); n != 1 || total != 1 {
+				t.Fatalf("%d rows, %d indexed, want ue-1's alone", n, total)
+			}
+		})
 	}
 }
 
 // TestServerIdentityStats sends the same batch three times over one
 // connection and reads the identity counters from Stats and /metrics: the
-// first period hashes every ID at both layers, later periods none.
+// first period hashes every ID, later periods all but one, and the
+// per-connection handle cache's counters are gone with the cache.
 func TestServerIdentityStats(t *testing.T) {
 	const population, periods = 50, 3
 	s := NewServer()
@@ -181,21 +257,17 @@ func TestServerIdentityStats(t *testing.T) {
 	}
 	st := s.Stats()
 	want := ServerStats{
-		IDCacheMisses: population, IDCacheHits: population * (periods - 1),
-		// The decoder learns the wrap-around from the last source to the
-		// first one period later than the rest.
+		// No source has a row when the first period is decoded, so its
+		// touches lay the chain; the second period's first source has no
+		// predecessor the reader knew, and hashes.
 		IDGuessMisses: population + 1, IDGuessHits: population*(periods-1) - 1,
 	}
-	if st.IDCacheHits != want.IDCacheHits || st.IDCacheMisses != want.IDCacheMisses ||
-		st.IDGuessHits != want.IDGuessHits || st.IDGuessMisses != want.IDGuessMisses {
-		t.Fatalf("identity stats = cache %d/%d guess %d/%d, want cache %d/%d guess %d/%d",
-			st.IDCacheHits, st.IDCacheMisses, st.IDGuessHits, st.IDGuessMisses,
-			want.IDCacheHits, want.IDCacheMisses, want.IDGuessHits, want.IDGuessMisses)
+	if st.IDGuessHits != want.IDGuessHits || st.IDGuessMisses != want.IDGuessMisses {
+		t.Fatalf("identity stats = guess %d/%d, want guess %d/%d",
+			st.IDGuessHits, st.IDGuessMisses, want.IDGuessHits, want.IDGuessMisses)
 	}
 	dump := reg.Dump()
 	for name, n := range map[string]int{
-		"relaynet_server_id_cache_hits_total":   want.IDCacheHits,
-		"relaynet_server_id_cache_misses_total": want.IDCacheMisses,
 		"relaynet_server_id_guess_hits_total":   want.IDGuessHits,
 		"relaynet_server_id_guess_misses_total": want.IDGuessMisses,
 	} {
@@ -204,28 +276,41 @@ func TestServerIdentityStats(t *testing.T) {
 			t.Errorf("/metrics %s = %+v, want %d", name, m, n)
 		}
 	}
+	for _, name := range []string{"relaynet_server_id_cache_hits_total", "relaynet_server_id_cache_misses_total"} {
+		if m := dump.Find(name); m != nil {
+			t.Errorf("/metrics still exports %s: %+v", name, m)
+		}
+	}
 }
 
-// TestHandleZeroFallsBackToTheID drives touch with heartbeats no decoder
-// stamped (handle 0 is also what a reader past its intern cap returns):
-// every one hashes its ID, and presence comes out the same.
+// TestHandleZeroFallsBackToTheID drives touch with heartbeats no table
+// stamped (handle 0 is also what a source decodes to before its client has
+// a row): every one reaches its row by ID, presence comes out the same,
+// and touch links each row after the one before it, so a reader decoding
+// the same order next resolves it by the guess alone.
 func TestHandleZeroFallsBackToTheID(t *testing.T) {
 	s := statsServer()
-	cs := &connState{cc: &s.stripes[0]}
+	cs := s.newConnState(&s.stripes[0])
 	now := time.Now()
 	for seq := uint64(1); seq <= 3; seq++ {
 		for _, id := range []string{"ue-a", "ue-b"} {
 			s.touch(cs, &hbproto.Heartbeat{Src: id, Seq: seq, App: "std", Origin: now, Expiry: time.Minute}, now, true)
 		}
 	}
-	if cs.hits != 0 || cs.misses != 6 || cs.byHandle != nil {
-		t.Fatalf("handle-0 heartbeats: hits %d misses %d cache %v, want 0, 6 and no cache", cs.hits, cs.misses, cs.byHandle)
+	if cs.guessHits != 0 || cs.guessMisses != 0 {
+		t.Fatalf("handle-0 heartbeats went through the table: guess hits %d misses %d", cs.guessHits, cs.guessMisses)
 	}
 	if n := s.OnlineCount(now); n != 2 {
 		t.Fatalf("OnlineCount = %d, want 2", n)
 	}
 	if got := exported(t, s, "ue-b").MaxSeq; got != 3 {
 		t.Fatalf("MaxSeq = %d, want 3", got)
+	}
+	_, a := cs.Source(0, []byte("ue-a"))
+	_, b := cs.Source(a, []byte("ue-b"))
+	again, _ := cs.Source(b, []byte("ue-a"))
+	if a == 0 || b == 0 || again != "ue-a" || cs.guessHits != 2 || cs.guessMisses != 1 {
+		t.Fatalf("resolving a, b, a: handles %d, %d, guess hits/misses %d/%d, want 2/1", a, b, cs.guessHits, cs.guessMisses)
 	}
 }
 
@@ -363,12 +448,13 @@ func TestFeedbackRoutesAcksDecodedFromTheWire(t *testing.T) {
 	}
 }
 
-// TestSharedRecordsUnderHandoff runs several connections' worth of touch
-// over one set of clients, each reaching the shared records through its own
-// handle cache, while a handoff keeps forgetting and re-importing them.
-// Under -race this pins that the record's fields are only ever touched
-// under the shard lock; afterwards every heartbeat is accounted for and
-// every client ends up in the table.
+// TestSharedRecordsUnderHandoff runs several connections over one set of
+// clients, each decoding the same order through the server's table and so
+// sharing the clients' rows and successor links, while a handoff keeps
+// forgetting and re-importing them. Under -race this pins that a row's
+// fields, links included, are only ever touched under the stripe lock;
+// afterwards every heartbeat is accounted for and every client ends up in
+// the table.
 func TestSharedRecordsUnderHandoff(t *testing.T) {
 	const conns, clients, rounds = 4, 40, 200
 	s := statsServer()
@@ -392,36 +478,42 @@ func TestSharedRecordsUnderHandoff(t *testing.T) {
 			s.ImportPresence(rows)
 		}
 	}()
-	states := make([]*connState, conns)
+	deliver := func(c *tableConn, seq uint64) error {
+		batch := &hbproto.Batch{Relay: "trunk"}
+		for _, id := range ids {
+			batch.HBs = append(batch.HBs, hbproto.Heartbeat{Src: id, Seq: seq, App: "std", Origin: time.Now(), Expiry: time.Minute})
+		}
+		return c.deliver(batch)
+	}
+	tcs := make([]*tableConn, conns)
 	var wg sync.WaitGroup
-	for c := range states {
-		states[c] = &connState{cc: &s.stripes[c]}
+	for c := range tcs {
+		tcs[c] = newTableConn(s, c)
 		wg.Add(1)
-		go func(cs *connState) {
+		go func(c *tableConn) {
 			defer wg.Done()
-			for r := 1; r <= rounds; r++ {
-				now := time.Now()
-				for i, id := range ids {
-					s.touch(cs, &hbproto.Heartbeat{
-						Src: id, Seq: uint64(r), App: "std", Origin: now, Expiry: time.Minute,
-						Handle: hbproto.Handle(i + 1),
-					}, now, true)
+			for r := uint64(1); r <= rounds; r++ {
+				if err := deliver(c, r); err != nil {
+					t.Error(err)
+					return
 				}
 			}
-		}(states[c])
+		}(tcs[c])
 	}
 	wg.Wait()
 	close(stop)
 	handoff.Wait()
-	for _, cs := range states {
-		if cs.hits+cs.misses != clients*rounds || cs.misses < clients {
-			t.Errorf("connection resolved %d+%d heartbeats, want %d with at least %d by ID", cs.hits, cs.misses, clients*rounds, clients)
+	for c, tc := range tcs {
+		cc := &s.stripes[c]
+		// A connection's first source has no predecessor to guess from;
+		// after it, rows and links another connection laid serve it too.
+		if hits, misses := cc.guessHits.Load(), cc.guessMisses.Load(); hits+misses != clients*rounds || misses == 0 {
+			t.Errorf("connection resolved %d+%d sources, want %d with at least one by ID", hits, misses, clients*rounds)
 		}
 		// One more round after the last handoff: whatever it forgot comes
 		// back through the table.
-		now := time.Now()
-		for i, id := range ids {
-			s.touch(cs, &hbproto.Heartbeat{Src: id, Seq: rounds + 1, App: "std", Origin: now, Expiry: time.Minute, Handle: hbproto.Handle(i + 1)}, now, true)
+		if err := deliver(tc, rounds+1); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if n := s.OnlineCount(time.Now()); n != clients {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"d2dhb/internal/hbproto"
 	"d2dhb/internal/idindex"
 	presencepkg "d2dhb/internal/presence"
 )
@@ -27,24 +28,22 @@ type row struct {
 	// shard. A client's next heartbeat under a newer view recomputes it.
 	routed    uint64
 	misrouted bool
+	live      bool  // the row holds a client; false once a handoff frees it
 	app       int32 // index into the stripe's apps
-	// gen counts the row's incarnations: odd while the row holds a client,
-	// even while it is free. A connection's cached rowRef names the
-	// incarnation it resolved, so once a handoff frees the row — and
-	// whichever client takes it next — the ref no longer matches.
-	gen uint32
+}
+
+// key is the rest of a row: its client ID ("" while the row is free) and
+// the row whose source followed this one on a connection last time (0:
+// none yet), the table's guess for what a reader decodes after this client
+// (see connState.Source) and only ever a hint. They sit in a column of
+// their own, beside the pointer-free rows, and side by side: confirming a
+// guess and taking the next one reads one entry.
+type key struct {
+	id   string
+	next hbproto.Handle
 }
 
 const unset = math.MinInt64
-
-// rowRef is how a connection caches a client's row by decoder handle: its
-// stripe, its position there and the incarnation it resolved. The zero
-// value names no row (gen is odd for a live one).
-type rowRef struct {
-	pos    int32
-	gen    uint32
-	stripe uint8
-}
 
 // presenceShardBits stripes the presence table into 1<<bits stripes; the
 // top bits of an ID's hash pick its stripe, the low ones its bucket in the
@@ -56,16 +55,17 @@ const (
 )
 
 // presenceShard is one stripe of the presence table: a column of rows, the
-// client ID of each, and an index over the IDs. A client's state lives
-// entirely in the stripe its ID hashes to, so per-client ordering
-// invariants (timer deliveries) are preserved under the stripe lock alone.
+// key (client ID and successor link) of each, and an index over the IDs. A
+// client's state lives entirely in the stripe its ID hashes to, so
+// per-client ordering invariants (timer deliveries) are preserved under the
+// stripe lock alone.
 // Rows a handoff frees are reused before the column grows, and a row's
 // position never changes while it holds its client.
 type presenceShard struct {
 	mu    sync.Mutex
 	index idindex.Index
 	rows  []row
-	ids   []string // row → client ID
+	keys  []key    // row → client ID and successor
 	free  []int32  // freed rows, reused first
 	apps  []string // app index → name; apps[0] is ""
 	appOf map[string]int32
@@ -74,14 +74,42 @@ type presenceShard struct {
 
 // hash returns id's hash under the server's seed and the stripe it picks.
 func (s *Server) hash(id string) (uint64, *presenceShard, uint8) {
-	h := maphash.String(s.seed, id)
+	return s.stripeOf(maphash.String(s.seed, id))
+}
+
+// stripeOf returns h with the stripe it picks.
+func (s *Server) stripeOf(h uint64) (uint64, *presenceShard, uint8) {
 	st := uint8(h >> (64 - presenceShardBits))
 	return h, &s.shards[st], st
 }
 
+// handleOf names row p of stripe st as a decoder handle, which is never 0.
+func handleOf(st uint8, p int32) hbproto.Handle {
+	return hbproto.Handle(p+1)<<presenceShardBits | hbproto.Handle(st)
+}
+
+// rowAt returns the stripe and position a handle names. The position may
+// be past the stripe's rows for a handle the server never issued.
+func (s *Server) rowAt(h hbproto.Handle) (*presenceShard, int32) {
+	return &s.shards[h&(presenceShardCount-1)], int32(h>>presenceShardBits) - 1
+}
+
 // find returns the row holding id, whose hash is h (sh.mu held).
 func (sh *presenceShard) find(id string, h uint64) (int32, bool) {
-	return sh.index.Find(h, func(p int32) bool { return sh.ids[p] == id })
+	return sh.index.Find(h, func(p int32) bool { return sh.keys[p].id == id })
+}
+
+// holds reports whether row p holds client id (sh.mu held).
+func (sh *presenceShard) holds(p int32, id string) bool {
+	return uint(p) < uint(len(sh.rows)) && sh.rows[p].live && sh.keys[p].id == id
+}
+
+// keyAt returns row p's key, nil past the stripe's rows (sh.mu held).
+func (sh *presenceShard) keyAt(p int32) *key {
+	if uint(p) < uint(len(sh.keys)) {
+		return &sh.keys[p]
+	}
+	return nil
 }
 
 // add gives id, whose hash is h, a fresh row (sh.mu held).
@@ -89,13 +117,12 @@ func (sh *presenceShard) add(id string, h uint64) int32 {
 	var p int32
 	if n := len(sh.free); n > 0 {
 		p, sh.free = sh.free[n-1], sh.free[:n-1]
-		sh.ids[p] = id
 	} else {
 		p = int32(len(sh.rows))
-		sh.rows, sh.ids = append(sh.rows, row{}), append(sh.ids, id)
+		sh.rows, sh.keys = append(sh.rows, row{}), append(sh.keys, key{})
 	}
-	r := &sh.rows[p]
-	*r = row{lastSeen: unset, deadline: unset, gen: r.gen + 1}
+	sh.keys[p] = key{id: id}
+	sh.rows[p] = row{lastSeen: unset, deadline: unset, live: true}
 	sh.index.Insert(h, p)
 	return p
 }
@@ -103,8 +130,8 @@ func (sh *presenceShard) add(id string, h uint64) int32 {
 // remove frees row p, which holds the client whose hash is h (sh.mu held).
 func (sh *presenceShard) remove(h uint64, p int32) {
 	sh.index.Delete(h, p)
-	sh.rows[p].gen++
-	sh.ids[p] = ""
+	sh.rows[p].live = false
+	sh.keys[p].id = ""
 	sh.free = append(sh.free, p)
 }
 
@@ -126,17 +153,26 @@ func (sh *presenceShard) app(name string) int32 {
 }
 
 // lockRow returns id's row with its stripe locked, creating the row on
-// first sight, and a ref to cache it by. The row pointer is valid until
-// the stripe is unlocked.
-func (s *Server) lockRow(id string) (*presenceShard, *row, rowRef) {
+// first sight, and the row's handle. The row pointer is valid until the
+// stripe is unlocked.
+func (s *Server) lockRow(id string) (*presenceShard, *row, hbproto.Handle) {
 	h, sh, st := s.hash(id)
 	sh.mu.Lock()
 	p, ok := sh.find(id, h)
 	if !ok {
 		p = sh.add(id, h)
 	}
-	r := &sh.rows[p]
-	return sh, r, rowRef{pos: p, gen: r.gen, stripe: st}
+	return sh, &sh.rows[p], handleOf(st, p)
+}
+
+// link records that row to's source followed row from's on a connection.
+func (s *Server) link(from, to hbproto.Handle) {
+	sh, p := s.rowAt(from)
+	sh.mu.Lock()
+	if k := sh.keyAt(p); k != nil {
+		k.next = to
+	}
+	sh.mu.Unlock()
 }
 
 // lockFound returns id's stripe locked and id's row there, nil when the

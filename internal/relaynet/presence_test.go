@@ -1,8 +1,10 @@
 package relaynet
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -93,21 +95,63 @@ func (m mapPresence) equal(t *testing.T, s *Server, now time.Time, what string) 
 	}
 }
 
+// tableConn is one server connection without a socket: frames go through a
+// reader over the connection's source table, as handleConn reads them, and
+// on to handleMessage.
+type tableConn struct {
+	s   *Server
+	cs  *connState
+	in  bytes.Buffer
+	fr  *hbproto.FrameReader
+	buf []byte
+}
+
+func newTableConn(s *Server, stripe int) *tableConn {
+	c := &tableConn{s: s, cs: s.newConnState(&s.stripes[stripe])}
+	c.fr = hbproto.NewTableReader(&c.in, c.cs)
+	return c
+}
+
+// decode returns msg as the connection's reader decodes it, sources
+// resolved through the server's table; it is valid until the next decode.
+func (c *tableConn) decode(msg hbproto.Message) (hbproto.Message, error) {
+	var err error
+	if c.buf, err = hbproto.AppendFrame(c.buf[:0], msg); err != nil {
+		return nil, err
+	}
+	c.in.Write(c.buf)
+	return c.fr.Next()
+}
+
+// deliver decodes msg and applies it, as handleConn does; the acks it earns
+// are dropped.
+func (c *tableConn) deliver(msg hbproto.Message) error {
+	got, err := c.decode(msg)
+	if err == nil {
+		err = c.s.handleMessage(c.cs, got)
+	}
+	c.s.flushIDStats(c.cs)
+	c.cs.agg.refs = c.cs.agg.refs[:0]
+	return err
+}
+
 // TestPresenceRowsMatchMap drives the server's presence rows and
-// mapPresence through the same random scripts of Register, touch (by a
-// connection's cached handle and by ID), Import, Forget and Export, over a
+// mapPresence through the same random scripts of Register, touch (of a
+// heartbeat a connection decoded through the table one of its heartbeats
+// earlier, and of one no table stamped), Import, Forget and Export, over a
 // small population so forgotten clients come back and freed rows are
-// reused while connections still cache them. After every step the export,
-// Online and OnlineCount must agree with the map.
+// reused — by other clients too — between a heartbeat's decode and its
+// touch. After every step the export, Online and OnlineCount must agree
+// with the map.
 func TestPresenceRowsMatchMap(t *testing.T) {
 	const conns, population, steps = 3, 24, 1500
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s, ref := statsServer(), mapPresence{}
-		states := make([]*connState, conns)
-		handles := make([]map[string]hbproto.Handle, conns) // what each connection's decoder issued
+		states := make([]*tableConn, conns)
+		decoded := make([]*hbproto.Heartbeat, conns) // each connection's heartbeat decoded, not yet touched
 		for c := range states {
-			states[c], handles[c] = &connState{cc: &s.stripes[c]}, map[string]hbproto.Handle{}
+			states[c] = newTableConn(s, c)
 		}
 		base := time.Unix(1_700_000_000, 0)
 		id := func() string { return fmt.Sprintf("ue-%02d", rng.Intn(population)) }
@@ -123,19 +167,21 @@ func TestPresenceRowsMatchMap(t *testing.T) {
 				m := &hbproto.Register{ID: id(), App: app(), Expiry: expiry}
 				s.register(m, now)
 				ref.register(m.ID, m.App, m.Expiry, now)
-			case op <= 5: // a heartbeat by cached handle
-				c, src := rng.Intn(conns), id()
-				h, ok := handles[c][src]
-				if !ok {
-					h = hbproto.Handle(len(handles[c]) + 1)
-					handles[c][src] = h
+			case op <= 5: // a connection decodes a heartbeat and touches the one it decoded before
+				c := rng.Intn(conns)
+				msg, err := states[c].decode(&hbproto.Heartbeat{Src: id(), Seq: uint64(rng.Intn(100)), App: app(), Origin: now, Expiry: expiry})
+				if err != nil {
+					t.Fatal(err)
 				}
-				hb := &hbproto.Heartbeat{Src: src, Seq: uint64(rng.Intn(100)), App: app(), Origin: now, Expiry: expiry, Handle: h}
-				s.touch(states[c], hb, now, true)
-				ref.touch(hb, now)
-			case op == 6: // a heartbeat no decoder numbered
+				hb := *msg.(*hbproto.Heartbeat)
+				if prev := decoded[c]; prev != nil {
+					s.touch(states[c].cs, prev, now, true)
+					ref.touch(prev, now)
+				}
+				decoded[c] = &hb
+			case op == 6: // a heartbeat no table stamped
 				hb := &hbproto.Heartbeat{Src: id(), Seq: uint64(rng.Intn(100)), App: app(), Origin: now, Expiry: expiry}
-				s.touch(states[rng.Intn(conns)], hb, now, false)
+				s.touch(states[rng.Intn(conns)].cs, hb, now, false)
 				ref.touch(hb, now)
 			case op == 7:
 				entries := make([]cluster.PresenceEntry, rng.Intn(5))
@@ -157,40 +203,125 @@ func TestPresenceRowsMatchMap(t *testing.T) {
 	}
 }
 
-// TestStaleHandleNeverReachesAnotherClient pins the row reuse a handoff
-// makes possible: a connection caches client a's row, a handoff frees it,
-// and client b — of the same stripe — takes it over. A heartbeat for a by
-// the stale handle must start a fresh row for a and leave b's alone.
-func TestStaleHandleNeverReachesAnotherClient(t *testing.T) {
-	s := statsServer()
-	now := time.Now()
-	cs := &connState{cc: &s.stripes[0]}
-	beat := func(src string, seq uint64, h hbproto.Handle) {
-		s.touch(cs, &hbproto.Heartbeat{Src: src, Seq: seq, App: "std", Origin: now, Expiry: time.Minute, Handle: h}, now, true)
-	}
-	_, stripe, _ := s.hash("ue-a")
-	b := ""
-	for i := 0; b == ""; i++ {
-		if _, sh, _ := s.hash(fmt.Sprint("ue-b", i)); sh == stripe {
-			b = fmt.Sprint("ue-b", i)
+// TestHandoffRetake pins the one way a decoded handle goes stale: the
+// reader names the row its client held at decode time, and before the
+// heartbeat is touched a handoff frees that row and another client — of
+// the same stripe — takes it over. The heartbeat must land on its own
+// client, on a fresh row, and leave the other one alone. Under churn,
+// connections decode and deliver their own clients while handoffs keep
+// moving rows from client to client; CI runs it under -race.
+func TestHandoffRetake(t *testing.T) {
+	t.Run("one heartbeat", func(t *testing.T) {
+		s := statsServer()
+		c := newTableConn(s, 0)
+		beat := func(seq uint64) *hbproto.Heartbeat {
+			return &hbproto.Heartbeat{Src: "ue-a", Seq: seq, App: "std", Origin: time.Now(), Expiry: time.Minute}
 		}
-	}
-	beat("ue-a", 5, 1)
-	s.ForgetPresence([]string{"ue-a"})
-	s.ImportPresence([]cluster.PresenceEntry{{ID: b, App: "std", MaxSeq: 40}})
-	if len(stripe.rows) != 1 {
-		t.Fatalf("the stripe has %d rows: b did not take a's freed row", len(stripe.rows))
-	}
-	beat("ue-a", 6, 1)
-	if got := exported(t, s, b).MaxSeq; got != 40 {
-		t.Fatalf("b's MaxSeq = %d after a heartbeat for a by a's stale handle, want 40", got)
-	}
-	if got := exported(t, s, "ue-a").MaxSeq; got != 6 {
-		t.Fatalf("a's MaxSeq = %d, want 6 on a fresh row", got)
-	}
-	if cs.hits != 0 || cs.misses != 2 {
-		t.Fatalf("hits %d misses %d, want both heartbeats resolved by ID", cs.hits, cs.misses)
-	}
+		if err := c.deliver(beat(5)); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := c.decode(beat(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb := msg.(*hbproto.Heartbeat)
+		stripe, pos := s.rowAt(hb.Handle)
+		if !stripe.holds(pos, "ue-a") {
+			t.Fatalf("the decoded handle %d does not name ue-a's row", hb.Handle)
+		}
+		b := ""
+		for i := 0; b == ""; i++ {
+			if _, sh, _ := s.hash(fmt.Sprint("ue-b", i)); sh == stripe {
+				b = fmt.Sprint("ue-b", i)
+			}
+		}
+		s.ForgetPresence([]string{"ue-a"})
+		s.ImportPresence([]cluster.PresenceEntry{{ID: b, App: "std", MaxSeq: 4}})
+		if !stripe.holds(pos, b) {
+			t.Fatalf("%s did not take ue-a's freed row", b)
+		}
+		if err := s.handleMessage(c.cs, hb); err != nil {
+			t.Fatal(err)
+		}
+		if got := exported(t, s, b).MaxSeq; got != 4 {
+			t.Fatalf("%s's MaxSeq = %d after ue-a's heartbeat by the retaken row's handle, want 4", b, got)
+		}
+		if got := exported(t, s, "ue-a").MaxSeq; got != 6 {
+			t.Fatalf("ue-a's MaxSeq = %d, want 6 on a fresh row", got)
+		}
+	})
+	t.Run("under churn", func(t *testing.T) {
+		// Client i of connection c sends sequence numbers base(c, i)+1,
+		// +2, …: a heartbeat landing on another client's row would lift
+		// that client's high-water mark out of its own range.
+		const conns, clients, rounds = 4, 32, 150
+		base := func(c, i int) uint64 { return uint64(c*clients+i) << 20 }
+		s := statsServer()
+		ids := make([][]string, conns)
+		var all []string
+		for c := range ids {
+			for i := 0; i < clients; i++ {
+				ids[c] = append(ids[c], fmt.Sprintf("ue-%d-%02d", c, i))
+			}
+			all = append(all, ids[c]...)
+		}
+		stop := make(chan struct{})
+		var handoff sync.WaitGroup
+		handoff.Add(1)
+		go func() { // every pass frees every row and hands them out again in another order
+			defer handoff.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rows := s.ExportPresence()
+				s.ForgetPresence(all)
+				s.ImportPresence(rows)
+			}
+		}()
+		tcs := make([]*tableConn, conns)
+		deliver := func(c int, seq uint64) error {
+			batch := &hbproto.Batch{Relay: "trunk"}
+			for i, id := range ids[c] {
+				batch.HBs = append(batch.HBs, hbproto.Heartbeat{Src: id, Seq: base(c, i) + seq, App: "std", Origin: time.Now(), Expiry: time.Minute})
+			}
+			return tcs[c].deliver(batch)
+		}
+		var wg sync.WaitGroup
+		for c := range tcs {
+			tcs[c] = newTableConn(s, c)
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for r := uint64(1); r <= rounds; r++ {
+					if err := deliver(c, r); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		close(stop)
+		handoff.Wait()
+		for c := range tcs { // one more round after the last handoff: every client is back
+			if err := deliver(c, rounds+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c := range ids {
+			for i, id := range ids[c] {
+				if got, want := exported(t, s, id).MaxSeq, base(c, i)+rounds+1; got != want {
+					t.Fatalf("%s MaxSeq = %#x, want %#x: another client's heartbeat landed on its row", id, got, want)
+				}
+			}
+		}
+		if n := s.OnlineCount(time.Now()); n != len(all) {
+			t.Fatalf("OnlineCount = %d, want %d", n, len(all))
+		}
+	})
 }
 
 // TestHandoffReusesRows runs a population through repeated handoffs —
@@ -204,7 +335,7 @@ func TestHandoffReusesRows(t *testing.T) {
 	ids := make([]string, population)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("ue-%03d", i)
-		s.touch(cs, &hbproto.Heartbeat{Src: ids[i], Seq: 1, App: "std", Origin: now, Expiry: time.Minute, Handle: hbproto.Handle(i + 1)}, now, true)
+		s.touch(cs, &hbproto.Heartbeat{Src: ids[i], Seq: 1, App: "std", Origin: now, Expiry: time.Minute}, now, true)
 	}
 	rows := func() (n int) {
 		for i := range s.shards {
@@ -225,8 +356,22 @@ func TestHandoffReusesRows(t *testing.T) {
 	}
 }
 
-// TestTouchCachedZeroAllocs pins the server's per-heartbeat path once a
-// connection has cached its sources' rows: a period of touches allocates
+// replay yields one frame over and over.
+type replay struct {
+	frame []byte
+	off   int
+}
+
+func (r *replay) Read(p []byte) (int, error) {
+	n := copy(p, r.frame[r.off:])
+	r.off = (r.off + n) % len(r.frame)
+	return n, nil
+}
+
+// TestTouchCachedZeroAllocs pins the server's per-heartbeat path for a
+// known population: once the first period has given every client its row
+// and laid the successor chain, a period decoded through the connection's
+// table — every source resolved by the guess — and touched allocates
 // nothing.
 func TestTouchCachedZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -235,22 +380,32 @@ func TestTouchCachedZeroAllocs(t *testing.T) {
 	const population = 1000
 	s := statsServer()
 	now := time.Now()
-	cs := &connState{cc: &s.stripes[0]}
-	hbs := make([]hbproto.Heartbeat, population)
-	for i := range hbs {
-		hbs[i] = hbproto.Heartbeat{Src: fmt.Sprintf("ue-%04d", i), App: "std", Origin: now, Expiry: time.Minute, Handle: hbproto.Handle(i + 1)}
+	batch := &hbproto.Batch{Relay: "trunk-1"}
+	for i := 0; i < population; i++ {
+		batch.HBs = append(batch.HBs, hbproto.Heartbeat{Src: fmt.Sprintf("ue-%04d", i), Seq: 1, App: "std", Origin: now, Expiry: time.Minute})
 	}
+	frame, err := hbproto.AppendFrame(nil, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := s.newConnState(&s.stripes[0])
+	fr := hbproto.NewTableReader(&replay{frame: frame}, cs)
 	period := func() {
-		for i := range hbs {
-			hbs[i].Seq++
-			s.touch(cs, &hbs[i], now, true)
+		msg, err := fr.Next()
+		if err == nil {
+			err = s.handleMessage(cs, msg)
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs.agg.refs = cs.agg.refs[:0]
 	}
-	period() // first sight: rows, index and handle cache grow
+	period() // first sight: rows and index grow, touch lays the chain
+	period() // the first source has no known predecessor yet
 	if allocs := testing.AllocsPerRun(20, period); allocs != 0 {
-		t.Fatalf("%.1f allocs per period of %d cached touches, want 0", allocs, population)
+		t.Fatalf("%.1f allocs per period of %d known sources, want 0", allocs, population)
 	}
-	if cs.hits != 21*population {
-		t.Fatalf("%d of %d touches by handle", cs.hits, 21*population)
+	if want := uint64(21 * population); cs.guessMisses != population+1 || cs.guessHits != want+population-1 {
+		t.Fatalf("guess hits/misses = %d/%d, want %d/%d", cs.guessHits, cs.guessMisses, want+population-1, population+1)
 	}
 }

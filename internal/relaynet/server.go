@@ -45,15 +45,11 @@ type ServerStats struct {
 	// cluster ring assigns their source to another shard (stale routing
 	// epoch somewhere). Always zero outside cluster mode.
 	Misrouted int
-	// IDCacheHits counts heartbeats whose client record was reached through
-	// the connection's handle cache; IDCacheMisses those that hashed the
-	// source ID into the presence table (first sight on a connection, a
-	// source past the decoder's intern cap, a record dropped by a handoff).
-	IDCacheHits   int
-	IDCacheMisses int
-	// IDGuessHits counts source IDs the connections' decoders resolved by
-	// the successor guess, IDGuessMisses those they had to hash: together
-	// they say whether this server's traffic repeats in order.
+	// IDGuessHits counts source IDs the connections resolved to their
+	// client's presence row by the successor guess — the row that followed
+	// the connection's previous source last time — and IDGuessMisses those
+	// they hashed into the presence stripes instead: together they say
+	// whether this server's traffic repeats in order.
 	IDGuessHits   int
 	IDGuessMisses int
 }
@@ -73,11 +69,9 @@ type connCounters struct {
 	relayed     atomic.Int64
 	batches     atomic.Int64
 	late        atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
 	guessHits   atomic.Int64
 	guessMisses atomic.Int64
-	_           [56]byte
+	_           [72]byte
 }
 
 // Server is the IM presence server: it tracks per-client expiration timers
@@ -153,10 +147,8 @@ type serverInstruments struct {
 	ackFlushes  *telemetry.Counter
 	ackRefs     *telemetry.Histogram
 	ackBytesOut *telemetry.Counter
-	// Identity on the hot path: how heartbeats reached their client record
-	// and how the decoders resolved their source IDs (see ServerStats).
-	cacheHits   *telemetry.Counter
-	cacheMisses *telemetry.Counter
+	// Identity on the hot path: how the connections resolved their source
+	// IDs to presence rows (see ServerStats).
 	guessHits   *telemetry.Counter
 	guessMisses *telemetry.Counter
 }
@@ -181,8 +173,6 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry) {
 		ackFlushes:    reg.Counter("relaynet_server_ack_flushes_total"),
 		ackRefs:       reg.Histogram("relaynet_server_ack_refs_per_flush", "refs", 8),
 		ackBytesOut:   reg.Counter("relaynet_server_ack_bytes_total"),
-		cacheHits:     reg.Counter("relaynet_server_id_cache_hits_total"),
-		cacheMisses:   reg.Counter("relaynet_server_id_cache_misses_total"),
 		guessHits:     reg.Counter("relaynet_server_id_guess_hits_total"),
 		guessMisses:   reg.Counter("relaynet_server_id_guess_misses_total"),
 	}
@@ -306,8 +296,6 @@ func (s *Server) Stats() ServerStats {
 		st.HeartbeatsRelayed += int(cc.relayed.Load())
 		st.Batches += int(cc.batches.Load())
 		st.Late += int(cc.late.Load())
-		st.IDCacheHits += int(cc.cacheHits.Load())
-		st.IDCacheMisses += int(cc.cacheMisses.Load())
 		st.IDGuessHits += int(cc.guessHits.Load())
 		st.IDGuessMisses += int(cc.guessMisses.Load())
 	}
@@ -334,7 +322,7 @@ func (s *Server) OnlineCount(now time.Time) int {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for j := range sh.rows {
-			if r := &sh.rows[j]; r.gen&1 == 1 && at < r.deadline {
+			if r := &sh.rows[j]; r.live && at < r.deadline {
 				n++
 			}
 		}
@@ -377,8 +365,8 @@ const (
 )
 
 // ackAggregator coalesces the acks owed on one connection into combined
-// frames. refs hold interned strings from the connection's FrameReader,
-// so deferring them does not pin payload scratch.
+// frames. refs hold the presence rows' own ID strings (see
+// connState.Source), so deferring them does not pin payload scratch.
 type ackAggregator struct {
 	refs    []hbproto.Ref
 	buf     []byte // reusable encode buffer
@@ -433,36 +421,82 @@ func (s *Server) flushAcks(conn net.Conn, wto time.Duration, agg *ackAggregator)
 	return nil
 }
 
-// connState is what one connection's handler goroutine owns.
+// connState is what one connection's handler goroutine owns. It is also
+// the connection's hbproto.SourceTable: its reader resolves every source ID
+// to the client's presence row and interns none, so the presence stripes
+// are the one ID table a connection uses. That puts it on the heap, beside
+// other connections' states, and its handler writes it for every
+// heartbeat: the pads keep their cache lines apart.
 type connState struct {
+	_   [64]byte
+	s   *Server
 	cc  *connCounters
 	agg ackAggregator
-	// byHandle caches the client's row per decoder handle, so a heartbeat
-	// whose source the connection's FrameReader has seen before reaches its
-	// row without hashing the ID again. It is nil until the first
-	// heartbeat, grows with the handles the reader issues, and dies with
-	// the connection, as the handles do.
-	byHandle []rowRef
-	// hits/misses count byHandle's outcomes and guesses is the reader's
-	// IDStats as of the last flushIDStats; plain fields, flushed into the
-	// connection's stats stripe once per frame.
-	hits, misses uint64
-	guesses      hbproto.IDStats
+	// prev is the row of the last heartbeat touched, and prevKnown whether
+	// the reader had named that row when it decoded it: what touch needs
+	// to link each row after the one before it (see touch).
+	prev      hbproto.Handle
+	prevKnown bool
+	// from is the row Source last resolved, and guess the link that row
+	// held then: the next source's guess, read under the lock Source
+	// already held, so a guess costs one stripe lock.
+	from, guess hbproto.Handle
+	// guessHits/guessMisses count Source's outcomes; plain fields, flushed
+	// into the connection's stats stripe once per frame.
+	guessHits, guessMisses uint64
+	_                      [64]byte
+}
+
+func (s *Server) newConnState(cc *connCounters) *connState { return &connState{s: s, cc: cc} }
+
+// Source implements hbproto.SourceTable over the presence stripes: the
+// handle names the client's row (stripe and position). It first tries the
+// row that followed after last time (guess, when after is the row Source
+// resolved last), confirmed by comparing that row's ID with b, and hashes
+// into the stripes only when the guess misses. A source no row holds is
+// unknown (0): only a delivered heartbeat (touch) gives a client a row, so
+// a frame the server rejects leaves none behind.
+func (cs *connState) Source(after hbproto.Handle, b []byte) (string, hbproto.Handle) {
+	s := cs.s
+	if g := cs.guess; g != 0 && after == cs.from {
+		sh, p := s.rowAt(g)
+		sh.mu.Lock()
+		// A freed row's ID is "": touch catches a guess that matched one.
+		if k := sh.keyAt(p); k != nil && k.id == string(b) {
+			id := k.id
+			cs.from, cs.guess = g, k.next
+			sh.mu.Unlock()
+			cs.guessHits++
+			return id, g
+		}
+		sh.mu.Unlock()
+	}
+	cs.guessMisses++
+	h, sh, st := s.stripeOf(maphash.Bytes(s.seed, b))
+	sh.mu.Lock()
+	p, ok := sh.index.Find(h, func(p int32) bool { return sh.keys[p].id == string(b) })
+	if !ok {
+		sh.mu.Unlock()
+		cs.from, cs.guess = 0, 0
+		return "", 0
+	}
+	id, g := sh.keys[p].id, handleOf(st, p)
+	cs.from, cs.guess = g, sh.keys[p].next
+	sh.mu.Unlock()
+	if after != 0 {
+		s.link(after, g)
+	}
+	return id, g
 }
 
 // flushIDStats moves the connection's identity counts since the last frame
 // into the server's counters.
-func (s *Server) flushIDStats(cs *connState, now hbproto.IDStats) {
-	gh, gm := now.GuessHits-cs.guesses.GuessHits, now.GuessMisses-cs.guesses.GuessMisses
-	cs.cc.cacheHits.Add(int64(cs.hits))
-	cs.cc.cacheMisses.Add(int64(cs.misses))
-	cs.cc.guessHits.Add(int64(gh))
-	cs.cc.guessMisses.Add(int64(gm))
-	s.ins.cacheHits.Add(cs.hits)
-	s.ins.cacheMisses.Add(cs.misses)
-	s.ins.guessHits.Add(gh)
-	s.ins.guessMisses.Add(gm)
-	cs.hits, cs.misses, cs.guesses = 0, 0, now
+func (s *Server) flushIDStats(cs *connState) {
+	cs.cc.guessHits.Add(int64(cs.guessHits))
+	cs.cc.guessMisses.Add(int64(cs.guessMisses))
+	s.ins.guessHits.Add(cs.guessHits)
+	s.ins.guessMisses.Add(cs.guessMisses)
+	cs.guessHits, cs.guessMisses = 0, 0
 }
 
 func (s *Server) handleConn(conn net.Conn, cc *connCounters) {
@@ -476,8 +510,8 @@ func (s *Server) handleConn(conn net.Conn, cc *connCounters) {
 	s.mu.Lock()
 	idle, wto := s.idleTimeout, s.writeTimeout
 	s.mu.Unlock()
-	fr := hbproto.NewFrameReader(conn)
-	cs := connState{cc: cc}
+	cs := s.newConnState(cc)
+	fr := hbproto.NewTableReader(conn, cs)
 	for {
 		if idle > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(idle))
@@ -487,12 +521,13 @@ func (s *Server) handleConn(conn net.Conn, cc *connCounters) {
 			// Best-effort: acks deferred behind a peer's final burst
 			// still go out before a clean disconnect.
 			_ = s.flushAcks(conn, wto, &cs.agg)
+			s.flushIDStats(cs)
 			s.noteReadError(conn, err)
 			return
 		}
 		s.ins.frames.Inc()
-		err = s.handleMessage(&cs, msg)
-		s.flushIDStats(&cs, fr.IDStats())
+		err = s.handleMessage(cs, msg)
+		s.flushIDStats(cs)
 		if err != nil {
 			if errors.Is(err, errProtocol) {
 				s.noteDrop(conn, err.Error(), false)
@@ -568,41 +603,28 @@ func (s *Server) handleMessage(cs *connState, msg hbproto.Message) error {
 	}
 }
 
-// register applies a Register to the client's row in place: connections
-// cache the row, and a client that registers again has not un-delivered
-// what it delivered.
+// register applies a Register to the client's row in place: a client
+// that registers again has not un-delivered what it delivered.
 func (s *Server) register(m *hbproto.Register, now time.Time) {
 	sh, r, _ := s.lockRow(m.ID)
 	r.app, r.lastSeen, r.deadline = sh.app(m.App), now.UnixNano(), now.Add(m.Expiry).UnixNano()
 	sh.mu.Unlock()
 }
 
-// lockSource returns a heartbeat's row with its stripe locked: through the
-// connection's handle cache when the decoder has handed this source out
-// before and the row still holds it, by ID otherwise (handle 0, first
-// sight on this connection, or a row a handoff freed).
-func (s *Server) lockSource(cs *connState, hb *hbproto.Heartbeat) (*presenceShard, *row) {
-	h := int(hb.Handle)
-	if h < len(cs.byHandle) {
-		if ref := cs.byHandle[h]; ref.gen != 0 {
-			sh := &s.shards[ref.stripe]
-			sh.mu.Lock()
-			if r := &sh.rows[ref.pos]; r.gen == ref.gen {
-				cs.hits++
-				return sh, r
-			}
-			sh.mu.Unlock()
+// lockSource returns a heartbeat's row with its stripe locked, and the
+// row's handle: the row its reader named while that row still holds
+// hb.Src, by ID otherwise (handle 0 — a source no row held when it was
+// decoded — or a row a handoff freed, or gave to another client, since).
+func (s *Server) lockSource(hb *hbproto.Heartbeat) (*presenceShard, *row, hbproto.Handle) {
+	if hb.Handle != 0 {
+		sh, p := s.rowAt(hb.Handle)
+		sh.mu.Lock()
+		if sh.holds(p, hb.Src) {
+			return sh, &sh.rows[p], hb.Handle
 		}
+		sh.mu.Unlock()
 	}
-	cs.misses++
-	sh, r, ref := s.lockRow(hb.Src)
-	if h != 0 {
-		for h >= len(cs.byHandle) {
-			cs.byHandle = append(cs.byHandle, rowRef{})
-		}
-		cs.byHandle[h] = ref
-	}
-	return sh, r
+	return s.lockRow(hb.Src)
 }
 
 // touch resets a client's expiration timer: IM apps "send heartbeat
@@ -621,7 +643,7 @@ func (s *Server) touch(cs *connState, hb *hbproto.Heartbeat, now time.Time, rela
 		cs.cc.late.Add(1)
 		s.ins.late.Inc()
 	}
-	sh, r := s.lockSource(cs, hb)
+	sh, r, h := s.lockSource(hb)
 	if r.app == 0 {
 		r.app = sh.app(hb.App)
 	}
@@ -634,6 +656,19 @@ func (s *Server) touch(cs *connState, hb *hbproto.Heartbeat, now time.Time, rela
 	_ = r.timer.Deliver(now.Sub(s.start), hb.Expiry)
 	misrouted := s.misroutedLocked(r, hb.Src)
 	sh.mu.Unlock()
+	// Source links a row after the previous one when the reader knew both.
+	// When it did not — a first sight, or a row a handoff took since — the
+	// link is made here, so a connection's first period already lays the
+	// chain its second one follows; a guess Source took from the previous
+	// row is that link.
+	known := hb.Handle == h
+	if cs.prev != 0 && !(known && cs.prevKnown) {
+		s.link(cs.prev, h)
+		if cs.prev == cs.from {
+			cs.guess = h
+		}
+	}
+	cs.prev, cs.prevKnown = h, known
 	if misrouted {
 		s.misrouted.Add(1)
 		s.ins.misrouted.Inc()
