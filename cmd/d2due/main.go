@@ -68,8 +68,8 @@ func run(w io.Writer, id, relayAddr, server, appNames string, report time.Durati
 
 	stats := func() {
 		st := ue.Stats()
-		fmt.Fprintf(w, "generated=%d viaRelay=%d direct=%d fallbacks=%d feedback=%d acked=%d timeouts=%d\n",
-			st.Generated, st.ViaRelay, st.Direct, st.FallbackResends, st.FeedbackAcks, st.Acked, st.Timeouts)
+		fmt.Fprintf(w, "generated=%d viaRelay=%d direct=%d fallbacks=%d reconnects=%d feedback=%d acked=%d timeouts=%d\n",
+			st.Generated, st.ViaRelay, st.Direct, st.FallbackResends, st.RelayReconnects, st.FeedbackAcks, st.Acked, st.Timeouts)
 	}
 	var tick <-chan time.Time // nil (blocks forever) when reporting is disabled
 	if report > 0 {

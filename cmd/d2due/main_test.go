@@ -33,8 +33,8 @@ func TestRunStatsAccountEveryHeartbeat(t *testing.T) {
 	}
 	defer srv.Shutdown()
 	for _, c := range []struct{ server, want string }{
-		{srv.Addr(), "generated=1 viaRelay=0 direct=1 fallbacks=0 feedback=0 acked=1 timeouts=0"},
-		{"127.0.0.1:1", "generated=1 viaRelay=0 direct=0 fallbacks=0 feedback=0 acked=0 timeouts=1"},
+		{srv.Addr(), "generated=1 viaRelay=0 direct=1 fallbacks=0 reconnects=0 feedback=0 acked=1 timeouts=0"},
+		{"127.0.0.1:1", "generated=1 viaRelay=0 direct=0 fallbacks=0 reconnects=0 feedback=0 acked=0 timeouts=1"},
 	} {
 		stop := make(chan os.Signal)
 		var out bytes.Buffer

@@ -61,10 +61,8 @@ type UEConfig struct {
 	// Match configures relay selection.
 	Match matching.Config
 	// FeedbackTimeout is how long the UE waits for a relay
-	// acknowledgement before resending over cellular. Zero selects the
-	// default: the message expiry plus a small grace period, since the
-	// relay may legitimately delay the batch until just before the
-	// earliest deadline.
+	// acknowledgement before resending over cellular. Zero selects
+	// FeedbackWindow's default for each heartbeat's expiry.
 	FeedbackTimeout time.Duration
 	// StartOffset delays the first heartbeat; staggering offsets across
 	// UEs mimics unsynchronized apps.
@@ -79,6 +77,20 @@ type UEConfig struct {
 // FeedbackGrace is added to the message expiry for the default feedback
 // timeout.
 const FeedbackGrace = 5 * time.Second
+
+// FeedbackWindow is the one ack window of a UE, simulated or live: how
+// long a heartbeat with the given expiry waits for its acknowledgement
+// before it is resent over cellular. A positive timeout is the configured
+// window. Otherwise it is the expiry plus FeedbackGrace, since the relay
+// may legitimately delay the batch until just before the earliest
+// deadline; the grace is capped at a tenth of the expiry, so a sped-up
+// app's window scales with its expiry.
+func FeedbackWindow(timeout, expiry time.Duration) time.Duration {
+	if timeout > 0 {
+		return timeout
+	}
+	return expiry + min(FeedbackGrace, expiry/10)
+}
 
 func (c UEConfig) validate() error {
 	if c.ID == "" {
@@ -222,15 +234,6 @@ func (u *UE) Stop() {
 		u.link.Close()
 		u.link = nil
 	}
-}
-
-// feedbackTimeout returns the configured or default ack wait for a
-// heartbeat with the given expiry.
-func (u *UE) feedbackTimeout(expiry time.Duration) time.Duration {
-	if u.cfg.FeedbackTimeout > 0 {
-		return u.cfg.FeedbackTimeout
-	}
-	return expiry + FeedbackGrace
 }
 
 // heartbeat generates and dispatches one heartbeat for profile slot i,
@@ -383,7 +386,7 @@ func (u *UE) armFeedback(hb hbmsg.Heartbeat) {
 		p.timeout = func() { u.onFeedbackTimeout(p.hb.Seq) }
 	}
 	p.hb = hb
-	t, err := u.clock.After(u.feedbackTimeout(hb.Expiry), p.timeout)
+	t, err := u.clock.After(FeedbackWindow(u.cfg.FeedbackTimeout, hb.Expiry), p.timeout)
 	if err != nil {
 		u.stats.SendErrors++
 		u.spare = append(u.spare, p)

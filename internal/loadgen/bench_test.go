@@ -324,7 +324,7 @@ func BenchmarkTrunkAckPath(b *testing.B) {
 		// Every period acks seq 1 again: what is measured is the lookup
 		// and the settle, not the sequence bookkeeping.
 		for _, i := range owned {
-			tr.pending.Track(session.Key{Slot: i, Seq: 1}, now)
+			tr.pending.Track(session.Key{Slot: i, Seq: 1}, now, true)
 		}
 		wire.Reset(period)
 		b.StartTimer()

@@ -593,9 +593,6 @@ func (r *Runner) newTrunk(id string, period time.Duration, profiles []tprofile, 
 		rec: r.histRelay.Recorder(), trec: r.cfg.Recorder, c: &r.counters,
 		shards: &r.shardSent,
 		ids:    ids, users: make([]tuser, len(ids.ends)), clients: clients,
-		// A heartbeat that misses its ack window is re-sent once through
-		// the then-current ring view.
-		pending:   session.Pending{Fallback: true},
 		paceSlots: slots,
 	}
 	t.up = session.Uplink{

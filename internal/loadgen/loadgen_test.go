@@ -91,12 +91,17 @@ func TestDirectFleetSmallRun(t *testing.T) {
 // TestRelayedFleetFallsBackOnSingleServer pins the paper's fallback on the
 // one-server path: a relay that can collect one heartbeat per period
 // rejects the rest, and every rejected heartbeat must still reach the
-// server by the UE's direct resend — as it does against a cluster.
+// server by the UE's direct resend — as it does against a cluster. Each
+// fallback drops the UE's relay link, so the fleet dials its relay more
+// often than it has UEs.
 func TestRelayedFleetFallsBackOnSingleServer(t *testing.T) {
 	r, err := New(Config{
 		UEs: 40, Relays: 1, RelayRatio: 1, RelayCapacity: 1,
 		Profiles: []hbmsg.AppProfile{fastProfile(500 * time.Millisecond)},
 		Duration: 2 * time.Second,
+		// Windows lapse within the run, not only in the final drain, so
+		// the sends after a fallback show whether it dropped the link.
+		AckTimeout: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +116,10 @@ func TestRelayedFleetFallsBackOnSingleServer(t *testing.T) {
 	}
 	if rep.FallbackResends == 0 {
 		t.Fatalf("no fallback resends past a capacity-1 relay: %+v", rep)
+	}
+	if rep.RelayReconnects <= 40 {
+		t.Fatalf("%d relay connections for 40 relayed UEs after %d fallbacks: a fallback must drop the relay link",
+			rep.RelayReconnects, rep.FallbackResends)
 	}
 }
 

@@ -75,6 +75,10 @@ type Report struct {
 	// owning shard after the relay path missed the ack window. A resend
 	// that gets acked keeps the heartbeat out of Timeouts.
 	FallbackResends uint64 `json:"fallbackResends,omitempty"`
+	// RelayReconnects counts the socket-per-UE fleet's relay connections,
+	// first dials included: a fallback drops the UE's relay link, so each
+	// fallback resend costs one more dial on the UE's next send.
+	RelayReconnects uint64 `json:"relayReconnects,omitempty"`
 
 	// Trunks is the trunked-fleet size (Config.Trunks); zero in socket-per-UE
 	// runs.
@@ -206,6 +210,7 @@ func (r *Runner) count(rep *Report) {
 		rep.WriteErrors += uint64(st.WriteErrors)
 		rep.OutOfOrderAcks += uint64(st.OutOfOrderAcks)
 		rep.FallbackResends += uint64(st.FallbackResends)
+		rep.RelayReconnects += uint64(st.RelayReconnects)
 	}
 	rep.Sent = rep.SentDirect + rep.SentRelayed
 	rep.Acked = rep.AckedDirect + rep.AckedRelayed
@@ -242,6 +247,9 @@ func (rep Report) CountsTable() *metrics.Table {
 		// Resends are not re-counted in sent, so acked can exceed sent by
 		// up to this row.
 		row("fallback resends", rep.FallbackResends, 0, rep.FallbackResends)
+	}
+	if rep.RelayReconnects > 0 {
+		row("relay reconnects", rep.RelayReconnects, 0, rep.RelayReconnects)
 	}
 	t.AddRow("errors", fmt.Sprintf("%d", rep.Errors),
 		fmt.Sprintf("dial=%d", rep.DialErrors), fmt.Sprintf("write=%d", rep.WriteErrors))
@@ -320,6 +328,9 @@ func (rep Report) String() string {
 		b.WriteString(st.String())
 		if rep.FallbackResends > 0 {
 			fmt.Fprintf(&b, "fallback resends: %d\n", rep.FallbackResends)
+		}
+		if rep.RelayReconnects > 0 {
+			fmt.Fprintf(&b, "relay reconnects: %d\n", rep.RelayReconnects)
 		}
 	}
 	if rep.ServerMetrics != nil {

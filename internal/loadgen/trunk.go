@@ -84,7 +84,7 @@ type trunk struct {
 
 	mu      sync.Mutex
 	users   []tuser
-	pending session.Pending // in-flight heartbeats, slot = user index
+	pending session.Pending // in-flight heartbeats, slot = user index, each resendable once
 	closed  bool
 }
 
@@ -169,7 +169,7 @@ func (t *trunk) emit(lo, hi int, now time.Time, resend []session.Key) {
 func (t *trunk) offer(refs []session.Key, now time.Time) {
 	t.mu.Lock()
 	for _, ref := range refs {
-		t.pending.Track(ref, now)
+		t.pending.Track(ref, now, true)
 	}
 	t.mu.Unlock()
 	t.send(refs, now, false)
@@ -187,10 +187,9 @@ func (t *trunk) index() {
 }
 
 // send writes heartbeats through the uplink, one chunked Batch per owning
-// shard under one ring view. Heartbeats that never hit the wire are
-// abandoned to the pending table: they stay for the sweep when fallback is
-// available and are forgotten (a transport error, not an ack timeout)
-// otherwise.
+// shard under one ring view. Heartbeats that never hit the wire stay in
+// the pending table: the sweep resends them once through the then-current
+// view.
 func (t *trunk) send(refs []session.Key, now time.Time, fallback bool) {
 	parts := t.up.Send(now, len(refs),
 		func(v *cluster.View, i int) int { return t.ownerOf(v, refs[i].Slot) },
@@ -213,11 +212,6 @@ func (t *trunk) send(refs []session.Key, now time.Time, fallback bool) {
 			} else {
 				t.c.dialErrors.Add(1)
 			}
-			t.mu.Lock()
-			for _, i := range p.Pos {
-				t.pending.Abandon(refs[i])
-			}
-			t.mu.Unlock()
 			continue
 		}
 		t.c.trunkWrites.Add(1)
@@ -254,7 +248,7 @@ func (t *trunk) ownerOf(v *cluster.View, u int) int {
 // write-offs and returning the heartbeats due one fallback re-send.
 func (t *trunk) collectExpired(now time.Time) []session.Key {
 	t.mu.Lock()
-	resend, lost := t.pending.Sweep(now, t.timeout)
+	resend, lost := t.pending.Sweep(now, func(int) time.Duration { return t.timeout })
 	t.timedOut(lost, now)
 	t.mu.Unlock()
 	return resend

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"d2dhb/internal/cluster"
+	"d2dhb/internal/device"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/rec"
 	"d2dhb/internal/session"
@@ -64,10 +65,10 @@ type UEClientConfig struct {
 	Cluster *cluster.Client
 	// FeedbackTimeout is how long a heartbeat waits for its
 	// acknowledgement — the relay's feedback, or the server's own ack on
-	// the direct path — before a relayed UE resends it directly, once, and
-	// before it is written off as timed out otherwise (a direct send, or a
-	// resend that went unacknowledged too). Zero selects each app's Expiry
-	// plus a tenth.
+	// the direct path — before one sent to a relay is resent directly,
+	// once, and before it is written off as timed out otherwise (a direct
+	// send, or a resend that went unacknowledged too). Zero selects the
+	// simulator's rule for each app's Expiry, device.FeedbackWindow.
 	FeedbackTimeout time.Duration
 	// Tracer receives structured events when non-nil (AtMs is Unix ms).
 	Tracer trace.Tracer
@@ -106,15 +107,16 @@ func (c UEClientConfig) validate() error {
 type UEClientStats struct {
 	Generated uint32
 	// ViaRelay and Direct count first sends whose frame reached the relay
-	// or the owning shard; FallbackResends the direct resends of relayed
-	// heartbeats whose ack window lapsed.
+	// or the owning shard; FallbackResends the direct resends of heartbeats
+	// sent to a relay whose ack window lapsed.
 	ViaRelay, Direct, FallbackResends uint32
 	// Acked counts heartbeats acknowledged over either path, FeedbackAcks
 	// those of them the relay's feedback confirmed. Timeouts counts those
 	// written off: their last ack window lapsed, or Shutdown came first.
 	Acked, FeedbackAcks, Timeouts uint32
 	// RelayReconnects counts successful relay (re)connections, including
-	// the initial one.
+	// the initial one: a fallback drops the relay link, so the next send
+	// redials.
 	RelayReconnects uint32
 	// DialErrors and WriteErrors count sends whose frame never reached the
 	// wire: the link could not be dialled, or the write failed. A relay
@@ -129,8 +131,7 @@ type UEClientStats struct {
 // UE without any of it — one app, no tracer, a driver its owner runs —
 // stays one small allocation.
 type ueExtra struct {
-	more   []session.Pending // apps[1:]'s heartbeats in flight, by seq
-	due    []time.Duration   // apps[1:]'s next due instants, as UEClient.due
+	due    []time.Duration // apps[1:]'s next due instants, as UEClient.due
 	tracer trace.Tracer
 	drv    *session.Driver // the one-unit driver Start runs the UE on
 }
@@ -138,11 +139,13 @@ type ueExtra struct {
 // UEClient is the paper's UE on the live stack: it emits each app's
 // heartbeats on its schedule, forwards them through a relay when one is
 // reachable and sends them straight to its owning shard when none is, and
-// resends a relayed heartbeat directly, once, when the relay's feedback
-// does not come back within the ack window. Both paths are acknowledged:
-// relay feedback and the server's own acks settle the same pending table,
-// so the client measures each heartbeat's latency and counts every one it
-// loses.
+// applies the simulator's loss rule (device.UE): a heartbeat sent to the
+// relay whose feedback does not come back within the ack window
+// (device.FeedbackWindow) is resent directly, once, and the relay link
+// that failed it is dropped, so the next send redials. Both paths are
+// acknowledged: relay feedback and the server's own acks settle one
+// pending table, keyed (app index, seq), so the client measures each
+// heartbeat's latency and counts every one it loses.
 //
 // The UE is a session.Unit: its Step is one turn of its heartbeat loop.
 // Start runs it on a driver of its own; a fleet puts all its UEs on one
@@ -171,7 +174,7 @@ type UEClient struct {
 
 	mu       sync.Mutex
 	fallback *session.Slot   // a relayed UE's link to its owning shard, opened on first use
-	pending  session.Pending // apps[0]'s heartbeats in flight, by seq
+	pending  session.Pending // heartbeats in flight, slot = app index
 	last     uint64          // highest acknowledged seq
 	n        UEClientStats
 	tidx     int32 // RecorderIndex
@@ -194,23 +197,15 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 		id: cfg.ID, apps: cfg.Apps, timeout: cfg.FeedbackTimeout, dial: cfg.Dial,
 		owner: cl.Owner(), rec: cfg.Recorder, latency: cfg.Latency, tidx: int32(cfg.RecorderIndex),
 	}
-	relayed := cfg.RelayAddr != "" || len(cfg.FallbackRelayAddrs) > 0
 	if len(cfg.Apps) > 1 || cfg.Tracer != nil {
-		u.x = &ueExtra{
-			more: make([]session.Pending, len(cfg.Apps)-1), due: make([]time.Duration, len(cfg.Apps)-1),
-			tracer: cfg.Tracer,
-		}
-		for i := range u.x.more {
-			u.x.more[i].Fallback = relayed
-		}
+		u.x = &ueExtra{due: make([]time.Duration, len(cfg.Apps)-1), tracer: cfg.Tracer}
 	}
-	if !relayed {
+	if cfg.RelayAddr == "" && len(cfg.FallbackRelayAddrs) == 0 {
 		u.primary = session.Slot{Dial: cfg.Dial, Addr: cfg.ID, Resolve: u.owner, OnRefs: u.onAck}
 		return u, nil
 	}
 	// Relays deliver feedback only to registered UE connections.
 	app := cfg.Apps[0]
-	u.pending.Fallback = true
 	u.primary = session.Slot{
 		Dial: cfg.Dial, Addr: cfg.RelayAddr,
 		Register: &hbproto.Register{
@@ -272,11 +267,7 @@ func (u *UEClient) Stats() UEClientStats {
 func (u *UEClient) InFlight() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	n := 0
-	for i := range u.apps {
-		n += u.table(i).Len()
-	}
-	return n
+	return u.pending.Len()
 }
 
 // Shutdown stops the driver Start runs, closes the UE's links and writes
@@ -297,10 +288,7 @@ func (u *UEClient) Shutdown() {
 	}
 	u.closeLinks() // again: a step may have opened the fallback meanwhile
 	u.mu.Lock()
-	now := time.Now()
-	for i := range u.apps {
-		u.timedOut(u.table(i).Drain(), now)
-	}
+	u.timedOut(u.pending.Drain(), time.Now())
 	u.mu.Unlock()
 }
 
@@ -435,61 +423,46 @@ func (u *UEClient) Lapse() (at time.Time, ok bool) {
 }
 
 // lapse is Lapse with u.mu held.
-func (u *UEClient) lapse() (at time.Time, ok bool) {
-	for i := range u.apps {
-		if opened, in := u.table(i).Oldest(); in {
-			if end := opened.Add(u.window(i)); !ok || end.Before(at) {
-				at, ok = end, true
-			}
-		}
-	}
-	return at, ok
-}
+func (u *UEClient) lapse() (at time.Time, ok bool) { return u.pending.Lapse(u.window) }
 
 // Send offers heartbeat seq of app i, generated at now, through the relay
 // when its link is up or can be dialled, and straight to the owning shard
 // when it cannot. It is the UE's one send path: its loop numbers the
-// heartbeats, a replay hands in the recorded ones. A relay write that
-// fails keeps the heartbeat in flight for the fallback resend.
+// heartbeats, a replay hands in the recorded ones. As in the simulator,
+// only a heartbeat sent to the relay may be resent: one whose relay write
+// fails stays in flight for the fallback resend, and a direct send is
+// written off when its window lapses.
 func (u *UEClient) Send(app int, seq uint64, now time.Time) {
 	hb := u.heartbeat(app, seq, now)
-	k := session.Key{Seq: seq}
+	k := session.Key{Slot: app, Seq: seq}
+	u.emit(trace.KindGenerated, hb.App, seq, now)
+	if u.relayed() && u.viaRelay(&hb, k) {
+		return
+	}
+	u.track(k, now, false)
+	u.sendDirect(&hb, false)
+}
+
+// track counts heartbeat k as generated and opens its ack window at its
+// generation instant. Track before transmitting: on loopback the relay may
+// flush, get the server ack and send feedback before the write returns.
+func (u *UEClient) track(k session.Key, at time.Time, resend bool) {
 	u.mu.Lock()
-	// Track before transmitting: on loopback the relay may flush, get the
-	// server ack and send feedback before the write returns.
-	u.table(app).Track(k, now)
+	u.pending.Track(k, at, resend)
 	u.n.Generated++
 	u.mu.Unlock()
-	u.emit(trace.KindGenerated, hb.App, seq, now)
-	if u.relayed() {
-		if up, err := u.viaRelay(&hb); up {
-			u.mu.Lock()
-			if err != nil {
-				u.n.WriteErrors++
-				u.table(app).Abandon(k)
-			} else {
-				u.n.ViaRelay++
-				u.rec.Record(rec.EvSend, int(u.tidx), seq, now)
-			}
-			u.mu.Unlock()
-			if err == nil {
-				u.emit(trace.KindD2DSend, hb.App, seq, time.Now())
-			}
-			return
-		}
-	}
-	u.sendDirect(&hb, false)
 }
 
 // relayed reports whether the UE forwards through a relay: only its relay
 // link registers.
 func (u *UEClient) relayed() bool { return u.primary.Register != nil }
 
-// viaRelay makes sure the relay link is up and writes hb on it. up is
-// false when no relay could be dialled. A relay link stalled mid-dial or
-// mid-frame blocks the step, not the fallback of the heartbeats already
-// waiting on their windows: the driver sweeps the UE at each lapse.
-func (u *UEClient) viaRelay(hb *hbproto.Heartbeat) (up bool, err error) {
+// viaRelay makes sure the relay link is up and writes hb on it, tracked as
+// heartbeat k; it is false, having tracked nothing, when no relay could be
+// dialled. A relay link stalled mid-frame blocks the step, not the
+// fallback of the heartbeats already waiting on their windows: the driver
+// sweeps the UE at each lapse, and the sweep's fallback drops the link.
+func (u *UEClient) viaRelay(hb *hbproto.Heartbeat, k session.Key) bool {
 	dialed, err := u.primary.Connect()
 	if dialed {
 		u.mu.Lock()
@@ -497,9 +470,22 @@ func (u *UEClient) viaRelay(hb *hbproto.Heartbeat) (up bool, err error) {
 		u.mu.Unlock()
 	}
 	if err != nil {
-		return false, err
+		return false
 	}
-	return true, sendFrame(&u.primary, hb)
+	u.track(k, hb.Origin, true)
+	err = sendFrame(&u.primary, hb)
+	u.mu.Lock()
+	if err != nil {
+		u.n.WriteErrors++
+	} else {
+		u.n.ViaRelay++
+		u.rec.Record(rec.EvSend, int(u.tidx), hb.Seq, hb.Origin)
+	}
+	u.mu.Unlock()
+	if err == nil {
+		u.emit(trace.KindD2DSend, hb.App, hb.Seq, time.Now())
+	}
+	return true
 }
 
 // wirePool lends a send its wire heartbeat: the message escapes through
@@ -568,29 +554,31 @@ func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, fallback bool) {
 	}
 }
 
-// Sweep applies the loss policy to every heartbeat in flight at now: one
-// whose ack window has lapsed is resent directly, once, when the UE is
-// relayed — keeping its first send's origin, so its expiry T_k still
-// counts from generation — and is written off as timed out otherwise.
+// Sweep applies the loss rule to every heartbeat in flight at now, each on
+// its app's window. One sent to a relay is resent directly, once, when its
+// window lapses — keeping its first send's origin, so its expiry T_k still
+// counts from generation — and the relay link is dropped, as the
+// simulator's UE closes the link that failed it: the next send redials.
+// Any other lapse is written off as timed out.
 func (u *UEClient) Sweep(now time.Time) {
-	var resend []hbproto.Heartbeat
 	u.mu.Lock()
-	for i := range u.apps {
-		p := u.table(i)
-		keys, lost := p.Sweep(now, u.window(i))
-		u.timedOut(lost, now)
-		for _, k := range keys {
-			origin, _ := p.Sent(k)
-			resend = append(resend, u.heartbeat(i, k.Seq, origin))
-		}
+	keys, lost := u.pending.Sweep(now, u.window)
+	u.timedOut(lost, now)
+	resend := make([]hbproto.Heartbeat, len(keys))
+	for i, k := range keys {
+		origin, _ := u.pending.Sent(k)
+		resend[i] = u.heartbeat(k.Slot, k.Seq, origin)
 	}
 	u.mu.Unlock()
 	for i := range resend {
 		u.sendDirect(&resend[i], true)
 	}
+	if len(resend) > 0 {
+		u.primary.Drop()
+	}
 }
 
-// timedOut writes off heartbeats the pending tables gave up on (u.mu held).
+// timedOut writes off heartbeats the pending table gave up on (u.mu held).
 func (u *UEClient) timedOut(keys []session.Key, now time.Time) {
 	for _, k := range keys {
 		u.n.Timeouts++
@@ -610,8 +598,8 @@ func (u *UEClient) settle(refs []hbproto.Ref, at time.Time, feedback bool) {
 		if ref.Src != u.id {
 			continue
 		}
-		for i := range u.apps {
-			lat, ok := u.table(i).Settle(session.Key{Seq: ref.Seq}, at)
+		for i := range u.apps { // seqs run across apps: one slot has it
+			lat, ok := u.pending.Settle(session.Key{Slot: i, Seq: ref.Seq}, at)
 			if !ok {
 				continue
 			}
@@ -641,21 +629,9 @@ func (u *UEClient) heartbeat(i int, seq uint64, origin time.Time) hbproto.Heartb
 	}
 }
 
-// table is app i's pending table.
-func (u *UEClient) table(i int) *session.Pending {
-	if i == 0 {
-		return &u.pending
-	}
-	return &u.x.more[i-1]
-}
-
 // window is app i's ack window.
 func (u *UEClient) window(i int) time.Duration {
-	if u.timeout > 0 {
-		return u.timeout
-	}
-	e := u.apps[i].Expiry
-	return e + e/10
+	return device.FeedbackWindow(u.timeout, u.apps[i].Expiry)
 }
 
 func (u *UEClient) emit(kind trace.Kind, app string, seq uint64, at time.Time) {

@@ -1,14 +1,18 @@
 package relaynet
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/hbproto/hbprototest"
 	"d2dhb/internal/rec"
+	"d2dhb/internal/trace"
 )
 
 func TestNextDue(t *testing.T) {
@@ -151,38 +155,8 @@ func TestUEWritesOffWhatNoServerTakes(t *testing.T) {
 // never confirmed carries the first send's origin, so its expiry T_k still
 // counts from generation, not from the resend.
 func TestFallbackKeepsOrigin(t *testing.T) {
-	// listen accepts one connection and hands over every heartbeat decoded
-	// from it, acknowledging each when ack is set.
-	listen := func(ack bool) (string, <-chan *hbproto.Heartbeat) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = ln.Close() })
-		hbs := make(chan *hbproto.Heartbeat, 4)
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			for {
-				msg, err := hbprototest.ReadFrame(conn)
-				if err != nil {
-					return
-				}
-				if hb, ok := msg.(*hbproto.Heartbeat); ok {
-					hbs <- hb
-					if ack {
-						_ = hbprototest.WriteFrame(conn, &hbproto.Ack{Refs: []hbproto.Ref{{Src: hb.Src, Seq: hb.Seq}}})
-					}
-				}
-			}
-		}()
-		return ln.Addr().String(), hbs
-	}
-	relayAddr, viaRelay := listen(false) // swallows the heartbeat, never feeds back
-	serverAddr, atServer := listen(true)
+	relayAddr, viaRelay := listenHeartbeats(t, false) // swallows the heartbeat, never feeds back
+	serverAddr, atServer := listenHeartbeats(t, true)
 
 	// One heartbeat an hour: the first is the only one.
 	cfg := ueConfig("ue-origin", relayAddr, serverAddr, time.Hour, 300*time.Millisecond)
@@ -214,5 +188,184 @@ func TestFallbackKeepsOrigin(t *testing.T) {
 	eventually(t, 2*time.Second, func() bool { return u.Stats().Acked == 1 }, "the server's ack settles the resend")
 	if st := u.Stats(); st.FallbackResends != 1 || st.FeedbackAcks != 0 || st.Timeouts != 0 {
 		t.Fatalf("stats = %+v, want one fallback acknowledged by the server", st)
+	}
+}
+
+// listenHeartbeats accepts connections and hands over every heartbeat
+// decoded from them, acknowledging each when ack is set. The channel holds
+// more than the few heartbeats a test reads; the rest are dropped, so no
+// reader blocks on a test that reads none. Without ack it is a relay that
+// swallows heartbeats, or a server that never acknowledges.
+func listenHeartbeats(t *testing.T, ack bool) (string, <-chan *hbproto.Heartbeat) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	t.Cleanup(func() {
+		_ = ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			_ = c.Close()
+		}
+	})
+	hbs := make(chan *hbproto.Heartbeat, 16)
+	serve := func(conn net.Conn) {
+		for {
+			msg, err := hbprototest.ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			hb, ok := msg.(*hbproto.Heartbeat)
+			if !ok {
+				continue
+			}
+			select {
+			case hbs <- hb:
+			default:
+			}
+			if ack {
+				_ = hbprototest.WriteFrame(conn, &hbproto.Ack{Refs: []hbproto.Ref{{Src: hb.Src, Seq: hb.Seq}}})
+			}
+		}
+	}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			go serve(conn)
+		}
+	}()
+	return ln.Addr().String(), hbs
+}
+
+// TestUEAckWindowIsTheDeviceRule: with no FeedbackTimeout, the live UE's
+// ack window is the simulator's (device.FeedbackWindow) — expiry plus five
+// seconds, capped at a tenth of the expiry — not the expiry plus a tenth.
+func TestUEAckWindowIsTheDeviceRule(t *testing.T) {
+	for _, c := range []struct{ expiry, want time.Duration }{
+		{270 * time.Second, 275 * time.Second},
+		{300 * time.Millisecond, 330 * time.Millisecond},
+	} {
+		cfg := ueConfig("ue-window", "", "server", time.Hour, c.expiry)
+		cfg.Dial = func(string, string) (net.Conn, error) { return nil, errors.New("no network") }
+		u, err := NewUEClient(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(u.Shutdown)
+		t0 := time.Now()
+		u.Send(0, 1, t0)
+		if at, ok := u.Lapse(); !ok || at.Sub(t0) != c.want {
+			t.Errorf("expiry %v: window lapses %v after the send (in flight %v), want %v", c.expiry, at.Sub(t0), ok, c.want)
+		}
+	}
+}
+
+// TestUEOneTableTwoWindows: two apps with different expiries share one
+// pending table, and each heartbeat falls back at its own app's window; a
+// sweep resends in (app, seq) order.
+func TestUEOneTableTwoWindows(t *testing.T) {
+	s := startServer(t)
+	relayAddr, _ := listenHeartbeats(t, false)
+	var tr trace.Recorder
+	u, err := NewUEClient(UEClientConfig{
+		ID: "ue-two", Apps: []UEApp{
+			{Name: "short", Period: time.Hour, Expiry: time.Second, Pad: 54},    // 1.1 s window
+			{Name: "long", Period: time.Hour, Expiry: 2 * time.Second, Pad: 54}, // 2.2 s window
+		},
+		RelayAddr: relayAddr, ServerAddr: s.Addr(), Tracer: &tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Shutdown)
+	t0 := time.Now()
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	u.Send(1, 1, at(0))    // lapses at 2.2 s
+	u.Send(0, 2, at(1000)) // lapses at 2.1 s
+	if end, ok := u.Lapse(); !ok || !end.Equal(at(2100)) {
+		t.Fatalf("first lapse %v after t0, want 2.1s", end.Sub(t0))
+	}
+	u.Sweep(at(2000)) // 1.1 s would have lapsed the long app's heartbeat
+	if st := u.Stats(); st.FallbackResends != 0 {
+		t.Fatalf("stats = %+v: a heartbeat fell back before its own app's window lapsed", st)
+	}
+	u.Sweep(at(2300))
+	var order []uint64
+	for _, ev := range tr.ByKind(trace.KindFallback) {
+		order = append(order, ev.Seq)
+	}
+	if want := []uint64{2, 1}; !slices.Equal(order, want) {
+		t.Fatalf("fallback resends of seqs %v, want %v: app 0's before app 1's", order, want)
+	}
+}
+
+// TestUEDirectSendIsNotResent: a relayed UE whose relay cannot be dialled
+// sends direct, and a direct send that is not acknowledged is written off
+// when its window lapses, not resent — as in the simulator, only a
+// heartbeat sent to a relay has a fallback.
+func TestUEDirectSendIsNotResent(t *testing.T) {
+	serverAddr, _ := listenHeartbeats(t, false) // reads, never acknowledges
+	cfg := ueConfig("ue-norelay", "relay-down", serverAddr, time.Hour, time.Second)
+	cfg.FeedbackTimeout = 100 * time.Millisecond
+	cfg.Dial = func(network, addr string) (net.Conn, error) {
+		if addr == "relay-down" {
+			return nil, errors.New("relay down")
+		}
+		return net.Dial(network, addr)
+	}
+	u, err := NewUEClient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Shutdown)
+	t0 := time.Now()
+	u.Send(0, 1, t0)
+	u.Send(0, 2, t0.Add(10*time.Millisecond))
+	u.Sweep(t0.Add(time.Second))
+	u.Sweep(t0.Add(2 * time.Second))
+	st := u.Stats()
+	if st.Direct != 2 || st.ViaRelay != 0 {
+		t.Fatalf("stats = %+v, want both heartbeats sent direct", st)
+	}
+	if st.FallbackResends != 0 || st.Timeouts != st.Generated || u.InFlight() != 0 {
+		t.Fatalf("stats = %+v, want no resend and every heartbeat timed out", st)
+	}
+}
+
+// TestUEFallbackRedialsTheRelay: a fallback drops the relay link that
+// failed the heartbeat, as the simulator's UE closes it, so the next send
+// dials the relay afresh.
+func TestUEFallbackRedialsTheRelay(t *testing.T) {
+	s := startServer(t)
+	relayAddr, _ := listenHeartbeats(t, false) // swallows heartbeats
+	cfg := ueConfig("ue-redial", relayAddr, s.Addr(), time.Hour, time.Second)
+	cfg.FeedbackTimeout = 100 * time.Millisecond
+	u, err := NewUEClient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Shutdown)
+	t0 := time.Now()
+	u.Send(0, 1, t0)
+	u.Sweep(t0.Add(200 * time.Millisecond))
+	u.Send(0, 2, t0.Add(300*time.Millisecond))
+	st := u.Stats()
+	if st.FallbackResends != 1 || st.ViaRelay != 2 {
+		t.Fatalf("stats = %+v, want two relayed sends and one fallback between them", st)
+	}
+	if st.RelayReconnects != 2 {
+		t.Fatalf("%d relay connections, want 2: the send after a fallback redials", st.RelayReconnects)
 	}
 }

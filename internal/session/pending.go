@@ -20,12 +20,15 @@ func (a Key) compare(b Key) int {
 }
 
 // Pending is the table of heartbeats sent but not yet acknowledged, and
-// the one statement of the client's loss policy: a heartbeat whose ack
-// window lapses is handed back once for a fallback resend with a fresh
-// window (when the owner has a fallback path), and written off as timed
-// out when the window lapses again — so no heartbeat is resent twice or
-// counted twice. Every walk is in (slot, seq) order, so the decisions and
-// the trace records they produce replay identically.
+// the one statement of the client's loss policy: a heartbeat tracked as
+// resendable is handed back once, when its ack window lapses, for a
+// fallback resend with a fresh window, and written off as timed out when
+// the window lapses again; any other heartbeat is written off at its first
+// lapse — so no heartbeat is resent twice or counted twice. Whether a
+// heartbeat may be resent is its own, given at Track; how long its window
+// is, its slot's, given at each Sweep and Lapse. Every walk is in (slot,
+// seq) order, so the decisions and the trace records they produce replay
+// identically.
 //
 // The table is addressed by slot, not hashed: each slot keeps its
 // in-flight heartbeat inline, and only a second or later heartbeat in
@@ -35,30 +38,29 @@ func (a Key) compare(b Key) int {
 //
 // Pending is not synchronized: owners guard it with the lock that also
 // guards the counters they update alongside it. A socket-per-UE fleet holds
-// one per UE, so the fields are laid out without padding to spare. The zero value (with
-// Fallback set as needed) is ready to use; it allocates nothing until the
-// first Track, and then a zeroed slice up to the highest slot tracked.
+// one per UE, so the fields are laid out without padding to spare. The
+// zero value is ready to use; it allocates nothing until the first Track,
+// and then a zeroed slice up to the highest slot tracked.
 type Pending struct {
 	slots []inflight    // by slot: its inline heartbeat
 	over  map[Key]entry // the rest in flight; never a slot's inline key
 	live  int32         // inline entries in use
-
-	// Fallback says whether the owner can resend over a second path.
-	Fallback bool
 }
 
 // entry times are UnixNano. An entry has fallen back once its window was
-// re-armed: armed > sent.
+// re-armed: armed > sent. The two flags share the padding after the times,
+// so a slot's inline entry stays 32 bytes.
 type entry struct {
-	sent  int64 // Track instant; survives the fallback re-arm
-	armed int64 // start of the current ack window
+	sent   int64 // Track instant; survives the fallback re-arm
+	armed  int64 // start of the current ack window
+	resend bool  // given at Track: the first lapse hands it back for a resend
+	used   bool  // an inline slot holds a heartbeat
 }
 
 // inflight is one slot's inline heartbeat.
 type inflight struct {
 	seq uint64
 	entry
-	used bool
 }
 
 // inline returns k's inline entry, nil when k is not its slot's inline key.
@@ -84,6 +86,7 @@ func (p *Pending) get(k Key) (entry, bool) {
 // put stores e under k: over k's own entry if it has one, else inline when
 // the slot's inline place is free, else in the overflow.
 func (p *Pending) put(k Key, e entry) {
+	e.used = true
 	if k.Slot >= len(p.slots) {
 		p.slots = append(p.slots, make([]inflight, k.Slot+1-len(p.slots))...)
 	}
@@ -93,7 +96,7 @@ func (p *Pending) put(k Key, e entry) {
 		return
 	}
 	if !s.used && !p.overflowed(k) {
-		*s = inflight{seq: k.Seq, entry: e, used: true}
+		*s = inflight{seq: k.Seq, entry: e}
 		p.live++
 		return
 	}
@@ -130,13 +133,13 @@ func (p *Pending) take(k Key) (entry, bool) {
 // keys returns the keys of the entries keep selects, in (slot, seq) order:
 // slots in index order, each slot's inline entry merged by seq with its
 // overflow entries. Only the selected overflow is sorted, never the table.
-func (p *Pending) keys(keep func(entry) bool) []Key {
+func (p *Pending) keys(keep func(slot int, e entry) bool) []Key {
 	if p.Len() == 0 {
 		return nil // owners sweep every tick; most find nothing in flight
 	}
 	var over []Key
 	for k, e := range p.over {
-		if keep(e) {
+		if keep(k.Slot, e) {
 			over = append(over, k)
 		}
 	}
@@ -144,7 +147,7 @@ func (p *Pending) keys(keep func(entry) bool) []Key {
 	var out []Key
 	for i := range p.slots {
 		s := &p.slots[i]
-		if !s.used || !keep(s.entry) {
+		if !s.used || !keep(i, s.entry) {
 			continue
 		}
 		k := Key{Slot: i, Seq: s.seq}
@@ -156,11 +159,13 @@ func (p *Pending) keys(keep func(entry) bool) []Key {
 	return append(out, over...)
 }
 
-// Track starts k's ack window at the given instant. Track before the
-// frame is written: on loopback the ack can beat the sender back here.
-func (p *Pending) Track(k Key, at time.Time) {
+// Track starts k's ack window at the given instant; resend says whether
+// its first lapse hands it back for a fallback resend rather than writing
+// it off. Track before the frame is written: on loopback the ack can beat
+// the sender back here.
+func (p *Pending) Track(k Key, at time.Time, resend bool) {
 	n := at.UnixNano()
-	p.put(k, entry{sent: n, armed: n})
+	p.put(k, entry{sent: n, armed: n, resend: resend})
 }
 
 // Settle acknowledges k. It returns the time since k's current window
@@ -174,55 +179,45 @@ func (p *Pending) Settle(k Key, now time.Time) (time.Duration, bool) {
 	return time.Duration(now.UnixNano() - e.armed), true
 }
 
-// Forget stops tracking k without an outcome.
-func (p *Pending) Forget(k Key) { p.take(k) }
-
-// Abandon is for a heartbeat whose frame never reached the wire (dial or
-// write failure on the primary path). With a fallback path the entry
-// stays, and the sweep resends it once routes converge; without one it is
-// forgotten, so a transport error is not also counted as an ack timeout.
-func (p *Pending) Abandon(k Key) {
-	if !p.Fallback {
-		p.take(k)
-	}
-}
-
 // Sent returns the instant k was first tracked.
 func (p *Pending) Sent(k Key) (time.Time, bool) {
 	e, ok := p.get(k)
 	return time.Unix(0, e.sent), ok
 }
 
-// Oldest returns the start of the earliest open ack window, for owners
-// that arm a timer instead of sweeping on a tick.
-func (p *Pending) Oldest() (time.Time, bool) {
+// Lapse returns the earliest instant an open ack window closes, each
+// slot's window given by window, for owners that arm a timer instead of
+// sweeping on a tick.
+func (p *Pending) Lapse(window func(slot int) time.Duration) (time.Time, bool) {
 	first, ok := int64(0), false
-	earliest := func(e entry) {
-		if !ok || e.armed < first {
-			first, ok = e.armed, true
+	earliest := func(slot int, e entry) {
+		if end := e.armed + int64(window(slot)); !ok || end < first {
+			first, ok = end, true
 		}
 	}
 	for i := range p.slots {
 		if p.slots[i].used {
-			earliest(p.slots[i].entry)
+			earliest(i, p.slots[i].entry)
 		}
 	}
-	for _, e := range p.over {
-		earliest(e)
+	for k, e := range p.over {
+		earliest(k.Slot, e)
 	}
 	return time.Unix(0, first), ok
 }
 
-// Sweep finds the entries whose window opened more than timeout before
-// now. First expiry with a fallback path: the entry is re-armed at now and
-// returned in resend. Otherwise it is removed and returned in lost. Both
-// lists are in (slot, seq) order.
-func (p *Pending) Sweep(now time.Time, timeout time.Duration) (resend, lost []Key) {
+// Sweep finds the entries whose window — their slot's, given by window —
+// opened longer than that before now. The first lapse of an entry tracked
+// as resendable re-arms it at now and returns it in resend; any other
+// lapse removes the entry and returns it in lost. Both lists are in
+// (slot, seq) order.
+func (p *Pending) Sweep(now time.Time, window func(slot int) time.Duration) (resend, lost []Key) {
 	n := now.UnixNano()
-	cutoff := n - int64(timeout)
-	for _, k := range p.keys(func(e entry) bool { return e.armed < cutoff }) {
-		if e, _ := p.get(k); p.Fallback && e.armed == e.sent {
-			p.put(k, entry{sent: e.sent, armed: n})
+	lapsed := func(slot int, e entry) bool { return e.armed+int64(window(slot)) < n }
+	for _, k := range p.keys(lapsed) {
+		if e, _ := p.get(k); e.resend && e.armed == e.sent {
+			e.armed = n
+			p.put(k, e)
 			resend = append(resend, k)
 			continue
 		}
@@ -234,7 +229,7 @@ func (p *Pending) Sweep(now time.Time, timeout time.Duration) (resend, lost []Ke
 
 // Drain empties the table and returns what was left, in (slot, seq) order.
 func (p *Pending) Drain() []Key {
-	keys := p.keys(func(entry) bool { return true })
+	keys := p.keys(func(int, entry) bool { return true })
 	clear(p.slots)
 	clear(p.over)
 	p.live = 0

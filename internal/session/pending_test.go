@@ -11,16 +11,15 @@ import (
 // refPending is the map-keyed table Pending replaced, kept as the
 // reference the slot table must match op for op.
 type refPending struct {
-	Fallback bool
-	m        map[Key]entry
+	m map[Key]entry
 }
 
-func (p *refPending) Track(k Key, at time.Time) {
+func (p *refPending) Track(k Key, at time.Time, resend bool) {
 	if p.m == nil {
 		p.m = make(map[Key]entry)
 	}
 	n := at.UnixNano()
-	p.m[k] = entry{sent: n, armed: n}
+	p.m[k] = entry{sent: n, armed: n, resend: resend}
 }
 
 func (p *refPending) Settle(k Key, now time.Time) (time.Duration, bool) {
@@ -32,42 +31,34 @@ func (p *refPending) Settle(k Key, now time.Time) (time.Duration, bool) {
 	return time.Duration(now.UnixNano() - e.armed), true
 }
 
-func (p *refPending) Forget(k Key) { delete(p.m, k) }
-
-func (p *refPending) Abandon(k Key) {
-	if !p.Fallback {
-		delete(p.m, k)
-	}
-}
-
 func (p *refPending) Sent(k Key) (time.Time, bool) {
 	e, ok := p.m[k]
 	return time.Unix(0, e.sent), ok
 }
 
-func (p *refPending) Oldest() (time.Time, bool) {
+func (p *refPending) Lapse(window func(int) time.Duration) (time.Time, bool) {
 	first, ok := int64(0), false
-	for _, e := range p.m {
-		if !ok || e.armed < first {
-			first, ok = e.armed, true
+	for k, e := range p.m {
+		if end := e.armed + int64(window(k.Slot)); !ok || end < first {
+			first, ok = end, true
 		}
 	}
 	return time.Unix(0, first), ok
 }
 
-func (p *refPending) Sweep(now time.Time, timeout time.Duration) (resend, lost []Key) {
+func (p *refPending) Sweep(now time.Time, window func(int) time.Duration) (resend, lost []Key) {
 	n := now.UnixNano()
-	cutoff := n - int64(timeout)
 	var expired []Key
 	for k, e := range p.m {
-		if e.armed < cutoff {
+		if e.armed+int64(window(k.Slot)) < n {
 			expired = append(expired, k)
 		}
 	}
 	slices.SortFunc(expired, Key.compare)
 	for _, k := range expired {
-		if e := p.m[k]; p.Fallback && e.armed == e.sent {
-			p.m[k] = entry{sent: e.sent, armed: n}
+		if e := p.m[k]; e.resend && e.armed == e.sent {
+			e.armed = n
+			p.m[k] = e
 			resend = append(resend, k)
 			continue
 		}
@@ -91,13 +82,11 @@ func (p *refPending) Len() int { return len(p.m) }
 
 // table is what both implementations answer.
 type table interface {
-	Track(Key, time.Time)
+	Track(Key, time.Time, bool)
 	Settle(Key, time.Time) (time.Duration, bool)
-	Forget(Key)
-	Abandon(Key)
 	Sent(Key) (time.Time, bool)
-	Oldest() (time.Time, bool)
-	Sweep(time.Time, time.Duration) ([]Key, []Key)
+	Lapse(func(int) time.Duration) (time.Time, bool)
+	Sweep(time.Time, func(int) time.Duration) ([]Key, []Key)
 	Drain() []Key
 	Len() int
 }
@@ -105,18 +94,17 @@ type table interface {
 type opKind int
 
 const (
-	opTrack opKind = iota
+	opTrack       opKind = iota // a heartbeat the table writes off at its first lapse
+	opTrackResend               // one it hands back once for a resend
 	opSettle
-	opAbandon
-	opForget
 	opSweep
 	opDrain
-	opOldest
+	opLapse
 	opSent
 	opLen
 )
 
-var opNames = [...]string{"Track", "Settle", "Abandon", "Forget", "Sweep", "Drain", "Oldest", "Sent", "Len"}
+var opNames = [...]string{"Track", "TrackResend", "Settle", "Sweep", "Drain", "Lapse", "Sent", "Len"}
 
 // op is one call at a millisecond offset from t0; k is ignored by the
 // calls that take no key.
@@ -128,7 +116,11 @@ type op struct {
 
 func (o op) String() string { return fmt.Sprintf("%s(%v)@%dms", opNames[o.kind], o.k, o.ms) }
 
-const sweepTimeout = 100 * time.Millisecond
+// window is the slot's ack window: 100 ms on slot 0, 50 ms more per slot
+// after it, so the slots of one table lapse at different instants.
+func window(slot int) time.Duration {
+	return 100*time.Millisecond + time.Duration(slot)*50*time.Millisecond
+}
 
 var t0 = time.Unix(1000, 0)
 
@@ -137,23 +129,19 @@ func apply(p table, o op) string {
 	at := t0.Add(time.Duration(o.ms) * time.Millisecond)
 	var out string
 	switch o.kind {
-	case opTrack:
-		p.Track(o.k, at)
+	case opTrack, opTrackResend:
+		p.Track(o.k, at, o.kind == opTrackResend)
 	case opSettle:
 		lat, ok := p.Settle(o.k, at)
 		out = fmt.Sprint(lat, ok)
-	case opAbandon:
-		p.Abandon(o.k)
-	case opForget:
-		p.Forget(o.k)
 	case opSweep:
-		resend, lost := p.Sweep(at, sweepTimeout)
+		resend, lost := p.Sweep(at, window)
 		out = fmt.Sprint("resend ", resend, " lost ", lost)
 	case opDrain:
 		out = fmt.Sprint(p.Drain())
-	case opOldest:
-		first, ok := p.Oldest()
-		out = fmt.Sprint(first.UnixNano(), ok)
+	case opLapse:
+		end, ok := p.Lapse(window)
+		out = fmt.Sprint(end.UnixNano(), ok)
 	case opSent:
 		sent, ok := p.Sent(o.k)
 		out = fmt.Sprint(sent.UnixNano(), ok)
@@ -169,11 +157,11 @@ type twin struct {
 	cov *coverage
 }
 
-func newTwin(t *testing.T, fallback bool, cov *coverage) *twin {
+func newTwin(t *testing.T, cov *coverage) *twin {
 	if cov != nil {
-		cov.forgotten = nil // per table
+		cov.gone = nil // per table
 	}
-	return &twin{t: t, got: &Pending{Fallback: fallback}, ref: &refPending{Fallback: fallback}, cov: cov}
+	return &twin{t: t, got: &Pending{}, ref: &refPending{}, cov: cov}
 }
 
 func (w *twin) do(o op) {
@@ -190,10 +178,13 @@ func (w *twin) do(o op) {
 type coverage struct {
 	maxPerSlot     int          // most heartbeats in flight on one slot
 	inlineNewer    bool         // an inline seq newer than an overflow seq on its slot
-	resent, lost   bool         // a sweep re-armed an entry; one wrote an entry off
+	resent         bool         // a sweep re-armed an entry
+	lostFirst      bool         // a sweep wrote off an entry at its first lapse
+	lostResent     bool         // one wrote off an entry that had fallen back
+	ownWindow      bool         // an entry slot 0's window would have lapsed survived on its own
 	settledRearmed bool         // a re-armed entry settled
-	retracked      bool         // a key tracked again after Forget
-	forgotten      map[Key]bool // keys Forget removed
+	retracked      bool         // a key tracked again after it left the table
+	gone           map[Key]bool // keys that left the table
 }
 
 // before notes what o is about to exercise, read off the reference.
@@ -201,27 +192,39 @@ func (c *coverage) before(ref *refPending, o op) {
 	if c == nil {
 		return
 	}
+	left := func(k Key) {
+		if c.gone == nil {
+			c.gone = map[Key]bool{}
+		}
+		c.gone[k] = true
+	}
+	n := t0.Add(time.Duration(o.ms) * time.Millisecond).UnixNano()
 	switch o.kind {
 	case opSweep:
-		cutoff := t0.Add(time.Duration(o.ms)*time.Millisecond - sweepTimeout).UnixNano()
-		for _, e := range ref.m {
-			if e.armed < cutoff {
-				c.resent = c.resent || ref.Fallback && e.armed == e.sent
-				c.lost = c.lost || !ref.Fallback || e.armed != e.sent
+		for k, e := range ref.m {
+			switch {
+			case e.armed+int64(window(k.Slot)) >= n:
+				c.ownWindow = c.ownWindow || e.armed+int64(window(0)) < n
+			case e.resend && e.armed == e.sent:
+				c.resent = true
+			default:
+				c.lostFirst = c.lostFirst || e.armed == e.sent
+				c.lostResent = c.lostResent || e.armed != e.sent
+				left(k)
 			}
+		}
+	case opDrain:
+		for k := range ref.m {
+			left(k)
 		}
 	case opSettle:
 		e, ok := ref.m[o.k]
 		c.settledRearmed = c.settledRearmed || ok && e.armed != e.sent
-	case opForget:
-		if _, ok := ref.m[o.k]; ok {
-			if c.forgotten == nil {
-				c.forgotten = map[Key]bool{}
-			}
-			c.forgotten[o.k] = true
+		if ok {
+			left(o.k)
 		}
-	case opTrack:
-		c.retracked = c.retracked || c.forgotten[o.k]
+	case opTrack, opTrackResend:
+		c.retracked = c.retracked || c.gone[o.k]
 	}
 }
 
@@ -258,63 +261,71 @@ func ascending(n int) []Key {
 
 // scripts are the hand-written cases, each an input to the property test.
 var scripts = []struct {
-	name     string
-	fallback bool
-	ops      []op
+	name string
+	ops  []op
 }{
-	{"sweep and drain walk in key order, not map order", true, func() []op {
+	{"sweep and drain walk in key order, not map order", func() []op {
 		keys := ascending(64)
 		rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 		var ops []op
 		for _, k := range keys {
-			ops = append(ops, op{opTrack, k, 0})
+			ops = append(ops, op{opTrackResend, k, 0})
 		}
 		ops = append(ops, op{opSweep, Key{}, 101}, op{opSweep, Key{}, 202})
 		for _, k := range keys {
-			ops = append(ops, op{opTrack, k, 300})
+			ops = append(ops, op{opTrackResend, k, 300})
 		}
 		return append(ops, op{opDrain, Key{}, 300})
 	}()},
-	{"first expiry resends with a fresh window, second times out", true, []op{
-		{opTrack, Key{Seq: 1}, 0}, {opSweep, Key{}, 100}, {opSweep, Key{}, 150},
+	{"first expiry resends with a fresh window, second times out", []op{
+		{opTrackResend, Key{Seq: 1}, 0}, {opSweep, Key{}, 100}, {opSweep, Key{}, 150},
 		{opSweep, Key{}, 240}, {opSweep, Key{}, 260},
 	}},
-	{"an empty table is usable before the first Track", true, []op{
-		{opForget, Key{Seq: 1}, 0}, {opAbandon, Key{Seq: 1}, 0}, {opSettle, Key{Seq: 1}, 0},
-		{opSweep, Key{}, 1000}, {opDrain, Key{}, 1000}, {opOldest, Key{}, 1000},
+	{"an empty table is usable before the first Track", []op{
+		{opSettle, Key{Seq: 1}, 0}, {opSweep, Key{}, 1000}, {opDrain, Key{}, 1000},
+		{opLapse, Key{}, 1000}, {opSent, Key{Seq: 1}, 1000},
 	}},
-	{"no fallback path: first expiry times out", false, []op{
+	{"no fallback path: first expiry times out", []op{
 		{opTrack, Key{Seq: 1}, 0}, {opSweep, Key{}, 150},
 	}},
-	{"settle after fallback counts once, from the resend", true, []op{
-		{opTrack, Key{Seq: 1}, 0}, {opSweep, Key{}, 150}, {opSettle, Key{Seq: 1}, 170},
+	{"resendable is the entry's own: one table holds both kinds", []op{
+		{opTrackResend, Key{Seq: 1}, 0}, {opTrack, Key{Seq: 2}, 0}, {opTrackResend, Key{Seq: 3}, 0},
+		{opSweep, Key{}, 150}, {opTrack, Key{Seq: 3}, 160}, {opSweep, Key{}, 300},
+	}},
+	{"each slot lapses on its own window", []op{
+		{opTrack, Key{Slot: 2, Seq: 1}, 0}, {opTrackResend, Key{Slot: 1, Seq: 2}, 0},
+		{opTrack, Key{Slot: 0, Seq: 3}, 0}, {opLapse, Key{}, 0}, {opSweep, Key{}, 120},
+		{opLapse, Key{}, 120}, {opSweep, Key{}, 160}, {opLapse, Key{}, 160},
+		{opSweep, Key{}, 210}, {opLapse, Key{}, 210}, {opSweep, Key{}, 320},
+	}},
+	{"settle after fallback counts once, from the resend", []op{
+		{opTrackResend, Key{Seq: 1}, 0}, {opSweep, Key{}, 150}, {opSettle, Key{Seq: 1}, 170},
 		{opSettle, Key{Seq: 1}, 180}, {opSweep, Key{}, 1000},
 	}},
-	{"settle reports latency from the send; unknown keys do not settle", true, []op{
-		{opTrack, Key{Seq: 1}, 0}, {opSettle, Key{Seq: 1}, 30}, {opSettle, Key{Seq: 2}, 30},
+	{"settle reports latency from the send; unknown keys do not settle", []op{
+		{opTrackResend, Key{Seq: 1}, 0}, {opSettle, Key{Seq: 1}, 30}, {opSettle, Key{Seq: 2}, 30},
 	}},
-	{"abandoned heartbeat stays for the fallback sweep", true, []op{
-		{opTrack, Key{Seq: 1}, 0}, {opAbandon, Key{Seq: 1}, 0}, {opSweep, Key{}, 150},
+	{"abandoned heartbeat stays for the fallback sweep", []op{
+		// A frame that never reached the wire leaves its entry as it was.
+		{opTrackResend, Key{Seq: 1}, 0}, {opSweep, Key{}, 150},
 	}},
-	{"abandoned heartbeat without a fallback is a transport error, not a timeout", false, []op{
-		{opTrack, Key{Seq: 1}, 0}, {opAbandon, Key{Seq: 1}, 0}, {opSweep, Key{}, 150},
+	{"sent survives the re-arm; oldest follows the open windows", []op{
+		{opLapse, Key{}, 0}, {opTrackResend, Key{Seq: 1}, 0}, {opTrackResend, Key{Seq: 2}, 40},
+		{opLapse, Key{}, 40}, {opSweep, Key{}, 120}, {opLapse, Key{}, 120},
+		{opSent, Key{Seq: 1}, 120}, {opSettle, Key{Seq: 1}, 120}, {opSent, Key{Seq: 1}, 120},
 	}},
-	{"sent survives the re-arm; oldest follows the open windows", true, []op{
-		{opOldest, Key{}, 0}, {opTrack, Key{Seq: 1}, 0}, {opTrack, Key{Seq: 2}, 40},
-		{opOldest, Key{}, 40}, {opSweep, Key{}, 120}, {opOldest, Key{}, 120},
-		{opSent, Key{Seq: 1}, 120}, {opForget, Key{Seq: 1}, 120}, {opSent, Key{Seq: 1}, 120},
-	}},
-	{"an inline seq newer than its slot's overflow still walks last", true, []op{
-		{opTrack, Key{Slot: 2, Seq: 1}, 0}, {opTrack, Key{Slot: 2, Seq: 2}, 0},
-		{opTrack, Key{Slot: 0, Seq: 9}, 0}, {opSettle, Key{Slot: 2, Seq: 1}, 10},
-		{opTrack, Key{Slot: 2, Seq: 3}, 10}, {opSweep, Key{}, 200}, {opDrain, Key{}, 200},
+	{"an inline seq newer than its slot's overflow still walks last", []op{
+		{opTrackResend, Key{Slot: 2, Seq: 1}, 0}, {opTrackResend, Key{Slot: 2, Seq: 2}, 0},
+		{opTrackResend, Key{Slot: 0, Seq: 9}, 0}, {opSettle, Key{Slot: 2, Seq: 1}, 10},
+		{opTrackResend, Key{Slot: 2, Seq: 3}, 10}, {opSweep, Key{}, 300}, {opDrain, Key{}, 300},
 	}},
 }
 
 // randomOp draws the next call from the reference's state: fresh seqs per
 // slot, settles that mostly hit a heartbeat in flight, and keys that were
-// issued before (settled, forgotten or still pending) tracked again.
-func randomOp(rng *rand.Rand, ref *refPending, issued []uint64, ms int) op {
+// issued before (settled, written off or still pending) tracked again.
+// track is the kind of Track the sequence draws.
+func randomOp(rng *rand.Rand, ref *refPending, issued []uint64, ms int, track func() opKind) op {
 	const slots = 4
 	s := rng.Intn(slots)
 	old := func() Key {
@@ -335,25 +346,21 @@ func randomOp(rng *rand.Rand, ref *refPending, issued []uint64, ms int) op {
 		return keys[rng.Intn(len(keys))]
 	}
 	switch r := rng.Intn(100); {
-	case r < 35:
+	case r < 38:
 		issued[s]++
-		return op{opTrack, Key{Slot: s, Seq: issued[s]}, ms}
-	case r < 40:
-		return op{opTrack, old(), ms}
-	case r < 55:
+		return op{track(), Key{Slot: s, Seq: issued[s]}, ms}
+	case r < 44:
+		return op{track(), old(), ms}
+	case r < 62:
 		return op{opSettle, inFlight(), ms}
-	case r < 60:
+	case r < 67:
 		return op{opSettle, old(), ms}
-	case r < 64:
-		return op{opAbandon, inFlight(), ms}
-	case r < 69:
-		return op{opForget, inFlight(), ms}
-	case r < 79:
+	case r < 78:
 		return op{opSweep, Key{}, ms}
-	case r < 80:
+	case r < 79:
 		return op{opDrain, Key{}, ms}
 	case r < 86:
-		return op{opOldest, Key{}, ms}
+		return op{opLapse, Key{}, ms}
 	case r < 94:
 		return op{opSent, inFlight(), ms}
 	}
@@ -362,13 +369,13 @@ func randomOp(rng *rand.Rand, ref *refPending, issued []uint64, ms int) op {
 
 // TestPending drives the slot table and the map-keyed reference with the
 // hand-written scripts and with seeded random call sequences over four
-// slots, fallback on and off, and requires identical answers from every
-// call: resend, lost and drain lists, latencies, send instants and ok
-// results.
+// slots, each on its own window, tracking every heartbeat resendable, none,
+// or a mix, and requires identical answers from every call: resend, lost
+// and drain lists, latencies, lapse and send instants and ok results.
 func TestPending(t *testing.T) {
 	for _, sc := range scripts {
 		t.Run(sc.name, func(t *testing.T) {
-			w := newTwin(t, sc.fallback, nil)
+			w := newTwin(t, nil)
 			for _, o := range sc.ops {
 				w.do(o)
 			}
@@ -377,20 +384,26 @@ func TestPending(t *testing.T) {
 	t.Run("seeded random call sequences", func(t *testing.T) {
 		var cov coverage
 		for seed := int64(1); seed <= 40; seed++ {
-			for _, fallback := range []bool{true, false} {
-				w := newTwin(t, fallback, &cov)
+			for _, mode := range []string{"resend", "none", "mixed"} {
+				w := newTwin(t, &cov)
 				rng := rand.New(rand.NewSource(seed))
+				track := func() opKind {
+					if mode == "resend" || mode == "mixed" && rng.Intn(2) == 0 {
+						return opTrackResend
+					}
+					return opTrack
+				}
 				issued := make([]uint64, 4)
 				ms := 0
 				for i := 0; i < 600; i++ {
 					ms += rng.Intn(8)
-					w.do(randomOp(rng, w.ref, issued, ms))
+					w.do(randomOp(rng, w.ref, issued, ms, track))
 				}
 			}
 		}
-		if cov.maxPerSlot < 4 || !cov.inlineNewer || !cov.resent || !cov.lost || !cov.settledRearmed || !cov.retracked {
-			t.Fatalf("random sequences missed a case: %d in flight on one slot at most, inline newer than overflow %v, resent %v, lost %v, re-armed settled %v, re-tracked after Forget %v",
-				cov.maxPerSlot, cov.inlineNewer, cov.resent, cov.lost, cov.settledRearmed, cov.retracked)
+		if cov.maxPerSlot < 4 || !cov.inlineNewer || !cov.resent || !cov.lostFirst || !cov.lostResent ||
+			!cov.ownWindow || !cov.settledRearmed || !cov.retracked {
+			t.Fatalf("random sequences missed a case: %+v", cov)
 		}
 	})
 }
@@ -399,17 +412,17 @@ func TestPending(t *testing.T) {
 // heartbeat: on a warm table, Track and Settle touch the slot in place.
 func TestPendingTrackSettleZeroAllocs(t *testing.T) {
 	const slots = 1024
-	p := Pending{Fallback: true}
+	var p Pending
 	now := time.Unix(1000, 0)
 	for i := 0; i < slots; i++ {
-		p.Track(Key{Slot: i, Seq: 1}, now)
+		p.Track(Key{Slot: i, Seq: 1}, now, true)
 		p.Settle(Key{Slot: i, Seq: 1}, now)
 	}
 	seq := uint64(1)
 	allocs := testing.AllocsPerRun(20, func() {
 		seq++
 		for i := 0; i < slots; i++ {
-			p.Track(Key{Slot: i, Seq: seq}, now)
+			p.Track(Key{Slot: i, Seq: seq}, now, true)
 		}
 		for i := 0; i < slots; i++ {
 			if _, ok := p.Settle(Key{Slot: i, Seq: seq}, now); !ok {

@@ -1,10 +1,12 @@
 // Package session is the client side of the live heartbeat protocol,
 // stated once: a Slot is one lazily dialed, framed connection with its
 // ack/feedback reader, Pending is the table of heartbeats awaiting
-// acknowledgement with the paper's one-fallback-then-timeout policy, an
-// Uplink is an aggregator's per-shard sender, and a Driver is the one
-// clock that steps the senders — each a Unit owning its own schedule — on
-// one runner goroutine. Every client on the live stack —
+// acknowledgement with the paper's loss policy (a heartbeat tracked as
+// resendable falls back once, then times out; any other times out at its
+// first lapse; each slot lapses on its own window), an Uplink is an
+// aggregator's per-shard sender, and a Driver is the one clock that steps
+// the senders — each a Unit owning its own schedule — on one runner
+// goroutine. Every client on the live stack —
 // relaynet.UEClient (alone, or as one of the load generator's
 // socket-per-UE fleet), and the relay and loadgen's trunks through an
 // Uplink each, all of which its trace replay drives too — is built from
@@ -180,6 +182,18 @@ func writeFrames(conn net.Conn, n int, frame func(i int) hbproto.Message) (writt
 	*bp = out[:0]
 	framePool.Put(bp)
 	return written, err
+}
+
+// Drop closes the current connection, if any, but not the slot: the next
+// Connect or Send dials (and registers) afresh. An owner drops a link that
+// failed it.
+func (s *Slot) Drop() {
+	s.mu.Lock()
+	conn := s.conn
+	s.mu.Unlock()
+	if conn != nil {
+		s.drop(conn)
+	}
 }
 
 // drop forgets conn if it is still the slot's current connection, closes
