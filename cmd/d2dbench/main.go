@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -42,13 +43,15 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if err := run(*seed, *csv, strings.ToLower(*only), *out); err != nil {
+	if err := run(os.Stdout, *seed, *csv, strings.ToLower(*only), *out); err != nil {
 		fmt.Fprintln(os.Stderr, "d2dbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(seed int64, csv bool, only, outDir string) error {
+// run prints the selected experiments (every one when only is empty) to w
+// and, with outDir set, writes their CSV files there.
+func run(w io.Writer, seed int64, csv bool, only, outDir string) error {
 	if only != "" && !slices.Contains(experimentIDs, only) {
 		return fmt.Errorf("unknown experiment %q (valid: %s)", only, strings.Join(experimentIDs, ", "))
 	}
@@ -66,7 +69,7 @@ func run(seed int64, csv bool, only, outDir string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Table)
+		fmt.Fprintln(w, res.Table)
 		if err := save("table1", res.Table.CSV()); err != nil {
 			return err
 		}
@@ -74,9 +77,9 @@ func run(seed int64, csv bool, only, outDir string) error {
 	if want("fig6") {
 		res := experiments.Fig6(model)
 		if csv {
-			fmt.Println(res.Trace.CSV())
+			fmt.Fprintln(w, res.Trace.CSV())
 		} else {
-			fmt.Println(res.Summary())
+			fmt.Fprintln(w, res.Summary())
 		}
 		if err := save("fig6", res.Trace.CSV()); err != nil {
 			return err
@@ -85,9 +88,9 @@ func run(seed int64, csv bool, only, outDir string) error {
 	if want("fig7") {
 		res := experiments.Fig7(model)
 		if csv {
-			fmt.Println(res.Trace.CSV())
+			fmt.Fprintln(w, res.Trace.CSV())
 		} else {
-			fmt.Println(res.Summary())
+			fmt.Fprintln(w, res.Summary())
 		}
 		if err := save("fig7", res.Trace.CSV()); err != nil {
 			return err
@@ -98,7 +101,7 @@ func run(seed int64, csv bool, only, outDir string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Table)
+		fmt.Fprintln(w, res.Table)
 		if err := save("table3", res.Table.CSV()); err != nil {
 			return err
 		}
@@ -113,7 +116,7 @@ func run(seed int64, csv bool, only, outDir string) error {
 			if err != nil {
 				return err
 			}
-			printFigure(f, csv)
+			printFigure(w, f, csv)
 			if err := save("fig8", f.Table().CSV()); err != nil {
 				return err
 			}
@@ -123,11 +126,11 @@ func run(seed int64, csv bool, only, outDir string) error {
 			if err != nil {
 				return err
 			}
-			printFigure(f, csv)
+			printFigure(w, f, csv)
 			if err := save("fig9", f.Table().CSV()); err != nil {
 				return err
 			}
-			fmt.Printf("headline: UE saving at k=1 = %.1f%% (paper ≈55%%); system saving at k=7 = %.1f%% (paper ≈36%%)\n\n",
+			fmt.Fprintf(w, "headline: UE saving at k=1 = %.1f%% (paper ≈55%%); system saving at k=7 = %.1f%% (paper ≈36%%)\n\n",
 				curves.SavedUEPct[1]*100, curves.SavedSystemPct[7]*100)
 		}
 	}
@@ -141,7 +144,7 @@ func run(seed int64, csv bool, only, outDir string) error {
 			if err != nil {
 				return err
 			}
-			printFigure(f, csv)
+			printFigure(w, f, csv)
 			if err := save("fig10", f.Table().CSV()); err != nil {
 				return err
 			}
@@ -151,11 +154,11 @@ func run(seed int64, csv bool, only, outDir string) error {
 			if err != nil {
 				return err
 			}
-			printFigure(f, csv)
+			printFigure(w, f, csv)
 			if err := save("fig11", f.Table().CSV()); err != nil {
 				return err
 			}
-			fmt.Printf("headline: ratio drops from %.1f%% (1 UE, k=1) to %.1f%% (7 UEs, k=7); paper: ≈97%% → ≈5%%\n\n",
+			fmt.Fprintf(w, "headline: ratio drops from %.1f%% (1 UE, k=1) to %.1f%% (7 UEs, k=7); paper: ≈97%% → ≈5%%\n\n",
 				multi.Ratio[1][0], multi.Ratio[7][len(multi.K)-1])
 		}
 	}
@@ -164,7 +167,7 @@ func run(seed int64, csv bool, only, outDir string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Table)
+		fmt.Fprintln(w, res.Table)
 		if err := save("table4", res.Table.CSV()); err != nil {
 			return err
 		}
@@ -174,7 +177,7 @@ func run(seed int64, csv bool, only, outDir string) error {
 		if err != nil {
 			return err
 		}
-		printFigure(f, csv)
+		printFigure(w, f, csv)
 		if err := save("fig12", f.Table().CSV()); err != nil {
 			return err
 		}
@@ -184,7 +187,7 @@ func run(seed int64, csv bool, only, outDir string) error {
 		if err != nil {
 			return err
 		}
-		printFigure(f, csv)
+		printFigure(w, f, csv)
 		if err := save("fig13", f.Table().CSV()); err != nil {
 			return err
 		}
@@ -198,11 +201,11 @@ func run(seed int64, csv bool, only, outDir string) error {
 		if err != nil {
 			return err
 		}
-		printFigure(f, csv)
+		printFigure(w, f, csv)
 		if err := save("fig15", f.Table().CSV()); err != nil {
 			return err
 		}
-		fmt.Printf("headline: pair saving %.1f%% (paper: about 50%% worst case); trio saving %.1f%% (paper: more than 50%%)\n\n",
+		fmt.Fprintf(w, "headline: pair saving %.1f%% (paper: about 50%% worst case); trio saving %.1f%% (paper: more than 50%%)\n\n",
 			res.PairSaving1UE*100, res.TrioSaving2UEs*100)
 	}
 	if want("density") {
@@ -210,56 +213,56 @@ func run(seed int64, csv bool, only, outDir string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(t)
+		fmt.Fprintln(w, t)
 	}
 	if want("storm") {
 		_, t, err := experiments.StormSweep(seed)
 		if err != nil {
 			return err
 		}
-		fmt.Println(t)
+		fmt.Fprintln(w, t)
 	}
 	if want("battery") {
 		res, err := experiments.BatteryShare(seed)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Table)
+		fmt.Fprintln(w, res.Table)
 	}
 	if want("extension") {
 		res, err := experiments.PeriodicExtension(seed)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Table)
+		fmt.Fprintln(w, res.Table)
 	}
 	if want("seeds") {
 		res, err := experiments.SeedSweep(seed, 5)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Table)
+		fmt.Fprintln(w, res.Table)
 	}
 	if want("sensitivity") {
 		_, t, err := experiments.CalibrationSensitivity(seed)
 		if err != nil {
 			return err
 		}
-		fmt.Println(t)
+		fmt.Fprintln(w, t)
 	}
 	if want("delay") {
 		_, t, err := experiments.DelayByPolicy(seed)
 		if err != nil {
 			return err
 		}
-		fmt.Println(t)
+		fmt.Fprintln(w, t)
 	}
 	if want("incentive") {
 		_, t, err := experiments.Incentive(seed)
 		if err != nil {
 			return err
 		}
-		fmt.Println(t)
+		fmt.Fprintln(w, t)
 	}
 	if want("ablations") {
 		type ablation func(int64) (*metrics.Table, error)
@@ -277,16 +280,16 @@ func run(seed int64, csv bool, only, outDir string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Println(t)
+			fmt.Fprintln(w, t)
 		}
 	}
 	return nil
 }
 
-func printFigure(f *metrics.Figure, csv bool) {
+func printFigure(w io.Writer, f *metrics.Figure, csv bool) {
 	if csv {
-		fmt.Println(f.Table().CSV())
+		fmt.Fprintln(w, f.Table().CSV())
 		return
 	}
-	fmt.Println(f)
+	fmt.Fprintln(w, f)
 }
