@@ -91,10 +91,10 @@ func run(id, listen, server string, period, expiry time.Duration, capacity int, 
 			return nil
 		case <-tick:
 			st := relay.Stats()
-			fmt.Printf("collected=%d flushes=%d (capacity=%d deadline=%d period-end=%d) forwarded=%d credits=%d feedbacks=%d rejected=%d dropped=%d reconnects=%d\n",
+			fmt.Printf("collected=%d flushes=%d (capacity=%d deadline=%d period-end=%d) forwarded=%d credits=%d feedbacks=%d rejected=%d dropped=%d reconnects=%d routes=%d expired=%d\n",
 				st.Collected, st.Flushes, st.FlushesByCapacity, st.FlushesByDeadline, st.FlushesByPeriodEnd,
 				st.ForwardedSent, st.Credits, st.AcksSent, st.RejectedClosed+st.RejectedExpired,
-				st.DroppedNoShard, st.UpstreamReconnects)
+				st.DroppedNoShard, st.UpstreamReconnects, st.Routes, st.RoutesExpired)
 		}
 	}
 }

@@ -94,6 +94,14 @@ type ackKey struct {
 	seq uint64
 }
 
+// route is a collected heartbeat's way back to its UE. At lapse its UE's
+// ack window (FeedbackWindow) closes and the UE resends over cellular, so
+// feedback after it would be void.
+type route struct {
+	via   ReturnPath
+	lapse time.Duration
+}
+
 // Relay is a smartphone volunteering as a heartbeat collector.
 type Relay struct {
 	cfg    RelayConfig
@@ -104,7 +112,8 @@ type Relay struct {
 
 	seq         uint64
 	ownHB       hbmsg.Heartbeat
-	sources     map[ackKey]ReturnPath
+	sources     map[ackKey]route
+	expired     int               // routes dropped at a boundary past their lapse
 	txBuf       []hbmsg.Heartbeat // the transmitted batch, reused: Forwarder.Forward does not retain it
 	flushTimer  simtime.Handle
 	periodTimer simtime.Handle
@@ -151,7 +160,7 @@ func NewRelayOn(clock simtime.Clock, radio RelayRadio, uplink Forwarder, cfg Rel
 		radio:   radio,
 		uplink:  uplink,
 		policy:  policy,
-		sources: make(map[ackKey]ReturnPath),
+		sources: make(map[ackKey]route),
 	}
 	r.onFlush, r.onPeriod = r.flush, r.startPeriod
 	return r, nil
@@ -164,8 +173,16 @@ func (r *Relay) Stats() RelayStats { return r.stats }
 func (r *Relay) Policy() sched.Policy { return r.policy }
 
 // Awaiting reports how many collected heartbeats still hold a feedback
-// route: waiting in the window, or forwarded and not yet confirmed.
+// route: waiting in the window, or forwarded and not yet confirmed. A
+// route ends in one of three ways: it is confirmed, it is forgotten with a
+// flush that lost its heartbeat, or it lapses at the first period boundary
+// past its UE's ack window (FeedbackWindow from the heartbeat's origin),
+// since that UE has resent over cellular by then.
 func (r *Relay) Awaiting() int { return len(r.sources) }
+
+// RoutesExpired counts the routes dropped because their UE's ack window
+// closed before a confirmation came.
+func (r *Relay) RoutesExpired() int { return r.expired }
 
 // Start schedules the first heartbeat period.
 func (r *Relay) Start() error {
@@ -191,9 +208,10 @@ func (r *Relay) Stop() {
 	r.radio.Shutdown()
 }
 
-// startPeriod opens a new collection window, generates the relay's own
-// heartbeat (to be delayed and sent with the batch), and arms the flush
-// timer at the scheduling deadline.
+// startPeriod opens a new collection window, drops the feedback routes
+// whose ack window has closed, generates the relay's own heartbeat (to be
+// delayed and sent with the batch), and arms the flush timer at the
+// scheduling deadline.
 func (r *Relay) startPeriod() {
 	if r.stopped {
 		return
@@ -203,6 +221,12 @@ func (r *Relay) startPeriod() {
 	// must not discard the pending batch.
 	r.flush()
 	now := r.clock.Now()
+	for k, rt := range r.sources {
+		if rt.lapse <= now {
+			delete(r.sources, k)
+			r.expired++
+		}
+	}
 	r.seq++
 	r.ownHB = r.cfg.Profile.Heartbeat(r.cfg.ID, r.seq, now)
 	r.stats.OwnHeartbeats++
@@ -254,7 +278,7 @@ func (r *Relay) Receive(hb hbmsg.Heartbeat, via ReturnPath) {
 	}
 	r.stats.Collected++
 	r.emit(trace.Event{Kind: trace.KindCollect, App: hb.App, Seq: hb.Seq, Peer: string(hb.Src)})
-	r.sources[ackKey{src: hb.Src, seq: hb.Seq}] = via
+	r.sources[ackKey{src: hb.Src, seq: hb.Seq}] = route{via: via, lapse: hb.Origin + FeedbackWindow(0, hb.Expiry)}
 	r.advertise()
 	if flushNow {
 		r.flush()
@@ -364,12 +388,12 @@ func (r *Relay) emit(ev trace.Event) {
 // the relay's own heartbeat, or one already confirmed — is ignored.
 func (r *Relay) Confirm(src hbmsg.DeviceID, seq uint64) {
 	key := ackKey{src: src, seq: seq}
-	via, ok := r.sources[key]
+	rt, ok := r.sources[key]
 	if !ok {
 		return
 	}
 	delete(r.sources, key)
-	if err := r.radio.Ack(via, d2d.AckRef{Src: src, Seq: seq}); err != nil {
+	if err := r.radio.Ack(rt.via, d2d.AckRef{Src: src, Seq: seq}); err != nil {
 		r.stats.AckFailures++
 		return
 	}

@@ -43,6 +43,9 @@ type RelayStats struct {
 	Forwarded int `json:"forwarded"`
 	Flushes   int `json:"flushes"`
 	Rejected  int `json:"rejected"`
+	// RoutesExpired counts feedback routes the relays dropped because their
+	// UE's ack window closed before a shard acknowledged the heartbeat.
+	RoutesExpired int `json:"routes_expired,omitempty"`
 }
 
 // Report is one load-generation measurement: cumulative counts since run
@@ -156,6 +159,7 @@ func (r *Runner) snapshot(elapsed time.Duration, final bool) Report {
 			agg.Forwarded += st.ForwardedSent
 			agg.Flushes += st.Flushes
 			agg.Rejected += st.RejectedClosed + st.RejectedExpired
+			agg.RoutesExpired += st.RoutesExpired
 		}
 		rep.Relay = &agg
 	}
@@ -320,8 +324,8 @@ func (rep Report) String() string {
 			rep.Server.IDGuessHits, rep.Server.IDGuessMisses)
 	}
 	if rep.Relay != nil {
-		fmt.Fprintf(&b, "relays: collected=%d forwarded=%d flushes=%d rejected=%d\n",
-			rep.Relay.Collected, rep.Relay.Forwarded, rep.Relay.Flushes, rep.Relay.Rejected)
+		fmt.Fprintf(&b, "relays: collected=%d forwarded=%d flushes=%d rejected=%d routes_expired=%d\n",
+			rep.Relay.Collected, rep.Relay.Forwarded, rep.Relay.Flushes, rep.Relay.Rejected, rep.Relay.RoutesExpired)
 	}
 	if st := rep.ShardTable(); st != nil {
 		b.WriteByte('\n')

@@ -228,8 +228,9 @@ func TestChaosServerPartitionDuringFlush(t *testing.T) {
 	t.Cleanup(r.Shutdown)
 
 	ids := []string{"part-ue-1", "part-ue-2"}
+	var ues []*UEClient
 	for _, id := range ids {
-		startChaosUE(t, &rec, id, r.Addr(), s.Addr(), period, expiry, feedback, nil)
+		ues = append(ues, startChaosUE(t, &rec, id, r.Addr(), s.Addr(), period, expiry, feedback, nil))
 	}
 
 	// Run through the partition window and past its heal.
@@ -247,6 +248,13 @@ func TestChaosServerPartitionDuringFlush(t *testing.T) {
 	if len(rec.ByKind(trace.KindFallback)) == 0 {
 		t.Error("partition dropped batches but no fallback fired")
 	}
+	// The batches the partition swallowed were never acknowledged: their
+	// routes lapse with their UEs' windows instead of staying forever.
+	for _, u := range ues {
+		u.Shutdown()
+	}
+	eventually(t, 3*time.Second, func() bool { st := r.Stats(); return st.Routes == 0 && st.RoutesExpired > 0 },
+		"the relay's feedback routes drain after the heal")
 }
 
 // TestChaosSlowLorisRelay throttles one UE's link to the relay down to a

@@ -110,6 +110,12 @@ type RelayAgentStats struct {
 	// turn (each merge into an already-pending group is one write
 	// the per-ack path would have issued).
 	FeedbackWritesSaved int
+	// Routes is the feedback routes the relay held at the end of its last
+	// turn (device.Relay.Awaiting); RoutesExpired counts those dropped
+	// because their UE's ack window closed before a shard acknowledged
+	// them (device.Relay.RoutesExpired).
+	Routes        int
+	RoutesExpired int
 }
 
 // ueConn is one connected UE on the relay's "D2D" listener; it is the
@@ -273,6 +279,9 @@ type relayInstruments struct {
 	// inputsPerTurn is how many inbox entries each runner turn takes: 1
 	// everywhere means every arrival paid for a turn of its own.
 	inputsPerTurn *telemetry.Histogram
+	// The feedback routes held, and those expired unconfirmed.
+	routes        *telemetry.Gauge
+	routesExpired *telemetry.Counter
 }
 
 // NewRelayAgent returns an unstarted relay agent.
@@ -317,6 +326,8 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 			fbRefs:         reg.Histogram("relaynet_relay_feedback_refs_per_flush", "refs", 1, rl),
 			upBytesOut:     reg.Counter("relaynet_relay_upstream_bytes_total", rl),
 			inputsPerTurn:  reg.Histogram("relaynet_relay_inputs_per_turn", "inputs", 1, rl),
+			routes:         reg.Gauge("relaynet_relay_routes", rl),
+			routesExpired:  reg.Counter("relaynet_relay_routes_expired_total", rl),
 		}
 		// The Algorithm 1 scheduler records its own occupancy-vs-capacity
 		// and deadline-slack figures from the instants the relay injects —
@@ -618,11 +629,14 @@ func (r *RelayAgent) step(in *input) {
 	}
 }
 
-// publish copies the relay's counters to where Stats reads them.
+// publish copies the relay's counters to where Stats and the metrics
+// read them.
 func (r *RelayAgent) publish() {
-	st := r.relay.Stats()
+	st, routes, expired := r.relay.Stats(), r.relay.Awaiting(), r.relay.RoutesExpired()
+	r.ins.routes.Set(int64(routes))
 	r.mu.Lock()
-	r.stats.RelayStats = st
+	r.ins.routesExpired.Add(uint64(expired - r.stats.RoutesExpired))
+	r.stats.RelayStats, r.stats.Routes, r.stats.RoutesExpired = st, routes, expired
 	r.mu.Unlock()
 }
 
