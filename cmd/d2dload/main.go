@@ -17,10 +17,13 @@
 // -record captures the run's per-heartbeat arrival timeline (sends, acks,
 // timeouts, fault windows) into a compact trace file (internal/rec).
 // -replay drives a recorded trace back through BOTH the deterministic
-// simulation (internal/experiments.ReplaySim) and the live TCP stack
-// (internal/loadgen.ReplayLive) and prints the sim-vs-real parity report:
-// delivery ratio, ack-latency quantiles and signaling counts side by side,
-// plus the trace and sim digests. -timeout is the replayed clients' ack
+// simulation (internal/experiments.ReplaySim, on the simulator's own modems
+// and relays) and the live TCP stack (internal/loadgen.ReplayLive) and
+// prints the sim-vs-real parity report: delivery ratio, ack-latency
+// quantiles and signaling counts side by side, plus the trace and sim
+// digests. A trunk's sends go out, in both replays, as the emissions their
+// recorded gaps make (rec.Timeline.Steps), and each column is the
+// RecordedMetrics of a recording. -timeout is the replayed clients' ack
 // timeout (0 selects 2 s there).
 //
 // -telemetry serves the run's own live metrics (fleet counters, latency

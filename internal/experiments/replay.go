@@ -1,22 +1,30 @@
 package experiments
 
 // Trace replay on the simulated substrate. ReplaySim drives a recorded
-// arrival timeline (internal/rec) through the discrete-event scheduler:
-// every recorded send becomes a virtual arrival at its recorded offset,
-// direct clients get their own RRC machine, and relay/trunk groups get an
-// Algorithm 1 scheduler plus a shared RRC machine. The run is
-// single-threaded virtual time seeded from the trace, so two replays of
+// arrival timeline (internal/rec) through the simulator's own machines on
+// one cellular.BaseStation: every recorded send arrives at its recorded
+// offset; a direct client sends it on its own modem, a relayed group is a
+// device.Relay running Algorithm 1 with the trace's period and capacity,
+// and a trunked group sends each recorded emission (rec.Timeline.Steps) as
+// one uplink and adds no heartbeat of its own, as a live trunk does. The
+// replay records its own timeline and reports that timeline's
+// RecordedMetrics, the summary the recorded and live columns use. The run
+// is single-threaded virtual time seeded from the trace, so two replays of
 // the same trace produce bit-identical metrics — the digest is a
 // regression key.
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
+	"d2dhb/internal/cellular"
+	"d2dhb/internal/d2d"
+	"d2dhb/internal/device"
+	"d2dhb/internal/energy"
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/rec"
 	"d2dhb/internal/rrc"
-	"d2dhb/internal/sched"
 	"d2dhb/internal/simtime"
 )
 
@@ -24,28 +32,29 @@ import (
 // padding (the paper's standard 54 B keep-alive).
 const replayBaseSize = 54
 
-// simGroup is one relay/trunk aggregation point in the replay: an
-// Algorithm 1 policy, the shared modem it flushes through, and the armed
-// deadline timer.
-type simGroup struct {
-	policy *sched.Nagle
-	modem  *rrc.Machine
-	timer  *simtime.Timer
+// replayUnit is one sender of the replay, a direct client or a
+// relay/trunk group, on its own modem. A relayed group's relay collects
+// its sends by Algorithm 1; any other unit sends each recorded emission
+// whole, steps being their sizes in order and held the one under way.
+type replayUnit struct {
+	modem *cellular.Modem
+	relay *device.Relay
+	steps []int
+	held  []hbmsg.Heartbeat
 }
 
-// replayState carries the accumulating outcome across arrival callbacks.
-type replayState struct {
-	clock   *simtime.Scheduler
-	tl      *rec.Timeline
-	groups  map[int]*simGroup
-	direct  map[int]*rrc.Machine
-	metrics rec.Metrics
-	lat     *rec.Sample
-	err     error
-}
+// noRadio is a replayed relay's D2D side: the replay hands it every
+// recorded arrival, and its feedback goes nowhere.
+type noRadio struct{}
+
+func (noRadio) Advertise(int, int)                      {}
+func (noRadio) Ack(device.ReturnPath, d2d.AckRef) error { return nil }
+func (noRadio) Shutdown()                               {}
 
 // ReplaySim replays the recorded timeline through the simulator and
-// returns its deterministic outcome metrics.
+// returns its deterministic outcome metrics: a send at each arrival, an
+// ack at each client heartbeat the base station delivers and a timeout at
+// each heartbeat a relay rejects, plus the base station's signalling.
 func ReplaySim(tl *rec.Timeline) (rec.Metrics, error) {
 	if tl == nil {
 		return rec.Metrics{}, fmt.Errorf("experiments: nil timeline")
@@ -53,202 +62,135 @@ func ReplaySim(tl *rec.Timeline) (rec.Metrics, error) {
 	if err := tl.Validate(); err != nil {
 		return rec.Metrics{}, err
 	}
-	st := &replayState{
-		clock:  simtime.NewScheduler(tl.Seed),
-		tl:     tl,
-		groups: make(map[int]*simGroup),
-		direct: make(map[int]*rrc.Machine),
-		lat:    rec.NewSample(),
-	}
-	st.metrics.Source = "sim"
-
-	rrcCfg := rrc.DefaultConfig()
-	for i, c := range tl.Clients {
-		if c.Relay < 0 {
-			m, err := rrc.NewMachine(st.clock, rrcCfg)
-			if err != nil {
-				return rec.Metrics{}, err
-			}
-			st.direct[i] = m
-			continue
-		}
-		if _, ok := st.groups[c.Relay]; ok {
-			continue
-		}
-		if tl.RelayPeriod <= 0 || tl.RelayCapacity <= 0 {
-			return rec.Metrics{}, fmt.Errorf("experiments: trace has relay clients but relay period %v / capacity %d",
-				tl.RelayPeriod, tl.RelayCapacity)
-		}
-		pol, err := sched.NewNagle(tl.RelayCapacity, tl.RelayPeriod)
-		if err != nil {
-			return rec.Metrics{}, err
-		}
-		modem, err := rrc.NewMachine(st.clock, rrcCfg)
-		if err != nil {
-			return rec.Metrics{}, err
-		}
-		st.groups[c.Relay] = &simGroup{policy: pol, modem: modem}
-	}
-
-	// Chain through the event stream with a single cursor timer instead of
-	// pre-loading one timer per event: traces can hold millions of events.
-	sends := make([]rec.Event, 0, len(tl.Events))
-	for _, e := range tl.Events {
-		if e.Kind == rec.EvSend {
-			sends = append(sends, e)
-		}
-	}
-	var schedule func(i int)
-	schedule = func(i int) {
-		if i >= len(sends) || st.err != nil {
-			return
-		}
-		_, err := st.clock.At(sends[i].At, func() {
-			st.arrive(sends[i])
-			schedule(i + 1)
-		})
-		if err != nil {
-			st.err = err
-		}
-	}
-	schedule(0)
-
-	// Run past the last arrival far enough for every deadline flush and
-	// RRC release tail to land.
-	horizon := tl.Horizon() + tl.RelayPeriod + rrcCfg.InactivityTail + time.Second
-	if err := st.clock.RunUntil(horizon); err != nil {
+	clock := simtime.NewScheduler(tl.Seed)
+	bs, err := cellular.NewBaseStation(clock)
+	if err != nil {
 		return rec.Metrics{}, err
 	}
-	if st.err != nil {
-		return rec.Metrics{}, st.err
+	var out rec.Timeline
+	record := func(kind rec.EventKind, client int, seq uint64) {
+		out.Events = append(out.Events, rec.Event{At: clock.Now(), Kind: kind, Client: client, Seq: seq})
 	}
-
-	// Drain whatever is still pending at the horizon, then close every
-	// modem so connected-time and release signaling are final.
-	for _, g := range st.groups {
-		st.flush(g)
-		g.modem.ForceRelease()
-	}
-	for _, m := range st.direct {
-		m.ForceRelease()
-	}
-	for _, g := range st.groups {
-		c := g.modem.Counters()
-		st.metrics.Signaling.L3Messages += uint64(c.L3Messages)
-	}
-	for _, m := range st.direct {
-		c := m.Counters()
-		st.metrics.Signaling.L3Messages += uint64(c.L3Messages)
-	}
-
-	st.metrics.AckLatency = st.lat.Quantiles()
-	st.metrics.Finish()
-	return st.metrics, nil
-}
-
-// arrive processes one recorded send at its virtual instant.
-func (st *replayState) arrive(e rec.Event) {
-	if st.err != nil {
-		return
-	}
-	c := st.tl.Clients[e.Client]
-	now := st.clock.Now()
-	st.metrics.Sent++
-
-	if m, ok := st.direct[e.Client]; ok {
-		// Direct path: one uplink transaction per heartbeat, latency is the
-		// modeled zero (the sim has no network delay on its own uplink).
-		if err := m.Send(replayBaseSize + c.Pad); err != nil {
-			st.err = err
-			return
+	// A replayed heartbeat's source is its client's row in the trace, so a
+	// delivery names its client even where two rows share an ID; a relay's
+	// own heartbeat names none.
+	bs.OnDeliver(func(d cellular.Delivery) {
+		if i, err := strconv.Atoi(string(d.HB.Src)); err == nil {
+			record(rec.EvAck, i, d.HB.Seq)
 		}
-		st.metrics.Delivered++
-		st.metrics.Signaling.Uplinks++
-		st.lat.Add(0)
-		return
+	})
+
+	model, rrcCfg, ledger := energy.DefaultModel(), rrc.DefaultConfig(), energy.NewLedger()
+	key := func(client int) int { // direct client index, or -1 − group
+		if g := tl.Clients[client].Relay; g >= 0 {
+			return -1 - g
+		}
+		return client
+	}
+	units := make(map[int]*replayUnit)
+	var groups []*replayUnit // in the order of their first sends
+	for _, s := range tl.Steps(rec.Coalesce) {
+		k := key(s[0].Client)
+		u := units[k]
+		if u == nil {
+			id := hbmsg.DeviceID(fmt.Sprintf("unit%d", k))
+			u = &replayUnit{}
+			if u.modem, err = bs.Attach(id, model, rrcCfg, ledger); err != nil {
+				return rec.Metrics{}, err
+			}
+			if k < 0 {
+				if u.relay, err = replayRelay(tl, tl.Clients[s[0].Client].Path, id, clock, u.modem); err != nil {
+					return rec.Metrics{}, err
+				}
+				groups = append(groups, u)
+			}
+			units[k] = u
+		}
+		u.steps = append(u.steps, len(s))
 	}
 
-	g := st.groups[c.Relay]
-	if !g.policy.Accepting() && g.policy.Pending() == 0 {
-		g.policy.StartPeriod(now)
+	var last time.Duration
+	for _, e := range tl.Events {
+		if e.Kind != rec.EvSend {
+			continue
+		}
+		// An arrival lands after everything else due at its instant.
+		if err := clock.RunUntil(e.At); err != nil {
+			return rec.Metrics{}, err
+		}
+		last = e.At
+		c := tl.Clients[e.Client]
+		expiry := c.Expiry
+		if expiry <= 0 {
+			expiry = c.Period
+		}
+		hb := hbmsg.Heartbeat{App: c.App, Src: hbmsg.DeviceID(strconv.Itoa(e.Client)), Seq: e.Seq,
+			Origin: e.At, Expiry: expiry, Size: replayBaseSize + c.Pad}
+		record(rec.EvSend, e.Client, e.Seq)
+		u := units[key(e.Client)]
+		if u.relay != nil {
+			collected := u.relay.Stats().Collected
+			if u.relay.Receive(hb, nil); u.relay.Stats().Collected == collected {
+				record(rec.EvTimeout, e.Client, e.Seq)
+			}
+			continue
+		}
+		if u.held = append(u.held, hb); len(u.held) == u.steps[0] {
+			if err := u.modem.Send(u.held, energy.PhaseCellular); err != nil {
+				return rec.Metrics{}, err
+			}
+			u.steps, u.held = u.steps[1:], u.held[:0]
+		}
 	}
-	expiry := c.Expiry
-	if expiry <= 0 {
-		expiry = c.Period
+
+	// A relay runs one period past the last send, so everything it
+	// collected has left, and stops before another heartbeat of its own
+	// does. The clock then runs on for every RRC release tail to land.
+	if err := clock.RunUntil(last + tl.RelayPeriod); err != nil {
+		return rec.Metrics{}, err
 	}
-	hb := hbmsg.Heartbeat{
-		App:    c.App,
-		Src:    hbmsg.DeviceID(c.ID),
-		Seq:    e.Seq,
-		Origin: now,
-		Expiry: expiry,
-		Size:   replayBaseSize + c.Pad,
+	for _, u := range groups {
+		if u.relay != nil {
+			u.relay.Stop()
+		}
 	}
-	flushNow, err := g.policy.Collect(hb, now)
-	if err != nil {
-		// ErrExpired can only mean a non-positive effective expiry; write
-		// the heartbeat off like the live stack would.
-		st.metrics.Timeouts++
-		st.metrics.Expired++
-		return
+	if err := clock.RunUntil(tl.Horizon() + tl.RelayPeriod + rrcCfg.InactivityTail + time.Second); err != nil {
+		return rec.Metrics{}, err
 	}
-	if flushNow {
-		st.flush(g)
-		return
+	for _, m := range bs.Modems() {
+		m.Shutdown()
 	}
-	st.armDeadline(g)
+
+	m := out.RecordedMetrics()
+	m.Source = "sim"
+	m.Signaling.Uplinks = uint64(bs.TotalTransmissions())
+	m.Signaling.L3Messages = uint64(bs.TotalL3Messages())
+	for _, u := range groups {
+		m.Signaling.Batches += uint64(u.modem.Counters().Transmissions)
+		if u.relay != nil {
+			m.Expired += uint64(u.relay.Stats().RejectedExpired)
+		}
+	}
+	return m, nil
 }
 
-// armDeadline (re)schedules the group's pending-batch deadline flush.
-func (st *replayState) armDeadline(g *simGroup) {
-	if st.err != nil {
-		return
+// replayRelay returns a relayed group's relay, started on the trace's
+// period grid with its capacity, or nil for a trunked group.
+func replayRelay(tl *rec.Timeline, path rec.Path, id hbmsg.DeviceID, clock *simtime.Scheduler, modem *cellular.Modem) (*device.Relay, error) {
+	if tl.RelayPeriod <= 0 || tl.RelayCapacity <= 0 {
+		return nil, fmt.Errorf("experiments: trace has relay clients but relay period %v / capacity %d",
+			tl.RelayPeriod, tl.RelayCapacity)
 	}
-	at, ok := g.policy.Deadline()
-	if !ok {
-		return
+	if path != rec.PathRelayed {
+		return nil, nil
 	}
-	if g.timer != nil {
-		st.clock.Stop(g.timer)
-	}
-	t, err := st.clock.At(at, func() {
-		g.timer = nil
-		st.flush(g)
+	r, err := device.NewRelayOn(simtime.SchedulerClock{S: clock}, noRadio{}, device.Cellular{Uplink: modem}, device.RelayConfig{
+		ID:       id,
+		Profile:  hbmsg.AppProfile{Name: "relay", Period: tl.RelayPeriod, Size: replayBaseSize, ExpiryFactor: 1},
+		Capacity: tl.RelayCapacity,
 	})
 	if err != nil {
-		st.err = err
-		return
+		return nil, err
 	}
-	g.timer = t
-}
-
-// flush sends the group's pending batch through its modem and credits the
-// delivered heartbeats.
-func (st *replayState) flush(g *simGroup) {
-	if st.err != nil {
-		return
-	}
-	if g.timer != nil {
-		st.clock.Stop(g.timer)
-		g.timer = nil
-	}
-	now := st.clock.Now()
-	batch := g.policy.Flush(now)
-	if len(batch) == 0 {
-		return
-	}
-	payload := replayBaseSize // the relay's own heartbeat rides along
-	for _, hb := range batch {
-		payload += hb.Size
-	}
-	if err := g.modem.Send(payload); err != nil {
-		st.err = err
-		return
-	}
-	st.metrics.Signaling.Uplinks++
-	st.metrics.Signaling.Batches++
-	for _, hb := range batch {
-		st.metrics.Delivered++
-		st.lat.Add(float64(now-hb.Origin) / float64(time.Millisecond))
-	}
+	return r, r.Start()
 }

@@ -106,8 +106,9 @@ func TestReplaySimOutcome(t *testing.T) {
 }
 
 func TestReplaySimCapacityFlush(t *testing.T) {
-	// Capacity 2 with three quick arrivals: first flush must be a capacity
-	// flush (two heartbeats), the third waits for its deadline.
+	// Capacity 2 with three quick arrivals: the second fills the window and
+	// flushes it, and Algorithm 1 collects nothing more until the next
+	// period, so the third is rejected and times out.
 	tl := &rec.Timeline{
 		RelayPeriod:   time.Minute,
 		RelayCapacity: 2,
@@ -126,8 +127,35 @@ func TestReplaySimCapacityFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Delivered != 3 || m.Signaling.Batches != 2 {
-		t.Fatalf("delivered %d batches %d, want 3/2", m.Delivered, m.Signaling.Batches)
+	if m.Delivered != 2 || m.Timeouts != 1 || m.Signaling.Batches != 1 {
+		t.Fatalf("delivered %d timeouts %d batches %d, want 2/1/1", m.Delivered, m.Timeouts, m.Signaling.Batches)
+	}
+}
+
+func TestReplaySimTrunkGroupSendsItsEmissions(t *testing.T) {
+	// A trunk holds nothing: two emissions a second apart, below capacity,
+	// are two uplinks, each acknowledged at its send.
+	tl := &rec.Timeline{
+		RelayPeriod:   time.Minute,
+		RelayCapacity: 4,
+		Clients: []rec.Client{
+			{ID: "a", Expiry: 30 * time.Second, Path: rec.PathTrunked, Relay: 0},
+			{ID: "b", Expiry: 30 * time.Second, Path: rec.PathTrunked, Relay: 0},
+		},
+		Events: []rec.Event{
+			{At: 0, Kind: rec.EvSend, Client: 0, Seq: 1},
+			{At: time.Second, Kind: rec.EvSend, Client: 1, Seq: 1},
+		},
+	}
+	m, err := ReplaySim(tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Delivered != 2 || m.Signaling.Uplinks != 2 || m.Signaling.Batches != 2 {
+		t.Fatalf("delivered %d uplinks %d batches %d, want 2/2/2", m.Delivered, m.Signaling.Uplinks, m.Signaling.Batches)
+	}
+	if m.AckLatency.MaxMs != 0 {
+		t.Fatalf("ack latency max %v ms, want 0", m.AckLatency.MaxMs)
 	}
 }
 

@@ -85,8 +85,6 @@ type Config struct {
 	TrunkPaceSlots int
 	// Tracer is attached to the spawned server and relays when non-nil.
 	Tracer trace.Tracer
-	// HistShards sets the latency histogram shard count. Zero selects 8.
-	HistShards int
 	// Faults injects the schedule's faults into every outbound dial the
 	// run makes (UE→relay, UE→server and relay→server), for
 	// chaos-under-load measurements. Nil disables fault injection.
@@ -144,6 +142,9 @@ func (c Config) validate() error {
 // minVirtualPeriod floors compressed heartbeat periods so an aggressive
 // speedup cannot degenerate into a busy loop.
 const minVirtualPeriod = 10 * time.Millisecond
+
+// histShards is the shard count of each latency histogram.
+const histShards = 8
 
 // fleetCounters is the trunks' shared accounting, updated with atomics
 // from every trunk; the socket-per-UE fleet's UEs count for themselves.
@@ -228,13 +229,10 @@ func New(cfg Config) (*Runner, error) {
 	if cfg.Speedup == 0 {
 		cfg.Speedup = 1
 	}
-	if cfg.HistShards == 0 {
-		cfg.HistShards = 8
-	}
 	r := &Runner{
 		cfg:        cfg,
-		histDirect: telemetry.NewHistogram(cfg.HistShards),
-		histRelay:  telemetry.NewHistogram(cfg.HistShards),
+		histDirect: telemetry.NewHistogram(histShards),
+		histRelay:  telemetry.NewHistogram(histShards),
 	}
 	r.minPeriod, r.maxPeriod = r.periodRange()
 	r.ackTimeout = cfg.AckTimeout

@@ -3,12 +3,12 @@ package loadgen
 // Live trace replay: ReplayLive drives a recorded timeline (internal/rec)
 // through the real TCP stack with the load generator's own units. Each
 // direct client replays as a relaynet.UEClient over its own connection,
-// driven through its Send; each relay/trunk
-// group replays as a trunk, with consecutive sends coalesced into Batch
-// frames by their *recorded* gaps — so the batching structure is a
-// deterministic function of the trace even though wall-clock latencies are
-// not. The same trace file replayed through experiments.ReplaySim gives the
-// sim column of the parity report; this gives the live column.
+// driven through its Send; each relay/trunk group replays as a trunk that
+// sends each recorded emission (rec.Timeline.Steps) as one Batch frame. The
+// emissions are a deterministic function of the trace even though
+// wall-clock latencies are not, and experiments.ReplaySim's trunked groups
+// emit the same ones. ReplaySim gives the sim column of the parity report;
+// this gives the live column.
 
 import (
 	"fmt"
@@ -43,11 +43,6 @@ type ReplayOptions struct {
 	// when it lapses, a direct client does not, and what is still
 	// unacknowledged after the drain counts lost. Zero selects 2 s.
 	AckTimeout time.Duration
-	// Coalesce folds consecutive same-group sends whose *recorded* gap is
-	// at most this into one Batch frame. Zero selects 2 ms. The decision
-	// uses recorded instants, never the wall clock, so two replays of the
-	// same trace always build the same frames.
-	Coalesce time.Duration
 	// Faults re-injects a fault schedule into every replay dial. Nil
 	// replays over a clean network.
 	Faults *faultnet.Schedule
@@ -73,9 +68,6 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 	if opts.AckTimeout <= 0 {
 		opts.AckTimeout = 2 * time.Second
 	}
-	if opts.Coalesce <= 0 {
-		opts.Coalesce = 2 * time.Millisecond
-	}
 
 	r := &Runner{
 		cfg: Config{
@@ -93,7 +85,7 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 	for _, c := range tl.Clients {
 		r.cfg.Recorder.AddClient(c)
 	}
-	units, err := r.replayUnits(tl, opts)
+	units, err := r.replayUnits(tl, opts.Speedup)
 	if err != nil {
 		return rec.Metrics{}, err
 	}
@@ -163,32 +155,29 @@ func (u *replayUnit) Step(now time.Time) (time.Time, bool) {
 	return u.start.Add(u.steps[u.next].at), true
 }
 
-// replayUnits splits the timeline's sends into units, in the order of each
-// unit's first send: a UE per direct client, a trunk per relay/trunk
+// replayUnits splits the timeline's emissions into units, in the order of
+// each unit's first send: a UE per direct client, a trunk per relay/trunk
 // group.
-func (r *Runner) replayUnits(tl *rec.Timeline, opts ReplayOptions) ([]*replayUnit, error) {
-	sends := make(map[int][]rec.Event) // direct client index, or -1 − group
+func (r *Runner) replayUnits(tl *rec.Timeline, speedup float64) ([]*replayUnit, error) {
+	steps := make(map[int][][]rec.Event) // direct client index, or -1 − group
 	var order []int
-	for _, e := range tl.Events {
-		if e.Kind != rec.EvSend {
-			continue
-		}
-		k := e.Client
-		if g := tl.Clients[e.Client].Relay; g >= 0 {
+	for _, s := range tl.Steps(rec.Coalesce) {
+		k := s[0].Client
+		if g := tl.Clients[k].Relay; g >= 0 {
 			k = -1 - g
 		}
-		if _, seen := sends[k]; !seen {
+		if _, seen := steps[k]; !seen {
 			order = append(order, k)
 		}
-		sends[k] = append(sends[k], e)
+		steps[k] = append(steps[k], s)
 	}
 	units := make([]*replayUnit, 0, len(order))
 	for _, k := range order {
 		if k < 0 {
-			units = append(units, r.replayGroup(tl, -1-k, sends[k], opts))
+			units = append(units, r.replayGroup(tl, -1-k, steps[k], speedup))
 			continue
 		}
-		u, err := r.replayDirect(tl.Clients[k], k, sends[k], opts.Speedup)
+		u, err := r.replayDirect(tl.Clients[k], k, steps[k], speedup)
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +189,7 @@ func (r *Runner) replayUnits(tl *rec.Timeline, opts ReplayOptions) ([]*replayUni
 // replayDirect builds a direct client's UE, one heartbeat per step. The
 // replay, not the UE's loop, sends, so the recorded period only has to be
 // a valid one.
-func (r *Runner) replayDirect(c rec.Client, tidx int, sends []rec.Event, speedup float64) (*replayUnit, error) {
+func (r *Runner) replayDirect(c rec.Client, tidx int, steps [][]rec.Event, speedup float64) (*replayUnit, error) {
 	app := []relaynet.UEApp{{Name: c.App, Period: max(c.Period, minVirtualPeriod), Expiry: c.Expiry, Pad: c.Pad}}
 	u, err := r.newUE(c.ID, app, tidx, r.dialer(), "")
 	if err != nil {
@@ -208,23 +197,21 @@ func (r *Runner) replayDirect(c rec.Client, tidx int, sends []rec.Event, speedup
 	}
 	return &replayUnit{
 		loadUnit: u,
-		steps:    replaySteps(sends, func(int) int { return 0 }, 0, 1, speedup),
+		steps:    replaySchedule(steps, func(int) int { return 0 }, speedup),
 		send:     func(refs []session.Key, now time.Time) { u.Send(0, refs[0].Seq, now) },
 	}, nil
 }
 
 // replayGroup builds a relay/trunk group's trunk: one user per client ID of
 // the group and one profile per distinct (app, expiry, pad) among them,
-// registered with the trace's relay period. A step is a run of consecutive
-// sends whose recorded gaps are at most Coalesce, at most the trace's relay
-// capacity of them — the aggregation the group performed live.
-func (r *Runner) replayGroup(tl *rec.Timeline, g int, sends []rec.Event, opts ReplayOptions) *replayUnit {
+// registered with the trace's relay period. Each step is one emission.
+func (r *Runner) replayGroup(tl *rec.Timeline, g int, steps [][]rec.Event, speedup float64) *replayUnit {
 	var profiles []tprofile
 	var ids strings.Builder
 	var ends []int32
 	var clients []tclient
 	seen := make(map[string]bool)
-	for _, e := range sends {
+	for _, e := range slices.Concat(steps...) {
 		c := tl.Clients[e.Client]
 		if seen[c.ID] {
 			continue
@@ -246,27 +233,21 @@ func (r *Runner) replayGroup(tl *rec.Timeline, g int, sends []rec.Event, opts Re
 	}
 	return &replayUnit{
 		loadUnit: t,
-		steps:    replaySteps(sends, user, opts.Coalesce, tl.RelayCapacity, opts.Speedup),
+		steps:    replaySchedule(steps, user, speedup),
 		send:     t.offer,
 	}
 }
 
-// replaySteps groups a unit's recorded sends into steps: runs of
-// consecutive sends whose recorded gaps are at most coalesce, at most limit
-// of them (0: no limit), keyed by slot(client) and the recorded seq.
-func replaySteps(sends []rec.Event, slot func(client int) int, coalesce time.Duration, limit int, speedup float64) []replayStep {
-	keys := make([]session.Key, len(sends))
-	for i, e := range sends {
-		keys[i] = session.Key{Slot: slot(e.Client), Seq: e.Seq}
-	}
-	var steps []replayStep
-	for i := 0; i < len(sends); {
-		j := i + 1
-		for j < len(sends) && sends[j].At-sends[j-1].At <= coalesce && (limit == 0 || j-i < limit) {
-			j++
+// replaySchedule keys each recorded step's sends by slot(client) and the
+// recorded seq, at its last send's recorded offset over the speedup.
+func replaySchedule(steps [][]rec.Event, slot func(client int) int, speedup float64) []replayStep {
+	out := make([]replayStep, len(steps))
+	for i, s := range steps {
+		refs := make([]session.Key, len(s))
+		for j, e := range s {
+			refs[j] = session.Key{Slot: slot(e.Client), Seq: e.Seq}
 		}
-		steps = append(steps, replayStep{at: time.Duration(float64(sends[j-1].At) / speedup), refs: keys[i:j]})
-		i = j
+		out[i] = replayStep{at: time.Duration(float64(s[len(s)-1].At) / speedup), refs: refs}
 	}
-	return steps
+	return out
 }

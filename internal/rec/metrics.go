@@ -49,15 +49,12 @@ type Metrics struct {
 	Signaling     Signaling `json:"signaling"`
 }
 
-// finish derives DeliveryRatio.
-func (m *Metrics) finish() {
+// Finish derives DeliveryRatio after the counters are final.
+func (m *Metrics) Finish() {
 	if m.Sent > 0 {
 		m.DeliveryRatio = float64(m.Delivered) / float64(m.Sent)
 	}
 }
-
-// Finish derives aggregate fields after the counters are final.
-func (m *Metrics) Finish() { m.finish() }
 
 // Digest returns a stable hex fingerprint of the metrics. Two replays of
 // the same trace through the deterministic simulator must produce equal
@@ -105,19 +102,6 @@ func (s *sample) quantiles() Quantiles {
 	q.MaxMs = s.vals[len(s.vals)-1]
 	return q
 }
-
-// NewSample returns an empty latency accumulator for replay drivers.
-func NewSample() *Sample { return &Sample{} }
-
-// Sample is the exported latency accumulator: replayers feed millisecond
-// observations in and take exact Quantiles out.
-type Sample struct{ s sample }
-
-// Add records one latency observation in milliseconds.
-func (s *Sample) Add(ms float64) { s.s.add(ms) }
-
-// Quantiles summarizes the sample (sorts in place).
-func (s *Sample) Quantiles() Quantiles { return s.s.quantiles() }
 
 // ParityReport lines the recorded outcome up against the sim and live
 // replays of the same trace file.

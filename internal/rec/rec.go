@@ -185,6 +185,37 @@ func (tl *Timeline) Sends() int {
 	return n
 }
 
+// Coalesce is the longest recorded gap between consecutive sends of a
+// relay/trunk group that still puts them in one emission.
+const Coalesce = 2 * time.Millisecond
+
+// Steps splits the sends into emissions, each in recorded order, in the
+// order of their first sends: a direct client's send is one step, and a
+// group's consecutive sends with recorded gaps of at most coalesce are one,
+// up to RelayCapacity of them (0: no limit). It reads recorded instants
+// only, so every replay of a trace, simulated or live, emits the same steps.
+func (tl *Timeline) Steps(coalesce time.Duration) [][]Event {
+	var steps [][]Event
+	open := make(map[int]int) // group → index of its latest step
+	for _, e := range tl.Events {
+		if e.Kind != EvSend {
+			continue
+		}
+		if g := tl.Clients[e.Client].Relay; g >= 0 {
+			if i, ok := open[g]; ok {
+				s := steps[i]
+				if e.At-s[len(s)-1].At <= coalesce && (tl.RelayCapacity == 0 || len(s) < tl.RelayCapacity) {
+					steps[i] = append(s, e)
+					continue
+				}
+			}
+			open[g] = len(steps)
+		}
+		steps = append(steps, []Event{e})
+	}
+	return steps
+}
+
 // Horizon returns the last event instant.
 func (tl *Timeline) Horizon() time.Duration {
 	if len(tl.Events) == 0 {
@@ -232,6 +263,6 @@ func (tl *Timeline) RecordedMetrics() Metrics {
 		}
 	}
 	m.AckLatency = lat.quantiles()
-	m.finish()
+	m.Finish()
 	return m
 }

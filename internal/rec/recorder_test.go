@@ -198,23 +198,23 @@ func TestMetricsDigestSensitivity(t *testing.T) {
 }
 
 func TestSampleQuantiles(t *testing.T) {
-	var s Sample
-	if q := s.Quantiles(); q.Count != 0 || q.MaxMs != 0 {
+	var s sample
+	if q := s.quantiles(); q.Count != 0 || q.MaxMs != 0 {
 		t.Fatalf("empty sample %+v", q)
 	}
 	for i := 100; i >= 1; i-- {
-		s.Add(float64(i))
+		s.add(float64(i))
 	}
-	q := s.Quantiles()
+	q := s.quantiles()
 	if q.Count != 100 || q.P50Ms != 50 || q.P95Ms != 95 || q.P99Ms != 99 || q.MaxMs != 100 {
 		t.Fatalf("quantiles %+v", q)
 	}
 	if q.MeanMs != 50.5 {
 		t.Fatalf("mean %v", q.MeanMs)
 	}
-	one := NewSample()
-	one.Add(7)
-	if q := one.Quantiles(); q.P50Ms != 7 || q.P99Ms != 7 {
+	var one sample
+	one.add(7)
+	if q := one.quantiles(); q.P50Ms != 7 || q.P99Ms != 7 {
 		t.Fatalf("single-sample quantiles %+v", q)
 	}
 }
