@@ -6,16 +6,16 @@ package hbproto
 // caller-owned byte slice, so steady-state encoding reuses one buffer and
 // several frames can be composed into a single Write (one syscall per
 // flush instead of one per message). FrameReader is the streaming decoder
-// counterpart: a buffered reader with a reusable payload scratch buffer,
-// per-type reusable message values, and a per-connection string intern
-// cache, so steady-state decoding of Heartbeat/Batch/Ack/Feedback frames
-// performs zero heap allocations per frame.
+// counterpart: it reads into one buffer sized by the frames it has seen
+// and decodes each frame in place there, into per-type reusable message
+// values, interning strings in a per-connection cache, so steady-state
+// decoding of Heartbeat/Batch/Ack/Feedback frames performs zero heap
+// allocations per frame.
 //
 // Client-side production code sends through internal/session; tests that
 // want one blocking call per frame use internal/hbproto/hbprototest.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -86,10 +86,11 @@ type IDStats struct {
 // internTable is the one place a connection hashes the strings it decodes:
 // it maps string bytes to a canonical heap string and, for source IDs, a
 // Handle. Sources are found through an idindex over strs, other strings
-// through a map; neither lookup allocates on the hit path, so a
-// connection that sees a stable population of device/app IDs decodes
-// strings for free. The table is bounded: once full it stops inserting but
-// keeps serving hits, so a hostile peer cannot grow it without bound.
+// in two recent slots and, past two, a map; no lookup allocates on the
+// hit path, so a connection that sees a stable population of device/app
+// IDs decodes strings for free. The table is bounded: once full it stops
+// inserting but keeps serving hits, so a hostile peer cannot grow it
+// without bound.
 //
 // Heartbeat traffic is periodic — a relay or trunk sends the same sources
 // in the same order every period — so before hashing a source the table
@@ -97,18 +98,18 @@ type IDStats struct {
 // guess is only ever a hint: it is confirmed by comparing the bytes, and a
 // wrong one costs that compare before the ordinary lookup, so traffic with
 // no order to exploit decodes as before. Other strings (App, Relay) repeat
-// back to back and are checked against the last one returned.
+// back to back and are checked against the two returned last.
 type internTable struct {
-	table SourceTable       // the owner's sources; when set, strs stays nil
-	strs  []string          // handle → canonical source ID; strs[0] is unused
-	next  []Handle          // next[h]: the source that followed source h last time
-	prev  Handle            // the last source decoded (0: none, or not interned)
-	ids   idindex.Index     // source ID → handle, once there are two (see src)
-	seed  maphash.Seed      // ids' hash seed; set with its first entries
-	other map[string]string // every other string; allocated on first insert
-	last  string            // the last non-source string decoded
-	max   int               // bound on sources + other strings
-	stats IDStats
+	table  SourceTable       // the owner's sources; when set, strs stays nil
+	strs   []string          // handle → canonical source ID; strs[0] is unused
+	next   []Handle          // next[h]: the source that followed source h last time
+	prev   Handle            // the last source decoded (0: none, or not interned)
+	ids    idindex.Index     // source ID → handle, once there are two (see src)
+	seed   maphash.Seed      // ids' hash seed; set with its first entries
+	other  map[string]string // every other string, once there are three (see get)
+	recent [2]string         // the last two distinct non-source strings, latest first
+	max    int               // bound on sources + other strings
+	stats  IDStats
 }
 
 // defaultInternCap bounds distinct strings cached per connection. A reader
@@ -125,24 +126,52 @@ func newInternTable(max int, table SourceTable) *internTable {
 	return &internTable{table: table, max: max}
 }
 
-func (t *internTable) full() bool { return max(len(t.strs)-1, 0)+len(t.other) >= t.max }
+func (t *internTable) full() bool { return max(len(t.strs)-1, 0)+t.others() >= t.max }
 
-// get interns a string that is not a source ID.
+// others counts the non-source strings the table holds: the map's, or
+// until there is one, those in recent.
+func (t *internTable) others() int {
+	if t.other != nil {
+		return len(t.other)
+	}
+	n := 0
+	for _, s := range t.recent {
+		if s != "" {
+			n++
+		}
+	}
+	return n
+}
+
+// get interns a string that is not a source ID. The two most recent
+// distinct strings are checked first; until a third distinct string
+// arrives they are all the table holds, and the map is built then.
 func (t *internTable) get(b []byte) string {
-	if t.last == string(b) {
-		return t.last
+	if len(b) == 0 {
+		return ""
+	}
+	if t.recent[0] == string(b) {
+		return t.recent[0]
+	}
+	if t.recent[1] == string(b) {
+		t.recent[0], t.recent[1] = t.recent[1], t.recent[0]
+		return t.recent[0]
 	}
 	s, ok := t.other[string(b)] // no alloc: compiler-optimized map lookup
 	if !ok {
 		s = string(b)
-		if !t.full() {
+		switch {
+		case t.full():
 			if t.other == nil {
-				t.other = make(map[string]string)
+				return s // recent is the table: keep what it holds
 			}
+		case t.other != nil:
 			t.other[s] = s
+		case t.recent[1] != "":
+			t.other = map[string]string{t.recent[0]: t.recent[0], t.recent[1]: t.recent[1], s: s}
 		}
 	}
-	t.last = s
+	t.recent[0], t.recent[1] = s, t.recent[0]
 	return s
 }
 
@@ -218,15 +247,18 @@ func (t *internTable) add(s string, hash uint64) Handle {
 }
 
 // FrameReader reads frames from a stream with zero steady-state
-// allocations per frame. Messages returned by Next share per-type
-// reusable values and slices owned by the reader: they are valid only
-// until the next Next/ReadInto call. Strings are interned per reader and
-// safe to retain.
+// allocations per frame. It reads into one buffer of its own and decodes
+// each frame in place there. The buffer starts at readBufSize and grows
+// only when a frame does not fit, doubling until it does, so it never
+// exceeds twice the largest frame read. Messages returned by Next share
+// per-type reusable values and slices owned by the reader: they are valid
+// only until the next Next/ReadInto call. Strings are interned per reader
+// and safe to retain.
 type FrameReader struct {
-	r       *bufio.Reader
-	scratch []byte
-	head    [headerSize]byte
-	intern  *internTable
+	r        io.Reader
+	buf      []byte // buf[off:end] is read but not yet consumed
+	off, end int
+	intern   *internTable
 
 	reg   Register
 	hb    Heartbeat
@@ -235,22 +267,21 @@ type FrameReader struct {
 	fb    Feedback
 }
 
-// readBufSize is a FrameReader's buffer: a UE link's frames are ~100 B at
-// most, and bufio reads a larger frame past the buffer into the scratch.
-const readBufSize = 512
+// readBufSize is a FrameReader's initial buffer: it holds a UE link's
+// largest frame, so a UE link reads each frame with one Read and its
+// buffer never grows.
+const readBufSize = 64
 
-// NewFrameReader wraps r for streaming decode. If r is already a
-// *bufio.Reader it is used directly.
+// NewFrameReader wraps r for streaming decode. The reader buffers r
+// itself, asking each Read for all the room its buffer has, so wrap a
+// connection directly: a bufio.Reader under it would only copy the bytes
+// once more.
 func NewFrameReader(r io.Reader) *FrameReader { return NewTableReader(r, nil) }
 
 // NewTableReader is NewFrameReader resolving sources through table, if not
 // nil, instead of interning them.
 func NewTableReader(r io.Reader, table SourceTable) *FrameReader {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, readBufSize)
-	}
-	return &FrameReader{r: br, intern: newInternTable(0, table)}
+	return &FrameReader{r: r, buf: make([]byte, readBufSize), intern: newInternTable(0, table)}
 }
 
 // IDStats returns the reader's running source-ID resolution counts. A
@@ -259,13 +290,15 @@ func NewTableReader(r io.Reader, table SourceTable) *FrameReader {
 func (fr *FrameReader) IDStats() IDStats { return fr.intern.stats }
 
 // Buffered reports how many bytes beyond the current frame are already
-// buffered — i.e. whether the peer pipelined more frames. Ack aggregators
-// use this to defer flushing while more input is pending.
-func (fr *FrameReader) Buffered() int { return fr.r.Buffered() }
+// read — i.e. whether the peer pipelined more frames. Ack aggregators use
+// this to defer flushing while more input is pending.
+func (fr *FrameReader) Buffered() int { return fr.end - fr.off }
 
 // Next reads and decodes one frame. The returned Message is reused on the
 // following call; callers must copy anything they retain (interned
-// strings are stable and safe to keep).
+// strings are stable and safe to keep). A stream that ends at a frame
+// boundary returns io.EOF, one that ends inside a frame
+// io.ErrUnexpectedEOF.
 func (fr *FrameReader) Next() (Message, error) {
 	body, typ, err := fr.readPayload()
 	if err != nil {
@@ -306,35 +339,65 @@ func (fr *FrameReader) ReadInto(msg Message) error {
 	return decodeBody(msg, body, fr.intern)
 }
 
-// readPayload reads one frame header + payload + CRC into the scratch
-// buffer, validates it, and returns the payload bytes and wire type.
+// readPayload reads one frame — header, payload and CRC — into the
+// buffer, validates it, and returns the payload bytes and wire type. A
+// frame read whole is consumed, whether or not it decodes.
 func (fr *FrameReader) readPayload() ([]byte, MsgType, error) {
-	if _, err := io.ReadFull(fr.r, fr.head[:]); err != nil {
+	if err := fr.fill(headerSize); err != nil {
 		return nil, 0, err
 	}
-	if fr.head[0] != magic[0] || fr.head[1] != magic[1] {
+	head := fr.buf[fr.off : fr.off+headerSize]
+	if head[0] != magic[0] || head[1] != magic[1] {
 		return nil, 0, ErrBadMagic
 	}
-	if fr.head[2] != Version {
-		return nil, 0, errBadVersion(fr.head[2])
+	if head[2] != Version {
+		return nil, 0, errBadVersion(head[2])
 	}
-	length := binary.BigEndian.Uint32(fr.head[4:8])
+	length := binary.BigEndian.Uint32(head[4:8])
 	if length > MaxFrameSize {
 		return nil, 0, ErrFrameTooBig
 	}
-	need := int(length) + 4
-	if cap(fr.scratch) < need {
-		fr.scratch = make([]byte, need)
-	}
-	payload := fr.scratch[:need]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
+	typ, need := MsgType(head[3]), headerSize+int(length)+4
+	if err := fr.fill(need); err != nil {
 		return nil, 0, err
 	}
-	body, sum := payload[:length], binary.BigEndian.Uint32(payload[length:])
+	frame := fr.buf[fr.off : fr.off+need]
+	fr.off += need
+	body, sum := frame[headerSize:headerSize+length], binary.BigEndian.Uint32(frame[headerSize+length:])
 	if crc32.ChecksumIEEE(body) != sum {
 		return nil, 0, ErrBadChecksum
 	}
-	return body, MsgType(fr.head[3]), nil
+	return body, typ, nil
+}
+
+// fill reads until the buffer holds need unconsumed bytes. Unconsumed
+// bytes move to the front first and each Read asks for all the room left,
+// so pipelined frames arrive in one call. A frame that does not fit
+// doubles the buffer until it does.
+func (fr *FrameReader) fill(need int) error {
+	if fr.end-fr.off >= need {
+		return nil
+	}
+	buf := fr.buf
+	if size := len(buf); need > size {
+		for size < need {
+			size *= 2
+		}
+		buf = make([]byte, size)
+	}
+	fr.end = copy(buf, fr.buf[fr.off:fr.end])
+	fr.buf, fr.off = buf, 0
+	for fr.end < need {
+		n, err := fr.r.Read(fr.buf[fr.end:])
+		if fr.end += n; err == nil || fr.end >= need {
+			continue
+		}
+		if err == io.EOF && fr.end > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	return nil
 }
 
 // decodeBody decodes a validated payload into msg, interning strings when

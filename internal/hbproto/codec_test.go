@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -283,8 +285,9 @@ func TestFrameReaderReuseIsolation(t *testing.T) {
 }
 
 // TestFrameReaderBuffered checks pipelining detection: with two frames in
-// one buffer, Buffered is non-zero after the first read and zero after
-// the second.
+// one buffer, Buffered counts the second after the first read and is zero
+// after the second. A source that hands over one byte at a time never
+// puts bytes past the frame in the buffer.
 func TestFrameReaderBuffered(t *testing.T) {
 	var buf []byte
 	var err error
@@ -293,18 +296,102 @@ func TestFrameReaderBuffered(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fr := NewFrameReader(bytes.NewReader(buf))
+	sources := []struct {
+		name    string
+		r       io.Reader
+		pending int
+	}{
+		{"whole", bytes.NewReader(buf), len(buf) / 2},
+		{"one byte", iotest.OneByteReader(bytes.NewReader(buf)), 0},
+	}
+	for _, src := range sources {
+		fr := NewFrameReader(src.r)
+		if _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fr.Buffered(); got != src.pending {
+			t.Fatalf("%s: Buffered = %d after the first frame, want %d", src.name, got, src.pending)
+		}
+		if _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fr.Buffered(); got != 0 {
+			t.Fatalf("%s: Buffered = %d after drain, want 0", src.name, got)
+		}
+	}
+}
+
+// TestFrameReaderGrowth pins the buffer's growth rule. Both ends of a UE
+// link read its largest frames — a registration, heartbeats of the
+// largest app, acks — in the initial buffer, so 1 000 exchanges never grow
+// it. Frames one byte longer each time grow it geometrically, not once
+// per frame, and a batch of 4 096 heartbeats grows it to at most twice its
+// frame.
+func TestFrameReaderGrowth(t *testing.T) {
+	const id, app = "loadue-00000", "Diagnostics"
+	var server, ue bytes.Buffer
+	srv, cli := NewFrameReader(&server), NewFrameReader(&ue)
+	send := func(w *bytes.Buffer, fr *FrameReader, msg Message) {
+		t.Helper()
+		frame, err := AppendFrame(nil, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) > readBufSize {
+			t.Fatalf("a UE link's %v frame is %d B, the initial buffer %d B", msg.Type(), len(frame), readBufSize)
+		}
+		w.Write(frame)
+		if _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(&server, srv, &Register{ID: id, Role: RoleUE, App: app, Period: 600 * time.Second, Expiry: 1200 * time.Second})
+	origin := time.Now()
+	for seq := uint64(1); seq <= 1000; seq++ {
+		send(&server, srv, &Heartbeat{Src: id, Seq: seq, App: app, Origin: origin, Expiry: 1200 * time.Second, Pad: 378})
+		send(&ue, cli, &Ack{Refs: []Ref{{Src: id, Seq: seq}}})
+	}
+	for _, fr := range []*FrameReader{srv, cli} {
+		if len(fr.buf) != readBufSize {
+			t.Fatalf("a UE link's reader grew its buffer to %d B, want %d", len(fr.buf), readBufSize)
+		}
+	}
+
+	var in bytes.Buffer
+	fr := NewFrameReader(&in)
+	growths, size, largest := 0, len(fr.buf), 0
+	for id := "e"; len(id) < 4*readBufSize; id += "e" {
+		frame, err := AppendFrame(nil, &Register{ID: id, Role: RoleUE})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Write(frame)
+		largest = len(frame)
+		if _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if len(fr.buf) != size {
+			growths, size = growths+1, len(fr.buf)
+		}
+	}
+	if growths > 3 {
+		t.Fatalf("frames growing one byte at a time to %d B grew the buffer %d times", largest, growths)
+	}
+
+	batch := &Batch{Relay: "trunk-1", HBs: make([]Heartbeat, 4096)}
+	for i := range batch.HBs {
+		batch.HBs[i] = Heartbeat{Src: fmt.Sprintf("ue-%07d", i), Seq: 1, App: "std", Origin: origin, Expiry: time.Hour}
+	}
+	frame, err := AppendFrame(nil, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr = NewFrameReader(bytes.NewReader(frame))
 	if _, err := fr.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if fr.Buffered() == 0 {
-		t.Fatal("second pipelined frame not visible in Buffered")
-	}
-	if _, err := fr.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if got := fr.Buffered(); got != 0 {
-		t.Fatalf("Buffered = %d after drain, want 0", got)
+	if n := len(fr.buf); n < len(frame) || n > 2*len(frame) {
+		t.Fatalf("a %d B batch frame left a %d B buffer, want %d–%d", len(frame), n, len(frame), 2*len(frame))
 	}
 }
 
@@ -363,7 +450,7 @@ func TestInternTableBounded(t *testing.T) {
 			t.Fatalf("get(%q) = %q", "app-"+s, got)
 		}
 	}
-	if n := tbl.ids.Len() + len(tbl.other); n != 4 || len(tbl.strs) != tbl.ids.Len()+1 || len(tbl.next) != len(tbl.strs) {
+	if n := tbl.ids.Len() + tbl.others(); n != 4 || len(tbl.strs) != tbl.ids.Len()+1 || len(tbl.next) != len(tbl.strs) {
 		t.Fatalf("intern table grew to %d entries (%d strs, %d next), cap 4", n, len(tbl.strs), len(tbl.next))
 	}
 	// A lone source needs no index: it is built when the second one arrives.
@@ -752,8 +839,8 @@ func TestEncodeZeroAllocs(t *testing.T) {
 }
 
 // TestDecodeZeroAllocs pins 0 steady-state allocations per decoded frame
-// for every message type: after a warm-up frame the FrameReader's scratch
-// buffer, message values, slices and intern table absorb everything.
+// for every message type: after a warm-up frame the FrameReader's buffer,
+// message values, slices and intern table absorb everything.
 func TestDecodeZeroAllocs(t *testing.T) {
 	for _, msg := range steadyMessages() {
 		frame, err := AppendFrame(nil, msg)
@@ -763,7 +850,7 @@ func TestDecodeZeroAllocs(t *testing.T) {
 		r := bytes.NewReader(nil)
 		fr := NewFrameReader(r)
 		r.Reset(frame)
-		if _, err := fr.Next(); err != nil { // warm-up: sizes scratch, interns strings
+		if _, err := fr.Next(); err != nil { // warm-up: sizes the buffer, interns strings
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(200, func() {

@@ -3,9 +3,11 @@ package hbproto
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -91,8 +93,11 @@ func FuzzFrameReaderStream(f *testing.F) {
 	fb := mkFrame(&Feedback{Refs: []Ref{{Src: "b", Seq: 2}}})
 	reg := mkFrame(&Register{ID: "ue-1", Role: RoleUE, App: "WeChat", Period: 270 * time.Second, Expiry: 270 * time.Second})
 
-	// Seed coalesced buffers: homogeneous runs, mixed pipelines, a stream
-	// cut mid-frame, and one with a corrupted middle frame.
+	// Seed coalesced buffers: homogeneous runs, mixed pipelines, streams
+	// cut mid-frame (in the payload and in the header), and one with a
+	// corrupted middle frame. Each is read in chunks of 1, 7, 64 and 3
+	// bytes, in turn, on its chunked pass.
+	add := func(data []byte) { f.Add(data, []byte{1, 7, 64, 3}) }
 	concat := func(frames ...[]byte) []byte {
 		var out []byte
 		for _, fr := range frames {
@@ -100,53 +105,100 @@ func FuzzFrameReaderStream(f *testing.F) {
 		}
 		return out
 	}
-	f.Add(concat(hb, hb, hb, hb))
-	f.Add(concat(batch, ack, fb, reg, hb))
-	f.Add(concat(ack, ack, ack[:len(ack)-3]))
+	add(concat(hb, hb, hb, hb))
+	add(concat(batch, ack, fb, reg, hb))
+	add(concat(ack, ack, ack[:len(ack)-3]))
+	add(concat(hb, hb[:5]))
 	damaged := concat(hb, batch, hb)
 	damaged[len(hb)+9] ^= 0x40
-	f.Add(damaged)
-	f.Add([]byte{})
-	// Around the reader's 512 B buffer: a run of small frames that
-	// straddles each refill, a frame that ends exactly on the buffer's end,
-	// and batches larger than the buffer between small frames, cut short
-	// past the buffer once.
-	var run [][]byte
-	for len(concat(run...)) < 3*readBufSize {
-		run = append(run, hb)
+	add(damaged)
+	add([]byte{})
+	// Around the reader's initial buffer: a frame of exactly its size, one
+	// byte longer (the first growth), a pipelined pair that straddles its
+	// end, and a batch that doubles it twice, cut short past the grown
+	// buffer once.
+	sized := func(n int) []byte {
+		for id := "e"; ; id += "e" {
+			if frame := mkFrame(&Register{ID: id, Role: RoleUE}); len(frame) >= n {
+				if len(frame) != n {
+					f.Fatalf("register frame is %d B, want %d", len(frame), n)
+				}
+				return frame
+			}
+		}
 	}
-	f.Add(concat(run...))
-	var edge []byte
-	for id := "e"; len(edge) < readBufSize; id += "e" {
-		edge = mkFrame(&Register{ID: id, Role: RoleUE})
-	}
-	if len(edge) != readBufSize {
-		f.Fatalf("edge frame is %d B, want %d", len(edge), readBufSize)
-	}
-	f.Add(concat(edge, hb, ack))
+	edge, over := sized(readBufSize), sized(readBufSize+1)
+	add(concat(edge, hb, ack))
+	add(concat(over, edge, over))
+	add(concat(hb, hb))
 	big := &Batch{Relay: "r"}
-	for i := 0; i < 40; i++ {
+	for len(mkFrame(big)) <= 2*readBufSize {
+		i := len(big.HBs)
 		big.HBs = append(big.HBs, Heartbeat{Src: fmt.Sprintf("ue-%02d", i), Seq: uint64(i), App: "x", Origin: time.UnixMilli(1).UTC(), Expiry: time.Second, Pad: 54})
 	}
 	large := mkFrame(big)
-	f.Add(concat(hb, large, ack, large, fb))
-	f.Add(concat(ack, large, large[:readBufSize+7]))
+	if len(large) > 4*readBufSize {
+		f.Fatalf("batch frame is %d B, want one that grows the buffer twice", len(large))
+	}
+	add(concat(hb, large, ack, large, fb))
+	add(concat(ack, large, large[:2*readBufSize+7]))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := NewFrameReader(bytes.NewReader(data))
-		ref := bytes.NewReader(data)
-		for i := 0; ; i++ {
-			got, errNew := fr.Next()
-			want, errOld := readFrame(ref)
-			if (errNew == nil) != (errOld == nil) {
-				t.Fatalf("frame %d: FrameReader err %v, ReadFrame err %v", i, errNew, errOld)
-			}
-			if errNew != nil {
-				return
-			}
-			if !reflect.DeepEqual(sansHandles(got), want) {
-				t.Fatalf("frame %d: FrameReader %+v != ReadFrame %+v", i, got, want)
-			}
-		}
+	// Every input is decoded from a reader that hands over all it has, from
+	// one that hands over chunks of the sizes the fuzzer chooses (its last
+	// chunk comes with io.EOF), and one byte at a time, so the refill,
+	// compaction and growth paths see every split of the stream.
+	f.Fuzz(func(t *testing.T, data, chunks []byte) {
+		decode(t, bytes.NewReader(data), data)
+		decode(t, iotest.DataErrReader(&chunked{data: data, sizes: chunks}), data)
+		decode(t, iotest.OneByteReader(bytes.NewReader(data)), data)
 	})
+}
+
+// decode runs a FrameReader over r, which yields data, and readFrame over
+// data frame by frame: they must accept/reject the same prefix and agree
+// on every message, and the reader ends with io.EOF exactly when the
+// stream ends at a frame boundary.
+func decode(t *testing.T, r io.Reader, data []byte) {
+	t.Helper()
+	fr := NewFrameReader(r)
+	ref := bytes.NewReader(data)
+	for i := 0; ; i++ {
+		left := ref.Len()
+		got, errNew := fr.Next()
+		want, errOld := readFrame(ref)
+		if (errNew == nil) != (errOld == nil) {
+			t.Fatalf("frame %d: FrameReader err %v, ReadFrame err %v", i, errNew, errOld)
+		}
+		if (errNew == io.EOF) != (left == 0) {
+			t.Fatalf("frame %d: FrameReader err %v with %d bytes left", i, errNew, left)
+		}
+		if errNew != nil {
+			return
+		}
+		if !reflect.DeepEqual(sansHandles(got), want) {
+			t.Fatalf("frame %d: FrameReader %+v != ReadFrame %+v", i, got, want)
+		}
+	}
+}
+
+// chunked hands data over in chunks of the given sizes, in turn (at least
+// one byte each).
+type chunked struct {
+	data  []byte
+	sizes []byte
+	n     int
+}
+
+func (c *chunked) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	size := len(p)
+	if len(c.sizes) > 0 {
+		size = max(int(c.sizes[c.n%len(c.sizes)]), 1)
+		c.n++
+	}
+	n := copy(p[:min(size, len(p))], c.data)
+	c.data = c.data[n:]
+	return n, nil
 }

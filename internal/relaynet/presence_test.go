@@ -42,7 +42,9 @@ func (m mapPresence) touch(hb *hbproto.Heartbeat, now time.Time) {
 	if c.app == "" {
 		c.app = hb.App
 	}
-	c.lastSeen = now
+	if now.After(c.lastSeen) {
+		c.lastSeen = now
+	}
 	if d := now.Add(hb.Expiry); d.After(c.deadline) {
 		c.deadline = d
 	}
@@ -353,6 +355,23 @@ func TestHandoffReusesRows(t *testing.T) {
 	}
 	if n := s.OnlineCount(now); n != population {
 		t.Fatalf("OnlineCount = %d, want %d", n, population)
+	}
+}
+
+// TestTouchKeepsLastSeen pins that a client's lastSeen only moves forward:
+// handlers stamp their instant before they take the row's lock, so two
+// connections can touch one client out of order, and a handoff must ship
+// the later instant.
+func TestTouchKeepsLastSeen(t *testing.T) {
+	s := statsServer()
+	cs := &connState{cc: &s.stripes[0]}
+	t2 := time.Unix(1_700_000_000, 0)
+	t1 := t2.Add(-time.Second)
+	for _, at := range []time.Time{t2, t1} {
+		s.touch(cs, &hbproto.Heartbeat{Src: "ue-a", Seq: 1, App: "std", Origin: at, Expiry: time.Minute}, at, false)
+	}
+	if got := exported(t, s, "ue-a").LastSeenUnixNano; got != t2.UnixNano() {
+		t.Fatalf("exported lastSeen = %v after touches at t2 then t1, want t2 = %v", time.Unix(0, got), t2)
 	}
 }
 

@@ -647,12 +647,14 @@ func (s *Server) touch(cs *connState, hb *hbproto.Heartbeat, now time.Time, rela
 	if r.app == 0 {
 		r.app = sh.app(hb.App)
 	}
-	r.lastSeen = now.UnixNano()
-	r.deadline = max(r.deadline, r.lastSeen+int64(hb.Expiry))
+	at := now.UnixNano()
+	r.lastSeen = max(r.lastSeen, at)
+	r.deadline = max(r.deadline, at+int64(hb.Expiry))
 	r.maxSeq = max(r.maxSeq, hb.Seq)
 	// Handlers stamp now before taking the lock, so two connections can
-	// deliver for one client a hair out of order; the timer refuses the
-	// older one and presence is none the worse.
+	// deliver for one client a hair out of order; the row keeps the later
+	// instant, the timer refuses the older one and presence is none the
+	// worse.
 	_ = r.timer.Deliver(now.Sub(s.start), hb.Expiry)
 	misrouted := s.misroutedLocked(r, hb.Src)
 	sh.mu.Unlock()
