@@ -1040,17 +1040,21 @@ func TestRelayForgetsRoutesOfLostHeartbeats(t *testing.T) {
 	}
 }
 
+// clocks are the two clocks a UE runs on: the sequential kernel's
+// scheduler and the tile kernel's per-device agenda.
+var clocks = map[string]func(*simtime.Scheduler) simtime.Clock{
+	"scheduler": func(s *simtime.Scheduler) simtime.Clock { return simtime.SchedulerClock{S: s} },
+	"agenda":    func(s *simtime.Scheduler) simtime.Clock { return simtime.AgendaClock{A: simtime.NewAgenda(s)} },
+}
+
 // TestUEPendingEntriesAreRecycled drives one UE through an acknowledged
 // forward, an unacknowledged one and another acknowledged one, on both
-// clocks. The UE keeps one pending entry and its bound timer callback for
-// all three, so the timeout that fires for the second must resend the
-// second — not whatever the entry carried when its callback was made — and
-// a direct send's scratch batch must carry exactly that heartbeat.
+// clocks. The UE tracks all three in one table under one lapse timer, so
+// the lapse that fires for the second must resend the second — not what
+// the table or the timer held before it — and a direct send's scratch
+// batch must carry exactly that heartbeat.
 func TestUEPendingEntriesAreRecycled(t *testing.T) {
-	for name, mk := range map[string]func(*simtime.Scheduler) simtime.Clock{
-		"scheduler": func(s *simtime.Scheduler) simtime.Clock { return simtime.SchedulerClock{S: s} },
-		"agenda":    func(s *simtime.Scheduler) simtime.Clock { return simtime.AgendaClock{A: simtime.NewAgenda(s)} },
-	} {
+	for name, mk := range clocks {
 		t.Run(name, func(t *testing.T) {
 			s := simtime.NewScheduler(1)
 			sub := &fakeSub{relays: map[hbmsg.DeviceID]*fakeLink{}, offer: []hbmsg.DeviceID{"a"}}
@@ -1078,18 +1082,12 @@ func TestUEPendingEntriesAreRecycled(t *testing.T) {
 				}
 			}
 			run(2 * time.Second) // heartbeat 1: forwarded and acknowledged inside Send
-			if len(ue.pending) != 0 || len(ue.spare) != 1 {
-				t.Fatalf("after an acknowledged forward: %d pending, %d spare, want 0 and 1", len(ue.pending), len(ue.spare))
-			}
 			acking = false
 			run(period + 2*time.Second) // heartbeat 2: forwarded, never acknowledged
-			if len(ue.pending) != 1 || len(ue.spare) != 0 {
-				t.Fatalf("awaiting feedback: %d pending, %d spare, want the one entry in use", len(ue.pending), len(ue.spare))
-			}
 			acking = true
 			// Heartbeat 2 times out before heartbeat 3 is due: the fallback
 			// resend is the first cellular batch, and heartbeat 3 finds the
-			// entry free again.
+			// table empty again.
 			run(2*period + 2*time.Second)
 			if len(sub.direct) != 1 || len(sub.direct[0]) != 1 || sub.direct[0][0].Seq != 2 {
 				t.Fatalf("cellular batches = %v, want exactly the fallback resend of heartbeat 2", sub.direct)
@@ -1098,8 +1096,90 @@ func TestUEPendingEntriesAreRecycled(t *testing.T) {
 			if us.FallbackResends != 1 || us.AcksReceived != 2 || us.SentViaD2D != 3 {
 				t.Fatalf("stats = %+v, want 3 forwards, 2 acks, 1 fallback", us)
 			}
-			if len(ue.pending) != 0 || len(ue.spare) != 1 {
-				t.Fatalf("settled: %d pending, %d spare, want the one entry back", len(ue.pending), len(ue.spare))
+		})
+	}
+}
+
+// quietSub is a Radio and Uplink that allocate nothing: discovery always
+// finds the one relay behind link, and cellular sends are only counted.
+type quietSub struct {
+	peers  []d2d.PeerInfo
+	link   *fakeLink
+	direct int
+}
+
+func (q *quietSub) Scan() []d2d.PeerInfo { return q.peers }
+
+func (q *quietSub) Connect(hbmsg.DeviceID) (Link, error) {
+	q.link.open = true
+	return q.link, nil
+}
+
+func (q *quietSub) Send([]hbmsg.Heartbeat, energy.Phase) error {
+	q.direct++
+	return nil
+}
+
+// TestUEForwardAckZeroAllocs pins what a heartbeat costs a warm UE on
+// either clock: a forward its relay acknowledges, and a forward whose
+// window lapses into a fallback resend (and the rematch after it), each
+// allocate nothing — the in-flight table reuses its slots and the lapse
+// timer its callback. The lapse timer fires only for a window no ack
+// closed: one kernel event per acknowledged heartbeat, two per lapsed one.
+func TestUEForwardAckZeroAllocs(t *testing.T) {
+	for name, mk := range clocks {
+		t.Run(name, func(t *testing.T) {
+			s := simtime.NewScheduler(1)
+			link := &fakeLink{id: "a", free: 4}
+			sub := &quietSub{link: link, peers: []d2d.PeerInfo{{ID: "a", EstDistance: 1,
+				Intent: d2d.MaxGroupOwnerIntent, FreeCapacity: 4}}}
+			ue, err := NewUEOn(mk(s), sub, sub, UEConfig{
+				ID: "ue", Profile: std(), Match: matching.DefaultConfig(), StartOffset: time.Second,
+				FeedbackTimeout: 30 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			acking := true
+			link.onSend = func(hb hbmsg.Heartbeat) {
+				if acking {
+					ue.OnAck(d2d.AckRef{Src: hb.Src, Seq: hb.Seq})
+				}
+			}
+			if err := ue.Start(); err != nil {
+				t.Fatal(err)
+			}
+			// One period: a heartbeat, and its window's lapse when no ack
+			// closed it first.
+			period := func() {
+				if err := s.RunUntil(s.Now() + std().Period); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.RunUntil(2 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range []struct {
+				name string
+				ack  bool
+			}{{"forward, ack", true}, {"forward, lapse, fallback", false}} {
+				acking = tc.ack
+				period() // the first lapse warms the fallback path
+				before, direct, fired := ue.Stats(), sub.direct, s.Fired()
+				allocs := testing.AllocsPerRun(20, period)
+				us, events := ue.Stats(), int(s.Fired()-fired)
+				forwards, acks := us.SentViaD2D-before.SentViaD2D, us.AcksReceived-before.AcksReceived
+				fallbacks := us.FallbackResends - before.FallbackResends
+				if forwards != 21 || sub.direct-direct != fallbacks || tc.ack != (acks == forwards) || tc.ack == (fallbacks == forwards) {
+					t.Fatalf("%s: %d forwards, %d acks, %d fallbacks, %d cellular sends over 21 periods",
+						tc.name, forwards, acks, fallbacks, sub.direct-direct)
+				}
+				if want := forwards + fallbacks; events != want {
+					t.Errorf("%s: %d kernel events over 21 periods, want %d", tc.name, events, want)
+				}
+				if allocs != 0 {
+					t.Errorf("%s: %.1f allocs per heartbeat, want 0", tc.name, allocs)
+				}
 			}
 		})
 	}

@@ -10,6 +10,8 @@ import (
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/matching"
 	"d2dhb/internal/rrc"
+	"d2dhb/internal/simtime"
+	"d2dhb/internal/trace"
 )
 
 func TestMultiAppUEForwardsAllApps(t *testing.T) {
@@ -78,6 +80,66 @@ func TestMultiAppUEDistinctExpiries(t *testing.T) {
 	}
 	if got := ue.Stats().AcksReceived; got != 2 {
 		t.Fatalf("acks = %d, want 2", got)
+	}
+}
+
+// TestMultiAppUEFallsBackOnEachAppsWindow runs two apps with different
+// expiries through a relay that never acknowledges. The UE's one lapse
+// timer must follow the earliest window in flight: the tight app,
+// forwarded after the relaxed one, pulls the timer forward and falls back
+// at its own lapse, and the relaxed app's heartbeat falls back at its own
+// later one, not at either sweep before it.
+func TestMultiAppUEFallsBackOnEachAppsWindow(t *testing.T) {
+	tight := std()
+	tight.Name = "tight"
+	tight.ExpiryFactor = 0.1 // 27 s, a 29.7 s window; std's is 275 s
+	for name, mk := range clocks {
+		t.Run(name, func(t *testing.T) {
+			s := simtime.NewScheduler(1)
+			sub := &fakeSub{relays: map[hbmsg.DeviceID]*fakeLink{"a": {id: "a", free: 4}},
+				offer: []hbmsg.DeviceID{"a"}}
+			var rec trace.Recorder
+			ue, err := NewUEOn(mk(s), sub, sub, UEConfig{
+				ID: "ue", Profile: std(), ExtraProfiles: []hbmsg.AppProfile{tight},
+				Match: matching.DefaultConfig(), StartOffset: time.Second, Tracer: &rec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ue.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RunUntil(300 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			// std beats at 1 s and 271 s, tight at 4 s and 274 s, all
+			// forwarded (the tight fallback drops the link; 271 s rematches).
+			// Inside 300 s, tight's first window closes at 33.7 s and std's
+			// first at 276 s; the second heartbeats' are still open.
+			lapse := func(p hbmsg.AppProfile, origin time.Duration) int64 {
+				return trace.At(origin + FeedbackWindow(0, p.Expiry()))
+			}
+			want := []trace.Event{
+				{AtMs: lapse(tight, 4*time.Second), App: "tight", Seq: 2},
+				{AtMs: lapse(std(), time.Second), App: std().Name, Seq: 1},
+			}
+			got := rec.ByKind(trace.KindFallback)
+			if len(got) != len(want) {
+				t.Fatalf("fallbacks = %+v, want %d", got, len(want))
+			}
+			for i, ev := range got {
+				if ev.AtMs != want[i].AtMs || ev.App != want[i].App || ev.Seq != want[i].Seq {
+					t.Fatalf("fallback %d = %+v at %d ms, want %s seq %d at %d ms",
+						i, ev, ev.AtMs, want[i].App, want[i].Seq, want[i].AtMs)
+				}
+			}
+			if us := ue.Stats(); us.SentViaD2D != 4 || us.FallbackResends != 2 || us.AcksReceived != 0 {
+				t.Fatalf("stats = %+v, want 4 forwards and 2 fallbacks", us)
+			}
+			if len(sub.direct) != 2 || sub.direct[0][0].Seq != 2 || sub.direct[1][0].Seq != 1 {
+				t.Fatalf("cellular batches = %v, want the resends of seq 2 then seq 1", sub.direct)
+			}
+		})
 	}
 }
 

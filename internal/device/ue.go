@@ -9,6 +9,7 @@ import (
 	"d2dhb/internal/d2d"
 	"d2dhb/internal/energy"
 	"d2dhb/internal/hbmsg"
+	"d2dhb/internal/inflight"
 	"d2dhb/internal/matching"
 	"d2dhb/internal/simtime"
 	"d2dhb/internal/trace"
@@ -56,7 +57,8 @@ type UEConfig struct {
 	// ExtraProfiles are additional apps running on the same device, each
 	// with its own heartbeat loop (real phones run several IM apps at
 	// once, the situation Table I describes). All apps share the device's
-	// relay link, feedback tracking and fallback path.
+	// relay link, feedback table and fallback path; each heartbeat waits on
+	// its own app's FeedbackWindow.
 	ExtraProfiles []hbmsg.AppProfile
 	// Match configures relay selection.
 	Match matching.Config
@@ -123,35 +125,30 @@ type UE struct {
 	radio  Radio
 	uplink Uplink
 
-	seq      uint64
-	link     Link
-	pending  []*pendingSend     // awaiting feedback, found by p.hb.Seq; one or two at a time
-	spare    []*pendingSend     // settled entries, kept with their timer callbacks for reuse
-	one      [1]hbmsg.Heartbeat // the batch of a direct send; Uplink.Send does not retain it
-	beats    []func()           // one heartbeat loop body per app profile
-	hbTimers []simtime.Handle
-	stopped  bool
+	seq     uint64
+	link    Link
+	pending inflight.Pending   // forwarded heartbeats awaiting feedback, keyed by u.key
+	one     [1]hbmsg.Heartbeat // the batch of a direct send; Uplink.Send does not retain it
+	// One timer per app profile's heartbeat loop, then the lapse timer, at
+	// the earliest instant a window in pending closes; fires holds the
+	// callback bound to each, made once at Start.
+	timers  []simtime.Handle
+	fires   []func()
+	lapseAt time.Duration // the lapse timer's instant while it is armed
 
 	// Scan backoff: discovery is itself expensive (Table III) for the UE
 	// and for every responding relay, so after a failed match the UE
 	// skips scanning for a geometrically growing number of heartbeats.
-	backoff   int
-	scanSkips int
+	// Both stay under maxScanBackoff; int32 packs them with stopped.
+	backoff   int32
+	scanSkips int32
+	stopped   bool
 
 	stats UEStats
 }
 
 // maxScanBackoff caps the discovery backoff at 8 heartbeat periods.
 const maxScanBackoff = 8
-
-// pendingSend tracks a forwarded heartbeat awaiting feedback. A UE has one
-// or two in flight at a time, so settled entries are recycled together with
-// the timer callback bound to them.
-type pendingSend struct {
-	hb      hbmsg.Heartbeat
-	timer   simtime.Handle
-	timeout func() // u.onFeedbackTimeout for whatever hb this entry carries
-}
 
 // NewUE assembles a UE on the sequential substrate: its D2D node on the
 // live medium and its cellular modem. Start must be called to begin the
@@ -194,21 +191,24 @@ func (u *UE) Connected() bool { return u.link != nil && u.link.Open() }
 // are staggered a few seconds after the primary so their first heartbeats
 // do not collide.
 func (u *UE) Start() error {
-	n := 1 + len(u.cfg.ExtraProfiles)
-	u.beats = make([]func(), n)
-	u.hbTimers = make([]simtime.Handle, n)
-	for i := range u.beats {
-		i := i
-		u.beats[i] = func() { u.heartbeat(i) }
+	n := u.apps()
+	u.timers = make([]simtime.Handle, n+1)
+	u.fires = make([]func(), n+1)
+	u.fires[n] = u.onLapse
+	for i := range n {
+		u.fires[i] = func() { u.heartbeat(i) }
 		offset := u.cfg.StartOffset + time.Duration(i)*3*time.Second
-		t, err := u.clock.After(offset, u.beats[i])
+		t, err := u.clock.After(offset, u.fires[i])
 		if err != nil {
 			return fmt.Errorf("device: start ue %s: %w", u.cfg.ID, err)
 		}
-		u.hbTimers[i] = t
+		u.timers[i] = t
 	}
 	return nil
 }
+
+// apps is the number of app profiles: the primary and the extras.
+func (u *UE) apps() int { return 1 + len(u.cfg.ExtraProfiles) }
 
 // profile returns app profile i: the primary, then the extras.
 func (u *UE) profile(i int) *hbmsg.AppProfile {
@@ -218,18 +218,17 @@ func (u *UE) profile(i int) *hbmsg.AppProfile {
 	return &u.cfg.ExtraProfiles[i-1]
 }
 
-// Stop halts the heartbeat loops and cancels pending feedback timers. The
-// handles are dropped as they are cancelled: a stopped handle is dead (see
-// simtime.Handle), so keeping it could alias events armed by other devices.
+// Stop halts the heartbeat loops and the lapse timer and forgets the
+// heartbeats awaiting feedback. The handles are dropped as they are
+// cancelled: a stopped handle is dead (see simtime.Handle), so keeping it
+// could alias events armed by other devices.
 func (u *UE) Stop() {
 	u.stopped = true
-	for i, t := range u.hbTimers {
+	for i, t := range u.timers {
 		u.clock.Stop(t)
-		u.hbTimers[i] = nil
+		u.timers[i] = nil
 	}
-	for len(u.pending) > 0 {
-		u.settle(len(u.pending) - 1)
-	}
+	u.pending.Drain()
 	if u.link != nil {
 		u.link.Close()
 		u.link = nil
@@ -250,7 +249,7 @@ func (u *UE) heartbeat(i int) {
 	u.emit(trace.Event{Kind: trace.KindGenerated, App: hb.App, Seq: hb.Seq})
 
 	var err error
-	u.hbTimers[i], err = u.clock.After(profile.Period, u.beats[i])
+	u.timers[i], err = u.clock.After(profile.Period, u.fires[i])
 	if err != nil {
 		u.stats.SendErrors++
 	}
@@ -304,12 +303,15 @@ func (u *UE) heartbeat(i int) {
 			return
 		}
 	}
-	// Arm the feedback timer before transmitting: when this very send
-	// fills the batch, the relay flushes and acknowledges synchronously,
-	// and the ack must find the pending entry.
-	u.armFeedback(hb)
+	// Track the heartbeat before transmitting: when this very send fills
+	// the batch, the relay flushes and acknowledges synchronously, and the
+	// ack must find it in flight.
+	k := u.key(i, hb.Seq)
+	u.pending.Track(k, instant(now), true)
+	u.rearm()
 	if err := u.link.Send(hb); err != nil {
-		u.cancelFeedback(hb.Seq)
+		u.pending.Settle(k, instant(now))
+		u.rearm()
 		u.stats.D2DSendFailures++
 		u.emit(trace.Event{Kind: trace.KindD2DFail, App: hb.App, Seq: hb.Seq, Reason: err.Error()})
 		// A lost transfer leaves the link up for the next heartbeat to
@@ -376,92 +378,85 @@ func (u *UE) sendDirect(hb hbmsg.Heartbeat) {
 	u.emit(trace.Event{Kind: trace.KindDirectSend, App: hb.App, Seq: hb.Seq})
 }
 
-// armFeedback starts the ack timer for a forwarded heartbeat.
-func (u *UE) armFeedback(hb hbmsg.Heartbeat) {
-	var p *pendingSend
-	if n := len(u.spare); n > 0 {
-		p, u.spare = u.spare[n-1], u.spare[:n-1]
-	} else {
-		p = &pendingSend{}
-		p.timeout = func() { u.onFeedbackTimeout(p.hb.Seq) }
+// instant is a simulated instant as the in-flight table takes it.
+func instant(d time.Duration) time.Time { return time.Unix(0, int64(d)) }
+
+// key is heartbeat seq of app i in the in-flight table: two slots per app,
+// by seq parity, so that when a one-app UE's ack comes after its next
+// heartbeat both stay inline, and the table opens no overflow map.
+func (u *UE) key(i int, seq uint64) inflight.Key {
+	return inflight.Key{Slot: i + u.apps()*int(seq&1), Seq: seq}
+}
+
+// window is the ack window of the heartbeats in slot.
+func (u *UE) window(slot int) time.Duration {
+	return FeedbackWindow(u.cfg.FeedbackTimeout, u.profile(slot%u.apps()).Expiry())
+}
+
+// rearm keeps the lapse timer on the table's earliest lapse after a
+// change to it: the timer stops when the table empties and is armed again
+// only when the earliest lapse moved, so no event fires for a window an ack
+// already closed.
+func (u *UE) rearm() {
+	n := len(u.timers) - 1
+	next, ok := u.pending.Lapse(u.window)
+	at := time.Duration(next.UnixNano())
+	if ok && at == u.lapseAt && u.timers[n] != nil {
+		return
 	}
-	p.hb = hb
-	t, err := u.clock.After(FeedbackWindow(u.cfg.FeedbackTimeout, hb.Expiry), p.timeout)
+	u.clock.Stop(u.timers[n])
+	u.timers[n] = nil
+	if !ok {
+		return
+	}
+	t, err := u.clock.At(at, u.fires[n])
 	if err != nil {
 		u.stats.SendErrors++
-		u.spare = append(u.spare, p)
 		return
 	}
-	p.timer = t
-	u.pending = append(u.pending, p)
+	u.timers[n], u.lapseAt = t, at
 }
 
-// inFlight returns the index in u.pending of the entry awaiting feedback
-// for seq, or -1.
-func (u *UE) inFlight(seq uint64) int {
-	for i, p := range u.pending {
-		if p.hb.Seq == seq {
-			return i
+// onLapse fires at the earliest lapse: each forwarded heartbeat whose
+// window closed unacknowledged is resent, as the UE "will send the
+// heartbeat messages via cellular network" itself (Section III-A), paying
+// the duplicate-transmission penalty the paper lists under negative
+// impacts. It keeps its first send's origin and settles once it has left.
+func (u *UE) onLapse() {
+	u.timers[len(u.timers)-1] = nil // it is what is running
+	now := u.clock.Now()
+	var buf [2]inflight.Key
+	resend, _ := u.pending.Sweep(instant(now), u.window, buf[:0], nil)
+	for _, k := range resend {
+		sent, _ := u.pending.Sent(k)
+		u.one[0] = u.profile(k.Slot%u.apps()).Heartbeat(u.cfg.ID, k.Seq, time.Duration(sent.UnixNano()))
+		u.stats.FallbackResends++
+		u.emit(trace.Event{Kind: trace.KindFallback, App: u.one[0].App, Seq: k.Seq})
+		if err := u.uplink.Send(u.one[:], energy.PhaseFallback); err != nil {
+			u.stats.SendErrors++
+		}
+		u.pending.Settle(k, instant(now))
+		// The relay evidently failed us; drop the link so the next
+		// heartbeat rematches.
+		if u.link != nil {
+			u.link.Close()
+			u.link = nil
 		}
 	}
-	return -1
-}
-
-// settle takes pending entry i out of the table: its timer, if it still
-// has one, is cancelled, and the entry goes back to the spares, where the
-// next armFeedback overwrites its heartbeat.
-func (u *UE) settle(i int) {
-	p := u.pending[i]
-	u.clock.Stop(p.timer)
-	p.timer = nil
-	last := len(u.pending) - 1
-	u.pending[i] = u.pending[last]
-	u.pending[last] = nil
-	u.pending = u.pending[:last]
-	u.spare = append(u.spare, p)
-}
-
-// cancelFeedback drops a pending entry after a failed send.
-func (u *UE) cancelFeedback(seq uint64) {
-	if i := u.inFlight(seq); i >= 0 {
-		u.settle(i)
-	}
-}
-
-// onFeedbackTimeout fires when a forwarded heartbeat was never
-// acknowledged: the UE "will send the heartbeat messages via cellular
-// network" itself (Section III-A), paying the duplicate-transmission
-// penalty the paper lists under negative impacts.
-func (u *UE) onFeedbackTimeout(seq uint64) {
-	i := u.inFlight(seq)
-	if i < 0 || u.stopped {
-		return
-	}
-	p := u.pending[i]
-	u.one[0] = p.hb
-	p.timer = nil // it is what is running
-	u.settle(i)
-	u.stats.FallbackResends++
-	u.emit(trace.Event{Kind: trace.KindFallback, App: u.one[0].App, Seq: seq})
-	if err := u.uplink.Send(u.one[:], energy.PhaseFallback); err != nil {
-		u.stats.SendErrors++
-	}
-	// The relay evidently failed us; drop the link so the next heartbeat
-	// rematches.
-	if u.link != nil {
-		u.link.Close()
-		u.link = nil
-	}
+	u.rearm()
 }
 
 // OnAck handles one feedback acknowledgement from a relay.
 func (u *UE) OnAck(ref d2d.AckRef) {
-	i := u.inFlight(ref.Seq)
-	if i < 0 || ref.Src != u.cfg.ID {
+	if ref.Src != u.cfg.ID {
 		return
 	}
-	app := u.pending[i].hb.App
-	u.settle(i)
-	u.stats.AcksReceived++
-	u.emit(trace.Event{Kind: trace.KindAck, App: app, Seq: ref.Seq})
+	for i := range u.apps() { // seqs run across apps: one slot has it
+		if _, ok := u.pending.Settle(u.key(i, ref.Seq), instant(u.clock.Now())); ok {
+			u.rearm()
+			u.stats.AcksReceived++
+			u.emit(trace.Event{Kind: trace.KindAck, App: u.profile(i).Name, Seq: ref.Seq})
+			return
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"d2dhb/internal/core"
 	"d2dhb/internal/device"
@@ -49,7 +50,10 @@ func TestCityFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	built := perDevice(liveHeap(), base)
-	t.Logf("built city: %d B/device live", built)
+	// The state machines' own structs are what each device's share starts
+	// from: the sizes beside it say which one a new field would push over.
+	t.Logf("built city: %d B/device live (device.UE %d B, device.Relay %d B)",
+		built, unsafe.Sizeof(device.UE{}), unsafe.Sizeof(device.Relay{}))
 	if built > builtCeiling {
 		t.Errorf("built city keeps %d B/device live, ceiling %d", built, builtCeiling)
 	}

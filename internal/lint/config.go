@@ -121,6 +121,9 @@ func DefaultConfig(module string) *Config {
 		// rec is clock-free by design: every instant in a trace is
 		// caller-supplied, so replays stay deterministic.
 		ip("internal/rec"),
+		// inflight is too: the simulated UE hands it virtual instants, the
+		// live clients wall time.
+		ip("internal/inflight"),
 	}
 	return &Config{
 		Module: module,

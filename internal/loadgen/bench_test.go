@@ -12,8 +12,8 @@ import (
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/hbproto"
+	"d2dhb/internal/inflight"
 	"d2dhb/internal/relaynet"
-	"d2dhb/internal/session"
 )
 
 // The capacity benchmarks are smoke-sized macro-benchmarks: each iteration
@@ -324,7 +324,7 @@ func BenchmarkTrunkAckPath(b *testing.B) {
 		// Every period acks seq 1 again: what is measured is the lookup
 		// and the settle, not the sequence bookkeeping.
 		for _, i := range owned {
-			tr.pending.Track(session.Key{Slot: i, Seq: 1}, now, true)
+			tr.pending.Track(inflight.Key{Slot: i, Seq: 1}, now, true)
 		}
 		wire.Reset(period)
 		b.StartTimer()

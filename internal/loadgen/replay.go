@@ -17,9 +17,9 @@ import (
 	"time"
 
 	"d2dhb/internal/faultnet"
+	"d2dhb/internal/inflight"
 	"d2dhb/internal/rec"
 	"d2dhb/internal/relaynet"
-	"d2dhb/internal/session"
 )
 
 // ReplayOptions parameterizes one live replay.
@@ -129,14 +129,14 @@ type replayUnit struct {
 	start time.Time // the replay's t=0
 	steps []replayStep
 	next  int // the next step's index
-	send  func(refs []session.Key, now time.Time)
+	send  func(refs []inflight.Key, now time.Time)
 }
 
 // replayStep is one recorded uplink: its heartbeats as (unit slot, seq)
 // and its replay offset — the last one's recorded offset over the speedup.
 type replayStep struct {
 	at   time.Duration
-	refs []session.Key
+	refs []inflight.Key
 }
 
 // Begin takes the replay's t=0 and returns the first step's instant.
@@ -198,7 +198,7 @@ func (r *Runner) replayDirect(c rec.Client, tidx int, steps [][]rec.Event, speed
 	return &replayUnit{
 		loadUnit: u,
 		steps:    replaySchedule(steps, func(int) int { return 0 }, speedup),
-		send:     func(refs []session.Key, now time.Time) { u.Send(0, refs[0].Seq, now) },
+		send:     func(refs []inflight.Key, now time.Time) { u.Send(0, refs[0].Seq, now) },
 	}, nil
 }
 
@@ -243,9 +243,9 @@ func (r *Runner) replayGroup(tl *rec.Timeline, g int, steps [][]rec.Event, speed
 func replaySchedule(steps [][]rec.Event, slot func(client int) int, speedup float64) []replayStep {
 	out := make([]replayStep, len(steps))
 	for i, s := range steps {
-		refs := make([]session.Key, len(s))
+		refs := make([]inflight.Key, len(s))
 		for j, e := range s {
-			refs[j] = session.Key{Slot: slot(e.Client), Seq: e.Seq}
+			refs[j] = inflight.Key{Slot: slot(e.Client), Seq: e.Seq}
 		}
 		out[i] = replayStep{at: time.Duration(float64(s[len(s)-1].At) / speedup), refs: refs}
 	}

@@ -9,6 +9,7 @@ import (
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/idindex"
+	"d2dhb/internal/inflight"
 	"d2dhb/internal/rec"
 	"d2dhb/internal/session"
 	"d2dhb/internal/telemetry"
@@ -76,7 +77,7 @@ type trunk struct {
 	// drain() sweeps only after the driver has stopped, so no lock is
 	// needed.
 	up    session.Uplink // one slot per shard; jitter seeded from id
-	fresh []session.Key  // one emission's new heartbeats
+	fresh []inflight.Key // one emission's new heartbeats
 	view  *cluster.View  // the view owner was filled under
 	owner []int32        // user → owning node index + 1 under view; 0 = not resolved yet
 	tick  time.Time      // the next sub-tick's instant
@@ -84,7 +85,7 @@ type trunk struct {
 
 	mu      sync.Mutex
 	users   []tuser
-	pending session.Pending // in-flight heartbeats, slot = user index, each resendable once
+	pending inflight.Pending // in-flight heartbeats, slot = user index, each resendable once
 	closed  bool
 }
 
@@ -123,7 +124,7 @@ func (t *trunk) Lapse() (time.Time, bool) { return time.Time{}, false }
 // fallback/timeout timing is unchanged by pacing.
 func (t *trunk) tickSlot(slot int) {
 	now := time.Now()
-	var resend []session.Key
+	var resend []inflight.Key
 	if slot == 0 {
 		resend = t.collectExpired(now)
 	}
@@ -142,7 +143,7 @@ func (t *trunk) paced(s int) (lo, hi int) {
 
 // emit sends one fresh heartbeat for each user in [lo, hi) plus any
 // expired re-sends.
-func (t *trunk) emit(lo, hi int, now time.Time, resend []session.Key) {
+func (t *trunk) emit(lo, hi int, now time.Time, resend []inflight.Key) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -151,7 +152,7 @@ func (t *trunk) emit(lo, hi int, now time.Time, resend []session.Key) {
 	fresh := t.fresh[:0]
 	for i := lo; i < hi; i++ {
 		t.users[i].seq++
-		fresh = append(fresh, session.Key{Slot: i, Seq: t.users[i].seq})
+		fresh = append(fresh, inflight.Key{Slot: i, Seq: t.users[i].seq})
 	}
 	t.fresh = fresh
 	t.mu.Unlock()
@@ -166,7 +167,7 @@ func (t *trunk) emit(lo, hi int, now time.Time, resend []session.Key) {
 // offer tracks fresh heartbeats — (user index, seq) pairs — and sends them
 // as one round. The trunk's own emission numbers them itself; a replay
 // hands in the recorded ones.
-func (t *trunk) offer(refs []session.Key, now time.Time) {
+func (t *trunk) offer(refs []inflight.Key, now time.Time) {
 	t.mu.Lock()
 	for _, ref := range refs {
 		t.pending.Track(ref, now, true)
@@ -190,7 +191,7 @@ func (t *trunk) index() {
 // shard under one ring view. Heartbeats that never hit the wire stay in
 // the pending table: the sweep resends them once through the then-current
 // view.
-func (t *trunk) send(refs []session.Key, now time.Time, fallback bool) {
+func (t *trunk) send(refs []inflight.Key, now time.Time, fallback bool) {
 	parts := t.up.Send(now, len(refs),
 		func(v *cluster.View, i int) int { return t.ownerOf(v, refs[i].Slot) },
 		func(i int) hbproto.Heartbeat {
@@ -246,16 +247,16 @@ func (t *trunk) ownerOf(v *cluster.View, u int) int {
 
 // collectExpired applies the pending table's loss policy, recording the
 // write-offs and returning the heartbeats due one fallback re-send.
-func (t *trunk) collectExpired(now time.Time) []session.Key {
+func (t *trunk) collectExpired(now time.Time) []inflight.Key {
 	t.mu.Lock()
-	resend, lost := t.pending.Sweep(now, func(int) time.Duration { return t.timeout })
+	resend, lost := t.pending.Sweep(now, func(int) time.Duration { return t.timeout }, nil, nil)
 	t.timedOut(lost, now)
 	t.mu.Unlock()
 	return resend
 }
 
 // timedOut writes off heartbeats the pending table gave up on (t.mu held).
-func (t *trunk) timedOut(refs []session.Key, now time.Time) {
+func (t *trunk) timedOut(refs []inflight.Key, now time.Time) {
 	for _, ref := range refs {
 		t.trec.Record(rec.EvTimeout, int(t.clients[ref.Slot].trec), ref.Seq, now)
 	}
@@ -301,7 +302,7 @@ func (t *trunk) onRefs(refs []hbproto.Ref, at time.Time) {
 	var acked, run, lat uint64
 	for _, ref := range refs {
 		i := int(ref.Handle) - 1 // handle 0: slot -1, which nothing pending has
-		d, ok := t.pending.Settle(session.Key{Slot: i, Seq: ref.Seq}, at)
+		d, ok := t.pending.Settle(inflight.Key{Slot: i, Seq: ref.Seq}, at)
 		if !ok {
 			continue
 		}

@@ -17,7 +17,7 @@ import (
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/hbproto/hbprototest"
-	"d2dhb/internal/session"
+	"d2dhb/internal/inflight"
 	"d2dhb/internal/telemetry"
 )
 
@@ -247,7 +247,7 @@ func TestTrunkAcksResolveThroughItsTable(t *testing.T) {
 	latency := func(u int) uint64 { return uint64(1+u/3%3) * 1000 } // µs
 	for i := range users {
 		tr.users[i].seq = uint64(i)*100 + 1
-		tr.pending.Track(session.Key{Slot: i, Seq: tr.users[i].seq}, now.Add(-time.Duration(latency(i))*time.Microsecond), true)
+		tr.pending.Track(inflight.Key{Slot: i, Seq: tr.users[i].seq}, now.Add(-time.Duration(latency(i))*time.Microsecond), true)
 	}
 	frame := func(us ...int) []byte {
 		ack := &hbproto.Ack{Refs: []hbproto.Ref{{Src: "stranger", Seq: 1}, {Src: otherTrunk, Seq: 101}}}

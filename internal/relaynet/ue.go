@@ -10,6 +10,7 @@ import (
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/device"
 	"d2dhb/internal/hbproto"
+	"d2dhb/internal/inflight"
 	"d2dhb/internal/rec"
 	"d2dhb/internal/session"
 	"d2dhb/internal/telemetry"
@@ -144,8 +145,8 @@ type ueExtra struct {
 // (device.FeedbackWindow) is resent directly, once, and the relay link
 // that failed it is dropped, so the next send redials. Both paths are
 // acknowledged: relay feedback and the server's own acks settle one
-// pending table, keyed (app index, seq), so the client measures each
-// heartbeat's latency and counts every one it loses.
+// inflight.Pending, keyed (app index, seq) as device.UE's is, so the client
+// measures each heartbeat's latency and counts every one it loses.
 //
 // The UE is a session.Unit: its Step is one turn of its heartbeat loop.
 // Start runs it on a driver of its own; a fleet puts all its UEs on one
@@ -173,9 +174,9 @@ type UEClient struct {
 	due time.Duration
 
 	mu       sync.Mutex
-	fallback *session.Slot   // a relayed UE's link to its owning shard, opened on first use
-	pending  session.Pending // heartbeats in flight, slot = app index
-	last     uint64          // highest acknowledged seq
+	fallback *session.Slot    // a relayed UE's link to its owning shard, opened on first use
+	pending  inflight.Pending // heartbeats in flight, slot = app index
+	last     uint64           // highest acknowledged seq
 	n        UEClientStats
 	tidx     int32 // RecorderIndex
 	closed   bool
@@ -434,7 +435,7 @@ func (u *UEClient) lapse() (at time.Time, ok bool) { return u.pending.Lapse(u.wi
 // written off when its window lapses.
 func (u *UEClient) Send(app int, seq uint64, now time.Time) {
 	hb := u.heartbeat(app, seq, now)
-	k := session.Key{Slot: app, Seq: seq}
+	k := inflight.Key{Slot: app, Seq: seq}
 	u.emit(trace.KindGenerated, hb.App, seq, now)
 	if u.relayed() && u.viaRelay(&hb, k) {
 		return
@@ -446,7 +447,7 @@ func (u *UEClient) Send(app int, seq uint64, now time.Time) {
 // track counts heartbeat k as generated and opens its ack window at its
 // generation instant. Track before transmitting: on loopback the relay may
 // flush, get the server ack and send feedback before the write returns.
-func (u *UEClient) track(k session.Key, at time.Time, resend bool) {
+func (u *UEClient) track(k inflight.Key, at time.Time, resend bool) {
 	u.mu.Lock()
 	u.pending.Track(k, at, resend)
 	u.n.Generated++
@@ -462,7 +463,7 @@ func (u *UEClient) relayed() bool { return u.primary.Register != nil }
 // dialled. A relay link stalled mid-frame blocks the step, not the
 // fallback of the heartbeats already waiting on their windows: the driver
 // sweeps the UE at each lapse, and the sweep's fallback drops the link.
-func (u *UEClient) viaRelay(hb *hbproto.Heartbeat, k session.Key) bool {
+func (u *UEClient) viaRelay(hb *hbproto.Heartbeat, k inflight.Key) bool {
 	dialed, err := u.primary.Connect()
 	if dialed {
 		u.mu.Lock()
@@ -562,7 +563,7 @@ func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, fallback bool) {
 // Any other lapse is written off as timed out.
 func (u *UEClient) Sweep(now time.Time) {
 	u.mu.Lock()
-	keys, lost := u.pending.Sweep(now, u.window)
+	keys, lost := u.pending.Sweep(now, u.window, nil, nil)
 	u.timedOut(lost, now)
 	resend := make([]hbproto.Heartbeat, len(keys))
 	for i, k := range keys {
@@ -579,7 +580,7 @@ func (u *UEClient) Sweep(now time.Time) {
 }
 
 // timedOut writes off heartbeats the pending table gave up on (u.mu held).
-func (u *UEClient) timedOut(keys []session.Key, now time.Time) {
+func (u *UEClient) timedOut(keys []inflight.Key, now time.Time) {
 	for _, k := range keys {
 		u.n.Timeouts++
 		u.rec.Record(rec.EvTimeout, int(u.tidx), k.Seq, now)
@@ -599,7 +600,7 @@ func (u *UEClient) settle(refs []hbproto.Ref, at time.Time, feedback bool) {
 			continue
 		}
 		for i := range u.apps { // seqs run across apps: one slot has it
-			lat, ok := u.pending.Settle(session.Key{Slot: i, Seq: ref.Seq}, at)
+			lat, ok := u.pending.Settle(inflight.Key{Slot: i, Seq: ref.Seq}, at)
 			if !ok {
 				continue
 			}

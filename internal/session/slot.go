@@ -1,17 +1,15 @@
 // Package session is the client side of the live heartbeat protocol,
 // stated once: a Slot is one lazily dialed, framed connection with its
-// ack/feedback reader, Pending is the table of heartbeats awaiting
-// acknowledgement with the paper's loss policy (a heartbeat tracked as
-// resendable falls back once, then times out; any other times out at its
-// first lapse; each slot lapses on its own window), an Uplink is an
-// aggregator's per-shard sender, and a Driver is the one clock that steps
-// the senders — each a Unit owning its own schedule — on one runner
-// goroutine. Every client on the live stack —
+// ack/feedback reader, an Uplink is an aggregator's per-shard sender, and a
+// Driver is the one clock that steps the senders — each a Unit owning its
+// own schedule — on one runner goroutine. Every client on the live stack —
 // relaynet.UEClient (alone, or as one of the load generator's
 // socket-per-UE fleet), and the relay and loadgen's trunks through an
 // Uplink each, all of which its trace replay drives too — is built from
-// these pieces. Schedules, Algorithm 1 and counters stay with their
-// owners.
+// these pieces. The heartbeats a client awaits acknowledgement for, and the
+// paper's loss rule over them, are an inflight.Pending, the table the
+// simulated UE keeps too. Schedules, Algorithm 1 and counters stay with
+// their owners.
 package session
 
 import (
