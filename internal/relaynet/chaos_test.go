@@ -61,20 +61,20 @@ func assertEventuallyAllDelivered(t *testing.T, rec *trace.Recorder, within time
 	if len(snapshot) == 0 {
 		t.Fatal("no heartbeats generated; scenario never ran")
 	}
+	eventually(t, within, func() bool { return len(lost(rec, snapshot)) == 0 },
+		"zero lost heartbeats (fallback fired for every unacked send)")
+}
+
+// lost returns the heartbeats of generated the server has not seen.
+func lost(rec *trace.Recorder, generated map[hbKey]bool) []hbKey {
+	delivered := deliveredSet(rec)
 	var missing []hbKey
-	eventually(t, within, func() bool {
-		delivered := deliveredSet(rec)
-		missing = missing[:0]
-		for k := range snapshot {
-			if !delivered[k] {
-				missing = append(missing, k)
-			}
+	for k := range generated {
+		if !delivered[k] {
+			missing = append(missing, k)
 		}
-		return len(missing) == 0
-	}, "zero lost heartbeats (fallback fired for every unacked send)")
-	if len(missing) > 0 {
-		t.Fatalf("lost heartbeats: %v", missing)
 	}
+	return missing
 }
 
 // assertNoDuplicateAcks checks each (device, seq) was feedback-confirmed at
@@ -491,61 +491,58 @@ func TestChaosSeededRandomChurn(t *testing.T) {
 // TestUEFallbackRelayDiesBetweenSendAndAck pins the exact Section IV-C gap:
 // the relay receives the D2D heartbeat and dies before any feedback. The
 // feedback timer must fire, FallbackResends must increment, and the server
-// must see exactly one copy of the heartbeat.
+// must see exactly one copy of the heartbeat — in the bubble on the grid
+// instant after the device rule's 305 s window.
 func TestUEFallbackRelayDiesBetweenSendAndAck(t *testing.T) {
-	s := startServer(t)
+	timed(t, func(t *testing.T, nw network) {
+		s := startServer(t, nw)
 
-	// A fake relay: accept one UE, swallow its register + first heartbeat,
-	// then die without ever sending feedback.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	received := make(chan struct{})
-	go func() {
-		conn, err := ln.Accept()
+		// A fake relay: accept one UE, swallow its register + first heartbeat,
+		// then die without ever sending feedback.
+		ln, err := nw.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return
+			t.Fatalf("listen: %v", err)
 		}
-		_, _ = hbprototest.ReadFrame(conn) // register
-		_, _ = hbprototest.ReadFrame(conn) // heartbeat — accepted, never acked
-		close(received)
-		_ = conn.Close()
-	}()
+		t.Cleanup(func() { _ = ln.Close() })
+		received := make(chan struct{})
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_, _ = hbprototest.ReadFrame(conn) // register
+			_, _ = hbprototest.ReadFrame(conn) // heartbeat — accepted, never acked
+			close(received)
+			_ = conn.Close()
+		}()
 
-	// Period of an hour: exactly one heartbeat is ever generated, so the
-	// accounting below is exact.
-	cfg := ueConfig("ue-gap", ln.Addr().String(), s.Addr(), time.Hour, 300*time.Millisecond)
-	cfg.FeedbackTimeout = 120 * time.Millisecond
-	u, err := NewUEClient(cfg)
-	if err != nil {
-		t.Fatalf("NewUEClient: %v", err)
-	}
-	if err := u.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(u.Shutdown)
+		// Period of an hour: exactly one heartbeat is ever generated, so the
+		// accounting below is exact.
+		cfg := ueConfig("ue-gap", ln.Addr().String(), s.Addr(), time.Hour, pick(300*time.Millisecond, 300*time.Second))
+		cfg.FeedbackTimeout = pick(120*time.Millisecond, 0)
+		u := startUE(t, nw, cfg)
 
-	select {
-	case <-received:
-	case <-time.After(2 * time.Second):
-		t.Fatal("fake relay never received the heartbeat")
-	}
+		select {
+		case <-received:
+		case <-time.After(2 * time.Second):
+			t.Fatal("fake relay never received the heartbeat")
+		}
 
-	eventually(t, 2*time.Second, func() bool { return u.Stats().FallbackResends == 1 },
-		"feedback timer fired exactly one fallback resend")
-	eventually(t, 2*time.Second, func() bool { return s.Online("ue-gap", time.Now()) },
-		"UE online via the fallback copy")
+		lapsed := u.window(0) + sendGrain
+		await(t, 2*time.Second, lapsed, func() bool { return u.Stats().FallbackResends == 1 },
+			"feedback timer fired exactly one fallback resend")
+		await(t, 2*time.Second, lapsed, func() bool { return s.Online("ue-gap", time.Now()) },
+			"UE online via the fallback copy")
 
-	us := u.Stats()
-	if us.ViaRelay != 1 || us.Generated != 1 || us.FeedbackAcks != 0 {
-		t.Fatalf("ue stats = %+v, want exactly one relayed send, no feedback", us)
-	}
-	st := s.Stats()
-	if st.HeartbeatsDirect != 1 || st.HeartbeatsRelayed != 0 {
-		t.Fatalf("server stats = %+v, want exactly one (direct fallback) heartbeat", st)
-	}
+		us := u.Stats()
+		if us.ViaRelay != 1 || us.Generated != 1 || us.FeedbackAcks != 0 {
+			t.Fatalf("ue stats = %+v, want exactly one relayed send, no feedback", us)
+		}
+		st := s.Stats()
+		if st.HeartbeatsDirect != 1 || st.HeartbeatsRelayed != 0 {
+			t.Fatalf("server stats = %+v, want exactly one (direct fallback) heartbeat", st)
+		}
+	})
 }
 
 // TestRelayReconnectBackoffConfigurable covers the thundering-herd fix:

@@ -205,8 +205,8 @@ func TestClusterChaosDrainKillAndRollingRestart(t *testing.T) {
 // epoch gives the node, not the one it first connected to. The "router"
 // is a bare config endpoint whose epoch 2 moves the one node's Addr.
 func TestRelayBackoffRedialFollowsEpoch(t *testing.T) {
-	oldSrv := startServer(t)
-	newSrv := startServer(t)
+	oldSrv := startServer(t, loopback{})
+	newSrv := startServer(t, loopback{})
 
 	var cfg atomic.Pointer[cluster.Config]
 	cfg.Store(&cluster.Config{Epoch: 1, Nodes: []cluster.Node{{ID: "srv", Addr: oldSrv.Addr()}}})

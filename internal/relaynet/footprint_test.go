@@ -25,7 +25,7 @@ func TestDirectUEFootprint(t *testing.T) {
 		t.Skip("the race runtime's shadow allocations are not the connections' footprint")
 	}
 	const ues, ceiling = 200, 4400 // bytes per connected UE
-	s := startServer(t)
+	s := startServer(t, loopback{})
 	apps := []UEApp{{Name: "std", Period: time.Hour, Expiry: time.Minute, Pad: 54}}
 	live := func() (heap, stack uint64) {
 		var ms runtime.MemStats
@@ -77,7 +77,7 @@ func TestServerSourceFootprint(t *testing.T) {
 		t.Skip("the race runtime's shadow allocations are not the server's footprint")
 	}
 	const sources, perBatch, ceiling = 100_000, 4096, 184 // bytes per source
-	s := startServer(t)
+	s := startServer(t, loopback{})
 	live := func() uint64 {
 		var ms runtime.MemStats
 		runtime.GC()

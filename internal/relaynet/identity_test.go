@@ -87,7 +87,7 @@ func TestRegisterUpdatesRecordInPlace(t *testing.T) {
 		return &hbproto.Register{ID: id, Role: hbproto.RoleUE, App: "std", Period: time.Second, Expiry: time.Minute}
 	}
 	t.Run("one connection", func(t *testing.T) {
-		s := startServer(t)
+		s := startServer(t, loopback{})
 		c := dialRaw(t, s.Addr())
 		c.send(register("ue-1"))
 		c.heartbeat("ue-1", 5)
@@ -109,7 +109,7 @@ func TestRegisterUpdatesRecordInPlace(t *testing.T) {
 		}
 	})
 	t.Run("two connections sharing a client", func(t *testing.T) {
-		s := startServer(t)
+		s := startServer(t, loopback{})
 		a, b := dialRaw(t, s.Addr()), dialRaw(t, s.Addr())
 		a.heartbeat("ue-1", 1) // a now reaches ue-1 by handle
 		b.send(register("ue-1"))
@@ -132,7 +132,7 @@ func TestRegisterUpdatesRecordInPlace(t *testing.T) {
 // reader still starts from its row. Its next heartbeat must land in the
 // table again, and the guess that named the freed row must miss.
 func TestForgottenClientReturnsThroughTheTable(t *testing.T) {
-	s := startServer(t)
+	s := startServer(t, loopback{})
 	c := dialRaw(t, s.Addr())
 	c.heartbeat("ue-1", 1)
 	c.heartbeat("ue-1", 2)
@@ -194,7 +194,7 @@ func TestNoRowForAnUndeliveredSource(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := startServer(t)
+			s := startServer(t, loopback{})
 			good := dialRaw(t, s.Addr())
 			good.heartbeat("ue-1", 1)
 			good.heartbeat("ue-1", 2) // the guess now runs from ue-1's row
@@ -381,71 +381,74 @@ func TestRoutingVerdictFollowsTheView(t *testing.T) {
 // still finds the UE connection to feed back to. The test plays the
 // relay's runner and the shard.
 func TestFeedbackRoutesAcksDecodedFromTheWire(t *testing.T) {
-	shard, dialed := net.Pipe()
-	t.Cleanup(func() { _ = shard.Close() })
-	r := steppedRelay(t, RelayAgentConfig{
-		ID: "relay-1", App: "std", Capacity: 8, Period: time.Minute, Expiry: time.Minute,
-		Dial: func(string, string) (net.Conn, error) { return dialed, nil },
-	}, "shard-0")
-	ack, err := hbproto.AppendFrame(nil, &hbproto.Ack{Refs: []hbproto.Ref{{Src: "ue-2", Seq: 9}, {Src: "ue-1", Seq: 7}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { // the shard: acknowledge the batch
-		fr := hbproto.NewFrameReader(shard)
-		for {
-			msg, err := fr.Next()
-			if err != nil {
-				return
-			}
-			if _, ok := msg.(*hbproto.Batch); ok {
-				_, _ = shard.Write(ack)
-			}
-		}
-	}()
-
-	near1, far1 := net.Pipe()
-	near2, far2 := net.Pipe()
-	t.Cleanup(func() { _ = near1.Close(); _ = far1.Close(); _ = near2.Close(); _ = far2.Close() })
-	ue1, ue2 := &ueConn{conn: near1}, &ueConn{conn: near2}
-	beat := func(at time.Duration, uc *ueConn, src string, seq uint64) *input {
-		return beatAt(at, uc, hbproto.Heartbeat{Src: src, Seq: seq, App: "std", Origin: time.Now(), Expiry: time.Minute})
-	}
-	ms := time.Millisecond
-	holdRunner(t, r)
-	r.step(&input{at: 0})
-	r.step(&input{at: 1 * ms, kind: inRegister, ue: ue1})
-	r.step(&input{at: 1 * ms, kind: inRegister, ue: ue2})
-	r.step(beat(2*ms, ue1, "ue-1", 7))
-	r.step(beat(2*ms, ue2, "ue-2", 9))
-	r.step(&input{at: 3 * ms, kind: inClosed, ue: ue2}) // its connection is gone before the ack
-	r.step(&input{at: time.Minute})                     // the boundary flushes both upstream
-
-	ev := queued(t, r, "the shard's ack never reached the relay's inbox")
-	if len(ev.acked) != 2 || ev.acked[1].Handle == 0 {
-		t.Fatalf("acked refs %+v: the decoded ack carries no handle, the test no longer exercises the annotation", ev.acked)
-	}
-	wire := make(chan hbproto.Message, 1)
-	go func() {
-		msg, err := hbproto.NewFrameReader(far1).Next()
+	timed(t, func(t *testing.T, _ network) {
+		shard, dialed := net.Pipe()
+		t.Cleanup(func() { _ = shard.Close() })
+		period, expiry := pick(time.Minute, 270*time.Second), pick(time.Minute, 300*time.Second)
+		r := steppedRelay(t, RelayAgentConfig{
+			ID: "relay-1", App: "std", Capacity: 8, Period: period, Expiry: expiry,
+			Dial: func(string, string) (net.Conn, error) { return dialed, nil },
+		}, "shard-0")
+		ack, err := hbproto.AppendFrame(nil, &hbproto.Ack{Refs: []hbproto.Ref{{Src: "ue-2", Seq: 9}, {Src: "ue-1", Seq: 7}}})
 		if err != nil {
-			t.Errorf("UE side read: %v", err)
+			t.Fatal(err)
 		}
-		wire <- msg
-	}()
-	ev.at = time.Minute + ms
-	r.step(&ev)
-	r.flushFeedback()
-	fb, ok := (<-wire).(*hbproto.Feedback)
-	if !ok || len(fb.Refs) != 1 || fb.Refs[0].Src != "ue-1" || fb.Refs[0].Seq != 7 {
-		t.Fatalf("UE received %+v, want feedback for ue-1/7", fb)
-	}
-	if n := r.relay.Awaiting(); n != 0 {
-		t.Fatalf("%d acked sources left in the table", n)
-	}
-	if st := r.relay.Stats(); st.AcksSent != 1 || st.AckFailures != 1 || st.ForwardedSent != 2 {
-		t.Fatalf("relay stats = %+v, want 2 forwarded, 1 fed back, 1 for a vanished UE", st)
-	}
+		go func() { // the shard: acknowledge the batch
+			fr := hbproto.NewFrameReader(shard)
+			for {
+				msg, err := fr.Next()
+				if err != nil {
+					return
+				}
+				if _, ok := msg.(*hbproto.Batch); ok {
+					_, _ = shard.Write(ack)
+				}
+			}
+		}()
+
+		near1, far1 := net.Pipe()
+		near2, far2 := net.Pipe()
+		t.Cleanup(func() { _ = near1.Close(); _ = far1.Close(); _ = near2.Close(); _ = far2.Close() })
+		ue1, ue2 := &ueConn{conn: near1}, &ueConn{conn: near2}
+		beat := func(at time.Duration, uc *ueConn, src string, seq uint64) *input {
+			return beatAt(at, uc, hbproto.Heartbeat{Src: src, Seq: seq, App: "std", Origin: time.Now(), Expiry: expiry})
+		}
+		ms := time.Millisecond
+		holdRunner(t, r)
+		r.step(&input{at: 0})
+		r.step(&input{at: 1 * ms, kind: inRegister, ue: ue1})
+		r.step(&input{at: 1 * ms, kind: inRegister, ue: ue2})
+		r.step(beat(2*ms, ue1, "ue-1", 7))
+		r.step(beat(2*ms, ue2, "ue-2", 9))
+		r.step(&input{at: 3 * ms, kind: inClosed, ue: ue2}) // its connection is gone before the ack
+		r.step(&input{at: period})                          // the boundary flushes both upstream
+
+		ev := queued(t, r, "the shard's ack never reached the relay's inbox")
+		if len(ev.acked) != 2 || ev.acked[1].Handle == 0 {
+			t.Fatalf("acked refs %+v: the decoded ack carries no handle, the test no longer exercises the annotation", ev.acked)
+		}
+		wire := make(chan hbproto.Message, 1)
+		go func() {
+			msg, err := hbproto.NewFrameReader(far1).Next()
+			if err != nil {
+				t.Errorf("UE side read: %v", err)
+			}
+			wire <- msg
+		}()
+		ev.at = period + ms
+		r.step(&ev)
+		r.flushFeedback()
+		fb, ok := (<-wire).(*hbproto.Feedback)
+		if !ok || len(fb.Refs) != 1 || fb.Refs[0].Src != "ue-1" || fb.Refs[0].Seq != 7 {
+			t.Fatalf("UE received %+v, want feedback for ue-1/7", fb)
+		}
+		if n := r.relay.Awaiting(); n != 0 {
+			t.Fatalf("%d acked sources left in the table", n)
+		}
+		if st := r.relay.Stats(); st.AcksSent != 1 || st.AckFailures != 1 || st.ForwardedSent != 2 {
+			t.Fatalf("relay stats = %+v, want 2 forwarded, 1 fed back, 1 for a vanished UE", st)
+		}
+	})
 }
 
 // TestSharedRecordsUnderHandoff runs several connections over one set of

@@ -222,6 +222,7 @@ type RelayAgent struct {
 
 	mu      sync.Mutex
 	ln      net.Listener
+	ues     map[net.Conn]bool // the UE connections open, which Shutdown closes
 	started bool
 	closed  bool
 	stats   RelayAgentStats
@@ -298,6 +299,7 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 		// The relay draws nothing from its kernel's RNG.
 		kernel: simtime.NewScheduler(cfg.Seed),
 		armed:  -1,
+		ues:    map[net.Conn]bool{},
 	}
 	r.up = session.Uplink{
 		Dial: cfg.Dial,
@@ -530,9 +532,9 @@ func (r *RelayAgent) Stats() RelayAgentStats {
 	return r.stats
 }
 
-// Shutdown stops the agent and waits for its goroutines and for the runner
-// to hand the relay back. Pending collected heartbeats are lost — exactly
-// the failure the UE fallback covers.
+// Shutdown stops the agent, closes its UE connections and waits for its
+// goroutines and for the runner to hand the relay back. Pending collected
+// heartbeats are lost — exactly the failure the UE fallback covers.
 func (r *RelayAgent) Shutdown() {
 	r.mu.Lock()
 	if r.closed || !r.started {
@@ -544,6 +546,9 @@ func (r *RelayAgent) Shutdown() {
 	// closes its own listener.
 	if r.ln != nil {
 		_ = r.ln.Close()
+	}
+	for c := range r.ues {
+		_ = c.Close()
 	}
 	wake := r.wake
 	r.mu.Unlock()
@@ -571,6 +576,10 @@ func (r *RelayAgent) acceptLoop() {
 		uc := &ueConn{conn: conn}
 		r.mu.Lock()
 		r.stats.UEConnections++
+		r.ues[conn] = true
+		if r.closed { // Shutdown has closed the others already
+			_ = conn.Close()
+		}
 		r.mu.Unlock()
 		r.wg.Add(1)
 		go r.ueReader(uc)
@@ -583,7 +592,12 @@ func (r *RelayAgent) acceptLoop() {
 // runs the turn itself before it reads on.
 func (r *RelayAgent) ueReader(uc *ueConn) {
 	defer r.wg.Done()
-	defer func() { _ = uc.conn.Close() }()
+	defer func() {
+		_ = uc.conn.Close()
+		r.mu.Lock()
+		delete(r.ues, uc.conn)
+		r.mu.Unlock()
+	}()
 	fr := hbproto.NewFrameReader(uc.conn)
 	for {
 		msg, err := fr.Next()

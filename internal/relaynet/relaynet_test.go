@@ -3,6 +3,7 @@ package relaynet
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
@@ -30,20 +31,38 @@ func eventually(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Fatalf("condition never held: %s", msg)
 }
 
-func startServer(t *testing.T) *Server {
+// network is where a test's server, relays and UEs listen and dial: the
+// loopback interface, or a faultnet.Network inside a synctest bubble.
+type network interface {
+	Listen(network, addr string) (net.Listener, error)
+	Dial(network, addr string) (net.Conn, error)
+}
+
+// loopback is the host's own network.
+type loopback struct{}
+
+func (loopback) Listen(network, addr string) (net.Listener, error) { return net.Listen(network, addr) }
+func (loopback) Dial(network, addr string) (net.Conn, error)       { return net.Dial(network, addr) }
+
+func startServer(t *testing.T, nw network) *Server {
 	t.Helper()
+	ln, err := nw.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("server listen: %v", err)
+	}
 	s := NewServer()
-	if err := s.Start("127.0.0.1:0"); err != nil {
+	if err := s.StartListener(ln); err != nil {
 		t.Fatalf("server Start: %v", err)
 	}
 	t.Cleanup(s.Shutdown)
 	return s
 }
 
-func startRelay(t *testing.T, serverAddr string, period, expiry time.Duration, capacity int) *RelayAgent {
+func startRelay(t *testing.T, nw network, serverAddr string, period, expiry time.Duration, capacity int) *RelayAgent {
 	t.Helper()
 	r, err := NewRelayAgent(RelayAgentConfig{
 		ID: "relay-1", App: "std", Period: period, Expiry: expiry, Pad: 54, Capacity: capacity,
+		Listen: nw.Listen, Dial: nw.Dial,
 	})
 	if err != nil {
 		t.Fatalf("NewRelayAgent: %v", err)
@@ -90,27 +109,48 @@ func holdRunner(t *testing.T, r *RelayAgent) {
 	})
 }
 
-// queued waits for the next input offered to a relay the test holds.
+// queued waits for the next input offered to a relay the test holds: on
+// the wall clock by polling, in the bubble until every goroutine is blocked.
 func queued(t *testing.T, r *RelayAgent, what string) input {
 	t.Helper()
-	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
+	var in input
+	await(t, 5*time.Second, 0, func() bool {
 		r.in.mu.Lock()
-		if len(r.in.entries) > 0 {
-			in := r.in.entries[0]
-			r.in.entries = r.in.entries[1:]
-			r.in.mu.Unlock()
-			return in
+		defer r.in.mu.Unlock()
+		if len(r.in.entries) == 0 {
+			return false
 		}
-		r.in.mu.Unlock()
-	}
-	t.Fatal(what)
-	return input{}
+		in = r.in.entries[0]
+		r.in.entries = r.in.entries[1:]
+		return true
+	}, what)
+	return in
 }
 
 // beatAt is UE heartbeat m arriving over uc at kernel instant at, just sent.
 func beatAt(at time.Duration, uc *ueConn, m hbproto.Heartbeat) *input {
 	in := ueHeartbeat(at, uc, &m, 0)
 	return &in
+}
+
+// drain reads conn until it closes.
+func drain(conn net.Conn) { _, _ = io.Copy(io.Discard, conn) }
+
+// startUE starts a UE on nw, shut down at cleanup.
+func startUE(t *testing.T, nw network, cfg UEClientConfig) *UEClient {
+	t.Helper()
+	if cfg.Dial == nil {
+		cfg.Dial = nw.Dial
+	}
+	u, err := NewUEClient(cfg)
+	if err != nil {
+		t.Fatalf("NewUEClient: %v", err)
+	}
+	t.Cleanup(u.Shutdown)
+	if err := u.Start(); err != nil {
+		t.Fatalf("ue Start: %v", err)
+	}
+	return u
 }
 
 func ueConfig(id, relayAddr, serverAddr string, period, expiry time.Duration) UEClientConfig {
@@ -121,7 +161,7 @@ func ueConfig(id, relayAddr, serverAddr string, period, expiry time.Duration) UE
 }
 
 func TestServerDirectHeartbeat(t *testing.T) {
-	s := startServer(t)
+	s := startServer(t, loopback{})
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -156,7 +196,7 @@ func TestServerDirectHeartbeat(t *testing.T) {
 }
 
 func TestServerRegisterAndExpiry(t *testing.T) {
-	s := startServer(t)
+	s := startServer(t, loopback{})
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -178,7 +218,7 @@ func TestServerRegisterAndExpiry(t *testing.T) {
 }
 
 func TestServerRejectsProtocolViolation(t *testing.T) {
-	s := startServer(t)
+	s := startServer(t, loopback{})
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -286,141 +326,164 @@ func TestServerReapsIdleConnections(t *testing.T) {
 	}
 }
 
+// TestEndToEndRelaying runs the full pipeline: two UEs forward through a
+// relay; the relay batches under Algorithm 1 and the server acks trigger
+// feedback. In the bubble the UEs and the relay share the paper's 270 s
+// period, so at 45 minutes the first UE has sent 11 heartbeats (0, 270 s,
+// …, 2 700 s) and the second 10, and the relay has flushed all but the
+// last in ten batches, each with its own heartbeat: 30 relayed, and 10 fed
+// back to each UE. The bubble runs the scenario twice, and both runs must
+// end with the same stats at that instant.
 func TestEndToEndRelaying(t *testing.T) {
-	// Full pipeline: two UEs forward through a relay; the relay batches
-	// under Algorithm 1 and the server acks trigger feedback.
-	s := startServer(t)
-	const (
-		period = 150 * time.Millisecond
-		expiry = 250 * time.Millisecond // > period: presence stays stable
-	)
-	r := startRelay(t, s.Addr(), period, expiry, 8)
+	type snapshot struct {
+		server ServerStats
+		relay  RelayAgentStats
+		ues    [2]UEClientStats
+	}
+	var runs []snapshot
+	for range pick(1, 2) {
+		timed(t, func(t *testing.T, nw network) {
+			s := startServer(t, nw)
+			var (
+				period = pick(150*time.Millisecond, 270*time.Second)
+				expiry = pick(250*time.Millisecond, 300*time.Second) // > period: presence stays stable
+				end    = 45 * time.Minute
+			)
+			r := startRelay(t, nw, s.Addr(), period, expiry, 8)
+			// In the bubble the second UE starts 10 s after the first, so no
+			// two heartbeats reach the relay at one instant: each batch has
+			// one order, and so has the server's ID guessing.
+			ues := make([]*UEClient, 0, 2)
+			for i, id := range []string{"ue-1", "ue-2"} {
+				if i > 0 {
+					time.Sleep(pick(0, 10*time.Second))
+				}
+				ues = append(ues, startUE(t, nw, ueConfig(id, r.Addr(), s.Addr(), period, expiry)))
+			}
 
-	ues := make([]*UEClient, 0, 2)
-	for _, id := range []string{"ue-1", "ue-2"} {
-		u, err := NewUEClient(ueConfig(id, r.Addr(), s.Addr(), period, expiry))
-		if err != nil {
-			t.Fatalf("NewUEClient: %v", err)
-		}
-		if err := u.Start(); err != nil {
-			t.Fatalf("ue Start: %v", err)
-		}
-		t.Cleanup(u.Shutdown)
-		ues = append(ues, u)
-	}
+			// Within a few periods every component has turned over.
+			await(t, 3*time.Second, end, func() bool {
+				return reached(s.Stats().HeartbeatsRelayed, pick(4, 30))
+			}, "server received relayed heartbeats")
+			await(t, 3*time.Second, end, func() bool {
+				want := pick[uint32](1, 10)
+				return reached(ues[0].Stats().FeedbackAcks, want) && reached(ues[1].Stats().FeedbackAcks, want)
+			}, "UEs received feedback")
 
-	// Within a few periods every component has turned over.
-	eventually(t, 3*time.Second, func() bool {
-		return s.Stats().HeartbeatsRelayed >= 4
-	}, "server received relayed heartbeats")
-	eventually(t, 3*time.Second, func() bool {
-		return ues[0].Stats().FeedbackAcks >= 1 && ues[1].Stats().FeedbackAcks >= 1
-	}, "UEs received feedback")
-
-	st := s.Stats()
-	if st.Batches == 0 {
-		t.Fatal("no batches at server")
+			st := s.Stats()
+			if !reached(st.Batches, pick(1, 10)) {
+				t.Fatalf("%d batches at server", st.Batches)
+			}
+			rs := r.Stats()
+			if rs.Collected == 0 || rs.Flushes == 0 || rs.ForwardedSent == 0 {
+				t.Fatalf("relay stats empty: %+v", rs)
+			}
+			if rs.Credits != rs.ForwardedSent {
+				t.Fatalf("credits %d != forwarded %d", rs.Credits, rs.ForwardedSent)
+			}
+			// Both UEs online at the server.
+			if !s.Online("ue-1", time.Now()) || !s.Online("ue-2", time.Now()) {
+				t.Fatal("UEs not online via relay")
+			}
+			// UEs went through the relay, not direct.
+			for i, u := range ues {
+				us := u.Stats()
+				if !reached(us.ViaRelay, pick(1, uint32(11-i))) {
+					t.Fatalf("ue %d never used relay: %+v", i, us)
+				}
+				if us.Direct != 0 {
+					t.Fatalf("ue %d sent direct despite relay: %+v", i, us)
+				}
+			}
+			// Aggregation actually happened: fewer server connections than
+			// heartbeats (2 UEs + relay share one upstream pipe).
+			if st.Connections > 3 {
+				t.Fatalf("connections = %d, want <= 3", st.Connections)
+			}
+			runs = append(runs, snapshot{st, rs, [2]UEClientStats{ues[0].Stats(), ues[1].Stats()}})
+		})
 	}
-	rs := r.Stats()
-	if rs.Collected == 0 || rs.Flushes == 0 || rs.ForwardedSent == 0 {
-		t.Fatalf("relay stats empty: %+v", rs)
-	}
-	if rs.Credits != rs.ForwardedSent {
-		t.Fatalf("credits %d != forwarded %d", rs.Credits, rs.ForwardedSent)
-	}
-	// Both UEs online at the server.
-	if !s.Online("ue-1", time.Now()) || !s.Online("ue-2", time.Now()) {
-		t.Fatal("UEs not online via relay")
-	}
-	// UEs went through the relay, not direct.
-	for i, u := range ues {
-		us := u.Stats()
-		if us.ViaRelay == 0 {
-			t.Fatalf("ue %d never used relay: %+v", i, us)
-		}
-		if us.Direct != 0 {
-			t.Fatalf("ue %d sent direct despite relay: %+v", i, us)
-		}
-	}
-	// Aggregation actually happened: fewer server connections than
-	// heartbeats (2 UEs + relay share one upstream pipe).
-	if st.Connections > 3 {
-		t.Fatalf("connections = %d, want <= 3", st.Connections)
+	// Evidence, not proof: a bubble fixes the instants, not the order of
+	// the goroutines that run at one instant.
+	if len(runs) == 2 && runs[0] != runs[1] {
+		t.Errorf("two runs ended at the same instant with different stats:\n%+v\n%+v", runs[0], runs[1])
 	}
 }
 
+// TestUEDirectModeWithoutRelay: a UE with no relay sends straight to the
+// server — in the bubble at 0 and 270 s.
 func TestUEDirectModeWithoutRelay(t *testing.T) {
-	s := startServer(t)
-	u, err := NewUEClient(ueConfig("ue-d", "", s.Addr(), 80*time.Millisecond, 70*time.Millisecond))
-	if err != nil {
-		t.Fatalf("NewUEClient: %v", err)
-	}
-	if err := u.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(u.Shutdown)
-	eventually(t, 2*time.Second, func() bool {
-		return s.Stats().HeartbeatsDirect >= 2
-	}, "direct heartbeats arrived")
-	if got := u.Stats(); got.ViaRelay != 0 || got.Direct < 2 {
-		t.Fatalf("stats = %+v", got)
-	}
-	if !s.Online("ue-d", time.Now()) {
-		t.Fatal("direct UE not online")
-	}
+	timed(t, func(t *testing.T, nw network) {
+		s := startServer(t, nw)
+		period := pick(80*time.Millisecond, 270*time.Second)
+		u := startUE(t, nw, ueConfig("ue-d", "", s.Addr(), period, pick(70*time.Millisecond, 300*time.Second)))
+		await(t, 2*time.Second, period, func() bool {
+			return reached(s.Stats().HeartbeatsDirect, 2)
+		}, "direct heartbeats arrived")
+		if got := u.Stats(); got.ViaRelay != 0 || !reached(got.Direct, 2) {
+			t.Fatalf("stats = %+v", got)
+		}
+		if !s.Online("ue-d", time.Now()) {
+			t.Fatal("direct UE not online")
+		}
+	})
 }
 
+// TestUEFallbackWhenRelayDies: the relay dies holding the UE's first
+// heartbeat. In the bubble, on the device rule's 305 s window: the second
+// heartbeat goes direct at 270 s, the first falls back on the grid instant
+// after its window lapses, and the server has both.
 func TestUEFallbackWhenRelayDies(t *testing.T) {
-	s := startServer(t)
-	const (
-		period = 200 * time.Millisecond
-		expiry = 150 * time.Millisecond
-	)
-	r := startRelay(t, s.Addr(), period, expiry, 8)
+	timed(t, func(t *testing.T, nw network) {
+		s := startServer(t, nw)
+		var (
+			period = pick(200*time.Millisecond, 270*time.Second)
+			expiry = pick(150*time.Millisecond, 300*time.Second)
+		)
+		r := startRelay(t, nw, s.Addr(), period, expiry, 8)
 
-	cfg := ueConfig("ue-f", r.Addr(), s.Addr(), period, expiry)
-	cfg.FeedbackTimeout = 100 * time.Millisecond
-	u, err := NewUEClient(cfg)
-	if err != nil {
-		t.Fatalf("NewUEClient: %v", err)
-	}
-	if err := u.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(u.Shutdown)
+		cfg := ueConfig("ue-f", r.Addr(), s.Addr(), period, expiry)
+		cfg.FeedbackTimeout = pick(100*time.Millisecond, 0)
+		u := startUE(t, nw, cfg)
 
-	eventually(t, 2*time.Second, func() bool { return u.Stats().ViaRelay >= 1 }, "first forward")
-	r.Shutdown() // the relay dies with heartbeats potentially pending
+		await(t, 2*time.Second, 0, func() bool { return reached(u.Stats().ViaRelay, 1) }, "first forward")
+		r.Shutdown() // the relay dies with heartbeats potentially pending
 
-	// The UE times out on feedback and resends directly; later heartbeats
-	// go direct because the relay conn is gone.
-	eventually(t, 3*time.Second, func() bool {
-		st := u.Stats()
-		return st.FallbackResends >= 1 || st.Direct >= 1
-	}, "fallback to direct after relay death")
-	eventually(t, 3*time.Second, func() bool {
-		return s.Online("ue-f", time.Now())
-	}, "UE back online via direct path")
+		// The UE times out on feedback and resends directly; later heartbeats
+		// go direct because the relay conn is gone.
+		lapsed := u.window(0) + sendGrain
+		await(t, 3*time.Second, lapsed, func() bool {
+			st := u.Stats()
+			return reached(st.FallbackResends+st.Direct, pick[uint32](1, 2))
+		}, "fallback to direct after relay death")
+		await(t, 3*time.Second, lapsed, func() bool {
+			return s.Online("ue-f", time.Now())
+		}, "UE back online via direct path")
+	})
 }
 
+// TestRelayCapacityFlushImmediately: a relay of capacity 1 flushes each
+// heartbeat it collects at once and refuses the rest of its period. In the
+// bubble the UE sends three times a relay period (90 s against 270 s):
+// by the period's end its first heartbeat has gone in a capacity flush,
+// with the relay's own, and the next two have been refused by the closed
+// window.
 func TestRelayCapacityFlushImmediately(t *testing.T) {
-	s := startServer(t)
-	// Capacity 1: every collected heartbeat flushes at once.
-	r := startRelay(t, s.Addr(), 500*time.Millisecond, 400*time.Millisecond, 1)
-	u, err := NewUEClient(ueConfig("ue-c", r.Addr(), s.Addr(), 100*time.Millisecond, 80*time.Millisecond))
-	if err != nil {
-		t.Fatalf("NewUEClient: %v", err)
-	}
-	if err := u.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(u.Shutdown)
-	eventually(t, 2*time.Second, func() bool { return r.Stats().Flushes >= 1 }, "capacity flush")
-	eventually(t, 2*time.Second, func() bool { return r.Stats().FlushesByCapacity >= 1 }, "flush counted under its capacity reason")
-	eventually(t, 2*time.Second, func() bool { return s.Stats().HeartbeatsRelayed >= 1 }, "relayed heartbeat arrived")
-	// Subsequent forwards in the same relay period are rejected (window
-	// closed) and recovered by fallback.
-	eventually(t, 3*time.Second, func() bool { return r.Stats().RejectedClosed >= 1 }, "closed-window rejection")
+	timed(t, func(t *testing.T, nw network) {
+		s := startServer(t, nw)
+		// Capacity 1: every collected heartbeat flushes at once.
+		period := pick(500*time.Millisecond, 270*time.Second)
+		r := startRelay(t, nw, s.Addr(), period, pick(400*time.Millisecond, 300*time.Second), 1)
+		startUE(t, nw, ueConfig("ue-c", r.Addr(), s.Addr(), pick(100*time.Millisecond, 90*time.Second), pick(80*time.Millisecond, 300*time.Second)))
+		end := period - time.Second // before the next window opens
+		await(t, 2*time.Second, end, func() bool { return reached(r.Stats().Flushes, 1) }, "capacity flush")
+		await(t, 2*time.Second, end, func() bool { return reached(r.Stats().FlushesByCapacity, 1) }, "flush counted under its capacity reason")
+		// The window's one heartbeat and the relay's own.
+		await(t, 2*time.Second, end, func() bool { return reached(s.Stats().HeartbeatsRelayed, pick(1, 2)) }, "relayed heartbeat arrived")
+		// Subsequent forwards in the same relay period are rejected (window
+		// closed) and recovered by fallback.
+		await(t, 3*time.Second, end, func() bool { return reached(r.Stats().RejectedClosed, pick(1, 2)) }, "closed-window rejection")
+	})
 }
 
 // TestRelayPeriodBoundaryNeverRejects sends heartbeats with Expiry ==
@@ -430,50 +493,53 @@ func TestRelayCapacityFlushImmediately(t *testing.T) {
 // start + k·Period grid instead of sliding into the senders' phase: no
 // heartbeat may be offered to a closed scheduler.
 func TestRelayPeriodBoundaryNeverRejects(t *testing.T) {
-	const (
-		period     = 40 * time.Millisecond
-		boundaries = 25
-		ues        = 8
-	)
-	s := startServer(t)
-	r := startRelay(t, s.Addr(), period, period, 256)
-	eventually(t, 2*time.Second, func() bool { return r.Stats().OwnHeartbeats >= 1 }, "relay running")
-	start := r.epoch // written before the first period's stats update, read after it
+	timed(t, func(t *testing.T, nw network) {
+		const (
+			boundaries = 25
+			ues        = 8
+		)
+		period := pick(40*time.Millisecond, 270*time.Second)
+		s := startServer(t, nw)
+		r := startRelay(t, nw, s.Addr(), period, period, 256)
+		await(t, 2*time.Second, 0, func() bool { return reached(r.Stats().OwnHeartbeats, 1) }, "relay running")
+		start := r.epoch // written before the first period's stats update, read after it
 
-	var wg sync.WaitGroup
-	for i := 0; i < ues; i++ {
-		conn, err := net.Dial("tcp", r.Addr())
-		if err != nil {
-			t.Fatalf("dial relay: %v", err)
-		}
-		t.Cleanup(func() { _ = conn.Close() })
-		id := fmt.Sprintf("ue-b%d", i)
-		if err := hbprototest.WriteFrame(conn, &hbproto.Register{ID: id, Role: hbproto.RoleUE, App: "std", Period: period, Expiry: period}); err != nil {
-			t.Fatalf("register: %v", err)
-		}
-		phase := time.Duration(i+1) * 250 * time.Microsecond // 0.25 ms … 2 ms behind the boundary
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 1; k <= boundaries; k++ {
-				time.Sleep(time.Until(start.Add(time.Duration(k)*period + phase)))
-				hb := &hbproto.Heartbeat{Src: id, Seq: uint64(k), App: "std", Origin: time.Now(), Expiry: period, Pad: 54}
-				if err := hbprototest.WriteFrame(conn, hb); err != nil {
-					t.Errorf("%s send %d: %v", id, k, err)
-					return
-				}
+		var wg sync.WaitGroup
+		for i := 0; i < ues; i++ {
+			conn, err := nw.Dial("tcp", r.Addr())
+			if err != nil {
+				t.Fatalf("dial relay: %v", err)
 			}
-		}()
-	}
-	wg.Wait()
-	eventually(t, 2*time.Second, func() bool {
-		st := r.Stats()
-		return st.Collected+st.RejectedClosed+st.RejectedExpired >= ues*boundaries
-	}, "every heartbeat reached the scheduler")
-	if st := r.Stats(); st.RejectedClosed != 0 || st.Collected != ues*boundaries {
-		t.Fatalf("collected %d of %d, %d offered to a closed window, %d expired",
-			st.Collected, ues*boundaries, st.RejectedClosed, st.RejectedExpired)
-	}
+			t.Cleanup(func() { _ = conn.Close() })
+			go drain(conn) // the relay's feedback writes must not back up
+			id := fmt.Sprintf("ue-b%d", i)
+			if err := hbprototest.WriteFrame(conn, &hbproto.Register{ID: id, Role: hbproto.RoleUE, App: "std", Period: period, Expiry: period}); err != nil {
+				t.Fatalf("register: %v", err)
+			}
+			phase := time.Duration(i+1) * 250 * time.Microsecond // 0.25 ms … 2 ms behind the boundary
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 1; k <= boundaries; k++ {
+					time.Sleep(time.Until(start.Add(time.Duration(k)*period + phase)))
+					hb := &hbproto.Heartbeat{Src: id, Seq: uint64(k), App: "std", Origin: time.Now(), Expiry: period, Pad: 54}
+					if err := hbprototest.WriteFrame(conn, hb); err != nil {
+						t.Errorf("%s send %d: %v", id, k, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		await(t, 2*time.Second, boundaries*period+period/2, func() bool {
+			st := r.Stats()
+			return reached(st.Collected+st.RejectedClosed+st.RejectedExpired, ues*boundaries)
+		}, "every heartbeat reached the scheduler")
+		if st := r.Stats(); st.RejectedClosed != 0 || st.Collected != ues*boundaries {
+			t.Fatalf("collected %d of %d, %d offered to a closed window, %d expired",
+				st.Collected, ues*boundaries, st.RejectedClosed, st.RejectedExpired)
+		}
+	})
 }
 
 // TestRelayBoundaryBelongsToTheKernel plays the runner's advance-then-
@@ -643,63 +709,60 @@ func (b *routeBound) Emit(ev trace.Event) {
 // when its ack window lapses, so a route kept past that window can never
 // feed back: the relay holds no more routes than it collected in one
 // window plus one period, and once the UEs stop, every route it collected
-// expires — in its stats and on /metrics.
+// expires — in its stats and on /metrics. In the bubble the UEs send 11
+// heartbeats each (0 to 2 700 s) and stop at 46 minutes; the last routes
+// expire at the boundary past their 305 s windows, 3 240 s.
 func TestRelayRoutesLapseWithoutAcks(t *testing.T) {
-	const (
-		ues    = 8
-		period = 20 * time.Millisecond
-	)
-	shard, _ := listenHeartbeats(t, false)
-	srv := startServer(t)
-	bound := &routeBound{span: device.FeedbackWindow(0, period) + period}
-	reg := telemetry.NewRegistry()
-	r, err := NewRelayAgent(RelayAgentConfig{
-		ID: "relay-1", App: "std", Period: period, Expiry: period, Pad: 54, Capacity: 2 * ues,
-		Tracer: bound, Telemetry: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound.r = r
-	if err := r.Start("127.0.0.1:0", shard); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(r.Shutdown)
-	clients := make([]*UEClient, ues)
-	for i := range clients {
-		u, err := NewUEClient(ueConfig(fmt.Sprintf("ue-%d", i), r.Addr(), srv.Addr(), period, period))
+	timed(t, func(t *testing.T, nw network) {
+		const ues = 8
+		var (
+			period = pick(20*time.Millisecond, 270*time.Second)
+			expiry = pick(period, 300*time.Second)
+		)
+		shard, _ := listenHeartbeats(t, nw, false)
+		srv := startServer(t, nw)
+		bound := &routeBound{span: device.FeedbackWindow(0, expiry) + period}
+		reg := telemetry.NewRegistry()
+		r, err := NewRelayAgent(RelayAgentConfig{
+			ID: "relay-1", App: "std", Period: period, Expiry: expiry, Pad: 54, Capacity: 2 * ues,
+			Tracer: bound, Telemetry: reg, Listen: nw.Listen, Dial: nw.Dial,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(u.Shutdown)
-		if err := u.Start(); err != nil {
+		bound.r = r
+		if err := r.Start("127.0.0.1:0", shard); err != nil {
 			t.Fatal(err)
 		}
-		clients[i] = u
-	}
-	time.Sleep(500 * time.Millisecond)
-	for _, u := range clients {
-		u.Shutdown()
-	}
-	bound.mu.Lock()
-	peak, excess := bound.peak, bound.excess
-	bound.mu.Unlock()
-	t.Logf("collected %d heartbeats, held at most %d routes", r.Stats().Collected, peak)
-	if excess > 0 {
-		t.Errorf("the relay held up to %d feedback routes more than it collected in one window plus one period", excess)
-	}
-	if st := r.Stats(); st.Collected < ues || st.AcksSent != 0 {
-		t.Fatalf("relay stats %+v: want at least a period's heartbeats collected and none acknowledged", st)
-	}
-	eventually(t, 2*time.Second, func() bool {
-		st := r.Stats()
-		return st.Routes == 0 && st.RoutesExpired == st.Collected
-	}, "every collected route expires once its window lapses")
-	rl := telemetry.L("relay", "relay-1")
-	held, expired := reg.Gauge("relaynet_relay_routes", rl).Value(), reg.Counter("relaynet_relay_routes_expired_total", rl).Value()
-	if st := r.Stats(); held != 0 || expired != uint64(st.RoutesExpired) {
-		t.Fatalf("/metrics reads %d routes and %d expired, want 0 and %d", held, expired, st.RoutesExpired)
-	}
+		t.Cleanup(r.Shutdown)
+		clients := make([]*UEClient, ues)
+		for i := range clients {
+			clients[i] = startUE(t, nw, ueConfig(fmt.Sprintf("ue-%d", i), r.Addr(), srv.Addr(), period, expiry))
+		}
+		time.Sleep(pick(500*time.Millisecond, 46*time.Minute))
+		for _, u := range clients {
+			u.Shutdown()
+		}
+		bound.mu.Lock()
+		peak, excess := bound.peak, bound.excess
+		bound.mu.Unlock()
+		t.Logf("collected %d heartbeats, held at most %d routes", r.Stats().Collected, peak)
+		if excess > 0 {
+			t.Errorf("the relay held up to %d feedback routes more than it collected in one window plus one period", excess)
+		}
+		if st := r.Stats(); !reached(st.Collected, pick(ues, ues*11)) || st.AcksSent != 0 {
+			t.Fatalf("relay stats %+v: want %s heartbeats collected and none acknowledged", st, pick("at least a period's", "every UE's"))
+		}
+		await(t, 2*time.Second, 12*period, func() bool {
+			st := r.Stats()
+			return st.Routes == 0 && st.RoutesExpired == st.Collected
+		}, "every collected route expires once its window lapses")
+		rl := telemetry.L("relay", "relay-1")
+		held, expired := reg.Gauge("relaynet_relay_routes", rl).Value(), reg.Counter("relaynet_relay_routes_expired_total", rl).Value()
+		if st := r.Stats(); held != 0 || expired != uint64(st.RoutesExpired) {
+			t.Fatalf("/metrics reads %d routes and %d expired, want 0 and %d", held, expired, st.RoutesExpired)
+		}
+	})
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -748,113 +811,113 @@ func TestLifecycleIdempotence(t *testing.T) {
 // TestRelayStartsWithoutServerUEFallback pins the lazy upstream: a relay
 // whose server is unreachable still starts, counts the heartbeats it
 // cannot deliver, and its UE gets them through by the cellular fallback.
+// In the bubble the relay drops its first window, the UE's heartbeat and
+// its own, at 270 s, and the UE falls back on the grid instant after its
+// 305 s window.
 func TestRelayStartsWithoutServerUEFallback(t *testing.T) {
-	s := startServer(t)
-	r := startRelay(t, "127.0.0.1:1", 50*time.Millisecond, 200*time.Millisecond, 4)
-	cfg := ueConfig("ue-lazy", r.Addr(), s.Addr(), time.Hour, 200*time.Millisecond)
-	cfg.FeedbackTimeout = 100 * time.Millisecond
-	u, err := NewUEClient(cfg)
-	if err != nil {
-		t.Fatalf("NewUEClient: %v", err)
-	}
-	if err := u.Start(); err != nil {
-		t.Fatalf("ue Start: %v", err)
-	}
-	t.Cleanup(u.Shutdown)
+	timed(t, func(t *testing.T, nw network) {
+		s := startServer(t, nw)
+		period := pick(50*time.Millisecond, 270*time.Second)
+		expiry := pick(200*time.Millisecond, 300*time.Second)
+		r := startRelay(t, nw, "127.0.0.1:1", period, expiry, 4)
+		cfg := ueConfig("ue-lazy", r.Addr(), s.Addr(), time.Hour, expiry)
+		cfg.FeedbackTimeout = pick(100*time.Millisecond, 0)
+		u := startUE(t, nw, cfg)
 
-	eventually(t, 2*time.Second, func() bool { return r.Stats().DroppedNoShard > 0 },
-		"relay counts the batch it could not deliver")
-	eventually(t, 2*time.Second, func() bool { return u.Stats().FallbackResends == 1 },
-		"UE falls back after no feedback")
-	eventually(t, 2*time.Second, func() bool { return s.Online("ue-lazy", time.Now()) },
-		"UE online via the fallback copy")
-	if st := r.Stats(); st.ShardDials != 0 || st.AcksSent != 0 {
-		t.Fatalf("relay stats = %+v, want no dial and no feedback", st)
-	}
+		await(t, 2*time.Second, period, func() bool { return reached(r.Stats().DroppedNoShard, pick(1, 2)) },
+			"relay counts the batch it could not deliver")
+		lapsed := u.window(0) + sendGrain
+		await(t, 2*time.Second, lapsed, func() bool { return u.Stats().FallbackResends == 1 },
+			"UE falls back after no feedback")
+		await(t, 2*time.Second, lapsed, func() bool { return s.Online("ue-lazy", time.Now()) },
+			"UE online via the fallback copy")
+		if st := r.Stats(); st.ShardDials != 0 || st.AcksSent != 0 {
+			t.Fatalf("relay stats = %+v, want no dial and no feedback", st)
+		}
 
-	empty, err := NewRelayAgent(RelayAgentConfig{
-		ID: "r", App: "a", Period: time.Second, Expiry: time.Second, Pad: 54, Capacity: 1,
+		empty, err := NewRelayAgent(RelayAgentConfig{
+			ID: "r", App: "a", Period: time.Second, Expiry: time.Second, Pad: 54, Capacity: 1,
+			Listen: nw.Listen,
+		})
+		if err != nil {
+			t.Fatalf("NewRelayAgent: %v", err)
+		}
+		if err := empty.Start("127.0.0.1:0", ""); err == nil {
+			empty.Shutdown()
+			t.Fatal("relay started with neither a server nor a cluster")
+		}
 	})
-	if err != nil {
-		t.Fatalf("NewRelayAgent: %v", err)
-	}
-	if err := empty.Start("127.0.0.1:0", ""); err == nil {
-		empty.Shutdown()
-		t.Fatal("relay started with neither a server nor a cluster")
-	}
 }
 
+// TestUEReconnectsWhenRelayAppearsLater: a UE whose relay is not up yet
+// sends direct, and uses the relay once it comes up. In the bubble the
+// first heartbeat goes direct at 0, the relay starts then, and the second
+// goes through it at 270 s, on the UE's first relay connection.
 func TestUEReconnectsWhenRelayAppearsLater(t *testing.T) {
-	s := startServer(t)
-	const (
-		period = 100 * time.Millisecond
-		expiry = 200 * time.Millisecond
-	)
-	// Reserve an address for the relay, then release it so the UE's first
-	// dials fail.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	relayAddr := ln.Addr().String()
-	_ = ln.Close()
+	timed(t, func(t *testing.T, nw network) {
+		s := startServer(t, nw)
+		var (
+			period = pick(100*time.Millisecond, 270*time.Second)
+			expiry = pick(200*time.Millisecond, 300*time.Second)
+		)
+		// Reserve an address for the relay, then release it so the UE's first
+		// dials fail.
+		ln, err := nw.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		relayAddr := ln.Addr().String()
+		_ = ln.Close()
 
-	u, err := NewUEClient(ueConfig("ue-r", relayAddr, s.Addr(), period, expiry))
-	if err != nil {
-		t.Fatalf("NewUEClient: %v", err)
-	}
-	if err := u.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(u.Shutdown)
+		u := startUE(t, nw, ueConfig("ue-r", relayAddr, s.Addr(), period, expiry))
 
-	// Without a relay the UE goes direct.
-	eventually(t, 2*time.Second, func() bool { return u.Stats().Direct >= 1 }, "direct sends before relay exists")
+		// Without a relay the UE goes direct.
+		await(t, 2*time.Second, 0, func() bool { return reached(u.Stats().Direct, 1) }, "direct sends before relay exists")
 
-	// The relay comes up on the reserved address; the UE re-matches.
-	r, err := NewRelayAgent(RelayAgentConfig{
-		ID: "relay-l", App: "std", Period: period, Expiry: expiry, Pad: 54, Capacity: 8,
+		// The relay comes up on the reserved address; the UE re-matches.
+		r, err := NewRelayAgent(RelayAgentConfig{
+			ID: "relay-l", App: "std", Period: period, Expiry: expiry, Pad: 54, Capacity: 8,
+			Listen: nw.Listen, Dial: nw.Dial,
+		})
+		if err != nil {
+			t.Fatalf("NewRelayAgent: %v", err)
+		}
+		if err := r.Start(relayAddr, s.Addr()); err != nil {
+			t.Skipf("reserved address no longer available: %v", err)
+		}
+		t.Cleanup(r.Shutdown)
+
+		await(t, 3*time.Second, period, func() bool { return reached(u.Stats().ViaRelay, 1) }, "UE switched to relay")
+		if got := u.Stats().RelayReconnects; !reached(got, 1) {
+			t.Fatalf("reconnects = %d, want %s 1", got, pick("≥", "exactly"))
+		}
 	})
-	if err != nil {
-		t.Fatalf("NewRelayAgent: %v", err)
-	}
-	if err := r.Start(relayAddr, s.Addr()); err != nil {
-		t.Skipf("reserved address no longer available: %v", err)
-	}
-	t.Cleanup(r.Shutdown)
-
-	eventually(t, 3*time.Second, func() bool { return u.Stats().ViaRelay >= 1 }, "UE switched to relay")
-	if got := u.Stats().RelayReconnects; got < 1 {
-		t.Fatalf("reconnects = %d, want >= 1", got)
-	}
 }
 
+// TestUEFailsOverToFallbackRelay: a UE whose relay is dead uses the next
+// relay it knows of, not the direct path — in the bubble from its first
+// heartbeat on.
 func TestUEFailsOverToFallbackRelay(t *testing.T) {
-	s := startServer(t)
-	const (
-		period = 100 * time.Millisecond
-		expiry = 200 * time.Millisecond
-	)
-	// Only the fallback relay exists; the primary address is dead.
-	r := startRelay(t, s.Addr(), period, expiry, 8)
-	cfg := ueConfig("ue-fo", "127.0.0.1:1", s.Addr(), period, expiry)
-	cfg.FallbackRelayAddrs = []string{r.Addr()}
-	u, err := NewUEClient(cfg)
-	if err != nil {
-		t.Fatalf("NewUEClient: %v", err)
-	}
-	if err := u.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(u.Shutdown)
-	eventually(t, 3*time.Second, func() bool { return u.Stats().ViaRelay >= 1 }, "UE used fallback relay")
-	if got := u.Stats().Direct; got > 1 {
-		t.Fatalf("direct sends = %d despite available fallback relay", got)
-	}
+	timed(t, func(t *testing.T, nw network) {
+		s := startServer(t, nw)
+		var (
+			period = pick(100*time.Millisecond, 270*time.Second)
+			expiry = pick(200*time.Millisecond, 300*time.Second)
+		)
+		// Only the fallback relay exists; the primary address is dead.
+		r := startRelay(t, nw, s.Addr(), period, expiry, 8)
+		cfg := ueConfig("ue-fo", "127.0.0.1:1", s.Addr(), period, expiry)
+		cfg.FallbackRelayAddrs = []string{r.Addr()}
+		u := startUE(t, nw, cfg)
+		await(t, 3*time.Second, 0, func() bool { return reached(u.Stats().ViaRelay, 1) }, "UE used fallback relay")
+		if got := u.Stats().Direct; got > pick[uint32](1, 0) {
+			t.Fatalf("direct sends = %d despite available fallback relay", got)
+		}
+	})
 }
 
 func TestServerAvailabilityTracking(t *testing.T) {
-	s := startServer(t)
+	s := startServer(t, loopback{})
 	u, err := NewUEClient(ueConfig("ue-av", "", s.Addr(), 60*time.Millisecond, 150*time.Millisecond))
 	if err != nil {
 		t.Fatalf("NewUEClient: %v", err)
@@ -876,34 +939,32 @@ func TestServerAvailabilityTracking(t *testing.T) {
 	}
 }
 
+// TestUEMultiAppHeartbeats is the Message Monitor analog: two registered
+// apps on one device, both relayed and acknowledged over the shared link.
+// In the bubble they are WeChat-like (270 s) and WhatsApp-like (240 s): by
+// 270 s each has sent two heartbeats, and the relay's first window, flushed
+// then, has carried three of them to the server and back.
 func TestUEMultiAppHeartbeats(t *testing.T) {
-	// The Message Monitor analog: two registered apps on one device, both
-	// relayed and acknowledged over the shared link.
-	s := startServer(t)
-	const (
-		period = 120 * time.Millisecond
-		expiry = 250 * time.Millisecond
-	)
-	r := startRelay(t, s.Addr(), period, expiry, 8)
-	cfg := ueConfig("ue-m", r.Addr(), s.Addr(), period, expiry)
-	cfg.Apps = append(cfg.Apps, UEApp{Name: "second", Period: 90 * time.Millisecond, Expiry: expiry, Pad: 100})
-	u, err := NewUEClient(cfg)
-	if err != nil {
-		t.Fatalf("NewUEClient: %v", err)
-	}
-	if err := u.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(u.Shutdown)
+	timed(t, func(t *testing.T, nw network) {
+		s := startServer(t, nw)
+		var (
+			period = pick(120*time.Millisecond, 270*time.Second)
+			expiry = pick(250*time.Millisecond, 300*time.Second)
+		)
+		r := startRelay(t, nw, s.Addr(), period, expiry, 8)
+		cfg := ueConfig("ue-m", r.Addr(), s.Addr(), period, expiry)
+		cfg.Apps = append(cfg.Apps, UEApp{Name: "second", Period: pick(90*time.Millisecond, 240*time.Second), Expiry: expiry, Pad: 100})
+		u := startUE(t, nw, cfg)
 
-	eventually(t, 3*time.Second, func() bool { return u.Stats().ViaRelay >= 4 }, "both apps forwarding")
-	eventually(t, 3*time.Second, func() bool { return u.Stats().FeedbackAcks >= 2 }, "acks for both apps")
-	if got := u.Stats().Direct; got != 0 {
-		t.Fatalf("direct = %d with live relay", got)
-	}
-	if !s.Online("ue-m", time.Now()) {
-		t.Fatal("multi-app UE not online")
-	}
+		await(t, 3*time.Second, period, func() bool { return reached(u.Stats().ViaRelay, 4) }, "both apps forwarding")
+		await(t, 3*time.Second, period, func() bool { return reached(u.Stats().FeedbackAcks, pick[uint32](2, 3)) }, "acks for both apps")
+		if got := u.Stats().Direct; got != 0 {
+			t.Fatalf("direct = %d with live relay", got)
+		}
+		if !s.Online("ue-m", time.Now()) {
+			t.Fatal("multi-app UE not online")
+		}
+	})
 }
 
 func TestUEMultiAppValidation(t *testing.T) {

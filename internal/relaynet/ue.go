@@ -132,7 +132,7 @@ type UEClientStats struct {
 // UE without any of it — one app, no tracer, a driver its owner runs —
 // stays one small allocation.
 type ueExtra struct {
-	due    []time.Duration // apps[1:]'s next due instants, as UEClient.due
+	due    []int64 // apps[1:]'s next due instants, as UEClient.due
 	tracer trace.Tracer
 	drv    *session.Driver // the one-unit driver Start runs the UE on
 }
@@ -169,9 +169,9 @@ type UEClient struct {
 	// the fallback link).
 	primary session.Slot
 
-	// due is apps[0]'s next due instant, as an offset from gridEpoch; only
-	// the stepping goroutine touches it.
-	due time.Duration
+	// due is apps[0]'s next due instant in Unix nanoseconds; only the
+	// stepping goroutine touches it.
+	due int64
 
 	mu       sync.Mutex
 	fallback *session.Slot    // a relayed UE's link to its owning shard, opened on first use
@@ -199,7 +199,7 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 		owner: cl.Owner(), rec: cfg.Recorder, latency: cfg.Latency, tidx: int32(cfg.RecorderIndex),
 	}
 	if len(cfg.Apps) > 1 || cfg.Tracer != nil {
-		u.x = &ueExtra{due: make([]time.Duration, len(cfg.Apps)-1), tracer: cfg.Tracer}
+		u.x = &ueExtra{due: make([]int64, len(cfg.Apps)-1), tracer: cfg.Tracer}
 	}
 	if cfg.RelayAddr == "" && len(cfg.FallbackRelayAddrs) == 0 {
 		u.primary = session.Slot{Dial: cfg.Dial, Addr: cfg.ID, Resolve: u.owner, OnRefs: u.onAck}
@@ -320,14 +320,10 @@ const sendGrain = 10 * time.Millisecond
 // monitor steps in. A UE fleet and the units beside it run on one.
 func NewDriver() *session.Driver { return session.NewDriver(sendGrain) }
 
-// gridEpoch anchors the grid; it carries a monotonic reading, so the grid
-// does not move with the wall clock.
-var gridEpoch = time.Now()
-
-// onGrid moves an instant back onto the send grid.
-func onGrid(t time.Time) time.Time {
-	return gridEpoch.Add(t.Sub(gridEpoch).Truncate(sendGrain))
-}
+// onGrid moves an instant back onto the send grid, whole grains since the
+// Unix epoch (DESIGN.md, "The UE's send grid": no clock is read to anchor
+// it, and a step of the wall clock moves it).
+func onGrid(t time.Time) time.Time { return t.Truncate(sendGrain) }
 
 // nextDue returns the point of the schedule due, due+period, … that follows
 // the tick for due and is still ahead at now: a tick held up past later
@@ -344,12 +340,8 @@ func nextDue(due time.Time, period time.Duration, now time.Time) time.Time {
 // due then, and one a period after — and returns the instant to step the
 // UE at first: first, moved back onto the send grid.
 func (u *UEClient) Begin(first time.Time) time.Time {
-	d := first.Sub(gridEpoch)
-	u.due = d
-	if u.x != nil {
-		for i := range u.x.due {
-			u.x.due[i] = d
-		}
+	for i := range u.apps {
+		*u.dueAt(i) = first.UnixNano()
 	}
 	return onGrid(first)
 }
@@ -371,38 +363,30 @@ func (u *UEClient) Step(now time.Time) (next time.Time, more bool) {
 	}
 	u.Sweep(now)
 	for i := range u.apps {
-		due := u.dueAt(i)
+		due := time.Unix(0, *u.dueAt(i))
 		if now := time.Now(); !onGrid(due).After(now) {
 			seq++
 			u.Send(i, seq, now)
-			u.setDue(i, nextDue(due, u.apps[i].Period, time.Now()))
+			*u.dueAt(i) = nextDue(due, u.apps[i].Period, time.Now()).UnixNano()
 		}
 	}
 	return u.wake(), true
 }
 
-// dueAt and setDue read and write app i's next due instant.
-func (u *UEClient) dueAt(i int) time.Time {
+// dueAt is where app i's next due instant is kept.
+func (u *UEClient) dueAt(i int) *int64 {
 	if i == 0 {
-		return gridEpoch.Add(u.due)
+		return &u.due
 	}
-	return gridEpoch.Add(u.x.due[i-1])
-}
-
-func (u *UEClient) setDue(i int, t time.Time) {
-	if i == 0 {
-		u.due = t.Sub(gridEpoch)
-	} else {
-		u.x.due[i-1] = t.Sub(gridEpoch)
-	}
+	return &u.x.due[i-1]
 }
 
 // wake is when the UE next has work: the earliest app due, on the grid,
 // or the first grid instant after the earliest ack window in flight lapses.
 func (u *UEClient) wake() time.Time {
-	next := onGrid(u.dueAt(0))
+	next := onGrid(time.Unix(0, u.due))
 	for i := 1; i < len(u.apps); i++ {
-		if g := onGrid(u.dueAt(i)); g.Before(next) {
+		if g := onGrid(time.Unix(0, *u.dueAt(i))); g.Before(next) {
 			next = g
 		}
 	}

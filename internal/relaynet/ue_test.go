@@ -36,15 +36,22 @@ func TestNextDue(t *testing.T) {
 	}
 }
 
+// TestOnGrid: an instant moves back onto the grid of whole grains since
+// the Unix epoch, by less than a grain, and one on it stays.
 func TestOnGrid(t *testing.T) {
-	for _, d := range []time.Duration{0, 1, sendGrain - 1, sendGrain, 7*sendGrain + sendGrain/3, -sendGrain / 2} {
-		in := gridEpoch.Add(d)
-		got := onGrid(in)
-		if off := got.Sub(gridEpoch); off%sendGrain != 0 {
-			t.Errorf("onGrid(epoch+%v) = epoch+%v: off the grid", d, off)
-		}
-		if early := in.Sub(got); d >= 0 && (early < 0 || early >= sendGrain) {
-			t.Errorf("onGrid(epoch+%v) moved the instant by %v, want [0, %v)", d, early, sendGrain)
+	for _, at := range []time.Time{time.Unix(0, 0), time.Now()} {
+		for _, d := range []time.Duration{0, 1, sendGrain - 1, sendGrain, 7*sendGrain + sendGrain/3, -sendGrain / 2} {
+			in := at.Add(d)
+			got := onGrid(in)
+			if off := time.Duration(got.UnixNano()); off%sendGrain != 0 {
+				t.Errorf("onGrid(%v) = Unix epoch + %v: off the grid", in, off)
+			}
+			if early := in.Sub(got); early < 0 || early >= sendGrain {
+				t.Errorf("onGrid(%v) moved the instant by %v, want [0, %v)", in, early, sendGrain)
+			}
+			if on := onGrid(got); !on.Equal(got) {
+				t.Errorf("onGrid moved the grid instant %v to %v", got, on)
+			}
 		}
 	}
 }
@@ -53,110 +60,120 @@ func TestOnGrid(t *testing.T) {
 // spread evenly over time and checks that they nevertheless wake together,
 // on the grid, while each keeps its own period.
 func TestSendsShareTheGrid(t *testing.T) {
-	const (
-		ues      = 50
-		period   = 70 * time.Millisecond
-		duration = 600 * time.Millisecond
-	)
-	s := startServer(t)
-	recorder := rec.NewRecorder()
-	apps := []UEApp{{Name: "fast", Period: period, Expiry: 3 * period, Pad: 54}}
-	fleet := make([]*UEClient, ues)
-	for i := range fleet {
-		id := fmt.Sprintf("grid-ue-%02d", i)
-		tidx := recorder.AddClient(rec.Client{ID: id, App: "fast", Period: period, Expiry: 3 * period, Pad: 54, Relay: -1})
-		u, err := NewUEClient(UEClientConfig{ID: id, Apps: apps, ServerAddr: s.Addr(), Recorder: recorder, RecorderIndex: tidx})
+	timed(t, func(t *testing.T, nw network) {
+		const ues = 50
+		var (
+			period   = pick(70*time.Millisecond, 270*time.Second)
+			expiry   = pick(3*period, 300*time.Second)
+			duration = pick(600*time.Millisecond, 45*time.Minute)
+			// In the bubble the run ends half a grain before the first UE's
+			// send at the duration's end, not on it.
+			stop = pick(duration, duration-sendGrain/2)
+		)
+		s := startServer(t, nw)
+		recorder := rec.NewRecorder()
+		apps := []UEApp{{Name: "fast", Period: period, Expiry: expiry, Pad: 54}}
+		fleet := make([]*UEClient, ues)
+		for i := range fleet {
+			id := fmt.Sprintf("grid-ue-%02d", i)
+			tidx := recorder.AddClient(rec.Client{ID: id, App: "fast", Period: period, Expiry: expiry, Pad: 54, Relay: -1})
+			u, err := NewUEClient(UEClientConfig{ID: id, Apps: apps, ServerAddr: s.Addr(), Dial: nw.Dial, Recorder: recorder, RecorderIndex: tidx})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(u.Shutdown)
+			fleet[i] = u
+		}
+		// Arrival offsets spread one period evenly over the fleet, as a steady
+		// load-generator schedule does; one driver runs them all. In the
+		// bubble, where the offsets fall on the grid, each is half a grain
+		// past it.
+		drv := NewDriver()
+		start := time.Now()
+		recorder.Start(start, 0)
+		for i, u := range fleet {
+			drv.Add(u, u.Begin(start.Add(pick(0, sendGrain/2)+period*time.Duration(i)/ues)))
+		}
+		time.Sleep(stop)
+		drv.Stop()
+		await(t, 2*time.Second, duration, func() bool {
+			n := 0
+			for _, u := range fleet {
+				n += u.InFlight()
+			}
+			return n == 0
+		}, "every heartbeat acknowledged")
+		for _, u := range fleet {
+			if st := u.Stats(); st.Acked != st.Generated || st.Timeouts != 0 {
+				t.Fatalf("acked %d of %d, %d timeouts", st.Acked, st.Generated, st.Timeouts)
+			}
+		}
+		tl, err := recorder.Timeline()
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(u.Shutdown)
-		fleet[i] = u
-	}
-	// Arrival offsets spread one period evenly over the fleet, as a steady
-	// load-generator schedule does; one driver runs them all.
-	drv := NewDriver()
-	start := time.Now()
-	recorder.Start(start, 0)
-	for i, u := range fleet {
-		drv.Add(u, u.Begin(start.Add(period*time.Duration(i)/ues)))
-	}
-	time.Sleep(duration)
-	drv.Stop()
-	eventually(t, 2*time.Second, func() bool {
-		n := 0
-		for _, u := range fleet {
-			n += u.InFlight()
+		// Event times are offsets from the run's start; the grid's phase
+		// there is the start's offset from the Unix epoch.
+		phase := time.Duration(tl.BaseUnixNano) % sendGrain
+		// A send is stamped once its UE has woken and swept: on the wall
+		// clock shortly after a grid instant, never shortly before; in the
+		// bubble, on it.
+		slack := pick(sendGrain/2, 1)
+		sends, near := 0, 0
+		perUE := make([]int, ues)
+		for _, ev := range tl.Events {
+			if ev.Kind != rec.EvSend {
+				continue
+			}
+			sends++
+			perUE[ev.Client]++
+			if (ev.At+phase)%sendGrain < slack {
+				near++
+			}
 		}
-		return n == 0
-	}, "every heartbeat acknowledged")
-	for _, u := range fleet {
-		if st := u.Stats(); st.Acked != st.Generated || st.Timeouts != 0 {
-			t.Fatalf("acked %d of %d, %d timeouts", st.Acked, st.Generated, st.Timeouts)
+		if sends == 0 || !reached(near*10, pick(sends*8, sends*10)) {
+			t.Errorf("%d of %d sends within %v after a grid instant; unaligned timers give about half", near, sends, slack)
 		}
-	}
-	tl, err := recorder.Timeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Event times are offsets from the run's start; the grid's phase there
-	// is the start's offset from the epoch.
-	phase := time.Duration(tl.BaseUnixNano-gridEpoch.UnixNano()) % sendGrain
-	sends, near := 0, 0
-	perUE := make([]int, ues)
-	for _, ev := range tl.Events {
-		if ev.Kind != rec.EvSend {
-			continue
+		// In the bubble each UE sends exactly once a period.
+		n := int(duration / period)
+		lo, hi := pick(n-1, n), pick(n+2, n)
+		for i, got := range perUE {
+			if got < lo || got > hi {
+				t.Errorf("UE %d sent %d heartbeats in %v at a %v period, want %d..%d", i, got, duration, period, lo, hi)
+			}
 		}
-		sends++
-		perUE[ev.Client]++
-		// A send is stamped once its UE has woken and swept: shortly after
-		// a grid instant, never shortly before.
-		if (ev.At+phase)%sendGrain < sendGrain/2 {
-			near++
-		}
-	}
-	if sends == 0 || near*10 < sends*8 {
-		t.Errorf("%d of %d sends within %v after a grid instant; unaligned timers give about half", near, sends, sendGrain/2)
-	}
-	lo, hi := int(duration/period)-1, int(duration/period)+2
-	for i, n := range perUE {
-		if n < lo || n > hi {
-			t.Errorf("UE %d sent %d heartbeats in %v at a %v period, want %d..%d", i, n, duration, period, lo, hi)
-		}
-	}
+	})
 }
 
 // TestUEWritesOffWhatNoServerTakes: with no relay and nothing listening at
 // the server's address, no heartbeat reaches the wire, and every one the
-// UE generates still ends — in Timeouts, not silently.
+// UE generates still ends — in Timeouts, not silently. In the bubble the
+// UE sends at 0, 270, 540 and 810 s; by 15 minutes the first three windows
+// (305 s each) have lapsed, and Shutdown writes off the fourth.
 func TestUEWritesOffWhatNoServerTakes(t *testing.T) {
-	cfg := ueConfig("ue-void", "", "127.0.0.1:1", 40*time.Millisecond, 60*time.Millisecond)
-	cfg.FeedbackTimeout = 50 * time.Millisecond
-	u, err := NewUEClient(cfg)
-	if err != nil {
-		t.Fatalf("NewUEClient: %v", err)
-	}
-	if err := u.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	eventually(t, 2*time.Second, func() bool { return u.Stats().Timeouts >= 3 },
-		"heartbeats written off once their windows lapse")
-	u.Shutdown()
-	st := u.Stats()
-	if st.Generated == 0 || st.Timeouts != st.Generated || st.Acked != 0 {
-		t.Fatalf("stats = %+v, want every generated heartbeat timed out", st)
-	}
-	if st.Direct != 0 || st.DialErrors != st.Generated {
-		t.Fatalf("stats = %+v, want no send on the wire and one dial error per heartbeat", st)
-	}
+	timed(t, func(t *testing.T, nw network) {
+		cfg := ueConfig("ue-void", "", "127.0.0.1:1", pick(40*time.Millisecond, 270*time.Second), pick(60*time.Millisecond, 300*time.Second))
+		cfg.FeedbackTimeout = pick(50*time.Millisecond, 0)
+		u := startUE(t, nw, cfg)
+		await(t, 2*time.Second, 15*time.Minute, func() bool { return reached(u.Stats().Timeouts, 3) },
+			"heartbeats written off once their windows lapse")
+		u.Shutdown()
+		st := u.Stats()
+		if !reached(st.Generated, pick[uint32](1, 4)) || st.Timeouts != st.Generated || st.Acked != 0 {
+			t.Fatalf("stats = %+v, want every generated heartbeat timed out", st)
+		}
+		if st.Direct != 0 || st.DialErrors != st.Generated {
+			t.Fatalf("stats = %+v, want no send on the wire and one dial error per heartbeat", st)
+		}
+	})
 }
 
 // TestFallbackKeepsOrigin: the direct resend of a heartbeat the relay
 // never confirmed carries the first send's origin, so its expiry T_k still
 // counts from generation, not from the resend.
 func TestFallbackKeepsOrigin(t *testing.T) {
-	relayAddr, viaRelay := listenHeartbeats(t, false) // swallows the heartbeat, never feeds back
-	serverAddr, atServer := listenHeartbeats(t, true)
+	relayAddr, viaRelay := listenHeartbeats(t, loopback{}, false) // swallows the heartbeat, never feeds back
+	serverAddr, atServer := listenHeartbeats(t, loopback{}, true)
 
 	// One heartbeat an hour: the first is the only one.
 	cfg := ueConfig("ue-origin", relayAddr, serverAddr, time.Hour, 300*time.Millisecond)
@@ -196,9 +213,9 @@ func TestFallbackKeepsOrigin(t *testing.T) {
 // more than the few heartbeats a test reads; the rest are dropped, so no
 // reader blocks on a test that reads none. Without ack it is a relay that
 // swallows heartbeats, or a server that never acknowledges.
-func listenHeartbeats(t *testing.T, ack bool) (string, <-chan *hbproto.Heartbeat) {
+func listenHeartbeats(t *testing.T, nw network, ack bool) (string, <-chan *hbproto.Heartbeat) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := nw.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,62 +270,68 @@ func listenHeartbeats(t *testing.T, ack bool) (string, <-chan *hbproto.Heartbeat
 // ack window is the simulator's (device.FeedbackWindow) — expiry plus five
 // seconds, capped at a tenth of the expiry — not the expiry plus a tenth.
 func TestUEAckWindowIsTheDeviceRule(t *testing.T) {
-	for _, c := range []struct{ expiry, want time.Duration }{
-		{270 * time.Second, 275 * time.Second},
-		{300 * time.Millisecond, 330 * time.Millisecond},
-	} {
-		cfg := ueConfig("ue-window", "", "server", time.Hour, c.expiry)
-		cfg.Dial = func(string, string) (net.Conn, error) { return nil, errors.New("no network") }
-		u, err := NewUEClient(cfg)
+	timed(t, func(t *testing.T, _ network) {
+		for _, c := range []struct{ expiry, want time.Duration }{
+			{270 * time.Second, 275 * time.Second},
+			{300 * time.Millisecond, 330 * time.Millisecond},
+		} {
+			cfg := ueConfig("ue-window", "", "server", time.Hour, c.expiry)
+			cfg.Dial = func(string, string) (net.Conn, error) { return nil, errors.New("no network") }
+			u, err := NewUEClient(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(u.Shutdown)
+			t0 := time.Now()
+			u.Send(0, 1, t0)
+			if at, ok := u.Lapse(); !ok || at.Sub(t0) != c.want {
+				t.Errorf("expiry %v: window lapses %v after the send (in flight %v), want %v", c.expiry, at.Sub(t0), ok, c.want)
+			}
+		}
+	})
+}
+
+// TestUEOneTableTwoWindows: two apps with different expiries share one
+// pending table, and each heartbeat falls back at its own app's window; a
+// sweep resends in (app, seq) order. In the bubble the apps expire after
+// Table I's 270 s and 300 s.
+func TestUEOneTableTwoWindows(t *testing.T) {
+	timed(t, func(t *testing.T, nw network) {
+		s := startServer(t, nw)
+		relayAddr, _ := listenHeartbeats(t, nw, false)
+		var tr trace.Recorder
+		u, err := NewUEClient(UEClientConfig{
+			ID: "ue-two", Apps: []UEApp{
+				{Name: "short", Period: time.Hour, Expiry: pick(time.Second, 270*time.Second), Pad: 54},  // 1.1 s window; 275 s
+				{Name: "long", Period: time.Hour, Expiry: pick(2*time.Second, 300*time.Second), Pad: 54}, // 2.2 s window; 305 s
+			},
+			RelayAddr: relayAddr, ServerAddr: s.Addr(), Dial: nw.Dial, Tracer: &tr,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(u.Shutdown)
 		t0 := time.Now()
-		u.Send(0, 1, t0)
-		if at, ok := u.Lapse(); !ok || at.Sub(t0) != c.want {
-			t.Errorf("expiry %v: window lapses %v after the send (in flight %v), want %v", c.expiry, at.Sub(t0), ok, c.want)
+		at := func(wall, bubble time.Duration) time.Time { return t0.Add(pick(wall, bubble)) }
+		u.Send(1, 1, t0)                                    // lapses at 2.2 s; 305 s
+		u.Send(0, 2, at(time.Second, 20*time.Second))       // lapses at 2.1 s; 295 s
+		first := at(2100*time.Millisecond, 295*time.Second) // the short app's lapse
+		if end, ok := u.Lapse(); !ok || !end.Equal(first) {
+			t.Fatalf("first lapse %v after t0, want %v", end.Sub(t0), first.Sub(t0))
 		}
-	}
-}
-
-// TestUEOneTableTwoWindows: two apps with different expiries share one
-// pending table, and each heartbeat falls back at its own app's window; a
-// sweep resends in (app, seq) order.
-func TestUEOneTableTwoWindows(t *testing.T) {
-	s := startServer(t)
-	relayAddr, _ := listenHeartbeats(t, false)
-	var tr trace.Recorder
-	u, err := NewUEClient(UEClientConfig{
-		ID: "ue-two", Apps: []UEApp{
-			{Name: "short", Period: time.Hour, Expiry: time.Second, Pad: 54},    // 1.1 s window
-			{Name: "long", Period: time.Hour, Expiry: 2 * time.Second, Pad: 54}, // 2.2 s window
-		},
-		RelayAddr: relayAddr, ServerAddr: s.Addr(), Tracer: &tr,
+		u.Sweep(at(2*time.Second, 290*time.Second)) // the short app's window would have lapsed the long app's heartbeat
+		if st := u.Stats(); st.FallbackResends != 0 {
+			t.Fatalf("stats = %+v: a heartbeat fell back before its own app's window lapsed", st)
+		}
+		u.Sweep(at(2300*time.Millisecond, 310*time.Second))
+		var order []uint64
+		for _, ev := range tr.ByKind(trace.KindFallback) {
+			order = append(order, ev.Seq)
+		}
+		if want := []uint64{2, 1}; !slices.Equal(order, want) {
+			t.Fatalf("fallback resends of seqs %v, want %v: app 0's before app 1's", order, want)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(u.Shutdown)
-	t0 := time.Now()
-	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
-	u.Send(1, 1, at(0))    // lapses at 2.2 s
-	u.Send(0, 2, at(1000)) // lapses at 2.1 s
-	if end, ok := u.Lapse(); !ok || !end.Equal(at(2100)) {
-		t.Fatalf("first lapse %v after t0, want 2.1s", end.Sub(t0))
-	}
-	u.Sweep(at(2000)) // 1.1 s would have lapsed the long app's heartbeat
-	if st := u.Stats(); st.FallbackResends != 0 {
-		t.Fatalf("stats = %+v: a heartbeat fell back before its own app's window lapsed", st)
-	}
-	u.Sweep(at(2300))
-	var order []uint64
-	for _, ev := range tr.ByKind(trace.KindFallback) {
-		order = append(order, ev.Seq)
-	}
-	if want := []uint64{2, 1}; !slices.Equal(order, want) {
-		t.Fatalf("fallback resends of seqs %v, want %v: app 0's before app 1's", order, want)
-	}
 }
 
 // TestUEDirectSendIsNotResent: a relayed UE whose relay cannot be dialled
@@ -316,56 +339,63 @@ func TestUEOneTableTwoWindows(t *testing.T) {
 // when its window lapses, not resent — as in the simulator, only a
 // heartbeat sent to a relay has a fallback.
 func TestUEDirectSendIsNotResent(t *testing.T) {
-	serverAddr, _ := listenHeartbeats(t, false) // reads, never acknowledges
-	cfg := ueConfig("ue-norelay", "relay-down", serverAddr, time.Hour, time.Second)
-	cfg.FeedbackTimeout = 100 * time.Millisecond
-	cfg.Dial = func(network, addr string) (net.Conn, error) {
-		if addr == "relay-down" {
-			return nil, errors.New("relay down")
+	timed(t, func(t *testing.T, nw network) {
+		serverAddr, _ := listenHeartbeats(t, nw, false) // reads, never acknowledges
+		cfg := ueConfig("ue-norelay", "relay-down", serverAddr, time.Hour, pick(time.Second, 300*time.Second))
+		cfg.FeedbackTimeout = pick(100*time.Millisecond, 0)
+		cfg.Dial = func(network, addr string) (net.Conn, error) {
+			if addr == "relay-down" {
+				return nil, errors.New("relay down")
+			}
+			return nw.Dial(network, addr)
 		}
-		return net.Dial(network, addr)
-	}
-	u, err := NewUEClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(u.Shutdown)
-	t0 := time.Now()
-	u.Send(0, 1, t0)
-	u.Send(0, 2, t0.Add(10*time.Millisecond))
-	u.Sweep(t0.Add(time.Second))
-	u.Sweep(t0.Add(2 * time.Second))
-	st := u.Stats()
-	if st.Direct != 2 || st.ViaRelay != 0 {
-		t.Fatalf("stats = %+v, want both heartbeats sent direct", st)
-	}
-	if st.FallbackResends != 0 || st.Timeouts != st.Generated || u.InFlight() != 0 {
-		t.Fatalf("stats = %+v, want no resend and every heartbeat timed out", st)
-	}
+		u, err := NewUEClient(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(u.Shutdown)
+		window := u.window(0) // 100 ms; the device rule's 305 s in the bubble
+		t0 := time.Now()
+		u.Send(0, 1, t0)
+		u.Send(0, 2, t0.Add(window/10))
+		u.Sweep(t0.Add(pick(time.Second, 2*window)))
+		u.Sweep(t0.Add(pick(2*time.Second, 4*window)))
+		st := u.Stats()
+		if st.Direct != 2 || st.ViaRelay != 0 {
+			t.Fatalf("stats = %+v, want both heartbeats sent direct", st)
+		}
+		if st.FallbackResends != 0 || st.Timeouts != st.Generated || u.InFlight() != 0 {
+			t.Fatalf("stats = %+v, want no resend and every heartbeat timed out", st)
+		}
+	})
 }
 
 // TestUEFallbackRedialsTheRelay: a fallback drops the relay link that
 // failed the heartbeat, as the simulator's UE closes it, so the next send
 // dials the relay afresh.
 func TestUEFallbackRedialsTheRelay(t *testing.T) {
-	s := startServer(t)
-	relayAddr, _ := listenHeartbeats(t, false) // swallows heartbeats
-	cfg := ueConfig("ue-redial", relayAddr, s.Addr(), time.Hour, time.Second)
-	cfg.FeedbackTimeout = 100 * time.Millisecond
-	u, err := NewUEClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(u.Shutdown)
-	t0 := time.Now()
-	u.Send(0, 1, t0)
-	u.Sweep(t0.Add(200 * time.Millisecond))
-	u.Send(0, 2, t0.Add(300*time.Millisecond))
-	st := u.Stats()
-	if st.FallbackResends != 1 || st.ViaRelay != 2 {
-		t.Fatalf("stats = %+v, want two relayed sends and one fallback between them", st)
-	}
-	if st.RelayReconnects != 2 {
-		t.Fatalf("%d relay connections, want 2: the send after a fallback redials", st.RelayReconnects)
-	}
+	timed(t, func(t *testing.T, nw network) {
+		s := startServer(t, nw)
+		relayAddr, _ := listenHeartbeats(t, nw, false) // swallows heartbeats
+		cfg := ueConfig("ue-redial", relayAddr, s.Addr(), time.Hour, pick(time.Second, 300*time.Second))
+		cfg.FeedbackTimeout = pick(100*time.Millisecond, 0)
+		cfg.Dial = nw.Dial
+		u, err := NewUEClient(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(u.Shutdown)
+		window := u.window(0) // 100 ms; the device rule's 305 s in the bubble
+		t0 := time.Now()
+		u.Send(0, 1, t0)
+		u.Sweep(t0.Add(2 * window))
+		u.Send(0, 2, t0.Add(3*window))
+		st := u.Stats()
+		if st.FallbackResends != 1 || st.ViaRelay != 2 {
+			t.Fatalf("stats = %+v, want two relayed sends and one fallback between them", st)
+		}
+		if st.RelayReconnects != 2 {
+			t.Fatalf("%d relay connections, want 2: the send after a fallback redials", st.RelayReconnects)
+		}
+	})
 }

@@ -38,10 +38,10 @@ type Unit interface {
 // step's place.
 //
 // Step is never called on one unit from two runners at once; Sweep may run
-// beside it.
+// beside it. Instants are kept in Unix nanoseconds, on the wall clock the
+// units' schedules read: a UE's send grid carries no monotonic reading.
 type Driver struct {
 	grain time.Duration
-	epoch time.Time // instants are kept as nanoseconds since epoch
 
 	mu       sync.Mutex
 	units    []Unit
@@ -78,15 +78,13 @@ type stepping struct {
 // the monitor steps in.
 func NewDriver(grain time.Duration) *Driver {
 	d := &Driver{
-		grain: grain, epoch: time.Now(), alive: 1,
+		grain: grain, alive: 1,
 		kick: make(chan struct{}, 1), stop: make(chan struct{}), retired: make(chan struct{}),
 	}
 	d.runners.Add(1)
 	go d.run(false)
 	return d
 }
-
-func (d *Driver) since(t time.Time) int64 { return int64(t.Sub(d.epoch)) }
 
 // Add schedules u's first step at the given instant. Adding to a stopped
 // driver does nothing.
@@ -96,12 +94,12 @@ func (d *Driver) Add(u Unit, first time.Time) {
 		d.mu.Unlock()
 		return
 	}
-	e := due{at: d.since(first), u: int32(len(d.units))}
+	e := due{at: first.UnixNano(), u: int32(len(d.units))}
 	d.units = append(d.units, u)
 	d.left++
 	d.push(e)
 	top := d.queue[0] == e
-	d.arm(d.watch(d.since(time.Now())))
+	d.arm(d.watch(time.Now().UnixNano()))
 	d.mu.Unlock()
 	if top {
 		select {
@@ -154,7 +152,7 @@ func (d *Driver) run(helper bool) {
 	d.mu.Lock()
 	for !d.stopped {
 		t := time.Now()
-		now := d.since(t)
+		now := t.UnixNano()
 		if len(d.queue) > 0 && d.queue[0].at <= now {
 			e := d.pop()
 			u := d.units[e.u]
@@ -200,7 +198,7 @@ func (d *Driver) run(helper bool) {
 	}
 	d.alive--
 	if !d.stopped {
-		d.arm(d.watch(d.since(time.Now()))) // a helper leaves: the steps it leaves behind stay watched
+		d.arm(d.watch(time.Now().UnixNano())) // a helper leaves: the steps it leaves behind stay watched
 	}
 	d.mu.Unlock()
 	if sleep != nil {
@@ -225,7 +223,7 @@ func (d *Driver) stepped(u int32, next time.Time, more bool) {
 			d.retired = make(chan struct{})
 		}
 	case !d.stopped:
-		d.push(due{at: d.since(next), u: u})
+		d.push(due{at: next.UnixNano(), u: u})
 	}
 }
 
@@ -263,9 +261,9 @@ func (d *Driver) arm(at int64) {
 		}
 	case d.monAt != 0 && d.monAt <= at: // armed sooner already
 	case d.mon == nil:
-		d.mon, d.monAt = time.AfterFunc(time.Duration(at-d.since(time.Now())), d.monitor), at
+		d.mon, d.monAt = time.AfterFunc(time.Duration(at-time.Now().UnixNano()), d.monitor), at
 	default:
-		d.mon.Reset(time.Duration(at - d.since(time.Now())))
+		d.mon.Reset(time.Duration(at - time.Now().UnixNano()))
 		d.monAt = at
 	}
 }
@@ -276,7 +274,7 @@ func (d *Driver) arm(at int64) {
 // step is under way.
 func (d *Driver) monitor() {
 	t := time.Now()
-	now := d.since(t)
+	now := t.UnixNano()
 	d.mu.Lock()
 	d.monAt = 0
 	if d.stopped {
@@ -306,7 +304,7 @@ func (d *Driver) monitor() {
 			at, ok = u.Lapse()
 		}
 		if ok {
-			next := max(d.since(at), now+int64(d.grain)/4)
+			next := max(at.UnixNano(), now+int64(d.grain)/4)
 			if lapse == 0 || next < lapse {
 				lapse = next
 			}
@@ -315,7 +313,7 @@ func (d *Driver) monitor() {
 
 	d.mu.Lock()
 	if !d.stopped {
-		next := d.watch(d.since(time.Now()))
+		next := d.watch(time.Now().UnixNano())
 		if lapse != 0 && len(d.stepping) > 0 && (next == 0 || lapse < next) {
 			next = lapse
 		}
