@@ -37,13 +37,15 @@ bench-build:
 race:
 	$(GO) test -race ./...
 
-# The live stack's timing tests in synthetic time (Go >= 1.24): each runs
-# once in a testing/synctest bubble over faultnet's in-memory network, at
-# the paper's 270 s period and 300 s expiry, with exact counts at named
-# virtual instants. Tier-1 runs the same bodies on loopback and the wall
-# clock (clock_wall_test.go against clock_bubble_test.go). The faultnet
-# test checks that a pipe deadline fires on the bubble's clock.
-BUBBLE_TESTS := ^(TestDriverOneRunner|TestDriverHelpsWhenBehind|TestDriverSweepsBlockedUnit|TestDriverWaitsForRetiredUnits|TestRelayPeriodBoundaryNeverRejects|TestRelayCapacityFlushImmediately|TestEndToEndRelaying|TestFeedbackRoutesAcksDecodedFromTheWire|TestRelayOneRunner|TestRelayInboxBoundUnderStalledShard|TestForwardPartitionMatchesGroupSorted|TestRelayRoutesLapseWithoutAcks|TestSendsShareTheGrid|TestUEDirectModeWithoutRelay|TestUEFallbackWhenRelayDies|TestRelayStartsWithoutServerUEFallback|TestUEReconnectsWhenRelayAppearsLater|TestUEFailsOverToFallbackRelay|TestUEMultiAppHeartbeats|TestUEWritesOffWhatNoServerTakes|TestUEAckWindowIsTheDeviceRule|TestUEOneTableTwoWindows|TestUEDirectSendIsNotResent|TestUEFallbackRedialsTheRelay|TestUEFallbackRelayDiesBetweenSendAndAck|TestNetworkDeadlineOnBubbleTime)$$
+# The live stack's timing and relay chaos tests in synthetic time (Go >=
+# 1.24): each runs once in a testing/synctest bubble over faultnet's
+# in-memory network, at the paper's 270 s period and 300 s expiry, with
+# exact counts at named virtual instants; a chaos test's seeded fault
+# schedule runs on the bubble's clock. Tier-1 runs the same bodies on
+# loopback and the wall clock (clock_wall_test.go against
+# clock_bubble_test.go). The faultnet test checks that a pipe deadline
+# fires on the bubble's clock.
+BUBBLE_TESTS := ^(TestDriverOneRunner|TestDriverHelpsWhenBehind|TestDriverSweepsBlockedUnit|TestDriverWaitsForRetiredUnits|TestRelayPeriodBoundaryNeverRejects|TestRelayCapacityFlushImmediately|TestEndToEndRelaying|TestFeedbackRoutesAcksDecodedFromTheWire|TestRelayOneRunner|TestRelayInboxBoundUnderStalledShard|TestForwardPartitionMatchesGroupSorted|TestRelayRoutesLapseWithoutAcks|TestSendsShareTheGrid|TestUEDirectModeWithoutRelay|TestUEFallbackWhenRelayDies|TestRelayStartsWithoutServerUEFallback|TestUEReconnectsWhenRelayAppearsLater|TestUEMultiAppHeartbeats|TestUEWritesOffWhatNoServerTakes|TestUEAckWindowIsTheDeviceRule|TestUEOneTableTwoWindows|TestUEDirectSendIsNotResent|TestUEFallbackRedialsTheRelay|TestUEFallbackRelayDiesBetweenSendAndAck|TestChaosRelayCrashMidBatch|TestChaosServerPartitionDuringFlush|TestChaosSlowLorisRelay|TestChaosCorruptedFrames|TestChaosSeededRandomChurn|TestRelayReconnectBackoff|TestNetworkDeadlineOnBubbleTime)$$
 
 bubble:
 	GOEXPERIMENT=synctest $(GO) test -race -count=2 -run '$(BUBBLE_TESTS)' ./internal/session ./internal/relaynet ./internal/faultnet

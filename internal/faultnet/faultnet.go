@@ -14,8 +14,18 @@ var ErrInjectedReset = errors.New("faultnet: injected connection reset")
 // ErrPartitioned marks a dial refused by an active partition window.
 var ErrPartitioned = errors.New("faultnet: partition active")
 
-// DialFunc matches the dial hooks on relaynet configs.
-type DialFunc func(network, addr string) (net.Conn, error)
+// Net is a network to listen and dial on: the host's (OS) or an in-memory
+// Network. Its methods match the Listen and Dial hooks on relaynet configs.
+type Net interface {
+	Listen(network, addr string) (net.Listener, error)
+	Dial(network, addr string) (net.Conn, error)
+}
+
+// OS is the host's network: net.Listen and net.Dial.
+type OS struct{}
+
+func (OS) Listen(network, addr string) (net.Listener, error) { return net.Listen(network, addr) }
+func (OS) Dial(network, addr string) (net.Conn, error)       { return net.Dial(network, addr) }
 
 // Conn applies the schedule's active write-side faults to one wrapped
 // connection. Reads pass through untouched: partitions, corruption and
@@ -100,14 +110,11 @@ func (c *Conn) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// trickle writes buf in small chunks paced to rate bytes/second — the
-// slow-loris path.
-func (c *Conn) trickle(buf []byte, rate int) (int, error) {
-	chunk := rate / 10
-	if chunk < 1 {
-		chunk = 1
-	}
-	chunkDelay := time.Duration(chunk) * time.Second / time.Duration(rate)
+// trickle writes buf in chunks of a tenth of a second's worth of bytes,
+// at least one, paced to rate bytes/second — the slow-loris path.
+func (c *Conn) trickle(buf []byte, rate float64) (int, error) {
+	chunk := max(int(rate/10), 1)
+	chunkDelay := time.Duration(float64(chunk) / rate * float64(time.Second))
 	written := 0
 	for written < len(buf) {
 		end := written + chunk
@@ -155,28 +162,42 @@ func (l *Listener) Accept() (net.Conn, error) {
 	}
 }
 
-// Dial is a fault-injecting replacement for net.Dial: partitions refuse the
-// dial outright, and successful dials return fault-wrapped connections.
-// It matches the Dial hook signature on relaynet configs.
+// On returns nw under the schedule's faults: partitions refuse its dials,
+// and what its Dial and Listen return is fault-wrapped.
+func (s *Schedule) On(nw Net) Net { return faulty{s, nw} }
+
+// Dial is the schedule's faults on the host's network: On(OS{}).Dial.
 func (s *Schedule) Dial(network, addr string) (net.Conn, error) {
-	if _, ok := s.Active(KindPartition); ok {
-		s.note(func(st *Stats) { st.RefusedDials++ }, addr, KindPartition)
-		return nil, ErrPartitioned
-	}
-	c, err := net.Dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	return s.WrapConn(c), nil
+	return s.On(OS{}).Dial(network, addr)
 }
 
-// Listen is a fault-injecting replacement for net.Listen, returning a
-// wrapped listener. It matches the Listen hook signature on relaynet
-// configs.
+// Listen is the schedule's faults on the host's network: On(OS{}).Listen.
 func (s *Schedule) Listen(network, addr string) (net.Listener, error) {
-	ln, err := net.Listen(network, addr)
+	return s.On(OS{}).Listen(network, addr)
+}
+
+// faulty is a network under a schedule's faults.
+type faulty struct {
+	s  *Schedule
+	nw Net
+}
+
+func (f faulty) Dial(network, addr string) (net.Conn, error) {
+	if _, ok := f.s.Active(KindPartition); ok {
+		f.s.note(func(st *Stats) { st.RefusedDials++ }, addr, KindPartition)
+		return nil, ErrPartitioned
+	}
+	c, err := f.nw.Dial(network, addr)
 	if err != nil {
 		return nil, err
 	}
-	return s.WrapListener(ln), nil
+	return f.s.WrapConn(c), nil
+}
+
+func (f faulty) Listen(network, addr string) (net.Listener, error) {
+	ln, err := f.nw.Listen(network, addr)
+	if err != nil {
+		return nil, err
+	}
+	return f.s.WrapListener(ln), nil
 }

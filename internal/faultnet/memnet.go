@@ -14,9 +14,8 @@ var ErrRefused = errors.New("faultnet: connection refused")
 // connection a net.Pipe. A pipe blocks on channels and times its deadlines
 // with the runtime's timers, so inside a testing/synctest bubble the whole
 // stack — server, relays, UEs — waits on the bubble's clock, which a
-// loopback socket cannot. Its Listen and Dial match the hooks on relaynet
-// configs, and a Schedule wraps its listeners and connections as it wraps
-// real ones.
+// loopback socket cannot. It is a Net, so a Schedule's On puts it under
+// the schedule's faults as it does the host's network.
 type Network struct {
 	mu    sync.Mutex
 	lns   map[string]*memListener

@@ -59,7 +59,7 @@ type Fault struct {
 	Kind    Kind
 	Latency time.Duration // KindLatency: base added delay per write
 	Jitter  time.Duration // KindLatency: ± jitter around Latency
-	Rate    int           // KindThrottle: bytes per second
+	Rate    float64       // KindThrottle: bytes per second, below 1 too
 	Prob    float64       // KindCorrupt / KindReset: per-write probability
 }
 
@@ -227,7 +227,7 @@ func Generate(seed int64, cfg GenConfig) []Window {
 			f.Latency = time.Duration(5+rng.Intn(30)) * time.Millisecond
 			f.Jitter = f.Latency / 2
 		case KindThrottle:
-			f.Rate = 256 << rng.Intn(5)
+			f.Rate = float64(int(256) << rng.Intn(5))
 		case KindCorrupt:
 			f.Prob = 0.05 + 0.25*rng.Float64()
 		case KindReset:
@@ -267,7 +267,7 @@ func ParseSpec(spec string) (*Schedule, error) {
 	var (
 		seed            int64 = 1
 		latency, jitter time.Duration
-		throttle        int
+		throttle        float64
 		corrupt, reset  float64
 		windows         []Window
 		chaosCount      int
@@ -291,7 +291,7 @@ func ParseSpec(spec string) (*Schedule, error) {
 		case "jitter":
 			jitter, err = time.ParseDuration(val)
 		case "throttle":
-			throttle, err = strconv.Atoi(val)
+			throttle, err = strconv.ParseFloat(val, 64)
 		case "corrupt":
 			corrupt, err = strconv.ParseFloat(val, 64)
 		case "reset":

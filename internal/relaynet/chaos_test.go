@@ -14,17 +14,26 @@ package relaynet
 //   - hbproto decode never panics on corrupted input (the server survives
 //     and counts protocol errors instead of crashing).
 //
-// Fault timelines come from internal/faultnet and are seeded, so a failing
-// run reproduces with its seed.
+// Fault timelines come from internal/faultnet and are seeded. Each test
+// has one body (see clock_wall_test.go): tier-1 runs it on loopback at
+// periods of tens of milliseconds; make bubble runs it in a synctest
+// bubble over a faultnet.Network at Table I's 270 s period and 300 s
+// expiry, with every ack window the device rule's 305 s. There the
+// schedule is built inside the bubble, so its windows open on the
+// bubble's clock, and a failing run replays from its seed with the same
+// counts at the same instants.
 
 import (
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"d2dhb/internal/faultnet"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/hbproto/hbprototest"
+	"d2dhb/internal/session"
 	"d2dhb/internal/trace"
 )
 
@@ -52,16 +61,18 @@ func deliveredSet(rec *trace.Recorder) map[hbKey]bool {
 	return out
 }
 
-// assertEventuallyAllDelivered snapshots the generated set and polls until
-// the server has seen every one of them: the zero-lost-heartbeats
-// invariant. Heartbeats generated after the snapshot are not required.
-func assertEventuallyAllDelivered(t *testing.T, rec *trace.Recorder, within time.Duration) {
+// allDelivered snapshots the generated set — at least generated
+// heartbeats, in the bubble exactly that many — and waits until the server
+// has seen every one of them: the zero-lost-heartbeats invariant, on the
+// wall clock within wall, in the bubble at the instant at. Heartbeats
+// generated after the snapshot are not required.
+func allDelivered(t *testing.T, rec *trace.Recorder, wall, at time.Duration, generated int) {
 	t.Helper()
 	snapshot := generatedSet(rec)
-	if len(snapshot) == 0 {
-		t.Fatal("no heartbeats generated; scenario never ran")
+	if !reached(len(snapshot), generated) {
+		t.Fatalf("%d heartbeats generated, want %s %d", len(snapshot), pick("≥", "exactly"), generated)
 	}
-	eventually(t, within, func() bool { return len(lost(rec, snapshot)) == 0 },
+	await(t, wall, at, func() bool { return len(lost(rec, snapshot)) == 0 },
 		"zero lost heartbeats (fallback fired for every unacked send)")
 }
 
@@ -106,6 +117,44 @@ func assertMonotonicAcks(t *testing.T, rec *trace.Recorder) {
 	}
 }
 
+// assertFallbacks checks how many heartbeats went out over the fallback path:
+// at least want, in the bubble exactly want.
+func assertFallbacks(t *testing.T, rec *trace.Recorder, want int, why string) {
+	t.Helper()
+	if n := len(rec.ByKind(trace.KindFallback)); !reached(n, want) {
+		t.Errorf("%d fallbacks, want %s %d: %s", n, pick("≥", "exactly"), want, why)
+	}
+}
+
+// startChaosServer starts a traced server on nw; idle > 0 reaps a
+// connection silent for that long.
+func startChaosServer(t *testing.T, nw network, rec *trace.Recorder, idle time.Duration) *Server {
+	t.Helper()
+	return startServer(t, nw, func(s *Server) {
+		s.SetTracer(rec)
+		s.SetIdleTimeout(idle)
+	})
+}
+
+// startChaosRelay starts a traced relay of capacity 64 on nw, dialing the
+// server through dial, shut down at cleanup.
+func startChaosRelay(t *testing.T, nw network, rec *trace.Recorder, id, serverAddr string,
+	period, expiry time.Duration, dial func(string, string) (net.Conn, error)) *RelayAgent {
+	t.Helper()
+	r, err := NewRelayAgent(RelayAgentConfig{
+		ID: id, App: "std", Period: period, Expiry: expiry, Pad: 54, Capacity: 64,
+		Tracer: rec, Listen: nw.Listen, Dial: dial,
+	})
+	if err != nil {
+		t.Fatalf("NewRelayAgent: %v", err)
+	}
+	if err := r.Start("127.0.0.1:0", serverAddr); err != nil {
+		t.Fatalf("relay Start: %v", err)
+	}
+	t.Cleanup(r.Shutdown)
+	return r
+}
+
 // startChaosUE builds and starts one traced UE client.
 func startChaosUE(t *testing.T, rec *trace.Recorder, id, relayAddr, serverAddr string,
 	period, expiry, feedback time.Duration, dial func(string, string) (net.Conn, error)) *UEClient {
@@ -136,356 +185,325 @@ func newChaosUE(t *testing.T, rec *trace.Recorder, id, relayAddr, serverAddr str
 
 // TestChaosRelayCrashMidBatch kills the relay while UE heartbeats sit
 // collected in its batch buffer: the feedback timers must recover every one
-// of them over the direct path.
+// of them over the direct path. In the bubble the relay dies at 135 s
+// holding each UE's heartbeat of 0 s; each UE sends its 270 s heartbeat
+// direct, and its first falls back at 305.01 s, the grid instant after its
+// window lapses.
 func TestChaosRelayCrashMidBatch(t *testing.T) {
-	var rec trace.Recorder
-	s := NewServer()
-	s.SetTracer(&rec)
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("server Start: %v", err)
-	}
-	t.Cleanup(s.Shutdown)
+	timed(t, func(t *testing.T, nw network) {
+		var rec trace.Recorder
+		s := startChaosServer(t, nw, &rec, 0)
+		var (
+			period   = pick(120*time.Millisecond, 270*time.Second)
+			expiry   = pick(300*time.Millisecond, 300*time.Second)
+			feedback = pick(150*time.Millisecond, 0)
+		)
+		// Long relay period + large capacity: heartbeats sit collected until
+		// the period flush, so a mid-period crash strands a partial batch.
+		r := startChaosRelay(t, nw, &rec, "chaos-relay", s.Addr(), pick(400*time.Millisecond, period), expiry, nw.Dial)
 
-	const (
-		period   = 120 * time.Millisecond
-		expiry   = 300 * time.Millisecond
-		feedback = 150 * time.Millisecond
-	)
-	// Long relay period + large capacity: heartbeats sit collected until
-	// the period flush, so a mid-period crash strands a partial batch.
-	r, err := NewRelayAgent(RelayAgentConfig{
-		ID: "chaos-relay", App: "std", Period: 400 * time.Millisecond,
-		Expiry: expiry, Pad: 54, Capacity: 64, Tracer: &rec,
-	})
-	if err != nil {
-		t.Fatalf("NewRelayAgent: %v", err)
-	}
-	if err := r.Start("127.0.0.1:0", s.Addr()); err != nil {
-		t.Fatalf("relay Start: %v", err)
-	}
-	t.Cleanup(r.Shutdown)
-
-	ids := []string{"chaos-ue-1", "chaos-ue-2", "chaos-ue-3"}
-	for _, id := range ids {
-		startChaosUE(t, &rec, id, r.Addr(), s.Addr(), period, expiry, feedback, nil)
-	}
-
-	// Let the pipeline turn over, then crash the relay mid-period with
-	// fresh heartbeats collected but unflushed.
-	eventually(t, 3*time.Second, func() bool { return r.Stats().Collected >= 3 }, "relay collecting")
-	time.Sleep(period / 2)
-	r.Shutdown()
-
-	assertEventuallyAllDelivered(t, &rec, 5*time.Second)
-	assertNoDuplicateAcks(t, &rec)
-	assertMonotonicAcks(t, &rec)
-	for _, id := range ids {
-		if !s.Online(id, time.Now()) {
-			t.Errorf("%s offline after relay crash recovery", id)
+		ids := []string{"chaos-ue-1", "chaos-ue-2", "chaos-ue-3"}
+		var ues []*UEClient
+		for _, id := range ids {
+			ues = append(ues, startChaosUE(t, &rec, id, r.Addr(), s.Addr(), period, expiry, feedback, nw.Dial))
 		}
-	}
-	if len(rec.ByKind(trace.KindFallback)) == 0 {
-		t.Error("relay crash stranded no heartbeats — scenario never exercised the fallback")
-	}
+
+		// Let the pipeline turn over, then crash the relay mid-period with
+		// fresh heartbeats collected but unflushed.
+		await(t, 3*time.Second, 0, func() bool { return reached(r.Stats().Collected, 3) }, "relay collecting")
+		time.Sleep(period / 2)
+		r.Shutdown()
+
+		lapsed := ues[0].window(0) + sendGrain
+		allDelivered(t, &rec, 5*time.Second, lapsed, pick(1, 3))
+		assertNoDuplicateAcks(t, &rec)
+		assertMonotonicAcks(t, &rec)
+		for _, id := range ids {
+			if !s.Online(id, time.Now()) {
+				t.Errorf("%s offline after relay crash recovery", id)
+			}
+		}
+		assertFallbacks(t, &rec, pick(1, 3), "one for each heartbeat the crash stranded")
+		if bubble {
+			for _, u := range ues {
+				if st := u.Stats(); st.FallbackResends != 1 || st.Direct != 1 {
+					t.Errorf("%+v, want one fallback and one direct send", st)
+				}
+			}
+		}
+	})
 }
 
 // TestChaosServerPartitionDuringFlush partitions the relay→server link so
 // flushed batches vanish in flight; after the window heals, presence must
-// converge with zero lost heartbeats.
+// converge with zero lost heartbeats. In the bubble the partition runs from
+// 300 s to 600 s: the relay's flush at 270 s gets through, the one at 540 s
+// is swallowed, and the two heartbeats of 270 s it held fall back at
+// 575.01 s; the flush at 810 s gets through again. The two routes of the
+// swallowed batch lapse at that boundary, and once the UEs stop the relay
+// holds none after its flush of 1 080 s.
 func TestChaosServerPartitionDuringFlush(t *testing.T) {
-	var rec trace.Recorder
-	s := NewServer()
-	s.SetTracer(&rec)
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("server Start: %v", err)
-	}
-	t.Cleanup(s.Shutdown)
+	timed(t, func(t *testing.T, nw network) {
+		var rec trace.Recorder
+		s := startChaosServer(t, nw, &rec, 0)
 
-	// Partition the relay upstream between 300 ms and 900 ms.
-	faults := faultnet.NewSchedule(42, []faultnet.Window{
-		{From: 300 * time.Millisecond, To: 900 * time.Millisecond,
-			Fault: faultnet.Fault{Kind: faultnet.KindPartition}},
+		// Partition the relay upstream between 300 ms and 900 ms; in the
+		// bubble between 300 s and 600 s.
+		faults := faultnet.NewSchedule(42, []faultnet.Window{
+			{From: pick(300*time.Millisecond, 300*time.Second), To: pick(900*time.Millisecond, 600*time.Second),
+				Fault: faultnet.Fault{Kind: faultnet.KindPartition}},
+		})
+		faults.SetTracer(&rec)
+
+		var (
+			period   = pick(120*time.Millisecond, 270*time.Second)
+			expiry   = pick(300*time.Millisecond, 300*time.Second)
+			feedback = pick(150*time.Millisecond, 0)
+		)
+		faults.Start()
+		r := startChaosRelay(t, nw, &rec, "part-relay", s.Addr(), pick(150*time.Millisecond, period), expiry, faults.On(nw).Dial)
+
+		ids := []string{"part-ue-1", "part-ue-2"}
+		var ues []*UEClient
+		for _, id := range ids {
+			ues = append(ues, startChaosUE(t, &rec, id, r.Addr(), s.Addr(), period, expiry, feedback, nw.Dial))
+		}
+
+		// Run through the partition window and past its heal.
+		time.Sleep(pick(1200*time.Millisecond, 600*time.Second))
+		if st := faults.Stats(); !reached(st.DroppedSends, 1) {
+			t.Fatalf("partition swallowed %d sends (stats %+v), want %s 1", st.DroppedSends, st, pick("≥", "exactly"))
+		}
+
+		healed := 815 * time.Second // past the flush of 810 s
+		allDelivered(t, &rec, 5*time.Second, healed, pick(1, 6))
+		assertNoDuplicateAcks(t, &rec)
+		for _, id := range ids {
+			await(t, 3*time.Second, healed, func() bool { return s.Online(id, time.Now()) },
+				id+" back online after partition heal")
+		}
+		assertFallbacks(t, &rec, pick(1, 2), "one for each heartbeat the partition swallowed")
+		// The batches the partition swallowed were never acknowledged: their
+		// routes lapse with their UEs' windows instead of staying forever.
+		for _, u := range ues {
+			u.Shutdown()
+		}
+		await(t, 3*time.Second, healed+270*time.Second, func() bool {
+			st := r.Stats()
+			return st.Routes == 0 && reached(st.RoutesExpired, pick(1, 2))
+		}, "the relay's feedback routes drain after the heal")
 	})
-	faults.SetTracer(&rec)
-
-	const (
-		period   = 120 * time.Millisecond
-		expiry   = 300 * time.Millisecond
-		feedback = 150 * time.Millisecond
-	)
-	r, err := NewRelayAgent(RelayAgentConfig{
-		ID: "part-relay", App: "std", Period: 150 * time.Millisecond,
-		Expiry: expiry, Pad: 54, Capacity: 64, Tracer: &rec,
-		Dial: faults.Dial,
-	})
-	if err != nil {
-		t.Fatalf("NewRelayAgent: %v", err)
-	}
-	faults.Start()
-	if err := r.Start("127.0.0.1:0", s.Addr()); err != nil {
-		t.Fatalf("relay Start: %v", err)
-	}
-	t.Cleanup(r.Shutdown)
-
-	ids := []string{"part-ue-1", "part-ue-2"}
-	var ues []*UEClient
-	for _, id := range ids {
-		ues = append(ues, startChaosUE(t, &rec, id, r.Addr(), s.Addr(), period, expiry, feedback, nil))
-	}
-
-	// Run through the partition window and past its heal.
-	time.Sleep(1200 * time.Millisecond)
-	if st := faults.Stats(); st.DroppedSends == 0 {
-		t.Fatalf("partition swallowed nothing (stats %+v); window never hit a flush", st)
-	}
-
-	assertEventuallyAllDelivered(t, &rec, 5*time.Second)
-	assertNoDuplicateAcks(t, &rec)
-	for _, id := range ids {
-		eventually(t, 3*time.Second, func() bool { return s.Online(id, time.Now()) },
-			id+" back online after partition heal")
-	}
-	if len(rec.ByKind(trace.KindFallback)) == 0 {
-		t.Error("partition dropped batches but no fallback fired")
-	}
-	// The batches the partition swallowed were never acknowledged: their
-	// routes lapse with their UEs' windows instead of staying forever.
-	for _, u := range ues {
-		u.Shutdown()
-	}
-	eventually(t, 3*time.Second, func() bool { st := r.Stats(); return st.Routes == 0 && st.RoutesExpired > 0 },
-		"the relay's feedback routes drain after the heal")
 }
 
 // TestChaosSlowLorisRelay throttles one UE's link to the relay down to a
 // trickle: that UE must recover over the fallback path while a healthy UE
 // on the same relay keeps relaying unaffected. Both run on one driver, so
-// the slow UE's step blocks for seconds inside the write the healthy UE's
-// steps must not wait behind, and its fallback comes from the driver's
-// sweep of a blocked unit.
+// the slow UE's step blocks inside the write the healthy UE's steps must
+// not wait behind, and its fallback comes from the driver's sweep of a
+// blocked unit. In the bubble the slow UE's first heartbeat falls back at
+// 305 s, its window's lapse, while its write trickles on to 316 s; the
+// healthy UE sends a grain after each period's start, as a helper runner
+// steps it beside the stuck one.
 func TestChaosSlowLorisRelay(t *testing.T) {
-	var rec trace.Recorder
-	s := NewServer()
-	s.SetTracer(&rec)
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("server Start: %v", err)
-	}
-	t.Cleanup(s.Shutdown)
+	timed(t, func(t *testing.T, nw network) {
+		var rec trace.Recorder
+		s := startChaosServer(t, nw, &rec, 0)
+		var (
+			period   = pick(150*time.Millisecond, 270*time.Second)
+			expiry   = pick(300*time.Millisecond, 300*time.Second)
+			feedback = pick(200*time.Millisecond, 0)
+		)
+		r := startChaosRelay(t, nw, &rec, "loris-relay", s.Addr(), period, expiry, nw.Dial)
 
-	const (
-		period   = 150 * time.Millisecond
-		expiry   = 300 * time.Millisecond
-		feedback = 200 * time.Millisecond
-	)
-	r, err := NewRelayAgent(RelayAgentConfig{
-		ID: "loris-relay", App: "std", Period: period,
-		Expiry: expiry, Pad: 54, Capacity: 64, Tracer: &rec,
-	})
-	if err != nil {
-		t.Fatalf("NewRelayAgent: %v", err)
-	}
-	if err := r.Start("127.0.0.1:0", s.Addr()); err != nil {
-		t.Fatalf("relay Start: %v", err)
-	}
-	t.Cleanup(r.Shutdown)
-
-	// ~60-byte frames at 40 B/s trickle out over ~1.5 s, far past the
-	// feedback timeout. Only the D2D link to the relay is throttled — the
-	// cellular direct path stays healthy, matching the paper's model of a
-	// degraded short-range link with an always-available fallback.
-	faults := faultnet.NewSchedule(7, []faultnet.Window{
-		{Fault: faultnet.Fault{Kind: faultnet.KindThrottle, Rate: 40}},
-	})
-	faults.SetTracer(&rec)
-	relayAddr := r.Addr()
-	d2dOnly := func(network, addr string) (net.Conn, error) {
-		if addr == relayAddr {
-			return faults.Dial(network, addr)
-		}
-		return net.Dial(network, addr)
-	}
-
-	slow := newChaosUE(t, &rec, "loris-slow", r.Addr(), s.Addr(), period, expiry, feedback, d2dOnly)
-	fast := newChaosUE(t, &rec, "loris-fast", r.Addr(), s.Addr(), period, expiry, feedback, nil)
-	drv := NewDriver()
-	t.Cleanup(func() {
-		slow.closeLinks() // the slow step returns from its write
-		drv.Stop()
-	})
-	// The slow UE comes first: it wins the tie at the shared first instant.
-	start := time.Now()
-	drv.Add(slow, slow.Begin(start))
-	drv.Add(fast, fast.Begin(start))
-
-	eventually(t, 4*time.Second, func() bool { return fast.Stats().FeedbackAcks >= 2 },
-		"healthy UE keeps relaying beside the slow-loris")
-	// The slow UE's register frame alone trickles out for a second; a
-	// healthy UE stepped behind it would have sent about one heartbeat in
-	// that time, not one a period.
-	if sent, want := fast.Stats().ViaRelay, uint32(time.Since(start)/period)/2; sent < want {
-		t.Errorf("healthy UE sent %d heartbeats via the relay in %v, want ≥ %d at a %v period",
-			sent, time.Since(start).Round(time.Millisecond), want, period)
-	}
-	eventually(t, 4*time.Second, func() bool {
-		st := slow.Stats()
-		return st.FallbackResends >= 1 || st.Direct >= 1
-	}, "slow-loris UE recovered via direct path")
-	// Its register and first heartbeat take seconds to trickle out; the
-	// fallback comes from the driver's sweep while the write is stuck.
-	first := func(kind trace.Kind) (atMs int64, ok bool) {
-		for _, ev := range rec.ByKind(kind) {
-			if ev.Device == "loris-slow" {
-				return ev.AtMs, true
+		// The UE's 40 B register and 41 B heartbeat each trickle out over
+		// ~0.9 s at 40 B/s, far past the feedback timeout; in the bubble at
+		// a quarter byte a second over 156 s and 160 s, so the heartbeat's
+		// write is stuck across its 305 s window. Only the D2D link to the
+		// relay is throttled — the cellular direct path stays healthy,
+		// matching the paper's model of a degraded short-range link with an
+		// always-available fallback.
+		faults := faultnet.NewSchedule(7, []faultnet.Window{
+			{Fault: faultnet.Fault{Kind: faultnet.KindThrottle, Rate: pick(40, 0.25)}},
+		})
+		faults.SetTracer(&rec)
+		relayAddr, throttled := r.Addr(), faults.On(nw)
+		d2dOnly := func(network, addr string) (net.Conn, error) {
+			if addr == relayAddr {
+				return throttled.Dial(network, addr)
 			}
+			return nw.Dial(network, addr)
 		}
-		return 0, false
-	}
-	fellBack, ok := first(trace.KindFallback)
-	if !ok {
-		t.Fatal("the slow-loris UE never fell back")
-	}
-	if relayed, ok := first(trace.KindD2DSend); ok && relayed <= fellBack {
-		t.Errorf("the slow-loris UE fell back %d ms after its first relay write returned, want while it was stuck", fellBack-relayed)
-	}
 
-	assertEventuallyAllDelivered(t, &rec, 6*time.Second)
-	assertNoDuplicateAcks(t, &rec)
-	eventually(t, 3*time.Second, func() bool {
-		return s.Online("loris-slow", time.Now()) && s.Online("loris-fast", time.Now())
-	}, "both UEs online despite the throttled link")
+		slow := newChaosUE(t, &rec, "loris-slow", r.Addr(), s.Addr(), period, expiry, feedback, d2dOnly)
+		fast := newChaosUE(t, &rec, "loris-fast", r.Addr(), s.Addr(), period, expiry, feedback, nw.Dial)
+		drv := NewDriver()
+		t.Cleanup(func() {
+			slow.closeLinks() // the slow step returns from its write
+			drv.Stop()
+		})
+		// The slow UE comes first: it wins the tie at the shared first instant.
+		start := time.Now()
+		drv.Add(slow, slow.Begin(start))
+		drv.Add(fast, fast.Begin(start))
+
+		checked := 545 * time.Second // past the relay's flush of 540 s
+		await(t, 4*time.Second, checked, func() bool { return reached(fast.Stats().FeedbackAcks, 2) },
+			"healthy UE keeps relaying beside the slow-loris")
+		// The slow UE's register frame alone trickles out for a second; a
+		// healthy UE stepped behind it would have sent about one heartbeat in
+		// that time, not one a period.
+		if sent, want := fast.Stats().ViaRelay, pick(uint32(time.Since(start)/period)/2, 3); !reached(sent, want) {
+			t.Errorf("healthy UE sent %d heartbeats via the relay in %v, want %s %d at a %v period",
+				sent, time.Since(start).Round(time.Millisecond), pick("≥", "exactly"), want, period)
+		}
+		await(t, 4*time.Second, checked, func() bool {
+			st := slow.Stats()
+			return reached(st.FallbackResends+st.Direct, 1)
+		}, "slow-loris UE recovered via direct path")
+		// Its register and first heartbeat take seconds to trickle out; the
+		// fallback comes from the driver's sweep while the write is stuck.
+		first := func(kind trace.Kind) (atMs int64, ok bool) {
+			for _, ev := range rec.ByKind(kind) {
+				if ev.Device == "loris-slow" {
+					return ev.AtMs, true
+				}
+			}
+			return 0, false
+		}
+		fellBack, ok := first(trace.KindFallback)
+		if !ok {
+			t.Fatal("the slow-loris UE never fell back")
+		}
+		if relayed, ok := first(trace.KindD2DSend); ok && relayed <= fellBack {
+			t.Errorf("the slow-loris UE fell back %d ms after its first relay write returned, want while it was stuck", fellBack-relayed)
+		}
+		if lapse := start.Add(slow.window(0)).UnixMilli(); bubble && fellBack != lapse {
+			t.Errorf("the slow-loris UE fell back %d ms after its window lapsed, want at the lapse", fellBack-lapse)
+		}
+
+		allDelivered(t, &rec, 6*time.Second, 850*time.Second, pick(1, 5))
+		assertNoDuplicateAcks(t, &rec)
+		await(t, 3*time.Second, 850*time.Second, func() bool {
+			return s.Online("loris-slow", time.Now()) && s.Online("loris-fast", time.Now())
+		}, "both UEs online despite the throttled link")
+	})
 }
 
 // TestChaosCorruptedFrames corrupts the relay's upstream frames: the server
 // must reject them as protocol errors without panicking, the relay must
 // reconnect, and every heartbeat must still land via relay retry or
-// fallback.
+// fallback. In the bubble the idle timeout is scaled by the relay period's
+// 1 800 (150 ms to 270 s), the storm runs 44 minutes, which ends off the
+// 270 s send grid, and with the seed fixed the same 5 frames are
+// corrupted in every run.
 func TestChaosCorruptedFrames(t *testing.T) {
-	var rec trace.Recorder
-	s := NewServer()
-	s.SetTracer(&rec)
-	// Corrupted length fields can stall a read mid-frame; the idle reaper
-	// turns that into a bounded drop instead of a wedged handler.
-	s.SetIdleTimeout(400 * time.Millisecond)
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("server Start: %v", err)
-	}
-	t.Cleanup(s.Shutdown)
+	timed(t, func(t *testing.T, nw network) {
+		var rec trace.Recorder
+		// Corrupted length fields can stall a read mid-frame; the idle reaper
+		// turns that into a bounded drop instead of a wedged handler.
+		s := startChaosServer(t, nw, &rec, pick(400*time.Millisecond, 12*time.Minute))
 
-	faults := faultnet.NewSchedule(11, []faultnet.Window{
-		{Fault: faultnet.Fault{Kind: faultnet.KindCorrupt, Prob: 0.4}},
+		faults := faultnet.NewSchedule(11, []faultnet.Window{
+			{Fault: faultnet.Fault{Kind: faultnet.KindCorrupt, Prob: 0.4}},
+		})
+		faults.SetTracer(&rec)
+
+		var (
+			period   = pick(120*time.Millisecond, 270*time.Second)
+			expiry   = pick(300*time.Millisecond, 300*time.Second)
+			feedback = pick(150*time.Millisecond, 0)
+		)
+		r := startChaosRelay(t, nw, &rec, "corrupt-relay", s.Addr(), pick(150*time.Millisecond, period), expiry, faults.On(nw).Dial)
+
+		ids := []string{"corrupt-ue-1", "corrupt-ue-2"}
+		for _, id := range ids {
+			startChaosUE(t, &rec, id, r.Addr(), s.Addr(), period, expiry, feedback, nw.Dial)
+		}
+
+		// Let corrupted batches hit the server for a while.
+		time.Sleep(pick(1500*time.Millisecond, 44*time.Minute))
+		if st, want := faults.Stats(), pick(1, 5); !reached(st.Corrupted, want) {
+			t.Fatalf("%d frames corrupted (stats %+v), want %s %d", st.Corrupted, st, pick("≥", "exactly"), want)
+		}
+
+		allDelivered(t, &rec, 6*time.Second, 44*time.Minute+310*time.Second, pick(1, 20))
+		assertNoDuplicateAcks(t, &rec)
+		// Each corrupted frame cost the relay its connection, none the server.
+		if st := s.Stats(); bubble && st.ProtocolErrors != 5 {
+			t.Errorf("%d protocol errors, want one per corrupted frame", st.ProtocolErrors)
+		}
+
+		// The server survived: it still answers a clean direct heartbeat.
+		conn, err := nw.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatalf("dial after corruption storm: %v", err)
+		}
+		defer conn.Close()
+		if err := hbprototest.WriteFrame(conn, &hbproto.Heartbeat{
+			Src: "prober", Seq: 1, App: "std", Origin: time.Now(), Expiry: time.Minute, Pad: 54,
+		}); err != nil {
+			t.Fatalf("probe write: %v", err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := hbprototest.ReadFrame(conn); err != nil {
+			t.Fatalf("server unresponsive after corrupted frames: %v", err)
+		}
 	})
-	faults.SetTracer(&rec)
-
-	const (
-		period   = 120 * time.Millisecond
-		expiry   = 300 * time.Millisecond
-		feedback = 150 * time.Millisecond
-	)
-	r, err := NewRelayAgent(RelayAgentConfig{
-		ID: "corrupt-relay", App: "std", Period: 150 * time.Millisecond,
-		Expiry: expiry, Pad: 54, Capacity: 64, Tracer: &rec,
-		Dial:          faults.Dial,
-		ReconnectBase: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("NewRelayAgent: %v", err)
-	}
-	if err := r.Start("127.0.0.1:0", s.Addr()); err != nil {
-		t.Fatalf("relay Start (register may be corrupted, retry): %v", err)
-	}
-	t.Cleanup(r.Shutdown)
-
-	ids := []string{"corrupt-ue-1", "corrupt-ue-2"}
-	for _, id := range ids {
-		startChaosUE(t, &rec, id, r.Addr(), s.Addr(), period, expiry, feedback, nil)
-	}
-
-	// Let corrupted batches hit the server for a while.
-	time.Sleep(1500 * time.Millisecond)
-	if st := faults.Stats(); st.Corrupted == 0 {
-		t.Fatalf("no frames corrupted (stats %+v)", st)
-	}
-
-	assertEventuallyAllDelivered(t, &rec, 6*time.Second)
-	assertNoDuplicateAcks(t, &rec)
-
-	// The server survived: it still answers a clean direct heartbeat.
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatalf("dial after corruption storm: %v", err)
-	}
-	defer conn.Close()
-	if err := hbprototest.WriteFrame(conn, &hbproto.Heartbeat{
-		Src: "prober", Seq: 1, App: "std", Origin: time.Now(), Expiry: time.Minute, Pad: 54,
-	}); err != nil {
-		t.Fatalf("probe write: %v", err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := hbprototest.ReadFrame(conn); err != nil {
-		t.Fatalf("server unresponsive after corrupted frames: %v", err)
-	}
 }
 
 // TestChaosSeededRandomChurn runs the stack under a Generate'd random fault
 // timeline (latency, corruption, resets, partitions) and checks the
 // zero-lost invariant still holds — the standing harness future robustness
 // PRs extend. The timeline is seeded: a failure reproduces byte-for-byte.
+// In the bubble the timeline and the idle timeout are scaled by the relay
+// period's 1 800, and the run lasts 53 minutes, off the send grid.
 func TestChaosSeededRandomChurn(t *testing.T) {
-	var rec trace.Recorder
-	s := NewServer()
-	s.SetTracer(&rec)
-	s.SetIdleTimeout(500 * time.Millisecond)
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("server Start: %v", err)
-	}
-	t.Cleanup(s.Shutdown)
+	timed(t, func(t *testing.T, nw network) {
+		var rec trace.Recorder
+		s := startChaosServer(t, nw, &rec, pick(500*time.Millisecond, 15*time.Minute))
 
-	windows := faultnet.Generate(1234, faultnet.GenConfig{
-		Horizon: 1500 * time.Millisecond,
-		Count:   5,
-		Kinds: []faultnet.Kind{
-			faultnet.KindLatency, faultnet.KindCorrupt, faultnet.KindReset,
-		},
-		MinDur: 100 * time.Millisecond,
-		MaxDur: 400 * time.Millisecond,
+		windows := faultnet.Generate(1234, faultnet.GenConfig{
+			Horizon: pick(1500*time.Millisecond, 45*time.Minute),
+			Count:   5,
+			Kinds: []faultnet.Kind{
+				faultnet.KindLatency, faultnet.KindCorrupt, faultnet.KindReset,
+			},
+			MinDur: pick(100*time.Millisecond, 3*time.Minute),
+			MaxDur: pick(400*time.Millisecond, 12*time.Minute),
+		})
+		faults := faultnet.NewSchedule(1234, windows)
+		faults.SetTracer(&rec)
+
+		var (
+			period   = pick(120*time.Millisecond, 270*time.Second)
+			expiry   = pick(300*time.Millisecond, 300*time.Second)
+			feedback = pick(150*time.Millisecond, 0)
+		)
+		faults.Start()
+		r := startChaosRelay(t, nw, &rec, "churn-relay", s.Addr(), pick(150*time.Millisecond, period), expiry, faults.On(nw).Dial)
+
+		ids := []string{"churn-ue-1", "churn-ue-2", "churn-ue-3"}
+		for _, id := range ids {
+			startChaosUE(t, &rec, id, r.Addr(), s.Addr(), period, expiry, feedback, nw.Dial)
+		}
+
+		// Ride out the whole fault timeline, then let the system settle.
+		time.Sleep(pick(1800*time.Millisecond, 53*time.Minute))
+
+		settled := 53*time.Minute + 310*time.Second
+		allDelivered(t, &rec, 6*time.Second, settled, pick(1, 36))
+		assertNoDuplicateAcks(t, &rec)
+		for _, id := range ids {
+			await(t, 3*time.Second, settled, func() bool { return s.Online(id, time.Now()) },
+				id+" online after churn")
+		}
+		// At this seed the bubble's flushes fall in the three latency
+		// windows only (7 by the instant checked): the relay has lost no
+		// batch, and no UE fell back.
+		if st := faults.Stats(); bubble && (st != faultnet.Stats{Delayed: 7} || len(rec.ByKind(trace.KindFallback)) != 0) {
+			t.Errorf("faults %+v and %d fallbacks, want 7 delayed flushes and none", st, len(rec.ByKind(trace.KindFallback)))
+		}
 	})
-	faults := faultnet.NewSchedule(1234, windows)
-	faults.SetTracer(&rec)
-
-	const (
-		period   = 120 * time.Millisecond
-		expiry   = 300 * time.Millisecond
-		feedback = 150 * time.Millisecond
-	)
-	r, err := NewRelayAgent(RelayAgentConfig{
-		ID: "churn-relay", App: "std", Period: 150 * time.Millisecond,
-		Expiry: expiry, Pad: 54, Capacity: 64, Tracer: &rec,
-		Dial:          faults.Dial,
-		ReconnectBase: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("NewRelayAgent: %v", err)
-	}
-	faults.Start()
-	if err := r.Start("127.0.0.1:0", s.Addr()); err != nil {
-		t.Fatalf("relay Start: %v", err)
-	}
-	t.Cleanup(r.Shutdown)
-
-	ids := []string{"churn-ue-1", "churn-ue-2", "churn-ue-3"}
-	for _, id := range ids {
-		startChaosUE(t, &rec, id, r.Addr(), s.Addr(), period, expiry, feedback, nil)
-	}
-
-	// Ride out the whole fault timeline, then let the system settle.
-	time.Sleep(1800 * time.Millisecond)
-
-	assertEventuallyAllDelivered(t, &rec, 6*time.Second)
-	assertNoDuplicateAcks(t, &rec)
-	for _, id := range ids {
-		eventually(t, 3*time.Second, func() bool { return s.Online(id, time.Now()) },
-			id+" online after churn")
-	}
 }
 
 // TestUEFallbackRelayDiesBetweenSendAndAck pins the exact Section IV-C gap:
@@ -545,73 +563,121 @@ func TestUEFallbackRelayDiesBetweenSendAndAck(t *testing.T) {
 	})
 }
 
-// TestRelayReconnectBackoffConfigurable covers the thundering-herd fix:
-// the base is taken from the config, the seeded jitter spreads backoffs
-// across [base/2, 3·base/2), and a relay whose server is gone for good
-// keeps backing off without holding up Shutdown.
-func TestRelayReconnectBackoffConfigurable(t *testing.T) {
-	s := NewServer()
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("server Start: %v", err)
-	}
-	r, err := NewRelayAgent(RelayAgentConfig{
-		ID: "backoff-relay", App: "std", Period: 50 * time.Millisecond,
-		Expiry: 200 * time.Millisecond, Pad: 54, Capacity: 8,
-		ReconnectBase: 30 * time.Millisecond, Seed: 99,
-	})
-	if err != nil {
-		t.Fatalf("NewRelayAgent: %v", err)
-	}
-	if err := r.Start("127.0.0.1:0", s.Addr()); err != nil {
-		t.Fatalf("relay Start: %v", err)
-	}
-	t.Cleanup(r.Shutdown)
-	eventually(t, 2*time.Second, func() bool { return r.Stats().ShardDials == 1 }, "relay dialed the server")
+// TestRelayReconnectBackoff covers the thundering-herd fix: a relay whose
+// server is gone for good keeps backing off without holding up Shutdown,
+// and its jitter, seeded from its ID, spreads backoffs across
+// [base/2, 3·base/2). The relay keeps a 50 ms period in the bubble too: it
+// redials only when it flushes, and a backoff, at most 7.5 s, shows only
+// between flushes closer together than that. There the server vanishes at
+// 975 ms, and every redial falls on the first flush past the backoff the
+// one before armed, doubling from 50 ms to its 5 s ceiling.
+func TestRelayReconnectBackoff(t *testing.T) {
+	timed(t, func(t *testing.T, nw network) {
+		s := startServer(t, nw)
+		const id, period = "backoff-relay", 50 * time.Millisecond
+		var (
+			mu    sync.Mutex
+			dials []time.Time // every upstream dial, refused ones too
+		)
+		r, err := NewRelayAgent(RelayAgentConfig{
+			ID: id, App: "std", Period: period, Expiry: 200 * time.Millisecond, Pad: 54, Capacity: 8,
+			Listen: nw.Listen,
+			Dial: func(network, addr string) (net.Conn, error) {
+				mu.Lock()
+				dials = append(dials, time.Now())
+				mu.Unlock()
+				return nw.Dial(network, addr)
+			},
+		})
+		if err != nil {
+			t.Fatalf("NewRelayAgent: %v", err)
+		}
+		if err := r.Start("127.0.0.1:0", s.Addr()); err != nil {
+			t.Fatalf("relay Start: %v", err)
+		}
+		t.Cleanup(r.Shutdown)
+		vanish := 975 * time.Millisecond // between the flushes of 950 ms and 1 s
+		await(t, 2*time.Second, vanish, func() bool { return reached(r.Stats().ShardDials, 1) }, "relay dialed the server")
 
-	s.Shutdown() // the server vanishes for good
-	eventually(t, 2*time.Second, func() bool { return r.Stats().DroppedNoShard > 0 },
-		"flushes after the loss are dropped, not queued")
+		s.Shutdown() // the server vanishes for good
+		await(t, 2*time.Second, vanish+period, func() bool { return r.Stats().DroppedNoShard > 0 },
+			"flushes after the loss are dropped, not queued")
 
-	// Shutdown must return promptly rather than waiting out a backoff.
-	done := make(chan struct{})
-	go func() {
-		r.Shutdown()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("relay shutdown hung while backing off")
-	}
+		if bubble {
+			// The break backs off from the last send over the connection;
+			// each refused dial from its own instant, on a base twice the
+			// last. An uplink with the relay's ID draws the same jitter.
+			time.Sleep(30 * time.Second)
+			ref := session.Uplink{Register: &hbproto.Register{ID: id}}
+			epoch := r.epoch
+			flushAt := func(at time.Time) time.Time { // the first flush at or after at
+				k := (at.Sub(epoch) + period - 1) / period
+				return epoch.Add(k * period)
+			}
+			want := []time.Time{epoch.Add(period)} // the first dial, at the first flush
+			until := epoch.Add(vanish.Truncate(period)).Add(ref.Jitter(50 * time.Millisecond))
+			for base := 100 * time.Millisecond; ; base = min(2*base, 5*time.Second) {
+				at := flushAt(until)
+				if at.After(time.Now()) {
+					break
+				}
+				want = append(want, at)
+				until = at.Add(ref.Jitter(base))
+			}
+			mu.Lock()
+			got := slices.Clone(dials)
+			mu.Unlock()
+			if !slices.Equal(got, want) {
+				t.Errorf("dials at %v, want %v", offsets(epoch, got), offsets(epoch, want))
+			}
+		}
 
-	// Seeded jitter is deterministic and stays inside ±50%.
-	a, errA := NewRelayAgent(RelayAgentConfig{
-		ID: "j", App: "a", Period: time.Second, Expiry: time.Second, Pad: 1,
-		Capacity: 1, Seed: 7,
+		// Shutdown must return promptly rather than waiting out a backoff.
+		done := make(chan struct{})
+		go func() {
+			r.Shutdown()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("relay shutdown hung while backing off")
+		}
 	})
-	b, errB := NewRelayAgent(RelayAgentConfig{
-		ID: "j", App: "a", Period: time.Second, Expiry: time.Second, Pad: 1,
-		Capacity: 1, Seed: 7,
-	})
-	if errA != nil || errB != nil {
-		t.Fatalf("NewRelayAgent: %v / %v", errA, errB)
+
+	// Jitter seeded from the ID is deterministic, stays inside ±50%, and
+	// differs between relays.
+	relay := func(id string) *RelayAgent {
+		r, err := NewRelayAgent(RelayAgentConfig{
+			ID: id, App: "a", Period: time.Second, Expiry: time.Second, Pad: 1, Capacity: 1,
+		})
+		if err != nil {
+			t.Fatalf("NewRelayAgent: %v", err)
+		}
+		return r
 	}
-	base := 100 * time.Millisecond
+	a, b, c := relay("j"), relay("j"), relay("k")
+	base, differs := 100*time.Millisecond, false
 	for i := 0; i < 32; i++ {
 		da, db := a.up.Jitter(base), b.up.Jitter(base)
 		if da != db {
-			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, da, db)
+			t.Fatalf("same ID diverged at draw %d: %v vs %v", i, da, db)
 		}
 		if da < base/2 || da >= base+base/2 {
 			t.Fatalf("Jitter(%v) = %v outside [50%%, 150%%)", base, da)
 		}
+		differs = differs || c.up.Jitter(base) != da
 	}
+	if !differs {
+		t.Fatal("relays with different IDs drew the same jitter")
+	}
+}
 
-	// Validation rejects a negative base.
-	if _, err := NewRelayAgent(RelayAgentConfig{
-		ID: "x", App: "a", Period: time.Second, Expiry: time.Second, Pad: 1,
-		Capacity: 1, ReconnectBase: -1,
-	}); err == nil {
-		t.Fatal("negative reconnect base accepted")
+// offsets renders instants as offsets from epoch.
+func offsets(epoch time.Time, ts []time.Time) []time.Duration {
+	out := make([]time.Duration, len(ts))
+	for i, t := range ts {
+		out[i] = t.Sub(epoch)
 	}
+	return out
 }

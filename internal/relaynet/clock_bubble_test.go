@@ -24,6 +24,9 @@ import (
 // synctest.Run refuses; the go:debug line above turns them off in this
 // test binary only.
 
+// bubble reports which clock the timing tests run on.
+const bubble = true
+
 // timed runs a timing test's body once, in a bubble of its own over a
 // network of its own; the body's cleanups run in the bubble too, before
 // it ends.

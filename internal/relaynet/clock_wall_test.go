@@ -14,6 +14,9 @@ import (
 // for outcomes within loose bounds. clock_bubble_test.go runs the same
 // bodies in a synctest bubble (GOEXPERIMENT=synctest, make bubble).
 
+// bubble reports which clock the timing tests run on.
+const bubble = false
+
 // timed runs a timing test's body on loopback and the wall clock.
 func timed(t *testing.T, body func(t *testing.T, nw network)) { body(t, loopback{}) }
 

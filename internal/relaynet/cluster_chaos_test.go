@@ -188,7 +188,7 @@ func TestClusterChaosDrainKillAndRollingRestart(t *testing.T) {
 	}, "restarted shard serves relayed heartbeats again")
 
 	// Invariants across all three reshards.
-	assertEventuallyAllDelivered(t, &rec, 5*time.Second)
+	allDelivered(t, &rec, 5*time.Second, 0, 1)
 	assertNoDuplicateAcks(t, &rec)
 	assertMonotonicAcks(t, &rec)
 
@@ -224,7 +224,7 @@ func TestRelayBackoffRedialFollowsEpoch(t *testing.T) {
 	relay, err := NewRelayAgent(RelayAgentConfig{
 		ID: "relay-rr", App: "im", Period: 60 * time.Millisecond,
 		Expiry: 400 * time.Millisecond, Capacity: 8,
-		ReconnectBase: 10 * time.Millisecond, Cluster: client,
+		Cluster: client,
 	})
 	if err != nil {
 		t.Fatalf("NewRelayAgent: %v", err)

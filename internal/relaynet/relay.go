@@ -43,21 +43,14 @@ type RelayAgentConfig struct {
 	// Listen overrides the UE-side listener construction; nil selects
 	// net.Listen. Fault-injection hook.
 	Listen func(network, addr string) (net.Listener, error)
-	// ReconnectBase is the initial per-shard redial backoff after a failed
-	// dial or a broken connection, doubled per failure up to 5 s, with
-	// ±50% seeded jitter so relay fleets losing the same shard do not
-	// stampede it in lockstep. Zero selects 50 ms.
-	ReconnectBase time.Duration
-	// Seed seeds the backoff jitter RNG; zero derives a seed from ID, so
-	// distinct relays jitter differently by default.
-	Seed int64
 	// Cluster is the presence view the relay forwards into: every flushed
 	// batch is partitioned by the current ring epoch and each sub-batch
 	// goes to its owning shard over a lazily dialed per-shard connection.
 	// Nil makes the serverAddr given to Start a one-node view. A shard that
 	// cannot be reached costs only its own sub-batch (the affected UEs
 	// recover through the feedback-timeout fallback); the relay never
-	// waits on a dead shard.
+	// waits on a dead shard, and redials it only after session.Uplink's
+	// backoff, jittered from a seed derived from ID.
 	Cluster *cluster.Client
 	// Telemetry registers the agent's runtime metrics (batch sizes,
 	// collect-to-flush latency, reconnect attempts, scheduler occupancy
@@ -74,9 +67,6 @@ func (c RelayAgentConfig) validate() error {
 	}
 	if c.Capacity <= 0 {
 		return fmt.Errorf("relaynet: capacity must be positive, got %d", c.Capacity)
-	}
-	if c.ReconnectBase < 0 {
-		return fmt.Errorf("relaynet: negative reconnect base %v", c.ReconnectBase)
 	}
 	return nil
 }
@@ -297,7 +287,7 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 	r := &RelayAgent{
 		cfg: cfg,
 		// The relay draws nothing from its kernel's RNG.
-		kernel: simtime.NewScheduler(cfg.Seed),
+		kernel: simtime.NewScheduler(0),
 		armed:  -1,
 		ues:    map[net.Conn]bool{},
 	}
@@ -310,8 +300,6 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 		Acks: func(string) func([]hbproto.Ref, time.Time) {
 			return func(refs []hbproto.Ref, at time.Time) { r.offer(input{at: at.Sub(r.epoch), kind: inAck}, refs) }
 		},
-		Backoff: cfg.ReconnectBase,
-		Seed:    cfg.Seed,
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		rl := telemetry.L("relay", cfg.ID)

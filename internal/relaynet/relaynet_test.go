@@ -12,6 +12,7 @@ import (
 
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/device"
+	"d2dhb/internal/faultnet"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/hbproto/hbprototest"
 	"d2dhb/internal/telemetry"
@@ -33,24 +34,23 @@ func eventually(t *testing.T, d time.Duration, cond func() bool, msg string) {
 
 // network is where a test's server, relays and UEs listen and dial: the
 // loopback interface, or a faultnet.Network inside a synctest bubble.
-type network interface {
-	Listen(network, addr string) (net.Listener, error)
-	Dial(network, addr string) (net.Conn, error)
-}
+type network = faultnet.Net
 
 // loopback is the host's own network.
-type loopback struct{}
+type loopback = faultnet.OS
 
-func (loopback) Listen(network, addr string) (net.Listener, error) { return net.Listen(network, addr) }
-func (loopback) Dial(network, addr string) (net.Conn, error)       { return net.Dial(network, addr) }
-
-func startServer(t *testing.T, nw network) *Server {
+// startServer starts a server on nw, shut down at cleanup; setup runs
+// before it starts.
+func startServer(t *testing.T, nw network, setup ...func(*Server)) *Server {
 	t.Helper()
 	ln, err := nw.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("server listen: %v", err)
 	}
 	s := NewServer()
+	for _, f := range setup {
+		f(s)
+	}
 	if err := s.StartListener(ln); err != nil {
 		t.Fatalf("server Start: %v", err)
 	}
@@ -890,28 +890,6 @@ func TestUEReconnectsWhenRelayAppearsLater(t *testing.T) {
 		await(t, 3*time.Second, period, func() bool { return reached(u.Stats().ViaRelay, 1) }, "UE switched to relay")
 		if got := u.Stats().RelayReconnects; !reached(got, 1) {
 			t.Fatalf("reconnects = %d, want %s 1", got, pick("≥", "exactly"))
-		}
-	})
-}
-
-// TestUEFailsOverToFallbackRelay: a UE whose relay is dead uses the next
-// relay it knows of, not the direct path — in the bubble from its first
-// heartbeat on.
-func TestUEFailsOverToFallbackRelay(t *testing.T) {
-	timed(t, func(t *testing.T, nw network) {
-		s := startServer(t, nw)
-		var (
-			period = pick(100*time.Millisecond, 270*time.Second)
-			expiry = pick(200*time.Millisecond, 300*time.Second)
-		)
-		// Only the fallback relay exists; the primary address is dead.
-		r := startRelay(t, nw, s.Addr(), period, expiry, 8)
-		cfg := ueConfig("ue-fo", "127.0.0.1:1", s.Addr(), period, expiry)
-		cfg.FallbackRelayAddrs = []string{r.Addr()}
-		u := startUE(t, nw, cfg)
-		await(t, 3*time.Second, 0, func() bool { return reached(u.Stats().ViaRelay, 1) }, "UE used fallback relay")
-		if got := u.Stats().Direct; got > pick[uint32](1, 0) {
-			t.Fatalf("direct sends = %d despite available fallback relay", got)
 		}
 	})
 }

@@ -38,9 +38,6 @@ type ServerStats struct {
 	ProtocolErrors int
 	// IdleDrops counts connections reaped by the idle read deadline.
 	IdleDrops int
-	// WriteDeadlineHits counts ack writes that hit the write deadline (the
-	// client stopped reading).
-	WriteDeadlineHits int
 	// Misrouted counts heartbeats delivered to this shard although the
 	// cluster ring assigns their source to another shard (stale routing
 	// epoch somewhere). Always zero outside cluster mode.
@@ -94,7 +91,6 @@ type Server struct {
 	accepted       atomic.Int64
 	protocolErrors atomic.Int64
 	idleDrops      atomic.Int64
-	writeTimeouts  atomic.Int64
 	misrouted      atomic.Int64
 
 	// Cluster mode (see cluster.go): selfID is this shard's ring identity,
@@ -109,9 +105,6 @@ type Server struct {
 	// idleTimeout > 0 arms a per-connection read deadline so half-dead
 	// clients are reaped instead of pinning handler goroutines forever.
 	idleTimeout time.Duration
-	// writeTimeout > 0 bounds ack writes so a client that stops reading
-	// cannot block its handler.
-	writeTimeout time.Duration
 
 	wg sync.WaitGroup
 }
@@ -138,7 +131,6 @@ type serverInstruments struct {
 	frames        *telemetry.Counter
 	dropsProtocol *telemetry.Counter
 	dropsIdle     *telemetry.Counter
-	writeTimeouts *telemetry.Counter
 	late          *telemetry.Counter
 	misrouted     *telemetry.Counter
 	batchSize     *telemetry.Histogram
@@ -166,7 +158,6 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry) {
 		frames:        reg.Counter("relaynet_server_frames_total"),
 		dropsProtocol: reg.Counter("relaynet_server_drops_total", telemetry.L("reason", "protocol")),
 		dropsIdle:     reg.Counter("relaynet_server_drops_total", telemetry.L("reason", "idle")),
-		writeTimeouts: reg.Counter("relaynet_server_write_deadline_hits_total"),
 		late:          reg.Counter("relaynet_server_late_heartbeats_total"),
 		misrouted:     reg.Counter("relaynet_server_misrouted_frames_total"),
 		batchSize:     reg.Histogram("relaynet_server_batch_size", "msgs", 8),
@@ -214,15 +205,6 @@ func (s *Server) SetIdleTimeout(d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.idleTimeout = d
-}
-
-// SetWriteTimeout bounds every ack write so a client that stops reading
-// cannot pin its handler goroutine. Zero (the default) disables the bound.
-// Call before Start.
-func (s *Server) SetWriteTimeout(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.writeTimeout = d
 }
 
 // Start listens on addr (use "127.0.0.1:0" for an ephemeral port) and
@@ -302,7 +284,6 @@ func (s *Server) Stats() ServerStats {
 	st.Connections = int(s.accepted.Load())
 	st.ProtocolErrors = int(s.protocolErrors.Load())
 	st.IdleDrops = int(s.idleDrops.Load())
-	st.WriteDeadlineHits = int(s.writeTimeouts.Load())
 	st.Misrouted = int(s.misrouted.Load())
 	return st
 }
@@ -391,9 +372,9 @@ func (a *ackAggregator) shouldFlush(buffered int, now time.Time) bool {
 	return buffered == 0 || len(a.refs) >= ackAggMaxRefs || now.Sub(a.firstAt) >= ackAggMaxAge
 }
 
-// flushAcks writes all pending acks as one frame under the write
-// deadline, counting deadline hits (clients that stopped reading).
-func (s *Server) flushAcks(conn net.Conn, wto time.Duration, agg *ackAggregator) error {
+// flushAcks writes all pending acks as one frame. The write has no
+// deadline: a client that stops reading blocks its handler.
+func (s *Server) flushAcks(conn net.Conn, agg *ackAggregator) error {
 	if len(agg.refs) == 0 {
 		return nil
 	}
@@ -403,15 +384,7 @@ func (s *Server) flushAcks(conn net.Conn, wto time.Duration, agg *ackAggregator)
 	if err != nil {
 		return err
 	}
-	if wto > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(wto))
-	}
 	if _, err = conn.Write(out); err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			s.writeTimeouts.Add(1)
-			s.ins.writeTimeouts.Inc()
-		}
 		return err
 	}
 	s.ins.ackFlushes.Inc()
@@ -508,7 +481,7 @@ func (s *Server) handleConn(conn net.Conn, cc *connCounters) {
 		s.mu.Unlock()
 	}()
 	s.mu.Lock()
-	idle, wto := s.idleTimeout, s.writeTimeout
+	idle := s.idleTimeout
 	s.mu.Unlock()
 	cs := s.newConnState(cc)
 	fr := hbproto.NewTableReader(conn, cs)
@@ -520,7 +493,7 @@ func (s *Server) handleConn(conn net.Conn, cc *connCounters) {
 		if err != nil {
 			// Best-effort: acks deferred behind a peer's final burst
 			// still go out before a clean disconnect.
-			_ = s.flushAcks(conn, wto, &cs.agg)
+			_ = s.flushAcks(conn, &cs.agg)
 			s.flushIDStats(cs)
 			s.noteReadError(conn, err)
 			return
@@ -535,7 +508,7 @@ func (s *Server) handleConn(conn net.Conn, cc *connCounters) {
 			return
 		}
 		if cs.agg.shouldFlush(fr.Buffered(), time.Now()) {
-			if err := s.flushAcks(conn, wto, &cs.agg); err != nil {
+			if err := s.flushAcks(conn, &cs.agg); err != nil {
 				return
 			}
 		}

@@ -52,10 +52,6 @@ type UEClientConfig struct {
 	Apps []UEApp
 	// RelayAddr is the relay's UE-side address. Empty means direct mode.
 	RelayAddr string
-	// FallbackRelayAddrs are additional relays tried in order when
-	// RelayAddr is unreachable — the real-stack analog of the simulator's
-	// nearest-relay matching with failover.
-	FallbackRelayAddrs []string
 	// ServerAddr is the presence server, used directly when no relay is
 	// configured or as the fallback path. Ignored when Cluster is set.
 	ServerAddr string
@@ -201,7 +197,7 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 	if len(cfg.Apps) > 1 || cfg.Tracer != nil {
 		u.x = &ueExtra{due: make([]int64, len(cfg.Apps)-1), tracer: cfg.Tracer}
 	}
-	if cfg.RelayAddr == "" && len(cfg.FallbackRelayAddrs) == 0 {
+	if cfg.RelayAddr == "" {
 		u.primary = session.Slot{Dial: cfg.Dial, Addr: cfg.ID, Resolve: u.owner, OnRefs: u.onAck}
 		return u, nil
 	}
@@ -214,27 +210,6 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 			Period: app.Period, Expiry: app.Expiry,
 		},
 		OnRefs: u.onFeedback,
-	}
-	if len(cfg.FallbackRelayAddrs) > 0 {
-		// Try each relay in order and keep the first that answers — the
-		// real-time analog of the simulator UE re-scanning for relays.
-		addrs := append([]string{cfg.RelayAddr}, cfg.FallbackRelayAddrs...)
-		if cfg.RelayAddr == "" {
-			addrs = addrs[1:]
-		}
-		dial := cfg.Dial
-		if dial == nil {
-			dial = net.Dial
-		}
-		u.primary.Addr = addrs[0]
-		u.primary.Dial = func(network, _ string) (conn net.Conn, err error) {
-			for _, addr := range addrs {
-				if conn, err = dial(network, addr); err == nil {
-					return conn, nil
-				}
-			}
-			return nil, err
-		}
 	}
 	return u, nil
 }

@@ -19,7 +19,7 @@ import (
 // in hbproto.MaxFrameSize (1 MiB).
 const MaxBatch = 4096
 
-// A node's redial backoff doubles per failure from the base up to
+// A node's redial backoff doubles per failure from defaultBackoff up to
 // maxBackoff: a ceiling, not an attempt budget, as the owner retries for
 // as long as it runs.
 const defaultBackoff, maxBackoff = 50 * time.Millisecond, 5 * time.Second
@@ -47,10 +47,6 @@ type Uplink struct {
 	// sources resolve through Sources, the sender's own table, if set.
 	Acks    func(node string) func(refs []hbproto.Ref, at time.Time)
 	Sources hbproto.SourceTable
-	// Backoff is a node's first redial backoff; zero selects 50 ms.
-	Backoff time.Duration
-	// Seed seeds the backoff jitter; zero derives one from Register.ID.
-	Seed int64
 
 	mu     sync.Mutex
 	nodes  map[string]*upNode
@@ -179,23 +175,19 @@ func (u *Uplink) node(id string) *upNode {
 
 // arm starts a node's backoff at instant at and doubles the next one.
 func (u *Uplink) arm(nd *upNode, at time.Time) {
-	b := cmp.Or(nd.wait, u.Backoff, defaultBackoff)
+	b := cmp.Or(nd.wait, defaultBackoff)
 	nd.until = at.Add(u.Jitter(b))
 	nd.wait = min(2*b, maxBackoff)
 }
 
-// Jitter spreads a backoff d across [d/2, 3d/2) with the seeded RNG, so
-// senders that lose the same shard do not redial it in doubling lockstep.
-// Only the sending goroutine may call it.
+// Jitter spreads a backoff d across [d/2, 3d/2) with an RNG seeded from
+// Register.ID, so senders that lose the same shard do not redial it in
+// doubling lockstep. Only the sending goroutine may call it.
 func (u *Uplink) Jitter(d time.Duration) time.Duration {
 	if u.rng == nil {
-		seed := u.Seed
-		if seed == 0 {
-			h := fnv.New64a()
-			_, _ = h.Write([]byte(u.Register.ID)) // never fails
-			seed = int64(h.Sum64())
-		}
-		u.rng = rand.New(rand.NewSource(seed))
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(u.Register.ID)) // never fails
+		u.rng = rand.New(rand.NewSource(int64(h.Sum64())))
 	}
 	return time.Duration(float64(d) * (0.5 + u.rng.Float64()))
 }

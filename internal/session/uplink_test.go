@@ -203,34 +203,33 @@ func TestUplinkPartitionMatchesGroupSorted(t *testing.T) {
 	}
 }
 
-// TestUplinkBackoff: the jitter is deterministic for a seed and spreads a
-// backoff across [d/2, 3d/2); failed dials double the backoff up to its
-// ceiling and the uplink does not dial a node inside it; a broken connection
-// arms the backoff from the last send over it; a dial clears it.
+// TestUplinkBackoff: the jitter is deterministic for a sender's ID and
+// spreads a backoff across [d/2, 3d/2); failed dials double the backoff up
+// to its ceiling and the uplink does not dial a node inside it; a broken
+// connection arms the backoff from the last send over it; a dial clears it.
 func TestUplinkBackoff(t *testing.T) {
 	reg := &hbproto.Register{ID: "agg"}
-	a, b := &Uplink{Register: reg, Seed: 7}, &Uplink{Register: reg, Seed: 7}
+	a, b := &Uplink{Register: reg}, &Uplink{Register: reg}
 	for i := 0; i < 64; i++ {
 		da, db := a.Jitter(time.Second), b.Jitter(time.Second)
 		if da != db {
-			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, da, db)
+			t.Fatalf("same ID diverged at draw %d: %v vs %v", i, da, db)
 		}
 		if da < time.Second/2 || da >= 3*time.Second/2 {
 			t.Fatalf("Jitter(1s) = %v outside [0.5s, 1.5s)", da)
 		}
 	}
 	if c := (&Uplink{Register: reg}); c.Jitter(time.Second) == (&Uplink{Register: &hbproto.Register{ID: "other"}}).Jitter(time.Second) {
-		t.Fatal("a zero seed does not derive from the sender's ID")
+		t.Fatal("the jitter does not derive from the sender's ID")
 	}
 
 	sn := newShardNet()
 	sn.refuse = true
 	u := testUplink(t, nodeClient(t, 1), sn)
-	u.Backoff = 100 * time.Millisecond
 	keys := []string{"ue-1"}
 	owner := func(*cluster.View, int) int { return 0 }
 	send := func(at time.Time) Part { return u.Send(at, 1, owner, wireOf(keys))[0] }
-	now, base := time.Unix(100, 0), u.Backoff
+	now, base := time.Unix(100, 0), defaultBackoff
 	for k := 0; k < 10; k++ {
 		p := send(now)
 		if p.Dial != -1 || p.Err == nil || sn.dials != k+1 {
