@@ -14,10 +14,9 @@ import (
 )
 
 // Timer is one client's expiration-timer state. The zero value is a client
-// never heard from. A Tracker keeps one per client ID; an owner that has
-// its own per-client record (the live server) embeds one in it instead, so
-// a delivery it has already resolved to a record needs no second lookup.
-// A Timer is not synchronized.
+// never heard from. A Tracker keeps one per client ID; the tile kernel keeps
+// one per device by population order instead, so a delivery it has already
+// resolved to a device needs no map lookup. A Timer is not synchronized.
 type Timer struct {
 	firstSeen time.Duration // first delivery (tracking anchor)
 	lastEvent time.Duration // last delivery processed

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"d2dhb/internal/hbproto"
 )
@@ -72,11 +73,17 @@ func TestDirectUEFootprint(t *testing.T) {
 // live_trunked's scale: the client's presence row, its ID and index slot,
 // and whatever the connection keeps per source it has decoded. The
 // connection stays open while the heap is read, so what it holds counts.
+// It reads ~102 B (Go 1.24, amd64) with a 40 B row; an 80 B row crosses
+// the ceiling. The row's size is pinned apart, so a per-client field added
+// to it fails here whatever the heap reads.
 func TestServerSourceFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(row{}); size > 40 {
+		t.Errorf("a presence row is %d B, ceiling 40", size)
+	}
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations are not the server's footprint")
 	}
-	const sources, perBatch, ceiling = 100_000, 4096, 184 // bytes per source
+	const sources, perBatch, ceiling = 100_000, 4096, 120 // bytes per source
 	s := startServer(t, loopback{})
 	live := func() uint64 {
 		var ms runtime.MemStats

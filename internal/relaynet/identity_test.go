@@ -118,8 +118,8 @@ func TestRegisterUpdatesRecordInPlace(t *testing.T) {
 		if got := exported(t, s, "ue-1").MaxSeq; got != 3 {
 			t.Fatalf("MaxSeq = %d after heartbeats 1 (a), 2 (b), 3 (a) around b's Register, want 3", got)
 		}
-		if avail, _ := s.Availability("ue-1"); avail <= 0 {
-			t.Fatalf("availability = %v: the timer lost its deliveries", avail)
+		if !s.Online("ue-1", time.Now()) {
+			t.Fatal("ue-1 is offline: the row lost its deliveries")
 		}
 		if n := s.OnlineCount(time.Now()); n != 1 {
 			t.Fatalf("OnlineCount = %d, want 1", n)
@@ -289,7 +289,7 @@ func TestServerIdentityStats(t *testing.T) {
 // and touch links each row after the one before it, so a reader decoding
 // the same order next resolves it by the guess alone.
 func TestHandleZeroFallsBackToTheID(t *testing.T) {
-	s := statsServer()
+	s := NewServer()
 	cs := s.newConnState(&s.stripes[0])
 	now := time.Now()
 	for seq := uint64(1); seq <= 3; seq++ {
@@ -349,7 +349,7 @@ func TestRoutingVerdictFollowsTheView(t *testing.T) {
 		}
 	}
 
-	s := statsServer()
+	s := NewServer()
 	s.SetCluster("shard-a", cc)
 	cs := &connState{cc: &s.stripes[0]}
 	beat := func(seq uint64) {
@@ -460,7 +460,7 @@ func TestFeedbackRoutesAcksDecodedFromTheWire(t *testing.T) {
 // the table.
 func TestSharedRecordsUnderHandoff(t *testing.T) {
 	const conns, clients, rounds = 4, 40, 200
-	s := statsServer()
+	s := NewServer()
 	ids := make([]string, clients)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("shared-%02d", i)

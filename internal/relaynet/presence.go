@@ -7,22 +7,21 @@ import (
 
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/idindex"
-	presencepkg "d2dhb/internal/presence"
 )
 
 // row is everything the server keeps about one client ID: the presence
-// row (maxSeq is the delivered sequence high-water mark; the row travels
-// in a cluster handoff so the receiving shard knows what the client has
-// already proven delivered), the availability timer, and the routing
-// verdict under the last cluster view it was checked against. A row holds
-// no pointer, so a stripe's rows are one slice the collector never scans,
-// and a client's first sight is an append instead of a heap record.
+// row — the expiration timer each heartbeat resets, and maxSeq, the
+// delivered sequence high-water mark (the row travels in a cluster handoff
+// so the receiving shard knows what the client has already proven
+// delivered) — and the routing verdict under the last cluster view it was
+// checked against. A row holds no pointer, so a stripe's rows are one
+// slice the collector never scans, and a client's first sight is an append
+// instead of a heap record.
 type row struct {
 	// Times are UnixNano, the unit ExportPresence ships. unset marks a
 	// time never written, below any instant an import can carry.
 	lastSeen, deadline int64
 	maxSeq             uint64
-	timer              presencepkg.Timer
 	// routed is the view epoch + 1 the misrouted verdict was computed
 	// under (0: never): whether that ring assigns the client to another
 	// shard. A client's next heartbeat under a newer view recomputes it.
@@ -57,8 +56,8 @@ const (
 // presenceShard is one stripe of the presence table: a column of rows, the
 // key (client ID and successor link) of each, and an index over the IDs. A
 // client's state lives entirely in the stripe its ID hashes to, so
-// per-client ordering invariants (timer deliveries) are preserved under the
-// stripe lock alone.
+// per-client ordering invariants (the timer's high-water marks) are
+// preserved under the stripe lock alone.
 // Rows a handoff frees are reused before the column grows, and a row's
 // position never changes while it holds its client.
 type presenceShard struct {

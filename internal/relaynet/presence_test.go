@@ -149,7 +149,7 @@ func TestPresenceRowsMatchMap(t *testing.T) {
 	const conns, population, steps = 3, 24, 1500
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		s, ref := statsServer(), mapPresence{}
+		s, ref := NewServer(), mapPresence{}
 		states := make([]*tableConn, conns)
 		decoded := make([]*hbproto.Heartbeat, conns) // each connection's heartbeat decoded, not yet touched
 		for c := range states {
@@ -214,7 +214,7 @@ func TestPresenceRowsMatchMap(t *testing.T) {
 // moving rows from client to client; CI runs it under -race.
 func TestHandoffRetake(t *testing.T) {
 	t.Run("one heartbeat", func(t *testing.T) {
-		s := statsServer()
+		s := NewServer()
 		c := newTableConn(s, 0)
 		beat := func(seq uint64) *hbproto.Heartbeat {
 			return &hbproto.Heartbeat{Src: "ue-a", Seq: seq, App: "std", Origin: time.Now(), Expiry: time.Minute}
@@ -258,7 +258,7 @@ func TestHandoffRetake(t *testing.T) {
 		// that client's high-water mark out of its own range.
 		const conns, clients, rounds = 4, 32, 150
 		base := func(c, i int) uint64 { return uint64(c*clients+i) << 20 }
-		s := statsServer()
+		s := NewServer()
 		ids := make([][]string, conns)
 		var all []string
 		for c := range ids {
@@ -331,7 +331,7 @@ func TestHandoffRetake(t *testing.T) {
 // reuses the rows the last one freed instead of growing the columns.
 func TestHandoffReusesRows(t *testing.T) {
 	const population = 500
-	s := statsServer()
+	s := NewServer()
 	now := time.Now()
 	cs := &connState{cc: &s.stripes[0]}
 	ids := make([]string, population)
@@ -363,7 +363,7 @@ func TestHandoffReusesRows(t *testing.T) {
 // connections can touch one client out of order, and a handoff must ship
 // the later instant.
 func TestTouchKeepsLastSeen(t *testing.T) {
-	s := statsServer()
+	s := NewServer()
 	cs := &connState{cc: &s.stripes[0]}
 	t2 := time.Unix(1_700_000_000, 0)
 	t1 := t2.Add(-time.Second)
@@ -397,7 +397,7 @@ func TestTouchCachedZeroAllocs(t *testing.T) {
 		t.Skip("the race runtime allocates")
 	}
 	const population = 1000
-	s := statsServer()
+	s := NewServer()
 	now := time.Now()
 	batch := &hbproto.Batch{Relay: "trunk-1"}
 	for i := 0; i < population; i++ {

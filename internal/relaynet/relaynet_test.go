@@ -894,29 +894,6 @@ func TestUEReconnectsWhenRelayAppearsLater(t *testing.T) {
 	})
 }
 
-func TestServerAvailabilityTracking(t *testing.T) {
-	s := startServer(t, loopback{})
-	u, err := NewUEClient(ueConfig("ue-av", "", s.Addr(), 60*time.Millisecond, 150*time.Millisecond))
-	if err != nil {
-		t.Fatalf("NewUEClient: %v", err)
-	}
-	if err := u.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(u.Shutdown)
-	eventually(t, 2*time.Second, func() bool { return s.Stats().HeartbeatsDirect >= 4 }, "heartbeats flowing")
-	avail, flaps := s.Availability("ue-av")
-	if avail <= 0.5 || avail > 1.000001 {
-		t.Fatalf("availability = %v, want near 1", avail)
-	}
-	if flaps != 0 {
-		t.Fatalf("flaps = %d, want 0 with continuous heartbeats", flaps)
-	}
-	if a, _ := s.Availability("ghost"); a != 0 {
-		t.Fatalf("ghost availability = %v, want 0", a)
-	}
-}
-
 // TestUEMultiAppHeartbeats is the Message Monitor analog: two registered
 // apps on one device, both relayed and acknowledged over the shared link.
 // In the bubble they are WeChat-like (270 s) and WhatsApp-like (240 s): by

@@ -72,15 +72,15 @@ type connCounters struct {
 }
 
 // Server is the IM presence server: it tracks per-client expiration timers
-// that heartbeats reset (Section II-A). Presence state is striped across
-// presenceShardCount lock shards keyed by client ID, so handlers for
-// different clients proceed in parallel.
+// that heartbeats reset (Section II-A), and no availability or flap
+// accounting, which is the simulator's (presence.Tracker). Presence state
+// is striped across presenceShardCount lock shards keyed by client ID, so
+// handlers for different clients proceed in parallel.
 type Server struct {
 	mu      sync.Mutex // lifecycle + connection registry
 	ln      net.Listener
 	conns   map[net.Conn]struct{}
 	tracer  trace.Tracer
-	start   time.Time
 	started bool
 	closed  bool
 
@@ -232,7 +232,6 @@ func (s *Server) StartListener(ln net.Listener) error {
 	}
 	s.ln = ln
 	s.started = true
-	s.start = time.Now()
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return nil
@@ -620,15 +619,13 @@ func (s *Server) touch(cs *connState, hb *hbproto.Heartbeat, now time.Time, rela
 	if r.app == 0 {
 		r.app = sh.app(hb.App)
 	}
+	// Handlers stamp now before taking the lock, so two connections can
+	// deliver for one client a hair out of order; the row keeps the later
+	// instant.
 	at := now.UnixNano()
 	r.lastSeen = max(r.lastSeen, at)
 	r.deadline = max(r.deadline, at+int64(hb.Expiry))
 	r.maxSeq = max(r.maxSeq, hb.Seq)
-	// Handlers stamp now before taking the lock, so two connections can
-	// deliver for one client a hair out of order; the row keeps the later
-	// instant, the timer refuses the older one and presence is none the
-	// worse.
-	_ = r.timer.Deliver(now.Sub(s.start), hb.Expiry)
 	misrouted := s.misroutedLocked(r, hb.Src)
 	sh.mu.Unlock()
 	// Source links a row after the previous one when the reader knew both.
@@ -665,17 +662,4 @@ func (s *Server) traceDelivery(hb *hbproto.Heartbeat, now time.Time, relayed, on
 		AtMs: now.UnixMilli(), Device: hb.Src, Kind: trace.KindDelivery,
 		App: hb.App, Seq: hb.Seq, Peer: via, OnTime: onTime,
 	})
-}
-
-// Availability returns the fraction of time the client was online between
-// its first heartbeat and now, and how many times it flapped offline.
-func (s *Server) Availability(id string) (availability float64, flaps int) {
-	horizon := time.Since(s.start)
-	sh, r := s.lockFound(id)
-	defer sh.mu.Unlock()
-	if r == nil {
-		return 0, 0
-	}
-	_, flaps, _ = r.timer.Stats(horizon)
-	return r.timer.Availability(horizon), flaps
 }

@@ -9,21 +9,13 @@ import (
 	"d2dhb/internal/hbproto"
 )
 
-// statsServer builds an unstarted server whose internals can be driven
-// directly: touch and the stats stripes need no listener.
-func statsServer() *Server {
-	s := NewServer()
-	s.start = time.Now()
-	return s
-}
-
 // TestServerCountersConcurrent hammers touch from goroutines bound to
 // different stats stripes — with client IDs spanning every presence shard —
-// while Stats, OnlineCount and Availability poll concurrently. Run under
+// while Stats, OnlineCount and Online poll concurrently. Run under
 // -race this pins the lock-free counter design: no lost increments, and
 // totals that only grow.
 func TestServerCountersConcurrent(t *testing.T) {
-	s := statsServer()
+	s := NewServer()
 	const (
 		workers   = 16
 		perWorker = 2000
@@ -63,7 +55,7 @@ func TestServerCountersConcurrent(t *testing.T) {
 			default:
 			}
 			_ = s.OnlineCount(time.Now())
-			_, _ = s.Availability("worker-0-client-0")
+			_ = s.Online("worker-0-client-0", time.Now())
 		}
 	}()
 
@@ -110,7 +102,7 @@ func TestServerCountersConcurrent(t *testing.T) {
 // TestServerLateCounting pins the late path: a heartbeat past its own
 // deadline still resets presence but counts late.
 func TestServerLateCounting(t *testing.T) {
-	s := statsServer()
+	s := NewServer()
 	now := time.Now()
 	hb := &hbproto.Heartbeat{
 		Src: "late-ue", Seq: 1, App: "test",
@@ -130,7 +122,7 @@ func TestServerLateCounting(t *testing.T) {
 // benchmarks measure realistic sweep costs, not empty-map walks.
 func populateServer(b *testing.B, clients int) *Server {
 	b.Helper()
-	s := statsServer()
+	s := NewServer()
 	now := time.Now()
 	for i := 0; i < clients; i++ {
 		hb := &hbproto.Heartbeat{
@@ -171,7 +163,7 @@ func BenchmarkServerOnlineCount(b *testing.B) {
 }
 
 func BenchmarkServerTouch(b *testing.B) {
-	s := statsServer()
+	s := NewServer()
 	now := time.Now()
 	hb := &hbproto.Heartbeat{
 		Src: "bench-ue", Seq: 1, App: "bench", Origin: now, Expiry: time.Hour,

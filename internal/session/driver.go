@@ -35,7 +35,8 @@ type Unit interface {
 // steps that block (a long stall, or many short ones) and fall back to
 // one. And once a unit has been inside its Step for a grain, the monitor
 // sweeps it each time its earliest ack window lapses, in the blocked
-// step's place.
+// step's place, and looks at it each grain while nothing is in flight, so
+// a window the step opens is swept at its lapse too.
 //
 // Step is never called on one unit from two runners at once; Sweep may run
 // beside it. Instants are kept in Unix nanoseconds, on the wall clock the
@@ -271,7 +272,8 @@ func (d *Driver) arm(at int64) {
 // monitor is the driver's timer: it starts a helper runner when due work
 // waits a grain behind steps under way, sweeps the blocked units whose
 // earliest ack window has lapsed, and re-arms itself for as long as a
-// step is under way.
+// step is under way: for a blocked unit, at its next lapse, or a grain on
+// while it has nothing in flight.
 func (d *Driver) monitor() {
 	t := time.Now()
 	now := t.UnixNano()
@@ -296,18 +298,19 @@ func (d *Driver) monitor() {
 	}
 	d.mu.Unlock()
 
-	var lapse int64 // the next lapse of a blocked unit; 0 for none
+	var lapse int64 // when a blocked unit is next looked at; 0 for none
 	for _, u := range blocked {
 		at, ok := u.Lapse()
 		if ok && !at.After(t) {
 			u.Sweep(t)
 			at, ok = u.Lapse()
 		}
+		next := now + int64(d.grain)
 		if ok {
-			next := max(at.UnixNano(), now+int64(d.grain)/4)
-			if lapse == 0 || next < lapse {
-				lapse = next
-			}
+			next = max(at.UnixNano(), now+int64(d.grain)/4)
+		}
+		if lapse == 0 || next < lapse {
+			lapse = next
 		}
 	}
 

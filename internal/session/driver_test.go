@@ -128,49 +128,68 @@ func TestDriverHelpsWhenBehind(t *testing.T) {
 
 // TestDriverSweepsBlockedUnit: a unit blocked inside its own step is swept
 // once its earliest ack window lapses, in its step's place: on the wall
-// clock within three grains of it, in the bubble at the lapse itself, the
-// paper's 300 s expiry plus 5 s after the send.
+// clock within three grains of it, in the bubble at the lapse itself. The
+// window is open as the step begins (in the bubble the paper's 300 s expiry
+// plus 5 s after the send), or the step opens it once it has blocked for
+// two grains (in the bubble a heartbeat tracked 156 s into a slow register
+// write, its window lapsing at 200 s).
 func TestDriverSweepsBlockedUnit(t *testing.T) {
-	timed(t, func(t *testing.T) {
-		grain := pick(20*time.Millisecond, 10*time.Millisecond)
-		d := NewDriver(grain)
-		release := make(chan struct{})
-		swept := make(chan time.Time, 1)
-		start := time.Now()
-		lapse := start.Add(pick(5*grain, 305*time.Second))
-		var mu sync.Mutex
-		inFlight := true
-		d.Add(&testUnit{
-			step: func(now time.Time) (time.Time, bool) {
-				<-release
-				return now.Add(time.Hour), true
-			},
-			sweep: func(now time.Time) {
-				mu.Lock()
-				inFlight = false
-				mu.Unlock()
-				swept <- now
-			},
-			lapse: func() (time.Time, bool) {
-				mu.Lock()
-				defer mu.Unlock()
-				return lapse, inFlight
-			},
-		}, start)
-		defer d.Stop()
-		defer close(release)
-		select {
-		case at := <-swept:
-			if at.Before(lapse) {
-				t.Errorf("swept %v before the window lapsed", lapse.Sub(at))
-			}
-			if late, want := at.Sub(lapse), pick(3*grain, 0); late > want {
-				t.Errorf("swept %v after the window lapsed, want ≤ %v", late, want)
-			}
-		case <-time.After(pick(50*grain, time.Hour)):
-			t.Fatal("a unit blocked in its step was never swept")
-		}
-	})
+	grain := pick(20*time.Millisecond, 10*time.Millisecond)
+	for _, c := range []struct {
+		name           string
+		tracked, lapse time.Duration // after the step begins
+	}{
+		{"in flight as the step begins", 0, pick(5*grain, 305*time.Second)},
+		{"tracked inside the step", pick(2*grain, 156*time.Second), pick(5*grain, 200*time.Second)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			timed(t, func(t *testing.T) {
+				d := NewDriver(grain)
+				release := make(chan struct{})
+				swept := make(chan time.Time, 1)
+				start := time.Now()
+				lapse := start.Add(c.lapse)
+				var mu sync.Mutex
+				inFlight := c.tracked == 0
+				d.Add(&testUnit{
+					step: func(now time.Time) (time.Time, bool) {
+						if c.tracked > 0 {
+							time.Sleep(time.Until(start.Add(c.tracked)))
+							mu.Lock()
+							inFlight = true
+							mu.Unlock()
+						}
+						<-release
+						return now.Add(time.Hour), true
+					},
+					sweep: func(now time.Time) {
+						mu.Lock()
+						inFlight = false
+						mu.Unlock()
+						swept <- now
+					},
+					lapse: func() (time.Time, bool) {
+						mu.Lock()
+						defer mu.Unlock()
+						return lapse, inFlight
+					},
+				}, start)
+				defer d.Stop()
+				defer close(release)
+				select {
+				case at := <-swept:
+					if at.Before(lapse) {
+						t.Errorf("swept %v before the window lapsed", lapse.Sub(at))
+					}
+					if late, want := at.Sub(lapse), pick(3*grain, 0); late > want {
+						t.Errorf("swept %v after the window lapsed, want ≤ %v", late, want)
+					}
+				case <-time.After(pick(50*grain, time.Hour)):
+					t.Fatal("a unit blocked in its step was never swept")
+				}
+			})
+		})
+	}
 }
 
 // TestDriverWaitsForRetiredUnits: Wait returns once every unit has
