@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -394,51 +395,71 @@ func TestFleetBuildFootprint(t *testing.T) {
 
 // TestFleetRunFootprint pins what a running socket-per-UE fleet costs in
 // goroutines: a connected direct UE is its slot's reader plus the
-// in-process server's handler for its connection, and nothing else — every
-// UE's sends run on the run's one driver, with no goroutine, loop timer or
+// in-process server's handler for its connection, a relayed one its slot's
+// reader plus its relay's reader for it, and nothing else — every UE's
+// sends run on the run's one driver, with no goroutine, loop timer or
 // watchdog of its own. It logs the goroutine stack the running fleet holds
-// per UE, and checks that a UE is still one 320-byte allocation.
+// per UE and the stack new goroutines start with, and checks that a UE is
+// still one 320-byte allocation.
 func TestFleetRunFootprint(t *testing.T) {
 	const (
 		ues   = 300
-		slack = 40 // the driver, reports, the server's listener, the runtime's own
+		slack = 40 // the driver, reports, the server's listener, the relays', the runtime's own
 	)
 	if size := unsafe.Sizeof(*(*relaynet.UEClient)(nil)); size > 320 {
 		t.Errorf("a UEClient is %d B, past the 320-byte size class", size)
 	}
-	var before runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	base := runtime.NumGoroutine()
-	var most int
-	var stack uint64
-	r, err := New(Config{
-		UEs:         ues,
-		Profiles:    []hbmsg.AppProfile{fastProfile(100 * time.Millisecond)},
-		Duration:    1200 * time.Millisecond,
-		ReportEvery: 300 * time.Millisecond,
-		OnReport: func(Report) {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			most, stack = max(most, runtime.NumGoroutine()), max(stack, ms.StackInuse)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Acked == 0 || rep.Acked != rep.Sent {
-		t.Fatalf("sent %d, acked %d: the fleet did not run clean", rep.Sent, rep.Acked)
-	}
-	extra := most - base
-	t.Logf("%d UEs running: %d goroutines beyond the %d before (%.2f per UE), %.0f B of goroutine stack per UE",
-		ues, extra, base, float64(extra)/ues, float64(stack-before.StackInuse)/ues)
-	if extra > 2*ues+slack {
-		t.Errorf("a running fleet of %d UEs holds %d goroutines, want ≤ %d: 2 per UE plus %d",
-			ues, extra, 2*ues+slack, slack)
+	for _, c := range []struct {
+		name   string
+		relays int
+		ratio  float64
+	}{{"direct", 0, 0}, {"relayed", 2, 0.9}} {
+		t.Run(c.name, func(t *testing.T) {
+			var before runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			base := runtime.NumGoroutine()
+			var most int
+			var stack uint64
+			start := []metrics.Sample{{Name: "/gc/stack/starting-size:bytes"}}
+			r, err := New(Config{
+				UEs:         ues,
+				Relays:      c.relays,
+				RelayRatio:  c.ratio,
+				Profiles:    []hbmsg.AppProfile{fastProfile(100 * time.Millisecond)},
+				Duration:    1200 * time.Millisecond,
+				ReportEvery: 300 * time.Millisecond,
+				OnReport: func(Report) {
+					var ms runtime.MemStats
+					runtime.ReadMemStats(&ms)
+					most, stack = max(most, runtime.NumGoroutine()), max(stack, ms.StackInuse)
+					// A steady fleet allocates too little for a GC of its
+					// own, and only a GC sets the starting size.
+					runtime.GC()
+					metrics.Read(start)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := r.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Acked == 0 || rep.Acked != rep.Sent {
+				t.Fatalf("sent %d, acked %d: the fleet did not run clean", rep.Sent, rep.Acked)
+			}
+			extra := most - base
+			t.Logf("%d UEs running: %d goroutines beyond the %d before (%.2f per UE), %.0f B of goroutine stack per UE",
+				ues, extra, base, float64(extra)/ues, float64(stack-before.StackInuse)/ues)
+			if start[0].Value.Kind() == metrics.KindUint64 {
+				t.Logf("a GC mid-run starts new goroutines with %d B of stack", start[0].Value.Uint64())
+			}
+			if extra > 2*ues+slack {
+				t.Errorf("a running fleet of %d UEs holds %d goroutines, want ≤ %d: 2 per UE plus %d",
+					ues, extra, 2*ues+slack, slack)
+			}
+		})
 	}
 }
 

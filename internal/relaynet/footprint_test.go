@@ -5,13 +5,32 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
 	"d2dhb/internal/hbproto"
+	"d2dhb/internal/hbproto/hbprototest"
 )
+
+// startingStack is the stack the runtime gives a new goroutine: from the
+// average depth the last GC scanned, plus a 928 B guard, rounded up to a
+// power of two. It skips the test where the runtime does not report it.
+func startingStack(t *testing.T) uint64 {
+	t.Helper()
+	s := []metrics.Sample{{Name: "/gc/stack/starting-size:bytes"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() == metrics.KindBad {
+		t.Skip("the runtime does not report the starting goroutine stack size")
+	}
+	return s[0].Value.Uint64()
+}
+
+// stackBudget is the starting stack a process of parked connection readers
+// keeps: Go's smallest, so long as the readers park within 1 120 B.
+const stackBudget = 2048
 
 // TestDirectUEFootprint pins what one connected direct UE holds on the live
 // heap, its own end and the server's together, once its first heartbeat is
@@ -20,7 +39,9 @@ import (
 // pairs, mostly idle, so what a pair holds is what a fleet holds. Goroutine
 // stacks are not on the heap and not counted. It reads ~4.2 KB (Go 1.24,
 // amd64) with a 64 B frame buffer and no string map at either end; one
-// map per reader, or bufio's 512 B buffers, crosses the ceiling.
+// map per reader, or bufio's 512 B buffers, crosses the ceiling. With the
+// fleet's slot readers and server handlers parked, new goroutines must
+// still start at 2 KB: the stack budget (DESIGN.md).
 func TestDirectUEFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations are not the connections' footprint")
@@ -65,6 +86,62 @@ func TestDirectUEFootprint(t *testing.T) {
 		per, (float64(stack1)-float64(stack0))/ues)
 	if per > ceiling {
 		t.Errorf("a connected direct UE holds %.0f B of live heap, ceiling %d", per, ceiling)
+	}
+	if start := startingStack(t); start != stackBudget {
+		t.Errorf("with %d direct UEs parked, new goroutines start with %d B of stack, want %d",
+			ues, start, stackBudget)
+	}
+}
+
+// TestRelayReaderFootprint pins the stack a relay's UE readers park with,
+// in a population of them alone: raw connections into one relay, each
+// registering and sending one heartbeat, over a few periods of flushes and
+// feedback, so every reader has run turns. A reader parked deeper than
+// 1 120 B moves every new goroutine of the process to a 4 KB stack; it
+// read 4 096 while ueReader kept its loop body in its own 536 B frame.
+func TestRelayReaderFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime deepens every frame")
+	}
+	const ues, waves = 500, 5
+	period := 50 * time.Millisecond
+	s := startServer(t, loopback{})
+	r := startRelay(t, loopback{}, s.Addr(), period, time.Minute, ues)
+	var before runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range ues {
+		conn, err := net.Dial("tcp", r.Addr())
+		if err != nil {
+			t.Fatalf("dial relay: %v", err)
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		id := fmt.Sprintf("ue-%04d", i)
+		for _, msg := range []hbproto.Message{
+			&hbproto.Register{ID: id, Role: hbproto.RoleUE, App: "std", Period: period, Expiry: time.Minute},
+			&hbproto.Heartbeat{Src: id, Seq: 1, App: "std", Origin: time.Now(), Expiry: time.Minute, Pad: 54},
+		} {
+			if err := hbprototest.WriteFrame(conn, msg); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+		}
+		// Each wave is fed back before the next one dials, so the readers
+		// run turns over several periods.
+		if n := i + 1; n%(ues/waves) == 0 {
+			eventually(t, 5*time.Second, func() bool { return r.Stats().AcksSent == n },
+				fmt.Sprintf("feedback for the first %d UEs", n))
+		}
+	}
+	runtime.GC()
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	start := startingStack(t)
+	st := r.Stats()
+	t.Logf("%d relayed UEs over %d flushes: %.0f B of goroutine stack per connection; new goroutines start with %d B",
+		ues, st.Flushes, (float64(after.StackInuse)-float64(before.StackInuse))/ues, start)
+	if start != stackBudget {
+		t.Errorf("with %d relay readers parked, new goroutines start with %d B of stack, want %d",
+			ues, start, stackBudget)
 	}
 }
 

@@ -574,10 +574,11 @@ func (r *RelayAgent) acceptLoop() {
 	}
 }
 
-// ueReader decodes frames from one UE through a FrameReader (reused
-// scratch, interned strings) and offers each as a value input, so nothing
-// the reader reuses outlives the frame. When the relay is idle the reader
-// runs the turn itself before it reads on.
+// ueReader reads one UE's frames through a FrameReader (reused scratch,
+// interned strings) and hands each read to ueFrame. It parks in Next with
+// only the loop in its frame: a relay holds one reader per UE, and the
+// depth they park at sets the stack every new goroutine of the process
+// starts with (DESIGN.md, "The goroutine stack budget").
 func (r *RelayAgent) ueReader(uc *ueConn) {
 	defer r.wg.Done()
 	defer func() {
@@ -589,25 +590,37 @@ func (r *RelayAgent) ueReader(uc *ueConn) {
 	fr := hbproto.NewFrameReader(uc.conn)
 	for {
 		msg, err := fr.Next()
-		now := time.Now()
-		at := now.Sub(r.epoch)
-		if err != nil {
-			r.offer(input{at: at, kind: inClosed, ue: uc}, nil)
-			return
-		}
-		var in input
-		switch m := msg.(type) {
-		case *hbproto.Register:
-			in = input{at: at, kind: inRegister, ue: uc}
-		case *hbproto.Heartbeat:
-			in = ueHeartbeat(at, uc, m, now.Sub(m.Origin))
-		default:
-			continue // UEs only register and send heartbeats
-		}
-		if !r.offer(in, nil) {
+		if !r.ueFrame(uc, msg, err) {
 			return
 		}
 	}
+}
+
+// ueFrame offers what one read from uc returned as a value input, so
+// nothing the reader reuses outlives the frame, and reports whether the
+// reader reads on. When the relay is idle the reader runs the turn here,
+// below ueReader's frame, before it reads on. It is never inlined: the
+// input it builds and the turn it runs must not sit in the frame a reader
+// parks with.
+//
+//go:noinline
+func (r *RelayAgent) ueFrame(uc *ueConn, msg hbproto.Message, err error) bool {
+	now := time.Now()
+	at := now.Sub(r.epoch)
+	if err != nil {
+		r.offer(input{at: at, kind: inClosed, ue: uc}, nil)
+		return false
+	}
+	var in input
+	switch m := msg.(type) {
+	case *hbproto.Register:
+		in = input{at: at, kind: inRegister, ue: uc}
+	case *hbproto.Heartbeat:
+		in = ueHeartbeat(at, uc, m, now.Sub(m.Origin))
+	default:
+		return true // UEs only register and send heartbeats
+	}
+	return r.offer(in, nil)
 }
 
 // step advances the relay's kernel to the input's instant, running every
