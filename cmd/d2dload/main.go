@@ -36,8 +36,11 @@
 // heartbeat intervals compress into short runs. The final report prints as
 // a human table and as JSON (to stdout, or to -json path).
 //
-// -fault injects scripted network faults into every dial the run makes
-// (see internal/faultnet.ParseSpec), e.g.
+// -fault injects scripted network faults into every listen and dial the
+// run makes (see internal/faultnet.ParseSpec): a fault hits whichever end
+// writes, so the in-process server's acks and the relays' feedback suffer
+// it as well as the UEs' and relays' sends, and a blackhole window closes
+// the connections the server and relays accept. For example:
 //
 //	-fault "seed=42,latency=5ms,jitter=2ms,corrupt=0.01,partition=3s+1s"
 //	-fault "seed=7,chaos=4,horizon=10s"
@@ -77,7 +80,7 @@ func main() {
 		trunks     = flag.Int("trunks", 0, "multiplex the fleet over this many relay-trunk connections (excludes -relays)")
 		trunkPace  = flag.Int("trunk-pace", 0, "spread each trunk period over this many emission slots (0/1 = burst; slot s sends the s-th block of users by index)")
 		jsonPath   = flag.String("json", "", "write the final JSON report to this file instead of stdout")
-		fault      = flag.String("fault", "", "fault-injection spec, e.g. seed=42,latency=5ms,corrupt=0.01,partition=3s+1s")
+		fault      = flag.String("fault", "", "fault-injection spec for every listen and dial of the run, e.g. seed=42,latency=5ms,corrupt=0.01,partition=3s+1s")
 		telemAddr  = flag.String("telemetry", "", "serve the run's own /metrics, /metrics.json and pprof on this address")
 		metrics    = flag.String("metrics", "", "external server's telemetry address to scrape /metrics.json from")
 		record     = flag.String("record", "", "record the run's heartbeat timeline into this trace file")
@@ -123,7 +126,7 @@ func runReplay(path, server, clusterAddr string, speedup float64, timeout time.D
 		return err
 	}
 	live, err := loadgen.ReplayLive(tl, loadgen.ReplayOptions{
-		ServerAddr: server, ClusterAddr: clusterAddr, Speedup: speedup, AckTimeout: timeout, Faults: faults,
+		ServerAddr: server, ClusterAddr: clusterAddr, Speedup: speedup, AckTimeout: timeout, Net: faults.On(faultnet.OS{}),
 	})
 	if err != nil {
 		return err
@@ -179,7 +182,7 @@ func run(ues, relays int, relayRatio float64, apps string, duration time.Duratio
 		ClusterAddr:    clusterAddr,
 		Trunks:         trunks,
 		TrunkPaceSlots: trunkPace,
-		Faults:         faults,
+		Net:            faults.On(faultnet.OS{}),
 		MetricsAddr:    metricsAddr,
 	}
 	var recorder *rec.Recorder

@@ -166,7 +166,7 @@ func TestThrottleTricklesWrite(t *testing.T) {
 
 func TestDialRefusedDuringPartition(t *testing.T) {
 	s := NewSchedule(1, []Window{{Fault: Fault{Kind: KindPartition}}})
-	if _, err := s.Dial("tcp", "127.0.0.1:1"); !errors.Is(err, ErrPartitioned) {
+	if _, err := s.On(OS{}).Dial("tcp", "127.0.0.1:1"); !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("dial err = %v, want ErrPartitioned", err)
 	}
 	if st := s.Stats(); st.RefusedDials != 1 {
@@ -176,7 +176,7 @@ func TestDialRefusedDuringPartition(t *testing.T) {
 
 func TestListenerBlackholesAccepts(t *testing.T) {
 	s := NewSchedule(1, []Window{{Fault: Fault{Kind: KindBlackhole}}})
-	ln, err := s.Listen("tcp", "127.0.0.1:0")
+	ln, err := s.On(OS{}).Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -226,5 +226,18 @@ func TestCleanPassThrough(t *testing.T) {
 	}
 	if st := (Stats{}); s.Stats() != st {
 		t.Fatalf("stats = %+v, want zero", s.Stats())
+	}
+}
+
+// TestScheduleOnNetwork: a nil schedule leaves a network as it is, and
+// ScheduleOf finds the schedule a network is under, or none.
+func TestScheduleOnNetwork(t *testing.T) {
+	var none *Schedule
+	if nw := none.On(OS{}); nw != (OS{}) || ScheduleOf(nw) != nil {
+		t.Fatalf("a nil schedule on the host's network = %#v", nw)
+	}
+	s := NewSchedule(1, nil)
+	if got := ScheduleOf(s.On(NewNetwork())); got != s {
+		t.Fatalf("ScheduleOf = %p, want %p", got, s)
 	}
 }

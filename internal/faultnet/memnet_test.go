@@ -43,7 +43,10 @@ func TestNetworkRefusesWhatNobodyListensOn(t *testing.T) {
 // to the dialer, not to "pipe".
 func TestNetworkNamesBothEnds(t *testing.T) {
 	n := NewNetwork()
-	a, err := n.Listen("tcp", "127.0.0.1:0")
+	var rec trace.Recorder
+	s := NewSchedule(1, []Window{{Fault: Fault{Kind: KindPartition}}})
+	s.SetTracer(&rec)
+	a, err := s.On(n).Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +59,10 @@ func TestNetworkNamesBothEnds(t *testing.T) {
 	if a.Addr().String() == b.Addr().String() {
 		t.Fatalf("two listeners on port 0 share %s", a.Addr())
 	}
-	var rec trace.Recorder
-	s := NewSchedule(1, []Window{{Fault: Fault{Kind: KindPartition}}})
-	s.SetTracer(&rec)
-	ln := s.WrapListener(a)
 	accepted := make(chan net.Conn, 2)
 	go func() {
 		for {
-			c, err := ln.Accept()
+			c, err := a.Accept()
 			if err != nil {
 				return
 			}

@@ -104,156 +104,170 @@ func TestChaosRollingRestart(t *testing.T) {
 // TestChaosRecordReplayParity is the full record/replay loop under fault
 // injection: record a chaos run, survive the file codec, replay the trace
 // twice through the deterministic sim (digests must be bit-identical) and
-// once through the live stack, and assemble the sim-vs-real parity report.
+// once through the live stack, and assemble the sim-vs-real parity report
+// — in the bubble, an hour of Table I apps recorded and replayed at its
+// own pace.
 func TestChaosRecordReplayParity(t *testing.T) {
-	sched, err := faultnet.ParseSpec("seed=42,latency=2ms,jitter=1ms,corrupt=0.02")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl := recordRun(t, Config{
-		UEs:      8,
-		Trunks:   2,
-		Duration: 400 * time.Millisecond,
-		Profiles: []hbmsg.AppProfile{fastProfile(60 * time.Millisecond)},
-		Faults:   sched,
-	})
-	if len(tl.Faults) == 0 {
-		t.Fatal("chaos run recorded no fault windows")
-	}
-
-	path := filepath.Join(t.TempDir(), "chaos.d2dr")
-	if err := tl.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := rec.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Digest() != tl.Digest() {
-		t.Fatal("trace digest changed across the file round trip")
-	}
-
-	sim1, err := experiments.ReplaySim(loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim2, err := experiments.ReplaySim(loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim1.Digest() != sim2.Digest() {
-		t.Fatalf("sim replay not deterministic: %s vs %s", sim1.Digest(), sim2.Digest())
-	}
-	if sim1.Sent != uint64(loaded.Sends()) {
-		t.Fatalf("sim replayed %d of %d recorded sends", sim1.Sent, loaded.Sends())
-	}
-
-	live, err := ReplayLive(loaded, ReplayOptions{Speedup: 4, AckTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.Sent != uint64(loaded.Sends()) {
-		t.Fatalf("live replayed %d of %d recorded sends", live.Sent, loaded.Sends())
-	}
-
-	par := rec.NewParityReport(loaded, loaded.RecordedMetrics(), sim1, live)
-	if par.TraceDigest != loaded.Digest() || par.SimDigest != sim1.Digest() {
-		t.Fatalf("parity report digests %s/%s", par.TraceDigest, par.SimDigest)
-	}
-	if gap := par.DeliveryGap(); gap < -1 || gap > 1 {
-		t.Fatalf("delivery gap %v out of range", gap)
-	}
-	table := par.Table().String()
-	for _, want := range []string{"delivery ratio", "sim", "live", "recorded"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("parity table missing %q:\n%s", want, table)
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		sched, err := faultnet.ParseSpec("seed=42,latency=2ms,jitter=1ms,corrupt=0.02")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := par.JSON(); err != nil {
-		t.Fatal(err)
-	}
+		tl := recordRun(t, Config{
+			UEs:      8,
+			Trunks:   2,
+			Duration: pick(400*time.Millisecond, hours(1)),
+			Profiles: tableI(60 * time.Millisecond),
+			Net:      sched.On(nw),
+		})
+		if len(tl.Faults) == 0 {
+			t.Fatal("chaos run recorded no fault windows")
+		}
+		if !reached(tl.Sends(), pick(1, 116)) {
+			t.Fatalf("%d sends recorded", tl.Sends())
+		}
+
+		path := filepath.Join(t.TempDir(), "chaos.d2dr")
+		if err := tl.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := rec.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Digest() != tl.Digest() {
+			t.Fatal("trace digest changed across the file round trip")
+		}
+
+		sim1, err := experiments.ReplaySim(loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim2, err := experiments.ReplaySim(loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim1.Digest() != sim2.Digest() {
+			t.Fatalf("sim replay not deterministic: %s vs %s", sim1.Digest(), sim2.Digest())
+		}
+		if sim1.Sent != uint64(loaded.Sends()) {
+			t.Fatalf("sim replayed %d of %d recorded sends", sim1.Sent, loaded.Sends())
+		}
+
+		live, err := ReplayLive(loaded, ReplayOptions{Speedup: pick(4.0, 1), AckTimeout: 2 * time.Second, Net: nw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live.Sent != uint64(loaded.Sends()) {
+			t.Fatalf("live replayed %d of %d recorded sends", live.Sent, loaded.Sends())
+		}
+
+		par := rec.NewParityReport(loaded, loaded.RecordedMetrics(), sim1, live)
+		if par.TraceDigest != loaded.Digest() || par.SimDigest != sim1.Digest() {
+			t.Fatalf("parity report digests %s/%s", par.TraceDigest, par.SimDigest)
+		}
+		if gap := par.DeliveryGap(); gap < -1 || gap > 1 {
+			t.Fatalf("delivery gap %v out of range", gap)
+		}
+		table := par.Table().String()
+		for _, want := range []string{"delivery ratio", "sim", "live", "recorded"} {
+			if !strings.Contains(table, want) {
+				t.Errorf("parity table missing %q:\n%s", want, table)
+			}
+		}
+		if _, err := par.JSON(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("sim digest %s, delivery gap %.4f", par.SimDigest, par.DeliveryGap())
+	})
 }
 
 // TestChaosReplayUnderFaults replays a recorded trunked run with faults of
 // its own: a partition that swallows writes and refuses dials, then resets
 // on every write. Whatever the faults do to delivery, every recorded send
-// is offered and accounted exactly once — delivered or timed out.
+// is offered and accounted exactly once — delivered or timed out. In the
+// bubble the recording is an hour of Table I apps, the partition its
+// second ten minutes and the resets five minutes after.
 func TestChaosReplayUnderFaults(t *testing.T) {
-	tl := recordRun(t, Config{
-		UEs:      8,
-		Trunks:   2,
-		Duration: 400 * time.Millisecond,
-		Profiles: []hbmsg.AppProfile{fastProfile(60 * time.Millisecond)},
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		tl := recordRun(t, Config{
+			UEs:      8,
+			Trunks:   2,
+			Duration: pick(400*time.Millisecond, hours(1)),
+			Profiles: tableI(60 * time.Millisecond),
+			Net:      nw,
+		})
+		faults := faultnet.NewSchedule(7, []faultnet.Window{
+			{From: pick(100*time.Millisecond, 10*time.Minute), To: pick(200*time.Millisecond, 20*time.Minute), Fault: faultnet.Fault{Kind: faultnet.KindPartition}},
+			{From: pick(250*time.Millisecond, 25*time.Minute), To: pick(300*time.Millisecond, 30*time.Minute), Fault: faultnet.Fault{Kind: faultnet.KindReset, Prob: 1}},
+		})
+		m, err := ReplayLive(tl, ReplayOptions{AckTimeout: 150 * time.Millisecond, Net: faults.On(nw)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := faults.Stats()
+		t.Logf("sent %d, delivered %d, timeouts %d; dropped sends %d, refused dials %d, resets %d",
+			m.Sent, m.Delivered, m.Timeouts, st.DroppedSends, st.RefusedDials, st.Resets)
+		if int(m.Sent) != tl.Sends() {
+			t.Fatalf("replayed %d of %d recorded sends", m.Sent, tl.Sends())
+		}
+		if m.Delivered+m.Timeouts != m.Sent {
+			t.Fatalf("delivered %d + timeouts %d != sent %d", m.Delivered, m.Timeouts, m.Sent)
+		}
+		if !reached(m.Delivered, pick[uint64](1, 96)) {
+			t.Fatalf("%d delivered around the fault windows: %+v", m.Delivered, m)
+		}
+		if st.DroppedSends+st.RefusedDials == 0 || st.Resets == 0 {
+			t.Fatalf("the faults never fired: %+v", st)
+		}
 	})
-	faults := faultnet.NewSchedule(7, []faultnet.Window{
-		{From: 100 * time.Millisecond, To: 200 * time.Millisecond, Fault: faultnet.Fault{Kind: faultnet.KindPartition}},
-		{From: 250 * time.Millisecond, To: 300 * time.Millisecond, Fault: faultnet.Fault{Kind: faultnet.KindReset, Prob: 1}},
-	})
-	m, err := ReplayLive(tl, ReplayOptions{AckTimeout: 150 * time.Millisecond, Faults: faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(m.Sent) != tl.Sends() {
-		t.Fatalf("replayed %d of %d recorded sends", m.Sent, tl.Sends())
-	}
-	if m.Delivered+m.Timeouts != m.Sent {
-		t.Fatalf("delivered %d + timeouts %d != sent %d", m.Delivered, m.Timeouts, m.Sent)
-	}
-	if m.Delivered == 0 {
-		t.Fatalf("nothing delivered around the fault windows: %+v", m)
-	}
-	st := faults.Stats()
-	if st.DroppedSends+st.RefusedDials == 0 || st.Resets == 0 {
-		t.Fatalf("the faults never fired: %+v", st)
-	}
-	t.Logf("sent %d, delivered %d, timeouts %d; dropped sends %d, refused dials %d, resets %d",
-		m.Sent, m.Delivered, m.Timeouts, st.DroppedSends, st.RefusedDials, st.Resets)
 }
 
-// TestFleetUnderWriteLatency offers a 200-UE direct fleet through a
-// schedule that delays every write by 5 ms. Whatever runs the UEs' sends,
-// a send blocked in a slow write must not hold up the UEs due beside it:
-// the fleet still sends at least 95 % of what the open-loop schedule calls
-// for — one heartbeat per UE at its arrival offset and once a period after.
+// TestFleetUnderWriteLatency offers a direct fleet through a schedule that
+// delays every write by 5 ms. Whatever runs the UEs' sends, a send blocked
+// in a slow write must not hold up the UEs due beside it: the fleet still
+// sends at least 95 % of what the open-loop schedule calls for — one
+// heartbeat per UE at its arrival offset and once a period after — and in
+// the bubble all of it, with the whole fleet of Table I apps arriving at
+// once, so a quarter to a half of it is due at each instant with a send.
 func TestFleetUnderWriteLatency(t *testing.T) {
-	faults, err := faultnet.ParseSpec("seed=3,latency=5ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		ues      = 200
-		period   = 100 * time.Millisecond
-		duration = 2 * time.Second
-	)
-	r, err := New(Config{
-		UEs:      ues,
-		Profiles: []hbmsg.AppProfile{fastProfile(period)},
-		Duration: duration,
-		Faults:   faults,
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		faults, err := faultnet.ParseSpec("seed=3,latency=5ms")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ues := pick(200, 100)
+		r, err := New(Config{
+			UEs:      ues,
+			Profiles: tableI(100 * time.Millisecond),
+			// In the bubble the last sends are two minutes before the end.
+			Duration: pick(2*time.Second, hours(1)+2*time.Minute),
+			Arrival:  Schedule{Shape: pick(ArrivalSteady, ArrivalSpike)},
+			Net:      faults.On(nw),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := Schedule{Shape: r.cfg.Arrival.Shape, Window: r.arrivalWindow()}
+		scheduled := uint64(0)
+		for i := range ues {
+			offset, period := sched.StartOffset(i, ues), r.scale(r.cfg.Profiles[i%len(r.cfg.Profiles)].Period)
+			scheduled += uint64((r.cfg.Duration-offset)/period) + 1
+		}
+		rep, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("sent %d of %d scheduled (%.1f %%), acked %d, timeouts %d, %d writes delayed",
+			rep.Sent, scheduled, 100*float64(rep.Sent)/float64(scheduled), rep.Acked, rep.Timeouts, faults.Stats().Delayed)
+		if !reached(rep.Sent*100, scheduled*pick[uint64](95, 100)) {
+			t.Errorf("sent %d of the %d heartbeats the schedule calls for, want %s", rep.Sent, scheduled, pick("≥ 95 %", "all"))
+		}
+		if rep.Acked+rep.Timeouts != rep.Sent {
+			t.Errorf("acked %d + timeouts %d != sent %d", rep.Acked, rep.Timeouts, rep.Sent)
+		}
+		if faults.Stats().Delayed == 0 {
+			t.Fatal("no write was delayed: the latency fault never fired")
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A steady schedule's window is one period: UE i activates at
-	// period·i/ues.
-	scheduled := uint64(0)
-	for i := range ues {
-		offset := period * time.Duration(i) / ues
-		scheduled += uint64((duration-offset)/period) + 1
-	}
-	t.Logf("sent %d of %d scheduled (%.1f %%), acked %d, timeouts %d, %d writes delayed",
-		rep.Sent, scheduled, 100*float64(rep.Sent)/float64(scheduled), rep.Acked, rep.Timeouts, faults.Stats().Delayed)
-	if rep.Sent*100 < scheduled*95 {
-		t.Errorf("sent %d of the %d heartbeats the schedule calls for, want ≥ 95 %%", rep.Sent, scheduled)
-	}
-	if rep.Acked+rep.Timeouts != rep.Sent {
-		t.Errorf("acked %d + timeouts %d != sent %d", rep.Acked, rep.Timeouts, rep.Sent)
-	}
-	if faults.Stats().Delayed == 0 {
-		t.Fatal("no write was delayed: the latency fault never fired")
-	}
 }

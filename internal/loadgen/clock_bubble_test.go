@@ -1,0 +1,59 @@
+//go:build goexperiment.synctest
+
+//go:debug asynctimerchan=0
+
+package loadgen
+
+import (
+	"cmp"
+	"testing"
+	"testing/synctest"
+	"time"
+
+	"d2dhb/internal/faultnet"
+)
+
+// The load generator's fleet, replay and trunk tests run here in a
+// synctest bubble, over a faultnet.Network: time stands still while any
+// goroutine runs and jumps to the next timer once all are blocked, so a
+// run offers Table I's apps (240–300 s periods) at speed-up 1 to a fleet,
+// its relays and its server for virtual hours in well under a second, and
+// its outcomes are exact counts.
+//
+// A run's end sits off the 10 ms send grid: at an instant with a send on
+// it, the order of the goroutines that run then would decide whether the
+// send is counted.
+//
+// go.mod's go 1.22 defaults to asynchronous timer channels, which
+// synctest.Run refuses; the go:debug line above turns them off in this
+// test binary only.
+
+// timed runs a timing test's body once, in a bubble of its own over a
+// network of its own; the body's cleanups run in the bubble too, before
+// it ends.
+func timed(t *testing.T, body func(t *testing.T, nw faultnet.Net)) {
+	synctest.Run(func() {
+		t.Run("bubble", func(t *testing.T) { body(t, faultnet.NewNetwork()) })
+	})
+}
+
+// pick is a parameter's value in the bubble.
+func pick[T any](_, bubble T) T { return bubble }
+
+// bubbleStart is the instant every bubble's clock starts at.
+var bubbleStart = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// await sleeps to the instant at after the bubble's start, waits until
+// every other goroutine in the bubble is blocked, and checks cond then.
+func await(t *testing.T, _, at time.Duration, cond func() bool, msg string) {
+	t.Helper()
+	time.Sleep(time.Until(bubbleStart.Add(at)))
+	synctest.Wait()
+	if !cond() {
+		t.Fatalf("at %v: %s", at, msg)
+	}
+}
+
+// reached reports whether a count is exactly the one the bubble's clock
+// makes it.
+func reached[N cmp.Ordered](got, want N) bool { return got == want }

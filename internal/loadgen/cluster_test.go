@@ -160,7 +160,7 @@ func TestClusterFleetRun(t *testing.T) {
 			var interim []Report
 			cfg.OnReport = func(rep Report) { interim = append(interim, rep) }
 			if tc.faults != nil {
-				cfg.Faults = faultnet.NewSchedule(1, tc.faults)
+				cfg.Net = faultnet.NewSchedule(1, tc.faults).On(faultnet.OS{})
 			}
 			r, err := New(cfg)
 			if err != nil {
@@ -213,36 +213,33 @@ func TestClusterFleetRun(t *testing.T) {
 
 // TestTrunkFleetSingleServer multiplexes a 200-user fleet over 4 trunk
 // connections against one in-process server: the batch path must carry and
-// acknowledge every user without per-UE sockets.
+// acknowledge every user without per-UE sockets — in the bubble, one trunk
+// per Table I app for 3 hours.
 func TestTrunkFleetSingleServer(t *testing.T) {
-	r, err := New(Config{
-		UEs:      200,
-		Trunks:   4,
-		Profiles: []hbmsg.AppProfile{fastProfile(100 * time.Millisecond)},
-		Duration: time.Second,
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		rep := runFleet(t, Config{
+			UEs:      200,
+			Trunks:   4,
+			Profiles: tableI(100 * time.Millisecond),
+			Duration: pick(time.Second, hours(3)),
+			Net:      nw,
+		})
+		if rep.Trunks != 4 {
+			t.Errorf("report trunks = %d, want 4", rep.Trunks)
+		}
+		if !reached(rep.SentRelayed, pick[uint64](1, 7900)) || !reached(rep.AckedRelayed, pick[uint64](1, 7900)) {
+			t.Fatalf("trunk fleet sent %d heartbeats and had %d acknowledged", rep.SentRelayed, rep.AckedRelayed)
+		}
+		if rep.Timeouts != 0 {
+			t.Errorf("trunk fleet lost heartbeats against a healthy server: %d", rep.Timeouts)
+		}
+		if rep.Server == nil || !reached(rep.Server.Batches, pick(1, 158)) {
+			t.Fatalf("server saw too few batches from the trunked fleet: %+v", rep.Server)
+		}
+		if rep.Server.Connections > 8 {
+			t.Errorf("trunked fleet opened %d conns, want a handful", rep.Server.Connections)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Trunks != 4 {
-		t.Errorf("report trunks = %d, want 4", rep.Trunks)
-	}
-	if rep.SentRelayed == 0 || rep.AckedRelayed == 0 {
-		t.Fatalf("trunk fleet moved no traffic: %+v", rep)
-	}
-	if rep.Timeouts != 0 {
-		t.Errorf("trunk fleet lost heartbeats against a healthy server: %d", rep.Timeouts)
-	}
-	if rep.Server == nil || rep.Server.Batches == 0 {
-		t.Error("server saw no batches from the trunked fleet")
-	}
-	if rep.Server != nil && rep.Server.Connections > 8 {
-		t.Errorf("trunked fleet opened %d conns, want a handful", rep.Server.Connections)
-	}
 }
 
 // TestClusterReplayFromRecording closes the PR 7 follow-up: a trace
@@ -355,7 +352,7 @@ func TestTrunkOverflowUnderAckLatencyAndReshard(t *testing.T) {
 	}})
 	shards := make([]*testShard, 3)
 	for i := range shards {
-		shards[i] = startTestShardOn(t, "shard-"+string(rune('0'+i)), lag.Listen)
+		shards[i] = startTestShardOn(t, "shard-"+string(rune('0'+i)), lag.On(faultnet.OS{}).Listen)
 	}
 	routerURL, router := startTestRouter(t, shards)
 	joiner := startTestShard(t, "shard-3")
@@ -364,7 +361,7 @@ func TestTrunkOverflowUnderAckLatencyAndReshard(t *testing.T) {
 	var r *Runner
 	// More heartbeats pending than users means some user has a second one
 	// in flight: the overflow holds it. The interim reports sample the
-	// count; they run on Run's reporter goroutine, after the fleet is built.
+	// count; Run makes them while the fleet runs, after it is built.
 	var peak atomic.Int64
 	r, err := New(Config{
 		UEs:            users,

@@ -42,7 +42,7 @@ func TestRegenerateCorpus(t *testing.T) {
 		Duration:    600 * time.Millisecond,
 		AckTimeout:  400 * time.Millisecond,
 		ClusterAddr: routerURL,
-		Faults:      sched,
+		Net:         sched.On(faultnet.OS{}),
 	})
 	if len(tl.Faults) == 0 {
 		t.Fatal("regenerated run recorded no fault windows; fixture would be toothless")

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"time"
 	"unsafe"
 
+	"d2dhb/internal/faultnet"
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/relaynet"
 	"d2dhb/internal/session"
@@ -49,12 +51,21 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestDirectFleetSmallRun(t *testing.T) {
-	r, err := New(Config{
-		UEs:      40,
-		Profiles: []hbmsg.AppProfile{fastProfile(80 * time.Millisecond)},
-		Duration: time.Second,
-	})
+// tableI is the app mix of a fleet in the bubble: Table I's apps at their
+// own periods (240–300 s). On the wall clock it is the compressed profile
+// at the given period.
+func tableI(wall time.Duration) []hbmsg.AppProfile {
+	return pick([]hbmsg.AppProfile{fastProfile(wall)}, nil)
+}
+
+// hours is a run's length in the bubble: whole virtual hours and 5 ms, so
+// that the run ends between two instants of the 10 ms send grid.
+func hours(n int) time.Duration { return time.Duration(n)*time.Hour + 5*time.Millisecond }
+
+// runFleet runs cfg to its final report.
+func runFleet(t *testing.T, cfg Config) Report {
+	t.Helper()
+	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,31 +73,146 @@ func TestDirectFleetSmallRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Final {
-		t.Error("final report not marked final")
+	return rep
+}
+
+// TestDirectFleetSmallRun: every heartbeat of a direct fleet is
+// acknowledged — in the bubble, 100 Table I UEs for 3 hours.
+func TestDirectFleetSmallRun(t *testing.T) {
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		rep := runFleet(t, Config{
+			UEs:      pick(40, 100),
+			Profiles: tableI(80 * time.Millisecond),
+			Duration: pick(time.Second, hours(3)),
+			Net:      nw,
+		})
+		if !rep.Final {
+			t.Error("final report not marked final")
+		}
+		if !reached(rep.Sent, pick[uint64](1, 3923)) {
+			t.Fatalf("%d heartbeats sent", rep.Sent)
+		}
+		if rep.Acked != rep.Sent {
+			t.Fatalf("acked %d != sent %d (timeouts %d, errors %d)",
+				rep.Acked, rep.Sent, rep.Timeouts, rep.Errors)
+		}
+		if rep.Timeouts != 0 || rep.Errors != 0 || rep.OutOfOrderAcks != 0 {
+			t.Fatalf("losses on a clean network: %+v", rep)
+		}
+		if rep.SentRelayed != 0 || rep.Relay != nil {
+			t.Fatal("relay traffic without relays")
+		}
+		if rep.Direct.Count != rep.Acked {
+			t.Fatalf("latency count %d != acked %d", rep.Direct.Count, rep.Acked)
+		}
+		if rep.ThroughputHBps <= 0 {
+			t.Fatal("zero throughput")
+		}
+		if rep.Server == nil || !reached(uint64(rep.Server.HeartbeatsDirect), pick(1, rep.Sent)) {
+			t.Fatalf("server stats missing: %+v", rep.Server)
+		}
+	})
+}
+
+// TestRelayedFleetSmallRun is the clean relayed fleet: 90 % of the UEs
+// forward through two relays, and every heartbeat is acknowledged on the
+// path it took, with no timeout and no fallback — in the bubble, 100 Table
+// I UEs for 3 hours, the paper's setting at fleet scale.
+func TestRelayedFleetSmallRun(t *testing.T) {
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		rep := runFleet(t, Config{
+			UEs: 100, Relays: 2, RelayRatio: 0.9,
+			Profiles: tableI(100 * time.Millisecond),
+			Duration: pick(time.Second, hours(3)),
+			Net:      nw,
+		})
+		if !reached(rep.Sent, pick[uint64](1, 3923)) || !reached(rep.AckedRelayed, pick[uint64](1, 3539)) {
+			t.Fatalf("sent %d, %d acknowledged on the relayed path", rep.Sent, rep.AckedRelayed)
+		}
+		if rep.Acked != rep.Sent || rep.Timeouts != 0 || rep.Errors != 0 || rep.OutOfOrderAcks != 0 {
+			t.Fatalf("sent %d, acked %d, %d timeouts, %d errors, %d out of order: a clean relayed fleet lost heartbeats",
+				rep.Sent, rep.Acked, rep.Timeouts, rep.Errors, rep.OutOfOrderAcks)
+		}
+		if rep.FallbackResends != 0 || rep.RelayReconnects != 90 {
+			t.Fatalf("%d fallbacks and %d relay connections for 90 relayed UEs, want none and one each", rep.FallbackResends, rep.RelayReconnects)
+		}
+		if rep.Relay == nil || rep.Relay.Forwarded == 0 {
+			t.Fatalf("relays idle: %+v", rep.Relay)
+		}
+	})
+}
+
+// TestRelayedFleetUnderPartition runs the clean relayed fleet through one
+// partition window, which swallows every write and refuses every dial of
+// the run's network for a while: in the bubble the 300 s from the first
+// half hour on. Whatever the fallback makes of it, every heartbeat sent
+// ends exactly once, acknowledged or timed out. The rest of the outcome is
+// logged, not pinned: the UE's fallback after a lost relay batch is the
+// subject of its own correctness work.
+func TestRelayedFleetUnderPartition(t *testing.T) {
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		faults := faultnet.NewSchedule(1, []faultnet.Window{{
+			From: pick(500*time.Millisecond, 30*time.Minute), To: pick(600*time.Millisecond, 35*time.Minute),
+			Fault: faultnet.Fault{Kind: faultnet.KindPartition},
+		}})
+		rep := runFleet(t, Config{
+			UEs: 100, Relays: 2, RelayRatio: 0.9,
+			Profiles: tableI(100 * time.Millisecond),
+			Duration: pick(1500*time.Millisecond, hours(3)),
+			// On the wall clock a window of 5 periods, not the 2 s floor,
+			// so the drain does not wait out the lost heartbeats for long.
+			AckTimeout: pick(500*time.Millisecond, 0),
+			Net:        faults.On(nw),
+		})
+		st := faults.Stats()
+		t.Logf("sent %d, acked %d (%d relayed), %d timeouts (%d direct), %d fallbacks, %d relay connections; %d sends swallowed, %d dials refused; server: %d late",
+			rep.Sent, rep.Acked, rep.AckedRelayed, rep.Timeouts, rep.TimeoutsDirect, rep.FallbackResends, rep.RelayReconnects, st.DroppedSends, st.RefusedDials, rep.Server.Late)
+		if rep.Acked+rep.Timeouts != rep.Sent {
+			t.Errorf("acked %d + timeouts %d != sent %d", rep.Acked, rep.Timeouts, rep.Sent)
+		}
+		if st.DroppedSends+st.RefusedDials == 0 {
+			t.Fatalf("the partition never fired: %+v", st)
+		}
+	})
+}
+
+// limitedNet is a network that refuses every listen after its first few.
+type limitedNet struct {
+	faultnet.Net
+	listens int // left to allow
+}
+
+func (n *limitedNet) Listen(network, addr string) (net.Listener, error) {
+	if n.listens == 0 {
+		return nil, errors.New("no more listeners")
 	}
-	if rep.Sent == 0 {
-		t.Fatal("no heartbeats sent")
-	}
-	if rep.Acked != rep.Sent {
-		t.Fatalf("acked %d != sent %d (timeouts %d, errors %d)",
-			rep.Acked, rep.Sent, rep.Timeouts, rep.Errors)
-	}
-	if rep.Timeouts != 0 || rep.Errors != 0 || rep.OutOfOrderAcks != 0 {
-		t.Fatalf("losses on loopback: %+v", rep)
-	}
-	if rep.SentRelayed != 0 || rep.Relay != nil {
-		t.Fatal("relay traffic without relays")
-	}
-	if rep.Direct.Count != rep.Acked {
-		t.Fatalf("latency count %d != acked %d", rep.Direct.Count, rep.Acked)
-	}
-	if rep.ThroughputHBps <= 0 {
-		t.Fatal("zero throughput")
-	}
-	if rep.Server == nil || rep.Server.HeartbeatsDirect == 0 {
-		t.Fatalf("server stats missing: %+v", rep.Server)
-	}
+	n.listens--
+	return n.Net.Listen(network, addr)
+}
+
+// TestRunShutsDownRelaysWhenOneFailsToStart gives a run a network that lets
+// the server and the first relay listen and refuses the second relay: Run
+// returns the error, and the relay that did start is shut down with it,
+// so none of its goroutines outlives the run (in the bubble, a goroutine
+// left behind would keep the bubble from ending).
+func TestRunShutsDownRelaysWhenOneFailsToStart(t *testing.T) {
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		r, err := New(Config{
+			UEs: 10, Relays: 2, RelayRatio: 1,
+			Profiles: tableI(100 * time.Millisecond), Duration: time.Hour,
+			Net: &limitedNet{Net: nw, listens: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "no more listeners") {
+			t.Fatalf("Run returned %v, want the second relay's listen error", err)
+		}
+		await(t, time.Second, 0, func() bool {
+			buf := make([]byte, 1<<20)
+			return !strings.Contains(string(buf[:runtime.Stack(buf, true)]), "relaynet.(*RelayAgent)")
+		}, "a started relay's goroutines outlived the run")
+	})
 }
 
 // TestRelayedFleetFallsBackOnSingleServer pins the paper's fallback on the
@@ -94,34 +220,32 @@ func TestDirectFleetSmallRun(t *testing.T) {
 // rejects the rest, and every rejected heartbeat must still reach the
 // server by the UE's direct resend — as it does against a cluster. Each
 // fallback drops the UE's relay link, so the fleet dials its relay more
-// often than it has UEs.
+// often than it has UEs. In the bubble the relay collects one of the 40
+// UEs' heartbeats in each of its 240 s periods, and every other one falls
+// back once its window lapses.
 func TestRelayedFleetFallsBackOnSingleServer(t *testing.T) {
-	r, err := New(Config{
-		UEs: 40, Relays: 1, RelayRatio: 1, RelayCapacity: 1,
-		Profiles: []hbmsg.AppProfile{fastProfile(500 * time.Millisecond)},
-		Duration: 2 * time.Second,
-		// Windows lapse within the run, not only in the final drain, so
-		// the sends after a fallback show whether it dropped the link.
-		AckTimeout: time.Second,
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		rep := runFleet(t, Config{
+			UEs: 40, Relays: 1, RelayRatio: 1, RelayCapacity: 1,
+			Profiles: tableI(500 * time.Millisecond),
+			Duration: pick(2*time.Second, hours(3)),
+			// Windows lapse within the run, not only in the final drain, so
+			// the sends after a fallback show whether it dropped the link.
+			AckTimeout: pick(time.Second, 0),
+			Net:        nw,
+		})
+		if rep.Timeouts != 0 || rep.Acked != rep.Sent || !reached(rep.Sent, pick[uint64](1, 1570)) {
+			t.Fatalf("sent %d, acked %d, %d timeouts: rejected heartbeats were lost",
+				rep.Sent, rep.Acked, rep.Timeouts)
+		}
+		if !reached(rep.FallbackResends, pick[uint64](1, 1524)) {
+			t.Fatalf("%d fallback resends past a capacity-1 relay: %+v", rep.FallbackResends, rep)
+		}
+		if !reached(rep.RelayReconnects, pick[uint64](41, 1448)) {
+			t.Fatalf("%d relay connections for 40 relayed UEs after %d fallbacks: a fallback must drop the relay link",
+				rep.RelayReconnects, rep.FallbackResends)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Timeouts != 0 || rep.Acked != rep.Sent {
-		t.Fatalf("sent %d, acked %d, %d timeouts: rejected heartbeats were lost",
-			rep.Sent, rep.Acked, rep.Timeouts)
-	}
-	if rep.FallbackResends == 0 {
-		t.Fatalf("no fallback resends past a capacity-1 relay: %+v", rep)
-	}
-	if rep.RelayReconnects <= 40 {
-		t.Fatalf("%d relay connections for 40 relayed UEs after %d fallbacks: a fallback must drop the relay link",
-			rep.RelayReconnects, rep.FallbackResends)
-	}
 }
 
 func TestPeriodicReports(t *testing.T) {
@@ -290,45 +414,50 @@ func TestExternalServerUnreachableFailsFast(t *testing.T) {
 // TestTrunkPacedRunLossless runs a paced trunked fleet against the
 // in-process server: pacing must not lose or duplicate heartbeats (the
 // open-loop schedule is preserved, only intra-period phase changes), and
-// the coalesced uplink must report fewer writes than frames would imply.
+// the coalesced uplink must report fewer writes than frames would imply —
+// in the bubble, each trunk's period in four sub-ticks a minute or more
+// apart, for 3 hours.
 func TestTrunkPacedRunLossless(t *testing.T) {
-	r, err := New(Config{
-		UEs:            120,
-		Trunks:         2,
-		TrunkPaceSlots: 4,
-		Profiles:       []hbmsg.AppProfile{fastProfile(100 * time.Millisecond)},
-		Duration:       time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range r.units { // pacing must actually be armed
-		if tr := u.(*trunk); tr.paceSlots != 4 {
-			t.Fatalf("trunk %s pacing not armed: slots=%d", tr.id, tr.paceSlots)
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		r, err := New(Config{
+			UEs:            120,
+			Trunks:         2,
+			TrunkPaceSlots: 4,
+			Profiles:       tableI(100 * time.Millisecond),
+			Duration:       pick(time.Second, hours(3)),
+			Net:            nw,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Sent == 0 {
-		t.Fatal("no heartbeats sent")
-	}
-	if rep.Acked != rep.Sent || rep.Timeouts != 0 || rep.Errors != 0 {
-		t.Fatalf("paced run lost heartbeats: acked %d / sent %d (timeouts %d, errors %d)",
-			rep.Acked, rep.Sent, rep.Timeouts, rep.Errors)
-	}
-	if rep.TrunkWrites == 0 || rep.TrunkFrames == 0 {
-		t.Fatalf("coalesced uplink accounting missing: writes=%d frames=%d",
-			rep.TrunkWrites, rep.TrunkFrames)
-	}
-	if rep.TrunkWrites > rep.TrunkFrames {
-		t.Fatalf("more writes than frames: writes=%d frames=%d",
-			rep.TrunkWrites, rep.TrunkFrames)
-	}
-	if rep.Server == nil || rep.Server.HeartbeatsRelayed == 0 {
-		t.Fatalf("server saw no relayed heartbeats: %+v", rep.Server)
-	}
+		rep, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range r.units { // pacing must actually be armed
+			if tr := u.(*trunk); tr.paceSlots != 4 {
+				t.Fatalf("trunk %s pacing not armed: slots=%d", tr.id, tr.paceSlots)
+			}
+		}
+		if !reached(rep.Sent, pick[uint64](1, 5085)) {
+			t.Fatalf("%d heartbeats sent", rep.Sent)
+		}
+		if rep.Acked != rep.Sent || rep.Timeouts != 0 || rep.Errors != 0 {
+			t.Fatalf("paced run lost heartbeats: acked %d / sent %d (timeouts %d, errors %d)",
+				rep.Acked, rep.Sent, rep.Timeouts, rep.Errors)
+		}
+		if rep.TrunkWrites == 0 || !reached(rep.TrunkFrames, pick[uint64](1, 339)) {
+			t.Fatalf("coalesced uplink accounting missing: writes=%d frames=%d",
+				rep.TrunkWrites, rep.TrunkFrames)
+		}
+		if rep.TrunkWrites > rep.TrunkFrames {
+			t.Fatalf("more writes than frames: writes=%d frames=%d",
+				rep.TrunkWrites, rep.TrunkFrames)
+		}
+		if rep.Server == nil || !reached(uint64(rep.Server.HeartbeatsRelayed), pick(1, rep.Sent)) {
+			t.Fatalf("server saw %+v relayed heartbeats of %d sent", rep.Server, rep.Sent)
+		}
+	})
 }
 
 // TestFleetBuildFootprint pins what building a socket-per-UE fleet costs

@@ -25,7 +25,7 @@ import (
 // ReplayOptions parameterizes one live replay.
 type ReplayOptions struct {
 	// ServerAddr targets an existing presence server. Empty spawns an
-	// in-process relaynet.Server on loopback.
+	// in-process relaynet.Server on Net.
 	ServerAddr string
 	// ClusterAddr targets a cluster instead of a single server: the
 	// router's base URL (e.g. "http://127.0.0.1:7590"). Routing is the
@@ -43,9 +43,9 @@ type ReplayOptions struct {
 	// when it lapses, a direct client does not, and what is still
 	// unacknowledged after the drain counts lost. Zero selects 2 s.
 	AckTimeout time.Duration
-	// Faults re-injects a fault schedule into every replay dial. Nil
-	// replays over a clean network.
-	Faults *faultnet.Schedule
+	// Net is the network the replay listens and dials on, as Config.Net:
+	// nil is the host's, and a Schedule's On replays under its faults.
+	Net faultnet.Net
 }
 
 // ReplayLive replays the recorded timeline against the live stack and
@@ -68,11 +68,14 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 	if opts.AckTimeout <= 0 {
 		opts.AckTimeout = 2 * time.Second
 	}
+	if opts.Net == nil {
+		opts.Net = faultnet.OS{}
+	}
 
 	r := &Runner{
 		cfg: Config{
 			ServerAddr: opts.ServerAddr, ClusterAddr: opts.ClusterAddr,
-			Faults: opts.Faults, Recorder: rec.NewRecorder(),
+			Net: opts.Net, Recorder: rec.NewRecorder(),
 		},
 		ackTimeout: opts.AckTimeout,
 	}
@@ -191,7 +194,7 @@ func (r *Runner) replayUnits(tl *rec.Timeline, speedup float64) ([]*replayUnit, 
 // a valid one.
 func (r *Runner) replayDirect(c rec.Client, tidx int, steps [][]rec.Event, speedup float64) (*replayUnit, error) {
 	app := []relaynet.UEApp{{Name: c.App, Period: max(c.Period, minVirtualPeriod), Expiry: c.Expiry, Pad: c.Pad}}
-	u, err := r.newUE(c.ID, app, tidx, r.dialer(), "")
+	u, err := r.newUE(c.ID, app, tidx, r.cfg.Net.Dial, "")
 	if err != nil {
 		return nil, err
 	}

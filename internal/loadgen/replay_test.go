@@ -18,15 +18,7 @@ func recordRun(t *testing.T, cfg Config) *rec.Timeline {
 	t.Helper()
 	recorder := rec.NewRecorder()
 	cfg.Recorder = recorder
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Sent == 0 {
+	if rep := runFleet(t, cfg); rep.Sent == 0 {
 		t.Fatal("recorded run sent nothing")
 	}
 	tl, err := recorder.Timeline()
@@ -92,86 +84,104 @@ func TestRecordTrunkedRun(t *testing.T) {
 	}
 }
 
+// TestRecordFaultWindows: a run under a fault schedule records the
+// schedule's seed and its windows, at their offsets from the run's start —
+// in the bubble, a run of an hour.
 func TestRecordFaultWindows(t *testing.T) {
-	sched := faultnet.NewSchedule(7, []faultnet.Window{
-		{From: 50 * time.Millisecond, To: 150 * time.Millisecond, Fault: faultnet.Fault{Kind: faultnet.KindLatency, Latency: 5 * time.Millisecond}},
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		sched := faultnet.NewSchedule(7, []faultnet.Window{
+			{From: 50 * time.Millisecond, To: 150 * time.Millisecond, Fault: faultnet.Fault{Kind: faultnet.KindLatency, Latency: 5 * time.Millisecond}},
+		})
+		tl := recordRun(t, Config{
+			UEs:      2,
+			Duration: pick(300*time.Millisecond, hours(1)),
+			Profiles: tableI(60 * time.Millisecond),
+			Net:      sched.On(nw),
+		})
+		if tl.Seed != 7 {
+			t.Fatalf("seed %d, want the fault schedule's 7", tl.Seed)
+		}
+		if len(tl.Faults) != 1 || tl.Faults[0].Kind != "latency" {
+			t.Fatalf("fault windows %+v", tl.Faults)
+		}
+		if tl.Faults[0].From != 50*time.Millisecond || tl.Faults[0].To != 150*time.Millisecond {
+			t.Fatalf("fault window times %+v", tl.Faults[0])
+		}
+		if !reached(tl.Sends(), pick(1, 29)) {
+			t.Fatalf("%d sends recorded", tl.Sends())
+		}
 	})
-	tl := recordRun(t, Config{
-		UEs:      2,
-		Duration: 300 * time.Millisecond,
-		Profiles: []hbmsg.AppProfile{fastProfile(60 * time.Millisecond)},
-		Faults:   sched,
-	})
-	if tl.Seed != 7 {
-		t.Fatalf("seed %d, want the fault schedule's 7", tl.Seed)
-	}
-	if len(tl.Faults) != 1 || tl.Faults[0].Kind != "latency" {
-		t.Fatalf("fault windows %+v", tl.Faults)
-	}
-	if tl.Faults[0].From != 50*time.Millisecond || tl.Faults[0].To != 150*time.Millisecond {
-		t.Fatalf("fault window times %+v", tl.Faults[0])
-	}
 }
 
 // TestReplayLiveFromRecording is the full loop: record a trunked run, then
 // replay the identical timeline through the live stack and check every
-// replayed heartbeat is delivered again.
+// replayed heartbeat is delivered again — in the bubble, an hour of Table
+// I apps replayed at its own pace.
 func TestReplayLiveFromRecording(t *testing.T) {
-	tl := recordRun(t, Config{
-		UEs:      8,
-		Trunks:   2,
-		Duration: 300 * time.Millisecond,
-		Profiles: []hbmsg.AppProfile{fastProfile(60 * time.Millisecond)},
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		tl := recordRun(t, Config{
+			UEs:      8,
+			Trunks:   2,
+			Duration: pick(300*time.Millisecond, hours(1)),
+			Profiles: tableI(60 * time.Millisecond),
+			Net:      nw,
+		})
+		m, err := ReplayLive(tl, ReplayOptions{Speedup: pick(4.0, 1), AckTimeout: 2 * time.Second, Net: nw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Source != "live" {
+			t.Fatalf("source %q", m.Source)
+		}
+		if int(m.Sent) != tl.Sends() || !reached(m.Sent, pick[uint64](1, 116)) {
+			t.Fatalf("replayed %d of %d recorded sends", m.Sent, tl.Sends())
+		}
+		if m.Delivered != m.Sent || m.Timeouts != 0 {
+			t.Fatalf("live replay lost heartbeats: %+v", m)
+		}
+		// Trunked sends must actually batch: fewer frames than heartbeats.
+		if m.Signaling.Uplinks >= m.Sent || !reached(m.Signaling.Batches, pick[uint64](1, 29)) {
+			t.Fatalf("no live aggregation: %+v", m.Signaling)
+		}
 	})
-	m, err := ReplayLive(tl, ReplayOptions{Speedup: 4, AckTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Source != "live" {
-		t.Fatalf("source %q", m.Source)
-	}
-	if int(m.Sent) != tl.Sends() {
-		t.Fatalf("replayed %d of %d recorded sends", m.Sent, tl.Sends())
-	}
-	if m.Delivered != m.Sent || m.Timeouts != 0 {
-		t.Fatalf("live replay lost heartbeats: %+v", m)
-	}
-	// Trunked sends must actually batch: fewer frames than heartbeats.
-	if m.Signaling.Uplinks >= m.Sent || m.Signaling.Batches == 0 {
-		t.Fatalf("no live aggregation: %+v", m.Signaling)
-	}
 }
 
+// TestReplayLiveMixedPaths replays three rounds of a direct client and a
+// trunk group of two: each round is one direct frame and one coalesced
+// batch — in the bubble at Table I's 270 s period.
 func TestReplayLiveMixedPaths(t *testing.T) {
-	tl := &rec.Timeline{
-		RelayPeriod:   100 * time.Millisecond,
-		RelayCapacity: 4,
-		Clients: []rec.Client{
-			{ID: "d0", App: "chat", Period: 50 * time.Millisecond, Expiry: time.Second, Relay: -1},
-			{ID: "g0", App: "chat", Period: 50 * time.Millisecond, Expiry: time.Second, Path: rec.PathTrunked, Relay: 0},
-			{ID: "g1", App: "chat", Period: 50 * time.Millisecond, Expiry: time.Second, Path: rec.PathTrunked, Relay: 0},
-		},
-	}
-	for p := 0; p < 3; p++ {
-		base := time.Duration(p) * 50 * time.Millisecond
-		for i := 0; i < 3; i++ {
-			tl.Events = append(tl.Events, rec.Event{
-				At: base + time.Duration(i)*500*time.Microsecond, Kind: rec.EvSend,
-				Client: i, Seq: uint64(p + 1),
-			})
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		period, expiry := pick(50*time.Millisecond, 270*time.Second), pick(time.Second, 300*time.Second)
+		tl := &rec.Timeline{
+			RelayPeriod:   2 * period,
+			RelayCapacity: 4,
+			Clients: []rec.Client{
+				{ID: "d0", App: "chat", Period: period, Expiry: expiry, Relay: -1},
+				{ID: "g0", App: "chat", Period: period, Expiry: expiry, Path: rec.PathTrunked, Relay: 0},
+				{ID: "g1", App: "chat", Period: period, Expiry: expiry, Path: rec.PathTrunked, Relay: 0},
+			},
 		}
-	}
-	m, err := ReplayLive(tl, ReplayOptions{AckTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Sent != 9 || m.Delivered != 9 {
-		t.Fatalf("mixed replay %+v", m)
-	}
-	// Per round: one direct frame + one coalesced batch of two.
-	if m.Signaling.Uplinks != 6 || m.Signaling.Batches != 3 {
-		t.Fatalf("frame structure %+v, want 6 uplinks / 3 batches", m.Signaling)
-	}
+		for p := 0; p < 3; p++ {
+			base := time.Duration(p) * period
+			for i := 0; i < 3; i++ {
+				tl.Events = append(tl.Events, rec.Event{
+					At: base + time.Duration(i)*500*time.Microsecond, Kind: rec.EvSend,
+					Client: i, Seq: uint64(p + 1),
+				})
+			}
+		}
+		m, err := ReplayLive(tl, ReplayOptions{AckTimeout: 2 * time.Second, Net: nw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Sent != 9 || m.Delivered != 9 {
+			t.Fatalf("mixed replay %+v", m)
+		}
+		// Per round: one direct frame + one coalesced batch of two.
+		if m.Signaling.Uplinks != 6 || m.Signaling.Batches != 3 {
+			t.Fatalf("frame structure %+v, want 6 uplinks / 3 batches", m.Signaling)
+		}
+	})
 }
 
 // TestReplayLiveMixedProfileGroup replays one relayed group whose clients
