@@ -27,48 +27,24 @@ type BatteryShareResult struct {
 func BatteryShare(seed int64) (*BatteryShareResult, error) {
 	profile := hbmsg.WeChat()
 	battery := energy.GalaxyS4Battery()
-	const day = 24 * time.Hour
 
-	// Original system: every heartbeat is a cellular transmission.
-	origSim, err := core.New(core.Options{Seed: seed, Duration: day, DisableD2D: true})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := origSim.AddUE(core.UESpec{ID: "orig", Profile: profile, StartOffset: 20 * time.Second}); err != nil {
-		return nil, err
-	}
-	origRep, err := origSim.Run()
-	if err != nil {
-		return nil, err
-	}
-	origE, err := deviceEnergy(origRep, "orig")
-	if err != nil {
-		return nil, err
-	}
-
-	// D2D scheme: the same device forwards through a relay at 1 m.
-	sim, err := core.PairScenario(core.Options{Seed: seed, Duration: day}, profile, 1, 1, 8)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := sim.Run()
-	if err != nil {
-		return nil, err
-	}
-	ueE, err := deviceEnergy(rep, "ue-01")
+	// The same device forwarding through a relay at 1 m, and as the
+	// original system, where every heartbeat is a cellular transmission.
+	opts := core.Options{Seed: seed, Duration: 24 * time.Hour}
+	m, err := pair{opts: opts, profile: profile, ues: 1, distance: 1, capacity: 8}.measure(nil)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &BatteryShareResult{
-		OriginalDailyShare: battery.DrainFraction(origE),
-		UEDailyShare:       battery.DrainFraction(ueE),
+		OriginalDailyShare: battery.DrainFraction(energy.MicroAmpHours(m.origE)),
+		UEDailyShare:       battery.DrainFraction(energy.MicroAmpHours(m.ueE)),
 	}
 	t := metrics.NewTable(
 		"Daily battery share of one IM app's heartbeats (Galaxy S4, WeChat)",
 		"path", "energy (µAh/day)", "battery share")
-	t.AddRow("original (cellular)", metrics.F(float64(origE)), metrics.Pct(res.OriginalDailyShare))
-	t.AddRow("UE via relay (D2D)", metrics.F(float64(ueE)), metrics.Pct(res.UEDailyShare))
+	t.AddRow("original (cellular)", metrics.F(m.origE), metrics.Pct(res.OriginalDailyShare))
+	t.AddRow("UE via relay (D2D)", metrics.F(m.ueE), metrics.Pct(res.UEDailyShare))
 	res.Table = t
 	return res, nil
 }

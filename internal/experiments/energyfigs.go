@@ -3,9 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"d2dhb/internal/core"
 	"d2dhb/internal/energy"
+	"d2dhb/internal/matching"
 	"d2dhb/internal/metrics"
-	"d2dhb/internal/sched"
 )
 
 // Table3Result reproduces Table III: energy per phase for UE and relay.
@@ -25,17 +26,17 @@ var table3Paper = struct {
 // Table3 measures per-phase energy in the one-relay/one-UE scenario with a
 // single forwarded heartbeat at 1 m.
 func Table3(seed int64) (*Table3Result, error) {
-	rep, err := runPair(seed, stdProfile(), 1, 1, 1, 8, sched.KindNagle)
+	rep, err := stdPair(core.Options{Seed: seed, Duration: kPeriods(stdProfile(), 1)}, 1, 8).run()
 	if err != nil {
 		return nil, err
 	}
-	ue, ok := rep.Device("ue-01")
-	if !ok {
-		return nil, fmt.Errorf("experiments: ue-01 missing")
+	ue, err := deviceReport(rep, "ue-01")
+	if err != nil {
+		return nil, err
 	}
-	relay, ok := rep.Device("relay")
-	if !ok {
-		return nil, fmt.Errorf("experiments: relay missing")
+	relay, err := deviceReport(rep, "relay")
+	if err != nil {
+		return nil, err
 	}
 	res := &Table3Result{
 		UEDiscovery:     float64(ue.Energy[energy.PhaseDiscovery]),
@@ -90,27 +91,11 @@ func EnergyVsTransmissions(seed int64, maxK int) (*EnergyCurves, error) {
 		SavedUEPct:     []float64{0},
 	}
 	for k := 1; k <= maxK; k++ {
-		rep, err := runPair(seed, stdProfile(), k, 1, 1, 8, sched.KindNagle)
+		m, err := stdPair(core.Options{Seed: seed, Duration: kPeriods(stdProfile(), k)}, 1, 8).measure(nil)
 		if err != nil {
 			return nil, err
 		}
-		ueE, err := deviceEnergy(rep, "ue-01")
-		if err != nil {
-			return nil, err
-		}
-		relayE, err := deviceEnergy(rep, "relay")
-		if err != nil {
-			return nil, err
-		}
-		origRep, err := runOriginalDevice(seed, stdProfile(), k)
-		if err != nil {
-			return nil, err
-		}
-		origE, err := deviceEnergy(origRep, "orig")
-		if err != nil {
-			return nil, err
-		}
-		ue, relay, orig := float64(ueE), float64(relayE), float64(origE)
+		ue, relay, orig := m.ueE, m.relayE, m.origE
 		c.K = append(c.K, float64(k))
 		c.UE = append(c.UE, ue)
 		c.Relay = append(c.Relay, relay)
@@ -128,23 +113,13 @@ func EnergyVsTransmissions(seed int64, maxK int) (*EnergyCurves, error) {
 // Fig8 renders the energy-versus-transmissions comparison for the whole
 // system, UE and relay.
 func (c *EnergyCurves) Fig8() (*metrics.Figure, error) {
-	f := metrics.NewFigure(
-		"Fig. 8: energy consumption comparison (µAh)", "transmissions", c.K)
-	for _, s := range []struct {
-		name string
-		y    []float64
-	}{
-		{"UE", c.UE},
-		{"Relay", c.Relay},
-		{"Original System", c.Original},
-		{"Saved Energy of System", c.SavedSystem},
-		{"Saved Energy of UE", c.SavedUE},
-	} {
-		if err := f.Add(s.name, s.y); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
+	return figure("Fig. 8: energy consumption comparison (µAh)", "transmissions", c.K, []metrics.Series{
+		{Name: "UE", Y: c.UE},
+		{Name: "Relay", Y: c.Relay},
+		{Name: "Original System", Y: c.Original},
+		{Name: "Saved Energy of System", Y: c.SavedSystem},
+		{Name: "Saved Energy of UE", Y: c.SavedUE},
+	})
 }
 
 // Fig9 renders the saved-energy percentages.
@@ -156,14 +131,10 @@ func (c *EnergyCurves) Fig9() (*metrics.Figure, error) {
 		}
 		return out
 	}
-	f := metrics.NewFigure("Fig. 9: saved energy (%)", "transmissions", c.K)
-	if err := f.Add("Saved Energy of System", pct(c.SavedSystemPct)); err != nil {
-		return nil, err
-	}
-	if err := f.Add("Saved Energy of UE", pct(c.SavedUEPct)); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return figure("Fig. 9: saved energy (%)", "transmissions", c.K, []metrics.Series{
+		{Name: "Saved Energy of System", Y: pct(c.SavedSystemPct)},
+		{Name: "Saved Energy of UE", Y: pct(c.SavedUEPct)},
+	})
 }
 
 // MultiUECurves holds the Fig. 10 / Fig. 11 measurements: relay energy and
@@ -189,29 +160,18 @@ func RelayMultiUE(seed int64, maxK int) (*MultiUECurves, error) {
 	}
 	for k := 1; k <= maxK; k++ {
 		res.K = append(res.K, float64(k))
-	}
-	for _, n := range counts {
-		for k := 1; k <= maxK; k++ {
-			rep, err := runPair(seed, stdProfile(), k, n, 1, n+1, sched.KindNagle)
+		h := kPeriods(stdProfile(), k)
+		// Every UE count is measured against the same original device.
+		var orig *core.Report
+		for _, n := range counts {
+			m, err := stdPair(core.Options{Seed: seed, Duration: h}, n, n+1).measure(orig)
 			if err != nil {
 				return nil, err
 			}
-			relayE, err := deviceEnergy(rep, "relay")
-			if err != nil {
-				return nil, err
-			}
-			origRep, err := runOriginalDevice(seed, stdProfile(), k)
-			if err != nil {
-				return nil, err
-			}
-			origE, err := deviceEnergy(origRep, "orig")
-			if err != nil {
-				return nil, err
-			}
-			ueSum := float64(sumUEEnergy(rep))
-			wasted := float64(relayE) - float64(origE)
-			saved := float64(n)*float64(origE) - ueSum
-			res.RelayE[n] = append(res.RelayE[n], float64(relayE))
+			orig = m.orig
+			wasted := m.relayE - m.origE
+			saved := float64(n)*m.origE - m.ueE
+			res.RelayE[n] = append(res.RelayE[n], m.relayE)
 			ratio := 0.0
 			if saved > 0 {
 				ratio = wasted / saved * 100
@@ -224,26 +184,23 @@ func RelayMultiUE(seed int64, maxK int) (*MultiUECurves, error) {
 
 // Fig10 renders relay energy versus transmissions for each UE count.
 func (m *MultiUECurves) Fig10() (*metrics.Figure, error) {
-	f := metrics.NewFigure("Fig. 10: energy consumption of a relay with multiple UEs (µAh)",
-		"transmissions", m.K)
-	for _, n := range m.NumUEs {
-		if err := f.Add(fmt.Sprintf("Relay with %d UE(s)", n), m.RelayE[n]); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
+	return figure("Fig. 10: energy consumption of a relay with multiple UEs (µAh)",
+		"transmissions", m.K, m.byUECount(m.RelayE))
 }
 
 // Fig11 renders the wasted/saved energy ratio for each UE count.
 func (m *MultiUECurves) Fig11() (*metrics.Figure, error) {
-	f := metrics.NewFigure("Fig. 11: ratio of wasted energy to saved energy (%)",
-		"transmissions", m.K)
-	for _, n := range m.NumUEs {
-		if err := f.Add(fmt.Sprintf("Relay with %d UE(s)", n), m.Ratio[n]); err != nil {
-			return nil, err
-		}
+	return figure("Fig. 11: ratio of wasted energy to saved energy (%)",
+		"transmissions", m.K, m.byUECount(m.Ratio))
+}
+
+// byUECount is one series of y per UE count.
+func (m *MultiUECurves) byUECount(y map[int][]float64) []metrics.Series {
+	series := make([]metrics.Series, len(m.NumUEs))
+	for i, n := range m.NumUEs {
+		series[i] = metrics.Series{Name: fmt.Sprintf("Relay with %d UE(s)", n), Y: y[n]}
 	}
-	return f, nil
+	return series
 }
 
 // Table4Paper holds the paper's receiving-phase energies for 1..7 UEs
@@ -265,14 +222,15 @@ func Table4(seed int64) (*Table4Result, error) {
 	res := &Table4Result{Paper: Table4Paper}
 	t := metrics.NewTable("Table IV: energy consumption in D2D receiving (µAh)",
 		"UEs", "paper", "measured")
+	h := kPeriods(stdProfile(), 1)
 	for n := 1; n <= 7; n++ {
-		rep, err := runPair(seed, stdProfile(), 1, n, 1, n+1, sched.KindNagle)
+		rep, err := stdPair(core.Options{Seed: seed, Duration: h}, n, n+1).run()
 		if err != nil {
 			return nil, err
 		}
-		relay, ok := rep.Device("relay")
-		if !ok {
-			return nil, fmt.Errorf("experiments: relay missing")
+		relay, err := deviceReport(rep, "relay")
+		if err != nil {
+			return nil, err
 		}
 		got := float64(relay.Energy[energy.PhaseD2DRecv])
 		res.NumUEs = append(res.NumUEs, n)
@@ -290,97 +248,54 @@ func Table4(seed int64) (*Table4Result, error) {
 // noise around MaxDistance) does not confound the pure distance-energy
 // effect the paper plots.
 func DistanceSweep(seed int64, k int) (*metrics.Figure, error) {
+	match := matching.DefaultConfig()
+	match.MaxDistance = 30
+	opts := core.Options{Seed: seed, Duration: kPeriods(stdProfile(), k), Match: &match}
 	distances := []float64{1, 5, 10, 15}
 	var ue, relay, orig, savedUE []float64
+	// Every distance is measured against the same original device.
+	var origRep *core.Report
 	for _, d := range distances {
-		rep, err := runPairMatched(seed, stdProfile(), k, 1, d, 8, 30)
+		m, err := pair{opts: opts, profile: stdProfile(), ues: 1, distance: d, capacity: 8}.measure(origRep)
 		if err != nil {
 			return nil, err
 		}
-		ueE, err := deviceEnergy(rep, "ue-01")
-		if err != nil {
-			return nil, err
-		}
-		relayE, err := deviceEnergy(rep, "relay")
-		if err != nil {
-			return nil, err
-		}
-		origRep, err := runOriginalDevice(seed, stdProfile(), k)
-		if err != nil {
-			return nil, err
-		}
-		origE, err := deviceEnergy(origRep, "orig")
-		if err != nil {
-			return nil, err
-		}
-		ue = append(ue, float64(ueE))
-		relay = append(relay, float64(relayE))
-		orig = append(orig, float64(origE))
-		savedUE = append(savedUE, float64(origE)-float64(ueE))
+		origRep = m.orig
+		ue = append(ue, m.ueE)
+		relay = append(relay, m.relayE)
+		orig = append(orig, m.origE)
+		savedUE = append(savedUE, m.origE-m.ueE)
 	}
-	f := metrics.NewFigure("Fig. 12: energy consumption at different communication distances (µAh)",
-		"distance (m)", distances)
-	for _, s := range []struct {
-		name string
-		y    []float64
-	}{
-		{"Saved Energy of UE", savedUE},
-		{"UE", ue},
-		{"Original System", orig},
-		{"Relay", relay},
-	} {
-		if err := f.Add(s.name, s.y); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
+	return figure("Fig. 12: energy consumption at different communication distances (µAh)",
+		"distance (m)", distances, []metrics.Series{
+			{Name: "Saved Energy of UE", Y: savedUE},
+			{Name: "UE", Y: ue},
+			{Name: "Original System", Y: orig},
+			{Name: "Relay", Y: relay},
+		})
 }
 
 // MessageSizeSweep measures energy at 1×..5× the standard 54 B heartbeat
 // size (Fig. 13): nearly flat for small messages.
 func MessageSizeSweep(seed int64, k int) (*metrics.Figure, error) {
+	opts := core.Options{Seed: seed, Duration: kPeriods(stdProfile(), k)}
 	multipliers := []float64{1, 2, 3, 4, 5}
 	var ue, relay, orig []float64
 	for _, mult := range multipliers {
 		profile := stdProfile()
 		profile.Size = int(mult) * energy.ReferenceMessageSize
-		rep, err := runPair(seed, profile, k, 1, 1, 8, sched.KindNagle)
+		m, err := pair{opts: opts, profile: profile, ues: 1, distance: 1, capacity: 8}.measure(nil)
 		if err != nil {
 			return nil, err
 		}
-		ueE, err := deviceEnergy(rep, "ue-01")
-		if err != nil {
-			return nil, err
-		}
-		relayE, err := deviceEnergy(rep, "relay")
-		if err != nil {
-			return nil, err
-		}
-		origRep, err := runOriginalDevice(seed, profile, k)
-		if err != nil {
-			return nil, err
-		}
-		origE, err := deviceEnergy(origRep, "orig")
-		if err != nil {
-			return nil, err
-		}
-		ue = append(ue, float64(ueE))
-		relay = append(relay, float64(relayE))
-		orig = append(orig, float64(origE))
+		ue = append(ue, m.ueE)
+		relay = append(relay, m.relayE)
+		orig = append(orig, m.origE)
 	}
-	f := metrics.NewFigure("Fig. 13: energy consumption at different message sizes (µAh)",
-		"size multiplier (×54B)", multipliers)
-	for _, s := range []struct {
-		name string
-		y    []float64
-	}{
-		{"UE", ue},
-		{"Original System", orig},
-		{"Relay", relay},
-	} {
-		if err := f.Add(s.name, s.y); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
+	return figure("Fig. 13: energy consumption at different message sizes (µAh)",
+		"size multiplier (×54B)", multipliers, []metrics.Series{
+			{Name: "UE", Y: ue},
+			{Name: "Original System", Y: orig},
+			{Name: "Relay", Y: relay},
+		})
 }

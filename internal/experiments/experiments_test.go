@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"d2dhb/internal/core"
 	"d2dhb/internal/energy"
 )
 
@@ -272,10 +273,19 @@ func TestFig15SignalingSaving(t *testing.T) {
 }
 
 func TestRunPairValidation(t *testing.T) {
-	if _, err := runPair(1, stdProfile(), 0, 1, 1, 8, 0); err == nil {
+	for _, k := range []int{0, -1} {
+		p := stdPair(core.Options{Seed: 1, Duration: kPeriods(stdProfile(), k)}, 1, 8)
+		if _, err := p.run(); err == nil {
+			t.Fatalf("k=%d accepted", k)
+		}
+		if _, err := p.original(); err == nil {
+			t.Fatalf("k=%d accepted", k)
+		}
+	}
+	if _, err := DistanceSweep(1, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := runOriginalDevice(1, stdProfile(), 0); err == nil {
+	if _, err := MessageSizeSweep(1, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 	if _, err := EnergyVsTransmissions(1, 0); err == nil {
@@ -294,12 +304,12 @@ func TestExactTransmissionAccounting(t *testing.T) {
 	// aggregated transmissions for k periods — otherwise every
 	// per-transmission figure is skewed.
 	const k = 5
-	rep, err := runPair(DefaultSeed, stdProfile(), k, 1, 1, 8, 0)
+	m, err := stdPair(core.Options{Seed: DefaultSeed, Duration: kPeriods(stdProfile(), k)}, 1, 8).measure(nil)
 	if err != nil {
-		t.Fatalf("runPair: %v", err)
+		t.Fatalf("measure: %v", err)
 	}
-	relay, _ := rep.Device("relay")
-	ue, _ := rep.Device("ue-01")
+	relay, _ := m.pair.Device("relay")
+	ue, _ := m.pair.Device("ue-01")
 	if relay.Relay.Flushes != k {
 		t.Fatalf("flushes = %d, want %d", relay.Relay.Flushes, k)
 	}
@@ -315,11 +325,7 @@ func TestExactTransmissionAccounting(t *testing.T) {
 		t.Fatalf("incomplete RRC cycles: %d promotions, %d releases",
 			relay.RRC.Promotions, relay.RRC.Releases)
 	}
-	orig, err := runOriginalDevice(DefaultSeed, stdProfile(), k)
-	if err != nil {
-		t.Fatalf("runOriginalDevice: %v", err)
-	}
-	od, _ := orig.Device("orig")
+	od, _ := m.orig.Device("orig")
 	if od.RRC.Transmissions != k || od.RRC.Promotions != od.RRC.Releases {
 		t.Fatalf("original device cycles wrong: %+v", od.RRC)
 	}
@@ -345,9 +351,9 @@ func TestHorizonGraceCoversReleaseOnly(t *testing.T) {
 	// Regression guard for the +10 s horizon: one period must yield
 	// exactly one UE heartbeat even though the horizon extends past the
 	// period boundary.
-	rep, err := runPair(DefaultSeed, stdProfile(), 1, 1, 1, 8, 0)
+	rep, err := stdPair(core.Options{Seed: DefaultSeed, Duration: kPeriods(stdProfile(), 1)}, 1, 8).run()
 	if err != nil {
-		t.Fatalf("runPair: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	ue, _ := rep.Device("ue-01")
 	if ue.UE.Generated != 1 {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"d2dhb/internal/core"
 	"d2dhb/internal/metrics"
-	"d2dhb/internal/sched"
 )
 
 // SeedStats summarizes one headline metric across seeds.
@@ -55,7 +55,7 @@ func SeedSweep(seed0 int64, n int) (*SeedRobustness, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("experiments: need >= 2 seeds, got %d", n)
 	}
-	var ueK1, sysK7, pair []float64
+	var ueK1, sysK7, pairSaving []float64
 	for i := 0; i < n; i++ {
 		seed := seed0 + int64(i)
 		curves, err := EnergyVsTransmissions(seed, 7)
@@ -65,27 +65,18 @@ func SeedSweep(seed0 int64, n int) (*SeedRobustness, error) {
 		ueK1 = append(ueK1, curves.SavedUEPct[1]*100)
 		sysK7 = append(sysK7, curves.SavedSystemPct[7]*100)
 
-		rep, err := runPair(seed, stdProfile(), 10, 1, 1, 8, sched.KindNagle)
+		m, err := stdPair(core.Options{Seed: seed, Duration: kPeriods(stdProfile(), 10)}, 1, 8).measure(nil)
 		if err != nil {
 			return nil, err
 		}
-		relay, ok := rep.Device("relay")
-		if !ok {
-			return nil, fmt.Errorf("experiments: relay missing")
-		}
-		origRep, err := runOriginalDevice(seed, stdProfile(), 10)
-		if err != nil {
-			return nil, err
-		}
-		orig, _ := origRep.Device("orig")
-		saving := 1 - float64(relay.RRC.L3Messages)/(2*float64(orig.RRC.L3Messages))
-		pair = append(pair, saving*100)
+		saving := 1 - float64(m.relay.RRC.L3Messages)/(2*float64(m.orig.TotalL3Messages))
+		pairSaving = append(pairSaving, saving*100)
 	}
 	res := &SeedRobustness{
 		Seeds:          n,
 		UESavingK1:     seedStats(ueK1),
 		SystemSavingK7: seedStats(sysK7),
-		PairSaving:     seedStats(pair),
+		PairSaving:     seedStats(pairSaving),
 	}
 	t := metrics.NewTable(
 		fmt.Sprintf("Headline robustness across %d seeds", n),

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"d2dhb/internal/core"
 	"d2dhb/internal/energy"
 	"d2dhb/internal/metrics"
@@ -30,7 +28,6 @@ type SensitivityRow struct {
 // the UE always saves heavily, and the system breaks even within a few
 // forwarded messages — only the exact percentages move.
 func CalibrationSensitivity(seed int64) ([]SensitivityRow, *metrics.Table, error) {
-	profile := stdProfile()
 	var rows []SensitivityRow
 	t := metrics.NewTable(
 		"Sensitivity: headline savings vs cellular-energy calibration",
@@ -41,52 +38,12 @@ func CalibrationSensitivity(seed int64) ([]SensitivityRow, *metrics.Table, error
 
 		row := SensitivityRow{CellularTxBase: base}
 		for k := 1; k <= 8; k++ {
-			opts := core.Options{
-				Seed:        seed,
-				Duration:    time.Duration(k)*profile.Period + 10*time.Second,
-				EnergyModel: &model,
-			}
-			sim, err := core.PairScenario(opts, profile, 1, 1, 8)
+			opts := core.Options{Seed: seed, Duration: kPeriods(stdProfile(), k), EnergyModel: &model}
+			m, err := stdPair(opts, 1, 8).measure(nil)
 			if err != nil {
 				return nil, nil, err
 			}
-			rep, err := sim.Run()
-			if err != nil {
-				return nil, nil, err
-			}
-			ueE, err := deviceEnergy(rep, "ue-01")
-			if err != nil {
-				return nil, nil, err
-			}
-			relayE, err := deviceEnergy(rep, "relay")
-			if err != nil {
-				return nil, nil, err
-			}
-			origOpts := core.Options{
-				Seed:        seed,
-				Duration:    time.Duration(k)*profile.Period + 10*time.Second,
-				EnergyModel: &model,
-				DisableD2D:  true,
-			}
-			origSim, err := core.New(origOpts)
-			if err != nil {
-				return nil, nil, err
-			}
-			if _, err := origSim.AddUE(core.UESpec{
-				ID: "orig", Profile: profile, StartOffset: 20 * time.Second,
-			}); err != nil {
-				return nil, nil, err
-			}
-			origRep, err := origSim.Run()
-			if err != nil {
-				return nil, nil, err
-			}
-			origE, err := deviceEnergy(origRep, "orig")
-			if err != nil {
-				return nil, nil, err
-			}
-
-			ue, relay, orig := float64(ueE), float64(relayE), float64(origE)
+			ue, relay, orig := m.ueE, m.relayE, m.origE
 			sysSaving := (2*orig - ue - relay) / (2 * orig)
 			if k == 1 {
 				row.UESavingK1 = 1 - ue/orig

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"d2dhb/internal/core"
 	"d2dhb/internal/metrics"
-	"d2dhb/internal/sched"
 )
 
 // SignalingResult reproduces Fig. 15: layer-3 message consumption of the
@@ -34,31 +34,19 @@ func Fig15(seed int64, maxK int) (*SignalingResult, error) {
 	res := &SignalingResult{}
 	var lastOrig, lastR1, lastR2 float64
 	for k := 1; k <= maxK; k++ {
-		origRep, err := runOriginalDevice(seed, stdProfile(), k)
+		p := stdPair(core.Options{Seed: seed, Duration: kPeriods(stdProfile(), k)}, 1, 8)
+		m1, err := p.measure(nil)
 		if err != nil {
 			return nil, err
 		}
-		orig := float64(origRep.TotalL3Messages)
-
-		rep1, err := runPair(seed, stdProfile(), k, 1, 1, 8, sched.KindNagle)
+		p.ues = 2
+		m2, err := p.measure(m1.orig)
 		if err != nil {
 			return nil, err
 		}
-		relay1, ok := rep1.Device("relay")
-		if !ok {
-			return nil, fmt.Errorf("experiments: relay missing")
-		}
-		r1 := float64(relay1.RRC.L3Messages)
-
-		rep2, err := runPair(seed, stdProfile(), k, 2, 1, 8, sched.KindNagle)
-		if err != nil {
-			return nil, err
-		}
-		relay2, ok := rep2.Device("relay")
-		if !ok {
-			return nil, fmt.Errorf("experiments: relay missing")
-		}
-		r2 := float64(relay2.RRC.L3Messages)
+		orig := float64(m1.orig.TotalL3Messages)
+		r1 := float64(m1.relay.RRC.L3Messages)
+		r2 := float64(m2.relay.RRC.L3Messages)
 
 		res.K = append(res.K, float64(k))
 		res.Original = append(res.Original, orig)
@@ -77,18 +65,9 @@ func Fig15(seed int64, maxK int) (*SignalingResult, error) {
 
 // Figure renders the Fig. 15 series.
 func (r *SignalingResult) Figure() (*metrics.Figure, error) {
-	f := metrics.NewFigure("Fig. 15: layer 3 message consumption", "transmissions", r.K)
-	for _, s := range []struct {
-		name string
-		y    []float64
-	}{
-		{"Original System", r.Original},
-		{"Relay with 1 UE", r.RelayWith1UE},
-		{"Relay with 2 UEs", r.RelayWith2UEs},
-	} {
-		if err := f.Add(s.name, s.y); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
+	return figure("Fig. 15: layer 3 message consumption", "transmissions", r.K, []metrics.Series{
+		{Name: "Original System", Y: r.Original},
+		{Name: "Relay with 1 UE", Y: r.RelayWith1UE},
+		{Name: "Relay with 2 UEs", Y: r.RelayWith2UEs},
+	})
 }
