@@ -17,17 +17,180 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 
 	"d2dhb/internal/energy"
 	"d2dhb/internal/experiments"
 	"d2dhb/internal/metrics"
 )
 
-// experimentIDs are the values -only accepts, in the order run prints them.
-var experimentIDs = []string{
-	"table1", "fig6", "fig7", "table3", "fig8", "fig9", "fig10", "fig11", "table4", "fig12", "fig13", "fig15",
-	"density", "storm", "battery", "extension", "seeds", "sensitivity", "delay", "incentive", "ablations",
+// An output is one piece of a section: what it prints without and with
+// -csv, and the CSV file -out saves (none for a headline).
+type output struct {
+	text, csvText, file string
 }
+
+func tableOut(t *metrics.Table) output { return output{t.String(), t.String(), t.CSV()} }
+
+func traceOut(r experiments.TraceResult) output {
+	c := r.Trace.CSV()
+	return output{r.Summary().String(), c, c}
+}
+
+func headline(format string, args ...any) output {
+	s := fmt.Sprintf(format+"\n", args...)
+	return output{text: s, csvText: s}
+}
+
+// figure is the output of a figure that rendered.
+func figure(f *metrics.Figure, err error) ([]output, error) {
+	if err != nil {
+		return nil, err
+	}
+	c := f.Table().CSV()
+	return []output{{f.String(), c, c}}, nil
+}
+
+// evaluation is one run's seed and the results two sections share:
+// fig8/fig9 one EnergyVsTransmissions run, fig10/fig11 one RelayMultiUE run.
+type evaluation struct {
+	seed   int64
+	energy func() (*experiments.EnergyCurves, error)
+	multi  func() (*experiments.MultiUECurves, error)
+}
+
+func newEvaluation(seed int64) *evaluation {
+	return &evaluation{
+		seed:   seed,
+		energy: sync.OnceValues(func() (*experiments.EnergyCurves, error) { return experiments.EnergyVsTransmissions(seed, 8) }),
+		multi:  sync.OnceValues(func() (*experiments.MultiUECurves, error) { return experiments.RelayMultiUE(seed, 7) }),
+	}
+}
+
+// A compute runs a section's experiments, or reads the results it shares,
+// and returns what the section prints and saves.
+type compute func(e *evaluation) ([]output, error)
+
+// table is the section of an experiment whose result carries one table.
+func table[R any](run func(int64) (R, error), get func(R) *metrics.Table) compute {
+	return func(e *evaluation) ([]output, error) {
+		res, err := run(e.seed)
+		if err != nil {
+			return nil, err
+		}
+		return []output{tableOut(get(res))}, nil
+	}
+}
+
+// rows is the section of an experiment that returns its rows and their
+// table.
+func rows[R any](run func(int64) (R, *metrics.Table, error)) compute {
+	return table(func(seed int64) (*metrics.Table, error) {
+		_, t, err := run(seed)
+		return t, err
+	}, func(t *metrics.Table) *metrics.Table { return t })
+}
+
+// concat is the section of several computes, in order.
+func concat(parts ...compute) compute {
+	return func(e *evaluation) ([]output, error) {
+		var outs []output
+		for _, part := range parts {
+			o, err := part(e)
+			if err != nil {
+				return nil, err
+			}
+			outs = append(outs, o...)
+		}
+		return outs, nil
+	}
+}
+
+// The sections, one per id, in the order run prints them.
+var sections = []struct {
+	id      string
+	compute compute
+}{
+	{"table1", table(experiments.Table1, func(r *experiments.Table1Result) *metrics.Table { return r.Table })},
+	{"fig6", func(*evaluation) ([]output, error) {
+		return []output{traceOut(experiments.Fig6(energy.DefaultModel()))}, nil
+	}},
+	{"fig7", func(*evaluation) ([]output, error) {
+		return []output{traceOut(experiments.Fig7(energy.DefaultModel()))}, nil
+	}},
+	{"table3", table(experiments.Table3, func(r *experiments.Table3Result) *metrics.Table { return r.Table })},
+	{"fig8", func(e *evaluation) ([]output, error) {
+		c, err := e.energy()
+		if err != nil {
+			return nil, err
+		}
+		return figure(c.Fig8())
+	}},
+	{"fig9", func(e *evaluation) ([]output, error) {
+		c, err := e.energy()
+		if err != nil {
+			return nil, err
+		}
+		outs, err := figure(c.Fig9())
+		return append(outs, headline("headline: UE saving at k=1 = %.1f%% (paper ≈55%%); system saving at k=7 = %.1f%% (paper ≈36%%)",
+			c.SavedUEPct[1]*100, c.SavedSystemPct[7]*100)), err
+	}},
+	{"fig10", func(e *evaluation) ([]output, error) {
+		m, err := e.multi()
+		if err != nil {
+			return nil, err
+		}
+		return figure(m.Fig10())
+	}},
+	{"fig11", func(e *evaluation) ([]output, error) {
+		m, err := e.multi()
+		if err != nil {
+			return nil, err
+		}
+		outs, err := figure(m.Fig11())
+		return append(outs, headline("headline: ratio drops from %.1f%% (1 UE, k=1) to %.1f%% (7 UEs, k=7); paper: ≈97%% → ≈5%%",
+			m.Ratio[1][0], m.Ratio[7][len(m.K)-1])), err
+	}},
+	{"table4", table(experiments.Table4, func(r *experiments.Table4Result) *metrics.Table { return r.Table })},
+	{"fig12", func(e *evaluation) ([]output, error) { return figure(experiments.DistanceSweep(e.seed, 3)) }},
+	{"fig13", func(e *evaluation) ([]output, error) { return figure(experiments.MessageSizeSweep(e.seed, 3)) }},
+	{"fig15", func(e *evaluation) ([]output, error) {
+		res, err := experiments.Fig15(e.seed, 10)
+		if err != nil {
+			return nil, err
+		}
+		outs, err := figure(res.Figure())
+		return append(outs, headline("headline: pair saving %.1f%% (paper: about 50%% worst case); trio saving %.1f%% (paper: more than 50%%)",
+			res.PairSaving1UE*100, res.TrioSaving2UEs*100)), err
+	}},
+	{"density", rows(experiments.RelayDensitySweep)},
+	{"storm", rows(experiments.StormSweep)},
+	{"battery", table(experiments.BatteryShare, func(r *experiments.BatteryShareResult) *metrics.Table { return r.Table })},
+	{"extension", table(experiments.PeriodicExtension, func(r *experiments.ExtensionResult) *metrics.Table { return r.Table })},
+	{"seeds", table(func(seed int64) (*experiments.SeedRobustness, error) { return experiments.SeedSweep(seed, 5) },
+		func(r *experiments.SeedRobustness) *metrics.Table { return r.Table })},
+	{"sensitivity", rows(experiments.CalibrationSensitivity)},
+	{"delay", rows(experiments.DelayByPolicy)},
+	{"incentive", rows(experiments.Incentive)},
+	{"ablations", concat(
+		rows(experiments.PolicyAblation),
+		rows(experiments.TechniqueAblation),
+		rows(experiments.PrejudgmentAblation),
+		rows(experiments.FeedbackAblation),
+		rows(experiments.CapacityAblation),
+		rows(experiments.CoverageAblation),
+		rows(experiments.ExpiryFactorAblation),
+	)},
+}
+
+// experimentIDs are the values -only accepts, in the order run prints them.
+var experimentIDs = func() []string {
+	ids := make([]string, len(sections))
+	for i, s := range sections {
+		ids[i] = s.id
+	}
+	return ids
+}()
 
 func main() {
 	var (
@@ -49,247 +212,47 @@ func main() {
 	}
 }
 
-// run prints the selected experiments (every one when only is empty) to w
-// and, with outDir set, writes their CSV files there.
+// run prints the selected sections (every one when only is empty) to w
+// and, with outDir set, writes each table of a section to its own CSV
+// file there: <id>.csv, or <id>-<n>.csv when the section has several.
 func run(w io.Writer, seed int64, csv bool, only, outDir string) error {
 	if only != "" && !slices.Contains(experimentIDs, only) {
 		return fmt.Errorf("unknown experiment %q (valid: %s)", only, strings.Join(experimentIDs, ", "))
 	}
-	want := func(name string) bool { return only == "" || only == name }
-	model := energy.DefaultModel()
-	save := func(name, content string) error {
-		if outDir == "" {
-			return nil
+	e := newEvaluation(seed)
+	for _, s := range sections {
+		if only != "" && only != s.id {
+			continue
 		}
-		return os.WriteFile(filepath.Join(outDir, name+".csv"), []byte(content), 0o644)
-	}
-
-	if want("table1") {
-		res, err := experiments.Table1(seed)
+		outs, err := s.compute(e)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, res.Table)
-		if err := save("table1", res.Table.CSV()); err != nil {
-			return err
-		}
-	}
-	if want("fig6") {
-		res := experiments.Fig6(model)
-		if csv {
-			fmt.Fprintln(w, res.Trace.CSV())
-		} else {
-			fmt.Fprintln(w, res.Summary())
-		}
-		if err := save("fig6", res.Trace.CSV()); err != nil {
-			return err
-		}
-	}
-	if want("fig7") {
-		res := experiments.Fig7(model)
-		if csv {
-			fmt.Fprintln(w, res.Trace.CSV())
-		} else {
-			fmt.Fprintln(w, res.Summary())
-		}
-		if err := save("fig7", res.Trace.CSV()); err != nil {
-			return err
-		}
-	}
-	if want("table3") {
-		res, err := experiments.Table3(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Table)
-		if err := save("table3", res.Table.CSV()); err != nil {
-			return err
-		}
-	}
-	if want("fig8") || want("fig9") {
-		curves, err := experiments.EnergyVsTransmissions(seed, 8)
-		if err != nil {
-			return err
-		}
-		if want("fig8") {
-			f, err := curves.Fig8()
-			if err != nil {
-				return err
-			}
-			printFigure(w, f, csv)
-			if err := save("fig8", f.Table().CSV()); err != nil {
-				return err
+		files := 0
+		for _, o := range outs {
+			if o.file != "" {
+				files++
 			}
 		}
-		if want("fig9") {
-			f, err := curves.Fig9()
-			if err != nil {
+		n := 0
+		for _, o := range outs {
+			if csv {
+				fmt.Fprintln(w, o.csvText)
+			} else {
+				fmt.Fprintln(w, o.text)
+			}
+			if outDir == "" || o.file == "" {
+				continue
+			}
+			n++
+			name := s.id
+			if files > 1 {
+				name = fmt.Sprintf("%s-%d", s.id, n)
+			}
+			if err := os.WriteFile(filepath.Join(outDir, name+".csv"), []byte(o.file), 0o644); err != nil {
 				return err
 			}
-			printFigure(w, f, csv)
-			if err := save("fig9", f.Table().CSV()); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "headline: UE saving at k=1 = %.1f%% (paper ≈55%%); system saving at k=7 = %.1f%% (paper ≈36%%)\n\n",
-				curves.SavedUEPct[1]*100, curves.SavedSystemPct[7]*100)
-		}
-	}
-	if want("fig10") || want("fig11") {
-		multi, err := experiments.RelayMultiUE(seed, 7)
-		if err != nil {
-			return err
-		}
-		if want("fig10") {
-			f, err := multi.Fig10()
-			if err != nil {
-				return err
-			}
-			printFigure(w, f, csv)
-			if err := save("fig10", f.Table().CSV()); err != nil {
-				return err
-			}
-		}
-		if want("fig11") {
-			f, err := multi.Fig11()
-			if err != nil {
-				return err
-			}
-			printFigure(w, f, csv)
-			if err := save("fig11", f.Table().CSV()); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "headline: ratio drops from %.1f%% (1 UE, k=1) to %.1f%% (7 UEs, k=7); paper: ≈97%% → ≈5%%\n\n",
-				multi.Ratio[1][0], multi.Ratio[7][len(multi.K)-1])
-		}
-	}
-	if want("table4") {
-		res, err := experiments.Table4(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Table)
-		if err := save("table4", res.Table.CSV()); err != nil {
-			return err
-		}
-	}
-	if want("fig12") {
-		f, err := experiments.DistanceSweep(seed, 3)
-		if err != nil {
-			return err
-		}
-		printFigure(w, f, csv)
-		if err := save("fig12", f.Table().CSV()); err != nil {
-			return err
-		}
-	}
-	if want("fig13") {
-		f, err := experiments.MessageSizeSweep(seed, 3)
-		if err != nil {
-			return err
-		}
-		printFigure(w, f, csv)
-		if err := save("fig13", f.Table().CSV()); err != nil {
-			return err
-		}
-	}
-	if want("fig15") {
-		res, err := experiments.Fig15(seed, 10)
-		if err != nil {
-			return err
-		}
-		f, err := res.Figure()
-		if err != nil {
-			return err
-		}
-		printFigure(w, f, csv)
-		if err := save("fig15", f.Table().CSV()); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "headline: pair saving %.1f%% (paper: about 50%% worst case); trio saving %.1f%% (paper: more than 50%%)\n\n",
-			res.PairSaving1UE*100, res.TrioSaving2UEs*100)
-	}
-	if want("density") {
-		_, t, err := experiments.RelayDensitySweep(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, t)
-	}
-	if want("storm") {
-		_, t, err := experiments.StormSweep(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, t)
-	}
-	if want("battery") {
-		res, err := experiments.BatteryShare(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Table)
-	}
-	if want("extension") {
-		res, err := experiments.PeriodicExtension(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Table)
-	}
-	if want("seeds") {
-		res, err := experiments.SeedSweep(seed, 5)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Table)
-	}
-	if want("sensitivity") {
-		_, t, err := experiments.CalibrationSensitivity(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, t)
-	}
-	if want("delay") {
-		_, t, err := experiments.DelayByPolicy(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, t)
-	}
-	if want("incentive") {
-		_, t, err := experiments.Incentive(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, t)
-	}
-	if want("ablations") {
-		type ablation func(int64) (*metrics.Table, error)
-		ablations := []ablation{
-			func(s int64) (*metrics.Table, error) { _, t, err := experiments.PolicyAblation(s); return t, err },
-			func(s int64) (*metrics.Table, error) { _, t, err := experiments.TechniqueAblation(s); return t, err },
-			func(s int64) (*metrics.Table, error) { _, t, err := experiments.PrejudgmentAblation(s); return t, err },
-			func(s int64) (*metrics.Table, error) { _, t, err := experiments.FeedbackAblation(s); return t, err },
-			func(s int64) (*metrics.Table, error) { _, t, err := experiments.CapacityAblation(s); return t, err },
-			func(s int64) (*metrics.Table, error) { _, t, err := experiments.CoverageAblation(s); return t, err },
-			func(s int64) (*metrics.Table, error) { _, t, err := experiments.ExpiryFactorAblation(s); return t, err },
-		}
-		for _, ab := range ablations {
-			t, err := ab(seed)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, t)
 		}
 	}
 	return nil
-}
-
-func printFigure(w io.Writer, f *metrics.Figure, csv bool) {
-	if csv {
-		fmt.Fprintln(w, f.Table().CSV())
-		return
-	}
-	fmt.Fprintln(w, f)
 }
