@@ -252,8 +252,8 @@ func (t *internTable) add(s string, hash uint64) Handle {
 // only when a frame does not fit, doubling until it does, so it never
 // exceeds twice the largest frame read. Messages returned by Next share
 // per-type reusable values and slices owned by the reader: they are valid
-// only until the next Next/ReadInto call. Strings are interned per reader
-// and safe to retain.
+// only until the next call to Next. Strings are interned per reader and
+// safe to retain.
 type FrameReader struct {
 	r        io.Reader
 	buf      []byte // buf[off:end] is read but not yet consumed
@@ -323,20 +323,6 @@ func (fr *FrameReader) Next() (Message, error) {
 		return nil, err
 	}
 	return msg, nil
-}
-
-// ReadInto reads the next frame and decodes it into msg. The wire type
-// must match msg.Type(); a mismatch is a protocol error that leaves the
-// stream positioned after the offending frame.
-func (fr *FrameReader) ReadInto(msg Message) error {
-	body, typ, err := fr.readPayload()
-	if err != nil {
-		return err
-	}
-	if typ != msg.Type() {
-		return errUnexpectedType(typ, msg.Type())
-	}
-	return decodeBody(msg, body, fr.intern)
 }
 
 // readPayload reads one frame — header, payload and CRC — into the

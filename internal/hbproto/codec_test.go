@@ -222,30 +222,6 @@ func TestErrTrailingBytesSentinel(t *testing.T) {
 	}
 }
 
-func TestFrameReaderReadInto(t *testing.T) {
-	var buf []byte
-	var err error
-	want := &Ack{Refs: []Ref{{Src: "a", Seq: 1}, {Src: "b", Seq: 2}}}
-	if buf, err = AppendFrame(buf, want); err != nil {
-		t.Fatal(err)
-	}
-	if buf, err = AppendFrame(buf, &Heartbeat{Src: "x", Seq: 3, App: "std", Origin: time.UnixMilli(9).UTC(), Expiry: time.Second, Pad: 54}); err != nil {
-		t.Fatal(err)
-	}
-	fr := NewFrameReader(bytes.NewReader(buf))
-	var ack Ack
-	if err := fr.ReadInto(&ack); err != nil {
-		t.Fatalf("ReadInto: %v", err)
-	}
-	if !reflect.DeepEqual(sansHandles(&ack), Message(want)) {
-		t.Fatalf("got %+v, want %+v", ack, want)
-	}
-	// Wrong expected type: sentinel error, stream positioned past frame.
-	if err := fr.ReadInto(&ack); !errors.Is(err, ErrUnexpectedType) {
-		t.Fatalf("err = %v, want ErrUnexpectedType", err)
-	}
-}
-
 // TestFrameReaderReuseIsolation pins the documented aliasing contract:
 // values from Next are only valid until the following call, and interned
 // strings are stable across frames.

@@ -45,9 +45,6 @@ var (
 	// left unconsumed bytes — a framing bug or corruption that survived
 	// the checksum.
 	ErrTrailingBytes = errors.New("hbproto: trailing bytes in payload")
-	// ErrUnexpectedType reports a frame whose wire type does not match
-	// what the caller asked FrameReader.ReadInto to decode.
-	ErrUnexpectedType = errors.New("hbproto: unexpected message type")
 )
 
 func errTrailing(n int) error {
@@ -60,10 +57,6 @@ func errBadVersion(v byte) error {
 
 func errUnknownType(t byte) error {
 	return fmt.Errorf("%w: %d", ErrUnknownType, t)
-}
-
-func errUnexpectedType(got, want MsgType) error {
-	return fmt.Errorf("%w: got %v, want %v", ErrUnexpectedType, got, want)
 }
 
 // MsgType identifies a protocol message.
