@@ -5,6 +5,9 @@
 //
 //	d2dbench [-seed N] [-csv] [-out dir] [-only id]
 //
+// -csv prints every table and figure as CSV, and each trace as its CSV
+// samples instead of its summary; a headline (one sentence, no table)
+// stays text. -out also saves every table and figure as a CSV file.
 // -only runs one experiment; -h lists the ids it accepts. The repo's
 // performance benchmark is bench/run.sh, not this command.
 package main
@@ -30,7 +33,7 @@ type output struct {
 	text, csvText, file string
 }
 
-func tableOut(t *metrics.Table) output { return output{t.String(), t.String(), t.CSV()} }
+func tableOut(t *metrics.Table) output { c := t.CSV(); return output{t.String(), c, c} }
 
 func traceOut(r experiments.TraceResult) output {
 	c := r.Trace.CSV()
@@ -195,7 +198,7 @@ var experimentIDs = func() []string {
 func main() {
 	var (
 		seed = flag.Int64("seed", experiments.DefaultSeed, "simulation seed")
-		csv  = flag.Bool("csv", false, "emit current traces as CSV instead of summaries")
+		csv  = flag.Bool("csv", false, "print every table and figure as CSV, and each trace as its CSV samples, instead of aligned text and summaries; headlines stay text")
 		only = flag.String("only", "", "run a single experiment: "+strings.Join(experimentIDs, ", "))
 		out  = flag.String("out", "", "also write every table/figure as CSV files into this directory")
 	)

@@ -37,6 +37,14 @@ func TestRunCSVMode(t *testing.T) {
 	if err := run(io.Discard, experiments.DefaultSeed, true, "fig6", ""); err != nil {
 		t.Fatalf("run csv: %v", err)
 	}
+	// A table prints as CSV too, not as aligned text.
+	var b bytes.Buffer
+	if err := run(&b, experiments.DefaultSeed, true, "table1", ""); err != nil {
+		t.Fatalf("run csv: %v", err)
+	}
+	if out := b.String(); !strings.HasPrefix(out, "App,Paper,Measured,AbsErr\n") || strings.Contains(out, "  ") {
+		t.Errorf("-csv printed Table I as\n%s\nwant its CSV", out)
+	}
 }
 
 func TestRunWritesCSVFiles(t *testing.T) {

@@ -264,20 +264,18 @@ func (r *Relay) Receive(hb hbmsg.Heartbeat, via ReturnPath) {
 	switch {
 	case errors.Is(err, sched.ErrClosed):
 		r.stats.RejectedClosed++
-		r.emit(trace.Event{Kind: trace.KindReject, App: hb.App, Seq: hb.Seq,
-			Peer: string(hb.Src), Reason: "closed"})
+		r.traceHB(trace.KindReject, &hb, "closed")
 		return
 	case errors.Is(err, sched.ErrExpired):
 		r.stats.RejectedExpired++
-		r.emit(trace.Event{Kind: trace.KindReject, App: hb.App, Seq: hb.Seq,
-			Peer: string(hb.Src), Reason: "expired"})
+		r.traceHB(trace.KindReject, &hb, "expired")
 		return
 	case err != nil:
 		r.stats.SendErrors++
 		return
 	}
 	r.stats.Collected++
-	r.emit(trace.Event{Kind: trace.KindCollect, App: hb.App, Seq: hb.Seq, Peer: string(hb.Src)})
+	r.traceHB(trace.KindCollect, &hb, "")
 	r.sources[ackKey{src: hb.Src, seq: hb.Seq}] = route{via: via, lapse: hb.Origin + FeedbackWindow(0, hb.Expiry)}
 	r.advertise()
 	if flushNow {
@@ -285,6 +283,21 @@ func (r *Relay) Receive(hb hbmsg.Heartbeat, via ReturnPath) {
 		return
 	}
 	r.rearmFlush()
+}
+
+// traceHB emits the trace event of a heartbeat Receive handled: its
+// collection, or its rejection for reason. It returns at once without a
+// tracer, and it is never inlined, so the event is built in no frame of
+// an untraced collect: on the live relay that path runs on a UE reader,
+// which keeps whatever stack the path grows it to (DESIGN.md, "The
+// goroutine stack budget").
+//
+//go:noinline
+func (r *Relay) traceHB(kind trace.Kind, hb *hbmsg.Heartbeat, reason string) {
+	if r.cfg.Tracer == nil {
+		return
+	}
+	r.emit(trace.Event{Kind: kind, App: hb.App, Seq: hb.Seq, Peer: string(hb.Src), Reason: reason})
 }
 
 // rearmFlush (re)schedules the flush at the policy's current deadline.

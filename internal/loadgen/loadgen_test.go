@@ -528,8 +528,13 @@ func TestFleetBuildFootprint(t *testing.T) {
 // reader plus its relay's reader for it, and nothing else — every UE's
 // sends run on the run's one driver, with no goroutine, loop timer or
 // watchdog of its own. It logs the goroutine stack the running fleet holds
-// per UE and the stack new goroutines start with, and checks that a UE is
-// still one 320-byte allocation.
+// per UE, the stack new goroutines start with and the relays' flush turns
+// on UE readers, and checks that a UE is still one 320-byte allocation.
+// The stack per UE is mostly the size the fleet's goroutines started
+// with: the last GC before a fleet connects scans only the test's own
+// deep goroutines, so a fleet that connects with no GC of its own starts
+// every goroutine at 4 KB (EXPERIMENTS.md, "Relay readers run the turn
+// from their parked frame").
 func TestFleetRunFootprint(t *testing.T) {
 	const (
 		ues   = 300
@@ -583,6 +588,9 @@ func TestFleetRunFootprint(t *testing.T) {
 				ues, extra, base, float64(extra)/ues, float64(stack-before.StackInuse)/ues)
 			if start[0].Value.Kind() == metrics.KindUint64 {
 				t.Logf("a GC mid-run starts new goroutines with %d B of stack", start[0].Value.Uint64())
+			}
+			if rep.Relay != nil {
+				t.Logf("the relays flushed %d times, %d of them in a turn a UE reader ran", rep.Relay.Flushes, rep.Relay.ReaderFlushTurns)
 			}
 			if extra > 2*ues+slack {
 				t.Errorf("a running fleet of %d UEs holds %d goroutines, want ≤ %d: 2 per UE plus %d",

@@ -43,6 +43,9 @@ type RelayStats struct {
 	Forwarded int `json:"forwarded"`
 	Flushes   int `json:"flushes"`
 	Rejected  int `json:"rejected"`
+	// ReaderFlushTurns counts the relays' turns that a UE reader ran and
+	// in which its relay flushed (relaynet.RelayAgent.ReaderFlushTurns).
+	ReaderFlushTurns int `json:"reader_flush_turns,omitempty"`
 	// RoutesExpired counts feedback routes the relays dropped because their
 	// UE's ack window closed before a shard acknowledged the heartbeat.
 	RoutesExpired int `json:"routes_expired,omitempty"`
@@ -158,6 +161,7 @@ func (r *Runner) snapshot(elapsed time.Duration, final bool) Report {
 			agg.Collected += st.Collected
 			agg.Forwarded += st.ForwardedSent
 			agg.Flushes += st.Flushes
+			agg.ReaderFlushTurns += ra.ReaderFlushTurns()
 			agg.Rejected += st.RejectedClosed + st.RejectedExpired
 			agg.RoutesExpired += st.RoutesExpired
 		}
@@ -324,8 +328,8 @@ func (rep Report) String() string {
 			rep.Server.IDGuessHits, rep.Server.IDGuessMisses)
 	}
 	if rep.Relay != nil {
-		fmt.Fprintf(&b, "relays: collected=%d forwarded=%d flushes=%d rejected=%d routes_expired=%d\n",
-			rep.Relay.Collected, rep.Relay.Forwarded, rep.Relay.Flushes, rep.Relay.Rejected, rep.Relay.RoutesExpired)
+		fmt.Fprintf(&b, "relays: collected=%d forwarded=%d flushes=%d (on UE readers %d) rejected=%d routes_expired=%d\n",
+			rep.Relay.Collected, rep.Relay.Forwarded, rep.Relay.Flushes, rep.Relay.ReaderFlushTurns, rep.Relay.Rejected, rep.Relay.RoutesExpired)
 	}
 	if st := rep.ShardTable(); st != nil {
 		b.WriteByte('\n')

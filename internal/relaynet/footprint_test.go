@@ -93,55 +93,110 @@ func TestDirectUEFootprint(t *testing.T) {
 	}
 }
 
-// TestRelayReaderFootprint pins the stack a relay's UE readers park with,
-// in a population of them alone: raw connections into one relay, each
+// shallowStart parks enough shallow goroutines for the runtime to start
+// new goroutines at stackBudget, and keeps them parked until the test ends.
+// A GC over a few deep goroutines alone (the test's own) starts new ones
+// at 4 KB, and a reader started at 4 KB keeps it whatever depth it runs
+// at, so without them the test would read the starting size, not the
+// readers.
+func shallowStart(t *testing.T) {
+	t.Helper()
+	const n = 128
+	done := make(chan struct{})
+	var parked sync.WaitGroup
+	parked.Add(n)
+	for range n {
+		go func() { parked.Done(); <-done }()
+	}
+	parked.Wait()
+	t.Cleanup(func() { close(done) })
+	runtime.GC()
+	if start := startingStack(t); start != stackBudget {
+		t.Fatalf("with %d shallow goroutines parked, new goroutines start with %d B of stack, want %d",
+			n, start, stackBudget)
+	}
+}
+
+// TestRelayReaderFootprint pins the stack a relay's UE readers keep, in a
+// population of them alone: raw connections into one relay, each
 // registering and sending one heartbeat, over a few periods of flushes and
-// feedback, so every reader has run turns. A reader parked deeper than
-// 1 120 B moves every new goroutine of the process to a 4 KB stack; it
-// read 4 096 while ueReader kept its loop body in its own 536 B frame.
+// feedback, so every reader has run turns. The readers start at 2 KB, and
+// one whose turn runs deeper than its stack keeps the stack it grew to:
+// the steady state runs no GC, and a GC shrinks only a stack less than a
+// quarter used. It reads ~2.3 KB per connection with the turn served from
+// ueReader's frame, and ~4.1 KB while it ran below ueFrame's 408 B (Go
+// 1.24, amd64). A reader parked deeper than 1 120 B moves every new
+// goroutine of the process to a 4 KB stack; it read 4 096 while ueReader
+// kept its loop body in its own 536 B frame. The period case's relay
+// flushes at its period ends, mostly on its wall timer; the capacity
+// case's at M = 4, in the turn of every fourth heartbeat, which is
+// usually its reader's. Each logs how many turns a reader ran that
+// flushed, and each such reader may keep 2 KB more: the capacity case
+// reads ~2.7 KB per connection run alone. Goroutines that exited earlier
+// in the process leave stacks behind that the readers reuse, so a case
+// run after others reads lower.
 func TestRelayReaderFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime deepens every frame")
 	}
-	const ues, waves = 500, 5
-	period := 50 * time.Millisecond
-	s := startServer(t, loopback{})
-	r := startRelay(t, loopback{}, s.Addr(), period, time.Minute, ues)
-	var before runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := range ues {
-		conn, err := net.Dial("tcp", r.Addr())
-		if err != nil {
-			t.Fatalf("dial relay: %v", err)
-		}
-		t.Cleanup(func() { _ = conn.Close() })
-		id := fmt.Sprintf("ue-%04d", i)
-		for _, msg := range []hbproto.Message{
-			&hbproto.Register{ID: id, Role: hbproto.RoleUE, App: "std", Period: period, Expiry: time.Minute},
-			&hbproto.Heartbeat{Src: id, Seq: 1, App: "std", Origin: time.Now(), Expiry: time.Minute, Pad: 54},
-		} {
-			if err := hbprototest.WriteFrame(conn, msg); err != nil {
-				t.Fatalf("%s: %v", id, err)
+	const ues, ceiling = 500, 2560 // ceiling: bytes of stack per connection
+	for _, c := range []struct {
+		name     string
+		capacity int // M
+		wave     int // UEs that send in one period
+		period   time.Duration
+	}{{"period", ues, ues / 5, 50 * time.Millisecond}, {"capacity", 4, 4, 5 * time.Millisecond}} {
+		t.Run(c.name, func(t *testing.T) {
+			s := startServer(t, loopback{})
+			r := startRelay(t, loopback{}, s.Addr(), c.period, time.Minute, c.capacity)
+			shallowStart(t)
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := range ues {
+				conn, err := net.Dial("tcp", r.Addr())
+				if err != nil {
+					t.Fatalf("dial relay: %v", err)
+				}
+				t.Cleanup(func() { _ = conn.Close() })
+				id := fmt.Sprintf("ue-%04d", i)
+				for _, msg := range []hbproto.Message{
+					&hbproto.Register{ID: id, Role: hbproto.RoleUE, App: "std", Period: c.period, Expiry: time.Minute},
+					&hbproto.Heartbeat{Src: id, Seq: 1, App: "std", Origin: time.Now(), Expiry: time.Minute, Pad: 54},
+				} {
+					if err := hbprototest.WriteFrame(conn, msg); err != nil {
+						t.Fatalf("%s: %v", id, err)
+					}
+				}
+				// Each wave is fed back, and the relay opens a new window,
+				// before the next one dials: the readers run turns over
+				// several periods, and none finds the window closed.
+				if n := i + 1; n%c.wave == 0 {
+					eventually(t, 5*time.Second, func() bool { return r.Stats().AcksSent == n },
+						fmt.Sprintf("feedback for the first %d UEs", n))
+					own := r.Stats().OwnHeartbeats
+					eventually(t, 5*time.Second, func() bool { return r.Stats().OwnHeartbeats > own },
+						fmt.Sprintf("a period after the first %d UEs", n))
+				}
 			}
-		}
-		// Each wave is fed back before the next one dials, so the readers
-		// run turns over several periods.
-		if n := i + 1; n%(ues/waves) == 0 {
-			eventually(t, 5*time.Second, func() bool { return r.Stats().AcksSent == n },
-				fmt.Sprintf("feedback for the first %d UEs", n))
-		}
-	}
-	runtime.GC()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	start := startingStack(t)
-	st := r.Stats()
-	t.Logf("%d relayed UEs over %d flushes: %.0f B of goroutine stack per connection; new goroutines start with %d B",
-		ues, st.Flushes, (float64(after.StackInuse)-float64(before.StackInuse))/ues, start)
-	if start != stackBudget {
-		t.Errorf("with %d relay readers parked, new goroutines start with %d B of stack, want %d",
-			ues, start, stackBudget)
+			runtime.GC()
+			var after runtime.MemStats
+			runtime.ReadMemStats(&after)
+			start := startingStack(t)
+			st, flushTurns := r.Stats(), r.ReaderFlushTurns()
+			per := (float64(after.StackInuse) - float64(before.StackInuse)) / ues
+			t.Logf("%d relayed UEs, M = %d: %d flushes, %d of them in a reader's turn; %.0f B of goroutine stack per connection; new goroutines start with %d B",
+				ues, c.capacity, st.Flushes, flushTurns, per, start)
+			// A flush writes upstream from below the turn, deeper than a
+			// 2 KB stack holds, so a reader that ran one keeps 4 KB.
+			if limit := ceiling + float64(flushTurns*stackBudget)/ues; per > limit {
+				t.Errorf("%d relay readers keep %.0f B of goroutine stack per connection, ceiling %.0f (%d B, and %d B for each of %d flush turns)",
+					ues, per, limit, ceiling, stackBudget, flushTurns)
+			}
+			if start != stackBudget {
+				t.Errorf("with %d relay readers parked, new goroutines start with %d B of stack, want %d",
+					ues, start, stackBudget)
+			}
+		})
 	}
 }
 

@@ -216,6 +216,8 @@ type RelayAgent struct {
 	started bool
 	closed  bool
 	stats   RelayAgentStats
+	// readerFlushTurns is what ReaderFlushTurns reports.
+	readerFlushTurns int
 	// wake is the wall timer pointed at the kernel's next action; Start
 	// makes it before the first input.
 	wake *time.Timer
@@ -246,6 +248,8 @@ type RelayAgent struct {
 	// The feedback encode scratch.
 	fbBuf []byte
 	fbMsg hbproto.Feedback
+	// onReader is set while a UE reader is the runner.
+	onReader bool
 
 	ins relayInstruments
 }
@@ -358,11 +362,24 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 	return r, nil
 }
 
-// offer appends one input to the inbox, with refs (an ack's, in the
-// reader's reused slice) copied into the inbox's arena, waiting while the
-// inbox is full. If the relay is idle the caller becomes its runner and
-// serves it until the inbox is empty. false means the agent has stopped.
+// offer enqueues one input and, if that made the caller the relay's
+// runner, serves the inbox until it is empty. The wall timer's tick and
+// the upstream ack callback offer this way; a UE reader enqueues in
+// ueFrame and serves from its own frame. false means the agent has
+// stopped.
 func (r *RelayAgent) offer(in input, refs []hbproto.Ref) bool {
+	run, ok := r.enqueue(in, refs)
+	if run {
+		r.serve(false)
+	}
+	return ok
+}
+
+// enqueue appends one input to the inbox, with refs (an ack's, in the
+// reader's reused slice) copied into the inbox's arena, waiting while the
+// inbox is full. run reports that the relay was idle, so the caller is now
+// its runner and must call serve; ok is false if the agent has stopped.
+func (r *RelayAgent) enqueue(in input, refs []hbproto.Ref) (run, ok bool) {
 	q := &r.in
 	q.mu.Lock()
 	for len(q.entries) >= inboxCap && !q.closed {
@@ -376,7 +393,7 @@ func (r *RelayAgent) offer(in input, refs []hbproto.Ref) bool {
 	}
 	if q.closed {
 		q.mu.Unlock()
-		return false
+		return false, false
 	}
 	if len(refs) > 0 {
 		lo := len(q.refs)
@@ -384,20 +401,18 @@ func (r *RelayAgent) offer(in input, refs []hbproto.Ref) bool {
 		in.acked = q.refs[lo:len(q.refs):len(q.refs)]
 	}
 	q.entries = append(q.entries, in)
-	idle := !q.running
+	run = !q.running
 	q.running = true
 	q.mu.Unlock()
-	if idle {
-		r.serve()
-	}
-	return true
+	return run, true
 }
 
-// serve runs turns until the inbox is empty. Only the goroutine whose offer
-// found the relay idle calls it, so exactly one goroutine at a time is
-// inside device.Relay and its kernel, and no lock is held while a turn
-// writes to a socket.
-func (r *RelayAgent) serve() {
+// serve runs turns until the inbox is empty; onReader says the caller is a
+// UE reader. Only the goroutine whose enqueue found the relay idle calls
+// it, so exactly one goroutine at a time is inside device.Relay and its
+// kernel, and no lock is held while a turn writes to a socket.
+func (r *RelayAgent) serve(onReader bool) {
+	r.onReader = onReader
 	for batch := r.take(); batch != nil; batch = r.take() {
 		r.runTurn(batch)
 	}
@@ -520,6 +535,18 @@ func (r *RelayAgent) Stats() RelayAgentStats {
 	return r.stats
 }
 
+// ReaderFlushTurns counts the turns a UE reader ran in which the relay
+// flushed. A flush writes upstream from the bottom of the turn, deeper
+// than a 2 KB stack holds, and a reader keeps the stack it grew to
+// (DESIGN.md, "The goroutine stack budget"). Which goroutine runs a turn
+// depends on which one found the relay idle, so unlike Stats the count can
+// differ between two runs of one schedule.
+func (r *RelayAgent) ReaderFlushTurns() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.readerFlushTurns
+}
+
 // Shutdown stops the agent, closes its UE connections and waits for its
 // goroutines and for the runner to hand the relay back. Pending collected
 // heartbeats are lost — exactly the failure the UE fallback covers.
@@ -575,10 +602,13 @@ func (r *RelayAgent) acceptLoop() {
 }
 
 // ueReader reads one UE's frames through a FrameReader (reused scratch,
-// interned strings) and hands each read to ueFrame. It parks in Next with
-// only the loop in its frame: a relay holds one reader per UE, and the
-// depth they park at sets the stack every new goroutine of the process
-// starts with (DESIGN.md, "The goroutine stack budget").
+// interned strings) and hands each read to ueFrame. When that made it the
+// relay's runner, it serves the turn from its own frame, with ueFrame's
+// already popped. It parks in Next with only the loop in its frame: a
+// relay holds one reader per UE, and the depth they park at sets the stack
+// every new goroutine of the process starts with, while the depth a turn
+// reaches sets the stack the reader keeps (DESIGN.md, "The goroutine stack
+// budget").
 func (r *RelayAgent) ueReader(uc *ueConn) {
 	defer r.wg.Done()
 	defer func() {
@@ -590,26 +620,29 @@ func (r *RelayAgent) ueReader(uc *ueConn) {
 	fr := hbproto.NewFrameReader(uc.conn)
 	for {
 		msg, err := fr.Next()
-		if !r.ueFrame(uc, msg, err) {
+		run, more := r.ueFrame(uc, msg, err)
+		if run {
+			r.serve(true)
+		}
+		if !more {
 			return
 		}
 	}
 }
 
-// ueFrame offers what one read from uc returned as a value input, so
-// nothing the reader reuses outlives the frame, and reports whether the
-// reader reads on. When the relay is idle the reader runs the turn here,
-// below ueReader's frame, before it reads on. It is never inlined: the
-// input it builds and the turn it runs must not sit in the frame a reader
-// parks with.
+// ueFrame enqueues what one read from uc returned as a value input, so
+// nothing the reader reuses outlives the frame. It runs no turn: run
+// reports that the reader is now the relay's runner and must serve, more
+// that it reads on. It is never inlined: the input it builds must sit
+// neither in the frame a reader parks with nor below the turn it runs.
 //
 //go:noinline
-func (r *RelayAgent) ueFrame(uc *ueConn, msg hbproto.Message, err error) bool {
+func (r *RelayAgent) ueFrame(uc *ueConn, msg hbproto.Message, err error) (run, more bool) {
 	now := time.Now()
 	at := now.Sub(r.epoch)
 	if err != nil {
-		r.offer(input{at: at, kind: inClosed, ue: uc}, nil)
-		return false
+		run, _ = r.enqueue(input{at: at, kind: inClosed, ue: uc}, nil)
+		return run, false
 	}
 	var in input
 	switch m := msg.(type) {
@@ -618,9 +651,9 @@ func (r *RelayAgent) ueFrame(uc *ueConn, msg hbproto.Message, err error) bool {
 	case *hbproto.Heartbeat:
 		in = ueHeartbeat(at, uc, m, now.Sub(m.Origin))
 	default:
-		return true // UEs only register and send heartbeats
+		return false, true // UEs only register and send heartbeats
 	}
-	return r.offer(in, nil)
+	return r.enqueue(in, nil)
 }
 
 // step advances the relay's kernel to the input's instant, running every
@@ -645,11 +678,14 @@ func (r *RelayAgent) step(in *input) {
 }
 
 // publish copies the relay's counters to where Stats and the metrics
-// read them.
+// read them, and counts the turn if a UE reader ran it and it flushed.
 func (r *RelayAgent) publish() {
 	st, routes, expired := r.relay.Stats(), r.relay.Awaiting(), r.relay.RoutesExpired()
 	r.ins.routes.Set(int64(routes))
 	r.mu.Lock()
+	if r.onReader && st.Flushes > r.stats.Flushes {
+		r.readerFlushTurns++
+	}
 	r.ins.routesExpired.Add(uint64(expired - r.stats.RoutesExpired))
 	r.stats.RelayStats, r.stats.Routes, r.stats.RoutesExpired = st, routes, expired
 	r.mu.Unlock()
