@@ -45,8 +45,10 @@ func (a Key) compare(b Key) int {
 // guards the counters they update alongside it. A socket-per-UE fleet holds
 // one per UE, and a simulated city one per UE, so the fields are laid out
 // without padding to spare. The zero value is ready to use; it allocates
-// nothing until the first Track, and then a zeroed slice up to the highest
-// slot tracked.
+// nothing until the first Track, and then grows a zeroed slice up to the
+// highest slot tracked, copying it as it grows. An owner that knows its
+// slots up front sizes the slice once with Reserve instead: a long-lived
+// process that runs no GC keeps every array the slice grew out of.
 type Pending struct {
 	slots []inflight    // by slot: its inline heartbeat
 	over  map[Key]entry // the rest in flight; never a slot's inline key
@@ -165,6 +167,16 @@ func (p *Pending) walk(keep func(slot int, e entry) bool, visit func(Key)) {
 	}
 	for _, k := range over {
 		visit(k)
+	}
+}
+
+// Reserve sizes the table for slots [0, slots), so that tracking on any of
+// them allocates nothing more.
+func (p *Pending) Reserve(slots int) {
+	if slots > len(p.slots) {
+		s := make([]inflight, slots)
+		copy(s, p.slots)
+		p.slots = s
 	}
 }
 

@@ -3,6 +3,7 @@ package inflight
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -460,5 +461,32 @@ func TestPendingTrackSettleZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 || p.Len() != 0 {
 		t.Fatalf("%.1f allocs per %d Track + Settle pairs (len %d), want 0", allocs, slots, p.Len())
+	}
+}
+
+// TestPendingReserve pins Reserve: it keeps what is in flight, never
+// shrinks the table, and tracking on every reserved slot afterwards
+// allocates nothing.
+func TestPendingReserve(t *testing.T) {
+	const slots = 1024
+	var p Pending
+	now := time.Unix(1000, 0)
+	p.Track(Key{Slot: 2, Seq: 7}, now, true)
+	p.Reserve(slots)
+	p.Reserve(16)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range slots {
+		if i != 2 { // a second heartbeat on slot 2 would go to the overflow
+			p.Track(Key{Slot: i, Seq: 8}, now, false)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("tracking %d reserved slots allocated %d times, want 0", slots, n)
+	}
+	if _, ok := p.Settle(Key{Slot: 2, Seq: 7}, now); !ok || p.Len() != slots-1 {
+		t.Fatalf("after Reserve: the entry tracked before settled %v, %d in flight, want true and %d", ok, p.Len(), slots-1)
 	}
 }

@@ -1,8 +1,10 @@
 package loadgen
 
 import (
+	"net"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,7 +189,10 @@ func TestChaosRecordReplayParity(t *testing.T) {
 // on every write. Whatever the faults do to delivery, every recorded send
 // is offered and accounted exactly once — delivered or timed out. In the
 // bubble the recording is an hour of Table I apps, the partition its
-// second ten minutes and the resets five minutes after.
+// second ten minutes and the resets five minutes after. A heartbeat lost
+// in a window is resent once at its lapse, still inside the window, so it
+// is written off rather than delivered at the group's next emission, and
+// every heartbeat delivered is delivered within its window and a grain.
 func TestChaosReplayUnderFaults(t *testing.T) {
 	timed(t, func(t *testing.T, nw faultnet.Net) {
 		tl := recordRun(t, Config{
@@ -201,26 +206,111 @@ func TestChaosReplayUnderFaults(t *testing.T) {
 			{From: pick(100*time.Millisecond, 10*time.Minute), To: pick(200*time.Millisecond, 20*time.Minute), Fault: faultnet.Fault{Kind: faultnet.KindPartition}},
 			{From: pick(250*time.Millisecond, 25*time.Minute), To: pick(300*time.Millisecond, 30*time.Minute), Fault: faultnet.Fault{Kind: faultnet.KindReset, Prob: 1}},
 		})
-		m, err := ReplayLive(tl, ReplayOptions{AckTimeout: 150 * time.Millisecond, Net: faults.On(nw)})
+		const window = 150 * time.Millisecond
+		m, err := ReplayLive(tl, ReplayOptions{AckTimeout: window, Net: faults.On(nw)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := faults.Stats()
-		t.Logf("sent %d, delivered %d, timeouts %d; dropped sends %d, refused dials %d, resets %d",
-			m.Sent, m.Delivered, m.Timeouts, st.DroppedSends, st.RefusedDials, st.Resets)
+		t.Logf("sent %d, delivered %d, timeouts %d; dropped sends %d, refused dials %d, resets %d; ack p95 %.0f ms, p99 %.0f ms, max %.0f ms",
+			m.Sent, m.Delivered, m.Timeouts, st.DroppedSends, st.RefusedDials, st.Resets,
+			m.AckLatency.P95Ms, m.AckLatency.P99Ms, m.AckLatency.MaxMs)
 		if int(m.Sent) != tl.Sends() {
 			t.Fatalf("replayed %d of %d recorded sends", m.Sent, tl.Sends())
 		}
 		if m.Delivered+m.Timeouts != m.Sent {
 			t.Fatalf("delivered %d + timeouts %d != sent %d", m.Delivered, m.Timeouts, m.Sent)
 		}
-		if !reached(m.Delivered, pick[uint64](1, 96)) {
+		if !reached(m.Delivered, pick[uint64](1, 88)) {
 			t.Fatalf("%d delivered around the fault windows: %+v", m.Delivered, m)
 		}
 		if st.DroppedSends+st.RefusedDials == 0 || st.Resets == 0 {
 			t.Fatalf("the faults never fired: %+v", st)
 		}
+		ackedInWindow(t, m, window)
 	})
+}
+
+// grain is the live stack's send grid, the driver's grain.
+const grain = 10 * time.Millisecond
+
+// ms is d in the milliseconds of rec.Quantiles.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// ackedInWindow fails the test when a replayed heartbeat was acknowledged
+// later than its window and a grain after it was sent (a second on the
+// wall clock).
+func ackedInWindow(t *testing.T, m rec.Metrics, window time.Duration) {
+	t.Helper()
+	if limit := window + pick(time.Second, grain); m.AckLatency.MaxMs > ms(limit) {
+		t.Fatalf("a heartbeat was acknowledged %.0f ms after it was sent, past its %v window and %v", m.AckLatency.MaxMs, window, limit-window)
+	}
+}
+
+// TestReplayResendsAtTheLapse replays a recorded trunked run to a server
+// that loses the first ack frame it writes on each connection, so each
+// group's first emission goes unacknowledged. A replayed trunk steps only
+// at its recorded emissions, but it wakes at its earliest lapse too, so it
+// resends those heartbeats when their window lapses, and they are
+// acknowledged within their window and a grain, not at the group's next
+// emission (in the bubble, a Table I period later).
+func TestReplayResendsAtTheLapse(t *testing.T) {
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		tl := recordRun(t, Config{
+			UEs:      8,
+			Trunks:   2,
+			Duration: pick(300*time.Millisecond, hours(1)),
+			Profiles: tableI(60 * time.Millisecond),
+			Net:      nw,
+		})
+		const window = 150 * time.Millisecond
+		m, err := ReplayLive(tl, ReplayOptions{AckTimeout: window, Net: firstAckLost{nw}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("sent %d, delivered %d, timeouts %d; ack max %.0f ms", m.Sent, m.Delivered, m.Timeouts, m.AckLatency.MaxMs)
+		if m.Delivered+m.Timeouts != m.Sent || !reached(m.Delivered, pick(1, m.Sent)) {
+			t.Fatalf("sent %d, delivered %d, timeouts %d: the unacknowledged heartbeats were not resent", m.Sent, m.Delivered, m.Timeouts)
+		}
+		if m.AckLatency.MaxMs < ms(window) {
+			t.Fatalf("the slowest ack took %.0f ms: no heartbeat was delivered by its resend", m.AckLatency.MaxMs)
+		}
+		ackedInWindow(t, m, window)
+	})
+}
+
+// firstAckLost is a network whose listeners' connections swallow the first
+// write: a server on it loses the first frame it writes on a connection.
+type firstAckLost struct{ faultnet.Net }
+
+func (n firstAckLost) Listen(network, addr string) (net.Listener, error) {
+	ln, err := n.Net.Listen(network, addr)
+	if err != nil {
+		return nil, err
+	}
+	return firstWriteLostListener{ln}, nil
+}
+
+type firstWriteLostListener struct{ net.Listener }
+
+func (l firstWriteLostListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &firstWriteLost{Conn: c}, nil
+}
+
+type firstWriteLost struct {
+	net.Conn
+	wrote atomic.Bool
+}
+
+func (c *firstWriteLost) Write(b []byte) (int, error) {
+	if c.wrote.CompareAndSwap(false, true) {
+		return len(b), nil
+	}
+	return c.Conn.Write(b)
 }
 
 // TestFleetUnderWriteLatency offers a direct fleet through a schedule that

@@ -18,6 +18,7 @@ import (
 	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/relaynet"
 	"d2dhb/internal/session"
+	"d2dhb/internal/stacktest"
 )
 
 // fastProfile is a compressed app profile for short test runs. The 3×
@@ -530,11 +531,12 @@ func TestFleetBuildFootprint(t *testing.T) {
 // watchdog of its own. It logs the goroutine stack the running fleet holds
 // per UE, the stack new goroutines start with and the relays' flush turns
 // on UE readers, and checks that a UE is still one 320-byte allocation.
-// The stack per UE is mostly the size the fleet's goroutines started
-// with: the last GC before a fleet connects scans only the test's own
-// deep goroutines, so a fleet that connects with no GC of its own starts
-// every goroutine at 4 KB (EXPERIMENTS.md, "Relay readers run the turn
-// from their parked frame").
+// Shallow goroutines are parked before each fleet connects
+// (stacktest.ShallowStart): the last GC before a fleet connects would
+// otherwise scan only the test's own deep goroutines, and a fleet that
+// connects with no GC of its own would start every goroutine at 4 KB and
+// log that starting size, not its own stacks (EXPERIMENTS.md, "Relay
+// readers run the turn from their parked frame").
 func TestFleetRunFootprint(t *testing.T) {
 	const (
 		ues   = 300
@@ -549,6 +551,9 @@ func TestFleetRunFootprint(t *testing.T) {
 		ratio  float64
 	}{{"direct", 0, 0}, {"relayed", 2, 0.9}} {
 		t.Run(c.name, func(t *testing.T) {
+			if !raceEnabled { // the race runtime deepens every frame past the budget
+				stacktest.ShallowStart(t)
+			}
 			var before runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)

@@ -126,13 +126,17 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 
 // replayUnit is a UE or trunk stepped through a finite recorded schedule
 // instead of a period: each step sweeps the unit, then hands it the step's
-// heartbeats, and the last one retires it.
+// heartbeats, and the last one retires it. Between steps it also wakes
+// when its earliest ack window lapses, and then only sweeps, so a lost
+// heartbeat is resent or written off at its lapse, not at the unit's next
+// recorded send.
 type replayUnit struct {
 	loadUnit
 	start time.Time // the replay's t=0
 	steps []replayStep
 	next  int // the next step's index
 	send  func(refs []inflight.Key, now time.Time)
+	lapse func() (time.Time, bool) // when the unit's earliest ack window closes
 }
 
 // replayStep is one recorded uplink: its heartbeats as (unit slot, seq)
@@ -148,14 +152,21 @@ func (u *replayUnit) Begin(start time.Time) time.Time {
 	return start.Add(u.steps[0].at)
 }
 
-// Step replays the next recorded step.
+// Step sweeps the unit and replays the next recorded step once it is due,
+// and returns the earlier of the step after and the unit's next lapse.
 func (u *replayUnit) Step(now time.Time) (time.Time, bool) {
 	u.Sweep(now)
-	u.send(u.steps[u.next].refs, now)
-	if u.next++; u.next == len(u.steps) {
-		return time.Time{}, false
+	if !now.Before(u.start.Add(u.steps[u.next].at)) {
+		u.send(u.steps[u.next].refs, now)
+		if u.next++; u.next == len(u.steps) {
+			return time.Time{}, false
+		}
 	}
-	return u.start.Add(u.steps[u.next].at), true
+	next := u.start.Add(u.steps[u.next].at)
+	if at, ok := u.lapse(); ok && at.Before(next) {
+		next = at
+	}
+	return next, true
 }
 
 // replayUnits splits the timeline's emissions into units, in the order of
@@ -202,6 +213,7 @@ func (r *Runner) replayDirect(c rec.Client, tidx int, steps [][]rec.Event, speed
 		loadUnit: u,
 		steps:    replaySchedule(steps, func(int) int { return 0 }, speedup),
 		send:     func(refs []inflight.Key, now time.Time) { u.Send(0, refs[0].Seq, now) },
+		lapse:    u.Lapse,
 	}, nil
 }
 
@@ -238,6 +250,7 @@ func (r *Runner) replayGroup(tl *rec.Timeline, g int, steps [][]rec.Event, speed
 		loadUnit: t,
 		steps:    replaySchedule(steps, user, speedup),
 		send:     t.offer,
+		lapse:    t.pendingLapse,
 	}
 }
 

@@ -89,9 +89,16 @@ type trunk struct {
 	closed  bool
 }
 
-// Begin anchors the trunk's sub-ticks at first, its first one then.
+// Begin anchors the trunk's sub-ticks at first, its first one then, and
+// sizes the in-flight table for every user: its first period tracks them
+// all, and a table grown by copying leaves its old arrays in a peak that
+// the steady state, which runs no GC, never sheds. Sized at build instead,
+// it would count against the build's footprint.
 func (t *trunk) Begin(first time.Time) time.Time {
 	t.tick, t.slot = first, 0
+	t.mu.Lock()
+	t.pending.Reserve(len(t.users))
+	t.mu.Unlock()
 	return first
 }
 
@@ -118,6 +125,15 @@ func (t *trunk) Step(time.Time) (time.Time, bool) {
 // Lapse reports nothing in flight: a trunk applies its loss policy in its
 // own step, on pace slot 0, so the driver never sweeps it beside one.
 func (t *trunk) Lapse() (time.Time, bool) { return time.Time{}, false }
+
+// pendingLapse returns when the trunk's earliest ack window closes, for a
+// replay, which steps a trunk only at its recorded emissions and sweeps it
+// between them from its own step.
+func (t *trunk) pendingLapse() (time.Time, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.pending.Lapse(func(int) time.Duration { return t.timeout })
+}
 
 // tickSlot is one sub-tick: emit the users assigned to this slot, after
 // expiring and re-sending stale pendings on slot 0 — once per period, so

@@ -426,6 +426,35 @@ func TestTrunkBuildFootprint(t *testing.T) {
 	}
 }
 
+// TestTrunkPendingGrowthInPlace pins that a trunk sizes its in-flight
+// table once, in Begin: tracking a heartbeat for every user of a 100k-user
+// trunk afterwards allocates nothing. Grown by tracking, the table of the
+// 50 000 users tracked here took 30 allocations and 8 MB for its 1.6 MB,
+// and the live stack's steady state, which runs no GC, keeps the arrays it
+// grew out of.
+func TestTrunkPendingGrowthInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations are not the trunk's")
+	}
+	tr := newTestTrunk(t, "127.0.0.1:1", trunkedUsers/2, trunkedSlots, nil) // never dials
+	t.Cleanup(tr.Shutdown)
+	now := time.Now()
+	tr.Begin(now)
+	var before, after runtime.MemStats
+	runtime.GC() // a cycle under way would allocate beside the loop
+	runtime.ReadMemStats(&before)
+	for u := range len(tr.users) {
+		tr.pending.Track(inflight.Key{Slot: u, Seq: 1}, now, true)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("tracking %d users after Begin allocated %d times (%d B), want 0", len(tr.users), n, after.TotalAlloc-before.TotalAlloc)
+	}
+	if n := tr.InFlight(); n != len(tr.users) {
+		t.Fatalf("%d heartbeats in flight, want %d", n, len(tr.users))
+	}
+}
+
 func TestFleetIDs(t *testing.T) {
 	for _, width := range []int{5, 7} {
 		for _, first := range []int{0, 95, 99_995, 999_990, 9_999_995} {

@@ -43,10 +43,10 @@ func (s *Server) ExportPresence() []cluster.PresenceEntry {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for p := range sh.rows {
-			if r := &sh.rows[p]; r.live {
+		for p := range sh.n {
+			if r, k := sh.at(p); r.live {
 				out = append(out, cluster.PresenceEntry{
-					ID:               sh.keys[p].id,
+					ID:               k.id,
 					App:              sh.apps[r.app],
 					LastSeenUnixNano: r.lastSeen,
 					DeadlineUnixNano: r.deadline,

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"runtime"
-	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -13,24 +12,8 @@ import (
 
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/hbproto/hbprototest"
+	"d2dhb/internal/stacktest"
 )
-
-// startingStack is the stack the runtime gives a new goroutine: from the
-// average depth the last GC scanned, plus a 928 B guard, rounded up to a
-// power of two. It skips the test where the runtime does not report it.
-func startingStack(t *testing.T) uint64 {
-	t.Helper()
-	s := []metrics.Sample{{Name: "/gc/stack/starting-size:bytes"}}
-	metrics.Read(s)
-	if s[0].Value.Kind() == metrics.KindBad {
-		t.Skip("the runtime does not report the starting goroutine stack size")
-	}
-	return s[0].Value.Uint64()
-}
-
-// stackBudget is the starting stack a process of parked connection readers
-// keeps: Go's smallest, so long as the readers park within 1 120 B.
-const stackBudget = 2048
 
 // TestDirectUEFootprint pins what one connected direct UE holds on the live
 // heap, its own end and the server's together, once its first heartbeat is
@@ -87,33 +70,9 @@ func TestDirectUEFootprint(t *testing.T) {
 	if per > ceiling {
 		t.Errorf("a connected direct UE holds %.0f B of live heap, ceiling %d", per, ceiling)
 	}
-	if start := startingStack(t); start != stackBudget {
+	if start := stacktest.StartingSize(t); start != stacktest.Budget {
 		t.Errorf("with %d direct UEs parked, new goroutines start with %d B of stack, want %d",
-			ues, start, stackBudget)
-	}
-}
-
-// shallowStart parks enough shallow goroutines for the runtime to start
-// new goroutines at stackBudget, and keeps them parked until the test ends.
-// A GC over a few deep goroutines alone (the test's own) starts new ones
-// at 4 KB, and a reader started at 4 KB keeps it whatever depth it runs
-// at, so without them the test would read the starting size, not the
-// readers.
-func shallowStart(t *testing.T) {
-	t.Helper()
-	const n = 128
-	done := make(chan struct{})
-	var parked sync.WaitGroup
-	parked.Add(n)
-	for range n {
-		go func() { parked.Done(); <-done }()
-	}
-	parked.Wait()
-	t.Cleanup(func() { close(done) })
-	runtime.GC()
-	if start := startingStack(t); start != stackBudget {
-		t.Fatalf("with %d shallow goroutines parked, new goroutines start with %d B of stack, want %d",
-			n, start, stackBudget)
+			ues, start, stacktest.Budget)
 	}
 }
 
@@ -132,9 +91,10 @@ func shallowStart(t *testing.T) {
 // case's at M = 4, in the turn of every fourth heartbeat, which is
 // usually its reader's. Each logs how many turns a reader ran that
 // flushed, and each such reader may keep 2 KB more: the capacity case
-// reads ~2.7 KB per connection run alone. Goroutines that exited earlier
-// in the process leave stacks behind that the readers reuse, so a case
-// run after others reads lower.
+// reads ~2.7 KB per connection. Goroutines that exited earlier in a
+// process leave stacks behind that the readers would reuse, so each case
+// runs in a process of its own (stacktest.Alone) and reads the same after
+// other tests and under -count.
 func TestRelayReaderFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime deepens every frame")
@@ -147,9 +107,12 @@ func TestRelayReaderFootprint(t *testing.T) {
 		period   time.Duration
 	}{{"period", ues, ues / 5, 50 * time.Millisecond}, {"capacity", 4, 4, 5 * time.Millisecond}} {
 		t.Run(c.name, func(t *testing.T) {
+			if stacktest.Alone(t) {
+				return
+			}
 			s := startServer(t, loopback{})
 			r := startRelay(t, loopback{}, s.Addr(), c.period, time.Minute, c.capacity)
-			shallowStart(t)
+			stacktest.ShallowStart(t)
 			var before runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := range ues {
@@ -181,20 +144,20 @@ func TestRelayReaderFootprint(t *testing.T) {
 			runtime.GC()
 			var after runtime.MemStats
 			runtime.ReadMemStats(&after)
-			start := startingStack(t)
+			start := stacktest.StartingSize(t)
 			st, flushTurns := r.Stats(), r.ReaderFlushTurns()
 			per := (float64(after.StackInuse) - float64(before.StackInuse)) / ues
 			t.Logf("%d relayed UEs, M = %d: %d flushes, %d of them in a reader's turn; %.0f B of goroutine stack per connection; new goroutines start with %d B",
 				ues, c.capacity, st.Flushes, flushTurns, per, start)
 			// A flush writes upstream from below the turn, deeper than a
 			// 2 KB stack holds, so a reader that ran one keeps 4 KB.
-			if limit := ceiling + float64(flushTurns*stackBudget)/ues; per > limit {
+			if limit := ceiling + float64(flushTurns*stacktest.Budget)/ues; per > limit {
 				t.Errorf("%d relay readers keep %.0f B of goroutine stack per connection, ceiling %.0f (%d B, and %d B for each of %d flush turns)",
-					ues, per, limit, ceiling, stackBudget, flushTurns)
+					ues, per, limit, ceiling, stacktest.Budget, flushTurns)
 			}
-			if start != stackBudget {
+			if start != stacktest.Budget {
 				t.Errorf("with %d relay readers parked, new goroutines start with %d B of stack, want %d",
-					ues, start, stackBudget)
+					ues, start, stacktest.Budget)
 			}
 		})
 	}
@@ -205,9 +168,10 @@ func TestRelayReaderFootprint(t *testing.T) {
 // live_trunked's scale: the client's presence row, its ID and index slot,
 // and whatever the connection keeps per source it has decoded. The
 // connection stays open while the heap is read, so what it holds counts.
-// It reads ~102 B (Go 1.24, amd64) with a 40 B row; an 80 B row crosses
-// the ceiling. The row's size is pinned apart, so a per-client field added
-// to it fails here whatever the heap reads.
+// It reads ~108 B (Go 1.24, amd64) with a 40 B row, ~5 B of it in the
+// stripes' partly filled last pages; an 80 B row crosses the ceiling. The
+// row's size is pinned apart, so a per-client field added to it fails here
+// whatever the heap reads.
 func TestServerSourceFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(row{}); size > 40 {
 		t.Errorf("a presence row is %d B, ceiling 40", size)
@@ -266,6 +230,62 @@ func TestServerSourceFootprint(t *testing.T) {
 	t.Logf("the server holds %.1f B of live heap per source of a batch connection", per)
 	if per > ceiling {
 		t.Errorf("the server holds %.1f B of live heap per source, ceiling %d", per, ceiling)
+	}
+}
+
+// TestPresenceGrowthInPlace pins how the presence stripes grow: adding
+// 100 k sources to one server never copies a stripe's rows once its first
+// page is full — its row 0 and the first row of its second page stay where
+// they were — and the adds allocate less than twice the bytes of the rows
+// and keys they add, the stripes' indexes included. Grown by copying, the
+// columns allocate ~2.8 times their bytes (Go 1.24, amd64), and the live
+// stack's steady state, which runs no GC, keeps the arrays they grew out
+// of.
+func TestPresenceGrowthInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations are not the stripes' growth")
+	}
+	const sources, factor = 100_000, 2
+	s := NewServer()
+	ids := make([]string, sources)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("ue-%07d", i)
+	}
+	add := func(ids []string) {
+		for _, id := range ids {
+			sh, _, _ := s.lockRow(id)
+			sh.mu.Unlock()
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	add(ids[:sources/3]) // ~520 sources a stripe: every first page full
+	var pinned [presenceShardCount][2]*row
+	for i := range s.shards {
+		sh := &s.shards[i]
+		if sh.n <= pageRows {
+			t.Fatalf("stripe %d holds %d rows after %d sources, want more than a page", i, sh.n, sources/3)
+		}
+		pinned[i][0], _ = sh.at(0)
+		pinned[i][1], _ = sh.at(pageRows)
+	}
+	add(ids[sources/3:])
+	runtime.ReadMemStats(&after)
+	for i := range s.shards {
+		r0, _ := s.shards[i].at(0)
+		p1, _ := s.shards[i].at(pageRows)
+		if r0 != pinned[i][0] || p1 != pinned[i][1] {
+			t.Fatalf("stripe %d moved its rows while it grew", i)
+		}
+	}
+	if n, _ := s.presenceOccupancy(); n != sources {
+		t.Fatalf("%d clients tracked, want %d", n, sources)
+	}
+	own := sources * (unsafe.Sizeof(row{}) + unsafe.Sizeof(key{}))
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d sources allocated %.2f times their rows' and keys' %d B", sources, float64(grew)/float64(own), own)
+	if grew > factor*uint64(own) {
+		t.Errorf("%d sources allocated %d B, more than %d times their rows' and keys' %d B", sources, grew, factor, own)
 	}
 }
 

@@ -218,7 +218,7 @@ func TestNoRowForAnUndeliveredSource(t *testing.T) {
 			for i := range s.shards {
 				sh := &s.shards[i]
 				sh.mu.Lock()
-				n += len(sh.rows)
+				n += int(sh.n)
 				sh.mu.Unlock()
 			}
 			if total, _ := s.presenceOccupancy(); n != 1 || total != 1 {

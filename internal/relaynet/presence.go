@@ -14,9 +14,9 @@ import (
 // delivered sequence high-water mark (the row travels in a cluster handoff
 // so the receiving shard knows what the client has already proven
 // delivered) — and the routing verdict under the last cluster view it was
-// checked against. A row holds no pointer, so a stripe's rows are one
-// slice the collector never scans, and a client's first sight is an append
-// instead of a heap record.
+// checked against. A row holds no pointer, so the collector never scans a
+// stripe's rows, and a client's first sight takes the stripe's next
+// position instead of a heap record.
 type row struct {
 	// Times are UnixNano, the unit ExportPresence ships. unset marks a
 	// time never written, below any instant an import can carry.
@@ -53,6 +53,20 @@ const (
 	presenceShardCount = 1 << presenceShardBits
 )
 
+// pageRows is how many rows a stripe adds at a time past its first
+// pageRows: a page of rows and a page of their keys, which never move.
+const (
+	pageBits = 8
+	pageRows = 1 << pageBits
+)
+
+// page is one of a stripe's fixed pages: the rows and keys of positions
+// [i·pageRows, (i+1)·pageRows) for its page number i ≥ 1.
+type page struct {
+	rows *[pageRows]row
+	keys *[pageRows]key
+}
+
 // presenceShard is one stripe of the presence table: a column of rows, the
 // key (client ID and successor link) of each, and an index over the IDs. A
 // client's state lives entirely in the stripe its ID hashes to, so
@@ -60,15 +74,23 @@ const (
 // preserved under the stripe lock alone.
 // Rows a handoff frees are reused before the column grows, and a row's
 // position never changes while it holds its client.
+//
+// The column grows without copying past its first page: positions below
+// pageRows sit in rows and keys, grown like slices, so a stripe of a few
+// clients holds no more than it needs; the rest sit in pages, added whole.
+// The live stack's steady state runs no GC, so every array a column grows
+// out of by copying stays in the process's peak.
 type presenceShard struct {
 	mu    sync.Mutex
 	index idindex.Index
-	rows  []row
-	keys  []key    // row → client ID and successor
+	rows  []row    // page 0
+	keys  []key    // page 0: row → client ID and successor
+	pages []page   // page i is pages[i-1]
+	n     int32    // positions given out, freed ones included
 	free  []int32  // freed rows, reused first
 	apps  []string // app index → name; apps[0] is ""
 	appOf map[string]int32
-	_     [48]byte // 144 bytes of fields: keep neighbouring stripes off one cache line
+	_     [16]byte // 176 bytes of fields: keep neighbouring stripes off one cache line
 }
 
 // hash returns id's hash under the server's seed and the stripe it picks.
@@ -93,22 +115,44 @@ func (s *Server) rowAt(h hbproto.Handle) (*presenceShard, int32) {
 	return &s.shards[h&(presenceShardCount-1)], int32(h>>presenceShardBits) - 1
 }
 
+// at returns position p's row and key, nil and nil past the positions the
+// stripe has given out (sh.mu held). It is the one reader of a position.
+func (sh *presenceShard) at(p int32) (*row, *key) {
+	if uint(p) < uint(len(sh.rows)) {
+		return &sh.rows[p], &sh.keys[p]
+	}
+	if p < pageRows || p >= sh.n {
+		return nil, nil
+	}
+	pg, i := sh.pages[p>>pageBits-1], p&(pageRows-1)
+	return &pg.rows[i], &pg.keys[i]
+}
+
 // find returns the row holding id, whose hash is h (sh.mu held).
 func (sh *presenceShard) find(id string, h uint64) (int32, bool) {
-	return sh.index.Find(h, func(p int32) bool { return sh.keys[p].id == id })
+	return sh.index.Find(h, func(p int32) bool { _, k := sh.at(p); return k.id == id })
 }
 
-// holds reports whether row p holds client id (sh.mu held).
-func (sh *presenceShard) holds(p int32, id string) bool {
-	return uint(p) < uint(len(sh.rows)) && sh.rows[p].live && sh.keys[p].id == id
-}
-
-// keyAt returns row p's key, nil past the stripe's rows (sh.mu held).
-func (sh *presenceShard) keyAt(p int32) *key {
-	if uint(p) < uint(len(sh.keys)) {
-		return &sh.keys[p]
+// holds returns row p while it holds client id, nil otherwise (sh.mu held).
+func (sh *presenceShard) holds(p int32, id string) *row {
+	if r, k := sh.at(p); r != nil && r.live && k.id == id {
+		return r
 	}
 	return nil
+}
+
+// grow gives out the stripe's next position (sh.mu held): an append in
+// page 0, a slot of the last page past it, and a new page every pageRows.
+func (sh *presenceShard) grow() int32 {
+	p := sh.n
+	switch {
+	case p < pageRows:
+		sh.rows, sh.keys = append(sh.rows, row{}), append(sh.keys, key{})
+	case p&(pageRows-1) == 0:
+		sh.pages = append(sh.pages, page{rows: new([pageRows]row), keys: new([pageRows]key)})
+	}
+	sh.n++
+	return p
 }
 
 // add gives id, whose hash is h, a fresh row (sh.mu held).
@@ -117,11 +161,11 @@ func (sh *presenceShard) add(id string, h uint64) int32 {
 	if n := len(sh.free); n > 0 {
 		p, sh.free = sh.free[n-1], sh.free[:n-1]
 	} else {
-		p = int32(len(sh.rows))
-		sh.rows, sh.keys = append(sh.rows, row{}), append(sh.keys, key{})
+		p = sh.grow()
 	}
-	sh.keys[p] = key{id: id}
-	sh.rows[p] = row{lastSeen: unset, deadline: unset, live: true}
+	r, k := sh.at(p)
+	*k = key{id: id}
+	*r = row{lastSeen: unset, deadline: unset, live: true}
 	sh.index.Insert(h, p)
 	return p
 }
@@ -129,8 +173,9 @@ func (sh *presenceShard) add(id string, h uint64) int32 {
 // remove frees row p, which holds the client whose hash is h (sh.mu held).
 func (sh *presenceShard) remove(h uint64, p int32) {
 	sh.index.Delete(h, p)
-	sh.rows[p].live = false
-	sh.keys[p].id = ""
+	r, k := sh.at(p)
+	r.live = false
+	k.id = ""
 	sh.free = append(sh.free, p)
 }
 
@@ -152,8 +197,9 @@ func (sh *presenceShard) app(name string) int32 {
 }
 
 // lockRow returns id's row with its stripe locked, creating the row on
-// first sight, and the row's handle. The row pointer is valid until the
-// stripe is unlocked.
+// first sight, and the row's handle. The row is the client's while the
+// stripe is locked: a handoff may free it once it is unlocked. A row past
+// page 0 never moves; one in page 0 moves when page 0 grows.
 func (s *Server) lockRow(id string) (*presenceShard, *row, hbproto.Handle) {
 	h, sh, st := s.hash(id)
 	sh.mu.Lock()
@@ -161,14 +207,15 @@ func (s *Server) lockRow(id string) (*presenceShard, *row, hbproto.Handle) {
 	if !ok {
 		p = sh.add(id, h)
 	}
-	return sh, &sh.rows[p], handleOf(st, p)
+	r, _ := sh.at(p)
+	return sh, r, handleOf(st, p)
 }
 
 // link records that row to's source followed row from's on a connection.
 func (s *Server) link(from, to hbproto.Handle) {
 	sh, p := s.rowAt(from)
 	sh.mu.Lock()
-	if k := sh.keyAt(p); k != nil {
+	if _, k := sh.at(p); k != nil {
 		k.next = to
 	}
 	sh.mu.Unlock()
@@ -180,7 +227,8 @@ func (s *Server) lockFound(id string) (*presenceShard, *row) {
 	h, sh, _ := s.hash(id)
 	sh.mu.Lock()
 	if p, ok := sh.find(id, h); ok {
-		return sh, &sh.rows[p]
+		r, _ := sh.at(p)
+		return sh, r
 	}
 	return sh, nil
 }

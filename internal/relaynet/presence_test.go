@@ -228,7 +228,7 @@ func TestHandoffRetake(t *testing.T) {
 		}
 		hb := msg.(*hbproto.Heartbeat)
 		stripe, pos := s.rowAt(hb.Handle)
-		if !stripe.holds(pos, "ue-a") {
+		if stripe.holds(pos, "ue-a") == nil {
 			t.Fatalf("the decoded handle %d does not name ue-a's row", hb.Handle)
 		}
 		b := ""
@@ -239,7 +239,7 @@ func TestHandoffRetake(t *testing.T) {
 		}
 		s.ForgetPresence([]string{"ue-a"})
 		s.ImportPresence([]cluster.PresenceEntry{{ID: b, App: "std", MaxSeq: 4}})
-		if !stripe.holds(pos, b) {
+		if stripe.holds(pos, b) == nil {
 			t.Fatalf("%s did not take ue-a's freed row", b)
 		}
 		if err := s.handleMessage(c.cs, hb); err != nil {
@@ -341,7 +341,7 @@ func TestHandoffReusesRows(t *testing.T) {
 	}
 	rows := func() (n int) {
 		for i := range s.shards {
-			n += len(s.shards[i].rows)
+			n += int(s.shards[i].n)
 		}
 		return n
 	}

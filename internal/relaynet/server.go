@@ -301,8 +301,8 @@ func (s *Server) OnlineCount(now time.Time) int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for j := range sh.rows {
-			if r := &sh.rows[j]; r.live && at < r.deadline {
+		for p := range sh.n {
+			if r, _ := sh.at(p); r.live && at < r.deadline {
 				n++
 			}
 		}
@@ -434,7 +434,7 @@ func (cs *connState) Source(after hbproto.Handle, b []byte) (string, hbproto.Han
 		sh, p := s.rowAt(g)
 		sh.mu.Lock()
 		// A freed row's ID is "": touch catches a guess that matched one.
-		if k := sh.keyAt(p); k != nil && k.id == string(b) {
+		if _, k := sh.at(p); k != nil && k.id == string(b) {
 			id := k.id
 			cs.from, cs.guess = g, k.next
 			sh.mu.Unlock()
@@ -446,14 +446,15 @@ func (cs *connState) Source(after hbproto.Handle, b []byte) (string, hbproto.Han
 	cs.guessMisses++
 	h, sh, st := s.stripeOf(maphash.Bytes(s.seed, b))
 	sh.mu.Lock()
-	p, ok := sh.index.Find(h, func(p int32) bool { return sh.keys[p].id == string(b) })
+	p, ok := sh.index.Find(h, func(p int32) bool { _, k := sh.at(p); return k.id == string(b) })
 	if !ok {
 		sh.mu.Unlock()
 		cs.from, cs.guess = 0, 0
 		return "", 0
 	}
-	id, g := sh.keys[p].id, handleOf(st, p)
-	cs.from, cs.guess = g, sh.keys[p].next
+	_, k := sh.at(p)
+	id, g := k.id, handleOf(st, p)
+	cs.from, cs.guess = g, k.next
 	sh.mu.Unlock()
 	if after != 0 {
 		s.link(after, g)
@@ -591,8 +592,8 @@ func (s *Server) lockSource(hb *hbproto.Heartbeat) (*presenceShard, *row, hbprot
 	if hb.Handle != 0 {
 		sh, p := s.rowAt(hb.Handle)
 		sh.mu.Lock()
-		if sh.holds(p, hb.Src) {
-			return sh, &sh.rows[p], hb.Handle
+		if r := sh.holds(p, hb.Src); r != nil {
+			return sh, r, hb.Handle
 		}
 		sh.mu.Unlock()
 	}
