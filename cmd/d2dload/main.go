@@ -272,28 +272,6 @@ func runOutcome(rep loadgen.Report) error {
 	return nil
 }
 
-// profileByName maps CLI names to hbmsg profiles.
-func profileByName(name string) (hbmsg.AppProfile, error) {
-	switch strings.ToLower(name) {
-	case "wechat":
-		return hbmsg.WeChat(), nil
-	case "whatsapp":
-		return hbmsg.WhatsApp(), nil
-	case "qq":
-		return hbmsg.QQ(), nil
-	case "facebook":
-		return hbmsg.Facebook(), nil
-	case "diagnostics":
-		return hbmsg.Diagnostics(), nil
-	case "adrefresh":
-		return hbmsg.AdRefresh(), nil
-	case "standard", "std":
-		return hbmsg.StandardHeartbeat(), nil
-	default:
-		return hbmsg.AppProfile{}, fmt.Errorf("unknown app profile %q", name)
-	}
-}
-
 // parseAppMix expands "wechat:2,qq:1" into a weighted profile list (the
 // fleet assigns profiles round-robin, so repetition is weighting).
 func parseAppMix(s string) ([]hbmsg.AppProfile, error) {
@@ -312,7 +290,7 @@ func parseAppMix(s string) ([]hbmsg.AppProfile, error) {
 			}
 			weight = w
 		}
-		p, err := profileByName(name)
+		p, err := hbmsg.ProfileByName(name)
 		if err != nil {
 			return nil, err
 		}

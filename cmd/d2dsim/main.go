@@ -102,7 +102,7 @@ func runConfig(path string, tracer trace.Tracer) error {
 	if err != nil {
 		return err
 	}
-	profile, err := scenariopkg.ProfileByName("standard")
+	profile, err := hbmsg.ProfileByName("standard")
 	if err != nil {
 		return err
 	}
@@ -114,11 +114,11 @@ func runConfig(path string, tracer trace.Tracer) error {
 }
 
 func run(scenario string, relays, ues, periods int, distance, side float64, capacity int, policyName, appName string, seed int64, channel bool, tracer trace.Tracer) error {
-	profile, err := profileByName(appName)
+	profile, err := hbmsg.ProfileByName(appName)
 	if err != nil {
 		return err
 	}
-	kind, err := policyByName(policyName)
+	kind, err := sched.ParseKind(policyName)
 	if err != nil {
 		return err
 	}
@@ -235,36 +235,4 @@ func printReport(rep, base *core.Report, profile hbmsg.AppProfile) {
 		fmt.Sprintf("%d (%d)", rep.Deliveries, rep.LateDeliveries),
 		fmt.Sprintf("%d (%d)", base.Deliveries, base.LateDeliveries), "")
 	fmt.Println(summary)
-}
-
-func profileByName(name string) (hbmsg.AppProfile, error) {
-	switch name {
-	case "standard":
-		return hbmsg.StandardHeartbeat(), nil
-	case "wechat":
-		return hbmsg.WeChat(), nil
-	case "whatsapp":
-		return hbmsg.WhatsApp(), nil
-	case "qq":
-		return hbmsg.QQ(), nil
-	case "facebook":
-		return hbmsg.Facebook(), nil
-	default:
-		return hbmsg.AppProfile{}, fmt.Errorf("unknown app %q", name)
-	}
-}
-
-func policyByName(name string) (sched.Kind, error) {
-	switch name {
-	case "nagle":
-		return sched.KindNagle, nil
-	case "immediate":
-		return sched.KindImmediate, nil
-	case "fixed-delay":
-		return sched.KindFixedDelay, nil
-	case "period-aligned":
-		return sched.KindPeriodAligned, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", name)
-	}
 }

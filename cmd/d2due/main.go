@@ -19,8 +19,8 @@ import (
 	"syscall"
 	"time"
 
+	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/relaynet"
-	"d2dhb/internal/scenario"
 )
 
 func main() {
@@ -46,7 +46,7 @@ func main() {
 func run(w io.Writer, id, relayAddr, server, appNames string, report time.Duration, stop <-chan os.Signal) error {
 	var apps []relaynet.UEApp
 	for _, name := range strings.Split(appNames, ",") {
-		p, err := scenario.ProfileByName(strings.TrimSpace(name))
+		p, err := hbmsg.ProfileByName(strings.TrimSpace(name))
 		if err != nil {
 			return err
 		}

@@ -16,6 +16,7 @@ import (
 	"d2dhb/internal/rrc"
 	"d2dhb/internal/sched"
 	"d2dhb/internal/simtime"
+	"d2dhb/internal/trace"
 )
 
 // rig is a miniature end-to-end wiring of the substrates for device tests.
@@ -237,7 +238,7 @@ func TestRelayCapacityTriggersEarlyFlush(t *testing.T) {
 	if rs.Collected != 2 {
 		t.Fatalf("collected = %d, want 2", rs.Collected)
 	}
-	if got := relay.Policy().(*sched.Nagle).LastFlushReason(); got != sched.ReasonCapacity {
+	if got := relay.Policy().LastFlushReason(); got != sched.ReasonCapacity {
 		t.Fatalf("flush reason = %v, want capacity", got)
 	}
 	third := ues[2].Stats()
@@ -936,6 +937,60 @@ func TestRelayPeriodAndFlushTimerOnSameInstant(t *testing.T) {
 	}
 	if free, _ := relay.Advertised(); free != 8 {
 		t.Fatalf("advertised free = %d after the new period opened, want 8", free)
+	}
+}
+
+func TestRelayFlushReasonEveryKind(t *testing.T) {
+	// One heartbeat at 10 s into each kind's window: every kind's one flush
+	// carries its reason on the trace event, and only Algorithm 1's three
+	// reasons land in the FlushesBy counters.
+	period := std().Period
+	for _, tc := range []struct {
+		kind   sched.Kind
+		at     time.Duration
+		reason sched.FlushReason
+		byCap  int
+		byEnd  int
+	}{
+		{sched.KindNagle, 10 * time.Second, sched.ReasonCapacity, 1, 0},
+		{sched.KindImmediate, 10 * time.Second, sched.ReasonPolicy, 0, 0},
+		{sched.KindFixedDelay, 40 * time.Second, sched.ReasonPolicy, 0, 0},
+		{sched.KindPeriodAligned, period, sched.ReasonPeriodEnd, 0, 1},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			s := simtime.NewScheduler(1)
+			sub := &fakeSub{}
+			w, err := sched.New(tc.kind, 1, period, 30*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &trace.Recorder{}
+			relay, err := NewRelayOn(simtime.SchedulerClock{S: s}, sub, Cellular{sub}, RelayConfig{
+				ID: "relay", Profile: std(), Capacity: 1, Policy: w, Tracer: rec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := relay.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.At(10*time.Second, func() {
+				relay.Receive(std().Heartbeat("ue", 1, s.Now()), "path")
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RunUntil(period + time.Second); err != nil {
+				t.Fatal(err)
+			}
+			flushes := rec.ByKind(trace.KindFlush)
+			if len(flushes) != 1 || flushes[0].AtMs != trace.At(tc.at) || flushes[0].Reason != tc.reason.String() || flushes[0].N != 2 {
+				t.Fatalf("flush events = %+v, want one of 2 heartbeats at %v for %q", flushes, tc.at, tc.reason)
+			}
+			rs := relay.Stats()
+			if rs.Flushes != 1 || rs.FlushesByCapacity != tc.byCap || rs.FlushesByDeadline != 0 || rs.FlushesByPeriodEnd != tc.byEnd {
+				t.Fatalf("stats = %+v, want one flush counted %d by capacity, %d by period end", rs, tc.byCap, tc.byEnd)
+			}
+		})
 	}
 }
 

@@ -33,8 +33,8 @@ type RelayStats struct {
 	// Flushes counts aggregated cellular transmissions.
 	Flushes int
 	// FlushesByCapacity / FlushesByDeadline / FlushesByPeriodEnd break
-	// Flushes down by Algorithm 1's trigger (only populated when the
-	// policy is the Nagle scheduler).
+	// Flushes down by Algorithm 1's three triggers; a baseline's own
+	// trigger (sched.ReasonPolicy) counts in none of them.
 	FlushesByCapacity  int
 	FlushesByDeadline  int
 	FlushesByPeriodEnd int
@@ -63,9 +63,9 @@ type RelayConfig struct {
 	// Capacity is M, the maximum number of collected heartbeats per
 	// period.
 	Capacity int
-	// Policy is the scheduling policy. Nil selects Algorithm 1 (Nagle)
+	// Policy is the scheduling window. Nil selects Algorithm 1 (Nagle)
 	// with Capacity and the profile period.
-	Policy sched.Policy
+	Policy *sched.Window
 	// StartOffset delays the first period start.
 	StartOffset time.Duration
 	// Tracer receives structured events when non-nil.
@@ -108,7 +108,7 @@ type Relay struct {
 	clock  simtime.Clock
 	radio  RelayRadio
 	uplink Forwarder
-	policy sched.Policy
+	policy *sched.Window
 
 	seq         uint64
 	ownHB       hbmsg.Heartbeat
@@ -169,8 +169,8 @@ func NewRelayOn(clock simtime.Clock, radio RelayRadio, uplink Forwarder, cfg Rel
 // Stats returns a snapshot of the relay's counters.
 func (r *Relay) Stats() RelayStats { return r.stats }
 
-// Policy exposes the active scheduling policy.
-func (r *Relay) Policy() sched.Policy { return r.policy }
+// Policy exposes the active scheduling window.
+func (r *Relay) Policy() *sched.Window { return r.policy }
 
 // Awaiting reports how many collected heartbeats still hold a feedback
 // route: waiting in the window, or forwarded and not yet confirmed. A
@@ -356,21 +356,15 @@ func (r *Relay) flush() {
 		}
 	}
 	r.stats.Flushes++
-	nagle, isNagle := r.policy.(*sched.Nagle)
-	reason := ""
-	if isNagle {
-		reason = nagle.LastFlushReason().String()
-	}
-	r.emit(trace.Event{Kind: trace.KindFlush, N: len(full) - len(lost), Reason: reason})
-	if isNagle {
-		switch nagle.LastFlushReason() {
-		case sched.ReasonCapacity:
-			r.stats.FlushesByCapacity++
-		case sched.ReasonDeadline:
-			r.stats.FlushesByDeadline++
-		default:
-			r.stats.FlushesByPeriodEnd++
-		}
+	reason := r.policy.LastFlushReason()
+	r.emit(trace.Event{Kind: trace.KindFlush, N: len(full) - len(lost), Reason: reason.String()})
+	switch reason {
+	case sched.ReasonCapacity:
+		r.stats.FlushesByCapacity++
+	case sched.ReasonDeadline:
+		r.stats.FlushesByDeadline++
+	case sched.ReasonPeriodEnd:
+		r.stats.FlushesByPeriodEnd++
 	}
 	r.stats.ForwardedSent += forwarded
 	r.stats.Credits += forwarded

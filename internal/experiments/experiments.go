@@ -3,8 +3,9 @@
 // studies listed in DESIGN.md. Each experiment returns the same rows or
 // series the paper reports together with the paper's reference values, so
 // callers (the d2dbench CLI and the root package's `go test -bench`
-// harness) can print paper-vs-measured comparisons. The city kernels
-// (RunCity, RunCityParallel) are also the workloads of bench/run.sh.
+// harness) can print paper-vs-measured comparisons. The city kernels are
+// also the workloads of bench/run.sh: city_seq builds CityScenario and runs
+// it, city_par runs RunCityParallel.
 package experiments
 
 import (

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"time"
 )
 
@@ -194,6 +195,20 @@ func StandardHeartbeat() AppProfile {
 // Apps returns the Table I app profiles in the paper's column order.
 func Apps() []AppProfile {
 	return []AppProfile{WeChat(), WhatsApp(), QQ(), Facebook()}
+}
+
+// ProfileByName resolves a profile by its Name, ignoring case. "std" and
+// the empty name are StandardHeartbeat.
+func ProfileByName(name string) (AppProfile, error) {
+	if name == "" || strings.EqualFold(name, "std") {
+		return StandardHeartbeat(), nil
+	}
+	for _, p := range [...]AppProfile{WeChat(), WhatsApp(), QQ(), Facebook(), Diagnostics(), AdRefresh(), StandardHeartbeat()} {
+		if strings.EqualFold(name, p.Name) {
+			return p, nil
+		}
+	}
+	return AppProfile{}, fmt.Errorf("hbmsg: unknown app profile %q", name)
 }
 
 // TrafficCounts summarizes a generated message stream.

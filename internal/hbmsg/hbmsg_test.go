@@ -54,6 +54,35 @@ func TestAppsOrder(t *testing.T) {
 	}
 }
 
+// TestProfileByName covers every name the command-line tools and the
+// scenario files accept, in any case.
+func TestProfileByName(t *testing.T) {
+	for _, tc := range []struct {
+		names []string
+		want  string
+	}{
+		{[]string{"standard", "Standard", "std", "STD", ""}, "Standard"},
+		{[]string{"wechat", "WeChat"}, "WeChat"},
+		{[]string{"whatsapp", "WhatsApp"}, "WhatsApp"},
+		{[]string{"qq", "QQ"}, "QQ"},
+		{[]string{"facebook", "Facebook"}, "Facebook"},
+		{[]string{"diagnostics", "Diagnostics"}, "Diagnostics"},
+		{[]string{"adrefresh", "AdRefresh"}, "AdRefresh"},
+	} {
+		for _, name := range tc.names {
+			p, err := ProfileByName(name)
+			if err != nil || p.Name != tc.want {
+				t.Errorf("ProfileByName(%q) = %q, %v; want %q", name, p.Name, err, tc.want)
+			}
+		}
+	}
+	for _, name := range []string{"icq", "we chat", "standard "} {
+		if _, err := ProfileByName(name); err == nil {
+			t.Errorf("ProfileByName(%q) accepted", name)
+		}
+	}
+}
+
 func TestStandardHeartbeatSize(t *testing.T) {
 	// Section V-A uses 54 B as the standard heartbeat size.
 	if got := StandardHeartbeat().Size; got != 54 {

@@ -279,6 +279,58 @@ func TestReplayResendsAtTheLapse(t *testing.T) {
 	})
 }
 
+// TestRecordedResendFollowsItsSend records a trunked run whose first dials
+// fall inside a partition, so the trunks' first emissions never reach the
+// wire and their resends at the lapse do. The recording must hold each
+// such heartbeat's send before its ack, and a replay of it with no faults
+// must deliver every heartbeat it shows acknowledged. In the bubble the
+// partition is the run's first minute of Table I apps.
+func TestRecordedResendFollowsItsSend(t *testing.T) {
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		faults := faultnet.NewSchedule(7, []faultnet.Window{
+			{From: 0, To: pick(100*time.Millisecond, time.Minute), Fault: faultnet.Fault{Kind: faultnet.KindPartition}},
+		})
+		tl := recordRun(t, Config{
+			UEs:      8,
+			Trunks:   2,
+			Duration: pick(400*time.Millisecond, hours(1)),
+			Profiles: tableI(60 * time.Millisecond),
+			// In the bubble, the default: twice the longest period and 500 ms.
+			AckTimeout: pick(150*time.Millisecond, 0),
+			Net:        faults.On(nw),
+		})
+		if faults.Stats().RefusedDials == 0 {
+			t.Fatal("no dial was refused: the partition never fired")
+		}
+		type key struct {
+			client int
+			seq    uint64
+		}
+		sent := make(map[key]bool)
+		acked := uint64(0)
+		for _, e := range tl.Events {
+			k := key{e.Client, e.Seq}
+			switch e.Kind {
+			case rec.EvSend:
+				sent[k] = true
+			case rec.EvAck:
+				if !sent[k] {
+					t.Fatalf("client %d seq %d acknowledged at %v with no send recorded before it", e.Client, e.Seq, e.At)
+				}
+				acked++
+			}
+		}
+		m, err := ReplayLive(tl, ReplayOptions{Net: nw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("recorded %d sends, %d acked; replay delivered %d of %d", tl.Sends(), acked, m.Delivered, m.Sent)
+		if m.Delivered < acked {
+			t.Fatalf("the replay delivered %d heartbeats, the recording shows %d acknowledged", m.Delivered, acked)
+		}
+	})
+}
+
 // firstAckLost is a network whose listeners' connections swallow the first
 // write: a server on it loses the first frame it writes on a connection.
 type firstAckLost struct{ faultnet.Net }

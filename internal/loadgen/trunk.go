@@ -82,6 +82,10 @@ type trunk struct {
 	owner []int32        // user → owning node index + 1 under view; 0 = not resolved yet
 	tick  time.Time      // the next sub-tick's instant
 	slot  int            // the next sub-tick's pace slot
+	// unsent holds, while a trace is recorded, the heartbeats whose first
+	// send never reached the wire: the share of their resend that does is
+	// their send in the trace.
+	unsent map[inflight.Key]struct{}
 
 	mu      sync.Mutex
 	users   []tuser
@@ -206,7 +210,9 @@ func (t *trunk) index() {
 // send writes heartbeats through the uplink, one chunked Batch per owning
 // shard under one ring view. Heartbeats that never hit the wire stay in
 // the pending table: the sweep resends them once through the then-current
-// view.
+// view. A trace records a heartbeat's send once, when it first reaches the
+// wire, so an acknowledged resend of one whose first send was refused
+// follows its send.
 func (t *trunk) send(refs []inflight.Key, now time.Time, fallback bool) {
 	parts := t.up.Send(now, len(refs),
 		func(v *cluster.View, i int) int { return t.ownerOf(v, refs[i].Slot) },
@@ -229,6 +235,14 @@ func (t *trunk) send(refs []inflight.Key, now time.Time, fallback bool) {
 			} else {
 				t.c.dialErrors.Add(1)
 			}
+			if t.trec != nil && !fallback {
+				if t.unsent == nil {
+					t.unsent = make(map[inflight.Key]struct{})
+				}
+				for _, i := range p.Pos {
+					t.unsent[refs[i]] = struct{}{}
+				}
+			}
 			continue
 		}
 		t.c.trunkWrites.Add(1)
@@ -237,10 +251,16 @@ func (t *trunk) send(refs []inflight.Key, now time.Time, fallback bool) {
 			t.c.fallbackResends.Add(uint64(len(p.Pos)))
 		} else {
 			t.c.sentRelayed.Add(uint64(len(p.Pos)))
-			if t.trec != nil {
-				for _, i := range p.Pos {
-					t.trec.Record(rec.EvSend, int(t.clients[refs[i].Slot].trec), refs[i].Seq, now)
+		}
+		if t.trec != nil {
+			for _, i := range p.Pos {
+				if fallback {
+					if _, ok := t.unsent[refs[i]]; !ok {
+						continue
+					}
+					delete(t.unsent, refs[i])
 				}
+				t.trec.Record(rec.EvSend, int(t.clients[refs[i].Slot].trec), refs[i].Seq, now)
 			}
 		}
 		t.shards.add(p.Node, uint64(len(p.Pos)))
@@ -275,6 +295,7 @@ func (t *trunk) collectExpired(now time.Time) []inflight.Key {
 func (t *trunk) timedOut(refs []inflight.Key, now time.Time) {
 	for _, ref := range refs {
 		t.trec.Record(rec.EvTimeout, int(t.clients[ref.Slot].trec), ref.Seq, now)
+		delete(t.unsent, ref)
 	}
 	t.c.timeoutRelayed.Add(uint64(len(refs)))
 }

@@ -158,11 +158,11 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("scenario: duplicate device id %q", d.ID)
 		}
 		seen[d.ID] = true
-		if _, err := ProfileByName(d.App); err != nil {
+		if _, err := hbmsg.ProfileByName(d.App); err != nil {
 			return err
 		}
 		for _, extra := range d.ExtraApps {
-			if _, err := ProfileByName(extra); err != nil {
+			if _, err := hbmsg.ProfileByName(extra); err != nil {
 				return err
 			}
 		}
@@ -170,7 +170,7 @@ func (c *Config) Validate() error {
 	if _, err := techniqueByName(c.Technique); err != nil {
 		return err
 	}
-	if _, err := policyByName(c.Policy); err != nil {
+	if _, err := sched.ParseKind(c.Policy); err != nil {
 		return err
 	}
 	return nil
@@ -197,7 +197,7 @@ func (c *Config) build(disableD2D bool, tracer trace.Tracer) (*core.Simulation, 
 	if err != nil {
 		return nil, err
 	}
-	policy, err := policyByName(c.Policy)
+	policy, err := sched.ParseKind(c.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +219,7 @@ func (c *Config) build(disableD2D bool, tracer trace.Tracer) (*core.Simulation, 
 		return nil, err
 	}
 	for i, d := range c.Relays {
-		profile, err := ProfileByName(d.App)
+		profile, err := hbmsg.ProfileByName(d.App)
 		if err != nil {
 			return nil, err
 		}
@@ -238,13 +238,13 @@ func (c *Config) build(disableD2D bool, tracer trace.Tracer) (*core.Simulation, 
 		}
 	}
 	for i, d := range c.UEs {
-		profile, err := ProfileByName(d.App)
+		profile, err := hbmsg.ProfileByName(d.App)
 		if err != nil {
 			return nil, err
 		}
 		var extras []hbmsg.AppProfile
 		for _, name := range d.ExtraApps {
-			p, err := ProfileByName(name)
+			p, err := hbmsg.ProfileByName(name)
 			if err != nil {
 				return nil, err
 			}
@@ -267,24 +267,6 @@ func (c *Config) build(disableD2D bool, tracer trace.Tracer) (*core.Simulation, 
 	return sim, nil
 }
 
-// ProfileByName resolves an app profile name.
-func ProfileByName(name string) (hbmsg.AppProfile, error) {
-	switch strings.ToLower(name) {
-	case "", "standard":
-		return hbmsg.StandardHeartbeat(), nil
-	case "wechat":
-		return hbmsg.WeChat(), nil
-	case "whatsapp":
-		return hbmsg.WhatsApp(), nil
-	case "qq":
-		return hbmsg.QQ(), nil
-	case "facebook":
-		return hbmsg.Facebook(), nil
-	default:
-		return hbmsg.AppProfile{}, fmt.Errorf("scenario: unknown app %q", name)
-	}
-}
-
 func techniqueByName(name string) (radio.Technique, error) {
 	switch strings.ToLower(name) {
 	case "", "wifi-direct":
@@ -295,20 +277,5 @@ func techniqueByName(name string) (radio.Technique, error) {
 		return radio.LTEDirect, nil
 	default:
 		return 0, fmt.Errorf("scenario: unknown technique %q", name)
-	}
-}
-
-func policyByName(name string) (sched.Kind, error) {
-	switch strings.ToLower(name) {
-	case "", "nagle":
-		return sched.KindNagle, nil
-	case "immediate":
-		return sched.KindImmediate, nil
-	case "fixed-delay":
-		return sched.KindFixedDelay, nil
-	case "period-aligned":
-		return sched.KindPeriodAligned, nil
-	default:
-		return 0, fmt.Errorf("scenario: unknown policy %q", name)
 	}
 }

@@ -132,27 +132,3 @@ func TestMobilityVariants(t *testing.T) {
 		t.Fatalf("static moved: %v", got)
 	}
 }
-
-func TestProfileByName(t *testing.T) {
-	for name, wantPeriod := range map[string]time.Duration{
-		"standard": 270 * time.Second,
-		"wechat":   270 * time.Second,
-		"whatsapp": 240 * time.Second,
-		"qq":       300 * time.Second,
-		"facebook": 300 * time.Second,
-		"WeChat":   270 * time.Second, // case-insensitive
-		"":         270 * time.Second, // default
-	} {
-		p, err := ProfileByName(name)
-		if err != nil {
-			t.Errorf("ProfileByName(%q): %v", name, err)
-			continue
-		}
-		if p.Period != wantPeriod {
-			t.Errorf("ProfileByName(%q).Period = %v, want %v", name, p.Period, wantPeriod)
-		}
-	}
-	if _, err := ProfileByName("icq"); err == nil {
-		t.Fatal("unknown app accepted")
-	}
-}

@@ -6,11 +6,12 @@ import (
 	"d2dhb/internal/telemetry"
 )
 
-// Instruments carries optional telemetry handles shared by every policy.
-// All observations are derived from the instants callers already inject
-// into Collect/Flush — never from the wall clock — so instrumented policies
-// stay legal in simulation-clocked packages (the d2dvet walltime rule) and
-// record virtual time under the simulator, wall time under the relay agent.
+// Instruments carries optional telemetry handles a Window records into
+// (Window.SetInstruments), the same for every Kind. All observations are
+// derived from the instants callers already inject into Collect/Flush —
+// never from the wall clock — so an instrumented window stays legal in
+// simulation-clocked packages (the d2dvet walltime rule) and records
+// virtual time under the simulator, wall time under the relay agent.
 //
 // A nil *Instruments (the default) makes every observation a no-op.
 type Instruments struct {
@@ -66,18 +67,3 @@ func (i *Instruments) observeFlush(size int, slack time.Duration) {
 	}
 	i.FlushSlack.Record(uint64(slack / time.Microsecond))
 }
-
-// Instrumented is implemented by policies that accept telemetry handles.
-// Every policy in this package implements it via the embedded instrumented
-// struct; callers attach handles with:
-//
-//	if ip, ok := policy.(sched.Instrumented); ok { ip.SetInstruments(ins) }
-type Instrumented interface {
-	SetInstruments(*Instruments)
-}
-
-// instrumented is embedded by every policy to satisfy Instrumented.
-type instrumented struct{ ins *Instruments }
-
-// SetInstruments attaches telemetry handles; nil detaches them.
-func (b *instrumented) SetInstruments(i *Instruments) { b.ins = i }

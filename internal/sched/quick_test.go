@@ -309,13 +309,13 @@ func TestQuickNagleFlushNeverAfterMinDeadline(t *testing.T) {
 }
 
 // scanDeadline is the linear statement of Algorithm 1's deadline that
-// Nagle.Deadline keeps as a running minimum: min(period end, every pending
+// Window.Deadline keeps as a running minimum: min(period end, every pending
 // heartbeat's deadline), or none while the window is closed.
-func scanDeadline(n *Nagle) (time.Duration, bool) {
+func scanDeadline(n *Window) (time.Duration, bool) {
 	if n.closed {
 		return 0, false
 	}
-	at := n.periodEnd()
+	at := n.end
 	for _, hb := range n.pending {
 		at = min(at, hb.Deadline())
 	}
@@ -378,7 +378,7 @@ func TestNagleDeadlineMatchesScan(t *testing.T) {
 					switch {
 					case full:
 						reason = ReasonCapacity
-					case want == n.periodEnd():
+					case want == n.end:
 						reason = ReasonPeriodEnd
 					}
 					if got := n.LastFlushReason(); got != reason {

@@ -5,13 +5,19 @@
 // constraints: the collection capacity M, each forwarded message's
 // expiration time T_k, and the relay's own heartbeat period T.
 //
-// Baseline policies (immediate send, fixed delay, period-aligned) are
-// provided for the ablation benchmarks.
+// One type states it: a Window is one relay period's collection window.
+// The ablation baselines (immediate send, fixed delay, period-aligned) are
+// the same window with one bound dropped or swapped, so a Window's Kind
+// decides only three rules: whether a collect flushes at once, what the
+// deadline is, and whether a flush closes the window. The rejects, the
+// instruments, the batch buffers and the flush reason are the same for all
+// four kinds.
 package sched
 
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"d2dhb/internal/hbmsg"
@@ -39,20 +45,33 @@ const (
 	KindPeriodAligned                 // always wait for the relay's period end
 )
 
+var kindNames = [...]string{
+	KindNagle:         "nagle",
+	KindImmediate:     "immediate",
+	KindFixedDelay:    "fixed-delay",
+	KindPeriodAligned: "period-aligned",
+}
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case KindNagle:
-		return "nagle"
-	case KindImmediate:
-		return "immediate"
-	case KindFixedDelay:
-		return "fixed-delay"
-	case KindPeriodAligned:
-		return "period-aligned"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+	if k >= KindNagle && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", int(k))
+}
+
+// ParseKind resolves a policy by its String name, ignoring case. The empty
+// name is Algorithm 1, the default policy.
+func ParseKind(name string) (Kind, error) {
+	if name == "" {
+		return KindNagle, nil
+	}
+	for k := KindNagle; int(k) < len(kindNames); k++ {
+		if strings.EqualFold(name, k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("sched: unknown policy %q", name)
 }
 
 // FlushReason explains why a batch was released.
@@ -63,7 +82,7 @@ const (
 	ReasonCapacity  FlushReason = iota + 1 // k reached M
 	ReasonDeadline                         // a collected message's T_k forced the send
 	ReasonPeriodEnd                        // the relay's own period T elapsed
-	ReasonPolicy                           // policy-specific (immediate / fixed delay)
+	ReasonPolicy                           // a baseline's own rule (immediate send, fixed delay)
 )
 
 // String implements fmt.Stringer.
@@ -82,166 +101,191 @@ func (r FlushReason) String() string {
 	}
 }
 
-// Policy is a relay-side heartbeat scheduling strategy. The relay drives it:
-// StartPeriod at each of its own heartbeat periods, Collect on every
-// forwarded heartbeat, and Flush when Collect demands it or the Deadline
-// arrives.
+// Window is the relay's collection window under one scheduling policy. The
+// relay drives it: StartPeriod at each of its own heartbeat periods,
+// Collect on every forwarded heartbeat, and Flush when Collect demands it
+// or the Deadline arrives. It has no timers of its own, so the
+// discrete-event simulator and the real TCP relay agent drive the same
+// value.
 //
-// Implementations are pure state machines with no timers of their own; this
-// keeps them usable from both the discrete-event simulator and the real
-// TCP relay agent.
-type Policy interface {
-	// Kind identifies the policy.
-	Kind() Kind
-	// StartPeriod opens a new collection window at the given instant; the
-	// window closes at instant + the relay period.
-	StartPeriod(at time.Duration)
-	// Collect offers a forwarded heartbeat at instant now. It returns
-	// flushNow = true when the batch must be sent immediately.
-	Collect(hb hbmsg.Heartbeat, now time.Duration) (flushNow bool, err error)
-	// Deadline returns the instant by which the pending batch must be
-	// flushed, and whether a flush is scheduled at all.
-	Deadline() (at time.Duration, ok bool)
-	// Flush drains and returns the pending batch, closing collection until
-	// the next period. The batch is the caller's until the next Flush; a
-	// policy may reuse its array after that.
-	Flush(now time.Duration) []hbmsg.Heartbeat
-	// Pending reports how many heartbeats are waiting.
-	Pending() int
-	// Accepting reports whether Collect would currently admit a message.
-	Accepting() bool
-}
-
-// Nagle is Algorithm 1. Within each relay heartbeat period it buffers
-// forwarded heartbeats while
+// Under Algorithm 1 (KindNagle) it buffers forwarded heartbeats while
 //
 //	k < M  &&  t − t_k < T_k (for every collected message)  &&  t < T
 //
 // and flushes as soon as any bound is reached, sending everything in one
-// cellular connection together with the relay's own heartbeat.
-type Nagle struct {
-	instrumented
-	capacity int
+// cellular connection together with the relay's own heartbeat. The
+// baselines drop or swap a bound:
+//   - KindImmediate flushes every message on arrival and never closes, the
+//     naive relay the paper warns "would consume more energy than the
+//     original system and lose the signaling-saving feature" (Section
+//     III-C);
+//   - KindFixedDelay flushes a fixed delay after the first message,
+//     ignoring expiries — with tight T_k it silently lets messages die;
+//   - KindPeriodAligned always waits for the period end, ignoring both
+//     capacity and expiries.
+type Window struct {
+	ins      *Instruments
+	kind     Kind
+	capacity int           // M under Algorithm 1; 0 (unbounded) otherwise
+	delay    time.Duration // the fixed delay; 0 otherwise
 	period   time.Duration
 
-	periodStart time.Duration
-	pending     []hbmsg.Heartbeat
-	// deadline is min(period end, earliest pending deadline), kept as
-	// heartbeats are collected: a window only grows until the flush that
-	// empties it, so the running minimum is exact and Deadline scans nothing.
+	end     time.Duration // the current period's end: the hard bound t < T
+	pending []hbmsg.Heartbeat
+	// deadline is the instant the pending batch must leave by. It starts at
+	// the period end and only falls as heartbeats are collected, until the
+	// flush that empties the window, so Deadline scans nothing.
 	deadline time.Duration
 	// flushed is the batch the last Flush handed out. The next Flush swaps
 	// it back in as the collection buffer, so a relay alternates between two
 	// arrays instead of growing a new one every period.
-	flushed    []hbmsg.Heartbeat
-	closed     bool
+	flushed []hbmsg.Heartbeat
+	closed  bool
+	// lastReason is why the last flush left, or why the last Collect
+	// demanded the next one (due).
 	lastReason FlushReason
+	due        bool
 }
 
-var _ Policy = (*Nagle)(nil)
+// New builds a window of the given kind with the relay period T. capacity
+// (M) applies to KindNagle; delay applies to KindFixedDelay. The window
+// starts closed; call StartPeriod to open the first one.
+func New(kind Kind, capacity int, period, delay time.Duration) (*Window, error) {
+	w := &Window{kind: kind, period: period, closed: true}
+	switch {
+	case kind < KindNagle || int(kind) >= len(kindNames):
+		return nil, fmt.Errorf("sched: unknown policy kind %d", int(kind))
+	case kind == KindNagle && capacity <= 0:
+		return nil, fmt.Errorf("sched: capacity must be positive, got %d", capacity)
+	case kind == KindFixedDelay && delay <= 0:
+		return nil, fmt.Errorf("sched: delay must be positive, got %v", delay)
+	case period <= 0:
+		return nil, fmt.Errorf("sched: period must be positive, got %v", period)
+	case kind == KindNagle:
+		w.capacity = capacity
+	case kind == KindFixedDelay:
+		w.delay = delay
+	}
+	return w, nil
+}
 
 // NewNagle builds the Algorithm 1 scheduler with collection capacity M and
-// relay heartbeat period T. The scheduler starts closed; call StartPeriod to
-// open the first collection window.
-func NewNagle(capacity int, period time.Duration) (*Nagle, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("sched: capacity must be positive, got %d", capacity)
-	}
-	if period <= 0 {
-		return nil, fmt.Errorf("sched: period must be positive, got %v", period)
-	}
-	return &Nagle{capacity: capacity, period: period, closed: true}, nil
+// relay heartbeat period T.
+func NewNagle(capacity int, period time.Duration) (*Window, error) {
+	return New(KindNagle, capacity, period, 0)
 }
 
-// Kind implements Policy.
-func (n *Nagle) Kind() Kind { return KindNagle }
+// Kind identifies the policy.
+func (w *Window) Kind() Kind { return w.kind }
 
-// Capacity returns M.
-func (n *Nagle) Capacity() int { return n.capacity }
+// Capacity returns M, or 0 when the policy is unbounded.
+func (w *Window) Capacity() int { return w.capacity }
 
 // Period returns T.
-func (n *Nagle) Period() time.Duration { return n.period }
+func (w *Window) Period() time.Duration { return w.period }
 
-// StartPeriod implements Policy.
-func (n *Nagle) StartPeriod(at time.Duration) {
-	n.periodStart = at
-	n.closed = false
-	n.pending = n.pending[:0]
-	n.deadline = n.periodEnd()
-	n.lastReason = 0
+// SetInstruments attaches telemetry handles; nil detaches them.
+func (w *Window) SetInstruments(i *Instruments) { w.ins = i }
+
+// StartPeriod opens a new collection window at the given instant; the
+// window closes at instant + the relay period.
+func (w *Window) StartPeriod(at time.Duration) {
+	w.end = at + w.period
+	w.closed = false
+	w.pending = w.pending[:0]
+	w.deadline = w.end
+	w.lastReason, w.due = 0, false
 }
 
-// periodEnd returns the hard bound t < T for the current window.
-func (n *Nagle) periodEnd() time.Duration { return n.periodStart + n.period }
-
-// Collect implements Policy.
-func (n *Nagle) Collect(hb hbmsg.Heartbeat, now time.Duration) (bool, error) {
-	if n.closed {
-		n.ins.observeReject(ErrClosed)
+// Collect offers a forwarded heartbeat at instant now. It returns
+// flushNow = true when the batch must be sent immediately.
+func (w *Window) Collect(hb hbmsg.Heartbeat, now time.Duration) (bool, error) {
+	if w.closed {
+		w.ins.observeReject(ErrClosed)
 		return false, ErrClosed
 	}
 	if hb.Expired(now) {
-		n.ins.observeReject(ErrExpired)
+		w.ins.observeReject(ErrExpired)
 		return false, ErrExpired
 	}
-	n.pending = append(n.pending, hb)
-	n.deadline = min(n.deadline, hb.Deadline())
-	n.ins.observeCollect(len(n.pending))
-	// Algorithm 1: pend only while k < M; reaching M sends now.
-	if len(n.pending) >= n.capacity {
-		n.lastReason = ReasonCapacity
-		return true, nil
-	}
-	// If the message is already due (its deadline is now), send rather
-	// than risk expiry.
-	if at, ok := n.Deadline(); ok && at <= now {
-		if at == n.periodEnd() {
-			n.lastReason = ReasonPeriodEnd
-		} else {
-			n.lastReason = ReasonDeadline
+	switch w.kind {
+	case KindNagle:
+		w.deadline = min(w.deadline, hb.Deadline())
+	case KindFixedDelay:
+		if len(w.pending) == 0 {
+			w.deadline = min(w.deadline, now+w.delay)
 		}
-		return true, nil
 	}
-	return false, nil
+	w.pending = append(w.pending, hb)
+	w.ins.observeCollect(len(w.pending))
+	var reason FlushReason
+	switch {
+	case w.kind == KindImmediate:
+		reason = ReasonPolicy
+	// Algorithm 1: pend only while k < M; reaching M sends now.
+	case w.kind == KindNagle && len(w.pending) >= w.capacity:
+		reason = ReasonCapacity
+	// If the message is already due (its deadline is now), send rather than
+	// risk expiry.
+	case w.kind == KindNagle && w.deadline <= now:
+		reason = ReasonDeadline
+		if w.deadline == w.end {
+			reason = ReasonPeriodEnd
+		}
+	default:
+		return false, nil
+	}
+	w.lastReason, w.due = reason, true
+	return true, nil
 }
 
-// Deadline implements Policy: min(period end, earliest collected deadline).
-// With no pending messages the deadline is the period end, when the relay's
-// own heartbeat goes out regardless.
-func (n *Nagle) Deadline() (time.Duration, bool) {
-	if n.closed {
+// Deadline returns the instant by which the pending batch must be flushed,
+// and whether a flush is scheduled at all. With no pending messages it is
+// the period end, when the relay's own heartbeat goes out regardless.
+func (w *Window) Deadline() (time.Duration, bool) {
+	if w.closed {
 		return 0, false
 	}
-	return n.deadline, true
+	return w.deadline, true
 }
 
-// Flush implements Policy.
-func (n *Nagle) Flush(now time.Duration) []hbmsg.Heartbeat {
-	if n.closed {
+// Flush drains and returns the pending batch (nil when it is empty) and,
+// except under KindImmediate, closes collection until the next period. The
+// batch is the caller's until the next Flush; the window may reuse its
+// array after that.
+func (w *Window) Flush(now time.Duration) []hbmsg.Heartbeat {
+	if w.closed {
 		return nil
 	}
-	if at, ok := n.Deadline(); ok {
-		n.ins.observeFlush(len(n.pending), at-now)
+	w.ins.observeFlush(len(w.pending), w.deadline-now)
+	switch {
+	case w.due: // the reason Collect gave stands
+	case now >= w.end:
+		w.lastReason = ReasonPeriodEnd
+	case w.kind == KindNagle:
+		w.lastReason = ReasonDeadline
+	default:
+		w.lastReason = ReasonPolicy
 	}
-	if n.lastReason == 0 {
-		if now >= n.periodEnd() {
-			n.lastReason = ReasonPeriodEnd
-		} else {
-			n.lastReason = ReasonDeadline
-		}
+	w.due = false
+	out := w.pending
+	w.pending, w.flushed = w.flushed[:0], out
+	w.closed = w.kind != KindImmediate
+	if len(out) == 0 {
+		return nil
 	}
-	out := n.pending
-	n.pending, n.flushed = n.flushed[:0], out
-	n.closed = true
 	return out
 }
 
-// LastFlushReason reports why the most recent flush happened. It is zero
-// before the first flush of a period.
-func (n *Nagle) LastFlushReason() FlushReason { return n.lastReason }
+// LastFlushReason reports why the most recent flush happened, or, once
+// Collect has demanded a flush, why the next one will. It is zero before
+// the first flush of a period.
+func (w *Window) LastFlushReason() FlushReason { return w.lastReason }
 
-// Pending implements Policy.
-func (n *Nagle) Pending() int { return len(n.pending) }
+// Pending reports how many heartbeats are waiting.
+func (w *Window) Pending() int { return len(w.pending) }
 
-// Accepting implements Policy.
-func (n *Nagle) Accepting() bool { return !n.closed && len(n.pending) < n.capacity }
+// Accepting reports whether Collect would currently admit a message.
+func (w *Window) Accepting() bool {
+	return !w.closed && (w.capacity == 0 || len(w.pending) < w.capacity)
+}

@@ -16,7 +16,7 @@ func mkHB(seq uint64, origin, expiry time.Duration) hbmsg.Heartbeat {
 	}
 }
 
-func newNagle(t *testing.T, capacity int, period time.Duration) *Nagle {
+func newNagle(t *testing.T, capacity int, period time.Duration) *Window {
 	t.Helper()
 	n, err := NewNagle(capacity, period)
 	if err != nil {
@@ -214,9 +214,9 @@ func TestNagleAccessors(t *testing.T) {
 }
 
 func TestImmediateFlushesEveryMessage(t *testing.T) {
-	p, err := NewImmediate(270 * time.Second)
+	p, err := New(KindImmediate, 0, 270*time.Second, 0)
 	if err != nil {
-		t.Fatalf("NewImmediate: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	p.StartPeriod(0)
 	for i := 1; i <= 3; i++ {
@@ -238,12 +238,12 @@ func TestImmediateFlushesEveryMessage(t *testing.T) {
 }
 
 func TestImmediateValidationAndClosed(t *testing.T) {
-	if _, err := NewImmediate(0); err == nil {
+	if _, err := New(KindImmediate, 0, 0, 0); err == nil {
 		t.Fatal("zero period accepted")
 	}
-	p, err := NewImmediate(time.Minute)
+	p, err := New(KindImmediate, 0, time.Minute, 0)
 	if err != nil {
-		t.Fatalf("NewImmediate: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	if _, err := p.Collect(mkHB(1, 0, time.Hour), 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -258,9 +258,9 @@ func TestImmediateValidationAndClosed(t *testing.T) {
 }
 
 func TestFixedDelayWaitsExactDelay(t *testing.T) {
-	p, err := NewFixedDelay(30*time.Second, 270*time.Second)
+	p, err := New(KindFixedDelay, 0, 270*time.Second, 30*time.Second)
 	if err != nil {
-		t.Fatalf("NewFixedDelay: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	p.StartPeriod(0)
 	if _, err := p.Collect(mkHB(1, 10*time.Second, time.Hour), 10*time.Second); err != nil {
@@ -294,9 +294,9 @@ func TestFixedDelayWaitsExactDelay(t *testing.T) {
 }
 
 func TestFixedDelayCappedByPeriodEnd(t *testing.T) {
-	p, err := NewFixedDelay(500*time.Second, 270*time.Second)
+	p, err := New(KindFixedDelay, 0, 270*time.Second, 500*time.Second)
 	if err != nil {
-		t.Fatalf("NewFixedDelay: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	p.StartPeriod(0)
 	if _, err := p.Collect(mkHB(1, 0, time.Hour), 0); err != nil {
@@ -308,18 +308,18 @@ func TestFixedDelayCappedByPeriodEnd(t *testing.T) {
 }
 
 func TestFixedDelayValidation(t *testing.T) {
-	if _, err := NewFixedDelay(0, time.Minute); err == nil {
+	if _, err := New(KindFixedDelay, 0, time.Minute, 0); err == nil {
 		t.Fatal("zero delay accepted")
 	}
-	if _, err := NewFixedDelay(time.Second, 0); err == nil {
+	if _, err := New(KindFixedDelay, 0, 0, time.Second); err == nil {
 		t.Fatal("zero period accepted")
 	}
 }
 
 func TestPeriodAlignedWaitsForPeriodEnd(t *testing.T) {
-	p, err := NewPeriodAligned(270 * time.Second)
+	p, err := New(KindPeriodAligned, 0, 270*time.Second, 0)
 	if err != nil {
-		t.Fatalf("NewPeriodAligned: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	p.StartPeriod(0)
 	for i := 1; i <= 10; i++ {
@@ -343,7 +343,7 @@ func TestPeriodAlignedWaitsForPeriodEnd(t *testing.T) {
 }
 
 func TestPeriodAlignedValidation(t *testing.T) {
-	if _, err := NewPeriodAligned(0); err == nil {
+	if _, err := New(KindPeriodAligned, 0, 0, 0); err == nil {
 		t.Fatal("zero period accepted")
 	}
 }
@@ -372,6 +372,29 @@ func TestNewFactory(t *testing.T) {
 	}
 }
 
+// TestParseKind resolves every Kind by its String name, in any case, and
+// the empty name as Algorithm 1.
+func TestParseKind(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Kind
+	}{
+		{"nagle", KindNagle}, {"Nagle", KindNagle}, {"", KindNagle},
+		{"immediate", KindImmediate}, {"IMMEDIATE", KindImmediate},
+		{"fixed-delay", KindFixedDelay}, {"Fixed-Delay", KindFixedDelay},
+		{"period-aligned", KindPeriodAligned}, {"Period-Aligned", KindPeriodAligned},
+	} {
+		if got, err := ParseKind(tc.name); err != nil || got != tc.want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, name := range []string{"yolo", "kind(1)", "fixed delay"} {
+		if _, err := ParseKind(name); err == nil {
+			t.Errorf("ParseKind(%q) accepted", name)
+		}
+	}
+}
+
 func TestKindAndReasonStrings(t *testing.T) {
 	if KindNagle.String() != "nagle" || KindImmediate.String() != "immediate" ||
 		KindFixedDelay.String() != "fixed-delay" || KindPeriodAligned.String() != "period-aligned" {
@@ -389,37 +412,56 @@ func TestKindAndReasonStrings(t *testing.T) {
 	}
 }
 
-// TestNagleFlushedBatchValidUntilNextFlush pins the buffer-ownership rule:
-// a flushed batch stays intact through the whole next collection window —
-// the relay acknowledges from it after transmitting — and only the Flush
-// after that may reuse its array. From the third period on a relay's
-// collect-and-flush cycle allocates nothing.
-func TestNagleFlushedBatchValidUntilNextFlush(t *testing.T) {
+// TestWindowFlushedBatchZeroAllocs pins the buffer-ownership rule for
+// every kind, driven as a relay drives it (a flush whenever Collect demands
+// one, and at the period end): a flushed batch stays intact through the
+// collects that follow it — the relay acknowledges from it after
+// transmitting — and only the next Flush may reuse its array. From the third
+// period on a collect-and-flush cycle allocates nothing.
+func TestWindowFlushedBatchZeroAllocs(t *testing.T) {
 	const period = 100 * time.Second
-	n := newNagle(t, 8, period)
-	cycle := func(k int) []hbmsg.Heartbeat {
-		start := time.Duration(k) * period
-		n.StartPeriod(start)
-		for i := 0; i < 5; i++ {
-			if _, err := n.Collect(mkHB(uint64(k*10+i), start, period), start); err != nil {
-				t.Fatalf("period %d: Collect: %v", k, err)
+	for _, kind := range allKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			w, err := New(kind, 8, period, period/2)
+			if err != nil {
+				t.Fatalf("New: %v", err)
 			}
-		}
-		return n.Flush(start + period)
-	}
-	first := cycle(0)
-	n.StartPeriod(period)
-	if _, err := n.Collect(mkHB(99, period, period), period); err != nil {
-		t.Fatal(err)
-	}
-	for i, hb := range first {
-		if hb.Seq != uint64(i) {
-			t.Fatalf("first batch changed under the next window's collects: %v", first)
-		}
-	}
-	cycle(1)
-	k := 2
-	if got := testing.AllocsPerRun(50, func() { cycle(k); k++ }); got != 0 {
-		t.Fatalf("warm collect/flush cycle allocates %v times, want 0", got)
+			var (
+				batch []hbmsg.Heartbeat // the last Flush's, checked at the next
+				first uint64            // batch[0].Seq when it was flushed
+				seq   uint64
+			)
+			flush := func(at time.Duration) {
+				for i, hb := range batch {
+					if hb.Seq != first+uint64(i) {
+						t.Fatalf("a flushed batch changed before the next Flush: %v", batch)
+					}
+				}
+				if batch = w.Flush(at); len(batch) > 0 {
+					first = batch[0].Seq
+				}
+			}
+			cycle := func(k int) {
+				start := time.Duration(k) * period
+				w.StartPeriod(start)
+				for i := time.Duration(0); i < 5; i++ {
+					seq++
+					flushNow, err := w.Collect(mkHB(seq, start, period), start+i)
+					if err != nil {
+						t.Fatalf("period %d: Collect: %v", k, err)
+					}
+					if flushNow {
+						flush(start + i)
+					}
+				}
+				flush(start + period)
+			}
+			cycle(0)
+			cycle(1)
+			k := 2
+			if got := testing.AllocsPerRun(50, func() { cycle(k); k++ }); got != 0 {
+				t.Fatalf("warm collect/flush cycle allocates %v times, want 0", got)
+			}
+		})
 	}
 }

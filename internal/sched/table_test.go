@@ -35,7 +35,7 @@ const (
 	tblDelay    = 2 * time.Second
 )
 
-func tblPolicy(t *testing.T, kind Kind) Policy {
+func tblPolicy(t *testing.T, kind Kind) *Window {
 	t.Helper()
 	p, err := New(kind, tblCapacity, tblPeriod, tblDelay)
 	if err != nil {
@@ -306,7 +306,7 @@ func TestPolicyTableInstruments(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			p := tblPolicy(t, kind)
 			ins, reg := testInstruments(t)
-			p.(Instrumented).SetInstruments(ins)
+			p.SetInstruments(ins)
 
 			p.StartPeriod(0)
 			// One expired reject, two accepted collects, one flush.

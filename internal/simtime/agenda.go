@@ -163,20 +163,6 @@ func (a *Agenda) Attach(sched *Scheduler) error {
 	return nil
 }
 
-// Rehome moves the agenda onto another scheduler: Detach, then Attach. If
-// the clocks disagree it fails with the agenda untouched, still on the
-// scheduler (or in the detached state) it was in.
-func (a *Agenda) Rehome(sched *Scheduler) error {
-	if sched == a.sched {
-		return nil
-	}
-	if now := a.Now(); sched.Now() != now {
-		return fmt.Errorf("simtime: rehome across clocks (%v -> %v)", now, sched.Now())
-	}
-	a.Detach()
-	return a.Attach(sched)
-}
-
 // fire runs the earliest pending task and re-arms for the next one.
 func (a *Agenda) fire() {
 	a.timer = nil // the underlying timer just fired; the handle is dead

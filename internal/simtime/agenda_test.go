@@ -151,98 +151,6 @@ func TestAgendaRejectsPastAndNil(t *testing.T) {
 	}
 }
 
-func TestAgendaRehomeMovesPendingTasks(t *testing.T) {
-	s1 := NewScheduler(1)
-	s2 := NewScheduler(2)
-	a := NewAgenda(s1)
-	var got []int
-	for i := 1; i <= 3; i++ {
-		i := i
-		if _, err := a.At(time.Duration(i)*time.Second, func() { got = append(got, i) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Run the first task on s1, sync both clocks to 1.5s, migrate.
-	if err := s1.RunUntil(1500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.RunUntil(1500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Rehome(s2); err != nil {
-		t.Fatal(err)
-	}
-	if s1.Pending() != 0 {
-		t.Fatalf("old scheduler still holds %d timers after rehome", s1.Pending())
-	}
-	if err := s1.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("ran %v, want all three tasks exactly once", got)
-	}
-	for i := range got {
-		if got[i] != i+1 {
-			t.Fatalf("ran %v, want order preserved across rehome", got)
-		}
-	}
-}
-
-func TestAgendaRehomeRejectsClockSkew(t *testing.T) {
-	s1 := NewScheduler(1)
-	s2 := NewScheduler(2)
-	a := NewAgenda(s1)
-	if _, err := a.At(time.Second, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.RunUntil(500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Rehome(s2); err == nil {
-		t.Fatal("rehome across skewed clocks succeeded")
-	}
-	// A refused Rehome leaves the agenda where it was: homed, armed, and
-	// still scheduling.
-	if a.Scheduler() != s1 || s1.Pending() != 1 || s2.Pending() != 0 {
-		t.Fatalf("after the refusal the agenda is on %p with %d timers on the old scheduler and %d on the new; want the old one, 1 and 0",
-			a.Scheduler(), s1.Pending(), s2.Pending())
-	}
-	fired := 0
-	if _, err := a.After(2*time.Second, func() { fired++ }); err != nil {
-		t.Fatalf("After on the agenda a refused Rehome left behind: %v", err)
-	}
-	if err := s1.RunUntil(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 || a.Len() != 0 {
-		t.Fatalf("ran %d of the later task and %d tasks are left; want both tasks run", fired, a.Len())
-	}
-}
-
-func TestAgendaRehomeEmptyAndSameScheduler(t *testing.T) {
-	s1 := NewScheduler(1)
-	s2 := NewScheduler(2)
-	a := NewAgenda(s1)
-	if err := a.Rehome(s1); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Rehome(s2); err != nil {
-		t.Fatal(err)
-	}
-	if a.Scheduler() != s2 {
-		t.Fatal("agenda not homed on new scheduler")
-	}
-	if _, err := a.At(time.Second, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Pending() != 1 {
-		t.Fatalf("new scheduler holds %d timers, want 1", s2.Pending())
-	}
-}
-
 // TestAgendaDetachedHasNoScheduler pins what a detached agenda may do: it
 // keeps its tasks and its instant, refuses to schedule, and a Cancel edits
 // the task set without arming anything on the scheduler it left.

@@ -52,7 +52,7 @@ func (c SchedulerClock) Stop(h Handle) {
 }
 
 // AgendaClock is the Clock of one entity's Agenda; Now follows the agenda
-// across Rehome.
+// from one scheduler to the next.
 type AgendaClock struct{ A *Agenda }
 
 func (c AgendaClock) Now() time.Duration { return c.A.Now() }

@@ -60,7 +60,8 @@ func TestAgendaClockFollowsRehome(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.A.Rehome(b); err != nil {
+	c.A.Detach()
+	if err := c.A.Attach(b); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.RunUntil(10 * time.Second); err != nil {

@@ -159,9 +159,10 @@ func TestTileGroupHookErrorsAbort(t *testing.T) {
 // test: random agendas with random task sets are moved to random tiles at
 // every window boundary, and every scheduled task must still run exactly
 // once, at its exact instant, in per-agenda scheduling order, as exactly
-// one kernel event. It holds for Rehome on the barrier goroutine and for
-// the split hand-over the city kernel uses — Detach in the old tile's end
-// hook, Attach in the new tile's begin hook, the barrier only routing.
+// one kernel event. It holds for a move on the barrier goroutine (Detach,
+// then Attach) and for the split hand-over the city kernel uses — Detach
+// in the old tile's end hook, Attach in the new tile's begin hook, the
+// barrier only routing.
 func TestTileGroupMigrationNeverDropsOrDuplicates(t *testing.T) {
 	for _, mode := range []string{"rehome", "split"} {
 		t.Run(mode, func(t *testing.T) { testMigrationProperty(t, mode == "split") })
@@ -250,8 +251,11 @@ func testMigrationProperty(t *testing.T, split bool) {
 					if dest[i] != home[i] {
 						arrivals[dest[i]] = append(arrivals[dest[i]], i)
 					}
-				} else if err := a.Rehome(g.Scheduler(dest[i])); err != nil {
-					return err
+				} else if dest[i] != home[i] {
+					a.Detach()
+					if err := a.Attach(g.Scheduler(dest[i])); err != nil {
+						return err
+					}
 				}
 				home[i], dest[i] = dest[i], rng.Intn(tiles)
 			}
