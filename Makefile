@@ -47,7 +47,7 @@ race:
 # Tier-1 runs the same bodies on loopback and the wall clock
 # (clock_wall_test.go against clock_bubble_test.go). The faultnet test
 # checks that a pipe deadline fires on the bubble's clock.
-BUBBLE_TESTS := ^(TestDriverOneRunner|TestDriverHelpsWhenBehind|TestDriverSweepsBlockedUnit|TestDriverWaitsForRetiredUnits|TestRelayPeriodBoundaryNeverRejects|TestRelayCapacityFlushImmediately|TestEndToEndRelaying|TestFeedbackRoutesAcksDecodedFromTheWire|TestRelayOneRunner|TestRelayInboxBoundUnderStalledShard|TestForwardPartitionMatchesGroupSorted|TestRelayRoutesLapseWithoutAcks|TestSendsShareTheGrid|TestUEDirectModeWithoutRelay|TestUEFallbackWhenRelayDies|TestRelayStartsWithoutServerUEFallback|TestUEReconnectsWhenRelayAppearsLater|TestUEMultiAppHeartbeats|TestUEWritesOffWhatNoServerTakes|TestUEAckWindowIsTheDeviceRule|TestUEOneTableTwoWindows|TestUEDirectSendIsNotResent|TestUEFallbackRedialsTheRelay|TestUEFallbackRelayDiesBetweenSendAndAck|TestChaosRelayCrashMidBatch|TestChaosServerPartitionDuringFlush|TestChaosSlowLorisRelay|TestChaosCorruptedFrames|TestChaosSeededRandomChurn|TestRelayReconnectBackoff|TestNetworkDeadlineOnBubbleTime|TestDirectFleetSmallRun|TestRelayedFleetSmallRun|TestRelayedFleetUnderPartition|TestRelayedFleetFallsBackOnSingleServer|TestRunShutsDownRelaysWhenOneFailsToStart|TestFleetUnderWriteLatency|TestTrunkFleetSingleServer|TestTrunkPacedRunLossless|TestChaosReplayUnderFaults|TestChaosRecordReplayParity|TestRecordFaultWindows|TestReplayLiveFromRecording|TestReplayLiveMixedPaths|TestTrunkRedialSettlesEveryAck|TestReplayResendsAtTheLapse|TestRecordedResendFollowsItsSend)$$
+BUBBLE_TESTS := ^(TestDriverOneRunner|TestDriverHelpsWhenBehind|TestDriverSweepsBlockedUnit|TestDriverWaitsForRetiredUnits|TestRelayPeriodBoundaryNeverRejects|TestRelayCapacityFlushImmediately|TestEndToEndRelaying|TestFeedbackRoutesAcksDecodedFromTheWire|TestRelayOneRunner|TestRelayInboxBoundUnderStalledShard|TestForwardPartitionMatchesGroupSorted|TestRelayRoutesLapseWithoutAcks|TestSendsShareTheGrid|TestUEDirectModeWithoutRelay|TestUEFallbackWhenRelayDies|TestRelayStartsWithoutServerUEFallback|TestUEReconnectsWhenRelayAppearsLater|TestUEMultiAppHeartbeats|TestUEWritesOffWhatNoServerTakes|TestUEAckWindowIsTheDeviceRule|TestUEOneTableTwoWindows|TestUEDirectSendIsNotResent|TestUEFallbackRedialsTheRelay|TestUEFallbackRelayDiesBetweenSendAndAck|TestChaosRelayCrashMidBatch|TestChaosServerPartitionDuringFlush|TestChaosSlowLorisRelay|TestChaosCorruptedFrames|TestChaosSeededRandomChurn|TestRelayReconnectBackoff|TestNetworkDeadlineOnBubbleTime|TestDirectFleetSmallRun|TestRelayedFleetSmallRun|TestRelayedFleetUnderPartition|TestRelayedFleetFallsBackOnSingleServer|TestRunShutsDownRelaysWhenOneFailsToStart|TestFleetUnderWriteLatency|TestTrunkFleetSingleServer|TestTrunkPacedRunLossless|TestChaosReplayUnderFaults|TestChaosRecordReplayParity|TestRecordFaultWindows|TestReplayLiveFromRecording|TestReplayLiveMixedPaths|TestTrunkRedialSettlesEveryAck|TestReplayResendsAtTheLapse|TestRecordedResendFollowsItsSend|TestRecordedRelayResendFollowsItsSend)$$
 
 bubble:
 	GOEXPERIMENT=synctest $(GO) test -race -count=2 -run '$(BUBBLE_TESTS)' ./internal/session ./internal/relaynet ./internal/faultnet ./internal/loadgen

@@ -8,6 +8,7 @@ package cellular
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -39,7 +40,7 @@ type Delivery struct {
 type BaseStation struct {
 	sched   *simtime.Scheduler
 	modems  map[hbmsg.DeviceID]*Modem
-	order   []hbmsg.DeviceID
+	order   []*Modem
 	observe func(Delivery)
 	channel *controlChannel
 	// model is the validated energy model of the latest Attach. Modems
@@ -96,7 +97,7 @@ func (bs *BaseStation) Attach(id hbmsg.DeviceID, model energy.Model, rrcCfg rrc.
 		ledger:  ledger,
 	}
 	bs.modems[id] = m
-	bs.order = append(bs.order, id)
+	bs.order = append(bs.order, m)
 	bs.wireChannel(m)
 	return m, nil
 }
@@ -108,12 +109,15 @@ func (bs *BaseStation) Modem(id hbmsg.DeviceID) (*Modem, bool) {
 }
 
 // Modems returns all attached modems in attach order.
-func (bs *BaseStation) Modems() []*Modem {
-	out := make([]*Modem, 0, len(bs.order))
-	for _, id := range bs.order {
-		out = append(out, bs.modems[id])
-	}
-	return out
+func (bs *BaseStation) Modems() []*Modem { return slices.Clone(bs.order) }
+
+// Grow makes room for n more modems, so a caller that knows its population
+// attaches it without growing the base station's tables.
+func (bs *BaseStation) Grow(n int) {
+	modems := make(map[hbmsg.DeviceID]*Modem, len(bs.modems)+n)
+	maps.Copy(modems, bs.modems)
+	bs.modems = modems
+	bs.order = slices.Grow(bs.order, n)
 }
 
 // TotalL3Messages sums layer-3 signaling messages across all modems — the

@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -192,6 +193,16 @@ func (sim *Simulation) Scheduler() *simtime.Scheduler { return sim.sched }
 
 // BaseStation exposes the network side for custom observers.
 func (sim *Simulation) BaseStation() *cellular.BaseStation { return sim.bs }
+
+// Grow makes room for n more devices in every table a device joins, so a
+// caller that knows its population size builds and runs it without growing
+// them.
+func (sim *Simulation) Grow(n int) {
+	sim.devices = slices.Grow(sim.devices, n)
+	sim.medium.Grow(n)
+	sim.bs.Grow(n)
+	sim.tracker.Grow(n)
+}
 
 // join attaches a new device to the cellular network and the D2D medium
 // and registers it for the report.

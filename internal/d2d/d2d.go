@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"time"
@@ -121,6 +122,7 @@ type Medium struct {
 	maxSpeed   float64       // fastest MaxSpeed seen among movers
 	rebinEvery time.Duration // staleness bound: cellSize / maxSpeed
 	scratch    []*Node       // reusable Scan candidate buffer
+	found      []PeerInfo    // reusable Scan result buffer
 }
 
 // cellKey addresses one grid cell: floor(position / cellSize) per axis.
@@ -148,6 +150,14 @@ func NewMedium(sched *simtime.Scheduler, cfg Config) (*Medium, error) {
 		cellSize: profile.MaxRange(),
 		grid:     make(map[cellKey][]*Node),
 	}, nil
+}
+
+// Grow makes room for n more nodes, so a caller that knows its population
+// joins it without growing the medium's table.
+func (m *Medium) Grow(n int) {
+	nodes := make(map[hbmsg.DeviceID]*Node, len(m.nodes)+n)
+	maps.Copy(nodes, m.nodes)
+	m.nodes = nodes
 }
 
 // Profile returns the radio profile of the medium.
@@ -284,9 +294,11 @@ type Node struct {
 	mob    geo.Mobility
 	ledger *energy.Ledger
 
-	accepting    bool
-	freeCapacity int
-	intent       int
+	accepting bool
+	// The advertised free capacity (at most M) and intent (at most 15) are
+	// kept in 32 bits each, which keeps a Node in the 144-byte size class.
+	freeCapacity int32
+	intent       int32
 
 	// Discovery-index bookkeeping, owned by the Medium.
 	orderIdx int           // join order; candidate sort key for RNG stability
@@ -294,9 +306,11 @@ type Node struct {
 	cellSlot int           // position within the cell bucket
 	binnedAt time.Duration // when the cell was last computed (movers only)
 
-	links   map[hbmsg.DeviceID]*Link // nil until the first Connect
+	// links are the node's open links, one per peer: a UE holds one at a
+	// time, so a slice scanned by peer costs less than a table per node.
+	links   []*Link
 	receive func(hb hbmsg.Heartbeat, link *Link)
-	ack     func(refs []AckRef, link *Link)
+	ack     func(ref AckRef, link *Link)
 }
 
 // ID returns the device id.
@@ -315,24 +329,15 @@ func (n *Node) SetAccepting(accepting bool) { n.accepting = accepting }
 // Advertise updates the relay's advertised free capacity and group-owner
 // intent.
 func (n *Node) Advertise(freeCapacity, intent int) {
-	if freeCapacity < 0 {
-		freeCapacity = 0
-	}
-	if intent < 0 {
-		intent = 0
-	}
-	if intent > MaxGroupOwnerIntent {
-		intent = MaxGroupOwnerIntent
-	}
-	n.freeCapacity = freeCapacity
-	n.intent = intent
+	n.freeCapacity = int32(min(max(freeCapacity, 0), math.MaxInt32))
+	n.intent = int32(min(max(intent, 0), MaxGroupOwnerIntent))
 }
 
 // Advertised returns the node's currently advertised free capacity and
 // group-owner intent. Group members observe the owner's beacons, so a
 // connected UE can read this without a rescan.
 func (n *Node) Advertised() (freeCapacity, intent int) {
-	return n.freeCapacity, n.intent
+	return int(n.freeCapacity), int(n.intent)
 }
 
 // OnReceive registers the handler invoked for every heartbeat delivered to
@@ -341,16 +346,26 @@ func (n *Node) OnReceive(h func(hb hbmsg.Heartbeat, link *Link)) { n.receive = h
 
 // Links returns the node's open links in deterministic (peer id) order.
 func (n *Node) Links() []*Link {
-	out := make([]*Link, 0, len(n.links))
-	ids := make([]hbmsg.DeviceID, 0, len(n.links))
-	for id := range n.links {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		out = append(out, n.links[id])
-	}
+	out := slices.Clone(n.links)
+	slices.SortFunc(out, func(a, b *Link) int { return cmp.Compare(a.Peer(n).id, b.Peer(n).id) })
 	return out
+}
+
+// linkTo returns the node's open link to peer, or nil.
+func (n *Node) linkTo(peer hbmsg.DeviceID) *Link {
+	for _, l := range n.links {
+		if l.Peer(n).id == peer {
+			return l
+		}
+	}
+	return nil
+}
+
+// dropLink removes l from the node's open links.
+func (n *Node) dropLink(l *Link) {
+	if i := slices.Index(n.links, l); i >= 0 {
+		n.links = slices.Delete(n.links, i, i+1)
+	}
 }
 
 // Scan performs a D2D discovery: it returns every accepting peer in radio
@@ -360,6 +375,10 @@ func (n *Node) Links() []*Link {
 // discovery energy (Table III, slightly below the initiator's) is
 // attributed at group formation in Connect — otherwise every bystander scan
 // in a crowd would bill each relay a full discovery phase.
+//
+// The result lives in a buffer the medium owns: it is valid until the next
+// Scan on any node of the same medium, so a caller that keeps it past that
+// copies it.
 func (n *Node) Scan() []PeerInfo {
 	m := n.medium
 	n.chargeDiscovery(n.role)
@@ -389,7 +408,7 @@ func (n *Node) Scan() []PeerInfo {
 	// that pass the same range gate.
 	slices.SortFunc(cands, func(a, b *Node) int { return a.orderIdx - b.orderIdx })
 
-	var found []PeerInfo
+	found := m.found[:0]
 	for _, peer := range cands {
 		if peer == n || !peer.accepting {
 			continue
@@ -403,11 +422,11 @@ func (n *Node) Scan() []PeerInfo {
 			ID:           peer.id,
 			RSSI:         rssi,
 			EstDistance:  m.profile.EstimateDistance(rssi),
-			Intent:       peer.intent,
-			FreeCapacity: peer.freeCapacity,
+			Intent:       int(peer.intent),
+			FreeCapacity: int(peer.freeCapacity),
 		})
 	}
-	m.scratch = cands[:0]
+	m.scratch, m.found = cands[:0], found
 	slices.SortFunc(found, ByEstDistance)
 	return found
 }
@@ -432,7 +451,9 @@ func (n *Node) chargeDiscovery(role Role) {
 // Connect establishes a D2D link with peer. The initiator is the group
 // client (UE, intent 0); the responder must advertise a higher group-owner
 // intent and be accepting. Both sides are charged their connection energy
-// (Table III).
+// (Table III). A refusal by a known peer is the bare ErrNotAccepting or
+// ErrOutOfRange: in a crowd most scans end in one, and no caller reads more
+// than which one, so it costs no allocation.
 func (n *Node) Connect(peer hbmsg.DeviceID) (*Link, error) {
 	m := n.medium
 	p, ok := m.nodes[peer]
@@ -440,13 +461,12 @@ func (n *Node) Connect(peer hbmsg.DeviceID) (*Link, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownPeer, peer)
 	}
 	if !p.accepting {
-		return nil, fmt.Errorf("%w: %s", ErrNotAccepting, peer)
+		return nil, ErrNotAccepting
 	}
-	d := n.Pos().Dist(p.Pos())
-	if !m.profile.InRange(d) {
-		return nil, fmt.Errorf("%w: %s at %.1fm", ErrOutOfRange, peer, d)
+	if !m.profile.InRange(n.Pos().Dist(p.Pos())) {
+		return nil, ErrOutOfRange
 	}
-	if l, ok := n.links[peer]; ok && l.open {
+	if l := n.linkTo(peer); l != nil {
 		return l, nil // already connected
 	}
 
@@ -463,19 +483,9 @@ func (n *Node) Connect(peer hbmsg.DeviceID) (*Link, error) {
 		open:      true,
 		openedAt:  m.sched.Now(),
 	}
-	n.addLink(peer, l)
-	p.addLink(n.id, l)
+	n.links = append(n.links, l)
+	p.links = append(p.links, l)
 	return l, nil
-}
-
-// addLink records l under peer. The table is allocated by the first link,
-// so a built population holds none and a device that never pairs never
-// pays for one.
-func (n *Node) addLink(peer hbmsg.DeviceID, l *Link) {
-	if n.links == nil {
-		n.links = make(map[hbmsg.DeviceID]*Link)
-	}
-	n.links[peer] = l
 }
 
 func (n *Node) chargeConnection(role Role) {
@@ -571,6 +581,6 @@ func (l *Link) Close() {
 		return
 	}
 	l.open = false
-	delete(l.initiator.links, l.responder.id)
-	delete(l.responder.links, l.initiator.id)
+	l.initiator.dropLink(l)
+	l.responder.dropLink(l)
 }

@@ -28,7 +28,7 @@ func (r liveNode) Advertise(free, intent int) {
 }
 
 func (r liveNode) Ack(via ReturnPath, ref d2d.AckRef) error {
-	return via.(*d2d.Link).SendAck(r.node, []d2d.AckRef{ref})
+	return via.(*d2d.Link).SendAck(r.node, ref)
 }
 
 func (r liveNode) Shutdown() {

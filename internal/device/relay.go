@@ -110,11 +110,14 @@ type Relay struct {
 	uplink Forwarder
 	policy *sched.Window
 
-	seq         uint64
-	ownHB       hbmsg.Heartbeat
+	seq uint64
+	// own is the period's own heartbeat until it leaves. A flush appends it
+	// to the window's batch, which keeps a slot for it, and forwards it from
+	// here when nothing was collected; either way the transmitted batch is
+	// never copied.
+	own         [1]hbmsg.Heartbeat
 	sources     map[ackKey]route
-	expired     int               // routes dropped at a boundary past their lapse
-	txBuf       []hbmsg.Heartbeat // the transmitted batch, reused: Forwarder.Forward does not retain it
+	expired     int // routes dropped at a boundary past their lapse
 	flushTimer  simtime.Handle
 	periodTimer simtime.Handle
 	// The timers' callbacks, bound once: a method value made at every arm
@@ -228,7 +231,7 @@ func (r *Relay) startPeriod() {
 		}
 	}
 	r.seq++
-	r.ownHB = r.cfg.Profile.Heartbeat(r.cfg.ID, r.seq, now)
+	r.own[0] = r.cfg.Profile.Heartbeat(r.cfg.ID, r.seq, now)
 	r.stats.OwnHeartbeats++
 	r.policy.StartPeriod(now)
 	r.advertise()
@@ -331,16 +334,18 @@ func (r *Relay) flush() {
 	r.flushTimer = nil
 	now := r.clock.Now()
 	batch := r.policy.Flush(now)
-	full := append(r.txBuf[:0], batch...)
-	if r.ownHB.Src != "" {
-		full = append(full, r.ownHB)
-		r.ownHB = hbmsg.Heartbeat{}
+	full := batch
+	if r.own[0].Src != "" {
+		full = r.own[:]
+		if len(batch) > 0 {
+			full = append(batch, r.own[0])
+		}
 	}
-	r.txBuf = full
 	if len(full) == 0 {
 		return
 	}
 	lost, acked, err := r.uplink.Forward(full)
+	r.own[0] = hbmsg.Heartbeat{}
 	if err != nil {
 		r.stats.SendErrors++
 		for _, hb := range batch {

@@ -161,11 +161,7 @@ func NewUE(s *simtime.Scheduler, node *d2d.Node, modem *cellular.Modem, cfg UECo
 	if err != nil {
 		return nil, err
 	}
-	node.OnAck(func(refs []d2d.AckRef, _ *d2d.Link) {
-		for _, ref := range refs {
-			u.OnAck(ref)
-		}
-	})
+	node.OnAck(func(ref d2d.AckRef, _ *d2d.Link) { u.OnAck(ref) })
 	return u, nil
 }
 

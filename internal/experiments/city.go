@@ -72,12 +72,34 @@ type cityPopulation struct {
 	ues    []core.UESpec
 }
 
-// buildCityPopulation draws the city roster from rng. The draw sequence
-// is the contract here: the sequential kernel passes its scheduler RNG
-// (preserving PR 5's golden digests), the parallel kernel passes a fresh
-// rand.New(rand.NewSource(cfg.Seed)) — either way the same rng state
-// yields a bit-identical roster.
+// cityCounts splits the configured population into relays and UEs.
+func cityCounts(cfg CityConfig) (relays, ues int) {
+	relays = max(1, int(float64(cfg.Devices)*cfg.RelayFraction))
+	return relays, cfg.Devices - relays
+}
+
+// buildCityPopulation draws the city roster from rng into slices (see
+// drawCity).
 func buildCityPopulation(cfg CityConfig, rng *rand.Rand) (cityPopulation, error) {
+	numRelays, numUEs := cityCounts(cfg)
+	pop := cityPopulation{
+		relays: make([]core.RelaySpec, 0, numRelays),
+		ues:    make([]core.UESpec, 0, numUEs),
+	}
+	err := drawCity(cfg, rng,
+		func(s core.RelaySpec) error { pop.relays = append(pop.relays, s); return nil },
+		func(s core.UESpec) error { pop.ues = append(pop.ues, s); return nil })
+	return pop, err
+}
+
+// drawCity draws the city roster from rng and hands each device's spec to
+// relay or ue as it is drawn, relays first, so the sequential kernel builds
+// its devices without holding a roster. The draw sequence is the contract
+// here: the sequential kernel passes its scheduler RNG (preserving the
+// pinned city digests; building a device draws nothing from it), the
+// parallel kernel passes a fresh rand.New(rand.NewSource(cfg.Seed)) —
+// either way the same rng state yields a bit-identical roster.
+func drawCity(cfg CityConfig, rng *rand.Rand, relay func(core.RelaySpec) error, ue func(core.UESpec) error) error {
 	profile := stdProfile()
 	area := geo.Square(cfg.Side)
 	offset := func() time.Duration {
@@ -87,29 +109,27 @@ func buildCityPopulation(cfg CityConfig, rng *rand.Rand) (cityPopulation, error)
 		return geo.NewRandomWaypoint(area, p, minV, maxV, pause, seed)
 	}
 
-	numRelays := max(1, int(float64(cfg.Devices)*cfg.RelayFraction))
-	numUEs := cfg.Devices - numRelays
-	pop := cityPopulation{
-		relays: make([]core.RelaySpec, 0, numRelays),
-		ues:    make([]core.UESpec, 0, numUEs),
-	}
+	numRelays, numUEs := cityCounts(cfg)
 	for i := 0; i < numRelays; i++ {
 		p := area.RandomPoint(rng)
 		mob := geo.Mobility(geo.Static{P: p})
 		if i%5 == 4 {
 			w, err := walker(p, 0.5, 1.5, 30*time.Second, cfg.Seed+int64(i))
 			if err != nil {
-				return cityPopulation{}, err
+				return err
 			}
 			mob = w
 		}
-		pop.relays = append(pop.relays, core.RelaySpec{
+		err := relay(core.RelaySpec{
 			ID:          hbmsg.DeviceID(fmt.Sprintf("relay-%05d", i)),
 			Profile:     profile,
 			Mobility:    mob,
 			Capacity:    cfg.Capacity,
 			StartOffset: offset(),
 		})
+		if err != nil {
+			return err
+		}
 	}
 	for i := 0; i < numUEs; i++ {
 		p := area.RandomPoint(rng)
@@ -118,7 +138,7 @@ func buildCityPopulation(cfg CityConfig, rng *rand.Rand) (cityPopulation, error)
 		case i%20 == 19: // 5 %: vehicle passenger
 			w, err := walker(p, 8, 15, 0, cfg.Seed+int64(numRelays+i))
 			if err != nil {
-				return cityPopulation{}, err
+				return err
 			}
 			mob = w
 		case i%10 == 9: // 10 %: loiterer circling a spot
@@ -128,18 +148,21 @@ func buildCityPopulation(cfg CityConfig, rng *rand.Rand) (cityPopulation, error)
 		default: // 25 %: pedestrian
 			w, err := walker(p, 0.5, 2.0, 20*time.Second, cfg.Seed+int64(numRelays+i))
 			if err != nil {
-				return cityPopulation{}, err
+				return err
 			}
 			mob = w
 		}
-		pop.ues = append(pop.ues, core.UESpec{
+		err := ue(core.UESpec{
 			ID:          hbmsg.DeviceID(fmt.Sprintf("ue-%05d", i)),
 			Profile:     profile,
 			Mobility:    mob,
 			StartOffset: offset(),
 		})
+		if err != nil {
+			return err
+		}
 	}
-	return pop, nil
+	return nil
 }
 
 // CityScenario builds the configured city. The population mixes mobility
@@ -154,19 +177,12 @@ func CityScenario(cfg CityConfig) (*core.Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	pop, err := buildCityPopulation(cfg, sim.Scheduler().Rand())
+	sim.Grow(cfg.Devices)
+	err = drawCity(cfg, sim.Scheduler().Rand(),
+		func(s core.RelaySpec) error { _, err := sim.AddRelay(s); return err },
+		func(s core.UESpec) error { _, err := sim.AddUE(s); return err })
 	if err != nil {
 		return nil, err
-	}
-	for i := range pop.relays {
-		if _, err := sim.AddRelay(pop.relays[i]); err != nil {
-			return nil, err
-		}
-	}
-	for i := range pop.ues {
-		if _, err := sim.AddUE(pop.ues[i]); err != nil {
-			return nil, err
-		}
 	}
 	return sim, nil
 }

@@ -73,15 +73,61 @@ func TestCityFootprint(t *testing.T) {
 	}
 }
 
+// citySeqRep is one repetition of the city_seq bench workload: 10k devices
+// for 20 simulated minutes on the sequential kernel.
+func citySeqRep() CityConfig {
+	return CityConfig{
+		Seed: 1, Devices: 10_000, RelayFraction: 0.10, Side: 1000,
+		Duration: 20 * time.Minute, Capacity: 16,
+	}
+}
+
+// TestCityAllocs pins what one city_seq repetition allocates: the build,
+// the run and the report's digest, as the bench times them. The bench
+// keeps every repetition's report, so its peak RSS is retained reports
+// plus one repetition's allocations: each byte a repetition allocates and
+// does not keep is a byte of peak RSS. The ceilings sit just above this
+// kernel (≈ 23.2 MB in ≈ 230 k mallocs) and below the one that returned
+// every Scan's result in a fresh slice, kept a link map per node, drew the
+// whole roster before building it, grew its ID tables and rendered the
+// digest through fmt (≈ 41 MB in ≈ 505 k mallocs).
+func TestCityAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations are not the kernel's")
+	}
+	const (
+		bytesCeiling   = 24 << 20
+		mallocsCeiling = 250_000
+	)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sim, err := CityScenario(citySeqRep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := rep.Digest()
+	runtime.ReadMemStats(&after)
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("one city_seq repetition: %.1f MB in %d mallocs (digest %.8s)", float64(bytes)/1e6, mallocs, digest)
+	if bytes > bytesCeiling {
+		t.Errorf("one city_seq repetition allocates %d bytes, ceiling %d", bytes, bytesCeiling)
+	}
+	if mallocs > mallocsCeiling {
+		t.Errorf("one city_seq repetition makes %d mallocs, ceiling %d", mallocs, mallocsCeiling)
+	}
+}
+
 // BenchmarkCityBuildAndRun is one repetition of the city_seq bench
 // workload — 10k devices, 20 simulated minutes, build plus run — for
 // -benchmem: bytes/op and allocs/op are the garbage a repetition makes on
 // top of what TestCityFootprint pins as live.
 func BenchmarkCityBuildAndRun(b *testing.B) {
-	cfg := CityConfig{
-		Seed: 1, Devices: 10_000, RelayFraction: 0.10, Side: 1000,
-		Duration: 20 * time.Minute, Capacity: 16,
-	}
+	cfg := citySeqRep()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := RunCity(cfg); err != nil {

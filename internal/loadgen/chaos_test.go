@@ -302,24 +302,7 @@ func TestRecordedResendFollowsItsSend(t *testing.T) {
 		if faults.Stats().RefusedDials == 0 {
 			t.Fatal("no dial was refused: the partition never fired")
 		}
-		type key struct {
-			client int
-			seq    uint64
-		}
-		sent := make(map[key]bool)
-		acked := uint64(0)
-		for _, e := range tl.Events {
-			k := key{e.Client, e.Seq}
-			switch e.Kind {
-			case rec.EvSend:
-				sent[k] = true
-			case rec.EvAck:
-				if !sent[k] {
-					t.Fatalf("client %d seq %d acknowledged at %v with no send recorded before it", e.Client, e.Seq, e.At)
-				}
-				acked++
-			}
-		}
+		acked := acksFollowSends(t, tl)
 		m, err := ReplayLive(tl, ReplayOptions{Net: nw})
 		if err != nil {
 			t.Fatal(err)
@@ -329,6 +312,61 @@ func TestRecordedResendFollowsItsSend(t *testing.T) {
 			t.Fatalf("the replay delivered %d heartbeats, the recording shows %d acknowledged", m.Delivered, acked)
 		}
 	})
+}
+
+// TestRecordedRelayResendFollowsItsSend records relayed UEs whose writes
+// to their relay fail inside a reset window, so those heartbeats reach the
+// wire only in their fallback resend at the lapse. The recording must hold
+// each such resend as the heartbeat's send, before its ack; a resend whose
+// relay write did reach the wire is not recorded again. In the bubble the
+// window is minutes 10–15 of 8 Table I UEs behind one relay.
+func TestRecordedRelayResendFollowsItsSend(t *testing.T) {
+	timed(t, func(t *testing.T, nw faultnet.Net) {
+		faults := faultnet.NewSchedule(7, []faultnet.Window{{
+			From:  pick(100*time.Millisecond, 10*time.Minute),
+			To:    pick(200*time.Millisecond, 15*time.Minute),
+			Fault: faultnet.Fault{Kind: faultnet.KindReset, Prob: 1},
+		}})
+		tl := recordRun(t, Config{
+			UEs:        8,
+			Relays:     1,
+			RelayRatio: 1,
+			Duration:   pick(600*time.Millisecond, hours(1)),
+			Profiles:   tableI(60 * time.Millisecond),
+			// In the bubble, the default: twice the longest period and 500 ms.
+			AckTimeout: pick(150*time.Millisecond, 0),
+			Net:        faults.On(nw),
+		})
+		if faults.Stats().Resets == 0 {
+			t.Fatal("no connection was reset: the window never fired")
+		}
+		acked := acksFollowSends(t, tl)
+		t.Logf("recorded %d sends, %d acked", tl.Sends(), acked)
+	})
+}
+
+// acksFollowSends checks that every ack in the recording follows a send of
+// the same (client, seq), and returns how many acks it holds.
+func acksFollowSends(t *testing.T, tl *rec.Timeline) (acked uint64) {
+	t.Helper()
+	type key struct {
+		client int
+		seq    uint64
+	}
+	sent := make(map[key]bool)
+	for _, e := range tl.Events {
+		k := key{e.Client, e.Seq}
+		switch e.Kind {
+		case rec.EvSend:
+			sent[k] = true
+		case rec.EvAck:
+			if !sent[k] {
+				t.Fatalf("client %d seq %d acknowledged at %v with no send recorded before it", e.Client, e.Seq, e.At)
+			}
+			acked++
+		}
+	}
+	return acked
 }
 
 // firstAckLost is a network whose listeners' connections swallow the first

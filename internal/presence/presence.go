@@ -8,6 +8,7 @@ package presence
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"d2dhb/internal/hbmsg"
@@ -104,6 +105,14 @@ type Tracker struct {
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
 	return &Tracker{clients: make(map[hbmsg.DeviceID]*Timer)}
+}
+
+// Grow makes room for n more clients, so a caller that knows its
+// population hears from all of it without growing the tracker's table.
+func (t *Tracker) Grow(n int) {
+	clients := make(map[hbmsg.DeviceID]*Timer, len(t.clients)+n)
+	maps.Copy(clients, t.clients)
+	t.clients = clients
 }
 
 // timer returns the client's timer, or a never-seen one to answer queries

@@ -327,14 +327,18 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 		// and deadline-slack figures from the instants the relay injects —
 		// telemetry never hands it the wall clock.
 		kl := telemetry.L("policy", policy.Kind().String())
-		policy.SetInstruments(&sched.Instruments{
+		ins := &sched.Instruments{
 			Occupancy:     reg.Histogram("sched_pending_occupancy", "msgs", 1, rl, kl),
 			FlushSize:     reg.Histogram("sched_flush_size", "msgs", 1, rl, kl),
 			FlushSlack:    reg.Histogram("sched_flush_slack_us", "us", 1, rl, kl),
 			Capacity:      reg.Gauge("sched_capacity", rl, kl),
 			RejectClosed:  reg.Counter("sched_rejects_total", telemetry.L("reason", "closed"), rl, kl),
 			RejectExpired: reg.Counter("sched_rejects_total", telemetry.L("reason", "expired"), rl, kl),
-		})
+		}
+		for reason := sched.ReasonCapacity; reason <= sched.ReasonPolicy; reason++ {
+			ins.Flushes[reason] = reg.Counter("sched_flushes_total", telemetry.L("reason", reason.String()), rl, kl)
+		}
+		policy.SetInstruments(ins)
 		reg.Gauge("sched_capacity", rl, kl).Set(int64(policy.Capacity()))
 	}
 	var tracer trace.Tracer

@@ -650,6 +650,52 @@ func TestRelayKeepsItsLiveWireAndTrace(t *testing.T) {
 	}
 }
 
+// TestRelayFlushReasonsOnMetrics: the relay agent's window counts its
+// flushes by reason on sched_flushes_total, and the counts are the relay's
+// own FlushesBy*, plus the baselines' ReasonPolicy, which Algorithm 1 never
+// gives: one flush at capacity, one at a heartbeat's deadline, one at a
+// period end that carries only the relay's own heartbeat.
+func TestRelayFlushReasonsOnMetrics(t *testing.T) {
+	const period, ms = time.Minute, time.Millisecond
+	shard, dialed := net.Pipe()
+	t.Cleanup(func() { _ = shard.Close() })
+	go drain(shard)
+	reg := telemetry.NewRegistry()
+	r := steppedRelay(t, RelayAgentConfig{
+		ID: "relay-1", App: "std", Period: period, Expiry: period, Capacity: 2, Telemetry: reg,
+		Dial: func(string, string) (net.Conn, error) { return dialed, nil },
+	}, "shard-0")
+	uc := &ueConn{}
+	beat := func(at time.Duration, seq uint64, expiry time.Duration) {
+		r.step(beatAt(at, uc, hbproto.Heartbeat{
+			Src: "ue-1", Seq: seq, App: "std", Origin: time.Now(), Expiry: expiry, Pad: 54,
+		}))
+	}
+	r.step(&input{at: 0, kind: inRegister, ue: uc})
+	beat(ms, 1, period)
+	beat(2*ms, 2, period) // M = 2: a capacity flush
+	r.step(&input{at: period})
+	beat(period+ms, 3, 10*ms)
+	r.step(&input{at: period + 20*ms}) // its deadline passed: a deadline flush
+	r.step(&input{at: 2 * period})
+	r.step(&input{at: 3 * period}) // nothing collected: the own heartbeat alone
+
+	st := r.relay.Stats()
+	want := map[string]int{
+		"capacity": st.FlushesByCapacity, "deadline": st.FlushesByDeadline,
+		"period-end": st.FlushesByPeriodEnd, "policy": st.Flushes - st.FlushesByCapacity - st.FlushesByDeadline - st.FlushesByPeriodEnd,
+	}
+	if want["capacity"] != 1 || want["deadline"] != 1 || want["period-end"] != 1 || want["policy"] != 0 {
+		t.Fatalf("relay stats = %+v, want one flush each at capacity, deadline and period end", st)
+	}
+	rl, kl := telemetry.L("relay", "relay-1"), telemetry.L("policy", "nagle")
+	for reason, n := range want {
+		if got := reg.Counter("sched_flushes_total", telemetry.L("reason", reason), rl, kl).Value(); got != uint64(n) {
+			t.Errorf("sched_flushes_total{reason=%q} = %d, relay counted %d", reason, got, n)
+		}
+	}
+}
+
 // TestRelayLostFlushForgetsFeedbackRoutes: a flush no shard takes leaves
 // no feedback route behind — its UEs fall back on their own, and the table
 // does not grow with every batch the relay could not deliver.

@@ -131,6 +131,22 @@ type ueExtra struct {
 	due    []int64 // apps[1:]'s next due instants, as UEClient.due
 	tracer trace.Tracer
 	drv    *session.Driver // the one-unit driver Start runs the UE on
+	// unsent holds, while the UE is recorded, the heartbeats whose write
+	// to the relay failed, so no send of theirs reached the wire: their
+	// fallback resend, if it does, is their send in the recording. Guarded
+	// by UEClient.mu.
+	unsent map[inflight.Key]struct{}
+}
+
+// takeUnsent removes heartbeat k from the unsent set and reports whether
+// it was there (x and its set may be nil: the UE is not recorded).
+func (x *ueExtra) takeUnsent(k inflight.Key) bool {
+	if x == nil || x.unsent == nil {
+		return false
+	}
+	_, ok := x.unsent[k]
+	delete(x.unsent, k)
+	return ok
 }
 
 // UEClient is the paper's UE on the live stack: it emits each app's
@@ -194,7 +210,7 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 		id: cfg.ID, apps: cfg.Apps, timeout: cfg.FeedbackTimeout, dial: cfg.Dial,
 		owner: cl.Owner(), rec: cfg.Recorder, latency: cfg.Latency, tidx: int32(cfg.RecorderIndex),
 	}
-	if len(cfg.Apps) > 1 || cfg.Tracer != nil {
+	if len(cfg.Apps) > 1 || cfg.Tracer != nil || cfg.Recorder != nil {
 		u.x = &ueExtra{due: make([]int64, len(cfg.Apps)-1), tracer: cfg.Tracer}
 	}
 	if cfg.RelayAddr == "" {
@@ -400,7 +416,7 @@ func (u *UEClient) Send(app int, seq uint64, now time.Time) {
 		return
 	}
 	u.track(k, now, false)
-	u.sendDirect(&hb, false)
+	u.sendDirect(&hb, k, false, now)
 }
 
 // track counts heartbeat k as generated and opens its ack window at its
@@ -437,6 +453,12 @@ func (u *UEClient) viaRelay(hb *hbproto.Heartbeat, k inflight.Key) bool {
 	u.mu.Lock()
 	if err != nil {
 		u.n.WriteErrors++
+		if u.rec != nil {
+			if u.x.unsent == nil {
+				u.x.unsent = make(map[inflight.Key]struct{})
+			}
+			u.x.unsent[k] = struct{}{}
+		}
 	} else {
 		u.n.ViaRelay++
 		u.rec.Record(rec.EvSend, int(u.tidx), hb.Seq, hb.Origin)
@@ -482,7 +504,10 @@ func (u *UEClient) directSlot() *session.Slot {
 // cached connection may point at a shard that has since left the cluster.
 // A heartbeat that still misses the wire stays in flight, so its window
 // decides it: a relayed UE resends it once, anything else is written off.
-func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, fallback bool) {
+// hb is heartbeat k, and now the instant the send began. fallback marks
+// its resend, which is recorded as its send only when its write to the
+// relay failed, at now: before any ack the write can bring.
+func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, k inflight.Key, fallback bool, now time.Time) {
 	s := u.directSlot()
 	var err error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -504,6 +529,9 @@ func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, fallback bool) {
 	case fallback:
 		u.n.FallbackResends++
 		kind = trace.KindFallback
+		if u.x.takeUnsent(k) {
+			u.rec.Record(rec.EvSend, int(u.tidx), hb.Seq, now)
+		}
 	default:
 		u.n.Direct++
 		u.rec.Record(rec.EvSend, int(u.tidx), hb.Seq, hb.Origin)
@@ -531,7 +559,7 @@ func (u *UEClient) Sweep(now time.Time) {
 	}
 	u.mu.Unlock()
 	for i := range resend {
-		u.sendDirect(&resend[i], true)
+		u.sendDirect(&resend[i], keys[i], true, now)
 	}
 	if len(resend) > 0 {
 		u.primary.Drop()
@@ -543,6 +571,7 @@ func (u *UEClient) timedOut(keys []inflight.Key, now time.Time) {
 	for _, k := range keys {
 		u.n.Timeouts++
 		u.rec.Record(rec.EvTimeout, int(u.tidx), k.Seq, now)
+		u.x.takeUnsent(k)
 	}
 }
 

@@ -33,6 +33,12 @@ type Instruments struct {
 	RejectClosed *telemetry.Counter
 	// RejectExpired counts heartbeats already dead on arrival.
 	RejectExpired *telemetry.Counter
+	// Flushes counts flushes by reason, Flushes[ReasonCapacity] those at
+	// capacity: every Flush that hands out a batch or closes the window —
+	// each one the relay transmits, since its own heartbeat leaves at the
+	// one that closes it (a flush whose transmission then fails counts
+	// here and not in the relay's FlushesBy*).
+	Flushes [ReasonPolicy + 1]*telemetry.Counter
 }
 
 // observeCollect records buffer occupancy after an accepted Collect.
@@ -56,9 +62,17 @@ func (i *Instruments) observeReject(err error) {
 	}
 }
 
-// observeFlush records a non-empty flush: batch size and deadline slack.
-func (i *Instruments) observeFlush(size int, slack time.Duration) {
-	if i == nil || size == 0 {
+// observeFlush records a flush: its reason when it handed out a batch or
+// closed the window, and the batch size and deadline slack when it was not
+// empty.
+func (i *Instruments) observeFlush(size int, slack time.Duration, reason FlushReason, closed bool) {
+	if i == nil {
+		return
+	}
+	if size > 0 || closed {
+		i.Flushes[reason].Inc()
+	}
+	if size == 0 {
 		return
 	}
 	i.FlushSize.Record(uint64(size))

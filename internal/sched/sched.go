@@ -17,6 +17,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -216,6 +217,9 @@ func (w *Window) Collect(hb hbmsg.Heartbeat, now time.Duration) (bool, error) {
 			w.deadline = min(w.deadline, now+w.delay)
 		}
 	}
+	if len(w.pending)+1 >= cap(w.pending) {
+		w.pending = slices.Grow(w.pending, 2) // hb and the slot Flush promises
+	}
 	w.pending = append(w.pending, hb)
 	w.ins.observeCollect(len(w.pending))
 	var reason FlushReason
@@ -252,12 +256,13 @@ func (w *Window) Deadline() (time.Duration, bool) {
 // Flush drains and returns the pending batch (nil when it is empty) and,
 // except under KindImmediate, closes collection until the next period. The
 // batch is the caller's until the next Flush; the window may reuse its
-// array after that.
+// array after that. Its array has room for one heartbeat past its end, so
+// the relay appends its own heartbeat, which leaves in the same
+// connection, without copying the batch.
 func (w *Window) Flush(now time.Duration) []hbmsg.Heartbeat {
 	if w.closed {
 		return nil
 	}
-	w.ins.observeFlush(len(w.pending), w.deadline-now)
 	switch {
 	case w.due: // the reason Collect gave stands
 	case now >= w.end:
@@ -271,6 +276,7 @@ func (w *Window) Flush(now time.Duration) []hbmsg.Heartbeat {
 	out := w.pending
 	w.pending, w.flushed = w.flushed[:0], out
 	w.closed = w.kind != KindImmediate
+	w.ins.observeFlush(len(out), w.deadline-now, w.lastReason, w.closed)
 	if len(out) == 0 {
 		return nil
 	}

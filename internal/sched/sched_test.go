@@ -417,7 +417,8 @@ func TestKindAndReasonStrings(t *testing.T) {
 // one, and at the period end): a flushed batch stays intact through the
 // collects that follow it — the relay acknowledges from it after
 // transmitting — and only the next Flush may reuse its array. From the third
-// period on a collect-and-flush cycle allocates nothing.
+// period on a collect-and-flush cycle allocates nothing, with instruments
+// attached.
 func TestWindowFlushedBatchZeroAllocs(t *testing.T) {
 	const period = 100 * time.Second
 	for _, kind := range allKinds() {
@@ -426,6 +427,8 @@ func TestWindowFlushedBatchZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
+			ins, _ := testInstruments(t)
+			w.SetInstruments(ins)
 			var (
 				batch []hbmsg.Heartbeat // the last Flush's, checked at the next
 				first uint64            // batch[0].Seq when it was flushed
@@ -439,6 +442,9 @@ func TestWindowFlushedBatchZeroAllocs(t *testing.T) {
 				}
 				if batch = w.Flush(at); len(batch) > 0 {
 					first = batch[0].Seq
+					if cap(batch) == len(batch) {
+						t.Fatalf("a flushed batch of %d has no slot for the relay's own heartbeat", len(batch))
+					}
 				}
 			}
 			cycle := func(k int) {

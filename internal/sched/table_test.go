@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"maps"
 	"testing"
 	"time"
 
@@ -16,14 +17,30 @@ func L(k, v string) telemetry.Label { return telemetry.L(k, v) }
 func testInstruments(t *testing.T) (*Instruments, *telemetry.Registry) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	return &Instruments{
+	ins := &Instruments{
 		Occupancy:     reg.Histogram("occ", "msgs", 1),
 		FlushSize:     reg.Histogram("fsize", "msgs", 1),
 		FlushSlack:    reg.Histogram("slack", "us", 1),
 		Capacity:      reg.Gauge("cap"),
 		RejectClosed:  reg.Counter("rejects", telemetry.L("reason", "closed")),
 		RejectExpired: reg.Counter("rejects", telemetry.L("reason", "expired")),
-	}, reg
+	}
+	for r := ReasonCapacity; r <= ReasonPolicy; r++ {
+		ins.Flushes[r] = reg.Counter("flushes", telemetry.L("reason", r.String()))
+	}
+	return ins, reg
+}
+
+// flushCounts reads the per-reason flush counters of a testInstruments
+// registry.
+func flushCounts(reg *telemetry.Registry) map[FlushReason]float64 {
+	d, out := reg.Dump(), map[FlushReason]float64{}
+	for r := ReasonCapacity; r <= ReasonPolicy; r++ {
+		if v := d.Find("flushes", L("reason", r.String())).Value; v != 0 {
+			out[r] = v
+		}
+	}
+	return out
 }
 
 // The shared policy table: every test below runs against all four kinds so
@@ -354,6 +371,39 @@ func TestPolicyTableInstruments(t *testing.T) {
 			// 2s with its own deadline semantics, all ≥ the flush instant.
 			if got := d.Find("slack").Hist.Count; got != 1 {
 				t.Fatalf("slack count = %d, want 1", got)
+			}
+			// Before its period end only Algorithm 1 has a deadline of its
+			// own; the baselines flushed by their own rule.
+			want := map[FlushReason]float64{ReasonPolicy: 1}
+			if kind == KindNagle {
+				want = map[FlushReason]float64{ReasonDeadline: 1}
+			}
+			if got := flushCounts(reg); !maps.Equal(got, want) {
+				t.Fatalf("flushes by reason = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestInstrumentsCountTransmittedFlushes: the flush counters count every
+// Flush the relay transmits — an empty one that closes the window carries
+// the relay's own heartbeat — and not an empty Flush under KindImmediate,
+// which closes nothing and sends nothing.
+func TestInstrumentsCountTransmittedFlushes(t *testing.T) {
+	for _, kind := range allKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			p := tblPolicy(t, kind)
+			ins, reg := testInstruments(t)
+			p.SetInstruments(ins)
+			p.StartPeriod(0)
+			p.Flush(tblPeriod)
+			p.Flush(tblPeriod) // closed (or still empty): not another flush
+			want := map[FlushReason]float64{ReasonPeriodEnd: 1}
+			if kind == KindImmediate {
+				want = map[FlushReason]float64{}
+			}
+			if got := flushCounts(reg); !maps.Equal(got, want) {
+				t.Fatalf("flushes by reason = %v, want %v", got, want)
 			}
 		})
 	}
