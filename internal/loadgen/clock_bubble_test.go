@@ -5,7 +5,6 @@
 package loadgen
 
 import (
-	"cmp"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -13,12 +12,14 @@ import (
 	"d2dhb/internal/faultnet"
 )
 
-// The load generator's fleet, replay and trunk tests run here in a
-// synctest bubble, over a faultnet.Network: time stands still while any
-// goroutine runs and jumps to the next timer once all are blocked, so a
-// run offers Table I's apps (240–300 s periods) at speed-up 1 to a fleet,
-// its relays and its server for virtual hours in well under a second, and
-// its outcomes are exact counts.
+// The load generator's fleet, replay and trunk tests run here, and only
+// here, in a synctest bubble over a faultnet.Network: time stands still
+// while any goroutine runs and jumps to the next timer once all are
+// blocked, so a run offers Table I's apps (240–300 s periods) at speed-up 1
+// to a fleet, its relays and its server for virtual hours in well under a
+// second, and its outcomes are exact counts. A build without
+// GOEXPERIMENT=synctest runs them in a child process built with it
+// (clock_child_test.go).
 //
 // A run's end sits off the 10 ms send grid: at an instant with a send on
 // it, the order of the goroutines that run then would decide whether the
@@ -37,15 +38,12 @@ func timed(t *testing.T, body func(t *testing.T, nw faultnet.Net)) {
 	})
 }
 
-// pick is a parameter's value in the bubble.
-func pick[T any](_, bubble T) T { return bubble }
-
 // bubbleStart is the instant every bubble's clock starts at.
 var bubbleStart = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // await sleeps to the instant at after the bubble's start, waits until
 // every other goroutine in the bubble is blocked, and checks cond then.
-func await(t *testing.T, _, at time.Duration, cond func() bool, msg string) {
+func await(t *testing.T, at time.Duration, cond func() bool, msg string) {
 	t.Helper()
 	time.Sleep(time.Until(bubbleStart.Add(at)))
 	synctest.Wait()
@@ -53,7 +51,3 @@ func await(t *testing.T, _, at time.Duration, cond func() bool, msg string) {
 		t.Fatalf("at %v: %s", at, msg)
 	}
 }
-
-// reached reports whether a count is exactly the one the bubble's clock
-// makes it.
-func reached[N cmp.Ordered](got, want N) bool { return got == want }

@@ -220,20 +220,19 @@ func TestTrunkFleetSingleServer(t *testing.T) {
 		rep := runFleet(t, Config{
 			UEs:      200,
 			Trunks:   4,
-			Profiles: tableI(100 * time.Millisecond),
-			Duration: pick(time.Second, hours(3)),
+			Duration: hours(3),
 			Net:      nw,
 		})
 		if rep.Trunks != 4 {
 			t.Errorf("report trunks = %d, want 4", rep.Trunks)
 		}
-		if !reached(rep.SentRelayed, pick[uint64](1, 7900)) || !reached(rep.AckedRelayed, pick[uint64](1, 7900)) {
+		if rep.SentRelayed != 7900 || rep.AckedRelayed != 7900 {
 			t.Fatalf("trunk fleet sent %d heartbeats and had %d acknowledged", rep.SentRelayed, rep.AckedRelayed)
 		}
 		if rep.Timeouts != 0 {
 			t.Errorf("trunk fleet lost heartbeats against a healthy server: %d", rep.Timeouts)
 		}
-		if rep.Server == nil || !reached(rep.Server.Batches, pick(1, 158)) {
+		if rep.Server == nil || rep.Server.Batches != 158 {
 			t.Fatalf("server saw too few batches from the trunked fleet: %+v", rep.Server)
 		}
 		if rep.Server.Connections > 8 {

@@ -94,8 +94,7 @@ func TestRecordFaultWindows(t *testing.T) {
 		})
 		tl := recordRun(t, Config{
 			UEs:      2,
-			Duration: pick(300*time.Millisecond, hours(1)),
-			Profiles: tableI(60 * time.Millisecond),
+			Duration: hours(1),
 			Net:      sched.On(nw),
 		})
 		if tl.Seed != 7 {
@@ -107,7 +106,7 @@ func TestRecordFaultWindows(t *testing.T) {
 		if tl.Faults[0].From != 50*time.Millisecond || tl.Faults[0].To != 150*time.Millisecond {
 			t.Fatalf("fault window times %+v", tl.Faults[0])
 		}
-		if !reached(tl.Sends(), pick(1, 29)) {
+		if tl.Sends() != 29 {
 			t.Fatalf("%d sends recorded", tl.Sends())
 		}
 	})
@@ -122,25 +121,24 @@ func TestReplayLiveFromRecording(t *testing.T) {
 		tl := recordRun(t, Config{
 			UEs:      8,
 			Trunks:   2,
-			Duration: pick(300*time.Millisecond, hours(1)),
-			Profiles: tableI(60 * time.Millisecond),
+			Duration: hours(1),
 			Net:      nw,
 		})
-		m, err := ReplayLive(tl, ReplayOptions{Speedup: pick(4.0, 1), AckTimeout: 2 * time.Second, Net: nw})
+		m, err := ReplayLive(tl, ReplayOptions{Speedup: 1, AckTimeout: 2 * time.Second, Net: nw})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m.Source != "live" {
 			t.Fatalf("source %q", m.Source)
 		}
-		if int(m.Sent) != tl.Sends() || !reached(m.Sent, pick[uint64](1, 116)) {
+		if int(m.Sent) != tl.Sends() || m.Sent != 116 {
 			t.Fatalf("replayed %d of %d recorded sends", m.Sent, tl.Sends())
 		}
 		if m.Delivered != m.Sent || m.Timeouts != 0 {
 			t.Fatalf("live replay lost heartbeats: %+v", m)
 		}
 		// Trunked sends must actually batch: fewer frames than heartbeats.
-		if m.Signaling.Uplinks >= m.Sent || !reached(m.Signaling.Batches, pick[uint64](1, 29)) {
+		if m.Signaling.Uplinks >= m.Sent || m.Signaling.Batches != 29 {
 			t.Fatalf("no live aggregation: %+v", m.Signaling)
 		}
 	})
@@ -151,7 +149,7 @@ func TestReplayLiveFromRecording(t *testing.T) {
 // batch — in the bubble at Table I's 270 s period.
 func TestReplayLiveMixedPaths(t *testing.T) {
 	timed(t, func(t *testing.T, nw faultnet.Net) {
-		period, expiry := pick(50*time.Millisecond, 270*time.Second), pick(time.Second, 300*time.Second)
+		period, expiry := 270*time.Second, 300*time.Second
 		tl := &rec.Timeline{
 			RelayPeriod:   2 * period,
 			RelayCapacity: 4,

@@ -187,8 +187,14 @@ func TestClusterChaosDrainKillAndRollingRestart(t *testing.T) {
 		return s1b.srv.Stats().HeartbeatsRelayed > 0
 	}, "restarted shard serves relayed heartbeats again")
 
-	// Invariants across all three reshards.
-	allDelivered(t, &rec, 5*time.Second, 0, 1)
+	// Invariants across all three reshards: the server sees every
+	// heartbeat generated so far.
+	generated := generatedSet(&rec)
+	if len(generated) == 0 {
+		t.Fatal("no heartbeats generated")
+	}
+	eventually(t, 5*time.Second, func() bool { return len(lost(&rec, generated)) == 0 },
+		"zero lost heartbeats (fallback fired for every unacked send)")
 	assertNoDuplicateAcks(t, &rec)
 	assertMonotonicAcks(t, &rec)
 

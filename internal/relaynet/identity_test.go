@@ -384,7 +384,7 @@ func TestFeedbackRoutesAcksDecodedFromTheWire(t *testing.T) {
 	timed(t, func(t *testing.T, _ network) {
 		shard, dialed := net.Pipe()
 		t.Cleanup(func() { _ = shard.Close() })
-		period, expiry := pick(time.Minute, 270*time.Second), pick(time.Minute, 300*time.Second)
+		period, expiry := 270*time.Second, 300*time.Second
 		r := steppedRelay(t, RelayAgentConfig{
 			ID: "relay-1", App: "std", Capacity: 8, Period: period, Expiry: expiry,
 			Dial: func(string, string) (net.Conn, error) { return dialed, nil },

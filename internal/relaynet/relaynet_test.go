@@ -109,12 +109,12 @@ func holdRunner(t *testing.T, r *RelayAgent) {
 	})
 }
 
-// queued waits for the next input offered to a relay the test holds: on
-// the wall clock by polling, in the bubble until every goroutine is blocked.
+// queued takes the next input offered to a relay the test holds, once
+// every other goroutine in the bubble is blocked.
 func queued(t *testing.T, r *RelayAgent, what string) input {
 	t.Helper()
 	var in input
-	await(t, 5*time.Second, 0, func() bool {
+	await(t, 0, func() bool {
 		r.in.mu.Lock()
 		defer r.in.mu.Unlock()
 		if len(r.in.entries) == 0 {
@@ -328,12 +328,12 @@ func TestServerReapsIdleConnections(t *testing.T) {
 
 // TestEndToEndRelaying runs the full pipeline: two UEs forward through a
 // relay; the relay batches under Algorithm 1 and the server acks trigger
-// feedback. In the bubble the UEs and the relay share the paper's 270 s
-// period, so at 45 minutes the first UE has sent 11 heartbeats (0, 270 s,
-// …, 2 700 s) and the second 10, and the relay has flushed all but the
-// last in ten batches, each with its own heartbeat: 30 relayed, and 10 fed
-// back to each UE. The bubble runs the scenario twice, and both runs must
-// end with the same stats at that instant.
+// feedback. The UEs and the relay share the paper's 270 s period, so at 45
+// minutes the first UE has sent 11 heartbeats (0, 270 s, …, 2 700 s) and
+// the second 10, and the relay has flushed all but the last in ten
+// batches, each with its own heartbeat: 30 relayed, and 10 fed back to
+// each UE. The scenario runs twice, in two bubbles, and both runs must end
+// with the same stats at that instant.
 func TestEndToEndRelaying(t *testing.T) {
 	type snapshot struct {
 		server ServerStats
@@ -341,37 +341,36 @@ func TestEndToEndRelaying(t *testing.T) {
 		ues    [2]UEClientStats
 	}
 	var runs []snapshot
-	for range pick(1, 2) {
+	for range 2 {
 		timed(t, func(t *testing.T, nw network) {
 			s := startServer(t, nw)
 			var (
-				period = pick(150*time.Millisecond, 270*time.Second)
-				expiry = pick(250*time.Millisecond, 300*time.Second) // > period: presence stays stable
+				period = 270 * time.Second
+				expiry = 300 * time.Second // > period: presence stays stable
 				end    = 45 * time.Minute
 			)
 			r := startRelay(t, nw, s.Addr(), period, expiry, 8)
-			// In the bubble the second UE starts 10 s after the first, so no
+			// The second UE starts 10 s after the first, so no
 			// two heartbeats reach the relay at one instant: each batch has
 			// one order, and so has the server's ID guessing.
 			ues := make([]*UEClient, 0, 2)
 			for i, id := range []string{"ue-1", "ue-2"} {
 				if i > 0 {
-					time.Sleep(pick(0, 10*time.Second))
+					time.Sleep(10 * time.Second)
 				}
 				ues = append(ues, startUE(t, nw, ueConfig(id, r.Addr(), s.Addr(), period, expiry)))
 			}
 
 			// Within a few periods every component has turned over.
-			await(t, 3*time.Second, end, func() bool {
-				return reached(s.Stats().HeartbeatsRelayed, pick(4, 30))
+			await(t, end, func() bool {
+				return s.Stats().HeartbeatsRelayed == 30
 			}, "server received relayed heartbeats")
-			await(t, 3*time.Second, end, func() bool {
-				want := pick[uint32](1, 10)
-				return reached(ues[0].Stats().FeedbackAcks, want) && reached(ues[1].Stats().FeedbackAcks, want)
+			await(t, end, func() bool {
+				return ues[0].Stats().FeedbackAcks == 10 && ues[1].Stats().FeedbackAcks == 10
 			}, "UEs received feedback")
 
 			st := s.Stats()
-			if !reached(st.Batches, pick(1, 10)) {
+			if st.Batches != 10 {
 				t.Fatalf("%d batches at server", st.Batches)
 			}
 			rs := r.Stats()
@@ -388,7 +387,7 @@ func TestEndToEndRelaying(t *testing.T) {
 			// UEs went through the relay, not direct.
 			for i, u := range ues {
 				us := u.Stats()
-				if !reached(us.ViaRelay, pick(1, uint32(11-i))) {
+				if us.ViaRelay != uint32(11-i) {
 					t.Fatalf("ue %d never used relay: %+v", i, us)
 				}
 				if us.Direct != 0 {
@@ -415,12 +414,12 @@ func TestEndToEndRelaying(t *testing.T) {
 func TestUEDirectModeWithoutRelay(t *testing.T) {
 	timed(t, func(t *testing.T, nw network) {
 		s := startServer(t, nw)
-		period := pick(80*time.Millisecond, 270*time.Second)
-		u := startUE(t, nw, ueConfig("ue-d", "", s.Addr(), period, pick(70*time.Millisecond, 300*time.Second)))
-		await(t, 2*time.Second, period, func() bool {
-			return reached(s.Stats().HeartbeatsDirect, 2)
+		period := 270 * time.Second
+		u := startUE(t, nw, ueConfig("ue-d", "", s.Addr(), period, 300*time.Second))
+		await(t, period, func() bool {
+			return s.Stats().HeartbeatsDirect == 2
 		}, "direct heartbeats arrived")
-		if got := u.Stats(); got.ViaRelay != 0 || !reached(got.Direct, 2) {
+		if got := u.Stats(); got.ViaRelay != 0 || got.Direct != 2 {
 			t.Fatalf("stats = %+v", got)
 		}
 		if !s.Online("ue-d", time.Now()) {
@@ -437,26 +436,24 @@ func TestUEFallbackWhenRelayDies(t *testing.T) {
 	timed(t, func(t *testing.T, nw network) {
 		s := startServer(t, nw)
 		var (
-			period = pick(200*time.Millisecond, 270*time.Second)
-			expiry = pick(150*time.Millisecond, 300*time.Second)
+			period = 270 * time.Second
+			expiry = 300 * time.Second
 		)
 		r := startRelay(t, nw, s.Addr(), period, expiry, 8)
 
-		cfg := ueConfig("ue-f", r.Addr(), s.Addr(), period, expiry)
-		cfg.FeedbackTimeout = pick(100*time.Millisecond, 0)
-		u := startUE(t, nw, cfg)
+		u := startUE(t, nw, ueConfig("ue-f", r.Addr(), s.Addr(), period, expiry))
 
-		await(t, 2*time.Second, 0, func() bool { return reached(u.Stats().ViaRelay, 1) }, "first forward")
+		await(t, 0, func() bool { return u.Stats().ViaRelay == 1 }, "first forward")
 		r.Shutdown() // the relay dies with heartbeats potentially pending
 
 		// The UE times out on feedback and resends directly; later heartbeats
 		// go direct because the relay conn is gone.
 		lapsed := u.window(0) + sendGrain
-		await(t, 3*time.Second, lapsed, func() bool {
+		await(t, lapsed, func() bool {
 			st := u.Stats()
-			return reached(st.FallbackResends+st.Direct, pick[uint32](1, 2))
+			return st.FallbackResends+st.Direct == 2
 		}, "fallback to direct after relay death")
-		await(t, 3*time.Second, lapsed, func() bool {
+		await(t, lapsed, func() bool {
 			return s.Online("ue-f", time.Now())
 		}, "UE back online via direct path")
 	})
@@ -472,17 +469,17 @@ func TestRelayCapacityFlushImmediately(t *testing.T) {
 	timed(t, func(t *testing.T, nw network) {
 		s := startServer(t, nw)
 		// Capacity 1: every collected heartbeat flushes at once.
-		period := pick(500*time.Millisecond, 270*time.Second)
-		r := startRelay(t, nw, s.Addr(), period, pick(400*time.Millisecond, 300*time.Second), 1)
-		startUE(t, nw, ueConfig("ue-c", r.Addr(), s.Addr(), pick(100*time.Millisecond, 90*time.Second), pick(80*time.Millisecond, 300*time.Second)))
+		period := 270 * time.Second
+		r := startRelay(t, nw, s.Addr(), period, 300*time.Second, 1)
+		startUE(t, nw, ueConfig("ue-c", r.Addr(), s.Addr(), 90*time.Second, 300*time.Second))
 		end := period - time.Second // before the next window opens
-		await(t, 2*time.Second, end, func() bool { return reached(r.Stats().Flushes, 1) }, "capacity flush")
-		await(t, 2*time.Second, end, func() bool { return reached(r.Stats().FlushesByCapacity, 1) }, "flush counted under its capacity reason")
+		await(t, end, func() bool { return r.Stats().Flushes == 1 }, "capacity flush")
+		await(t, end, func() bool { return r.Stats().FlushesByCapacity == 1 }, "flush counted under its capacity reason")
 		// The window's one heartbeat and the relay's own.
-		await(t, 2*time.Second, end, func() bool { return reached(s.Stats().HeartbeatsRelayed, pick(1, 2)) }, "relayed heartbeat arrived")
+		await(t, end, func() bool { return s.Stats().HeartbeatsRelayed == 2 }, "relayed heartbeat arrived")
 		// Subsequent forwards in the same relay period are rejected (window
 		// closed) and recovered by fallback.
-		await(t, 3*time.Second, end, func() bool { return reached(r.Stats().RejectedClosed, pick(1, 2)) }, "closed-window rejection")
+		await(t, end, func() bool { return r.Stats().RejectedClosed == 2 }, "closed-window rejection")
 	})
 }
 
@@ -498,10 +495,10 @@ func TestRelayPeriodBoundaryNeverRejects(t *testing.T) {
 			boundaries = 25
 			ues        = 8
 		)
-		period := pick(40*time.Millisecond, 270*time.Second)
+		period := 270 * time.Second
 		s := startServer(t, nw)
 		r := startRelay(t, nw, s.Addr(), period, period, 256)
-		await(t, 2*time.Second, 0, func() bool { return reached(r.Stats().OwnHeartbeats, 1) }, "relay running")
+		await(t, 0, func() bool { return r.Stats().OwnHeartbeats == 1 }, "relay running")
 		start := r.epoch // written before the first period's stats update, read after it
 
 		var wg sync.WaitGroup
@@ -531,9 +528,9 @@ func TestRelayPeriodBoundaryNeverRejects(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		await(t, 2*time.Second, boundaries*period+period/2, func() bool {
+		await(t, boundaries*period+period/2, func() bool {
 			st := r.Stats()
-			return reached(st.Collected+st.RejectedClosed+st.RejectedExpired, ues*boundaries)
+			return st.Collected+st.RejectedClosed+st.RejectedExpired == ues*boundaries
 		}, "every heartbeat reached the scheduler")
 		if st := r.Stats(); st.RejectedClosed != 0 || st.Collected != ues*boundaries {
 			t.Fatalf("collected %d of %d, %d offered to a closed window, %d expired",
@@ -762,8 +759,8 @@ func TestRelayRoutesLapseWithoutAcks(t *testing.T) {
 	timed(t, func(t *testing.T, nw network) {
 		const ues = 8
 		var (
-			period = pick(20*time.Millisecond, 270*time.Second)
-			expiry = pick(period, 300*time.Second)
+			period = 270 * time.Second
+			expiry = 300 * time.Second
 		)
 		shard, _ := listenHeartbeats(t, nw, false)
 		srv := startServer(t, nw)
@@ -785,7 +782,7 @@ func TestRelayRoutesLapseWithoutAcks(t *testing.T) {
 		for i := range clients {
 			clients[i] = startUE(t, nw, ueConfig(fmt.Sprintf("ue-%d", i), r.Addr(), srv.Addr(), period, expiry))
 		}
-		time.Sleep(pick(500*time.Millisecond, 46*time.Minute))
+		time.Sleep(46 * time.Minute)
 		for _, u := range clients {
 			u.Shutdown()
 		}
@@ -796,10 +793,10 @@ func TestRelayRoutesLapseWithoutAcks(t *testing.T) {
 		if excess > 0 {
 			t.Errorf("the relay held up to %d feedback routes more than it collected in one window plus one period", excess)
 		}
-		if st := r.Stats(); !reached(st.Collected, pick(ues, ues*11)) || st.AcksSent != 0 {
-			t.Fatalf("relay stats %+v: want %s heartbeats collected and none acknowledged", st, pick("at least a period's", "every UE's"))
+		if st := r.Stats(); st.Collected != ues*11 || st.AcksSent != 0 {
+			t.Fatalf("relay stats %+v: want every UE's heartbeats collected and none acknowledged", st)
 		}
-		await(t, 2*time.Second, 12*period, func() bool {
+		await(t, 12*period, func() bool {
 			st := r.Stats()
 			return st.Routes == 0 && st.RoutesExpired == st.Collected
 		}, "every collected route expires once its window lapses")
@@ -863,19 +860,17 @@ func TestLifecycleIdempotence(t *testing.T) {
 func TestRelayStartsWithoutServerUEFallback(t *testing.T) {
 	timed(t, func(t *testing.T, nw network) {
 		s := startServer(t, nw)
-		period := pick(50*time.Millisecond, 270*time.Second)
-		expiry := pick(200*time.Millisecond, 300*time.Second)
+		period := 270 * time.Second
+		expiry := 300 * time.Second
 		r := startRelay(t, nw, "127.0.0.1:1", period, expiry, 4)
-		cfg := ueConfig("ue-lazy", r.Addr(), s.Addr(), time.Hour, expiry)
-		cfg.FeedbackTimeout = pick(100*time.Millisecond, 0)
-		u := startUE(t, nw, cfg)
+		u := startUE(t, nw, ueConfig("ue-lazy", r.Addr(), s.Addr(), time.Hour, expiry))
 
-		await(t, 2*time.Second, period, func() bool { return reached(r.Stats().DroppedNoShard, pick(1, 2)) },
+		await(t, period, func() bool { return r.Stats().DroppedNoShard == 2 },
 			"relay counts the batch it could not deliver")
 		lapsed := u.window(0) + sendGrain
-		await(t, 2*time.Second, lapsed, func() bool { return u.Stats().FallbackResends == 1 },
+		await(t, lapsed, func() bool { return u.Stats().FallbackResends == 1 },
 			"UE falls back after no feedback")
-		await(t, 2*time.Second, lapsed, func() bool { return s.Online("ue-lazy", time.Now()) },
+		await(t, lapsed, func() bool { return s.Online("ue-lazy", time.Now()) },
 			"UE online via the fallback copy")
 		if st := r.Stats(); st.ShardDials != 0 || st.AcksSent != 0 {
 			t.Fatalf("relay stats = %+v, want no dial and no feedback", st)
@@ -903,8 +898,8 @@ func TestUEReconnectsWhenRelayAppearsLater(t *testing.T) {
 	timed(t, func(t *testing.T, nw network) {
 		s := startServer(t, nw)
 		var (
-			period = pick(100*time.Millisecond, 270*time.Second)
-			expiry = pick(200*time.Millisecond, 300*time.Second)
+			period = 270 * time.Second
+			expiry = 300 * time.Second
 		)
 		// Reserve an address for the relay, then release it so the UE's first
 		// dials fail.
@@ -918,7 +913,7 @@ func TestUEReconnectsWhenRelayAppearsLater(t *testing.T) {
 		u := startUE(t, nw, ueConfig("ue-r", relayAddr, s.Addr(), period, expiry))
 
 		// Without a relay the UE goes direct.
-		await(t, 2*time.Second, 0, func() bool { return reached(u.Stats().Direct, 1) }, "direct sends before relay exists")
+		await(t, 0, func() bool { return u.Stats().Direct == 1 }, "direct sends before relay exists")
 
 		// The relay comes up on the reserved address; the UE re-matches.
 		r, err := NewRelayAgent(RelayAgentConfig{
@@ -933,9 +928,9 @@ func TestUEReconnectsWhenRelayAppearsLater(t *testing.T) {
 		}
 		t.Cleanup(r.Shutdown)
 
-		await(t, 3*time.Second, period, func() bool { return reached(u.Stats().ViaRelay, 1) }, "UE switched to relay")
-		if got := u.Stats().RelayReconnects; !reached(got, 1) {
-			t.Fatalf("reconnects = %d, want %s 1", got, pick("≥", "exactly"))
+		await(t, period, func() bool { return u.Stats().ViaRelay == 1 }, "UE switched to relay")
+		if got := u.Stats().RelayReconnects; got != 1 {
+			t.Fatalf("reconnects = %d, want exactly 1", got)
 		}
 	})
 }
@@ -949,16 +944,16 @@ func TestUEMultiAppHeartbeats(t *testing.T) {
 	timed(t, func(t *testing.T, nw network) {
 		s := startServer(t, nw)
 		var (
-			period = pick(120*time.Millisecond, 270*time.Second)
-			expiry = pick(250*time.Millisecond, 300*time.Second)
+			period = 270 * time.Second
+			expiry = 300 * time.Second
 		)
 		r := startRelay(t, nw, s.Addr(), period, expiry, 8)
 		cfg := ueConfig("ue-m", r.Addr(), s.Addr(), period, expiry)
-		cfg.Apps = append(cfg.Apps, UEApp{Name: "second", Period: pick(90*time.Millisecond, 240*time.Second), Expiry: expiry, Pad: 100})
+		cfg.Apps = append(cfg.Apps, UEApp{Name: "second", Period: 240 * time.Second, Expiry: expiry, Pad: 100})
 		u := startUE(t, nw, cfg)
 
-		await(t, 3*time.Second, period, func() bool { return reached(u.Stats().ViaRelay, 4) }, "both apps forwarding")
-		await(t, 3*time.Second, period, func() bool { return reached(u.Stats().FeedbackAcks, pick[uint32](2, 3)) }, "acks for both apps")
+		await(t, period, func() bool { return u.Stats().ViaRelay == 4 }, "both apps forwarding")
+		await(t, period, func() bool { return u.Stats().FeedbackAcks == 3 }, "acks for both apps")
 		if got := u.Stats().Direct; got != 0 {
 			t.Fatalf("direct = %d with live relay", got)
 		}

@@ -63,12 +63,12 @@ func TestSendsShareTheGrid(t *testing.T) {
 	timed(t, func(t *testing.T, nw network) {
 		const ues = 50
 		var (
-			period   = pick(70*time.Millisecond, 270*time.Second)
-			expiry   = pick(3*period, 300*time.Second)
-			duration = pick(600*time.Millisecond, 45*time.Minute)
-			// In the bubble the run ends half a grain before the first UE's
-			// send at the duration's end, not on it.
-			stop = pick(duration, duration-sendGrain/2)
+			period   = 270 * time.Second
+			expiry   = 300 * time.Second
+			duration = 45 * time.Minute
+			// The run ends half a grain before the first UE's send at the
+			// duration's end, not on it.
+			stop = duration - sendGrain/2
 		)
 		s := startServer(t, nw)
 		recorder := rec.NewRecorder()
@@ -85,18 +85,17 @@ func TestSendsShareTheGrid(t *testing.T) {
 			fleet[i] = u
 		}
 		// Arrival offsets spread one period evenly over the fleet, as a steady
-		// load-generator schedule does; one driver runs them all. In the
-		// bubble, where the offsets fall on the grid, each is half a grain
-		// past it.
+		// load-generator schedule does; one driver runs them all. The
+		// offsets fall on the grid, so each is half a grain past it.
 		drv := NewDriver()
 		start := time.Now()
 		recorder.Start(start, 0)
 		for i, u := range fleet {
-			drv.Add(u, u.Begin(start.Add(pick(0, sendGrain/2)+period*time.Duration(i)/ues)))
+			drv.Add(u, u.Begin(start.Add(sendGrain/2+period*time.Duration(i)/ues)))
 		}
 		time.Sleep(stop)
 		drv.Stop()
-		await(t, 2*time.Second, duration, func() bool {
+		await(t, duration, func() bool {
 			n := 0
 			for _, u := range fleet {
 				n += u.InFlight()
@@ -115,11 +114,9 @@ func TestSendsShareTheGrid(t *testing.T) {
 		// Event times are offsets from the run's start; the grid's phase
 		// there is the start's offset from the Unix epoch.
 		phase := time.Duration(tl.BaseUnixNano) % sendGrain
-		// A send is stamped once its UE has woken and swept: on the wall
-		// clock shortly after a grid instant, never shortly before; in the
-		// bubble, on it.
-		slack := pick(sendGrain/2, 1)
-		sends, near := 0, 0
+		// A send is stamped once its UE has woken and swept: on a grid
+		// instant.
+		sends, off := 0, 0
 		perUE := make([]int, ues)
 		for _, ev := range tl.Events {
 			if ev.Kind != rec.EvSend {
@@ -127,19 +124,17 @@ func TestSendsShareTheGrid(t *testing.T) {
 			}
 			sends++
 			perUE[ev.Client]++
-			if (ev.At+phase)%sendGrain < slack {
-				near++
+			if (ev.At+phase)%sendGrain != 0 {
+				off++
 			}
 		}
-		if sends == 0 || !reached(near*10, pick(sends*8, sends*10)) {
-			t.Errorf("%d of %d sends within %v after a grid instant; unaligned timers give about half", near, sends, slack)
+		if sends == 0 || off != 0 {
+			t.Errorf("%d of %d sends off the grid", off, sends)
 		}
-		// In the bubble each UE sends exactly once a period.
-		n := int(duration / period)
-		lo, hi := pick(n-1, n), pick(n+2, n)
+		// Each UE sends exactly once a period.
 		for i, got := range perUE {
-			if got < lo || got > hi {
-				t.Errorf("UE %d sent %d heartbeats in %v at a %v period, want %d..%d", i, got, duration, period, lo, hi)
+			if want := int(duration / period); got != want {
+				t.Errorf("UE %d sent %d heartbeats in %v at a %v period, want %d", i, got, duration, period, want)
 			}
 		}
 	})
@@ -152,14 +147,12 @@ func TestSendsShareTheGrid(t *testing.T) {
 // (305 s each) have lapsed, and Shutdown writes off the fourth.
 func TestUEWritesOffWhatNoServerTakes(t *testing.T) {
 	timed(t, func(t *testing.T, nw network) {
-		cfg := ueConfig("ue-void", "", "127.0.0.1:1", pick(40*time.Millisecond, 270*time.Second), pick(60*time.Millisecond, 300*time.Second))
-		cfg.FeedbackTimeout = pick(50*time.Millisecond, 0)
-		u := startUE(t, nw, cfg)
-		await(t, 2*time.Second, 15*time.Minute, func() bool { return reached(u.Stats().Timeouts, 3) },
+		u := startUE(t, nw, ueConfig("ue-void", "", "127.0.0.1:1", 270*time.Second, 300*time.Second))
+		await(t, 15*time.Minute, func() bool { return u.Stats().Timeouts == 3 },
 			"heartbeats written off once their windows lapse")
 		u.Shutdown()
 		st := u.Stats()
-		if !reached(st.Generated, pick[uint32](1, 4)) || st.Timeouts != st.Generated || st.Acked != 0 {
+		if st.Generated != 4 || st.Timeouts != st.Generated || st.Acked != 0 {
 			t.Fatalf("stats = %+v, want every generated heartbeat timed out", st)
 		}
 		if st.Direct != 0 || st.DialErrors != st.Generated {
@@ -293,8 +286,8 @@ func TestUEAckWindowIsTheDeviceRule(t *testing.T) {
 
 // TestUEOneTableTwoWindows: two apps with different expiries share one
 // pending table, and each heartbeat falls back at its own app's window; a
-// sweep resends in (app, seq) order. In the bubble the apps expire after
-// Table I's 270 s and 300 s.
+// sweep resends in (app, seq) order. The apps expire after Table I's
+// 270 s and 300 s.
 func TestUEOneTableTwoWindows(t *testing.T) {
 	timed(t, func(t *testing.T, nw network) {
 		s := startServer(t, nw)
@@ -302,8 +295,8 @@ func TestUEOneTableTwoWindows(t *testing.T) {
 		var tr trace.Recorder
 		u, err := NewUEClient(UEClientConfig{
 			ID: "ue-two", Apps: []UEApp{
-				{Name: "short", Period: time.Hour, Expiry: pick(time.Second, 270*time.Second), Pad: 54},  // 1.1 s window; 275 s
-				{Name: "long", Period: time.Hour, Expiry: pick(2*time.Second, 300*time.Second), Pad: 54}, // 2.2 s window; 305 s
+				{Name: "short", Period: time.Hour, Expiry: 270 * time.Second, Pad: 54}, // 275 s window
+				{Name: "long", Period: time.Hour, Expiry: 300 * time.Second, Pad: 54},  // 305 s window
 			},
 			RelayAddr: relayAddr, ServerAddr: s.Addr(), Dial: nw.Dial, Tracer: &tr,
 		})
@@ -312,18 +305,17 @@ func TestUEOneTableTwoWindows(t *testing.T) {
 		}
 		t.Cleanup(u.Shutdown)
 		t0 := time.Now()
-		at := func(wall, bubble time.Duration) time.Time { return t0.Add(pick(wall, bubble)) }
-		u.Send(1, 1, t0)                                    // lapses at 2.2 s; 305 s
-		u.Send(0, 2, at(time.Second, 20*time.Second))       // lapses at 2.1 s; 295 s
-		first := at(2100*time.Millisecond, 295*time.Second) // the short app's lapse
+		u.Send(1, 1, t0)                     // lapses at 305 s
+		u.Send(0, 2, t0.Add(20*time.Second)) // lapses at 295 s
+		first := t0.Add(295 * time.Second)   // the short app's lapse
 		if end, ok := u.Lapse(); !ok || !end.Equal(first) {
 			t.Fatalf("first lapse %v after t0, want %v", end.Sub(t0), first.Sub(t0))
 		}
-		u.Sweep(at(2*time.Second, 290*time.Second)) // the short app's window would have lapsed the long app's heartbeat
+		u.Sweep(t0.Add(290 * time.Second)) // the short app's window would have lapsed the long app's heartbeat
 		if st := u.Stats(); st.FallbackResends != 0 {
 			t.Fatalf("stats = %+v: a heartbeat fell back before its own app's window lapsed", st)
 		}
-		u.Sweep(at(2300*time.Millisecond, 310*time.Second))
+		u.Sweep(t0.Add(310 * time.Second))
 		var order []uint64
 		for _, ev := range tr.ByKind(trace.KindFallback) {
 			order = append(order, ev.Seq)
@@ -341,8 +333,7 @@ func TestUEOneTableTwoWindows(t *testing.T) {
 func TestUEDirectSendIsNotResent(t *testing.T) {
 	timed(t, func(t *testing.T, nw network) {
 		serverAddr, _ := listenHeartbeats(t, nw, false) // reads, never acknowledges
-		cfg := ueConfig("ue-norelay", "relay-down", serverAddr, time.Hour, pick(time.Second, 300*time.Second))
-		cfg.FeedbackTimeout = pick(100*time.Millisecond, 0)
+		cfg := ueConfig("ue-norelay", "relay-down", serverAddr, time.Hour, 300*time.Second)
 		cfg.Dial = func(network, addr string) (net.Conn, error) {
 			if addr == "relay-down" {
 				return nil, errors.New("relay down")
@@ -354,12 +345,12 @@ func TestUEDirectSendIsNotResent(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(u.Shutdown)
-		window := u.window(0) // 100 ms; the device rule's 305 s in the bubble
+		window := u.window(0) // the device rule's 305 s
 		t0 := time.Now()
 		u.Send(0, 1, t0)
 		u.Send(0, 2, t0.Add(window/10))
-		u.Sweep(t0.Add(pick(time.Second, 2*window)))
-		u.Sweep(t0.Add(pick(2*time.Second, 4*window)))
+		u.Sweep(t0.Add(2 * window))
+		u.Sweep(t0.Add(4 * window))
 		st := u.Stats()
 		if st.Direct != 2 || st.ViaRelay != 0 {
 			t.Fatalf("stats = %+v, want both heartbeats sent direct", st)
@@ -377,15 +368,14 @@ func TestUEFallbackRedialsTheRelay(t *testing.T) {
 	timed(t, func(t *testing.T, nw network) {
 		s := startServer(t, nw)
 		relayAddr, _ := listenHeartbeats(t, nw, false) // swallows heartbeats
-		cfg := ueConfig("ue-redial", relayAddr, s.Addr(), time.Hour, pick(time.Second, 300*time.Second))
-		cfg.FeedbackTimeout = pick(100*time.Millisecond, 0)
+		cfg := ueConfig("ue-redial", relayAddr, s.Addr(), time.Hour, 300*time.Second)
 		cfg.Dial = nw.Dial
 		u, err := NewUEClient(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(u.Shutdown)
-		window := u.window(0) // 100 ms; the device rule's 305 s in the bubble
+		window := u.window(0) // the device rule's 305 s
 		t0 := time.Now()
 		u.Send(0, 1, t0)
 		u.Sweep(t0.Add(2 * window))

@@ -1,7 +1,10 @@
-// Package stacktest is what the live stack's footprint tests share about
-// goroutine stacks: the starting size the runtime gives a new goroutine,
-// the budget a process of parked connection readers keeps it at, and how
-// to read a stack figure that earlier tests in the process do not move.
+// Package stacktest is what the live stack's tests share. Its footprint
+// tests share what it knows about goroutine stacks: the starting size the
+// runtime gives a new goroutine, the budget a process of parked connection
+// readers keeps it at, and how to read a stack figure that earlier tests in
+// the process do not move. Its timing tests share Bubble, which runs them
+// in a testing/synctest bubble from a build without one. Only tests import
+// it.
 package stacktest
 
 import (
