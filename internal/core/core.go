@@ -194,14 +194,15 @@ func (sim *Simulation) Scheduler() *simtime.Scheduler { return sim.sched }
 // BaseStation exposes the network side for custom observers.
 func (sim *Simulation) BaseStation() *cellular.BaseStation { return sim.bs }
 
-// Grow makes room for n more devices in every table a device joins, so a
-// caller that knows its population size builds and runs it without growing
-// them.
+// Grow makes room for n more devices in every table a device joins, and
+// in the event queue, so a caller that knows its population size builds
+// and runs it without growing them.
 func (sim *Simulation) Grow(n int) {
 	sim.devices = slices.Grow(sim.devices, n)
 	sim.medium.Grow(n)
 	sim.bs.Grow(n)
 	sim.tracker.Grow(n)
+	sim.sched.Grow(n + n/2) // a city run's queue peaks at ~1.44 events per device
 }
 
 // join attaches a new device to the cellular network and the D2D medium

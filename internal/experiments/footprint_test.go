@@ -87,7 +87,8 @@ func citySeqRep() CityConfig {
 // keeps every repetition's report, so its peak RSS is retained reports
 // plus one repetition's allocations: each byte a repetition allocates and
 // does not keep is a byte of peak RSS. The ceilings sit just above this
-// kernel (≈ 23.2 MB in ≈ 230 k mallocs) and below the one that returned
+// kernel (≈ 22.7 MB in ≈ 230 k mallocs; 23.2 MB while the event queue
+// grew by append to its high-water mark) and below the one that returned
 // every Scan's result in a fresh slice, kept a link map per node, drew the
 // whole roster before building it, grew its ID tables and rendered the
 // digest through fmt (≈ 41 MB in ≈ 505 k mallocs).
@@ -96,7 +97,7 @@ func TestCityAllocs(t *testing.T) {
 		t.Skip("the race runtime's shadow allocations are not the kernel's")
 	}
 	const (
-		bytesCeiling   = 24 << 20
+		bytesCeiling   = 23 << 20
 		mallocsCeiling = 250_000
 	)
 	var before, after runtime.MemStats

@@ -29,19 +29,27 @@ import (
 // headerSize is magic (2) + version (1) + type (1) + length (4).
 const headerSize = 8
 
-// AppendFrame appends one encoded frame for msg to dst and returns the
+// AppendFrame appends one encoded v1 frame for msg to dst and returns the
 // extended slice. On error dst is returned unextended.
 func AppendFrame(dst []byte, msg Message) ([]byte, error) {
+	return AppendFrameV(dst, Version, msg)
+}
+
+// AppendFrameV is AppendFrame in version v, Version or Version2.
+func AppendFrameV(dst []byte, v byte, msg Message) ([]byte, error) {
 	if msg == nil {
 		return dst, errors.New("hbproto: nil message")
 	}
+	if v != Version && v != Version2 {
+		return dst, ErrBadVersion
+	}
 	base := len(dst)
-	dst = append(dst, magic[0], magic[1], Version, byte(msg.Type()))
+	dst = append(dst, magic[0], magic[1], v, byte(msg.Type()))
 	dst = append(dst, 0, 0, 0, 0) // length back-patched below
 	// The buffer escapes through the Message interface call, so a
 	// stack-allocated value would cost one heap alloc per frame; pool it.
 	b := bufPool.Get().(*buffer)
-	b.data, b.pos, b.intern = dst, 0, nil
+	b.data, b.pos, b.intern, b.v = dst, 0, nil, v
 	msg.encode(b)
 	dst = b.data
 	b.data = nil
@@ -51,8 +59,16 @@ func AppendFrame(dst []byte, msg Message) ([]byte, error) {
 		return dst[:base], ErrFrameTooBig
 	}
 	binary.BigEndian.PutUint32(dst[base+4:base+8], uint32(payload))
-	sum := crc32.ChecksumIEEE(dst[base+headerSize:])
-	return binary.BigEndian.AppendUint32(dst, sum), nil
+	return binary.BigEndian.AppendUint32(dst, checksum(v, dst[base:])), nil
+}
+
+// checksum is a frame's CRC in version v: over the payload in v1, over the
+// header and payload in v2. frame runs from the header to the payload's end.
+func checksum(v byte, frame []byte) uint32 {
+	if v == Version {
+		frame = frame[headerSize:]
+	}
+	return crc32.ChecksumIEEE(frame)
 }
 
 // bufPool recycles the varint codec state shared by encode and decode.
@@ -113,10 +129,12 @@ type internTable struct {
 }
 
 // defaultInternCap bounds distinct strings cached per connection. A reader
-// with no SourceTable that faces tens of thousands of IDs (a relay's
-// upstream acks, a test client of a trunk-sized link) stops at a full table
-// of 14-byte IDs, ~7 MB (string header, bytes, index slot and successor per
-// entry); a one-ID connection pays for the entries it uses only.
+// with no SourceTable that faces tens of thousands of IDs (a v1 server's
+// acks of a relay's or trunk's batches, a test client of a trunk-sized
+// link) stops at a full table of 14-byte IDs, ~7 MB (string header, bytes,
+// index slot and successor per entry); a one-ID connection pays for the
+// entries it uses only. The aggregated links' v2 acks carry no ID, so their
+// readers intern none.
 const defaultInternCap = 128 << 10
 
 func newInternTable(max int, table SourceTable) *internTable {
@@ -259,6 +277,8 @@ type FrameReader struct {
 	buf      []byte // buf[off:end] is read but not yet consumed
 	off, end int
 	intern   *internTable
+	v        byte   // the version the stream speaks; 0 until its first frame
+	sum      uint32 // the last frame's CRC field
 
 	reg   Register
 	hb    Heartbeat
@@ -283,6 +303,19 @@ func NewFrameReader(r io.Reader) *FrameReader { return NewTableReader(r, nil) }
 func NewTableReader(r io.Reader, table SourceTable) *FrameReader {
 	return &FrameReader{r: r, buf: make([]byte, readBufSize), intern: newInternTable(0, table)}
 }
+
+// Version returns the version the stream speaks: its first frame's, or the
+// one Expect set; 0 before either.
+func (fr *FrameReader) Version() byte { return fr.v }
+
+// Expect makes the reader take only frames of version v, as if the stream's
+// first frame had been one: a client reads its peer's answers in the
+// version it writes.
+func (fr *FrameReader) Expect(v byte) { fr.v = v }
+
+// Sum returns the CRC field of the last frame Next read whole: in v2, the
+// frame's tag in an Ack (see the package comment).
+func (fr *FrameReader) Sum() uint32 { return fr.sum }
 
 // IDStats returns the reader's running source-ID resolution counts. A
 // reader over a SourceTable counts nothing and reads 0/0: its table
@@ -319,14 +352,15 @@ func (fr *FrameReader) Next() (Message, error) {
 	default:
 		return nil, errUnknownType(byte(typ))
 	}
-	if err := decodeBody(msg, body, fr.intern); err != nil {
+	if err := decodeBody(msg, body, fr.v, fr.intern); err != nil {
 		return nil, err
 	}
 	return msg, nil
 }
 
 // readPayload reads one frame — header, payload and CRC — into the
-// buffer, validates it, and returns the payload bytes and wire type. A
+// buffer, validates it, and returns the payload bytes and wire type. The
+// first frame's version becomes the stream's, unless Expect set one. A
 // frame read whole is consumed, whether or not it decodes.
 func (fr *FrameReader) readPayload() ([]byte, MsgType, error) {
 	if err := fr.fill(headerSize); err != nil {
@@ -336,8 +370,13 @@ func (fr *FrameReader) readPayload() ([]byte, MsgType, error) {
 	if head[0] != magic[0] || head[1] != magic[1] {
 		return nil, 0, ErrBadMagic
 	}
-	if head[2] != Version {
-		return nil, 0, errBadVersion(head[2])
+	switch v := head[2]; {
+	case v != Version && v != Version2:
+		return nil, 0, errBadVersion(v)
+	case fr.v == 0:
+		fr.v = v
+	case v != fr.v:
+		return nil, 0, errMixedVersion(v, fr.v)
 	}
 	length := binary.BigEndian.Uint32(head[4:8])
 	if length > MaxFrameSize {
@@ -349,11 +388,11 @@ func (fr *FrameReader) readPayload() ([]byte, MsgType, error) {
 	}
 	frame := fr.buf[fr.off : fr.off+need]
 	fr.off += need
-	body, sum := frame[headerSize:headerSize+length], binary.BigEndian.Uint32(frame[headerSize+length:])
-	if crc32.ChecksumIEEE(body) != sum {
+	fr.sum = binary.BigEndian.Uint32(frame[headerSize+length:])
+	if checksum(fr.v, frame[:headerSize+length]) != fr.sum {
 		return nil, 0, ErrBadChecksum
 	}
-	return body, typ, nil
+	return frame[headerSize : headerSize+length], typ, nil
 }
 
 // fill reads until the buffer holds need unconsumed bytes. Unconsumed
@@ -386,11 +425,11 @@ func (fr *FrameReader) fill(need int) error {
 	return nil
 }
 
-// decodeBody decodes a validated payload into msg, interning strings when
-// a table is supplied, and rejects trailing bytes.
-func decodeBody(msg Message, body []byte, intern *internTable) error {
+// decodeBody decodes a validated payload of version v into msg, interning
+// strings when a table is supplied, and rejects trailing bytes.
+func decodeBody(msg Message, body []byte, v byte, intern *internTable) error {
 	b := bufPool.Get().(*buffer)
-	b.data, b.pos, b.intern = body, 0, intern
+	b.data, b.pos, b.intern, b.v = body, 0, intern, v
 	err := msg.decode(b)
 	trailing := len(b.data) - b.pos
 	b.data, b.intern = nil, nil

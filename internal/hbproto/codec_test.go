@@ -52,6 +52,9 @@ func sansHandles(msg Message) Message {
 		}
 		return &c
 	case *Ack:
+		if m.Refs == nil { // a v2 ack of frames
+			return &Ack{Frames: m.Frames}
+		}
 		return &Ack{Refs: refsSansHandles(m.Refs)}
 	case *Feedback:
 		return &Feedback{Refs: refsSansHandles(m.Refs)}
@@ -796,48 +799,67 @@ func steadyMessages() []Message {
 	}
 }
 
+// steadyMessagesV is steadyMessages in version v: a v2 Ack lists frames.
+func steadyMessagesV(v byte) []Message {
+	msgs := steadyMessages()
+	if v == Version2 {
+		msgs[3] = &Ack{Frames: []uint32{0xdeadbeef, 7, 0}}
+	}
+	return msgs
+}
+
 // TestEncodeZeroAllocs pins 0 steady-state allocations per encoded frame
-// for every message type once the destination buffer has warmed up.
+// for every message type, in both versions, once the destination buffer
+// has warmed up.
 func TestEncodeZeroAllocs(t *testing.T) {
-	for _, msg := range steadyMessages() {
-		msg := msg
-		buf := make([]byte, 0, 4096)
-		var err error
-		allocs := testing.AllocsPerRun(200, func() {
-			if buf, err = AppendFrame(buf[:0], msg); err != nil {
-				t.Fatal(err)
+	for _, v := range []byte{Version, Version2} {
+		for _, msg := range steadyMessagesV(v) {
+			buf := make([]byte, 0, 4096)
+			var err error
+			allocs := testing.AllocsPerRun(200, func() {
+				if buf, err = AppendFrameV(buf[:0], v, msg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("v%d %v encode: %.1f allocs/frame, want 0", v, msg.Type(), allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%v encode: %.1f allocs/frame, want 0", msg.Type(), allocs)
 		}
 	}
 }
 
 // TestDecodeZeroAllocs pins 0 steady-state allocations per decoded frame
-// for every message type: after a warm-up frame the FrameReader's buffer,
-// message values, slices and intern table absorb everything.
+// for every message type, in both versions: after a warm-up frame the
+// FrameReader's buffer, message values, slices and intern table absorb
+// everything.
 func TestDecodeZeroAllocs(t *testing.T) {
-	for _, msg := range steadyMessages() {
-		frame, err := AppendFrame(nil, msg)
-		if err != nil {
-			t.Fatal(err)
+	for _, v := range []byte{Version, Version2} {
+		for _, msg := range steadyMessagesV(v) {
+			testDecodeZeroAllocs(t, v, msg)
 		}
-		r := bytes.NewReader(nil)
-		fr := NewFrameReader(r)
+	}
+}
+
+func testDecodeZeroAllocs(t *testing.T, v byte, msg Message) {
+	t.Helper()
+	frame, err := AppendFrameV(nil, v, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(nil)
+	fr := NewFrameReader(r)
+	r.Reset(frame)
+	if _, err := fr.Next(); err != nil { // warm-up: sizes the buffer, interns strings
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
 		r.Reset(frame)
-		if _, err := fr.Next(); err != nil { // warm-up: sizes the buffer, interns strings
+		if _, err := fr.Next(); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(200, func() {
-			r.Reset(frame)
-			if _, err := fr.Next(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%v decode: %.1f allocs/frame, want 0", msg.Type(), allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("v%d %v decode: %.1f allocs/frame, want 0", v, msg.Type(), allocs)
 	}
 }
 

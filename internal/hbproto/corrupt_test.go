@@ -11,9 +11,17 @@ import (
 	"time"
 )
 
-// corpusFrames returns one valid encoded frame per message type.
-func corpusFrames(t testing.TB) [][]byte {
+// corpusFrames returns one valid encoded v1 frame per message type.
+func corpusFrames(t testing.TB) [][]byte { return corpusFramesV(t, Version) }
+
+// corpusFramesV returns one valid encoded frame per message type in
+// version v: a v2 Ack lists two frames' CRCs.
+func corpusFramesV(t testing.TB, v byte) [][]byte {
 	t.Helper()
+	ack := &Ack{Refs: []Ref{{Src: "a", Seq: 1}, {Src: "b", Seq: 2}}}
+	if v == Version2 {
+		ack = &Ack{Frames: []uint32{0x01020304, 0xfffffffe}}
+	}
 	msgs := []Message{
 		&Register{ID: "relay-9", Role: RoleRelay, App: "WeChat", Period: 270 * time.Second, Expiry: 270 * time.Second},
 		&Heartbeat{Src: "ue-1", Seq: 7, App: "QQ", Origin: time.UnixMilli(1500000000000).UTC(), Expiry: time.Minute, Pad: 378},
@@ -21,18 +29,23 @@ func corpusFrames(t testing.TB) [][]byte {
 			{Src: "a", Seq: 1, App: "x", Origin: time.UnixMilli(1).UTC(), Expiry: time.Second, Pad: 54},
 			{Src: "b", Seq: 2, App: "y", Origin: time.UnixMilli(2).UTC(), Expiry: time.Second, Pad: 54},
 		}},
-		&Ack{Refs: []Ref{{Src: "a", Seq: 1}, {Src: "b", Seq: 2}}},
+		ack,
 		&Feedback{Refs: []Ref{{Src: "c", Seq: 3}}},
 	}
 	frames := make([][]byte, 0, len(msgs))
 	for _, m := range msgs {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, m); err != nil {
+		frame, err := AppendFrameV(nil, v, m)
+		if err != nil {
 			t.Fatalf("encode %v: %v", m.Type(), err)
 		}
-		frames = append(frames, buf.Bytes())
+		frames = append(frames, frame)
 	}
 	return frames
+}
+
+// bothVersions is every frame of corpusFramesV in v1 and in v2.
+func bothVersions(t testing.TB) [][]byte {
+	return append(corpusFrames(t), corpusFramesV(t, Version2)...)
 }
 
 // decodeNoPanic runs ReadFrame and converts any panic into a test failure.
@@ -50,7 +63,7 @@ func decodeNoPanic(t *testing.T, data []byte) (Message, error) {
 // the decoder: all must return an error (no prefix of a checksummed frame
 // is itself valid) and none may panic.
 func TestReadFrameEveryTruncation(t *testing.T) {
-	for _, frame := range corpusFrames(t) {
+	for _, frame := range bothVersions(t) {
 		for cut := 0; cut < len(frame); cut++ {
 			if _, err := decodeNoPanic(t, frame[:cut]); err == nil {
 				t.Fatalf("truncation at %d/%d accepted", cut, len(frame))
@@ -66,7 +79,7 @@ func TestReadFrameEveryTruncation(t *testing.T) {
 // CRC32 over the payload a single flip is always caught, so acceptance
 // here means the flip hit a byte outside the checksummed region).
 func TestReadFrameEveryBitFlip(t *testing.T) {
-	for fi, frame := range corpusFrames(t) {
+	for fi, frame := range bothVersions(t) {
 		for i := range frame {
 			for bit := 0; bit < 8; bit++ {
 				mut := append([]byte(nil), frame...)
@@ -75,11 +88,11 @@ func TestReadFrameEveryBitFlip(t *testing.T) {
 				if err != nil {
 					continue // rejected: fine
 				}
-				var buf bytes.Buffer
-				if err := writeFrame(&buf, msg); err != nil {
+				again, err := AppendFrameV(nil, mut[2], msg)
+				if err != nil {
 					t.Fatalf("frame %d bit %d.%d: accepted but re-encode failed: %v", fi, i, bit, err)
 				}
-				if _, err := readFrame(&buf); err != nil {
+				if _, err := readFrame(bytes.NewReader(again)); err != nil {
 					t.Fatalf("frame %d bit %d.%d: accepted but re-decode failed: %v", fi, i, bit, err)
 				}
 			}
@@ -115,6 +128,30 @@ func TestReadFrameSingleBitFlipRejectedOutsideType(t *testing.T) {
 				}
 				if msg.Type() == orig.Type() {
 					t.Fatalf("frame %d: type-byte flip accepted without changing the type", fi)
+				}
+			}
+		}
+	}
+}
+
+// TestReadFrameV2SingleBitFlipRejected is the v2 twin of the test above,
+// with no hole: a v2 frame's CRC covers its header too, so every
+// single-bit flip of every v2 frame, the type byte's included, is
+// rejected.
+func TestReadFrameV2SingleBitFlipRejected(t *testing.T) {
+	for fi, frame := range corpusFramesV(t, Version2) {
+		if _, err := readFrame(bytes.NewReader(frame)); err != nil {
+			t.Fatalf("frame %d: pristine decode failed: %v", fi, err)
+		}
+		for i := range frame {
+			for bit := 0; bit < 8; bit++ {
+				mut := append([]byte(nil), frame...)
+				mut[i] ^= 1 << uint(bit)
+				if _, err := decodeNoPanic(t, mut); err == nil {
+					t.Fatalf("frame %d: single-bit flip at byte %d bit %d accepted", fi, i, bit)
+				}
+				if _, err := NewFrameReader(bytes.NewReader(mut)).Next(); err == nil {
+					t.Fatalf("frame %d: FrameReader accepted a flip at byte %d bit %d", fi, i, bit)
 				}
 			}
 		}

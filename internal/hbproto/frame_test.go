@@ -29,9 +29,16 @@ func writeFrame(w io.Writer, msg Message) error {
 	return err
 }
 
-// readFrame reads and decodes one message, allocating a fresh Message per
-// call.
+// readFrame reads and decodes one message of either version, allocating a
+// fresh Message per call.
 func readFrame(r io.Reader) (Message, error) {
+	var v byte
+	return readFrameOn(r, &v)
+}
+
+// readFrameOn is readFrame on a stream that speaks version *v: 0 until its
+// first frame, whose version it then becomes.
+func readFrameOn(r io.Reader, v *byte) (Message, error) {
 	var head [headerSize]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, err
@@ -39,8 +46,13 @@ func readFrame(r io.Reader) (Message, error) {
 	if head[0] != magic[0] || head[1] != magic[1] {
 		return nil, ErrBadMagic
 	}
-	if head[2] != Version {
-		return nil, errBadVersion(head[2])
+	switch fv := head[2]; {
+	case fv != Version && fv != Version2:
+		return nil, errBadVersion(fv)
+	case *v == 0:
+		*v = fv
+	case fv != *v:
+		return nil, ErrMixedVersion
 	}
 	length := binary.BigEndian.Uint32(head[4:8])
 	if length > MaxFrameSize {
@@ -51,14 +63,18 @@ func readFrame(r io.Reader) (Message, error) {
 		return nil, err
 	}
 	body, sum := payload[:length], binary.BigEndian.Uint32(payload[length:])
-	if crc32.ChecksumIEEE(body) != sum {
+	want := crc32.ChecksumIEEE(body)
+	if *v == Version2 {
+		want = crc32.Update(crc32.ChecksumIEEE(head[:]), crc32.IEEETable, body)
+	}
+	if want != sum {
 		return nil, ErrBadChecksum
 	}
 	msg, err := newMessage(MsgType(head[3]))
 	if err != nil {
 		return nil, err
 	}
-	if err := decodeBody(msg, body, nil); err != nil {
+	if err := decodeBody(msg, body, *v, nil); err != nil {
 		return nil, err
 	}
 	return msg, nil

@@ -23,12 +23,21 @@ func FuzzReadFrame(f *testing.F) {
 		&Ack{Refs: []Ref{{Src: "a", Seq: 1}}},
 		&Feedback{Refs: []Ref{{Src: "b", Seq: 2}}},
 	}
-	for _, m := range seedMsgs {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, m); err != nil {
+	for _, v := range []byte{Version, Version2} {
+		for _, m := range seedMsgs {
+			frame, err := AppendFrameV(nil, v, m)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(frame)
+		}
+	}
+	for _, n := range []int{0, 1, 300} { // v2 acks of frames, the empty one too
+		frame, err := AppendFrameV(nil, Version2, &Ack{Frames: make([]uint32, n)})
+		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		f.Add(frame)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{'H', 'B', Version, 99, 0, 0, 0, 0})
@@ -55,16 +64,17 @@ func FuzzReadFrame(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := readFrame(bytes.NewReader(data))
+		var v byte
+		msg, err := readFrameOn(bytes.NewReader(data), &v)
 		if err != nil {
 			return // rejecting garbage is fine; panicking is not
 		}
-		// Accepted frames must round-trip.
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, msg); err != nil {
+		// Accepted frames must round-trip in their version.
+		frame, err := AppendFrameV(nil, v, msg)
+		if err != nil {
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
 		}
-		again, err := readFrame(&buf)
+		again, err := readFrame(bytes.NewReader(frame))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -143,6 +153,23 @@ func FuzzFrameReaderStream(f *testing.F) {
 	add(concat(hb, large, ack, large, fb))
 	add(concat(ack, large, large[:2*readBufSize+7]))
 
+	// The aggregated links' v2: a server's acks of frames, a sender's
+	// register and batches, an ack of no frame, and streams that change
+	// version mid-way, each way round.
+	mkFrameV2 := func(m Message) []byte {
+		frame, err := AppendFrameV(nil, Version2, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return frame
+	}
+	ack2, batch2, reg2 := mkFrameV2(&Ack{Frames: []uint32{1}}), mkFrameV2(big), mkFrameV2(&Register{ID: "trunk-0", Role: RoleRelay})
+	add(concat(ack2, mkFrameV2(&Ack{Frames: []uint32{2, 3, 4}}), ack2))
+	add(concat(reg2, batch2, mkFrameV2(&Batch{Relay: "r"}), batch2[:len(batch2)-2]))
+	add(concat(ack2, mkFrameV2(&Ack{}), ack2))
+	add(concat(ack, ack2))
+	add(concat(reg2, batch2, batch))
+
 	// Every input is decoded from a reader that hands over all it has, from
 	// one that hands over chunks of the sizes the fuzzer chooses (its last
 	// chunk comes with io.EOF), and one byte at a time, so the refill,
@@ -155,17 +182,18 @@ func FuzzFrameReaderStream(f *testing.F) {
 }
 
 // decode runs a FrameReader over r, which yields data, and readFrame over
-// data frame by frame: they must accept/reject the same prefix and agree
-// on every message, and the reader ends with io.EOF exactly when the
-// stream ends at a frame boundary.
+// data frame by frame, on the version of its first frame: they must
+// accept/reject the same prefix and agree on every message, and the reader
+// ends with io.EOF exactly when the stream ends at a frame boundary.
 func decode(t *testing.T, r io.Reader, data []byte) {
 	t.Helper()
 	fr := NewFrameReader(r)
 	ref := bytes.NewReader(data)
+	var v byte
 	for i := 0; ; i++ {
 		left := ref.Len()
 		got, errNew := fr.Next()
-		want, errOld := readFrame(ref)
+		want, errOld := readFrameOn(ref, &v)
 		if (errNew == nil) != (errOld == nil) {
 			t.Fatalf("frame %d: FrameReader err %v, ReadFrame err %v", i, errNew, errOld)
 		}

@@ -6,13 +6,36 @@
 // Frame layout:
 //
 //	magic   [2]byte  "HB"
-//	version byte     1
+//	version byte     1 or 2
 //	type    byte     message type
 //	length  uint32   payload length (big endian)
 //	payload [length]byte
-//	crc32   uint32   IEEE CRC over payload (big endian)
+//	crc32   uint32   IEEE CRC (big endian): v1 over the payload, v2 over
+//	                 the header (magic, version, type, length) and payload
 //
 // Payload fields are encoded with uvarints and length-prefixed strings.
+//
+// Version 2 is the aggregated links' version: the Batch frames a relay or
+// load-generator trunk writes to a presence server, and the server's acks.
+// Besides putting the header under the CRC, it changes one payload: a v2
+// Ack acknowledges whole frames, where a v1 Ack lists each heartbeat by
+// (source ID, seq). It is a count n and the n CRCs of the
+// heartbeat-carrying frames (Heartbeat, or a Batch of at least one) it
+// accepts, every heartbeat in them, in the order they arrived:
+//
+//	n     uvarint
+//	crc32 [n]uint32  each frame's own CRC field (big endian)
+//
+// The sender keeps what it wrote in each frame and matches the CRCs in
+// write order, so a frame its peer never got (a write a middlebox
+// swallowed on a live connection) is skipped, not settled by the ack of
+// the frame after it. Every other payload is the same in both versions.
+//
+// A connection speaks the version of its first frame: its peer answers in
+// that version, and a frame of the other one on it is an error
+// (ErrMixedVersion). A reader accepts either. So servers upgrade first: a
+// v2 sender needs a v2-aware server, while v1 peers — UEs, and senders
+// older than v2 — keep working unchanged against it.
 package hbproto
 
 import (
@@ -25,7 +48,11 @@ import (
 
 // Protocol constants.
 const (
+	// Version is v1, the version AppendFrame writes.
 	Version = 1
+	// Version2 is the aggregated links' version, with acks by frame (see
+	// the package comment).
+	Version2 = 2
 	// MaxFrameSize bounds payload length; heartbeats are tiny, so
 	// anything bigger indicates corruption or abuse.
 	MaxFrameSize = 1 << 20
@@ -41,6 +68,11 @@ var (
 	ErrFrameTooBig = errors.New("hbproto: frame exceeds size limit")
 	ErrUnknownType = errors.New("hbproto: unknown message type")
 	ErrTruncated   = errors.New("hbproto: truncated payload")
+	// ErrMixedVersion reports a frame whose version is not the one its
+	// connection speaks.
+	ErrMixedVersion = errors.New("hbproto: frame version differs from the connection's")
+	// ErrEmptyAck reports a v2 Ack that acknowledges no frame.
+	ErrEmptyAck = errors.New("hbproto: v2 ack of no frame")
 	// ErrTrailingBytes reports a frame whose payload decoded cleanly but
 	// left unconsumed bytes — a framing bug or corruption that survived
 	// the checksum.
@@ -53,6 +85,14 @@ func errTrailing(n int) error {
 
 func errBadVersion(v byte) error {
 	return fmt.Errorf("%w: %d", ErrBadVersion, v)
+}
+
+// errMixedVersion is never inlined: building it would take room in the
+// frame every connection's reader parks with (see FrameReader.readPayload).
+//
+//go:noinline
+func errMixedVersion(v, stream byte) error {
+	return fmt.Errorf("%w: v%d on a v%d stream", ErrMixedVersion, v, stream)
 }
 
 func errUnknownType(t byte) error {
@@ -148,7 +188,9 @@ func (m *Register) decode(b *buffer) (err error) {
 // Heartbeat is one keep-alive on the wire. Pad declares the app's nominal
 // heartbeat size so relays and servers can account wire bytes without
 // shipping actual padding. Handle is not on the wire: the FrameReader that
-// decoded the message sets it to its handle for Src (see Handle).
+// decoded the message sets it to its handle for Src (see Handle), and a
+// sender may set it to a key of its own, which an uplink's v2 acks hand
+// back on the heartbeat's Ref.
 type Heartbeat struct {
 	Src    string
 	Seq    uint64
@@ -248,24 +290,78 @@ func (m *Batch) decode(b *buffer) (err error) {
 }
 
 // Ref identifies one heartbeat in an acknowledgement or feedback message.
-// Like Heartbeat.Handle, Handle is set on decode and never encoded, so a
-// Ref is not a map key: two refs to one heartbeat may differ in it.
+// Like Heartbeat.Handle, Handle is set on decode (or carried over from the
+// heartbeat a v2 ack settles) and never encoded, so a Ref is not a map
+// key: two refs to one heartbeat may differ in it.
 type Ref struct {
 	Src    string
 	Seq    uint64
 	Handle Handle
 }
 
-// Ack confirms heartbeats accepted by the server.
+// Ack confirms heartbeats accepted by the server. A v1 Ack lists them in
+// Refs; a v2 Ack lists the CRCs of the heartbeat-carrying frames they came
+// in, in Frames, and the other field is nil (see the package comment).
 type Ack struct {
-	Refs []Ref
+	Refs   []Ref
+	Frames []uint32
 }
 
 // Type implements Message.
 func (*Ack) Type() MsgType { return TypeAck }
 
-func (m *Ack) encode(b *buffer)       { encodeRefs(b, m.Refs) }
-func (m *Ack) decode(b *buffer) error { return decodeRefs(b, &m.Refs) }
+func (m *Ack) encode(b *buffer) {
+	if b.v == Version2 {
+		encodeSums(b, m.Frames)
+		return
+	}
+	encodeRefs(b, m.Refs)
+}
+
+func (m *Ack) decode(b *buffer) error {
+	if b.v == Version2 {
+		m.Refs = nil
+		return decodeSums(b, &m.Frames)
+	}
+	m.Frames = nil
+	return decodeRefs(b, &m.Refs)
+}
+
+// encodeSums writes a v2 Ack's payload: the count, then each CRC. Like
+// decodeSums it is never inlined, so that Ack's own frame, which every
+// server connection and UE link runs through in v1, stays small (see
+// DESIGN.md, "The goroutine stack budget").
+//
+//go:noinline
+func encodeSums(b *buffer, sums []uint32) {
+	b.u64(uint64(len(sums)))
+	for _, sum := range sums {
+		b.data = binary.BigEndian.AppendUint32(b.data, sum)
+	}
+}
+
+// decodeSums reads a v2 Ack's payload into *out, reusing its capacity.
+//
+//go:noinline
+func decodeSums(b *buffer, out *[]uint32) error {
+	n, err := b.ru64()
+	if err != nil {
+		return err
+	}
+	if n == 0 {
+		return ErrEmptyAck
+	}
+	if n > uint64(len(b.data)-b.pos)/4 {
+		return ErrTruncated
+	}
+	sums := (*out)[:0]
+	for range n {
+		sums = append(sums, binary.BigEndian.Uint32(b.data[b.pos:]))
+		b.pos += 4
+	}
+	*out = sums
+	return nil
+}
 
 // Feedback notifies a UE that its forwarded heartbeats were delivered.
 type Feedback struct {
@@ -314,11 +410,13 @@ func decodeRefs(b *buffer, out *[]Ref) error {
 
 // buffer is a simple append/consume byte buffer with varint helpers.
 // When intern is set, decoded strings are canonicalized through it so
-// steady-state decoding allocates nothing per frame.
+// steady-state decoding allocates nothing per frame. v is the frame's
+// version, for the payloads that differ between versions.
 type buffer struct {
 	data   []byte
 	pos    int
 	intern *internTable
+	v      byte
 }
 
 func (b *buffer) u64(v uint64) { b.data = binary.AppendUvarint(b.data, v) }

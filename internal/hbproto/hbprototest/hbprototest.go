@@ -16,9 +16,14 @@ import (
 // payload length (4).
 const headerSize = 8
 
-// WriteFrame encodes msg and writes it as one Write.
+// WriteFrame encodes msg as a v1 frame and writes it as one Write.
 func WriteFrame(w io.Writer, msg hbproto.Message) error {
-	frame, err := hbproto.AppendFrame(nil, msg)
+	return WriteFrameV(w, hbproto.Version, msg)
+}
+
+// WriteFrameV is WriteFrame in version v.
+func WriteFrameV(w io.Writer, v byte, msg hbproto.Message) error {
+	frame, err := hbproto.AppendFrameV(nil, v, msg)
 	if err != nil {
 		return err
 	}
@@ -26,10 +31,10 @@ func WriteFrame(w io.Writer, msg hbproto.Message) error {
 	return err
 }
 
-// ReadFrame reads one frame from r and decodes it into a fresh Message. It
-// reads no byte past the frame, so calls can alternate with other readers
-// of r. A handle means something only within the reader that issued it,
-// so every Handle in the result is 0.
+// ReadFrame reads one frame of either version from r and decodes it into a
+// fresh Message. It reads no byte past the frame, so calls can alternate
+// with other readers of r. A handle means something only within the reader
+// that issued it, so every Handle in the result is 0.
 func ReadFrame(r io.Reader) (hbproto.Message, error) {
 	var head [headerSize]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {

@@ -198,7 +198,8 @@ func (l *serverLink) offer(b *testing.B, period []byte, clients int) {
 const trunkedUsers, trunkedSlots, trunkedShards = 100_000, 32, 3
 
 // sinkTrunk builds a paced trunk over a static ring of shards whose
-// connections swallow every write, counted in writes, and never ack.
+// connections swallow every write, counted in writes, and acknowledge its
+// frames.
 func sinkTrunk(tb testing.TB, users, slots, shards int) (tr *trunk, writes *atomic.Int64) {
 	tb.Helper()
 	nodes := make([]cluster.Node, shards)
@@ -211,7 +212,7 @@ func sinkTrunk(tb testing.TB, users, slots, shards int) (tr *trunk, writes *atom
 	}
 	writes = new(atomic.Int64)
 	tr = newTestTrunk(tb, "unused", users, slots, func(string, string) (net.Conn, error) {
-		return &sinkConn{writes: writes, closed: make(chan struct{})}, nil
+		return newSinkConn(writes), nil
 	})
 	tr.up.Cluster = cc
 	tb.Cleanup(tr.Shutdown)
@@ -286,11 +287,13 @@ func BenchmarkTrunkEmit(b *testing.B) {
 
 // BenchmarkTrunkAckPath is the trunk's ack half: one shard connection's
 // worth of acks — the users of a live_trunked trunk that the first of 3
-// shards owns — from the ack frames' bytes through a FrameReader over the
-// trunk's own table to the settled pending entries. Acks come back the way the run sends: sub-tick
-// by sub-tick, one Ack frame per sub-tick's batch, so settling reaches
-// into the user and pending tables in the order the run does. An iteration
-// is one period's acks; tracking the period's sends happens off the clock.
+// shards owns — from the v2 ack frames' bytes through a FrameReader to the
+// settled pending entries. Acks come back the way the run sends: sub-tick
+// by sub-tick, one ack of the sub-tick's batch frame, and each hands
+// onRefs the refs the trunk wrote in that batch, as the uplink's ack ring
+// does, so settling reaches into the user and pending tables in the order
+// the run does. An iteration is one period's acks; tracking the period's
+// sends happens off the clock.
 func BenchmarkTrunkAckPath(b *testing.B) {
 	tr := newTestTrunk(b, "unused", trunkedUsers, trunkedSlots, nil)
 	nodes := make([]string, trunkedShards)
@@ -301,39 +304,41 @@ func BenchmarkTrunkAckPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var owned []int // the shard's users, in ack order
+	var owned []int                                // the shard's users, in ack order
+	written := make([][]hbproto.Ref, trunkedSlots) // each sub-tick's batch, as written
 	var period []byte
-	ack := &hbproto.Ack{}
 	for s := range trunkedSlots {
-		ack.Refs = ack.Refs[:0]
 		lo, hi := tr.paced(s)
 		for i := lo; i < hi; i++ {
 			if ring.OwnerIndex(tr.ids.at(i)) == 0 {
 				owned = append(owned, i)
-				ack.Refs = append(ack.Refs, hbproto.Ref{Src: tr.ids.at(i), Seq: 1})
+				written[s] = append(written[s], hbproto.Ref{Src: tr.ids.at(i), Seq: 1, Handle: hbproto.Handle(i + 1)})
 			}
 		}
-		if period, err = hbproto.AppendFrame(period, ack); err != nil {
+		if period, err = hbproto.AppendFrameV(period, hbproto.Version2, &hbproto.Ack{Frames: []uint32{uint32(s)}}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	wire := bytes.NewReader(nil)
-	fr := hbproto.NewTableReader(wire, tr)
+	fr := hbproto.NewFrameReader(wire)
 	now := time.Now()
 	settle := func() {
-		// Every period acks seq 1 again: what is measured is the lookup
+		// Every period acks seq 1 again: what is measured is the decode
 		// and the settle, not the sequence bookkeeping.
 		for _, i := range owned {
 			tr.pending.Track(inflight.Key{Slot: i, Seq: 1}, now, true)
 		}
 		wire.Reset(period)
 		b.StartTimer()
-		for wire.Len() > 0 {
+		for s := range trunkedSlots {
 			msg, err := fr.Next()
 			if err != nil {
 				b.Fatal(err)
 			}
-			tr.onRefs(msg.(*hbproto.Ack).Refs, now)
+			if f := msg.(*hbproto.Ack).Frames; len(f) != 1 || f[0] != uint32(s) {
+				b.Fatal("not the ack of the sub-tick's batch")
+			}
+			tr.onRefs(written[s], now)
 		}
 		b.StopTimer()
 		if n := tr.pending.Len(); n != 0 {

@@ -597,10 +597,8 @@ func (r *Runner) newTrunk(id string, period time.Duration, profiles []tprofile, 
 			ID: id, Role: hbproto.RoleRelay, App: profiles[0].app,
 			Period: period, Expiry: profiles[0].expiry,
 		},
-		Acks:    func(string) func([]hbproto.Ref, time.Time) { return t.onRefs },
-		Sources: t,
+		Acks: func(string) func([]hbproto.Ref, time.Time) { return t.onRefs },
 	}
-	t.index()
 	return t
 }
 

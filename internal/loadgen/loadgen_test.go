@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -16,6 +17,7 @@ import (
 
 	"d2dhb/internal/faultnet"
 	"d2dhb/internal/hbmsg"
+	"d2dhb/internal/hbproto"
 	"d2dhb/internal/relaynet"
 	"d2dhb/internal/session"
 	"d2dhb/internal/stacktest"
@@ -587,24 +589,58 @@ func TestFleetRunFootprint(t *testing.T) {
 	}
 }
 
-// sinkConn is a connection that swallows writes (counting them) and never
-// produces input.
+// sinkConn is a connection that swallows writes (counting them) and
+// acknowledges each Batch frame in them in v2, as a shard would.
 type sinkConn struct {
 	net.Conn // nil: only the methods below are ever called
 	writes   *atomic.Int64
 	closed   chan struct{}
 	once     sync.Once
+	acks     chan uint32 // the frames Read is to acknowledge, by CRC
+	ack      hbproto.Ack // Read's, reused so the shard allocates nothing
 }
 
-func (c *sinkConn) Write(b []byte) (int, error) { c.writes.Add(1); return len(b), nil }
-func (c *sinkConn) Read([]byte) (int, error)    { <-c.closed; return 0, io.EOF }
-func (c *sinkConn) Close() error                { c.once.Do(func() { close(c.closed) }); return nil }
+func newSinkConn(writes *atomic.Int64) *sinkConn {
+	return &sinkConn{writes: writes, closed: make(chan struct{}), acks: make(chan uint32, 64)} // a sub-tick's frames: more than any test writes at once
+}
+
+func (c *sinkConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	// Walk the frames: type at 3, payload length at 4, CRC last.
+	for rest := b; len(rest) >= 8; {
+		end := 8 + binary.BigEndian.Uint32(rest[4:8]) + 4
+		if hbproto.MsgType(rest[3]) == hbproto.TypeBatch {
+			select {
+			case c.acks <- binary.BigEndian.Uint32(rest[end-4 : end]):
+			case <-c.closed:
+			}
+		}
+		rest = rest[end:]
+	}
+	return len(b), nil
+}
+
+// Read acknowledges the next frame once there is one.
+func (c *sinkConn) Read(p []byte) (int, error) {
+	select {
+	case sum := <-c.acks:
+		c.ack.Frames = append(c.ack.Frames[:0], sum)
+		frame, err := hbproto.AppendFrameV(p[:0], hbproto.Version2, &c.ack)
+		return len(frame), err
+	case <-c.closed:
+		return 0, io.EOF
+	}
+}
+
+func (c *sinkConn) Close() error { c.once.Do(func() { close(c.closed) }); return nil }
 
 // TestTrunkEmissionZeroAllocsOneWrite pins the trunk's whole send path
 // through the session slot, over a one-node view (a single server) and a
 // 3-node one: once owners are cached and buffers sized, a period of paced
 // sub-ticks — the slot-0 sweep, tracking, routing by cached owner, each
-// shard's Batch frames composed into one Write — allocates nothing.
+// shard's Batch frames composed into one Write and recorded in its ack
+// ring, and the shards' acks taken off the rings and settled — allocates
+// nothing.
 func TestTrunkEmissionZeroAllocsOneWrite(t *testing.T) {
 	cases := []struct {
 		name                 string
@@ -623,7 +659,9 @@ func TestTrunkEmissionZeroAllocsOneWrite(t *testing.T) {
 			period := func() {
 				for s := range tr.paceSlots {
 					tr.tickSlot(s)
-					settleFresh(tr, time.Now())
+					for tr.InFlight() > 0 { // the shards' acks settle the sub-tick
+						runtime.Gosched()
+					}
 				}
 			}
 			period() // warm-up: dial, resolve owners, size the buffers

@@ -225,13 +225,13 @@ func (r *Runner) replayGroup(tl *rec.Timeline, g int, steps [][]rec.Event, speed
 	var ids strings.Builder
 	var ends []int32
 	var clients []tclient
-	seen := make(map[string]bool)
+	users := make(map[string]int) // client ID → user index
 	for _, e := range slices.Concat(steps...) {
 		c := tl.Clients[e.Client]
-		if seen[c.ID] {
+		if _, ok := users[c.ID]; ok {
 			continue
 		}
-		seen[c.ID] = true
+		users[c.ID] = len(clients)
 		p := tprofile{app: c.App, expiry: c.Expiry, pad: c.Pad}
 		pi := slices.Index(profiles, p)
 		if pi < 0 {
@@ -242,13 +242,9 @@ func (r *Runner) replayGroup(tl *rec.Timeline, g int, steps [][]rec.Event, speed
 		clients = append(clients, tclient{trec: int32(e.Client), prof: int32(pi)})
 	}
 	t := r.newTrunk(fmt.Sprintf("replay-trunk-%04d", g), tl.RelayPeriod, profiles, userIDs{all: ids.String(), ends: ends}, clients, 0)
-	user := func(c int) int {
-		_, h := t.Source(0, []byte(tl.Clients[c].ID))
-		return int(h) - 1
-	}
 	return &replayUnit{
 		loadUnit: t,
-		steps:    replaySchedule(steps, user, speedup),
+		steps:    replaySchedule(steps, func(c int) int { return users[tl.Clients[c].ID] }, speedup),
 		send:     t.offer,
 		lapse:    t.pendingLapse,
 	}

@@ -2,13 +2,11 @@ package loadgen
 
 import (
 	"errors"
-	"hash/maphash"
 	"sync"
 	"time"
 
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
-	"d2dhb/internal/idindex"
 	"d2dhb/internal/inflight"
 	"d2dhb/internal/rec"
 	"d2dhb/internal/session"
@@ -62,11 +60,9 @@ type trunk struct {
 	shards   *shardCounter
 
 	// Per-user columns, immutable after build and free of pointers but for
-	// the one ID string. byID indexes ids under seed; both back Source.
+	// the one ID string.
 	ids     userIDs
 	clients []tclient
-	seed    maphash.Seed
-	byID    idindex.Index
 
 	// paceSlots spreads each period's emissions over this many sub-ticks
 	// (0 disables pacing: the whole fleet bursts at once); see paced.
@@ -196,23 +192,13 @@ func (t *trunk) offer(refs []inflight.Key, now time.Time) {
 	t.send(refs, now, false)
 }
 
-// index builds byID, hashing each user's ID once.
-func (t *trunk) index() {
-	t.seed = maphash.MakeSeed()
-	t.byID.Reserve(len(t.ids.ends))
-	start := int32(0)
-	for i, end := range t.ids.ends {
-		t.byID.Insert(maphash.String(t.seed, t.ids.all[start:end]), int32(i))
-		start = end
-	}
-}
-
 // send writes heartbeats through the uplink, one chunked Batch per owning
-// shard under one ring view. Heartbeats that never hit the wire stay in
-// the pending table: the sweep resends them once through the then-current
-// view. A trace records a heartbeat's send once, when it first reaches the
-// wire, so an acknowledged resend of one whose first send was refused
-// follows its send.
+// shard under one ring view. Each heartbeat's Handle is its user index + 1,
+// which the uplink hands back with its ack. Heartbeats that never hit the
+// wire stay in the pending table: the sweep resends them once through the
+// then-current view. A trace records a heartbeat's send once, when it
+// first reaches the wire, so an acknowledged resend of one whose first
+// send was refused follows its send.
 func (t *trunk) send(refs []inflight.Key, now time.Time, fallback bool) {
 	parts := t.up.Send(now, len(refs),
 		func(v *cluster.View, i int) int { return t.ownerOf(v, refs[i].Slot) },
@@ -222,6 +208,7 @@ func (t *trunk) send(refs []inflight.Key, now time.Time, fallback bool) {
 			return hbproto.Heartbeat{
 				Src: t.ids.at(u), Seq: refs[i].Seq, App: p.app,
 				Origin: now, Expiry: p.expiry, Pad: p.pad,
+				Handle: hbproto.Handle(u + 1),
 			}
 		})
 	for i := range parts {
@@ -308,31 +295,11 @@ func (t *trunk) Sweep(now time.Time) {
 	}
 }
 
-// Source is the trunk's hbproto.SourceTable: a source's handle is its user
-// index + 1 on every dial. A shard acks its users in the order they went
-// out, so the 8 users after the previous ack's are compared before hashing.
-func (t *trunk) Source(after hbproto.Handle, b []byte) (string, hbproto.Handle) {
-	ends, start := t.ids.ends, int32(0)
-	if after > 0 {
-		start = ends[after-1]
-	}
-	for u := int(after); u < min(int(after)+8, len(ends)); u++ {
-		if id := t.ids.all[start:ends[u]]; id == string(b) {
-			return id, hbproto.Handle(u + 1)
-		}
-		start = ends[u]
-	}
-	u, ok := t.byID.Find(maphash.Bytes(t.seed, b), func(u int32) bool { return t.ids.at(int(u)) == string(b) })
-	if !ok {
-		return "", 0
-	}
-	return t.ids.at(int(u)), hbproto.Handle(u + 1)
-}
-
 // onRefs matches batch-ack refs against pending heartbeats and records
-// latency; stale refs, and refs to no user of the trunk (handle 0, see
-// Source), are ignored. A frame's refs share an arrival time and one or two
-// emissions, so latencies are recorded once per run of equal values.
+// latency. A ref's handle is the one send gave its heartbeat, its user
+// index + 1; stale refs, and refs to no user of the trunk, are ignored. An
+// ack's refs share an arrival time and one or two emissions, so latencies
+// are recorded once per run of equal values.
 func (t *trunk) onRefs(refs []hbproto.Ref, at time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

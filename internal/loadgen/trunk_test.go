@@ -1,12 +1,10 @@
 package loadgen
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,9 +39,9 @@ func newTestTrunk(tb testing.TB, addr string, n, slots int, dial func(network, a
 }
 
 // ackServer is a stand-in presence server on nw that acknowledges every
-// batch on its own connection, in the order order(conn, refs) puts the refs
-// — conn counts accepted connections from 1.
-func ackServer(t *testing.T, nw faultnet.Net, order func(conn int, refs []hbproto.Ref)) string {
+// batch on its own connection, in the connection's version: the frame by
+// its CRC in v2, the batch's refs in v1.
+func ackServer(t *testing.T, nw faultnet.Net) string {
 	t.Helper()
 	ln, err := nw.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -64,7 +62,7 @@ func ackServer(t *testing.T, nw faultnet.Net, order func(conn int, refs []hbprot
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for n := 1; ; n++ {
+		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
@@ -73,7 +71,7 @@ func ackServer(t *testing.T, nw faultnet.Net, order func(conn int, refs []hbprot
 			conns = append(conns, conn)
 			mu.Unlock()
 			wg.Add(1)
-			go func(n int) {
+			go func() {
 				defer wg.Done()
 				fr := hbproto.NewFrameReader(conn)
 				for {
@@ -85,16 +83,18 @@ func ackServer(t *testing.T, nw faultnet.Net, order func(conn int, refs []hbprot
 					if !ok {
 						continue
 					}
-					ack := &hbproto.Ack{}
-					for _, hb := range b.HBs {
-						ack.Refs = append(ack.Refs, hbproto.Ref{Src: hb.Src, Seq: hb.Seq})
+					ack := &hbproto.Ack{Frames: []uint32{fr.Sum()}}
+					if fr.Version() == hbproto.Version {
+						ack.Frames = nil
+						for _, hb := range b.HBs {
+							ack.Refs = append(ack.Refs, hbproto.Ref{Src: hb.Src, Seq: hb.Seq})
+						}
 					}
-					order(n, ack.Refs)
-					if err := hbprototest.WriteFrame(conn, ack); err != nil {
+					if err := hbprototest.WriteFrameV(conn, fr.Version(), ack); err != nil {
 						return
 					}
 				}
-			}(n)
+			}()
 		}
 	}()
 	return ln.Addr().String()
@@ -123,20 +123,15 @@ func waitSettled(t *testing.T, tr *trunk, what string) {
 }
 
 // TestTrunkRedialSettlesEveryAck kills a trunk's connection with an
-// injected reset and lets it redial a server that acknowledges the second
-// connection's batches in reverse: the new connection's decoder numbers the
-// sources the other way round, so a handle → user table carried over from
-// the first connection would settle every ack against the wrong user.
-// Users send distinct sequence numbers so a wrong user cannot settle by
-// coincidence.
+// injected reset and lets it redial. The batch the reset lost was recorded
+// in the first connection's ack ring: the acks on the second connection
+// must settle what was written on that one, its resend and the next round,
+// against a ring of its own. Users send distinct sequence numbers so a wrong
+// heartbeat cannot settle by coincidence.
 func TestTrunkRedialSettlesEveryAck(t *testing.T) {
 	timed(t, func(t *testing.T, nw faultnet.Net) {
 		const users = 9
-		addr := ackServer(t, nw, func(conn int, refs []hbproto.Ref) {
-			if conn > 1 {
-				slices.Reverse(refs)
-			}
-		})
+		addr := ackServer(t, nw)
 		// Every write through faults is reset; the first connection starts
 		// writing through it once the test arms it, the redial never does.
 		faults := faultnet.NewSchedule(1, []faultnet.Window{{
@@ -157,7 +152,7 @@ func TestTrunkRedialSettlesEveryAck(t *testing.T) {
 		}
 
 		tr.tickSlot(0)
-		waitSettled(t, tr, "first connection") // the handle table is now warm
+		waitSettled(t, tr, "first connection")
 		armed.Store(true)
 		tr.tickSlot(0) // the write dies with the connection; the round stays pending
 		if got := tr.c.writeErrors.Load(); got != 1 {
@@ -226,75 +221,48 @@ func TestTrunkBacksOffDeadShard(t *testing.T) {
 	}
 }
 
-// TestTrunkAcksResolveThroughItsTable feeds onRefs the acks of two dials
-// decoded through readers over the trunk's table, with a straggler from the
-// old dial after the new one's first frame, plus refs with no handle, a
-// stranger's ID and another trunk's user's ID. A handle is the user index +
-// 1 on either dial; each ref settles its own user exactly once, with its
-// latency recorded once, or is ignored. Users send distinct sequence
-// numbers so a wrong user cannot settle by coincidence, and at one of three
-// instants, so a frame's latencies come in runs of equal values.
-func TestTrunkAcksResolveThroughItsTable(t *testing.T) {
+// TestTrunkAcksSettleByHandle feeds onRefs the refs an uplink hands back,
+// each with the handle the trunk's send gave its heartbeat, the user index
+// + 1: runs of users, a jump back, a straggler of an earlier ack after a
+// later one, a user acknowledged twice, and refs whose handle is no user of
+// the trunk (0, or past the users). Each ref settles its own user exactly
+// once, with its latency recorded once, or is ignored, whatever its Src
+// says. Users send distinct sequence numbers so a wrong user cannot settle
+// by coincidence, and at one of three instants, so an ack's latencies come
+// in runs of equal values.
+func TestTrunkAcksSettleByHandle(t *testing.T) {
 	const users = 20
 	tr := newTestTrunk(t, "unused", users, 0, nil)
 	hist := telemetry.NewHistogram(1)
 	tr.rec = hist.Recorder()
 	id := tr.ids.at
-	next := fleetIDs(users, 1, 7)
-	otherTrunk := next.at(0) // the next trunk's first user
 	now := time.Now()
 	latency := func(u int) uint64 { return uint64(1+u/3%3) * 1000 } // µs
 	for i := range users {
 		tr.users[i].seq = uint64(i)*100 + 1
 		tr.pending.Track(inflight.Key{Slot: i, Seq: tr.users[i].seq}, now.Add(-time.Duration(latency(i))*time.Microsecond), true)
 	}
-	frame := func(us ...int) []byte {
-		ack := &hbproto.Ack{Refs: []hbproto.Ref{{Src: "stranger", Seq: 1}, {Src: otherTrunk, Seq: 101}}}
-		for _, u := range us {
-			ack.Refs = append(ack.Refs, hbproto.Ref{Src: id(u), Seq: tr.users[u].seq})
-		}
-		b, err := hbproto.AppendFrame(nil, ack)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	// The users after a ref's are tried first: cover a run, a jump back and
-	// a jump past the probe.
-	old := hbproto.NewTableReader(bytes.NewReader(slices.Concat(frame(0, 1, 2, 5), frame(3, 19))), tr)
-	fresh := hbproto.NewTableReader(bytes.NewReader(slices.Concat(frame(2, 4, 6, 7), frame(17, 8))), tr)
-	deliver := func(fr *hbproto.FrameReader, want ...int) {
+	deliver := func(us ...int) {
 		t.Helper()
-		msg, err := fr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs := msg.(*hbproto.Ack).Refs
-		for i, ref := range refs {
-			wantH := hbproto.Handle(0)
-			if i >= 2 {
-				wantH = hbproto.Handle(want[i-2] + 1)
-			}
-			if ref.Handle != wantH {
-				t.Fatalf("ref %d (%s) decoded to handle %d, want %d", i, ref.Src, ref.Handle, wantH)
-			}
+		// Strangers first: no handle, and a handle past the users, each
+		// under a user's ID and seq.
+		refs := []hbproto.Ref{{Src: id(9), Seq: tr.users[9].seq}, {Src: id(10), Seq: tr.users[10].seq, Handle: users + 1}}
+		for _, u := range us {
+			refs = append(refs, hbproto.Ref{Src: id(u), Seq: tr.users[u].seq, Handle: hbproto.Handle(u + 1)})
 		}
 		tr.onRefs(refs, now)
-		for _, u := range want {
+		for _, u := range us {
 			if tr.users[u].last != tr.users[u].seq {
 				t.Fatalf("user %d not settled by its ref", u)
 			}
 		}
 	}
-	deliver(old, 0, 1, 2, 5)
-	deliver(fresh, 2, 4, 6, 7) // user 2 again: ignored, already settled
-	deliver(old, 3, 19)        // the old dial's straggler
-	deliver(fresh, 17, 8)
-	// Handle 0 is a source the table did not know, whatever its ID says,
-	// and a handle past the users is no user either.
-	tr.onRefs([]hbproto.Ref{{Src: id(9), Seq: tr.users[9].seq}, {Src: "stranger", Seq: 1, Handle: users + 1}}, now)
-	if tr.users[9].last != 0 {
-		t.Fatal("a ref without a handle settled a user")
+	deliver(0, 1, 2, 5)
+	deliver(2, 4, 6, 7) // user 2 again: ignored, already settled
+	deliver(3, 19)      // an earlier ack's straggler
+	deliver(17, 8)
+	if tr.users[9].last != 0 || tr.users[10].last != 0 {
+		t.Fatal("a ref with no user's handle settled a user")
 	}
 	// 11 distinct users, user 2 counted once.
 	settled := []int{0, 1, 2, 5, 4, 6, 7, 3, 19, 17, 8}
@@ -314,52 +282,9 @@ func TestTrunkAcksResolveThroughItsTable(t *testing.T) {
 	}
 }
 
-// TestTrunkAckDecodeZeroAllocs: an Ack of 4 096 refs to users a reader has
-// not seen before decodes through the trunk's table with no allocation —
-// the trunk's ID column is the only copy of every ID. Every frame names
-// users of its own, every third one as a shard of three sees them, and
-// starts below the last: its first ref is hashed, the rest are probed. The
-// first frame only sizes the reader's buffers.
-func TestTrunkAckDecodeZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime allocates")
-	}
-	const refs, runs = 4096, 4
-	tr := newTestTrunk(t, "unused", 3*refs*(runs+1), 0, nil)
-	var wire []byte
-	for k := 0; k <= runs; k++ {
-		ack := &hbproto.Ack{}
-		for i := 0; i < refs; i++ {
-			ack.Refs = append(ack.Refs, hbproto.Ref{Src: tr.ids.at(3*((runs-k)*refs+i) + 1), Seq: 1})
-		}
-		var err error
-		if wire, err = hbproto.AppendFrame(wire, ack); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fr := hbproto.NewTableReader(bytes.NewReader(wire), tr)
-	var last []hbproto.Ref
-	allocs := testing.AllocsPerRun(runs, func() {
-		msg, err := fr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = msg.(*hbproto.Ack).Refs
-	})
-	if allocs != 0 {
-		t.Errorf("decoding %d new sources allocated %.0f times, want 0", refs, allocs)
-	}
-	for i, ref := range last {
-		if u := 3*i + 1; ref.Handle != hbproto.Handle(u+1) {
-			t.Fatalf("ref %d (%s) has handle %d, want user %d + 1", i, ref.Src, ref.Handle, u)
-		}
-	}
-}
-
 // TestTrunkPaceBlocks pins the pace partition: sub-tick s of S is the s-th
 // of S index blocks, so the sub-ticks cover every user once, in ascending
-// order, with sizes that differ by at most one; and the ID table finds
-// every user and no stranger.
+// order, with sizes that differ by at most one.
 func TestTrunkPaceBlocks(t *testing.T) {
 	r := &Runner{cfg: Config{Net: faultnet.OS{}}}
 	for _, n := range []int{1, 31, 32, 1_000, 100_000} {
@@ -381,32 +306,20 @@ func TestTrunkPaceBlocks(t *testing.T) {
 				t.Fatalf("%d/%d: slots cover %d users, sizes %d to %d", n, slots, next, smallest, largest)
 			}
 		}
-		tr := r.newTrunk("loadtrunk-0000", time.Second, []tprofile{{}}, ids, make([]tclient, n), 0)
-		for i := range n {
-			if _, h := tr.Source(hbproto.Handle(n/2), []byte(ids.at(i))); int(h) != i+1 {
-				t.Fatalf("%d: Source(%q) = handle %d, want %d", n, ids.at(i), h, i+1)
-			}
-		}
-		beyond := fleetIDs(n, 1, 7)
-		for _, stranger := range []string{"loadue-stranger", beyond.at(0), ""} {
-			if _, h := tr.Source(0, []byte(stranger)); h != 0 {
-				t.Fatalf("%d: stranger %q resolved to handle %d", n, stranger, h)
-			}
-		}
 	}
 }
 
-// TestTrunkBuildFootprint pins what naming, indexing and pacing cost per
-// user: one 100k-user trunk of live_trunked's shape built through
-// buildTrunks, in bytes allocated and in allocations. Pointer-free columns
-// come to ~52 B/user in a handful of allocations; a string header per
-// user, a map index or a per-user pace partition do not fit under the
-// ceilings.
+// TestTrunkBuildFootprint pins what naming and pacing cost per user: one
+// 100k-user trunk of live_trunked's shape built through buildTrunks, in
+// bytes allocated and in allocations. Pointer-free columns come to ~42
+// B/user in a handful of allocations; a string header per user, an ID
+// index (the one that resolved v1 acks read ~52.6) or a per-user pace
+// partition do not fit under the ceilings.
 func TestTrunkBuildFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations are not the trunk's footprint")
 	}
-	const bytesCeiling, allocsCeiling = 56, 0.001 // per user
+	const bytesCeiling, allocsCeiling = 44, 0.001 // per user
 	r := trunkedRunner(t, trunkedUsers, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

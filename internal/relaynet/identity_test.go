@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -376,9 +377,9 @@ func TestRoutingVerdictFollowsTheView(t *testing.T) {
 
 // TestFeedbackRoutesAcksDecodedFromTheWire is the regression test for the
 // relay's source table: it is keyed by the relay's own (source, seq) pair,
-// so an ack that went through the upstream slot's FrameReader — and carries
-// that reader's handle, unlike the heartbeat the table entry was made from —
-// still finds the UE connection to feed back to. The test plays the
+// so an ack that went through the upstream slot — a v2 ack naming the
+// batch frame, whose refs the slot's ack ring hands on as the relay wrote
+// them — still finds the UE connection to feed back to. The test plays the
 // relay's runner and the shard.
 func TestFeedbackRoutesAcksDecodedFromTheWire(t *testing.T) {
 	timed(t, func(t *testing.T, _ network) {
@@ -389,19 +390,15 @@ func TestFeedbackRoutesAcksDecodedFromTheWire(t *testing.T) {
 			ID: "relay-1", App: "std", Capacity: 8, Period: period, Expiry: expiry,
 			Dial: func(string, string) (net.Conn, error) { return dialed, nil },
 		}, "shard-0")
-		ack, err := hbproto.AppendFrame(nil, &hbproto.Ack{Refs: []hbproto.Ref{{Src: "ue-2", Seq: 9}, {Src: "ue-1", Seq: 7}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { // the shard: acknowledge the batch
+		go func() { // the shard: acknowledge the batch, in the uplink's v2
 			fr := hbproto.NewFrameReader(shard)
 			for {
 				msg, err := fr.Next()
 				if err != nil {
 					return
 				}
-				if _, ok := msg.(*hbproto.Batch); ok {
-					_, _ = shard.Write(ack)
+				if _, ok := msg.(*hbproto.Batch); ok && fr.Version() == hbproto.Version2 {
+					_ = hbprototest.WriteFrameV(shard, hbproto.Version2, &hbproto.Ack{Frames: []uint32{fr.Sum()}})
 				}
 			}
 		}()
@@ -424,8 +421,9 @@ func TestFeedbackRoutesAcksDecodedFromTheWire(t *testing.T) {
 		r.step(&input{at: period})                          // the boundary flushes both upstream
 
 		ev := queued(t, r, "the shard's ack never reached the relay's inbox")
-		if len(ev.acked) != 2 || ev.acked[1].Handle == 0 {
-			t.Fatalf("acked refs %+v: the decoded ack carries no handle, the test no longer exercises the annotation", ev.acked)
+		// The relay's own heartbeat rides at the batch's end.
+		if want := []hbproto.Ref{{Src: "ue-1", Seq: 7}, {Src: "ue-2", Seq: 9}, {Src: "relay-1", Seq: 1}}; !slices.Equal(ev.acked, want) {
+			t.Fatalf("acked refs %+v, want the batch's %+v as written", ev.acked, want)
 		}
 		wire := make(chan hbproto.Message, 1)
 		go func() {

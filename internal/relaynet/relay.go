@@ -116,6 +116,10 @@ type ueConn struct {
 	// live is set by the UE's Register and cleared when its connection
 	// closes: feedback goes only to a live UE.
 	live bool
+	// v is the version the connection speaks, which its feedback answers
+	// in: the reader sets it at the first frame, before it offers one (0,
+	// no frame read, answers in v1).
+	v byte
 	// fb holds the refs acknowledged for the UE in the current turn, which
 	// flushFeedback writes as one Feedback frame; ack numbers the server
 	// ack that last queued one, so a merge across acks is counted once.
@@ -624,6 +628,9 @@ func (r *RelayAgent) ueReader(uc *ueConn) {
 	fr := hbproto.NewFrameReader(uc.conn)
 	for {
 		msg, err := fr.Next()
+		if uc.v == 0 {
+			uc.v = fr.Version()
+		}
 		run, more := r.ueFrame(uc, msg, err)
 		if run {
 			r.serve(true)
@@ -714,8 +721,8 @@ func (r *RelayAgent) handleAck(refs []hbproto.Ref) {
 }
 
 // flushFeedback writes the turn's feedback: one frame — one Write — per UE,
-// in the order the UEs were first acknowledged, composed in a reusable
-// buffer from the refs the UE's ueConn holds.
+// in the order the UEs were first acknowledged and in the version the UE
+// speaks, composed in a reusable buffer from the refs its ueConn holds.
 func (r *RelayAgent) flushFeedback() {
 	for i, uc := range r.fbConns {
 		r.fbConns[i] = nil
@@ -725,7 +732,7 @@ func (r *RelayAgent) flushFeedback() {
 		}
 		uc.fb = refs[:0]
 		r.fbMsg.Refs = refs
-		out, err := hbproto.AppendFrame(r.fbBuf[:0], &r.fbMsg)
+		out, err := hbproto.AppendFrameV(r.fbBuf[:0], cmp.Or(uc.v, hbproto.Version), &r.fbMsg)
 		r.fbBuf, r.fbMsg.Refs = out[:0], nil
 		if err != nil {
 			continue

@@ -66,15 +66,11 @@ func newRelayRig(tb testing.TB, ues int) *relayRig {
 			if err != nil {
 				return
 			}
-			b, ok := msg.(*hbproto.Batch)
-			if !ok {
+			if _, ok := msg.(*hbproto.Batch); !ok {
 				continue
 			}
-			ack.Refs = ack.Refs[:0]
-			for _, hb := range b.HBs {
-				ack.Refs = append(ack.Refs, hbproto.Ref{Src: hb.Src, Seq: hb.Seq})
-			}
-			if out, err = hbproto.AppendFrame(out[:0], &ack); err != nil {
+			ack.Frames = append(ack.Frames[:0], fr.Sum())
+			if out, err = hbproto.AppendFrameV(out[:0], fr.Version(), &ack); err != nil {
 				return
 			}
 			if _, err := shard.Write(out); err != nil {

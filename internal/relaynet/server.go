@@ -345,40 +345,53 @@ const (
 )
 
 // ackAggregator coalesces the acks owed on one connection into combined
-// frames. refs hold the presence rows' own ID strings (see
-// connState.Source), so deferring them does not pin payload scratch.
+// frames, in the connection's version: a v1 Ack lists the refs, which hold
+// the presence rows' own ID strings (see connState.Source), so deferring
+// them does not pin payload scratch; a v2 Ack names the heartbeat-carrying
+// frames they came in by their CRCs.
 type ackAggregator struct {
-	refs    []hbproto.Ref
-	buf     []byte // reusable encode buffer
+	v       byte          // the connection's version
+	sum     uint32        // the CRC field of the frame being handled
+	refs    []hbproto.Ref // v1: the refs owed
+	frames  []uint32      // v2: the CRCs of the frames owed
+	n       int           // heartbeats owed
+	buf     []byte        // reusable encode buffer
 	ack     hbproto.Ack
 	firstAt time.Time // when the oldest deferred ref was enqueued
 }
 
-func (a *ackAggregator) add(src string, seq uint64, now time.Time) {
-	if len(a.refs) == 0 {
+// add owes an ack for one heartbeat; first marks the first of its frame's.
+func (a *ackAggregator) add(hb *hbproto.Heartbeat, first bool, now time.Time) {
+	if a.n == 0 {
 		a.firstAt = now
 	}
-	a.refs = append(a.refs, hbproto.Ref{Src: src, Seq: seq})
+	a.n++
+	switch {
+	case a.v == hbproto.Version:
+		a.refs = append(a.refs, hbproto.Ref{Src: hb.Src, Seq: hb.Seq})
+	case first:
+		a.frames = append(a.frames, a.sum)
+	}
 }
 
 // shouldFlush reports whether the pending acks must go out now: the peer
 // has nothing more pipelined, the size cap is hit, or the oldest deferred
 // ack is about to exceed the latency bound.
 func (a *ackAggregator) shouldFlush(buffered int, now time.Time) bool {
-	if len(a.refs) == 0 {
+	if a.n == 0 {
 		return false
 	}
-	return buffered == 0 || len(a.refs) >= ackAggMaxRefs || now.Sub(a.firstAt) >= ackAggMaxAge
+	return buffered == 0 || a.n >= ackAggMaxRefs || now.Sub(a.firstAt) >= ackAggMaxAge
 }
 
 // flushAcks writes all pending acks as one frame. The write has no
 // deadline: a client that stops reading blocks its handler.
 func (s *Server) flushAcks(conn net.Conn, agg *ackAggregator) error {
-	if len(agg.refs) == 0 {
+	if agg.n == 0 {
 		return nil
 	}
-	agg.ack.Refs = agg.refs
-	out, err := hbproto.AppendFrame(agg.buf[:0], &agg.ack)
+	agg.ack.Refs, agg.ack.Frames = agg.refs, agg.frames
+	out, err := hbproto.AppendFrameV(agg.buf[:0], agg.v, &agg.ack)
 	agg.buf = out[:0]
 	if err != nil {
 		return err
@@ -387,9 +400,9 @@ func (s *Server) flushAcks(conn net.Conn, agg *ackAggregator) error {
 		return err
 	}
 	s.ins.ackFlushes.Inc()
-	s.ins.ackRefs.Record(uint64(len(agg.refs)))
+	s.ins.ackRefs.Record(uint64(agg.n))
 	s.ins.ackBytesOut.Add(uint64(len(out)))
-	agg.refs = agg.refs[:0]
+	agg.refs, agg.frames, agg.n = agg.refs[:0], agg.frames[:0], 0
 	return nil
 }
 
@@ -490,6 +503,7 @@ func (s *Server) handleConn(conn net.Conn, cc *connCounters) {
 			_ = conn.SetReadDeadline(time.Now().Add(idle))
 		}
 		msg, err := fr.Next()
+		cs.agg.v, cs.agg.sum = fr.Version(), fr.Sum() // acks answer in kind
 		if err != nil {
 			// Best-effort: acks deferred behind a peer's final burst
 			// still go out before a clean disconnect.
@@ -561,12 +575,12 @@ func (s *Server) handleMessage(cs *connState, msg hbproto.Message) error {
 		return nil
 	case *hbproto.Heartbeat:
 		s.touch(cs, m, now, false)
-		cs.agg.add(m.Src, m.Seq, now)
+		cs.agg.add(m, true, now)
 		return nil
 	case *hbproto.Batch:
 		for i := range m.HBs {
 			s.touch(cs, &m.HBs[i], now, true)
-			cs.agg.add(m.HBs[i].Src, m.HBs[i].Seq, now)
+			cs.agg.add(&m.HBs[i], i == 0, now)
 		}
 		cs.cc.batches.Add(1)
 		s.ins.batchSize.Record(uint64(len(m.HBs)))

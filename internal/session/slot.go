@@ -54,11 +54,14 @@ type Slot struct {
 	// arrival time, on the reader goroutine of the connection it arrived
 	// on. The slice is reused by the next frame: consume or copy it before
 	// returning. Nil drains. A ref's Handle is its connection reader's own
-	// (see hbproto.Handle) unless the slot's uplink has Sources.
+	// (see hbproto.Handle), except on an uplink's slot: there an Ack names
+	// whole frames (hbproto v2), and its refs are the ones the slot wrote
+	// in them, each with the Handle of the heartbeat it wrote.
 	OnRefs func(refs []hbproto.Ref, at time.Time)
-	// up is the uplink node owning the slot, if any: its readers decode
-	// through the uplink's Sources, and one that ends on an error while the
-	// slot is open marks the node broken for the uplink's backoff.
+	// up is the uplink node owning the slot, if any: its connections speak
+	// v2, the current one keeping the ackRing its acks settle in the node,
+	// and a reader that ends on an error while the slot is open marks the
+	// node broken for the uplink's backoff.
 	up *upNode
 
 	mu      sync.Mutex
@@ -79,20 +82,21 @@ func (s *Slot) Connected() bool {
 // registering) if it does not. dialed is true only for the call whose
 // fresh connection was installed, so owners can count (re)connects.
 func (s *Slot) Connect() (dialed bool, err error) {
-	_, n, err := s.connect()
+	_, _, n, err := s.connect()
 	return n > 0, err
 }
 
-// connect also returns the number of the connection it installed, else 0.
-func (s *Slot) connect() (net.Conn, int, error) {
+// connect also returns the connection's ackRing (nil on a slot of no
+// uplink) and the number of the connection it installed, else 0.
+func (s *Slot) connect() (net.Conn, *ackRing, int, error) {
 	s.mu.Lock()
-	conn, closed := s.conn, s.closed
+	conn, ring, closed := s.conn, s.ring(), s.closed
 	s.mu.Unlock()
 	if closed {
-		return nil, 0, ErrClosed
+		return nil, nil, 0, ErrClosed
 	}
 	if conn != nil {
-		return conn, 0, nil
+		return conn, ring, 0, nil
 	}
 
 	// Dial and register outside the lock: both block on the network.
@@ -101,7 +105,7 @@ func (s *Slot) connect() (net.Conn, int, error) {
 		addr = s.Resolve(addr)
 	}
 	if addr == "" {
-		return nil, 0, ErrNoAddr
+		return nil, nil, 0, ErrNoAddr
 	}
 	dial := s.Dial
 	if dial == nil {
@@ -109,33 +113,48 @@ func (s *Slot) connect() (net.Conn, int, error) {
 	}
 	conn, err := dial("tcp", addr)
 	if err != nil {
-		return nil, 0, fmt.Errorf("session: dial %s: %w", addr, err)
+		return nil, nil, 0, fmt.Errorf("session: dial %s: %w", addr, err)
+	}
+	if s.up != nil {
+		ring = new(ackRing) // the connection's own
 	}
 	if s.Register != nil {
-		if _, err := writeFrames(conn, 1, func(int) hbproto.Message { return s.Register }); err != nil {
+		if _, err := writeFrames(conn, ring, 1, func(int) hbproto.Message { return s.Register }); err != nil {
 			_ = conn.Close()
-			return nil, 0, fmt.Errorf("session: register with %s: %w", addr, err)
+			return nil, nil, 0, fmt.Errorf("session: register with %s: %w", addr, err)
 		}
 	}
 
 	s.mu.Lock()
 	if s.closed || s.conn != nil {
 		// Closed while dialing, or a racing Connect won: keep the winner.
-		cur := s.conn
+		cur, curRing := s.conn, s.ring()
 		s.mu.Unlock()
 		_ = conn.Close()
 		if cur == nil {
-			return nil, 0, ErrClosed
+			return nil, nil, 0, ErrClosed
 		}
-		return cur, 0, nil
+		return cur, curRing, 0, nil
 	}
 	s.conn = conn
+	if s.up != nil {
+		s.up.ring = ring
+	}
 	s.dials++
 	n := int(s.dials)
 	s.readers.Add(1)
 	s.mu.Unlock()
-	go s.read(conn)
-	return conn, n, nil
+	go s.read(conn, ring)
+	return conn, ring, n, nil
+}
+
+// ring returns the current connection's ackRing, nil on a slot of no
+// uplink (s.mu held).
+func (s *Slot) ring() *ackRing {
+	if s.up == nil {
+		return nil
+	}
+	return s.up.ring
 }
 
 // Send writes one frame, connecting first if needed, and returns the
@@ -150,11 +169,11 @@ func (s *Slot) Send(msg hbproto.Message) (int, error) {
 // and issues a single Write, all or nothing. frame may return the same
 // reused message value each time: it is encoded before the next call.
 func (s *Slot) SendN(n int, frame func(i int) hbproto.Message) (int, error) {
-	conn, _, err := s.connect()
+	conn, ring, _, err := s.connect()
 	if err != nil {
 		return 0, err
 	}
-	written, err := writeFrames(conn, n, frame)
+	written, err := writeFrames(conn, ring, n, frame)
 	if errors.Is(err, ErrWrite) {
 		s.drop(conn)
 	}
@@ -165,12 +184,17 @@ func (s *Slot) SendN(n int, frame func(i int) hbproto.Message) (int, error) {
 // its own: thousands of per-UE slots cost nothing while idle.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeFrames encodes into a pooled buffer and writes it once.
-func writeFrames(conn net.Conn, n int, frame func(i int) hbproto.Message) (written int, err error) {
+// writeFrames encodes into a pooled buffer and writes it once: in v2,
+// recorded in ring first, when the connection has one, else in v1.
+func writeFrames(conn net.Conn, ring *ackRing, n int, frame func(i int) hbproto.Message) (written int, err error) {
 	bp := framePool.Get().(*[]byte)
 	out := (*bp)[:0]
-	for i := 0; i < n && err == nil; i++ {
-		out, err = hbproto.AppendFrame(out, frame(i))
+	if ring != nil {
+		out, err = ring.encode(out, n, frame)
+	} else {
+		for i := 0; i < n && err == nil; i++ {
+			out, err = hbproto.AppendFrame(out, frame(i))
+		}
 	}
 	if err == nil {
 		if written, err = conn.Write(out); err != nil {
@@ -194,12 +218,16 @@ func (s *Slot) Drop() {
 	}
 }
 
-// drop forgets conn if it is still the slot's current connection, closes
-// it either way, and reports whether the slot has been closed.
+// drop forgets conn, and its ackRing, if it is still the slot's current
+// connection, closes it either way, and reports whether the slot has been
+// closed.
 func (s *Slot) drop(conn net.Conn) (closed bool) {
 	s.mu.Lock()
 	if s.conn == conn {
 		s.conn = nil
+		if s.up != nil {
+			s.up.ring = nil
+		}
 	}
 	closed = s.closed
 	s.mu.Unlock()
@@ -207,34 +235,39 @@ func (s *Slot) drop(conn net.Conn) (closed bool) {
 	return closed
 }
 
-// read is the one client-side ack/feedback loop. Frames are handled
-// inline, so the FrameReader's reused message values never outlive the
-// iteration.
-func (s *Slot) read(conn net.Conn) {
+// read is the one client-side ack/feedback loop. It reads in the version
+// the slot writes: v2 with ring, v1 without. Frames are handled inline, so
+// the FrameReader's reused message values never outlive the iteration. A
+// v2 ack takes its frames' refs off ring; one that the ring cannot settle
+// drops the connection, as a frame that fails to decode does, and the
+// heartbeats awaiting an ack on it stay with their owner's loss rule.
+func (s *Slot) read(conn net.Conn, ring *ackRing) {
 	defer s.readers.Done()
-	var table hbproto.SourceTable
-	if s.up != nil {
-		table = s.up.table
+	fr := hbproto.NewFrameReader(conn)
+	if ring != nil {
+		fr.Expect(hbproto.Version2)
+	} else {
+		fr.Expect(hbproto.Version)
 	}
-	fr := hbproto.NewTableReader(conn, table)
 	for {
 		msg, err := fr.Next()
+		var refs []hbproto.Ref
+		switch m := msg.(type) {
+		case *hbproto.Ack:
+			refs = m.Refs
+			if ring != nil {
+				refs, err = ring.take(m.Frames)
+			}
+		case *hbproto.Feedback:
+			refs = m.Refs
+		}
 		if err != nil {
 			if closed := s.drop(conn); !closed && s.up != nil {
 				s.up.broke.Store(true)
 			}
 			return
 		}
-		var refs []hbproto.Ref
-		switch m := msg.(type) {
-		case *hbproto.Ack:
-			refs = m.Refs
-		case *hbproto.Feedback:
-			refs = m.Refs
-		default:
-			continue
-		}
-		if s.OnRefs != nil {
+		if refs != nil && s.OnRefs != nil {
 			s.OnRefs(refs, time.Now())
 		}
 	}

@@ -43,10 +43,12 @@ type Uplink struct {
 	// Register is written on every fresh connection; its ID names the
 	// sender in every Batch.
 	Register *hbproto.Register
-	// Acks returns the OnRefs of a node's slot, once per node. The refs'
-	// sources resolve through Sources, the sender's own table, if set.
-	Acks    func(node string) func(refs []hbproto.Ref, at time.Time)
-	Sources hbproto.SourceTable
+	// Acks returns the OnRefs of a node's slot, once per node. A node's
+	// connections speak hbproto v2, whose acks name frames, so the refs
+	// are the heartbeats the slot wrote in them, as wire made them: Src,
+	// Seq and Handle, which the sender may use as its own key (it is never
+	// on the wire).
+	Acks func(node string) func(refs []hbproto.Ref, at time.Time)
 
 	mu     sync.Mutex
 	nodes  map[string]*upNode
@@ -63,11 +65,11 @@ type Uplink struct {
 // backoff fields; the slot's reader only raises broke.
 type upNode struct {
 	slot  Slot
-	table hbproto.SourceTable // the uplink's Sources
-	broke atomic.Bool         // a connection broke since Send last looked
-	sent  time.Time           // the last Send that wrote to the node
-	until time.Time           // no dial before this instant
-	wait  time.Duration       // the next backoff before jitter; 0 = the base
+	ring  *ackRing      // the slot's current connection's, under slot.mu
+	broke atomic.Bool   // a connection broke since Send last looked
+	sent  time.Time     // the last Send that wrote to the node
+	until time.Time     // no dial before this instant
+	wait  time.Duration // the next backoff before jitter; 0 = the base
 }
 
 // Part is one node's share of a Send. Dial numbers the connection the Send
@@ -127,7 +129,7 @@ func (u *Uplink) send(now time.Time, p *Part, wire func(i int) hbproto.Heartbeat
 			return
 		}
 		var err error
-		if _, p.Dial, err = nd.slot.connect(); err != nil {
+		if _, _, p.Dial, err = nd.slot.connect(); err != nil {
 			p.Dial, p.Err = -1, err
 			u.arm(nd, now)
 			return
@@ -159,7 +161,7 @@ func (u *Uplink) node(id string) *upNode {
 	if nd != nil || closed {
 		return nd
 	}
-	nd = &upNode{slot: Slot{Dial: u.Dial, Addr: id, Resolve: u.Cluster.NodeAddr, Register: u.Register, OnRefs: u.Acks(id)}, table: u.Sources}
+	nd = &upNode{slot: Slot{Dial: u.Dial, Addr: id, Resolve: u.Cluster.NodeAddr, Register: u.Register, OnRefs: u.Acks(id)}}
 	nd.slot.up = nd
 	u.mu.Lock()
 	defer u.mu.Unlock()

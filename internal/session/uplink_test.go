@@ -2,6 +2,7 @@ package session
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -22,6 +23,7 @@ type shardNet struct {
 	mu     sync.Mutex
 	refuse bool
 	decode bool // record the Batch frames, not only the Writes
+	ack    bool // answer each Write with an ack of its Batch frames
 	dials  int
 	conns  []*shardConn
 	srcs   map[string][]string // address → sources received, in order
@@ -37,7 +39,7 @@ func (sn *shardNet) dial(_, addr string) (net.Conn, error) {
 	if sn.refuse {
 		return nil, errors.New("shardNet: refused")
 	}
-	c := &shardConn{net: sn, addr: addr, closed: make(chan struct{})}
+	c := &shardConn{net: sn, addr: addr, closed: make(chan struct{}), acks: make(chan uint32, 64)} // a Write's frames: more than any test writes at once
 	sn.conns = append(sn.conns, c)
 	return c, nil
 }
@@ -50,10 +52,25 @@ type shardConn struct {
 	addr     string
 	closed   chan struct{}
 	once     sync.Once
+	acks     chan uint32 // the frames Read is to acknowledge, by CRC
+	ack      hbproto.Ack // Read's, reused so the shard allocates nothing
 }
 
 func (c *shardConn) Write(b []byte) (int, error) {
 	sn := c.net
+	if sn.ack {
+		// Walk the frames: type at 3, payload length at 4, CRC last.
+		for rest := b; len(rest) >= 8; {
+			end := 8 + binary.BigEndian.Uint32(rest[4:8]) + 4
+			if hbproto.MsgType(rest[3]) == hbproto.TypeBatch {
+				select {
+				case c.acks <- binary.BigEndian.Uint32(rest[end-4 : end]):
+				case <-c.closed:
+				}
+			}
+			rest = rest[end:]
+		}
+	}
 	if !sn.decode {
 		return len(b), nil
 	}
@@ -84,8 +101,19 @@ func (c *shardConn) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-func (c *shardConn) Read([]byte) (int, error) { <-c.closed; return 0, io.EOF }
-func (c *shardConn) Close() error             { c.once.Do(func() { close(c.closed) }); return nil }
+// Read acknowledges the next frame once there is one, in a frame that fits
+// any FrameReader's buffer.
+func (c *shardConn) Read(p []byte) (int, error) {
+	select {
+	case sum := <-c.acks:
+		c.ack.Frames = append(c.ack.Frames[:0], sum)
+		frame, err := hbproto.AppendFrameV(p[:0], hbproto.Version2, &c.ack)
+		return len(frame), err
+	case <-c.closed:
+		return 0, io.EOF
+	}
+}
+func (c *shardConn) Close() error { c.once.Do(func() { close(c.closed) }); return nil }
 
 // newShardNet returns a recording shardNet.
 func newShardNet() *shardNet {
@@ -273,15 +301,20 @@ func TestUplinkBackoff(t *testing.T) {
 	}
 }
 
-// TestUplinkSendZeroAllocs pins a warm send over a 3-node view: once the
-// nodes are dialed and the buffers sized, partitioning, encoding and the one
-// Write per node allocate nothing.
+// TestUplinkSendZeroAllocs pins a warm send over a 3-node view whose
+// nodes acknowledge each Write: once the nodes are dialed and the buffers
+// and ack rings sized, partitioning, encoding, the one Write per node and
+// settling their acks allocate nothing.
 func TestUplinkSendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates")
 	}
-	sn := &shardNet{}
+	sn := &shardNet{ack: true}
 	u := testUplink(t, nodeClient(t, 3), sn)
+	settled := make(chan int, 3)
+	u.Acks = func(string) func([]hbproto.Ref, time.Time) {
+		return func(refs []hbproto.Ref, _ time.Time) { settled <- len(refs) }
+	}
 	keys := make([]string, 300)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("ue-%03d", i)
@@ -290,15 +323,150 @@ func TestUplinkSendZeroAllocs(t *testing.T) {
 	wire := wireOf(keys)
 	now := time.Unix(1, 0)
 	send := func() {
+		writes := 0
 		for _, p := range u.Send(now, len(keys), owner, wire) {
 			if p.Err != nil {
 				t.Fatal(p.Err)
 			}
+			if len(p.Pos) > 0 {
+				writes++
+			}
+		}
+		n := 0
+		for n < len(keys) && writes > 0 {
+			n += <-settled
+		}
+		if n != len(keys) {
+			t.Fatalf("%d heartbeats settled, want %d", n, len(keys))
 		}
 	}
 	send()
 	// One alloc of slack: pool Get/Put may interact with GC mid-run.
 	if allocs := testing.AllocsPerRun(100, send); allocs > 1 {
 		t.Errorf("a warm send of %d heartbeats to 3 nodes: %.1f allocs, want 0", len(keys), allocs)
+	}
+}
+
+// TestAckRingZeroAllocs pins the ack ring on its own: once it has held the
+// most it will, recording a send's frames and taking them off again, in
+// any split, allocates nothing.
+func TestAckRingZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates")
+	}
+	var r ackRing
+	batch := &hbproto.Batch{Relay: "agg", HBs: make([]hbproto.Heartbeat, 64)}
+	for i := range batch.HBs {
+		batch.HBs[i] = wireOf([]string{"ue"})(0)
+	}
+	var buf []byte
+	sums := make([]uint32, 3)
+	cycle := func() {
+		var err error
+		if buf, err = r.encode(buf[:0], 3, func(int) hbproto.Message { batch.HBs[0].Seq++; return batch }); err != nil {
+			t.Fatal(err)
+		}
+		for i := range sums {
+			sums[i] = frameSum(buf, i)
+		}
+		for _, acked := range [][]uint32{sums[:1], sums[1:]} {
+			if refs, err := r.take(acked); err != nil || len(refs) != len(acked)*len(batch.HBs) {
+				t.Fatalf("take(%d frames) = %d refs, %v", len(acked), len(refs), err)
+			}
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a warm ring cycle: %.1f allocs, want 0", allocs)
+	}
+}
+
+// frameSum is the CRC field of the i-th frame in b.
+func frameSum(b []byte, i int) uint32 {
+	for ; ; i-- {
+		end := 8 + binary.BigEndian.Uint32(b[4:8]) + 4
+		if i == 0 {
+			return binary.BigEndian.Uint32(b[end-4 : end])
+		}
+		b = b[end:]
+	}
+}
+
+// TestAckRingTakesFramesInWriteOrder: an ack settles the frames it names,
+// in write order, each with the refs its heartbeats were written with;
+// frames without heartbeats are not recorded; a frame the ack skips is
+// dropped unsettled; an ack that names no frame, one not awaiting an ack,
+// or more frames than await one is an error and settles nothing; and a
+// Write whose frames fail to encode records none of them.
+func TestAckRingTakesFramesInWriteOrder(t *testing.T) {
+	var r ackRing
+	hb := func(seq uint64) hbproto.Heartbeat {
+		h := wireOf([]string{fmt.Sprint("ue-", seq)})(0)
+		h.Seq, h.Handle = seq, hbproto.Handle(seq+100)
+		return h
+	}
+	frames := []hbproto.Message{
+		&hbproto.Register{ID: "agg"},
+		&hbproto.Batch{Relay: "agg", HBs: []hbproto.Heartbeat{hb(1), hb(2)}},
+		&hbproto.Batch{Relay: "agg"}, // carries nothing: not recorded
+		&hbproto.Heartbeat{Src: "ue-3", Seq: 3, Handle: 103},
+		&hbproto.Batch{Relay: "agg", HBs: []hbproto.Heartbeat{hb(4)}},
+		&hbproto.Batch{Relay: "agg", HBs: []hbproto.Heartbeat{hb(5), hb(6)}},
+	}
+	out, err := r.encode(nil, len(frames), func(i int) hbproto.Message { return frames[i] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The bytes are the frames in v2.
+	fr := hbproto.NewFrameReader(bytes.NewReader(out))
+	for range frames {
+		if _, err := fr.Next(); err != nil || fr.Version() != hbproto.Version2 {
+			t.Fatalf("encoded frame: %v, version %d", err, fr.Version())
+		}
+	}
+	sum := func(i int) uint32 { return frameSum(out, i) }
+	// A frame too big to encode takes back its Write's records.
+	huge := &hbproto.Batch{Relay: "agg", HBs: make([]hbproto.Heartbeat, MaxBatch*64)}
+	if _, err := r.encode(nil, 2, func(i int) hbproto.Message {
+		if i == 0 {
+			return frames[1]
+		}
+		return huge
+	}); !errors.Is(err, hbproto.ErrFrameTooBig) {
+		t.Fatalf("encoding a huge batch = %v, want ErrFrameTooBig", err)
+	}
+	seqs := func(refs []hbproto.Ref) (out []uint64) {
+		for _, ref := range refs {
+			if ref.Handle != hbproto.Handle(ref.Seq+100) || ref.Src != fmt.Sprint("ue-", ref.Seq) {
+				t.Fatalf("ref %+v lost what it was written with", ref)
+			}
+			out = append(out, ref.Seq)
+		}
+		return out
+	}
+	if refs, err := r.take(nil); !errors.Is(err, errAckUnknown) || refs != nil {
+		t.Fatalf("an ack of no frame = %v, %v; want errAckUnknown", refs, err)
+	}
+	if refs, err := r.take([]uint32{sum(1)}); err != nil || !slices.Equal(seqs(refs), []uint64{1, 2}) {
+		t.Fatalf("ack of the first batch = %v, %v", refs, err)
+	}
+	// The heartbeat frame is skipped: the ack names the batch after it.
+	if refs, err := r.take([]uint32{sum(4)}); err != nil || !slices.Equal(seqs(refs), []uint64{4}) {
+		t.Fatalf("ack of the second batch = %v, %v", refs, err)
+	}
+	for _, bad := range [][]uint32{{sum(3)}, {sum(5), sum(5)}} {
+		var r2 ackRing // a ring in the same state: one batch awaiting an ack
+		if _, err := r2.encode(nil, 1, func(int) hbproto.Message { return frames[5] }); err != nil {
+			t.Fatal(err)
+		}
+		if refs, err := r2.take(bad); !errors.Is(err, errAckUnknown) || refs != nil {
+			t.Fatalf("ack of %08x = %v, %v; want errAckUnknown", bad, refs, err)
+		}
+	}
+	if refs, err := r.take([]uint32{sum(5)}); err != nil || !slices.Equal(seqs(refs), []uint64{5, 6}) {
+		t.Fatalf("ack of the last batch = %v, %v", refs, err)
+	}
+	if _, err := r.take([]uint32{sum(5)}); !errors.Is(err, errAckUnknown) {
+		t.Fatalf("an ack on an empty ring = %v, want errAckUnknown", err)
 	}
 }

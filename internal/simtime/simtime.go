@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -78,6 +79,10 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Pending reports how many events are queued.
 func (s *Scheduler) Pending() int { return len(s.queue) }
+
+// Grow makes room for n more queued events, so a caller that knows how
+// many it will hold at once schedules them without growing the queue.
+func (s *Scheduler) Grow(n int) { s.queue = slices.Grow(s.queue, n) }
 
 // At schedules fn to run at the absolute virtual instant at. Scheduling in
 // the past (before Now) is rejected with an error: in a discrete-event model

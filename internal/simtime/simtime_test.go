@@ -372,3 +372,33 @@ func TestQuickStopNeverFires(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGrowHoldsWithoutMoving: a queue grown for n events holds n events
+// without growing again, and runs them in time order as ever.
+func TestGrowHoldsWithoutMoving(t *testing.T) {
+	const n = 100
+	s := NewScheduler(1)
+	s.Grow(n)
+	grown := cap(s.queue)
+	if grown < n {
+		t.Fatalf("Grow(%d) left room for %d", n, grown)
+	}
+	var fired []time.Duration
+	for i := range n {
+		at := time.Duration((i*37)%n) * time.Second
+		if _, err := s.At(at, func() { fired = append(fired, s.Now()) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(s.queue) != grown {
+		t.Fatalf("queue grew from %d to %d for %d events", grown, cap(s.queue), n)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(fired); i++ {
+		if fired[i] < fired[i-1] {
+			t.Fatalf("event %d fired at %v after %v", i, fired[i], fired[i-1])
+		}
+	}
+}
