@@ -85,8 +85,9 @@ var bufPool = sync.Pool{New: func() any { return new(buffer) }}
 type Handle uint32
 
 // SourceTable is a connection owner's own ID → handle table: a reader over
-// one interns no source. Source returns b's canonical string and handle, 0
-// if unknown; after is its handle for the reader's previous source, so the
+// one interns no source. Source returns b's handle, 0 if unknown, and b as
+// a string the reader stamps as is, known or not — or "", and the reader
+// copies b; after is its handle for the reader's previous source, so the
 // table can try what usually follows before it hashes. It must not keep b.
 type SourceTable interface {
 	Source(after Handle, b []byte) (string, Handle)
@@ -201,7 +202,7 @@ func (t *internTable) get(b []byte) string {
 func (t *internTable) src(b []byte) (string, Handle) {
 	if t.table != nil {
 		s, h := t.table.Source(t.prev, b)
-		if t.prev = h; h == 0 {
+		if t.prev = h; s == "" {
 			s = string(b)
 		}
 		return s, h

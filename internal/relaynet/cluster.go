@@ -37,16 +37,20 @@ func (s *Server) SetDraining(v bool) {
 }
 
 // ExportPresence implements cluster.Store: a snapshot of every tracked
-// client's presence row and delivered-sequence high-water mark.
+// client's presence row and delivered-sequence high-water mark. It is
+// sized once, for the clients the stripes hold when it starts, and each
+// entry's ID aliases its stripe's arena: a drain of a large shard neither
+// grows the snapshot by copying nor copies an ID.
 func (s *Server) ExportPresence() []cluster.PresenceEntry {
-	var out []cluster.PresenceEntry
+	total, _ := s.presenceOccupancy()
+	out := make([]cluster.PresenceEntry, 0, total)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for p := range sh.n {
-			if r, k := sh.at(p); r.live {
+			if r := sh.at(p); r.live {
 				out = append(out, cluster.PresenceEntry{
-					ID:               k.id,
+					ID:               sh.ids.str(r.id),
 					App:              sh.apps[r.app],
 					LastSeenUnixNano: r.lastSeen,
 					DeadlineUnixNano: r.deadline,
@@ -105,7 +109,7 @@ func (s *Server) misroutedLocked(r *row, src string) bool {
 		return false
 	}
 	view := s.clusterClient.View()
-	if e := view.Epoch() + 1; r.routed != e {
+	if e := uint32(view.Epoch() + 1); r.routed != e {
 		r.routed, r.misrouted = e, view.Ring().Owner(src) != s.selfID
 	}
 	return r.misrouted

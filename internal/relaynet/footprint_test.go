@@ -10,6 +10,7 @@ import (
 	"time"
 	"unsafe"
 
+	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/hbproto/hbprototest"
 	"d2dhb/internal/stacktest"
@@ -24,12 +25,17 @@ import (
 // amd64) with a 64 B frame buffer and no string map at either end; one
 // map per reader, or bufio's 512 B buffers, crosses the ceiling. With the
 // fleet's slot readers and server handlers parked, new goroutines must
-// still start at 2 KB: the stack budget (DESIGN.md).
+// still start at 2 KB: the stack budget (DESIGN.md). Each UE sends a
+// second heartbeat, which the server's reader resolves through the
+// presence index rather than a first sight, and the pairs' stacks must
+// stay within stackCeiling: a server handler whose decode of that
+// heartbeat ran past 2 KB keeps a 4 KB stack, ~2 KB more per UE. It reads
+// ~4.3–4.6 KB of stack per UE.
 func TestDirectUEFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations are not the connections' footprint")
 	}
-	const ues, ceiling = 200, 4400 // bytes per connected UE
+	const ues, ceiling, stackCeiling = 200, 4400, 5120 // bytes per connected UE
 	s := startServer(t, loopback{})
 	apps := []UEApp{{Name: "std", Period: time.Hour, Expiry: time.Minute, Pad: 54}}
 	live := func() (heap, stack uint64) {
@@ -47,28 +53,34 @@ func TestDirectUEFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		fleet[i] = u
-		u.Send(0, 1, time.Now())
 	}
 	t.Cleanup(func() {
 		for _, u := range fleet {
 			u.Shutdown()
 		}
 	})
-	eventually(t, 5*time.Second, func() bool {
+	for seq := uint64(1); seq <= 2; seq++ {
 		for _, u := range fleet {
-			if u.Stats().Acked != 1 {
-				return false
-			}
+			u.Send(0, seq, time.Now())
 		}
-		return true
-	}, "every UE's heartbeat acknowledged")
+		eventually(t, 5*time.Second, func() bool {
+			for _, u := range fleet {
+				if u.Stats().Acked != uint32(seq) {
+					return false
+				}
+			}
+			return true
+		}, fmt.Sprintf("every UE's heartbeat %d acknowledged", seq))
+	}
 	heap1, stack1 := live()
-	per := float64(heap1-heap0) / ues
+	per, stack := float64(heap1-heap0)/ues, (float64(stack1)-float64(stack0))/ues
 	runtime.KeepAlive(fleet)
-	t.Logf("a connected direct UE holds %.0f B of live heap and %.0f B of goroutine stack, both ends",
-		per, (float64(stack1)-float64(stack0))/ues)
+	t.Logf("a connected direct UE holds %.0f B of live heap and %.0f B of goroutine stack, both ends", per, stack)
 	if per > ceiling {
 		t.Errorf("a connected direct UE holds %.0f B of live heap, ceiling %d", per, ceiling)
+	}
+	if stack > stackCeiling {
+		t.Errorf("a connected direct UE holds %.0f B of goroutine stack, ceiling %d", stack, stackCeiling)
 	}
 	if start := stacktest.StartingSize(t); start != stacktest.Budget {
 		t.Errorf("with %d direct UEs parked, new goroutines start with %d B of stack, want %d",
@@ -168,10 +180,11 @@ func TestRelayReaderFootprint(t *testing.T) {
 // live_trunked's scale: the client's presence row, its ID and index slot,
 // and whatever the connection keeps per source it has decoded. The
 // connection stays open while the heap is read, so what it holds counts.
-// It reads ~108 B (Go 1.24, amd64) with a 40 B row, ~5 B of it in the
-// stripes' partly filled last pages; an 80 B row crosses the ceiling. The
-// row's size is pinned apart, so a per-client field added to it fails here
-// whatever the heap reads.
+// It reads ~74 B (Go 1.24, amd64): the 40 B row, the 11 B arena entry of
+// a 10-byte ID, its index slot and the stripes' partly filled last pages
+// and chunks. A 24 B key beside each row and a heap string per ID read
+// ~108 B. The row's size is pinned apart, so a per-client field added to
+// it fails here whatever the heap reads.
 func TestServerSourceFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(row{}); size > 40 {
 		t.Errorf("a presence row is %d B, ceiling 40", size)
@@ -179,7 +192,7 @@ func TestServerSourceFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations are not the server's footprint")
 	}
-	const sources, perBatch, ceiling = 100_000, 4096, 120 // bytes per source
+	const sources, perBatch, ceiling = 100_000, 4096, 80 // bytes per source
 	s := startServer(t, loopback{})
 	live := func() uint64 {
 		var ms runtime.MemStats
@@ -237,10 +250,10 @@ func TestServerSourceFootprint(t *testing.T) {
 // 100 k sources to one server never copies a stripe's rows once its first
 // page is full — its row 0 and the first row of its second page stay where
 // they were — and the adds allocate less than twice the bytes of the rows
-// and keys they add, the stripes' indexes included. Grown by copying, the
-// columns allocate ~2.8 times their bytes (Go 1.24, amd64), and the live
-// stack's steady state, which runs no GC, keeps the arrays they grew out
-// of.
+// and arena entries they add, the stripes' indexes included. Grown by
+// copying, the columns allocate ~2.8 times their bytes (Go 1.24, amd64),
+// and the live stack's steady state, which runs no GC, keeps the arrays
+// they grew out of.
 func TestPresenceGrowthInPlace(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations are not the stripes' growth")
@@ -266,14 +279,14 @@ func TestPresenceGrowthInPlace(t *testing.T) {
 		if sh.n <= pageRows {
 			t.Fatalf("stripe %d holds %d rows after %d sources, want more than a page", i, sh.n, sources/3)
 		}
-		pinned[i][0], _ = sh.at(0)
-		pinned[i][1], _ = sh.at(pageRows)
+		pinned[i][0] = sh.at(0)
+		pinned[i][1] = sh.at(pageRows)
 	}
 	add(ids[sources/3:])
 	runtime.ReadMemStats(&after)
 	for i := range s.shards {
-		r0, _ := s.shards[i].at(0)
-		p1, _ := s.shards[i].at(pageRows)
+		r0 := s.shards[i].at(0)
+		p1 := s.shards[i].at(pageRows)
 		if r0 != pinned[i][0] || p1 != pinned[i][1] {
 			t.Fatalf("stripe %d moved its rows while it grew", i)
 		}
@@ -281,12 +294,158 @@ func TestPresenceGrowthInPlace(t *testing.T) {
 	if n, _ := s.presenceOccupancy(); n != sources {
 		t.Fatalf("%d clients tracked, want %d", n, sources)
 	}
-	own := sources * (unsafe.Sizeof(row{}) + unsafe.Sizeof(key{}))
-	grew := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d sources allocated %.2f times their rows' and keys' %d B", sources, float64(grew)/float64(own), own)
-	if grew > factor*uint64(own) {
-		t.Errorf("%d sources allocated %d B, more than %d times their rows' and keys' %d B", sources, grew, factor, own)
+	own := sources * unsafe.Sizeof(row{})
+	for i := range s.shards {
+		own += uintptr(s.shards[i].ids.used)
 	}
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d sources allocated %.2f times their rows' and IDs' %d B", sources, float64(grew)/float64(own), own)
+	if grew > factor*uint64(own) {
+		t.Errorf("%d sources allocated %d B, more than %d times their rows' and IDs' %d B", sources, grew, factor, own)
+	}
+}
+
+// TestExportPresenceSizedOnce pins what a drain's snapshot allocates: the
+// entries, sized once for the clients the stripes hold, and no ID, since
+// each entry's aliases its stripe's arena. Appended into a nil slice, the
+// snapshot of a 67 k-client shard (~3.7 MB) grew by doubling, allocating
+// about twice its size.
+func TestExportPresenceSizedOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations are not the snapshot's")
+	}
+	const clients = 50_000
+	s := NewServer()
+	for i := 0; i < clients; i++ {
+		sh, _, _ := s.lockRow(fmt.Sprintf("loadue-%06d", i))
+		sh.mu.Unlock()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rows := s.ExportPresence()
+	runtime.ReadMemStats(&after)
+	if len(rows) != clients {
+		t.Fatalf("exported %d clients, want %d", len(rows), clients)
+	}
+	want := float64(clients * unsafe.Sizeof(cluster.PresenceEntry{}))
+	grew := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("a snapshot of %d clients allocated %.0f B in %d allocations, %.3f times its entries", clients, grew, after.Mallocs-before.Mallocs, grew/want)
+	if grew > 1.1*want {
+		t.Errorf("a snapshot of %d clients allocated %.0f B, more than 1.1 times its entries' %.0f B", clients, grew, want)
+	}
+}
+
+// BenchmarkServerTrunkBatch is the server's side of a trunk → shard link
+// at live_trunked's scale, on its own: one connection offers 200 k sources
+// ("loadue-%06d", 13 B) in v2 batches of 4096 heartbeats, the same IDs in
+// the same order every period, and waits for the frames' acks. "first" is
+// the period a fresh server sees, every heartbeat a first sight; "steady"
+// is every later one. Each reports the time per heartbeat and the live
+// heap the server holds per source after the timed periods (B/source),
+// connection included.
+func BenchmarkServerTrunkBatch(b *testing.B) {
+	const sources, perBatch = 200_000, 4096
+	var period []byte
+	frames := 0
+	batch := &hbproto.Batch{Relay: "bench-trunk", HBs: make([]hbproto.Heartbeat, 0, perBatch)}
+	for start := 0; start < sources; start += perBatch {
+		batch.HBs = batch.HBs[:0]
+		for i := start; i < min(start+perBatch, sources); i++ {
+			batch.HBs = append(batch.HBs, hbproto.Heartbeat{
+				Src: fmt.Sprintf("loadue-%06d", i), Seq: 1, App: "bench", Origin: time.Now(), Expiry: time.Hour, Pad: 54,
+			})
+		}
+		var err error
+		if period, err = hbproto.AppendFrameV(period, hbproto.Version2, batch); err != nil {
+			b.Fatal(err)
+		}
+		frames++
+	}
+	batch = nil
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	type link struct {
+		s    *Server
+		conn net.Conn
+		acks *hbproto.FrameReader
+	}
+	open := func(b *testing.B) *link {
+		s := NewServer()
+		if err := s.Start("127.0.0.1:0"); err != nil {
+			b.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			s.Shutdown()
+			b.Fatal(err)
+		}
+		acks := hbproto.NewFrameReader(conn)
+		acks.Expect(hbproto.Version2)
+		return &link{s: s, conn: conn, acks: acks}
+	}
+	closeLink := func(l *link) {
+		_ = l.conn.Close()
+		l.s.Shutdown()
+	}
+	// offer writes one period and waits for its frames' acks, writer and
+	// reader side by side: the server stops reading once its acks back up.
+	offer := func(b *testing.B, l *link) {
+		wrote := make(chan error, 1)
+		go func() {
+			_, err := l.conn.Write(period)
+			wrote <- err
+		}()
+		for acked := 0; acked < frames; {
+			msg, err := l.acks.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			acked += len(msg.(*hbproto.Ack).Frames)
+		}
+		if err := <-wrote; err != nil {
+			b.Fatal(err)
+		}
+	}
+	report := func(b *testing.B, l *link, heap0 uint64) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sources), "ns/hb")
+		b.ReportMetric(float64(live()-heap0)/sources, "B/source")
+		b.ReportMetric(0, "ns/op")
+		runtime.KeepAlive(l)
+	}
+	b.Run("first", func(b *testing.B) {
+		var l *link
+		var heap0 uint64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if l != nil {
+				closeLink(l)
+			}
+			heap0 = live()
+			l = open(b)
+			b.StartTimer()
+			offer(b, l)
+		}
+		b.StopTimer()
+		report(b, l, heap0)
+		closeLink(l)
+	})
+	b.Run("steady", func(b *testing.B) {
+		heap0 := live()
+		l := open(b)
+		offer(b, l)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			offer(b, l)
+		}
+		b.StopTimer()
+		report(b, l, heap0)
+		closeLink(l)
+	})
 }
 
 // noSources is a SourceTable that knows no source.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -156,7 +157,12 @@ func TestPresenceRowsMatchMap(t *testing.T) {
 			states[c] = newTableConn(s, c)
 		}
 		base := time.Unix(1_700_000_000, 0)
-		id := func() string { return fmt.Sprintf("ue-%02d", rng.Intn(population)) }
+		// Client i's ID is 5 to 305 bytes long, by i: lengths either side
+		// of a one-byte arena length prefix.
+		id := func() string {
+			i := rng.Intn(population)
+			return fmt.Sprintf("ue-%02d", i) + strings.Repeat("-", []int{0, 10, 122, 123, 300}[i%5])
+		}
 		app := func() string { return []string{"", "wechat", "qq", "whatsapp"}[rng.Intn(4)] }
 		instant := func(now time.Time) int64 {
 			return now.Add(time.Duration(rng.Intn(4000)-2000) * time.Millisecond).UnixNano()
@@ -427,4 +433,230 @@ func TestTouchCachedZeroAllocs(t *testing.T) {
 	if want := uint64(21 * population); cs.guessMisses != population+1 || cs.guessHits != want+population-1 {
 		t.Fatalf("guess hits/misses = %d/%d, want %d/%d", cs.guessHits, cs.guessMisses, want+population-1, population+1)
 	}
+}
+
+// arenaIDs are IDs of every length the arena stores differently: one byte,
+// live_trunked's 13, either side of 16, a two-byte length prefix, one
+// longer than a chunk, and bytes that are not UTF-8.
+var arenaIDs = []struct{ name, id string }{
+	{"1 B", "a"},
+	{"13 B", "loadue-000001"},
+	{"16 B", strings.Repeat("p", 16)},
+	{"17 B", strings.Repeat("q", 17)},
+	{"255 B", strings.Repeat("r", 255)},
+	{"4096 B", strings.Repeat("s", 4096)},
+	{"not UTF-8", "ue-\xff\xfe\x00\x80"},
+}
+
+// checkArenas checks every stripe's arena against its rows: the bytes it
+// counts as written and as held by a row are the ones its chunks and live
+// rows hold, and its dead bytes are within max(live, chunkMax) plus slack.
+// With connections delivering, slack is a chunk: Source appends a first
+// sight's bytes into the last chunk's room without settling. It reports
+// through Errorf, so a handoff goroutine may call it.
+func checkArenas(t *testing.T, s *Server, slack int, what string) {
+	t.Helper()
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		used, live := 0, 0
+		for _, c := range sh.ids.chunks {
+			used += len(c)
+		}
+		for p := range sh.n {
+			if r := sh.at(p); r.live {
+				live += entrySize(len(sh.ids.bytes(r.id)))
+			}
+		}
+		a := sh.ids
+		sh.mu.Unlock()
+		if used != a.used || live != a.live {
+			t.Errorf("%s: stripe %d counts %d B written and %d B live, its chunks hold %d and its rows %d", what, i, a.used, a.live, used, live)
+			return
+		}
+		if dead := used - live; dead > max(live, chunkMax)+slack {
+			t.Errorf("%s: stripe %d keeps %d dead arena bytes beside %d live ones, bound %d", what, i, dead, live, max(live, chunkMax)+slack)
+			return
+		}
+	}
+}
+
+// TestPresenceArenaRoundTrip takes each of arenaIDs through everything the
+// server does with an ID: its first sight, Source by index and by guess,
+// ExportPresence, ImportPresence on a second server, ForgetPresence and a
+// fresh row. Every string the server hands out reads its own ID for as
+// long as it is held, across its row's forget and reuse by another client.
+// Repeated handoffs, with connections delivering throughout, keep every
+// stripe's dead arena bytes within their bound; CI runs it under -race.
+func TestPresenceArenaRoundTrip(t *testing.T) {
+	beat := func(src string, seq uint64) *hbproto.Heartbeat {
+		return &hbproto.Heartbeat{Src: src, Seq: seq, App: "std", Origin: time.Now(), Expiry: time.Minute}
+	}
+	for _, tc := range arenaIDs {
+		t.Run(tc.name, func(t *testing.T) {
+			id := tc.id
+			s := NewServer()
+			_, sh, _ := s.hash(id)
+			first := newTableConn(s, 0)
+			msg, err := first.decode(beat(id, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hb := msg.(*hbproto.Heartbeat); hb.Src != id || hb.Handle != 0 {
+				t.Fatalf("first sight decoded to %q with handle %d, want the ID with none", hb.Src, hb.Handle)
+			}
+			if err := s.handleMessage(first.cs, msg); err != nil {
+				t.Fatal(err)
+			}
+			c := newTableConn(s, 1)
+			var held string // the last Src c decoded
+			for seq := uint64(2); seq <= 5; seq++ {
+				msg, err := c.decode(beat(id, seq))
+				if err != nil {
+					t.Fatal(err)
+				}
+				hb := msg.(*hbproto.Heartbeat)
+				stripe, pos := s.rowAt(hb.Handle)
+				if hb.Src != id || stripe != sh || stripe.holds(pos, id) == nil {
+					t.Fatalf("seq %d decoded to %q with handle %d, want the ID and its row", seq, hb.Src, hb.Handle)
+				}
+				if err := s.handleMessage(c.cs, msg); err != nil {
+					t.Fatal(err)
+				}
+				s.flushIDStats(c.cs)
+				held = hb.Src
+			}
+			if st := s.Stats(); st.IDGuessHits == 0 || st.IDGuessMisses == 0 {
+				t.Fatalf("guess hits/misses = %d/%d: Source resolved the ID only one way", st.IDGuessHits, st.IDGuessMisses)
+			}
+			sh.mu.Lock()
+			_, aliased := sh.ids.holding(held)
+			sh.mu.Unlock()
+			if !aliased {
+				t.Fatal("a decoded Src is not the arena's string")
+			}
+
+			rows := s.ExportPresence()
+			if len(rows) != 1 || rows[0].ID != id || rows[0].MaxSeq != 5 {
+				t.Fatalf("exported %+v, want the ID at MaxSeq 5", rows)
+			}
+			s2 := NewServer()
+			s2.ImportPresence(rows)
+			if e := exported(t, s2, id); e.MaxSeq != 5 || e.App != "std" {
+				t.Fatalf("imported %+v, want MaxSeq 5 of std", e)
+			}
+			s.ForgetPresence([]string{id})
+			if len(s.ExportPresence()) != 0 {
+				t.Fatal("a forgotten client is still exported")
+			}
+			other := ""
+			for i := 0; other == ""; i++ {
+				if _, osh, _ := s.hash(fmt.Sprint("other-", i)); osh == sh {
+					other = fmt.Sprint("other-", i)
+				}
+			}
+			s.ImportPresence([]cluster.PresenceEntry{{ID: other, App: "std", MaxSeq: 1}})
+			if sh.n != 1 || exported(t, s, other).MaxSeq != 1 {
+				t.Fatalf("%s did not take the freed row", other)
+			}
+			if held != id || rows[0].ID != id {
+				t.Fatal("a string the server handed out changed when its row was freed and reused")
+			}
+			if err := c.deliver(beat(id, 9)); err != nil {
+				t.Fatal(err)
+			}
+			if got := exported(t, s, id).MaxSeq; got != 9 {
+				t.Fatalf("MaxSeq = %d after the client came back, want 9", got)
+			}
+			checkArenas(t, s, 0, "after the round trip")
+			checkArenas(t, s2, 0, "on the second server")
+		})
+	}
+	t.Run("handoffs", func(t *testing.T) {
+		// conns connections deliver their clients to a while every pass
+		// hands all clients to b and back, so a's rows are freed and its
+		// IDs re-appended; each connection checks the Src strings it
+		// decoded in earlier rounds.
+		const conns, perLength, passes, rounds = 3, 8, 40, 60
+		a, b := NewServer(), NewServer()
+		ids := make([][]string, conns)
+		var all []string
+		for c := range ids {
+			for _, tc := range arenaIDs {
+				for i := 0; i < perLength; i++ {
+					ids[c] = append(ids[c], fmt.Sprintf("%d-%d-%s", c, i, tc.id))
+				}
+			}
+			all = append(all, ids[c]...)
+		}
+		// hand moves every client from one server to the other as a
+		// cluster handoff does: the receiver imports a snapshot and the
+		// sender forgets the clients in it. A client the connections
+		// deliver to from after the snapshot stays where it is.
+		hand := func(from, to *Server) {
+			rows := from.ExportPresence()
+			to.ImportPresence(rows)
+			ids := make([]string, len(rows))
+			for i, e := range rows {
+				ids[i] = e.ID
+			}
+			from.ForgetPresence(ids)
+		}
+		var handoff sync.WaitGroup
+		handoff.Add(1)
+		go func() {
+			defer handoff.Done()
+			for pass := 0; pass < passes; pass++ {
+				hand(a, b)
+				hand(b, a)
+				checkArenas(t, a, chunkMax, fmt.Sprintf("pass %d", pass))
+			}
+		}()
+		var wg sync.WaitGroup
+		for c := range ids {
+			tc := newTableConn(a, c)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var held []string
+				for r := uint64(1); r <= rounds; r++ {
+					batch := &hbproto.Batch{Relay: "trunk"}
+					for _, id := range ids[c] {
+						batch.HBs = append(batch.HBs, *beat(id, r))
+					}
+					msg, err := tc.decode(batch)
+					if err == nil {
+						for _, hb := range msg.(*hbproto.Batch).HBs {
+							held = append(held, hb.Src)
+						}
+						err = a.handleMessage(tc.cs, msg)
+					}
+					tc.cs.agg.refs = tc.cs.agg.refs[:0]
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i, src := range held {
+						if want := ids[c][i%len(ids[c])]; src != want {
+							t.Errorf("round %d: a held Src reads %.20q, want %.20q", r, src, want)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		handoff.Wait()
+		hand(a, b)
+		checkArenas(t, a, 0, "after a last handoff")
+		checkArenas(t, b, 0, "on the server that took it")
+		if got := len(b.ExportPresence()); got != len(all) {
+			t.Fatalf("%d clients handed over, want %d", got, len(all))
+		}
+		for _, id := range all {
+			if !b.Online(id, time.Now()) {
+				t.Fatalf("%.20q is not online after the handoffs", id)
+			}
+		}
+	})
 }

@@ -302,7 +302,7 @@ func (s *Server) OnlineCount(now time.Time) int {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for p := range sh.n {
-			if r, _ := sh.at(p); r.live && at < r.deadline {
+			if r := sh.at(p); r.live && at < r.deadline {
 				n++
 			}
 		}
@@ -345,8 +345,8 @@ const (
 )
 
 // ackAggregator coalesces the acks owed on one connection into combined
-// frames, in the connection's version: a v1 Ack lists the refs, which hold
-// the presence rows' own ID strings (see connState.Source), so deferring
+// frames, in the connection's version: a v1 Ack lists the refs, whose IDs
+// alias the presence stripes' arenas (see connState.Source), so deferring
 // them does not pin payload scratch; a v2 Ack names the heartbeat-carrying
 // frames they came in by their CRCs.
 type ackAggregator struct {
@@ -435,39 +435,47 @@ type connState struct {
 func (s *Server) newConnState(cc *connCounters) *connState { return &connState{s: s, cc: cc} }
 
 // Source implements hbproto.SourceTable over the presence stripes: the
-// handle names the client's row (stripe and position). It first tries the
-// row that followed after last time (guess, when after is the row Source
+// handle names the client's row (stripe and position), and the string
+// aliases the client's ID in the stripe's arena. It first tries the row
+// that followed after last time (guess, when after is the row Source
 // resolved last), confirmed by comparing that row's ID with b, and hashes
 // into the stripes only when the guess misses. A source no row holds is
 // unknown (0): only a delivered heartbeat (touch) gives a client a row, so
-// a frame the server rejects leaves none behind.
+// a frame the server rejects leaves none behind. Its bytes go into the
+// arena all the same when the stripe's last chunk has room for them, and
+// touch takes them when it gives the source a row, so a first sight
+// leaves no string of its own; otherwise the reader copies them.
 func (cs *connState) Source(after hbproto.Handle, b []byte) (string, hbproto.Handle) {
 	s := cs.s
 	if g := cs.guess; g != 0 && after == cs.from {
 		sh, p := s.rowAt(g)
 		sh.mu.Lock()
-		// A freed row's ID is "": touch catches a guess that matched one.
-		if _, k := sh.at(p); k != nil && k.id == string(b) {
-			id := k.id
-			cs.from, cs.guess = g, k.next
-			sh.mu.Unlock()
-			cs.guessHits++
-			return id, g
+		// sh.holds, written out: Source's callees are as deep as a
+		// reader's stack gets (DESIGN.md, "The goroutine stack budget").
+		if r := sh.at(p); r != nil && r.live {
+			if id := sh.ids.str(r.id); id == string(b) {
+				cs.from, cs.guess = g, r.next
+				sh.mu.Unlock()
+				cs.guessHits++
+				return id, g
+			}
 		}
 		sh.mu.Unlock()
 	}
 	cs.guessMisses++
 	h, sh, st := s.stripeOf(maphash.Bytes(s.seed, b))
 	sh.mu.Lock()
-	p, ok := sh.index.Find(h, func(p int32) bool { _, k := sh.at(p); return k.id == string(b) })
+	// sh.find, written out, for the same reason.
+	p, ok := sh.index.Find(h, func(p int32) bool { return string(sh.ids.bytes(sh.at(p).id)) == string(b) })
 	if !ok {
+		id := sh.first(b)
 		sh.mu.Unlock()
 		cs.from, cs.guess = 0, 0
-		return "", 0
+		return id, 0
 	}
-	_, k := sh.at(p)
-	id, g := k.id, handleOf(st, p)
-	cs.from, cs.guess = g, k.next
+	r := sh.at(p)
+	id, g := sh.ids.str(r.id), handleOf(st, p)
+	cs.from, cs.guess = g, r.next
 	sh.mu.Unlock()
 	if after != 0 {
 		s.link(after, g)
