@@ -147,6 +147,4 @@ type Store interface {
 	// ForgetPresence drops clients whose keys moved to another shard, so
 	// per-shard occupancy stays truthful after a join reshard.
 	ForgetPresence(ids []string)
-	// SetDraining flips the shard's draining flag (readiness gate).
-	SetDraining(bool)
 }

@@ -13,7 +13,7 @@ import (
 // NodeAgent is the shard-side half of the drain/handoff protocol: an HTTP
 // handler mounted on the shard's telemetry server that lets the router
 // snapshot the shard's presence state, import a departing peer's state, and
-// flip the shard's draining flag (which gates /readyz).
+// flip its /readyz for a drain (the shard keeps serving until it stops).
 type NodeAgent struct {
 	store  Store
 	health *telemetry.Health
@@ -85,7 +85,6 @@ func (a *NodeAgent) Handler() http.Handler {
 			http.Error(w, "bad v parameter", http.StatusBadRequest)
 			return
 		}
-		a.store.SetDraining(v)
 		if a.health != nil {
 			a.health.SetReady(!v)
 		}

@@ -15,9 +15,8 @@ import (
 
 // fakeStore is an in-memory Store for control-plane tests.
 type fakeStore struct {
-	mu       sync.Mutex
-	entries  map[string]PresenceEntry
-	draining bool
+	mu      sync.Mutex
+	entries map[string]PresenceEntry
 }
 
 func newFakeStore() *fakeStore {
@@ -54,18 +53,6 @@ func (s *fakeStore) ForgetPresence(ids []string) {
 	for _, id := range ids {
 		delete(s.entries, id)
 	}
-}
-
-func (s *fakeStore) SetDraining(v bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.draining = v
-}
-
-func (s *fakeStore) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 func (s *fakeStore) count() int {
@@ -181,8 +168,8 @@ func TestRouterConfigAndClient(t *testing.T) {
 	if got := c.View().Ring().Size(); got != 1 {
 		t.Fatalf("post-drain ring size = %d, want 1", got)
 	}
-	if !b.store.isDraining() {
-		t.Fatal("drained shard never saw its draining flag")
+	if b.health.Ready() {
+		t.Fatal("drained shard still reports ready")
 	}
 }
 

@@ -10,7 +10,8 @@ package hbproto
 // and decodes each frame in place there, into per-type reusable message
 // values, interning strings in a per-connection cache, so steady-state
 // decoding of Heartbeat/Batch/Ack/Feedback frames performs zero heap
-// allocations per frame.
+// allocations per frame. Source IDs go through the connection owner's
+// SourceTable when it has one; the reader numbers none of its own.
 //
 // Client-side production code sends through internal/session; tests that
 // want one blocking call per frame use internal/hbproto/hbprototest.
@@ -19,11 +20,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"hash/maphash"
 	"io"
 	"sync"
-
-	"d2dhb/internal/idindex"
 )
 
 // headerSize is magic (2) + version (1) + type (1) + length (4).
@@ -74,14 +72,13 @@ func checksum(v byte, frame []byte) uint32 {
 // bufPool recycles the varint codec state shared by encode and decode.
 var bufPool = sync.Pool{New: func() any { return new(buffer) }}
 
-// Handle names a source ID within one FrameReader: the reader numbers the
-// distinct Src strings it decodes 1, 2, … in first-seen order (or takes its
-// owner's SourceTable's numbers) and stamps the number next to the string
-// on every Heartbeat and Ref it returns, so an owner that keeps per-client
-// state can index a slice by handle instead of hashing the string again.
-// Zero means "no handle" — not decoded by a FrameReader, the intern table
-// full, or a source the owner's table does not know. A handle a reader
-// numbers itself means nothing outside it and dies with the connection.
+// Handle names a source ID for the owner of the FrameReader that decoded
+// it: a reader over its owner's SourceTable stamps the table's handle next
+// to the string on every Heartbeat and Ref it returns, so an owner that
+// keeps per-client state can index it by handle instead of hashing the
+// string again. Zero means "no handle": a reader with no table, or a source
+// the table does not know. A sender may also set a heartbeat's Handle to a
+// key of its own, which an uplink's v2 acks hand back on its Ref.
 type Handle uint32
 
 // SourceTable is a connection owner's own ID → handle table: a reader over
@@ -93,49 +90,26 @@ type SourceTable interface {
 	Source(after Handle, b []byte) (string, Handle)
 }
 
-// IDStats counts how a FrameReader resolved the source IDs it decoded: by
-// the successor guess (one string compare) or by hashing into the table.
-type IDStats struct {
-	GuessHits   uint64
-	GuessMisses uint64
-}
-
 // internTable is the one place a connection hashes the strings it decodes:
-// it maps string bytes to a canonical heap string and, for source IDs, a
-// Handle. Sources are found through an idindex over strs, other strings
-// in two recent slots and, past two, a map; no lookup allocates on the
-// hit path, so a connection that sees a stable population of device/app
-// IDs decodes strings for free. The table is bounded: once full it stops
-// inserting but keeps serving hits, so a hostile peer cannot grow it
-// without bound.
-//
-// Heartbeat traffic is periodic — a relay or trunk sends the same sources
-// in the same order every period — so before hashing a source the table
-// tries the handle that followed the previous source last time (next). The
-// guess is only ever a hint: it is confirmed by comparing the bytes, and a
-// wrong one costs that compare before the ordinary lookup, so traffic with
-// no order to exploit decodes as before. Other strings (App, Relay) repeat
-// back to back and are checked against the two returned last.
+// it maps string bytes to a canonical heap string, or hands source IDs to
+// its owner's SourceTable. Strings are found in two recent slots and, past
+// two, a map; no lookup allocates on the hit path, so a connection that
+// sees a stable set of device/app IDs decodes strings for free. The table
+// is bounded: once full it stops inserting but keeps serving hits, so a
+// hostile peer cannot grow it without bound.
 type internTable struct {
-	table  SourceTable       // the owner's sources; when set, strs stays nil
-	strs   []string          // handle → canonical source ID; strs[0] is unused
-	next   []Handle          // next[h]: the source that followed source h last time
-	prev   Handle            // the last source decoded (0: none, or not interned)
-	ids    idindex.Index     // source ID → handle, once there are two (see src)
-	seed   maphash.Seed      // ids' hash seed; set with its first entries
-	other  map[string]string // every other string, once there are three (see get)
-	recent [2]string         // the last two distinct non-source strings, latest first
-	max    int               // bound on sources + other strings
-	stats  IDStats
+	table  SourceTable       // the owner's sources; nil: sources are strings like any other
+	prev   Handle            // table's handle for the last source decoded
+	other  map[string]string // every interned string, once there are three (see get)
+	recent [2]string         // the last two distinct strings, latest first
+	max    int               // bound on the strings held
 }
 
-// defaultInternCap bounds distinct strings cached per connection. A reader
-// with no SourceTable that faces tens of thousands of IDs (a v1 server's
-// acks of a relay's or trunk's batches, a test client of a trunk-sized
-// link) stops at a full table of 14-byte IDs, ~7 MB (string header, bytes,
-// index slot and successor per entry); a one-ID connection pays for the
-// entries it uses only. The aggregated links' v2 acks carry no ID, so their
-// readers intern none.
+// defaultInternCap bounds distinct strings cached per connection. A
+// production reader interns a handful: a UE link's its own ID and app, a
+// server connection's apps and relay IDs, an uplink's none, since its v2
+// acks carry no ID. A test client of a trunk-sized v1 link stops at a full
+// table.
 const defaultInternCap = 128 << 10
 
 func newInternTable(max int, table SourceTable) *internTable {
@@ -145,11 +119,9 @@ func newInternTable(max int, table SourceTable) *internTable {
 	return &internTable{table: table, max: max}
 }
 
-func (t *internTable) full() bool { return max(len(t.strs)-1, 0)+t.others() >= t.max }
-
-// others counts the non-source strings the table holds: the map's, or
-// until there is one, those in recent.
-func (t *internTable) others() int {
+// held counts the strings the table holds: the map's, or until there is
+// one, those in recent.
+func (t *internTable) held() int {
 	if t.other != nil {
 		return len(t.other)
 	}
@@ -162,9 +134,9 @@ func (t *internTable) others() int {
 	return n
 }
 
-// get interns a string that is not a source ID. The two most recent
-// distinct strings are checked first; until a third distinct string
-// arrives they are all the table holds, and the map is built then.
+// get interns a string. The two most recent distinct strings are checked
+// first; until a third distinct string arrives they are all the table
+// holds, and the map is built then.
 func (t *internTable) get(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -180,7 +152,7 @@ func (t *internTable) get(b []byte) string {
 	if !ok {
 		s = string(b)
 		switch {
-		case t.full():
+		case t.held() >= t.max:
 			if t.other == nil {
 				return s // recent is the table: keep what it holds
 			}
@@ -194,75 +166,18 @@ func (t *internTable) get(b []byte) string {
 	return s
 }
 
-// src interns a source ID and returns its handle: the successor guess
-// first, then the index, inserting while there is room. A socket-per-UE
-// connection only ever carries its own ID, and there are thousands of
-// them, so the index is not built until a second source shows up: a lone
-// source is compared directly.
+// src resolves a source ID through the owner's table, telling it the
+// previous source's handle. Without a table a source is interned like any
+// other string, with handle 0.
 func (t *internTable) src(b []byte) (string, Handle) {
-	if t.table != nil {
-		s, h := t.table.Source(t.prev, b)
-		if t.prev = h; s == "" {
-			s = string(b)
-		}
-		return s, h
+	if t.table == nil {
+		return t.get(b), 0
 	}
-	if t.strs == nil {
-		// The first source: room for one more without growing, since most
-		// connections carry one.
-		t.strs, t.next = make([]string, 1, 2), make([]Handle, 1, 2)
+	s, h := t.table.Source(t.prev, b)
+	if t.prev = h; s == "" {
+		s = string(b)
 	}
-	if g := t.next[t.prev]; g != 0 && t.strs[g] == string(b) {
-		t.stats.GuessHits++
-		t.prev = g
-		return t.strs[g], g
-	}
-	t.stats.GuessMisses++
-	h, hash := t.lookup(b)
-	if h == 0 {
-		s := string(b)
-		if t.full() {
-			t.prev = 0
-			return s, 0
-		}
-		h = t.add(s, hash)
-	}
-	t.next[t.prev] = h
-	t.prev = h
-	return t.strs[h], h
-}
-
-// lookup returns the handle of source b, 0 when it has none, and b's hash
-// once the index is built.
-func (t *internTable) lookup(b []byte) (Handle, uint64) {
-	if len(t.strs) > 2 { // the index holds every source; positions are handles
-		hash := maphash.Bytes(t.seed, b)
-		h, ok := t.ids.Find(hash, func(p int32) bool { return t.strs[p] == string(b) })
-		if !ok {
-			return 0, hash
-		}
-		return Handle(h), hash
-	}
-	if len(t.strs) == 2 && t.strs[1] == string(b) {
-		return 1, 0
-	}
-	return 0, 0
-}
-
-// add interns source s, of the hash lookup returned, under the next
-// handle. The second source builds the index over both.
-func (t *internTable) add(s string, hash uint64) Handle {
-	h := Handle(len(t.strs))
-	t.strs, t.next = append(t.strs, s), append(t.next, 0)
-	switch {
-	case h == 2:
-		t.seed = maphash.MakeSeed()
-		t.ids.Insert(maphash.String(t.seed, t.strs[1]), 1)
-		t.ids.Insert(maphash.String(t.seed, s), 2)
-	case h > 2:
-		t.ids.Insert(hash, int32(h))
-	}
-	return h
+	return s, h
 }
 
 // FrameReader reads frames from a stream with zero steady-state
@@ -317,11 +232,6 @@ func (fr *FrameReader) Expect(v byte) { fr.v = v }
 // Sum returns the CRC field of the last frame Next read whole: in v2, the
 // frame's tag in an Ack (see the package comment).
 func (fr *FrameReader) Sum() uint32 { return fr.sum }
-
-// IDStats returns the reader's running source-ID resolution counts. A
-// reader over a SourceTable counts nothing and reads 0/0: its table
-// resolves every source, and counts for itself if it wants counts.
-func (fr *FrameReader) IDStats() IDStats { return fr.intern.stats }
 
 // Buffered reports how many bytes beyond the current frame are already
 // read — i.e. whether the peer pipelined more frames. Ack aggregators use

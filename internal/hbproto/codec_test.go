@@ -12,6 +12,7 @@ import (
 	"testing"
 	"testing/iotest"
 	"time"
+	"unsafe"
 )
 
 // oldWriteFrame is the pre-codec encoder, kept verbatim as the reference
@@ -410,144 +411,51 @@ func TestFrameReaderErrors(t *testing.T) {
 	}
 }
 
-// TestInternTableBounded pins the intern cache cap: beyond max entries it
-// stops inserting — sources past the cap get handle 0 — but keeps
-// returning correct strings and serving the entries it has.
+// TestInternTableBounded pins the intern cache cap: beyond max strings it
+// stops inserting but keeps returning correct strings and serving the
+// entries it has. Until a third distinct string the two recent slots are
+// the table, and no map is built.
 func TestInternTableBounded(t *testing.T) {
 	tbl := newInternTable(4, nil)
+	for i := 0; i < 3; i++ {
+		if got := tbl.get([]byte("ue-a")); got != "ue-a" || tbl.other != nil {
+			t.Fatalf("lone string: %q, map %v", got, tbl.other)
+		}
+		if got := tbl.get([]byte("std")); got != "std" || tbl.other != nil {
+			t.Fatalf("second string: %q, map %v", got, tbl.other)
+		}
+	}
+	first := tbl.get([]byte("ue-a"))
 	for i := 0; i < 16; i++ {
 		s := fmt.Sprintf("id-%d", i)
-		got, h := tbl.src([]byte(s))
-		if got != s {
-			t.Fatalf("src(%q) = %q", s, got)
+		if got := tbl.get([]byte(s)); got != s {
+			t.Fatalf("get(%q) = %q", s, got)
 		}
-		// Sources and other strings share the cap: two of each fit.
-		if want := Handle(i + 1); i < 2 && h != want || i >= 2 && h != 0 {
-			t.Fatalf("src(%q) handle = %d (cap 4)", s, h)
-		}
-		if got := tbl.get([]byte("app-" + s)); got != "app-"+s {
-			t.Fatalf("get(%q) = %q", "app-"+s, got)
+		// Without a table a source is a string like any other.
+		if got, h := tbl.src([]byte("src-" + s)); got != "src-"+s || h != 0 {
+			t.Fatalf("src(%q) = %q, handle %d", "src-"+s, got, h)
 		}
 	}
-	if n := tbl.ids.Len() + tbl.others(); n != 4 || len(tbl.strs) != tbl.ids.Len()+1 || len(tbl.next) != len(tbl.strs) {
-		t.Fatalf("intern table grew to %d entries (%d strs, %d next), cap 4", n, len(tbl.strs), len(tbl.next))
+	if n := tbl.held(); n != 4 || len(tbl.other) != 4 {
+		t.Fatalf("intern table grew to %d strings (%d in the map), cap 4", n, len(tbl.other))
 	}
-	// A lone source needs no index: it is built when the second one arrives.
-	one := newInternTable(4, nil)
-	for i := 0; i < 3; i++ {
-		if s, h := one.src([]byte("only")); s != "only" || h != 1 || one.ids.Len() != 0 {
-			t.Fatalf("lone source: %q handle %d, %d indexed", s, h, one.ids.Len())
-		}
+	// Hits are still served for cached entries, as the string first returned.
+	if got := tbl.get([]byte("ue-a")); unsafe.StringData(got) != unsafe.StringData(first) {
+		t.Fatal("a cached string came back as a fresh copy")
 	}
-	if _, h := one.src([]byte("second")); h != 2 || one.ids.Len() != 2 {
-		t.Fatalf("second source: handle %d, %d indexed", h, one.ids.Len())
-	}
-	if _, h := one.src([]byte("only")); h != 1 {
-		t.Fatalf("first source after the index was built: handle %d", h)
-	}
-	// Hits still served for cached entries, with their handle.
-	if got, h := tbl.src([]byte("id-0")); got != "id-0" || h != 1 {
-		t.Fatalf("cached hit = %q, handle %d", got, h)
+	// A full table of two recent strings and no map keeps both.
+	two := newInternTable(2, nil)
+	two.get([]byte("a"))
+	two.get([]byte("b"))
+	if got := two.get([]byte("c")); got != "c" || two.other != nil || two.recent != [2]string{"b", "a"} {
+		t.Fatalf("past a cap of 2: %q, map %v, recent %q", got, two.other, two.recent)
 	}
 }
 
-// mapIntern is the source half of the intern table as a map[string]Handle,
-// the reference the index must agree with: handles in first-seen order
-// while the cap has room, 0 after; a lone source compared directly; the
-// successor guess tried first and learnt on every resolution.
-type mapIntern struct {
-	strs  []string
-	next  []Handle
-	prev  Handle
-	ids   map[string]Handle
-	other map[string]bool
-	max   int
-	stats IDStats
-}
-
-func (m *mapIntern) full() bool { return len(m.strs)-1+len(m.other) >= m.max }
-
-func (m *mapIntern) get(s string) {
-	if !m.other[s] && !m.full() {
-		m.other[s] = true
-	}
-}
-
-func (m *mapIntern) src(s string) Handle {
-	if g := m.next[m.prev]; g != 0 && m.strs[g] == s {
-		m.stats.GuessHits++
-		m.prev = g
-		return g
-	}
-	m.stats.GuessMisses++
-	h, ok := m.ids[s]
-	if !ok {
-		if m.full() {
-			m.prev = 0
-			return 0
-		}
-		h = Handle(len(m.strs))
-		m.strs, m.next, m.ids[s] = append(m.strs, s), append(m.next, 0), h
-	}
-	m.next[m.prev], m.prev = h, h
-	return h
-}
-
-// TestInternIndexMatchesMap drives the intern table and mapIntern through
-// the same random scripts: sources drawn from a population with periodic
-// runs (the guess hits) and shuffled stretches (it misses), a lone source
-// before the second arrives, and other strings sharing a cap small enough
-// that some scripts fill it. Every call must return the same string and
-// handle, and the guess counts must agree.
-func TestInternIndexMatchesMap(t *testing.T) {
-	const scripts = 40
-	filled := 0
-	defer func() {
-		if filled == 0 || filled == scripts {
-			t.Errorf("%d of %d scripts filled the table: the cap is not covered from both sides", filled, scripts)
-		}
-	}()
-	for seed := int64(1); seed <= scripts; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		population, max := 1+rng.Intn(300), 2+rng.Intn(400)
-		tbl := newInternTable(max, nil)
-		ref := &mapIntern{strs: make([]string, 1), next: make([]Handle, 1), ids: map[string]Handle{}, other: map[string]bool{}, max: max}
-		lone := rng.Intn(20) // calls with the first source alone
-		order := rng.Perm(population)
-		for step := 0; step < 3000; step++ {
-			var id string
-			switch {
-			case step < lone:
-				id = "src-0"
-			case rng.Intn(10) == 0:
-				id = fmt.Sprintf("app-%d", rng.Intn(40))
-				ref.get(id)
-				if got := tbl.get([]byte(id)); got != id {
-					t.Fatalf("seed %d step %d: get(%q) = %q", seed, step, id, got)
-				}
-				continue
-			case rng.Intn(4) == 0:
-				id = fmt.Sprintf("src-%d", rng.Intn(population))
-			default:
-				id = fmt.Sprintf("src-%d", order[step%population])
-			}
-			want := ref.src(id)
-			if got, h := tbl.src([]byte(id)); got != id || h != want {
-				t.Fatalf("seed %d step %d: src(%q) = %q, handle %d; the map gives %d", seed, step, id, got, h, want)
-			}
-		}
-		if tbl.stats != ref.stats || len(tbl.strs) != len(ref.strs) {
-			t.Fatalf("seed %d: stats %+v and %d sources, the map gives %+v and %d", seed, tbl.stats, len(tbl.strs), ref.stats, len(ref.strs))
-		}
-		if ref.full() {
-			filled++
-		}
-	}
-}
-
-// TestFrameReaderHandles pins what a handle is: dense, 1-based, issued in
-// first-seen order, stable for the life of the reader, shared by every
-// message type that carries the source, and private to the reader.
+// TestFrameReaderHandles pins what a reader with no SourceTable does with
+// sources: it numbers none, stamping handle 0 on every Heartbeat and Ref,
+// and interns them like any other string, so a source decodes to the same
+// string frame after frame and message type after message type.
 func TestFrameReaderHandles(t *testing.T) {
 	ids := []string{"ue-a", "ue-b", "ue-c"}
 	batch := &Batch{Relay: "r"}
@@ -556,6 +464,7 @@ func TestFrameReaderHandles(t *testing.T) {
 		batch.HBs = append(batch.HBs, Heartbeat{Src: id, Seq: uint64(i), App: "std", Origin: time.UnixMilli(1).UTC()})
 		ack.Refs = append(ack.Refs, Ref{Src: id, Seq: uint64(i)})
 	}
+	// An App that spells a source's ID is the same string.
 	single := &Heartbeat{Src: "ue-b", Seq: 9, App: "ue-a", Origin: time.UnixMilli(1).UTC()}
 	var buf []byte
 	for _, m := range []Message{batch, ack, single, batch} {
@@ -565,54 +474,44 @@ func TestFrameReaderHandles(t *testing.T) {
 		}
 	}
 	fr := NewFrameReader(bytes.NewReader(buf))
-	next := func() Message {
+	seen := map[string]*byte{}
+	check := func(what, got string, h Handle) {
 		t.Helper()
+		if h != 0 {
+			t.Fatalf("%s %q: handle %d, want 0", what, got, h)
+		}
+		if p, ok := seen[got]; ok && p != unsafe.StringData(got) {
+			t.Fatalf("%s %q: a fresh copy, not the string decoded before", what, got)
+		}
+		seen[got] = unsafe.StringData(got)
+	}
+	for frame := 0; frame < 4; frame++ {
 		msg, err := fr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return msg
-	}
-	// Relay and App strings are interned too but take no handle.
-	for i, hb := range next().(*Batch).HBs {
-		if hb.Handle != Handle(i+1) {
-			t.Fatalf("first batch hb %d handle = %d, want %d", i, hb.Handle, i+1)
+		switch m := msg.(type) {
+		case *Batch:
+			for i, hb := range m.HBs {
+				if hb.Src != ids[i] {
+					t.Fatalf("batch hb %d = %+v", i, hb)
+				}
+				check("batch source", hb.Src, hb.Handle)
+			}
+		case *Ack:
+			for i, ref := range m.Refs {
+				if ref.Src != ids[i] {
+					t.Fatalf("ack ref %d = %+v", i, ref)
+				}
+				check("ack source", ref.Src, ref.Handle)
+			}
+		case *Heartbeat:
+			check("heartbeat source", m.Src, m.Handle)
+			check("heartbeat app", m.App, 0)
 		}
 	}
-	for i, ref := range next().(*Ack).Refs {
-		if ref.Handle != Handle(i+1) || ref.Src != ids[i] {
-			t.Fatalf("ack ref %d = %+v, want handle %d", i, ref, i+1)
-		}
-	}
-	// An App that spells a source's ID does not disturb the source stream.
-	if hb := next().(*Heartbeat); hb.Handle != 2 || hb.App != "ue-a" {
-		t.Fatalf("single heartbeat = %+v, want handle 2", hb)
-	}
-	for i, hb := range next().(*Batch).HBs {
-		if hb.Handle != Handle(i+1) {
-			t.Fatalf("second batch hb %d handle = %d, want %d", i, hb.Handle, i+1)
-		}
-	}
-	// A second reader numbers independently: a handle is meaningless
-	// outside the reader that issued it.
-	other, err := AppendFrame(nil, &Ack{Refs: []Ref{{Src: "ue-c", Seq: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, err := NewFrameReader(bytes.NewReader(other)).Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := msg.(*Ack).Refs[0].Handle; h != 1 {
-		t.Fatalf("fresh reader issued handle %d for its first source, want 1", h)
-	}
-	// ReadFrame has no table: handle 0.
-	plain, err := readFrame(bytes.NewReader(other))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := plain.(*Ack).Refs[0].Handle; h != 0 {
-		t.Fatalf("ReadFrame issued handle %d", h)
+	if len(seen) != len(ids) {
+		t.Fatalf("decoded %d distinct strings, want %d", len(seen), len(ids))
 	}
 }
 
@@ -667,112 +566,8 @@ func TestFrameReaderSourceTable(t *testing.T) {
 	if want := []Handle{0, 3, 0, 1}; !reflect.DeepEqual(tb.after, want) {
 		t.Fatalf("the table was told the previous handles %v, want %v", tb.after, want)
 	}
-	if fr.intern.strs != nil || fr.intern.next != nil {
-		t.Fatalf("the reader holds intern columns of its own: %d sources, %d successors", len(fr.intern.strs), len(fr.intern.next))
-	}
-	if st := fr.IDStats(); st != (IDStats{}) {
-		t.Fatalf("a table reader counted %+v: its table resolves every source", st)
-	}
-}
-
-// TestFrameReaderPastInternCap drives a reader past a small cap: sources
-// beyond it decode correctly with handle 0, and the ones that fit keep
-// their handles whether the guess or the map resolves them.
-func TestFrameReaderPastInternCap(t *testing.T) {
-	const population, rounds = 12, 3
-	var buf []byte
-	for r := 0; r < rounds; r++ {
-		ack := &Ack{}
-		for i := 0; i < population; i++ {
-			ack.Refs = append(ack.Refs, Ref{Src: fmt.Sprintf("ue-%02d", i), Seq: uint64(r)})
-		}
-		var err error
-		if buf, err = AppendFrame(buf, ack); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fr := NewFrameReader(bytes.NewReader(buf))
-	fr.intern.max = 5
-	for r := 0; r < rounds; r++ {
-		msg, err := fr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, ref := range msg.(*Ack).Refs {
-			want := Handle(0)
-			if i < 5 {
-				want = Handle(i + 1)
-			}
-			if ref.Src != fmt.Sprintf("ue-%02d", i) || ref.Seq != uint64(r) || ref.Handle != want {
-				t.Fatalf("round %d ref %d = %+v, want handle %d", r, i, ref, want)
-			}
-		}
-	}
-}
-
-// TestSuccessorGuess pins the guess's two promises: on periodic traffic it
-// resolves every source after the first period, and on traffic with no
-// order it is only a wasted compare — every source still decodes to the
-// right string and the handle it was first given.
-func TestSuccessorGuess(t *testing.T) {
-	const population, rounds = 64, 8
-	ids := make([]string, population)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("ue-%03d", i)
-	}
-	decode := func(order func(round int) []int) (IDStats, map[string]Handle) {
-		var buf []byte
-		var sent []string
-		for r := 0; r < rounds; r++ {
-			b := &Batch{Relay: "r"}
-			for _, i := range order(r) {
-				b.HBs = append(b.HBs, Heartbeat{Src: ids[i], Seq: uint64(r), App: "std", Origin: time.UnixMilli(1).UTC()})
-				sent = append(sent, ids[i])
-			}
-			var err error
-			if buf, err = AppendFrame(buf, b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		fr := NewFrameReader(bytes.NewReader(buf))
-		handles := make(map[string]Handle)
-		for r, k := 0, 0; r < rounds; r++ {
-			msg, err := fr.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, hb := range msg.(*Batch).HBs {
-				if hb.Src != sent[k] {
-					t.Fatalf("heartbeat %d decoded as %q, sent %q", k, hb.Src, sent[k])
-				}
-				if h, seen := handles[hb.Src]; seen && h != hb.Handle {
-					t.Fatalf("%q changed handle %d -> %d", hb.Src, h, hb.Handle)
-				}
-				handles[hb.Src] = hb.Handle
-				k++
-			}
-		}
-		return fr.IDStats(), handles
-	}
-
-	inOrder := make([]int, population)
-	for i := range inOrder {
-		inOrder[i] = i
-	}
-	st, _ := decode(func(int) []int { return inOrder })
-	// The first period is cold; the wrap-around from the last source back
-	// to the first is learnt at the start of the second.
-	if want := uint64(population*(rounds-1) - 1); st.GuessHits != want || st.GuessMisses != population+1 {
-		t.Fatalf("periodic traffic: %+v, want %d hits, %d misses", st, want, population+1)
-	}
-
-	rng := rand.New(rand.NewSource(5))
-	st, handles := decode(func(int) []int { return rng.Perm(population) })
-	if st.GuessHits+st.GuessMisses != population*rounds {
-		t.Fatalf("shuffled traffic: %+v does not add up to %d sources", st, population*rounds)
-	}
-	if len(handles) != population {
-		t.Fatalf("shuffled traffic: %d distinct sources decoded, want %d", len(handles), population)
+	if fr.intern.other != nil || fr.intern.recent != [2]string{"std", "r"} {
+		t.Fatalf("the reader interned %q and %v beside the batch's App and Relay", fr.intern.recent, fr.intern.other)
 	}
 }
 

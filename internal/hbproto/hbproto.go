@@ -188,9 +188,9 @@ func (m *Register) decode(b *buffer) (err error) {
 // Heartbeat is one keep-alive on the wire. Pad declares the app's nominal
 // heartbeat size so relays and servers can account wire bytes without
 // shipping actual padding. Handle is not on the wire: the FrameReader that
-// decoded the message sets it to its handle for Src (see Handle), and a
-// sender may set it to a key of its own, which an uplink's v2 acks hand
-// back on the heartbeat's Ref.
+// decoded the message sets it to its SourceTable's handle for Src, 0 when
+// it has none (see Handle), and a sender may set it to a key of its own,
+// which an uplink's v2 acks hand back on the heartbeat's Ref.
 type Heartbeat struct {
 	Src    string
 	Seq    uint64
@@ -478,7 +478,7 @@ func (b *buffer) rstr() (string, error) {
 	return string(raw), nil
 }
 
-// rsrc reads a source ID: like rstr, plus the intern table's handle for it.
+// rsrc reads a source ID: like rstr, plus its owner's handle for it.
 func (b *buffer) rsrc() (string, Handle, error) {
 	raw, err := b.rbytes()
 	if err != nil {

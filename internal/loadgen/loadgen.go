@@ -458,19 +458,19 @@ func (r *Runner) expose() {
 	if reg == nil {
 		return
 	}
-	gauge := func(name string, v func(*Report) uint64) {
-		reg.GaugeFunc(name, func() float64 {
+	counter := func(name string, v func(*Report) uint64) {
+		reg.CounterFunc(name, func() float64 {
 			var rep Report
 			r.count(&rep)
 			return float64(v(&rep))
 		})
 	}
-	gauge("loadgen_sent_total", func(rep *Report) uint64 { return rep.Sent })
-	gauge("loadgen_acked_total", func(rep *Report) uint64 { return rep.Acked })
-	gauge("loadgen_timeouts_total", func(rep *Report) uint64 { return rep.Timeouts })
-	gauge("loadgen_errors_total", func(rep *Report) uint64 { return rep.Errors })
-	gauge("loadgen_trunk_writes_total", func(rep *Report) uint64 { return rep.TrunkWrites })
-	gauge("loadgen_trunk_frames_total", func(rep *Report) uint64 { return rep.TrunkFrames })
+	counter("loadgen_sent_total", func(rep *Report) uint64 { return rep.Sent })
+	counter("loadgen_acked_total", func(rep *Report) uint64 { return rep.Acked })
+	counter("loadgen_timeouts_total", func(rep *Report) uint64 { return rep.Timeouts })
+	counter("loadgen_errors_total", func(rep *Report) uint64 { return rep.Errors })
+	counter("loadgen_trunk_writes_total", func(rep *Report) uint64 { return rep.TrunkWrites })
+	counter("loadgen_trunk_frames_total", func(rep *Report) uint64 { return rep.TrunkFrames })
 }
 
 // buildFleet constructs the load units. Trunk mode multiplexes the whole

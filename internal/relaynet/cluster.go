@@ -18,24 +18,6 @@ func (s *Server) SetCluster(selfID string, client *cluster.Client) {
 	s.clusterClient = client
 }
 
-// Draining reports whether SetDraining(true) marked this shard as leaving
-// the cluster.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// SetDraining implements cluster.Store: it only flags the shard (the flag
-// backs /readyz); the server keeps accepting and acknowledging heartbeats
-// until Shutdown, so in-flight traffic from stale-epoch parties is never
-// dropped during a drain.
-func (s *Server) SetDraining(v bool) {
-	s.mu.Lock()
-	s.draining = v
-	s.mu.Unlock()
-}
-
 // ExportPresence implements cluster.Store: a snapshot of every tracked
 // client's presence row and delivered-sequence high-water mark. It is
 // sized once, for the clients the stripes hold when it starts, and each

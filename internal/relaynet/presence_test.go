@@ -133,7 +133,7 @@ func (c *tableConn) deliver(msg hbproto.Message) error {
 	if err == nil {
 		err = c.s.handleMessage(c.cs, got)
 	}
-	c.s.flushIDStats(c.cs)
+	c.s.flushGuesses(c.cs)
 	c.cs.agg.refs = c.cs.agg.refs[:0]
 	return err
 }
@@ -523,7 +523,7 @@ func TestPresenceArenaRoundTrip(t *testing.T) {
 				if err := s.handleMessage(c.cs, msg); err != nil {
 					t.Fatal(err)
 				}
-				s.flushIDStats(c.cs)
+				s.flushGuesses(c.cs)
 				held = hb.Src
 			}
 			if st := s.Stats(); st.IDGuessHits == 0 || st.IDGuessMisses == 0 {

@@ -259,28 +259,21 @@ type RelayAgent struct {
 }
 
 // relayInstruments is the agent's live-telemetry handle block; every
-// handle is nil (a no-op) without a configured registry.
+// handle is nil (a no-op) without a configured registry. What Stats counts
+// is read from it at scrape time instead (see exposeStats).
 type relayInstruments struct {
-	collected      *telemetry.Counter
 	feedbacks      *telemetry.Counter
 	reconnectTries *telemetry.Counter
-	reconnects     *telemetry.Counter
-	shardDrops     *telemetry.Counter
 	batchSize      *telemetry.Histogram
 	collectToFlush *telemetry.Histogram
-	// Wire-path coalescing: feedback frames written, per-ack feedback
-	// writes saved by merging, refs per feedback frame, and bytes written
-	// upstream per flush.
+	// Wire-path coalescing: feedback frames written, refs per feedback
+	// frame, and bytes written upstream per flush.
 	fbFlushes  *telemetry.Counter
-	fbSaved    *telemetry.Counter
 	fbRefs     *telemetry.Histogram
 	upBytesOut *telemetry.Counter
 	// inputsPerTurn is how many inbox entries each runner turn takes: 1
 	// everywhere means every arrival paid for a turn of its own.
 	inputsPerTurn *telemetry.Histogram
-	// The feedback routes held, and those expired unconfirmed.
-	routes        *telemetry.Gauge
-	routesExpired *telemetry.Counter
 }
 
 // NewRelayAgent returns an unstarted relay agent.
@@ -312,38 +305,30 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 	if reg := cfg.Telemetry; reg != nil {
 		rl := telemetry.L("relay", cfg.ID)
 		r.ins = relayInstruments{
-			collected:      reg.Counter("relaynet_relay_collected_total", rl),
 			feedbacks:      reg.Counter("relaynet_relay_feedbacks_total", rl),
 			reconnectTries: reg.Counter("relaynet_relay_reconnect_attempts_total", rl),
-			reconnects:     reg.Counter("relaynet_relay_reconnects_total", rl),
-			shardDrops:     reg.Counter("relaynet_relay_shard_drops_total", rl),
 			batchSize:      reg.Histogram("relaynet_relay_batch_size", "msgs", 1, rl),
 			collectToFlush: reg.Histogram("relaynet_relay_collect_to_flush_us", "us", 1, rl),
 			fbFlushes:      reg.Counter("relaynet_relay_feedback_flushes_total", rl),
-			fbSaved:        reg.Counter("relaynet_relay_feedback_writes_saved_total", rl),
 			fbRefs:         reg.Histogram("relaynet_relay_feedback_refs_per_flush", "refs", 1, rl),
 			upBytesOut:     reg.Counter("relaynet_relay_upstream_bytes_total", rl),
 			inputsPerTurn:  reg.Histogram("relaynet_relay_inputs_per_turn", "inputs", 1, rl),
-			routes:         reg.Gauge("relaynet_relay_routes", rl),
-			routesExpired:  reg.Counter("relaynet_relay_routes_expired_total", rl),
 		}
 		// The Algorithm 1 scheduler records its own occupancy-vs-capacity
 		// and deadline-slack figures from the instants the relay injects —
 		// telemetry never hands it the wall clock.
 		kl := telemetry.L("policy", policy.Kind().String())
 		ins := &sched.Instruments{
-			Occupancy:     reg.Histogram("sched_pending_occupancy", "msgs", 1, rl, kl),
-			FlushSize:     reg.Histogram("sched_flush_size", "msgs", 1, rl, kl),
-			FlushSlack:    reg.Histogram("sched_flush_slack_us", "us", 1, rl, kl),
-			Capacity:      reg.Gauge("sched_capacity", rl, kl),
-			RejectClosed:  reg.Counter("sched_rejects_total", telemetry.L("reason", "closed"), rl, kl),
-			RejectExpired: reg.Counter("sched_rejects_total", telemetry.L("reason", "expired"), rl, kl),
+			Occupancy:  reg.Histogram("sched_pending_occupancy", "msgs", 1, rl, kl),
+			FlushSize:  reg.Histogram("sched_flush_size", "msgs", 1, rl, kl),
+			FlushSlack: reg.Histogram("sched_flush_slack_us", "us", 1, rl, kl),
 		}
 		for reason := sched.ReasonCapacity; reason <= sched.ReasonPolicy; reason++ {
 			ins.Flushes[reason] = reg.Counter("sched_flushes_total", telemetry.L("reason", reason.String()), rl, kl)
 		}
 		policy.SetInstruments(ins)
 		reg.Gauge("sched_capacity", rl, kl).Set(int64(policy.Capacity()))
+		r.exposeStats(reg, rl, kl)
 	}
 	var tracer trace.Tracer
 	if cfg.Tracer != nil || cfg.Telemetry != nil {
@@ -368,6 +353,22 @@ func NewRelayAgent(cfg RelayAgentConfig) (*RelayAgent, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// exposeStats registers the series /metrics reads from Stats at scrape
+// time, each labelled rl (and the window's rejects kl too).
+func (r *RelayAgent) exposeStats(reg *telemetry.Registry, rl, kl telemetry.Label) {
+	stat := func(name string, field func(RelayAgentStats) int, labels ...telemetry.Label) {
+		reg.CounterFunc(name, func() float64 { return float64(field(r.Stats())) }, append(labels, rl)...)
+	}
+	stat("relaynet_relay_collected_total", func(st RelayAgentStats) int { return st.Collected })
+	stat("relaynet_relay_reconnects_total", func(st RelayAgentStats) int { return st.ShardDials })
+	stat("relaynet_relay_shard_drops_total", func(st RelayAgentStats) int { return st.DroppedNoShard })
+	stat("relaynet_relay_feedback_writes_saved_total", func(st RelayAgentStats) int { return st.FeedbackWritesSaved })
+	stat("relaynet_relay_routes_expired_total", func(st RelayAgentStats) int { return st.RoutesExpired })
+	stat("sched_rejects_total", func(st RelayAgentStats) int { return st.RejectedClosed }, telemetry.L("reason", "closed"), kl)
+	stat("sched_rejects_total", func(st RelayAgentStats) int { return st.RejectedExpired }, telemetry.L("reason", "expired"), kl)
+	reg.GaugeFunc("relaynet_relay_routes", func() float64 { return float64(r.Stats().Routes) }, rl)
 }
 
 // offer enqueues one input and, if that made the caller the relay's
@@ -688,16 +689,15 @@ func (r *RelayAgent) step(in *input) {
 	}
 }
 
-// publish copies the relay's counters to where Stats and the metrics
-// read them, and counts the turn if a UE reader ran it and it flushed.
+// publish copies the relay's counters to where Stats, and through it
+// /metrics, reads them, and counts the turn if a UE reader ran it and it
+// flushed.
 func (r *RelayAgent) publish() {
 	st, routes, expired := r.relay.Stats(), r.relay.Awaiting(), r.relay.RoutesExpired()
-	r.ins.routes.Set(int64(routes))
 	r.mu.Lock()
 	if r.onReader && st.Flushes > r.stats.Flushes {
 		r.readerFlushTurns++
 	}
-	r.ins.routesExpired.Add(uint64(expired - r.stats.RoutesExpired))
 	r.stats.RelayStats, r.stats.Routes, r.stats.RoutesExpired = st, routes, expired
 	r.mu.Unlock()
 }
@@ -713,7 +713,6 @@ func (r *RelayAgent) handleAck(refs []hbproto.Ref) {
 	}
 	if saved := r.merged; saved > 0 {
 		r.merged = 0
-		r.ins.fbSaved.Add(uint64(saved))
 		r.mu.Lock()
 		r.stats.FeedbackWritesSaved += saved
 		r.mu.Unlock()
@@ -819,7 +818,6 @@ func (u agentUplink) Forward(hbs []hbmsg.Heartbeat) (lost []int, acked bool, err
 			r.ins.reconnectTries.Inc()
 		}
 		if p.Dial > 0 {
-			r.ins.reconnects.Inc()
 			r.stats.ShardDials++
 		}
 		if p.Dial > 1 {
@@ -832,7 +830,6 @@ func (u agentUplink) Forward(hbs []hbmsg.Heartbeat) (lost []int, acked bool, err
 			r.ins.batchSize.Record(uint64(len(p.Pos)))
 		}
 	}
-	r.ins.shardDrops.Add(uint64(len(lost)))
 	r.stats.DroppedNoShard += len(lost)
 	if len(lost) == len(hbs) {
 		return lost, false, errNoShard
@@ -840,19 +837,16 @@ func (u agentUplink) Forward(hbs []hbmsg.Heartbeat) (lost []int, acked bool, err
 	return lost, false, nil
 }
 
-// agentTrace is the relay's Tracer on the live stack: it counts and stamps
-// collects for /metrics and hands every event to the configured tracer
-// with AtMs in Unix milliseconds.
+// agentTrace is the relay's Tracer on the live stack: it stamps collects
+// for the collect-to-flush histogram and hands every event to the
+// configured tracer with AtMs in Unix milliseconds.
 type agentTrace struct{ r *RelayAgent }
 
 func (t agentTrace) Emit(ev trace.Event) {
 	r := t.r
 	now := r.kernel.Now()
-	if ev.Kind == trace.KindCollect {
-		r.ins.collected.Inc()
-		if r.ins.collectToFlush != nil {
-			r.held = append(r.held, now)
-		}
+	if ev.Kind == trace.KindCollect && r.ins.collectToFlush != nil {
+		r.held = append(r.held, now)
 	}
 	if r.cfg.Tracer != nil {
 		ev.AtMs = r.epoch.Add(now).UnixMilli()

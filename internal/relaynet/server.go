@@ -94,11 +94,10 @@ type Server struct {
 	misrouted      atomic.Int64
 
 	// Cluster mode (see cluster.go): selfID is this shard's ring identity,
-	// clusterClient tracks the epoch-versioned config, draining backs the
-	// Store handoff protocol. All set before Start / guarded by mu.
+	// clusterClient tracks the epoch-versioned config. Both set before
+	// Start.
 	selfID        string
 	clusterClient *cluster.Client
-	draining      bool
 
 	ins serverInstruments
 
@@ -127,46 +126,41 @@ func (s *Server) SetTracer(tr trace.Tracer) { s.tracer = tr }
 // handle is nil (a no-op) until SetTelemetry registers real ones, so the
 // hot path pays one nil check per update when telemetry is off.
 type serverInstruments struct {
-	accepts       *telemetry.Counter
-	frames        *telemetry.Counter
-	dropsProtocol *telemetry.Counter
-	dropsIdle     *telemetry.Counter
-	late          *telemetry.Counter
-	misrouted     *telemetry.Counter
-	batchSize     *telemetry.Histogram
+	frames    *telemetry.Counter
+	batchSize *telemetry.Histogram
 	// Wire-path coalescing: ack flushes (one Write each), refs per flush
 	// (the syscall batch size), and bytes written on the ack path.
 	ackFlushes  *telemetry.Counter
 	ackRefs     *telemetry.Histogram
 	ackBytesOut *telemetry.Counter
-	// Identity on the hot path: how the connections resolved their source
-	// IDs to presence rows (see ServerStats).
-	guessHits   *telemetry.Counter
-	guessMisses *telemetry.Counter
 }
 
 // SetTelemetry registers the server's runtime metrics in reg; call before
 // Start. Counters and the batch-size histogram update lock-free on the hot
-// path; presence occupancy is sampled at scrape time through gauge
-// functions so the handlers never mirror map sizes.
+// path. What Stats already counts, and presence occupancy, are read at
+// scrape time through functions, so the handlers never count an event
+// twice or mirror map sizes.
 func (s *Server) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
 	s.ins = serverInstruments{
-		accepts:       reg.Counter("relaynet_server_accepts_total"),
-		frames:        reg.Counter("relaynet_server_frames_total"),
-		dropsProtocol: reg.Counter("relaynet_server_drops_total", telemetry.L("reason", "protocol")),
-		dropsIdle:     reg.Counter("relaynet_server_drops_total", telemetry.L("reason", "idle")),
-		late:          reg.Counter("relaynet_server_late_heartbeats_total"),
-		misrouted:     reg.Counter("relaynet_server_misrouted_frames_total"),
-		batchSize:     reg.Histogram("relaynet_server_batch_size", "msgs", 8),
-		ackFlushes:    reg.Counter("relaynet_server_ack_flushes_total"),
-		ackRefs:       reg.Histogram("relaynet_server_ack_refs_per_flush", "refs", 8),
-		ackBytesOut:   reg.Counter("relaynet_server_ack_bytes_total"),
-		guessHits:     reg.Counter("relaynet_server_id_guess_hits_total"),
-		guessMisses:   reg.Counter("relaynet_server_id_guess_misses_total"),
+		frames:      reg.Counter("relaynet_server_frames_total"),
+		batchSize:   reg.Histogram("relaynet_server_batch_size", "msgs", 8),
+		ackFlushes:  reg.Counter("relaynet_server_ack_flushes_total"),
+		ackRefs:     reg.Histogram("relaynet_server_ack_refs_per_flush", "refs", 8),
+		ackBytesOut: reg.Counter("relaynet_server_ack_bytes_total"),
 	}
+	stat := func(name string, field func(ServerStats) int, labels ...telemetry.Label) {
+		reg.CounterFunc(name, func() float64 { return float64(field(s.Stats())) }, labels...)
+	}
+	stat("relaynet_server_accepts_total", func(st ServerStats) int { return st.Connections })
+	stat("relaynet_server_drops_total", func(st ServerStats) int { return st.ProtocolErrors }, telemetry.L("reason", "protocol"))
+	stat("relaynet_server_drops_total", func(st ServerStats) int { return st.IdleDrops }, telemetry.L("reason", "idle"))
+	stat("relaynet_server_late_heartbeats_total", func(st ServerStats) int { return st.Late })
+	stat("relaynet_server_misrouted_frames_total", func(st ServerStats) int { return st.Misrouted })
+	stat("relaynet_server_id_guess_hits_total", func(st ServerStats) int { return st.IDGuessHits })
+	stat("relaynet_server_id_guess_misses_total", func(st ServerStats) int { return st.IDGuessMisses })
 	reg.GaugeFunc("relaynet_server_open_connections", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -328,7 +322,6 @@ func (s *Server) acceptLoop() {
 		n := s.accepted.Add(1)
 		s.wg.Add(1)
 		s.mu.Unlock()
-		s.ins.accepts.Inc()
 		// Bind the connection to a stats stripe round-robin by accept order.
 		cc := &s.stripes[int(n-1)%statsStripeCount]
 		go s.handleConn(conn, cc)
@@ -483,13 +476,11 @@ func (cs *connState) Source(after hbproto.Handle, b []byte) (string, hbproto.Han
 	return id, g
 }
 
-// flushIDStats moves the connection's identity counts since the last frame
+// flushGuesses moves the connection's guess counts since the last frame
 // into the server's counters.
-func (s *Server) flushIDStats(cs *connState) {
+func (s *Server) flushGuesses(cs *connState) {
 	cs.cc.guessHits.Add(int64(cs.guessHits))
 	cs.cc.guessMisses.Add(int64(cs.guessMisses))
-	s.ins.guessHits.Add(cs.guessHits)
-	s.ins.guessMisses.Add(cs.guessMisses)
 	cs.guessHits, cs.guessMisses = 0, 0
 }
 
@@ -516,13 +507,13 @@ func (s *Server) handleConn(conn net.Conn, cc *connCounters) {
 			// Best-effort: acks deferred behind a peer's final burst
 			// still go out before a clean disconnect.
 			_ = s.flushAcks(conn, &cs.agg)
-			s.flushIDStats(cs)
+			s.flushGuesses(cs)
 			s.noteReadError(conn, err)
 			return
 		}
 		s.ins.frames.Inc()
 		err = s.handleMessage(cs, msg)
-		s.flushIDStats(cs)
+		s.flushGuesses(cs)
 		if err != nil {
 			if errors.Is(err, errProtocol) {
 				s.noteDrop(conn, err.Error(), false)
@@ -561,10 +552,8 @@ func (s *Server) noteReadError(conn net.Conn, err error) {
 func (s *Server) noteDrop(conn net.Conn, reason string, idle bool) {
 	if idle {
 		s.idleDrops.Add(1)
-		s.ins.dropsIdle.Inc()
 	} else {
 		s.protocolErrors.Add(1)
-		s.ins.dropsProtocol.Inc()
 	}
 	trace.Emit(s.tracer, trace.Event{
 		AtMs: time.Now().UnixMilli(), Device: conn.RemoteAddr().String(),
@@ -636,7 +625,6 @@ func (s *Server) touch(cs *connState, hb *hbproto.Heartbeat, now time.Time, rela
 	onTime := !now.After(hb.Deadline())
 	if !onTime {
 		cs.cc.late.Add(1)
-		s.ins.late.Inc()
 	}
 	sh, r, h := s.lockSource(hb)
 	if r.app == 0 {
@@ -666,7 +654,6 @@ func (s *Server) touch(cs *connState, hb *hbproto.Heartbeat, now time.Time, rela
 	cs.prev, cs.prevKnown = h, known
 	if misrouted {
 		s.misrouted.Add(1)
-		s.ins.misrouted.Inc()
 	}
 	if s.tracer != nil {
 		s.traceDelivery(hb, now, relayed, onTime)

@@ -1,12 +1,16 @@
 package relaynet
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
+	"d2dhb/internal/telemetry"
 )
 
 // TestServerCountersConcurrent hammers touch from goroutines bound to
@@ -173,5 +177,128 @@ func BenchmarkServerTouch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.touch(cs, hb, now, false)
+	}
+}
+
+// TestMetricsReadStats: every /metrics series that says what a Stats field
+// says is read from that field at scrape time, so after a run it reads the
+// field exactly, under the name, labels and kind it always had. The run
+// moves each of them at least once: a server that takes a batch twice, a
+// late heartbeat, two junk connections and an idle one under a ring that hands every
+// client to another shard; a stepped relay whose first dial fails and whose
+// shard never acknowledges one of its heartbeats.
+func TestMetricsReadStats(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := startServer(t, loopback{}, func(s *Server) {
+		s.SetTelemetry(reg)
+		s.SetIdleTimeout(100 * time.Millisecond)
+		cc, err := cluster.NewSingleNodeClient("127.0.0.1:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetCluster("shard-a", cc) // the ring's one node is not this shard
+	})
+	c := dialRaw(t, s.Addr())
+	batch := &hbproto.Batch{Relay: "relay-0"}
+	for i := range 3 {
+		batch.HBs = append(batch.HBs, hbproto.Heartbeat{Src: fmt.Sprintf("ue-%d", i), App: "std", Origin: time.Now(), Expiry: time.Minute})
+	}
+	for range 2 {
+		c.send(batch)
+		c.awaitAcks(len(batch.HBs))
+	}
+	c.send(&hbproto.Heartbeat{Src: "ue-late", App: "std", Origin: time.Now().Add(-time.Hour), Expiry: time.Minute})
+	c.awaitAcks(1)
+	for range 2 {
+		if _, err := dialRaw(t, s.Addr()).conn.Write([]byte("junkjunk")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eventually(t, 5*time.Second, func() bool {
+		st := s.Stats()
+		return st.ProtocolErrors == 2 && st.IdleDrops == 1
+	}, "the junk connections dropped and the other reaped")
+
+	shard, dialed := net.Pipe()
+	ue, peer := net.Pipe()
+	for _, c := range []net.Conn{shard, dialed, ue, peer} {
+		t.Cleanup(func() { _ = c.Close() })
+	}
+	go drain(shard)
+	go drain(peer)
+	dials := 0
+	r := steppedRelay(t, RelayAgentConfig{
+		ID: "relay-1", App: "std", Period: time.Minute, Expiry: time.Minute, Capacity: 3, Telemetry: reg,
+		Dial: func(string, string) (net.Conn, error) {
+			if dials++; dials == 1 {
+				return nil, errors.New("refused")
+			}
+			return dialed, nil
+		},
+	}, "shard-0")
+	uc := &ueConn{conn: ue}
+	beat := func(at time.Duration, seq uint64) input {
+		return *beatAt(at, uc, hbproto.Heartbeat{Src: "ue-1", Seq: seq, App: "std", Origin: time.Now(), Expiry: time.Minute})
+	}
+	ack := func(at time.Duration, seq uint64) input {
+		return input{at: at, kind: inAck, acked: []hbproto.Ref{{Src: "ue-1", Seq: seq}}}
+	}
+	const ms, period = time.Millisecond, time.Minute
+	stale := hbproto.Heartbeat{Src: "ue-1", Seq: 1, App: "std", Expiry: time.Second}
+	r.runTurn([]input{
+		{at: 0, kind: inRegister, ue: uc},
+		ueHeartbeat(ms, uc, &stale, time.Hour), // expired on arrival, twice
+		ueHeartbeat(ms, uc, &stale, time.Hour),
+		beat(2*ms, 2), beat(3*ms, 3), beat(4*ms, 4), // M = 3: a flush whose dial fails
+		beat(5*ms, 5), // the flush closed the window
+	})
+	r.runTurn([]input{beat(period+ms, 6), beat(period+2*ms, 7), beat(period+3*ms, 8)}) // a flush the shard takes
+	r.runTurn([]input{ack(period+10*ms, 6), ack(period+11*ms, 7)})                     // one feedback write for two acks
+
+	rl, kl := telemetry.L("relay", "relay-1"), telemetry.L("policy", "nagle")
+	var sst ServerStats
+	var rst RelayAgentStats
+	rows := []struct {
+		name   string
+		labels []telemetry.Label
+		kind   telemetry.Kind
+		field  func() int
+	}{
+		{"relaynet_server_accepts_total", nil, telemetry.KindCounter, func() int { return sst.Connections }},
+		{"relaynet_server_drops_total", []telemetry.Label{telemetry.L("reason", "protocol")}, telemetry.KindCounter, func() int { return sst.ProtocolErrors }},
+		{"relaynet_server_drops_total", []telemetry.Label{telemetry.L("reason", "idle")}, telemetry.KindCounter, func() int { return sst.IdleDrops }},
+		{"relaynet_server_late_heartbeats_total", nil, telemetry.KindCounter, func() int { return sst.Late }},
+		{"relaynet_server_misrouted_frames_total", nil, telemetry.KindCounter, func() int { return sst.Misrouted }},
+		{"relaynet_server_id_guess_hits_total", nil, telemetry.KindCounter, func() int { return sst.IDGuessHits }},
+		{"relaynet_server_id_guess_misses_total", nil, telemetry.KindCounter, func() int { return sst.IDGuessMisses }},
+		{"relaynet_relay_collected_total", []telemetry.Label{rl}, telemetry.KindCounter, func() int { return rst.Collected }},
+		{"relaynet_relay_reconnects_total", []telemetry.Label{rl}, telemetry.KindCounter, func() int { return rst.ShardDials }},
+		{"relaynet_relay_shard_drops_total", []telemetry.Label{rl}, telemetry.KindCounter, func() int { return rst.DroppedNoShard }},
+		{"relaynet_relay_feedback_writes_saved_total", []telemetry.Label{rl}, telemetry.KindCounter, func() int { return rst.FeedbackWritesSaved }},
+		{"relaynet_relay_routes", []telemetry.Label{rl}, telemetry.KindGauge, func() int { return rst.Routes }},
+		{"relaynet_relay_routes_expired_total", []telemetry.Label{rl}, telemetry.KindCounter, func() int { return rst.RoutesExpired }},
+		{"sched_rejects_total", []telemetry.Label{telemetry.L("reason", "closed"), rl, kl}, telemetry.KindCounter, func() int { return rst.RejectedClosed }},
+		{"sched_rejects_total", []telemetry.Label{telemetry.L("reason", "expired"), rl, kl}, telemetry.KindCounter, func() int { return rst.RejectedExpired }},
+	}
+	moved := make([]bool, len(rows))
+	check := func(when string) {
+		t.Helper()
+		sst, rst = s.Stats(), r.Stats()
+		d := reg.Dump()
+		for i, row := range rows {
+			m, want := d.Find(row.name, row.labels...), row.field()
+			if m == nil || m.Kind != row.kind.String() || m.Value != float64(want) {
+				t.Errorf("%s: %s%v = %+v, want a %v reading %d", when, row.name, row.labels, m, row.kind, want)
+			}
+			moved[i] = moved[i] || want != 0
+		}
+	}
+	check("with a route held")
+	r.runTurn([]input{{at: 10 * period}}) // the unacknowledged route lapses
+	check("after its window")
+	for i, row := range rows {
+		if !moved[i] {
+			t.Errorf("the run never moved %s%v", row.name, row.labels)
+		}
 	}
 }

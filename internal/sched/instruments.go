@@ -16,8 +16,7 @@ import (
 // A nil *Instruments (the default) makes every observation a no-op.
 type Instruments struct {
 	// Occupancy records the pending-buffer fill after each accepted
-	// Collect — how close the window runs to the capacity M mirrored in
-	// Capacity.
+	// Collect — how close the window runs to its capacity M.
 	Occupancy *telemetry.Histogram
 	// FlushSize records the batch size handed back by each non-empty
 	// Flush.
@@ -26,13 +25,6 @@ type Instruments struct {
 	// remained when Flush ran: the gap between the flush instant and the
 	// batch's binding deadline (0 when flushed exactly at — or past — it).
 	FlushSlack *telemetry.Histogram
-	// Capacity mirrors the policy's collection capacity M (0 when the
-	// policy is unbounded).
-	Capacity *telemetry.Gauge
-	// RejectClosed counts Collect refusals after the window closed.
-	RejectClosed *telemetry.Counter
-	// RejectExpired counts heartbeats already dead on arrival.
-	RejectExpired *telemetry.Counter
 	// Flushes counts flushes by reason, Flushes[ReasonCapacity] those at
 	// capacity: every Flush that hands out a batch or closes the window —
 	// each one the relay transmits, since its own heartbeat leaves at the
@@ -47,19 +39,6 @@ func (i *Instruments) observeCollect(pending int) {
 		return
 	}
 	i.Occupancy.Record(uint64(pending))
-}
-
-// observeReject counts one Collect refusal.
-func (i *Instruments) observeReject(err error) {
-	if i == nil {
-		return
-	}
-	switch err {
-	case ErrClosed:
-		i.RejectClosed.Inc()
-	case ErrExpired:
-		i.RejectExpired.Inc()
-	}
 }
 
 // observeFlush records a flush: its reason when it handed out a batch or

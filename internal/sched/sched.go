@@ -202,11 +202,9 @@ func (w *Window) StartPeriod(at time.Duration) {
 // flushNow = true when the batch must be sent immediately.
 func (w *Window) Collect(hb hbmsg.Heartbeat, now time.Duration) (bool, error) {
 	if w.closed {
-		w.ins.observeReject(ErrClosed)
 		return false, ErrClosed
 	}
 	if hb.Expired(now) {
-		w.ins.observeReject(ErrExpired)
 		return false, ErrExpired
 	}
 	switch w.kind {

@@ -53,10 +53,11 @@ type Slot struct {
 	// OnRefs receives the refs of every Ack or Feedback frame with its
 	// arrival time, on the reader goroutine of the connection it arrived
 	// on. The slice is reused by the next frame: consume or copy it before
-	// returning. Nil drains. A ref's Handle is its connection reader's own
-	// (see hbproto.Handle), except on an uplink's slot: there an Ack names
-	// whole frames (hbproto v2), and its refs are the ones the slot wrote
-	// in them, each with the Handle of the heartbeat it wrote.
+	// returning. Nil drains. A ref's Handle is 0, since the slot's reader
+	// resolves no source (see hbproto.Handle), except on an uplink's slot:
+	// there an Ack names whole frames (hbproto v2), and its refs are the
+	// ones the slot wrote in them, each with the Handle of the heartbeat it
+	// wrote.
 	OnRefs func(refs []hbproto.Ref, at time.Time)
 	// up is the uplink node owning the slot, if any: its connections speak
 	// v2, the current one keeping the ackRing its acks settle in the node,

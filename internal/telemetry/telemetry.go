@@ -117,7 +117,7 @@ type entry struct {
 	unit    string
 	counter *Counter
 	gauge   *Gauge
-	gaugeFn func() float64
+	fn      func() float64 // a counter's or gauge's value, sampled at dump time
 	hist    *Histogram
 }
 
@@ -205,9 +205,19 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // occupancy — instead of mirroring them on every update. fn runs outside
 // the registry lock and must be safe to call from any goroutine.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
-	e := r.lookup(name, KindGauge, "", labels)
+	r.bind(r.lookup(name, KindGauge, "", labels), fn)
+}
+
+// CounterFunc is GaugeFunc for a counter: fn must never decrease. Use it to
+// export a count its owner keeps anyway, such as a Stats field, instead of
+// counting every event twice.
+func (r *Registry) CounterFunc(name string, fn func() float64, labels ...Label) {
+	r.bind(r.lookup(name, KindCounter, "", labels), fn)
+}
+
+func (r *Registry) bind(e *entry, fn func() float64) {
 	r.mu.Lock()
-	e.gaugeFn = fn
+	e.fn = fn
 	r.mu.Unlock()
 }
 
@@ -312,12 +322,13 @@ func (r *Registry) Dump() Dump {
 	for _, e := range es {
 		m := Metric{Name: e.name, Labels: e.labels, Kind: e.kind.String(), Unit: e.unit}
 		switch e.kind {
-		case KindCounter:
-			m.Value = float64(e.counter.Value())
-		case KindGauge:
-			if e.gaugeFn != nil {
-				m.Value = e.gaugeFn()
-			} else {
+		case KindCounter, KindGauge:
+			switch {
+			case e.fn != nil:
+				m.Value = e.fn()
+			case e.kind == KindCounter:
+				m.Value = float64(e.counter.Value())
+			default:
 				m.Value = float64(e.gauge.Value())
 			}
 		case KindHistogram:

@@ -65,16 +65,24 @@ func TestKindClashPanics(t *testing.T) {
 	reg.Gauge("m")
 }
 
+// TestGaugeFuncSampledAtDump: a gauge function, or a counter function, is
+// read at every dump and dumped under its own kind.
 func TestGaugeFuncSampledAtDump(t *testing.T) {
-	reg := NewRegistry()
-	v := 1.5
-	reg.GaugeFunc("fn", func() float64 { return v })
-	if got := dumpOf(reg).Find("fn").Value; got != 1.5 {
-		t.Fatalf("gauge func dumped %v, want 1.5", got)
-	}
-	v = 7
-	if got := dumpOf(reg).Find("fn").Value; got != 7 {
-		t.Fatalf("gauge func dumped %v after update, want 7", got)
+	for _, kind := range []Kind{KindGauge, KindCounter} {
+		reg := NewRegistry()
+		v := 1.5
+		register := reg.GaugeFunc
+		if kind == KindCounter {
+			register = reg.CounterFunc
+		}
+		register("fn", func() float64 { return v })
+		if m := dumpOf(reg).Find("fn"); m.Value != 1.5 || m.Kind != kind.String() {
+			t.Fatalf("%v func dumped %+v, want 1.5", kind, m)
+		}
+		v = 7
+		if got := dumpOf(reg).Find("fn").Value; got != 7 {
+			t.Fatalf("%v func dumped %v after update, want 7", kind, got)
+		}
 	}
 }
 
