@@ -436,8 +436,8 @@ func BenchmarkTraceAnalyze(b *testing.B) {
 	for i := 0; i < 5_000; i++ {
 		seq := uint64(i)
 		events = append(events,
-			trace.Event{AtMs: int64(i) * 100, Device: "ue", Kind: trace.KindGenerated, Seq: seq},
-			trace.Event{AtMs: int64(i)*100 + 50, Device: "ue", Kind: trace.KindDelivery, Seq: seq, Peer: "relay", OnTime: true},
+			trace.Event{At: time.Duration(i) * 100 * time.Millisecond, Device: "ue", Kind: trace.KindGenerated, Seq: seq},
+			trace.Event{At: time.Duration(i*100+50) * time.Millisecond, Device: "ue", Kind: trace.KindDelivery, Seq: seq, Peer: "relay", OnTime: true},
 		)
 	}
 	b.ResetTimer()

@@ -168,7 +168,7 @@ func New(opts Options) (*Simulation, error) {
 		// single-threaded and time is monotone.
 		_ = sim.tracker.Deliver(d.HB, d.At)
 		trace.Emit(opts.Tracer, trace.Event{
-			AtMs:   trace.At(d.At),
+			At:     d.At,
 			Device: string(d.HB.Src),
 			Kind:   trace.KindDelivery,
 			App:    d.HB.App,

@@ -983,7 +983,7 @@ func TestRelayFlushReasonEveryKind(t *testing.T) {
 				t.Fatal(err)
 			}
 			flushes := rec.ByKind(trace.KindFlush)
-			if len(flushes) != 1 || flushes[0].AtMs != trace.At(tc.at) || flushes[0].Reason != tc.reason.String() || flushes[0].N != 2 {
+			if len(flushes) != 1 || flushes[0].At != tc.at || flushes[0].Reason != tc.reason.String() || flushes[0].N != 2 {
 				t.Fatalf("flush events = %+v, want one of 2 heartbeats at %v for %q", flushes, tc.at, tc.reason)
 			}
 			rs := relay.Stats()

@@ -116,21 +116,21 @@ func TestMultiAppUEFallsBackOnEachAppsWindow(t *testing.T) {
 			// forwarded (the tight fallback drops the link; 271 s rematches).
 			// Inside 300 s, tight's first window closes at 33.7 s and std's
 			// first at 276 s; the second heartbeats' are still open.
-			lapse := func(p hbmsg.AppProfile, origin time.Duration) int64 {
-				return trace.At(origin + FeedbackWindow(0, p.Expiry()))
+			lapse := func(p hbmsg.AppProfile, origin time.Duration) time.Duration {
+				return origin + FeedbackWindow(0, p.Expiry())
 			}
 			want := []trace.Event{
-				{AtMs: lapse(tight, 4*time.Second), App: "tight", Seq: 2},
-				{AtMs: lapse(std(), time.Second), App: std().Name, Seq: 1},
+				{At: lapse(tight, 4*time.Second), App: "tight", Seq: 2},
+				{At: lapse(std(), time.Second), App: std().Name, Seq: 1},
 			}
 			got := rec.ByKind(trace.KindFallback)
 			if len(got) != len(want) {
 				t.Fatalf("fallbacks = %+v, want %d", got, len(want))
 			}
 			for i, ev := range got {
-				if ev.AtMs != want[i].AtMs || ev.App != want[i].App || ev.Seq != want[i].Seq {
-					t.Fatalf("fallback %d = %+v at %d ms, want %s seq %d at %d ms",
-						i, ev, ev.AtMs, want[i].App, want[i].Seq, want[i].AtMs)
+				if ev.At != want[i].At || ev.App != want[i].App || ev.Seq != want[i].Seq {
+					t.Fatalf("fallback %d = %+v at %v, want %s seq %d at %v",
+						i, ev, ev.At, want[i].App, want[i].Seq, want[i].At)
 				}
 			}
 			if us := ue.Stats(); us.SentViaD2D != 4 || us.FallbackResends != 2 || us.AcksReceived != 0 {

@@ -389,7 +389,7 @@ func (r *Relay) forget(hb hbmsg.Heartbeat) { delete(r.sources, ackKey{src: hb.Sr
 
 // emit stamps and forwards one trace event.
 func (r *Relay) emit(ev trace.Event) {
-	ev.AtMs = trace.At(r.clock.Now())
+	ev.At = r.clock.Now()
 	ev.Device = string(r.cfg.ID)
 	trace.Emit(r.cfg.Tracer, ev)
 }

@@ -324,7 +324,7 @@ func (u *UE) heartbeat(i int) {
 
 // emit stamps and forwards one trace event.
 func (u *UE) emit(ev trace.Event) {
-	ev.AtMs = trace.At(u.clock.Now())
+	ev.At = u.clock.Now()
 	ev.Device = string(u.cfg.ID)
 	trace.Emit(u.cfg.Tracer, ev)
 }

@@ -283,7 +283,7 @@ func TestCityParallelLookaheadDelivery(t *testing.T) {
 		switch ev.Kind {
 		case trace.KindCollect, trace.KindReject:
 			k := key{src: ev.Peer, seq: ev.Seq}
-			arrivals[k] = append(arrivals[k], ev.AtMs)
+			arrivals[k] = append(arrivals[k], ev.At.Milliseconds())
 		}
 	}
 	finalCut := 0
@@ -294,15 +294,15 @@ func TestCityParallelLookaheadDelivery(t *testing.T) {
 		sends++
 		// The boundary strictly after the send; a send exactly on a
 		// boundary belongs to the window starting there.
-		next := (ev.AtMs/windowMs)*windowMs + windowMs
+		next := (ev.At.Milliseconds()/windowMs)*windowMs + windowMs
 		if next >= horizonMs {
 			// The barrier at the horizon is final: its ops are discarded,
 			// so a forward due exactly at the horizon is cut too.
 			finalCut++
 			for _, at := range arrivals[key{src: ev.Device, seq: ev.Seq}] {
-				if at > ev.AtMs {
+				if at > ev.At.Milliseconds() {
 					t.Errorf("forward %s/%d sent at %dms inside the final window arrived at %dms past the horizon cut",
-						ev.Device, ev.Seq, ev.AtMs, at)
+						ev.Device, ev.Seq, ev.At.Milliseconds(), at)
 				}
 			}
 			continue
@@ -311,14 +311,14 @@ func TestCityParallelLookaheadDelivery(t *testing.T) {
 		for _, at := range arrivals[key{src: ev.Device, seq: ev.Seq}] {
 			if at == next {
 				found = true
-			} else if at > ev.AtMs && at != next {
+			} else if at > ev.At.Milliseconds() && at != next {
 				t.Errorf("forward %s/%d sent at %dms arrived at %dms, want the boundary at %dms",
-					ev.Device, ev.Seq, ev.AtMs, at, next)
+					ev.Device, ev.Seq, ev.At.Milliseconds(), at, next)
 			}
 		}
 		if !found {
 			t.Errorf("forward %s/%d sent at %dms never arrived at its boundary %dms",
-				ev.Device, ev.Seq, ev.AtMs, next)
+				ev.Device, ev.Seq, ev.At.Milliseconds(), next)
 		}
 	}
 	if sends == 0 {

@@ -203,7 +203,7 @@ func (d *pdevice) posAt(t time.Duration) geo.Point {
 // for the canonical merge.
 func (d *pdevice) Emit(ev trace.Event) {
 	tl := d.env.tiles[d.tile]
-	tl.events = append(tl.events, trace.Keyed{At: d.now(), Order: d.order, Seq: d.emitSeq, Ev: ev})
+	tl.events = append(tl.events, trace.Keyed{Order: d.order, Seq: d.emitSeq, Ev: ev})
 	d.emitSeq++
 }
 
@@ -243,7 +243,7 @@ func (d *pdevice) Send(hbs []hbmsg.Heartbeat, phase energy.Phase) error {
 		})
 		d.deliverSeq++
 		trace.Emit(d.tracer, trace.Event{
-			AtMs: trace.At(now), Device: string(hb.Src), Kind: trace.KindDelivery,
+			At: now, Device: string(hb.Src), Kind: trace.KindDelivery,
 			App: hb.App, Seq: hb.Seq, Peer: string(d.id), OnTime: onTime,
 		})
 	}

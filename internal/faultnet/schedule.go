@@ -161,7 +161,7 @@ func (s *Schedule) Active(k Kind) (Fault, bool) {
 		if !s.opened[i] {
 			s.opened[i] = true
 			trace.Emit(s.tracer, trace.Event{
-				AtMs: time.Now().UnixMilli(), Device: "faultnet",
+				At: trace.Unix(time.Now()), Device: "faultnet",
 				Kind: trace.KindFaultWindow, Reason: string(k), N: i + 1,
 			})
 		}
@@ -177,7 +177,7 @@ func (s *Schedule) note(bump func(*Stats), device string, k Kind) {
 	tr := s.tracer
 	s.mu.Unlock()
 	trace.Emit(tr, trace.Event{
-		AtMs: time.Now().UnixMilli(), Device: device,
+		At: trace.Unix(time.Now()), Device: device,
 		Kind: trace.KindFault, Reason: string(k),
 	})
 }

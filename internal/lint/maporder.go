@@ -17,7 +17,7 @@ import (
 // methods, metrics.Table.AddRow, hash.Hash.Write) plus config extras, and
 // propagates "emits ordered output" through the module call graph the way
 // lockheld propagates blockingness — a helper that records a trace event
-// is as order-sensitive as rec.Recorder.Record itself. The fix is always
+// is as order-sensitive as rec.Recorder.Emit itself. The fix is always
 // the same: collect the keys, sort them, then range over the sorted slice
 // (encoding/json is exempt — it sorts map keys itself).
 var Maporder = &Analyzer{
@@ -75,7 +75,7 @@ func seedOrderReason(fn *types.Func, call *ast.CallExpr, info *types.Info, modul
 		return "emits a trace event"
 	case path == module+"/internal/rec":
 		switch full {
-		case path + ".Recorder.Record":
+		case path + ".Recorder.Emit":
 			return "records a trace event"
 		case path + ".Recorder.AddClient":
 			return "appends to the trace client table"

@@ -38,7 +38,7 @@ func propagatedEmit(tr trace.Tracer, devs map[string]bool) {
 
 func recordTimeouts(r *rec.Recorder, pending map[uint64]int64, now time.Time) {
 	for seq := range pending { // want `records a trace event`
-		r.Record(rec.EvTimeout, 0, seq, now)
+		r.Emit(trace.Event{At: trace.Unix(now), Device: "ue", Kind: trace.KindTimeout, Seq: seq})
 	}
 }
 

@@ -104,7 +104,7 @@ type Config struct {
 	MetricsAddr string
 	// Recorder, when non-nil, captures the run's per-heartbeat timeline
 	// (client table, fault windows, send/ack/timeout events) for later
-	// deterministic replay. All hooks are nil-safe no-ops otherwise.
+	// deterministic replay: it is every UE's and trunk's Tracer.
 	Recorder *rec.Recorder
 }
 
@@ -215,6 +215,7 @@ type Runner struct {
 	shardSent  shardCounter
 	histDirect *telemetry.Histogram
 	histRelay  *telemetry.Histogram
+	tracer     trace.Tracer // the UEs' and trunks': cfg.Recorder, or an untyped nil
 
 	ackTimeout time.Duration
 	minPeriod  time.Duration
@@ -241,6 +242,9 @@ func New(cfg Config) (*Runner, error) {
 		cfg:        cfg,
 		histDirect: telemetry.NewHistogram(histShards),
 		histRelay:  telemetry.NewHistogram(histShards),
+	}
+	if cfg.Recorder != nil {
+		r.tracer = cfg.Recorder // not a nil *rec.Recorder: an unrecorded unit keeps no tracer
 	}
 	r.minPeriod, r.maxPeriod = r.periodRange()
 	r.ackTimeout = cfg.AckTimeout
@@ -506,7 +510,8 @@ func (r *Runner) buildFleet() error {
 			c.Path, c.Relay = rec.PathRelayed, i%len(r.relays)
 			relayAddr = relayAddrs[c.Relay]
 		}
-		u, err := r.newUE(c.ID, app, r.cfg.Recorder.AddClient(c), dial, relayAddr)
+		r.cfg.Recorder.AddClient(c)
+		u, err := r.newUE(c.ID, app, dial, relayAddr)
 		if err != nil {
 			return err
 		}
@@ -515,20 +520,18 @@ func (r *Runner) buildFleet() error {
 	return nil
 }
 
-// newUE builds the UE named id running apps, recorded as trace client
-// tidx. Given a relayAddr it is relayed: it registers there and falls back
-// to its owning shard. Otherwise it dials its owning shard, which the run's
-// cluster view re-resolves on every dial, so a reshard redirects the next
-// connection.
-func (r *Runner) newUE(id string, apps []relaynet.UEApp, tidx int, dial func(network, addr string) (net.Conn, error), relayAddr string) (*relaynet.UEClient, error) {
+// newUE builds the UE named id running apps. Given a relayAddr it is
+// relayed: it registers there and falls back to its owning shard. Otherwise
+// it dials its owning shard, which the run's cluster view re-resolves on
+// every dial, so a reshard redirects the next connection.
+func (r *Runner) newUE(id string, apps []relaynet.UEApp, dial func(network, addr string) (net.Conn, error), relayAddr string) (*relaynet.UEClient, error) {
 	hist := r.histDirect
 	if relayAddr != "" {
 		hist = r.histRelay
 	}
 	return relaynet.NewUEClient(relaynet.UEClientConfig{
 		ID: id, Apps: apps, RelayAddr: relayAddr, Cluster: r.cluster,
-		FeedbackTimeout: r.ackTimeout, Dial: dial,
-		Recorder: r.cfg.Recorder, RecorderIndex: tidx, Latency: hist.Recorder(),
+		FeedbackTimeout: r.ackTimeout, Dial: dial, Tracer: r.tracer, Latency: hist.Recorder(),
 	})
 }
 
@@ -550,14 +553,13 @@ func (r *Runner) buildTrunks() {
 		p := r.cfg.Profiles[ti%len(r.cfg.Profiles)]
 		prof := tprofile{app: p.Name, expiry: r.scale(p.Expiry()), pad: p.Size}
 		period := r.scale(p.Period)
-		ids, clients := fleetIDs(next, count, 7), make([]tclient, count)
-		for i := range clients {
-			clients[i].trec = -1
-			if r.cfg.Recorder != nil {
-				clients[i].trec = int32(r.cfg.Recorder.AddClient(rec.Client{
+		ids := fleetIDs(next, count, 7)
+		if r.cfg.Recorder != nil {
+			for i := range count {
+				r.cfg.Recorder.AddClient(rec.Client{
 					ID: ids.at(i), App: prof.app, Period: period, Expiry: prof.expiry,
 					Pad: prof.pad, Path: rec.PathTrunked, Relay: ti,
-				}))
+				})
 			}
 		}
 		next += count
@@ -567,7 +569,7 @@ func (r *Runner) buildTrunks() {
 		if slots <= 1 {
 			slots = 0
 		}
-		r.units = append(r.units, r.newTrunk(fmt.Sprintf("loadtrunk-%04d", ti), period, []tprofile{prof}, ids, clients, slots))
+		r.units = append(r.units, r.newTrunk(fmt.Sprintf("loadtrunk-%04d", ti), period, []tprofile{prof}, ids, make([]int32, count), slots))
 	}
 	// A trunk flushes one batch per tick, so its Algorithm 1 analog is a
 	// period-long window with the largest trunk's user count as capacity.
@@ -581,14 +583,14 @@ func (r *Runner) buildTrunks() {
 }
 
 // newTrunk returns a trunk of the run for the users ids names, each
-// described by the clients entry at its index, with its emissions paced
-// over slots sub-ticks (0: unpaced).
-func (r *Runner) newTrunk(id string, period time.Duration, profiles []tprofile, ids userIDs, clients []tclient, slots int) *trunk {
+// running the profile prof has at its index, with its emissions paced over
+// slots sub-ticks (0: unpaced).
+func (r *Runner) newTrunk(id string, period time.Duration, profiles []tprofile, ids userIDs, prof []int32, slots int) *trunk {
 	t := &trunk{
 		id: id, period: period, profiles: profiles, timeout: r.ackTimeout,
-		rec: r.histRelay.Recorder(), trec: r.cfg.Recorder, c: &r.counters,
+		rec: r.histRelay.Recorder(), tracer: r.tracer, c: &r.counters,
 		shards: &r.shardSent,
-		ids:    ids, users: make([]tuser, len(ids.ends)), clients: clients,
+		ids:    ids, users: make([]tuser, len(ids.ends)), prof: prof,
 		paceSlots: slots,
 	}
 	t.up = session.Uplink{

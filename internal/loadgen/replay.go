@@ -72,12 +72,13 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 		opts.Net = faultnet.OS{}
 	}
 
+	recorder := rec.NewRecorder()
 	r := &Runner{
 		cfg: Config{
 			ServerAddr: opts.ServerAddr, ClusterAddr: opts.ClusterAddr,
-			Net: opts.Net, Recorder: rec.NewRecorder(),
+			Net: opts.Net, Recorder: recorder,
 		},
-		ackTimeout: opts.AckTimeout,
+		tracer: recorder, ackTimeout: opts.AckTimeout,
 	}
 	defer r.stopServer()
 	if err := r.startServer(); err != nil {
@@ -191,7 +192,7 @@ func (r *Runner) replayUnits(tl *rec.Timeline, speedup float64) ([]*replayUnit, 
 			units = append(units, r.replayGroup(tl, -1-k, steps[k], speedup))
 			continue
 		}
-		u, err := r.replayDirect(tl.Clients[k], k, steps[k], speedup)
+		u, err := r.replayDirect(tl.Clients[k], steps[k], speedup)
 		if err != nil {
 			return nil, err
 		}
@@ -203,9 +204,9 @@ func (r *Runner) replayUnits(tl *rec.Timeline, speedup float64) ([]*replayUnit, 
 // replayDirect builds a direct client's UE, one heartbeat per step. The
 // replay, not the UE's loop, sends, so the recorded period only has to be
 // a valid one.
-func (r *Runner) replayDirect(c rec.Client, tidx int, steps [][]rec.Event, speedup float64) (*replayUnit, error) {
+func (r *Runner) replayDirect(c rec.Client, steps [][]rec.Event, speedup float64) (*replayUnit, error) {
 	app := []relaynet.UEApp{{Name: c.App, Period: max(c.Period, minVirtualPeriod), Expiry: c.Expiry, Pad: c.Pad}}
-	u, err := r.newUE(c.ID, app, tidx, r.cfg.Net.Dial, "")
+	u, err := r.newUE(c.ID, app, r.cfg.Net.Dial, "")
 	if err != nil {
 		return nil, err
 	}
@@ -224,14 +225,14 @@ func (r *Runner) replayGroup(tl *rec.Timeline, g int, steps [][]rec.Event, speed
 	var profiles []tprofile
 	var ids strings.Builder
 	var ends []int32
-	var clients []tclient
+	var prof []int32
 	users := make(map[string]int) // client ID → user index
 	for _, e := range slices.Concat(steps...) {
 		c := tl.Clients[e.Client]
 		if _, ok := users[c.ID]; ok {
 			continue
 		}
-		users[c.ID] = len(clients)
+		users[c.ID] = len(prof)
 		p := tprofile{app: c.App, expiry: c.Expiry, pad: c.Pad}
 		pi := slices.Index(profiles, p)
 		if pi < 0 {
@@ -239,9 +240,9 @@ func (r *Runner) replayGroup(tl *rec.Timeline, g int, steps [][]rec.Event, speed
 		}
 		ids.WriteString(c.ID)
 		ends = append(ends, int32(ids.Len()))
-		clients = append(clients, tclient{trec: int32(e.Client), prof: int32(pi)})
+		prof = append(prof, int32(pi))
 	}
-	t := r.newTrunk(fmt.Sprintf("replay-trunk-%04d", g), tl.RelayPeriod, profiles, userIDs{all: ids.String(), ends: ends}, clients, 0)
+	t := r.newTrunk(fmt.Sprintf("replay-trunk-%04d", g), tl.RelayPeriod, profiles, userIDs{all: ids.String(), ends: ends}, prof, 0)
 	return &replayUnit{
 		loadUnit: t,
 		steps:    replaySchedule(steps, func(c int) int { return users[tl.Clients[c].ID] }, speedup),

@@ -8,9 +8,9 @@ import (
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/inflight"
-	"d2dhb/internal/rec"
 	"d2dhb/internal/session"
 	"d2dhb/internal/telemetry"
+	"d2dhb/internal/trace"
 )
 
 // tuser is one multiplexed virtual user's sequence state on a trunk. Its ID
@@ -19,14 +19,6 @@ import (
 type tuser struct {
 	seq  uint64
 	last uint64 // highest acknowledged seq
-}
-
-// tclient is what a trunk knows of a user from its build on. It is kept out
-// of tuser because it never changes: the send path reads it without t.mu,
-// while tuser is written under it.
-type tclient struct {
-	trec int32 // trace client index, -1 when unrecorded
-	prof int32 // index into the trunk's profiles
 }
 
 // tprofile is what a trunk user's heartbeats carry besides source and seq.
@@ -55,14 +47,15 @@ type trunk struct {
 	profiles []tprofile // immutable after build; the first one registers the trunk
 	timeout  time.Duration
 	rec      *telemetry.Recorder
-	trec     *rec.Recorder // trace recorder; nil-safe
+	tracer   trace.Tracer // its users' events; nil: none
 	c        *fleetCounters
 	shards   *shardCounter
 
 	// Per-user columns, immutable after build and free of pointers but for
-	// the one ID string.
-	ids     userIDs
-	clients []tclient
+	// the one ID string. They are kept out of tuser because they never
+	// change: the send path reads them without t.mu.
+	ids  userIDs
+	prof []int32 // index into profiles
 
 	// paceSlots spreads each period's emissions over this many sub-ticks
 	// (0 disables pacing: the whole fleet bursts at once); see paced.
@@ -78,10 +71,6 @@ type trunk struct {
 	owner []int32        // user → owning node index + 1 under view; 0 = not resolved yet
 	tick  time.Time      // the next sub-tick's instant
 	slot  int            // the next sub-tick's pace slot
-	// unsent holds, while a trace is recorded, the heartbeats whose first
-	// send never reached the wire: the share of their resend that does is
-	// their send in the trace.
-	unsent map[inflight.Key]struct{}
 
 	mu      sync.Mutex
 	users   []tuser
@@ -196,15 +185,14 @@ func (t *trunk) offer(refs []inflight.Key, now time.Time) {
 // shard under one ring view. Each heartbeat's Handle is its user index + 1,
 // which the uplink hands back with its ack. Heartbeats that never hit the
 // wire stay in the pending table: the sweep resends them once through the
-// then-current view. A trace records a heartbeat's send once, when it
-// first reaches the wire, so an acknowledged resend of one whose first
-// send was refused follows its send.
+// then-current view. The tracer gets each heartbeat of a share that reached
+// the wire as its user's d2d-send, or fallback for a resend, at now.
 func (t *trunk) send(refs []inflight.Key, now time.Time, fallback bool) {
 	parts := t.up.Send(now, len(refs),
 		func(v *cluster.View, i int) int { return t.ownerOf(v, refs[i].Slot) },
 		func(i int) hbproto.Heartbeat {
 			u := refs[i].Slot
-			p := &t.profiles[t.clients[u].prof]
+			p := &t.profiles[t.prof[u]]
 			return hbproto.Heartbeat{
 				Src: t.ids.at(u), Seq: refs[i].Seq, App: p.app,
 				Origin: now, Expiry: p.expiry, Pad: p.pad,
@@ -222,14 +210,6 @@ func (t *trunk) send(refs []inflight.Key, now time.Time, fallback bool) {
 			} else {
 				t.c.dialErrors.Add(1)
 			}
-			if t.trec != nil && !fallback {
-				if t.unsent == nil {
-					t.unsent = make(map[inflight.Key]struct{})
-				}
-				for _, i := range p.Pos {
-					t.unsent[refs[i]] = struct{}{}
-				}
-			}
 			continue
 		}
 		t.c.trunkWrites.Add(1)
@@ -239,15 +219,13 @@ func (t *trunk) send(refs []inflight.Key, now time.Time, fallback bool) {
 		} else {
 			t.c.sentRelayed.Add(uint64(len(p.Pos)))
 		}
-		if t.trec != nil {
+		if t.tracer != nil {
+			kind := trace.KindD2DSend
+			if fallback {
+				kind = trace.KindFallback
+			}
 			for _, i := range p.Pos {
-				if fallback {
-					if _, ok := t.unsent[refs[i]]; !ok {
-						continue
-					}
-					delete(t.unsent, refs[i])
-				}
-				t.trec.Record(rec.EvSend, int(t.clients[refs[i].Slot].trec), refs[i].Seq, now)
+				t.traceEvent(kind, refs[i], now)
 			}
 		}
 		t.shards.add(p.Node, uint64(len(p.Pos)))
@@ -281,10 +259,22 @@ func (t *trunk) collectExpired(now time.Time) []inflight.Key {
 // timedOut writes off heartbeats the pending table gave up on (t.mu held).
 func (t *trunk) timedOut(refs []inflight.Key, now time.Time) {
 	for _, ref := range refs {
-		t.trec.Record(rec.EvTimeout, int(t.clients[ref.Slot].trec), ref.Seq, now)
-		delete(t.unsent, ref)
+		t.traceEvent(trace.KindTimeout, ref, now)
 	}
 	t.c.timeoutRelayed.Add(uint64(len(refs)))
+}
+
+// traceEvent hands the tracer, if any, one event of user ref.Slot's heartbeat
+// ref.Seq, which went through the trunk. An ack is the server's.
+func (t *trunk) traceEvent(kind trace.Kind, ref inflight.Key, at time.Time) {
+	if t.tracer == nil {
+		return
+	}
+	ev := trace.Event{At: trace.Unix(at), Device: t.ids.at(ref.Slot), Kind: kind, Seq: ref.Seq, Peer: t.id}
+	if kind == trace.KindAck {
+		ev.Reason = trace.ReasonServerAck
+	}
+	t.tracer.Emit(ev)
 }
 
 // Sweep re-sends expired heartbeats (drain-phase entry point; tick folds
@@ -316,9 +306,7 @@ func (t *trunk) onRefs(refs []hbproto.Ref, at time.Time) {
 		}
 		run++
 		acked++
-		if t.trec != nil {
-			t.trec.Record(rec.EvAck, int(t.clients[i].trec), ref.Seq, at)
-		}
+		t.traceEvent(trace.KindAck, inflight.Key{Slot: i, Seq: ref.Seq}, at)
 		if ref.Seq <= t.users[i].last {
 			t.c.outOfOrderAcks.Add(1)
 		} else {

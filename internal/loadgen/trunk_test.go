@@ -29,11 +29,7 @@ func newTestTrunk(tb testing.TB, addr string, n, slots int, dial func(network, a
 		tb.Fatal(err)
 	}
 	r := &Runner{cfg: Config{Net: faultnet.OS{}}, cluster: cl, ackTimeout: time.Second}
-	clients := make([]tclient, n)
-	for i := range clients {
-		clients[i].trec = -1
-	}
-	t := r.newTrunk("loadtrunk-test", time.Second, []tprofile{{app: "fast", expiry: time.Minute, pad: 54}}, fleetIDs(0, n, 7), clients, slots)
+	t := r.newTrunk("loadtrunk-test", time.Second, []tprofile{{app: "fast", expiry: time.Minute, pad: 54}}, fleetIDs(0, n, 7), make([]int32, n), slots)
 	t.up.Dial = dial
 	return t
 }
@@ -293,7 +289,7 @@ func TestTrunkPaceBlocks(t *testing.T) {
 			if slots > n {
 				continue // buildTrunks clamps the slot count to the users
 			}
-			tr := r.newTrunk("loadtrunk-0000", time.Second, []tprofile{{}}, ids, make([]tclient, n), slots)
+			tr := r.newTrunk("loadtrunk-0000", time.Second, []tprofile{{}}, ids, make([]int32, n), slots)
 			next, smallest, largest := 0, n, 0
 			for s := range slots {
 				lo, hi := tr.paced(s)

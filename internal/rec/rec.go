@@ -1,16 +1,16 @@
 // Package rec defines a compact, versioned trace format for heartbeat
-// workloads: the per-heartbeat arrival timeline of one real run (client
-// table, fault-window markers, varint/delta-encoded send/ack/timeout
-// events), a concurrency-safe recorder the load generator and chaos suite
-// hook into, and the replay metrics/parity report that let the identical
-// timeline be driven through both the discrete-event simulator and the
-// live TCP stack. One captured "bad day" becomes a permanent regression
-// workload, and sim-vs-real divergence on the same trace becomes a
-// measurable parity metric.
+// workloads (D2DR): the per-heartbeat arrival timeline of one real run
+// (client table, fault-window markers, varint/delta-encoded send/ack/timeout
+// events), the Recorder that encodes a live run's trace events into it, and
+// the replay metrics/parity report that let the identical timeline be driven
+// through both the discrete-event simulator and the live TCP stack. One
+// captured "bad day" becomes a permanent regression workload, and
+// sim-vs-real divergence on the same trace becomes a measurable parity
+// metric.
 //
-// The package itself is clock-free: every recorded instant is passed in by
-// the caller, so the simulator can feed virtual instants and the real
-// stack wall instants through the same API.
+// The package itself is clock-free: every recorded instant is the event's
+// own, so the simulator's replay can build virtual-time timelines and the
+// Recorder live ones from the same types.
 package rec
 
 import (
@@ -134,10 +134,15 @@ func (tl *Timeline) Validate() error {
 	if tl.RelayPeriod < 0 || tl.RelayCapacity < 0 {
 		return fmt.Errorf("rec: negative relay parameters %v/%d", tl.RelayPeriod, tl.RelayCapacity)
 	}
+	ids := make(map[string]struct{}, len(tl.Clients))
 	for i, c := range tl.Clients {
 		if c.ID == "" {
 			return fmt.Errorf("rec: client %d has empty ID", i)
 		}
+		if _, dup := ids[c.ID]; dup {
+			return fmt.Errorf("rec: client %d repeats ID %s", i, c.ID)
+		}
+		ids[c.ID] = struct{}{}
 		if c.Period < 0 || c.Expiry < 0 || c.Pad < 0 {
 			return fmt.Errorf("rec: client %s has negative period/expiry/pad", c.ID)
 		}

@@ -1,18 +1,21 @@
 package rec
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
 	"time"
+
+	"d2dhb/internal/trace"
 )
 
-// Recorder collects one run's timeline from concurrently-running clients.
-// All methods are safe on a nil receiver (no-ops), so call sites hook it
-// unconditionally, telemetry-style. Events are buffered in memory and
-// sorted once at snapshot time: senders on many goroutines observe wall
-// instants slightly out of order, and the canonical trace order is by
-// instant, not by lock-acquisition order.
+// Recorder is the D2DR encoder of a live run's trace events: a
+// trace.Tracer that collects one run's timeline from concurrently-running
+// clients. All methods are safe on a nil receiver (no-ops). Events are
+// buffered in memory and sorted once at snapshot time: senders on many
+// goroutines emit slightly out of order, and the canonical trace order is
+// by instant, not by lock-acquisition order.
 type Recorder struct {
 	mu      sync.Mutex
 	start   time.Time
@@ -20,13 +23,25 @@ type Recorder struct {
 	period  time.Duration
 	cap     int
 	clients []Client
+	row     map[string]int // client ID → index into clients
 	faults  []FaultWindow
 	events  []Event
+	sent    map[sendKey]bool // the heartbeats whose send is recorded, one per EvSend
 }
+
+// sendKey is one heartbeat of the client table.
+type sendKey struct {
+	client int
+	seq    uint64
+}
+
+var _ trace.Tracer = (*Recorder)(nil)
 
 // NewRecorder returns an empty recorder. Call Start before recording
 // events.
-func NewRecorder() *Recorder { return &Recorder{} }
+func NewRecorder() *Recorder {
+	return &Recorder{row: make(map[string]int), sent: make(map[sendKey]bool)}
+}
 
 // Start pins t=0 of the timeline to now and stores the run seed. A second
 // call is ignored, so the recorder can be armed defensively.
@@ -53,16 +68,16 @@ func (r *Recorder) SetRelay(period time.Duration, capacity int) {
 	r.mu.Unlock()
 }
 
-// AddClient appends one client-table row and returns its index, or -1 on a
-// nil recorder.
-func (r *Recorder) AddClient(c Client) int {
+// AddClient appends one client-table row. Emit finds it by its ID, so IDs
+// must be unique (Timeline rejects a repeated one).
+func (r *Recorder) AddClient(c Client) {
 	if r == nil {
-		return -1
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.row[c.ID] = len(r.clients)
 	r.clients = append(r.clients, c)
-	return len(r.clients) - 1
 }
 
 // AddFault appends one fault-window marker (times relative to Start).
@@ -75,17 +90,43 @@ func (r *Recorder) AddFault(w FaultWindow) {
 	r.mu.Unlock()
 }
 
-// Record appends one event for the given client index at wall instant at.
-// Events before Start or with a negative client index are dropped.
-func (r *Recorder) Record(kind EventKind, client int, seq uint64, at time.Time) {
-	if r == nil || client < 0 {
+// Emit implements trace.Tracer for a live run, whose events carry Unix
+// instants: it records heartbeat Seq of Device's client-table row at its
+// offset from Start. A heartbeat's EvSend is the first of its sends that
+// reached the wire, in emission order: a d2d-send, a direct-send, or a
+// fallback, which is first when the relay write failed. Every ack is an
+// EvAck, every write-off an EvTimeout. Other kinds, unknown devices and
+// events before Start are dropped.
+func (r *Recorder) Emit(ev trace.Event) {
+	if r == nil {
+		return
+	}
+	var kind EventKind
+	switch ev.Kind {
+	case trace.KindD2DSend, trace.KindDirectSend, trace.KindFallback:
+		kind = EvSend
+	case trace.KindAck:
+		kind = EvAck
+	case trace.KindTimeout:
+		kind = EvTimeout
+	default:
 		return
 	}
 	r.mu.Lock()
-	if !r.start.IsZero() && !at.Before(r.start) {
-		r.events = append(r.events, Event{At: at.Sub(r.start), Kind: kind, Client: client, Seq: seq})
+	defer r.mu.Unlock()
+	c, ok := r.row[ev.Device]
+	if !ok || r.start.IsZero() || ev.At < trace.Unix(r.start) {
+		return
 	}
-	r.mu.Unlock()
+	at := ev.At - trace.Unix(r.start)
+	if kind == EvSend {
+		k := sendKey{c, ev.Seq}
+		if r.sent[k] {
+			return
+		}
+		r.sent[k] = true
+	}
+	r.events = append(r.events, Event{At: at, Kind: kind, Client: c, Seq: ev.Seq})
 }
 
 // Timeline snapshots the recording into a canonical (sorted, validated)
@@ -109,51 +150,13 @@ func (r *Recorder) Timeline() (*Timeline, error) {
 		Events:        slices.Clone(r.events),
 	}
 	slices.SortFunc(tl.Events, func(a, b Event) int {
-		switch {
-		case a.At != b.At:
-			if a.At < b.At {
-				return -1
-			}
-			return 1
-		case a.Client != b.Client:
-			return a.Client - b.Client
-		case a.Seq != b.Seq:
-			if a.Seq < b.Seq {
-				return -1
-			}
-			return 1
-		default:
-			return int(a.Kind) - int(b.Kind)
-		}
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Client, b.Client), cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Kind, b.Kind))
 	})
 	slices.SortFunc(tl.Faults, func(a, b FaultWindow) int {
-		switch {
-		case a.From != b.From:
-			if a.From < b.From {
-				return -1
-			}
-			return 1
-		default:
-			if a.Kind < b.Kind {
-				return -1
-			} else if a.Kind > b.Kind {
-				return 1
-			}
-			return 0
-		}
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Kind, b.Kind))
 	})
 	if err := tl.Validate(); err != nil {
 		return nil, err
 	}
 	return tl, nil
-}
-
-// Events reports how many events have been recorded so far.
-func (r *Recorder) Events() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
 }

@@ -5,22 +5,24 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"d2dhb/internal/trace"
 )
 
 var t0 = time.Unix(1_700_000_000, 0)
+
+// live is device's trace event of kind for heartbeat seq at wall instant at.
+func live(kind trace.Kind, device string, seq uint64, at time.Time) trace.Event {
+	return trace.Event{At: trace.Unix(at), Device: device, Kind: kind, Seq: seq}
+}
 
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	r.Start(t0, 1)
 	r.SetRelay(time.Minute, 5)
-	if idx := r.AddClient(Client{ID: "x"}); idx != -1 {
-		t.Fatalf("nil AddClient returned %d", idx)
-	}
+	r.AddClient(Client{ID: "x"})
 	r.AddFault(FaultWindow{Kind: "latency"})
-	r.Record(EvSend, 0, 1, t0)
-	if r.Events() != 0 {
-		t.Fatal("nil recorder counted events")
-	}
+	r.Emit(live(trace.KindD2DSend, "x", 1, t0))
 	if _, err := r.Timeline(); err == nil {
 		t.Fatal("nil recorder produced a timeline")
 	}
@@ -31,30 +33,24 @@ func TestRecorderLifecycle(t *testing.T) {
 	if _, err := r.Timeline(); err == nil {
 		t.Fatal("unstarted recorder produced a timeline")
 	}
+	r.AddClient(Client{ID: "ue-a", App: "chat", Period: time.Minute, Relay: -1})
 	// Events before Start are dropped.
-	r.Record(EvSend, 0, 1, t0)
+	r.Emit(live(trace.KindDirectSend, "ue-a", 1, t0))
 
 	r.Start(t0, 99)
 	r.Start(t0.Add(time.Hour), 1) // second Start ignored
 	r.SetRelay(30*time.Second, 5)
-	a := r.AddClient(Client{ID: "ue-a", App: "chat", Period: time.Minute, Relay: -1})
-	b := r.AddClient(Client{ID: "ue-b", App: "push", Period: time.Minute, Path: PathRelayed, Relay: 0})
-	if a != 0 || b != 1 {
-		t.Fatalf("client indices %d,%d", a, b)
-	}
+	r.AddClient(Client{ID: "ue-b", App: "push", Period: time.Minute, Path: PathRelayed, Relay: 0})
 	r.AddFault(FaultWindow{Kind: "latency", From: 2 * time.Second, To: 4 * time.Second})
 
-	// Recorded deliberately out of order; before-start and negative-index
+	// Recorded deliberately out of order; before-start and unknown-device
 	// events must be dropped.
-	r.Record(EvAck, b, 1, t0.Add(3*time.Second))
-	r.Record(EvSend, b, 1, t0.Add(1*time.Second))
-	r.Record(EvSend, a, 1, t0.Add(1*time.Second))
-	r.Record(EvTimeout, a, 1, t0.Add(5*time.Second))
-	r.Record(EvSend, -1, 1, t0.Add(1*time.Second))
-	r.Record(EvSend, a, 0, t0.Add(-time.Second))
-	if got := r.Events(); got != 4 {
-		t.Fatalf("Events() = %d, want 4", got)
-	}
+	r.Emit(live(trace.KindAck, "ue-b", 1, t0.Add(3*time.Second)))
+	r.Emit(live(trace.KindD2DSend, "ue-b", 1, t0.Add(1*time.Second)))
+	r.Emit(live(trace.KindDirectSend, "ue-a", 1, t0.Add(1*time.Second)))
+	r.Emit(live(trace.KindTimeout, "ue-a", 1, t0.Add(5*time.Second)))
+	r.Emit(live(trace.KindDirectSend, "ue-z", 1, t0.Add(1*time.Second)))
+	r.Emit(live(trace.KindDirectSend, "ue-a", 0, t0.Add(-time.Second)))
 
 	tl, err := r.Timeline()
 	if err != nil {
@@ -118,9 +114,8 @@ func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder()
 	r.Start(t0, 0)
 	const workers, per = 8, 200
-	ids := make([]int, workers)
-	for w := range ids {
-		ids[w] = r.AddClient(Client{ID: strings.Repeat("w", w+1), Relay: -1})
+	for w := 0; w < workers; w++ {
+		r.AddClient(Client{ID: strings.Repeat("w", w+1), Relay: -1})
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -129,7 +124,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				at := t0.Add(time.Duration(i*workers+w) * time.Millisecond)
-				r.Record(EvSend, ids[w], uint64(i), at)
+				r.Emit(live(trace.KindDirectSend, strings.Repeat("w", w+1), uint64(i), at))
 			}
 		}(w)
 	}
@@ -149,17 +144,17 @@ func TestRecorderConcurrent(t *testing.T) {
 func TestRecordedMetrics(t *testing.T) {
 	r := NewRecorder()
 	r.Start(t0, 0)
-	a := r.AddClient(Client{ID: "a", Relay: -1})
-	b := r.AddClient(Client{ID: "b", Relay: -1})
+	r.AddClient(Client{ID: "a", Relay: -1})
+	r.AddClient(Client{ID: "b", Relay: -1})
 	// a: two acked heartbeats at 10ms and 30ms latency; b: one timeout and
 	// one orphan ack (no matching send).
-	r.Record(EvSend, a, 1, t0)
-	r.Record(EvAck, a, 1, t0.Add(10*time.Millisecond))
-	r.Record(EvSend, a, 2, t0.Add(time.Second))
-	r.Record(EvAck, a, 2, t0.Add(time.Second+30*time.Millisecond))
-	r.Record(EvSend, b, 1, t0.Add(time.Second))
-	r.Record(EvTimeout, b, 1, t0.Add(2*time.Second))
-	r.Record(EvAck, b, 7, t0.Add(3*time.Second))
+	r.Emit(live(trace.KindDirectSend, "a", 1, t0))
+	r.Emit(live(trace.KindAck, "a", 1, t0.Add(10*time.Millisecond)))
+	r.Emit(live(trace.KindDirectSend, "a", 2, t0.Add(time.Second)))
+	r.Emit(live(trace.KindAck, "a", 2, t0.Add(time.Second+30*time.Millisecond)))
+	r.Emit(live(trace.KindDirectSend, "b", 1, t0.Add(time.Second)))
+	r.Emit(live(trace.KindTimeout, "b", 1, t0.Add(2*time.Second)))
+	r.Emit(live(trace.KindAck, "b", 7, t0.Add(3*time.Second)))
 
 	tl, err := r.Timeline()
 	if err != nil {
@@ -248,5 +243,145 @@ func TestParityReport(t *testing.T) {
 		if !strings.Contains(string(js), want) {
 			t.Fatalf("json missing %s", want)
 		}
+	}
+}
+
+// TestEmitFirstSend pins Emit's rule: a heartbeat's send is the first of
+// its sends, in emission order, that reached the wire, at that send's
+// instant; every ack and write-off is recorded; nothing else is.
+func TestEmitFirstSend(t *testing.T) {
+	origin, sweep := t0.Add(time.Second), t0.Add(5*time.Second)
+	ack := live(trace.KindAck, "ue", 1, t0.Add(6*time.Second))
+	serverAck := ack
+	serverAck.Reason = trace.ReasonServerAck
+	at := func(w time.Time) time.Duration { return w.Sub(t0) }
+	for _, tc := range []struct {
+		name string
+		evs  []trace.Event
+		want []Event
+	}{
+		{"relay send", []trace.Event{
+			live(trace.KindGenerated, "ue", 1, origin),
+			live(trace.KindD2DSend, "ue", 1, origin),
+		}, []Event{{At: at(origin), Kind: EvSend, Seq: 1}}},
+		{"failed relay write, then fallback at its sweep", []trace.Event{
+			live(trace.KindD2DFail, "ue", 1, origin),
+			live(trace.KindFallback, "ue", 1, sweep),
+		}, []Event{{At: at(sweep), Kind: EvSend, Seq: 1}}},
+		{"fallback after a wire send", []trace.Event{
+			live(trace.KindD2DSend, "ue", 1, origin),
+			live(trace.KindFallback, "ue", 1, sweep),
+		}, []Event{{At: at(origin), Kind: EvSend, Seq: 1}}},
+		{"relay write returning after the fallback", []trace.Event{
+			live(trace.KindFallback, "ue", 1, sweep),
+			ack,
+			live(trace.KindD2DSend, "ue", 1, origin),
+		}, []Event{{At: at(sweep), Kind: EvSend, Seq: 1}, {At: 6 * time.Second, Kind: EvAck, Seq: 1}}},
+		{"direct send acked before its emission", []trace.Event{
+			serverAck,
+			live(trace.KindDirectSend, "ue", 1, origin),
+		}, []Event{{At: at(origin), Kind: EvSend, Seq: 1}, {At: 6 * time.Second, Kind: EvAck, Seq: 1}}},
+		{"write-off with no send", []trace.Event{
+			live(trace.KindTimeout, "ue", 1, sweep),
+		}, []Event{{At: at(sweep), Kind: EvTimeout, Seq: 1}}},
+		{"feedback ack", []trace.Event{
+			live(trace.KindD2DSend, "ue", 1, origin), ack,
+		}, []Event{{At: at(origin), Kind: EvSend, Seq: 1}, {At: 6 * time.Second, Kind: EvAck, Seq: 1}}},
+		{"server ack", []trace.Event{
+			live(trace.KindDirectSend, "ue", 1, origin), serverAck,
+		}, []Event{{At: at(origin), Kind: EvSend, Seq: 1}, {At: 6 * time.Second, Kind: EvAck, Seq: 1}}},
+		{"unknown ID", []trace.Event{
+			live(trace.KindD2DSend, "stranger", 1, origin),
+			live(trace.KindAck, "stranger", 1, sweep),
+		}, nil},
+		{"before Start", []trace.Event{
+			live(trace.KindDirectSend, "ue", 1, t0.Add(-time.Millisecond)),
+			live(trace.KindTimeout, "ue", 1, t0.Add(-time.Nanosecond)),
+		}, nil},
+		{"other kinds", []trace.Event{
+			live(trace.KindCollect, "ue", 1, origin),
+			live(trace.KindFlush, "ue", 1, origin),
+			live(trace.KindDelivery, "ue", 1, origin),
+		}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRecorder()
+			r.AddClient(Client{ID: "ue", Relay: -1})
+			r.Start(t0, 0)
+			for _, ev := range tc.evs {
+				r.Emit(ev)
+			}
+			tl, err := r.Timeline()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tl.Events) != len(tc.want) {
+				t.Fatalf("recorded %+v, want %+v", tl.Events, tc.want)
+			}
+			for i := range tc.want {
+				if tl.Events[i] != tc.want[i] {
+					t.Fatalf("event %d = %+v, want %+v", i, tl.Events[i], tc.want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestEmitConcurrentFirstSend has every heartbeat's sends, ack and the
+// sends of other heartbeats emitted from several goroutines at once, as a
+// UE's stepper, its sweep and its links' readers do: each heartbeat still
+// gets exactly one EvSend and one EvAck. Run with -race.
+func TestEmitConcurrentFirstSend(t *testing.T) {
+	r := NewRecorder()
+	r.Start(t0, 0)
+	const ues, seqs = 4, 300
+	for u := 0; u < ues; u++ {
+		r.AddClient(Client{ID: strings.Repeat("u", u+1), Relay: -1})
+	}
+	kinds := []trace.Kind{trace.KindD2DSend, trace.KindFallback, trace.KindDirectSend, trace.KindAck}
+	var wg sync.WaitGroup
+	for _, kind := range kinds {
+		for u := 0; u < ues; u++ {
+			wg.Add(1)
+			go func(kind trace.Kind, id string) {
+				defer wg.Done()
+				for seq := uint64(1); seq <= seqs; seq++ {
+					r.Emit(live(kind, id, seq, t0.Add(time.Duration(seq)*time.Millisecond)))
+				}
+			}(kind, strings.Repeat("u", u+1))
+		}
+	}
+	wg.Wait()
+	tl, err := r.Timeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make(map[EventKind]int)
+	seen := make(map[[2]uint64]int)
+	for _, e := range tl.Events {
+		counts[e.Kind]++
+		if e.Kind == EvSend {
+			seen[[2]uint64{uint64(e.Client), e.Seq}]++
+		}
+	}
+	if counts[EvSend] != ues*seqs || counts[EvAck] != ues*seqs || len(seen) != ues*seqs {
+		t.Fatalf("recorded %v over %d distinct sends, want %d sends and acks, one per heartbeat", counts, len(seen), ues*seqs)
+	}
+}
+
+func TestValidateRejectsRepeatedID(t *testing.T) {
+	tl := &Timeline{Clients: []Client{{ID: "ue", Relay: -1}, {ID: "ue", Path: PathRelayed, Relay: 0}}}
+	if err := tl.Validate(); err == nil || !strings.Contains(err.Error(), "repeats ID") {
+		t.Fatalf("Validate = %v, want a repeated-ID error", err)
+	}
+	if _, err := Decode(tl.Append(nil)); err == nil {
+		t.Fatal("a trace with a repeated client ID decoded")
+	}
+	r := NewRecorder()
+	r.Start(t0, 0)
+	r.AddClient(tl.Clients[0])
+	r.AddClient(tl.Clients[1])
+	if _, err := r.Timeline(); err == nil {
+		t.Fatal("a recording with a repeated client ID snapshotted")
 	}
 }

@@ -85,12 +85,24 @@ func lost(rec *trace.Recorder, generated map[hbKey]bool) []hbKey {
 	return missing
 }
 
+// feedbackAcks returns the acks the relay's feedback gave, in emission
+// order: server acks after a fallback may arrive out of order.
+func feedbackAcks(rec *trace.Recorder) []trace.Event {
+	var out []trace.Event
+	for _, ev := range rec.ByKind(trace.KindAck) {
+		if ev.Reason != trace.ReasonServerAck {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 // assertNoDuplicateAcks checks each (device, seq) was feedback-confirmed at
 // most once: ack refs stay consistent even when faults force resends.
 func assertNoDuplicateAcks(t *testing.T, rec *trace.Recorder) {
 	t.Helper()
 	seen := make(map[hbKey]int)
-	for _, ev := range rec.ByKind(trace.KindAck) {
+	for _, ev := range feedbackAcks(rec) {
 		seen[hbKey{ev.Device, ev.Seq}]++
 	}
 	for k, n := range seen {
@@ -106,7 +118,7 @@ func assertNoDuplicateAcks(t *testing.T, rec *trace.Recorder) {
 func assertMonotonicAcks(t *testing.T, rec *trace.Recorder) {
 	t.Helper()
 	last := make(map[string]uint64)
-	for _, ev := range rec.ByKind(trace.KindAck) {
+	for _, ev := range feedbackAcks(rec) {
 		if prev, ok := last[ev.Device]; ok && ev.Seq <= prev {
 			t.Errorf("device %s ack seq %d after %d (non-monotonic)", ev.Device, ev.Seq, prev)
 		}
@@ -350,23 +362,25 @@ func TestChaosSlowLorisRelay(t *testing.T) {
 			return st.FallbackResends+st.Direct == 1
 		}, "slow-loris UE recovered via direct path")
 		// Its register and first heartbeat take minutes to trickle out; the
-		// fallback comes from the driver's sweep while the write is stuck.
-		first := func(kind trace.Kind) (atMs int64, ok bool) {
-			for _, ev := range rec.ByKind(kind) {
-				if ev.Device == "loris-slow" {
-					return ev.AtMs, true
+		// fallback comes from the driver's sweep while the write is stuck,
+		// so it is emitted before the relay write returns (its d2d-send, or
+		// its d2d-fail once the fallback dropped the link).
+		first := func(kinds ...trace.Kind) (i int, ev trace.Event) {
+			for i, ev := range rec.Events() {
+				if ev.Device == "loris-slow" && slices.Contains(kinds, ev.Kind) {
+					return i, ev
 				}
 			}
-			return 0, false
+			return -1, trace.Event{}
 		}
-		fellBack, ok := first(trace.KindFallback)
-		if !ok {
+		fell, fallback := first(trace.KindFallback)
+		if fell < 0 {
 			t.Fatal("the slow-loris UE never fell back")
 		}
-		if relayed, ok := first(trace.KindD2DSend); ok && relayed <= fellBack {
-			t.Errorf("the slow-loris UE fell back %d ms after its first relay write returned, want while it was stuck", fellBack-relayed)
+		if returned, _ := first(trace.KindD2DSend, trace.KindD2DFail); returned < fell {
+			t.Errorf("the slow-loris UE's relay write returned at event %d (-1: never), its fallback is event %d: want the fallback while the write was stuck", returned, fell)
 		}
-		if lapse := start.Add(slow.window(0)).UnixMilli(); fellBack != lapse {
+		if fellBack, lapse := fallback.At.Milliseconds(), start.Add(slow.window(0)).UnixMilli(); fellBack != lapse {
 			t.Errorf("the slow-loris UE fell back %d ms after its window lapsed, want at the lapse", fellBack-lapse)
 		}
 

@@ -35,7 +35,8 @@ type RelayAgentConfig struct {
 	Pad int
 	// Capacity is M, the per-period collection capacity.
 	Capacity int
-	// Tracer receives structured events when non-nil (AtMs is Unix ms).
+	// Tracer receives structured events when non-nil, at Unix instants
+	// (trace.Unix).
 	Tracer trace.Tracer
 	// Dial overrides upstream (server) dialing; nil selects net.Dial.
 	// Fault-injection hook (see internal/faultnet).
@@ -839,7 +840,7 @@ func (u agentUplink) Forward(hbs []hbmsg.Heartbeat) (lost []int, acked bool, err
 
 // agentTrace is the relay's Tracer on the live stack: it stamps collects
 // for the collect-to-flush histogram and hands every event to the
-// configured tracer with AtMs in Unix milliseconds.
+// configured tracer at its Unix instant.
 type agentTrace struct{ r *RelayAgent }
 
 func (t agentTrace) Emit(ev trace.Event) {
@@ -849,7 +850,7 @@ func (t agentTrace) Emit(ev trace.Event) {
 		r.held = append(r.held, now)
 	}
 	if r.cfg.Tracer != nil {
-		ev.AtMs = r.epoch.Add(now).UnixMilli()
+		ev.At = trace.Unix(r.epoch.Add(now))
 		r.cfg.Tracer.Emit(ev)
 	}
 }

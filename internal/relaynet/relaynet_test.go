@@ -634,8 +634,8 @@ func TestRelayKeepsItsLiveWireAndTrace(t *testing.T) {
 	}
 	for kind, at := range map[trace.Kind]time.Duration{trace.KindCollect: time.Millisecond, trace.KindFlush: period} {
 		evs := rec.ByKind(kind)
-		if want := r.epoch.Add(at).UnixMilli(); len(evs) != 1 || evs[0].AtMs != want {
-			t.Fatalf("%s events %+v, want one at Unix ms %d", kind, evs, want)
+		if want := trace.Unix(r.epoch.Add(at)); len(evs) != 1 || evs[0].At != want {
+			t.Fatalf("%s events %+v, want one at Unix instant %d", kind, evs, want)
 		}
 	}
 	rl := telemetry.L("relay", "relay-1")

@@ -118,7 +118,7 @@ func NewServer() *Server {
 }
 
 // SetTracer attaches an event tracer; call before Start. Real-stack events
-// carry absolute Unix milliseconds in AtMs (components are independent
+// carry Unix instants in At (trace.Unix: components are independent
 // processes with no shared virtual clock).
 func (s *Server) SetTracer(tr trace.Tracer) { s.tracer = tr }
 
@@ -556,7 +556,7 @@ func (s *Server) noteDrop(conn net.Conn, reason string, idle bool) {
 		s.protocolErrors.Add(1)
 	}
 	trace.Emit(s.tracer, trace.Event{
-		AtMs: time.Now().UnixMilli(), Device: conn.RemoteAddr().String(),
+		At: trace.Unix(time.Now()), Device: conn.RemoteAddr().String(),
 		Kind: trace.KindConnDrop, Reason: reason,
 	})
 }
@@ -669,7 +669,7 @@ func (s *Server) traceDelivery(hb *hbproto.Heartbeat, now time.Time, relayed, on
 		via = "relay"
 	}
 	s.tracer.Emit(trace.Event{
-		AtMs: now.UnixMilli(), Device: hb.Src, Kind: trace.KindDelivery,
+		At: trace.Unix(now), Device: hb.Src, Kind: trace.KindDelivery,
 		App: hb.App, Seq: hb.Seq, Peer: via, OnTime: onTime,
 	})
 }

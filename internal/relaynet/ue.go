@@ -11,7 +11,6 @@ import (
 	"d2dhb/internal/device"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/inflight"
-	"d2dhb/internal/rec"
 	"d2dhb/internal/session"
 	"d2dhb/internal/telemetry"
 	"d2dhb/internal/trace"
@@ -67,15 +66,13 @@ type UEClientConfig struct {
 	// send, or a resend that went unacknowledged too). Zero selects the
 	// simulator's rule for each app's Expiry, device.FeedbackWindow.
 	FeedbackTimeout time.Duration
-	// Tracer receives structured events when non-nil (AtMs is Unix ms).
+	// Tracer, when non-nil, receives each of the UE's events once, at its
+	// Unix instant; a send's is when it began: its origin, or a fallback's
+	// sweep. A rec.Recorder is one.
 	Tracer trace.Tracer
 	// Dial overrides every outbound dial (relay and direct paths); nil
 	// selects net.Dial. Fault-injection hook (see internal/faultnet).
 	Dial func(network, addr string) (net.Conn, error)
-	// Recorder, when non-nil, records the UE's sends, acknowledgements and
-	// timeouts as client RecorderIndex of the recording's client table.
-	Recorder      *rec.Recorder
-	RecorderIndex int
 	// Latency, when non-nil, receives each acknowledged heartbeat's latency
 	// in microseconds, counted from the send that got it acknowledged.
 	Latency *telemetry.Recorder
@@ -131,22 +128,6 @@ type ueExtra struct {
 	due    []int64 // apps[1:]'s next due instants, as UEClient.due
 	tracer trace.Tracer
 	drv    *session.Driver // the one-unit driver Start runs the UE on
-	// unsent holds, while the UE is recorded, the heartbeats whose write
-	// to the relay failed, so no send of theirs reached the wire: their
-	// fallback resend, if it does, is their send in the recording. Guarded
-	// by UEClient.mu.
-	unsent map[inflight.Key]struct{}
-}
-
-// takeUnsent removes heartbeat k from the unsent set and reports whether
-// it was there (x and its set may be nil: the UE is not recorded).
-func (x *ueExtra) takeUnsent(k inflight.Key) bool {
-	if x == nil || x.unsent == nil {
-		return false
-	}
-	_, ok := x.unsent[k]
-	delete(x.unsent, k)
-	return ok
 }
 
 // UEClient is the paper's UE on the live stack: it emits each app's
@@ -172,7 +153,6 @@ type UEClient struct {
 	timeout time.Duration // FeedbackTimeout: zero derives each app's window from its expiry
 	dial    func(network, addr string) (net.Conn, error)
 	owner   func(id string) string // the cluster view's owner lookup
-	rec     *rec.Recorder
 	latency *telemetry.Recorder
 	x       *ueExtra // set before the UE goes live: by NewUEClient or Start
 
@@ -190,7 +170,6 @@ type UEClient struct {
 	pending  inflight.Pending // heartbeats in flight, slot = app index
 	last     uint64           // highest acknowledged seq
 	n        UEClientStats
-	tidx     int32 // RecorderIndex
 	closed   bool
 }
 
@@ -208,9 +187,9 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 	}
 	u := &UEClient{
 		id: cfg.ID, apps: cfg.Apps, timeout: cfg.FeedbackTimeout, dial: cfg.Dial,
-		owner: cl.Owner(), rec: cfg.Recorder, latency: cfg.Latency, tidx: int32(cfg.RecorderIndex),
+		owner: cl.Owner(), latency: cfg.Latency,
 	}
-	if len(cfg.Apps) > 1 || cfg.Tracer != nil || cfg.Recorder != nil {
+	if len(cfg.Apps) > 1 || cfg.Tracer != nil {
 		u.x = &ueExtra{due: make([]int64, len(cfg.Apps)-1), tracer: cfg.Tracer}
 	}
 	if cfg.RelayAddr == "" {
@@ -411,12 +390,12 @@ func (u *UEClient) lapse() (at time.Time, ok bool) { return u.pending.Lapse(u.wi
 func (u *UEClient) Send(app int, seq uint64, now time.Time) {
 	hb := u.heartbeat(app, seq, now)
 	k := inflight.Key{Slot: app, Seq: seq}
-	u.emit(trace.KindGenerated, hb.App, seq, now)
+	u.emit(trace.Event{At: trace.Unix(now), Kind: trace.KindGenerated, App: hb.App, Seq: seq})
 	if u.relayed() && u.viaRelay(&hb, k) {
 		return
 	}
 	u.track(k, now, false)
-	u.sendDirect(&hb, k, false, now)
+	u.sendDirect(&hb, false, now)
 }
 
 // track counts heartbeat k as generated and opens its ack window at its
@@ -450,23 +429,16 @@ func (u *UEClient) viaRelay(hb *hbproto.Heartbeat, k inflight.Key) bool {
 	}
 	u.track(k, hb.Origin, true)
 	err = sendFrame(&u.primary, hb)
+	kind := trace.KindD2DSend
 	u.mu.Lock()
 	if err != nil {
 		u.n.WriteErrors++
-		if u.rec != nil {
-			if u.x.unsent == nil {
-				u.x.unsent = make(map[inflight.Key]struct{})
-			}
-			u.x.unsent[k] = struct{}{}
-		}
+		kind = trace.KindD2DFail
 	} else {
 		u.n.ViaRelay++
-		u.rec.Record(rec.EvSend, int(u.tidx), hb.Seq, hb.Origin)
 	}
 	u.mu.Unlock()
-	if err == nil {
-		u.emit(trace.KindD2DSend, hb.App, hb.Seq, time.Now())
-	}
+	u.emit(trace.Event{At: trace.Unix(hb.Origin), Kind: kind, App: hb.App, Seq: hb.Seq})
 	return true
 }
 
@@ -504,10 +476,9 @@ func (u *UEClient) directSlot() *session.Slot {
 // cached connection may point at a shard that has since left the cluster.
 // A heartbeat that still misses the wire stays in flight, so its window
 // decides it: a relayed UE resends it once, anything else is written off.
-// hb is heartbeat k, and now the instant the send began. fallback marks
-// its resend, which is recorded as its send only when its write to the
-// relay failed, at now: before any ack the write can bring.
-func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, k inflight.Key, fallback bool, now time.Time) {
+// now is the instant the send began; fallback marks hb's resend. A first
+// send is traced at the heartbeat's origin, a fallback at now.
+func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, fallback bool, now time.Time) {
 	s := u.directSlot()
 	var err error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -521,24 +492,20 @@ func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, k inflight.Key, fallback bo
 			break
 		}
 	}
-	kind := trace.KindDirectSend
+	ev := trace.Event{At: trace.Unix(hb.Origin), Kind: trace.KindDirectSend, App: hb.App, Seq: hb.Seq}
 	u.mu.Lock()
 	switch {
 	case err != nil:
 		u.n.WriteErrors++
 	case fallback:
 		u.n.FallbackResends++
-		kind = trace.KindFallback
-		if u.x.takeUnsent(k) {
-			u.rec.Record(rec.EvSend, int(u.tidx), hb.Seq, now)
-		}
+		ev.At, ev.Kind = trace.Unix(now), trace.KindFallback
 	default:
 		u.n.Direct++
-		u.rec.Record(rec.EvSend, int(u.tidx), hb.Seq, hb.Origin)
 	}
 	u.mu.Unlock()
 	if err == nil {
-		u.emit(kind, hb.App, hb.Seq, time.Now())
+		u.emit(ev)
 	}
 }
 
@@ -559,7 +526,7 @@ func (u *UEClient) Sweep(now time.Time) {
 	}
 	u.mu.Unlock()
 	for i := range resend {
-		u.sendDirect(&resend[i], keys[i], true, now)
+		u.sendDirect(&resend[i], true, now)
 	}
 	if len(resend) > 0 {
 		u.primary.Drop()
@@ -570,8 +537,7 @@ func (u *UEClient) Sweep(now time.Time) {
 func (u *UEClient) timedOut(keys []inflight.Key, now time.Time) {
 	for _, k := range keys {
 		u.n.Timeouts++
-		u.rec.Record(rec.EvTimeout, int(u.tidx), k.Seq, now)
-		u.x.takeUnsent(k)
+		u.emit(trace.Event{At: trace.Unix(now), Kind: trace.KindTimeout, App: u.apps[k.Slot].Name, Seq: k.Seq})
 	}
 }
 
@@ -594,16 +560,18 @@ func (u *UEClient) settle(refs []hbproto.Ref, at time.Time, feedback bool) {
 			}
 			u.n.Acked++
 			u.latency.Record(uint64(lat / time.Microsecond))
-			u.rec.Record(rec.EvAck, int(u.tidx), ref.Seq, at)
 			if ref.Seq <= u.last {
 				u.n.OutOfOrderAcks++
 			} else {
 				u.last = ref.Seq
 			}
+			ev := trace.Event{At: trace.Unix(at), Kind: trace.KindAck, Seq: ref.Seq}
 			if feedback {
 				u.n.FeedbackAcks++
-				u.emit(trace.KindAck, "", ref.Seq, at)
+			} else {
+				ev.Reason = trace.ReasonServerAck
 			}
+			u.emit(ev)
 			break
 		}
 	}
@@ -623,8 +591,10 @@ func (u *UEClient) window(i int) time.Duration {
 	return device.FeedbackWindow(u.timeout, u.apps[i].Expiry)
 }
 
-func (u *UEClient) emit(kind trace.Kind, app string, seq uint64, at time.Time) {
-	if u.x != nil {
-		trace.Emit(u.x.tracer, trace.Event{AtMs: at.UnixMilli(), Device: u.id, Kind: kind, App: app, Seq: seq})
+// emit hands ev, as the UE's, to its tracer.
+func (u *UEClient) emit(ev trace.Event) {
+	if u.x != nil && u.x.tracer != nil {
+		ev.Device = u.id
+		u.x.tracer.Emit(ev)
 	}
 }

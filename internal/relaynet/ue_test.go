@@ -76,8 +76,8 @@ func TestSendsShareTheGrid(t *testing.T) {
 		fleet := make([]*UEClient, ues)
 		for i := range fleet {
 			id := fmt.Sprintf("grid-ue-%02d", i)
-			tidx := recorder.AddClient(rec.Client{ID: id, App: "fast", Period: period, Expiry: expiry, Pad: 54, Relay: -1})
-			u, err := NewUEClient(UEClientConfig{ID: id, Apps: apps, ServerAddr: s.Addr(), Dial: nw.Dial, Recorder: recorder, RecorderIndex: tidx})
+			recorder.AddClient(rec.Client{ID: id, App: "fast", Period: period, Expiry: expiry, Pad: 54, Relay: -1})
+			u, err := NewUEClient(UEClientConfig{ID: id, Apps: apps, ServerAddr: s.Addr(), Dial: nw.Dial, Tracer: recorder})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -72,19 +72,19 @@ type hbKey struct {
 // earliest delivery.
 func Analyze(events []Event) Analysis {
 	a := Analysis{KindCounts: make(map[Kind]int)}
-	generated := make(map[hbKey]int64)
+	generated := make(map[hbKey]int64) // generation instant, ms
 	delivered := make(map[hbKey]Event)
 	for _, ev := range events {
 		a.KindCounts[ev.Kind]++
 		key := hbKey{device: ev.Device, seq: ev.Seq}
 		switch ev.Kind {
 		case KindGenerated:
-			generated[key] = ev.AtMs
+			generated[key] = ev.At.Milliseconds()
 		case KindDelivery:
 			if !ev.OnTime {
 				a.LateDeliveries++
 			}
-			if prev, ok := delivered[key]; !ok || ev.AtMs < prev.AtMs {
+			if prev, ok := delivered[key]; !ok || ev.At.Milliseconds() < prev.At.Milliseconds() {
 				delivered[key] = ev
 			}
 		}
@@ -95,7 +95,7 @@ func Analyze(events []Event) Analysis {
 		if !ok {
 			continue // relay own heartbeats have no generation event
 		}
-		d := float64(ev.AtMs - born)
+		d := float64(ev.At.Milliseconds() - born)
 		if d < 0 {
 			continue
 		}

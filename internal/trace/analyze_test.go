@@ -4,22 +4,23 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestAnalyzeDelays(t *testing.T) {
 	events := []Event{
-		{AtMs: 0, Device: "ue-1", Kind: KindGenerated, Seq: 1},
-		{AtMs: 100, Device: "ue-1", Kind: KindD2DSend, Seq: 1},
-		{AtMs: 5000, Device: "ue-1", Kind: KindDelivery, Seq: 1, Peer: "relay", OnTime: true},
+		{Device: "ue-1", Kind: KindGenerated, Seq: 1},
+		{At: 100 * time.Millisecond, Device: "ue-1", Kind: KindD2DSend, Seq: 1},
+		{At: 5 * time.Second, Device: "ue-1", Kind: KindDelivery, Seq: 1, Peer: "relay", OnTime: true},
 
-		{AtMs: 1000, Device: "ue-2", Kind: KindGenerated, Seq: 1},
-		{AtMs: 1000, Device: "ue-2", Kind: KindDelivery, Seq: 1, Peer: "ue-2", OnTime: true},
+		{At: time.Second, Device: "ue-2", Kind: KindGenerated, Seq: 1},
+		{At: time.Second, Device: "ue-2", Kind: KindDelivery, Seq: 1, Peer: "ue-2", OnTime: true},
 
-		{AtMs: 2000, Device: "ue-1", Kind: KindGenerated, Seq: 2},
-		{AtMs: 9000, Device: "ue-1", Kind: KindDelivery, Seq: 2, Peer: "relay", OnTime: false},
+		{At: 2 * time.Second, Device: "ue-1", Kind: KindGenerated, Seq: 2},
+		{At: 9 * time.Second, Device: "ue-1", Kind: KindDelivery, Seq: 2, Peer: "relay", OnTime: false},
 
 		// Relay's own heartbeat: delivery without generation event.
-		{AtMs: 3000, Device: "relay", Kind: KindDelivery, Seq: 1, Peer: "relay", OnTime: true},
+		{At: 3 * time.Second, Device: "relay", Kind: KindDelivery, Seq: 1, Peer: "relay", OnTime: true},
 	}
 	a := Analyze(events)
 	if a.Total.Count != 3 {
@@ -44,9 +45,9 @@ func TestAnalyzeDelays(t *testing.T) {
 
 func TestAnalyzeDuplicateDeliveryUsesEarliest(t *testing.T) {
 	events := []Event{
-		{AtMs: 0, Device: "u", Kind: KindGenerated, Seq: 1},
-		{AtMs: 8000, Device: "u", Kind: KindDelivery, Seq: 1, Peer: "u"},     // fallback (later)
-		{AtMs: 5000, Device: "u", Kind: KindDelivery, Seq: 1, Peer: "relay"}, // relay (earlier)
+		{Device: "u", Kind: KindGenerated, Seq: 1},
+		{At: 8 * time.Second, Device: "u", Kind: KindDelivery, Seq: 1, Peer: "u"},     // fallback (later)
+		{At: 5 * time.Second, Device: "u", Kind: KindDelivery, Seq: 1, Peer: "relay"}, // relay (earlier)
 	}
 	a := Analyze(events)
 	if a.Total.Count != 1 || a.Total.MaxMs != 5000 {
@@ -75,8 +76,8 @@ func TestReadJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)
 	want := []Event{
-		{AtMs: 1, Device: "a", Kind: KindGenerated, Seq: 1},
-		{AtMs: 2, Device: "b", Kind: KindFlush, N: 2, Reason: "capacity"},
+		{At: time.Millisecond, Device: "a", Kind: KindGenerated, Seq: 1},
+		{At: 2 * time.Millisecond, Device: "b", Kind: KindFlush, N: 2, Reason: "capacity"},
 	}
 	for _, ev := range want {
 		j.Emit(ev)
@@ -96,8 +97,10 @@ func TestReadJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("garbage accepted")
+	for _, in := range []string{"not json\n", `{"atMs":"x"}`} {
+		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
+			t.Fatalf("garbage %q accepted", in)
+		}
 	}
 }
 

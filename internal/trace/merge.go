@@ -6,26 +6,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash"
+	"slices"
 	"sort"
-	"time"
 )
 
 // Keyed is one trace event with its canonical merge key. The parallel
-// city kernel records events per tile; Event.AtMs truncates to
-// milliseconds, so the key carries the exact instant plus the emitting
-// device's stable population order and a per-device emission counter.
-// (At, Order, Seq) is a strict total order — Seq never repeats within a
-// device — so merged output is identical however events were sharded.
+// city kernel records events per tile; the key is the event's exact instant
+// plus the emitting device's stable population order and a per-device
+// emission counter. (Ev.At, Order, Seq) is a strict total order — Seq never
+// repeats within a device — so merged output is identical however events
+// were sharded.
 type Keyed struct {
-	At    time.Duration
 	Order int
 	Seq   uint64
 	Ev    Event
 }
 
 func keyedLess(a, b Keyed) bool {
-	if a.At != b.At {
-		return a.At < b.At
+	if a.Ev.At != b.Ev.At {
+		return a.Ev.At < b.Ev.At
 	}
 	if a.Order != b.Order {
 		return a.Order < b.Order
@@ -33,23 +32,11 @@ func keyedLess(a, b Keyed) bool {
 	return a.Seq < b.Seq
 }
 
-// SortKeyed orders events by their canonical key in place.
-func SortKeyed(events []Keyed) {
-	sort.Slice(events, func(i, j int) bool { return keyedLess(events[i], events[j]) })
-}
-
 // MergeKeyed concatenates per-tile buffers and returns them in canonical
 // order. The inputs are not modified.
 func MergeKeyed(buffers ...[]Keyed) []Keyed {
-	n := 0
-	for _, b := range buffers {
-		n += len(b)
-	}
-	out := make([]Keyed, 0, n)
-	for _, b := range buffers {
-		out = append(out, b...)
-	}
-	SortKeyed(out)
+	out := slices.Concat(buffers...)
+	sort.Slice(out, func(i, j int) bool { return keyedLess(out[i], out[j]) })
 	return out
 }
 
@@ -77,7 +64,7 @@ func (d *Digest) Add(events []Keyed) {
 			d.err = err
 			continue
 		}
-		fmt.Fprintf(d.h, "%d %d %d %s\n", int64(e.At), e.Order, e.Seq, raw)
+		fmt.Fprintf(d.h, "%d %d %d %s\n", int64(e.Ev.At), e.Order, e.Seq, raw)
 		d.n++
 	}
 }

@@ -8,11 +8,10 @@ import (
 
 func mkKeyed(at time.Duration, order int, seq uint64) Keyed {
 	return Keyed{
-		At:    at,
 		Order: order,
 		Seq:   seq,
 		Ev: Event{
-			AtMs:   At(at),
+			At:     at,
 			Device: "dev",
 			Kind:   KindGenerated,
 			Seq:    seq,
@@ -30,7 +29,7 @@ func TestMergeKeyedCanonicalOrder(t *testing.T) {
 		mkKeyed(time.Second, 7, 0),
 		mkKeyed(2*time.Second, 0, 2),
 		// Same millisecond as a[0] but earlier exact instant: the key
-		// must order on the sub-millisecond instant AtMs throws away.
+		// must order on the sub-millisecond instant the JSON drops.
 		mkKeyed(2*time.Second-time.Microsecond, 9, 0),
 	}
 	got := MergeKeyed(a, b)
@@ -59,7 +58,7 @@ func TestDigestPartitionIndependent(t *testing.T) {
 			all = append(all, mkKeyed(time.Duration(rng.Int63n(int64(time.Minute))), order, seq))
 		}
 	}
-	SortKeyed(all)
+	all = MergeKeyed(all)
 
 	whole := NewDigest()
 	whole.Add(all)
@@ -81,7 +80,7 @@ func TestDigestPartitionIndependent(t *testing.T) {
 		for _, tl := range tiles {
 			var in []Keyed
 			for _, e := range tl {
-				if e.At >= start && e.At < start+window {
+				if e.Ev.At >= start && e.Ev.At < start+window {
 					in = append(in, e)
 				}
 			}

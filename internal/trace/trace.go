@@ -1,7 +1,9 @@
-// Package trace provides structured event tracing for simulation runs:
-// every load-bearing action (heartbeat generation, D2D forward, collection,
-// flush, feedback, fallback, delivery) can be emitted as one JSON line,
-// giving post-hoc visibility into exactly how a scenario unfolded.
+// Package trace defines the one heartbeat event record of a run, simulated
+// or live: every load-bearing action (heartbeat generation, D2D forward,
+// collection, flush, feedback, fallback, delivery, write-off) is one Event,
+// emitted once into one Tracer. The JSONL writer here encodes it as one JSON
+// line; internal/rec's Recorder encodes a live run's sends, acks and
+// write-offs as a D2DR timeline.
 package trace
 
 import (
@@ -23,7 +25,8 @@ const (
 	KindRelayBusy   Kind = "relay-busy"   // relay advertised a closed window
 	KindDirectSend  Kind = "direct-send"  // UE sent straight over cellular
 	KindFallback    Kind = "fallback"     // feedback timeout → duplicate send
-	KindAck         Kind = "ack"          // UE received feedback
+	KindAck         Kind = "ack"          // UE's heartbeat acknowledged (Reason = ReasonServerAck when not by feedback)
+	KindTimeout     Kind = "timeout"      // UE wrote a heartbeat off unacknowledged
 	KindMatch       Kind = "match"        // UE connected to a relay
 	KindMatchFail   Kind = "match-fail"   // discovery found no usable relay
 	KindCollect     Kind = "collect"      // relay accepted a forwarded heartbeat
@@ -36,11 +39,17 @@ const (
 	KindFaultWindow Kind = "fault-window" // a scheduled fault window opened (Reason = fault kind)
 )
 
+// ReasonServerAck is the Reason of a KindAck the server's own ack gave: the
+// heartbeat went (or fell back) straight to the server. An ack without it
+// is the relay's feedback.
+const ReasonServerAck = "server"
+
 // Event is one trace record. Zero-valued optional fields are omitted from
-// the JSON encoding.
+// the JSON encoding, which carries At in whole milliseconds as "atMs".
 type Event struct {
-	// AtMs is the virtual time in milliseconds since simulation start.
-	AtMs int64 `json:"atMs"`
+	// At is the exact instant: virtual time since the start in the
+	// simulator, time since the Unix epoch (Unix) on the live stack.
+	At time.Duration `json:"-"`
 	// Device is the acting device.
 	Device string `json:"device"`
 	// Kind labels the action.
@@ -53,7 +62,7 @@ type Event struct {
 	Peer string `json:"peer,omitempty"`
 	// N is a count (batch size for a flush).
 	N int `json:"n,omitempty"`
-	// Reason annotates rejections, flush triggers and failures.
+	// Reason annotates rejections, flush triggers, failures and server acks.
 	Reason string `json:"reason,omitempty"`
 	// OnTime reports delivery punctuality.
 	OnTime bool `json:"onTime,omitempty"`
@@ -73,8 +82,33 @@ func Emit(tr Tracer, ev Event) {
 	}
 }
 
-// At converts a virtual instant to the wire representation.
-func At(d time.Duration) int64 { return d.Milliseconds() }
+// Unix is a live instant as an Event's At: time since the Unix epoch.
+func Unix(t time.Time) time.Duration { return time.Duration(t.UnixNano()) }
+
+// jsonEvent is an Event's JSON: At in whole milliseconds, first, then the
+// fields of eventFields, which is Event without its JSON methods.
+type jsonEvent struct {
+	AtMs int64 `json:"atMs"`
+	eventFields
+}
+
+type eventFields Event
+
+// MarshalJSON implements json.Marshaler.
+func (ev Event) MarshalJSON() ([]byte, error) {
+	return json.Marshal(jsonEvent{ev.At.Milliseconds(), eventFields(ev)})
+}
+
+// UnmarshalJSON decodes what MarshalJSON wrote, at millisecond precision.
+func (ev *Event) UnmarshalJSON(raw []byte) error {
+	var w jsonEvent
+	if err := json.Unmarshal(raw, &w); err != nil {
+		return err
+	}
+	*ev = Event(w.eventFields)
+	ev.At = time.Duration(w.AtMs) * time.Millisecond
+	return nil
+}
 
 // JSONL writes one JSON object per line.
 type JSONL struct {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +12,8 @@ import (
 func TestJSONLWritesOneLinePerEvent(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)
-	j.Emit(Event{AtMs: 1000, Device: "ue-1", Kind: KindGenerated, App: "WeChat", Seq: 1})
-	j.Emit(Event{AtMs: 2000, Device: "relay", Kind: KindFlush, N: 3, Reason: "deadline"})
+	j.Emit(Event{At: time.Second, Device: "ue-1", Kind: KindGenerated, App: "WeChat", Seq: 1})
+	j.Emit(Event{At: 2 * time.Second, Device: "relay", Kind: KindFlush, N: 3, Reason: "deadline"})
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -62,8 +63,68 @@ func TestRecorder(t *testing.T) {
 	}
 }
 
+// TestJSONLBytes pins the JSON line of one event of each kind, at a
+// simulator instant and at a live Unix-ns one, and reads them back at
+// millisecond precision: the encoding keeps At as whole milliseconds, first.
+func TestJSONLBytes(t *testing.T) {
+	kinds := []Kind{
+		KindGenerated, KindD2DSend, KindD2DFail, KindRelayBusy, KindDirectSend,
+		KindFallback, KindAck, KindTimeout, KindMatch, KindMatchFail, KindCollect,
+		KindReject, KindFlush, KindDelivery, KindConnDrop, KindStop, KindFault,
+		KindFaultWindow,
+	}
+	for _, tc := range []struct {
+		name   string
+		at     time.Duration
+		atJSON string
+	}{
+		{"sim", 90*time.Second + 1500*time.Microsecond, "90001"},
+		{"live", Unix(time.Unix(1_700_000_000, 123_456_789)), "1700000000123"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			j := NewJSONL(&buf)
+			var want strings.Builder
+			for i, k := range kinds {
+				j.Emit(Event{At: tc.at, Device: "ue-1", Kind: k, App: "chat", Seq: uint64(i + 1)})
+				fmt.Fprintf(&want, `{"atMs":%s,"device":"ue-1","kind":"%s","app":"chat","seq":%d}`+"\n", tc.atJSON, k, i+1)
+			}
+			// Every optional field, and the zero values it omits.
+			j.Emit(Event{At: tc.at, Device: "r<1>", Kind: KindDelivery, Peer: "relay", N: 3, Reason: ReasonServerAck, OnTime: true})
+			j.Emit(Event{At: tc.at, Kind: KindStop})
+			fmt.Fprintf(&want, `{"atMs":%s,"device":"r\u003c1\u003e","kind":"delivery","peer":"relay","n":3,"reason":"server","onTime":true}`+"\n", tc.atJSON)
+			fmt.Fprintf(&want, `{"atMs":%s,"device":"","kind":"stop"}`+"\n", tc.atJSON)
+			if got := buf.String(); got != want.String() {
+				t.Fatalf("JSONL bytes:\n%s\nwant:\n%s", got, want.String())
+			}
+			back, err := ReadJSONL(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(back) != len(kinds)+2 {
+				t.Fatalf("read %d events, want %d", len(back), len(kinds)+2)
+			}
+			ms := tc.at.Truncate(time.Millisecond)
+			for i, ev := range back {
+				if ev.At != ms {
+					t.Fatalf("event %d read back at %v, want %v", i, ev.At, ms)
+				}
+			}
+			if ev := back[len(kinds)]; ev.Peer != "relay" || ev.N != 3 || ev.Reason != ReasonServerAck || !ev.OnTime || ev.Device != "r<1>" {
+				t.Fatalf("optional fields read back as %+v", ev)
+			}
+		})
+	}
+}
+
+// TestAt checks that an event's exact instant goes to the JSON as whole
+// milliseconds, the sub-millisecond rest dropped.
 func TestAt(t *testing.T) {
-	if got := At(1500 * time.Millisecond); got != 1500 {
-		t.Fatalf("At = %d, want 1500", got)
+	raw, err := json.Marshal(Event{At: 1500*time.Millisecond + 999*time.Microsecond, Kind: KindAck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"atMs":1500,"device":"","kind":"ack"}`; string(raw) != want {
+		t.Fatalf("JSON = %s, want %s", raw, want)
 	}
 }
