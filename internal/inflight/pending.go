@@ -7,6 +7,7 @@ package inflight
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"time"
 )
@@ -35,78 +36,88 @@ func (a Key) compare(b Key) int {
 // seq) order, so the decisions and the trace records they produce replay
 // identically.
 //
-// The table is addressed by slot, not hashed: each slot keeps its
-// in-flight heartbeat inline, and only a second or later heartbeat in
-// flight on the same slot — an ack slower than the send period — goes to
-// an overflow map. Neither holds a pointer, so the collector never scans
-// the table.
+// The table is addressed by slot, not hashed: a slot keeps its in-flight
+// heartbeat inline, in the place at the slot's index modulo the places'
+// number, and only a second or later heartbeat in flight on the same slot
+// — an ack slower than the send period — goes to an overflow map. A
+// heartbeat whose place holds another slot's doubles the places, never
+// past the highest slot tracked plus one, where no two slots share one; so
+// the table holds about the span of slots in flight, not every slot an
+// owner has. Neither the places nor the map hold a pointer, so the
+// collector never scans the table.
 //
 // Pending is not synchronized: owners guard it with the lock that also
 // guards the counters they update alongside it. A socket-per-UE fleet holds
 // one per UE, and a simulated city one per UE, so the fields are laid out
 // without padding to spare. The zero value is ready to use; it allocates
-// nothing until the first Track, and then grows a zeroed slice up to the
-// highest slot tracked, copying it as it grows. An owner that knows its
-// slots up front sizes the slice once with Reserve instead: a long-lived
-// process that runs no GC keeps every array the slice grew out of.
+// nothing until the first Track, which makes room up to its slot.
 type Pending struct {
-	slots []inflight    // by slot: its inline heartbeat
-	over  map[Key]entry // the rest in flight; never a slot's inline key
-	live  int32         // inline entries in use
+	places []place       // by slot modulo their number: its inline heartbeat
+	over   map[Key]entry // the rest in flight; never a key held in a place
+	live   int32         // places in use
+	top    int32         // above every slot a place has held
 }
 
 // entry times are UnixNano. An entry has fallen back once its window was
-// re-armed: armed > sent. The two flags share the padding after the times,
-// so a slot's inline entry stays 32 bytes.
+// re-armed: armed > sent. The flags and the slot of the heartbeat a place
+// holds share the padding after the times, so a place stays 32 bytes.
 type entry struct {
 	sent   int64 // Track instant; survives the fallback re-arm
 	armed  int64 // start of the current ack window
 	resend bool  // given at Track: the first lapse hands it back for a resend
-	used   bool  // an inline slot holds a heartbeat
+	used   bool  // a place holds a heartbeat
+	slot   int32 // the slot of the heartbeat a place holds
 }
 
-// inflight is one slot's inline heartbeat.
-type inflight struct {
+// place holds one slot's inline heartbeat.
+type place struct {
 	seq uint64
 	entry
 }
 
-// inline returns k's inline entry, nil when k is not its slot's inline key.
-func (p *Pending) inline(k Key) *inflight {
-	if uint(k.Slot) >= uint(len(p.slots)) {
+// key returns the key of the heartbeat a used place holds.
+func (s *place) key() Key { return Key{Slot: int(s.slot), Seq: s.seq} }
+
+// at returns slot's place, nil when there are none or the slot is outside
+// [0, MaxInt32), which only the overflow holds.
+func (p *Pending) at(slot int) *place {
+	if len(p.places) == 0 || uint(slot) >= math.MaxInt32 {
 		return nil
 	}
-	if s := &p.slots[k.Slot]; s.used && s.seq == k.Seq {
+	return &p.places[slot%len(p.places)]
+}
+
+// inline returns k's place, nil when no place holds k.
+func (p *Pending) inline(k Key) *place {
+	if s := p.at(k.Slot); s != nil && s.used && s.key() == k {
 		return s
 	}
 	return nil
 }
 
-// get returns k's entry wherever it is stored.
-func (p *Pending) get(k Key) (entry, bool) {
-	if s := p.inline(k); s != nil {
-		return s.entry, true
-	}
-	e, ok := p.over[k]
-	return e, ok
-}
-
-// put stores e under k: over k's own entry if it has one, else inline when
-// the slot's inline place is free, else in the overflow.
+// put stores e under k: over k's own entry if it has one, else in k's
+// place when that is free, else in the overflow when the place holds
+// another heartbeat of k's slot. A place that holds another slot's grows
+// the places first.
 func (p *Pending) put(k Key, e entry) {
-	e.used = true
-	if k.Slot >= len(p.slots) {
-		p.slots = append(p.slots, make([]inflight, k.Slot+1-len(p.slots))...)
-	}
-	s := &p.slots[k.Slot]
-	if s.used && s.seq == k.Seq {
-		s.entry = e
-		return
-	}
-	if !s.used && !p.overflowed(k) {
-		*s = inflight{seq: k.Seq, entry: e}
-		p.live++
-		return
+	e.used, e.slot = true, int32(k.Slot)
+	if _, over := p.over[k]; !over && uint(k.Slot) < math.MaxInt32 {
+		s := p.at(k.Slot)
+		for s == nil || s.used && int(s.slot) != k.Slot {
+			p.grow(k.Slot)
+			s = p.at(k.Slot)
+		}
+		switch {
+		case !s.used:
+			*s = place{seq: k.Seq, entry: e}
+			p.live++
+			p.top = max(p.top, e.slot+1)
+			return
+		case s.seq == k.Seq:
+			s.entry = e
+			return
+		}
+		// A second heartbeat in flight on the slot goes to the overflow.
 	}
 	if p.over == nil {
 		p.over = make(map[Key]entry)
@@ -114,13 +125,32 @@ func (p *Pending) put(k Key, e entry) {
 	p.over[k] = e
 }
 
-// overflowed reports whether k is in the overflow.
-func (p *Pending) overflowed(k Key) bool {
-	if len(p.over) == 0 {
-		return false
+// grow makes room for slot, whose place is missing or holds another
+// slot's heartbeat: it doubles the places, or makes them one more than the
+// highest slot held or tracked where that is fewer, as many as a dense
+// slice would hold and where no two slots share a place. Each heartbeat
+// moves to its slot's place in the larger array: its own, or one in the
+// part just added that no other heartbeat moves to, so the move needs no
+// second array, and append amortizes the part added as it does a dense
+// slice's.
+func (p *Pending) grow(slot int) {
+	held := int(p.top)
+	p.top = max(p.top, int32(slot)+1)
+	n, m := len(p.places), int(p.top)
+	if n > 0 {
+		m = min(2*n, m)
 	}
-	_, ok := p.over[k]
-	return ok
+	p.places = append(p.places, make([]place, m-n)...)
+	if held <= n {
+		return // every place holds its own slot, which stays
+	}
+	for i := range n {
+		if s := &p.places[i]; s.used {
+			if j := int(s.slot) % m; j != i {
+				p.places[j], *s = *s, place{}
+			}
+		}
+	}
 }
 
 // take removes k and returns its entry.
@@ -130,54 +160,9 @@ func (p *Pending) take(k Key) (entry, bool) {
 		p.live--
 		return s.entry, true
 	}
-	if len(p.over) == 0 {
-		return entry{}, false
-	}
 	e, ok := p.over[k]
 	delete(p.over, k)
 	return e, ok
-}
-
-// walk calls visit with the key of each entry keep selects, in (slot, seq)
-// order: slots in index order, each slot's inline entry merged by seq with
-// its overflow entries. Only the selected overflow is sorted, never the
-// table. visit may re-arm or remove the entry it is given, and no other.
-func (p *Pending) walk(keep func(slot int, e entry) bool, visit func(Key)) {
-	if p.Len() == 0 {
-		return // owners sweep every tick; most find nothing in flight
-	}
-	var over []Key
-	for k, e := range p.over {
-		if keep(k.Slot, e) {
-			over = append(over, k)
-		}
-	}
-	slices.SortFunc(over, Key.compare)
-	for i := range p.slots {
-		s := &p.slots[i]
-		if !s.used || !keep(i, s.entry) {
-			continue
-		}
-		k := Key{Slot: i, Seq: s.seq}
-		for len(over) > 0 && over[0].compare(k) < 0 {
-			visit(over[0])
-			over = over[1:]
-		}
-		visit(k)
-	}
-	for _, k := range over {
-		visit(k)
-	}
-}
-
-// Reserve sizes the table for slots [0, slots), so that tracking on any of
-// them allocates nothing more.
-func (p *Pending) Reserve(slots int) {
-	if slots > len(p.slots) {
-		s := make([]inflight, slots)
-		copy(s, p.slots)
-		p.slots = s
-	}
 }
 
 // Track starts k's ack window at the given instant; resend says whether
@@ -202,8 +187,30 @@ func (p *Pending) Settle(k Key, now time.Time) (time.Duration, bool) {
 
 // Sent returns the instant k was first tracked.
 func (p *Pending) Sent(k Key) (time.Time, bool) {
-	e, ok := p.get(k)
+	e, ok := p.over[k]
+	if s := p.inline(k); s != nil {
+		e, ok = s.entry, true
+	}
 	return time.Unix(0, e.sent), ok
+}
+
+// each calls visit with every entry in flight, in no order: the places'
+// order is not their slots' once slots wrap around them. visit may change
+// the entry it is given and reports whether it stays.
+func (p *Pending) each(visit func(k Key, e *entry) bool) {
+	for i := range p.places {
+		if s := &p.places[i]; s.used && !visit(s.key(), &s.entry) {
+			s.used = false
+			p.live--
+		}
+	}
+	for k, e := range p.over {
+		if visit(k, &e) {
+			p.over[k] = e
+		} else {
+			delete(p.over, k)
+		}
+	}
 }
 
 // Lapse returns the earliest instant an open ack window closes, each
@@ -211,19 +218,12 @@ func (p *Pending) Sent(k Key) (time.Time, bool) {
 // sweeping on a tick: a Sweep at that instant takes the entry.
 func (p *Pending) Lapse(window func(slot int) time.Duration) (time.Time, bool) {
 	first, ok := int64(0), false
-	earliest := func(slot int, e entry) {
-		if end := e.armed + int64(window(slot)); !ok || end < first {
+	p.each(func(k Key, e *entry) bool {
+		if end := e.armed + int64(window(k.Slot)); !ok || end < first {
 			first, ok = end, true
 		}
-	}
-	for i := range p.slots {
-		if p.slots[i].used {
-			earliest(i, p.slots[i].entry)
-		}
-	}
-	for k, e := range p.over {
-		earliest(k.Slot, e)
-	}
+		return true
+	})
 	return time.Unix(0, first), ok
 }
 
@@ -235,30 +235,41 @@ func (p *Pending) Lapse(window func(slot int) time.Duration) (time.Time, bool) {
 // order; callers pass nil, or a buffer of their own to sweep without
 // allocating.
 func (p *Pending) Sweep(now time.Time, window func(slot int) time.Duration, resend, lost []Key) ([]Key, []Key) {
-	n := now.UnixNano()
-	lapsed := func(slot int, e entry) bool { return e.armed+int64(window(slot)) <= n }
-	p.walk(lapsed, func(k Key) {
-		if e, _ := p.get(k); e.resend && e.armed == e.sent {
+	if p.Len() == 0 {
+		return resend, lost // owners sweep every tick; most find nothing in flight
+	}
+	n, r, l := now.UnixNano(), len(resend), len(lost)
+	p.each(func(k Key, e *entry) bool {
+		switch {
+		case e.armed+int64(window(k.Slot)) > n:
+		case e.resend && e.armed == e.sent:
 			e.armed = n
-			p.put(k, e)
 			resend = append(resend, k)
-			return
+		default:
+			lost = append(lost, k)
+			return false
 		}
-		p.take(k)
-		lost = append(lost, k)
+		return true
 	})
+	slices.SortFunc(resend[r:], Key.compare)
+	slices.SortFunc(lost[l:], Key.compare)
 	return resend, lost
 }
 
 // Drain empties the table and returns what was left, in (slot, seq) order.
 func (p *Pending) Drain() []Key {
 	var keys []Key
-	p.walk(func(int, entry) bool { return true }, func(k Key) { keys = append(keys, k) })
-	clear(p.slots)
-	clear(p.over)
-	p.live = 0
+	p.each(func(k Key, _ *entry) bool {
+		keys = append(keys, k)
+		return false
+	})
+	slices.SortFunc(keys, Key.compare)
 	return keys
 }
 
 // Len reports how many heartbeats await acknowledgement.
 func (p *Pending) Len() int { return int(p.live) + len(p.over) }
+
+// Places reports how many heartbeats the table holds inline before a
+// collision grows it: its size, at 32 B each.
+func (p *Pending) Places() int { return len(p.places) }

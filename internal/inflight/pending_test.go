@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // refPending is the map-keyed table Pending replaced, kept as the
@@ -118,9 +119,10 @@ type op struct {
 func (o op) String() string { return fmt.Sprintf("%s(%v)@%dms", opNames[o.kind], o.k, o.ms) }
 
 // window is the slot's ack window: 100 ms on slot 0, 50 ms more per slot
-// after it, so the slots of one table lapse at different instants.
+// up to slot 3, and then the same again from every fourth slot, so the
+// slots of one table lapse at different instants.
 func window(slot int) time.Duration {
-	return 100*time.Millisecond + time.Duration(slot)*50*time.Millisecond
+	return 100*time.Millisecond + time.Duration(slot%4)*50*time.Millisecond
 }
 
 var t0 = time.Unix(1000, 0)
@@ -167,7 +169,7 @@ func newTwin(t *testing.T, cov *coverage) *twin {
 
 func (w *twin) do(o op) {
 	w.t.Helper()
-	w.cov.before(w.ref, o)
+	w.cov.before(w.ref, w.got, o)
 	if got, want := apply(w.got, o), apply(w.ref, o); got != want {
 		w.t.Fatalf("%v: slot table returned %q, reference %q", o, got, want)
 	}
@@ -185,14 +187,22 @@ type coverage struct {
 	ownWindow      bool         // an entry slot 0's window would have lapsed survived on its own
 	settledRearmed bool         // a re-armed entry settled
 	retracked      bool         // a key tracked again after it left the table
+	wrapped        bool         // a place held a slot past the places' number
+	unsortedWalk   bool         // a sweep found lapsed entries in places out of slot order
+	grewMoving     bool         // the places grew and moved a heartbeat to another place
+	grewRearmed    bool         // the places grew while one held a heartbeat that had fallen back
+	overBeside     bool         // an overflow heartbeat's place held another slot's
 	gone           map[Key]bool // keys that left the table
+	places         []place      // the slot table's places before the call
 }
 
-// before notes what o is about to exercise, read off the reference.
-func (c *coverage) before(ref *refPending, o op) {
+// before notes what o is about to exercise, read off the reference and
+// the slot table's places.
+func (c *coverage) before(ref *refPending, got *Pending, o op) {
 	if c == nil {
 		return
 	}
+	c.places = append(c.places[:0], got.places...)
 	left := func(k Key) {
 		if c.gone == nil {
 			c.gone = map[Key]bool{}
@@ -214,6 +224,13 @@ func (c *coverage) before(ref *refPending, o op) {
 				left(k)
 			}
 		}
+		var walk []Key // the lapsed entries in place order
+		for _, s := range got.places {
+			if s.used && s.armed+int64(window(int(s.slot))) <= n {
+				walk = append(walk, s.key())
+			}
+		}
+		c.unsortedWalk = c.unsortedWalk || !slices.IsSortedFunc(walk, Key.compare)
 	case opDrain:
 		for k := range ref.m {
 			left(k)
@@ -229,25 +246,34 @@ func (c *coverage) before(ref *refPending, o op) {
 	}
 }
 
-// after notes how deep the slot table's storage went.
+// after notes how deep the slot table's storage went, and what a growth
+// did to the places the call found.
 func (c *coverage) after(p *Pending) {
 	if c == nil {
 		return
 	}
 	perSlot := map[int]int{}
-	for i, s := range p.slots {
+	for i, s := range p.places {
 		if s.used {
-			perSlot[i]++
+			perSlot[int(s.slot)]++
+			c.wrapped = c.wrapped || int(s.slot) != i
 		}
 	}
 	for k := range p.over {
 		perSlot[k.Slot]++
-		if s := p.slots[k.Slot]; s.used && s.seq > k.Seq {
-			c.inlineNewer = true
+		if s := p.at(k.Slot); s != nil && s.used {
+			c.inlineNewer = c.inlineNewer || int(s.slot) == k.Slot && s.seq > k.Seq
+			c.overBeside = c.overBeside || int(s.slot) != k.Slot
 		}
 	}
 	for _, n := range perSlot {
 		c.maxPerSlot = max(c.maxPerSlot, n)
+	}
+	if len(p.places) != len(c.places) {
+		for i, s := range c.places {
+			c.grewMoving = c.grewMoving || s.used && int(s.slot)%len(p.places) != i
+			c.grewRearmed = c.grewRearmed || s.used && s.armed != s.sent
+		}
 	}
 }
 
@@ -315,6 +341,21 @@ var scripts = []struct {
 		{opLapse, Key{}, 40}, {opSweep, Key{}, 120}, {opLapse, Key{}, 120},
 		{opSent, Key{Seq: 1}, 120}, {opSettle, Key{Seq: 1}, 120}, {opSent, Key{Seq: 1}, 120},
 	}},
+	{"sweep and drain walk in slot order, not place order", []op{
+		// Four places: slot 5 takes place 1, slot 2 place 2 and slot 4
+		// place 0, so the places hold 4, 5, 2 and the walk must sort.
+		{opTrack, Key{Slot: 3, Seq: 1}, 0}, {opSettle, Key{Slot: 3, Seq: 1}, 1},
+		{opTrackResend, Key{Slot: 5, Seq: 1}, 2}, {opTrackResend, Key{Slot: 2, Seq: 1}, 2},
+		{opTrackResend, Key{Slot: 4, Seq: 1}, 2}, {opSweep, Key{}, 1000},
+		{opTrack, Key{Slot: 7, Seq: 1}, 1000}, {opSettle, Key{Slot: 5, Seq: 1}, 1000}, {opDrain, Key{}, 1000},
+	}},
+	{"a growth moves wrapped heartbeats to their own places", []op{
+		{opTrackResend, Key{Slot: 1, Seq: 1}, 0}, {opSettle, Key{Slot: 1, Seq: 1}, 0},
+		{opTrackResend, Key{Slot: 0, Seq: 1}, 0}, {opTrackResend, Key{Slot: 3, Seq: 1}, 0},
+		{opTrackResend, Key{Slot: 3, Seq: 2}, 0}, {opSweep, Key{}, 100}, {opTrackResend, Key{Slot: 2, Seq: 1}, 120},
+		{opTrackResend, Key{Slot: 7, Seq: 1}, 130}, {opLapse, Key{}, 130}, {opSweep, Key{}, 300},
+		{opSettle, Key{Slot: 3, Seq: 2}, 300}, {opDrain, Key{}, 300},
+	}},
 	{"an inline seq newer than its slot's overflow still walks last", []op{
 		{opTrackResend, Key{Slot: 2, Seq: 1}, 0}, {opTrackResend, Key{Slot: 2, Seq: 2}, 0},
 		{opTrackResend, Key{Slot: 0, Seq: 9}, 0}, {opSettle, Key{Slot: 2, Seq: 1}, 10},
@@ -325,10 +366,9 @@ var scripts = []struct {
 // randomOp draws the next call from the reference's state: fresh seqs per
 // slot, settles that mostly hit a heartbeat in flight, and keys that were
 // issued before (settled, written off or still pending) tracked again.
-// track is the kind of Track the sequence draws.
-func randomOp(rng *rand.Rand, ref *refPending, issued []uint64, ms int, track func() opKind) op {
-	const slots = 4
-	s := rng.Intn(slots)
+// track is the kind of Track the sequence draws, slot the slot of its call.
+func randomOp(rng *rand.Rand, ref *refPending, issued []uint64, ms int, track func() opKind, slot func() int) op {
+	s := slot()
 	old := func() Key {
 		if issued[s] == 0 {
 			return Key{Slot: s, Seq: 1}
@@ -410,11 +450,13 @@ func TestPending(t *testing.T) {
 			}
 		}
 	})
-	t.Run("seeded random call sequences", func(t *testing.T) {
-		var cov coverage
+	// random runs seeded call sequences, tracking every heartbeat
+	// resendable, none, or a mix, with slot drawing each call's slot from
+	// [0, slots) given the call's index.
+	random := func(t *testing.T, cov *coverage, slots int, slot func(rng *rand.Rand, i int) int) {
 		for seed := int64(1); seed <= 40; seed++ {
 			for _, mode := range []string{"resend", "none", "mixed"} {
-				w := newTwin(t, &cov)
+				w := newTwin(t, cov)
 				rng := rand.New(rand.NewSource(seed))
 				track := func() opKind {
 					if mode == "resend" || mode == "mixed" && rng.Intn(2) == 0 {
@@ -422,29 +464,49 @@ func TestPending(t *testing.T) {
 					}
 					return opTrack
 				}
-				issued := make([]uint64, 4)
+				issued := make([]uint64, slots)
 				ms := 0
 				for i := 0; i < 600; i++ {
 					ms += rng.Intn(8)
-					w.do(randomOp(rng, w.ref, issued, ms, track))
+					w.do(randomOp(rng, w.ref, issued, ms, track, func() int { return slot(rng, i) }))
 				}
 			}
 		}
+	}
+	t.Run("seeded random call sequences", func(t *testing.T) {
+		var cov coverage
+		random(t, &cov, 4, func(rng *rand.Rand, _ int) int { return rng.Intn(4) })
 		if cov.maxPerSlot < 4 || !cov.inlineNewer || !cov.resent || !cov.lostFirst || !cov.lostResent ||
 			!cov.ownWindow || !cov.settledRearmed || !cov.retracked {
+			t.Fatalf("random sequences missed a case: %+v", cov)
+		}
+	})
+	t.Run("seeded random call sequences over many slots and few places", func(t *testing.T) {
+		// Calls draw from six slots at a time, a window that moves up one
+		// slot every eight calls over 200 slots and starts again at 0, as a
+		// trunk's pace slots do over its users: the places stay a handful
+		// while the slots wrap around them many times, collide, grow,
+		// and sit beside overflow heartbeats of other slots.
+		const span, slots = 6, 200
+		var cov coverage
+		random(t, &cov, slots+span, func(rng *rand.Rand, i int) int { return i/8%slots + rng.Intn(span) })
+		if !cov.wrapped || !cov.unsortedWalk || !cov.grewMoving || !cov.grewRearmed || !cov.overBeside ||
+			cov.maxPerSlot < 2 || !cov.resent || !cov.lostResent || !cov.retracked {
 			t.Fatalf("random sequences missed a case: %+v", cov)
 		}
 	})
 }
 
 // TestPendingTrackSettleZeroAllocs pins the hot path every owner runs per
-// heartbeat: on a warm table, Track and Settle touch the slot in place.
+// heartbeat: on a warm table, Track and Settle touch the place in place.
 func TestPendingTrackSettleZeroAllocs(t *testing.T) {
 	const slots = 1024
 	var p Pending
 	now := time.Unix(1000, 0)
 	for i := 0; i < slots; i++ {
 		p.Track(Key{Slot: i, Seq: 1}, now, true)
+	}
+	for i := 0; i < slots; i++ {
 		p.Settle(Key{Slot: i, Seq: 1}, now)
 	}
 	seq := uint64(1)
@@ -464,29 +526,98 @@ func TestPendingTrackSettleZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPendingReserve pins Reserve: it keeps what is in flight, never
-// shrinks the table, and tracking on every reserved slot afterwards
-// allocates nothing.
-func TestPendingReserve(t *testing.T) {
-	const slots = 1024
-	var p Pending
+// TestPendingGrowth pins what the table holds: as many places as the span
+// of slots in flight, grown by doubling on a collision and never past the
+// highest slot tracked plus one, an entry and the table no larger than
+// before, and nothing allocated once the places cover what is in flight.
+func TestPendingGrowth(t *testing.T) {
+	if s, e := unsafe.Sizeof(place{}), unsafe.Sizeof(Pending{}); s != 32 || e != 40 {
+		t.Fatalf("a place is %d B and a table %d B, want 32 and 40", s, e)
+	}
 	now := time.Unix(1000, 0)
-	p.Track(Key{Slot: 2, Seq: 7}, now, true)
-	p.Reserve(slots)
-	p.Reserve(16)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := range slots {
-		if i != 2 { // a second heartbeat on slot 2 would go to the overflow
-			p.Track(Key{Slot: i, Seq: 8}, now, false)
+	// mallocs counts what f allocates, on one P after a collection, as
+	// testing.AllocsPerRun does, so no other goroutine allocates beside it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	// rounds tracks slots [lo, lo+n) for each lo of los, settling each
+	// round once the next one is tracked, as a paced owner whose acks take
+	// a round does, and returns the most places the table held.
+	rounds := func(p *Pending, n int, los ...int) int {
+		most, seq := 0, uint64(1)
+		for r, lo := range los {
+			for i := lo; i < lo+n; i++ {
+				p.Track(Key{Slot: i, Seq: seq}, now, true)
+			}
+			if r > 0 {
+				for i := los[r-1]; i < los[r-1]+n; i++ {
+					if _, ok := p.Settle(Key{Slot: i, Seq: seq}, now); !ok {
+						t.Fatalf("slot %d did not settle", i)
+					}
+				}
+			}
+			most = max(most, len(p.places))
 		}
+		return most
 	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("tracking %d reserved slots allocated %d times, want 0", slots, n)
+
+	const n = 1000
+	var p Pending
+	if most := rounds(&p, n, 0, n, 2*n, 3*n); most != 2*n {
+		t.Fatalf("rounds of %d slots with one round's acks outstanding held %d places, want %d", n, most, 2*n)
 	}
-	if _, ok := p.Settle(Key{Slot: 2, Seq: 7}, now); !ok || p.Len() != slots-1 {
-		t.Fatalf("after Reserve: the entry tracked before settled %v, %d in flight, want true and %d", ok, p.Len(), slots-1)
+	var los []int // from the round still in flight on
+	for lo := 3 * n; lo < 100*n; lo += n {
+		los = append(los, lo)
+	}
+	if got := mallocs(func() { rounds(&p, n, los...) }); got != 0 || len(p.places) != 2*n {
+		t.Errorf("97 more rounds over slots up to %d allocated %d times and left %d places, want 0 and %d", 100*n, got, len(p.places), 2*n)
+	}
+	p.Drain()
+
+	// A stall: every slot of a 10 000-slot owner in flight at once grows
+	// the places to exactly that, and a second stall allocates nothing.
+	const all = 10 * n
+	var q Pending
+	q.Track(Key{Slot: 0, Seq: 1}, now, true)
+	for i := 1; i < all; i++ {
+		q.Track(Key{Slot: i, Seq: 1}, now, true)
+	}
+	if len(q.places) != all || q.Len() != all {
+		t.Fatalf("a stall over %d slots left %d places holding %d, want %d of each", all, len(q.places), q.Len(), all)
+	}
+	for i := range all {
+		q.Settle(Key{Slot: i, Seq: 1}, now)
+	}
+	if got := mallocs(func() {
+		for i := range all {
+			q.Track(Key{Slot: i, Seq: 2}, now, true)
+		}
+	}); got != 0 {
+		t.Errorf("a second stall over %d slots allocated %d times, want 0", all, got)
+	}
+
+	// A collision with a slot past the places doubles them, and the
+	// heartbeats that wrapped move to their own places.
+	var w Pending
+	w.Track(Key{Slot: 3, Seq: 1}, now, true) // four places
+	w.Settle(Key{Slot: 3, Seq: 1}, now)
+	for _, s := range []int{4, 5, 6, 7} {
+		w.Track(Key{Slot: s, Seq: 1}, now, true)
+	}
+	w.Track(Key{Slot: 9, Seq: 1}, now, true) // place 1 holds 5: doubled
+	if len(w.places) != 8 {
+		t.Fatalf("a collision among four places grew them to %d, want 8", len(w.places))
+	}
+	for _, s := range []int{4, 5, 6, 7, 9} {
+		if got := int(w.places[s%8].slot); got != s {
+			t.Fatalf("slot %d is at place %d, which holds %d", s, s%8, got)
+		}
 	}
 }

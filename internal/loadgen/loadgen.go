@@ -569,7 +569,7 @@ func (r *Runner) buildTrunks() {
 		if slots <= 1 {
 			slots = 0
 		}
-		r.units = append(r.units, r.newTrunk(fmt.Sprintf("loadtrunk-%04d", ti), period, []tprofile{prof}, ids, make([]int32, count), slots))
+		r.units = append(r.units, r.newTrunk(fmt.Sprintf("loadtrunk-%04d", ti), period, []tprofile{prof}, ids, nil, slots))
 	}
 	// A trunk flushes one batch per tick, so its Algorithm 1 analog is a
 	// period-long window with the largest trunk's user count as capacity.
@@ -583,8 +583,9 @@ func (r *Runner) buildTrunks() {
 }
 
 // newTrunk returns a trunk of the run for the users ids names, each
-// running the profile prof has at its index, with its emissions paced over
-// slots sub-ticks (0: unpaced).
+// running the profile prof has at its index (prof nil: the first, so a
+// trunk of one profile keeps no column for it), with its emissions paced
+// over slots sub-ticks (0: unpaced).
 func (r *Runner) newTrunk(id string, period time.Duration, profiles []tprofile, ids userIDs, prof []int32, slots int) *trunk {
 	t := &trunk{
 		id: id, period: period, profiles: profiles, timeout: r.ackTimeout,

@@ -55,7 +55,7 @@ type trunk struct {
 	// the one ID string. They are kept out of tuser because they never
 	// change: the send path reads them without t.mu.
 	ids  userIDs
-	prof []int32 // index into profiles
+	prof []int32 // index into profiles; nil: every user runs profiles[0]
 
 	// paceSlots spreads each period's emissions over this many sub-ticks
 	// (0 disables pacing: the whole fleet bursts at once); see paced.
@@ -78,16 +78,9 @@ type trunk struct {
 	closed  bool
 }
 
-// Begin anchors the trunk's sub-ticks at first, its first one then, and
-// sizes the in-flight table for every user: its first period tracks them
-// all, and a table grown by copying leaves its old arrays in a peak that
-// the steady state, which runs no GC, never sheds. Sized at build instead,
-// it would count against the build's footprint.
+// Begin anchors the trunk's sub-ticks at first, its first one then.
 func (t *trunk) Begin(first time.Time) time.Time {
 	t.tick, t.slot = first, 0
-	t.mu.Lock()
-	t.pending.Reserve(len(t.users))
-	t.mu.Unlock()
 	return first
 }
 
@@ -192,7 +185,10 @@ func (t *trunk) send(refs []inflight.Key, now time.Time, fallback bool) {
 		func(v *cluster.View, i int) int { return t.ownerOf(v, refs[i].Slot) },
 		func(i int) hbproto.Heartbeat {
 			u := refs[i].Slot
-			p := &t.profiles[t.prof[u]]
+			p := &t.profiles[0]
+			if t.prof != nil {
+				p = &t.profiles[t.prof[u]]
+			}
 			return hbproto.Heartbeat{
 				Src: t.ids.at(u), Seq: refs[i].Seq, App: p.app,
 				Origin: now, Expiry: p.expiry, Pad: p.pad,

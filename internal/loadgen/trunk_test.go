@@ -307,8 +307,9 @@ func TestTrunkPaceBlocks(t *testing.T) {
 
 // TestTrunkBuildFootprint pins what naming and pacing cost per user: one
 // 100k-user trunk of live_trunked's shape built through buildTrunks, in
-// bytes allocated and in allocations. Pointer-free columns come to ~42
-// B/user in a handful of allocations; a string header per user, an ID
+// bytes allocated and in allocations. Pointer-free columns come to ~34
+// B/user in a handful of allocations (~38 with a profile index per user
+// of a one-profile trunk); a string header per user, an ID
 // index (the one that resolved v1 acks read ~52.6) or a per-user pace
 // partition do not fit under the ceilings.
 func TestTrunkBuildFootprint(t *testing.T) {
@@ -335,32 +336,89 @@ func TestTrunkBuildFootprint(t *testing.T) {
 	}
 }
 
-// TestTrunkPendingGrowthInPlace pins that a trunk sizes its in-flight
-// table once, in Begin: tracking a heartbeat for every user of a 100k-user
-// trunk afterwards allocates nothing. Grown by tracking, the table of the
-// 50 000 users tracked here took 30 allocations and 8 MB for its 1.6 MB,
-// and the live stack's steady state, which runs no GC, keeps the arrays it
-// grew out of.
+// TestTrunkPendingGrowthInPlace pins what a trunk's in-flight table holds:
+// the span of users in flight, not every user. Over a 100k-user trunk of 32
+// pace slots whose acks for each sub-tick arrive once the next sub-tick
+// is sent, a warm period tracks every user without allocating and holds at
+// most two sub-ticks' places. A shard that holds every ack for a whole
+// period grows the table to at most one place per user, as many as the
+// table sized for every user in Begin held, and a second such stall
+// allocates nothing. The live stack's steady state runs no GC, so any
+// array the table grew out of would stay in its peak.
 func TestTrunkPendingGrowthInPlace(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations are not the trunk's")
 	}
-	tr := newTestTrunk(t, "127.0.0.1:1", trunkedUsers/2, trunkedSlots, nil) // never dials
+	tr := newTestTrunk(t, "127.0.0.1:1", trunkedUsers, trunkedSlots, nil) // never dials
 	t.Cleanup(tr.Shutdown)
 	now := time.Now()
-	tr.Begin(now)
-	var before, after runtime.MemStats
-	runtime.GC() // a cycle under way would allocate beside the loop
-	runtime.ReadMemStats(&before)
-	for u := range len(tr.users) {
-		tr.pending.Track(inflight.Key{Slot: u, Seq: 1}, now, true)
+	places := func() int {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return tr.pending.Places()
 	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("tracking %d users after Begin allocated %d times (%d B), want 0", len(tr.users), n, after.TotalAlloc-before.TotalAlloc)
+	var refs []hbproto.Ref
+	// acks settles pace slot s's heartbeats as the uplink hands their
+	// refs back, and track tracks them as offer does.
+	acks := func(s int, seq uint64) {
+		lo, hi := tr.paced(s)
+		refs = refs[:0]
+		for u := lo; u < hi; u++ {
+			refs = append(refs, hbproto.Ref{Seq: seq, Handle: hbproto.Handle(u + 1)})
+		}
+		tr.onRefs(refs, now)
 	}
-	if n := tr.InFlight(); n != len(tr.users) {
-		t.Fatalf("%d heartbeats in flight, want %d", n, len(tr.users))
+	track := func(s int, seq uint64) {
+		lo, hi := tr.paced(s)
+		tr.mu.Lock()
+		for u := lo; u < hi; u++ {
+			tr.pending.Track(inflight.Key{Slot: u, Seq: seq}, now, true)
+		}
+		tr.mu.Unlock()
+	}
+	// period tracks heartbeat seq for every pace slot in turn, settling
+	// each slot's once the next slot's are tracked unless the shard
+	// stalls, and returns how often tracking allocated and the most places
+	// the table held.
+	period := func(seq uint64, stall bool) (mallocs uint64, most int) {
+		var ms runtime.MemStats
+		for s := range trunkedSlots {
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			track(s, seq)
+			runtime.ReadMemStats(&ms)
+			mallocs += ms.Mallocs - before
+			if !stall && s > 0 {
+				acks(s-1, seq)
+			}
+			most = max(most, places())
+		}
+		if !stall {
+			acks(trunkedSlots-1, seq)
+		}
+		return mallocs, most
+	}
+	subTick := (trunkedUsers + trunkedSlots - 1) / trunkedSlots
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // nothing allocates beside the loop, as in testing.AllocsPerRun
+	period(1, false)
+	runtime.GC()
+	mallocs, most := period(2, false)
+	t.Logf("a warm period holds at most %d places (%d KB) for %d users, %d per sub-tick", most, most*32/1000, trunkedUsers, subTick)
+	if mallocs != 0 || most > 2*subTick {
+		t.Errorf("a warm period allocated %d times tracking and held %d places, want 0 and at most %d", mallocs, most, 2*subTick)
+	}
+	if _, most = period(3, true); most > trunkedUsers {
+		t.Errorf("a stalled period grew the table to %d places for %d users", most, trunkedUsers)
+	}
+	t.Logf("a stalled period holds %d places", most)
+	for s := range trunkedSlots {
+		acks(s, 3)
+	}
+	if mallocs, _ = period(4, true); mallocs != 0 {
+		t.Errorf("a second stalled period allocated %d times tracking, want 0", mallocs)
+	}
+	if n := tr.InFlight(); n != trunkedUsers {
+		t.Fatalf("%d heartbeats in flight, want %d", n, trunkedUsers)
 	}
 }
 

@@ -1,6 +1,7 @@
 package relaynet
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -302,6 +303,68 @@ func TestPresenceGrowthInPlace(t *testing.T) {
 	t.Logf("%d sources allocated %.2f times their rows' and IDs' %d B", sources, float64(grew)/float64(own), own)
 	if grew > factor*uint64(own) {
 		t.Errorf("%d sources allocated %d B, more than %d times their rows' and IDs' %d B", sources, grew, factor, own)
+	}
+}
+
+// TestServerFirstPeriodAllocs pins what a server's cold first period
+// allocates: 100 k sources it has never seen, in v2 batches of 4 096 over
+// one connection's reader, allocate the arena chunks, row pages and index
+// tables the stripes grow plus a fixed slack, and no string per source. A
+// first sight whose stripe's last chunk was full went to the heap while
+// only add grew the arena: ~28 k strings for the 100 k sources.
+func TestServerFirstPeriodAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations are not the server's")
+	}
+	// slack is what the period allocates besides the chunks and pages:
+	// each stripe's index tables, page-0 rows and lists of chunks and
+	// pages doubling (~30 allocations a stripe at ~1 560 sources), the
+	// reader's buffer, the batch's heartbeats and the acks pending.
+	const sources, perBatch, slack = 100_000, 4096, 40 * presenceShardCount
+	var period []byte
+	batch := &hbproto.Batch{Relay: "first-trunk", HBs: make([]hbproto.Heartbeat, 0, perBatch)}
+	for start := 0; start < sources; start += perBatch {
+		batch.HBs = batch.HBs[:0]
+		for i := start; i < min(start+perBatch, sources); i++ {
+			batch.HBs = append(batch.HBs, hbproto.Heartbeat{
+				Src: fmt.Sprintf("loadue-%06d", i), Seq: 1, App: "bench", Origin: time.Now(), Expiry: time.Hour, Pad: 54,
+			})
+		}
+		var err error
+		if period, err = hbproto.AppendFrameV(period, hbproto.Version2, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewServer()
+	cs := s.newConnState(&s.stripes[0])
+	fr := hbproto.NewTableReader(bytes.NewReader(period), cs)
+	var before, after runtime.MemStats
+	runtime.GC() // a cycle under way would allocate beside the reader
+	runtime.ReadMemStats(&before)
+	for {
+		msg, err := fr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.handleMessage(cs, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n, _ := s.presenceOccupancy(); n != sources {
+		t.Fatalf("%d clients tracked, want %d", n, sources)
+	}
+	columns := 0
+	for i := range s.shards {
+		columns += len(s.shards[i].ids.chunks) + len(s.shards[i].pages)
+	}
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("%d first sights allocated %d times: %d chunks and pages, %d more", sources, mallocs, columns, int(mallocs)-columns)
+	if mallocs > uint64(columns+slack) {
+		t.Errorf("%d first sights allocated %d times, more than their %d chunks and pages and %d slack", sources, mallocs, columns, slack)
 	}
 }
 

@@ -151,9 +151,9 @@ func (a *arena) fits(n int) bool {
 }
 
 // grow adds a chunk with room for an n-byte ID. It inlines, so the
-// allocation runs from add's own frame: it is the deepest call of a
-// client's first sight, and every server handler's stack must hold that
-// (DESIGN.md, "The goroutine stack budget").
+// allocation runs from its caller's frame: add's is the deepest call of a
+// socket-per-UE client's first sight, and every server handler's stack
+// must hold that (DESIGN.md, "The goroutine stack budget").
 func (a *arena) grow(n int) {
 	a.chunks = append(a.chunks, make([]byte, 0, a.chunkSize(n)))
 }
@@ -245,12 +245,21 @@ func (sh *presenceShard) holds(p int32, id string) *row {
 	return nil
 }
 
-// first appends the ID of a source no row holds where the last chunk has
-// room, and returns the string over its bytes; "" when there is none
-// (sh.mu held). It never allocates: see add.
+// first appends the ID of a source no row holds to the stripe's arena,
+// adding the next chunk when the last one is full, and returns the string
+// over its bytes (sh.mu held). It returns "" instead for an ID longer than
+// a chunk, and while the dead bytes are as many as settle re-packs at:
+// only add and remove re-pack, and until one of them gives the bytes a row
+// they are dead, so the chunk first adds bounds what they grow by.
+// NewServer gives each stripe its first chunk and add leaves room for one
+// more ID of its own length, so a socket-per-UE client's first sight fits,
+// and only a batch that fills a chunk allocates here, at Source's depth.
 func (sh *presenceShard) first(b []byte) string {
 	if !sh.ids.fits(len(b)) {
-		return ""
+		if entrySize(len(b)) > chunkMax || sh.ids.bloated() {
+			return ""
+		}
+		sh.ids.grow(len(b))
 	}
 	return sh.ids.str(sh.ids.put(b))
 }
@@ -290,6 +299,9 @@ func (sh *presenceShard) add(id string, h uint64) int32 {
 	sh.ids.live += entrySize(len(id))
 	*sh.at(p) = row{lastSeen: unset, deadline: unset, id: pos, live: true}
 	sh.index.Insert(h, p)
+	if !sh.ids.fits(len(id)) {
+		sh.ids.grow(len(id)) // the next first sight's room, on this shallower path
+	}
 	return p
 }
 
@@ -307,12 +319,19 @@ func (sh *presenceShard) remove(h uint64, p int32) {
 // arena bytes outnumber both its live ones and a chunk's worth (sh.mu
 // held). remove runs it after every free and add before every append, so
 // there the dead bytes are at most max(live, chunkMax); Source appends a
-// first sight only into the last chunk's room, without it, so they are
-// at most a chunk more at any instant.
+// first sight without it, adding a chunk of at most chunkMax only below
+// that bound, so they are at most chunkMax more at any instant.
 func (sh *presenceShard) settle() {
-	if dead := sh.ids.used - sh.ids.live; dead > sh.ids.live && dead > chunkMax {
+	if sh.ids.bloated() {
 		sh.repack()
 	}
+}
+
+// bloated reports whether the arena's dead bytes outnumber both its live
+// ones and a chunk's worth.
+func (a *arena) bloated() bool {
+	dead := a.used - a.live
+	return dead > a.live && dead > chunkMax
 }
 
 // repack copies every live row's ID into fresh chunks and points the row

@@ -126,6 +126,9 @@ type ueConn struct {
 	// ack that last queued one, so a merge across acks is counted once.
 	fb  []hbproto.Ref
 	ack uint64
+	// until is the write deadline last set on conn, in UnixNano (see
+	// flushFeedback).
+	until int64
 }
 
 // inputKind names what an inbox entry carries.
@@ -720,9 +723,18 @@ func (r *RelayAgent) handleAck(refs []hbproto.Ref) {
 	}
 }
 
+// feedbackWriteTimeout bounds a feedback write, which runs on the relay's
+// runner: a UE that has not taken its frame by then loses its connection,
+// so one that stops reading holds up the other UEs' turns for at most this
+// long, and its heartbeats fall back through their ack windows.
+const feedbackWriteTimeout = time.Second
+
 // flushFeedback writes the turn's feedback: one frame — one Write — per UE,
 // in the order the UEs were first acknowledged and in the version the UE
 // speaks, composed in a reusable buffer from the refs its ueConn holds.
+// Each write has between half of feedbackWriteTimeout and all of it: a
+// connection's deadline moves only once half of it has passed, since
+// setting a net.Pipe's deadline allocates a timer.
 func (r *RelayAgent) flushFeedback() {
 	for i, uc := range r.fbConns {
 		r.fbConns[i] = nil
@@ -737,7 +749,12 @@ func (r *RelayAgent) flushFeedback() {
 		if err != nil {
 			continue
 		}
+		if now := time.Now().UnixNano(); uc.until-now < int64(feedbackWriteTimeout/2) {
+			uc.until = now + int64(feedbackWriteTimeout)
+			_ = uc.conn.SetWriteDeadline(time.Unix(0, uc.until))
+		}
 		if _, err := uc.conn.Write(out); err != nil {
+			_ = uc.conn.Close() // a frame cut short leaves the stream unreadable
 			continue
 		}
 		r.ins.feedbacks.Add(uint64(len(refs)))

@@ -357,6 +357,68 @@ func TestRelayInboxBoundUnderStalledShard(t *testing.T) {
 	})
 }
 
+// TestRelayOutlastsAUEThatNeverReads: one UE registers with the relay and
+// sends every period but never reads its feedback. Over net.Pipe the
+// relay's first feedback write to it cannot complete, and that write runs
+// on the relay's runner: without a deadline no other UE was collected,
+// flushed or fed back again, and each fell back to the server a window
+// after its next send. With one, the write gives up after
+// feedbackWriteTimeout, the deaf UE loses its connection, and every other
+// UE's heartbeat is fed back within the period it was sent in.
+func TestRelayOutlastsAUEThatNeverReads(t *testing.T) {
+	timed(t, func(t *testing.T, nw network) {
+		const ues = 4
+		period, expiry := 270*time.Second, 300*time.Second
+		srv := startServer(t, nw)
+		r, err := NewRelayAgent(RelayAgentConfig{
+			ID: "relay-1", App: "std", Period: period, Expiry: expiry, Pad: 54, Capacity: 2 * ues,
+			Listen: nw.Listen, Dial: nw.Dial,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Start("127.0.0.1:0", srv.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Shutdown)
+		deaf, err := nw.Dial("tcp", r.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = deaf.Close() }) // before Shutdown, which waits for a runner held by it
+		go func() {
+			if hbprototest.WriteFrame(deaf, &hbproto.Register{ID: "ue-deaf", Role: hbproto.RoleUE, App: "std", Period: period, Expiry: expiry}) != nil {
+				return
+			}
+			for seq := uint64(1); ; seq++ {
+				hb := &hbproto.Heartbeat{Src: "ue-deaf", Seq: seq, App: "std", Origin: time.Now(), Expiry: expiry, Pad: 54}
+				if hbprototest.WriteFrame(deaf, hb) != nil {
+					return
+				}
+				time.Sleep(period)
+			}
+		}()
+		clients := make([]*UEClient, ues)
+		for i := range clients {
+			clients[i] = startUE(t, nw, ueConfig(fmt.Sprintf("ue-%d", i), r.Addr(), srv.Addr(), period, expiry))
+		}
+		time.Sleep(4*period + period/2)
+		for i, u := range clients {
+			// The heartbeat sent in the current period is still collected.
+			if st := u.Stats(); st.ViaRelay < 4 || st.FeedbackAcks+1 < st.ViaRelay || st.FallbackResends != 0 {
+				t.Errorf("ue-%d: %d sent via the relay, %d fed back, %d fallback resends; want all but the last fed back and none resent",
+					i, st.ViaRelay, st.FeedbackAcks, st.FallbackResends)
+			}
+		}
+		r.mu.Lock()
+		held := len(r.ues)
+		r.mu.Unlock()
+		if held != ues {
+			t.Errorf("the relay holds %d UE connections, want %d: the deaf UE's dropped", held, ues)
+		}
+	})
+}
+
 // TestForwardPartitionMatchesGroupSorted: a flush over a 3-node view sends
 // each shard the sub-batch Ring.GroupSorted gives it — shards in the ring's
 // node order, heartbeats in input order within a shard.

@@ -113,6 +113,7 @@ func NewServer() *Server {
 	s := &Server{conns: make(map[net.Conn]struct{}), seed: maphash.MakeSeed()}
 	for i := range s.shards {
 		s.shards[i].apps = []string{""}
+		s.shards[i].ids.grow(0) // its first chunk: see presenceShard.first
 	}
 	return s
 }
@@ -435,9 +436,10 @@ func (s *Server) newConnState(cc *connCounters) *connState { return &connState{s
 // into the stripes only when the guess misses. A source no row holds is
 // unknown (0): only a delivered heartbeat (touch) gives a client a row, so
 // a frame the server rejects leaves none behind. Its bytes go into the
-// arena all the same when the stripe's last chunk has room for them, and
-// touch takes them when it gives the source a row, so a first sight
-// leaves no string of its own; otherwise the reader copies them.
+// stripe's arena all the same, and touch takes them when it gives the
+// source a row, so a first sight leaves no string of its own; the reader
+// copies only an ID longer than a chunk, or one seen while the arena holds
+// as many dead bytes as settle re-packs at (see presenceShard.first).
 func (cs *connState) Source(after hbproto.Handle, b []byte) (string, hbproto.Handle) {
 	s := cs.s
 	if g := cs.guess; g != 0 && after == cs.from {
