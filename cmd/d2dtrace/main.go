@@ -12,7 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
 	"d2dhb/internal/metrics"
 	"d2dhb/internal/trace"
@@ -43,13 +44,13 @@ func run(path string) error {
 	a := trace.Analyze(events)
 
 	counts := metrics.NewTable("Event counts", "kind", "count")
-	kinds := make([]string, 0, len(a.KindCounts))
+	kinds := make([]trace.Kind, 0, len(a.KindCounts))
 	for k := range a.KindCounts {
-		kinds = append(kinds, string(k))
+		kinds = append(kinds, k)
 	}
-	sort.Strings(kinds)
+	slices.SortFunc(kinds, func(a, b trace.Kind) int { return strings.Compare(a.String(), b.String()) })
 	for _, k := range kinds {
-		counts.AddRow(k, fmt.Sprintf("%d", a.KindCounts[trace.Kind(k)]))
+		counts.AddRow(k.String(), fmt.Sprintf("%d", a.KindCounts[k]))
 	}
 	fmt.Println(counts)
 

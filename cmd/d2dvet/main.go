@@ -2,9 +2,8 @@
 // patterns and reports invariant violations the compiler cannot see:
 // wall-clock reads in simulation-clocked packages, unseeded global
 // randomness, blocking calls under a held mutex, dropped network-layer
-// errors, ad-hoc trace event kinds, map iteration feeding ordered sinks,
-// shutdown-less goroutines in stoppable types, mixed atomic/plain field
-// access, and leaked tickers/timers.
+// errors, map iteration feeding ordered sinks, shutdown-less goroutines in
+// stoppable types, sync/atomic's pointer API, and leaked tickers/timers.
 //
 // Usage:
 //

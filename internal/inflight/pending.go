@@ -41,10 +41,13 @@ func (a Key) compare(b Key) int {
 // number, and only a second or later heartbeat in flight on the same slot
 // — an ack slower than the send period — goes to an overflow map. A
 // heartbeat whose place holds another slot's doubles the places, never
-// past the highest slot tracked plus one, where no two slots share one; so
-// the table holds about the span of slots in flight, not every slot an
-// owner has. Neither the places nor the map hold a pointer, so the
-// collector never scans the table.
+// past the highest slot tracked plus one, where no two slots share one;
+// but where the places already number twice the heartbeats in flight, the
+// other slot's heartbeat moves to the overflow instead. So the table holds
+// about the span of slots in flight, not every slot an owner has, and one
+// heartbeat stuck in flight while later slots wrap past it costs a map
+// entry, not a doubling per wrap. Neither the places nor the map hold a
+// pointer, so the collector never scans the table.
 //
 // Pending is not synchronized: owners guard it with the lock that also
 // guards the counters they update alongside it. A socket-per-UE fleet holds
@@ -98,12 +101,20 @@ func (p *Pending) inline(k Key) *place {
 // put stores e under k: over k's own entry if it has one, else in k's
 // place when that is free, else in the overflow when the place holds
 // another heartbeat of k's slot. A place that holds another slot's grows
-// the places first.
+// the places first, unless they already number twice the heartbeats in
+// flight: then the other slot's heartbeat, one that outlived the rounds
+// after it, moves to the overflow and k takes its place.
 func (p *Pending) put(k Key, e entry) {
 	e.used, e.slot = true, int32(k.Slot)
 	if _, over := p.over[k]; !over && uint(k.Slot) < math.MaxInt32 {
 		s := p.at(k.Slot)
 		for s == nil || s.used && int(s.slot) != k.Slot {
+			if s != nil && len(p.places) >= 2*p.Len() {
+				p.overflow(s.key(), s.entry)
+				s.used = false
+				p.live--
+				break
+			}
 			p.grow(k.Slot)
 			s = p.at(k.Slot)
 		}
@@ -119,6 +130,11 @@ func (p *Pending) put(k Key, e entry) {
 		}
 		// A second heartbeat in flight on the slot goes to the overflow.
 	}
+	p.overflow(k, e)
+}
+
+// overflow stores e under k in the overflow map.
+func (p *Pending) overflow(k Key, e entry) {
 	if p.over == nil {
 		p.over = make(map[Key]entry)
 	}

@@ -192,6 +192,7 @@ type coverage struct {
 	grewMoving     bool         // the places grew and moved a heartbeat to another place
 	grewRearmed    bool         // the places grew while one held a heartbeat that had fallen back
 	overBeside     bool         // an overflow heartbeat's place held another slot's
+	evicted        bool         // a Track moved another slot's heartbeat from its place to the overflow
 	gone           map[Key]bool // keys that left the table
 	places         []place      // the slot table's places before the call
 }
@@ -268,6 +269,11 @@ func (c *coverage) after(p *Pending) {
 	}
 	for _, n := range perSlot {
 		c.maxPerSlot = max(c.maxPerSlot, n)
+	}
+	for _, s := range c.places {
+		if _, over := p.over[s.key()]; s.used && over {
+			c.evicted = true
+		}
 	}
 	if len(p.places) != len(c.places) {
 		for i, s := range c.places {
@@ -491,7 +497,7 @@ func TestPending(t *testing.T) {
 		var cov coverage
 		random(t, &cov, slots+span, func(rng *rand.Rand, i int) int { return i/8%slots + rng.Intn(span) })
 		if !cov.wrapped || !cov.unsortedWalk || !cov.grewMoving || !cov.grewRearmed || !cov.overBeside ||
-			cov.maxPerSlot < 2 || !cov.resent || !cov.lostResent || !cov.retracked {
+			!cov.evicted || cov.maxPerSlot < 2 || !cov.resent || !cov.lostResent || !cov.retracked {
 			t.Fatalf("random sequences missed a case: %+v", cov)
 		}
 	})
@@ -528,7 +534,8 @@ func TestPendingTrackSettleZeroAllocs(t *testing.T) {
 
 // TestPendingGrowth pins what the table holds: as many places as the span
 // of slots in flight, grown by doubling on a collision and never past the
-// highest slot tracked plus one, an entry and the table no larger than
+// highest slot tracked plus one, fewer than four per heartbeat in flight
+// when one round stays stuck, an entry and the table no larger than
 // before, and nothing allocated once the places cover what is in flight.
 func TestPendingGrowth(t *testing.T) {
 	if s, e := unsafe.Sizeof(place{}), unsafe.Sizeof(Pending{}); s != 32 || e != 40 {
@@ -580,6 +587,30 @@ func TestPendingGrowth(t *testing.T) {
 		t.Errorf("97 more rounds over slots up to %d allocated %d times and left %d places, want 0 and %d", 100*n, got, len(p.places), 2*n)
 	}
 	p.Drain()
+
+	// A stuck round: one round's heartbeats stay in flight (their acks
+	// lost) while 97 more rounds wrap past them. Growth is only for a
+	// table whose places number fewer than twice what is in flight, so the
+	// places stay under four times the most in flight — a round, the one
+	// before it and the stuck one — where doubling took them to one per
+	// slot; the stuck round moves to the overflow, and once it is there
+	// the rounds allocate nothing.
+	var s Pending
+	rounds(&s, n, 0, n, 2*n, 3*n) // 3n never settles
+	los = los[:0]
+	for lo := 4 * n; lo <= 100*n; lo += n {
+		los = append(los, lo)
+	}
+	if most := rounds(&s, n, los[:len(los)/2]...); most >= 4*3*n {
+		t.Errorf("rounds past a stuck round held %d places, want fewer than %d", most, 4*3*n)
+	}
+	if got := mallocs(func() { rounds(&s, n, los[len(los)/2-1:]...) }); got != 0 || s.Places() >= 4*3*n {
+		t.Errorf("the later rounds past a stuck round allocated %d times and left %d places, want 0 and fewer than %d", got, s.Places(), 4*3*n)
+	}
+	if s.Len() != 2*n || len(s.over) != n {
+		t.Errorf("after the rounds past a stuck round, %d in flight and %d in the overflow, want %d and %d", s.Len(), len(s.over), 2*n, n)
+	}
+	t.Logf("97 rounds of %d slots past a stuck round: %d places, %d in flight, %d in the overflow", n, s.Places(), s.Len(), len(s.over))
 
 	// A stall: every slot of a 10 000-slot owner in flight at once grows
 	// the places to exactly that, and a second stall allocates nothing.

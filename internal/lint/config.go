@@ -1,69 +1,30 @@
 package lint
 
-import (
-	"path/filepath"
-	"strings"
-)
+import "slices"
 
 // AnalyzerConfig scopes one analyzer.
 type AnalyzerConfig struct {
-	// Packages restricts the analyzer to import paths matching one of
-	// these patterns (exact path, or a "prefix/..." wildcard). Empty means
+	// Packages restricts the analyzer to these import paths. Empty means
 	// every package.
 	Packages []string
-	// AllowFiles suppresses every finding in files whose base name
-	// matches one of these globs.
-	AllowFiles []string
 	// ExtraBlocking (lockheld only) names additional functions treated as
 	// blocking, as "import/path.Func" or "import/path.Type.Method".
 	ExtraBlocking []string
-	// ExtraOrdered (maporder only) names additional functions treated as
-	// order-sensitive sinks, in the same "import/path.Func" or
-	// "import/path.Type.Method" form.
-	ExtraOrdered []string
 }
 
 // appliesToPackage reports whether the analyzer covers the import path.
 func (c AnalyzerConfig) appliesToPackage(path string) bool {
-	if len(c.Packages) == 0 {
-		return true
-	}
-	for _, pat := range c.Packages {
-		if matchPattern(pat, path) {
-			return true
-		}
-	}
-	return false
-}
-
-// matchPattern matches an import path against an exact pattern or a
-// "prefix/..." wildcard.
-func matchPattern(pat, path string) bool {
-	if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-		return path == rest || strings.HasPrefix(path, rest+"/")
-	}
-	return pat == path
-}
-
-// allowsFile reports whether findings in the file (base name) are
-// allowlisted away.
-func (c AnalyzerConfig) allowsFile(base string) bool {
-	for _, glob := range c.AllowFiles {
-		if ok, err := filepath.Match(glob, base); err == nil && ok {
-			return true
-		}
-	}
-	return false
+	return len(c.Packages) == 0 || slices.Contains(c.Packages, path)
 }
 
 // Config is the suite configuration: the module path plus one
 // AnalyzerConfig per analyzer name.
 type Config struct {
-	// Module is the module path (used to locate internal/trace and to
-	// build default scopes).
+	// Module is the module path (used to locate the project's ordered
+	// sinks and to build default scopes).
 	Module string
 	// ByAnalyzer maps analyzer name → configuration. A missing entry
-	// means "all packages, no allowances".
+	// means "all packages".
 	ByAnalyzer map[string]AnalyzerConfig
 	// ReportUnusedAllows audits the suppressions themselves: every
 	// well-formed //lint:allow that suppressed nothing in the run becomes
@@ -87,7 +48,7 @@ func (c *Config) For(name string) AnalyzerConfig {
 //     wall time and are out of scope. internal/telemetry is in scope even
 //     though real-time code feeds it: the registry must stay clock-free so
 //     sim-clocked packages can record into it from injected instants.
-//   - rawrand, lockheld, closecheck and tracekey cover the whole module.
+//   - every other analyzer covers the whole module.
 //   - lockheld additionally treats the framed-connection entry points as
 //     blocking: the session slot's Connect/Send/SendN/Close and the
 //     uplink's Send/Close dial, write and wait on the network (every

@@ -32,7 +32,7 @@ func TestRepositoryIsClean(t *testing.T) {
 // and CLI vocabulary, so adding or renaming an analyzer must be deliberate.
 func TestAnalyzerRegistry(t *testing.T) {
 	wantNames := []string{
-		"walltime", "rawrand", "lockheld", "closecheck", "tracekey",
+		"walltime", "rawrand", "lockheld", "closecheck",
 		"maporder", "goroleak", "atomicmix", "tickerstop",
 	}
 	if len(Analyzers) != len(wantNames) {

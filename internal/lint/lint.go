@@ -3,14 +3,14 @@
 // but that the compiler cannot see: simulation-clocked packages must not
 // read the wall clock (walltime), every randomness source must be a seeded
 // *rand.Rand (rawrand), no blocking network/channel operation may run
-// while a mutex is held (lockheld), network-layer error returns from
-// Close/Flush/Write must not be silently dropped (closecheck), and trace
-// event kinds must be package-level constants (tracekey). The second
+// while a mutex is held (lockheld), and network-layer error returns from
+// Close/Flush/Write must not be silently dropped (closecheck). The second
 // generation guards the parallel-kernel work: map iteration must not feed
 // order-sensitive sinks — trace events, trace recordings, report tables,
 // digests — without an intervening sort (maporder), goroutines spawned by
-// stoppable types need a shutdown edge (goroleak), a field touched through
-// sync/atomic must never also be accessed plainly (atomicmix), and every
+// stoppable types need a shutdown edge (goroleak), atomic values live in
+// typed atomics, never behind sync/atomic's pointer API, which lets one
+// field be accessed both atomically and plainly (atomicmix), and every
 // Ticker/Timer needs a reachable Stop while time.After stays out of loops
 // (tickerstop).
 //
@@ -62,7 +62,7 @@ type Analyzer struct {
 
 // Analyzers is the full suite, in output order.
 var Analyzers = []*Analyzer{
-	Walltime, Rawrand, Lockheld, Closecheck, Tracekey,
+	Walltime, Rawrand, Lockheld, Closecheck,
 	Maporder, Goroleak, Atomicmix, Tickerstop,
 }
 
@@ -74,7 +74,8 @@ type Pass struct {
 	Pkg *Package
 	// Cfg is the analyzer's configuration.
 	Cfg AnalyzerConfig
-	// Module is the module path (locates internal/trace for tracekey).
+	// Module is the module path (locates the project's ordered sinks for
+	// maporder).
 	Module string
 	// Univ is every module package loaded in this run; lockheld's
 	// blocking-propagation fixed point runs over it.
@@ -84,14 +85,10 @@ type Pass struct {
 	findings *[]Finding
 }
 
-// Reportf records one finding unless its file is allowlisted.
+// Reportf records one finding.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Pkg.Fset.Position(pos)
-	if p.Cfg.allowsFile(filepath.Base(position.Filename)) {
-		return
-	}
 	*p.findings = append(*p.findings, Finding{
-		Pos:      position,
+		Pos:      p.Pkg.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})

@@ -14,9 +14,9 @@ import (
 // the exact bug class that breaks the golden-digest determinism suite the
 // moment the kernel goes multi-threaded. The analyzer seeds the sink set
 // with the project's ordered outputs (trace.Emit, rec.Recorder recording
-// methods, metrics.Table.AddRow, hash.Hash.Write) plus config extras, and
-// propagates "emits ordered output" through the module call graph the way
-// lockheld propagates blockingness — a helper that records a trace event
+// methods, metrics.Table.AddRow, hash.Hash.Write) and propagates "emits
+// ordered output" through the module call graph the way lockheld
+// propagates blockingness — a helper that records a trace event
 // is as order-sensitive as rec.Recorder.Emit itself. The fix is always
 // the same: collect the keys, sort them, then range over the sorted slice
 // (encoding/json is exempt — it sorts map keys itself).
@@ -59,16 +59,12 @@ func resolveHashIface(univ []*Package) *types.Interface {
 }
 
 // seedOrderReason classifies calls that are order-sensitive sinks by
-// themselves: project trace/recording/report APIs, digest writes and
-// config-listed extras.
-func seedOrderReason(fn *types.Func, call *ast.CallExpr, info *types.Info, module string, hashI *types.Interface, extra map[string]bool) string {
+// themselves: project trace/recording/report APIs and digest writes.
+func seedOrderReason(fn *types.Func, call *ast.CallExpr, info *types.Info, module string, hashI *types.Interface) string {
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
 	full := fullFuncName(fn)
-	if extra[full] {
-		return "is listed as an ordered sink in the lint config"
-	}
 	path, name := fn.Pkg().Path(), fn.Name()
 	switch {
 	case path == module+"/internal/trace" && name == "Emit":
@@ -103,7 +99,7 @@ func seedOrderReason(fn *types.Func, call *ast.CallExpr, info *types.Info, modul
 // a function is a sink if its body contains a seed sink call or a call to
 // a known sink. Function literals and go statements are skipped — a
 // literal emits for whoever calls it, on its own schedule.
-func (p *Pass) orderedFuncs(module string, hashI *types.Interface, extra map[string]bool) map[*types.Func]string {
+func (p *Pass) orderedFuncs(module string, hashI *types.Interface) map[*types.Func]string {
 	if p.shared.ordered != nil {
 		return p.shared.ordered
 	}
@@ -132,7 +128,7 @@ func (p *Pass) orderedFuncs(module string, hashI *types.Interface, extra map[str
 			if _, done := ordered[fn]; done {
 				continue
 			}
-			if reason, _ := bodyOrderReason(di.pkg.Info, di.body, ordered, module, hashI, extra); reason != "" {
+			if reason, _ := bodyOrderReason(di.pkg.Info, di.body, ordered, module, hashI); reason != "" {
 				ordered[fn] = reason
 				changed = true
 			}
@@ -144,7 +140,7 @@ func (p *Pass) orderedFuncs(module string, hashI *types.Interface, extra map[str
 
 // bodyOrderReason reports why executing the body emits order-sensitive
 // output ("" if it does not), plus the call that proves it.
-func bodyOrderReason(info *types.Info, body ast.Node, ordered map[*types.Func]string, module string, hashI *types.Interface, extra map[string]bool) (string, *ast.CallExpr) {
+func bodyOrderReason(info *types.Info, body ast.Node, ordered map[*types.Func]string, module string, hashI *types.Interface) (string, *ast.CallExpr) {
 	reason := ""
 	var culprit *ast.CallExpr
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -161,7 +157,7 @@ func bodyOrderReason(info *types.Info, body ast.Node, ordered map[*types.Func]st
 			if fn == nil {
 				return true
 			}
-			if r := seedOrderReason(fn, x, info, module, hashI, extra); r != "" {
+			if r := seedOrderReason(fn, x, info, module, hashI); r != "" {
 				reason, culprit = r, x
 			} else if r, ok := ordered[fn]; ok {
 				reason, culprit = fmt.Sprintf("calls %s, which %s", fullFuncName(fn), r), x
@@ -174,11 +170,7 @@ func bodyOrderReason(info *types.Info, body ast.Node, ordered map[*types.Func]st
 
 func runMaporder(p *Pass) {
 	hashI := resolveHashIface(p.Univ)
-	extra := make(map[string]bool, len(p.Cfg.ExtraOrdered))
-	for _, name := range p.Cfg.ExtraOrdered {
-		extra[name] = true
-	}
-	ordered := p.orderedFuncs(p.Module, hashI, extra)
+	ordered := p.orderedFuncs(p.Module, hashI)
 	for _, f := range p.Pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -197,7 +189,7 @@ func runMaporder(p *Pass) {
 				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 					return true
 				}
-				reason, culprit := bodyOrderReason(p.Pkg.Info, rs.Body, ordered, p.Module, hashI, extra)
+				reason, culprit := bodyOrderReason(p.Pkg.Info, rs.Body, ordered, p.Module, hashI)
 				if reason == "" {
 					return true
 				}

@@ -379,10 +379,13 @@ func TestTrunkPendingGrowthInPlace(t *testing.T) {
 	// period tracks heartbeat seq for every pace slot in turn, settling
 	// each slot's once the next slot's are tracked unless the shard
 	// stalls, and returns how often tracking allocated and the most places
-	// the table held.
+	// the table held. Each window starts after a collection, as in
+	// testing.AllocsPerRun: a GC cycle that starts inside one allocates
+	// too, and the arrays a stall grew out of start one.
 	period := func(seq uint64, stall bool) (mallocs uint64, most int) {
 		var ms runtime.MemStats
 		for s := range trunkedSlots {
+			runtime.GC()
 			runtime.ReadMemStats(&ms)
 			before := ms.Mallocs
 			track(s, seq)
@@ -401,7 +404,6 @@ func TestTrunkPendingGrowthInPlace(t *testing.T) {
 	subTick := (trunkedUsers + trunkedSlots - 1) / trunkedSlots
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // nothing allocates beside the loop, as in testing.AllocsPerRun
 	period(1, false)
-	runtime.GC()
 	mallocs, most := period(2, false)
 	t.Logf("a warm period holds at most %d places (%d KB) for %d users, %d per sub-tick", most, most*32/1000, trunkedUsers, subTick)
 	if mallocs != 0 || most > 2*subTick {

@@ -14,30 +14,83 @@ import (
 	"time"
 )
 
-// Kind labels one event type.
-type Kind string
+// Kind labels one event type. The constants below are the whole set; the
+// zero Kind is no kind, and it or any value past the last constant fails
+// to encode, so no event can add a kind the offline analyzers never saw.
+type Kind uint8
 
 // Event kinds emitted by the framework.
 const (
-	KindGenerated   Kind = "hb-generated" // UE produced a heartbeat
-	KindD2DSend     Kind = "d2d-send"     // UE forwarded over D2D
-	KindD2DFail     Kind = "d2d-fail"     // D2D transfer failed
-	KindRelayBusy   Kind = "relay-busy"   // relay advertised a closed window
-	KindDirectSend  Kind = "direct-send"  // UE sent straight over cellular
-	KindFallback    Kind = "fallback"     // feedback timeout → duplicate send
-	KindAck         Kind = "ack"          // UE's heartbeat acknowledged (Reason = ReasonServerAck when not by feedback)
-	KindTimeout     Kind = "timeout"      // UE wrote a heartbeat off unacknowledged
-	KindMatch       Kind = "match"        // UE connected to a relay
-	KindMatchFail   Kind = "match-fail"   // discovery found no usable relay
-	KindCollect     Kind = "collect"      // relay accepted a forwarded heartbeat
-	KindReject      Kind = "reject"       // relay refused (closed/expired)
-	KindFlush       Kind = "flush"        // relay transmitted a batch
-	KindDelivery    Kind = "delivery"     // heartbeat observed at the network
-	KindConnDrop    Kind = "conn-drop"    // server dropped a connection (protocol error, idle timeout)
-	KindStop        Kind = "stop"         // device stopped
-	KindFault       Kind = "fault"        // faultnet injected one fault (Reason = fault kind)
-	KindFaultWindow Kind = "fault-window" // a scheduled fault window opened (Reason = fault kind)
+	KindGenerated   Kind = iota + 1 // UE produced a heartbeat
+	KindD2DSend                     // UE forwarded over D2D
+	KindD2DFail                     // D2D transfer failed
+	KindRelayBusy                   // relay advertised a closed window
+	KindDirectSend                  // UE sent straight over cellular
+	KindFallback                    // feedback timeout → duplicate send
+	KindAck                         // UE's heartbeat acknowledged (Reason = ReasonServerAck when not by feedback)
+	KindTimeout                     // UE wrote a heartbeat off unacknowledged
+	KindMatch                       // UE connected to a relay
+	KindMatchFail                   // discovery found no usable relay
+	KindCollect                     // relay accepted a forwarded heartbeat
+	KindReject                      // relay refused (closed/expired)
+	KindFlush                       // relay transmitted a batch
+	KindDelivery                    // heartbeat observed at the network
+	KindConnDrop                    // server dropped a connection (protocol error, idle timeout)
+	KindStop                        // device stopped
+	KindFault                       // faultnet injected one fault (Reason = fault kind)
+	KindFaultWindow                 // a scheduled fault window opened (Reason = fault kind)
 )
+
+// kindNames are the kinds' JSONL names.
+var kindNames = [...]string{
+	KindGenerated:   "hb-generated",
+	KindD2DSend:     "d2d-send",
+	KindD2DFail:     "d2d-fail",
+	KindRelayBusy:   "relay-busy",
+	KindDirectSend:  "direct-send",
+	KindFallback:    "fallback",
+	KindAck:         "ack",
+	KindTimeout:     "timeout",
+	KindMatch:       "match",
+	KindMatchFail:   "match-fail",
+	KindCollect:     "collect",
+	KindReject:      "reject",
+	KindFlush:       "flush",
+	KindDelivery:    "delivery",
+	KindConnDrop:    "conn-drop",
+	KindStop:        "stop",
+	KindFault:       "fault",
+	KindFaultWindow: "fault-window",
+}
+
+// String implements fmt.Stringer: the kind's JSONL name.
+func (k Kind) String() string {
+	if k >= KindGenerated && int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
+}
+
+// MarshalText implements encoding.TextMarshaler: the kind's JSONL name. The
+// zero Kind and values past the last constant are errors.
+func (k Kind) MarshalText() ([]byte, error) {
+	if k < KindGenerated || int(k) >= len(kindNames) {
+		return nil, fmt.Errorf("trace: unknown event kind %d", uint8(k))
+	}
+	return []byte(kindNames[k]), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler: it accepts only the
+// JSONL name of a kind.
+func (k *Kind) UnmarshalText(name []byte) error {
+	for i := KindGenerated; int(i) < len(kindNames); i++ {
+		if kindNames[i] == string(name) {
+			*k = i
+			return nil
+		}
+	}
+	return fmt.Errorf("trace: unknown event kind %q", name)
+}
 
 // ReasonServerAck is the Reason of a KindAck the server's own ack gave: the
 // heartbeat went (or fell back) straight to the server. An ack without it

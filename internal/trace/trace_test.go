@@ -66,12 +66,19 @@ func TestRecorder(t *testing.T) {
 // TestJSONLBytes pins the JSON line of one event of each kind, at a
 // simulator instant and at a live Unix-ns one, and reads them back at
 // millisecond precision: the encoding keeps At as whole milliseconds, first.
+// The kind table is closed: no kind, a value past the last kind, and a name
+// outside the table neither encode nor decode.
 func TestJSONLBytes(t *testing.T) {
-	kinds := []Kind{
-		KindGenerated, KindD2DSend, KindD2DFail, KindRelayBusy, KindDirectSend,
-		KindFallback, KindAck, KindTimeout, KindMatch, KindMatchFail, KindCollect,
-		KindReject, KindFlush, KindDelivery, KindConnDrop, KindStop, KindFault,
-		KindFaultWindow,
+	kinds := []struct {
+		kind Kind
+		name string
+	}{
+		{KindGenerated, "hb-generated"}, {KindD2DSend, "d2d-send"}, {KindD2DFail, "d2d-fail"},
+		{KindRelayBusy, "relay-busy"}, {KindDirectSend, "direct-send"}, {KindFallback, "fallback"},
+		{KindAck, "ack"}, {KindTimeout, "timeout"}, {KindMatch, "match"},
+		{KindMatchFail, "match-fail"}, {KindCollect, "collect"}, {KindReject, "reject"},
+		{KindFlush, "flush"}, {KindDelivery, "delivery"}, {KindConnDrop, "conn-drop"},
+		{KindStop, "stop"}, {KindFault, "fault"}, {KindFaultWindow, "fault-window"},
 	}
 	for _, tc := range []struct {
 		name   string
@@ -86,8 +93,8 @@ func TestJSONLBytes(t *testing.T) {
 			j := NewJSONL(&buf)
 			var want strings.Builder
 			for i, k := range kinds {
-				j.Emit(Event{At: tc.at, Device: "ue-1", Kind: k, App: "chat", Seq: uint64(i + 1)})
-				fmt.Fprintf(&want, `{"atMs":%s,"device":"ue-1","kind":"%s","app":"chat","seq":%d}`+"\n", tc.atJSON, k, i+1)
+				j.Emit(Event{At: tc.at, Device: "ue-1", Kind: k.kind, App: "chat", Seq: uint64(i + 1)})
+				fmt.Fprintf(&want, `{"atMs":%s,"device":"ue-1","kind":"%s","app":"chat","seq":%d}`+"\n", tc.atJSON, k.name, i+1)
 			}
 			// Every optional field, and the zero values it omits.
 			j.Emit(Event{At: tc.at, Device: "r<1>", Kind: KindDelivery, Peer: "relay", N: 3, Reason: ReasonServerAck, OnTime: true})
@@ -109,11 +116,31 @@ func TestJSONLBytes(t *testing.T) {
 				if ev.At != ms {
 					t.Fatalf("event %d read back at %v, want %v", i, ev.At, ms)
 				}
+				if i < len(kinds) && ev.Kind != kinds[i].kind {
+					t.Fatalf("event %d read back as kind %v, want %v", i, ev.Kind, kinds[i].kind)
+				}
 			}
 			if ev := back[len(kinds)]; ev.Peer != "relay" || ev.N != 3 || ev.Reason != ReasonServerAck || !ev.OnTime || ev.Device != "r<1>" {
 				t.Fatalf("optional fields read back as %+v", ev)
 			}
 		})
+	}
+	for _, bad := range []Kind{0, KindFaultWindow + 1} {
+		var buf bytes.Buffer
+		j := NewJSONL(&buf)
+		j.Emit(Event{Device: "ue-1", Kind: bad})
+		if written, failed := j.Counts(); written != 0 || failed != 1 || buf.Len() != 0 {
+			t.Errorf("kind %d: counts %d/%d and %q written, want 0/1 and nothing", bad, written, failed, buf.String())
+		}
+		d := NewDigest()
+		d.Add([]Keyed{{Ev: Event{Kind: KindAck}}, {Ev: Event{Kind: bad}}})
+		if sum, err := d.Sum(); err == nil {
+			t.Errorf("kind %d: digest summed to %s, want an error", bad, sum)
+		}
+	}
+	_, err := ReadJSONL(strings.NewReader(`{"atMs":1,"device":"ue-1","kind":"ack"}` + "\n" + `{"atMs":2,"device":"ue-1","kind":"bogus"}` + "\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("reading kind bogus: err = %v, want one naming line 2 and the kind", err)
 	}
 }
 
