@@ -145,21 +145,6 @@ func (bs *BaseStation) Deliveries() (total, late int) {
 	return bs.deliveries, bs.late
 }
 
-// L3ByDevice returns per-device layer-3 message counts keyed by device id,
-// in a deterministically ordered copy.
-func (bs *BaseStation) L3ByDevice() map[hbmsg.DeviceID]int {
-	out := make(map[hbmsg.DeviceID]int, len(bs.modems))
-	ids := make([]string, 0, len(bs.modems))
-	for id := range bs.modems {
-		ids = append(ids, string(id))
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		out[hbmsg.DeviceID(id)] = bs.modems[hbmsg.DeviceID(id)].Counters().L3Messages
-	}
-	return out
-}
-
 func (bs *BaseStation) deliver(hbs []hbmsg.Heartbeat, via hbmsg.DeviceID) {
 	now := bs.sched.Now()
 	for _, hb := range hbs {

@@ -77,9 +77,7 @@ func TestSendChargesEnergyAndCountsSignaling(t *testing.T) {
 	if got := led.Phase(energy.PhaseCellular); got != model.CellularTxCharge(1, 54) {
 		t.Fatalf("charge = %v, want %v", got, model.CellularTxCharge(1, 54))
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	cfg := rrc.DefaultConfig()
 	if got, want := m.Counters().L3Messages, cfg.SetupMessages+cfg.ReleaseMessages; got != want {
 		t.Fatalf("L3 = %d, want %d", got, want)
@@ -113,9 +111,7 @@ func TestAggregatedSendIsOneConnection(t *testing.T) {
 	if err := m.Send(batch, energy.PhaseCellular); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	c := m.Counters()
 	if c.Promotions != 1 {
 		t.Fatalf("promotions = %d, want 1 (single connection)", c.Promotions)
@@ -148,9 +144,7 @@ func TestDeliveryObserverAndLateness(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("At: %v", err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if len(seen) != 2 {
 		t.Fatalf("observed %d deliveries, want 2", len(seen))
 	}
@@ -177,28 +171,6 @@ func TestFallbackPhaseAccounting(t *testing.T) {
 	}
 	if led.Phase(energy.PhaseCellular) != 0 {
 		t.Fatal("cellular phase charged for fallback send")
-	}
-}
-
-func TestL3ByDevice(t *testing.T) {
-	s, bs := newBS(t)
-	m1, _ := attach(t, bs, "a")
-	m2, _ := attach(t, bs, "b")
-	if err := m1.Send([]hbmsg.Heartbeat{hb("a", 1, 0, time.Minute)}, energy.PhaseCellular); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	per := bs.L3ByDevice()
-	if per["a"] == 0 {
-		t.Fatal("device a has no signaling")
-	}
-	if per["b"] != 0 {
-		t.Fatal("device b has signaling without sending")
-	}
-	if m2.State() != rrc.Idle {
-		t.Fatal("idle device not idle")
 	}
 }
 

@@ -45,9 +45,7 @@ func TestChannelTracksWindowLoad(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("At: %v", err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	rep := bs.ChannelReport()
 	if rep.Windows != 2 {
 		t.Fatalf("windows = %d, want 2", rep.Windows)
@@ -81,9 +79,7 @@ func TestChannelOverloadDetection(t *testing.T) {
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	rep := bs.ChannelReport()
 	if rep.OverloadedWindows != 1 {
 		t.Fatalf("overloaded windows = %d, want 1", rep.OverloadedWindows)
@@ -105,9 +101,7 @@ func TestChannelEnableAfterAttach(t *testing.T) {
 	if err := m.Send([]hbmsg.Heartbeat{hb("dev-1", 1, 0, time.Minute)}, energy.PhaseCellular); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if bs.ChannelReport().TotalMessages == 0 {
 		t.Fatal("pre-attached modem not wired into channel")
 	}

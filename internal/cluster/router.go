@@ -193,7 +193,7 @@ func (r *Router) Drain(id string) error {
 	}
 	// Best effort: the draining flag only gates /readyz, and a shard that
 	// cannot flip it can still hand its state off.
-	_ = r.post(node.HTTP+"/cluster/draining?v=true", nil)
+	_ = r.post(node.HTTP+"/cluster/draining?v=true", nil) //lint:allow lockheld opMu runs one membership op at a time, its handoff HTTP calls included
 
 	view, err := NewView(next, r.rcfg.VirtualNodes)
 	if err != nil {
@@ -207,11 +207,11 @@ func (r *Router) Drain(id string) error {
 	// target a ring that no longer exists.
 	r.settle() //lint:allow lockheld opMu serializes membership ops across the settle window by design
 
-	entries, err := r.snapshot(node)
+	entries, err := r.snapshot(node) //lint:allow lockheld opMu runs one membership op at a time, its handoff HTTP calls included
 	if err != nil {
 		return fmt.Errorf("cluster: drain %s: membership updated but handoff failed: %w", id, err)
 	}
-	return r.distribute(view, entries, "")
+	return r.distribute(view, entries, "") //lint:allow lockheld opMu runs one membership op at a time, its handoff HTTP calls included
 }
 
 // Evict removes a shard with no handoff — the crash path. Presence state
@@ -255,7 +255,7 @@ func (r *Router) Join(n Node) error {
 	var moved []PresenceEntry
 	forget := make(map[string][]string)
 	for _, inc := range cur.Nodes {
-		entries, err := r.snapshot(inc)
+		entries, err := r.snapshot(inc) //lint:allow lockheld opMu runs one membership op at a time, its handoff HTTP calls included
 		if err != nil {
 			return fmt.Errorf("cluster: join %s: snapshot %s: %w", n.ID, inc.ID, err)
 		}
@@ -268,12 +268,13 @@ func (r *Router) Join(n Node) error {
 	}
 	r.publish(next)
 	r.joins.Inc()
-	if err := r.importTo(n, moved); err != nil {
+	if err := r.importTo(n, moved); err != nil { //lint:allow lockheld opMu runs one membership op at a time, its handoff HTTP calls included
 		return fmt.Errorf("cluster: join %s: membership updated but handoff failed: %w", n.ID, err)
 	}
 	for _, inc := range cur.Nodes {
 		if ids := forget[inc.ID]; len(ids) > 0 {
-			_ = r.forget(inc, ids) // best effort: stale copies only skew gauges
+			// Best effort: stale copies only skew gauges.
+			_ = r.forget(inc, ids) //lint:allow lockheld opMu runs one membership op at a time, its handoff HTTP calls included
 		}
 	}
 	return nil

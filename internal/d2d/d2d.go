@@ -481,7 +481,6 @@ func (n *Node) Connect(peer hbmsg.DeviceID) (*Link, error) {
 		initiator: n,
 		responder: p,
 		open:      true,
-		openedAt:  m.sched.Now(),
 	}
 	n.links = append(n.links, l)
 	p.links = append(p.links, l)
@@ -503,7 +502,6 @@ type Link struct {
 	initiator *Node // UE side
 	responder *Node // relay side
 	open      bool
-	openedAt  time.Duration
 	transfers int
 }
 
@@ -515,9 +513,6 @@ func (l *Link) Responder() *Node { return l.responder }
 
 // Open reports whether the link is usable.
 func (l *Link) Open() bool { return l.open }
-
-// OpenedAt returns the instant the link was established.
-func (l *Link) OpenedAt() time.Duration { return l.openedAt }
 
 // Transfers returns how many successful transfers crossed the link.
 func (l *Link) Transfers() int { return l.transfers }

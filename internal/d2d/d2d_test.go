@@ -400,9 +400,6 @@ func TestLinkHelpers(t *testing.T) {
 	if link.TransferTime(54) <= 0 {
 		t.Fatal("TransferTime not positive")
 	}
-	if link.OpenedAt() != 0 {
-		t.Fatalf("OpenedAt = %v, want 0", link.OpenedAt())
-	}
 }
 
 func TestIntentForLoad(t *testing.T) {

@@ -321,20 +321,6 @@ func (l *Ledger) Snapshot() (Charges, PhaseSet) {
 	return l.phases, charged
 }
 
-// AddFrom merges the totals of other into l: every phase other was ever
-// charged against becomes one charge event of its total.
-func (l *Ledger) AddFrom(other *Ledger) {
-	if other == nil {
-		return
-	}
-	totals, charged := other.Snapshot()
-	for p := PhaseDiscovery; p.valid(); p++ {
-		if charged.Has(p) {
-			l.Add(p, totals[p])
-		}
-	}
-}
-
 // String renders the ledger as "phase=charge" pairs in phase order.
 func (l *Ledger) String() string {
 	totals, charged := l.Snapshot()

@@ -149,8 +149,6 @@ func TestLedgerTable(t *testing.T) {
 	cases := []struct {
 		name       string
 		adds       []add
-		merge      []add // charged on a second ledger, then AddFrom'd
-		mergeNil   bool  // AddFrom(nil) instead
 		wantTotal  MicroAmpHours
 		wantEvents map[Phase]int // phases absent here must be invisible
 		wantString string
@@ -185,25 +183,6 @@ func TestLedgerTable(t *testing.T) {
 			wantEvents: map[Phase]int{PhaseDiscovery: 1, PhaseCellular: 1, PhaseIdleBase: 1},
 			wantString: "discovery=0.10 cellular=0.20 idle-base=0.30",
 		},
-		{
-			// Two cellular charges on the merged ledger arrive as one event:
-			// AddFrom merges totals, one event per phase the other ledger
-			// was ever charged against (a zero-charged one included).
-			name:       "AddFrom merges one event per charged phase",
-			adds:       []add{{PhaseCellular, 10}},
-			merge:      []add{{PhaseCellular, 2}, {PhaseCellular, 3}, {PhaseD2DRecv, 3}, {PhaseFallback, 0}},
-			wantTotal:  18,
-			wantEvents: map[Phase]int{PhaseD2DRecv: 1, PhaseCellular: 2, PhaseFallback: 1},
-			wantString: "d2d-recv=3.00 cellular=15.00 fallback=0.00",
-		},
-		{
-			name:       "AddFrom(nil) is a no-op",
-			adds:       []add{{PhaseD2DSend, 1}},
-			mergeNil:   true,
-			wantTotal:  1,
-			wantEvents: map[Phase]int{PhaseD2DSend: 1},
-			wantString: "d2d-send=1.00",
-		},
 	}
 	build := func(adds []add, reversed bool) *Ledger {
 		l := NewLedger()
@@ -220,12 +199,6 @@ func TestLedgerTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, reversed := range []bool{false, true} {
 				l := build(tc.adds, reversed)
-				switch {
-				case tc.mergeNil:
-					l.AddFrom(nil)
-				case tc.merge != nil:
-					l.AddFrom(build(tc.merge, reversed))
-				}
 				if got := l.Total(); got != tc.wantTotal {
 					t.Errorf("reversed=%v: Total = %v, want %v", reversed, float64(got), float64(tc.wantTotal))
 				}

@@ -21,7 +21,7 @@ var Closecheck = &Analyzer{
 }
 
 func runClosecheck(p *Pass) {
-	ifaces := resolveNetIfaces(p.Univ)
+	conn := lookupIface(p.Univ, "net", "Conn")
 	check := func(call *ast.CallExpr, how string) {
 		fn := callee(p.Pkg.Info, call)
 		if fn == nil {
@@ -40,7 +40,7 @@ func runClosecheck(p *Pass) {
 				return
 			}
 		case "Write":
-			if !implementsIface(sig.Recv().Type(), ifaces.conn) || !lastResultIsError(sig) {
+			if !implementsIface(sig.Recv().Type(), conn) || !lastResultIsError(sig) {
 				return
 			}
 		default:

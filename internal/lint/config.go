@@ -7,9 +7,6 @@ type AnalyzerConfig struct {
 	// Packages restricts the analyzer to these import paths. Empty means
 	// every package.
 	Packages []string
-	// ExtraBlocking (lockheld only) names additional functions treated as
-	// blocking, as "import/path.Func" or "import/path.Type.Method".
-	ExtraBlocking []string
 }
 
 // appliesToPackage reports whether the analyzer covers the import path.
@@ -49,15 +46,6 @@ func (c *Config) For(name string) AnalyzerConfig {
 //     though real-time code feeds it: the registry must stay clock-free so
 //     sim-clocked packages can record into it from injected instants.
 //   - every other analyzer covers the whole module.
-//   - lockheld additionally treats the framed-connection entry points as
-//     blocking: the session slot's Connect/Send/SendN/Close and the
-//     uplink's Send/Close dial, write and wait on the network (every
-//     production client goes through them), so calling any of them with a
-//     mutex held stalls every other goroutine contending for it. The
-//     cluster control plane's HTTP methods (config refresh, drain handoff,
-//     membership ops) and the loadgen metric scrapers get the same
-//     treatment: holding a lock across one of them stalls every routing
-//     party contending for that lock through a reshard.
 func DefaultConfig(module string) *Config {
 	ip := func(s string) string { return module + "/" + s }
 	simPackages := []string{
@@ -90,21 +78,6 @@ func DefaultConfig(module string) *Config {
 		Module: module,
 		ByAnalyzer: map[string]AnalyzerConfig{
 			"walltime": {Packages: simPackages},
-			"lockheld": {ExtraBlocking: []string{
-				ip("internal/session") + ".Slot.Connect",
-				ip("internal/session") + ".Slot.Send",
-				ip("internal/session") + ".Slot.SendN",
-				ip("internal/session") + ".Slot.Close",
-				ip("internal/session") + ".Uplink.Send",
-				ip("internal/session") + ".Uplink.Close",
-				ip("internal/session") + ".Driver.Stop",
-				ip("internal/cluster") + ".Client.Refresh",
-				ip("internal/cluster") + ".Router.Drain",
-				ip("internal/cluster") + ".Router.Evict",
-				ip("internal/cluster") + ".Router.Join",
-				ip("internal/loadgen") + ".ScrapeDump",
-				ip("internal/loadgen") + ".ScrapeDumpURL",
-			}},
 		},
 	}
 }

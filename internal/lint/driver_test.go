@@ -28,6 +28,43 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 }
 
+// TestBlockingIsDerived checks lockheld's derivation on the real module:
+// the framed-connection entry points, the cluster control plane's HTTP
+// methods and the metric scrapers block through the code they call, and
+// Router.Evict, which only validates and publishes a config, does not. A
+// refactor that hides a dial behind a function value drops a function
+// from the derived set and fails here.
+func TestBlockingIsDerived(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-module type check is slow; skipped with -short")
+	}
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.LoadPatterns([]string{"./..."}); err != nil {
+		t.Fatal(err)
+	}
+	univ := l.ModulePackages()
+	derived := make(map[string]string)
+	for fn, reason := range newCallGraph(univ).fixedPoint(blocking(resolveNetIfaces(univ))) {
+		derived[fullFuncName(fn)] = reason
+	}
+	for _, name := range []string{
+		"session.Slot.Connect", "session.Slot.Send", "session.Slot.SendN",
+		"session.Slot.Close", "session.Uplink.Send", "session.Uplink.Close",
+		"session.Driver.Stop", "cluster.Client.Refresh", "cluster.Router.Drain",
+		"cluster.Router.Join", "loadgen.ScrapeDump", "loadgen.ScrapeDumpURL",
+	} {
+		if _, ok := derived[l.ModulePath+"/internal/"+name]; !ok {
+			t.Errorf("%s is not derived as blocking", name)
+		}
+	}
+	if reason, ok := derived[l.ModulePath+"/internal/cluster.Router.Evict"]; ok {
+		t.Errorf("cluster.Router.Evict is derived as blocking: it %s", reason)
+	}
+}
+
 // TestAnalyzerRegistry pins the suite roster: names are the //lint:allow
 // and CLI vocabulary, so adding or renaming an analyzer must be deliberate.
 func TestAnalyzerRegistry(t *testing.T) {

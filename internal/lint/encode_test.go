@@ -155,10 +155,7 @@ func TestUnusedAllowAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var findings []Finding
-	Rawrand.Run(&Pass{
-		Analyzer: Rawrand, Pkg: pkg, Cfg: AnalyzerConfig{}, Module: "d2dhb",
-		Univ: []*Package{pkg}, shared: &shared{}, findings: &findings,
-	})
+	Rawrand.Run(testPass(Rawrand, pkg, &findings))
 	ds := collectDirectives([]*Package{pkg})
 	findings = ds.applySuppressions(findings)
 	if len(findings) != 0 {

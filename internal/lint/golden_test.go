@@ -41,6 +41,13 @@ func parseWants(t *testing.T, pkg *Package) []*want {
 	return wants
 }
 
+// testPass runs one analyzer on one testdata package, the package being
+// the whole run.
+func testPass(a *Analyzer, pkg *Package, findings *[]Finding) *Pass {
+	univ := []*Package{pkg}
+	return &Pass{Analyzer: a, Pkg: pkg, Module: "d2dhb", Univ: univ, graph: newCallGraph(univ), findings: findings}
+}
+
 // TestGolden runs each analyzer over its testdata package and checks the
 // surviving findings against the // want expectations: every expectation
 // must fire, every finding must be expected, and every //lint:allow in the
@@ -58,15 +65,7 @@ func TestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			var findings []Finding
-			a.Run(&Pass{
-				Analyzer: a,
-				Pkg:      pkg,
-				Cfg:      AnalyzerConfig{},
-				Module:   "d2dhb",
-				Univ:     []*Package{pkg},
-				shared:   &shared{},
-				findings: &findings,
-			})
+			a.Run(testPass(a, pkg, &findings))
 			findings = applySuppressions(findings, []*Package{pkg})
 
 			wants := parseWants(t, pkg)
@@ -107,10 +106,7 @@ func TestMalformedAllowDirective(t *testing.T) {
 		t.Fatal(err)
 	}
 	var findings []Finding
-	Rawrand.Run(&Pass{
-		Analyzer: Rawrand, Pkg: pkg, Cfg: AnalyzerConfig{}, Module: "d2dhb",
-		Univ: []*Package{pkg}, shared: &shared{}, findings: &findings,
-	})
+	Rawrand.Run(testPass(Rawrand, pkg, &findings))
 	findings = applySuppressions(findings, []*Package{pkg})
 
 	var malformed, rawrand int

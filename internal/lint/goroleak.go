@@ -45,18 +45,13 @@ func namedRecv(info *types.Info, fd *ast.FuncDecl) *types.Named {
 }
 
 func runGoroleak(p *Pass) {
-	// Named types with a teardown method, and every function body in the
-	// package (to chase go'd methods and helpers).
+	// Named types with a teardown method.
 	stoppable := make(map[*types.Named]string)
-	bodies := make(map[*types.Func]*ast.BlockStmt)
 	for _, f := range p.Pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
-			}
-			if fn, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-				bodies[fn] = fd.Body
 			}
 			if named := namedRecv(p.Pkg.Info, fd); named != nil && stopperNames[fd.Name.Name] {
 				stoppable[named] = fd.Name.Name
@@ -82,11 +77,11 @@ func runGoroleak(p *Pass) {
 				if !ok {
 					return true
 				}
-				body := spawnedBody(p.Pkg.Info, bodies, gs)
+				body := p.spawnedBody(gs)
 				if body == nil {
 					return true // spawned code is out of sight; trust it
 				}
-				if !hasShutdownEdge(p.Pkg.Info, bodies, body, make(map[*ast.BlockStmt]bool)) {
+				if !p.hasShutdownEdge(body, make(map[*ast.BlockStmt]bool)) {
 					p.Reportf(gs.Pos(), "goroutine spawned by (%s).%s has no shutdown edge — no done-channel/context receive, no WaitGroup.Done — so %s.%s cannot stop it and it outlives its owner", named.Obj().Name(), fd.Name.Name, named.Obj().Name(), stopper)
 				}
 				return true
@@ -97,20 +92,27 @@ func runGoroleak(p *Pass) {
 
 // spawnedBody resolves the body the go statement runs: a function
 // literal's own body, or the declaration of a same-package callee.
-func spawnedBody(info *types.Info, bodies map[*types.Func]*ast.BlockStmt, gs *ast.GoStmt) *ast.BlockStmt {
+func (p *Pass) spawnedBody(gs *ast.GoStmt) *ast.BlockStmt {
 	if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
 		return lit.Body
 	}
-	if fn := callee(info, gs.Call); fn != nil {
-		return bodies[fn]
+	return p.samePackageBody(callee(p.Pkg.Info, gs.Call))
+}
+
+// samePackageBody is the body of fn when the package under analysis
+// declares it, or nil.
+func (p *Pass) samePackageBody(fn *types.Func) *ast.BlockStmt {
+	if fn == nil || fn.Pkg() != p.Pkg.Types {
+		return nil
 	}
-	return nil
+	return p.graph.decls[fn].body
 }
 
 // hasShutdownEdge reports whether the body (following same-package calls)
 // contains a way for the owner to end the goroutine: a channel receive,
 // select or range on anything but a timer channel, or a WaitGroup.Done.
-func hasShutdownEdge(info *types.Info, bodies map[*types.Func]*ast.BlockStmt, body *ast.BlockStmt, visited map[*ast.BlockStmt]bool) bool {
+func (p *Pass) hasShutdownEdge(body *ast.BlockStmt, visited map[*ast.BlockStmt]bool) bool {
+	info := p.Pkg.Info
 	if visited[body] {
 		return false
 	}
@@ -140,7 +142,7 @@ func hasShutdownEdge(info *types.Info, bodies map[*types.Func]*ast.BlockStmt, bo
 				found = true
 				return false
 			}
-			if inner, ok := bodies[fn]; ok && hasShutdownEdge(info, bodies, inner, visited) {
+			if inner := p.samePackageBody(fn); inner != nil && p.hasShutdownEdge(inner, visited) {
 				found = true
 			}
 		}

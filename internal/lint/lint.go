@@ -72,16 +72,14 @@ type Pass struct {
 	Analyzer *Analyzer
 	// Pkg is the package under analysis.
 	Pkg *Package
-	// Cfg is the analyzer's configuration.
-	Cfg AnalyzerConfig
 	// Module is the module path (locates the project's ordered sinks for
 	// maporder).
 	Module string
-	// Univ is every module package loaded in this run; lockheld's
-	// blocking-propagation fixed point runs over it.
+	// Univ is every module package loaded in this run; the call graph
+	// indexes it, and interface lookups search its imports.
 	Univ []*Package
 
-	shared   *shared
+	graph    *callGraph
 	findings *[]Finding
 }
 
@@ -107,9 +105,9 @@ func (l *Loader) Run(cfg *Config, patterns []string) ([]Finding, error) {
 
 // analyze applies the suite to the given packages (already loaded).
 func (l *Loader) analyze(cfg *Config, roots []*Package) []Finding {
-	sh := &shared{}
 	var findings []Finding
 	univ := l.ModulePackages()
+	graph := newCallGraph(univ)
 	for _, a := range Analyzers {
 		ac := cfg.For(a.Name)
 		for _, pkg := range roots {
@@ -117,8 +115,8 @@ func (l *Loader) analyze(cfg *Config, roots []*Package) []Finding {
 				continue
 			}
 			a.Run(&Pass{
-				Analyzer: a, Pkg: pkg, Cfg: ac, Module: cfg.Module,
-				Univ: univ, shared: sh, findings: &findings,
+				Analyzer: a, Pkg: pkg, Module: cfg.Module,
+				Univ: univ, graph: graph, findings: &findings,
 			})
 		}
 	}

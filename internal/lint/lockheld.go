@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -16,81 +17,25 @@ import (
 // channel operation, a dial or a time.Sleep under a shard lock turns one
 // slow peer into a server-wide stall (and with lock ordering, a
 // deadlock). The analyzer tracks Lock/Unlock pairs through each function
-// body and propagates "blockingness" through the module call graph, so a
-// helper that dials is as forbidden under a lock as net.Dial itself.
+// body and derives "blockingness" through the module call graph from the
+// standard library's blocking calls, so a helper that dials, or a cluster
+// method that makes an HTTP request, is as forbidden under a lock as
+// net.Dial itself.
 var Lockheld = &Analyzer{
 	Name: "lockheld",
-	Doc:  "no blocking call (net IO, channel ops, sleeps, dials) while a sync.Mutex/RWMutex is held",
+	Doc:  "no blocking call (net IO, HTTP requests, channel ops, sleeps, dials) while a sync.Mutex/RWMutex is held",
 	Run:  runLockheld,
 }
 
-// shared carries per-run memoized state: the blocking-function fixed
-// point (lockheld) and the ordered-sink fixed point (maporder) are each
-// computed once per run, over every loaded module package.
-type shared struct {
-	blocking map[*types.Func]string
-	ordered  map[*types.Func]string
-}
-
-// netIfaces resolves net.Conn and net.Listener from the loaded package
-// graph (nil when the run never imports net).
+// netIfaces holds net.Conn and net.Listener as the run's packages see
+// them (nil when none of them reaches package net).
 type netIfaces struct {
 	conn     *types.Interface
 	listener *types.Interface
 }
 
 func resolveNetIfaces(univ []*Package) netIfaces {
-	var out netIfaces
-	for _, pkg := range univ {
-		for _, imp := range pkg.Types.Imports() {
-			if imp.Path() != "net" {
-				continue
-			}
-			if o := imp.Scope().Lookup("Conn"); o != nil {
-				out.conn, _ = o.Type().Underlying().(*types.Interface)
-			}
-			if o := imp.Scope().Lookup("Listener"); o != nil {
-				out.listener, _ = o.Type().Underlying().(*types.Interface)
-			}
-			return out
-		}
-	}
-	return out
-}
-
-// implementsIface reports whether t (or *t) implements the interface.
-func implementsIface(t types.Type, iface *types.Interface) bool {
-	if iface == nil {
-		return false
-	}
-	if types.Implements(t, iface) {
-		return true
-	}
-	if _, ok := t.(*types.Pointer); !ok {
-		return types.Implements(types.NewPointer(t), iface)
-	}
-	return false
-}
-
-// fullFuncName renders "import/path.Func" or "import/path.Type.Method"
-// for matching against AnalyzerConfig.ExtraBlocking.
-func fullFuncName(fn *types.Func) string {
-	if fn.Pkg() == nil {
-		return fn.Name()
-	}
-	name := fn.Pkg().Path() + "."
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			name += named.Obj().Name() + "."
-		} else if iface, ok := t.(*types.Interface); ok {
-			_ = iface
-		}
-	}
-	return name + fn.Name()
+	return netIfaces{conn: lookupIface(univ, "net", "Conn"), listener: lookupIface(univ, "net", "Listener")}
 }
 
 // netDialFuncs are the package-level net functions that block on the
@@ -102,16 +47,17 @@ var netDialFuncs = map[string]bool{
 	"ListenUnixgram": true, "ListenPacket": true, "ListenMulticastUDP": true,
 }
 
-// seedBlockReason classifies calls that block by themselves, independent
-// of any module code: net dials/listens, time.Sleep, WaitGroup.Wait,
-// net.Conn IO, Listener.Accept and config-listed extras.
-func seedBlockReason(fn *types.Func, ifaces netIfaces, extra map[string]bool) string {
-	if fn.Pkg() == nil {
+// httpRequests are the net/http functions and http.Client methods that
+// send a request and wait for its response.
+var httpRequests = map[string]bool{"Get": true, "Post": true, "Head": true, "PostForm": true, "Do": true}
+
+// callReason classifies calls that block by themselves (fn may be nil),
+// independent of any module code: net dials/listens, HTTP client
+// requests, time.Sleep, WaitGroup/Cond waits, net.Conn IO and
+// Listener.Accept.
+func (ifaces netIfaces) callReason(fn *types.Func) string {
+	if fn == nil || fn.Pkg() == nil {
 		return ""
-	}
-	full := fullFuncName(fn)
-	if extra[full] {
-		return "is listed as blocking in the lint config"
 	}
 	sig := fn.Type().(*types.Signature)
 	path, name := fn.Pkg().Path(), fn.Name()
@@ -119,18 +65,22 @@ func seedBlockReason(fn *types.Func, ifaces netIfaces, extra map[string]bool) st
 		switch {
 		case path == "net" && netDialFuncs[name]:
 			return "dials or listens on the network"
+		case path == "net/http" && httpRequests[name]:
+			return "performs an HTTP request"
 		case path == "time" && name == "Sleep":
 			return "sleeps"
 		}
 		return ""
 	}
-	switch full {
-	case "sync.WaitGroup.Wait":
+	switch full := fullFuncName(fn); {
+	case full == "sync.WaitGroup.Wait":
 		return "waits on a WaitGroup"
-	case "sync.Cond.Wait":
+	case full == "sync.Cond.Wait":
 		return "waits on a Cond"
-	case "net.Dialer.Dial", "net.Dialer.DialContext":
+	case full == "net.Dialer.Dial", full == "net.Dialer.DialContext":
 		return "dials the network"
+	case full == "net/http.Client."+name && httpRequests[name]:
+		return "performs an HTTP request"
 	}
 	recv := sig.Recv().Type()
 	switch name {
@@ -146,105 +96,47 @@ func seedBlockReason(fn *types.Func, ifaces netIfaces, extra map[string]bool) st
 	return ""
 }
 
-// callee resolves a call expression to the called *types.Func, if any.
-func callee(info *types.Info, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = info.Uses[fun.Sel]
+// blockOp classifies the channel operations that block by themselves — a
+// send, a receive, a range over a channel and a select with no default —
+// returning where one blocks, the reason a function's summary gives and
+// the words a finding under a lock uses ("" for anything else).
+func blockOp(info *types.Info, n ast.Node) (pos token.Pos, reason, what string) {
+	switch x := n.(type) {
+	case *ast.SendStmt:
+		return x.Arrow, "sends on a channel", "channel send"
+	case *ast.UnaryExpr:
+		if x.Op == token.ARROW {
+			return x.OpPos, "receives from a channel", "channel receive"
+		}
+	case *ast.RangeStmt:
+		if tv, ok := info.Types[x.X]; ok {
+			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+				return x.For, "ranges over a channel", "range over a channel"
+			}
+		}
+	case *ast.SelectStmt:
+		if !selectHasDefault(x) {
+			return x.Select, "blocks in a select", "select with no default case"
+		}
 	}
-	fn, _ := obj.(*types.Func)
-	return fn
+	return token.NoPos, "", ""
 }
 
-// blockingFuncs computes (once per run) the set of module functions that
-// can block, by fixed point: a function blocks if its body contains a
-// blocking primitive or a call to a known-blocking function. Goroutine
-// launches, deferred unlock patterns and nested function literals do not
-// make the enclosing function blocking (a go statement returns
-// immediately; a literal only blocks whoever eventually calls it).
-func (p *Pass) blockingFuncs(ifaces netIfaces, extra map[string]bool) map[*types.Func]string {
-	if p.shared.blocking != nil {
-		return p.shared.blocking
+// blocking is the property "can block the calling goroutine": a body has
+// it through a blocking channel operation or a blocking call.
+func blocking(ifaces netIfaces) property {
+	return property{
+		seed: func(info *types.Info, n ast.Node) string {
+			if call, ok := n.(*ast.CallExpr); ok {
+				return ifaces.callReason(callee(info, call))
+			}
+			_, reason, _ := blockOp(info, n)
+			return reason
+		},
+		via: func(fn *types.Func, _ string) string {
+			return fmt.Sprintf("calls %s, which can block", fullFuncName(fn))
+		},
 	}
-	type declInfo struct {
-		pkg  *Package
-		body *ast.BlockStmt
-	}
-	decls := make(map[*types.Func]declInfo)
-	for _, pkg := range p.Univ {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = declInfo{pkg: pkg, body: fd.Body}
-				}
-			}
-		}
-	}
-	blocking := make(map[*types.Func]string)
-	for changed := true; changed; {
-		changed = false
-		for fn, di := range decls {
-			if _, done := blocking[fn]; done {
-				continue
-			}
-			if reason := bodyBlockReason(di.pkg.Info, di.body, blocking, ifaces, extra); reason != "" {
-				blocking[fn] = reason
-				changed = true
-			}
-		}
-	}
-	p.shared.blocking = blocking
-	return blocking
-}
-
-// bodyBlockReason reports why a function body can block the calling
-// goroutine, or "" if it cannot (as far as the analysis sees).
-func bodyBlockReason(info *types.Info, body *ast.BlockStmt, blocking map[*types.Func]string, ifaces netIfaces, extra map[string]bool) string {
-	reason := ""
-	ast.Inspect(body, func(n ast.Node) bool {
-		if reason != "" {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false // blocks its own caller, not this function
-		case *ast.GoStmt:
-			return false // launches and returns immediately
-		case *ast.SendStmt:
-			reason = "sends on a channel"
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				reason = "receives from a channel"
-			}
-		case *ast.RangeStmt:
-			if tv, ok := info.Types[x.X]; ok {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					reason = "ranges over a channel"
-				}
-			}
-		case *ast.SelectStmt:
-			if !selectHasDefault(x) {
-				reason = "blocks in a select"
-			}
-		case *ast.CallExpr:
-			if fn := callee(info, x); fn != nil {
-				if r := seedBlockReason(fn, ifaces, extra); r != "" {
-					reason = r
-				} else if _, ok := blocking[fn]; ok {
-					reason = fmt.Sprintf("calls %s, which can block", fullFuncName(fn))
-				}
-			}
-		}
-		return reason == ""
-	})
-	return reason
 }
 
 func selectHasDefault(s *ast.SelectStmt) bool {
@@ -258,16 +150,7 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 
 func runLockheld(p *Pass) {
 	ifaces := resolveNetIfaces(p.Univ)
-	extra := make(map[string]bool, len(p.Cfg.ExtraBlocking))
-	for _, name := range p.Cfg.ExtraBlocking {
-		extra[name] = true
-	}
-	w := &lockWalker{
-		pass:     p,
-		ifaces:   ifaces,
-		extra:    extra,
-		blocking: p.blockingFuncs(ifaces, extra),
-	}
+	w := &lockWalker{pass: p, ifaces: ifaces, blocking: p.derive(blocking(ifaces))}
 	for _, f := range p.Pkg.Files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -286,16 +169,7 @@ func runLockheld(p *Pass) {
 type lockWalker struct {
 	pass     *Pass
 	ifaces   netIfaces
-	extra    map[string]bool
 	blocking map[*types.Func]string
-}
-
-func cloneHeld(held map[string]token.Pos) map[string]token.Pos {
-	out := make(map[string]token.Pos, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
 }
 
 func (w *lockWalker) block(stmts []ast.Stmt, held map[string]token.Pos) {
@@ -306,46 +180,13 @@ func (w *lockWalker) block(stmts []ast.Stmt, held map[string]token.Pos) {
 
 func (w *lockWalker) stmt(s ast.Stmt, held map[string]token.Pos) {
 	switch st := s.(type) {
-	case nil:
 	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			if key, isLock, isUnlock := w.lockOp(call); isLock {
-				held[key] = call.Pos()
-				return
-			} else if isUnlock {
-				delete(held, key)
-				return
-			}
-		}
-		w.scanExpr(st.X, held)
-	case *ast.SendStmt:
-		if len(held) > 0 {
-			w.reportBlocked(st.Arrow, "channel send", held)
-		}
-		w.scanExpr(st.Chan, held)
-		w.scanExpr(st.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			w.scanExpr(e, held)
-		}
-		for _, e := range st.Lhs {
-			w.scanExpr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			w.scanExpr(e, held)
-		}
-	case *ast.IncDecStmt:
-		w.scanExpr(st.X, held)
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scanExpr(v, held)
-					}
-				}
-			}
+		if key, isLock, isUnlock := w.lockOp(st.X); isLock {
+			held[key] = st.X.Pos()
+		} else if isUnlock {
+			delete(held, key)
+		} else {
+			w.scan(st.X, held)
 		}
 	case *ast.DeferStmt:
 		// The deferred call runs at return, when the lock may already be
@@ -360,66 +201,52 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]token.Pos) {
 		w.block(st.List, held)
 	case *ast.IfStmt:
 		w.stmt(st.Init, held)
-		w.scanExpr(st.Cond, held)
-		w.block(st.Body.List, cloneHeld(held))
+		w.scan(st.Cond, held)
+		w.block(st.Body.List, maps.Clone(held))
 		if st.Else != nil {
-			w.stmt(st.Else, cloneHeld(held))
+			w.stmt(st.Else, maps.Clone(held))
 		}
 	case *ast.ForStmt:
 		w.stmt(st.Init, held)
-		if st.Cond != nil {
-			w.scanExpr(st.Cond, held)
-		}
-		inner := cloneHeld(held)
+		w.scan(st.Cond, held)
+		inner := maps.Clone(held)
 		w.block(st.Body.List, inner)
 		w.stmt(st.Post, inner)
 	case *ast.RangeStmt:
-		if len(held) > 0 {
-			if tv, ok := w.pass.Pkg.Info.Types[st.X]; ok {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					w.reportBlocked(st.For, "range over a channel", held)
-				}
-			}
-		}
-		w.scanExpr(st.X, held)
-		w.block(st.Body.List, cloneHeld(held))
+		w.check(st, held)
+		w.scan(st.X, held)
+		w.block(st.Body.List, maps.Clone(held))
 	case *ast.SwitchStmt:
 		w.stmt(st.Init, held)
-		if st.Tag != nil {
-			w.scanExpr(st.Tag, held)
-		}
+		w.scan(st.Tag, held)
 		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					w.scanExpr(e, held)
-				}
-				w.block(cc.Body, cloneHeld(held))
+			cc := c.(*ast.CaseClause)
+			for _, e := range cc.List {
+				w.scan(e, held)
 			}
+			w.block(cc.Body, maps.Clone(held))
 		}
 	case *ast.TypeSwitchStmt:
 		w.stmt(st.Init, held)
 		w.stmt(st.Assign, held)
 		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.block(cc.Body, cloneHeld(held))
-			}
+			w.block(c.(*ast.CaseClause).Body, maps.Clone(held))
 		}
 	case *ast.SelectStmt:
-		if len(held) > 0 && !selectHasDefault(st) {
-			w.reportBlocked(st.Select, "select with no default case", held)
-		}
+		w.check(st, held)
 		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				// The comm op's blockingness is the select's as a whole
-				// (reported above); only pull nested literals out of it.
-				if cc.Comm != nil {
-					w.extractLits(cc.Comm)
-				}
-				w.block(cc.Body, cloneHeld(held))
-			}
+			cc := c.(*ast.CommClause)
+			// The comm op's blockingness is the select's as a whole
+			// (checked above); only pull nested literals out of it.
+			w.scan(cc.Comm, nil)
+			w.block(cc.Body, maps.Clone(held))
 		}
 	case *ast.LabeledStmt:
 		w.stmt(st.Stmt, held)
+	default:
+		// Every other statement (assignment, send, return, declaration,
+		// inc/dec) evaluates its expressions here, under held.
+		w.scan(st, held)
 	}
 }
 
@@ -431,56 +258,51 @@ func (w *lockWalker) scanCallArgs(call *ast.CallExpr, held map[string]token.Pos)
 		w.block(lit.Body.List, map[string]token.Pos{})
 	}
 	for _, a := range call.Args {
-		w.scanExpr(a, held)
+		w.scan(a, held)
 	}
 }
 
-// extractLits analyzes function literals nested anywhere under n with a
-// fresh (unlocked) state.
-func (w *lockWalker) extractLits(n ast.Node) {
+// scan walks n (which may be nil) for blocking operations under the
+// current lock state. Function literals are analyzed separately with a
+// fresh state — they run on their own schedule.
+func (w *lockWalker) scan(n ast.Node, held map[string]token.Pos) {
 	ast.Inspect(n, func(x ast.Node) bool {
 		if lit, ok := x.(*ast.FuncLit); ok {
 			w.block(lit.Body.List, map[string]token.Pos{})
 			return false
 		}
-		return true
+		w.check(x, held)
+		return x != nil
 	})
 }
 
-// scanExpr walks an expression for blocking calls and channel receives
-// under the current lock state. Function literals are analyzed separately
-// with a fresh state — they run on their own schedule.
-func (w *lockWalker) scanExpr(e ast.Expr, held map[string]token.Pos) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			w.block(x.Body.List, map[string]token.Pos{})
-			return false
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW && len(held) > 0 {
-				w.reportBlocked(x.OpPos, "channel receive", held)
-			}
-		case *ast.CallExpr:
-			if len(held) == 0 {
-				return true
-			}
-			fn := callee(w.pass.Pkg.Info, x)
-			if fn == nil {
-				return true
-			}
-			if r := seedBlockReason(fn, w.ifaces, w.extra); r != "" {
-				w.reportBlocked(x.Pos(), fmt.Sprintf("call to %s (%s)", fullFuncName(fn), r), held)
-			} else if r, ok := w.blocking[fn]; ok {
-				w.reportBlocked(x.Pos(), fmt.Sprintf("call to %s, which %s", fullFuncName(fn), r), held)
-			}
+// check reports n when a lock is held and n blocks by itself: a blocking
+// channel operation, or a call that blocks directly or through module
+// code.
+func (w *lockWalker) check(n ast.Node, held map[string]token.Pos) {
+	if len(held) == 0 {
+		return
+	}
+	info := w.pass.Pkg.Info
+	if pos, _, what := blockOp(info, n); what != "" {
+		w.reportBlocked(pos, what, held)
+	} else if call, ok := n.(*ast.CallExpr); ok {
+		fn := callee(info, call)
+		if r := w.ifaces.callReason(fn); r != "" {
+			w.reportBlocked(call.Pos(), fmt.Sprintf("call to %s (%s)", fullFuncName(fn), r), held)
+		} else if r, ok := w.blocking[fn]; ok {
+			w.reportBlocked(call.Pos(), fmt.Sprintf("call to %s, which %s", fullFuncName(fn), r), held)
 		}
-		return true
-	})
+	}
 }
 
 // lockOp classifies a call as a mutex Lock/RLock or Unlock/RUnlock and
 // returns the canonical receiver expression ("s.mu") as the state key.
-func (w *lockWalker) lockOp(call *ast.CallExpr) (key string, isLock, isUnlock bool) {
+func (w *lockWalker) lockOp(e ast.Expr) (key string, isLock, isUnlock bool) {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return "", false, false
+	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false, false

@@ -26,38 +26,6 @@ var Maporder = &Analyzer{
 	Run:  runMaporder,
 }
 
-// hashIface resolves the hash.Hash interface from the loaded package
-// graph (nil when the dependency closure never touches package hash).
-func resolveHashIface(univ []*Package) *types.Interface {
-	seen := make(map[*types.Package]bool)
-	var walk func(p *types.Package) *types.Interface
-	walk = func(p *types.Package) *types.Interface {
-		if p == nil || seen[p] {
-			return nil
-		}
-		seen[p] = true
-		if p.Path() == "hash" {
-			if o := p.Scope().Lookup("Hash"); o != nil {
-				iface, _ := o.Type().Underlying().(*types.Interface)
-				return iface
-			}
-			return nil
-		}
-		for _, imp := range p.Imports() {
-			if iface := walk(imp); iface != nil {
-				return iface
-			}
-		}
-		return nil
-	}
-	for _, pkg := range univ {
-		if iface := walk(pkg.Types); iface != nil {
-			return iface
-		}
-	}
-	return nil
-}
-
 // seedOrderReason classifies calls that are order-sensitive sinks by
 // themselves: project trace/recording/report APIs and digest writes.
 func seedOrderReason(fn *types.Func, call *ast.CallExpr, info *types.Info, module string, hashI *types.Interface) string {
@@ -94,83 +62,26 @@ func seedOrderReason(fn *types.Func, call *ast.CallExpr, info *types.Info, modul
 	return ""
 }
 
-// orderedFuncs computes (once per run) the module functions that emit
-// ordered output, by the same fixed point lockheld uses for blockingness:
-// a function is a sink if its body contains a seed sink call or a call to
-// a known sink. Function literals and go statements are skipped — a
-// literal emits for whoever calls it, on its own schedule.
-func (p *Pass) orderedFuncs(module string, hashI *types.Interface) map[*types.Func]string {
-	if p.shared.ordered != nil {
-		return p.shared.ordered
+// ordered is the property "emits ordered output": a body has it through
+// a seed sink call.
+func ordered(module string, hashI *types.Interface) property {
+	return property{
+		seed: func(info *types.Info, n ast.Node) string {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return ""
+			}
+			return seedOrderReason(callee(info, call), call, info, module, hashI)
+		},
+		via: func(fn *types.Func, reason string) string {
+			return fmt.Sprintf("calls %s, which %s", fullFuncName(fn), reason)
+		},
 	}
-	type declInfo struct {
-		pkg  *Package
-		body *ast.BlockStmt
-	}
-	decls := make(map[*types.Func]declInfo)
-	for _, pkg := range p.Univ {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = declInfo{pkg: pkg, body: fd.Body}
-				}
-			}
-		}
-	}
-	ordered := make(map[*types.Func]string)
-	for changed := true; changed; {
-		changed = false
-		for fn, di := range decls {
-			if _, done := ordered[fn]; done {
-				continue
-			}
-			if reason, _ := bodyOrderReason(di.pkg.Info, di.body, ordered, module, hashI); reason != "" {
-				ordered[fn] = reason
-				changed = true
-			}
-		}
-	}
-	p.shared.ordered = ordered
-	return ordered
-}
-
-// bodyOrderReason reports why executing the body emits order-sensitive
-// output ("" if it does not), plus the call that proves it.
-func bodyOrderReason(info *types.Info, body ast.Node, ordered map[*types.Func]string, module string, hashI *types.Interface) (string, *ast.CallExpr) {
-	reason := ""
-	var culprit *ast.CallExpr
-	ast.Inspect(body, func(n ast.Node) bool {
-		if reason != "" {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false // emits on its caller's schedule, not this one
-		case *ast.GoStmt:
-			return false
-		case *ast.CallExpr:
-			fn := callee(info, x)
-			if fn == nil {
-				return true
-			}
-			if r := seedOrderReason(fn, x, info, module, hashI); r != "" {
-				reason, culprit = r, x
-			} else if r, ok := ordered[fn]; ok {
-				reason, culprit = fmt.Sprintf("calls %s, which %s", fullFuncName(fn), r), x
-			}
-		}
-		return reason == ""
-	})
-	return reason, culprit
 }
 
 func runMaporder(p *Pass) {
-	hashI := resolveHashIface(p.Univ)
-	ordered := p.orderedFuncs(p.Module, hashI)
+	sinks := ordered(p.Module, lookupIface(p.Univ, "hash", "Hash"))
+	facts := p.derive(sinks)
 	for _, f := range p.Pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -189,7 +100,7 @@ func runMaporder(p *Pass) {
 				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 					return true
 				}
-				reason, culprit := bodyOrderReason(p.Pkg.Info, rs.Body, ordered, p.Module, hashI)
+				reason, culprit := sinks.reach(p.Pkg.Info, rs.Body, facts)
 				if reason == "" {
 					return true
 				}

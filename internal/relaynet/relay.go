@@ -680,7 +680,7 @@ func (r *RelayAgent) ueFrame(uc *ueConn, msg hbproto.Message, err error) (run, m
 // offered concurrently with a later one — is handled at the kernel's
 // instant.
 func (r *RelayAgent) step(in *input) {
-	_ = r.kernel.RunUntil(max(in.at, r.kernel.Now())) // errs only if stopped, which the relay never is
+	_ = r.kernel.RunUntil(max(in.at, r.kernel.Now())) // errs only for a horizon before now, which max rules out
 	switch in.kind {
 	case inRegister:
 		in.ue.live = true

@@ -66,9 +66,7 @@ func TestSendPromotesAndCountsSignaling(t *testing.T) {
 		t.Fatalf("counters = %+v, want 1 promotion / %d L3 msgs", c, DefaultConfig().SetupMessages)
 	}
 	// Let the inactivity timer fire.
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if m.State() != Idle {
 		t.Fatalf("state after tail = %v, want IDLE", m.State())
 	}
@@ -102,9 +100,7 @@ func TestFullCycleMessageCountMatchesFig15Slope(t *testing.T) {
 			t.Fatalf("At: %v", err)
 		}
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	got := m.Counters().L3Messages
 	if got != 80 {
 		t.Fatalf("L3 messages after %d transmissions = %d, want 80", transmissions, got)
@@ -125,9 +121,7 @@ func TestBackToBackSendsShareOneConnection(t *testing.T) {
 			t.Fatalf("At: %v", err)
 		}
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	c := m.Counters()
 	if c.Promotions != 1 || c.Releases != 1 {
 		t.Fatalf("promotions/releases = %d/%d, want 1/1", c.Promotions, c.Releases)
@@ -142,9 +136,7 @@ func TestLargePayloadAddsSignaling(t *testing.T) {
 	if err := m.Send(500); err != nil { // > 128 B threshold
 		t.Fatalf("Send: %v", err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	cfg := DefaultConfig()
 	want := cfg.SetupMessages + cfg.ReleaseMessages + cfg.LargePayloadMessages
 	if got := m.Counters().L3Messages; got != want {
@@ -164,9 +156,7 @@ func TestConnectedTimeAccounting(t *testing.T) {
 	if err := m.Send(54); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if got, want := m.Counters().ConnectedTime, DefaultConfig().InactivityTail; got != want {
 		t.Fatalf("connected time = %v, want %v", got, want)
 	}
@@ -194,9 +184,7 @@ func TestForceRelease(t *testing.T) {
 	if m.State() != Idle {
 		t.Fatalf("state = %v, want IDLE", m.State())
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	c := m.Counters()
 	if c.Releases != 1 {
 		t.Fatalf("releases = %d, want exactly 1 (timer must not double-release)", c.Releases)
@@ -246,9 +234,7 @@ func TestQuickSignalingInvariant(t *testing.T) {
 				return false
 			}
 		}
-		if err := s.Run(); err != nil {
-			return false
-		}
+		s.Run()
 		c := m.Counters()
 		if c.Promotions != wantPromotions || c.Releases != wantPromotions {
 			return false

@@ -26,9 +26,7 @@ func BenchmarkSteadyStateEvent(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
+	s.Run()
 	if n < b.N {
 		b.Fatalf("fired %d of %d", n, b.N)
 	}
@@ -57,9 +55,7 @@ func BenchmarkPendingChurn(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
+	s.Run()
 }
 
 // BenchmarkStopAndRearm measures the cancel/rearm pattern of the RRC

@@ -19,10 +19,6 @@ import (
 	"time"
 )
 
-// ErrStopped is returned by Run variants when the scheduler was stopped
-// explicitly before the queue drained or the horizon was reached.
-var ErrStopped = errors.New("simtime: scheduler stopped")
-
 // Timer is a handle to a scheduled event. A Timer is owned by the Scheduler
 // that created it and must not be shared across schedulers.
 //
@@ -51,13 +47,12 @@ func (t *Timer) Stopped() bool { return t.stopped }
 // clock that starts at zero. It is not safe for concurrent use; the entire
 // simulation runs on the caller's goroutine.
 type Scheduler struct {
-	now     time.Duration
-	seq     uint64
-	queue   []*Timer // 4-ary min-heap ordered by (at, seq)
-	free    *Timer   // recycled timers, linked through Timer.next
-	rng     *rand.Rand
-	stopped bool
-	fired   uint64
+	now   time.Duration
+	seq   uint64
+	queue []*Timer // 4-ary min-heap ordered by (at, seq)
+	free  *Timer   // recycled timers, linked through Timer.next
+	rng   *rand.Rand
+	fired uint64
 }
 
 // NewScheduler returns a scheduler whose random source is seeded with seed.
@@ -158,39 +153,25 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or StopRun is called. It
-// returns ErrStopped in the latter case.
-func (s *Scheduler) Run() error {
-	s.stopped = false
+// Run executes events until the queue drains.
+func (s *Scheduler) Run() {
 	for s.Step() {
-		if s.stopped {
-			return ErrStopped
-		}
 	}
-	return nil
 }
 
 // RunUntil executes events whose instant is <= horizon, then advances the
 // clock to horizon exactly. Events scheduled beyond the horizon remain
-// queued. It returns ErrStopped if StopRun interrupted the run.
+// queued. A horizon before Now is rejected with an error.
 func (s *Scheduler) RunUntil(horizon time.Duration) error {
 	if horizon < s.now {
 		return fmt.Errorf("simtime: horizon %v is before now %v", horizon, s.now)
 	}
-	s.stopped = false
 	for len(s.queue) > 0 && s.queue[0].at <= horizon {
 		s.Step()
-		if s.stopped {
-			return ErrStopped
-		}
 	}
 	s.now = horizon
 	return nil
 }
-
-// StopRun makes the innermost Run/RunUntil return after the current event
-// finishes. It is intended to be called from inside an event function.
-func (s *Scheduler) StopRun() { s.stopped = true }
 
 // NextAt reports the instant of the earliest queued event, or false when
 // the queue is empty. It lets a windowed driver (TileGroup) decide whether

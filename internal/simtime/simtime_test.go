@@ -33,9 +33,7 @@ func TestAtRunsInTimeOrder(t *testing.T) {
 			t.Fatalf("At(%v): %v", tc.at, err)
 		}
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	want := []int{1, 2, 3}
 	for i, id := range want {
 		if order[i] != id {
@@ -56,9 +54,7 @@ func TestSimultaneousEventsFireInSchedulingOrder(t *testing.T) {
 			t.Fatalf("At: %v", err)
 		}
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("order[%d] = %d, want %d (full: %v)", i, got, i, order)
@@ -71,9 +67,7 @@ func TestAtRejectsPast(t *testing.T) {
 	if _, err := s.At(time.Second, func() {}); err != nil {
 		t.Fatalf("At: %v", err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if _, err := s.At(500*time.Millisecond, func() {}); err == nil {
 		t.Fatal("At in the past succeeded, want error")
 	}
@@ -92,9 +86,7 @@ func TestAfterClampsNegative(t *testing.T) {
 	if _, err := s.After(-time.Second, func() { ran = true }); err != nil {
 		t.Fatalf("After: %v", err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if !ran {
 		t.Fatal("event did not run")
 	}
@@ -116,9 +108,7 @@ func TestStopCancelsPendingTimer(t *testing.T) {
 	if s.Stop(tm) {
 		t.Fatal("second Stop returned true")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
@@ -133,9 +123,7 @@ func TestStopFiredTimerReturnsFalse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("At: %v", err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if s.Stop(tm) {
 		t.Fatal("Stop of fired timer returned true")
 	}
@@ -163,9 +151,7 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	if _, err := s.After(time.Second, tick); err != nil {
 		t.Fatalf("After: %v", err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if len(hits) != 5 {
 		t.Fatalf("got %d ticks, want 5: %v", len(hits), hits)
 	}
@@ -192,9 +178,7 @@ func TestRunUntilLeavesFutureEventsQueued(t *testing.T) {
 	if s.Pending() != 1 {
 		t.Fatalf("Pending() = %d, want 1", s.Pending())
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if len(ran) != 3 {
 		t.Fatalf("ran %d events after Run, want 3", len(ran))
 	}
@@ -205,40 +189,9 @@ func TestRunUntilRejectsPastHorizon(t *testing.T) {
 	if _, err := s.At(2*time.Second, func() {}); err != nil {
 		t.Fatalf("At: %v", err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if err := s.RunUntil(time.Second); err == nil {
 		t.Fatal("RunUntil past horizon succeeded, want error")
-	}
-}
-
-func TestStopRunInterruptsRun(t *testing.T) {
-	s := NewScheduler(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		i := i
-		if _, err := s.At(time.Duration(i)*time.Second, func() {
-			count++
-			if i == 3 {
-				s.StopRun()
-			}
-		}); err != nil {
-			t.Fatalf("At: %v", err)
-		}
-	}
-	if err := s.Run(); err != ErrStopped {
-		t.Fatalf("Run = %v, want ErrStopped", err)
-	}
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	// Resuming drains the rest.
-	if err := s.Run(); err != nil {
-		t.Fatalf("resume Run: %v", err)
-	}
-	if count != 10 {
-		t.Fatalf("count = %d, want 10", count)
 	}
 }
 
@@ -258,9 +211,7 @@ func TestDeterminismSameSeed(t *testing.T) {
 		if _, err := s.After(0, tick); err != nil {
 			t.Fatalf("After: %v", err)
 		}
-		if err := s.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		s.Run()
 		return draws
 	}
 	a, b := run(42), run(42)
@@ -292,9 +243,7 @@ func TestFiredCounter(t *testing.T) {
 			t.Fatalf("After: %v", err)
 		}
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if s.Fired() != 7 {
 		t.Fatalf("Fired() = %d, want 7", s.Fired())
 	}
@@ -317,9 +266,7 @@ func TestQuickClockMonotonic(t *testing.T) {
 				return false
 			}
 		}
-		if err := s.Run(); err != nil {
-			return false
-		}
+		s.Run()
 		for i := 1; i < len(seen); i++ {
 			if seen[i] < seen[i-1] {
 				return false
@@ -356,9 +303,7 @@ func TestQuickStopNeverFires(t *testing.T) {
 				s.Stop(timers[i])
 			}
 		}
-		if err := s.Run(); err != nil {
-			return false
-		}
+		s.Run()
 		for i := range timers {
 			wantStopped := i < len(stopMask) && stopMask[i]
 			if fired[i] == wantStopped {
@@ -393,9 +338,7 @@ func TestGrowHoldsWithoutMoving(t *testing.T) {
 	if cap(s.queue) != grown {
 		t.Fatalf("queue grew from %d to %d for %d events", grown, cap(s.queue), n)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	for i := 1; i < len(fired); i++ {
 		if fired[i] < fired[i-1] {
 			t.Fatalf("event %d fired at %v after %v", i, fired[i], fired[i-1])
