@@ -55,9 +55,10 @@ BUBBLE_TESTS := ^($(shell paste -sd'|' internal/stacktest/bubble_tests.txt))$$
 bubble:
 	GOEXPERIMENT=synctest $(GO) test -race -count=2 -run '$(BUBBLE_TESTS)' ./internal/session ./internal/relaynet ./internal/faultnet ./internal/loadgen
 
-# One benchmark iteration per experiment: the reproduction harness.
+# The paper's evaluation as benchmarks: one sub-benchmark of
+# BenchmarkEvaluation per entry of the table TestEvaluationGolden pins.
 bench:
-	$(GO) test -run XXX -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench Evaluation -benchmem ./internal/experiments
 
 # Print every paper table/figure with paper-vs-measured comparisons.
 repro:

@@ -62,8 +62,6 @@ func main() {
 	}
 }
 
-// runConfig executes a declarative JSON scenario and compares it against
-// the same topology with D2D disabled.
 // openTrace opens the optional JSONL trace sink.
 func openTrace(path string) (trace.Tracer, func() error, error) {
 	if path == "" {
@@ -76,6 +74,8 @@ func openTrace(path string) (trace.Tracer, func() error, error) {
 	return trace.NewJSONL(f), f.Close, nil
 }
 
+// runConfig executes a declarative JSON scenario and compares it against
+// the same topology with D2D disabled.
 func runConfig(path string, tracer trace.Tracer) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -86,31 +86,11 @@ func runConfig(path string, tracer trace.Tracer) error {
 	if err != nil {
 		return err
 	}
-	sim, err := cfg.BuildTraced(tracer)
-	if err != nil {
-		return err
-	}
-	rep, err := sim.Run()
-	if err != nil {
-		return err
-	}
-	base, err := cfg.BuildWith(true) // baseline is never traced
-	if err != nil {
-		return err
-	}
-	baseRep, err := base.Run()
-	if err != nil {
-		return err
-	}
 	profile, err := hbmsg.ProfileByName("standard")
 	if err != nil {
 		return err
 	}
-	printReport(rep, baseRep, profile)
-	if cfg.Channel {
-		printChannel(rep, baseRep, cellular.DefaultChannelConfig())
-	}
-	return nil
+	return compare(cfg.Build, tracer, profile, cfg.Channel)
 }
 
 func run(scenario string, relays, ues, periods int, distance, side float64, capacity int, policyName, appName string, seed int64, channel bool, tracer trace.Tracer) error {
@@ -127,54 +107,48 @@ func run(scenario string, relays, ues, periods int, distance, side float64, capa
 		Duration: time.Duration(periods)*profile.Period + 10*time.Second,
 		Policy:   kind,
 	}
-	chanCfg := cellular.DefaultChannelConfig()
 	if channel {
+		chanCfg := cellular.DefaultChannelConfig()
 		opts.Channel = &chanCfg
 	}
-	opts.Tracer = tracer
+	build := func(disableD2D bool, tr trace.Tracer) (*core.Simulation, error) {
+		opts.DisableD2D, opts.Tracer = disableD2D, tr
+		switch scenario {
+		case "pair":
+			return core.PairScenario(opts, profile, ues, distance, capacity)
+		case "crowd":
+			return core.CrowdScenario(opts, profile, relays, ues, side, capacity)
+		}
+		return nil, fmt.Errorf("unknown scenario %q", scenario)
+	}
+	return compare(build, tracer, profile, channel)
+}
 
-	var sim *core.Simulation
-	switch scenario {
-	case "pair":
-		sim, err = core.PairScenario(opts, profile, ues, distance, capacity)
-	case "crowd":
-		sim, err = core.CrowdScenario(opts, profile, relays, ues, side, capacity)
-	default:
-		return fmt.Errorf("unknown scenario %q", scenario)
-	}
+// compare runs the scheme on the built topology and the same topology
+// with D2D disabled, and prints both side by side. The event trace covers
+// only the scheme run; mixing both streams would corrupt the
+// per-heartbeat delay matching.
+func compare(build func(disableD2D bool, tr trace.Tracer) (*core.Simulation, error), tracer trace.Tracer, profile hbmsg.AppProfile, channel bool) error {
+	rep, err := runBuilt(build(false, tracer))
 	if err != nil {
 		return err
 	}
-	rep, err := sim.Run()
+	base, err := runBuilt(build(true, nil))
 	if err != nil {
 		return err
 	}
-
-	// Baseline: the identical topology with D2D disabled. The event trace
-	// covers only the scheme run; mixing both streams would corrupt the
-	// per-heartbeat delay matching.
-	opts.DisableD2D = true
-	opts.Tracer = nil
-	var base *core.Simulation
-	switch scenario {
-	case "pair":
-		base, err = core.PairScenario(opts, profile, ues, distance, capacity)
-	case "crowd":
-		base, err = core.CrowdScenario(opts, profile, relays, ues, side, capacity)
-	}
-	if err != nil {
-		return err
-	}
-	baseRep, err := base.Run()
-	if err != nil {
-		return err
-	}
-
-	printReport(rep, baseRep, profile)
+	printReport(rep, base, profile)
 	if channel {
-		printChannel(rep, baseRep, chanCfg)
+		printChannel(rep, base, cellular.DefaultChannelConfig())
 	}
 	return nil
+}
+
+func runBuilt(sim *core.Simulation, err error) (*core.Report, error) {
+	if err != nil {
+		return nil, err
+	}
+	return sim.Run()
 }
 
 func printChannel(rep, base *core.Report, cfg cellular.ChannelConfig) {

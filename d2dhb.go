@@ -16,8 +16,9 @@
 //     client speaking a binary protocol over TCP) via NewServer,
 //     NewRelayAgent and NewUEClient.
 //
-// The benchmarks in this package regenerate every table and figure of the
-// paper's evaluation; see EXPERIMENTS.md.
+// Command d2dbench prints every table and figure of the paper's
+// evaluation, and BenchmarkEvaluation in internal/experiments times each
+// one; see EXPERIMENTS.md.
 package d2dhb
 
 import (

@@ -84,9 +84,6 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Nodes returns the ring's shard IDs in canonical (sorted) order.
-func (r *Ring) Nodes() []string { return slices.Clone(r.nodes) }
-
 // Size returns the shard count.
 func (r *Ring) Size() int { return len(r.nodes) }
 

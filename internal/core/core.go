@@ -191,9 +191,6 @@ func (sim *Simulation) OnDeliver(f func(cellular.Delivery)) { sim.observer = f }
 // chosen instant before Run.
 func (sim *Simulation) Scheduler() *simtime.Scheduler { return sim.sched }
 
-// BaseStation exposes the network side for custom observers.
-func (sim *Simulation) BaseStation() *cellular.BaseStation { return sim.bs }
-
 // Grow makes room for n more devices in every table a device joins, and
 // in the event queue, so a caller that knows its population size builds
 // and runs it without growing them.

@@ -316,9 +316,6 @@ type Node struct {
 // ID returns the device id.
 func (n *Node) ID() hbmsg.DeviceID { return n.id }
 
-// Role returns the device role.
-func (n *Node) Role() Role { return n.role }
-
 // Pos returns the device's current position.
 func (n *Node) Pos() geo.Point { return n.mob.Pos(n.medium.sched.Now()) }
 

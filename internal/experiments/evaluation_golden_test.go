@@ -20,47 +20,63 @@ import (
 // from one that moves a value in its third digit; this file can.
 const evaluationGolden = "testdata/evaluation.golden"
 
-// TestEvaluationGolden runs every exported experiment of the paper's
-// evaluation (with the arguments d2dbench passes) and diffs the dump of
-// their results against the committed file. D2D_REGEN_GOLDEN=1 rewrites it.
-// The city kernels and ReplaySim take a configuration, not a seed; the
-// bench's report digests pin them.
+// evaluation is every exported experiment of the paper's evaluation with
+// the arguments d2dbench passes, each run only when called. The city
+// kernels and ReplaySim take a configuration, not a seed; the bench's
+// report digests pin them.
+var evaluation = []struct {
+	name string
+	run  func() (any, error)
+}{
+	{"Table1", seeded(Table1)},
+	{"Fig6", func() (any, error) { return Fig6(energy.DefaultModel()), nil }},
+	{"Fig7", func() (any, error) { return Fig7(energy.DefaultModel()), nil }},
+	{"Table3", seeded(Table3)},
+	{"EnergyVsTransmissions", func() (any, error) { return EnergyVsTransmissions(DefaultSeed, 8) }},
+	{"RelayMultiUE", func() (any, error) { return RelayMultiUE(DefaultSeed, 7) }},
+	{"Table4", seeded(Table4)},
+	{"DistanceSweep", func() (any, error) { return DistanceSweep(DefaultSeed, 3) }},
+	{"MessageSizeSweep", func() (any, error) { return MessageSizeSweep(DefaultSeed, 3) }},
+	{"Fig15", func() (any, error) { return Fig15(DefaultSeed, 10) }},
+	{"RelayDensitySweep", rowsAndTable(RelayDensitySweep)},
+	{"StormSweep", rowsAndTable(StormSweep)},
+	{"BatteryShare", seeded(BatteryShare)},
+	{"PeriodicExtension", seeded(PeriodicExtension)},
+	{"SeedSweep", func() (any, error) { return SeedSweep(DefaultSeed, 5) }},
+	{"CalibrationSensitivity", rowsAndTable(CalibrationSensitivity)},
+	{"DelayByPolicy", rowsAndTable(DelayByPolicy)},
+	{"Incentive", rowsAndTable(Incentive)},
+	{"PolicyAblation", rowsAndTable(PolicyAblation)},
+	{"TechniqueAblation", rowsAndTable(TechniqueAblation)},
+	{"PrejudgmentAblation", rowsAndTable(PrejudgmentAblation)},
+	{"FeedbackAblation", rowsAndTable(FeedbackAblation)},
+	{"CoverageAblation", rowsAndTable(CoverageAblation)},
+	{"CapacityAblation", rowsAndTable(CapacityAblation)},
+	{"ExpiryFactorAblation", rowsAndTable(ExpiryFactorAblation)},
+}
+
+// seeded adapts an experiment that takes only the seed.
+func seeded[R any](f func(int64) (R, error)) func() (any, error) {
+	return func() (any, error) { return f(DefaultSeed) }
+}
+
+// rowsAndTable adapts an experiment that returns its rows and their table.
+func rowsAndTable[R any](f func(int64) (R, *metrics.Table, error)) func() (any, error) {
+	return func() (any, error) {
+		rows, table, err := f(DefaultSeed)
+		return struct {
+			Rows  R
+			Table *metrics.Table
+		}{rows, table}, err
+	}
+}
+
+// TestEvaluationGolden runs every experiment of the evaluation table and
+// diffs the dump of their results against the committed file.
+// D2D_REGEN_GOLDEN=1 rewrites it.
 func TestEvaluationGolden(t *testing.T) {
-	model := energy.DefaultModel()
-	seed := int64(DefaultSeed)
-	type result struct {
-		name string
-		run  func() (any, error)
-	}
-	results := []result{
-		{"Table1", func() (any, error) { return Table1(seed) }},
-		{"Fig6", func() (any, error) { return Fig6(model), nil }},
-		{"Fig7", func() (any, error) { return Fig7(model), nil }},
-		{"Table3", func() (any, error) { return Table3(seed) }},
-		{"EnergyVsTransmissions", func() (any, error) { return EnergyVsTransmissions(seed, 8) }},
-		{"RelayMultiUE", func() (any, error) { return RelayMultiUE(seed, 7) }},
-		{"Table4", func() (any, error) { return Table4(seed) }},
-		{"DistanceSweep", func() (any, error) { return DistanceSweep(seed, 3) }},
-		{"MessageSizeSweep", func() (any, error) { return MessageSizeSweep(seed, 3) }},
-		{"Fig15", func() (any, error) { return Fig15(seed, 10) }},
-		{"RelayDensitySweep", rowsAndTable(RelayDensitySweep(seed))},
-		{"StormSweep", rowsAndTable(StormSweep(seed))},
-		{"BatteryShare", func() (any, error) { return BatteryShare(seed) }},
-		{"PeriodicExtension", func() (any, error) { return PeriodicExtension(seed) }},
-		{"SeedSweep", func() (any, error) { return SeedSweep(seed, 5) }},
-		{"CalibrationSensitivity", rowsAndTable(CalibrationSensitivity(seed))},
-		{"DelayByPolicy", rowsAndTable(DelayByPolicy(seed))},
-		{"Incentive", rowsAndTable(Incentive(seed))},
-		{"PolicyAblation", rowsAndTable(PolicyAblation(seed))},
-		{"TechniqueAblation", rowsAndTable(TechniqueAblation(seed))},
-		{"PrejudgmentAblation", rowsAndTable(PrejudgmentAblation(seed))},
-		{"FeedbackAblation", rowsAndTable(FeedbackAblation(seed))},
-		{"CoverageAblation", rowsAndTable(CoverageAblation(seed))},
-		{"CapacityAblation", rowsAndTable(CapacityAblation(seed))},
-		{"ExpiryFactorAblation", rowsAndTable(ExpiryFactorAblation(seed))},
-	}
 	var got bytes.Buffer
-	for _, r := range results {
+	for _, r := range evaluation {
 		v, err := r.run()
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
@@ -92,13 +108,18 @@ func TestEvaluationGolden(t *testing.T) {
 	t.Fatalf("dump has %d lines, %s has %d", len(gl), evaluationGolden, len(wl))
 }
 
-// rowsAndTable adapts an experiment that returns its rows and their table.
-func rowsAndTable[R any](rows R, table *metrics.Table, err error) func() (any, error) {
-	return func() (any, error) {
-		return struct {
-			Rows  R
-			Table *metrics.Table
-		}{rows, table}, err
+// BenchmarkEvaluation times each experiment of the evaluation table, so
+// `go test -bench Evaluation` regenerates every table and figure of the
+// paper's Section V.
+func BenchmarkEvaluation(b *testing.B) {
+	for _, e := range evaluation {
+		b.Run(e.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

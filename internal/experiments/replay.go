@@ -15,6 +15,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -35,11 +36,11 @@ const replayBaseSize = 54
 // replayUnit is one sender of the replay, a direct client or a
 // relay/trunk group, on its own modem. A relayed group's relay collects
 // its sends by Algorithm 1; any other unit sends each recorded emission
-// whole, steps being their sizes in order and held the one under way.
+// whole, steps being those still to go and held the one under way.
 type replayUnit struct {
 	modem *cellular.Modem
 	relay *device.Relay
-	steps []int
+	steps [][]rec.Event
 	held  []hbmsg.Heartbeat
 }
 
@@ -81,32 +82,23 @@ func ReplaySim(tl *rec.Timeline) (rec.Metrics, error) {
 	})
 
 	model, rrcCfg, ledger := energy.DefaultModel(), rrc.DefaultConfig(), energy.NewLedger()
-	key := func(client int) int { // direct client index, or -1 − group
-		if g := tl.Clients[client].Relay; g >= 0 {
-			return -1 - g
+	unitOf := make([]*replayUnit, len(tl.Clients)) // each client's sender
+	var groups []*replayUnit                       // in the order of their first sends
+	for i, steps := range tl.Units(rec.Coalesce) {
+		id := hbmsg.DeviceID(fmt.Sprintf("unit%d", i))
+		u := &replayUnit{steps: steps}
+		if u.modem, err = bs.Attach(id, model, rrcCfg, ledger); err != nil {
+			return rec.Metrics{}, err
 		}
-		return client
-	}
-	units := make(map[int]*replayUnit)
-	var groups []*replayUnit // in the order of their first sends
-	for _, s := range tl.Steps(rec.Coalesce) {
-		k := key(s[0].Client)
-		u := units[k]
-		if u == nil {
-			id := hbmsg.DeviceID(fmt.Sprintf("unit%d", k))
-			u = &replayUnit{}
-			if u.modem, err = bs.Attach(id, model, rrcCfg, ledger); err != nil {
+		if c := tl.Clients[steps[0][0].Client]; c.Relay >= 0 {
+			if u.relay, err = replayRelay(tl, c.Path, id, clock, u.modem); err != nil {
 				return rec.Metrics{}, err
 			}
-			if k < 0 {
-				if u.relay, err = replayRelay(tl, tl.Clients[s[0].Client].Path, id, clock, u.modem); err != nil {
-					return rec.Metrics{}, err
-				}
-				groups = append(groups, u)
-			}
-			units[k] = u
+			groups = append(groups, u)
 		}
-		u.steps = append(u.steps, len(s))
+		for _, e := range slices.Concat(steps...) {
+			unitOf[e.Client] = u
+		}
 	}
 
 	var last time.Duration
@@ -127,7 +119,7 @@ func ReplaySim(tl *rec.Timeline) (rec.Metrics, error) {
 		hb := hbmsg.Heartbeat{App: c.App, Src: hbmsg.DeviceID(strconv.Itoa(e.Client)), Seq: e.Seq,
 			Origin: e.At, Expiry: expiry, Size: replayBaseSize + c.Pad}
 		record(rec.EvSend, e.Client, e.Seq)
-		u := units[key(e.Client)]
+		u := unitOf[e.Client]
 		if u.relay != nil {
 			collected := u.relay.Stats().Collected
 			if u.relay.Receive(hb, nil); u.relay.Stats().Collected == collected {
@@ -135,7 +127,7 @@ func ReplaySim(tl *rec.Timeline) (rec.Metrics, error) {
 			}
 			continue
 		}
-		if u.held = append(u.held, hb); len(u.held) == u.steps[0] {
+		if u.held = append(u.held, hb); len(u.held) == len(u.steps[0]) {
 			if err := u.modem.Send(u.held, energy.PhaseCellular); err != nil {
 				return rec.Metrics{}, err
 			}

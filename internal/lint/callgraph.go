@@ -57,14 +57,27 @@ type property struct {
 // the property — the seed says so, or it calls a function in facts — with
 // its reason. Function literals and go statements are skipped: a literal
 // has the property for whoever calls it, and a go statement returns at
-// once.
+// once. So are the channel operations of a select with a default, which
+// does not wait on them; their operands and the clause bodies are walked.
 func (prop property) reach(info *types.Info, body ast.Node, facts map[*types.Func]string) (string, ast.Node) {
 	var reason string
 	var at ast.Node
+	polled := make(map[ast.Node]bool) // comm ops of selects with a default
 	ast.Inspect(body, func(n ast.Node) bool {
-		switch n.(type) {
+		switch x := n.(type) {
 		case *ast.FuncLit, *ast.GoStmt:
 			return false
+		case *ast.SelectStmt:
+			if selectHasDefault(x) {
+				for _, c := range x.Body.List {
+					if op := commOp(c.(*ast.CommClause).Comm); op != nil {
+						polled[op] = true
+					}
+				}
+			}
+		}
+		if polled[n] {
+			return true
 		}
 		if r := prop.seed(info, n); r != "" {
 			reason, at = r, n
@@ -78,6 +91,20 @@ func (prop property) reach(info *types.Info, body ast.Node, facts map[*types.Fun
 		return reason == ""
 	})
 	return reason, at
+}
+
+// commOp returns the channel operation of a select clause's comm
+// statement: the send itself, or the receive expression (nil for default).
+func commOp(comm ast.Stmt) ast.Node {
+	switch c := comm.(type) {
+	case *ast.SendStmt:
+		return c
+	case *ast.ExprStmt:
+		return ast.Unparen(c.X)
+	case *ast.AssignStmt:
+		return ast.Unparen(c.Rhs[0])
+	}
+	return nil
 }
 
 // fixedPoint returns every declared function whose body reaches the

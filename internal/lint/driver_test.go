@@ -30,10 +30,11 @@ func TestRepositoryIsClean(t *testing.T) {
 
 // TestBlockingIsDerived checks lockheld's derivation on the real module:
 // the framed-connection entry points, the cluster control plane's HTTP
-// methods and the metric scrapers block through the code they call, and
-// Router.Evict, which only validates and publishes a config, does not. A
-// refactor that hides a dial behind a function value drops a function
-// from the derived set and fails here.
+// methods and the metric scrapers block through the code they call;
+// Router.Evict, which only validates and publishes a config, does not, nor
+// does Driver.Add, whose one channel send is in a select with a default. A
+// refactor that hides a dial behind a function value drops a function from
+// the derived set and fails here.
 func TestBlockingIsDerived(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type check is slow; skipped with -short")
@@ -60,8 +61,10 @@ func TestBlockingIsDerived(t *testing.T) {
 			t.Errorf("%s is not derived as blocking", name)
 		}
 	}
-	if reason, ok := derived[l.ModulePath+"/internal/cluster.Router.Evict"]; ok {
-		t.Errorf("cluster.Router.Evict is derived as blocking: it %s", reason)
+	for _, name := range []string{"cluster.Router.Evict", "session.Driver.Add"} {
+		if reason, ok := derived[l.ModulePath+"/internal/"+name]; ok {
+			t.Errorf("%s is derived as blocking: it %s", name, reason)
+		}
 	}
 }
 

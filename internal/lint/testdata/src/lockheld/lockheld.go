@@ -47,6 +47,22 @@ func (a *agent) retry() {
 	backoff() // want `call to golden\.test/lockheld\.backoff, which sleeps`
 }
 
+// poke wakes a reader if one is waiting and never waits itself, so calling
+// it under a lock is fine.
+func (a *agent) poke() {
+	select {
+	case a.out <- nil:
+	default:
+	}
+}
+
+func (a *agent) bump() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.pending++
+	a.poke()
+}
+
 func (a *agent) notifyAsync(b []byte) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -170,29 +170,17 @@ func (u *replayUnit) Step(now time.Time) (time.Time, bool) {
 	return next, true
 }
 
-// replayUnits splits the timeline's emissions into units, in the order of
-// each unit's first send: a UE per direct client, a trunk per relay/trunk
-// group.
+// replayUnits builds the timeline's units in their order: a UE per direct
+// client, a trunk per relay/trunk group.
 func (r *Runner) replayUnits(tl *rec.Timeline, speedup float64) ([]*replayUnit, error) {
-	steps := make(map[int][][]rec.Event) // direct client index, or -1 − group
-	var order []int
-	for _, s := range tl.Steps(rec.Coalesce) {
-		k := s[0].Client
-		if g := tl.Clients[k].Relay; g >= 0 {
-			k = -1 - g
-		}
-		if _, seen := steps[k]; !seen {
-			order = append(order, k)
-		}
-		steps[k] = append(steps[k], s)
-	}
-	units := make([]*replayUnit, 0, len(order))
-	for _, k := range order {
-		if k < 0 {
-			units = append(units, r.replayGroup(tl, -1-k, steps[k], speedup))
+	var units []*replayUnit
+	for _, steps := range tl.Units(rec.Coalesce) {
+		c := tl.Clients[steps[0][0].Client]
+		if c.Relay >= 0 {
+			units = append(units, r.replayGroup(tl, c.Relay, steps, speedup))
 			continue
 		}
-		u, err := r.replayDirect(tl.Clients[k], steps[k], speedup)
+		u, err := r.replayDirect(c, steps, speedup)
 		if err != nil {
 			return nil, err
 		}

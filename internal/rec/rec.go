@@ -221,6 +221,25 @@ func (tl *Timeline) Steps(coalesce time.Duration) [][]Event {
 	return steps
 }
 
+// Units groups Steps(coalesce) by sender, a direct client or a relay/trunk
+// group, in the order of each sender's first send.
+func (tl *Timeline) Units(coalesce time.Duration) [][][]Event {
+	var units [][][]Event
+	at := make(map[int]int) // direct client index, or −1 − group → index in units
+	for _, s := range tl.Steps(coalesce) {
+		k := s[0].Client
+		if g := tl.Clients[k].Relay; g >= 0 {
+			k = -1 - g
+		}
+		if _, ok := at[k]; !ok {
+			at[k] = len(units)
+			units = append(units, nil)
+		}
+		units[at[k]] = append(units[at[k]], s)
+	}
+	return units
+}
+
 // Horizon returns the last event instant.
 func (tl *Timeline) Horizon() time.Duration {
 	if len(tl.Events) == 0 {

@@ -11,7 +11,8 @@ import (
 // recorded order, a direct step is one send, a group step holds at most
 // RelayCapacity sends whose gaps are at most coalesce, a group's next step
 // starts only past that gap or after a full step, and steps come in the
-// order of their first sends.
+// order of their first sends; and Units regroups those steps by unit, in
+// the order of each unit's first step.
 func checkSteps(t testing.TB, tl *Timeline, coalesce time.Duration, steps [][]Event) {
 	t.Helper()
 	unit := func(e Event) int {
@@ -61,6 +62,19 @@ func checkSteps(t testing.TB, tl *Timeline, coalesce time.Duration, steps [][]Ev
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("steps do not partition the sends in recorded order:\ngot  %v\nwant %v", got, want)
+	}
+	var units [][][]Event
+	at := make(map[int]int) // unit → index in units
+	for _, s := range steps {
+		u := unit(s[0])
+		if _, ok := at[u]; !ok {
+			at[u] = len(units)
+			units = append(units, nil)
+		}
+		units[at[u]] = append(units[at[u]], s)
+	}
+	if gotUnits := tl.Units(coalesce); !reflect.DeepEqual(gotUnits, units) {
+		t.Fatalf("units\ngot  %v\nwant %v", gotUnits, units)
 	}
 }
 

@@ -176,23 +176,10 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Build constructs the simulation described by the scenario.
-func (c *Config) Build() (*core.Simulation, error) {
-	return c.build(false, nil)
-}
-
-// BuildWith constructs the scenario, optionally with D2D disabled — the
-// original-system baseline of the same topology.
-func (c *Config) BuildWith(disableD2D bool) (*core.Simulation, error) {
-	return c.build(disableD2D, nil)
-}
-
-// BuildTraced constructs the scenario with an event tracer attached.
-func (c *Config) BuildTraced(tracer trace.Tracer) (*core.Simulation, error) {
-	return c.build(false, tracer)
-}
-
-func (c *Config) build(disableD2D bool, tracer trace.Tracer) (*core.Simulation, error) {
+// Build constructs the simulation described by the scenario, with the
+// tracer attached (nil: none). disableD2D builds the original-system
+// baseline of the same topology.
+func (c *Config) Build(disableD2D bool, tracer trace.Tracer) (*core.Simulation, error) {
 	tech, err := techniqueByName(c.Technique)
 	if err != nil {
 		return nil, err

@@ -37,7 +37,7 @@ func TestLoadAndBuild(t *testing.T) {
 	if cfg.Seed != 3 || cfg.Duration.Std() != 22*time.Minute+40*time.Second {
 		t.Fatalf("globals wrong: %+v", cfg)
 	}
-	sim, err := cfg.Build()
+	sim, err := cfg.Build(false, nil)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestBuildRejectsBadMobility(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if _, err := cfg.Build(); err == nil {
+	if _, err := cfg.Build(false, nil); err == nil {
 		t.Fatal("waypoint without area accepted")
 	}
 
@@ -109,7 +109,7 @@ func TestBuildRejectsBadMobility(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if _, err := cfg2.Build(); err == nil {
+	if _, err := cfg2.Build(false, nil); err == nil {
 		t.Fatal("unknown mobility accepted")
 	}
 }

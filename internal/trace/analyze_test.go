@@ -58,6 +58,24 @@ func TestAnalyzeDuplicateDeliveryUsesEarliest(t *testing.T) {
 	}
 }
 
+// BenchmarkAnalyze measures delay analysis over a 10k-event stream.
+func BenchmarkAnalyze(b *testing.B) {
+	events := make([]Event, 0, 10_000)
+	for i := 0; i < 5_000; i++ {
+		seq := uint64(i)
+		events = append(events,
+			Event{At: time.Duration(i) * 100 * time.Millisecond, Device: "ue", Kind: KindGenerated, Seq: seq},
+			Event{At: time.Duration(i*100+50) * time.Millisecond, Device: "ue", Kind: KindDelivery, Seq: seq, Peer: "relay", OnTime: true},
+		)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if a := Analyze(events); a.Total.Count != 5_000 {
+			b.Fatalf("count = %d", a.Total.Count)
+		}
+	}
+}
+
 func TestAnalyzeEmpty(t *testing.T) {
 	a := Analyze(nil)
 	if a.Total.Count != 0 || a.Total.MeanMs != 0 {
