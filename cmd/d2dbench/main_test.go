@@ -12,25 +12,46 @@ import (
 	"d2dhb/internal/experiments"
 )
 
+// TestRunSingleExperiments runs every -only id, in text and under -csv.
+// Each id prints its own slice of the whole run, and the ids in list order
+// print the whole run. An unknown id must fail and name the valid ones
+// rather than print nothing.
 func TestRunSingleExperiments(t *testing.T) {
-	// Exercise every -only branch that runs quickly; the heavyweight
-	// sweeps are covered by the experiments package tests. An unknown id
-	// must fail and name the valid ones rather than print nothing.
-	for _, tc := range []struct{ only, wantErr string }{
-		{"table1", ""}, {"fig6", ""}, {"fig7", ""}, {"table3", ""}, {"fig13", ""}, {"battery", ""},
-		{"fgi9", "valid: table1, fig6"},
-	} {
-		tc := tc
-		t.Run(tc.only, func(t *testing.T) {
-			err := run(io.Discard, experiments.DefaultSeed, false, tc.only, "")
-			switch {
-			case tc.wantErr == "" && err != nil:
-				t.Fatalf("run(%s): %v", tc.only, err)
-			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
-				t.Fatalf("run(%s) = %v, want an error containing %q", tc.only, err, tc.wantErr)
+	output := func(t *testing.T, csv bool, only string) string {
+		t.Helper()
+		var b bytes.Buffer
+		if err := run(&b, experiments.DefaultSeed, csv, only, ""); err != nil {
+			t.Fatalf("run(%q, csv=%v): %v", only, csv, err)
+		}
+		return b.String()
+	}
+	modes := []bool{false, true}
+	var rest [2]string // what the ids have yet to print of the whole run, in text and under -csv
+	for m, csv := range modes {
+		rest[m] = output(t, csv, "")
+	}
+	for _, id := range onlyIDs() {
+		t.Run(id, func(t *testing.T) {
+			for m, csv := range modes {
+				got := output(t, csv, id)
+				if got == "" || !strings.HasPrefix(rest[m], got) {
+					t.Fatalf("-only %s (csv=%v) is not the next %d bytes of the whole run:\n%s", id, csv, len(got), got)
+				}
+				rest[m] = rest[m][len(got):]
 			}
 		})
 	}
+	for m, csv := range modes {
+		if rest[m] != "" {
+			t.Errorf("the ids (csv=%v) printed all of the whole run but its last %d bytes", csv, len(rest[m]))
+		}
+	}
+	t.Run("fgi9", func(t *testing.T) {
+		err := run(io.Discard, experiments.DefaultSeed, false, "fgi9", "")
+		if want := "valid: table1, fig6"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run(fgi9) = %v, want an error containing %q", err, want)
+		}
+	})
 }
 
 func TestRunCSVMode(t *testing.T) {
@@ -83,72 +104,48 @@ func TestRunWritesCSVFiles(t *testing.T) {
 	}
 }
 
-// goldenPath is the full text output of d2dbench at the default seed: every
-// table and figure of the paper's evaluation, the extension studies and the
-// ablations. EXPERIMENTS.md cites it instead of restating it.
-const goldenPath = "testdata/paper.golden"
-
-// TestPaperGolden regenerates the whole evaluation in-process and diffs it
-// against the committed output, so a change that moves any of the paper's
-// numbers fails here and has to show the diff. D2D_REGEN_GOLDEN=1 rewrites
-// the file instead; commit it with the change that explains the move.
+// TestPaperGolden regenerates the whole evaluation in-process, as text
+// and under -csv, and diffs each against its committed output, so a change
+// that moves any of the paper's numbers fails here and has to show the
+// diff. D2D_REGEN_GOLDEN=1 rewrites the files instead; commit them with the
+// change that explains the move. paper.golden is the text run, which
+// EXPERIMENTS.md cites instead of restating it; paper.csv.golden is the
+// -csv run: the current traces, the figures and the tables as CSV.
 func TestPaperGolden(t *testing.T) {
-	var got bytes.Buffer
-	if err := run(&got, experiments.DefaultSeed, false, "", ""); err != nil {
-		t.Fatal(err)
-	}
-	if os.Getenv("D2D_REGEN_GOLDEN") != "" {
-		if err := os.WriteFile(goldenPath, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", goldenPath, got.Len())
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("golden unreadable (regenerate with D2D_REGEN_GOLDEN=1): %v", err)
-	}
-	if bytes.Equal(got.Bytes(), want) {
-		return
-	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("%s line %d differs:\n got %q\nwant %q", goldenPath, i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("output has %d lines, %s has %d", len(gl), goldenPath, len(wl))
-}
-
-// csvGoldenPath is the whole run's output under -csv: the current traces,
-// figures as CSV and the tables as text.
-const csvGoldenPath = "testdata/paper.csv.golden"
-
-// TestCSVGolden pins the whole run's -csv output byte for byte, as
-// TestPaperGolden pins the text run. D2D_REGEN_GOLDEN=1 rewrites it.
-func TestCSVGolden(t *testing.T) {
-	var got bytes.Buffer
-	if err := run(&got, experiments.DefaultSeed, true, "", ""); err != nil {
-		t.Fatal(err)
-	}
-	if os.Getenv("D2D_REGEN_GOLDEN") != "" {
-		if err := os.WriteFile(csvGoldenPath, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(csvGoldenPath)
-	if err != nil {
-		t.Fatalf("golden unreadable (regenerate with D2D_REGEN_GOLDEN=1): %v", err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("%s line %d differs:\n got %q\nwant %q", csvGoldenPath, i+1, gl[i], wl[i])
+	for _, tc := range []struct {
+		name, path string
+		csv        bool
+	}{
+		{"text", "testdata/paper.golden", false},
+		{"csv", "testdata/paper.csv.golden", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got bytes.Buffer
+			if err := run(&got, experiments.DefaultSeed, tc.csv, "", ""); err != nil {
+				t.Fatal(err)
 			}
-		}
-		t.Fatalf("output has %d lines, %s has %d", len(gl), csvGoldenPath, len(wl))
+			if os.Getenv("D2D_REGEN_GOLDEN") != "" {
+				if err := os.WriteFile(tc.path, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("rewrote %s (%d bytes)", tc.path, got.Len())
+				return
+			}
+			want, err := os.ReadFile(tc.path)
+			if err != nil {
+				t.Fatalf("golden unreadable (regenerate with D2D_REGEN_GOLDEN=1): %v", err)
+			}
+			if bytes.Equal(got.Bytes(), want) {
+				return
+			}
+			gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) && i < len(wl); i++ {
+				if gl[i] != wl[i] {
+					t.Fatalf("%s line %d differs:\n got %q\nwant %q", tc.path, i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("output has %d lines, %s has %d", len(gl), tc.path, len(wl))
+		})
 	}
 }
 

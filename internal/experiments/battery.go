@@ -21,6 +21,9 @@ type BatteryShareResult struct {
 	Table        *metrics.Table
 }
 
+// Blocks prints the battery-share table.
+func (r *BatteryShareResult) Blocks() ([][]Block, error) { return one(tableBlock(r.Table)) }
+
 // BatteryShare runs one WeChat-like device for 24 hours as the original
 // system and as a relayed UE, converting energy into Galaxy S4 battery
 // fractions.

@@ -17,6 +17,9 @@ type Table3Result struct {
 	RelayDiscovery, RelayConnection, RelayForwarding float64
 }
 
+// Blocks prints Table III.
+func (r *Table3Result) Blocks() ([][]Block, error) { return one(tableBlock(r.Table)) }
+
 // Paper values for Table III (µAh).
 var table3Paper = struct {
 	ueDisc, ueConn, ueFwd float64
@@ -110,20 +113,20 @@ func EnergyVsTransmissions(seed int64, maxK int) (*EnergyCurves, error) {
 	return c, nil
 }
 
-// Fig8 renders the energy-versus-transmissions comparison for the whole
-// system, UE and relay.
-func (c *EnergyCurves) Fig8() (*metrics.Figure, error) {
-	return figure("Fig. 8: energy consumption comparison (µAh)", "transmissions", c.K, []metrics.Series{
+// Blocks prints Fig. 8 (energy against transmissions for the whole system,
+// UE and relay), then Fig. 9 (the saved-energy percentages) and its
+// headline.
+func (c *EnergyCurves) Blocks() ([][]Block, error) {
+	fig8, err := figureBlock("Fig. 8: energy consumption comparison (µAh)", "transmissions", c.K, []metrics.Series{
 		{Name: "UE", Y: c.UE},
 		{Name: "Relay", Y: c.Relay},
 		{Name: "Original System", Y: c.Original},
 		{Name: "Saved Energy of System", Y: c.SavedSystem},
 		{Name: "Saved Energy of UE", Y: c.SavedUE},
 	})
-}
-
-// Fig9 renders the saved-energy percentages.
-func (c *EnergyCurves) Fig9() (*metrics.Figure, error) {
+	if err != nil {
+		return nil, err
+	}
 	pct := func(v []float64) []float64 {
 		out := make([]float64, len(v))
 		for i, x := range v {
@@ -131,10 +134,12 @@ func (c *EnergyCurves) Fig9() (*metrics.Figure, error) {
 		}
 		return out
 	}
-	return figure("Fig. 9: saved energy (%)", "transmissions", c.K, []metrics.Series{
+	fig9, err := figureBlock("Fig. 9: saved energy (%)", "transmissions", c.K, []metrics.Series{
 		{Name: "Saved Energy of System", Y: pct(c.SavedSystemPct)},
 		{Name: "Saved Energy of UE", Y: pct(c.SavedUEPct)},
 	})
+	return [][]Block{{fig8}, {fig9, headline("headline: UE saving at k=1 = %.1f%% (paper ≈55%%); system saving at k=7 = %.1f%% (paper ≈36%%)",
+		c.SavedUEPct[1]*100, c.SavedSystemPct[7]*100)}}, err
 }
 
 // MultiUECurves holds the Fig. 10 / Fig. 11 measurements: relay energy and
@@ -182,16 +187,18 @@ func RelayMultiUE(seed int64, maxK int) (*MultiUECurves, error) {
 	return res, nil
 }
 
-// Fig10 renders relay energy versus transmissions for each UE count.
-func (m *MultiUECurves) Fig10() (*metrics.Figure, error) {
-	return figure("Fig. 10: energy consumption of a relay with multiple UEs (µAh)",
+// Blocks prints Fig. 10 (relay energy against transmissions for each UE
+// count), then Fig. 11 (the wasted/saved energy ratio) and its headline.
+func (m *MultiUECurves) Blocks() ([][]Block, error) {
+	fig10, err := figureBlock("Fig. 10: energy consumption of a relay with multiple UEs (µAh)",
 		"transmissions", m.K, m.byUECount(m.RelayE))
-}
-
-// Fig11 renders the wasted/saved energy ratio for each UE count.
-func (m *MultiUECurves) Fig11() (*metrics.Figure, error) {
-	return figure("Fig. 11: ratio of wasted energy to saved energy (%)",
+	if err != nil {
+		return nil, err
+	}
+	fig11, err := figureBlock("Fig. 11: ratio of wasted energy to saved energy (%)",
 		"transmissions", m.K, m.byUECount(m.Ratio))
+	return [][]Block{{fig10}, {fig11, headline("headline: ratio drops from %.1f%% (1 UE, k=1) to %.1f%% (7 UEs, k=7); paper: ≈97%% → ≈5%%",
+		m.Ratio[1][0], m.Ratio[7][len(m.K)-1])}}, err
 }
 
 // byUECount is one series of y per UE count.
@@ -215,6 +222,9 @@ type Table4Result struct {
 	Measured []float64
 	Table    *metrics.Table
 }
+
+// Blocks prints Table IV.
+func (r *Table4Result) Blocks() ([][]Block, error) { return one(tableBlock(r.Table)) }
 
 // Table4 measures the relay's D2D receive charge for one collection round
 // with 1..7 connected UEs.

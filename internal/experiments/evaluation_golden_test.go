@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"d2dhb/internal/energy"
 	"d2dhb/internal/metrics"
 )
 
@@ -20,68 +19,20 @@ import (
 // from one that moves a value in its third digit; this file can.
 const evaluationGolden = "testdata/evaluation.golden"
 
-// evaluation is every exported experiment of the paper's evaluation with
-// the arguments d2dbench passes, each run only when called. The city
-// kernels and ReplaySim take a configuration, not a seed; the bench's
-// report digests pin them.
-var evaluation = []struct {
-	name string
-	run  func() (any, error)
-}{
-	{"Table1", seeded(Table1)},
-	{"Fig6", func() (any, error) { return Fig6(energy.DefaultModel()), nil }},
-	{"Fig7", func() (any, error) { return Fig7(energy.DefaultModel()), nil }},
-	{"Table3", seeded(Table3)},
-	{"EnergyVsTransmissions", func() (any, error) { return EnergyVsTransmissions(DefaultSeed, 8) }},
-	{"RelayMultiUE", func() (any, error) { return RelayMultiUE(DefaultSeed, 7) }},
-	{"Table4", seeded(Table4)},
-	{"DistanceSweep", func() (any, error) { return DistanceSweep(DefaultSeed, 3) }},
-	{"MessageSizeSweep", func() (any, error) { return MessageSizeSweep(DefaultSeed, 3) }},
-	{"Fig15", func() (any, error) { return Fig15(DefaultSeed, 10) }},
-	{"RelayDensitySweep", rowsAndTable(RelayDensitySweep)},
-	{"StormSweep", rowsAndTable(StormSweep)},
-	{"BatteryShare", seeded(BatteryShare)},
-	{"PeriodicExtension", seeded(PeriodicExtension)},
-	{"SeedSweep", func() (any, error) { return SeedSweep(DefaultSeed, 5) }},
-	{"CalibrationSensitivity", rowsAndTable(CalibrationSensitivity)},
-	{"DelayByPolicy", rowsAndTable(DelayByPolicy)},
-	{"Incentive", rowsAndTable(Incentive)},
-	{"PolicyAblation", rowsAndTable(PolicyAblation)},
-	{"TechniqueAblation", rowsAndTable(TechniqueAblation)},
-	{"PrejudgmentAblation", rowsAndTable(PrejudgmentAblation)},
-	{"FeedbackAblation", rowsAndTable(FeedbackAblation)},
-	{"CoverageAblation", rowsAndTable(CoverageAblation)},
-	{"CapacityAblation", rowsAndTable(CapacityAblation)},
-	{"ExpiryFactorAblation", rowsAndTable(ExpiryFactorAblation)},
-}
-
-// seeded adapts an experiment that takes only the seed.
-func seeded[R any](f func(int64) (R, error)) func() (any, error) {
-	return func() (any, error) { return f(DefaultSeed) }
-}
-
-// rowsAndTable adapts an experiment that returns its rows and their table.
-func rowsAndTable[R any](f func(int64) (R, *metrics.Table, error)) func() (any, error) {
-	return func() (any, error) {
-		rows, table, err := f(DefaultSeed)
-		return struct {
-			Rows  R
-			Table *metrics.Table
-		}{rows, table}, err
-	}
-}
-
-// TestEvaluationGolden runs every experiment of the evaluation table and
-// diffs the dump of their results against the committed file.
-// D2D_REGEN_GOLDEN=1 rewrites it.
+// TestEvaluationGolden runs every entry of Evaluation and diffs the dump
+// of their results against the committed file. D2D_REGEN_GOLDEN=1 rewrites
+// it. Each result must print one list of blocks per id of its entry.
 func TestEvaluationGolden(t *testing.T) {
 	var got bytes.Buffer
-	for _, r := range evaluation {
-		v, err := r.run()
+	for _, e := range Evaluation {
+		v, err := e.Run(DefaultSeed)
 		if err != nil {
-			t.Fatalf("%s: %v", r.name, err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
-		fmt.Fprintf(&got, "== %s\n", r.name)
+		if blocks, err := v.Blocks(); err != nil || len(blocks) != len(e.IDs) {
+			t.Fatalf("%s printed %d lists of blocks (%v) for ids %q", e.Name, len(blocks), err, e.IDs)
+		}
+		fmt.Fprintf(&got, "== %s\n", e.Name)
 		dumpValue(&got, "", reflect.ValueOf(v))
 		got.WriteString("\n")
 	}
@@ -108,14 +59,13 @@ func TestEvaluationGolden(t *testing.T) {
 	t.Fatalf("dump has %d lines, %s has %d", len(gl), evaluationGolden, len(wl))
 }
 
-// BenchmarkEvaluation times each experiment of the evaluation table, so
-// `go test -bench Evaluation` regenerates every table and figure of the
-// paper's Section V.
+// BenchmarkEvaluation times each entry of Evaluation, so `go test -bench
+// Evaluation` regenerates every table and figure of the paper's Section V.
 func BenchmarkEvaluation(b *testing.B) {
-	for _, e := range evaluation {
-		b.Run(e.name, func(b *testing.B) {
+	for _, e := range Evaluation {
+		b.Run(e.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := e.run(); err != nil {
+				if _, err := e.Run(DefaultSeed); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,11 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section V) on the simulated substrates, plus the ablation
 // studies listed in DESIGN.md. Each experiment returns the same rows or
-// series the paper reports together with the paper's reference values, so
-// callers (the d2dbench CLI and the root package's `go test -bench`
-// harness) can print paper-vs-measured comparisons. The city kernels are
-// also the workloads of bench/run.sh: city_seq builds CityScenario and runs
-// it, city_par runs RunCityParallel.
+// series the paper reports together with the paper's reference values.
+// Evaluation lists every one of them with the arguments it is reproduced
+// at: the d2dbench CLI prints it as paper-vs-measured comparisons,
+// TestEvaluationGolden pins it and BenchmarkEvaluation times it. The city
+// kernels are also the workloads of bench/run.sh: city_seq builds
+// CityScenario and runs it, city_par runs RunCityParallel.
 package experiments
 
 import (

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,8 +41,10 @@ func TestFig6Fig7Shapes(t *testing.T) {
 	if cell.Charge <= 3*d2d.Charge {
 		t.Fatalf("cellular charge %v not ≫ D2D %v", cell.Charge, d2d.Charge)
 	}
-	if d2d.Summary().String() == "" || cell.Summary().String() == "" {
-		t.Fatal("empty summaries")
+	for _, r := range []TraceResult{d2d, cell} {
+		if b, _ := r.Blocks(); !strings.Contains(b[0][0].Text, "peak current") {
+			t.Fatalf("%s: summary %q", r.Name, b[0][0].Text)
+		}
 	}
 }
 
@@ -108,17 +111,14 @@ func TestEnergyVsTransmissionsShapes(t *testing.T) {
 			t.Fatalf("UE saving not monotone at k=%d", i)
 		}
 	}
-	// Figure renderings.
-	f8, err := c.Fig8()
+	// Figure renderings: a CSV column per series beside the x-axis.
+	b, err := c.Blocks()
 	if err != nil {
-		t.Fatalf("Fig8: %v", err)
+		t.Fatalf("Blocks: %v", err)
 	}
-	f9, err := c.Fig9()
-	if err != nil {
-		t.Fatalf("Fig9: %v", err)
-	}
-	if len(f8.Series) != 5 || len(f9.Series) != 2 {
-		t.Fatalf("series = %d/%d, want 5/2", len(f8.Series), len(f9.Series))
+	series := func(b Block) int { return strings.Count(strings.SplitN(b.CSV, "\n", 2)[0], ",") }
+	if s8, s9 := series(b[0][0]), series(b[1][0]); s8 != 5 || s9 != 2 {
+		t.Fatalf("series = %d/%d, want 5/2", s8, s9)
 	}
 }
 
@@ -156,11 +156,8 @@ func TestRelayMultiUEShapes(t *testing.T) {
 	if last >= first/4 {
 		t.Fatalf("ratio did not collapse: %.1f%% → %.1f%%", first, last)
 	}
-	if _, err := m.Fig10(); err != nil {
-		t.Fatalf("Fig10: %v", err)
-	}
-	if _, err := m.Fig11(); err != nil {
-		t.Fatalf("Fig11: %v", err)
+	if _, err := m.Blocks(); err != nil {
+		t.Fatalf("Blocks: %v", err)
 	}
 }
 
@@ -267,8 +264,8 @@ func TestFig15SignalingSaving(t *testing.T) {
 	if res.TrioSaving2UEs <= 0.50 {
 		t.Fatalf("trio saving = %.1f%%, want > 50%%", res.TrioSaving2UEs*100)
 	}
-	if _, err := res.Figure(); err != nil {
-		t.Fatalf("Figure: %v", err)
+	if _, err := res.Blocks(); err != nil {
+		t.Fatalf("Blocks: %v", err)
 	}
 }
 

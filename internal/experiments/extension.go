@@ -25,6 +25,9 @@ type ExtensionResult struct {
 	Table      *metrics.Table
 }
 
+// Blocks prints the periodic-extension table.
+func (r *ExtensionResult) Blocks() ([][]Block, error) { return one(tableBlock(r.Table)) }
+
 // PeriodicExtension runs one relay + two UEs for two hours, first relaying
 // only WeChat heartbeats, then also the devices' diagnostics and ad-refresh
 // pings ("Our framework could be further applied in other periodic

@@ -49,6 +49,9 @@ type SeedRobustness struct {
 	Table          *metrics.Table
 }
 
+// Blocks prints the seed-robustness table.
+func (r *SeedRobustness) Blocks() ([][]Block, error) { return one(tableBlock(r.Table)) }
+
 // SeedSweep measures headline metrics across n consecutive seeds starting
 // at seed0.
 func SeedSweep(seed0 int64, n int) (*SeedRobustness, error) {

@@ -63,11 +63,13 @@ func Fig15(seed int64, maxK int) (*SignalingResult, error) {
 	return res, nil
 }
 
-// Figure renders the Fig. 15 series.
-func (r *SignalingResult) Figure() (*metrics.Figure, error) {
-	return figure("Fig. 15: layer 3 message consumption", "transmissions", r.K, []metrics.Series{
+// Blocks prints Fig. 15 and its headline.
+func (r *SignalingResult) Blocks() ([][]Block, error) {
+	fig, err := figureBlock("Fig. 15: layer 3 message consumption", "transmissions", r.K, []metrics.Series{
 		{Name: "Original System", Y: r.Original},
 		{Name: "Relay with 1 UE", Y: r.RelayWith1UE},
 		{Name: "Relay with 2 UEs", Y: r.RelayWith2UEs},
 	})
+	return [][]Block{{fig, headline("headline: pair saving %.1f%% (paper: about 50%% worst case); trio saving %.1f%% (paper: more than 50%%)",
+		r.PairSaving1UE*100, r.TrioSaving2UEs*100)}}, err
 }

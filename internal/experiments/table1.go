@@ -23,6 +23,9 @@ type Table1Result struct {
 	Table *metrics.Table
 }
 
+// Blocks prints Table I.
+func (r *Table1Result) Blocks() ([][]Block, error) { return one(tableBlock(r.Table)) }
+
 // Table1 generates one week of traffic per app profile and measures the
 // heartbeat share.
 func Table1(seed int64) (*Table1Result, error) {

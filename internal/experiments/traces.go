@@ -44,12 +44,13 @@ func traceResult(name string, tr energy.Trace) TraceResult {
 	}
 }
 
-// Summary renders the trace's headline numbers as a table.
-func (r TraceResult) Summary() *metrics.Table {
+// Blocks prints the trace's headline numbers as a table, or under -csv its
+// samples.
+func (r TraceResult) Blocks() ([][]Block, error) {
 	t := metrics.NewTable(r.Name, "metric", "value")
 	t.AddRow("peak current (mA)", metrics.F(r.PeakMA))
 	t.AddRow("time above 300 mA (s)", metrics.F(r.HighPowerTime.Seconds()))
 	t.AddRow("charge above idle (µAh)", metrics.F(float64(r.Charge)))
 	t.AddRow("window (s)", metrics.F(r.Trace.Duration().Seconds()))
-	return t
+	return one(Block{t.String(), r.Trace.CSV()})
 }
