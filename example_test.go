@@ -59,7 +59,7 @@ func ExampleNewSimulation() {
 		return
 	}
 	ue, err := sim.AddUE(d2dhb.UESpec{
-		ID: "ue", Profile: profile,
+		ID: "ue", Apps: []d2dhb.AppProfile{profile},
 		Mobility:    d2dhb.Static{P: d2dhb.Point{X: 1}},
 		StartOffset: 20 * 1e9, // 20 s
 	})

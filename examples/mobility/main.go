@@ -58,7 +58,7 @@ func run() error {
 		}
 		if _, err := sim.AddUE(d2dhb.UESpec{
 			ID:          d2dhb.DeviceID(fmt.Sprintf("ue-%02d", i+1)),
-			Profile:     profile,
+			Apps:        []d2dhb.AppProfile{profile},
 			Mobility:    walk,
 			StartOffset: time.Duration(i+1) * 7 * time.Second,
 		}); err != nil {

@@ -32,14 +32,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Four UEs, each running WeChat + WhatsApp + QQ.
+	// Four UEs, each running WeChat + WhatsApp + QQ: one list, shared.
+	apps := []d2dhb.AppProfile{d2dhb.WeChat(), d2dhb.WhatsApp(), d2dhb.QQ()}
 	for i := 0; i < 4; i++ {
 		if _, err := sim.AddUE(d2dhb.UESpec{
-			ID:            d2dhb.DeviceID(fmt.Sprintf("ue-%d", i+1)),
-			Profile:       d2dhb.WeChat(),
-			ExtraProfiles: []d2dhb.AppProfile{d2dhb.WhatsApp(), d2dhb.QQ()},
-			Mobility:      d2dhb.Orbit{Radius: 2, Phase: float64(i)},
-			StartOffset:   time.Duration(20+7*i) * time.Second,
+			ID:          d2dhb.DeviceID(fmt.Sprintf("ue-%d", i+1)),
+			Apps:        apps,
+			Mobility:    d2dhb.Orbit{Radius: 2, Phase: float64(i)},
+			StartOffset: time.Duration(20+7*i) * time.Second,
 		}); err != nil {
 			return err
 		}

@@ -98,21 +98,19 @@ type RelaySpec struct {
 
 // UESpec describes one UE device to add to the simulation.
 type UESpec struct {
-	ID      hbmsg.DeviceID
-	Profile hbmsg.AppProfile
-	// ExtraProfiles adds more apps to the same device, each with its own
-	// heartbeat loop.
-	ExtraProfiles []hbmsg.AppProfile
-	Mobility      geo.Mobility
-	StartOffset   time.Duration
+	ID          hbmsg.DeviceID
+	Apps        []hbmsg.AppProfile // primary first, each with its own heartbeat loop; UEs may share one slice
+	Mobility    geo.Mobility
+	StartOffset time.Duration
 }
 
 // Simulation is a configured scenario ready to run.
 type Simulation struct {
-	opts   Options
-	sched  *simtime.Scheduler
-	medium *d2d.Medium
-	bs     *cellular.BaseStation
+	opts    Options
+	ueRules device.UERules // every UE points at this one value
+	sched   *simtime.Scheduler
+	medium  *d2d.Medium
+	bs      *cellular.BaseStation
 
 	devices  []*simDevice // in registration order
 	tracker  *presence.Tracker
@@ -157,7 +155,12 @@ func New(opts Options) (*Simulation, error) {
 		}
 	}
 	sim := &Simulation{
-		opts:    opts,
+		opts: opts,
+		ueRules: device.UERules{
+			Match:           *opts.Match,
+			FeedbackTimeout: opts.FeedbackTimeout,
+			DisableD2D:      opts.DisableD2D,
+		},
 		sched:   s,
 		medium:  medium,
 		bs:      bs,
@@ -235,13 +238,13 @@ func (sim *Simulation) AddRelay(spec RelaySpec) (*device.Relay, error) {
 	}
 	if sim.opts.DisableD2D {
 		// Original system: the would-be relay just sends its own
-		// heartbeats directly; register it as a D2D-disabled UE.
+		// heartbeats directly; register it as a UE under the run's rules,
+		// which disable D2D.
 		dev.ue, err = device.NewUE(sim.sched, node, dev.modem, device.UEConfig{
 			ID:          spec.ID,
-			Profile:     spec.Profile,
-			Match:       *sim.opts.Match,
+			Apps:        []hbmsg.AppProfile{spec.Profile},
+			Rules:       &sim.ueRules,
 			StartOffset: spec.StartOffset,
-			DisableD2D:  true,
 			Tracer:      sim.opts.Tracer,
 		})
 		return nil, err
@@ -271,14 +274,8 @@ func (sim *Simulation) AddUE(spec UESpec) (*device.UE, error) {
 		return nil, err
 	}
 	dev.ue, err = device.NewUE(sim.sched, node, dev.modem, device.UEConfig{
-		ID:              spec.ID,
-		Profile:         spec.Profile,
-		ExtraProfiles:   spec.ExtraProfiles,
-		Match:           *sim.opts.Match,
-		FeedbackTimeout: sim.opts.FeedbackTimeout,
-		StartOffset:     spec.StartOffset,
-		DisableD2D:      sim.opts.DisableD2D,
-		Tracer:          sim.opts.Tracer,
+		ID: spec.ID, Apps: spec.Apps, Rules: &sim.ueRules,
+		StartOffset: spec.StartOffset, Tracer: sim.opts.Tracer,
 	})
 	return dev.ue, err
 }

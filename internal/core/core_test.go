@@ -13,6 +13,9 @@ import (
 
 func std() hbmsg.AppProfile { return hbmsg.StandardHeartbeat() }
 
+// stdApps is a UE running the standard heartbeat app alone.
+func stdApps() []hbmsg.AppProfile { return []hbmsg.AppProfile{std()} }
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Fatal("zero duration accepted")
@@ -37,7 +40,7 @@ func TestRunOnlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := sim.AddUE(UESpec{ID: "u", Profile: std()}); err != nil {
+	if _, err := sim.AddUE(UESpec{ID: "u", Apps: stdApps()}); err != nil {
 		t.Fatalf("AddUE: %v", err)
 	}
 	if _, err := sim.Run(); err != nil {
@@ -46,7 +49,7 @@ func TestRunOnlyOnce(t *testing.T) {
 	if _, err := sim.Run(); err == nil {
 		t.Fatal("second Run accepted")
 	}
-	if _, err := sim.AddUE(UESpec{ID: "u2", Profile: std()}); err == nil {
+	if _, err := sim.AddUE(UESpec{ID: "u2", Apps: stdApps()}); err == nil {
 		t.Fatal("AddUE after Run accepted")
 	}
 	if _, err := sim.AddRelay(RelaySpec{ID: "r", Profile: std()}); err == nil {
@@ -159,7 +162,7 @@ func TestPolicyOptionImmediateIncreasesSignaling(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			if _, err := sim.AddUE(UESpec{
 				ID:          hbmsg.DeviceID(rune('a' + i)),
-				Profile:     std(),
+				Apps:        stdApps(),
 				Mobility:    geo.Static{P: geo.Point{X: 1, Y: float64(i)}},
 				StartOffset: time.Duration(20+90*i) * time.Second,
 			}); err != nil {
@@ -243,7 +246,7 @@ func TestFailureInjectionViaScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddRelay: %v", err)
 	}
-	ue, err := sim.AddUE(UESpec{ID: "ue", Profile: std(), Mobility: geo.Static{P: geo.Point{X: 1}}, StartOffset: 10 * time.Second})
+	ue, err := sim.AddUE(UESpec{ID: "ue", Apps: stdApps(), Mobility: geo.Static{P: geo.Point{X: 1}}, StartOffset: 10 * time.Second})
 	if err != nil {
 		t.Fatalf("AddUE: %v", err)
 	}

@@ -68,7 +68,7 @@ func mixedCrowd(t *testing.T, seed int64) *Simulation {
 		}
 		if _, err := sim.AddUE(UESpec{
 			ID:          hbmsg.DeviceID(fmt.Sprintf("ue-%02d", i)),
-			Profile:     profile,
+			Apps:        []hbmsg.AppProfile{profile},
 			Mobility:    mob,
 			StartOffset: time.Duration(rng.Int63n(int64(profile.Period))),
 		}); err != nil {

@@ -40,7 +40,7 @@ func TestAvailabilityDropsWhenRelayDies(t *testing.T) {
 		t.Fatalf("AddRelay: %v", err)
 	}
 	ue, err := sim.AddUE(UESpec{
-		ID: "ue", Profile: std(),
+		ID: "ue", Apps: stdApps(),
 		Mobility:    geo.Static{P: geo.Point{X: 1}},
 		StartOffset: 20 * time.Second,
 	})

@@ -59,7 +59,7 @@ func (s Star) Build(opts Options) (*Simulation, *device.Relay, []*device.UE, err
 func PairScenario(opts Options, profile hbmsg.AppProfile, numUEs int, distance float64, capacity int) (*Simulation, error) {
 	sim, _, _, err := Star{
 		Relay:    RelaySpec{ID: "relay", Profile: profile, Capacity: capacity},
-		UE:       UESpec{Profile: profile, StartOffset: 20 * time.Second},
+		UE:       UESpec{Apps: []hbmsg.AppProfile{profile}, StartOffset: 20 * time.Second},
 		UEs:      numUEs,
 		Distance: distance,
 		Spacing:  5 * time.Second,
@@ -92,6 +92,7 @@ func CrowdScenario(opts Options, profile hbmsg.AppProfile, numRelays, numUEs int
 	}
 	area := geo.Square(side)
 	rng := sim.sched.Rand()
+	apps := []hbmsg.AppProfile{profile}
 	for i := 0; i < numRelays; i++ {
 		if _, err := sim.AddRelay(RelaySpec{
 			ID:          hbmsg.DeviceID(fmt.Sprintf("relay-%02d", i+1)),
@@ -106,7 +107,7 @@ func CrowdScenario(opts Options, profile hbmsg.AppProfile, numRelays, numUEs int
 	for i := 0; i < numUEs; i++ {
 		if _, err := sim.AddUE(UESpec{
 			ID:          hbmsg.DeviceID(fmt.Sprintf("ue-%03d", i+1)),
-			Profile:     profile,
+			Apps:        apps,
 			Mobility:    geo.Static{P: area.RandomPoint(rng)},
 			StartOffset: time.Duration(rng.Int63n(int64(profile.Period))),
 		}); err != nil {

@@ -76,8 +76,11 @@ func (r *rig) addUE(t *testing.T, id hbmsg.DeviceID, mob geo.Mobility, cfg UECon
 		t.Fatalf("Attach ue: %v", err)
 	}
 	cfg.ID = id
-	if cfg.Match.MaxDistance == 0 {
-		cfg.Match = matching.DefaultConfig()
+	if cfg.Rules == nil {
+		cfg.Rules = &UERules{}
+	}
+	if cfg.Rules.Match.MaxDistance == 0 {
+		cfg.Rules.Match = matching.DefaultConfig()
 	}
 	ue, err := NewUE(r.sched, node, modem, cfg)
 	if err != nil {
@@ -90,6 +93,12 @@ func (r *rig) addUE(t *testing.T, id hbmsg.DeviceID, mob geo.Mobility, cfg UECon
 }
 
 func std() hbmsg.AppProfile { return hbmsg.StandardHeartbeat() }
+
+// apps lists a UE's apps, primary first.
+func apps(p ...hbmsg.AppProfile) []hbmsg.AppProfile { return p }
+
+// defaultRules are a D2D UE's rules with the default relay selection.
+func defaultRules() *UERules { return &UERules{Match: matching.DefaultConfig()} }
 
 func TestRelayConfigValidation(t *testing.T) {
 	r := newRig(t, 1)
@@ -127,7 +136,7 @@ func TestUEConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
-	good := UEConfig{ID: "x", Profile: std(), Match: matching.DefaultConfig()}
+	good := UEConfig{ID: "x", Apps: apps(std()), Rules: defaultRules()}
 	if _, err := NewUE(r.sched, node, nil, good); err == nil {
 		t.Fatal("nil modem accepted")
 	}
@@ -137,12 +146,23 @@ func TestUEConfigValidation(t *testing.T) {
 		t.Fatal("empty id accepted")
 	}
 	bad = good
-	bad.FeedbackTimeout = -time.Second
+	bad.Apps = nil
+	if _, err := NewUE(r.sched, node, modem, bad); err == nil {
+		t.Fatal("ue without apps accepted")
+	}
+	bad = good
+	bad.Rules = nil
+	if _, err := NewUE(r.sched, node, modem, bad); err == nil {
+		t.Fatal("ue without rules accepted")
+	}
+	bad = good
+	bad.Rules = &UERules{Match: matching.DefaultConfig(), FeedbackTimeout: -time.Second}
 	if _, err := NewUE(r.sched, node, modem, bad); err == nil {
 		t.Fatal("negative feedback timeout accepted")
 	}
 	bad = good
-	bad.Match.MaxDistance = -1
+	bad.Rules = &UERules{Match: matching.DefaultConfig()}
+	bad.Rules.Match.MaxDistance = -1
 	if _, err := NewUE(r.sched, node, modem, bad); err == nil {
 		t.Fatal("invalid match config accepted")
 	}
@@ -158,7 +178,7 @@ func TestSingleUESingleRelayHappyPath(t *testing.T) {
 		Profile: std(), Capacity: 8,
 	})
 	ue, _ := r.addUE(t, "ue", geo.Static{P: geo.Point{X: 1}}, UEConfig{
-		Profile: std(), StartOffset: 10 * time.Second,
+		Apps: apps(std()), StartOffset: 10 * time.Second,
 	})
 
 	horizon := 8 * std().Period // 8 relay periods
@@ -224,7 +244,7 @@ func TestRelayCapacityTriggersEarlyFlush(t *testing.T) {
 	for i, off := range []time.Duration{5 * time.Second, 10 * time.Second, 15 * time.Second} {
 		id := hbmsg.DeviceID(rune('a' + i))
 		ue, _ := r.addUE(t, id, geo.Static{P: geo.Point{X: float64(i) + 1}}, UEConfig{
-			Profile: std(), StartOffset: off,
+			Apps: apps(std()), StartOffset: off,
 		})
 		ues = append(ues, ue)
 	}
@@ -258,7 +278,7 @@ func TestConnectedUEGoesDirectWhenWindowClosed(t *testing.T) {
 		Profile: std(), Capacity: 1,
 	})
 	ue, _ := r.addUE(t, "ue", geo.Static{P: geo.Point{X: 1}}, UEConfig{
-		Profile: fast, StartOffset: 5 * time.Second,
+		Apps: apps(fast), StartOffset: 5 * time.Second,
 	})
 	if err := r.sched.RunUntil(260 * time.Second); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -291,7 +311,7 @@ func TestRelayFailureTriggersUEFallback(t *testing.T) {
 		Profile: std(), Capacity: 8,
 	})
 	ue, ueLed := r.addUE(t, "ue", geo.Static{P: geo.Point{X: 1}}, UEConfig{
-		Profile: std(), StartOffset: 10 * time.Second,
+		Apps: apps(std()), StartOffset: 10 * time.Second,
 	})
 
 	// Let the first heartbeat be forwarded, then kill the relay before its
@@ -327,7 +347,7 @@ func TestUEOutOfRangeSendsDirect(t *testing.T) {
 	r := newRig(t, 3)
 	r.addRelay(t, "relay", geo.Static{}, RelayConfig{Profile: std(), Capacity: 8})
 	ue, _ := r.addUE(t, "ue", geo.Static{P: geo.Point{X: 500}}, UEConfig{
-		Profile: std(), StartOffset: 5 * time.Second,
+		Apps: apps(std()), StartOffset: 5 * time.Second,
 	})
 	if err := r.sched.RunUntil(30 * time.Second); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -351,7 +371,7 @@ func TestUEPrejudgmentRejectsFarRelay(t *testing.T) {
 	r := newRig(t, 3)
 	r.addRelay(t, "relay", geo.Static{P: geo.Point{X: 25}}, RelayConfig{Profile: std(), Capacity: 8})
 	ue, _ := r.addUE(t, "ue", geo.Static{}, UEConfig{
-		Profile: std(), StartOffset: 5 * time.Second,
+		Apps: apps(std()), StartOffset: 5 * time.Second,
 	})
 	if err := r.sched.RunUntil(30 * time.Second); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -369,7 +389,7 @@ func TestDisableD2DIsOriginalSystem(t *testing.T) {
 	r := newRig(t, 5)
 	r.addRelay(t, "relay", geo.Static{}, RelayConfig{Profile: std(), Capacity: 8})
 	ue, led := r.addUE(t, "ue", geo.Static{P: geo.Point{X: 1}}, UEConfig{
-		Profile: std(), StartOffset: 5 * time.Second, DisableD2D: true,
+		Apps: apps(std()), StartOffset: 5 * time.Second, Rules: &UERules{DisableD2D: true},
 	})
 	if err := r.sched.RunUntil(std().Period * 3); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -402,7 +422,7 @@ func TestMobileUELosesLinkAndFallsBack(t *testing.T) {
 		t.Fatalf("Attach: %v", err)
 	}
 	ue, err := NewUE(r.sched, node, modem, UEConfig{
-		ID: "ue", Profile: std(), Match: matching.DefaultConfig(), StartOffset: 5 * time.Second,
+		ID: "ue", Apps: apps(std()), Rules: defaultRules(), StartOffset: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("NewUE: %v", err)
@@ -429,7 +449,7 @@ func TestUEStopCancelsTimers(t *testing.T) {
 	r := newRig(t, 13)
 	r.addRelay(t, "relay", geo.Static{}, RelayConfig{Profile: std(), Capacity: 8})
 	ue, _ := r.addUE(t, "ue", geo.Static{P: geo.Point{X: 1}}, UEConfig{
-		Profile: std(), StartOffset: 5 * time.Second,
+		Apps: apps(std()), StartOffset: 5 * time.Second,
 	})
 	if _, err := r.sched.At(10*time.Second, ue.Stop); err != nil {
 		t.Fatalf("At: %v", err)
@@ -451,7 +471,7 @@ func TestDeterministicRuns(t *testing.T) {
 		r := newRig(t, 99)
 		relay, _ := r.addRelay(t, "relay", geo.Static{}, RelayConfig{Profile: std(), Capacity: 4})
 		ue, _ := r.addUE(t, "ue", geo.Static{P: geo.Point{X: 3}}, UEConfig{
-			Profile: std(), StartOffset: 7 * time.Second,
+			Apps: apps(std()), StartOffset: 7 * time.Second,
 		})
 		if err := r.sched.RunUntil(std().Period * 6); err != nil {
 			t.Fatalf("RunUntil: %v", err)
@@ -475,7 +495,7 @@ func TestSignalingSavingVsOriginal(t *testing.T) {
 	runScheme := func() int {
 		r := newRig(t, 21)
 		r.addRelay(t, "relay", geo.Static{}, RelayConfig{Profile: std(), Capacity: 8})
-		r.addUE(t, "ue", geo.Static{P: geo.Point{X: 1}}, UEConfig{Profile: std(), StartOffset: 10 * time.Second})
+		r.addUE(t, "ue", geo.Static{P: geo.Point{X: 1}}, UEConfig{Apps: apps(std()), StartOffset: 10 * time.Second})
 		if err := r.sched.RunUntil(horizon); err != nil {
 			t.Fatalf("RunUntil: %v", err)
 		}
@@ -485,8 +505,8 @@ func TestSignalingSavingVsOriginal(t *testing.T) {
 		r := newRig(t, 21)
 		// In the original system the "relay" is just another UE sending
 		// its own heartbeats directly.
-		r.addUE(t, "relay", geo.Static{}, UEConfig{Profile: std(), DisableD2D: true})
-		r.addUE(t, "ue", geo.Static{P: geo.Point{X: 1}}, UEConfig{Profile: std(), StartOffset: 10 * time.Second, DisableD2D: true})
+		r.addUE(t, "relay", geo.Static{}, UEConfig{Apps: apps(std()), Rules: &UERules{DisableD2D: true}})
+		r.addUE(t, "ue", geo.Static{P: geo.Point{X: 1}}, UEConfig{Apps: apps(std()), StartOffset: 10 * time.Second, Rules: &UERules{DisableD2D: true}})
 		if err := r.sched.RunUntil(horizon); err != nil {
 			t.Fatalf("RunUntil: %v", err)
 		}
@@ -509,9 +529,9 @@ func TestCustomFeedbackTimeoutFiresEarly(t *testing.T) {
 	r := newRig(t, 17)
 	r.addRelay(t, "relay", geo.Static{}, RelayConfig{Profile: std(), Capacity: 8})
 	ue, _ := r.addUE(t, "ue", geo.Static{P: geo.Point{X: 1}}, UEConfig{
-		Profile:         std(),
-		StartOffset:     10 * time.Second,
-		FeedbackTimeout: 30 * time.Second, // relay flushes at 270 s
+		Apps:        apps(std()),
+		StartOffset: 10 * time.Second,
+		Rules:       &UERules{FeedbackTimeout: 30 * time.Second}, // relay flushes at 270 s
 	})
 	if err := r.sched.RunUntil(100 * time.Second); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -532,7 +552,7 @@ func TestScanBackoffReducesDiscoveryEnergy(t *testing.T) {
 	// of burning discovery energy every heartbeat.
 	r := newRig(t, 19)
 	ue, led := r.addUE(t, "ue", geo.Static{P: geo.Point{X: 500}}, UEConfig{
-		Profile: std(), StartOffset: 5 * time.Second,
+		Apps: apps(std()), StartOffset: 5 * time.Second,
 	})
 	if err := r.sched.RunUntil(16 * std().Period); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -564,7 +584,7 @@ func TestBusyRelayHandover(t *testing.T) {
 	fast := std()
 	fast.Period = 100 * time.Second
 	ue, _ := r.addUE(t, "ue", geo.Static{P: geo.Point{X: 1}}, UEConfig{
-		Profile: fast, StartOffset: 5 * time.Second,
+		Apps: apps(fast), StartOffset: 5 * time.Second,
 	})
 	if err := r.sched.RunUntil(260 * time.Second); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -611,7 +631,7 @@ func TestProactiveReleaseBeyondPrejudgmentDistance(t *testing.T) {
 		t.Fatalf("Attach: %v", err)
 	}
 	ue, err := NewUE(r.sched, node, modem, UEConfig{
-		ID: "ue", Profile: std(), Match: matching.DefaultConfig(), StartOffset: 10 * time.Second,
+		ID: "ue", Apps: apps(std()), Rules: defaultRules(), StartOffset: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("NewUE: %v", err)
@@ -650,7 +670,7 @@ func TestLossyLinkFailuresFallBackCleanly(t *testing.T) {
 	match := matching.DefaultConfig()
 	match.MaxDistance = 40 // loss zone allowed for this test
 	ue, _ := r.addUE(t, "ue", geo.Static{P: geo.Point{X: 30}}, UEConfig{
-		Profile: fast, StartOffset: 5 * time.Second, Match: match,
+		Apps: apps(fast), StartOffset: 5 * time.Second, Rules: &UERules{Match: match},
 	})
 	if err := r.sched.RunUntil(40 * fast.Period); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -819,7 +839,7 @@ func TestUEStateMachineOnFakeSubstrate(t *testing.T) {
 			s := simtime.NewScheduler(1)
 			sub := &fakeSub{relays: map[hbmsg.DeviceID]*fakeLink{}}
 			ue, err := NewUEOn(simtime.SchedulerClock{S: s}, sub, sub, UEConfig{
-				ID: "ue", Profile: std(), Match: matching.DefaultConfig(), StartOffset: time.Second,
+				ID: "ue", Apps: apps(std()), Rules: defaultRules(), StartOffset: time.Second,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -1114,8 +1134,8 @@ func TestUEPendingEntriesAreRecycled(t *testing.T) {
 			s := simtime.NewScheduler(1)
 			sub := &fakeSub{relays: map[hbmsg.DeviceID]*fakeLink{}, offer: []hbmsg.DeviceID{"a"}}
 			ue, err := NewUEOn(mk(s), sub, sub, UEConfig{
-				ID: "ue", Profile: std(), Match: matching.DefaultConfig(), StartOffset: time.Second,
-				FeedbackTimeout: 30 * time.Second,
+				ID: "ue", Apps: apps(std()), StartOffset: time.Second,
+				Rules: &UERules{Match: matching.DefaultConfig(), FeedbackTimeout: 30 * time.Second},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -1189,8 +1209,8 @@ func TestUEForwardAckZeroAllocs(t *testing.T) {
 			sub := &quietSub{link: link, peers: []d2d.PeerInfo{{ID: "a", EstDistance: 1,
 				Intent: d2d.MaxGroupOwnerIntent, FreeCapacity: 4}}}
 			ue, err := NewUEOn(mk(s), sub, sub, UEConfig{
-				ID: "ue", Profile: std(), Match: matching.DefaultConfig(), StartOffset: time.Second,
-				FeedbackTimeout: 30 * time.Second,
+				ID: "ue", Apps: apps(std()), StartOffset: time.Second,
+				Rules: &UERules{Match: matching.DefaultConfig(), FeedbackTimeout: 30 * time.Second},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"d2dhb/internal/energy"
 	"d2dhb/internal/geo"
 	"d2dhb/internal/hbmsg"
-	"d2dhb/internal/matching"
 	"d2dhb/internal/rrc"
 	"d2dhb/internal/simtime"
 	"d2dhb/internal/trace"
@@ -20,9 +19,8 @@ func TestMultiAppUEForwardsAllApps(t *testing.T) {
 	r := newRig(t, 31)
 	relay, _ := r.addRelay(t, "relay", geo.Static{}, RelayConfig{Profile: std(), Capacity: 8})
 	ue, _ := r.addUE(t, "ue", geo.Static{P: geo.Point{X: 1}}, UEConfig{
-		Profile:       hbmsg.WeChat(),
-		ExtraProfiles: []hbmsg.AppProfile{hbmsg.QQ()},
-		StartOffset:   10 * time.Second,
+		Apps:        apps(hbmsg.WeChat(), hbmsg.QQ()),
+		StartOffset: 10 * time.Second,
 	})
 	// 900 s: WeChat (270 s) beats at 10, 280, 550, 820; QQ (300 s) at 13,
 	// 313, 613.
@@ -58,9 +56,8 @@ func TestMultiAppUEDistinctExpiries(t *testing.T) {
 	tight.Name = "tight"
 	tight.ExpiryFactor = 0.1 // 27 s
 	ue, _ := r.addUE(t, "ue", geo.Static{P: geo.Point{X: 1}}, UEConfig{
-		Profile:       std(),
-		ExtraProfiles: []hbmsg.AppProfile{tight},
-		StartOffset:   5 * time.Second,
+		Apps:        apps(std(), tight),
+		StartOffset: 5 * time.Second,
 	})
 	if err := r.sched.RunUntil(100 * time.Second); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -100,8 +97,8 @@ func TestMultiAppUEFallsBackOnEachAppsWindow(t *testing.T) {
 				offer: []hbmsg.DeviceID{"a"}}
 			var rec trace.Recorder
 			ue, err := NewUEOn(mk(s), sub, sub, UEConfig{
-				ID: "ue", Profile: std(), ExtraProfiles: []hbmsg.AppProfile{tight},
-				Match: matching.DefaultConfig(), StartOffset: time.Second, Tracer: &rec,
+				ID: "ue", Apps: apps(std(), tight),
+				Rules: defaultRules(), StartOffset: time.Second, Tracer: &rec,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -154,8 +151,7 @@ func TestMultiAppValidation(t *testing.T) {
 		t.Fatalf("Attach: %v", err)
 	}
 	bad := UEConfig{
-		ID: "x", Profile: std(), Match: matching.DefaultConfig(),
-		ExtraProfiles: []hbmsg.AppProfile{{Name: "broken"}},
+		ID: "x", Apps: apps(std(), hbmsg.AppProfile{Name: "broken"}), Rules: defaultRules(),
 	}
 	if _, err := NewUE(r.sched, node, modem, bad); err == nil {
 		t.Fatal("invalid extra profile accepted")

@@ -48,30 +48,37 @@ type UEStats struct {
 	SendErrors int
 }
 
-// UEConfig parameterizes a UE device.
-type UEConfig struct {
-	// ID is the device id.
-	ID hbmsg.DeviceID
-	// Profile drives the UE's heartbeat traffic.
-	Profile hbmsg.AppProfile
-	// ExtraProfiles are additional apps running on the same device, each
-	// with its own heartbeat loop (real phones run several IM apps at
-	// once, the situation Table I describes). All apps share the device's
-	// relay link, feedback table and fallback path; each heartbeat waits on
-	// its own app's FeedbackWindow.
-	ExtraProfiles []hbmsg.AppProfile
+// UERules are the settings every UE of a run shares. A run builds one
+// value and each of its UEs points at it, so a device keeps by value only
+// what differs per device.
+type UERules struct {
 	// Match configures relay selection.
 	Match matching.Config
 	// FeedbackTimeout is how long the UE waits for a relay
 	// acknowledgement before resending over cellular. Zero selects
 	// FeedbackWindow's default for each heartbeat's expiry.
 	FeedbackTimeout time.Duration
-	// StartOffset delays the first heartbeat; staggering offsets across
-	// UEs mimics unsynchronized apps.
-	StartOffset time.Duration
 	// DisableD2D forces the original-system behaviour (every heartbeat
 	// direct over cellular); used for baselines.
 	DisableD2D bool
+}
+
+// UEConfig parameterizes a UE device.
+type UEConfig struct {
+	// ID is the device id.
+	ID hbmsg.DeviceID
+	// Apps are the device's heartbeat-producing apps, primary first, each
+	// with its own heartbeat loop (real phones run several IM apps at
+	// once, the situation Table I describes). All apps share the device's
+	// relay link, feedback table and fallback path; each heartbeat waits on
+	// its own app's FeedbackWindow. The UE only reads the slice, so UEs
+	// running the same apps may share one.
+	Apps []hbmsg.AppProfile
+	// Rules are the run's shared UE settings; required.
+	Rules *UERules
+	// StartOffset delays the first heartbeat; staggering offsets across
+	// UEs mimics unsynchronized apps.
+	StartOffset time.Duration
 	// Tracer receives structured events when non-nil.
 	Tracer trace.Tracer
 }
@@ -98,19 +105,19 @@ func (c UEConfig) validate() error {
 	if c.ID == "" {
 		return errors.New("device: empty ue id")
 	}
-	if err := c.Profile.Validate(); err != nil {
-		return err
+	if len(c.Apps) == 0 || c.Rules == nil {
+		return fmt.Errorf("device: ue %s needs apps and rules", c.ID)
 	}
-	for _, p := range c.ExtraProfiles {
+	for _, p := range c.Apps {
 		if err := p.Validate(); err != nil {
 			return err
 		}
 	}
-	if err := c.Match.Validate(); err != nil {
+	if err := c.Rules.Match.Validate(); err != nil {
 		return err
 	}
-	if c.FeedbackTimeout < 0 {
-		return fmt.Errorf("device: negative feedback timeout %v", c.FeedbackTimeout)
+	if c.Rules.FeedbackTimeout < 0 {
+		return fmt.Errorf("device: negative feedback timeout %v", c.Rules.FeedbackTimeout)
 	}
 	if c.StartOffset < 0 {
 		return fmt.Errorf("device: negative start offset %v", c.StartOffset)
@@ -183,11 +190,10 @@ func (u *UE) Stats() UEStats { return u.stats }
 // Connected reports whether the UE currently holds an open relay link.
 func (u *UE) Connected() bool { return u.link != nil && u.link.Open() }
 
-// Start schedules the first heartbeat of every app profile. Extra profiles
-// are staggered a few seconds after the primary so their first heartbeats
-// do not collide.
+// Start schedules the first heartbeat of every app. App i starts i×3 s
+// after StartOffset, so the apps' first heartbeats do not collide.
 func (u *UE) Start() error {
-	n := u.apps()
+	n := len(u.cfg.Apps)
 	u.timers = make([]simtime.Handle, n+1)
 	u.fires = make([]func(), n+1)
 	u.fires[n] = u.onLapse
@@ -201,17 +207,6 @@ func (u *UE) Start() error {
 		u.timers[i] = t
 	}
 	return nil
-}
-
-// apps is the number of app profiles: the primary and the extras.
-func (u *UE) apps() int { return 1 + len(u.cfg.ExtraProfiles) }
-
-// profile returns app profile i: the primary, then the extras.
-func (u *UE) profile(i int) *hbmsg.AppProfile {
-	if i == 0 {
-		return &u.cfg.Profile
-	}
-	return &u.cfg.ExtraProfiles[i-1]
 }
 
 // Stop halts the heartbeat loops and the lapse timer and forgets the
@@ -231,13 +226,13 @@ func (u *UE) Stop() {
 	}
 }
 
-// heartbeat generates and dispatches one heartbeat for profile slot i,
-// then schedules the next.
+// heartbeat generates and dispatches one heartbeat of app i, then
+// schedules the next.
 func (u *UE) heartbeat(i int) {
 	if u.stopped {
 		return
 	}
-	profile := u.profile(i)
+	profile := &u.cfg.Apps[i]
 	now := u.clock.Now()
 	u.seq++
 	hb := profile.Heartbeat(u.cfg.ID, u.seq, now)
@@ -250,7 +245,7 @@ func (u *UE) heartbeat(i int) {
 		u.stats.SendErrors++
 	}
 
-	if u.cfg.DisableD2D {
+	if u.cfg.Rules.DisableD2D {
 		u.sendDirect(hb)
 		return
 	}
@@ -260,8 +255,8 @@ func (u *UE) heartbeat(i int) {
 	// relays at match time (Section III-C) applies to keeping them. The
 	// 25 % hysteresis margin keeps boundary cases (matched on a noisy
 	// RSSI estimate just inside the bound) from flapping.
-	if u.Connected() && u.cfg.Match.Prejudgment &&
-		u.link.Distance() > u.cfg.Match.MaxDistance*1.25 {
+	if u.Connected() && u.cfg.Rules.Match.Prejudgment &&
+		u.link.Distance() > u.cfg.Rules.Match.MaxDistance*1.25 {
 		u.link.Close()
 		u.link = nil
 	}
@@ -333,7 +328,7 @@ func (u *UE) emit(ev trace.Event) {
 // the scan backoff on failure.
 func (u *UE) tryMatch() {
 	u.stats.Scans++
-	sel, ok := matching.Select(u.radio.Scan(), u.cfg.Match)
+	sel, ok := matching.Select(u.radio.Scan(), u.cfg.Rules.Match)
 	if !ok {
 		u.matchFailed()
 		return
@@ -381,12 +376,12 @@ func instant(d time.Duration) time.Time { return time.Unix(0, int64(d)) }
 // by seq parity, so that when a one-app UE's ack comes after its next
 // heartbeat both stay inline, and the table opens no overflow map.
 func (u *UE) key(i int, seq uint64) inflight.Key {
-	return inflight.Key{Slot: i + u.apps()*int(seq&1), Seq: seq}
+	return inflight.Key{Slot: i + len(u.cfg.Apps)*int(seq&1), Seq: seq}
 }
 
 // window is the ack window of the heartbeats in slot.
 func (u *UE) window(slot int) time.Duration {
-	return FeedbackWindow(u.cfg.FeedbackTimeout, u.profile(slot%u.apps()).Expiry())
+	return FeedbackWindow(u.cfg.Rules.FeedbackTimeout, u.cfg.Apps[slot%len(u.cfg.Apps)].Expiry())
 }
 
 // rearm keeps the lapse timer on the table's earliest lapse after a
@@ -425,7 +420,7 @@ func (u *UE) onLapse() {
 	resend, _ := u.pending.Sweep(instant(now), u.window, buf[:0], nil)
 	for _, k := range resend {
 		sent, _ := u.pending.Sent(k)
-		u.one[0] = u.profile(k.Slot%u.apps()).Heartbeat(u.cfg.ID, k.Seq, time.Duration(sent.UnixNano()))
+		u.one[0] = u.cfg.Apps[k.Slot%len(u.cfg.Apps)].Heartbeat(u.cfg.ID, k.Seq, time.Duration(sent.UnixNano()))
 		u.stats.FallbackResends++
 		u.emit(trace.Event{Kind: trace.KindFallback, App: u.one[0].App, Seq: k.Seq})
 		if err := u.uplink.Send(u.one[:], energy.PhaseFallback); err != nil {
@@ -447,11 +442,11 @@ func (u *UE) OnAck(ref d2d.AckRef) {
 	if ref.Src != u.cfg.ID {
 		return
 	}
-	for i := range u.apps() { // seqs run across apps: one slot has it
+	for i := range u.cfg.Apps { // seqs run across apps: one slot has it
 		if _, ok := u.pending.Settle(u.key(i, ref.Seq), instant(u.clock.Now())); ok {
 			u.rearm()
 			u.stats.AcksReceived++
-			u.emit(trace.Event{Kind: trace.KindAck, App: u.profile(i).Name, Seq: ref.Seq})
+			u.emit(trace.Event{Kind: trace.KindAck, App: u.cfg.Apps[i].Name, Seq: ref.Seq})
 			return
 		}
 	}

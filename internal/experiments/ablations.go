@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"d2dhb/internal/core"
+	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/matching"
 	"d2dhb/internal/metrics"
 	"d2dhb/internal/radio"
@@ -44,7 +45,7 @@ func PolicyAblation(seed int64) ([]PolicyAblationRow, *metrics.Table, error) {
 		}
 		sim, _, ues, err := core.Star{
 			Relay:    core.RelaySpec{ID: "relay", Profile: profile, Capacity: 8},
-			UE:       core.UESpec{Profile: ueProfile, StartOffset: 20 * time.Second},
+			UE:       core.UESpec{Apps: []hbmsg.AppProfile{ueProfile}, StartOffset: 20 * time.Second},
 			UEs:      3,
 			Distance: 1,
 			// Spaced well beyond the RRC tail (so the immediate policy
@@ -195,7 +196,7 @@ func FeedbackAblation(seed int64) ([]FeedbackAblationRow, *metrics.Table, error)
 		}
 		sim, relay, ues, err := core.Star{
 			Relay:    core.RelaySpec{ID: "relay", Profile: profile, Capacity: 8},
-			UE:       core.UESpec{Profile: profile, StartOffset: 10 * time.Second},
+			UE:       core.UESpec{Apps: []hbmsg.AppProfile{profile}, StartOffset: 10 * time.Second},
 			UEs:      1,
 			Distance: 1,
 		}.Build(opts)

@@ -101,6 +101,7 @@ func buildCityPopulation(cfg CityConfig, rng *rand.Rand) (cityPopulation, error)
 // either way the same rng state yields a bit-identical roster.
 func drawCity(cfg CityConfig, rng *rand.Rand, relay func(core.RelaySpec) error, ue func(core.UESpec) error) error {
 	profile := stdProfile()
+	apps := []hbmsg.AppProfile{profile} // every UE's: one array for the city
 	area := geo.Square(cfg.Side)
 	offset := func() time.Duration {
 		return time.Duration(rng.Int63n(int64(profile.Period)))
@@ -154,7 +155,7 @@ func drawCity(cfg CityConfig, rng *rand.Rand, relay func(core.RelaySpec) error, 
 		}
 		err := ue(core.UESpec{
 			ID:          hbmsg.DeviceID(fmt.Sprintf("ue-%05d", i)),
-			Profile:     profile,
+			Apps:        apps,
 			Mobility:    mob,
 			StartOffset: offset(),
 		})

@@ -95,3 +95,34 @@ func TestCityConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// seqGoldens pins the sequential kernel's report digests: one city_seq
+// repetition at seeds 1 and 7, and the CI preset. TestCityAllocs checks
+// the first, which it runs anyway.
+var seqGoldens = []struct {
+	name   string
+	cfg    func() CityConfig
+	digest string
+}{
+	{"city_seq seed 1", citySeqRep, "a29f599f539ca6a9f28baf69bbbfb90750e04fa849e556cf43bb8b10ebaf1e66"},
+	{"city_seq seed 7", func() CityConfig {
+		cfg := citySeqRep()
+		cfg.Seed = 7
+		return cfg
+	}, "8b06c552cb9bb94acf39eae8d1e40cfdf908589001b294d403d233991731b720"},
+	{"CityShort", CityShort, "de9939d8f09e8cb033214b1da4a39fc6189029e49ed8660e721f06249e41fa69"},
+}
+
+// TestCitySeqGolden holds the sequential kernel to its pinned digests, the
+// ones TestCityAllocs does not run.
+func TestCitySeqGolden(t *testing.T) {
+	for _, g := range seqGoldens[1:] {
+		rep, _, err := RunCity(g.cfg())
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if got := rep.Digest(); got != g.digest {
+			t.Errorf("%s report digest %s, want %s", g.name, got, g.digest)
+		}
+	}
+}

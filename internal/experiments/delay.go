@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"d2dhb/internal/core"
+	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/metrics"
 	"d2dhb/internal/sched"
 	"d2dhb/internal/trace"
@@ -51,7 +52,7 @@ func DelayByPolicy(seed int64) ([]DelayRow, *metrics.Table, error) {
 		}
 		sim, _, _, err := core.Star{
 			Relay:    core.RelaySpec{ID: "relay", Profile: profile, Capacity: 8},
-			UE:       core.UESpec{Profile: profile, StartOffset: 20 * time.Second},
+			UE:       core.UESpec{Apps: []hbmsg.AppProfile{profile}, StartOffset: 20 * time.Second},
 			UEs:      numUEs,
 			Distance: 1,
 			Spacing:  30 * time.Second,

@@ -84,7 +84,7 @@ func (p pair) original() (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sim.AddUE(core.UESpec{ID: "orig", Profile: p.profile, StartOffset: 20 * time.Second}); err != nil {
+	if _, err := sim.AddUE(core.UESpec{ID: "orig", Apps: []hbmsg.AppProfile{p.profile}, StartOffset: 20 * time.Second}); err != nil {
 		return nil, err
 	}
 	return sim.Run()

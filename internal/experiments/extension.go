@@ -34,13 +34,13 @@ func (r *ExtensionResult) Blocks() ([][]Block, error) { return one(tableBlock(r.
 // message[s], such as advertisements and diagnostic messages").
 func PeriodicExtension(seed int64) (*ExtensionResult, error) {
 	const horizon = 2 * time.Hour
-	extras := []hbmsg.AppProfile{hbmsg.Diagnostics(), hbmsg.AdRefresh()}
+	apps := []hbmsg.AppProfile{hbmsg.WeChat(), hbmsg.Diagnostics(), hbmsg.AdRefresh()}
 
 	run := func(relayExtras bool, disableD2D bool) (*core.Report, error) {
 		opts := core.Options{Seed: seed, Duration: horizon, DisableD2D: disableD2D}
-		ue := core.UESpec{Profile: hbmsg.WeChat(), StartOffset: 20 * time.Second}
+		ue := core.UESpec{Apps: apps[:1], StartOffset: 20 * time.Second}
 		if relayExtras {
-			ue.ExtraProfiles = extras
+			ue.Apps = apps
 		}
 		sim, _, _, err := core.Star{
 			Relay:    core.RelaySpec{ID: "relay", Profile: hbmsg.StandardHeartbeat(), Capacity: 16},
@@ -57,11 +57,10 @@ func PeriodicExtension(seed int64) (*ExtensionResult, error) {
 			// framework — so the comparison covers identical traffic.
 			for i := 0; i < 2; i++ {
 				if _, err := sim.AddUE(core.UESpec{
-					ID:            hbmsg.DeviceID(fmt.Sprintf("bg-%02d", i+1)),
-					Profile:       extras[0],
-					ExtraProfiles: extras[1:],
-					Mobility:      geo.Static{P: geo.Point{X: 500}}, // out of D2D range
-					StartOffset:   25*time.Second + time.Duration(i)*40*time.Second,
+					ID:          hbmsg.DeviceID(fmt.Sprintf("bg-%02d", i+1)),
+					Apps:        apps[1:],
+					Mobility:    geo.Static{P: geo.Point{X: 500}}, // out of D2D range
+					StartOffset: 25*time.Second + time.Duration(i)*40*time.Second,
 				}); err != nil {
 					return nil, err
 				}

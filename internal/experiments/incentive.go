@@ -6,6 +6,7 @@ import (
 
 	"d2dhb/internal/core"
 	"d2dhb/internal/energy"
+	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/metrics"
 )
 
@@ -97,7 +98,7 @@ func ExpiryFactorAblation(seed int64) ([]ExpiryFactorRow, *metrics.Table, error)
 		}
 		sim, relay, _, err := core.Star{
 			Relay:    core.RelaySpec{ID: "relay", Profile: relayProfile, Capacity: 8},
-			UE:       core.UESpec{Profile: ueProfile, StartOffset: 20 * time.Second},
+			UE:       core.UESpec{Apps: []hbmsg.AppProfile{ueProfile}, StartOffset: 20 * time.Second},
 			UEs:      numUEs,
 			Distance: 1,
 			Spacing:  40 * time.Second,

@@ -10,6 +10,7 @@ import (
 	"d2dhb/internal/core"
 	"d2dhb/internal/energy"
 	"d2dhb/internal/geo"
+	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/simtime"
 )
 
@@ -176,7 +177,7 @@ func TestOpFollowsMigrantToItsNewTile(t *testing.T) {
 			Mobility: lineWalk{from: geo.Point{X: 45, Y: 25}, vx: 1},
 		}},
 		ues: []core.UESpec{{
-			ID: "ue-still", Profile: profile, Mobility: geo.Static{P: geo.Point{X: 40, Y: 25}},
+			ID: "ue-still", Apps: []hbmsg.AppProfile{profile}, Mobility: geo.Static{P: geo.Point{X: 40, Y: 25}},
 			StartOffset: 5 * window, // silent for as long as the test looks
 		}},
 	}

@@ -151,7 +151,8 @@ func newParCity(cfg ParallelCityConfig, pop cityPopulation) (*parCity, error) {
 	}
 
 	n := len(pop.relays) + len(pop.ues)
-	profile, rrcCfg := stdProfile(), rrc.DefaultConfig()
+	rrcCfg := rrc.DefaultConfig()
+	ueRules := &device.UERules{Match: matching.DefaultConfig(), DisableD2D: cfg.DisableD2D}
 	env := &parEnv{
 		radio:     radio.WiFiDirectProfile().Ranged(),
 		model:     energy.DefaultModel(),
@@ -213,7 +214,7 @@ func newParCity(cfg ParallelCityConfig, pop cityPopulation) (*parCity, error) {
 		d, err := addDevice(spec.ID, spec.Mobility, true)
 		if err == nil {
 			d.relay, err = device.NewRelayOn(d.clock(), d, device.Cellular{Uplink: d}, device.RelayConfig{
-				ID: spec.ID, Profile: profile, Capacity: spec.Capacity,
+				ID: spec.ID, Profile: spec.Profile, Capacity: spec.Capacity,
 				StartOffset: spec.StartOffset, Tracer: d.tracer,
 			})
 		}
@@ -229,8 +230,8 @@ func newParCity(cfg ParallelCityConfig, pop cityPopulation) (*parCity, error) {
 		d, err := addDevice(spec.ID, spec.Mobility, false)
 		if err == nil {
 			d.ue, err = device.NewUEOn(d.clock(), d, d, device.UEConfig{
-				ID: spec.ID, Profile: profile, Match: matching.DefaultConfig(),
-				StartOffset: spec.StartOffset, DisableD2D: cfg.DisableD2D, Tracer: d.tracer,
+				ID: spec.ID, Apps: spec.Apps, Rules: ueRules,
+				StartOffset: spec.StartOffset, Tracer: d.tracer,
 			})
 		}
 		if err == nil {

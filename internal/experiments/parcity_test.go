@@ -12,6 +12,7 @@ import (
 
 	"d2dhb/internal/core"
 	"d2dhb/internal/geo"
+	"d2dhb/internal/hbmsg"
 	"d2dhb/internal/trace"
 )
 
@@ -190,8 +191,8 @@ func TestCityParallelSnapshotBuffers(t *testing.T) {
 				{ID: "relay-quitter", Profile: profile, Mobility: geo.Static{P: quitter}, Capacity: 4},
 			},
 			ues: []core.UESpec{
-				{ID: "ue-still", Profile: profile, Mobility: geo.Static{P: still}, StartOffset: time.Second},
-				{ID: "ue-walker", Profile: profile, Mobility: walker, StartOffset: time.Second},
+				{ID: "ue-still", Apps: []hbmsg.AppProfile{profile}, Mobility: geo.Static{P: still}, StartOffset: time.Second},
+				{ID: "ue-walker", Apps: []hbmsg.AppProfile{profile}, Mobility: walker, StartOffset: time.Second},
 			},
 		}
 		cfg := ParallelCityConfig{

@@ -158,13 +158,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("scenario: duplicate device id %q", d.ID)
 		}
 		seen[d.ID] = true
-		if _, err := hbmsg.ProfileByName(d.App); err != nil {
+		if _, err := d.apps(); err != nil {
 			return err
-		}
-		for _, extra := range d.ExtraApps {
-			if _, err := hbmsg.ProfileByName(extra); err != nil {
-				return err
-			}
 		}
 	}
 	if _, err := techniqueByName(c.Technique); err != nil {
@@ -225,33 +220,37 @@ func (c *Config) Build(disableD2D bool, tracer trace.Tracer) (*core.Simulation, 
 		}
 	}
 	for i, d := range c.UEs {
-		profile, err := hbmsg.ProfileByName(d.App)
+		apps, err := d.apps()
 		if err != nil {
 			return nil, err
-		}
-		var extras []hbmsg.AppProfile
-		for _, name := range d.ExtraApps {
-			p, err := hbmsg.ProfileByName(name)
-			if err != nil {
-				return nil, err
-			}
-			extras = append(extras, p)
 		}
 		mob, err := d.Mobility.build(c.Seed + int64(len(c.Relays)+i) + 1)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: ue %s: %w", d.ID, err)
 		}
 		if _, err := sim.AddUE(core.UESpec{
-			ID:            hbmsg.DeviceID(d.ID),
-			Profile:       profile,
-			ExtraProfiles: extras,
-			Mobility:      mob,
-			StartOffset:   d.StartOffset.Std(),
+			ID:          hbmsg.DeviceID(d.ID),
+			Apps:        apps,
+			Mobility:    mob,
+			StartOffset: d.StartOffset.Std(),
 		}); err != nil {
 			return nil, err
 		}
 	}
 	return sim, nil
+}
+
+// apps resolves the device's apps: App first, then ExtraApps.
+func (d Device) apps() ([]hbmsg.AppProfile, error) {
+	apps := make([]hbmsg.AppProfile, 0, 1+len(d.ExtraApps))
+	for _, name := range append([]string{d.App}, d.ExtraApps...) {
+		p, err := hbmsg.ProfileByName(name)
+		if err != nil {
+			return nil, err
+		}
+		apps = append(apps, p)
+	}
+	return apps, nil
 }
 
 func techniqueByName(name string) (radio.Technique, error) {
